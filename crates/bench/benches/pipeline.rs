@@ -1,5 +1,5 @@
 //! Criterion benches for the execution pipeline: synchronous loop vs
-//! asynchronous-write `PipelinedServer` under identical storage cost,
+//! asynchronous-write mode (`into_pipelined`) under identical storage cost,
 //! plus the fsync-batching file-backed AOF baseline.
 //!
 //! The acceptance bar for the pipeline: at batch=16 the async-write
@@ -12,7 +12,6 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use lcm_core::admin::AdminHandle;
 use lcm_core::client::LcmClient;
-use lcm_core::pipeline::PipelinedServer;
 use lcm_core::server::{BatchServer, LcmServer};
 use lcm_core::stability::Quorum;
 use lcm_core::types::ClientId;
@@ -32,7 +31,7 @@ fn setup(batch: usize, pipelined: bool, seed: u64) -> (Box<dyn BatchServer>, Vec
     let storage = Arc::new(DelayedStorage::new(MemoryStorage::new(), STORE_DELAY));
     let inner = LcmServer::<KvStore>::new(&platform, storage, batch);
     let mut server: Box<dyn BatchServer> = if pipelined {
-        Box::new(PipelinedServer::new(inner))
+        Box::new(inner.into_pipelined())
     } else {
         Box::new(inner)
     };

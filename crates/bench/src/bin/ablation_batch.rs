@@ -22,7 +22,6 @@ use lcm_bench::{header, kops, write_csv};
 use lcm_core::admin::AdminHandle;
 use lcm_core::client::LcmClient;
 use lcm_core::codec::WireCodec;
-use lcm_core::pipeline::PipelinedServer;
 use lcm_core::server::{BatchServer, LcmServer};
 use lcm_core::stability::Quorum;
 use lcm_core::types::ClientId;
@@ -51,7 +50,7 @@ fn measure_real(batch: usize, pipelined: bool, n_clients: u32, rounds: u32) -> f
     let storage = Arc::new(DelayedStorage::new(MemoryStorage::new(), STORE_DELAY));
     let inner = LcmServer::<KvStore>::new(&platform, storage, batch);
     let mut server: Box<dyn BatchServer> = if pipelined {
-        Box::new(PipelinedServer::new(inner))
+        Box::new(inner.into_pipelined())
     } else {
         Box::new(inner)
     };

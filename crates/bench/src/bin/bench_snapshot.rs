@@ -161,7 +161,6 @@ fn main() {
         results.push((fe_mode, HOT_SHARDS, fe, None));
 
         let (adm, health) = measure_frontend_admitted(&cfg, HOT_SHARDS as usize, window);
-        let health = health.expect("sharded deployments expose admission");
         let cold = health
             .tenant(COLD_TENANT)
             .expect("metered tenant measured")

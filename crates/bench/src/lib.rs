@@ -890,7 +890,7 @@ pub mod shardbench {
         cfg: &ShardRun,
         driver_threads: usize,
         window: Duration,
-    ) -> (f64, Option<HealthSnapshot>) {
+    ) -> (f64, HealthSnapshot) {
         let out = run_frontend(
             cfg,
             driver_threads,
@@ -1134,7 +1134,7 @@ pub mod shardbench {
         ops_per_s: f64,
         ops_processed: u64,
         batches_processed: u64,
-        health: Option<HealthSnapshot>,
+        health: HealthSnapshot,
     }
 
     fn run_frontend(
@@ -1155,8 +1155,7 @@ pub mod shardbench {
         if let Some(config) = admission {
             server.configure_admission(config);
         }
-        let mut fe =
-            Frontend::new(server, driver_threads, DriveMode::Continuous).expect("sharded plane");
+        let mut fe = Frontend::new(server, driver_threads, DriveMode::Continuous);
         fe.set_linger(linger);
         assert!(fe.boot().unwrap());
         let ids: Vec<ClientId> = (1..=cfg.clients).map(ClientId).collect();

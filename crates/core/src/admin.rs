@@ -600,7 +600,7 @@ mod tests {
         let name = shard::nth_key_routing_to(0, 2, "adm-", 0);
         let op = Counter::inc_op(&name, 1);
         let mut c = LcmClient::new_sharded(ClientId(1), admin.client_key(), 2);
-        let bump = |server: &mut shard::ShardedServer<Box<dyn BatchServer>>, c: &mut LcmClient| {
+        let bump = |server: &mut shard::ShardedServer, c: &mut LcmClient| {
             server.submit(c.invoke_for::<Counter>(&op).unwrap());
             let mut replies = server.process_all().unwrap();
             loop {

@@ -4,7 +4,7 @@
 //! The paper's model (§2.3) already grants the server-side host every
 //! power over messages, so admission control adds **no trust** — it is
 //! pure host-side traffic engineering layered under
-//! [`crate::transport::TransportPlane::try_submit`]:
+//! [`crate::transport::FrontendPort::try_send`]:
 //!
 //! ```text
 //!             ┌ tenant A: token bucket ─ WFQ credits ┐
@@ -38,9 +38,8 @@
 //! * **Latency observability** — every ticket is timestamped from
 //!   admission to reply release; per-(tenant, shard) HDR-style
 //!   histograms surface p50/p99/p999 through [`HealthSnapshot`]
-//!   (reachable via `Frontend::health_snapshot`,
-//!   `ShardedServer::health_snapshot`, and
-//!   [`crate::transport::TransportStats::latency`]).
+//!   (reachable via `Frontend::health_snapshot` and
+//!   `ShardedServer::health_snapshot`).
 //!
 //! # Trust boundary
 //!
@@ -164,7 +163,7 @@ impl AdmissionConfig {
 }
 
 /// What happened to a wire offered to
-/// [`crate::transport::TransportPlane::try_submit`].
+/// [`crate::transport::FrontendPort::try_send`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmitOutcome {
     /// Accepted: ticketed and enqueued toward its shard.

@@ -48,7 +48,7 @@ const ANCHOR_DELTA: &[u8] = b"lcm.delta-chain";
 /// the last checkpoint exceed `max(this, last checkpoint size)` bytes —
 /// bounding both recovery replay work and the delta log's footprint to
 /// a constant factor of the state size.
-const DELTA_CHECKPOINT_MIN: usize = 4096;
+pub(crate) const DELTA_CHECKPOINT_MIN: usize = 4096;
 /// AAD label for client→T messages. The plaintext routing envelope
 /// (see [`crate::wire::RouteHint`]) is appended to this label by
 /// [`invoke_aad`], so a host that rewrites the routing metadata breaks
@@ -807,6 +807,10 @@ impl<F: Functionality> TrustedContext<F> {
                         Err(_) => return Err(self.halt(Violation::BadAuthentication)),
                     };
                     self.apply_delta_plain(&plain)?;
+                    // The log still holds this delta: it counts toward
+                    // the checkpoint cadence exactly as when emitted,
+                    // or reboots would grow the log without bound.
+                    self.delta_bytes += delta.len();
                 }
                 Ok(())
             }

@@ -39,14 +39,18 @@
 //!   request batching (paper §5.2/§5.3 architecture), plus the
 //!   [`server::BatchServer`] trait the rest of the stack programs
 //!   against.
-//! * [`pipeline`] — the asynchronous-write execution pipeline:
-//!   [`pipeline::PipelinedServer`] persists sealed state on a
-//!   background writer thread while the enclave executes the next
-//!   batch (the mode behind the paper's Figs. 4/5).
+//! * [`pipeline`] — asynchronous write as a persist policy of that
+//!   one server: [`server::LcmServer::into_pipelined`] attaches a
+//!   background writer that persists sealed state while the enclave
+//!   executes the next batch (the mode behind the paper's Figs. 4/5).
 //! * [`shard`] — sharded multi-enclave execution:
-//!   [`shard::ShardedServer`] runs N server instances behind a
+//!   [`shard::ShardedServer`] runs N boxed server lanes behind a
 //!   key-partitioned router so stage 2 (execute + seal) parallelizes
-//!   across enclaves.
+//!   across enclaves; a single-enclave deployment is the 1-lane case.
+//! * [`transport`] — the one transport: the concurrent
+//!   [`transport::Frontend`] driving a sharded server's shared core
+//!   from a pool of driver threads, with per-client reply ports.
+//! * [`admission`] — multi-tenant admission control at the front door.
 //! * [`routing`] — the epoch-versioned slice table behind that
 //!   router: an attested, rebalanceable key→shard map whose epoch is
 //!   bound into every wire's AEAD so stale or malicious routes stay

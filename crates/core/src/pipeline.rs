@@ -1,42 +1,48 @@
-//! The event-driven execution pipeline: asynchronous writes under real
-//! concurrency.
+//! Asynchronous write: the background persist writer behind a
+//! pipelined [`LcmServer`].
 //!
 //! The paper's headline throughput numbers (Figs. 4/5) come from the
 //! *asynchronous-write* mode, where sealing persistence overlaps
-//! request execution. [`PipelinedServer`] realizes that mode as a
-//! three-stage pipeline:
+//! request execution. That mode is a **persist policy of the one
+//! server type**, not a server of its own:
+//! [`LcmServer::into_pipelined`] attaches the writer defined here, and
+//! from then on [`LcmServer::step`] hands each batch's sealed blobs to
+//! it instead of storing them inline:
 //!
 //! ```text
 //!            stage 1 — intake          stage 2 — execution        stage 3 — persistence
 //!   clients ──────────────────▶ queue ────────────────────▶ seal ──────────────────────▶ disk
-//!            transport::Hub            enclave ecall              background writer
+//!            submit                    enclave ecall              background writer
 //!            (caller thread)           (caller thread)            (StageWorker thread)
 //! ```
 //!
-//! Stages 1–2 run on the caller's thread exactly like [`LcmServer`];
-//! stage 3 runs on a dedicated [`lcm_runtime::stage::StageWorker`]
-//! thread fed through a **bounded** queue. While the writer persists
-//! batch *n*, the enclave executes batch *n+1* — replies leave the
-//! server before their sealed state hits the disk.
+//! Stages 1–2 run on the caller's thread exactly as in the synchronous
+//! mode; stage 3 runs on a dedicated
+//! [`lcm_runtime::stage::StageWorker`] thread fed through a **bounded**
+//! queue. While the writer persists batch *n*, the enclave executes
+//! batch *n+1* — replies leave the server before their sealed state
+//! hits the disk. Control-plane host calls (boot, provision, admin,
+//! migration, replica apply, slice moves) drain the writer first, so
+//! they always read and supersede ordered state.
 //!
 //! ## Back-pressure
 //!
 //! The writer queue holds at most `queue_capacity` sealed snapshots
 //! (default [`DEFAULT_WRITER_QUEUE`]). When the disk falls that far
-//! behind, [`PipelinedServer::step`] blocks in `submit` until a slot
-//! frees up: a slow disk throttles the enclave instead of buffering
-//! unbounded sealed state in host memory.
-//! [`PipelinedServer::backpressure_events`] counts how often that
-//! happened.
+//! behind, [`LcmServer::step`] blocks until a slot frees up: a slow
+//! disk throttles the enclave instead of buffering unbounded sealed
+//! state in host memory. [`LcmServer::backpressure_events`] counts how
+//! often that happened.
 //!
 //! ## Crash semantics — the durability window
 //!
 //! Queued-but-unwritten blobs model data handed to the OS page cache:
 //!
-//! * [`PipelinedServer::crash`] — the server *process* dies. The
-//!   kernel still completes accepted writes, so the writer drains its
-//!   queue before the enclave stops; recovery sees the latest state.
-//! * [`PipelinedServer::crash_power_failure`] — the machine dies.
+//! * [`LcmServer::crash`] — the server *process* dies. The kernel
+//!   still completes accepted writes, so the writer drains its queue
+//!   before the enclave stops; recovery sees the latest state.
+//! * [`LcmServer::crash_power_failure`] (reached through
+//!   [`BatchServer::kill_member`]`(.., true)`) — the machine dies.
 //!   Queued blobs are lost, recovery boots from whatever had actually
 //!   reached the medium. Operations whose persistence was lost are
 //!   rolled back — which LCM clients *detect* on their next operation
@@ -44,340 +50,123 @@
 //!   buys throughput, and the stability watermark (§4.5) tells each
 //!   client which operations were guaranteed durable.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use lcm_runtime::stage::StageWorker;
 use lcm_storage::StableStorage;
 
 use crate::context::PersistBlobs;
-use crate::functionality::Functionality;
-use crate::server::{BatchServer, LcmServer, SLOT_KEY_BLOB, SLOT_STATE_BLOB};
-use crate::types::ClientId;
+use crate::server::store_blobs;
+#[allow(unused_imports)] // rustdoc links
+use crate::server::{BatchServer, LcmServer};
 use crate::{LcmError, Result};
 
 /// Default bound on the writer queue: how many sealed snapshots may be
 /// in flight before execution blocks on persistence.
 pub const DEFAULT_WRITER_QUEUE: usize = 4;
 
-/// Shared state between the server and its persistence stage.
+/// State shared between the server thread and the writer thread.
 struct WriterShared {
-    /// Fast-path flag for "the writer hit a storage error" — checked
-    /// lock-free on every step so the hot path never contends with
-    /// in-flight I/O.
-    failed: AtomicBool,
     /// First storage error the writer hit; everything after it is
-    /// skipped and the error surfaces on the next server call.
+    /// skipped and the error surfaces on the next server call. (Never
+    /// held across I/O, so checking it per step does not contend.)
     error: Mutex<Option<String>>,
     /// Snapshots fully persisted (both slots stored).
     persisted: AtomicU64,
 }
 
-/// An [`LcmServer`] whose persistence stage runs on a background
-/// writer thread — the paper's asynchronous-write mode under real
-/// concurrency. Construct via [`LcmServer::into_pipelined`].
-///
-/// The full [`BatchServer`] surface is available; control-plane
-/// operations that read or write storage directly (boot, provision,
-/// admin, migration) flush the writer first so they always observe
-/// ordered state.
-pub struct PipelinedServer<F: Functionality> {
-    inner: LcmServer<F>,
-    writer: StageWorker<PersistBlobs>,
+impl WriterShared {
+    fn error(&self) -> std::sync::MutexGuard<'_, Option<String>> {
+        self.error.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+/// The persistence stage of a pipelined [`crate::server::LcmServer`]:
+/// a writer thread storing sealed blobs in submission order.
+pub(crate) struct PersistWriter {
+    stage: StageWorker<PersistBlobs>,
     shared: Arc<WriterShared>,
 }
 
-impl<F: Functionality> std::fmt::Debug for PipelinedServer<F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PipelinedServer")
-            .field("inner", &self.inner)
-            .field("pending_persists", &self.writer.pending())
-            .finish()
-    }
-}
-
-impl<F: Functionality> PipelinedServer<F> {
-    /// Wraps `server`, spawning the persistence stage with the default
-    /// writer-queue capacity.
-    pub fn new(server: LcmServer<F>) -> Self {
-        Self::with_queue_capacity(server, DEFAULT_WRITER_QUEUE)
-    }
-
-    /// Wraps `server` with an explicit writer-queue bound (min 1).
-    pub fn with_queue_capacity(server: LcmServer<F>, queue_capacity: usize) -> Self {
-        let storage: Arc<dyn StableStorage> = server.storage();
+impl PersistWriter {
+    /// Spawns the writer over `storage` with a queue of
+    /// `queue_capacity` snapshots (min 1).
+    pub(crate) fn spawn(storage: Arc<dyn StableStorage>, queue_capacity: usize) -> Self {
         let shared = Arc::new(WriterShared {
-            failed: AtomicBool::new(false),
             error: Mutex::new(None),
             persisted: AtomicU64::new(0),
         });
         let writer_shared = shared.clone();
-        let writer = StageWorker::spawn(
+        let stage = StageWorker::spawn(
             "lcm-persist-writer",
             queue_capacity,
             move |blobs: PersistBlobs| {
-                if writer_shared.failed.load(Ordering::SeqCst) {
+                if writer_shared.error().is_some() {
                     return;
                 }
-                // State before keys, and no key store for delta
-                // persists — matching the synchronous server's persist
-                // (a crash between the stores must never leave keys
-                // without state, which `init` reads as tampering).
-                let stored = storage
-                    .store(SLOT_STATE_BLOB, &blobs.state_blob)
-                    .and_then(|()| {
-                        if blobs.key_blob.is_empty() {
-                            Ok(())
-                        } else {
-                            storage.store(SLOT_KEY_BLOB, &blobs.key_blob)
-                        }
-                    });
-                match stored {
+                match store_blobs(&*storage, &blobs) {
                     Ok(()) => {
                         writer_shared.persisted.fetch_add(1, Ordering::SeqCst);
                     }
-                    Err(e) => {
-                        *writer_shared
-                            .error
-                            .lock()
-                            .unwrap_or_else(|p| p.into_inner()) = Some(e.to_string());
-                        writer_shared.failed.store(true, Ordering::SeqCst);
-                    }
+                    Err(e) => *writer_shared.error() = Some(e.to_string()),
                 }
             },
         );
-        PipelinedServer {
-            inner: server,
-            writer,
-            shared,
+        PersistWriter { stage, shared }
+    }
+
+    /// Surfaces a storage error the writer hit on an earlier snapshot.
+    pub(crate) fn check(&self) -> Result<()> {
+        match self.shared.error().as_deref() {
+            None => Ok(()),
+            Some(msg) => Err(LcmError::Storage(format!("async persist failed: {msg}"))),
         }
     }
 
-    /// Shuts the pipeline down (draining the writer) and returns the
-    /// synchronous server.
-    pub fn into_inner(self) -> LcmServer<F> {
-        // Dropping the writer closes + drains its queue and joins the
-        // thread; destructure afterwards.
-        let PipelinedServer { inner, writer, .. } = self;
-        drop(writer);
-        inner
+    /// Queues one sealed snapshot, blocking while the queue is full
+    /// (back-pressure).
+    pub(crate) fn submit(&mut self, blobs: PersistBlobs) -> Result<()> {
+        self.stage
+            .submit(blobs)
+            .map_err(|_| LcmError::Storage("persist writer stopped".into()))
     }
 
-    fn check_writer(&self) -> Result<()> {
-        if !self.shared.failed.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        let error = self.shared.error.lock().unwrap_or_else(|e| e.into_inner());
-        let msg = error.as_deref().unwrap_or("unknown storage failure");
-        Err(LcmError::Storage(format!("async persist failed: {msg}")))
+    /// Blocks until every queued snapshot is stored, then surfaces any
+    /// storage error the writer hit.
+    pub(crate) fn flush(&self) -> Result<()> {
+        self.stage.flush();
+        self.check()
     }
 
-    /// Blocks until every sealed snapshot handed to the writer has been
-    /// persisted, then surfaces any storage error the writer hit.
-    ///
-    /// # Errors
-    ///
-    /// [`LcmError::Storage`] if an asynchronous persist failed.
-    pub fn flush(&mut self) -> Result<()> {
-        self.writer.flush();
-        self.check_writer()
-    }
-
-    /// Simulates a crash of the server *process*: the enclave's
-    /// volatile memory is lost, but writes already handed to the OS
-    /// complete. Call [`PipelinedServer::boot`] to recover.
-    ///
-    /// A pending writer error is cleared: the restarted process gets a
-    /// fresh writer, and the write that failed is simply lost — if it
-    /// mattered, clients detect the resulting rollback.
-    pub fn crash(&mut self) {
-        self.writer.flush();
-        self.clear_writer_error();
-        self.inner.crash();
-    }
-
-    /// Simulates a power failure: the enclave dies *and* sealed
-    /// snapshots still queued for writing are lost. Returns how many
-    /// snapshots were dropped. Recovery boots from the last state that
-    /// reached the medium; clients whose acknowledged operations were
-    /// rolled back detect the gap on their next operation.
-    pub fn crash_power_failure(&mut self) -> usize {
-        let dropped = self.writer.discard_pending();
-        self.clear_writer_error();
-        self.inner.crash();
+    /// The writer's side of a server crash: a process crash lets
+    /// accepted writes complete, a power failure discards what is
+    /// still queued (the in-flight store completes). Returns how many
+    /// snapshots were dropped. A pending writer error is cleared
+    /// either way: the restarted process gets a fresh writer, and the
+    /// write that failed is simply lost — if it mattered, clients
+    /// detect the resulting rollback.
+    pub(crate) fn crash(&self, power_failure: bool) -> usize {
+        let dropped = if power_failure {
+            self.stage.discard_pending()
+        } else {
+            self.stage.flush();
+            0
+        };
+        *self.shared.error() = None;
         dropped
     }
 
-    fn clear_writer_error(&mut self) {
-        *self.shared.error.lock().unwrap_or_else(|e| e.into_inner()) = None;
-        self.shared.failed.store(false, Ordering::SeqCst);
-    }
-
-    /// Boots (or recovers) the enclave from stable storage. Flushes the
-    /// writer first so recovery sees every completed persist.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`LcmServer::boot`], plus deferred writer errors.
-    pub fn boot(&mut self) -> Result<bool> {
-        self.flush()?;
-        self.inner.boot()
-    }
-
-    /// Processes one batch: the enclave executes on the calling thread,
-    /// the sealed state is queued for the background writer, and the
-    /// replies return immediately — before the disk write completes.
-    ///
-    /// Blocks only when the writer queue is full (back-pressure).
-    ///
-    /// # Errors
-    ///
-    /// Context violations, plus deferred writer errors from earlier
-    /// batches.
-    pub fn step(&mut self) -> Result<Vec<(ClientId, Vec<u8>)>> {
-        self.check_writer()?;
-        let (replies, blobs) = self.inner.execute_batch()?;
-        if let Some(blobs) = blobs {
-            if self.writer.submit(blobs).is_err() {
-                return Err(LcmError::Storage("persist writer stopped".into()));
-            }
-        }
-        Ok(replies)
-    }
-
-    /// Processes all queued messages, batch by batch, without waiting
-    /// for persistence.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PipelinedServer::step`].
-    pub fn process_all(&mut self) -> Result<Vec<(ClientId, Vec<u8>)>> {
-        let mut out = Vec::new();
-        while self.inner.queued() > 0 {
-            out.extend(self.step()?);
-        }
-        Ok(out)
-    }
-
-    /// Sealed snapshots fully persisted by the writer so far.
-    pub fn persists_completed(&self) -> u64 {
+    pub(crate) fn persisted(&self) -> u64 {
         self.shared.persisted.load(Ordering::SeqCst)
     }
 
-    /// Sealed snapshots currently waiting in the writer queue.
-    pub fn pending_persists(&self) -> usize {
-        self.writer.pending()
+    pub(crate) fn pending(&self) -> usize {
+        self.stage.pending()
     }
 
-    /// How many times execution blocked because the writer queue was
-    /// full — the back-pressure signal.
-    pub fn backpressure_events(&self) -> u64 {
-        self.writer.queue_stats().blocked_pushes
-    }
-
-    /// Direct access to the wrapped synchronous server. Persists issued
-    /// through it bypass the writer queue; flush first if ordering
-    /// matters.
-    pub fn inner(&mut self) -> &mut LcmServer<F> {
-        &mut self.inner
-    }
-}
-
-impl<F: Functionality> BatchServer for PipelinedServer<F> {
-    fn boot(&mut self) -> Result<bool> {
-        PipelinedServer::boot(self)
-    }
-    fn crash(&mut self) {
-        PipelinedServer::crash(self);
-    }
-    fn is_running(&self) -> bool {
-        self.inner.is_running()
-    }
-    fn provision(&mut self, sealed_payload: Vec<u8>) -> Result<()> {
-        self.flush()?;
-        self.inner.provision(sealed_payload)
-    }
-    fn attest(
-        &mut self,
-        user_data: lcm_crypto::sha256::Digest,
-    ) -> Result<lcm_tee::attestation::Quote> {
-        self.inner.attest(user_data)
-    }
-    fn submit(&mut self, invoke_wire: Vec<u8>) {
-        self.inner.submit(invoke_wire);
-    }
-    fn queued(&self) -> usize {
-        self.inner.queued()
-    }
-    fn batch_limit(&self) -> usize {
-        BatchServer::batch_limit(&self.inner)
-    }
-    fn step(&mut self) -> Result<Vec<(ClientId, Vec<u8>)>> {
-        PipelinedServer::step(self)
-    }
-    fn process_all(&mut self) -> Result<Vec<(ClientId, Vec<u8>)>> {
-        PipelinedServer::process_all(self)
-    }
-    fn admin(&mut self, admin_wire: Vec<u8>) -> Result<Vec<u8>> {
-        self.flush()?;
-        self.inner.admin(admin_wire)
-    }
-    fn export_migration(&mut self) -> Result<Vec<u8>> {
-        self.flush()?;
-        self.inner.export_migration()
-    }
-    fn import_migration(&mut self, ticket: Vec<u8>) -> Result<()> {
-        self.flush()?;
-        self.inner.import_migration(ticket)
-    }
-    fn batches_processed(&self) -> u64 {
-        self.inner.batches_processed()
-    }
-    fn ops_processed(&self) -> u64 {
-        self.inner.ops_processed()
-    }
-    fn flush_persists(&mut self) -> Result<()> {
-        PipelinedServer::flush(self)
-    }
-    fn serve_read(&mut self, read_wire: Vec<u8>) -> Result<Vec<u8>> {
-        self.inner.serve_read(read_wire)
-    }
-    fn apply_replica(&mut self, state_blob: Vec<u8>) -> Result<lcm_crypto::sha256::Digest> {
-        self.flush()?;
-        self.inner.apply_replica(state_blob)
-    }
-    fn kill_member(&mut self, shard: u32, replica: u32, power_failure: bool) -> Result<()> {
-        if shard == 0 && replica == 0 {
-            if power_failure {
-                self.crash_power_failure();
-            } else {
-                self.crash();
-            }
-            Ok(())
-        } else {
-            Err(LcmError::Tee(format!(
-                "kill_member(shard {shard}, replica {replica}) on a single-enclave server"
-            )))
-        }
-    }
-    fn import_migration_as(&mut self, ticket: Vec<u8>, replica: u32, replicas: u32) -> Result<()> {
-        self.flush()?;
-        self.inner.import_migration_as(ticket, replica, replicas)
-    }
-    fn export_slice(&mut self, slice: u32, to: u32) -> Result<(Vec<u8>, Vec<u8>)> {
-        // The export's checkpoint supersedes everything queued behind
-        // the writer; drain first so storage cannot end up with a
-        // stale post-export blob.
-        self.flush()?;
-        self.inner.export_slice(slice, to)
-    }
-    fn import_slice(&mut self, ticket: Vec<u8>) -> Result<()> {
-        self.flush()?;
-        self.inner.import_slice(ticket)
-    }
-    fn adopt_table(&mut self, bulletin: Vec<u8>) -> Result<()> {
-        self.flush()?;
-        self.inner.adopt_table(bulletin)
+    pub(crate) fn blocked_pushes(&self) -> u64 {
+        self.stage.queue_stats().blocked_pushes
     }
 }
 
@@ -387,14 +176,13 @@ mod tests {
     use crate::admin::AdminHandle;
     use crate::client::LcmClient;
     use crate::functionality::AppendLog;
+    use crate::server::LcmServer;
     use crate::stability::Quorum;
+    use crate::types::ClientId;
     use lcm_storage::MemoryStorage;
     use lcm_tee::world::TeeWorld;
 
-    fn setup(
-        n_clients: u32,
-        batch: usize,
-    ) -> (PipelinedServer<AppendLog>, AdminHandle, Vec<LcmClient>) {
+    fn setup(n_clients: u32, batch: usize) -> (LcmServer<AppendLog>, AdminHandle, Vec<LcmClient>) {
         let world = TeeWorld::new_deterministic(42);
         let platform = world.platform_deterministic(1);
         let storage = Arc::new(MemoryStorage::new());
@@ -464,7 +252,7 @@ mod tests {
     /// jobs in the writer pipeline at a deterministic point.
     struct GatedStorage {
         inner: MemoryStorage,
-        gate: std::sync::Mutex<bool>,
+        gate: Mutex<bool>,
         opened: std::sync::Condvar,
     }
 
@@ -472,7 +260,7 @@ mod tests {
         fn new() -> Self {
             GatedStorage {
                 inner: MemoryStorage::new(),
-                gate: std::sync::Mutex::new(false),
+                gate: Mutex::new(true),
                 opened: std::sync::Condvar::new(),
             }
         }
@@ -501,34 +289,47 @@ mod tests {
         }
     }
 
-    #[test]
-    fn power_failure_rolls_back_and_clients_detect() {
-        let world = TeeWorld::new_deterministic(43);
+    /// A pipelined server over a gated medium, bootstrapped for one
+    /// client, with one durable operation behind it.
+    fn gated_setup(
+        seed: u64,
+    ) -> (
+        TeeWorld,
+        Arc<GatedStorage>,
+        LcmServer<AppendLog>,
+        AdminHandle,
+        LcmClient,
+    ) {
+        let world = TeeWorld::new_deterministic(seed);
         let platform = world.platform_deterministic(1);
         let storage = Arc::new(GatedStorage::new());
-        storage.open();
-        let server = LcmServer::<AppendLog>::new(&platform, storage.clone(), 1);
-        let mut server = PipelinedServer::with_queue_capacity(server, 8);
+        let mut server =
+            LcmServer::<AppendLog>::new(&platform, storage.clone(), 1).into_pipelined_with_queue(8);
         assert!(server.boot().unwrap());
         let ids = vec![ClientId(1)];
         let mut admin = AdminHandle::new_deterministic(&world, ids, Quorum::Majority, 9);
         admin.bootstrap(&mut server).unwrap();
         let mut c = LcmClient::new(ClientId(1), admin.client_key());
+        run(&mut server, &mut c, b"durable");
+        server.flush().unwrap();
+        (world, storage, server, admin, c)
+    }
 
-        // First op persists durably.
-        server.submit(c.invoke(b"durable").unwrap());
+    fn run(server: &mut LcmServer<AppendLog>, c: &mut LcmClient, op: &[u8]) {
+        server.submit(c.invoke(op).unwrap());
         let replies = server.process_all().unwrap();
         c.handle_reply(&replies[0].1).unwrap();
-        server.flush().unwrap();
+    }
+
+    #[test]
+    fn power_failure_rolls_back_and_clients_detect() {
+        let (_world, storage, mut server, _admin, mut c) = gated_setup(43);
 
         // Close the gate: the next two acknowledged ops stall in the
         // persistence stage (one in-flight, one queued).
         storage.close();
-        for op in [&b"volatile-1"[..], b"volatile-2"] {
-            server.submit(c.invoke(op).unwrap());
-            let replies = server.process_all().unwrap();
-            c.handle_reply(&replies[0].1).unwrap();
-        }
+        run(&mut server, &mut c, b"volatile-1");
+        run(&mut server, &mut c, b"volatile-2");
         // Wait until exactly one job is queued behind the in-flight one.
         while server.pending_persists() != 1 {
             std::thread::yield_now();
@@ -548,13 +349,53 @@ mod tests {
         assert!(err.is_violation(), "got {err:?}");
     }
 
+    /// Every control-plane host call reads or supersedes what stable
+    /// storage holds, so each must have drained the writer by the time
+    /// it returns — as a set, against one gated medium: acknowledge an
+    /// operation whose persist stalls, issue the call from the main
+    /// thread, open the gate from a helper, and require the stalled
+    /// persist on the medium the moment the call is back (whatever its
+    /// verdict; several of these are rejected by the enclave in this
+    /// state, which is irrelevant to the barrier). The helper's delay
+    /// only gives a call *without* the barrier time to return early: a
+    /// call with it blocks until the gate opens, however late that is,
+    /// so timing can never fail a correct server.
     #[test]
-    fn into_inner_round_trip() {
-        let (server, _admin, mut clients) = setup(1, 1);
-        let mut server = server.into_inner();
-        let c = &mut clients[0];
-        server.submit(c.invoke(b"sync-again").unwrap());
-        let replies = server.process_all().unwrap();
-        assert_eq!(c.handle_reply(&replies[0].1).unwrap().seq.0, 1);
+    fn control_plane_calls_drain_the_writer_first() {
+        type Call = fn(&mut LcmServer<AppendLog>, &mut AdminHandle);
+        let calls: [(&str, Call); 10] = [
+            ("boot", |s, _| drop(s.boot())),
+            ("provision", |s, _| drop(s.provision(vec![0; 8]))),
+            ("admin", |s, a| drop(a.add_client(s, ClientId(2)))),
+            ("export_migration", |s, _| drop(s.export_migration())),
+            ("import_migration", |s, _| drop(s.import_migration(vec![]))),
+            ("import_migration_as", |s, _| {
+                drop(s.import_migration_as(vec![], 0, 1))
+            }),
+            ("apply_replica", |s, _| drop(s.apply_replica(vec![]))),
+            ("export_slice", |s, _| drop(s.export_slice(0, 0))),
+            ("import_slice", |s, _| drop(s.import_slice(vec![]))),
+            ("adopt_table", |s, _| drop(s.adopt_table(vec![]))),
+        ];
+        for (i, (name, call)) in calls.iter().enumerate() {
+            let (_world, storage, mut server, mut admin, mut c) = gated_setup(50 + i as u64);
+            storage.close();
+            run(&mut server, &mut c, b"stalled");
+            let before = server.persists_completed();
+            let opener = {
+                let storage = storage.clone();
+                std::thread::spawn(move || {
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    storage.open();
+                })
+            };
+            call(&mut server, &mut admin);
+            assert_eq!(server.pending_persists(), 0, "{name}: writer queue");
+            assert!(
+                server.persists_completed() > before,
+                "{name} returned before the stalled persist reached the medium"
+            );
+            opener.join().unwrap();
+        }
     }
 }

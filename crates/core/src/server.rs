@@ -20,6 +20,7 @@ use lcm_tee::platform::TeePlatform;
 use crate::codec::WireCodec;
 use crate::context::PersistBlobs;
 use crate::functionality::Functionality;
+use crate::pipeline::{PersistWriter, DEFAULT_WRITER_QUEUE};
 use crate::program::{HostCall, HostReply, LcmProgram};
 use crate::types::ClientId;
 use crate::{LcmError, Result};
@@ -72,6 +73,10 @@ pub struct LcmServer<F: Functionality> {
     call_scratch: crate::codec::Writer,
     /// Reusable batch container for the wires drained out of the queue.
     batch_scratch: Vec<Vec<u8>>,
+    /// The persist policy: `None` stores each batch's sealed blobs
+    /// inline (synchronous write); `Some` hands them to a background
+    /// writer (asynchronous write, see [`crate::pipeline`]).
+    writer: Option<PersistWriter>,
 }
 
 impl<F: Functionality> std::fmt::Debug for LcmServer<F> {
@@ -80,6 +85,7 @@ impl<F: Functionality> std::fmt::Debug for LcmServer<F> {
             .field("running", &self.enclave.is_running())
             .field("queued", &self.queue.len())
             .field("batch_limit", &self.batch_limit)
+            .field("pending_persists", &self.pending_persists())
             .finish()
     }
 }
@@ -103,7 +109,24 @@ impl<F: Functionality> LcmServer<F> {
             ops_processed: 0,
             call_scratch: crate::codec::Writer::new(),
             batch_scratch: Vec::new(),
+            writer: None,
         }
+    }
+
+    /// Switches this server to the paper's asynchronous-write mode:
+    /// from now on each batch's sealed blobs persist on a background
+    /// writer thread while the enclave executes the next batch (see
+    /// [`crate::pipeline`] for back-pressure and the durability
+    /// window). Uses the default writer-queue capacity.
+    pub fn into_pipelined(self) -> Self {
+        self.into_pipelined_with_queue(DEFAULT_WRITER_QUEUE)
+    }
+
+    /// [`LcmServer::into_pipelined`] with an explicit writer-queue
+    /// bound (min 1).
+    pub fn into_pipelined_with_queue(mut self, queue_capacity: usize) -> Self {
+        self.writer = Some(PersistWriter::spawn(self.storage.clone(), queue_capacity));
+        self
     }
 
     /// Starts (or restarts after a crash) the enclave and runs `init`
@@ -113,8 +136,12 @@ impl<F: Functionality> LcmServer<F> {
     ///
     /// # Errors
     ///
-    /// Propagates TEE, storage, and context errors.
+    /// Propagates TEE, storage, and context errors, plus deferred
+    /// writer errors.
     pub fn boot(&mut self) -> Result<bool> {
+        // Recovery reads storage host-side, before the `Init` call:
+        // drain the writer first so it sees every completed persist.
+        self.flush()?;
         if self.enclave.is_running() {
             self.enclave.stop();
         }
@@ -133,11 +160,29 @@ impl<F: Functionality> LcmServer<F> {
         }
     }
 
-    /// Simulates a crash: the enclave's volatile memory is lost.
-    /// Call [`LcmServer::boot`] to recover.
+    /// Simulates a crash of the server *process*: the enclave's
+    /// volatile memory is lost, but writes already handed to the
+    /// background writer complete (the kernel still has them). Call
+    /// [`LcmServer::boot`] to recover.
     pub fn crash(&mut self) {
+        self.stop(false);
+    }
+
+    /// Simulates a power failure: the enclave dies *and* sealed
+    /// snapshots still queued for writing are lost. Returns how many
+    /// snapshots were dropped (always 0 in synchronous mode). Recovery
+    /// boots from the last state that reached the medium; clients
+    /// whose acknowledged operations were rolled back detect the gap
+    /// on their next operation.
+    pub fn crash_power_failure(&mut self) -> usize {
+        self.stop(true)
+    }
+
+    fn stop(&mut self, power_failure: bool) -> usize {
+        let dropped = self.writer.as_ref().map_or(0, |w| w.crash(power_failure));
         self.enclave.stop();
         self.queue.clear();
+        dropped
     }
 
     /// Whether the enclave is currently running.
@@ -162,12 +207,7 @@ impl<F: Functionality> LcmServer<F> {
     ///
     /// Propagates context errors (e.g. already provisioned).
     pub fn provision(&mut self, sealed_payload: Vec<u8>) -> Result<()> {
-        let reply = self.call(HostCall::Provision(sealed_payload))?;
-        match reply {
-            HostReply::ProvisionOk(blobs) => self.persist(&blobs),
-            HostReply::Err(e) => Err(e.into_lcm_error()),
-            other => Err(unexpected(other)),
-        }
+        self.call_and_persist(HostCall::Provision(sealed_payload))
     }
 
     /// Produces an attestation [`Quote`] over `user_data` for a remote
@@ -177,7 +217,7 @@ impl<F: Functionality> LcmServer<F> {
     ///
     /// Propagates TEE errors (enclave stopped, quoting failure).
     pub fn attest(&mut self, user_data: Digest) -> Result<Quote> {
-        let reply = self.call(HostCall::Attest(user_data))?;
+        let reply = self.ecall(HostCall::Attest(user_data))?;
         let report_bytes = match reply {
             HostReply::AttestOk(bytes) => bytes,
             HostReply::Err(e) => return Err(e.into_lcm_error()),
@@ -200,29 +240,23 @@ impl<F: Functionality> LcmServer<F> {
     }
 
     /// Processes one batch (up to the batch limit): a single ecall, a
-    /// single seal-and-store, replies routed per client.
+    /// single seal-and-store, replies routed per client. In
+    /// asynchronous-write mode the sealed state is queued for the
+    /// background writer and the replies return before the disk write
+    /// completes; the call blocks only when the writer queue is full
+    /// (back-pressure).
     ///
     /// # Errors
     ///
     /// Propagates violations detected inside the context — an honest
-    /// server would crash-stop at this point.
+    /// server would crash-stop at this point — plus deferred writer
+    /// errors from earlier batches.
     pub fn step(&mut self) -> Result<Vec<(ClientId, Vec<u8>)>> {
-        let (replies, blobs) = self.execute_batch()?;
-        if let Some(blobs) = blobs {
-            self.persist(&blobs)?;
+        if let Some(writer) = &self.writer {
+            writer.check()?;
         }
-        Ok(replies)
-    }
-
-    /// The *execution* stage of [`LcmServer::step`]: runs one batch
-    /// through the enclave and returns the replies together with the
-    /// sealed blobs that still need persisting — without touching
-    /// stable storage. The synchronous [`LcmServer::step`] persists
-    /// them inline; [`crate::pipeline::PipelinedServer`] hands them to
-    /// its background writer instead.
-    pub(crate) fn execute_batch(&mut self) -> Result<(Replies, Option<PersistBlobs>)> {
         if self.queue.is_empty() {
-            return Ok((Vec::new(), None));
+            return Ok(Vec::new());
         }
         let take = self.batch_limit.min(self.queue.len());
         // Hot path: reuse the batch container and the call encode
@@ -233,30 +267,49 @@ impl<F: Functionality> LcmServer<F> {
         self.call_scratch.clear();
         HostCall::encode_invoke_batch_into(&mut self.call_scratch, &self.batch_scratch);
         let out = self.enclave.ecall(self.call_scratch.as_slice())?;
-        let reply = HostReply::from_bytes(&out)?;
-        match reply {
+        match HostReply::from_bytes(&out)? {
             HostReply::BatchOk { replies, blobs } => {
                 self.batches_processed += 1;
                 self.ops_processed += n_ops;
-                Ok((replies, Some(blobs)))
+                match &mut self.writer {
+                    Some(writer) => writer.submit(blobs)?,
+                    None => self.persist(&blobs)?,
+                }
+                Ok(replies)
             }
             HostReply::Err(e) => Err(e.into_lcm_error()),
             other => Err(unexpected(other)),
         }
     }
 
-    /// A clone of the stable-storage handle this server persists to.
-    pub(crate) fn storage(&self) -> Arc<dyn StableStorage> {
-        self.storage.clone()
+    /// Blocks until every sealed snapshot handed to the background
+    /// writer has been persisted, then surfaces any storage error the
+    /// writer hit. A no-op in synchronous mode.
+    ///
+    /// # Errors
+    ///
+    /// [`LcmError::Storage`] if an asynchronous persist failed.
+    pub fn flush(&mut self) -> Result<()> {
+        self.writer.as_ref().map_or(Ok(()), PersistWriter::flush)
     }
 
-    /// Converts this synchronous server into a
-    /// [`crate::pipeline::PipelinedServer`] whose persistence stage
-    /// runs on a background writer thread (the paper's
-    /// asynchronous-write mode), with the default writer-queue
-    /// capacity.
-    pub fn into_pipelined(self) -> crate::pipeline::PipelinedServer<F> {
-        crate::pipeline::PipelinedServer::new(self)
+    /// Sealed snapshots fully persisted by the background writer so
+    /// far (0 in synchronous mode, which has no writer to count).
+    pub fn persists_completed(&self) -> u64 {
+        self.writer.as_ref().map_or(0, PersistWriter::persisted)
+    }
+
+    /// Sealed snapshots currently waiting in the writer queue.
+    pub fn pending_persists(&self) -> usize {
+        self.writer.as_ref().map_or(0, PersistWriter::pending)
+    }
+
+    /// How many times execution blocked because the writer queue was
+    /// full — the back-pressure signal.
+    pub fn backpressure_events(&self) -> u64 {
+        self.writer
+            .as_ref()
+            .map_or(0, PersistWriter::blocked_pushes)
     }
 
     /// Processes all queued messages, batch by batch.
@@ -312,12 +365,7 @@ impl<F: Functionality> LcmServer<F> {
     ///
     /// Propagates context errors.
     pub fn import_migration(&mut self, ticket: Vec<u8>) -> Result<()> {
-        let reply = self.call(HostCall::ImportMigration(ticket))?;
-        match reply {
-            HostReply::ProvisionOk(blobs) => self.persist(&blobs),
-            HostReply::Err(e) => Err(e.into_lcm_error()),
-            other => Err(unexpected(other)),
-        }
+        self.call_and_persist(HostCall::ImportMigration(ticket))
     }
 
     /// [`LcmServer::import_migration`] under a host-assigned replica
@@ -334,16 +382,11 @@ impl<F: Functionality> LcmServer<F> {
         replica: u32,
         replicas: u32,
     ) -> Result<()> {
-        let reply = self.call(HostCall::ImportMigrationAs {
+        self.call_and_persist(HostCall::ImportMigrationAs {
             ticket,
             replica,
             replicas,
-        })?;
-        match reply {
-            HostReply::ProvisionOk(blobs) => self.persist(&blobs),
-            HostReply::Err(e) => Err(e.into_lcm_error()),
-            other => Err(unexpected(other)),
-        }
+        })
     }
 
     /// Installs a sibling's sealed state blob into this server's
@@ -403,12 +446,7 @@ impl<F: Functionality> LcmServer<F> {
     ///
     /// Propagates context errors.
     pub fn import_slice(&mut self, ticket: Vec<u8>) -> Result<()> {
-        let reply = self.call(HostCall::ImportSlice(ticket))?;
-        match reply {
-            HostReply::ProvisionOk(blobs) => self.persist(&blobs),
-            HostReply::Err(e) => Err(e.into_lcm_error()),
-            other => Err(unexpected(other)),
-        }
+        self.call_and_persist(HostCall::ImportSlice(ticket))
     }
 
     /// Bystander side of a live slice migration: the enclave adopts
@@ -420,12 +458,7 @@ impl<F: Functionality> LcmServer<F> {
     ///
     /// Propagates context errors.
     pub fn adopt_table(&mut self, bulletin: Vec<u8>) -> Result<()> {
-        let reply = self.call(HostCall::AdoptTable(bulletin))?;
-        match reply {
-            HostReply::ProvisionOk(blobs) => self.persist(&blobs),
-            HostReply::Err(e) => Err(e.into_lcm_error()),
-            other => Err(unexpected(other)),
-        }
+        self.call_and_persist(HostCall::AdoptTable(bulletin))
     }
 
     /// Serves a replica-pinned verified read leg against this server's
@@ -439,7 +472,7 @@ impl<F: Functionality> LcmServer<F> {
     /// replica 0; legs pinned elsewhere fail authentication inside the
     /// enclave).
     pub fn serve_read(&mut self, read_wire: Vec<u8>) -> Result<Vec<u8>> {
-        let reply = self.call(HostCall::ServeRead(read_wire))?;
+        let reply = self.ecall(HostCall::ServeRead(read_wire))?;
         match reply {
             HostReply::ReadOk(wire) => Ok(wire),
             HostReply::Err(e) => Err(e.into_lcm_error()),
@@ -447,23 +480,32 @@ impl<F: Functionality> LcmServer<F> {
         }
     }
 
-    fn persist(&mut self, blobs: &PersistBlobs) -> Result<()> {
-        // State before keys: a crash between the two stores must not
-        // leave a key blob without any state — `init` treats that
-        // combination as storage tampering. State-without-keys on the
-        // very first persist is harmless (nothing was acknowledged; the
-        // admin just re-provisions), and on every later persist both
-        // blobs seal with the same keys, so either surviving alone is
-        // consistent. Delta persists carry no key blob at all (keys
-        // cannot change on the batch path); skip the redundant store.
-        self.storage.store(SLOT_STATE_BLOB, &blobs.state_blob)?;
-        if !blobs.key_blob.is_empty() {
-            self.storage.store(SLOT_KEY_BLOB, &blobs.key_blob)?;
-        }
-        Ok(())
+    fn persist(&self, blobs: &PersistBlobs) -> Result<()> {
+        Ok(store_blobs(&*self.storage, blobs)?)
     }
 
+    /// A control-plane call whose only result is the re-sealed state
+    /// to persist (provisioning, imports, table adoption).
+    fn call_and_persist(&mut self, call: HostCall) -> Result<()> {
+        match self.call(call)? {
+            HostReply::ProvisionOk(blobs) => self.persist(&blobs),
+            HostReply::Err(e) => Err(e.into_lcm_error()),
+            other => Err(unexpected(other)),
+        }
+    }
+
+    /// A control-plane host call. These read or supersede what stable
+    /// storage holds (their re-sealed checkpoints are stored inline),
+    /// so the background writer is drained first — storage can never
+    /// end up with a stale batch blob landing on top of them.
     fn call(&mut self, call: HostCall) -> Result<HostReply> {
+        self.flush()?;
+        self.ecall(call)
+    }
+
+    /// A host call without the writer barrier: for calls that neither
+    /// read nor write stable storage (attestation, verified reads).
+    fn ecall(&mut self, call: HostCall) -> Result<HostReply> {
         self.call_scratch.clear();
         call.encode(&mut self.call_scratch);
         let out = self.enclave.ecall(self.call_scratch.as_slice())?;
@@ -471,18 +513,49 @@ impl<F: Functionality> LcmServer<F> {
     }
 }
 
+/// Stores one persist's sealed blobs — the single store order both
+/// persist paths (inline and background writer) share.
+///
+/// State before keys: a crash between the two stores must not leave a
+/// key blob without any state — `init` treats that combination as
+/// storage tampering. State-without-keys on the very first persist is
+/// harmless (nothing was acknowledged; the admin just re-provisions),
+/// and on every later persist both blobs seal with the same keys, so
+/// either surviving alone is consistent. Delta persists carry no key
+/// blob at all (keys cannot change on the batch path); skip the
+/// redundant store.
+pub(crate) fn store_blobs(
+    storage: &dyn StableStorage,
+    blobs: &PersistBlobs,
+) -> lcm_storage::Result<()> {
+    storage.store(SLOT_STATE_BLOB, &blobs.state_blob)?;
+    if !blobs.key_blob.is_empty() {
+        storage.store(SLOT_KEY_BLOB, &blobs.key_blob)?;
+    }
+    Ok(())
+}
+
+/// The error of addressing a member a single-enclave server lacks.
+fn no_member(op: &str, shard: u32, replica: u32) -> LcmError {
+    LcmError::Tee(format!(
+        "{op}(shard {shard}, replica {replica}) on a single-enclave server"
+    ))
+}
+
 fn unexpected(reply: HostReply) -> LcmError {
     LcmError::Tee(format!("unexpected enclave reply: {reply:?}"))
 }
 
 /// The host-server surface the rest of the stack programs against:
-/// everything a client library, admin handle, transport hub, or test
-/// scenario needs, independent of whether persistence is synchronous
-/// ([`LcmServer`]) or pipelined onto a background writer
-/// ([`crate::pipeline::PipelinedServer`]).
+/// everything a client library, admin handle, transport front-end, or
+/// test scenario needs, independent of how many enclaves sit behind it
+/// and of whether they persist synchronously or on a background
+/// writer ([`LcmServer::into_pipelined`]).
 ///
-/// The trait is object-safe so scenarios can run the same code against
-/// `Box<dyn BatchServer>` in both modes. `Send` is part of the
+/// The trait is object-safe: a deployment's lanes are
+/// `Box<dyn BatchServer>` by definition (a solo [`LcmServer`] or a
+/// [`crate::replica::ReplicaGroup`]), and scenarios run the same code
+/// against every topology. `Send` is part of the
 /// contract so servers can be driven from worker threads — the sharded
 /// host ([`crate::shard::ShardedServer`]) executes its shards on an
 /// [`lcm_runtime::WorkerPool`].
@@ -519,45 +592,12 @@ pub trait BatchServer: Send {
 
     /// Number of enclave shards behind this server: 1 for the
     /// single-enclave servers, N for the sharded fan-out
-    /// ([`crate::shard::ShardedServer`]). Drives the admin's per-shard
-    /// provisioning and whole-deployment attestation.
+    /// ([`crate::shard::ShardedServer`]). Drives the admin's per-member
+    /// provisioning and whole-deployment attestation
+    /// ([`BatchServer::attest_member`] /
+    /// [`BatchServer::provision_member`]).
     fn shard_count(&self) -> u32 {
         1
-    }
-
-    /// Produces an attestation quote from shard `shard`'s enclave —
-    /// the admin attests *every* member of a deployment, not a
-    /// representative.
-    ///
-    /// # Errors
-    ///
-    /// Propagates TEE errors; `shard` out of range is an error.
-    fn attest_shard(&mut self, shard: u32, user_data: Digest) -> Result<Quote> {
-        if shard == 0 {
-            self.attest(user_data)
-        } else {
-            Err(LcmError::Tee(format!(
-                "attest_shard({shard}) on a single-enclave server"
-            )))
-        }
-    }
-
-    /// Delivers the admin's sealed provisioning payload to shard
-    /// `shard`'s enclave. Each shard of a deployment receives its own
-    /// payload (carrying its [`crate::context::ShardIdentity`]); the
-    /// payloads are opaque to the host.
-    ///
-    /// # Errors
-    ///
-    /// Propagates context errors; `shard` out of range is an error.
-    fn provision_shard(&mut self, shard: u32, sealed_payload: Vec<u8>) -> Result<()> {
-        if shard == 0 {
-            self.provision(sealed_payload)
-        } else {
-            Err(LcmError::Tee(format!(
-                "provision_shard({shard}) on a single-enclave server"
-            )))
-        }
     }
 
     /// Enqueues an encrypted INVOKE message.
@@ -572,21 +612,6 @@ pub trait BatchServer: Send {
     fn submit_to_shard(&mut self, shard: u32, invoke_wire: Vec<u8>) {
         let _ = shard;
         self.submit(invoke_wire);
-    }
-
-    /// The thread-safe `&self`-submission surface of this server, if
-    /// it has one: a handle through which independent producer threads
-    /// submit wires and driver threads pump lanes concurrently (see
-    /// [`crate::transport::TransportPlane`] /
-    /// [`crate::transport::Frontend`]).
-    ///
-    /// Single-enclave servers return `None` (their owner is their only
-    /// driver); [`crate::shard::ShardedServer`] returns its shared
-    /// core. Wrap a solo server in a one-shard `ShardedServer` (or use
-    /// [`crate::transport::Frontend::solo`]) to drive it through the
-    /// concurrent front-end.
-    fn transport_plane(&self) -> Option<std::sync::Arc<dyn crate::transport::TransportPlane>> {
-        None
     }
 
     /// Number of queued, unprocessed messages.
@@ -648,10 +673,10 @@ pub trait BatchServer: Send {
     fn ops_processed(&self) -> u64;
 
     /// Blocks until every persist issued so far has reached stable
-    /// storage. A no-op for fully synchronous servers; the pipelined
-    /// server drains its writer queue. Test scenarios call this before
-    /// inspecting or tampering with storage so in-flight writes cannot
-    /// race the inspection.
+    /// storage. A no-op for fully synchronous servers; an
+    /// asynchronous-write server drains its writer queue. Test
+    /// scenarios call this before inspecting or tampering with storage
+    /// so in-flight writes cannot race the inspection.
     ///
     /// # Errors
     ///
@@ -717,25 +742,25 @@ pub trait BatchServer: Send {
     }
 
     /// Produces an attestation quote from member `replica` of shard
-    /// `shard`'s group — the admin attests every replica of every
-    /// group, not a representative per shard.
+    /// `shard`'s group — the admin attests *every* member of a
+    /// deployment (every replica of every group), not a
+    /// representative.
     ///
     /// # Errors
     ///
     /// Propagates TEE errors; out-of-range coordinates are an error.
     fn attest_member(&mut self, shard: u32, replica: u32, user_data: Digest) -> Result<Quote> {
-        if replica == 0 {
-            self.attest_shard(shard, user_data)
-        } else {
-            Err(LcmError::Tee(format!(
-                "attest_member(shard {shard}, replica {replica}) on an unreplicated server"
-            )))
+        if shard != 0 || replica != 0 {
+            return Err(no_member("attest_member", shard, replica));
         }
+        self.attest(user_data)
     }
 
     /// Delivers the admin's sealed provisioning payload to member
     /// `replica` of shard `shard`'s group. Each member receives its own
-    /// payload carrying its `(shard, replica)` identity coordinates.
+    /// payload carrying its `(shard, replica)` identity coordinates
+    /// (see [`crate::context::ShardIdentity`]); the payloads are opaque
+    /// to the host.
     ///
     /// # Errors
     ///
@@ -747,36 +772,23 @@ pub trait BatchServer: Send {
         replica: u32,
         sealed_payload: Vec<u8>,
     ) -> Result<()> {
-        if replica == 0 {
-            self.provision_shard(shard, sealed_payload)
-        } else {
-            Err(LcmError::Tee(format!(
-                "provision_member(shard {shard}, replica {replica}) on an unreplicated server"
-            )))
+        if shard != 0 || replica != 0 {
+            return Err(no_member("provision_member", shard, replica));
         }
+        self.provision(sealed_payload)
     }
 
     /// Crash-stops member `replica` of shard `shard`'s group (the
     /// fault-injection hook for replica-failure tests). `power_failure`
     /// additionally discards persists still queued behind the member's
     /// write pipeline, modelling a power cut rather than a process
-    /// kill. On unreplicated servers replica 0 maps to
-    /// [`BatchServer::crash`].
+    /// kill. On a single-enclave server member `(0, 0)` is the server
+    /// itself.
     ///
     /// # Errors
     ///
     /// Out-of-range coordinates are an error.
-    fn kill_member(&mut self, shard: u32, replica: u32, power_failure: bool) -> Result<()> {
-        let _ = power_failure;
-        if shard == 0 && replica == 0 {
-            self.crash();
-            Ok(())
-        } else {
-            Err(LcmError::Tee(format!(
-                "kill_member(shard {shard}, replica {replica}) on an unreplicated server"
-            )))
-        }
-    }
+    fn kill_member(&mut self, shard: u32, replica: u32, power_failure: bool) -> Result<()>;
 
     /// Reboots a previously killed member of shard `shard`'s group and
     /// re-admits it to replication; returns the enclave's
@@ -789,13 +801,10 @@ pub trait BatchServer: Send {
     ///
     /// Propagates boot errors; out-of-range coordinates are an error.
     fn reboot_member(&mut self, shard: u32, replica: u32) -> Result<bool> {
-        if shard == 0 && replica == 0 {
-            self.boot()
-        } else {
-            Err(LcmError::Tee(format!(
-                "reboot_member(shard {shard}, replica {replica}) on an unreplicated server"
-            )))
+        if shard != 0 || replica != 0 {
+            return Err(no_member("reboot_member", shard, replica));
         }
+        self.boot()
     }
 
     /// Target side of migration under a host-assigned replica slot:
@@ -929,20 +938,11 @@ impl<S: BatchServer + ?Sized> BatchServer for Box<S> {
     fn shard_count(&self) -> u32 {
         (**self).shard_count()
     }
-    fn attest_shard(&mut self, shard: u32, user_data: Digest) -> Result<Quote> {
-        (**self).attest_shard(shard, user_data)
-    }
-    fn provision_shard(&mut self, shard: u32, sealed_payload: Vec<u8>) -> Result<()> {
-        (**self).provision_shard(shard, sealed_payload)
-    }
     fn submit(&mut self, invoke_wire: Vec<u8>) {
         (**self).submit(invoke_wire);
     }
     fn submit_to_shard(&mut self, shard: u32, invoke_wire: Vec<u8>) {
         (**self).submit_to_shard(shard, invoke_wire);
-    }
-    fn transport_plane(&self) -> Option<std::sync::Arc<dyn crate::transport::TransportPlane>> {
-        (**self).transport_plane()
     }
     fn queued(&self) -> usize {
         (**self).queued()
@@ -1057,9 +1057,6 @@ impl<F: Functionality> BatchServer for LcmServer<F> {
     fn step(&mut self) -> Result<Vec<(ClientId, Vec<u8>)>> {
         LcmServer::step(self)
     }
-    fn process_all(&mut self) -> Result<Vec<(ClientId, Vec<u8>)>> {
-        LcmServer::process_all(self)
-    }
     fn admin(&mut self, admin_wire: Vec<u8>) -> Result<Vec<u8>> {
         LcmServer::admin(self, admin_wire)
     }
@@ -1074,6 +1071,16 @@ impl<F: Functionality> BatchServer for LcmServer<F> {
     }
     fn ops_processed(&self) -> u64 {
         LcmServer::ops_processed(self)
+    }
+    fn flush_persists(&mut self) -> Result<()> {
+        LcmServer::flush(self)
+    }
+    fn kill_member(&mut self, shard: u32, replica: u32, power_failure: bool) -> Result<()> {
+        if shard != 0 || replica != 0 {
+            return Err(no_member("kill_member", shard, replica));
+        }
+        self.stop(power_failure);
+        Ok(())
     }
     fn serve_read(&mut self, read_wire: Vec<u8>) -> Result<Vec<u8>> {
         LcmServer::serve_read(self, read_wire)
@@ -1197,6 +1204,55 @@ mod tests {
         let replies = server.process_all().unwrap();
         let done = c.handle_reply(&replies[0].1).unwrap();
         assert_eq!(done.seq.0, 2, "sequence continues after recovery");
+    }
+
+    /// Regression: a rebooted delta-log lane must resume its
+    /// checkpoint cadence where the log left off. Replayed deltas that
+    /// are not counted restart the cadence from zero at every reboot
+    /// while the log keeps them, so recovery grows from reboot to
+    /// reboot.
+    #[test]
+    fn reboots_do_not_reset_the_checkpoint_cadence() {
+        use crate::context::DELTA_CHECKPOINT_MIN;
+        use crate::functionality::Counter;
+        let world = TeeWorld::new_deterministic(44);
+        let platform = world.platform_deterministic(1);
+        let engine: Arc<dyn StableStorage> =
+            Arc::new(lcm_storage::DeltaLogStorage::open(Arc::new(MemoryStorage::new())).unwrap());
+        let mut server = LcmServer::<Counter>::new(&platform, engine.clone(), 1);
+        assert!(server.boot().unwrap());
+        let mut admin =
+            AdminHandle::new_deterministic(&world, vec![ClientId(1)], Quorum::Majority, 7);
+        admin.bootstrap(&mut server).unwrap();
+        let mut c = LcmClient::new(ClientId(1), admin.client_key());
+
+        let mut largest_delta = 0;
+        for reboot in 0..8 {
+            // Few enough batches that one run alone never reaches the
+            // cadence threshold.
+            for _ in 0..8 {
+                server.submit(c.invoke(&Counter::inc_op(b"n", 1)).unwrap());
+                let replies = server.process_all().unwrap();
+                c.handle_reply(&replies[0].1).unwrap();
+            }
+            server.crash();
+            assert!(!server.boot().unwrap());
+            let recovery = engine.load(SLOT_STATE_BLOB).unwrap().unwrap();
+            let Some((ckpt, deltas)) = lcm_storage::parse_bundle(&recovery) else {
+                continue; // a checkpoint just landed: nothing to replay
+            };
+            largest_delta = deltas
+                .iter()
+                .map(|d| d.len())
+                .fold(largest_delta, usize::max);
+            let replayed: usize = deltas.iter().map(|d| d.len()).sum();
+            assert!(
+                replayed <= DELTA_CHECKPOINT_MIN.max(ckpt.len()) + largest_delta,
+                "reboot {reboot}: recovery replays {replayed} delta bytes over a \
+                 {}-byte checkpoint",
+                ckpt.len()
+            );
+        }
     }
 
     #[test]

@@ -1,17 +1,19 @@
 //! Sharded multi-enclave execution: parallel stage 2 behind a
 //! key-partitioned router.
 //!
-//! After the pipelined server moved persistence off the critical path,
+//! With asynchronous write moving persistence off the critical path,
 //! the throughput ceiling is stage 2 itself — one enclave executing and
 //! sealing every batch. [`ShardedServer`] removes that ceiling by
-//! running **N independent server instances** ("shards"), each owning a
-//! disjoint slice of the functionality state and its own V-map, behind
-//! a deterministic router:
+//! running **N independent lanes** ("shards" — each a boxed
+//! [`BatchServer`]: a solo [`LcmServer`] or a
+//! [`crate::replica::ReplicaGroup`]), each owning a disjoint slice of
+//! the functionality state and its own V-map, behind a deterministic
+//! router. A single-enclave deployment *is* the 1-lane case:
 //!
 //! ```text
 //!                      ┌── ingress queue 0 ──▶ shard 0 (enclave + storage ns 0) ─┐
 //!  clients ──▶ router ─┼── ingress queue 1 ──▶ shard 1 (enclave + storage ns 1) ─┼─▶ ordered replies
-//!   (Hub)  slice table └── ingress queue … ──▶ shard …                           ┘   (per-client FIFO)
+//!          slice table └── ingress queue … ──▶ shard …                           ┘   (per-client FIFO)
 //! ```
 //!
 //! ## Routing: the epoch-versioned slice table
@@ -126,15 +128,16 @@
 //! remains exactly as before (including inline back-pressure relief
 //! when an ingress queue fills with nobody else to drain it), while
 //! [`crate::transport::Frontend`] attaches a pool of driver threads to
-//! the same core through [`crate::transport::TransportPlane`] and
-//! turns a full ingress into submitter back-pressure instead. A wire
+//! the same core and turns a full ingress into submitter back-pressure
+//! instead. A wire
 //! is tracked from ticket issue to *settlement* (reply released, or
 //! written off by a crash-stop), which is what the front-end's
 //! quiescence barrier waits on.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Duration;
 
 use lcm_crypto::sha256::Digest;
 use lcm_runtime::queue::{BoundedQueue, QueueStats};
@@ -301,8 +304,8 @@ impl ShardStatsRollup {
 type Ticketed = (u64, ClientId, Vec<u8>);
 
 /// State owned by one shard and touched only under its lock.
-struct Lane<S> {
-    server: S,
+struct Lane {
+    server: Box<dyn BatchServer>,
     /// Tickets (with their envelope clients) of wires already moved
     /// into the server's queue, in FIFO order — pairs each reply batch
     /// back to its tickets, and names what to write off when the shard
@@ -310,17 +313,25 @@ struct Lane<S> {
     inflight: VecDeque<(u64, ClientId)>,
 }
 
-struct Shard<S> {
-    lane: Mutex<Lane<S>>,
+struct Shard {
+    lane: Mutex<Lane>,
     ingress: BoundedQueue<Ticketed>,
     /// When the lane's oldest undriven wire arrived — the clock behind
-    /// the batch-forming linger gate of
-    /// [`crate::transport::TransportPlane::drive`]. `None` when the
-    /// lane was last seen drained.
+    /// the batch-forming linger gate of [`ShardCore::drive`]. `None`
+    /// when the lane was last seen drained.
     pending_since: Mutex<Option<std::time::Instant>>,
 }
 
-fn lock<S>(lane: &Mutex<Lane<S>>) -> MutexGuard<'_, Lane<S>> {
+impl Shard {
+    /// Empties the ingress without executing it, naming the tickets
+    /// the caller must write off.
+    fn drain_ingress(&self) -> impl Iterator<Item = (u64, ClientId)> {
+        let pending = self.ingress.drain_pending().into_iter();
+        pending.map(|(ticket, client, _wire)| (ticket, client))
+    }
+}
+
+fn lock(lane: &Mutex<Lane>) -> MutexGuard<'_, Lane> {
     lane.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -332,8 +343,7 @@ struct TicketMeta {
     shard: u32,
     /// The envelope's authenticated client sequence, tracked for
     /// retry dedup — `Some` only when the wire came through
-    /// [`crate::transport::TransportPlane::try_submit`] with admission
-    /// enabled (the plain `submit` path stays dedup-free so retries
+    /// [`ShardCore::try_submit`] with admission enabled (the plain `submit` path stays dedup-free so retries
     /// reach the enclave, whose §4.6.1 handling remains the backstop).
     dedup_seq: Option<u64>,
     /// Whether the ticket holds one of its tenant's admission credits.
@@ -483,17 +493,17 @@ impl ReplyBook {
 
 /// The shared, thread-safe core of a sharded deployment: the ingress
 /// plane (per-shard bounded queues), the execution lanes, and the
-/// reply demux book. `ShardedServer` owns it behind an `Arc` and the
+/// reply demux book. `ShardedServer` owns it behind an `Arc`; the
 /// concurrent transport front-end ([`crate::transport::Frontend`])
-/// drives it from worker threads through the
-/// [`crate::transport::TransportPlane`] it implements — submission and
-/// driving need only `&self`.
-struct ShardCore<S> {
-    shards: Vec<Shard<S>>,
+/// holds a second `Arc` and drives it from worker threads. Everything
+/// here needs only `&self`: any number of producer threads may submit
+/// while any number of driver threads `drive` lanes; each lane is
+/// stepped by at most one driver at a time.
+pub(crate) struct ShardCore {
+    shards: Vec<Shard>,
     book: Mutex<ReplyBook>,
     /// Notified whenever `settled` advances or an error is recorded —
-    /// what [`crate::transport::TransportPlane::wait_quiescent`] waits
-    /// on.
+    /// what [`ShardCore::wait_quiescent`] waits on.
     settled_cv: Condvar,
     /// Work-arrival signal for attached driver threads.
     work: Mutex<u64>,
@@ -504,10 +514,15 @@ struct ShardCore<S> {
     /// would deadlock the single driver); with drivers attached, a
     /// full ingress blocks the submitter instead (back-pressure).
     active_drivers: AtomicUsize,
+    /// Whether a front-end's drivers may pump right now: always, once
+    /// a continuous front-end is attached; only inside a pump for an
+    /// on-demand one; never without a front-end. Doubles as the
+    /// "is anybody listening" test of `enqueue`'s wake-up.
+    window: AtomicBool,
     /// The multi-tenant admission controller gating
-    /// [`crate::transport::TransportPlane::try_submit`]. Disabled (a
-    /// transparent pass-through) until configured.
-    admission: Arc<AdmissionState>,
+    /// [`ShardCore::try_submit`]. Disabled (a transparent
+    /// pass-through) until configured.
+    pub(crate) admission: Arc<AdmissionState>,
     /// The host's view of the epoch-versioned slice table, as a dense
     /// history (`routing[e]` is the table of epoch `e`). Old-epoch
     /// wires route by the table *they were stamped under* — delivering
@@ -528,8 +543,8 @@ struct ShardCore<S> {
     heat: Vec<AtomicU64>,
 }
 
-impl<S: BatchServer> ShardCore<S> {
-    fn new(servers: Vec<S>, ingress_capacity: usize) -> Self {
+impl ShardCore {
+    fn new(servers: Vec<Box<dyn BatchServer>>, ingress_capacity: usize) -> Self {
         let n = servers.len();
         ShardCore {
             shards: servers
@@ -548,6 +563,7 @@ impl<S: BatchServer> ShardCore<S> {
             work: Mutex::new(0),
             work_cv: Condvar::new(),
             active_drivers: AtomicUsize::new(0),
+            window: AtomicBool::new(false),
             admission: Arc::new(AdmissionState::new()),
             routing: Mutex::new(vec![SliceTable::uniform(n as u32)]),
             heat: (0..SLICE_COUNT).map(|_| AtomicU64::new(0)).collect(),
@@ -605,7 +621,8 @@ impl<S: BatchServer> ShardCore<S> {
         self.settled_cv.notify_all();
     }
 
-    fn notify_work_arrived(&self) {
+    /// Wakes driver threads parked in [`ShardCore::wait_work`].
+    pub(crate) fn notify_work(&self) {
         let mut epoch = self.work.lock().unwrap_or_else(|e| e.into_inner());
         *epoch += 1;
         drop(epoch);
@@ -656,7 +673,7 @@ impl<S: BatchServer> ShardCore<S> {
                         // Attached front-end drivers drain the queue:
                         // block with back-pressure instead of stealing
                         // their batch.
-                        self.notify_work_arrived();
+                        self.notify_work();
                         let _ = self.shards[shard].ingress.push(back);
                         break;
                     }
@@ -667,8 +684,8 @@ impl<S: BatchServer> ShardCore<S> {
                     // by someone else (a pump driver mid-store), back
                     // off instead of spinning on try_push/try_lock.
                     item = back;
-                    if self.drive(shard as u32, None) != crate::transport::DriveStatus::Progress {
-                        std::thread::sleep(std::time::Duration::from_micros(50));
+                    if self.drive(shard as u32, None) != DriveStatus::Progress {
+                        std::thread::sleep(Duration::from_micros(50));
                     }
                 }
                 // The ingress is never closed while the server exists.
@@ -684,10 +701,21 @@ impl<S: BatchServer> ShardCore<S> {
                 *since = Some(std::time::Instant::now());
             }
         }
-        self.notify_work_arrived();
+        // Outside a pump window there is nobody to wake: without a
+        // front-end no driver exists, and an on-demand front-end's
+        // drivers stay parked until its pump notifies them itself.
+        // (Inside one, a wire arriving after the drivers went idle
+        // must wake them — the pump is waiting on it.)
+        if self.window_open() {
+            self.notify_work();
+        }
     }
 
-    fn route_and_enqueue(&self, invoke_wire: Vec<u8>) {
+    /// Routes and enqueues one encrypted INVOKE wire (multi-producer
+    /// safe). Blocks for back-pressure when the target lane's ingress
+    /// is full and drivers are attached; with no drivers attached the
+    /// submitting thread relieves the lane inline instead.
+    pub(crate) fn submit(&self, invoke_wire: Vec<u8>) {
         // Malformed wires (shorter than the envelope) still get
         // delivered — to shard 0 — so the enclave rejects them with a
         // detectable violation instead of the host silently dropping.
@@ -701,8 +729,10 @@ impl<S: BatchServer> ShardCore<S> {
         self.enqueue(client, shard, None, false, invoke_wire);
     }
 
-    /// Admission-controlled submission: the implementation behind
-    /// [`crate::transport::TransportPlane::try_submit`].
+    /// Admission-controlled submission: like [`ShardCore::submit`], but
+    /// consults the multi-tenant admission controller first. A
+    /// rejected wire comes back inside the typed [`RetryAfter`] (no
+    /// clone, no silent drop).
     ///
     /// With admission disabled this is exactly `submit`. With it
     /// enabled, a retry of an operation whose reply was already
@@ -719,12 +749,12 @@ impl<S: BatchServer> ShardCore<S> {
     /// own `(tc, hc)` replay handling (paper §4.6.1) remains the
     /// correctness backstop, so host dedup only has to be
     /// best-effort. Lock order is book → admission, never the reverse.
-    fn try_submit_inner(
+    pub(crate) fn try_submit(
         &self,
         invoke_wire: Vec<u8>,
     ) -> std::result::Result<AdmitOutcome, RetryAfter> {
         if !self.admission.is_enabled() {
-            self.route_and_enqueue(invoke_wire);
+            self.submit(invoke_wire);
             return Ok(AdmitOutcome::Enqueued);
         }
         let Some((hint, _)) = RouteHint::peel(&invoke_wire) else {
@@ -745,7 +775,7 @@ impl<S: BatchServer> ShardCore<S> {
                     book.ready.push_back((client, cached));
                     drop(book);
                     self.admission.note_replayed(client);
-                    self.notify_work_arrived();
+                    self.notify_work();
                     self.notify_settled();
                     return Ok(AdmitOutcome::ReplayedReply);
                 }
@@ -781,6 +811,14 @@ impl<S: BatchServer> ShardCore<S> {
         }
     }
 
+    /// Writes `purged` tickets off (their wires died with a crashed
+    /// lane or a shed ingress) and releases whatever that unblocks.
+    fn write_off(&self, purged: Vec<(u64, ClientId)>) {
+        let settled = self.book().purge(purged);
+        self.settle_admission(&settled);
+        self.notify_settled();
+    }
+
     /// One drive of lane `idx`: feed its ingress into the server,
     /// execute one batch, book the replies (or write the lane's
     /// in-flight tickets off on a crash-stop). A lane another driver
@@ -791,8 +829,7 @@ impl<S: BatchServer> ShardCore<S> {
     /// fill instead of being executed — free-running drivers would
     /// otherwise pounce on one-wire batches and squander the
     /// seal-and-store amortization the batch limit exists for.
-    fn drive(&self, idx: u32, gate: Option<std::time::Duration>) -> crate::transport::DriveStatus {
-        use crate::transport::DriveStatus;
+    pub(crate) fn drive(&self, idx: u32, gate: Option<Duration>) -> DriveStatus {
         let shard = &self.shards[idx as usize];
         let Ok(mut lane) = shard.lane.try_lock() else {
             // Another driver (or a control-plane operation) owns the
@@ -858,12 +895,8 @@ impl<S: BatchServer> ShardCore<S> {
                 // simply retry, getting fresh tickets.
                 let purged: Vec<(u64, ClientId)> = lane.inflight.drain(..).collect();
                 drop(lane);
-                let mut book = self.book();
-                let settled = book.purge(purged);
-                book.deferred_error.get_or_insert(e);
-                drop(book);
-                self.settle_admission(&settled);
-                self.notify_settled();
+                self.book().deferred_error.get_or_insert(e);
+                self.write_off(purged);
                 DriveStatus::Progress
             }
         }
@@ -882,7 +915,8 @@ impl<S: BatchServer> ShardCore<S> {
         }
     }
 
-    fn queued_total(&self) -> usize {
+    /// Wires accepted but not yet executed (ingress + lane queues).
+    pub(crate) fn queued(&self) -> usize {
         self.shards
             .iter()
             .map(|s| s.ingress.len() + lock(&s.lane).server.queued())
@@ -900,26 +934,28 @@ impl<S: BatchServer> ShardCore<S> {
     }
 
     /// Takes the first failure recorded since the last collection.
-    fn take_deferred_error(&self) -> Option<LcmError> {
+    pub(crate) fn take_error(&self) -> Option<LcmError> {
         self.book().deferred_error.take()
     }
 
-    /// Drains the released replies, in release (global ticket) order.
-    fn take_ready_replies(&self) -> Replies {
+    /// Drains the released replies, in release (global ticket) order
+    /// — per-client FIFO.
+    pub(crate) fn take_ready(&self) -> Replies {
         self.book().ready.drain(..).collect()
     }
-}
 
-impl<S: BatchServer + 'static> crate::transport::TransportPlane for ShardCore<S> {
-    fn lanes(&self) -> u32 {
+    /// Number of independently drivable lanes (server shards).
+    pub(crate) fn lanes(&self) -> u32 {
         self.shards.len() as u32
     }
 
-    fn submit(&self, invoke_wire: Vec<u8>) {
-        self.route_and_enqueue(invoke_wire);
-    }
-
-    fn submit_to_lane(&self, lane: u32, invoke_wire: Vec<u8>) {
+    /// Enqueues a wire to an *explicit* lane, ignoring the routing
+    /// envelope (the host-power misdelivery hook).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `lane` is out of range.
+    pub(crate) fn submit_to_lane(&self, lane: u32, invoke_wire: Vec<u8>) {
         assert!(
             (lane as usize) < self.shards.len(),
             "submit_to_lane({lane}) on a {}-lane deployment",
@@ -932,28 +968,15 @@ impl<S: BatchServer + 'static> crate::transport::TransportPlane for ShardCore<S>
         self.enqueue(client, lane as usize, None, false, invoke_wire);
     }
 
-    fn try_submit(&self, invoke_wire: Vec<u8>) -> std::result::Result<AdmitOutcome, RetryAfter> {
-        self.try_submit_inner(invoke_wire)
-    }
-
-    fn admission(&self) -> Option<Arc<AdmissionState>> {
-        Some(Arc::clone(&self.admission))
-    }
-
-    fn drive(&self, lane: u32, gate: Option<std::time::Duration>) -> crate::transport::DriveStatus {
-        ShardCore::drive(self, lane, gate)
-    }
-
-    fn queued(&self) -> usize {
-        self.queued_total()
-    }
-
-    fn unsettled(&self) -> u64 {
+    /// Tickets issued but not yet settled (reply released or written
+    /// off).
+    pub(crate) fn unsettled(&self) -> u64 {
         let book = self.book();
         book.issued - book.settled
     }
 
-    fn wait_quiescent(&self) {
+    /// Blocks until every issued ticket has settled.
+    pub(crate) fn wait_quiescent(&self) {
         let mut book = self.book();
         while book.settled < book.issued {
             book = self
@@ -963,19 +986,9 @@ impl<S: BatchServer + 'static> crate::transport::TransportPlane for ShardCore<S>
         }
     }
 
-    fn take_ready(&self) -> Replies {
-        self.take_ready_replies()
-    }
-
-    fn take_error(&self) -> Option<LcmError> {
-        self.take_deferred_error()
-    }
-
-    fn notify_work(&self) {
-        self.notify_work_arrived();
-    }
-
-    fn wait_work(&self, last_epoch: u64, timeout: std::time::Duration) -> u64 {
+    /// Parks the caller until the work epoch moves past `last_epoch`,
+    /// at most `timeout`; returns the current epoch either way.
+    pub(crate) fn wait_work(&self, last_epoch: u64, timeout: Duration) -> u64 {
         let mut epoch = self.work.lock().unwrap_or_else(|e| e.into_inner());
         if *epoch == last_epoch {
             let (guard, _) = self
@@ -987,52 +1000,73 @@ impl<S: BatchServer + 'static> crate::transport::TransportPlane for ShardCore<S>
         *epoch
     }
 
-    fn attach_drivers(&self, n: usize) {
+    /// Opens or closes the pump window (see the field).
+    pub(crate) fn set_window(&self, open: bool) {
+        self.window.store(open, Ordering::SeqCst);
+    }
+
+    /// Whether drivers may pump right now.
+    pub(crate) fn window_open(&self) -> bool {
+        self.window.load(Ordering::SeqCst)
+    }
+
+    /// Registers `n` driver threads as willing to drain the ingress
+    /// (switches a full ingress from inline relief to submitter
+    /// back-pressure).
+    pub(crate) fn attach_drivers(&self, n: usize) {
         self.active_drivers.fetch_add(n, Ordering::SeqCst);
     }
 
-    fn detach_drivers(&self, n: usize) {
+    /// Deregisters `n` driver threads.
+    pub(crate) fn detach_drivers(&self, n: usize) {
         self.active_drivers.fetch_sub(n, Ordering::SeqCst);
     }
 
-    fn shed_ingress(&self) {
-        let mut purged: Vec<(u64, ClientId)> = Vec::new();
-        for shard in &self.shards {
-            purged.extend(
-                shard
-                    .ingress
-                    .drain_pending()
-                    .into_iter()
-                    .map(|(ticket, client, _wire)| (ticket, client)),
-            );
-        }
-        let mut book = self.book();
-        let settled = book.purge(purged);
-        drop(book);
-        self.settle_admission(&settled);
-        self.notify_settled();
+    /// Drains every lane's ingress without executing it, writing the
+    /// drained tickets off. Called by a shutting-down front-end after
+    /// detaching its drivers: a producer blocked in back-pressure
+    /// `push` would otherwise wait forever on a queue nobody will
+    /// drain again.
+    pub(crate) fn shed_ingress(&self) {
+        self.write_off(self.shards.iter().flat_map(Shard::drain_ingress).collect());
     }
 }
 
-/// A key-partitioned fan-out server: N [`BatchServer`] shards driven
-/// concurrently by an [`lcm_runtime::WorkerPool`], presented to the
-/// rest of the stack as a single [`BatchServer`].
+/// Outcome of one [`ShardCore::drive`] attempt on a lane.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum DriveStatus {
+    /// No work on this lane.
+    Idle,
+    /// Another driver (or a control-plane operation) currently owns
+    /// the lane; it will make the progress.
+    Busy,
+    /// The lane holds less than one batch and its oldest wire has not
+    /// lingered long enough — worth revisiting in roughly this long
+    /// (batch forming; see [`crate::transport::BATCH_LINGER`]).
+    Waiting(Duration),
+    /// Work was done: wires fed, a batch executed, replies released,
+    /// or tickets written off.
+    Progress,
+}
+
+/// A key-partitioned fan-out server: N boxed [`BatchServer`] lanes
+/// driven concurrently by an [`lcm_runtime::WorkerPool`], presented to
+/// the rest of the stack as a single [`BatchServer`].
 ///
-/// Construct over homogeneous shards with [`ShardedServer::new`], or
-/// use [`build_sharded`] for the common LCM-over-namespaced-storage
-/// layout. The transport [`crate::transport::Hub`], the
-/// [`crate::admin::AdminHandle`], and client libraries all run
-/// unmodified on top.
+/// Construct over pre-built lanes with [`ShardedServer::new`], or use
+/// [`build_sharded`] / [`build_replicated`] for the common
+/// LCM-over-namespaced-storage layouts. The transport
+/// [`crate::transport::Frontend`], the [`crate::admin::AdminHandle`],
+/// and client libraries all run unmodified on top.
 ///
 /// Control-plane operations (boot, provision, admin, migration) fan
 /// out to every shard on the calling thread; the data plane
 /// ([`ShardedServer::step`]) executes one batch per non-empty shard in
 /// parallel on the pool.
-pub struct ShardedServer<S: BatchServer + 'static> {
+pub struct ShardedServer {
     /// The shared ingress/execution/reply core; the concurrent
-    /// transport front-end holds a second `Arc` to it (see
-    /// [`BatchServer::transport_plane`]).
-    core: Arc<ShardCore<S>>,
+    /// transport front-end holds a second `Arc` to it.
+    core: Arc<ShardCore>,
     pool: WorkerPool,
     /// Digest of each shard's last attestation quote (`None` until the
     /// lane is attested; cleared on `crash`). Surfaced through
@@ -1065,26 +1099,26 @@ struct PendingSliceMove {
     adopted: Vec<bool>,
 }
 
-impl<S: BatchServer + 'static> std::fmt::Debug for ShardedServer<S> {
+impl std::fmt::Debug for ShardedServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedServer")
             .field("shards", &self.core.shards.len())
-            .field("queued", &self.core.queued_total())
+            .field("queued", &self.core.queued())
             .finish()
     }
 }
 
-impl<S: BatchServer + 'static> ShardedServer<S> {
-    /// Builds a sharded server over the given shard instances (at
-    /// least one) with the default ingress capacity and one worker
-    /// thread per shard.
-    pub fn new(servers: Vec<S>) -> Self {
+impl ShardedServer {
+    /// Builds a sharded server over the given lanes (at least one)
+    /// with the default ingress capacity and one worker thread per
+    /// shard.
+    pub fn new(servers: Vec<Box<dyn BatchServer>>) -> Self {
         Self::with_config(servers, DEFAULT_INGRESS_CAPACITY)
     }
 
     /// Builds a sharded server with an explicit per-shard ingress
     /// queue bound.
-    pub fn with_config(servers: Vec<S>, ingress_capacity: usize) -> Self {
+    pub fn with_config(servers: Vec<Box<dyn BatchServer>>, ingress_capacity: usize) -> Self {
         assert!(!servers.is_empty(), "a sharded server needs >= 1 shard");
         let n = servers.len();
         ShardedServer {
@@ -1097,7 +1131,12 @@ impl<S: BatchServer + 'static> ShardedServer<S> {
 
     /// Number of shards.
     pub fn shard_count(&self) -> u32 {
-        self.core.shards.len() as u32
+        self.core.lanes()
+    }
+
+    /// The shared core the concurrent front-end drives.
+    pub(crate) fn core(&self) -> Arc<ShardCore> {
+        Arc::clone(&self.core)
     }
 
     /// Runs `f` with exclusive access to shard `index`'s server — the
@@ -1113,11 +1152,11 @@ impl<S: BatchServer + 'static> ShardedServer<S> {
     /// # Panics
     ///
     /// Panics if `index` is out of range.
-    pub fn with_shard<R>(&mut self, index: u32, f: impl FnOnce(&mut S) -> R) -> R {
+    pub fn with_shard<R>(&mut self, index: u32, f: impl FnOnce(&mut dyn BatchServer) -> R) -> R {
         let (result, purged) = {
             let shard = &self.core.shards[index as usize];
             let mut lane = lock(&shard.lane);
-            let result = f(&mut lane.server);
+            let result = f(&mut *lane.server);
             // Resync: a stopped enclave (crash/power failure) — or
             // fewer queued wires than tracked tickets — means the
             // closure destroyed accepted work. Mirroring
@@ -1127,21 +1166,11 @@ impl<S: BatchServer + 'static> ShardedServer<S> {
             let mut purged: Vec<(u64, ClientId)> = Vec::new();
             if !lane.server.is_running() || lane.server.queued() < lane.inflight.len() {
                 purged.extend(lane.inflight.drain(..));
-                purged.extend(
-                    shard
-                        .ingress
-                        .drain_pending()
-                        .into_iter()
-                        .map(|(ticket, client, _wire)| (ticket, client)),
-                );
+                purged.extend(shard.drain_ingress());
             }
             (result, purged)
         };
-        let mut book = self.core.book();
-        let settled = book.purge(purged);
-        drop(book);
-        self.core.settle_admission(&settled);
-        self.core.notify_settled();
+        self.core.write_off(purged);
         result
     }
 
@@ -1169,17 +1198,32 @@ impl<S: BatchServer + 'static> ShardedServer<S> {
         ShardStatsRollup::from_rows(self.shard_stats(), &self.quote_digests)
     }
 
-    fn for_each_shard<R>(&mut self, mut f: impl FnMut(&mut S) -> Result<R>) -> Result<Vec<R>> {
+    fn for_each_shard<R>(
+        &mut self,
+        mut f: impl FnMut(&mut dyn BatchServer) -> Result<R>,
+    ) -> Result<Vec<R>> {
         let mut out = Vec::with_capacity(self.core.shards.len());
         for shard in &self.core.shards {
             let mut lane = lock(&shard.lane);
-            out.push(f(&mut lane.server)?);
+            out.push(f(&mut *lane.server)?);
         }
         Ok(out)
     }
 
+    /// The out-of-range error every per-member operation reports
+    /// (`op` names the caller).
+    fn check_shard(&self, shard: u32, op: &str) -> Result<()> {
+        if (shard as usize) < self.core.shards.len() {
+            return Ok(());
+        }
+        Err(LcmError::Tee(format!(
+            "{op}(shard {shard}) on a {}-shard deployment",
+            self.core.shards.len()
+        )))
+    }
+
     /// Installs (or replaces) the multi-tenant admission policy gating
-    /// [`crate::transport::TransportPlane::try_submit`]: per-tenant
+    /// [`crate::transport::FrontendPort::try_send`]: per-tenant
     /// token buckets, weighted fair-queueing caps, retry dedup, and
     /// per-tenant × shard latency histograms. Plain `submit` is
     /// unaffected.
@@ -1293,7 +1337,7 @@ impl<S: BatchServer + 'static> ShardedServer<S> {
         }
     }
 
-    fn drive_slice_move(core: &ShardCore<S>, pending: &mut PendingSliceMove) -> Result<()> {
+    fn drive_slice_move(core: &ShardCore, pending: &mut PendingSliceMove) -> Result<()> {
         let _origin = lock(&core.shards[pending.from as usize].lane);
         for (i, shard) in core.shards.iter().enumerate() {
             if i == pending.from as usize || i == pending.to as usize || pending.adopted[i] {
@@ -1368,7 +1412,7 @@ pub fn plan_rebalance(heat: &[u64], table: &SliceTable) -> Option<(u32, u32)> {
 /// Concatenates per-shard sealed provisioning payloads into the one
 /// blob the multi-shard form of [`BatchServer::provision`] fans back
 /// out (count-prefixed, each part length-prefixed — the same codec
-/// shape as migration tickets).
+/// shape as sharded migration tickets).
 pub fn concat_provision_payloads(parts: &[Vec<u8>]) -> Vec<u8> {
     let mut w = Writer::new();
     w.put_u32(parts.len() as u32);
@@ -1378,9 +1422,9 @@ pub fn concat_provision_payloads(parts: &[Vec<u8>]) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Inverse of [`concat_provision_payloads`]; `None` when the blob is
-/// not a well-formed concatenation (e.g. a single raw sealed payload).
-fn split_provision_payloads(blob: &[u8]) -> Option<Vec<Vec<u8>>> {
+/// Inverse of [`concat_provision_payloads`]; `None` when the blob is not a
+/// well-formed concatenation (e.g. a single raw sealed payload).
+fn split_parts(blob: &[u8]) -> Option<Vec<Vec<u8>>> {
     let mut r = Reader::new(blob);
     let n = r.get_u32().ok()? as usize;
     let mut parts = Vec::new();
@@ -1391,7 +1435,7 @@ fn split_provision_payloads(blob: &[u8]) -> Option<Vec<Vec<u8>>> {
     Some(parts)
 }
 
-impl<S: BatchServer + 'static> BatchServer for ShardedServer<S> {
+impl BatchServer for ShardedServer {
     fn boot(&mut self) -> Result<bool> {
         let outcomes = self.for_each_shard(|s| s.boot())?;
         let first = outcomes[0];
@@ -1410,20 +1454,18 @@ impl<S: BatchServer + 'static> BatchServer for ShardedServer<S> {
             lane.inflight.clear();
             lane.server.crash();
         }
-        let mut book = self.core.book();
-        book.order.clear();
-        book.held.clear();
-        book.ready.clear();
-        book.meta.clear();
-        book.inflight_seq.clear();
-        // The reply cache dies with the process: a post-restart retry
-        // re-executes and the enclave's own §4.6.1 handling covers it.
-        book.last_reply.clear();
-        book.deferred_error = None;
         // Every outstanding ticket died with the process; the book
         // settles wholesale so a concurrent front-end's quiescence
-        // wait cannot hang on wires that no longer exist.
-        book.settled = book.issued;
+        // wait cannot hang on wires that no longer exist. The reply
+        // cache dies too: a post-restart retry re-executes and the
+        // enclave's own §4.6.1 handling covers it.
+        let mut book = self.core.book();
+        *book = ReplyBook {
+            next_ticket: book.next_ticket,
+            issued: book.issued,
+            settled: book.issued,
+            ..ReplyBook::new()
+        };
         drop(book);
         // Outstanding admission credits died with their tickets.
         self.core.admission.reset_in_flight();
@@ -1448,16 +1490,16 @@ impl<S: BatchServer + 'static> BatchServer for ShardedServer<S> {
         // collision. Instead, the multi-shard form of `provision`
         // takes the count-prefixed concatenation of per-shard payloads
         // (see [`concat_provision_payloads`]) and delegates to the
-        // `provision_shard` loop — the same loop
+        // `provision_member` loop — the same loop
         // [`crate::admin::AdminHandle::bootstrap`] drives directly.
         if self.core.shards.len() == 1 {
-            return self.provision_shard(0, sealed_payload);
+            return self.provision_member(0, 0, sealed_payload);
         }
-        let parts = split_provision_payloads(&sealed_payload).ok_or_else(|| {
+        let parts = split_parts(&sealed_payload).ok_or_else(|| {
             LcmError::Tee(
                 "sharded deployment requires per-shard provisioning: pass \
                  concat_provision_payloads() of one identity-bearing payload \
-                 per shard (or drive provision_shard / AdminHandle::bootstrap \
+                 per shard (or drive provision_member / AdminHandle::bootstrap \
                  directly)"
                     .into(),
             )
@@ -1470,7 +1512,7 @@ impl<S: BatchServer + 'static> BatchServer for ShardedServer<S> {
             )));
         }
         for (i, part) in parts.into_iter().enumerate() {
-            self.provision_shard(i as u32, part)?;
+            self.provision_member(i as u32, 0, part)?;
         }
         Ok(())
     }
@@ -1478,17 +1520,13 @@ impl<S: BatchServer + 'static> BatchServer for ShardedServer<S> {
     fn attest(&mut self, user_data: Digest) -> Result<Quote> {
         // Single-quote view of the deployment: shard 0. The admin's
         // bootstrap does NOT rely on this — it attests every lane via
-        // `attest_shard` and verifies each quote against that shard's
+        // `attest_member` and verifies each quote against that shard's
         // identity binding.
-        self.attest_shard(0, user_data)
+        self.attest_member(0, 0, user_data)
     }
 
     fn shard_count(&self) -> u32 {
         self.core.shards.len() as u32
-    }
-
-    fn transport_plane(&self) -> Option<Arc<dyn crate::transport::TransportPlane>> {
-        Some(self.core.clone())
     }
 
     fn batch_limit(&self) -> usize {
@@ -1500,36 +1538,8 @@ impl<S: BatchServer + 'static> BatchServer for ShardedServer<S> {
             .unwrap_or(1)
     }
 
-    fn attest_shard(&mut self, shard: u32, user_data: Digest) -> Result<Quote> {
-        let Some(target) = self.core.shards.get(shard as usize) else {
-            return Err(LcmError::Tee(format!(
-                "attest_shard({shard}) on a {}-shard deployment",
-                self.core.shards.len()
-            )));
-        };
-        let quote = lock(&target.lane).server.attest(user_data)?;
-        // Record the attestation host-side: a fingerprint of what the
-        // verifier saw (measurement + identity-bound user data), so
-        // stats can assert every member was attested.
-        let mut buf = Vec::with_capacity(64);
-        buf.extend_from_slice(quote.measurement.as_bytes());
-        buf.extend_from_slice(quote.user_data.as_bytes());
-        self.quote_digests[shard as usize] = Some(lcm_crypto::sha256::digest(&buf));
-        Ok(quote)
-    }
-
-    fn provision_shard(&mut self, shard: u32, sealed_payload: Vec<u8>) -> Result<()> {
-        let Some(target) = self.core.shards.get(shard as usize) else {
-            return Err(LcmError::Tee(format!(
-                "provision_shard({shard}) on a {}-shard deployment",
-                self.core.shards.len()
-            )));
-        };
-        lock(&target.lane).server.provision(sealed_payload)
-    }
-
     fn submit(&mut self, invoke_wire: Vec<u8>) {
-        self.core.route_and_enqueue(invoke_wire);
+        self.core.submit(invoke_wire);
     }
 
     /// # Panics
@@ -1539,17 +1549,17 @@ impl<S: BatchServer + 'static> BatchServer for ShardedServer<S> {
     /// deliver to, and clamping silently would let an adversarial
     /// test exercise a different shard than it named.
     fn submit_to_shard(&mut self, shard: u32, invoke_wire: Vec<u8>) {
-        crate::transport::TransportPlane::submit_to_lane(&*self.core, shard, invoke_wire);
+        self.core.submit_to_lane(shard, invoke_wire);
     }
 
     fn queued(&self) -> usize {
-        self.core.queued_total()
+        self.core.queued()
     }
 
     fn step(&mut self) -> Result<Replies> {
         // Surface a failure recorded by back-pressure relief inside
         // `submit` (which cannot return errors) before doing new work.
-        if let Some(e) = self.core.take_deferred_error() {
+        if let Some(e) = self.core.take_error() {
             return Err(e);
         }
         let mut handles = Vec::new();
@@ -1571,13 +1581,13 @@ impl<S: BatchServer + 'static> BatchServer for ShardedServer<S> {
         // wins and this step reports it. Replies already released stay
         // in the out-buffer — healthy shards' replies survive a
         // sibling's crash-stop and are returned by the next call.
-        if let Some(e) = self.core.take_deferred_error() {
+        if let Some(e) = self.core.take_error() {
             return Err(e);
         }
         if vanished {
             return Err(LcmError::Tee("shard worker vanished".into()));
         }
-        Ok(self.core.take_ready_replies())
+        Ok(self.core.take_ready())
     }
 
     fn process_all(&mut self) -> Result<Replies> {
@@ -1600,7 +1610,7 @@ impl<S: BatchServer + 'static> BatchServer for ShardedServer<S> {
                     return Err(e);
                 }
             }
-            if self.core.queued_total() == 0 {
+            if self.core.queued() == 0 {
                 break;
             }
         }
@@ -1617,26 +1627,13 @@ impl<S: BatchServer + 'static> BatchServer for ShardedServer<S> {
 
     fn export_migration(&mut self) -> Result<Vec<u8>> {
         let tickets = self.for_each_shard(|s| s.export_migration())?;
-        let mut w = Writer::new();
-        w.put_u32(tickets.len() as u32);
-        for t in &tickets {
-            w.put_bytes(t);
-        }
-        Ok(w.into_bytes())
+        // Same codec shape as the per-shard provisioning payloads.
+        Ok(concat_provision_payloads(&tickets))
     }
 
     fn import_migration(&mut self, ticket: Vec<u8>) -> Result<()> {
-        let mut r = Reader::new(&ticket);
-        let parsed = (|| -> std::result::Result<Vec<Vec<u8>>, crate::codec::CodecError> {
-            let n = r.get_u32()? as usize;
-            let mut parts = Vec::with_capacity(n.min(1 << 10));
-            for _ in 0..n {
-                parts.push(r.get_bytes()?.to_vec());
-            }
-            r.finish()?;
-            Ok(parts)
-        })();
-        let parts = parsed.map_err(LcmError::from)?;
+        let parts = split_parts(&ticket)
+            .ok_or_else(|| LcmError::Tee("malformed sharded migration ticket".into()))?;
         if parts.len() != self.core.shards.len() {
             return Err(LcmError::Tee(format!(
                 "migration ticket carries {} shards, this deployment has {}",
@@ -1683,15 +1680,13 @@ impl<S: BatchServer + 'static> BatchServer for ShardedServer<S> {
     }
 
     fn attest_member(&mut self, shard: u32, replica: u32, user_data: Digest) -> Result<Quote> {
-        let Some(target) = self.core.shards.get(shard as usize) else {
-            return Err(LcmError::Tee(format!(
-                "attest_member(shard {shard}) on a {}-shard deployment",
-                self.core.shards.len()
-            )));
-        };
-        let quote = lock(&target.lane)
+        self.check_shard(shard, "attest_member")?;
+        let quote = lock(&self.core.shards[shard as usize].lane)
             .server
             .attest_member(0, replica, user_data)?;
+        // Record the attestation host-side: a fingerprint of what the
+        // verifier saw (measurement + identity-bound user data), so
+        // stats can assert every member was attested.
         let mut buf = Vec::with_capacity(64);
         buf.extend_from_slice(quote.measurement.as_bytes());
         buf.extend_from_slice(quote.user_data.as_bytes());
@@ -1705,24 +1700,14 @@ impl<S: BatchServer + 'static> BatchServer for ShardedServer<S> {
         replica: u32,
         sealed_payload: Vec<u8>,
     ) -> Result<()> {
-        let Some(target) = self.core.shards.get(shard as usize) else {
-            return Err(LcmError::Tee(format!(
-                "provision_member(shard {shard}) on a {}-shard deployment",
-                self.core.shards.len()
-            )));
-        };
-        lock(&target.lane)
+        self.check_shard(shard, "provision_member")?;
+        lock(&self.core.shards[shard as usize].lane)
             .server
             .provision_member(0, replica, sealed_payload)
     }
 
     fn kill_member(&mut self, shard: u32, replica: u32, power_failure: bool) -> Result<()> {
-        if shard as usize >= self.core.shards.len() {
-            return Err(LcmError::Tee(format!(
-                "kill_member(shard {shard}) on a {}-shard deployment",
-                self.core.shards.len()
-            )));
-        }
+        self.check_shard(shard, "kill_member")?;
         // `with_shard`'s resync writes the group's in-flight tickets
         // off when a leader kill stops the group (`is_running` goes
         // false); follower kills leave the lane running and settled.
@@ -1730,12 +1715,7 @@ impl<S: BatchServer + 'static> BatchServer for ShardedServer<S> {
     }
 
     fn reboot_member(&mut self, shard: u32, replica: u32) -> Result<bool> {
-        if shard as usize >= self.core.shards.len() {
-            return Err(LcmError::Tee(format!(
-                "reboot_member(shard {shard}) on a {}-shard deployment",
-                self.core.shards.len()
-            )));
-        }
+        self.check_shard(shard, "reboot_member")?;
         self.with_shard(shard, |s| s.reboot_member(0, replica))
     }
 
@@ -1789,12 +1769,12 @@ impl<S: BatchServer + 'static> BatchServer for ShardedServer<S> {
 /// locking the lane, which serializes that shard's reads with its
 /// writes: exactly the single-replica baseline the replicated cells in
 /// the bench snapshot are measured against.
-struct CoreReadPort<S: BatchServer + 'static> {
-    core: Arc<ShardCore<S>>,
+struct CoreReadPort {
+    core: Arc<ShardCore>,
     ports: Vec<Option<Arc<dyn crate::server::ReadPort>>>,
 }
 
-impl<S: BatchServer + 'static> crate::server::ReadPort for CoreReadPort<S> {
+impl crate::server::ReadPort for CoreReadPort {
     fn serve_read(&self, read_wire: Vec<u8>) -> Result<Vec<u8>> {
         let Some((hint, _)) = crate::wire::ReadHint::peel(&read_wire) else {
             return Err(LcmError::Tee(
@@ -1812,11 +1792,49 @@ impl<S: BatchServer + 'static> crate::server::ReadPort for CoreReadPort<S> {
     }
 }
 
+/// One member server of a deployment: an [`LcmServer`] over `F` on
+/// platform `platform_id` of `world`, persisting into the
+/// `region_prefix` region of the shared medium, with asynchronous
+/// write when `pipelined`. The one lane factory behind
+/// [`build_sharded`] and [`build_replicated`].
+fn build_member<F: Functionality + 'static>(
+    world: &TeeWorld,
+    platform_id: u64,
+    storage: &Arc<dyn StableStorage>,
+    region_prefix: String,
+    batch_limit: usize,
+    pipelined: bool,
+) -> crate::replica::ReplicaMember {
+    let platform = world.platform_deterministic(platform_id);
+    let region: Arc<dyn StableStorage> =
+        Arc::new(NamespacedStorage::new(storage.clone(), region_prefix));
+    let server = LcmServer::<F>::new(&platform, region.clone(), batch_limit);
+    crate::replica::ReplicaMember {
+        server: Box::new(if pipelined {
+            server.into_pipelined()
+        } else {
+            server
+        }),
+        storage: region,
+    }
+}
+
+/// Assembles lanes into a deployment, labelling its health snapshots
+/// with the execution mode so operators (and the bench gate) can tell
+/// sync and pipelined cells apart.
+fn assemble(lanes: Vec<Box<dyn BatchServer>>, pipelined: bool) -> ShardedServer {
+    let server = ShardedServer::new(lanes);
+    server
+        .admission_state()
+        .set_mode(if pipelined { "pipelined" } else { "sync" });
+    server
+}
+
 /// Builds the standard sharded LCM deployment: `shards` instances of
 /// [`LcmServer`] over `F`, each on its own platform of `world`
 /// (platform ids `base_platform..base_platform + shards`) and its own
-/// [`NamespacedStorage`] region of the shared medium, optionally
-/// wrapped into the asynchronous-write pipeline.
+/// [`NamespacedStorage`] region of the shared medium, optionally in
+/// asynchronous-write mode ([`LcmServer::into_pipelined`]).
 ///
 /// **Note:** for the common whole-stack assembly (world + shards +
 /// front-end + admission + admin bootstrap), prefer the `lcm` facade
@@ -1829,29 +1847,21 @@ pub fn build_sharded<F: Functionality + 'static>(
     batch_limit: usize,
     shards: u32,
     pipelined: bool,
-) -> ShardedServer<Box<dyn BatchServer>> {
-    let servers = (0..shards.max(1))
+) -> ShardedServer {
+    let lanes = (0..shards.max(1))
         .map(|i| {
-            let platform = world.platform_deterministic(base_platform + u64::from(i));
-            let region = Arc::new(NamespacedStorage::new(
-                storage.clone(),
+            build_member::<F>(
+                world,
+                base_platform + u64::from(i),
+                &storage,
                 NamespacedStorage::shard_prefix(i),
-            ));
-            let server = LcmServer::<F>::new(&platform, region, batch_limit);
-            if pipelined {
-                Box::new(server.into_pipelined()) as Box<dyn BatchServer>
-            } else {
-                Box::new(server) as Box<dyn BatchServer>
-            }
+                batch_limit,
+                pipelined,
+            )
+            .server
         })
         .collect();
-    let server = ShardedServer::new(servers);
-    // Label health snapshots with the execution mode so operators (and
-    // the bench gate) can tell sync and pipelined cells apart.
-    server
-        .admission_state()
-        .set_mode(if pipelined { "pipelined" } else { "sync" });
-    server
+    assemble(lanes, pipelined)
 }
 
 /// Layout of a replicated deployment: how many shard lanes, how many
@@ -1887,46 +1897,27 @@ pub fn build_replicated<F: Functionality + 'static>(
     batch_limit: usize,
     spec: ReplicationSpec,
     pipelined: bool,
-) -> ShardedServer<Box<dyn BatchServer>> {
-    use crate::replica::{ReplicaGroup, ReplicaMember};
-    let ReplicationSpec {
-        shards,
-        replicas,
-        quorum,
-    } = spec;
-    let shards = shards.max(1);
-    let replicas = replicas.max(1);
-    let groups = (0..shards)
+) -> ShardedServer {
+    let replicas = spec.replicas.max(1);
+    let lanes = (0..spec.shards.max(1))
         .map(|i| {
             let members = (0..replicas)
                 .map(|r| {
-                    let platform = world.platform_deterministic(
+                    build_member::<F>(
+                        world,
                         base_platform + u64::from(i) * u64::from(replicas) + u64::from(r),
-                    );
-                    let region = Arc::new(NamespacedStorage::new(
-                        storage.clone(),
+                        &storage,
                         format!("{}rep{r}.", NamespacedStorage::shard_prefix(i)),
-                    ));
-                    let server = LcmServer::<F>::new(&platform, region.clone(), batch_limit);
-                    let server: Box<dyn BatchServer> = if pipelined {
-                        Box::new(server.into_pipelined())
-                    } else {
-                        Box::new(server)
-                    };
-                    ReplicaMember {
-                        server,
-                        storage: region,
-                    }
+                        batch_limit,
+                        pipelined,
+                    )
                 })
                 .collect();
-            Box::new(ReplicaGroup::new(members, quorum)) as Box<dyn BatchServer>
+            Box::new(crate::replica::ReplicaGroup::new(members, spec.quorum))
+                as Box<dyn BatchServer>
         })
         .collect();
-    let server = ShardedServer::new(groups);
-    server
-        .admission_state()
-        .set_mode(if pipelined { "pipelined" } else { "sync" });
-    server
+    assemble(lanes, pipelined)
 }
 
 #[cfg(test)]
@@ -1941,11 +1932,7 @@ mod tests {
     fn sharded_counter(
         shards: u32,
         n_clients: u32,
-    ) -> (
-        ShardedServer<Box<dyn BatchServer>>,
-        AdminHandle,
-        Vec<LcmClient>,
-    ) {
+    ) -> (ShardedServer, AdminHandle, Vec<LcmClient>) {
         let world = TeeWorld::new_deterministic(90);
         let storage = Arc::new(MemoryStorage::new());
         let mut server = build_sharded::<Counter>(&world, 1, storage, 16, shards, false);
@@ -1960,11 +1947,7 @@ mod tests {
         (server, admin, clients)
     }
 
-    fn run_one(
-        server: &mut ShardedServer<Box<dyn BatchServer>>,
-        client: &mut LcmClient,
-        op: &[u8],
-    ) -> u64 {
+    fn run_one(server: &mut ShardedServer, client: &mut LcmClient, op: &[u8]) -> u64 {
         server.submit(client.invoke_for::<Counter>(op).unwrap());
         let replies = server.process_all().unwrap();
         let mine = replies
@@ -2105,7 +2088,7 @@ mod tests {
             aead::auth_encrypt(&channel, &payload.to_bytes(), LABEL_PROVISION).unwrap()
         };
         // One identity-bearing payload per shard, in shard order: the
-        // single `provision` call fans them out via `provision_shard`.
+        // single `provision` call fans them out via `provision_member`.
         server
             .provision(concat_provision_payloads(&[sealed_for(0), sealed_for(1)]))
             .unwrap();
@@ -2146,8 +2129,8 @@ mod tests {
             aead::auth_encrypt(&channel, &payload.to_bytes(), LABEL_PROVISION).unwrap()
         };
         // Swap: lane 0 gets identity 1, lane 1 gets identity 0.
-        server.provision_shard(0, sealed_for(1)).unwrap();
-        server.provision_shard(1, sealed_for(0)).unwrap();
+        server.provision_member(0, 0, sealed_for(1)).unwrap();
+        server.provision_member(1, 0, sealed_for(0)).unwrap();
 
         let mut admin =
             AdminHandle::new_deterministic(&world, vec![ClientId(1)], Quorum::Majority, 96);
@@ -2216,11 +2199,7 @@ mod tests {
 
     /// Like [`run_one`], but chases resharding redirects: a reply that
     /// carries a newer slice table re-invokes the operation under it.
-    fn run_chasing(
-        server: &mut ShardedServer<Box<dyn BatchServer>>,
-        client: &mut LcmClient,
-        op: &[u8],
-    ) -> u64 {
+    fn run_chasing(server: &mut ShardedServer, client: &mut LcmClient, op: &[u8]) -> u64 {
         use crate::client::WriteOutcome;
         let mut wire = client.invoke_for::<Counter>(op).unwrap();
         loop {

@@ -1,47 +1,42 @@
 //! The transport layer between clients and the host server: the
-//! single-threaded adversarial [`Hub`] and the multi-producer
-//! concurrent [`Frontend`].
+//! multi-producer concurrent [`Frontend`].
 //!
 //! The paper's model routes every client⇄T message through the server,
 //! which may "intercept, modify, reorder, discard, or replay" them
-//! (§2.3). Two front-ends materialize that topology:
+//! (§2.3). [`Frontend`] materializes that topology at deployment
+//! scale: a thread-safe ingress plane (any number of producer threads
+//! submit through [`FrontendPort::send`] / [`Frontend::submit_shared`]),
+//! per-shard driver loops running on an [`lcm_runtime::WorkerPool`],
+//! and a reply demux plane that routes each released reply to its
+//! client's port in that client's submission order. The untrusted host
+//! becomes a concurrent message pump between clients and the enclaves.
 //!
-//! * [`Hub`] — the adversarial test harness: each client gets a duplex
-//!   [`lcm_net`] link whose controllers can hold, tamper with, or
-//!   replay messages, and one caller thread pumps ingress → server →
-//!   replies. Use it when the *links* are the subject of the test.
-//! * [`Frontend`] — the deployment-scale front-end: a thread-safe
-//!   ingress plane (any number of producer threads submit through
-//!   [`FrontendPort::send`] / [`Frontend::submit`]), per-shard driver
-//!   loops running on an [`lcm_runtime::WorkerPool`], and a reply
-//!   demux plane that routes each released reply to its client's port
-//!   in that client's submission order. The untrusted host becomes a
-//!   concurrent message pump between clients and the enclaves — the
-//!   paper's host architecture at deployment scale.
-//!
-//! Both are generic over [`BatchServer`], so the same topology drives
-//! the synchronous [`crate::server::LcmServer`], the asynchronous-write
-//! [`crate::pipeline::PipelinedServer`], and the sharded
-//! [`crate::shard::ShardedServer`]. Shared drop/flow counters are
-//! atomic ([`TransportStats`]) and readable from `&self` while other
-//! threads keep pumping.
+//! There is one transport and one plane beneath it: the front-end
+//! drives the shared core of a [`ShardedServer`] directly (a solo
+//! server is the 1-lane deployment). Link-level adversaries — hold,
+//! tamper, replay — are modelled with `lcm_net::Duplex` links in front
+//! of `submit` (see `tests/attacks.rs`), not with a second transport.
+//! Shared drop/flow counters are atomic ([`TransportStats`]) and
+//! readable from `&self` while other threads keep pumping.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-use lcm_net::{Duplex, DuplexEnd, LinkController};
+use lcm_crypto::sha256::Digest;
 use lcm_runtime::queue::BoundedQueue;
 use lcm_runtime::WorkerPool;
+use lcm_tee::attestation::Quote;
 
-use crate::admission::{AdmissionState, AdmitOutcome, HealthSnapshot, RetryAfter};
+use crate::admission::{AdmitOutcome, HealthSnapshot, RetryAfter};
 use crate::server::{BatchServer, Replies};
+use crate::shard::{DriveStatus, ShardCore, ShardedServer};
 use crate::types::ClientId;
-use crate::{LcmError, Result};
+use crate::Result;
 
 /// Shared transport counters. Every field is atomic and every reader
-/// takes `&self`, so a port control, a test, or an operator dashboard
+/// takes `&self`, so a port, a test, or an operator dashboard
 /// can observe drops and flow while pump threads keep running — no
 /// `&mut` window required.
 #[derive(Debug, Default)]
@@ -52,10 +47,6 @@ pub struct TransportStats {
     dropped_replies: AtomicU64,
     rejected: AtomicU64,
     replayed: AtomicU64,
-    /// The plane's admission controller, installed once when the
-    /// front-end binds to a plane that has one — the hook behind
-    /// [`TransportStats::latency`].
-    admission: std::sync::OnceLock<Arc<AdmissionState>>,
 }
 
 impl TransportStats {
@@ -95,30 +86,6 @@ impl TransportStats {
     pub fn replayed(&self) -> u64 {
         self.replayed.load(Ordering::SeqCst)
     }
-
-    /// Per-tenant × shard p50/p99/p999 latency and admission health,
-    /// when the bound plane has an admission controller (see
-    /// [`AdmissionState::health_snapshot`]).
-    pub fn latency(&self) -> Option<HealthSnapshot> {
-        self.admission.get().map(|a| a.health_snapshot())
-    }
-}
-
-/// Outcome of one [`TransportPlane::drive`] attempt on a lane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DriveStatus {
-    /// No work on this lane.
-    Idle,
-    /// Another driver (or a control-plane operation) currently owns
-    /// the lane; it will make the progress.
-    Busy,
-    /// The lane holds less than one batch and its oldest wire has not
-    /// lingered long enough — worth revisiting in roughly this long
-    /// (batch forming; see [`BATCH_LINGER`]).
-    Waiting(Duration),
-    /// Work was done: wires fed, a batch executed, replies released,
-    /// or tickets written off.
-    Progress,
 }
 
 /// How long a [`DriveMode::Continuous`] driver lets a sub-batch-size
@@ -129,101 +96,6 @@ pub enum DriveStatus {
 /// typical store round-trip recovers full batches at a latency cost
 /// one batch cycle amortizes away.
 pub const BATCH_LINGER: Duration = Duration::from_micros(600);
-
-/// The thread-safe `&self` surface of a server's ingress, execution,
-/// and reply planes — what a concurrent [`Frontend`] drives.
-///
-/// Implemented by [`crate::shard::ShardedServer`]'s shared core (one
-/// lane per shard; a one-shard deployment is the solo case). All
-/// methods take `&self`: any number of producer threads may `submit`
-/// while any number of driver threads `drive` lanes; each lane is
-/// stepped by at most one driver at a time.
-pub trait TransportPlane: Send + Sync {
-    /// Number of independently drivable lanes (server shards).
-    fn lanes(&self) -> u32;
-
-    /// Routes and enqueues one encrypted INVOKE wire (multi-producer
-    /// safe). Blocks for back-pressure when the target lane's ingress
-    /// is full and drivers are attached; with no drivers attached the
-    /// submitting thread relieves the lane inline instead.
-    fn submit(&self, invoke_wire: Vec<u8>);
-
-    /// Enqueues a wire to an *explicit* lane, ignoring the routing
-    /// envelope (the host-power misdelivery hook).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `lane` is out of range.
-    fn submit_to_lane(&self, lane: u32, invoke_wire: Vec<u8>);
-
-    /// One drive of `lane`: feed its ingress into the server, execute
-    /// one batch, book the replies (or write the lane's in-flight
-    /// tickets off on a crash-stop). A lane another driver currently
-    /// owns reports [`DriveStatus::Busy`] instead of waiting. With
-    /// `gate = Some(linger)`, a lane holding less than one batch is
-    /// left to fill until its oldest wire has waited `linger`
-    /// ([`DriveStatus::Waiting`]).
-    fn drive(&self, lane: u32, gate: Option<Duration>) -> DriveStatus;
-
-    /// Wires accepted but not yet executed (ingress + lane queues).
-    fn queued(&self) -> usize;
-
-    /// Tickets issued but not yet settled (reply released or written
-    /// off).
-    fn unsettled(&self) -> u64;
-
-    /// Blocks until every issued ticket has settled.
-    fn wait_quiescent(&self);
-
-    /// Drains the released replies, in release (global ticket) order —
-    /// per-client FIFO.
-    fn take_ready(&self) -> Replies;
-
-    /// Takes the first lane failure recorded since the last call.
-    fn take_error(&self) -> Option<LcmError>;
-
-    /// Wakes driver threads parked in [`TransportPlane::wait_work`].
-    fn notify_work(&self);
-
-    /// Parks the caller until the work epoch moves past `last_epoch`,
-    /// at most `timeout`; returns the current epoch either way.
-    fn wait_work(&self, last_epoch: u64, timeout: Duration) -> u64;
-
-    /// Registers `n` driver threads as willing to drain the ingress
-    /// (switches a full ingress from inline relief to submitter
-    /// back-pressure).
-    fn attach_drivers(&self, n: usize);
-
-    /// Deregisters `n` driver threads.
-    fn detach_drivers(&self, n: usize);
-
-    /// Drains every lane's ingress without executing it, writing the
-    /// drained tickets off. Called by a shutting-down front-end after
-    /// detaching its drivers: a producer blocked in back-pressure
-    /// `push` would otherwise wait forever on a queue nobody will
-    /// drain again.
-    fn shed_ingress(&self);
-
-    /// Admission-controlled submission: like
-    /// [`TransportPlane::submit`], but consults the plane's
-    /// multi-tenant admission controller first. A rejected wire comes
-    /// back inside the typed [`RetryAfter`] (no clone, no silent
-    /// drop); an accepted one reports whether it was enqueued,
-    /// answered from the host reply cache, or coalesced with an
-    /// in-flight duplicate. Planes without admission control accept
-    /// everything (this default).
-    fn try_submit(&self, invoke_wire: Vec<u8>) -> std::result::Result<AdmitOutcome, RetryAfter> {
-        self.submit(invoke_wire);
-        Ok(AdmitOutcome::Enqueued)
-    }
-
-    /// The plane's admission controller, when it has one. The default
-    /// is `None`: admission is an opt-in layer of the sharded core,
-    /// not a requirement of the plane contract.
-    fn admission(&self) -> Option<Arc<AdmissionState>> {
-        None
-    }
-}
 
 // ---------------------------------------------------------------------------
 // The concurrent front-end.
@@ -262,11 +134,8 @@ struct Demux {
 
 struct FrontendShared {
     shutdown: AtomicBool,
-    /// Whether drivers may pump right now (always `true` in
-    /// [`DriveMode::Continuous`]).
-    window: AtomicBool,
     /// Drivers currently inside a sweep window (registered *before*
-    /// they read `window`): after closing the window, an OnDemand pump
+    /// they read the core's pump window): after closing the window, an OnDemand pump
     /// waits for this to reach zero, so a driver acting on a stale
     /// open-window read can never execute work submitted after the
     /// pump returned.
@@ -286,9 +155,9 @@ impl FrontendShared {
     /// client's port (or the collection buffer). The demux lock makes
     /// take-and-route atomic, so two drivers can never reorder one
     /// client's replies between taking and routing them.
-    fn dispatch(&self, plane: &dyn TransportPlane) {
+    fn dispatch(&self, core: &ShardCore) {
         let mut demux = self.lock_demux();
-        for (client, wire) in plane.take_ready() {
+        for (client, wire) in core.take_ready() {
             match demux.ports.get(&client) {
                 Some(rx) => {
                     // Count BEFORE the push: the receiving client may
@@ -318,7 +187,7 @@ impl FrontendShared {
 #[derive(Clone)]
 pub struct FrontendPort {
     id: ClientId,
-    plane: Arc<dyn TransportPlane>,
+    core: Arc<ShardCore>,
     rx: PortRx,
     stats: Arc<TransportStats>,
 }
@@ -341,7 +210,7 @@ impl FrontendPort {
     /// Submits an encrypted INVOKE toward the deployment
     /// (multi-producer safe; blocks only for ingress back-pressure).
     ///
-    /// With admission control configured on the plane, a rejected wire
+    /// With admission control configured, a rejected wire
     /// is retried after the controller's suggested back-off until it
     /// is accepted — the blocking convenience over
     /// [`FrontendPort::try_send`]. Each absorbed bounce still counts
@@ -362,16 +231,17 @@ impl FrontendPort {
         }
     }
 
-    /// Admission-aware submission: consults the plane's multi-tenant
-    /// admission controller and returns without blocking on policy.
+    /// Admission-aware submission: consults the deployment's
+    /// multi-tenant admission controller and returns without blocking
+    /// on policy.
     /// `Ok` reports what happened to the wire (enqueued, replayed from
     /// the host reply cache, or coalesced with an in-flight
     /// duplicate); `Err` carries the wire back together with the
     /// typed back-pressure ([`RetryAfter::retry_after`] is the
-    /// suggested nap). On planes without admission control this is
-    /// exactly [`FrontendPort::send`].
+    /// suggested nap). With no admission policy configured every wire
+    /// is accepted.
     pub fn try_send(&self, wire: Vec<u8>) -> std::result::Result<AdmitOutcome, RetryAfter> {
-        match self.plane.try_submit(wire) {
+        match self.core.try_submit(wire) {
             Ok(outcome) => {
                 // `submitted` counts wires the ingress plane accepted,
                 // matching `delivered` at quiescence — replayed and
@@ -421,20 +291,20 @@ impl FrontendPort {
 ///
 /// Ordering guarantee: replies to any one client leave the demux in
 /// that client's submission order (global-ticket release order from
-/// the shared [`TransportPlane`]); tickets of a crash-stopped shard
+/// the shared core); tickets of a crash-stopped shard
 /// are written off so they can never dam up the client's later
 /// replies — the client retries those operations and the retries get
 /// fresh tickets.
 ///
 /// The front-end itself implements [`BatchServer`], so admin
-/// bootstrap, scenario suites, and the `Hub` run on top unchanged:
+/// bootstrap and scenario suites run on top unchanged:
 /// control-plane calls forward to the wrapped server (serialized
 /// against the drivers by the per-lane locks), `submit` feeds the
 /// ingress plane, and `process_all` pumps to quiescence and returns
 /// the replies of clients without a connected port.
-pub struct Frontend<S: BatchServer + 'static> {
-    server: S,
-    plane: Arc<dyn TransportPlane>,
+pub struct Frontend {
+    server: ShardedServer,
+    core: Arc<ShardCore>,
     shared: Arc<FrontendShared>,
     mode: DriveMode,
     threads: usize,
@@ -443,18 +313,18 @@ pub struct Frontend<S: BatchServer + 'static> {
     drivers: Option<WorkerPool>,
 }
 
-impl<S: BatchServer + 'static> std::fmt::Debug for Frontend<S> {
+impl std::fmt::Debug for Frontend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Frontend")
-            .field("lanes", &self.plane.lanes())
+            .field("lanes", &self.core.lanes())
             .field("threads", &self.threads)
             .field("mode", &self.mode)
-            .field("queued", &self.plane.queued())
+            .field("queued", &self.core.queued())
             .finish()
     }
 }
 
-fn driver_loop(plane: Arc<dyn TransportPlane>, shared: Arc<FrontendShared>, mode: DriveMode) {
+fn driver_loop(core: Arc<ShardCore>, shared: Arc<FrontendShared>, mode: DriveMode) {
     // Continuous drivers form batches (linger gate); OnDemand pumps
     // run with everything already queued, so gating would only slow
     // the deterministic suites down.
@@ -466,7 +336,7 @@ fn driver_loop(plane: Arc<dyn TransportPlane>, shared: Arc<FrontendShared>, mode
     };
     let mut epoch = 0u64;
     loop {
-        epoch = plane.wait_work(epoch, Duration::from_millis(25));
+        epoch = core.wait_work(epoch, Duration::from_millis(25));
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
@@ -477,7 +347,7 @@ fn driver_loop(plane: Arc<dyn TransportPlane>, shared: Arc<FrontendShared>, mode
         // after `pump` returns could be executed outside any pump,
         // breaking `DriveMode::OnDemand`'s contract.
         shared.sweepers.fetch_add(1, Ordering::SeqCst);
-        if !shared.window.load(Ordering::SeqCst) {
+        if !core.window_open() {
             shared.sweepers.fetch_sub(1, Ordering::SeqCst);
             continue;
         }
@@ -488,11 +358,11 @@ fn driver_loop(plane: Arc<dyn TransportPlane>, shared: Arc<FrontendShared>, mode
         loop {
             let mut progress = false;
             let mut forming: Option<Duration> = None;
-            for lane in 0..plane.lanes() {
-                if !shared.window.load(Ordering::SeqCst) {
+            for lane in 0..core.lanes() {
+                if !core.window_open() {
                     break;
                 }
-                match plane.drive(lane, gate()) {
+                match core.drive(lane, gate()) {
                     DriveStatus::Progress => {
                         progress = true;
                         // Demux NOW, before touching the next lane: a
@@ -500,7 +370,7 @@ fn driver_loop(plane: Arc<dyn TransportPlane>, shared: Arc<FrontendShared>, mode
                         // replies sitting in the book that long would
                         // stall their producers' closed loops (and
                         // fragment the next batch).
-                        shared.dispatch(&*plane);
+                        shared.dispatch(&core);
                     }
                     DriveStatus::Waiting(left) => {
                         forming = Some(forming.map_or(left, |f| f.min(left)));
@@ -508,8 +378,8 @@ fn driver_loop(plane: Arc<dyn TransportPlane>, shared: Arc<FrontendShared>, mode
                     DriveStatus::Idle | DriveStatus::Busy => {}
                 }
             }
-            shared.dispatch(&*plane);
-            if shared.shutdown.load(Ordering::SeqCst) || !shared.window.load(Ordering::SeqCst) {
+            shared.dispatch(&core);
+            if shared.shutdown.load(Ordering::SeqCst) || !core.window_open() {
                 break;
             }
             if progress {
@@ -527,27 +397,14 @@ fn driver_loop(plane: Arc<dyn TransportPlane>, shared: Arc<FrontendShared>, mode
     }
 }
 
-impl<S: BatchServer + 'static> Frontend<S> {
+impl Frontend {
     /// Lifts `server` into a concurrent front-end with `threads`
     /// driver threads (min 1; more drivers than lanes buys nothing).
-    ///
-    /// # Errors
-    ///
-    /// The server must expose a [`TransportPlane`]
-    /// ([`BatchServer::transport_plane`]); single-enclave servers do
-    /// not — wrap those with [`Frontend::solo`].
-    pub fn new(server: S, threads: usize, mode: DriveMode) -> Result<Self> {
-        let plane = server.transport_plane().ok_or_else(|| {
-            LcmError::Tee(
-                "server has no transport plane; wrap it in a one-shard \
-                 ShardedServer (Frontend::solo) to drive it concurrently"
-                    .into(),
-            )
-        })?;
+    pub fn new(server: ShardedServer, threads: usize, mode: DriveMode) -> Self {
+        let core = server.core();
         let threads = threads.max(1);
         let shared = Arc::new(FrontendShared {
             shutdown: AtomicBool::new(false),
-            window: AtomicBool::new(matches!(mode, DriveMode::Continuous)),
             sweepers: AtomicUsize::new(0),
             linger_nanos: AtomicU64::new(BATCH_LINGER.as_nanos() as u64),
             demux: Mutex::new(Demux {
@@ -556,39 +413,35 @@ impl<S: BatchServer + 'static> Frontend<S> {
             }),
             stats: Arc::new(TransportStats::default()),
         });
-        if let Some(admission) = plane.admission() {
-            // Bind the plane's admission controller into the shared
-            // stats so `TransportStats::latency` works from any clone.
-            let _ = shared.stats.admission.set(admission);
-        }
         if matches!(mode, DriveMode::Continuous) {
-            plane.attach_drivers(threads);
+            core.attach_drivers(threads);
+            core.set_window(true);
         }
         let pool = WorkerPool::new("lcm-frontend", threads, threads);
         for _ in 0..threads {
-            let plane = plane.clone();
+            let core = core.clone();
             let shared = shared.clone();
-            pool.execute(move || driver_loop(plane, shared, mode));
+            pool.execute(move || driver_loop(core, shared, mode));
         }
-        Ok(Frontend {
+        Frontend {
             server,
-            plane,
+            core,
             shared,
             mode,
             threads,
             drivers: Some(pool),
-        })
+        }
     }
 
     /// Direct access to the wrapped server (boot, crash, shard hooks,
     /// stats). Control-plane calls made through it serialize against
     /// the drivers on the per-lane locks.
-    pub fn server_mut(&mut self) -> &mut S {
+    pub fn server_mut(&mut self) -> &mut ShardedServer {
         &mut self.server
     }
 
     /// Shared access to the wrapped server's `&self` surface.
-    pub fn server(&self) -> &S {
+    pub fn server(&self) -> &ShardedServer {
         &self.server
     }
 
@@ -600,7 +453,7 @@ impl<S: BatchServer + 'static> Frontend<S> {
     /// Wires accepted but not yet settled (reply released or written
     /// off) — the front-end's in-flight depth; `0` means quiescent.
     pub fn in_flight(&self) -> u64 {
-        self.plane.unsettled()
+        self.core.unsettled()
     }
 
     /// Overrides the batch-forming linger (default [`BATCH_LINGER`]).
@@ -612,25 +465,17 @@ impl<S: BatchServer + 'static> Frontend<S> {
             .store(linger.as_nanos() as u64, Ordering::SeqCst);
     }
 
-    /// Installs (or replaces) the multi-tenant admission policy on the
-    /// underlying plane. No-op `false` when the plane has no admission
-    /// controller.
-    pub fn set_admission(&self, config: crate::admission::AdmissionConfig) -> bool {
-        match self.plane.admission() {
-            Some(admission) => {
-                admission.configure(config);
-                true
-            }
-            None => false,
-        }
+    /// Installs (or replaces) the deployment's multi-tenant admission
+    /// policy (see [`ShardedServer::configure_admission`]).
+    pub fn set_admission(&self, config: crate::admission::AdmissionConfig) {
+        self.core.admission.configure(config);
     }
 
-    /// Point-in-time admission/latency health of the underlying plane
-    /// (`None` when it has no admission controller): per-tenant admit
-    /// and reject counters plus p50/p99/p999 end-to-end latency per
+    /// Point-in-time admission/latency health: per-tenant admit and
+    /// reject counters plus p50/p99/p999 end-to-end latency per
     /// tenant × shard.
-    pub fn health_snapshot(&self) -> Option<HealthSnapshot> {
-        self.plane.admission().map(|a| a.health_snapshot())
+    pub fn health_snapshot(&self) -> HealthSnapshot {
+        self.core.admission.health_snapshot()
     }
 
     /// Connects a client, returning its thread-safe port. Replies for
@@ -645,7 +490,7 @@ impl<S: BatchServer + 'static> Frontend<S> {
         }
         FrontendPort {
             id,
-            plane: self.plane.clone(),
+            core: self.core.clone(),
             rx,
             stats: self.shared.stats.clone(),
         }
@@ -669,7 +514,7 @@ impl<S: BatchServer + 'static> Frontend<S> {
     /// multi-producer safe) without needing a port.
     pub fn submit_shared(&self, invoke_wire: Vec<u8>) {
         self.shared.stats.submitted.fetch_add(1, Ordering::SeqCst);
-        self.plane.submit(invoke_wire);
+        self.core.submit(invoke_wire);
     }
 
     /// Pumps the deployment to quiescence: wakes the drivers, waits
@@ -683,12 +528,12 @@ impl<S: BatchServer + 'static> Frontend<S> {
     /// buffered replies survive the error for the next call.
     pub fn pump(&mut self) -> Result<Replies> {
         if matches!(self.mode, DriveMode::OnDemand) {
-            self.shared.window.store(true, Ordering::SeqCst);
+            self.core.set_window(true);
         }
-        self.plane.notify_work();
-        self.plane.wait_quiescent();
+        self.core.notify_work();
+        self.core.wait_quiescent();
         if matches!(self.mode, DriveMode::OnDemand) {
-            self.shared.window.store(false, Ordering::SeqCst);
+            self.core.set_window(false);
             // Wait out every driver still inside a sweep window: one
             // may hold a stale open-window read, and returning before
             // it re-checks would let it execute wires submitted after
@@ -701,8 +546,8 @@ impl<S: BatchServer + 'static> Frontend<S> {
         // but dispatch defensively: a driver may have been parked
         // between its final drive and its dispatch when we observed
         // quiescence.
-        self.shared.dispatch(&*self.plane);
-        if let Some(e) = self.plane.take_error() {
+        self.shared.dispatch(&self.core);
+        if let Some(e) = self.core.take_error() {
             return Err(e);
         }
         let mut demux = self.shared.lock_demux();
@@ -710,42 +555,25 @@ impl<S: BatchServer + 'static> Frontend<S> {
     }
 }
 
-impl<S: BatchServer + 'static> Frontend<crate::shard::ShardedServer<S>> {
-    /// Lifts a single-enclave server into the concurrent front-end by
-    /// wrapping it in a one-shard [`crate::shard::ShardedServer`] (the
-    /// solo lane gets the shared ingress/reply core for free).
-    ///
-    /// **Note:** the `lcm` facade crate's `DeploymentBuilder` (with
-    /// `.shards(1)`) assembles this plus the admin bootstrap in one
-    /// call; `solo` remains for callers lifting a pre-built server.
-    pub fn solo(server: S, threads: usize, mode: DriveMode) -> Self {
-        Self::new(
-            crate::shard::ShardedServer::new(vec![server]),
-            threads,
-            mode,
-        )
-        .expect("a sharded core always provides a transport plane")
-    }
-}
-
-impl<S: BatchServer + 'static> Drop for Frontend<S> {
+impl Drop for Frontend {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.plane.notify_work();
+        self.core.set_window(false);
+        self.core.notify_work();
         if matches!(self.mode, DriveMode::Continuous) {
-            self.plane.detach_drivers(self.threads);
+            self.core.detach_drivers(self.threads);
         }
         // Free any producer blocked in back-pressure `push`: with the
         // drivers gone, nobody would ever drain the full queue it is
         // waiting on (later submits fall back to inline relief, since
         // no drivers are attached anymore).
-        self.plane.shed_ingress();
+        self.core.shed_ingress();
         // Join the drivers before the wrapped server is torn down.
         drop(self.drivers.take());
     }
 }
 
-impl<S: BatchServer + 'static> BatchServer for Frontend<S> {
+impl BatchServer for Frontend {
     fn boot(&mut self) -> Result<bool> {
         self.server.boot()
     }
@@ -761,34 +589,21 @@ impl<S: BatchServer + 'static> BatchServer for Frontend<S> {
     fn provision(&mut self, sealed_payload: Vec<u8>) -> Result<()> {
         self.server.provision(sealed_payload)
     }
-    fn attest(
-        &mut self,
-        user_data: lcm_crypto::sha256::Digest,
-    ) -> Result<lcm_tee::attestation::Quote> {
+    fn attest(&mut self, user_data: Digest) -> Result<Quote> {
         self.server.attest(user_data)
     }
     fn shard_count(&self) -> u32 {
         self.server.shard_count()
-    }
-    fn attest_shard(
-        &mut self,
-        shard: u32,
-        user_data: lcm_crypto::sha256::Digest,
-    ) -> Result<lcm_tee::attestation::Quote> {
-        self.server.attest_shard(shard, user_data)
-    }
-    fn provision_shard(&mut self, shard: u32, sealed_payload: Vec<u8>) -> Result<()> {
-        self.server.provision_shard(shard, sealed_payload)
     }
     fn submit(&mut self, invoke_wire: Vec<u8>) {
         self.submit_shared(invoke_wire);
     }
     fn submit_to_shard(&mut self, shard: u32, invoke_wire: Vec<u8>) {
         self.shared.stats.submitted.fetch_add(1, Ordering::SeqCst);
-        self.plane.submit_to_lane(shard, invoke_wire);
+        self.core.submit_to_lane(shard, invoke_wire);
     }
     fn queued(&self) -> usize {
-        self.plane.queued()
+        self.core.queued()
     }
     fn batch_limit(&self) -> usize {
         self.server.batch_limit()
@@ -810,7 +625,7 @@ impl<S: BatchServer + 'static> BatchServer for Frontend<S> {
     fn import_migration(&mut self, ticket: Vec<u8>) -> Result<()> {
         self.server.import_migration(ticket)
     }
-    /// Live slice migration on the wrapped plane: the front-end shares
+    /// Live slice migration on the wrapped server: the front-end shares
     /// the deployment's slice table through the ingress router, so the
     /// move is visible to wires routed by either path the moment the
     /// new epoch installs.
@@ -835,10 +650,10 @@ impl<S: BatchServer + 'static> BatchServer for Frontend<S> {
     fn replica_count(&self) -> u32 {
         self.server.replica_count()
     }
-    fn apply_replica(&mut self, state_blob: Vec<u8>) -> Result<lcm_crypto::sha256::Digest> {
+    fn apply_replica(&mut self, state_blob: Vec<u8>) -> Result<Digest> {
         self.server.apply_replica(state_blob)
     }
-    /// Serves a verified read against the wrapped plane. Reads bypass
+    /// Serves a verified read against the wrapped server. Reads bypass
     /// the ingress queue entirely — they never mutate state, so they
     /// need no ticket, no admission slot, and no driver; this is what
     /// lets them scale out across follower replicas while the write
@@ -846,18 +661,13 @@ impl<S: BatchServer + 'static> BatchServer for Frontend<S> {
     fn serve_read(&mut self, read_wire: Vec<u8>) -> Result<Vec<u8>> {
         self.server.serve_read(read_wire)
     }
-    fn read_port(&self) -> Option<std::sync::Arc<dyn crate::server::ReadPort>> {
+    fn read_port(&self) -> Option<Arc<dyn crate::server::ReadPort>> {
         self.server.read_port()
     }
     fn group_leader(&self, shard: u32) -> u32 {
         self.server.group_leader(shard)
     }
-    fn attest_member(
-        &mut self,
-        shard: u32,
-        replica: u32,
-        user_data: lcm_crypto::sha256::Digest,
-    ) -> Result<lcm_tee::attestation::Quote> {
+    fn attest_member(&mut self, shard: u32, replica: u32, user_data: Digest) -> Result<Quote> {
         self.server.attest_member(shard, replica, user_data)
     }
     fn provision_member(
@@ -879,353 +689,28 @@ impl<S: BatchServer + 'static> BatchServer for Frontend<S> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The single-threaded adversarial hub.
-// ---------------------------------------------------------------------------
-
-/// A client's connection handle.
-#[derive(Debug, Clone)]
-pub struct ClientPort {
-    end: DuplexEnd,
-}
-
-impl ClientPort {
-    /// Sends an encrypted INVOKE toward the server.
-    pub fn send(&self, wire: Vec<u8>) {
-        self.end.send(wire);
-    }
-
-    /// Receives the next deliverable reply, if any.
-    pub fn try_recv(&self) -> Option<Vec<u8>> {
-        self.end.try_recv()
-    }
-}
-
-/// Adversary handles for one client's connection, plus the shared
-/// transport statistics.
-#[derive(Debug, Clone)]
-pub struct PortControl {
-    /// Controls the client→server direction.
-    pub to_server: LinkController,
-    /// Controls the server→client direction.
-    pub to_client: LinkController,
-    /// Shared hub counters (see [`PortControl::stats`]).
-    stats: Arc<TransportStats>,
-}
-
-impl PortControl {
-    /// Replies the hub could not route to any connected port since it
-    /// was created (hub-wide counter, shared by every port's control).
-    pub fn hub_dropped_replies(&self) -> u64 {
-        self.stats.dropped_replies()
-    }
-
-    /// The hub's shared transport counters — atomic, readable from
-    /// `&self` while the pump keeps running.
-    pub fn stats(&self) -> Arc<TransportStats> {
-        self.stats.clone()
-    }
-}
-
-struct Port {
-    server_end: DuplexEnd,
-    control: PortControl,
-}
-
-/// An in-process network connecting a [`BatchServer`] to its clients
-/// over adversary-controllable links, pumped by one caller thread.
-///
-/// For the multi-threaded deployment front-end, see [`Frontend`]; the
-/// hub remains the harness for link-level attacks (hold, tamper,
-/// replay) because a single pump thread makes their schedules exact.
-///
-/// # Example
-///
-/// ```
-/// use lcm_core::functionality::AppendLog;
-/// use lcm_core::server::LcmServer;
-/// use lcm_core::transport::Hub;
-/// use lcm_core::types::ClientId;
-/// use lcm_storage::MemoryStorage;
-/// use lcm_tee::world::TeeWorld;
-/// use std::sync::Arc;
-///
-/// let world = TeeWorld::new_deterministic(1);
-/// let server = LcmServer::<AppendLog>::new(&world.platform(1), Arc::new(MemoryStorage::new()), 16);
-/// let mut hub = Hub::new(server);
-/// let port = hub.connect(ClientId(1));
-/// # let _ = port;
-/// ```
-pub struct Hub<S: BatchServer> {
-    server: S,
-    ports: BTreeMap<ClientId, Port>,
-    stats: Arc<TransportStats>,
-}
-
-impl<S: BatchServer + std::fmt::Debug> std::fmt::Debug for Hub<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Hub")
-            .field("server", &self.server)
-            .field("ports", &self.ports.len())
-            .field("dropped_replies", &self.stats.dropped_replies())
-            .finish()
-    }
-}
-
-impl<S: BatchServer> Hub<S> {
-    /// Wraps a server into a hub.
-    pub fn new(server: S) -> Self {
-        Hub {
-            server,
-            ports: BTreeMap::new(),
-            stats: Arc::new(TransportStats::default()),
-        }
-    }
-
-    /// Direct access to the server (boot, provision, crash, …).
-    pub fn server(&mut self) -> &mut S {
-        &mut self.server
-    }
-
-    /// Connects a client, returning its port. Links start in honest
-    /// (auto-deliver) mode; grab [`Hub::control`] to turn adversarial.
-    pub fn connect(&mut self, id: ClientId) -> ClientPort {
-        let duplex = Duplex::honest();
-        let Duplex {
-            client,
-            server,
-            to_server,
-            to_client,
-        } = duplex;
-        self.ports.insert(
-            id,
-            Port {
-                server_end: server,
-                control: PortControl {
-                    to_server,
-                    to_client,
-                    stats: self.stats.clone(),
-                },
-            },
-        );
-        ClientPort { end: client }
-    }
-
-    /// Disconnects a client's port; replies for it are henceforth
-    /// counted in [`Hub::dropped_replies`].
-    pub fn disconnect(&mut self, id: ClientId) -> bool {
-        self.ports.remove(&id).is_some()
-    }
-
-    /// The adversary's handles on one client's connection.
-    pub fn control(&self, id: ClientId) -> Option<PortControl> {
-        self.ports.get(&id).map(|p| p.control.clone())
-    }
-
-    /// Replies the hub could not route to any connected port.
-    pub fn dropped_replies(&self) -> u64 {
-        self.stats.dropped_replies()
-    }
-
-    /// The hub's shared transport counters — atomic, readable from
-    /// `&self` (clone the `Arc` into an observer thread to watch drops
-    /// without stopping the pump).
-    pub fn stats(&self) -> Arc<TransportStats> {
-        self.stats.clone()
-    }
-
-    /// Moves all deliverable client messages into the server, processes
-    /// them, and routes the replies back onto the clients' links.
-    /// Replies for unknown ports are dropped and counted in
-    /// [`Hub::dropped_replies`].
-    ///
-    /// Returns the number of operations processed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates violations detected by the trusted context; an honest
-    /// server crash-stops here, a malicious one might swallow it — the
-    /// clients find out either way.
-    pub fn pump(&mut self) -> Result<usize> {
-        // Ingress order: round-robin over ports for fairness, FIFO per
-        // port (the correct server forwards FIFO, §2.1).
-        loop {
-            let mut any = false;
-            for port in self.ports.values() {
-                if let Some(wire) = port.server_end.try_recv() {
-                    self.server.submit(wire);
-                    self.stats.submitted.fetch_add(1, Ordering::SeqCst);
-                    any = true;
-                }
-            }
-            if !any {
-                break;
-            }
-        }
-        let replies = self.server.process_all()?;
-        let n = replies.len();
-        for (id, wire) in replies {
-            match self.ports.get(&id) {
-                Some(port) => {
-                    port.server_end.send(wire);
-                    self.stats.delivered.fetch_add(1, Ordering::SeqCst);
-                }
-                None => {
-                    self.stats.dropped_replies.fetch_add(1, Ordering::SeqCst);
-                }
-            }
-        }
-        Ok(n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::admin::AdminHandle;
     use crate::client::LcmClient;
-    use crate::functionality::{AppendLog, Counter};
-    use crate::server::LcmServer;
+    use crate::functionality::Counter;
     use crate::shard::{build_sharded, route_hash, shard_index};
     use crate::stability::Quorum;
     use lcm_storage::MemoryStorage;
     use lcm_tee::world::TeeWorld;
     use std::sync::Arc;
 
-    fn hub_with_clients(n: u32) -> (Hub<LcmServer<AppendLog>>, Vec<(LcmClient, ClientPort)>) {
-        let world = TeeWorld::new_deterministic(60);
-        let platform = world.platform_deterministic(1);
-        let mut server = LcmServer::<AppendLog>::new(&platform, Arc::new(MemoryStorage::new()), 16);
-        server.boot().unwrap();
-        let ids: Vec<ClientId> = (1..=n).map(ClientId).collect();
-        let mut admin = AdminHandle::new_deterministic(&world, ids.clone(), Quorum::Majority, 3);
-        admin.bootstrap(&mut server).unwrap();
-        let mut hub = Hub::new(server);
-        let clients = ids
-            .iter()
-            .map(|&id| {
-                let port = hub.connect(id);
-                (LcmClient::new(id, admin.client_key()), port)
-            })
-            .collect();
-        (hub, clients)
-    }
-
-    #[test]
-    fn ops_flow_through_the_hub() {
-        let (mut hub, mut clients) = hub_with_clients(2);
-        for (client, port) in clients.iter_mut() {
-            port.send(client.invoke(b"op").unwrap());
-        }
-        assert_eq!(hub.pump().unwrap(), 2);
-        for (client, port) in clients.iter_mut() {
-            let reply = port.try_recv().expect("reply routed");
-            client.handle_reply(&reply).unwrap();
-        }
-        assert_eq!(hub.dropped_replies(), 0);
-        let stats = hub.stats();
-        assert_eq!(stats.submitted(), 2);
-        assert_eq!(stats.delivered(), 2);
-    }
-
-    #[test]
-    fn held_messages_do_not_reach_the_server() {
-        let (mut hub, mut clients) = hub_with_clients(1);
-        let (client, port) = &mut clients[0];
-        let ctl = hub.control(client.id()).unwrap();
-        ctl.to_server.set_auto_deliver(false);
-        port.send(client.invoke(b"op").unwrap());
-        assert_eq!(hub.pump().unwrap(), 0);
-        assert_eq!(ctl.to_server.held(), 1);
-        // Release it.
-        ctl.to_server.deliver_all();
-        assert_eq!(hub.pump().unwrap(), 1);
-        let reply = port.try_recv().unwrap();
-        client.handle_reply(&reply).unwrap();
-    }
-
-    #[test]
-    fn tampering_on_the_link_is_detected() {
-        let (mut hub, mut clients) = hub_with_clients(1);
-        let (client, port) = &mut clients[0];
-        let ctl = hub.control(client.id()).unwrap();
-        ctl.to_server.set_auto_deliver(false);
-        port.send(client.invoke(b"op").unwrap());
-        ctl.to_server.tamper_next(|m| m[0] ^= 0xff);
-        ctl.to_server.deliver_all();
-        let err = hub.pump().unwrap_err();
-        assert!(err.is_violation());
-    }
-
-    #[test]
-    fn replay_on_the_link_is_detected() {
-        let (mut hub, mut clients) = hub_with_clients(1);
-        let (client, port) = &mut clients[0];
-        let ctl = hub.control(client.id()).unwrap();
-        ctl.to_server.set_auto_deliver(false);
-        port.send(client.invoke(b"op").unwrap());
-        ctl.to_server.duplicate_next();
-        ctl.to_server.deliver_all();
-        let err = hub.pump().unwrap_err();
-        assert!(err.is_violation());
-    }
-
-    #[test]
-    fn unknown_port_reply_is_counted_not_panicked() {
-        // Replies to clients without a connected port are dropped (the
-        // honest hub cannot route them) — and the drop is observable.
-        let (mut hub, mut clients) = hub_with_clients(2);
-        let (client2, _port2) = &mut clients[1];
-        let wire = client2.invoke(b"orphan").unwrap();
-        assert!(hub.disconnect(client2.id()));
-        // The request reaches the server out of band; the reply has no
-        // port to return on.
-        hub.server().submit(wire);
-        assert_eq!(hub.pump().unwrap(), 1);
-        assert_eq!(hub.dropped_replies(), 1);
-        // The stat is visible through any port's adversary control too.
-        let ctl = hub.control(clients[0].0.id()).unwrap();
-        assert_eq!(ctl.hub_dropped_replies(), 1);
-    }
-
-    #[test]
-    fn stats_are_readable_from_another_thread_mid_pump() {
-        // The satellite regression: drop/flow statistics are atomic
-        // and shared — an observer thread holding only the stats Arc
-        // sees them move while the pump owner keeps the `&mut Hub`.
-        let (mut hub, mut clients) = hub_with_clients(1);
-        let stats = hub.stats();
-        let observer = std::thread::spawn(move || {
-            // Wait (bounded) until a delivery becomes visible.
-            for _ in 0..10_000 {
-                if stats.delivered() >= 1 {
-                    return true;
-                }
-                std::thread::yield_now();
-            }
-            false
-        });
-        let (client, port) = &mut clients[0];
-        port.send(client.invoke(b"op").unwrap());
-        hub.pump().unwrap();
-        assert!(observer.join().unwrap(), "observer saw the delivery");
-    }
-
-    // -- Frontend ----------------------------------------------------------
-
     fn frontend_counter(
         shards: u32,
         n_clients: u32,
         threads: usize,
         mode: DriveMode,
-    ) -> (
-        Frontend<crate::shard::ShardedServer<Box<dyn BatchServer>>>,
-        Vec<LcmClient>,
-    ) {
+    ) -> (Frontend, Vec<LcmClient>) {
         let world = TeeWorld::new_deterministic(70 + u64::from(shards));
         let server =
             build_sharded::<Counter>(&world, 1, Arc::new(MemoryStorage::new()), 16, shards, false);
-        let mut fe = Frontend::new(server, threads, mode).unwrap();
+        let mut fe = Frontend::new(server, threads, mode);
         assert!(fe.boot().unwrap());
         let ids: Vec<ClientId> = (1..=n_clients).map(ClientId).collect();
         let mut admin = AdminHandle::new_deterministic(&world, ids.clone(), Quorum::Majority, 7);
@@ -1238,20 +723,19 @@ mod tests {
     }
 
     #[test]
-    fn frontend_requires_a_transport_plane() {
-        let world = TeeWorld::new_deterministic(71);
-        let platform = world.platform_deterministic(1);
-        let solo = LcmServer::<AppendLog>::new(&platform, Arc::new(MemoryStorage::new()), 16);
-        let err = Frontend::new(solo, 2, DriveMode::Continuous).unwrap_err();
-        assert!(err.to_string().contains("transport plane"), "{err}");
-    }
-
-    #[test]
     fn solo_server_runs_behind_the_frontend() {
+        // A pre-built single-enclave server is the 1-lane deployment:
+        // box it into a one-shard `ShardedServer` and lift that.
+        use crate::functionality::AppendLog;
+        use crate::server::LcmServer;
         let world = TeeWorld::new_deterministic(72);
         let platform = world.platform_deterministic(1);
         let solo = LcmServer::<AppendLog>::new(&platform, Arc::new(MemoryStorage::new()), 16);
-        let mut fe = Frontend::solo(solo, 2, DriveMode::OnDemand);
+        let mut fe = Frontend::new(
+            ShardedServer::new(vec![Box::new(solo)]),
+            2,
+            DriveMode::OnDemand,
+        );
         assert!(fe.boot().unwrap());
         let mut admin =
             AdminHandle::new_deterministic(&world, vec![ClientId(1)], Quorum::Majority, 8);
@@ -1261,6 +745,59 @@ mod tests {
         let replies = fe.process_all().unwrap();
         assert_eq!(replies.len(), 1);
         assert_eq!(client.handle_reply(&replies[0].1).unwrap().seq.0, 1);
+    }
+
+    #[test]
+    fn unknown_port_reply_is_counted_not_panicked() {
+        // A reply for a client without a connected port has no queue
+        // to land on: it is buffered for collection — and counted —
+        // while the connected client's reply goes to its port.
+        let (mut fe, mut clients) = frontend_counter(2, 2, 2, DriveMode::OnDemand);
+        let port = fe.connect(clients[0].id());
+        for (i, client) in clients.iter_mut().enumerate() {
+            let name = format!("ctr-{i}").into_bytes();
+            fe.submit_shared(
+                client
+                    .invoke_for::<Counter>(&Counter::inc_op(&name, 1))
+                    .unwrap(),
+            );
+        }
+        let orphans = fe.process_all().unwrap();
+        assert_eq!(orphans.len(), 1);
+        assert_eq!(orphans[0].0, clients[1].id());
+        assert!(port.try_recv().is_some());
+        let stats = fe.stats();
+        assert_eq!(stats.buffered(), 1);
+        assert_eq!(stats.delivered(), 1);
+        assert_eq!(stats.dropped_replies(), 0);
+    }
+
+    #[test]
+    fn stats_are_readable_from_another_thread_mid_pump() {
+        // Drop/flow statistics are atomic and shared — an observer
+        // thread holding only the stats Arc sees them move while the
+        // pump owner keeps the `&mut Frontend`.
+        let (mut fe, mut clients) = frontend_counter(1, 1, 1, DriveMode::OnDemand);
+        let port = fe.connect(clients[0].id());
+        let stats = fe.stats();
+        let observer = std::thread::spawn(move || {
+            // Wait (bounded) until a delivery becomes visible.
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while std::time::Instant::now() < deadline {
+                if stats.delivered() >= 1 {
+                    return true;
+                }
+                std::thread::yield_now();
+            }
+            false
+        });
+        port.send(
+            clients[0]
+                .invoke_for::<Counter>(&Counter::inc_op(b"n", 1))
+                .unwrap(),
+        );
+        fe.process_all().unwrap();
+        assert!(observer.join().unwrap(), "observer saw the delivery");
     }
 
     #[test]

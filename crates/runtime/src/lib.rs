@@ -18,7 +18,7 @@
 //!   been handled) and `discard_pending` (model a power failure that
 //!   loses queued-but-unwritten work).
 //!
-//! `lcm-core`'s `PipelinedServer` chains three stages with these
+//! `lcm-core`'s pipelined `LcmServer` chains three stages with these
 //! pieces: request intake → enclave execution → persistence, where the
 //! persistence stage runs on a [`stage::StageWorker`] so sealing I/O
 //! overlaps execution of the next batch (the paper's *asynchronous

@@ -3,7 +3,7 @@
 //!
 //! The discrete-event simulator charges virtual disk costs and
 //! predicts (Figs. 5/6): async writes beat fsync-bound writes, and
-//! batching amortizes the per-commit cost. `PipelinedServer` now
+//! batching amortizes the per-commit cost. `LcmServer::into_pipelined`
 //! implements the async mode with real threads; these tests check that
 //! the simulator's qualitative claims hold on the real stack under an
 //! identical storage cost ([`DelayedStorage`]).
@@ -14,7 +14,6 @@ use std::time::{Duration, Instant};
 use lcm_core::admin::AdminHandle;
 use lcm_core::client::LcmClient;
 use lcm_core::functionality::AppendLog;
-use lcm_core::pipeline::PipelinedServer;
 use lcm_core::server::{BatchServer, LcmServer};
 use lcm_core::stability::Quorum;
 use lcm_core::types::ClientId;
@@ -53,7 +52,7 @@ fn real_stack(batch: usize, pipelined: bool, seed: u64) -> Duration {
     let storage = Arc::new(DelayedStorage::new(MemoryStorage::new(), STORE_DELAY));
     let inner = LcmServer::<AppendLog>::new(&platform, storage, batch);
     let mut server: Box<dyn BatchServer> = if pipelined {
-        Box::new(PipelinedServer::new(inner))
+        Box::new(inner.into_pipelined())
     } else {
         Box::new(inner)
     };

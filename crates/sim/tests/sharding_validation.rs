@@ -82,7 +82,7 @@ fn measure_real_frontend(shards: u32, driver_threads: usize) -> f64 {
     let world = TeeWorld::new_deterministic(9_100 + u64::from(shards));
     let storage = Arc::new(DelayedStorage::new(MemoryStorage::new(), STORE_DELAY));
     let server = build_sharded::<Counter>(&world, 1, storage, BATCH, shards, false);
-    let mut fe = Frontend::new(server, driver_threads, DriveMode::Continuous).unwrap();
+    let mut fe = Frontend::new(server, driver_threads, DriveMode::Continuous);
     assert!(fe.boot().unwrap());
     let ids: Vec<ClientId> = (1..=N_CLIENTS).map(ClientId).collect();
     let mut admin = AdminHandle::new_deterministic(&world, ids.clone(), Quorum::Majority, 11);
@@ -147,7 +147,7 @@ fn measure_real_frontend_admitted(shards: u32, driver_threads: usize) -> f64 {
         tenants: vec![TenantConfig::unlimited(TenantId(1), ids.clone(), 1)],
         max_in_flight: 1024,
     });
-    let mut fe = Frontend::new(server, driver_threads, DriveMode::Continuous).unwrap();
+    let mut fe = Frontend::new(server, driver_threads, DriveMode::Continuous);
     assert!(fe.boot().unwrap());
     let mut admin = AdminHandle::new_deterministic(&world, ids.clone(), Quorum::Majority, 11);
     admin.bootstrap(&mut fe).unwrap();

@@ -31,7 +31,7 @@ use lcm_core::admission::{AdmissionConfig, HealthSnapshot};
 use lcm_core::client::LcmClient;
 use lcm_core::functionality::Functionality;
 use lcm_core::server::{BatchServer, Replies};
-use lcm_core::shard::{build_sharded, ShardedServer};
+use lcm_core::shard::build_sharded;
 use lcm_core::stability::Quorum;
 use lcm_core::transport::{DriveMode, Frontend, FrontendPort, TransportStats};
 use lcm_core::types::ClientId;
@@ -232,7 +232,7 @@ impl<F: Functionality + 'static> DeploymentBuilder<F> {
             Some(n) => (n, DriveMode::Continuous),
             None => (self.shards.max(1) as usize, DriveMode::OnDemand),
         };
-        let mut frontend = Frontend::new(server, threads, drive_mode)?;
+        let mut frontend = Frontend::new(server, threads, drive_mode);
         let fresh = frontend.boot()?;
         let mut admin =
             AdminHandle::new_deterministic(&world, self.clients, self.quorum, self.seed);
@@ -261,7 +261,7 @@ impl<F: Functionality + 'static> DeploymentBuilder<F> {
 pub struct Deployment {
     shards: u32,
     replicas: u32,
-    frontend: Frontend<ShardedServer<Box<dyn BatchServer>>>,
+    frontend: Frontend,
     admin: AdminHandle,
     manifest: Option<DeploymentManifest>,
     world: TeeWorld,
@@ -291,8 +291,8 @@ impl Deployment {
 
     /// The deployment's concurrent verified-read surface: a
     /// thread-safe port serving read legs against the addressed
-    /// replica without touching the write lanes (`None` only for
-    /// planes without one; sharded deployments always provide it).
+    /// replica without touching the write lanes (always `Some`: every
+    /// deployment is sharded, and a sharded server always has one).
     pub fn read_port(&self) -> Option<Arc<dyn lcm_core::server::ReadPort>> {
         self.frontend.read_port()
     }
@@ -317,14 +317,14 @@ impl Deployment {
 
     /// The concurrent front-end (shared surface: connect, stats,
     /// admission).
-    pub fn frontend(&self) -> &Frontend<ShardedServer<Box<dyn BatchServer>>> {
+    pub fn frontend(&self) -> &Frontend {
         &self.frontend
     }
 
     /// The front-end's exclusive surface (pumping, crash hooks, the
     /// wrapped server). The [`BatchServer`] methods clients take
     /// (`&mut server`) are all here.
-    pub fn frontend_mut(&mut self) -> &mut Frontend<ShardedServer<Box<dyn BatchServer>>> {
+    pub fn frontend_mut(&mut self) -> &mut Frontend {
         &mut self.frontend
     }
 
@@ -355,11 +355,10 @@ impl Deployment {
         self.frontend.stats()
     }
 
-    /// Per-tenant × shard admission/latency health (`None` only if the
-    /// plane exposes no admission controller; sharded deployments
-    /// always do).
+    /// Per-tenant × shard admission/latency health (always `Some`;
+    /// the `Option` is what `lcm_benchmark` was frozen against).
     pub fn health_snapshot(&self) -> Option<HealthSnapshot> {
-        self.frontend.health_snapshot()
+        Some(self.frontend.health_snapshot())
     }
 
     /// Pumps every queued wire to completion and returns the buffered

@@ -10,10 +10,11 @@
 //! * [`crypto`] — SHA-256 / HMAC / HKDF / ChaCha20 / AEAD primitives.
 //! * [`tee`] — SGX-like trusted-execution-environment simulator.
 //! * [`storage`] — stable storage with adversarial (rollback) wrappers.
-//! * [`net`] — message transport with adversarial routing.
+//! * [`net`] — adversary-controllable links (hold, tamper, replay)
+//!   the attack suites put in front of a server.
 //! * [`runtime`] — hand-rolled bounded queues, worker pools, and
 //!   pipeline stage workers (the concurrency substrate of the
-//!   pipelined server).
+//!   asynchronous-write mode and the front-end).
 //! * [`core`] — the LCM protocol itself (client + trusted context).
 //! * [`kvs`] — the key-value store application and baseline servers.
 //! * [`workload`] — YCSB-style workload generation.

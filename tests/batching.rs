@@ -1,7 +1,7 @@
 //! Batching beyond batch=16: parametrized amortization invariants
 //! across batch limits {1, 64, 256} for both the synchronous loop and
-//! the pipelined server, plus crash-mid-batch recovery and the
-//! pipelined server's deferred-storage-failure surfacing.
+//! the asynchronous-write mode, plus crash-mid-batch recovery and the
+//! pipelined mode's deferred-storage-failure surfacing.
 
 mod common;
 
@@ -9,7 +9,6 @@ use std::sync::Arc;
 
 use common::{all_modes, mk_client, mk_server, Mode};
 use lcm::core::admin::AdminHandle;
-use lcm::core::pipeline::PipelinedServer;
 use lcm::core::server::{BatchServer, LcmServer};
 use lcm::core::stability::Quorum;
 use lcm::core::types::ClientId;
@@ -172,10 +171,7 @@ fn crash_mid_batch_recovery(mode: Mode) {
 /// pending operation, so any reordering trips the echo check as a
 /// violation.)
 fn replies_ordered_per_client_under_fanout(mode: Mode) {
-    use lcm::core::transport::Hub;
-    let (server, mut clients) = setup(mode, 10, 4, 16_000);
-    let mut hub = Hub::new(server);
-    let ports: Vec<_> = clients.iter().map(|c| hub.connect(c.lcm().id())).collect();
+    let (mut server, mut clients) = setup(mode, 10, 4, 16_000);
 
     // Two keys on different shards when sharded (any two keys when
     // not): k_busy's shard also absorbs filler traffic from the other
@@ -197,6 +193,7 @@ fn replies_ordered_per_client_under_fanout(mode: Mode) {
 
     let (observer, fillers) = clients.split_at_mut(1);
     let observer = &mut observer[0];
+    let observer_id = observer.lcm().id();
 
     // Nine filler clients each queue one op on the busy key's shard
     // (batch limit 4 ⇒ three processing rounds there), all before the
@@ -205,7 +202,7 @@ fn replies_ordered_per_client_under_fanout(mode: Mode) {
         let wire = c
             .invoke_wire(&KvOp::Put(k_busy.clone(), vec![f as u8]))
             .unwrap();
-        ports[f + 1].send(wire);
+        server.submit(wire);
     }
     // Observer: op 1 to the (deep) busy shard, then op 2 to the idle
     // shard — in flight *together* when the deployment has more than
@@ -213,46 +210,55 @@ fn replies_ordered_per_client_under_fanout(mode: Mode) {
     // shard op 2 follows op 1's completion). The idle shard finishes
     // op 2 in its first round; op 1 waits behind the fillers — yet the
     // replies must come back in submission order.
-    ports[0].send(
+    server.submit(
         observer
             .invoke_wire(&KvOp::Put(k_busy.clone(), b"first".to_vec()))
             .unwrap(),
     );
     let pipelined_second = mode.shards() > 1;
     if pipelined_second {
-        ports[0].send(
+        server.submit(
             observer
                 .invoke_wire(&KvOp::Put(k_idle.clone(), b"second".to_vec()))
                 .unwrap(),
         );
     }
 
-    // One pump processes everything; the hub delivers per-client in
-    // submission order.
-    hub.pump().unwrap();
-    let r1 = ports[0].try_recv().expect("first reply");
+    // One `process_all` processes everything; the server releases each
+    // client's replies in that client's submission order, and each
+    // client consumes its own in the order they were released.
+    let replies = server.process_all().unwrap();
+    assert_eq!(replies.len(), 10 + usize::from(pipelined_second));
+    let (mine, others): (Vec<_>, Vec<_>) =
+        replies.into_iter().partition(|(id, _)| *id == observer_id);
+    let mut mine = mine.into_iter();
+    let (_, r1) = mine.next().expect("first reply");
     let done1 = observer.complete(&r1).unwrap();
     assert_eq!(done1.result, KvResult::Stored);
-    if !pipelined_second {
-        ports[0].send(
+    let r2 = if pipelined_second {
+        mine.next().expect("second reply").1
+    } else {
+        server.submit(
             observer
                 .invoke_wire(&KvOp::Put(k_idle.clone(), b"second".to_vec()))
                 .unwrap(),
         );
-        hub.pump().unwrap();
-    }
-    let r2 = ports[0].try_recv().expect("second reply");
+        let mut replies = server.process_all().unwrap();
+        assert_eq!(replies.len(), 1);
+        replies.remove(0).1
+    };
     let done2 = observer.complete(&r2).unwrap();
     assert_eq!(done2.result, KvResult::Stored);
     assert!(!observer.lcm().has_pending());
     assert!(!observer.lcm().is_halted());
-    // Filler replies all routed to their own ports.
-    for (f, c) in fillers.iter_mut().enumerate() {
-        while let Some(wire) = ports[f + 1].try_recv() {
-            c.complete(&wire).unwrap();
-        }
+    // Filler replies all belong to a filler — nothing unroutable.
+    for (id, wire) in others {
+        let c = fillers
+            .iter_mut()
+            .find(|c| c.lcm().id() == id)
+            .expect("reply for a known filler");
+        c.complete(&wire).unwrap();
     }
-    assert_eq!(hub.dropped_replies(), 0);
 }
 
 all_modes!(
@@ -265,7 +271,7 @@ all_modes!(
 fn pipelined_setup(
     seed: u64,
     storage: Arc<dyn lcm::storage::StableStorage>,
-) -> (PipelinedServer<KvStore>, KvsClient) {
+) -> (LcmServer<KvStore>, KvsClient) {
     let world = TeeWorld::new_deterministic(seed);
     let platform = world.platform_deterministic(1);
     let mut server = LcmServer::<KvStore>::new(&platform, storage, 1).into_pipelined();
@@ -326,8 +332,7 @@ fn pipelined_backpressure_is_observable() {
     ));
     let world = TeeWorld::new_deterministic(15_000);
     let platform = world.platform_deterministic(1);
-    let server = LcmServer::<KvStore>::new(&platform, slow, 1);
-    let mut server = PipelinedServer::with_queue_capacity(server, 1);
+    let mut server = LcmServer::<KvStore>::new(&platform, slow, 1).into_pipelined_with_queue(1);
     server.boot().unwrap();
     let mut admin = AdminHandle::new_deterministic(&world, vec![ClientId(1)], Quorum::Majority, 15);
     admin.bootstrap(&mut server).unwrap();

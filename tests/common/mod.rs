@@ -1,10 +1,10 @@
 //! Shared scaffolding for running integration scenarios against every
-//! server mode: the synchronous `LcmServer` loop, the
-//! asynchronous-write `PipelinedServer` pipeline, the sharded
-//! multi-enclave `ShardedServer` at 1 and 4 shards (each shard sync or
-//! pipelined), and the sharded deployment behind the concurrent
-//! transport `Frontend` (multi-threaded lane driving; `OnDemand` so
-//! batch arithmetic and crash scheduling stay deterministic).
+//! server mode: a bare `LcmServer` with synchronous or asynchronous
+//! write (`into_pipelined`), the sharded multi-enclave `ShardedServer`
+//! at 1 and 4 shards (each lane sync or pipelined), the sharded
+//! deployment behind the concurrent transport `Frontend`
+//! (multi-threaded lane driving; `OnDemand` so batch arithmetic and
+//! crash scheduling stay deterministic), and replicated shard groups.
 
 // Compiled once per test binary; not every binary uses every helper.
 #![allow(dead_code, unused_macros, unused_imports)]
@@ -12,7 +12,6 @@
 use std::sync::Arc;
 
 use lcm::core::functionality::Functionality;
-use lcm::core::pipeline::PipelinedServer;
 use lcm::core::server::{BatchServer, LcmServer};
 use lcm::core::shard;
 use lcm::core::transport::{DriveMode, Frontend};
@@ -30,11 +29,11 @@ pub const FRONTEND_THREADS: usize = 3;
 pub enum Mode {
     /// `LcmServer`: submit → step → persist, strictly in order.
     Sync,
-    /// `PipelinedServer`: persistence overlaps execution on a
-    /// background writer thread.
+    /// `LcmServer::into_pipelined`: persistence overlaps execution on
+    /// a background writer thread.
     Pipelined,
     /// `ShardedServer` over `shards` lanes; each lane is a plain
-    /// `LcmServer` (`pipelined: false`) or a `PipelinedServer`.
+    /// `LcmServer`, synchronous (`pipelined: false`) or pipelined.
     Sharded {
         /// Number of shards.
         shards: u32,
@@ -199,9 +198,7 @@ pub fn mk_server<F: Functionality + 'static>(
         }
         Mode::Pipelined => {
             let platform = world.platform_deterministic(platform_base);
-            Box::new(PipelinedServer::new(LcmServer::<F>::new(
-                &platform, storage, batch,
-            )))
+            Box::new(LcmServer::<F>::new(&platform, storage, batch).into_pipelined())
         }
         Mode::Sharded { shards, pipelined } => Box::new(shard::build_sharded::<F>(
             world,
@@ -214,10 +211,11 @@ pub fn mk_server<F: Functionality + 'static>(
         Mode::Frontend { shards, pipelined } => {
             let sharded =
                 shard::build_sharded::<F>(world, platform_base, storage, batch, shards, pipelined);
-            Box::new(
-                Frontend::new(sharded, FRONTEND_THREADS, DriveMode::OnDemand)
-                    .expect("sharded servers always expose a transport plane"),
-            )
+            Box::new(Frontend::new(
+                sharded,
+                FRONTEND_THREADS,
+                DriveMode::OnDemand,
+            ))
         }
         Mode::Replicated {
             shards,

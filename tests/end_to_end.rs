@@ -3,8 +3,8 @@
 //! sealed storage.
 //!
 //! Every scenario runs against every server mode — the synchronous
-//! `LcmServer` loop, the asynchronous-write `PipelinedServer`, and the
-//! sharded fan-out at 1 and 4 shards — via the `all_modes!` wrappers
+//! `LcmServer` loop, the same server with asynchronous write
+//! (`into_pipelined`), and the sharded fan-out at 1 and 4 shards — via the `all_modes!` wrappers
 //! at the bottom. Under sharding, sequence numbers and stability are
 //! per shard, so a few arithmetic assertions are scoped to the
 //! single-shard modes.

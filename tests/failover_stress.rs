@@ -31,7 +31,7 @@ use lcm::core::admin::AdminHandle;
 use lcm::core::client::LcmClient;
 use lcm::core::functionality::Counter;
 use lcm::core::server::BatchServer;
-use lcm::core::shard::{self, build_replicated, ShardedServer};
+use lcm::core::shard::{self, build_replicated};
 use lcm::core::stability::Quorum;
 use lcm::core::transport::{DriveMode, Frontend, FrontendPort};
 use lcm::core::types::ClientId;
@@ -59,10 +59,7 @@ fn stress_seed() -> u64 {
     seed
 }
 
-type Fleet = (
-    Frontend<ShardedServer<Box<dyn BatchServer>>>,
-    Vec<LcmClient>,
-);
+type Fleet = (Frontend, Vec<LcmClient>);
 
 fn build_fleet(pipelined: bool, seed: u64) -> Fleet {
     let world = TeeWorld::new_deterministic(32_000 + seed);
@@ -78,7 +75,7 @@ fn build_fleet(pipelined: bool, seed: u64) -> Fleet {
         },
         pipelined,
     );
-    let mut fe = Frontend::new(server, DRIVER_THREADS, DriveMode::Continuous).unwrap();
+    let mut fe = Frontend::new(server, DRIVER_THREADS, DriveMode::Continuous);
     assert!(fe.boot().unwrap());
     let ids: Vec<ClientId> = (1..=CLIENT_THREADS).map(ClientId).collect();
     let mut admin = AdminHandle::new_deterministic(&world, ids.clone(), Quorum::Majority, seed);

@@ -17,8 +17,8 @@
 //!    counter values prove no op was lost or doubled). No client may
 //!    ever halt: an honest crash must never look like an attack.
 //!
-//! Both lanes run: sync (`LcmServer`) and pipelined
-//! (`PipelinedServer`). The CI `frontend-stress` job repeats this
+//! Both persist policies run: sync and pipelined
+//! (`LcmServer::into_pipelined`). The CI `frontend-stress` job repeats this
 //! suite with `RUST_TEST_THREADS` pinned high and distinct
 //! `LCM_STRESS_SEED`s to shake out ordering races; the seed is logged
 //! so a failing schedule can be replayed.
@@ -30,7 +30,7 @@ use lcm::core::admin::AdminHandle;
 use lcm::core::client::LcmClient;
 use lcm::core::functionality::Counter;
 use lcm::core::server::BatchServer;
-use lcm::core::shard::{self, build_sharded, route_hash, shard_index, ShardedServer};
+use lcm::core::shard::{self, build_sharded, route_hash, shard_index};
 use lcm::core::stability::Quorum;
 use lcm::core::transport::{DriveMode, Frontend, FrontendPort};
 use lcm::core::types::ClientId;
@@ -56,10 +56,7 @@ fn stress_seed() -> u64 {
     seed
 }
 
-type Fleet = (
-    Frontend<ShardedServer<Box<dyn BatchServer>>>,
-    Vec<LcmClient>,
-);
+type Fleet = (Frontend, Vec<LcmClient>);
 
 fn build_fleet(pipelined: bool, seed: u64) -> Fleet {
     let world = TeeWorld::new_deterministic(31_000 + seed);
@@ -71,7 +68,7 @@ fn build_fleet(pipelined: bool, seed: u64) -> Fleet {
         SHARDS,
         pipelined,
     );
-    let mut fe = Frontend::new(server, DRIVER_THREADS, DriveMode::Continuous).unwrap();
+    let mut fe = Frontend::new(server, DRIVER_THREADS, DriveMode::Continuous);
     assert!(fe.boot().unwrap());
     let ids: Vec<ClientId> = (1..=CLIENT_THREADS).map(ClientId).collect();
     let mut admin = AdminHandle::new_deterministic(&world, ids.clone(), Quorum::Majority, seed);

@@ -30,7 +30,7 @@ use lcm::core::client::{LcmClient, WriteOutcome};
 use lcm::core::functionality::Counter;
 use lcm::core::routing::SLICE_COUNT;
 use lcm::core::server::BatchServer;
-use lcm::core::shard::{self, build_sharded, ShardedServer};
+use lcm::core::shard::{self, build_sharded};
 use lcm::core::stability::Quorum;
 use lcm::core::transport::{DriveMode, Frontend, FrontendPort};
 use lcm::core::types::ClientId;
@@ -63,10 +63,7 @@ fn stress_seed() -> u64 {
     seed
 }
 
-type Fleet = (
-    Frontend<ShardedServer<Box<dyn BatchServer>>>,
-    Vec<LcmClient>,
-);
+type Fleet = (Frontend, Vec<LcmClient>);
 
 fn build_fleet(pipelined: bool, seed: u64) -> Fleet {
     let world = TeeWorld::new_deterministic(48_000 + seed);
@@ -78,7 +75,7 @@ fn build_fleet(pipelined: bool, seed: u64) -> Fleet {
         SHARDS,
         pipelined,
     );
-    let mut fe = Frontend::new(server, DRIVER_THREADS, DriveMode::Continuous).unwrap();
+    let mut fe = Frontend::new(server, DRIVER_THREADS, DriveMode::Continuous);
     assert!(fe.boot().unwrap());
     let ids: Vec<ClientId> = (1..=CLIENT_THREADS).map(ClientId).collect();
     let mut admin = AdminHandle::new_deterministic(&world, ids.clone(), Quorum::Majority, seed);

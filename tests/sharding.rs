@@ -8,16 +8,15 @@ use std::sync::Arc;
 
 use common::{mk_client, mk_server, Mode};
 use lcm::core::admin::AdminHandle;
-use lcm::core::pipeline::PipelinedServer;
 use lcm::core::routing::{slice_of, SliceTable, SLICE_COUNT};
-use lcm::core::server::{BatchServer, LcmServer};
-use lcm::core::shard::{route_hash, shard_index, ShardedServer};
+use lcm::core::server::BatchServer;
+use lcm::core::shard::{build_sharded, route_hash, shard_index};
 use lcm::core::stability::Quorum;
 use lcm::core::types::ClientId;
 use lcm::kvs::client::KvsClient;
 use lcm::kvs::ops::KvOp;
 use lcm::kvs::store::KvStore;
-use lcm::storage::{MemoryStorage, NamespacedStorage, StableStorage};
+use lcm::storage::{MemoryStorage, StableStorage};
 use lcm::tee::world::TeeWorld;
 use proptest::prelude::*;
 
@@ -261,11 +260,13 @@ fn routing_stable_across_migration() {
 }
 
 /// Storage whose writes block until a gate opens — pins persist jobs
-/// inside shard writer pipelines at a deterministic point.
+/// inside shard writer pipelines at a deterministic point — and which
+/// counts the stores currently parked at the gate.
 struct GatedStorage {
     inner: MemoryStorage,
     gate: std::sync::Mutex<bool>,
     opened: std::sync::Condvar,
+    parked: std::sync::atomic::AtomicUsize,
 }
 
 impl GatedStorage {
@@ -274,7 +275,12 @@ impl GatedStorage {
             inner: MemoryStorage::new(),
             gate: std::sync::Mutex::new(true),
             opened: std::sync::Condvar::new(),
+            parked: std::sync::atomic::AtomicUsize::new(0),
         }
+    }
+    /// Stores currently blocked on the closed gate.
+    fn parked(&self) -> usize {
+        self.parked.load(std::sync::atomic::Ordering::SeqCst)
     }
     fn open(&self) {
         *self.gate.lock().unwrap() = true;
@@ -287,9 +293,14 @@ impl GatedStorage {
 
 impl StableStorage for GatedStorage {
     fn store(&self, slot: &str, blob: &[u8]) -> lcm::storage::Result<()> {
+        use std::sync::atomic::Ordering;
         let mut open = self.gate.lock().unwrap();
-        while !*open {
-            open = self.opened.wait(open).unwrap();
+        if !*open {
+            self.parked.fetch_add(1, Ordering::SeqCst);
+            while !*open {
+                open = self.opened.wait(open).unwrap();
+            }
+            self.parked.fetch_sub(1, Ordering::SeqCst);
         }
         drop(open);
         self.inner.store(slot, blob)
@@ -309,17 +320,7 @@ fn power_failure_of_one_shard_is_isolated_and_detected() {
     const SHARDS: u32 = 4;
     let world = TeeWorld::new_deterministic(88);
     let medium = Arc::new(GatedStorage::new());
-    let lanes: Vec<PipelinedServer<KvStore>> = (0..SHARDS)
-        .map(|i| {
-            let platform = world.platform_deterministic(1 + u64::from(i));
-            let region = Arc::new(NamespacedStorage::new(
-                medium.clone(),
-                NamespacedStorage::shard_prefix(i),
-            ));
-            PipelinedServer::with_queue_capacity(LcmServer::<KvStore>::new(&platform, region, 1), 8)
-        })
-        .collect();
-    let mut server = ShardedServer::new(lanes);
+    let mut server = build_sharded::<KvStore>(&world, 1, medium.clone(), 1, SHARDS, true);
     assert!(server.boot().unwrap());
     let ids = vec![ClientId(1), ClientId(2)];
     let mut admin = AdminHandle::new_deterministic(&world, ids, Quorum::Majority, 9);
@@ -342,20 +343,21 @@ fn power_failure_of_one_shard_is_isolated_and_detected() {
     server.flush_persists().unwrap();
 
     // Gate closes: shard A acknowledges two more ops whose persists
-    // stall (one in flight inside the store, one queued).
+    // stall (one in flight inside the store, one queued). Both are
+    // already handed to the writer when `put` returns, so once v2's
+    // store is parked at the gate, v3's snapshot is the one queued.
     medium.close();
     victim.put(&mut server, &ka, b"v2").unwrap();
     victim.put(&mut server, &ka, b"v3").unwrap();
-    while server.with_shard(shard_a, |s| s.pending_persists()) != 1 {
+    while medium.parked() != 1 {
         std::thread::yield_now();
     }
 
     // Power failure of shard A alone: the queued snapshot is lost; the
     // in-flight write completes once the "controller" (gate) lets it.
-    let dropped = server.with_shard(shard_a, |s| s.crash_power_failure());
-    assert_eq!(dropped, 1);
+    server.kill_member(shard_a, 0, true).unwrap();
     medium.open();
-    server.with_shard(shard_a, |s| s.boot()).unwrap();
+    assert!(!server.reboot_member(shard_a, 0).unwrap());
 
     // The bystander's shard never noticed: reads and writes continue.
     assert_eq!(
