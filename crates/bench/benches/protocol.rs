@@ -1,12 +1,13 @@
 //! Criterion microbenches for the LCM protocol path: the unbatched
-//! full-operation round trip and the `majority_stable` scan.
+//! full-operation round trip and `majority_stable` — one-shot over a
+//! map, and per operation through the [`VState`] index.
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lcm_core::admin::AdminHandle;
 use lcm_core::server::LcmServer;
-use lcm_core::stability::{majority_stable, VEntry, VMap};
+use lcm_core::stability::{majority_stable, Quorum, VEntry, VMap, VState};
 use lcm_core::types::{ChainValue, ClientId, SeqNo};
 use lcm_kvs::client::KvsClient;
 use lcm_kvs::ops::KvOp;
@@ -53,22 +54,35 @@ fn bench_full_operation(c: &mut Criterion) {
 
 fn bench_majority_stable(c: &mut Criterion) {
     let mut group = c.benchmark_group("majority_stable");
-    for n in [4usize, 16, 64, 256] {
-        let v: VMap = (0..n as u32)
+    for n in [16u32, 256, 4096, 65_536] {
+        // The map a round-robin closed loop leaves after two rounds.
+        let v: VMap = (0..n)
             .map(|i| {
-                (
-                    ClientId(i),
-                    VEntry {
-                        ta: SeqNo(u64::from(i)),
-                        t: SeqNo(u64::from(i) + 3),
-                        h: ChainValue::GENESIS,
-                        cached: None,
-                    },
-                )
+                let entry = VEntry {
+                    ta: SeqNo(u64::from(i) + 1),
+                    t: SeqNo(u64::from(n + i) + 1),
+                    h: ChainValue::GENESIS,
+                    cached: None,
+                };
+                (ClientId(i), entry)
             })
             .collect();
-        group.bench_with_input(BenchmarkId::from_parameter(n), &v, |b, v| {
+        // Building the index from a map: what a restore pays once.
+        group.bench_with_input(BenchmarkId::new("one_shot", n), &v, |b, v| {
             b.iter(|| majority_stable(v));
+        });
+        // What every operation pays: one client's turn, then the query.
+        group.bench_with_input(BenchmarkId::new("advance", n), &v, |b, v| {
+            let mut state = VState::new(Quorum::Majority);
+            state.replace(v.clone(), Quorum::Majority);
+            let mut t = u64::from(2 * n);
+            b.iter(|| {
+                let client = ClientId((t % u64::from(n)) as u32);
+                let tc = SeqNo(t - u64::from(n) + 1);
+                t += 1;
+                state.advance(client, tc, SeqNo(t), ChainValue::GENESIS);
+                state.stable()
+            });
         });
     }
     group.finish();

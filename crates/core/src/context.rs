@@ -28,7 +28,7 @@ use lcm_tee::platform::TeeServices;
 use crate::codec::{Reader, WireCodec, Writer};
 use crate::functionality::Functionality;
 use crate::routing::{slice_of, SliceTable};
-use crate::stability::{latest_entry, stable_with, CachedReply, Quorum, VEntry, VMap};
+use crate::stability::{CachedReply, Quorum, VMap, VState};
 use crate::types::{ChainValue, ClientId, SeqNo};
 use crate::wire::{InvokeMsg, ReplyMsg};
 use crate::{LcmError, Result, Violation};
@@ -588,7 +588,9 @@ pub struct TrustedContext<F: Functionality> {
     phase: Phase,
     keys: Option<Keys>,
     f: F,
-    v: VMap,
+    /// The protocol state map `V` with its stability index and quorum
+    /// policy; mutated only through [`VState`]'s methods.
+    v: VState,
     t: SeqNo,
     h: ChainValue,
     /// Monotone floor on the reported stable watermark. The raw
@@ -603,7 +605,6 @@ pub struct TrustedContext<F: Functionality> {
     /// the floor with the rest of the protocol state.
     stable_floor: SeqNo,
     admin_seq: u64,
-    quorum: Quorum,
     /// The attested shard identity, installed at provisioning (or
     /// recovered from the sealed state / a migration ticket). `None`
     /// exactly while unprovisioned; `Ready` implies `Some`.
@@ -646,7 +647,7 @@ impl<F: Functionality> std::fmt::Debug for TrustedContext<F> {
         f.debug_struct("TrustedContext")
             .field("phase", &self.phase)
             .field("t", &self.t)
-            .field("clients", &self.v.len())
+            .field("clients", &self.v.map().len())
             .finish()
     }
 }
@@ -659,12 +660,11 @@ impl<F: Functionality> TrustedContext<F> {
             phase: Phase::Created,
             keys: None,
             f: F::default(),
-            v: VMap::new(),
+            v: VState::new(Quorum::Majority),
             t: SeqNo::ZERO,
             h: ChainValue::GENESIS,
             stable_floor: SeqNo::ZERO,
             admin_seq: 0,
-            quorum: Quorum::Majority,
             identity: None,
             table: SliceTable::uniform(1),
             nonce_counter: 0,
@@ -840,20 +840,9 @@ impl<F: Functionality> TrustedContext<F> {
             return Err(self.halt(Violation::BadAuthentication));
         }
         self.stable_floor = floor;
-        for (client, entry) in dv {
-            self.v.insert(client, entry);
-        }
+        self.v.apply_entries(dv);
         self.f.apply_delta(&f_delta).map_err(LcmError::from)?;
-        match latest_entry(&self.v) {
-            Some(e) => {
-                self.t = e.t;
-                self.h = e.h;
-            }
-            None => {
-                self.t = SeqNo::ZERO;
-                self.h = ChainValue::GENESIS;
-            }
-        }
+        self.resume_from_latest();
         self.persist_anchor = lcm_crypto::sha256::digest_parts(&[ANCHOR_DELTA, plain]);
         Ok(())
     }
@@ -889,18 +878,14 @@ impl<F: Functionality> TrustedContext<F> {
 
     fn install(&mut self, payload: ProvisionPayload) -> Result<PersistBlobs> {
         self.keys = Some(Keys::from_raw(payload.k_p, payload.k_c, payload.k_a));
-        self.quorum = payload.quorum;
         self.identity = Some(payload.identity);
         // Genesis routing table: epoch 0, slices spread uniformly
         // across the deployment's shards. Every shard derives the same
         // table from its attested `count`, so no extra provisioning
         // field is needed and a lying host cannot influence it.
         self.table = SliceTable::uniform(payload.identity.count);
-        self.v = payload
-            .clients
-            .iter()
-            .map(|&c| (c, VEntry::default()))
-            .collect();
+        let genesis = payload.clients.iter().map(|&c| (c, Default::default()));
+        self.v.replace(genesis.collect(), payload.quorum);
         self.t = SeqNo::ZERO;
         self.h = ChainValue::GENESIS;
         self.admin_seq = 0;
@@ -1036,7 +1021,7 @@ impl<F: Functionality> TrustedContext<F> {
             }));
         };
 
-        let Some(entry) = self.v.get(&msg.client) else {
+        let Some(entry) = self.v.map().get(&msg.client) else {
             let client = msg.client;
             self.phase = Phase::Halted;
             return Err(LcmError::UnknownClient(client));
@@ -1107,15 +1092,9 @@ impl<F: Functionality> TrustedContext<F> {
         self.h = self.h.extend(&msg.op, self.t, msg.client);
 
         // V[i] ← (tc, t, h) ; q ← majority-stable(V)
-        let q_entry = VEntry {
-            ta: msg.tc,
-            t: self.t,
-            h: self.h,
-            cached: None, // filled below once q is known
-        };
-        self.v.insert(msg.client, q_entry);
+        self.v.advance(msg.client, msg.tc, self.t, self.h);
         self.touched.insert(msg.client);
-        let q = stable_with(&self.v, self.quorum).max(self.stable_floor);
+        let q = self.v.stable().max(self.stable_floor);
         self.stable_floor = q;
 
         let reply = ReplyMsg {
@@ -1126,18 +1105,18 @@ impl<F: Functionality> TrustedContext<F> {
             redirect,
             result,
         };
-        if let Some(entry) = self.v.get_mut(&msg.client) {
-            entry.cached = Some(CachedReply {
-                t: reply.t,
-                q: reply.q,
-                h: reply.h,
-                hc_echo: reply.hc_echo,
-                redirect: reply.redirect,
-                result: reply.result.clone(),
-            });
-        }
-        let wire = self.encrypt_reply(msg.client, route, epoch, &reply)?;
-        Ok((msg.client, wire))
+        let wire = self.encrypt_reply(msg.client, route, epoch, &reply);
+        // The encoded reply's fields move into the cache as they are.
+        let cached = CachedReply {
+            t: reply.t,
+            q: reply.q,
+            h: reply.h,
+            hc_echo: reply.hc_echo,
+            redirect: reply.redirect,
+            result: reply.result,
+        };
+        self.v.set_cached(msg.client, cached);
+        Ok((msg.client, wire?))
     }
 
     fn encrypt_reply(
@@ -1269,7 +1248,7 @@ impl<F: Functionality> TrustedContext<F> {
                 shard_epoch: table_epoch,
             }));
         };
-        let (entry_t, entry_h) = match self.v.get(&msg.client) {
+        let (entry_t, entry_h) = match self.v.map().get(&msg.client) {
             Some(e) => (e.t, e.h),
             None => {
                 let client = msg.client;
@@ -1308,7 +1287,7 @@ impl<F: Functionality> TrustedContext<F> {
             let result = self.f.exec(&msg.op);
             crate::wire::ReadReplyMsg {
                 t: entry_t,
-                q: stable_with(&self.v, self.quorum).max(self.stable_floor),
+                q: self.v.stable().max(self.stable_floor),
                 h: entry_h,
                 hc_echo: msg.hc,
                 status: crate::wire::ReadStatus::Fresh,
@@ -1442,7 +1421,7 @@ impl<F: Functionality> TrustedContext<F> {
         state_plain.put_raw(k_c.as_bytes());
         state_plain.put_u64(self.admin_seq);
         self.stable_floor.encode(&mut state_plain);
-        self.quorum.encode(&mut state_plain);
+        self.v.quorum().encode(&mut state_plain);
         self.identity
             .unwrap_or(ShardIdentity::SOLO)
             .encode(&mut state_plain);
@@ -1450,7 +1429,7 @@ impl<F: Functionality> TrustedContext<F> {
         // a rolled-back enclave thereby rolls back its table too, which
         // is exactly what future-epoch wires expose.
         self.table.encode(&mut state_plain);
-        crate::stability::encode_vmap(&self.v, &mut state_plain);
+        crate::stability::encode_vmap(self.v.map(), &mut state_plain);
         state_plain.put_bytes(&self.f.snapshot());
         state_plain.put_digest(&anchor);
 
@@ -1515,7 +1494,7 @@ impl<F: Functionality> TrustedContext<F> {
         self.stable_floor.encode(&mut delta_plain);
         let mut dv = VMap::new();
         for client in &self.touched {
-            if let Some(entry) = self.v.get(client) {
+            if let Some(entry) = self.v.map().get(client) {
                 dv.insert(*client, entry.clone());
             }
         }
@@ -1549,14 +1528,15 @@ impl<F: Functionality> TrustedContext<F> {
         let k_c = read_key(&mut r).map_err(LcmError::from)?;
         self.admin_seq = r.get_u64().map_err(LcmError::from)?;
         self.stable_floor = SeqNo::decode(&mut r).map_err(LcmError::from)?;
-        self.quorum = Quorum::decode(&mut r).map_err(LcmError::from)?;
+        let quorum = Quorum::decode(&mut r).map_err(LcmError::from)?;
         self.identity = Some(ShardIdentity::decode(&mut r).map_err(LcmError::from)?);
         self.table = SliceTable::decode(&mut r).map_err(LcmError::from)?;
-        self.v = crate::stability::decode_vmap(&mut r).map_err(LcmError::from)?;
+        let v = crate::stability::decode_vmap(&mut r).map_err(LcmError::from)?;
         let snapshot = r.get_bytes().map_err(LcmError::from)?.to_vec();
         let anchor = r.get_digest().map_err(LcmError::from)?;
         r.finish().map_err(LcmError::from)?;
 
+        self.v.replace(v, quorum);
         self.f.restore(&snapshot).map_err(LcmError::from)?;
         self.persist_anchor = anchor;
         self.delta_bytes = 0;
@@ -1565,18 +1545,17 @@ impl<F: Functionality> TrustedContext<F> {
         if let Some(keys) = self.keys.as_mut() {
             keys.rotate_kc(k_c);
         }
-        // (·, t, h) ← V[argmax(V)]
-        match latest_entry(&self.v) {
-            Some(e) => {
-                self.t = e.t;
-                self.h = e.h;
-            }
-            None => {
-                self.t = SeqNo::ZERO;
-                self.h = ChainValue::GENESIS;
-            }
-        }
+        self.resume_from_latest();
         Ok(())
+    }
+
+    /// `(·, t, h) ← V[argmax(V)]` of Alg. 2: the context resumes from
+    /// the most recent operation recorded in `V`.
+    fn resume_from_latest(&mut self) {
+        (self.t, self.h) = self
+            .v
+            .latest()
+            .map_or((SeqNo::ZERO, ChainValue::GENESIS), |e| (e.t, e.h));
     }
 
     /// Handles an authenticated admin operation (§4.6.3).
@@ -1616,19 +1595,18 @@ impl<F: Functionality> TrustedContext<F> {
 
         let reply = match op {
             AdminOp::AddClient(id) => {
-                if let std::collections::btree_map::Entry::Vacant(slot) = self.v.entry(id) {
-                    slot.insert(VEntry::default());
+                if self.v.add_member(id) {
                     AdminReply::Ok
                 } else {
                     AdminReply::Rejected(format!("client {id} already in group"))
                 }
             }
             AdminOp::RemoveClient(id, new_kc) => {
-                if self.v.remove(&id).is_none() {
-                    AdminReply::Rejected(format!("client {id} not in group"))
-                } else {
+                if self.v.remove_member(id) {
                     self.keys.as_mut().expect("ready").rotate_kc(new_kc);
                     AdminReply::Ok
+                } else {
+                    AdminReply::Rejected(format!("client {id} not in group"))
                 }
             }
             AdminOp::RotateKey(new_kc) => {
@@ -1637,8 +1615,8 @@ impl<F: Functionality> TrustedContext<F> {
             }
             AdminOp::Status => AdminReply::Status {
                 t: self.t,
-                q: stable_with(&self.v, self.quorum).max(self.stable_floor),
-                n: self.v.len() as u32,
+                q: self.v.stable().max(self.stable_floor),
+                n: self.v.map().len() as u32,
             },
         };
 
@@ -1677,14 +1655,14 @@ impl<F: Functionality> TrustedContext<F> {
         w.put_raw(keys.k_a.as_bytes());
         w.put_u64(self.admin_seq);
         self.stable_floor.encode(&mut w);
-        self.quorum.encode(&mut w);
+        self.v.quorum().encode(&mut w);
         // The identity travels with the ticket: the target enclave
         // adopts the origin shard's place in the deployment, so a
         // migrated deployment re-verifies exactly like a fresh one.
         // The routing table travels too, for the same reason.
         self.identity.unwrap_or(ShardIdentity::SOLO).encode(&mut w);
         self.table.encode(&mut w);
-        crate::stability::encode_vmap(&self.v, &mut w);
+        crate::stability::encode_vmap(self.v.map(), &mut w);
         w.put_bytes(&self.f.snapshot());
 
         let channel = AeadKey::from_secret(&channel_key);
@@ -1765,21 +1743,11 @@ impl<F: Functionality> TrustedContext<F> {
         self.keys = Some(Keys::from_raw(k_p, k_c, k_a));
         self.admin_seq = admin_seq;
         self.stable_floor = stable_floor;
-        self.quorum = quorum;
         self.identity = Some(identity);
         self.table = table;
-        self.v = v;
+        self.v.replace(v, quorum);
         self.f.restore(&snapshot).map_err(LcmError::from)?;
-        match latest_entry(&self.v) {
-            Some(e) => {
-                self.t = e.t;
-                self.h = e.h;
-            }
-            None => {
-                self.t = SeqNo::ZERO;
-                self.h = ChainValue::GENESIS;
-            }
-        }
+        self.resume_from_latest();
         self.phase = Phase::Ready;
         self.persist_blobs()
     }

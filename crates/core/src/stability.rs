@@ -10,8 +10,35 @@
 //! `majority-stable(V)` follows the paper's definition: *"the largest
 //! acknowledged sequence number in V that is less than or equal to more
 //! than n/2 sequence numbers in V"*.
+//!
+//! # Stability as an order statistic
+//!
+//! Read literally, the definition is a double loop over `V`. `T`
+//! evaluates it on every operation, so [`VState`] keeps an index beside
+//! the map that answers it in O(log n), resting on one identity. Let
+//! `r = required(n)` be the quorum threshold and `τ` the `r`-th largest
+//! `t` in `V`. Then
+//!
+//! ```text
+//! stable(V) = max { ta ∈ V : ta ≤ τ }        (0 when the set is empty)
+//! ```
+//!
+//! *Proof.* An acknowledged `a` qualifies iff at least `r` entries have
+//! `t ≥ a`. If `a ≤ τ`, the `r` largest `t` are all `≥ τ ≥ a`, so `a`
+//! qualifies; if `r` entries have `t ≥ a`, the `r`-th largest of all is
+//! one of them or above them, so `τ ≥ a`. The qualifying
+//! acknowledgements are therefore exactly those `≤ τ`, and the answer
+//! is the predecessor of `τ` among the `ta`. ∎
+//!
+//! The index holds the `t` values in two ordered sets — `top`, the `r`
+//! largest, and `rest` — so that `τ = min(top)`, and the `ta` values in
+//! a third that answers the predecessor query. **Invariant:** `top`
+//! holds exactly `min(required(n), n)` entries and none of them is
+//! smaller than any entry of `rest`. The index is derived state: it is
+//! never sealed or sent, and is rebuilt from the map wherever a map is
+//! installed wholesale.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::codec::{CodecError, Reader, WireCodec, Writer};
 use crate::types::{ChainValue, ClientId, SeqNo};
@@ -224,36 +251,226 @@ impl WireCodec for Quorum {
     }
 }
 
-/// Generalization of [`majority_stable`] to an arbitrary [`Quorum`].
+/// Generalization of [`majority_stable`] to an arbitrary [`Quorum`]:
+/// the one-shot form of [`VState::stable`] for a map held outside a
+/// [`VState`] — it builds the index and queries it.
 pub fn stable_with(v: &VMap, quorum: Quorum) -> SeqNo {
-    let n = v.len();
-    if n == 0 {
-        return SeqNo::ZERO;
-    }
-    let required = quorum.required(n);
-    let mut best = SeqNo::ZERO;
-    for entry in v.values() {
-        let a = entry.ta;
-        if a <= best {
-            continue;
-        }
-        let count = v.values().filter(|e| e.t >= a).count();
-        if count >= required {
-            best = a;
-        }
-    }
-    best
+    Index::build(v, quorum.required(v.len())).stable()
 }
 
-/// The `argmax(V)` of Alg. 2: the entry holding the most recent
-/// operation, from which `(t, h)` are recovered after a restart.
-pub fn latest_entry(v: &VMap) -> Option<&VEntry> {
-    v.values().max_by_key(|e| e.t)
+/// A sequence number tagged with its client, so that equal sequence
+/// numbers (every `t` and `ta` of the genesis map is zero) stay
+/// distinct set elements.
+type Key = (SeqNo, ClientId);
+
+/// The order-statistic index over a [`VMap`]; see the module docs for
+/// the identity it answers and the invariant it keeps.
+#[derive(Debug, Default)]
+struct Index {
+    /// The `required` largest `(t, client)`.
+    top: BTreeSet<Key>,
+    /// Every other `(t, client)`.
+    rest: BTreeSet<Key>,
+    /// Every `(ta, client)`.
+    acks: BTreeSet<Key>,
+}
+
+impl Index {
+    fn build(v: &VMap, required: usize) -> Index {
+        let mut rest: Vec<Key> = v.iter().map(|(&c, e)| (e.t, c)).collect();
+        rest.sort_unstable();
+        let top = rest.split_off(rest.len().saturating_sub(required));
+        Index {
+            top: top.into_iter().collect(),
+            rest: rest.into_iter().collect(),
+            acks: v.iter().map(|(&c, e)| (e.ta, c)).collect(),
+        }
+    }
+
+    fn insert(&mut self, client: ClientId, ta: SeqNo, t: SeqNo) {
+        // Into `top` only when that provably keeps `top ≥ rest`;
+        // `rebalance` promotes from `rest` otherwise.
+        let key = (t, client);
+        if self.top.first().is_some_and(|min| key >= *min) {
+            self.top.insert(key);
+        } else {
+            self.rest.insert(key);
+        }
+        self.acks.insert((ta, client));
+    }
+
+    fn remove(&mut self, client: ClientId, ta: SeqNo, t: SeqNo) {
+        let key = (t, client);
+        if !self.top.remove(&key) {
+            self.rest.remove(&key);
+        }
+        self.acks.remove(&(ta, client));
+    }
+
+    /// Restores `|top| = min(required, n)` after inserts and removes by
+    /// moving boundary elements; one insert or remove leaves at most
+    /// one element to move unless `required` itself jumped.
+    fn rebalance(&mut self, required: usize) {
+        while self.top.len() > required {
+            let min = self.top.pop_first().expect("top is non-empty");
+            self.rest.insert(min);
+        }
+        while self.top.len() < required {
+            let Some(max) = self.rest.pop_last() else {
+                break;
+            };
+            self.top.insert(max);
+        }
+    }
+
+    fn stable(&self) -> SeqNo {
+        let Some(&(tau, _)) = self.top.first() else {
+            return SeqNo::ZERO;
+        };
+        self.acks
+            .range(..=(tau, ClientId(u32::MAX)))
+            .next_back()
+            .map_or(SeqNo::ZERO, |&(ta, _)| ta)
+    }
+
+    /// The client holding the largest `t` (the largest id among ties).
+    fn latest(&self) -> Option<ClientId> {
+        self.top.last().map(|&(_, client)| client)
+    }
+}
+
+/// The protocol state map `V` together with its stability index, and
+/// the only way to mutate either: every method leaves the index in
+/// step with the map, so [`VState::stable`] and [`VState::latest`]
+/// cost O(log n) however large the client group is.
+#[derive(Debug)]
+pub struct VState {
+    map: VMap,
+    quorum: Quorum,
+    index: Index,
+}
+
+impl VState {
+    /// An empty `V` whose stability is judged by `quorum`.
+    pub fn new(quorum: Quorum) -> Self {
+        VState {
+            map: VMap::new(),
+            quorum,
+            index: Index::default(),
+        }
+    }
+
+    /// The map itself, for encoding and lookups.
+    pub fn map(&self) -> &VMap {
+        &self.map
+    }
+
+    /// The quorum stability is judged by.
+    pub fn quorum(&self) -> Quorum {
+        self.quorum
+    }
+
+    /// The stable watermark of the current map; equals
+    /// [`stable_with`]`(self.map(), self.quorum())`.
+    pub fn stable(&self) -> SeqNo {
+        self.index.stable()
+    }
+
+    /// The `argmax(V)` of Alg. 2: the entry holding the most recent
+    /// operation, from which `(t, h)` are recovered after a restart.
+    pub fn latest(&self) -> Option<&VEntry> {
+        self.map.get(&self.index.latest()?)
+    }
+
+    /// `V[client] ← (tc, t, h)`: records that `client` executed
+    /// operation `t`, thereby acknowledging `tc`. The cached reply is
+    /// cleared until [`VState::set_cached`] supplies the new one.
+    pub fn advance(&mut self, client: ClientId, tc: SeqNo, t: SeqNo, h: ChainValue) {
+        let entry = VEntry {
+            ta: tc,
+            t,
+            h,
+            cached: None,
+        };
+        self.put(client, entry);
+    }
+
+    /// Stores the reply cached for `client`'s retries; a no-op for a
+    /// client outside the group.
+    pub fn set_cached(&mut self, client: ClientId, cached: CachedReply) {
+        if let Some(entry) = self.map.get_mut(&client) {
+            entry.cached = Some(cached);
+        }
+    }
+
+    /// Adds `client` with a genesis entry; `false` (and no change) when
+    /// it is already a member.
+    pub fn add_member(&mut self, client: ClientId) -> bool {
+        let vacant = !self.map.contains_key(&client);
+        if vacant {
+            self.put(client, VEntry::default());
+        }
+        vacant
+    }
+
+    /// Removes `client`; `false` (and no change) when it is not a
+    /// member.
+    pub fn remove_member(&mut self, client: ClientId) -> bool {
+        let Some(entry) = self.map.remove(&client) else {
+            return false;
+        };
+        self.index.remove(client, entry.ta, entry.t);
+        self.rebalance();
+        true
+    }
+
+    /// Overwrites (or adds) the given entries — the replay of one
+    /// sealed delta.
+    pub fn apply_entries(&mut self, entries: VMap) {
+        for (client, entry) in entries {
+            self.put(client, entry);
+        }
+    }
+
+    /// Installs `map` wholesale under `quorum` and rebuilds the index
+    /// from it.
+    pub fn replace(&mut self, map: VMap, quorum: Quorum) {
+        self.index = Index::build(&map, quorum.required(map.len()));
+        self.map = map;
+        self.quorum = quorum;
+    }
+
+    fn put(&mut self, client: ClientId, entry: VEntry) {
+        let (ta, t) = (entry.ta, entry.t);
+        if let Some(old) = self.map.insert(client, entry) {
+            self.index.remove(client, old.ta, old.t);
+        }
+        self.index.insert(client, ta, t);
+        self.rebalance();
+    }
+
+    fn rebalance(&mut self) {
+        self.index.rebalance(self.quorum.required(self.map.len()));
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The definition of stability read literally — a double loop over
+    /// `V`, kept as the oracle the index is tested against.
+    fn stable_with_quadratic(v: &VMap, quorum: Quorum) -> SeqNo {
+        let required = quorum.required(v.len());
+        let mut best = SeqNo::ZERO;
+        for entry in v.values() {
+            let a = entry.ta;
+            if a > best && v.values().filter(|e| e.t >= a).count() >= required {
+                best = a;
+            }
+        }
+        best
+    }
 
     fn entry(ta: u64, t: u64) -> VEntry {
         VEntry {
@@ -421,9 +638,131 @@ mod tests {
     }
 
     #[test]
-    fn latest_entry_is_argmax() {
-        let v = vmap(&[(1, 1, 2), (2, 0, 9), (3, 3, 3)]);
-        assert_eq!(latest_entry(&v).unwrap().t, SeqNo(9));
-        assert!(latest_entry(&VMap::new()).is_none());
+    fn vstate_latest_is_argmax() {
+        let mut v = VState::new(Quorum::Majority);
+        assert!(v.latest().is_none());
+        v.replace(vmap(&[(1, 1, 2), (2, 0, 9), (3, 3, 3)]), Quorum::Majority);
+        assert_eq!(v.latest().unwrap().t, SeqNo(9));
+        // Ties (the genesis map) resolve to the largest client id, as
+        // `max_by_key` over the map did.
+        v.replace(vmap(&[(1, 0, 0), (2, 0, 0)]), Quorum::Majority);
+        assert_eq!(v.latest(), v.map().get(&ClientId(2)));
+    }
+
+    #[test]
+    fn vstate_advance_clears_then_caches_the_reply() {
+        let mut v = VState::new(Quorum::Majority);
+        assert!(v.add_member(ClientId(1)));
+        assert!(!v.add_member(ClientId(1)));
+        let h = ChainValue::GENESIS.extend(b"op", SeqNo(1), ClientId(1));
+        v.advance(ClientId(1), SeqNo::ZERO, SeqNo(1), h);
+        assert_eq!(v.map()[&ClientId(1)].cached, None);
+        let cached = CachedReply {
+            t: SeqNo(1),
+            q: SeqNo::ZERO,
+            h,
+            hc_echo: ChainValue::GENESIS,
+            redirect: false,
+            result: b"r".to_vec(),
+        };
+        v.set_cached(ClientId(1), cached.clone());
+        v.set_cached(ClientId(9), cached.clone());
+        assert_eq!(v.map()[&ClientId(1)].cached, Some(cached));
+        assert_eq!(v.map().len(), 1);
+        assert!(v.remove_member(ClientId(1)));
+        assert!(!v.remove_member(ClientId(1)));
+        assert_eq!(v.stable(), SeqNo::ZERO);
+    }
+
+    /// One step of a random script over a [`VState`].
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// `advance` as `T` drives it: acknowledge the client's last
+        /// operation and execute the next global sequence number.
+        Invoke(u32),
+        /// `apply_entries` with arbitrary `(ta, t)` — ties, stale and
+        /// out-of-order values a delta replay may carry.
+        Apply(Vec<(u32, u64, u64)>),
+        Add(u32),
+        Remove(u32),
+        /// `replace` with the model map as it stands (a restore).
+        Rebuild,
+        /// `replace` with an arbitrary map.
+        Replace(Vec<(u32, u64, u64)>),
+    }
+
+    fn arb_step() -> impl proptest::strategy::Strategy<Value = Step> {
+        use proptest::prelude::*;
+        let entries = || proptest::collection::vec((0u32..10, 0u64..12, 0u64..12), 0..6);
+        prop_oneof![
+            8 => (0u32..10).prop_map(Step::Invoke),
+            2 => entries().prop_map(Step::Apply),
+            2 => (0u32..10).prop_map(Step::Add),
+            2 => (0u32..10).prop_map(Step::Remove),
+            1 => Just(Step::Rebuild),
+            1 => entries().prop_map(Step::Replace),
+        ]
+    }
+
+    proptest::proptest! {
+        /// After every step of a random script the index agrees with
+        /// the quadratic oracle and `argmax`, and the map equals a
+        /// plain `VMap` driven by the same script — from the all-zero
+        /// genesis map, through single-client and empty groups, and
+        /// with `AtLeast(k)` exceeding the group size after removals.
+        #[test]
+        fn vstate_matches_quadratic_oracle(
+            members in 0u32..8,
+            k in 0u32..12,
+            script in proptest::collection::vec(arb_step(), 0..60),
+        ) {
+            use proptest::prelude::*;
+            for quorum in [Quorum::Majority, Quorum::All, Quorum::AtLeast(k)] {
+                let mut model: VMap = (0..members).map(|c| (ClientId(c), VEntry::default())).collect();
+                let mut v = VState::new(quorum);
+                v.replace(model.clone(), quorum);
+                let mut next = SeqNo::ZERO;
+                for step in &script {
+                    match step {
+                        Step::Invoke(c) => {
+                            let client = ClientId(*c);
+                            let Some(tc) = model.get(&client).map(|e| e.t) else { continue };
+                            let newest = model.values().map(|e| e.t).max().unwrap_or_default();
+                            next = next.max(newest).next();
+                            let h = ChainValue::GENESIS.extend(b"op", next, client);
+                            v.advance(client, tc, next, h);
+                            model.insert(client, VEntry { ta: tc, t: next, h, cached: None });
+                        }
+                        Step::Apply(entries) => {
+                            let dv = vmap(entries);
+                            v.apply_entries(dv.clone());
+                            model.extend(dv);
+                        }
+                        Step::Add(c) => {
+                            let vacant = !model.contains_key(&ClientId(*c));
+                            prop_assert_eq!(v.add_member(ClientId(*c)), vacant);
+                            model.entry(ClientId(*c)).or_default();
+                        }
+                        Step::Remove(c) => {
+                            let removed = model.remove(&ClientId(*c)).is_some();
+                            prop_assert_eq!(v.remove_member(ClientId(*c)), removed);
+                        }
+                        Step::Rebuild => v.replace(model.clone(), quorum),
+                        Step::Replace(entries) => {
+                            model = vmap(entries);
+                            v.replace(model.clone(), quorum);
+                        }
+                    }
+                    prop_assert_eq!(v.map(), &model);
+                    prop_assert_eq!(v.stable(), stable_with_quadratic(&model, quorum));
+                    prop_assert_eq!(stable_with(&model, quorum), v.stable());
+                    prop_assert_eq!(v.latest(), model.values().max_by_key(|e| e.t));
+                    let required = quorum.required(model.len()).min(model.len());
+                    prop_assert_eq!(v.index.top.len(), required);
+                    prop_assert_eq!(v.index.top.len() + v.index.rest.len(), model.len());
+                    prop_assert!(v.index.rest.last() <= v.index.top.first() || v.index.top.is_empty());
+                }
+            }
+        }
     }
 }
