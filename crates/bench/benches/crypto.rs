@@ -1,13 +1,18 @@
 //! Criterion microbenches for the cryptographic substrate.
 //!
 //! These ground the simulator's cost constants: per-byte AEAD and hash
-//! throughput on the build machine.
+//! throughput on the build machine. The `chacha20`, `poly1305` and
+//! `crc32` rows are the byte kernels under every sealed message and
+//! every journal frame, at a message, a page and a bulk size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use lcm_crypto::aead::{self, AeadKey};
 use lcm_crypto::hmac::hmac_sha256;
 use lcm_crypto::keys::SecretKey;
-use lcm_crypto::sha256;
+use lcm_crypto::{chacha20, poly1305, sha256};
+use lcm_storage::framing::crc32;
+
+const KERNEL_SIZES: [usize; 3] = [64, 4 * 1024, 1024 * 1024];
 
 fn bench_sha256(c: &mut Criterion) {
     let mut group = c.benchmark_group("sha256");
@@ -49,6 +54,27 @@ fn bench_aead(c: &mut Criterion) {
     group.finish();
 }
 
+/// One byte kernel over a buffer of each of [`KERNEL_SIZES`].
+fn bench_kernel<O>(c: &mut Criterion, name: &str, mut kernel: impl FnMut(&mut [u8]) -> O) {
+    let mut group = c.benchmark_group(name);
+    for size in KERNEL_SIZES {
+        let mut data = vec![0xabu8; size];
+        group.throughput(Throughput::Bytes(size as u64));
+        group.bench_function(BenchmarkId::from_parameter(size), |b| {
+            b.iter(|| kernel(&mut data));
+        });
+    }
+    group.finish();
+}
+
+fn bench_kernels(c: &mut Criterion) {
+    bench_kernel(c, "chacha20", |data| {
+        chacha20::xor_keystream(&[7; 32], &[9; 12], 1, data).unwrap()
+    });
+    bench_kernel(c, "poly1305", |data| poly1305::mac(&[7; 32], data));
+    bench_kernel(c, "crc32", |data| crc32(data));
+}
+
 fn bench_hmac(c: &mut Criterion) {
     let data = vec![0u8; 1024];
     c.bench_function("hmac_sha256_1KiB", |b| {
@@ -61,6 +87,7 @@ criterion_group!(
     bench_sha256,
     bench_hash_chain_step,
     bench_aead,
+    bench_kernels,
     bench_hmac
 );
 criterion_main!(benches);

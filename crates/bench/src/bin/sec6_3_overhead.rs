@@ -76,9 +76,9 @@ fn main() {
 
     println!(
         "\nAEAD framing adds a further constant {} bytes per message",
-        12 + 32
+        lcm_crypto::aead::MIN_SEALED_LEN
     );
-    println!("(nonce + HMAC tag; the paper's AES-GCM adds 12 + 16).\n");
+    println!("(12 B nonce + 16 B Poly1305 tag; the paper's AES-GCM adds the same 12 + 16).\n");
 
     println!("Paper-vs-measured:");
     compare(

@@ -6,7 +6,9 @@
 //! other client's operations.
 
 use lcm_crypto::aead::{self, AeadKey};
+use lcm_crypto::chacha20::NONCE_LEN;
 use lcm_crypto::keys::SecretKey;
+use rand::RngCore;
 
 use crate::codec::WireCodec;
 use crate::context::{invoke_aad, read_aad, read_reply_aad, reply_aad};
@@ -155,6 +157,14 @@ pub struct StabilityEvent {
 pub struct LcmClient {
     id: ClientId,
     key: AeadKey,
+    /// Low eight bytes of the next wire's AEAD nonce; the high four
+    /// are `id`. Every client of the group seals under the same `kC`,
+    /// so nonces must be unique across clients *and* sends without
+    /// trusting a random generator: the id separates clients, the
+    /// counter — one step per sealed wire, retries included, never
+    /// reset by a key rotation — separates this client's sends, and
+    /// the random start separates incarnations of one identity.
+    send_counter: u64,
     /// One protocol context per shard of the deployment (length 1 for
     /// an unsharded server). A sharded service is N independent LCM
     /// instances, so the paper's constant client state exists once per
@@ -212,6 +222,7 @@ impl LcmClient {
         LcmClient {
             id,
             key: AeadKey::from_secret(k_c),
+            send_counter: rand::thread_rng().next_u64(),
             shards: vec![ShardCtx::default(); n_shards.max(1) as usize],
             table: SliceTable::uniform(n_shards.max(1)),
             pending_order: std::collections::VecDeque::new(),
@@ -452,7 +463,17 @@ impl LcmClient {
         self.encode_invoke(&pending, true)
     }
 
-    fn encode_invoke(&self, pending: &Pending, retry: bool) -> Result<Vec<u8>> {
+    /// The nonce of the next sealed wire: `client id (4, BE) ‖ send
+    /// counter (8, BE)`. Consumes the counter value.
+    fn next_nonce(&mut self) -> [u8; NONCE_LEN] {
+        let mut nonce = [0u8; NONCE_LEN];
+        nonce[..4].copy_from_slice(&self.id.0.to_be_bytes());
+        nonce[4..].copy_from_slice(&self.send_counter.to_be_bytes());
+        self.send_counter = self.send_counter.wrapping_add(1);
+        nonce
+    }
+
+    fn encode_invoke(&mut self, pending: &Pending, retry: bool) -> Result<Vec<u8>> {
         let msg = InvokeMsg {
             client: self.id,
             tc: pending.tc,
@@ -460,8 +481,10 @@ impl LcmClient {
             retry,
             op: pending.op.clone(),
         };
-        let ciphertext = aead::auth_encrypt(
+        let nonce = self.next_nonce();
+        let ciphertext = aead::auth_encrypt_with_nonce(
             &self.key,
+            &nonce,
             &msg.to_bytes(),
             &invoke_aad(self.id, pending.route, pending.tc.0, pending.epoch),
         )
@@ -588,15 +611,17 @@ impl LcmClient {
             .is_some_and(|c| c.pending_read.is_some())
     }
 
-    fn encode_read(&self, pending: &PendingRead) -> Result<Vec<u8>> {
+    fn encode_read(&mut self, pending: &PendingRead) -> Result<Vec<u8>> {
         let msg = ReadMsg {
             client: self.id,
             tc: pending.tc,
             hc: pending.hc,
             op: pending.op.clone(),
         };
-        let ciphertext = aead::auth_encrypt(
+        let nonce = self.next_nonce();
+        let ciphertext = aead::auth_encrypt_with_nonce(
             &self.key,
+            &nonce,
             &msg.to_bytes(),
             &read_aad(
                 self.id,
@@ -922,6 +947,7 @@ const _: fn() = || {
 mod tests {
     use super::*;
     use crate::wire::ReadStatus;
+    use proptest::prelude::*;
 
     fn key() -> SecretKey {
         SecretKey::from_bytes([7u8; 32])
@@ -1492,5 +1518,62 @@ mod tests {
         .unwrap();
         c.handle_reply_on(&wire2).unwrap();
         assert_eq!(c.routing_epoch(), 1, "stale table must be ignored");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Every wire a group of clients seals under the shared `kC`
+        /// carries its own nonce: `client id ‖ counter`, the counter
+        /// stepping once per sealed wire — first sends, retries, read
+        /// legs and re-pinned reads alike — and running on across a key
+        /// rotation.
+        #[test]
+        fn sealed_wires_carry_pairwise_distinct_nonces(
+            n_clients in 1usize..6,
+            script in proptest::collection::vec((0usize..6, 0u8..6, any::<u8>()), 1..120),
+        ) {
+            const SHARDS: u32 = 16;
+            let mut clients: Vec<LcmClient> = (0..n_clients)
+                .map(|i| LcmClient::new_sharded(ClientId(i as u32 + 1), &key(), SHARDS))
+                .collect();
+            let mut nonces: Vec<Vec<[u8; NONCE_LEN]>> = vec![Vec::new(); n_clients];
+            for (who, action, k) in script {
+                let who = who % n_clients;
+                let c = &mut clients[who];
+                let shard_key = [k];
+                let shard = c.shard_of_route(route_for(c.id(), Some(&shard_key)));
+                // A refused call (operation pending, nothing to retry)
+                // seals nothing and must not be counted.
+                let (hint_len, wire) = match action {
+                    0 => (ROUTE_HINT_LEN, c.invoke_routed(b"put", Some(&shard_key))),
+                    1 => (ROUTE_HINT_LEN, c.retry()),
+                    2 => (READ_HINT_LEN, c.read_routed(b"get", Some(&shard_key), u32::from(k % 3))),
+                    3 => (READ_HINT_LEN, c.retry_read(shard, Some(u32::from(k % 3)))),
+                    4 => {
+                        c.cancel_read(shard);
+                        continue;
+                    }
+                    _ => {
+                        c.rotate_key(&SecretKey::from_bytes([k; 32]));
+                        continue;
+                    }
+                };
+                if let Ok(wire) = wire {
+                    let nonce = wire[hint_len..hint_len + NONCE_LEN].try_into().unwrap();
+                    nonces[who].push(nonce);
+                }
+            }
+            let mut seen = std::collections::HashSet::new();
+            for (i, sent) in nonces.iter().enumerate() {
+                for (n, nonce) in sent.iter().enumerate() {
+                    prop_assert!(seen.insert(*nonce), "nonce repeated: {:?}", nonce);
+                    prop_assert_eq!(&nonce[..4], &(i as u32 + 1).to_be_bytes()[..]);
+                    let counter = u64::from_be_bytes(nonce[4..].try_into().unwrap());
+                    let first = u64::from_be_bytes(sent[0][4..].try_into().unwrap());
+                    prop_assert_eq!(counter, first.wrapping_add(n as u64));
+                }
+            }
+        }
     }
 }

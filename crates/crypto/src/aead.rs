@@ -6,37 +6,55 @@
 //! the content from leaking information to S and prevents that S tampers
 //! with messages or stored data by altering ciphertext."
 //!
-//! The paper's implementation uses AES-GCM-128 from the SGX SDK. Since
-//! this reproduction implements all cryptography from scratch, we use the
-//! equivalent generic composition: **ChaCha20 encryption, then
-//! HMAC-SHA-256 over `aad ‖ nonce ‖ ciphertext ‖ len(aad)`** under an
-//! independent MAC subkey (encrypt-then-MAC, the provably-sound order).
-//! Both subkeys are derived from one 32-byte [`SecretKey`] via HKDF with
-//! distinct labels. The security contract visible to the protocol —
-//! IND-CCA confidentiality plus ciphertext integrity with associated
-//! data — is the same as AES-GCM's.
+//! The paper's implementation uses AES-GCM-128 from the SGX SDK. This
+//! reproduction implements all cryptography from scratch and uses the
+//! other standard AEAD, **ChaCha20-Poly1305 exactly as RFC 8439 §2.8
+//! defines it**, so the implementation is checked byte for byte against
+//! the RFC's published vector (`tests/kat.rs`):
 //!
-//! Wire layout of a sealed blob: `nonce(12) ‖ ciphertext ‖ tag(32)`.
+//! * the body is XORed with the [`chacha20`] keystream from block
+//!   counter 1;
+//! * the first 32 bytes of block 0 of the same `(key, nonce)` stream
+//!   are the one-time [`poly1305`] key;
+//! * the tag is Poly1305 over
+//!   `aad ‖ pad16 ‖ ciphertext ‖ pad16 ‖ len(aad) (8, LE) ‖ len(ciphertext) (8, LE)`.
+//!
+//! The contract visible to the protocol — IND-CCA confidentiality plus
+//! ciphertext integrity with associated data, under a 128-bit
+//! polynomial tag — is the one AES-GCM-128 gives the paper: GCM's GHASH
+//! and Poly1305 are both one-time polynomial MACs keyed per nonce from
+//! the cipher itself.
+//!
+//! **Nonce reuse.** Both constructions fail the same way when a
+//! `(key, nonce)` pair repeats: the two bodies share a keystream (their
+//! XOR leaks), and the two tags share a one-time MAC key, from which an
+//! attacker solves for the key and *forges* further messages. Nonces
+//! must therefore be unique per key by construction wherever a key is
+//! shared or long-lived: `lcm_core`'s clients, which all hold `kC`, seal
+//! under `client id ‖ send counter` through
+//! [`auth_encrypt_with_nonce`]; [`auth_encrypt`] draws 96 random bits
+//! and is for callers that seal rarely (provisioning, admin, tests).
+//!
+//! Wire layout of a sealed blob: `nonce(12) ‖ ciphertext ‖ tag(16)`.
 
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
-use crate::chacha20::{self, NONCE_LEN};
+use crate::chacha20::{self, AeadStream, NONCE_LEN};
 use crate::hkdf;
-use crate::hmac::HmacSha256;
 use crate::keys::SecretKey;
-use crate::sha256::DIGEST_LEN;
+use crate::poly1305::{self, Poly1305};
 use crate::{CryptoError, Result};
 
 /// Length of the authentication tag, in bytes.
-pub const TAG_LEN: usize = DIGEST_LEN;
+pub const TAG_LEN: usize = poly1305::TAG_LEN;
 
 /// Minimum length of any valid sealed blob (`nonce ‖ tag` with empty
 /// ciphertext).
 pub const MIN_SEALED_LEN: usize = NONCE_LEN + TAG_LEN;
 
-/// An AEAD key: an encryption subkey and a MAC subkey derived from one
-/// master secret.
+/// An AEAD key: the ChaCha20-Poly1305 key derived from one master
+/// secret.
 ///
 /// # Example
 ///
@@ -49,10 +67,7 @@ pub const MIN_SEALED_LEN: usize = NONCE_LEN + TAG_LEN;
 /// # let _ = key;
 /// ```
 #[derive(Clone, PartialEq, Eq)]
-pub struct AeadKey {
-    enc: [u8; 32],
-    mac: [u8; 32],
-}
+pub struct AeadKey([u8; chacha20::KEY_LEN]);
 
 impl std::fmt::Debug for AeadKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -61,21 +76,24 @@ impl std::fmt::Debug for AeadKey {
 }
 
 impl AeadKey {
-    /// Derives the encryption and MAC subkeys from `master`.
+    /// Derives the AEAD key from `master` (HKDF, so the master secret
+    /// itself never keys the cipher).
     pub fn from_secret(master: &SecretKey) -> Self {
-        let enc = hkdf::derive_key(master, b"lcm-aead", b"enc-subkey");
-        let mac = hkdf::derive_key(master, b"lcm-aead", b"mac-subkey");
-        AeadKey {
-            enc: *enc.as_bytes(),
-            mac: *mac.as_bytes(),
-        }
+        AeadKey(*hkdf::derive_key(master, b"lcm-aead", b"enc-subkey").as_bytes())
+    }
+
+    /// Uses `key` directly as the ChaCha20-Poly1305 key, as the RFC 8439
+    /// test vectors require.
+    pub fn from_raw(key: [u8; chacha20::KEY_LEN]) -> Self {
+        AeadKey(key)
     }
 }
 
 /// Encrypts and authenticates `plaintext`, binding `aad` into the tag.
 ///
-/// Returns `nonce ‖ ciphertext ‖ tag`. A fresh random 96-bit nonce is
-/// drawn from the OS RNG per call.
+/// Returns `nonce ‖ ciphertext ‖ tag`. A random 96-bit nonce is drawn
+/// per call; a caller that seals many messages under one key should
+/// construct its nonces instead (see the module docs).
 ///
 /// # Errors
 ///
@@ -87,14 +105,13 @@ pub fn auth_encrypt(key: &AeadKey, plaintext: &[u8], aad: &[u8]) -> Result<Vec<u
     auth_encrypt_with_nonce(key, &nonce, plaintext, aad)
 }
 
-/// Deterministic-nonce variant of [`auth_encrypt`], used by tests and by
-/// the TEE simulator's deterministic mode.
+/// [`auth_encrypt`] under a caller-chosen nonce.
 ///
 /// # Errors
 ///
-/// Same as [`auth_encrypt`]. Reusing a nonce under the same key destroys
-/// confidentiality; callers other than tests should prefer
-/// [`auth_encrypt`].
+/// Same as [`auth_encrypt`]. The caller must never pass the same nonce
+/// twice under one key: a repeat leaks the XOR of the two plaintexts
+/// and lets an attacker forge tags.
 pub fn auth_encrypt_with_nonce(
     key: &AeadKey,
     nonce: &[u8; NONCE_LEN],
@@ -104,9 +121,9 @@ pub fn auth_encrypt_with_nonce(
     let mut out = Vec::with_capacity(NONCE_LEN + plaintext.len() + TAG_LEN);
     out.extend_from_slice(nonce);
     out.extend_from_slice(plaintext);
-    chacha20::xor_keystream(&key.enc, nonce, 1, &mut out[NONCE_LEN..])?;
-
-    let tag = compute_tag(key, nonce, &out[NONCE_LEN..], aad);
+    let stream = AeadStream::new(&key.0, nonce);
+    stream.xor_body(&mut out[NONCE_LEN..])?;
+    let tag = compute_tag(stream.poly1305_key(), &out[NONCE_LEN..], aad);
     out.extend_from_slice(&tag);
     Ok(out)
 }
@@ -127,31 +144,26 @@ pub fn auth_decrypt(key: &AeadKey, sealed: &[u8], aad: &[u8]) -> Result<Vec<u8>>
     let mut nonce = [0u8; NONCE_LEN];
     nonce.copy_from_slice(nonce_bytes);
 
-    let expected = compute_tag(key, &nonce, ciphertext, aad);
+    let stream = AeadStream::new(&key.0, &nonce);
+    let expected = compute_tag(stream.poly1305_key(), ciphertext, aad);
     if !crate::ct::ct_eq(&expected, tag) {
         return Err(CryptoError::AuthenticationFailed);
     }
 
     let mut plaintext = ciphertext.to_vec();
-    chacha20::xor_keystream(&key.enc, &nonce, 1, &mut plaintext)?;
+    stream.xor_body(&mut plaintext)?;
     Ok(plaintext)
 }
 
-fn compute_tag(
-    key: &AeadKey,
-    nonce: &[u8; NONCE_LEN],
-    ciphertext: &[u8],
-    aad: &[u8],
-) -> [u8; TAG_LEN] {
-    let mut mac = HmacSha256::new(&key.mac);
-    mac.update(aad);
-    mac.update(nonce);
-    mac.update(ciphertext);
-    // Unambiguous framing: append the AAD length so (aad, ciphertext)
-    // splits cannot collide.
-    mac.update(&(aad.len() as u64).to_be_bytes());
-    mac.update(&(ciphertext.len() as u64).to_be_bytes());
-    mac.finalize().0
+/// The RFC 8439 §2.8 tag: both lengths close the MAC input, so no
+/// `(aad, ciphertext)` split can collide with another.
+fn compute_tag(mac_key: &[u8; poly1305::KEY_LEN], ciphertext: &[u8], aad: &[u8]) -> [u8; TAG_LEN] {
+    let mut mac = Poly1305::new(mac_key);
+    mac.update_padded(aad);
+    mac.update_padded(ciphertext);
+    mac.update(&(aad.len() as u64).to_le_bytes());
+    mac.update(&(ciphertext.len() as u64).to_le_bytes());
+    mac.finalize()
 }
 
 /// A sealed blob paired with the associated data label it was bound to.

@@ -6,16 +6,21 @@
 //! * a collision-resistant hash `hash()` — the paper uses SHA-256,
 //!   implemented here in [`sha256`];
 //! * authenticated encryption `auth-encrypt`/`auth-decrypt` — the paper
-//!   uses AES-GCM-128; we provide an equivalent AEAD built from ChaCha20
-//!   (RFC 7539 block function) with an HMAC-SHA-256 tag in
-//!   encrypt-then-MAC composition, see [`aead`];
+//!   uses AES-GCM-128; we provide the other standard AEAD,
+//!   ChaCha20-Poly1305 as RFC 8439 defines it ([`chacha20`] for the
+//!   body, [`poly1305`] keyed per nonce for the 16-byte tag), see
+//!   [`aead`] for the construction, why its contract is the paper's,
+//!   and what a repeated nonce costs;
 //! * a secure random generator for key material, see [`keys`].
 //!
-//! All primitives are implemented from scratch so that the trusted
-//! execution environment simulator stays fully self-contained and
-//! deterministic. Each primitive is validated against published test
-//! vectors (FIPS 180-4, RFC 4231, RFC 5869, RFC 7539) in its module
-//! tests.
+//! [`hmac`] and [`hkdf`] derive keys (sealing keys, AEAD keys,
+//! attestation MACs); no message is authenticated with HMAC.
+//!
+//! All primitives are implemented from scratch in safe Rust so that the
+//! trusted execution environment simulator stays fully self-contained
+//! and deterministic. Each primitive is validated against published
+//! test vectors (FIPS 180-4, RFC 4231, RFC 5869, RFC 8439) in its
+//! module tests and in `tests/kat.rs`.
 //!
 //! # Example
 //!
@@ -41,6 +46,7 @@ pub mod ct;
 pub mod hkdf;
 pub mod hmac;
 pub mod keys;
+pub mod poly1305;
 pub mod sha256;
 
 mod error;

@@ -1,7 +1,8 @@
 //! Known-answer tests anchoring the hand-rolled primitives against the
 //! published standards: SHA-256 (FIPS 180-4 / NIST CAVS), HMAC-SHA-256
-//! (RFC 4231), HKDF-SHA-256 (RFC 5869), and the ChaCha20 block/
-//! keystream function (RFC 7539). The property tests in
+//! (RFC 4231), HKDF-SHA-256 (RFC 5869), the ChaCha20 block/keystream
+//! function (RFC 7539) and Poly1305 / ChaCha20-Poly1305 (RFC 8439,
+//! whose ChaCha20 vectors are RFC 7539's). The property tests in
 //! `tests/proptests.rs` cover invariants; these pin exact outputs so a
 //! silent miscompilation or refactor of the primitives cannot pass.
 
@@ -9,7 +10,7 @@ use lcm_crypto::aead::{self, AeadKey};
 use lcm_crypto::chacha20;
 use lcm_crypto::hkdf;
 use lcm_crypto::hmac::hmac_sha256;
-use lcm_crypto::keys::SecretKey;
+use lcm_crypto::poly1305;
 use lcm_crypto::sha256;
 
 fn unhex(s: &str) -> Vec<u8> {
@@ -265,25 +266,63 @@ fn chacha20_rfc7539_sunscreen_encryption() {
 }
 
 // --------------------------------------------------------------------------
-// AEAD composition — pinned regression vector. The workspace's AEAD is
-// ChaCha20 + HMAC-SHA-256 encrypt-then-MAC (not ChaCha20-Poly1305), so
-// no RFC vector exists; this pins the exact composition so the wire
-// format cannot drift silently.
+// Poly1305 and ChaCha20-Poly1305 — RFC 8439.
 
 #[test]
-fn aead_composition_is_stable() {
-    let key = AeadKey::from_secret(&SecretKey::from_bytes([7u8; 32]));
-    let nonce = [0x24u8; 12];
-    let sealed =
-        aead::auth_encrypt_with_nonce(&key, &nonce, b"attack at dawn", b"lcm.kat").unwrap();
-    // nonce (12) ‖ ciphertext (14) ‖ HMAC-SHA-256 tag (32).
-    assert_eq!(sealed.len(), 12 + 14 + 32);
+fn poly1305_rfc8439_2_5_2() {
+    let key: [u8; 32] = unhex(
+        "85d6be7857556d337f4452fe42d506a8\
+         0103808afb0db2fd4abff6af4149f51b",
+    )
+    .try_into()
+    .unwrap();
+    assert_eq!(
+        poly1305::mac(&key, b"Cryptographic Forum Research Group").to_vec(),
+        unhex("a8061dc1305136c6c22b8baf0c0127a9")
+    );
+}
+
+#[test]
+fn poly1305_key_generation_rfc8439_2_6_2() {
+    let key: [u8; 32] = std::array::from_fn(|i| 0x80 + i as u8);
+    let nonce: [u8; 12] = [0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7];
+    assert_eq!(
+        chacha20::AeadStream::new(&key, &nonce)
+            .poly1305_key()
+            .to_vec(),
+        unhex(
+            "8ad5a08b905f81cc815040274ab29471\
+             a833b637e3fd0da508dbb8e2fdd1a646"
+        )
+    );
+}
+
+#[test]
+fn chacha20_poly1305_rfc8439_2_8_2() {
+    let key = AeadKey::from_raw(std::array::from_fn(|i| 0x80 + i as u8));
+    let nonce: [u8; 12] = [7, 0, 0, 0, 0x40, 0x41, 0x42, 0x43, 0x44, 0x45, 0x46, 0x47];
+    let aad = unhex("50515253c0c1c2c3c4c5c6c7");
+    let plaintext = b"Ladies and Gentlemen of the class of '99: If I could offer you \
+                      only one tip for the future, sunscreen would be it.";
+    let sealed = aead::auth_encrypt_with_nonce(&key, &nonce, plaintext, &aad).unwrap();
+    // Wire layout: nonce (12) ‖ ciphertext ‖ tag (16).
     assert_eq!(sealed[..12], nonce);
     assert_eq!(
-        aead::auth_decrypt(&key, &sealed, b"lcm.kat").unwrap(),
-        b"attack at dawn"
+        sealed[12..sealed.len() - 16].to_vec(),
+        unhex(
+            "d31a8d34648e60db7b86afbc53ef7ec2\
+             a4aded51296e08fea9e2b5a736ee62d6\
+             3dbea45e8ca9671282fafb69da92728b\
+             1a71de0a9e060b2905d6a5b67ecd3b36\
+             92ddbd7f2d778b8c9803aee328091b58\
+             fab324e4fad675945585808b4831d7bc\
+             3ff4def08e4b7a9de576d26586cec64b\
+             6116"
+        )
     );
-    // Self-consistency across calls: deterministic for a fixed nonce.
-    let again = aead::auth_encrypt_with_nonce(&key, &nonce, b"attack at dawn", b"lcm.kat").unwrap();
-    assert_eq!(sealed, again);
+    assert_eq!(
+        sealed[sealed.len() - 16..].to_vec(),
+        unhex("1ae10b594f09e26a7e902ecbd0600691")
+    );
+    assert_eq!(aead::auth_decrypt(&key, &sealed, &aad).unwrap(), plaintext);
 }

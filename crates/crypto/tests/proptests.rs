@@ -4,6 +4,7 @@ use lcm_crypto::aead::{self, AeadKey};
 use lcm_crypto::chacha20;
 use lcm_crypto::hkdf;
 use lcm_crypto::keys::SecretKey;
+use lcm_crypto::poly1305::{self, Poly1305};
 use lcm_crypto::sha256::{self, Sha256};
 use proptest::prelude::*;
 
@@ -66,6 +67,27 @@ proptest! {
         prop_assert!(aead::auth_decrypt(&key, &sealed, b"aad").is_err());
     }
 
+    /// Flipping any one byte of `nonce ‖ ciphertext ‖ tag`, or of the
+    /// associated data, fails authentication.
+    #[test]
+    fn aead_any_byte_flip_detected(master in arb_key(),
+                                   plaintext in proptest::collection::vec(any::<u8>(), 0..80),
+                                   aad in proptest::collection::vec(any::<u8>(), 1..40),
+                                   flip in 1u8..=255) {
+        let key = AeadKey::from_secret(&master);
+        let sealed = aead::auth_encrypt(&key, &plaintext, &aad).unwrap();
+        for i in 0..sealed.len() {
+            let mut bad = sealed.clone();
+            bad[i] ^= flip;
+            prop_assert!(aead::auth_decrypt(&key, &bad, &aad).is_err(), "sealed byte {}", i);
+        }
+        for i in 0..aad.len() {
+            let mut bad = aad.clone();
+            bad[i] ^= flip;
+            prop_assert!(aead::auth_decrypt(&key, &sealed, &bad).is_err(), "aad byte {}", i);
+        }
+    }
+
     /// Decryption under a different key always fails.
     #[test]
     fn aead_wrong_key_fails(k1 in arb_key(), k2 in arb_key(),
@@ -73,6 +95,24 @@ proptest! {
         prop_assume!(k1 != k2);
         let sealed = aead::auth_encrypt(&AeadKey::from_secret(&k1), &plaintext, b"").unwrap();
         prop_assert!(aead::auth_decrypt(&AeadKey::from_secret(&k2), &sealed, b"").is_err());
+    }
+
+    /// Poly1305 over any chunking of `update` calls equals the one-shot
+    /// tag.
+    #[test]
+    fn poly1305_chunking_invariant(key in any::<[u8; 32]>(),
+                                   data in proptest::collection::vec(any::<u8>(), 0..600),
+                                   splits in proptest::collection::vec(0usize..600, 0..12)) {
+        let mut points: Vec<usize> = splits.into_iter().map(|s| s % (data.len() + 1)).collect();
+        points.sort_unstable();
+        let mut mac = Poly1305::new(&key);
+        let mut cursor = 0usize;
+        for p in points {
+            mac.update(&data[cursor..p]);
+            cursor = p;
+        }
+        mac.update(&data[cursor..]);
+        prop_assert_eq!(mac.finalize(), poly1305::mac(&key, &data));
     }
 
     /// ChaCha20 is an involution: applying the keystream twice restores

@@ -8,7 +8,7 @@ use lcm_tee::epc::{EpcModel, MapMemoryModel};
 
 /// AEAD framing bytes (nonce + tag) added by the transport encryption
 /// of this workspace's crypto substrate.
-pub const AEAD_FRAMING: usize = 12 + 32;
+pub const AEAD_FRAMING: usize = 12 + 16;
 
 /// The key length used throughout the paper's evaluation.
 pub const KEY_LEN: usize = 40;
@@ -166,8 +166,12 @@ impl Default for CostModel {
             host_per_op: Duration::from_micros(14),
             plain_exec: Duration::from_micros(3),
             ecall_overhead: Duration::from_micros(9),
-            aead_fixed: Duration::from_nanos(1_300),
-            aead_ns_per_byte: 1.2,
+            // Fitted to `cargo bench -p lcm-bench --bench crypto` on the
+            // 2-core reference container (ChaCha20-Poly1305, mean of
+            // encrypt and decrypt): 145 B 0.43 µs, 1 KiB 1.70 µs,
+            // 16 KiB 23.4 µs ⇒ 1.41 ns/B over a 0.25 µs intercept.
+            aead_fixed: Duration::from_nanos(250),
+            aead_ns_per_byte: 1.4,
             enclave_exec: Duration::from_micros(2),
             hash_step: Duration::from_nanos(600),
             frontend_contention: 0.04,
@@ -176,6 +180,12 @@ impl Default for CostModel {
             replica_ack: Duration::from_micros(2),
             delta_store: Duration::from_micros(1),
             seal_fixed: Duration::from_micros(3),
+            // Stays at the paper testbed's AES-NI GCM rate (≈ 4 GB/s):
+            // the full-state seal is what places the SGX baseline in
+            // Fig. 5/6. This workspace's software AEAD seals bulk at
+            // 1.4 ns/B (criterion `aead/encrypt/335872`: 0.65 GiB/s);
+            // at that rate the modelled SGX/Native ratio falls to
+            // about 0.03–0.45× against the paper's 0.42–0.78×.
             seal_ns_per_byte: 0.25,
             lcm_premium_100: 0.2519,  // 1/(1-0.2012) - 1
             lcm_premium_2500: 0.1231, // 1/(1-0.1096) - 1

@@ -514,7 +514,11 @@ impl DeltaLogStorage {
                 let batch = std::mem::take(&mut core.queue);
                 let first = batch.first().map(|r| r.0).unwrap_or(epoch);
                 let last = batch.last().map(|r| r.0).unwrap_or(epoch);
-                let mut buf = core.head_buf.clone();
+                // The head mirror leaves the core for the write (only
+                // the committer touches it) and grows in place; a failed
+                // write cuts it back to the records acknowledged so far.
+                let mut buf = std::mem::take(&mut core.head_buf);
+                let durable_len = buf.len();
                 for (e, s, b) in &batch {
                     framing::append_frame(&mut buf, &encode_record(*e, s, b));
                 }
@@ -522,14 +526,17 @@ impl DeltaLogStorage {
                 // lock is released so more lanes can enqueue meanwhile.
                 drop(core);
                 let written = self.inner.store(HEAD_SLOT, &buf);
+                if written.is_err() {
+                    buf.truncate(durable_len);
+                }
                 core = self.lock_core();
+                core.head_buf = buf;
                 core.committing = false;
                 core.committed_epoch = last;
                 match written {
                     Ok(()) => {
                         core.stats.group_commits += 1;
                         core.stats.records_appended += batch.len() as u64;
-                        core.head_buf = buf;
                         for (e, s, b) in batch {
                             core.head_index.push((e, s.clone()));
                             core.slots.entry(s).or_default().deltas.insert(e, b);

@@ -7,7 +7,8 @@
 //! This crate re-exports the workspace's public API under one roof; see
 //! the individual crates for details:
 //!
-//! * [`crypto`] — SHA-256 / HMAC / HKDF / ChaCha20 / AEAD primitives.
+//! * [`crypto`] — SHA-256 / HMAC / HKDF / ChaCha20-Poly1305 AEAD
+//!   primitives.
 //! * [`tee`] — SGX-like trusted-execution-environment simulator.
 //! * [`storage`] — stable storage with adversarial (rollback) wrappers.
 //! * [`net`] — adversary-controllable links (hold, tamper, replay)
