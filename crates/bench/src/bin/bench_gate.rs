@@ -21,8 +21,9 @@
 use std::process::ExitCode;
 
 use lcm_bench::gate::{
-    compare, delta_independence, parse_config, parse_snapshot, reshard_recovery, shard_scaleout,
-    tolerance_from_env, DELTA_INDEPENDENCE_FLOOR, RESHARD_RECOVERY_FLOOR, SHARD_SCALEOUT_FLOOR,
+    compare, delta_independence, parse_config, parse_snapshot, replica_state_independence,
+    reshard_recovery, shard_scaleout, tolerance_from_env, DELTA_INDEPENDENCE_FLOOR,
+    REPLICA_STATE_INDEPENDENCE_FLOOR, RESHARD_RECOVERY_FLOOR, SHARD_SCALEOUT_FLOOR,
 };
 
 type Snapshot = (Vec<lcm_bench::gate::Cell>, Option<String>);
@@ -40,6 +41,40 @@ fn load(path: &str) -> Option<Snapshot> {
         eprintln!("bench_gate: {path} is not an lcm-bench-snapshot/1 document");
     }
     Some((cells?, parse_config(&text)))
+}
+
+/// Gates one ratio between two cells of the fresh snapshot against its
+/// floor; returns whether it failed. Only enforced once the committed
+/// baseline carries the cells (old baselines gate nothing, rather than
+/// failing spuriously) — from then on the fresh snapshot losing them
+/// is a failure too. `meaning` says what a ratio under the floor
+/// means.
+fn below_floor(
+    what: &str,
+    baseline: Option<f64>,
+    fresh: Option<f64>,
+    floor: f64,
+    meaning: &str,
+) -> bool {
+    if baseline.is_none() {
+        return false;
+    }
+    match fresh {
+        Some(ratio) if ratio >= floor => {
+            println!("{what}: {ratio:.2}x (floor {floor:.2})");
+            false
+        }
+        Some(ratio) => {
+            eprintln!("bench_gate: {what} {ratio:.2}x fell below the {floor:.2} floor — {meaning}");
+            true
+        }
+        None => {
+            eprintln!(
+                "bench_gate: fresh snapshot lost the cells behind {what}, which the baseline gates"
+            );
+            true
+        }
+    }
 }
 
 fn main() -> ExitCode {
@@ -119,92 +154,52 @@ fn main() -> ExitCode {
         );
         failed |= v.failed;
     }
-    // State-size independence of the delta-log engine, gated on the
-    // *fresh* snapshot's own ratio: the per-cell band above tolerates
-    // both delta cells drifting with the runner, but the 10⁶-record
+    // Invariants gated on the *fresh* snapshot's own ratios, not cell
+    // by cell against the baseline: the per-cell band above tolerates
+    // two cells drifting together with the runner, but one falling
+    // away from the other is the regression each ratio exists to
+    // catch.
+    //
+    // State-size independence of the delta-log engine: the 10⁶-record
     // cell falling away from the small one means a persist path has
-    // started scaling with resident state again. Only enforced once
-    // the committed baseline carries the delta cells.
-    if delta_independence(&baseline).is_some() {
-        match delta_independence(&fresh) {
-            Some(ratio) if ratio >= DELTA_INDEPENDENCE_FLOOR => {
-                println!(
-                    "delta-log state-size independence: {ratio:.2}x \
-                     (floor {DELTA_INDEPENDENCE_FLOOR})"
-                );
-            }
-            Some(ratio) => {
-                eprintln!(
-                    "bench_gate: delta-log independence ratio {ratio:.2} fell below \
-                     the {DELTA_INDEPENDENCE_FLOOR} floor — the 10^6-record store \
-                     costs more than 2x the small one per write"
-                );
-                failed = true;
-            }
-            None => {
-                eprintln!(
-                    "bench_gate: fresh snapshot lost the delta-log cells the \
-                     baseline gates"
-                );
-                failed = true;
-            }
-        }
-    }
-    // Routing invariants of the epoch-versioned slice table, gated on
-    // the *fresh* snapshot's own ratios (same rationale as the delta
-    // independence check): the per-cell band tolerates the runner
-    // drifting, but the reshard cell falling back toward the hot cell
-    // — or the uniform 8-shard fan-out falling back to 4-shard
-    // throughput — is exactly the scaling the slice router exists to
-    // buy. Only enforced once the committed baseline carries the
-    // cells.
+    // started scaling with resident state again.
+    failed |= below_floor(
+        "delta-log state-size independence",
+        delta_independence(&baseline),
+        delta_independence(&fresh),
+        DELTA_INDEPENDENCE_FLOOR,
+        "the 10^6-record store costs more than 2x the small one per write",
+    );
+    // The same invariant one layer up (ROADMAP item 2's gate): a
+    // quorum write moves and persists the batch's sealed delta on every
+    // member, so a 100x larger store must cost a replicated write at
+    // most 1.5x.
+    failed |= below_floor(
+        "replica-group state-size independence",
+        replica_state_independence(&baseline),
+        replica_state_independence(&fresh),
+        REPLICA_STATE_INDEPENDENCE_FLOOR,
+        "a quorum write over the 10^5-record store costs more than 1.5x the small one",
+    );
+    // Routing invariants of the epoch-versioned slice table: the
+    // reshard cell falling back toward the hot cell — or the uniform
+    // 8-shard fan-out falling back to 4-shard throughput — is exactly
+    // the scaling the slice router exists to buy.
     for base in ["sync", "pipelined"] {
-        if reshard_recovery(&baseline, base).is_some() {
-            match reshard_recovery(&fresh, base) {
-                Some(ratio) if ratio >= RESHARD_RECOVERY_FLOOR => {
-                    println!(
-                        "{base} reshard recovery: {ratio:.2}x (floor {RESHARD_RECOVERY_FLOOR})"
-                    );
-                }
-                Some(ratio) => {
-                    eprintln!(
-                        "bench_gate: {base} reshard recovery {ratio:.2} fell below the \
-                         {RESHARD_RECOVERY_FLOOR} floor — live slice migration no longer \
-                         relieves the hot shard"
-                    );
-                    failed = true;
-                }
-                None => {
-                    eprintln!(
-                        "bench_gate: fresh snapshot lost the {base} reshard/hot cells the \
-                         baseline gates"
-                    );
-                    failed = true;
-                }
-            }
-        }
-        if shard_scaleout(&baseline, base).is_some() {
-            match shard_scaleout(&fresh, base) {
-                Some(ratio) if ratio >= SHARD_SCALEOUT_FLOOR => {
-                    println!("{base} 8-over-4-shard scale-out: {ratio:.2}x (floor {SHARD_SCALEOUT_FLOOR})");
-                }
-                Some(ratio) => {
-                    eprintln!(
-                        "bench_gate: {base} 8-shard throughput is only {ratio:.2}x the 4-shard \
-                         cell (floor {SHARD_SCALEOUT_FLOOR}) — the shard fan-out stopped \
-                         scaling past 4"
-                    );
-                    failed = true;
-                }
-                None => {
-                    eprintln!(
-                        "bench_gate: fresh snapshot lost the {base} 4/8-shard cells the \
-                         baseline gates"
-                    );
-                    failed = true;
-                }
-            }
-        }
+        failed |= below_floor(
+            &format!("{base} reshard recovery"),
+            reshard_recovery(&baseline, base),
+            reshard_recovery(&fresh, base),
+            RESHARD_RECOVERY_FLOOR,
+            "live slice migration no longer relieves the hot shard",
+        );
+        failed |= below_floor(
+            &format!("{base} 8-over-4-shard scale-out"),
+            shard_scaleout(&baseline, base),
+            shard_scaleout(&fresh, base),
+            SHARD_SCALEOUT_FLOOR,
+            "the shard fan-out stopped scaling past 4",
+        );
     }
     if failed {
         eprintln!(

@@ -52,7 +52,9 @@
 
 use std::time::Duration;
 
-use lcm_bench::gate::{DELTA_LARGE_MODE, DELTA_SMALL_MODE};
+use lcm_bench::gate::{
+    DELTA_LARGE_MODE, DELTA_SMALL_MODE, REP_DELTA_LARGE_MODE, REP_DELTA_SMALL_MODE,
+};
 use lcm_bench::shardbench::{
     measure, measure_delta, measure_for, measure_frontend_admitted, measure_frontend_for,
     measure_replicated_reads, measure_replicated_write, measure_resharded, DeltaRun, ReplicaRun,
@@ -83,10 +85,17 @@ const HOT_STORE_DELAY: Duration = Duration::from_millis(4);
 
 /// Replicated-group parameters: one shard group at 1 (control) and
 /// `REPLICAS` members. The write cells track the quorum's cost (each
-/// batch pays `replicas` persisted copies); the read cells track
-/// follower-read scale-out (`REP_READERS` threads hammering the
-/// lock-per-member read port, legs pinned round-robin).
+/// batch pays one persist per member — the followers apply the
+/// leader's sealed batch delta); the read cells track follower-read
+/// scale-out (`REP_READERS` threads hammering the lock-per-member read
+/// port, legs pinned round-robin). The `rep-delta-*` cells repeat the
+/// `REPLICAS`-member write cell over the delta log with a 10³- and a
+/// 10⁵-record store underneath: what ships and what each member
+/// persists is batch-shaped, so their ratio must stay near 1 —
+/// `bench_gate` enforces the 1/1.5 floor on the fresh ratio.
 const REPLICAS: u32 = 3;
+const REP_DELTA_SMALL: u32 = 1_000;
+const REP_DELTA_LARGE: u32 = 100_000;
 const REP_CLIENTS: u32 = 32;
 const REP_READERS: u32 = 6;
 /// Modelled enclave-transition cost per member ecall. Like
@@ -204,6 +213,8 @@ fn main() {
             rounds,
             store_delay: STORE_DELAY,
             ecall_cost: ECALL_COST,
+            preload: 0,
+            delta_log: false,
         };
         let write = measure_replicated_write(&cfg);
         let wmode = format!("rep-write-{replicas}");
@@ -213,6 +224,24 @@ fn main() {
         let rmode = format!("rep-read-{replicas}");
         println!("{rmode:>13} x 1 shard(s): {read:>10.0} ops/s");
         results.push((rmode, 1, read, None));
+    }
+
+    for (label, preload) in [
+        (REP_DELTA_SMALL_MODE, REP_DELTA_SMALL),
+        (REP_DELTA_LARGE_MODE, REP_DELTA_LARGE),
+    ] {
+        let ops = measure_replicated_write(&ReplicaRun {
+            replicas: REPLICAS,
+            batch: BATCH,
+            clients: REP_CLIENTS,
+            rounds,
+            store_delay: STORE_DELAY,
+            ecall_cost: ECALL_COST,
+            preload,
+            delta_log: true,
+        });
+        println!("{label:>15} x 1 shard(s): {ops:>10.0} ops/s");
+        results.push((label.to_string(), 1, ops, None));
     }
 
     // Sealed delta-log engine: identical write workload, resident
@@ -250,6 +279,7 @@ fn main() {
         ops_of("pipelined-reshard", HOT_SHARDS) / ops_of("pipelined-hot", HOT_SHARDS);
     let rep_write_cost = ops_of("rep-write-1", 1) / ops_of(&format!("rep-write-{REPLICAS}"), 1);
     let rep_read_scaleout = ops_of(&format!("rep-read-{REPLICAS}"), 1) / ops_of("rep-read-1", 1);
+    let rep_independence = ops_of(REP_DELTA_LARGE_MODE, 1) / ops_of(REP_DELTA_SMALL_MODE, 1);
     let delta_independence = ops_of(DELTA_LARGE_MODE, 1) / ops_of(DELTA_SMALL_MODE, 1);
     println!("4-shard speedup: sync {sync_speedup:.2}x, pipelined {pipe_speedup:.2}x");
     println!("8-over-4-shard scale-out: sync {scaleout_sync:.2}x, pipelined {scaleout_pipe:.2}x");
@@ -266,6 +296,10 @@ fn main() {
          follower-read scale-out {rep_read_scaleout:.2}x"
     );
     println!(
+        "replica-group state-size independence: {rep_independence:.2}x \
+         ({REP_DELTA_LARGE} vs {REP_DELTA_SMALL} resident records)"
+    );
+    println!(
         "delta-log state-size independence: {delta_independence:.2}x \
          ({DELTA_LARGE} vs {DELTA_SMALL} resident records)"
     );
@@ -280,7 +314,8 @@ fn main() {
          \"hot_clients\": {HOT_CLIENTS}, \"hot_store_delay_us\": {}, \
          \"window_ms\": {}, \"replicas\": {REPLICAS}, \
          \"rep_clients\": {REP_CLIENTS}, \"rep_readers\": {REP_READERS}, \
-         \"ecall_cost_us\": {}, \"delta_small\": {DELTA_SMALL}, \
+         \"ecall_cost_us\": {}, \"rep_delta_small\": {REP_DELTA_SMALL}, \
+         \"rep_delta_large\": {REP_DELTA_LARGE}, \"delta_small\": {DELTA_SMALL}, \
          \"delta_large\": {DELTA_LARGE}}},\n",
         STORE_DELAY.as_micros(),
         HOT_STORE_DELAY.as_micros(),
@@ -315,6 +350,9 @@ fn main() {
     json.push_str(&format!(
         "  \"replica_group_{REPLICAS}x\": {{\"write_cost\": {rep_write_cost:.3}, \
          \"read_scaleout\": {rep_read_scaleout:.3}}},\n"
+    ));
+    json.push_str(&format!(
+        "  \"replica_state_independence\": {rep_independence:.3},\n"
     ));
     json.push_str(&format!(
         "  \"delta_independence\": {delta_independence:.3}\n"

@@ -179,6 +179,20 @@ pub mod gate {
     /// path has started scaling with resident state again.
     pub const DELTA_INDEPENDENCE_FLOOR: f64 = 0.5;
 
+    /// Snapshot mode label of the replicated delta-log cell over a
+    /// 10³-record store.
+    pub const REP_DELTA_SMALL_MODE: &str = "rep-delta-small";
+    /// Snapshot mode label of the replicated delta-log cell over a
+    /// 10⁵-record store.
+    pub const REP_DELTA_LARGE_MODE: &str = "rep-delta-large";
+    /// Floor on `rep-delta-large / rep-delta-small`: a quorum write
+    /// over a store 100x the size may cost at most 1.5x. Replication
+    /// ships the sealed batch delta and each member persists it as its
+    /// own log record, so the true ratio sits near 1; a ratio under
+    /// the floor means a group member has started moving, hashing or
+    /// re-sealing resident state per batch again.
+    pub const REPLICA_STATE_INDEPENDENCE_FLOOR: f64 = 1.0 / 1.5;
+
     /// Floor on the `*-reshard / *-hot` recovery ratio per mode: the
     /// heat-aware rebalancer must at least double the skewed
     /// deployment's throughput. Measured recovery sits above 3x (the
@@ -202,14 +216,20 @@ pub mod gate {
     /// noise the per-cell band tolerates; the reshard cell falling
     /// back toward the hot cell is the regression.
     pub fn reshard_recovery(cells: &[Cell], base: &str) -> Option<f64> {
-        let ops = |mode: String| {
+        mode_ratio(cells, &format!("{base}-reshard"), &format!("{base}-hot"))
+    }
+
+    /// `ops/s` of the `over` cell divided by that of the `under` cell,
+    /// when both are present and measured something.
+    fn mode_ratio(cells: &[Cell], over: &str, under: &str) -> Option<f64> {
+        let ops = |mode: &str| {
             cells
                 .iter()
                 .find(|c| c.mode == mode)
                 .map(|c| c.ops_per_s)
                 .filter(|x| *x > 0.0)
         };
-        Some(ops(format!("{base}-reshard"))? / ops(format!("{base}-hot"))?)
+        Some(ops(over)? / ops(under)?)
     }
 
     /// The uniform `8-shard / 4-shard` throughput ratio of a snapshot
@@ -235,14 +255,15 @@ pub mod gate {
     /// but the large cell falling away from the small one is exactly
     /// the state-size dependence the engine exists to remove.
     pub fn delta_independence(cells: &[Cell]) -> Option<f64> {
-        let ops = |mode: &str| {
-            cells
-                .iter()
-                .find(|c| c.mode == mode)
-                .map(|c| c.ops_per_s)
-                .filter(|x| *x > 0.0)
-        };
-        Some(ops(DELTA_LARGE_MODE)? / ops(DELTA_SMALL_MODE)?)
+        mode_ratio(cells, DELTA_LARGE_MODE, DELTA_SMALL_MODE)
+    }
+
+    /// The replicated group's large-over-small write throughput ratio
+    /// of a snapshot (`rep-delta-large / rep-delta-small`), when both
+    /// cells are present. Gated on the fresh snapshot directly, like
+    /// [`delta_independence`] and for the same reason.
+    pub fn replica_state_independence(cells: &[Cell]) -> Option<f64> {
+        mode_ratio(cells, REP_DELTA_LARGE_MODE, REP_DELTA_SMALL_MODE)
     }
 
     /// One gate verdict: the baseline cell, what was measured, and
@@ -466,6 +487,15 @@ pub mod gate {
             // ratio.
             let zeroed = vec![cell(DELTA_SMALL_MODE, 0.0), cell(DELTA_LARGE_MODE, 100.0)];
             assert!(delta_independence(&zeroed).is_none());
+            // The replicated twin reads its own pair of cells.
+            assert!(replica_state_independence(&cells).is_none());
+            let rep = vec![
+                cell(REP_DELTA_SMALL_MODE, 1_500.0),
+                cell(REP_DELTA_LARGE_MODE, 900.0),
+            ];
+            let ratio = replica_state_independence(&rep).unwrap();
+            assert!((ratio - 0.6).abs() < 1e-9);
+            assert!(ratio < REPLICA_STATE_INDEPENDENCE_FLOOR, "1.67x the cost");
         }
 
         #[test]
@@ -563,7 +593,7 @@ pub mod shardbench {
     use lcm_core::types::ClientId;
     use lcm_kvs::ops::KvOp;
     use lcm_kvs::store::KvStore;
-    use lcm_storage::{DelayedStorage, DeltaLogStorage, MemoryStorage};
+    use lcm_storage::{DelayedStorage, DeltaLogStorage, MemoryStorage, StableStorage};
     use lcm_tee::world::TeeWorld;
 
     /// One measurement configuration.
@@ -919,6 +949,32 @@ pub mod shardbench {
         pub store_delay: Duration,
     }
 
+    /// Processes everything submitted and hands each reply to the
+    /// client it is for.
+    fn settle(server: &mut Box<dyn BatchServer>, clients: &mut [LcmClient]) {
+        for (id, wire) in server.process_all().unwrap() {
+            let c = clients.iter_mut().find(|c| c.id() == id).unwrap();
+            c.handle_reply(&wire).unwrap();
+        }
+    }
+
+    /// Bulk-loads `records` synthetic 100-byte records with one
+    /// [`KvOp::Fill`] by the first client (no-op for 0).
+    fn preload(server: &mut Box<dyn BatchServer>, clients: &mut [LcmClient], records: u32) {
+        use lcm_core::codec::WireCodec;
+        if records == 0 {
+            return;
+        }
+        let fill = KvOp::Fill {
+            pin: b"fill".to_vec(),
+            start: 0,
+            count: records,
+            value_len: 100,
+        };
+        server.submit(clients[0].invoke_for::<KvStore>(&fill.to_bytes()).unwrap());
+        settle(server, clients);
+    }
+
     /// Write ops/s of the KVS stack persisting through the sealed
     /// delta-log engine. The tracked signal is the *ratio* between a
     /// large-`preload` cell and a small one (`delta-1M` over
@@ -954,25 +1010,10 @@ pub mod shardbench {
                 let op = KvOp::Put(format!("w{i}-{tag}").into_bytes(), vec![0x42u8; 100]);
                 server.submit(c.invoke_for::<KvStore>(&op.to_bytes()).unwrap());
             }
-            for (id, wire) in server.process_all().unwrap() {
-                let c = clients.iter_mut().find(|c| c.id() == id).unwrap();
-                c.handle_reply(&wire).unwrap();
-            }
+            settle(server, clients);
         };
 
-        if cfg.preload > 0 {
-            let fill = KvOp::Fill {
-                pin: b"fill".to_vec(),
-                start: 0,
-                count: cfg.preload,
-                value_len: 100,
-            };
-            server.submit(clients[0].invoke_for::<KvStore>(&fill.to_bytes()).unwrap());
-            for (id, wire) in server.process_all().unwrap() {
-                let c = clients.iter_mut().find(|c| c.id() == id).unwrap();
-                c.handle_reply(&wire).unwrap();
-            }
-        }
+        preload(&mut server, &mut clients, cfg.preload);
         // Warm-up round: flush the preload's deferred compaction
         // checkpoint outside the measurement.
         round(&mut server, &mut clients, cfg.rounds);
@@ -1013,13 +1054,25 @@ pub mod shardbench {
         /// scale against: reads pinned to distinct members overlap
         /// their service time, reads to one member serialize it.
         pub ecall_cost: Duration,
+        /// Records bulk-loaded (one [`KvOp::Fill`] through the quorum)
+        /// before the write cell's clock starts.
+        pub preload: u32,
+        /// Whether the members persist through one shared
+        /// [`DeltaLogStorage`] (sealed deltas, group commit) instead of
+        /// whole-state blobs.
+        pub delta_log: bool,
     }
 
     fn setup_replicated(cfg: &ReplicaRun) -> (Box<dyn BatchServer>, Vec<LcmClient>) {
         use lcm_core::shard::{build_replicated, ReplicationSpec};
         let world = TeeWorld::new_deterministic(8_700 + u64::from(cfg.replicas));
         world.set_ecall_cost(cfg.ecall_cost);
-        let storage = Arc::new(DelayedStorage::new(MemoryStorage::new(), cfg.store_delay));
+        let disk = Arc::new(DelayedStorage::new(MemoryStorage::new(), cfg.store_delay));
+        let storage: Arc<dyn StableStorage> = if cfg.delta_log {
+            Arc::new(DeltaLogStorage::open(disk).expect("engine opens on empty storage"))
+        } else {
+            disk
+        };
         let spec = ReplicationSpec {
             shards: 1,
             replicas: cfg.replicas,
@@ -1041,23 +1094,29 @@ pub mod shardbench {
 
     /// Write ops/s of the replica group: every acknowledged write
     /// waits for the majority quorum, so each batch pays the leader's
-    /// store plus `replicas - 1` follower applies (each persisting its
-    /// own sealed copy through the delayed device).
+    /// persist plus `replicas - 1` follower applies of the batch's
+    /// sealed delta, each ending in that member's own persist through
+    /// the delayed device. With a preload, the fill and the
+    /// compaction checkpoints it forces on the following persist run
+    /// before the clock starts, as in [`measure_delta`].
     pub fn measure_replicated_write(cfg: &ReplicaRun) -> f64 {
         use lcm_core::codec::WireCodec;
         let (mut server, mut clients) = setup_replicated(cfg);
         let payload = vec![0x42u8; 100];
-        let t0 = Instant::now();
-        for _ in 0..cfg.rounds {
+        let round = |server: &mut Box<dyn BatchServer>, clients: &mut Vec<LcmClient>| {
             for (i, c) in clients.iter_mut().enumerate() {
                 let op = KvOp::Put(format!("k{i}").into_bytes(), payload.clone());
                 server.submit(c.invoke_for::<KvStore>(&op.to_bytes()).unwrap());
             }
-            let replies = server.process_all().unwrap();
-            for (id, wire) in replies {
-                let c = clients.iter_mut().find(|c| c.id() == id).unwrap();
-                c.handle_reply(&wire).unwrap();
-            }
+            settle(server, clients);
+        };
+        if cfg.preload > 0 {
+            preload(&mut server, &mut clients, cfg.preload);
+            round(&mut server, &mut clients);
+        }
+        let t0 = Instant::now();
+        for _ in 0..cfg.rounds {
+            round(&mut server, &mut clients);
         }
         server.flush_persists().unwrap();
         f64::from(cfg.clients * cfg.rounds) / t0.elapsed().as_secs_f64()

@@ -18,6 +18,39 @@
 //!                     any failed assert (attack detected)                ▼
 //!                                                                      Halted
 //! ```
+//!
+//! # Chain position
+//!
+//! Every sealed state blob is tied into one hash chain. The context's
+//! **chain position** names the state its last sealed (or applied)
+//! blob leaves behind, and every delta seals the position it applies
+//! to — for recovery from a delta log and for a replica group's
+//! followers alike ([`TrustedContext::apply_replica`]). The rule that
+//! keeps "position" and "state" one-to-one:
+//!
+//! * a delta moves the position to `H("lcm.delta-chain" ‖ delta
+//!   plaintext)` — on the member that sealed it and on every member
+//!   that applies it, so the position is a function of the executed
+//!   batches alone;
+//! * a checkpoint sealed right after that (a group member's own
+//!   persist on a blob store, a follower's persist after an apply)
+//!   *records* the position it stands at instead of replacing it;
+//! * every other checkpoint — provisioning, admin, migration, slice
+//!   moves, a batch persisted without a delta — seals a state no
+//!   delta leads to, and takes a fresh root
+//!   `H("lcm.ckpt-anchor" ‖ …)` first. A group's members derive the
+//!   same genesis root from their provisioning payload; later roots
+//!   are random, and the checkpoint that carries one is what the
+//!   group ships.
+//!
+//! Cross-generation replay stays impossible although the chain runs on
+//! across checkpoints: every position commits to its predecessor (and
+//! ultimately to a root that is random or binds `kP`), so positions
+//! never repeat, and a delta applies at exactly the one position —
+//! hence the one state — it was sealed against. Recording a position
+//! in a checkpoint whose state moved *without* a delta would break
+//! that (one position, two states: a later delta could be spliced
+//! onto the older one), which is why only the two cases above record.
 
 use lcm_crypto::aead::{self, AeadKey};
 use lcm_crypto::keys::SecretKey;
@@ -39,10 +72,11 @@ pub const LABEL_KEY_BLOB: &[u8] = b"lcm.keyblob";
 pub const LABEL_STATE_BLOB: &[u8] = b"lcm.state";
 /// AAD label for per-batch sealed delta blobs (sealed under `kP`).
 pub const LABEL_DELTA_BLOB: &[u8] = b"lcm.delta";
-/// Domain separator for the anchor digest a checkpoint carries.
+/// Domain separator for a chain *root*: the position a checkpoint
+/// takes when no delta leads to the state it seals (the rule is the
+/// [module docs](self#chain-position)' *Chain position* section).
 const ANCHOR_CKPT: &[u8] = b"lcm.ckpt-anchor";
-/// Domain separator for the anchor chaining one delta to its
-/// predecessor.
+/// Domain separator for the position a delta leaves behind.
 const ANCHOR_DELTA: &[u8] = b"lcm.delta-chain";
 /// Emit a checkpoint instead of a delta once the sealed deltas since
 /// the last checkpoint exceed `max(this, last checkpoint size)` bytes —
@@ -559,6 +593,15 @@ pub struct PersistBlobs {
     pub key_blob: Vec<u8>,
     /// Sealed protocol + service state under `kP` — slot `lcm.state`.
     pub state_blob: Vec<u8>,
+    /// The batch's **replication record**, for the host to hand to the
+    /// group's followers ([`TrustedContext::apply_replica`]): the
+    /// sealed, position-chained delta of exactly what the batch
+    /// changed, whatever shape `state_blob` takes for this member's
+    /// own storage. `Some` only on the batch path of a group member
+    /// (`ShardIdentity::replicas > 1`) whose functionality tracks
+    /// changes; everywhere else the sealed state itself is what a
+    /// follower installs.
+    pub record: Option<Vec<u8>>,
 }
 
 /// The sealed artifacts of [`TrustedContext::export_slice`]: one live
@@ -767,60 +810,59 @@ impl<F: Functionality> TrustedContext<F> {
         Ok(InitOutcome::Resumed)
     }
 
-    /// Restores from a kind-tagged sealed state blob: a checkpoint or
-    /// a delta-log bundle. Requires `self.keys` (at least `kP`).
-    fn restore_sealed_state(&mut self, state_blob: &[u8]) -> Result<()> {
-        let aead_p = self
+    /// Opens a blob of storage kind `kind` sealed under `kP` with
+    /// `label`. Anything but an intact blob of that kind is tampering:
+    /// the context halts. Requires `self.keys` (at least `kP`).
+    fn open_sealed(&mut self, blob: &[u8], kind: u8, label: &[u8]) -> Result<Vec<u8>> {
+        let aead_p = &self
             .keys
             .as_ref()
             .expect("caller installs keys first")
-            .aead_p
-            .clone();
-        match state_blob.split_first() {
-            Some((&lcm_storage::BLOB_KIND_CHECKPOINT, sealed)) => {
-                let plain = match aead::auth_decrypt(&aead_p, sealed, LABEL_STATE_BLOB) {
-                    Ok(p) => p,
-                    Err(_) => return Err(self.halt(Violation::BadAuthentication)),
-                };
-                self.restore_state(&plain)
-            }
-            Some((&lcm_storage::BLOB_KIND_BUNDLE, _)) => {
-                let Some((ckpt, deltas)) = lcm_storage::parse_bundle(state_blob) else {
-                    return Err(self.halt(Violation::BadAuthentication));
-                };
-                let sealed = match ckpt.split_first() {
-                    Some((&lcm_storage::BLOB_KIND_CHECKPOINT, s)) => s,
-                    _ => return Err(self.halt(Violation::BadAuthentication)),
-                };
-                let plain = match aead::auth_decrypt(&aead_p, sealed, LABEL_STATE_BLOB) {
-                    Ok(p) => p,
-                    Err(_) => return Err(self.halt(Violation::BadAuthentication)),
-                };
-                self.restore_state(&plain)?;
-                for delta in deltas {
-                    let sealed = match delta.split_first() {
-                        Some((&lcm_storage::BLOB_KIND_DELTA, s)) => s,
-                        _ => return Err(self.halt(Violation::BadAuthentication)),
-                    };
-                    let plain = match aead::auth_decrypt(&aead_p, sealed, LABEL_DELTA_BLOB) {
-                        Ok(p) => p,
-                        Err(_) => return Err(self.halt(Violation::BadAuthentication)),
-                    };
-                    self.apply_delta_plain(&plain)?;
-                    // The log still holds this delta: it counts toward
-                    // the checkpoint cadence exactly as when emitted,
-                    // or reboots would grow the log without bound.
-                    self.delta_bytes += delta.len();
-                }
-                Ok(())
-            }
-            _ => Err(self.halt(Violation::BadAuthentication)),
-        }
+            .aead_p;
+        let opened = match blob.split_first() {
+            Some((&k, sealed)) if k == kind => aead::auth_decrypt(aead_p, sealed, label).ok(),
+            _ => None,
+        };
+        opened.ok_or_else(|| self.halt(Violation::BadAuthentication))
     }
 
-    /// Replays one decrypted delta onto the current state, verifying it
-    /// chains from the anchor of the previously restored blob.
-    fn apply_delta_plain(&mut self, plain: &[u8]) -> Result<()> {
+    /// Restores from a kind-tagged sealed state blob: a checkpoint or
+    /// a delta-log bundle. Requires `self.keys` (at least `kP`).
+    fn restore_sealed_state(&mut self, state_blob: &[u8]) -> Result<()> {
+        use lcm_storage::{BLOB_KIND_BUNDLE, BLOB_KIND_CHECKPOINT, BLOB_KIND_DELTA};
+        if state_blob.first() != Some(&BLOB_KIND_BUNDLE) {
+            let plain = self.open_sealed(state_blob, BLOB_KIND_CHECKPOINT, LABEL_STATE_BLOB)?;
+            return self.restore_state(&plain);
+        }
+        let Some((ckpt, deltas)) = lcm_storage::parse_bundle(state_blob) else {
+            return Err(self.halt(Violation::BadAuthentication));
+        };
+        let plain = self.open_sealed(ckpt, BLOB_KIND_CHECKPOINT, LABEL_STATE_BLOB)?;
+        self.restore_state(&plain)?;
+        for delta in deltas {
+            let plain = self.open_sealed(delta, BLOB_KIND_DELTA, LABEL_DELTA_BLOB)?;
+            if !self.apply_delta_plain(&plain)? {
+                // A journal the storage itself assembled must be one
+                // unbroken chain: the host spliced records across
+                // generations or reordered it.
+                return Err(self.halt(Violation::BadAuthentication));
+            }
+            // The log still holds this delta: it counts toward the
+            // checkpoint cadence exactly as when emitted, or reboots
+            // would grow the log without bound.
+            self.delta_bytes += delta.len();
+        }
+        Ok(())
+    }
+
+    /// Replays one decrypted delta onto the current state — the one
+    /// function behind delta-by-delta recovery *and* a follower's
+    /// apply of a replication record. The delta applies only at the
+    /// chain position it was sealed against: `Ok(false)`, with nothing
+    /// mutated, when this context stands anywhere else. What that
+    /// means is the caller's to say — a broken journal on the recovery
+    /// path, a record delivered out of turn on the replication path.
+    fn apply_delta_plain(&mut self, plain: &[u8]) -> Result<bool> {
         let mut r = Reader::new(plain);
         let decoded = (|| -> std::result::Result<_, crate::codec::CodecError> {
             let prev = r.get_digest()?;
@@ -834,17 +876,14 @@ impl<F: Functionality> TrustedContext<F> {
             return Err(self.halt(Violation::BadAuthentication));
         };
         if prev != self.persist_anchor {
-            // The delta was sealed against a different predecessor:
-            // the host spliced records across generations or reordered
-            // the journal.
-            return Err(self.halt(Violation::BadAuthentication));
+            return Ok(false);
         }
         self.stable_floor = floor;
         self.v.apply_entries(dv);
         self.f.apply_delta(&f_delta).map_err(LcmError::from)?;
         self.resume_from_latest();
         self.persist_anchor = lcm_crypto::sha256::digest_parts(&[ANCHOR_DELTA, plain]);
-        Ok(())
+        Ok(true)
     }
 
     /// Installs keys and the initial group from the admin's attested
@@ -877,6 +916,14 @@ impl<F: Functionality> TrustedContext<F> {
     }
 
     fn install(&mut self, payload: ProvisionPayload) -> Result<PersistBlobs> {
+        // The genesis chain root commits to everything a group's
+        // members are provisioned with alike — keys, clients, quorum,
+        // shard slot, group size — and to nothing else, so all of them
+        // start at one position and the leader's first record applies
+        // on every follower.
+        let mut shared = payload.clone();
+        shared.identity.replica = 0;
+        self.persist_anchor = lcm_crypto::sha256::digest_parts(&[ANCHOR_CKPT, &shared.to_bytes()]);
         self.keys = Some(Keys::from_raw(payload.k_p, payload.k_c, payload.k_a));
         self.identity = Some(payload.identity);
         // Genesis routing table: epoch 0, slices spread uniformly
@@ -890,7 +937,7 @@ impl<F: Functionality> TrustedContext<F> {
         self.h = ChainValue::GENESIS;
         self.admin_seq = 0;
         self.phase = Phase::Ready;
-        self.persist_blobs()
+        self.seal_blobs(false)
     }
 
     /// Produces an attestation report over the verifier's challenge
@@ -1332,84 +1379,140 @@ impl<F: Functionality> TrustedContext<F> {
         sealed.map_err(|e| LcmError::Tee(e.to_string()))
     }
 
-    /// Installs a sibling's sealed state blob on this group member —
-    /// the replication half of the replicated-shard design.
+    /// Applies one record of the group's replication stream on this
+    /// member — the single follower entry point of the
+    /// replicated-shard design. The record's kind byte picks the path,
+    /// exactly as it does for recovery from storage:
     ///
-    /// The blob is the leader's [`PersistBlobs::state_blob`], sealed
-    /// under the shared protocol key `kP`: any member provisioned with
-    /// the same `kP` can decrypt and install it, and *only* such
-    /// members can. The installed state replaces this member's `V`,
-    /// `t`, `h`, stability floor and service snapshot wholesale; the
-    /// member keeps its **own** replica identity (asserting the blob
-    /// names the same group — a blob from a different shard halts).
+    /// * a **delta** (the leader's per-batch
+    ///   [`PersistBlobs::record`]) is opened under the shared `kP` and
+    ///   replayed by the function delta-by-delta recovery runs —
+    ///   replication is continuous recovery. It applies only at the
+    ///   chain position it was sealed against; delivered anywhere
+    ///   else it is refused with [`LcmError::RecordOutOfOrder`],
+    ///   **without** touching the state and **without** halting: which
+    ///   record reaches which member when is host scheduling (a member
+    ///   that was dead, a promotion), and a member that missed a
+    ///   record is levelled with a checkpoint, not accused.
+    /// * a **checkpoint or bundle** (what the leader's storage slot
+    ///   holds: catch-up after a reboot or promotion, control-plane
+    ///   re-seals, functionalities that do not track changes) replaces
+    ///   this member's `V`, `t`, `h`, stability floor, service state
+    ///   and chain position wholesale, leaving it where the sealer
+    ///   stood; the member keeps its **own** replica identity
+    ///   (asserting the sealer is of the same group — another shard's
+    ///   state halts). The install is unconditional: a host that ships
+    ///   a stale checkpoint merely produces a lagging follower (reads
+    ///   answer `behind`, later deltas are refused), and a promotion
+    ///   that loses an unacknowledged suffix is what clients detect as
+    ///   rollback — see [`crate::replica`].
     ///
-    /// Returns the in-enclave digest of the blob — the follower's
-    /// acknowledgement the host counts toward quorum stability — plus
-    /// this member's re-sealed blobs to persist.
-    ///
-    /// The install is deliberately unconditional (no monotonicity
-    /// check against the member's previous state): *which* blob to
-    /// ship, and when, is host scheduling and therefore untrusted.
-    /// A host that ships a stale blob merely produces a lagging
-    /// follower (reads answer `behind`), and a promotion that loses an
-    /// unacknowledged suffix is exactly what clients detect as
-    /// rollback via their context checks — see the module docs of
-    /// [`crate::replica`] for the full trust-boundary argument.
+    /// Returns the in-enclave digest of the record — the
+    /// acknowledgement the host counts toward quorum stability, so
+    /// only a record this enclave accepted can be acked — plus what
+    /// this member persists as its *own* storage dictates: the
+    /// leader's sealed delta verbatim as the next record of a delta
+    /// log (same `kP`, no identity inside, nothing to re-seal), one
+    /// sealed checkpoint otherwise. Either way it records the position
+    /// the apply arrived at, and carries no key blob: keys cannot
+    /// change on this path.
     ///
     /// # Errors
     ///
-    /// * [`LcmError::Violation`] — the blob failed authentication or
+    /// * [`LcmError::RecordOutOfOrder`] — a delta for another
+    ///   position; state unchanged, the context keeps serving.
+    /// * [`LcmError::Violation`] — the record failed authentication or
     ///   names a different shard group; the context halts.
     /// * [`LcmError::NotProvisioned`] / [`LcmError::Halted`] — wrong
     ///   phase.
-    pub fn apply_replica(&mut self, state_blob: &[u8]) -> Result<(Digest, PersistBlobs)> {
+    pub fn apply_replica(&mut self, record: &[u8]) -> Result<(Digest, PersistBlobs)> {
         self.require_ready()?;
-        let own = self.identity.expect("ready implies identity");
-        self.restore_sealed_state(state_blob)?;
-        let sealer = self.identity.expect("restored state carries an identity");
-        if !sealer.same_group(&own) {
-            // The dummy client id marks a violation with no invoking
-            // client: the host shipped another shard's state here.
-            let shard_epoch = self.table.epoch();
-            return Err(self.halt(Violation::WrongShard {
-                client: ClientId(0),
-                delivered_to: own.index,
-                owner: sealer.index,
-                wire_epoch: shard_epoch,
-                shard_epoch,
-            }));
-        }
-        self.identity = Some(own);
-        let digest = lcm_crypto::sha256::digest(state_blob);
-        let blobs = self.persist_blobs()?;
-        Ok((digest, blobs))
+        let state_blob = if record.first() == Some(&lcm_storage::BLOB_KIND_DELTA) {
+            let plain = self.open_sealed(record, lcm_storage::BLOB_KIND_DELTA, LABEL_DELTA_BLOB)?;
+            if !self.apply_delta_plain(&plain)? {
+                return Err(LcmError::RecordOutOfOrder);
+            }
+            if self.logs_deltas() {
+                self.delta_bytes += record.len();
+                record.to_vec()
+            } else {
+                self.seal_checkpoint(false)?
+            }
+        } else {
+            let own = self.identity.expect("ready implies identity");
+            self.restore_sealed_state(record)?;
+            let sealer = self.identity.expect("restored state carries an identity");
+            if !sealer.same_group(&own) {
+                // The dummy client id marks a violation with no invoking
+                // client: the host shipped another shard's state here.
+                let shard_epoch = self.table.epoch();
+                return Err(self.halt(Violation::WrongShard {
+                    client: ClientId(0),
+                    delivered_to: own.index,
+                    owner: sealer.index,
+                    wire_epoch: shard_epoch,
+                    shard_epoch,
+                }));
+            }
+            self.identity = Some(own);
+            self.seal_checkpoint(false)?
+        };
+        let blobs = PersistBlobs {
+            key_blob: Vec::new(),
+            state_blob,
+            record: None,
+        };
+        Ok((lcm_crypto::sha256::digest(record), blobs))
     }
 
     /// Seals the current protocol + service state as a full checkpoint
-    /// for the host to persist. Control-plane paths (provisioning,
-    /// admin, migration, replica installs) always checkpoint — their
-    /// effects (key rotation, membership, identity) are deliberately
-    /// excluded from the delta format.
+    /// at a **fresh chain root** for the host to persist. Control-plane
+    /// paths (provisioning, admin, migration, slice moves) always end
+    /// here — their effects (key rotation, membership, identity) are
+    /// deliberately excluded from the delta format, so no delta leads
+    /// to the state they seal (see the [module docs](self#chain-position)).
     ///
     /// # Errors
     ///
     /// * [`LcmError::NotProvisioned`] when no keys are installed.
     pub fn persist_blobs(&mut self) -> Result<PersistBlobs> {
-        let keys = self.keys.as_ref().ok_or(LcmError::NotProvisioned)?;
+        self.seal_blobs(true)
+    }
 
+    /// The key blob and a checkpoint, in the nonce order every
+    /// control-plane persist has always used.
+    fn seal_blobs(&mut self, reroot: bool) -> Result<PersistBlobs> {
+        let keys = self.keys.as_ref().ok_or(LcmError::NotProvisioned)?;
         let mut key_plain = Writer::with_capacity(64);
         key_plain.put_raw(keys.k_p.as_bytes());
         key_plain.put_raw(keys.k_a.as_bytes());
         let seal_key = AeadKey::from_secret(&self.services.sealing_key());
+        let nonce = self.next_nonce();
+        let key_blob =
+            aead::auth_encrypt_with_nonce(&seal_key, &nonce, key_plain.as_slice(), LABEL_KEY_BLOB)
+                .map_err(|e| LcmError::Tee(e.to_string()))?;
+        Ok(PersistBlobs {
+            key_blob: tag_blob(lcm_storage::BLOB_KIND_OPAQUE, key_blob),
+            state_blob: self.seal_checkpoint(reroot)?,
+            record: None,
+        })
+    }
+
+    /// Seals the whole protocol + service state as a kind-tagged
+    /// checkpoint. With `reroot` the chain takes a fresh random root
+    /// first; without, the checkpoint records the position the context
+    /// stands at — only correct right after a delta (sealed or
+    /// applied) or an install put it there (see the
+    /// [module docs](self#chain-position)).
+    fn seal_checkpoint(&mut self, reroot: bool) -> Result<Vec<u8>> {
+        let keys = self.keys.as_ref().ok_or(LcmError::NotProvisioned)?;
         let aead_p = keys.aead_p.clone();
         let k_c = keys.k_c.clone();
-
-        let nonce_a = self.next_nonce();
-        let nonce_b = self.next_nonce();
-        // A fresh anchor roots the delta chain that follows this
-        // checkpoint; the unique nonce makes it distinct per
-        // checkpoint, so deltas cannot be replayed across generations.
-        let anchor = lcm_crypto::sha256::digest_parts(&[ANCHOR_CKPT, &nonce_b]);
+        let nonce = self.next_nonce();
+        if reroot {
+            // The unique nonce makes the root distinct per checkpoint.
+            self.persist_anchor = lcm_crypto::sha256::digest_parts(&[ANCHOR_CKPT, &nonce]);
+        }
 
         // Reset the functionality's change tracking: the snapshot below
         // is the new baseline deltas build on.
@@ -1431,60 +1534,30 @@ impl<F: Functionality> TrustedContext<F> {
         self.table.encode(&mut state_plain);
         crate::stability::encode_vmap(self.v.map(), &mut state_plain);
         state_plain.put_bytes(&self.f.snapshot());
-        state_plain.put_digest(&anchor);
+        state_plain.put_digest(&self.persist_anchor);
 
-        let key_blob = aead::auth_encrypt_with_nonce(
-            &seal_key,
-            &nonce_a,
-            key_plain.as_slice(),
-            LABEL_KEY_BLOB,
-        );
-        let state_blob = aead::auth_encrypt_with_nonce(
+        let sealed = aead::auth_encrypt_with_nonce(
             &aead_p,
-            &nonce_b,
+            &nonce,
             state_plain.as_slice(),
             LABEL_STATE_BLOB,
         );
-        self.persist_anchor = anchor;
         self.delta_bytes = 0;
         self.last_ckpt_len = state_plain.len();
         self.touched.clear();
         self.scratch = state_plain;
-        Ok(PersistBlobs {
-            key_blob: tag_blob(
-                lcm_storage::BLOB_KIND_OPAQUE,
-                key_blob.map_err(|e| LcmError::Tee(e.to_string()))?,
-            ),
-            state_blob: tag_blob(
-                lcm_storage::BLOB_KIND_CHECKPOINT,
-                state_blob.map_err(|e| LcmError::Tee(e.to_string()))?,
-            ),
-        })
+        Ok(tag_blob(
+            lcm_storage::BLOB_KIND_CHECKPOINT,
+            sealed.map_err(|e| LcmError::Tee(e.to_string()))?,
+        ))
     }
 
-    /// The per-batch persist: a sealed delta when the host's storage
-    /// supports it and the cadence allows, a full checkpoint otherwise
-    /// (the checkpoint is also the compaction point the delta-log
-    /// engine garbage-collects against).
-    ///
-    /// A delta carries only what a batch can change — the stable
+    /// Seals what changed since the last persisted blob — the stable
     /// floor, the touched clients' `V` entries (with their cached
-    /// replies), and the functionality's own state diff — chained to
-    /// the previous blob by [`Self::persist_blobs`]'s anchor. Its
-    /// `key_blob` is empty: keys never change on the batch path, and
-    /// the host skips the redundant store.
-    ///
-    /// # Errors
-    ///
-    /// * [`LcmError::NotProvisioned`] when no keys are installed.
-    pub fn persist_batch_blobs(&mut self) -> Result<PersistBlobs> {
-        if !self.delta_mode || self.delta_bytes > self.last_ckpt_len.max(DELTA_CHECKPOINT_MIN) {
-            return self.persist_blobs();
-        }
-        let Some(f_delta) = self.f.take_delta() else {
-            // The functionality does not track changes.
-            return self.persist_blobs();
-        };
+    /// replies) and the functionality's own diff `f_delta` — as a
+    /// kind-tagged delta chained from the current position, and moves
+    /// the position past it.
+    fn seal_delta(&mut self, f_delta: &[u8]) -> Result<Vec<u8>> {
         let keys = self.keys.as_ref().ok_or(LcmError::NotProvisioned)?;
         let aead_p = keys.aead_p.clone();
 
@@ -1499,7 +1572,7 @@ impl<F: Functionality> TrustedContext<F> {
             }
         }
         crate::stability::encode_vmap(&dv, &mut delta_plain);
-        delta_plain.put_bytes(&f_delta);
+        delta_plain.put_bytes(f_delta);
 
         let anchor = lcm_crypto::sha256::digest_parts(&[ANCHOR_DELTA, delta_plain.as_slice()]);
         let nonce = self.next_nonce();
@@ -1510,17 +1583,69 @@ impl<F: Functionality> TrustedContext<F> {
             LABEL_DELTA_BLOB,
         );
         self.scratch = delta_plain;
-        let state_blob = tag_blob(
+        let delta = tag_blob(
             lcm_storage::BLOB_KIND_DELTA,
             sealed.map_err(|e| LcmError::Tee(e.to_string()))?,
         );
         self.persist_anchor = anchor;
-        self.delta_bytes += state_blob.len();
         self.touched.clear();
-        Ok(PersistBlobs {
-            key_blob: Vec::new(),
-            state_blob,
-        })
+        Ok(delta)
+    }
+
+    /// Whether this member's next persist may be a delta: the host's
+    /// storage journals them and the log since the last checkpoint is
+    /// still within the cadence budget.
+    fn logs_deltas(&self) -> bool {
+        self.delta_mode && self.delta_bytes <= self.last_ckpt_len.max(DELTA_CHECKPOINT_MIN)
+    }
+
+    /// The per-batch persist.
+    ///
+    /// A lane outside a group seals a delta when the host's storage
+    /// supports it and the cadence allows, a full checkpoint otherwise
+    /// (the checkpoint is also the compaction point the delta-log
+    /// engine garbage-collects against). A delta carries only what a
+    /// batch can change, chained from the current position. Its
+    /// `key_blob` is empty: keys never change on the batch path, and
+    /// the host skips the redundant store.
+    ///
+    /// A **group member** (`replicas > 1` in its attested identity)
+    /// seals that delta for every batch, whatever its own storage is,
+    /// and returns it as the [`PersistBlobs::record`] its followers
+    /// apply; its own persist is the same delta on a delta log, or one
+    /// checkpoint recording the position the delta arrived at. A
+    /// functionality that does not track changes gets the solo path:
+    /// the checkpoint itself is what the group ships.
+    ///
+    /// # Errors
+    ///
+    /// * [`LcmError::NotProvisioned`] when no keys are installed.
+    pub fn persist_batch_blobs(&mut self) -> Result<PersistBlobs> {
+        let in_group = self.identity.is_some_and(|id| id.replicas > 1);
+        let log_delta = self.logs_deltas();
+        if !(log_delta || in_group) {
+            return self.persist_blobs();
+        }
+        let Some(f_delta) = self.f.take_delta() else {
+            // The functionality does not track changes.
+            return self.persist_blobs();
+        };
+        let delta = self.seal_delta(&f_delta)?;
+        if log_delta {
+            self.delta_bytes += delta.len();
+            Ok(PersistBlobs {
+                key_blob: Vec::new(),
+                record: in_group.then(|| delta.clone()),
+                state_blob: delta,
+            })
+        } else {
+            // Only a group member gets here without a delta log.
+            Ok(PersistBlobs {
+                key_blob: Vec::new(),
+                state_blob: self.seal_checkpoint(false)?,
+                record: Some(delta),
+            })
+        }
     }
 
     fn restore_state(&mut self, plain: &[u8]) -> Result<()> {

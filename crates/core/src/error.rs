@@ -135,6 +135,13 @@ pub enum LcmError {
     OperationPending,
     /// A retry was requested but no operation is pending.
     NothingToRetry,
+    /// A replication record was delivered to a group member standing
+    /// at a different chain position than the one it was sealed
+    /// against (the member missed a record, or saw this one already).
+    /// Not an attack: delivery order is host scheduling. The member's
+    /// state is unchanged and it keeps serving; the group levels it
+    /// with a checkpoint (see [`crate::replica`]).
+    RecordOutOfOrder,
     /// Wire-format decoding failure of *trusted* data (sealed state) —
     /// distinct from message tampering, which surfaces as a
     /// [`Violation::BadAuthentication`] before decoding.
@@ -155,6 +162,12 @@ impl fmt::Display for LcmError {
             LcmError::UnknownClient(c) => write!(f, "unknown client {c}"),
             LcmError::OperationPending => write!(f, "an operation is already pending"),
             LcmError::NothingToRetry => write!(f, "no pending operation to retry"),
+            LcmError::RecordOutOfOrder => {
+                write!(
+                    f,
+                    "replication record does not chain from this member's position"
+                )
+            }
             LcmError::Codec(e) => write!(f, "codec failure: {e}"),
             LcmError::Tee(e) => write!(f, "TEE failure: {e}"),
             LcmError::Storage(e) => write!(f, "storage failure: {e}"),

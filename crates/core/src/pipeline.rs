@@ -372,7 +372,7 @@ mod tests {
             ("import_migration_as", |s, _| {
                 drop(s.import_migration_as(vec![], 0, 1))
             }),
-            ("apply_replica", |s, _| drop(s.apply_replica(vec![]))),
+            ("apply_replica", |s, _| drop(s.apply_replica(&[]))),
             ("export_slice", |s, _| drop(s.export_slice(0, 0))),
             ("import_slice", |s, _| drop(s.import_slice(vec![]))),
             ("adopt_table", |s, _| drop(s.adopt_table(vec![]))),

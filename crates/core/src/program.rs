@@ -21,7 +21,13 @@ use crate::{LcmError, Violation};
 
 /// Name under which LCM programs are measured.
 pub const PROGRAM_NAME: &str = "lcm";
-/// Version string folded into the measurement. Version 5 introduces
+/// Version string folded into the measurement. Version 6 makes the
+/// anchor-chained delta the replication stream: a group member's
+/// batch reply carries a replication record
+/// ([`crate::context::PersistBlobs::record`]),
+/// [`HostCall::ApplyReplica`] replays it with the recovery path's own
+/// function, and the chain position continues across checkpoints
+/// instead of re-rooting at each one. Version 5 introduced
 /// epoch-versioned routing: the enclave holds a
 /// [`crate::routing::SliceTable`], every wire envelope and AAD carries
 /// the sender's routing epoch, and three new ecalls move slices
@@ -38,7 +44,7 @@ pub const PROGRAM_NAME: &str = "lcm";
 /// reads ([`HostCall::ServeRead`]). Version 2 introduced the shard
 /// identity binding into attestation reports; version 1 was
 /// identity-less. Each is distinguishable by measurement.
-pub const PROGRAM_VERSION: &str = "5";
+pub const PROGRAM_VERSION: &str = "6";
 
 /// The LCM measurement: identical for every `LcmProgram<F>` so that the
 /// sealing key survives restarts of the same service.
@@ -80,8 +86,10 @@ pub enum HostCall {
     ExportMigration,
     /// Import a migration ticket (target side).
     ImportMigration(Vec<u8>),
-    /// Install a sibling's sealed state blob on this replica-group
-    /// member (see [`crate::context::TrustedContext::apply_replica`]).
+    /// Apply one record of the group's replication stream — the
+    /// leader's sealed batch delta, or a sealed checkpoint/bundle — on
+    /// this replica-group member (see
+    /// [`crate::context::TrustedContext::apply_replica`]).
     ApplyReplica(Vec<u8>),
     /// Serve a replica-pinned verified read leg (see
     /// [`crate::context::TrustedContext::serve_read`]).
@@ -158,10 +166,7 @@ impl WireCodec for HostCall {
                 w.put_u8(CALL_IMPORT_MIG);
                 w.put_bytes(ticket);
             }
-            HostCall::ApplyReplica(blob) => {
-                w.put_u8(CALL_APPLY_REPLICA);
-                w.put_bytes(blob);
-            }
+            HostCall::ApplyReplica(record) => HostCall::encode_apply_replica_into(w, record),
             HostCall::ServeRead(wire) => {
                 w.put_u8(CALL_SERVE_READ);
                 w.put_bytes(wire);
@@ -259,13 +264,14 @@ pub enum HostReply {
     AttestOk(Vec<u8>),
     /// A migration ticket (origin side).
     MigrationTicket(Vec<u8>),
-    /// A sibling state blob was installed on this member.
+    /// A replication record was applied on this member.
     ApplyOk {
-        /// In-enclave digest of the installed blob — the member's
+        /// In-enclave digest of the applied record — the member's
         /// acknowledgement the host counts toward replica-quorum
         /// stability.
         digest: Digest,
-        /// This member's re-sealed blobs to persist.
+        /// What this member persists for it: the record itself on a
+        /// delta log, its own sealed checkpoint otherwise.
         blobs: PersistBlobs,
     },
     /// A verified read leg was served; the encrypted read reply.
@@ -304,6 +310,9 @@ pub const ERR_NOT_PROVISIONED: u8 = 3;
 pub const ERR_ALREADY_PROVISIONED: u8 = 4;
 /// Error code: other failure.
 pub const ERR_OTHER: u8 = 5;
+/// Error code: a replication record for another chain position; the
+/// context is unchanged and keeps serving.
+pub const ERR_RECORD_OUT_OF_ORDER: u8 = 6;
 
 impl From<&LcmError> for ReplyError {
     fn from(e: &LcmError) -> Self {
@@ -312,6 +321,7 @@ impl From<&LcmError> for ReplyError {
             LcmError::Halted => ERR_HALTED,
             LcmError::NotProvisioned => ERR_NOT_PROVISIONED,
             LcmError::AlreadyProvisioned => ERR_ALREADY_PROVISIONED,
+            LcmError::RecordOutOfOrder => ERR_RECORD_OUT_OF_ORDER,
             _ => ERR_OTHER,
         };
         // For violations, carry the evidence text itself — the
@@ -333,6 +343,7 @@ impl ReplyError {
             ERR_HALTED => LcmError::Halted,
             ERR_NOT_PROVISIONED => LcmError::NotProvisioned,
             ERR_ALREADY_PROVISIONED => LcmError::AlreadyProvisioned,
+            ERR_RECORD_OUT_OF_ORDER => LcmError::RecordOutOfOrder,
             _ => LcmError::Tee(self.message),
         }
     }
@@ -352,12 +363,14 @@ const REPLY_SLICE_EXPORTED: u8 = 10;
 fn encode_blobs(w: &mut Writer, blobs: &PersistBlobs) {
     w.put_bytes(&blobs.key_blob);
     w.put_bytes(&blobs.state_blob);
+    encode_opt_bytes(w, blobs.record.as_deref());
 }
 
 fn decode_blobs(r: &mut Reader<'_>) -> Result<PersistBlobs, CodecError> {
     Ok(PersistBlobs {
         key_blob: r.get_bytes()?.to_vec(),
         state_blob: r.get_bytes()?.to_vec(),
+        record: decode_opt_bytes(r)?,
     })
 }
 
@@ -497,6 +510,14 @@ impl HostCall {
         for m in batch {
             w.put_bytes(m);
         }
+    }
+
+    /// Encodes an `ApplyReplica` call directly into `w` from a
+    /// borrowed record: one record fans out to every follower of a
+    /// group, and none of them needs a copy of its own to encode from.
+    pub fn encode_apply_replica_into(w: &mut Writer, record: &[u8]) {
+        w.put_u8(CALL_APPLY_REPLICA);
+        w.put_bytes(record);
     }
 }
 
@@ -655,6 +676,7 @@ mod tests {
         let blobs = PersistBlobs {
             key_blob: b"kb".to_vec(),
             state_blob: b"sb".to_vec(),
+            record: Some(b"rec".to_vec()),
         };
         let replies = vec![
             HostReply::InitOk {
@@ -676,6 +698,7 @@ mod tests {
                 blobs: PersistBlobs {
                     key_blob: b"kb".to_vec(),
                     state_blob: b"sb".to_vec(),
+                    record: None,
                 },
             },
             HostReply::ReadOk(b"read-reply".to_vec()),
@@ -685,6 +708,7 @@ mod tests {
                 blobs: PersistBlobs {
                     key_blob: b"kb".to_vec(),
                     state_blob: b"sb".to_vec(),
+                    record: None,
                 },
             },
             HostReply::Err(ReplyError {
@@ -713,6 +737,85 @@ mod tests {
         }
     }
 
+    /// What `BatchOk` carries for one batch of one `Counter` increment
+    /// on an enclave provisioned as `identity`: `(state blob kind,
+    /// record)`.
+    fn batch_ok_for(
+        identity: crate::context::ShardIdentity,
+        want_deltas: bool,
+    ) -> (u8, Option<Vec<u8>>) {
+        use crate::client::LcmClient;
+        use crate::context::{ProvisionPayload, LABEL_PROVISION};
+        use crate::functionality::Counter;
+        use lcm_crypto::aead::{self, AeadKey};
+        use lcm_crypto::keys::SecretKey;
+        use lcm_tee::world::TeeWorld;
+
+        let world = TeeWorld::new_deterministic(2);
+        let platform = world.platform_deterministic(1);
+        let mut enclave = lcm_tee::enclave::Enclave::<LcmProgram<Counter>>::create(&platform);
+        enclave.start().unwrap();
+        let mut call = |call: HostCall| {
+            HostReply::from_bytes(&enclave.ecall(&call.to_bytes()).unwrap()).unwrap()
+        };
+        call(HostCall::Init {
+            key_blob: None,
+            state_blob: None,
+            want_deltas,
+        });
+        let k_c = SecretKey::from_bytes([2u8; 32]);
+        let payload = ProvisionPayload {
+            k_p: SecretKey::from_bytes([1u8; 32]),
+            k_c: k_c.clone(),
+            k_a: SecretKey::from_bytes([3u8; 32]),
+            clients: vec![ClientId(1)],
+            quorum: crate::stability::Quorum::Majority,
+            identity,
+        };
+        let channel = AeadKey::from_secret(&world.admin_provision_key(&lcm_measurement()));
+        let sealed = aead::auth_encrypt(&channel, &payload.to_bytes(), LABEL_PROVISION).unwrap();
+        assert!(matches!(
+            call(HostCall::Provision(sealed)),
+            HostReply::ProvisionOk(PersistBlobs { record: None, .. })
+        ));
+        let mut client = LcmClient::new(ClientId(1), &k_c);
+        let wire = client.invoke(&Counter::inc_op(b"n", 1)).unwrap();
+        match call(HostCall::InvokeBatch(vec![wire])) {
+            HostReply::BatchOk { blobs, .. } => (blobs.state_blob[0], blobs.record),
+            other => panic!("expected BatchOk, got {other:?}"),
+        }
+    }
+
+    /// Which record a batch ships is decided by what the enclave can
+    /// observe — its attested group size — and by nothing the host
+    /// says: a lane outside a group builds and seals no record on
+    /// either storage kind, a group member emits one on both.
+    #[test]
+    fn only_group_members_emit_a_replication_record() {
+        use crate::context::ShardIdentity;
+        use lcm_storage::{BLOB_KIND_CHECKPOINT, BLOB_KIND_DELTA};
+        let member = ShardIdentity::SOLO.with_replica(0, 3);
+
+        assert_eq!(
+            batch_ok_for(ShardIdentity::SOLO, false),
+            (BLOB_KIND_CHECKPOINT, None)
+        );
+        assert_eq!(
+            batch_ok_for(ShardIdentity::SOLO, true),
+            (BLOB_KIND_DELTA, None)
+        );
+        // On a blob store the member persists a checkpoint and ships
+        // the delta beside it; on a delta log the two are one blob.
+        let (kind, record) = batch_ok_for(member, false);
+        assert_eq!(kind, BLOB_KIND_CHECKPOINT);
+        assert_eq!(record.unwrap()[0], BLOB_KIND_DELTA);
+        let (kind, record) = batch_ok_for(member, true);
+        assert_eq!(
+            (kind, record.unwrap()[0]),
+            (BLOB_KIND_DELTA, BLOB_KIND_DELTA)
+        );
+    }
+
     #[test]
     fn reply_error_reconstruction() {
         let e = ReplyError {
@@ -725,5 +828,9 @@ mod tests {
             message: String::new(),
         };
         assert_eq!(e.into_lcm_error(), LcmError::NotProvisioned);
+        // A refusal must stay distinguishable from a failure across
+        // the boundary: the group levels on one and drops on the other.
+        let e = ReplyError::from(&LcmError::RecordOutOfOrder);
+        assert_eq!(e.into_lcm_error(), LcmError::RecordOutOfOrder);
     }
 }

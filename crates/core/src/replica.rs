@@ -1,46 +1,136 @@
-//! Replicated shard groups: quorum-stable writes, failover, and
-//! verified read scale-out.
+//! Replicated shard groups: quorum-stable writes over one sealed
+//! record stream, failover, and verified read scale-out.
 //!
 //! [`ReplicaGroup`] runs one shard as a group of 2f+1 replicas. The
-//! *leader* executes and seals every batch exactly as a solo server
-//! would; the host then ships the sealed state blob to each follower,
-//! whose enclave installs it ([`LcmServer::apply_replica`]) and
-//! acknowledges with the in-enclave digest of what it installed. A
-//! batch's replies are released to clients only once a **quorum**
-//! ([`Quorum::required`] of the group size) of replicas holds the
-//! sealed state — the same threshold machinery the protocol already
-//! uses for client stability ([`crate::stability`]), applied to
-//! replicas instead of clients.
+//! *leader* executes every batch exactly as a solo server would; its
+//! enclave, knowing from its attested identity that it is a group
+//! member, hands the host a **replication record** next to the blobs
+//! it persists. The host gives that record to every follower
+//! ([`BatchServer::apply_replica`]), each follower's enclave verifies
+//! and applies it, persists as its *own* storage dictates, and
+//! acknowledges with the in-enclave digest of the record. A batch's
+//! replies are released to clients only once a **quorum**
+//! ([`Quorum::required`] of the group size, leader included) has
+//! persisted the batch — the same threshold machinery the protocol
+//! already uses for client stability ([`crate::stability`]), applied
+//! to replicas instead of clients.
 //!
-//! ## What the quorum buys
+//! ## The stream
 //!
-//! A write acknowledged to a client is held by at least f+1 replicas
-//! (majority quorum over 2f+1). If at most f replicas crash, at least
-//! one surviving replica holds every acknowledged write, and failover
-//! promotes the live replica with the freshest applied state — so no
-//! acknowledged write is ever lost, and a client that comes back after
-//! a failover finds its `(tc, hc)` context intact: **no fork-detection
-//! false positives**. Batches that executed but never reached quorum
-//! have their replies withheld; after a crash their effects may be
-//! lost, which clients experience as an unacknowledged operation to
-//! retry (§4.6.1 cached-reply retries make the retry exact), or — if
-//! the host maliciously restarts from a stale replica — as an honest
-//! rollback detection. Either way the guarantee matches the paper's:
-//! only the *unacknowledged suffix* is ever in question.
+//! A record is a kind-tagged blob sealed under the group-shared `kP`;
+//! the kind byte picks the follower's path, exactly as it does when a
+//! context recovers from storage:
+//!
+//! * **Delta** — the sealed batch delta (`position ‖ stable floor ‖
+//!   touched V entries ‖ the functionality's diff`): what every batch
+//!   ships. The follower replays it with the function delta-by-delta
+//!   recovery runs, so *replication is continuous recovery* and moves
+//!   O(batch) bytes however large the state is. Each delta seals the
+//!   **chain position** it applies to and moves the position to a hash
+//!   of itself (the rule is the [`crate::context`] module docs' *Chain
+//!   position* section); a follower applies it only while standing at
+//!   that position.
+//! * **Checkpoint / bundle** — what the leader's state slot holds
+//!   ([`BatchServer::sealed_state`]): the whole state, installed
+//!   wholesale, leaving the follower at the sealer's position. Ships
+//!   where no delta can: to *level* a member that is out of step with
+//!   the leader (rebooted, promoted past, restored from its own medium
+//!   after a whole-group restart), after control-plane calls (admin,
+//!   slice export/import, table adoption, migration — their effects
+//!   are outside the delta format and re-root the chain), and for
+//!   functionalities that do not track changes, whose own persist path
+//!   seals checkpoints too.
+//!
+//! Which kind ships is decided by what the leader's enclave observed
+//! (group membership, whether `F` tracks changes, whether the call was
+//! control-plane); the host has no say and there is no option.
+//!
+//! ## Who may refuse what
+//!
+//! * A follower's enclave refuses a delta sealed against a position
+//!   other than its own with [`LcmError::RecordOutOfOrder`], touching
+//!   nothing. That is **not a violation**: which record reaches which
+//!   member, and when, is host scheduling — a member that was dead, a
+//!   promotion, a reboot from an older medium all produce it honestly,
+//!   and an enclave that halted on it would turn every failover into
+//!   an accusation. The group levels that member with the leader's
+//!   sealed state in the same step ([`GroupStats::relevels`]); the
+//!   refusal cost it nothing but the ack.
+//! * Anything that is *not* the group's own sealed bytes — an AEAD
+//!   failure, a wrong label or kind, a checkpoint sealed by another
+//!   shard's group — halts the follower's enclave with a
+//!   [`crate::Violation`], and the group drops the member
+//!   ([`GroupStats::followers_dropped`]) until it is rebooted.
+//! * Recovery *from storage* keeps halting on a broken chain: a bundle
+//!   is one journal the medium assembled, and a gap in it is tampering.
+//!
+//! ## The composed guarantee
+//!
+//! *Definitions.* The **chain position** of a member is the digest its
+//! enclave holds after the last blob it sealed or applied; positions
+//! never repeat (each commits to its predecessor, roots are random or
+//! bind `kP`), so a position names one state. A record is
+//! **quorum-held** once [`Quorum::required`] members — the leader
+//! after its own [`BatchServer::flush_persists`] — have persisted it
+//! and each acked with a digest computed inside its enclave over the
+//! record it applied. A write is **acknowledged** when its reply was
+//! released, which happens only for quorum-held records (release is
+//! all-or-nothing over the withheld prefix: holding the newest record
+//! implies, by the chain, holding every earlier one).
+//!
+//! *Assumptions.* At most f of the 2f+1 members crash (majority
+//! quorum); `kP` is confined to attested members of the group; member
+//! storage is rollback-prone like any LCM storage (that is what the
+//! clients' own `(tc, hc)` checks are for); stability additionally
+//! needs the paper's honest-client majority.
+//!
+//! *Claim.* Quorum-held ∧ hash-chained ⇒ every acknowledged write is
+//! in the state of whichever member is promoted, and in that member's
+//! `V` entry for the writing client — so a client that returns after a
+//! failover finds its `(tc, hc)` context intact: **no lost
+//! acknowledged write, no fork-detection false positive**. Sketch: an
+//! acknowledged write's record is held by f+1 members; at most f
+//! crash, so a live holder exists; promotion picks the live member
+//! with the freshest acked record, whose position — by the chain —
+//! implies every earlier record. A host cannot manufacture a holder:
+//! an ack exists only for a record the follower's enclave accepted,
+//! and it accepts a delta only in order. Batches that executed but
+//! never reached quorum have their replies withheld; after a crash
+//! their effects may be lost, which clients experience as an
+//! unacknowledged operation to retry (§4.6.1 cached-reply retries make
+//! the retry exact), or — if the host promotes a stale member past
+//! these rules — as an honest rollback detection. Only the
+//! *unacknowledged suffix* is ever in question, as in the paper.
+//!
+//! *Tests that would fail if it were false.*
+//! `failover_promotes_the_live_member_with_the_freshest_state`,
+//! `leader_death_drops_withheld_replies_and_the_retry_is_exact` and
+//! `whole_group_reboot_relevels_the_laggard` below;
+//! `tests/replication_stream.rs` (`replication_equals_recovery`, and
+//! the adversarial-stream cases: a dropped, duplicated, swapped,
+//! cross-generation, corrupted or foreign record changes no state and
+//! earns no ack); the failover-stress tier, which checks every
+//! client's history with the omniscient verifiers under kill /
+//! promote / reboot churn.
 //!
 //! ## Trust boundary
 //!
 //! The **host** schedules everything here: which member is leader,
-//! when blobs ship, when a follower is promoted. None of that is
+//! when records ship, when a follower is promoted. None of that is
 //! trusted. Correctness rests on the enclaves and the clients:
 //!
-//! * a follower's enclave only installs blobs sealed by a member of
-//!   the *same group* (same shard slot, same group size — attested
-//!   identity coordinates, checked in
+//! * a follower's enclave applies only records sealed under the
+//!   group's `kP`, deltas only in chain order, and checkpoints only
+//!   from a member of the *same group* (same shard slot, same group
+//!   size — attested identity coordinates, checked in
 //!   [`crate::context::TrustedContext::apply_replica`]);
 //! * the acknowledgement digest is computed *inside* the follower's
-//!   enclave over the exact blob it installed, so a host cannot forge
-//!   quorum by acking blobs it never delivered;
+//!   enclave over the exact record it applied, so a host cannot forge
+//!   quorum by acking records it never delivered, or delivered out of
+//!   order;
+//! * no chain position, nor any other hash of plaintext, leaves an
+//!   enclave unsealed — the host learns that a member is out of step
+//!   only from its refusal;
 //! * read replies are sealed by the serving replica's enclave under an
 //!   AAD that pins the replica index, so a host cannot substitute one
 //!   replica's answer for another's; and
@@ -65,10 +155,9 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use lcm_crypto::sha256::{self, Digest};
-use lcm_storage::StableStorage;
 use lcm_tee::attestation::Quote;
 
-use crate::server::{BatchServer, ReadPort, Replies, SLOT_STATE_BLOB};
+use crate::server::{BatchServer, ReadPort, Replies};
 use crate::stability::Quorum;
 use crate::types::ClientId;
 use crate::wire::ReadHint;
@@ -76,25 +165,13 @@ use crate::{LcmError, Result};
 
 #[allow(unused_imports)] // rustdoc links
 use crate::functionality::Functionality;
-#[allow(unused_imports)] // rustdoc links
-use crate::server::LcmServer;
 
-/// A member server paired with the storage it persists into. The group
-/// needs the storage handle to lift the leader's sealed state blob off
-/// the medium and ship it to followers — replication rides the same
-/// blob the crash-recovery path already trusts.
-pub struct ReplicaMember {
-    /// The member's host server (solo or pipelined).
-    pub server: Box<dyn BatchServer>,
-    /// The member's stable storage, as the host sees it.
-    pub storage: Arc<dyn StableStorage>,
-}
+type MemberServer = Arc<Mutex<Box<dyn BatchServer>>>;
 
 struct Member {
-    server: Arc<Mutex<Box<dyn BatchServer>>>,
-    storage: Arc<dyn StableStorage>,
+    server: MemberServer,
     alive: bool,
-    /// Epoch (group batch counter) of the last blob this member is
+    /// Epoch (group record counter) of the last record this member is
     /// known to hold; the promotion key on failover.
     applied_epoch: u64,
 }
@@ -110,8 +187,19 @@ pub struct GroupStats {
     /// Withheld (never quorum-acknowledged) replies dropped on a
     /// leader death — clients retry these.
     pub replies_dropped: u64,
-    /// State blobs successfully applied by followers.
+    /// Records (deltas and sealed states alike) successfully applied
+    /// by followers.
     pub blobs_applied: u64,
+    /// Followers that refused a record as out of order and were
+    /// levelled with the leader's sealed state instead. Zero in a
+    /// fault-free run: a group's members are provisioned at one
+    /// position and every record reaches every live member in turn.
+    pub relevels: u64,
+    /// Followers dropped from the group (until rebooted) because an
+    /// apply failed for any other reason: the enclave detected a
+    /// violation and halted, its persist failed, or its ack did not
+    /// match the record shipped.
+    pub followers_dropped: u64,
 }
 
 /// One shard executed by a 2f+1 replica group. Implements
@@ -127,28 +215,28 @@ pub struct ReplicaGroup {
     queue: VecDeque<Vec<u8>>,
     /// Replies executed by the leader but not yet quorum-held, FIFO.
     withheld: VecDeque<(ClientId, Vec<u8>)>,
-    /// Group batch counter; bumped per sealed batch shipped.
+    /// Group record counter; bumped per record shipped.
     epoch: u64,
     stats: GroupStats,
 }
 
 impl ReplicaGroup {
-    /// Builds a group from its members. The first member starts as
-    /// leader. `quorum` is the replica-acknowledgement threshold —
-    /// [`Quorum::Majority`] gives the 2f+1 guarantee; [`Quorum::All`]
-    /// trades availability for synchronous replication everywhere.
+    /// Builds a group from its member servers (each over its own
+    /// storage region). The first member starts as leader. `quorum` is
+    /// the replica-acknowledgement threshold — [`Quorum::Majority`]
+    /// gives the 2f+1 guarantee; [`Quorum::All`] trades availability
+    /// for synchronous replication everywhere.
     ///
     /// # Panics
     ///
     /// Panics if `members` is empty.
     #[must_use]
-    pub fn new(members: Vec<ReplicaMember>, quorum: Quorum) -> Self {
+    pub fn new(members: Vec<Box<dyn BatchServer>>, quorum: Quorum) -> Self {
         assert!(!members.is_empty(), "a replica group needs members");
         let members = members
             .into_iter()
-            .map(|m| Member {
-                server: Arc::new(Mutex::new(m.server)),
-                storage: m.storage,
+            .map(|server| Member {
+                server: Arc::new(Mutex::new(server)),
                 alive: false,
                 applied_epoch: 0,
             })
@@ -192,9 +280,7 @@ impl ReplicaGroup {
         })
     }
 
-    fn lock(
-        server: &Arc<Mutex<Box<dyn BatchServer>>>,
-    ) -> std::sync::MutexGuard<'_, Box<dyn BatchServer>> {
+    fn lock(server: &MemberServer) -> std::sync::MutexGuard<'_, Box<dyn BatchServer>> {
         server.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -225,40 +311,77 @@ impl ReplicaGroup {
         Ok(())
     }
 
-    /// Ships the leader's current sealed state blob to every live
-    /// follower and bumps each successful applier's epoch. A follower
-    /// whose apply fails (or whose in-enclave digest disagrees with
-    /// the shipped blob) is treated as crashed — it no longer counts
-    /// toward any quorum until rebooted.
-    fn replicate(&mut self) -> Result<()> {
+    /// Hands `record` to member `i` and checks the in-enclave digest it
+    /// acknowledges with against the record shipped.
+    fn apply(&self, i: usize, record: &[u8], expected: &Digest) -> Result<()> {
+        let acked = Self::lock(&self.members[i].server).apply_replica(record)?;
+        if acked == *expected {
+            Ok(())
+        } else {
+            Err(LcmError::Tee(format!(
+                "replica {i} acknowledged a different record"
+            )))
+        }
+    }
+
+    /// The leader's sealed state with its digest — what levels a
+    /// member that cannot take the stream's next delta.
+    fn leader_state(&self) -> Result<(Vec<u8>, Digest)> {
+        let state = Self::lock(&self.members[self.leader].server).sealed_state()?;
+        let digest = sha256::digest(&state);
+        Ok((state, digest))
+    }
+
+    /// Ships the current epoch's record to every live follower: the
+    /// `record` the leader's enclave emitted with the batch, or — when
+    /// it emitted none (control-plane call, functionality without
+    /// change tracking) — the leader's sealed state. A follower that
+    /// refuses a delta as out of order is levelled with the sealed
+    /// state in the same step; a follower whose apply fails any other
+    /// way is treated as crashed — it no longer counts toward any
+    /// quorum until rebooted. The leader counts as a holder once its
+    /// own persist is flushed, which a delta lets overlap with the
+    /// followers' work.
+    fn replicate(&mut self, record: Option<Vec<u8>>) -> Result<()> {
         let leader = self.leader;
-        let blob = self.members[leader]
-            .storage
-            .load(SLOT_STATE_BLOB)
-            .map_err(|e| LcmError::Storage(e.to_string()))?
-            .ok_or_else(|| LcmError::Storage("leader has no sealed state to replicate".into()))?;
-        let expected = sha256::digest(&blob);
-        self.members[leader].applied_epoch = self.epoch;
+        let mut sealed_state = None;
+        let (record, expected) = match record {
+            Some(record) => {
+                let expected = sha256::digest(&record);
+                (record, expected)
+            }
+            None => self.leader_state()?,
+        };
         for i in 0..self.members.len() {
             if i == leader || !self.members[i].alive {
                 continue;
             }
-            let applied = {
-                let mut server = Self::lock(&self.members[i].server);
-                server.apply_replica(blob.clone())
-            };
+            let mut applied = self.apply(i, &record, &expected);
+            if matches!(applied, Err(LcmError::RecordOutOfOrder)) {
+                self.stats.relevels += 1;
+                if sealed_state.is_none() {
+                    sealed_state = Some(self.leader_state()?);
+                }
+                let (state, digest) = sealed_state.as_ref().expect("just fetched");
+                applied = self.apply(i, state, digest);
+            }
             match applied {
-                Ok(digest) if digest == expected => {
+                Ok(()) => {
                     self.members[i].applied_epoch = self.epoch;
                     self.stats.blobs_applied += 1;
                 }
-                _ => self.members[i].alive = false,
+                Err(_) => {
+                    self.members[i].alive = false;
+                    self.stats.followers_dropped += 1;
+                }
             }
         }
+        Self::lock(&self.members[leader].server).flush_persists()?;
+        self.members[leader].applied_epoch = self.epoch;
         Ok(())
     }
 
-    /// Members (leader included) holding the current epoch's blob.
+    /// Members (leader included) holding the current epoch's record.
     fn holders(&self) -> usize {
         self.members
             .iter()
@@ -267,8 +390,9 @@ impl ReplicaGroup {
     }
 
     /// Releases withheld replies if the current epoch is quorum-held.
-    /// Release is all-or-nothing: the newest blob contains every
-    /// earlier batch, so quorum on it acknowledges the whole prefix.
+    /// Release is all-or-nothing: a member holds the newest record
+    /// only on top of every earlier one, so quorum on it acknowledges
+    /// the whole prefix.
     fn release(&mut self) -> Replies {
         if self.holders() >= self.required_acks() {
             self.withheld.drain(..).collect()
@@ -282,29 +406,43 @@ impl ReplicaGroup {
 
     /// Brings a freshly rebooted member level with the leader so churn
     /// (kill → promote → reboot) cannot leave it as the only live
-    /// member with an ancient state.
+    /// member with an ancient state — and so the stream's next delta
+    /// finds it at the leader's position.
     fn catch_up(&mut self, replica: usize) {
         if replica == self.leader || !self.members[self.leader].alive || self.epoch == 0 {
             return;
         }
-        let blob = match self.members[self.leader].storage.load(SLOT_STATE_BLOB) {
-            Ok(Some(blob)) => blob,
-            _ => return,
+        let Ok((state, digest)) = self.leader_state() else {
+            return;
         };
-        let expected = sha256::digest(&blob);
-        let applied = {
-            let mut server = Self::lock(&self.members[replica].server);
-            server.apply_replica(blob)
-        };
-        if matches!(applied, Ok(digest) if digest == expected) {
+        if self.apply(replica, &state, &digest).is_ok() {
             self.members[replica].applied_epoch = self.epoch;
             self.stats.blobs_applied += 1;
         }
+    }
+
+    /// Runs a control-plane call on the leader and ships the re-sealed
+    /// state it leaves behind, so a failover cannot roll the call's
+    /// effect back.
+    fn on_leader<T>(
+        &mut self,
+        call: impl FnOnce(&mut Box<dyn BatchServer>) -> Result<T>,
+    ) -> Result<T> {
+        self.ensure_leader()?;
+        let out = call(&mut Self::lock(&self.members[self.leader].server))?;
+        self.epoch += 1;
+        self.replicate(None)?;
+        Ok(out)
     }
 }
 
 impl BatchServer for ReplicaGroup {
     fn boot(&mut self) -> Result<bool> {
+        // Every member restores from its own medium, so after a
+        // whole-group restart positions may differ (a member that was
+        // dead holds an older one). Nobody counts as a holder until it
+        // acks the next record — and a follower that cannot take it is
+        // levelled in that same step.
         let mut needs_provisioning = false;
         for (i, member) in self.members.iter_mut().enumerate() {
             let fresh = Self::lock(&member.server).boot()?;
@@ -444,7 +582,7 @@ impl BatchServer for ReplicaGroup {
         self.ensure_leader()?;
         let leader = self.leader;
         let limit = self.batch_limit().max(1);
-        let (replies, had_batch) = {
+        let executed = {
             let mut server = Self::lock(&self.members[leader].server);
             for _ in 0..limit {
                 let Some(wire) = self.queue.pop_front() else {
@@ -453,19 +591,16 @@ impl BatchServer for ReplicaGroup {
                 server.submit(wire);
             }
             if server.queued() == 0 {
-                (Vec::new(), false)
+                None
             } else {
                 let replies = server.step()?;
-                // Replication ships the persisted blob, so the write
-                // pipeline must drain before the blob is lifted.
-                server.flush_persists()?;
-                (replies, true)
+                Some((replies, server.take_record()))
             }
         };
-        self.withheld.extend(replies);
-        if had_batch {
+        if let Some((replies, record)) = executed {
+            self.withheld.extend(replies);
             self.epoch += 1;
-            self.replicate()?;
+            self.replicate(record)?;
         }
         Ok(self.release())
     }
@@ -490,19 +625,9 @@ impl BatchServer for ReplicaGroup {
     }
 
     fn admin(&mut self, admin_wire: Vec<u8>) -> Result<Vec<u8>> {
-        self.ensure_leader()?;
-        let leader = self.leader;
-        let reply = {
-            let mut server = Self::lock(&self.members[leader].server);
-            let reply = server.admin(admin_wire)?;
-            server.flush_persists()?;
-            reply
-        };
         // Admin mutations (membership, key rotation) change the sealed
-        // state; ship the new blob so a failover cannot roll them back.
-        self.epoch += 1;
-        self.replicate()?;
-        Ok(reply)
+        // state without a delta.
+        self.on_leader(|server| server.admin(admin_wire))
     }
 
     fn export_migration(&mut self) -> Result<Vec<u8>> {
@@ -516,13 +641,10 @@ impl BatchServer for ReplicaGroup {
             let mut server = Self::lock(&member.server);
             server.import_migration_as(ticket.clone(), i as u32, replicas)?;
         }
+        // Every member re-sealed the ticket at a chain root of its
+        // own; the leader's checkpoint puts them all at one position.
         self.epoch += 1;
-        for member in &mut self.members {
-            if member.alive {
-                member.applied_epoch = self.epoch;
-            }
-        }
-        Ok(())
+        self.replicate(None)
     }
 
     fn import_migration_as(&mut self, ticket: Vec<u8>, replica: u32, replicas: u32) -> Result<()> {
@@ -537,44 +659,18 @@ impl BatchServer for ReplicaGroup {
     }
 
     fn export_slice(&mut self, slice: u32, to: u32) -> Result<(Vec<u8>, Vec<u8>)> {
-        self.ensure_leader()?;
-        let leader = self.leader;
-        let pair = {
-            let mut server = Self::lock(&self.members[leader].server);
-            let pair = server.export_slice(slice, to)?;
-            server.flush_persists()?;
-            pair
-        };
         // The post-export checkpoint (bumped table, moved keys gone)
         // ships to every follower so a failover cannot resurrect the
         // slice under the old epoch.
-        self.epoch += 1;
-        self.replicate()?;
-        Ok(pair)
+        self.on_leader(|server| server.export_slice(slice, to))
     }
 
     fn import_slice(&mut self, ticket: Vec<u8>) -> Result<()> {
-        self.ensure_leader()?;
-        let leader = self.leader;
-        {
-            let mut server = Self::lock(&self.members[leader].server);
-            server.import_slice(ticket)?;
-            server.flush_persists()?;
-        }
-        self.epoch += 1;
-        self.replicate()
+        self.on_leader(|server| server.import_slice(ticket))
     }
 
     fn adopt_table(&mut self, bulletin: Vec<u8>) -> Result<()> {
-        self.ensure_leader()?;
-        let leader = self.leader;
-        {
-            let mut server = Self::lock(&self.members[leader].server);
-            server.adopt_table(bulletin)?;
-            server.flush_persists()?;
-        }
-        self.epoch += 1;
-        self.replicate()
+        self.on_leader(|server| server.adopt_table(bulletin))
     }
 
     fn batches_processed(&self) -> u64 {
@@ -620,7 +716,7 @@ impl BatchServer for ReplicaGroup {
 /// leg is pinned to, so reads to distinct replicas proceed in parallel
 /// with each other and with the write path on the leader.
 struct GroupReadPort {
-    members: Vec<Arc<Mutex<Box<dyn BatchServer>>>>,
+    members: Vec<MemberServer>,
 }
 
 impl ReadPort for GroupReadPort {
@@ -641,29 +737,32 @@ impl ReadPort for GroupReadPort {
         server.serve_read(read_wire)
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::admin::AdminHandle;
-    use crate::client::LcmClient;
-    use crate::functionality::AppendLog;
+    use crate::client::{LcmClient, ReadOutcome};
+    use crate::functionality::{AppendLog, Counter};
     use crate::server::LcmServer;
     use crate::types::ClientId;
-    use lcm_storage::{MemoryStorage, NamespacedStorage};
+    use lcm_storage::{MemoryStorage, NamespacedStorage, StableStorage};
     use lcm_tee::world::TeeWorld;
 
     fn group(replicas: u32, quorum: Quorum) -> (ReplicaGroup, LcmClient) {
+        group_of::<AppendLog>(replicas, quorum)
+    }
+
+    fn group_of<F: Functionality + 'static>(
+        replicas: u32,
+        quorum: Quorum,
+    ) -> (ReplicaGroup, LcmClient) {
         let world = TeeWorld::new_deterministic(77);
         let storage: Arc<dyn StableStorage> = Arc::new(MemoryStorage::new());
         let members = (0..replicas)
             .map(|r| {
                 let platform = world.platform_deterministic(1 + u64::from(r));
                 let region = Arc::new(NamespacedStorage::new(storage.clone(), format!("rep{r}.")));
-                ReplicaMember {
-                    server: Box::new(LcmServer::<AppendLog>::new(&platform, region.clone(), 4)),
-                    storage: region,
-                }
+                Box::new(LcmServer::<F>::new(&platform, region, 4)) as Box<dyn BatchServer>
             })
             .collect();
         let mut group = ReplicaGroup::new(members, quorum);
@@ -800,6 +899,105 @@ mod tests {
         let replies = group.process_all().unwrap();
         let done = client.handle_reply(&replies[0].1).unwrap();
         assert_eq!(done.seq.0, 2);
+    }
+
+    /// One increment through the group; the reply count of the step.
+    fn inc(group: &mut ReplicaGroup, client: &mut LcmClient) -> usize {
+        let op = Counter::inc_op(b"n", 1);
+        group.submit(client.invoke_for::<Counter>(&op).unwrap());
+        let replies = group.process_all().unwrap();
+        for (_, wire) in &replies {
+            client.handle_reply(wire).unwrap();
+        }
+        replies.len()
+    }
+
+    /// The counter as `client` reads it on `replica`.
+    fn read_on(group: &mut ReplicaGroup, client: &mut LcmClient, replica: u32) -> ReadOutcome {
+        let op = Counter::read_op(b"n");
+        let wire = client.read_for::<Counter>(&op, replica).unwrap();
+        let reply = group.serve_read(wire).unwrap();
+        client.handle_read_reply(&reply).unwrap()
+    }
+
+    fn fresh(outcome: ReadOutcome) -> u64 {
+        match outcome {
+            ReadOutcome::Fresh(done) => Counter::decode_result(&done.result).unwrap(),
+            other => panic!("expected a fresh read, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_fault_free_stream_needs_no_levelling() {
+        let (mut group, mut client) = group_of::<Counter>(3, Quorum::All);
+        for _ in 0..5 {
+            assert_eq!(inc(&mut group, &mut client), 1, "released in its own step");
+        }
+        let stats = group.stats();
+        assert_eq!(stats.blobs_applied, 10, "5 records x 2 followers");
+        assert_eq!((stats.relevels, stats.followers_dropped), (0, 0));
+        assert_eq!(fresh(read_on(&mut group, &mut client, 2)), 5);
+    }
+
+    #[test]
+    fn a_stale_follower_is_levelled_in_the_same_step() {
+        let (mut group, mut client) = group_of::<Counter>(3, Quorum::Majority);
+        assert_eq!(inc(&mut group, &mut client), 1);
+        // The host skips member 2 for one record (it was unreachable,
+        // say), then delivers the next as if nothing had happened.
+        group.members[2].alive = false;
+        assert_eq!(inc(&mut group, &mut client), 1, "2 of 3 hold it");
+        assert_eq!(read_on(&mut group, &mut client, 2), ReadOutcome::Behind);
+        group.members[2].alive = true;
+
+        assert_eq!(inc(&mut group, &mut client), 1);
+        let stats = group.stats();
+        assert_eq!(stats.relevels, 1, "member 2 refused, then took the state");
+        assert_eq!(stats.followers_dropped, 0, "and was not lost");
+        assert_eq!(fresh(read_on(&mut group, &mut client, 2)), 3);
+        // Levelled means level: the stream's next delta applies.
+        assert_eq!(inc(&mut group, &mut client), 1);
+        assert_eq!(group.stats().relevels, 1);
+    }
+
+    #[test]
+    fn whole_group_reboot_relevels_the_laggard() {
+        let (mut group, mut client) = group_of::<Counter>(3, Quorum::Majority);
+        assert_eq!(inc(&mut group, &mut client), 1);
+        group.kill_member(0, 2, false).unwrap();
+        for _ in 0..3 {
+            assert_eq!(inc(&mut group, &mut client), 1);
+        }
+        // Everybody restarts from their own medium: members 0 and 1
+        // four records in, member 2 one.
+        group.crash();
+        assert!(!group.boot().unwrap());
+        assert_eq!(group.holders(), 0, "a restored member has acked nothing");
+
+        assert_eq!(inc(&mut group, &mut client), 1, "released at quorum");
+        let stats = group.stats();
+        assert_eq!((stats.relevels, stats.followers_dropped), (1, 0));
+        assert_eq!(group.holders(), 3);
+        // The laggard ends where the leader is: it serves the client's
+        // current context.
+        assert_eq!(fresh(read_on(&mut group, &mut client, 2)), 5);
+        assert_eq!(fresh(read_on(&mut group, &mut client, 0)), 5);
+    }
+
+    #[test]
+    fn a_follower_that_detects_tampering_is_dropped_not_levelled() {
+        let (mut group, mut client) = group_of::<Counter>(3, Quorum::Majority);
+        assert_eq!(inc(&mut group, &mut client), 1);
+        // The host hands member 2 bytes no group member sealed: its
+        // enclave halts.
+        let forged = [lcm_storage::BLOB_KIND_DELTA, 0xde, 0xad];
+        let verdict = ReplicaGroup::lock(&group.members[2].server).apply_replica(&forged);
+        assert!(matches!(verdict, Err(LcmError::Violation(_))));
+
+        assert_eq!(inc(&mut group, &mut client), 1, "2 of 3 still a majority");
+        let stats = group.stats();
+        assert_eq!((stats.relevels, stats.followers_dropped), (0, 1));
+        assert!(!group.members[2].alive);
     }
 
     #[test]

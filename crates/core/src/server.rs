@@ -77,6 +77,10 @@ pub struct LcmServer<F: Functionality> {
     /// inline (synchronous write); `Some` hands them to a background
     /// writer (asynchronous write, see [`crate::pipeline`]).
     writer: Option<PersistWriter>,
+    /// The replication record the enclave emitted with the last batch
+    /// (group members only), until the group takes it
+    /// ([`BatchServer::take_record`]).
+    record: Option<Vec<u8>>,
 }
 
 impl<F: Functionality> std::fmt::Debug for LcmServer<F> {
@@ -110,6 +114,7 @@ impl<F: Functionality> LcmServer<F> {
             call_scratch: crate::codec::Writer::new(),
             batch_scratch: Vec::new(),
             writer: None,
+            record: None,
         }
     }
 
@@ -182,6 +187,7 @@ impl<F: Functionality> LcmServer<F> {
         let dropped = self.writer.as_ref().map_or(0, |w| w.crash(power_failure));
         self.enclave.stop();
         self.queue.clear();
+        self.record = None;
         dropped
     }
 
@@ -266,11 +272,12 @@ impl<F: Functionality> LcmServer<F> {
         let n_ops = self.batch_scratch.len() as u64;
         self.call_scratch.clear();
         HostCall::encode_invoke_batch_into(&mut self.call_scratch, &self.batch_scratch);
-        let out = self.enclave.ecall(self.call_scratch.as_slice())?;
-        match HostReply::from_bytes(&out)? {
-            HostReply::BatchOk { replies, blobs } => {
+        match self.ecall_encoded()? {
+            HostReply::BatchOk { replies, mut blobs } => {
                 self.batches_processed += 1;
                 self.ops_processed += n_ops;
+                // The record goes up to the group, not down to storage.
+                self.record = blobs.record.take();
                 match &mut self.writer {
                     Some(writer) => writer.submit(blobs)?,
                     None => self.persist(&blobs)?,
@@ -389,18 +396,24 @@ impl<F: Functionality> LcmServer<F> {
         })
     }
 
-    /// Installs a sibling's sealed state blob into this server's
-    /// enclave and persists the re-sealed result, returning the
-    /// in-enclave digest of the installed blob (the acknowledgement a
-    /// replica group counts toward quorum stability). See
+    /// Applies one record of the group's replication stream in this
+    /// server's enclave and persists what the enclave hands back for
+    /// it, returning the in-enclave digest of the record (the
+    /// acknowledgement a replica group counts toward quorum
+    /// stability). See
     /// [`crate::context::TrustedContext::apply_replica`].
     ///
     /// # Errors
     ///
-    /// Propagates context errors.
-    pub fn apply_replica(&mut self, state_blob: Vec<u8>) -> Result<Digest> {
-        let reply = self.call(HostCall::ApplyReplica(state_blob))?;
-        match reply {
+    /// Propagates context errors; [`LcmError::RecordOutOfOrder`]
+    /// leaves enclave and storage untouched.
+    pub fn apply_replica(&mut self, record: &[u8]) -> Result<Digest> {
+        // Control-plane barrier, as in `call`: the apply's persist
+        // must land on top of everything the writer still holds.
+        self.flush()?;
+        self.call_scratch.clear();
+        HostCall::encode_apply_replica_into(&mut self.call_scratch, record);
+        match self.ecall_encoded()? {
             HostReply::ApplyOk { digest, blobs } => {
                 self.persist(&blobs)?;
                 Ok(digest)
@@ -508,6 +521,13 @@ impl<F: Functionality> LcmServer<F> {
     fn ecall(&mut self, call: HostCall) -> Result<HostReply> {
         self.call_scratch.clear();
         call.encode(&mut self.call_scratch);
+        self.ecall_encoded()
+    }
+
+    /// Makes the host call already encoded in `call_scratch` — the
+    /// calls with large borrowed payloads (a batch's wires, a
+    /// replication record) encode themselves there directly.
+    fn ecall_encoded(&mut self) -> Result<HostReply> {
         let out = self.enclave.ecall(self.call_scratch.as_slice())?;
         Ok(HostReply::from_bytes(&out)?)
     }
@@ -692,20 +712,47 @@ pub trait BatchServer: Send {
         1
     }
 
-    /// Installs a sibling replica's sealed state blob into this
+    /// Applies one record of a group's replication stream in this
     /// server's enclave, returning the in-enclave digest of the
-    /// installed blob. The replication driver counts the digest as
-    /// this member's acknowledgement of the batch. See
+    /// record. The replication driver counts the digest as this
+    /// member's acknowledgement of the batch. See
     /// [`LcmServer::apply_replica`].
     ///
     /// # Errors
     ///
     /// Propagates context errors; servers outside a replica group
     /// reject.
-    fn apply_replica(&mut self, state_blob: Vec<u8>) -> Result<Digest> {
-        let _ = state_blob;
+    fn apply_replica(&mut self, record: &[u8]) -> Result<Digest> {
+        let _ = record;
         Err(LcmError::Tee(
             "apply_replica on a server without a replication path".into(),
+        ))
+    }
+
+    /// Takes the replication record the enclave emitted with the last
+    /// executed batch (see
+    /// [`crate::context::PersistBlobs::record`]). `None` when there
+    /// was none to emit — the server is no group member, its
+    /// functionality does not track changes, or the last call was
+    /// control-plane — and the sealed state itself
+    /// ([`BatchServer::sealed_state`]) is what followers install.
+    fn take_record(&mut self) -> Option<Vec<u8>> {
+        None
+    }
+
+    /// What this server's state slot currently holds, every persist
+    /// issued so far included: a sealed checkpoint, or a delta log's
+    /// `checkpoint ‖ deltas` bundle — either way a record
+    /// [`BatchServer::apply_replica`] installs wholesale. A replica
+    /// group levels a member that is out of step with its leader with
+    /// this.
+    ///
+    /// # Errors
+    ///
+    /// Storage errors; servers that are not a single member reject.
+    fn sealed_state(&mut self) -> Result<Vec<u8>> {
+        Err(LcmError::Tee(
+            "sealed_state on a server that is not a single group member".into(),
         ))
     }
 
@@ -977,8 +1024,14 @@ impl<S: BatchServer + ?Sized> BatchServer for Box<S> {
     fn replica_count(&self) -> u32 {
         (**self).replica_count()
     }
-    fn apply_replica(&mut self, state_blob: Vec<u8>) -> Result<Digest> {
-        (**self).apply_replica(state_blob)
+    fn apply_replica(&mut self, record: &[u8]) -> Result<Digest> {
+        (**self).apply_replica(record)
+    }
+    fn take_record(&mut self) -> Option<Vec<u8>> {
+        (**self).take_record()
+    }
+    fn sealed_state(&mut self) -> Result<Vec<u8>> {
+        (**self).sealed_state()
     }
     fn serve_read(&mut self, read_wire: Vec<u8>) -> Result<Vec<u8>> {
         (**self).serve_read(read_wire)
@@ -1085,8 +1138,17 @@ impl<F: Functionality> BatchServer for LcmServer<F> {
     fn serve_read(&mut self, read_wire: Vec<u8>) -> Result<Vec<u8>> {
         LcmServer::serve_read(self, read_wire)
     }
-    fn apply_replica(&mut self, state_blob: Vec<u8>) -> Result<Digest> {
-        LcmServer::apply_replica(self, state_blob)
+    fn apply_replica(&mut self, record: &[u8]) -> Result<Digest> {
+        LcmServer::apply_replica(self, record)
+    }
+    fn take_record(&mut self) -> Option<Vec<u8>> {
+        self.record.take()
+    }
+    fn sealed_state(&mut self) -> Result<Vec<u8>> {
+        self.flush()?;
+        self.storage
+            .load(SLOT_STATE_BLOB)?
+            .ok_or_else(|| LcmError::Storage("no sealed state on the medium".into()))
     }
     fn import_migration_as(&mut self, ticket: Vec<u8>, replica: u32, replicas: u32) -> Result<()> {
         LcmServer::import_migration_as(self, ticket, replica, replicas)

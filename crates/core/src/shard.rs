@@ -1804,19 +1804,15 @@ fn build_member<F: Functionality + 'static>(
     region_prefix: String,
     batch_limit: usize,
     pipelined: bool,
-) -> crate::replica::ReplicaMember {
+) -> Box<dyn BatchServer> {
     let platform = world.platform_deterministic(platform_id);
-    let region: Arc<dyn StableStorage> =
-        Arc::new(NamespacedStorage::new(storage.clone(), region_prefix));
-    let server = LcmServer::<F>::new(&platform, region.clone(), batch_limit);
-    crate::replica::ReplicaMember {
-        server: Box::new(if pipelined {
-            server.into_pipelined()
-        } else {
-            server
-        }),
-        storage: region,
-    }
+    let region = Arc::new(NamespacedStorage::new(storage.clone(), region_prefix));
+    let server = LcmServer::<F>::new(&platform, region, batch_limit);
+    Box::new(if pipelined {
+        server.into_pipelined()
+    } else {
+        server
+    })
 }
 
 /// Assembles lanes into a deployment, labelling its health snapshots
@@ -1858,7 +1854,6 @@ pub fn build_sharded<F: Functionality + 'static>(
                 batch_limit,
                 pipelined,
             )
-            .server
         })
         .collect();
     assemble(lanes, pipelined)

@@ -650,8 +650,8 @@ impl BatchServer for Frontend {
     fn replica_count(&self) -> u32 {
         self.server.replica_count()
     }
-    fn apply_replica(&mut self, state_blob: Vec<u8>) -> Result<Digest> {
-        self.server.apply_replica(state_blob)
+    fn apply_replica(&mut self, record: &[u8]) -> Result<Digest> {
+        self.server.apply_replica(record)
     }
     /// Serves a verified read against the wrapped server. Reads bypass
     /// the ingress queue entirely — they never mutate state, so they

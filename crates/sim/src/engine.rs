@@ -171,8 +171,13 @@ impl Simulation {
         let followers = (self.replicas - 1) as u32;
         if followers > 0 {
             // Replication is in the batch path: the released replies
-            // wait for every follower's apply (another per_batch) and
-            // ack before the quorum frees them.
+            // wait for every follower's apply and ack before the
+            // quorum frees them. A follower's `per_batch` is its *own*
+            // persist of the batch — it applied the leader's sealed
+            // delta, and seals what its storage wants (one checkpoint
+            // on a blob store, nothing at all on a delta log, where it
+            // stores the record as it came) — not a reinstall of the
+            // leader's state.
             total += (p.per_batch + self.replica_ack) * followers;
         }
         if p.fsync {

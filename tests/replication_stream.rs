@@ -1,0 +1,654 @@
+//! The replication stream, driven enclave to enclave: a group's
+//! followers verify-and-apply the leader's sealed batch deltas with the
+//! function delta-by-delta recovery runs, so a follower fed the stream,
+//! a context recovered from the leader's medium and the leader itself
+//! must be the same state at the same chain position — and a stream the
+//! host drops from, duplicates, reorders, replays across generations,
+//! corrupts or splices from another group must change nothing and earn
+//! no acknowledgement.
+//!
+//! Contexts are compared by what they seal: the test provisions them
+//! with a `kP` it knows, opens each context's checkpoint and compares
+//! the plaintexts byte for byte. That plaintext is the whole protocol
+//! state — `kC`, admin sequence, stable floor, quorum, identity,
+//! routing table, every `V` entry with its cached reply (hence `t` and
+//! `h`), the functionality's snapshot — followed by the chain position.
+//! A public `persist_blobs()` re-roots the position, so positions are
+//! compared the way the protocol compares them: a delta applies only at
+//! the position it was sealed against.
+
+use std::sync::Arc;
+
+use lcm::core::client::{LcmClient, ReadOutcome};
+use lcm::core::codec::WireCodec;
+use lcm::core::context::{
+    PersistBlobs, ProvisionPayload, ShardIdentity, TrustedContext, LABEL_PROVISION,
+    LABEL_STATE_BLOB,
+};
+use lcm::core::functionality::{Counter, Functionality};
+use lcm::core::program::lcm_measurement;
+use lcm::core::server::{BatchServer, SLOT_STATE_BLOB};
+use lcm::core::shard::{build_replicated, ReplicationSpec};
+use lcm::core::stability::Quorum;
+use lcm::core::types::ClientId;
+use lcm::core::{LcmError, Violation};
+use lcm::crypto::aead::{self, AeadKey};
+use lcm::crypto::keys::SecretKey;
+use lcm::crypto::sha256;
+use lcm::kvs::ops::KvOp;
+use lcm::kvs::store::KvStore;
+use lcm::storage::{
+    DeltaLogStorage, MemoryStorage, StableStorage, BLOB_KIND_CHECKPOINT, BLOB_KIND_DELTA,
+};
+use lcm::tee::platform::TeeServices;
+use lcm::tee::world::TeeWorld;
+use proptest::prelude::*;
+use proptest::strategy::BoxedStrategy;
+
+const CLIENTS: u32 = 4;
+
+fn k_p() -> SecretKey {
+    SecretKey::from_bytes([1u8; 32])
+}
+
+fn k_c() -> SecretKey {
+    SecretKey::from_bytes([2u8; 32])
+}
+
+fn boot<F: Functionality>(world: &TeeWorld, platform: u64, epoch: u64) -> TrustedContext<F> {
+    let services = TeeServices::for_tests(
+        world.platform_deterministic(platform),
+        lcm_measurement(),
+        epoch,
+    );
+    TrustedContext::new(services)
+}
+
+fn member(shard: u32, shards: u32, replica: u32) -> ShardIdentity {
+    ShardIdentity::new(shard, shards).with_replica(replica, 3)
+}
+
+/// A context provisioned as `identity` over a delta log (`deltas`) or a
+/// blob store, with the blobs its provisioning sealed.
+fn provisioned<F: Functionality>(
+    world: &TeeWorld,
+    platform: u64,
+    identity: ShardIdentity,
+    deltas: bool,
+) -> (TrustedContext<F>, PersistBlobs) {
+    let mut ctx = boot::<F>(world, platform, platform);
+    ctx.init(None, None, deltas).unwrap();
+    let payload = ProvisionPayload {
+        k_p: k_p(),
+        k_c: k_c(),
+        k_a: SecretKey::from_bytes([3u8; 32]),
+        clients: (1..=CLIENTS).map(ClientId).collect(),
+        quorum: Quorum::Majority,
+        identity,
+    };
+    let channel = AeadKey::from_secret(&world.admin_provision_key(&lcm_measurement()));
+    let sealed = aead::auth_encrypt(&channel, &payload.to_bytes(), LABEL_PROVISION).unwrap();
+    let blobs = ctx.provision(&sealed).unwrap();
+    (ctx, blobs)
+}
+
+/// The plaintext of the checkpoint `ctx` seals now, split into the
+/// protocol state and the (re-rooted) chain position that trails it.
+fn sealed_state<F: Functionality>(ctx: &mut TrustedContext<F>) -> Vec<u8> {
+    let blob = ctx.persist_blobs().unwrap().state_blob;
+    assert_eq!(blob[0], BLOB_KIND_CHECKPOINT);
+    let mut plain =
+        aead::auth_decrypt(&AeadKey::from_secret(&k_p()), &blob[1..], LABEL_STATE_BLOB).unwrap();
+    plain.truncate(plain.len() - 32);
+    plain
+}
+
+/// One member's medium, written the way `LcmServer` writes it.
+struct Medium {
+    storage: Arc<dyn StableStorage>,
+    key_blob: Vec<u8>,
+}
+
+impl Medium {
+    fn new(deltas: bool, provisioning: &PersistBlobs) -> Self {
+        let storage: Arc<dyn StableStorage> = if deltas {
+            Arc::new(DeltaLogStorage::open(Arc::new(MemoryStorage::new())).unwrap())
+        } else {
+            Arc::new(MemoryStorage::new())
+        };
+        let medium = Medium {
+            storage,
+            key_blob: provisioning.key_blob.clone(),
+        };
+        medium.store(provisioning);
+        medium
+    }
+
+    fn store(&self, blobs: &PersistBlobs) {
+        self.storage
+            .store(SLOT_STATE_BLOB, &blobs.state_blob)
+            .unwrap();
+    }
+
+    /// A fresh context on `platform` recovered from this medium.
+    fn recover<F: Functionality>(&self, world: &TeeWorld, platform: u64) -> TrustedContext<F> {
+        let state = self.storage.load(SLOT_STATE_BLOB).unwrap().unwrap();
+        let mut ctx = boot::<F>(world, platform, 100 + platform);
+        ctx.init(Some(&self.key_blob), Some(&state), false).unwrap();
+        ctx
+    }
+}
+
+#[derive(Debug, Clone)]
+enum Step {
+    /// Client `client` invokes `op`. With `lost_reply` the reply never
+    /// reaches it: its next turn starts with the §4.6.1 retry, which
+    /// the leader serves from the reply cache — possibly batches later.
+    Op {
+        client: usize,
+        op: Vec<u8>,
+        lost_reply: bool,
+    },
+    /// The batch ends: the leader persists and its record ships.
+    Cut,
+    /// A control-plane re-seal on the leader (what admin calls and
+    /// slice moves end in): a checkpoint at a fresh chain root, which
+    /// the follower installs.
+    Reseal,
+}
+
+fn arb_steps(op: BoxedStrategy<Vec<u8>>) -> impl Strategy<Value = Vec<Step>> {
+    let step = prop_oneof![
+        12 => (0..CLIENTS as usize, op, any::<u8>()).prop_map(|(client, op, lose)| Step::Op {
+            client,
+            op,
+            lost_reply: lose % 5 == 0,
+        }),
+        4 => Just(Step::Cut),
+        1 => Just(Step::Reseal),
+    ];
+    proptest::collection::vec(step, 1..120)
+}
+
+fn arb_kv_op() -> BoxedStrategy<Vec<u8>> {
+    let key = (0u8..16).prop_map(|k| format!("key-{k}").into_bytes());
+    let put = (key.clone(), proptest::collection::vec(any::<u8>(), 0..200))
+        .prop_map(|(k, v)| KvOp::Put(k, v).to_bytes());
+    let del = key.prop_map(|k| KvOp::Del(k).to_bytes());
+    proptest::strategy::boxed(prop_oneof![4 => put, 1 => del])
+}
+
+fn arb_counter_op() -> BoxedStrategy<Vec<u8>> {
+    proptest::strategy::boxed(
+        (0u8..8, any::<u64>()).prop_map(|(n, by)| Counter::inc_op(&[b'n', n], by)),
+    )
+}
+
+/// A leader and one follower of a 3-member group, enclave to enclave,
+/// each over its own medium.
+struct Pair<F: Functionality> {
+    world: TeeWorld,
+    leader: TrustedContext<F>,
+    follower: TrustedContext<F>,
+    leader_medium: Medium,
+    follower_medium: Medium,
+    clients: Vec<LcmClient>,
+    /// Clients whose last reply was lost.
+    owed_retry: Vec<bool>,
+}
+
+impl<F: Functionality> Pair<F> {
+    fn new(seed: u64, leader_deltas: bool, follower_deltas: bool) -> Self {
+        let world = TeeWorld::new_deterministic(seed);
+        let (leader, l_blobs) = provisioned::<F>(&world, 1, member(0, 1, 0), leader_deltas);
+        let (follower, f_blobs) = provisioned::<F>(&world, 2, member(0, 1, 1), follower_deltas);
+        Pair {
+            leader,
+            follower,
+            leader_medium: Medium::new(leader_deltas, &l_blobs),
+            follower_medium: Medium::new(follower_deltas, &f_blobs),
+            clients: (1..=CLIENTS)
+                .map(|c| LcmClient::new(ClientId(c), &k_c()))
+                .collect(),
+            owed_retry: vec![false; CLIENTS as usize],
+            world,
+        }
+    }
+
+    /// Serves the retry `client` owes, if any, from the reply cache.
+    fn settle(&mut self, client: usize) {
+        if std::mem::take(&mut self.owed_retry[client]) {
+            let wire = self.clients[client].retry().unwrap();
+            let (_, reply) = self.leader.handle_invoke(&wire).unwrap();
+            self.clients[client].handle_reply(&reply).unwrap();
+        }
+    }
+
+    fn op(&mut self, client: usize, op: &[u8], lost_reply: bool) {
+        self.settle(client);
+        let wire = self.clients[client].invoke_for::<F>(op).unwrap();
+        let (_, reply) = self.leader.handle_invoke(&wire).unwrap();
+        if lost_reply {
+            self.owed_retry[client] = true;
+        } else {
+            self.clients[client].handle_reply(&reply).unwrap();
+        }
+    }
+
+    /// Ends the leader's batch; returns the record it emitted.
+    fn seal_batch(&mut self) -> Vec<u8> {
+        let blobs = self.leader.persist_batch_blobs().unwrap();
+        self.leader_medium.store(&blobs);
+        let record = blobs.record.expect("a group member emits a record");
+        assert_eq!(record[0], BLOB_KIND_DELTA);
+        record
+    }
+
+    /// Delivers `record` to the follower as the group would.
+    fn deliver(&mut self, record: &[u8]) -> Result<(), LcmError> {
+        let (ack, blobs) = self.follower.apply_replica(record)?;
+        assert_eq!(ack, sha256::digest(record), "the ack is over the record");
+        assert!(blobs.key_blob.is_empty() && blobs.record.is_none());
+        self.follower_medium.store(&blobs);
+        Ok(())
+    }
+
+    fn cut(&mut self) {
+        let record = self.seal_batch();
+        self.deliver(&record).unwrap();
+    }
+
+    fn reseal(&mut self) {
+        let blobs = self.leader.persist_blobs().unwrap();
+        self.leader_medium.store(&blobs);
+        self.deliver(&blobs.state_blob).unwrap();
+    }
+
+    fn run(&mut self, steps: &[Step]) {
+        for step in steps {
+            match step {
+                Step::Op {
+                    client,
+                    op,
+                    lost_reply,
+                } => self.op(*client, op, *lost_reply),
+                Step::Cut => self.cut(),
+                Step::Reseal => self.reseal(),
+            }
+        }
+        for client in 0..CLIENTS as usize {
+            self.settle(client);
+        }
+        self.cut();
+    }
+
+    /// What leader and follower seal now. Ends the stream: both
+    /// re-root.
+    fn sealed_states(&mut self) -> (Vec<u8>, Vec<u8>) {
+        (
+            sealed_state(&mut self.leader),
+            sealed_state(&mut self.follower),
+        )
+    }
+
+    /// A verified read of `op` by `client`, pinned to the follower.
+    fn follower_read(&mut self, client: usize, op: &[u8]) -> Result<ReadOutcome, LcmError> {
+        let wire = self.clients[client].read_for::<F>(op, 1).unwrap();
+        let reply = self.follower.serve_read(&wire)?;
+        self.clients[client].handle_read_reply(&reply)
+    }
+}
+
+/// The leader, the follower fed its stream, and a context recovered
+/// from each one's medium agree on every sealed byte and on the chain
+/// position.
+fn replication_equals_recovery<F: Functionality>(
+    steps: &[Step],
+    seed: u64,
+    leader_deltas: bool,
+    follower_deltas: bool,
+    probe_op: &[u8],
+) -> Result<(), TestCaseError> {
+    let mut pair = Pair::<F>::new(seed, leader_deltas, follower_deltas);
+    pair.run(steps);
+    let mut from_leader = pair.leader_medium.recover::<F>(&pair.world, 1);
+    let mut from_follower = pair.follower_medium.recover::<F>(&pair.world, 2);
+
+    // Positions: one more batch's record applies on all three others.
+    pair.op(0, probe_op, false);
+    let probe = pair.seal_batch();
+    pair.deliver(&probe).unwrap();
+    prop_assert!(from_leader.apply_replica(&probe).is_ok());
+    prop_assert!(from_follower.apply_replica(&probe).is_ok());
+
+    // States, byte for byte.
+    let (leader, follower) = pair.sealed_states();
+    prop_assert_eq!(&sealed_state(&mut from_leader), &leader);
+    prop_assert_eq!(&sealed_state(&mut from_follower), &follower);
+    prop_assert!(differ_in_replica_only(&leader, &follower));
+    Ok(())
+}
+
+/// Whether the leader's and the follower's sealed states are the same
+/// but for the replica coordinate of their identities (slot 0, slot 1).
+fn differ_in_replica_only(leader: &[u8], follower: &[u8]) -> bool {
+    let differing: Vec<_> = leader
+        .iter()
+        .zip(follower)
+        .filter(|(a, b)| a != b)
+        .collect();
+    leader.len() == follower.len() && differing == [(&0u8, &1u8)]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn replication_equals_recovery_for_the_kvs(
+        steps in arb_steps(arb_kv_op()),
+        seed in 0u64..1000,
+        leader_deltas in any::<bool>(),
+        follower_deltas in any::<bool>(),
+    ) {
+        let probe = KvOp::Put(b"probe".to_vec(), b"x".to_vec()).to_bytes();
+        replication_equals_recovery::<KvStore>(&steps, seed, leader_deltas, follower_deltas, &probe)?;
+    }
+
+    #[test]
+    fn replication_equals_recovery_for_counters(
+        steps in arb_steps(arb_counter_op()),
+        seed in 0u64..1000,
+        leader_deltas in any::<bool>(),
+        follower_deltas in any::<bool>(),
+    ) {
+        let probe = Counter::inc_op(b"probe", 1);
+        replication_equals_recovery::<Counter>(&steps, seed, leader_deltas, follower_deltas, &probe)?;
+    }
+}
+
+/// On a delta log the follower's persist for a record *is* the record
+/// (nothing re-sealed), until its own cadence asks for a checkpoint; on
+/// a blob store it is one checkpoint.
+#[test]
+fn a_follower_persists_as_its_own_storage_dictates() {
+    for follower_deltas in [false, true] {
+        let mut pair = Pair::<Counter>::new(5, false, follower_deltas);
+        let mut verbatim = 0;
+        for round in 0..40u64 {
+            pair.op(0, &Counter::inc_op(b"n", round), false);
+            let record = pair.seal_batch();
+            let (_, blobs) = pair.follower.apply_replica(&record).unwrap();
+            if follower_deltas && blobs.state_blob == record {
+                verbatim += 1;
+            } else {
+                assert_eq!(blobs.state_blob[0], BLOB_KIND_CHECKPOINT);
+            }
+        }
+        if follower_deltas {
+            assert!((30..40).contains(&verbatim), "{verbatim} of 40 verbatim");
+        } else {
+            assert_eq!(verbatim, 0);
+        }
+    }
+}
+
+const N: &[u8] = b"n";
+
+fn inc() -> Vec<u8> {
+    Counter::inc_op(N, 1)
+}
+
+/// The follower's counter as client `client` reads it there.
+fn read_n(pair: &mut Pair<Counter>, client: usize) -> Result<ReadOutcome, LcmError> {
+    pair.follower_read(client, &Counter::read_op(N))
+}
+
+fn fresh_value(outcome: Result<ReadOutcome, LcmError>) -> u64 {
+    match outcome {
+        Ok(ReadOutcome::Fresh(done)) => Counter::decode_result(&done.result).unwrap(),
+        other => panic!("expected a fresh read, got {other:?}"),
+    }
+}
+
+/// Three batches of one increment each, by clients 0, 1 and 2.
+fn three_records(pair: &mut Pair<Counter>) -> [Vec<u8>; 3] {
+    [0, 1, 2].map(|client| {
+        pair.op(client, &inc(), false);
+        pair.seal_batch()
+    })
+}
+
+#[test]
+fn a_dropped_record_is_refused_until_the_gap_is_filled() {
+    let mut pair = Pair::<Counter>::new(11, false, false);
+    let [r1, r2, r3] = three_records(&mut pair);
+    pair.deliver(&r1).unwrap();
+    // r2 never arrives.
+    assert_eq!(pair.deliver(&r3), Err(LcmError::RecordOutOfOrder));
+    // Nothing moved: client 0 (in r1) reads its own write, client 1
+    // (in the dropped r2) is told the member is behind.
+    assert_eq!(fresh_value(read_n(&mut pair, 0)), 1);
+    assert_eq!(read_n(&mut pair, 1), Ok(ReadOutcome::Behind));
+    // The stream resumes exactly where it stopped.
+    pair.deliver(&r2).unwrap();
+    pair.deliver(&r3).unwrap();
+    assert_eq!(fresh_value(read_n(&mut pair, 2)), 3);
+    let (leader, follower) = pair.sealed_states();
+    assert!(differ_in_replica_only(&leader, &follower));
+}
+
+#[test]
+fn a_duplicated_record_is_refused() {
+    let mut pair = Pair::<Counter>::new(12, false, false);
+    let [r1, r2, _] = three_records(&mut pair);
+    pair.deliver(&r1).unwrap();
+    assert_eq!(pair.deliver(&r1), Err(LcmError::RecordOutOfOrder));
+    assert_eq!(fresh_value(read_n(&mut pair, 0)), 1, "applied once");
+    pair.deliver(&r2).unwrap();
+    assert_eq!(fresh_value(read_n(&mut pair, 1)), 2);
+}
+
+#[test]
+fn swapped_records_apply_only_in_order() {
+    let mut pair = Pair::<Counter>::new(13, false, false);
+    let [r1, r2, _] = three_records(&mut pair);
+    assert_eq!(pair.deliver(&r2), Err(LcmError::RecordOutOfOrder));
+    assert_eq!(read_n(&mut pair, 0), Ok(ReadOutcome::Behind));
+    pair.deliver(&r1).unwrap();
+    pair.deliver(&r2).unwrap();
+    assert_eq!(fresh_value(read_n(&mut pair, 1)), 2);
+}
+
+#[test]
+fn a_record_from_before_a_control_plane_checkpoint_does_not_apply_after_it() {
+    let mut pair = Pair::<Counter>::new(14, false, false);
+    let [r1, r2, _] = three_records(&mut pair);
+    pair.deliver(&r1).unwrap();
+    // The leader re-seals at a fresh root (as an admin call would) with
+    // r2's batch inside; the follower installs that checkpoint.
+    pair.reseal();
+    assert_eq!(fresh_value(read_n(&mut pair, 2)), 3);
+    // Neither the old generation's applied record nor its undelivered
+    // one fits the new root.
+    assert_eq!(pair.deliver(&r1), Err(LcmError::RecordOutOfOrder));
+    assert_eq!(pair.deliver(&r2), Err(LcmError::RecordOutOfOrder));
+    assert_eq!(fresh_value(read_n(&mut pair, 2)), 3);
+    // The new generation's stream does.
+    pair.op(3, &inc(), false);
+    pair.cut();
+    assert_eq!(fresh_value(read_n(&mut pair, 3)), 4);
+}
+
+#[test]
+fn a_corrupted_record_is_a_violation() {
+    let mut pair = Pair::<Counter>::new(15, false, false);
+    let [r1, r2, _] = three_records(&mut pair);
+    pair.deliver(&r1).unwrap();
+    let mut bad = r2.clone();
+    let mid = bad.len() / 2;
+    bad[mid] ^= 1;
+    assert_eq!(
+        pair.follower.apply_replica(&bad).map(|(ack, _)| ack),
+        Err(LcmError::Violation(Violation::BadAuthentication))
+    );
+    // Unlike a refusal this is tampering: the enclave is done, and its
+    // medium still holds r1's state and nothing of r2.
+    assert_eq!(pair.deliver(&r2), Err(LcmError::Halted));
+    let mut recovered = pair.follower_medium.recover::<Counter>(&pair.world, 2);
+    assert_eq!(recovered.functionality().value(N), 1);
+    assert!(recovered.apply_replica(&r2).is_ok());
+}
+
+#[test]
+fn another_groups_records_do_not_apply() {
+    let mut pair = Pair::<Counter>::new(16, false, false);
+    // Shard 1's group of the same deployment: same kP, other slot.
+    let world = TeeWorld::new_deterministic(16);
+    let (mut home, _) = provisioned::<Counter>(&world, 1, member(0, 2, 0), false);
+    let (mut follower, _) = provisioned::<Counter>(&world, 2, member(0, 2, 1), false);
+    let (mut foreign, foreign_blobs) = provisioned::<Counter>(&world, 3, member(1, 2, 0), false);
+    let foreign_record = foreign.persist_batch_blobs().unwrap().record.unwrap();
+    let home_record = home.persist_batch_blobs().unwrap().record.unwrap();
+
+    // Its delta opens under the shared kP but was sealed against a
+    // position this group never stands at.
+    assert_eq!(
+        follower.apply_replica(&foreign_record).map(|(ack, _)| ack),
+        Err(LcmError::RecordOutOfOrder)
+    );
+    assert!(follower.apply_replica(&home_record).is_ok());
+    // Its checkpoint names the other group: a violation.
+    assert!(matches!(
+        follower.apply_replica(&foreign_blobs.state_blob),
+        Err(LcmError::Violation(Violation::WrongShard { owner: 1, .. }))
+    ));
+    // And a 1-shard deployment's group is a different group again.
+    assert_eq!(pair.deliver(&home_record), Err(LcmError::RecordOutOfOrder));
+}
+
+/// The anchor rule, through recovery: a member's batch-path checkpoint
+/// *records* the position its delta arrived at, so the chain runs on
+/// across checkpoints — and still a delta fits nowhere but the one
+/// position it was sealed against, and nothing sealed before a
+/// control-plane re-seal fits after it.
+#[test]
+fn bundles_recover_only_along_the_chain() {
+    let mut pair = Pair::<Counter>::new(17, false, false);
+    // Batch k on a blob-store member: its own checkpoint c_k beside
+    // the record d_k.
+    let batch = |pair: &mut Pair<Counter>| {
+        pair.op(0, &inc(), false);
+        let blobs = pair.leader.persist_batch_blobs().unwrap();
+        (blobs.state_blob, blobs.record.unwrap())
+    };
+    let (c1, _d1) = batch(&mut pair);
+    let (c2, d2) = batch(&mut pair);
+    let (c3, d3) = batch(&mut pair);
+    let resealed = pair.leader.persist_blobs().unwrap().state_blob;
+    let (_c4, d4) = batch(&mut pair);
+
+    let key_blob = pair.leader_medium.key_blob.clone();
+    let recover = |checkpoint: &[u8], deltas: &[&[u8]]| {
+        let bundle = lcm::storage::make_bundle(checkpoint, deltas.iter().copied());
+        let mut ctx = boot::<Counter>(&pair.world, 1, 200);
+        ctx.init(Some(&key_blob), Some(&bundle), false)
+            .map(|_| ctx.functionality().value(N))
+    };
+    let broken = Err(LcmError::Violation(Violation::BadAuthentication));
+    assert_eq!(recover(&c1, &[&d2, &d3]), Ok(3), "across two checkpoints");
+    assert_eq!(recover(&c2, &[&d3]), Ok(3));
+    assert_eq!(recover(&c1, &[&d3]), broken, "a gap");
+    assert_eq!(recover(&c2, &[&d2]), broken, "a delta already inside");
+    assert_eq!(recover(&c3, &[&d4]), broken, "across a re-seal");
+    assert_eq!(recover(&resealed, &[&d4]), Ok(4));
+}
+
+/// Bytes each follower of a 3-member KVS group over `medium` is handed
+/// for one 8-Put batch on top of `preload` records, and the storage
+/// loads the group performs for it. Over a delta log the followers
+/// store the record verbatim, so the last delta of their logs shows
+/// exactly what was shipped; over a blob store the list is empty.
+fn shipped_for_one_batch<S: StableStorage + 'static>(preload: u32, medium: S) -> (Vec<usize>, u64) {
+    use lcm::core::admin::AdminHandle;
+    use lcm::storage::{parse_bundle, DelayedStorage, NamespacedStorage};
+    let world = TeeWorld::new_deterministic(21);
+    // Zero delay: the wrapper is here for its load counter.
+    let counting = Arc::new(DelayedStorage::new(medium, std::time::Duration::ZERO));
+    let spec = ReplicationSpec {
+        shards: 1,
+        replicas: 3,
+        quorum: Quorum::Majority,
+    };
+    let mut group = build_replicated::<KvStore>(&world, 1, counting.clone(), 16, spec, false);
+    assert!(group.boot().unwrap());
+    let ids: Vec<ClientId> = (1..=8).map(ClientId).collect();
+    let mut admin = AdminHandle::new_deterministic(&world, ids.clone(), Quorum::Majority, 3);
+    admin.bootstrap(&mut group).unwrap();
+    let mut clients: Vec<LcmClient> = ids
+        .iter()
+        .map(|&id| LcmClient::new_sharded(id, admin.client_key(), 1))
+        .collect();
+    let mut round = |ops: Vec<(usize, KvOp)>| {
+        let n = ops.len();
+        for (c, op) in ops {
+            let wire = clients[c].invoke_for::<KvStore>(&op.to_bytes()).unwrap();
+            group.submit(wire);
+        }
+        let replies = group.process_all().unwrap();
+        assert_eq!(replies.len(), n, "released at quorum in the same step");
+        for (id, wire) in replies {
+            clients[id.0 as usize - 1].handle_reply(&wire).unwrap();
+        }
+    };
+    let fill = KvOp::Fill {
+        pin: b"fill".to_vec(),
+        start: 0,
+        count: preload,
+        value_len: 100,
+    };
+    round(vec![(0, fill)]);
+    let puts = |tag: u32| -> Vec<(usize, KvOp)> {
+        (0..8)
+            .map(|c| {
+                let key = format!("w{c}-{tag}").into_bytes();
+                (c, KvOp::Put(key, vec![7u8; 100]))
+            })
+            .collect()
+    };
+    // Let the fill's deferred compaction checkpoint happen first.
+    round(puts(0));
+    round(puts(1));
+
+    let loads_before = counting.loads();
+    round(puts(2));
+    let loads = counting.loads() - loads_before;
+    let shipped = (1..3)
+        .filter_map(|r| {
+            let region = format!("{}rep{r}.", NamespacedStorage::shard_prefix(0));
+            let log = counting
+                .load(&format!("{region}{SLOT_STATE_BLOB}"))
+                .unwrap()?;
+            let (_, deltas) = parse_bundle(&log)?;
+            deltas.last().map(|delta| delta.len())
+        })
+        .collect();
+    (shipped, loads)
+}
+
+#[test]
+fn shipped_bytes_do_not_depend_on_state() {
+    let delta_log = || DeltaLogStorage::open(Arc::new(MemoryStorage::new())).unwrap();
+    let (small, small_loads) = shipped_for_one_batch(5_000, delta_log());
+    let (large, large_loads) = shipped_for_one_batch(50_000, delta_log());
+    assert_eq!(small.len(), 2, "one verbatim record per follower");
+    assert!(small.iter().all(|&b| b < 4096), "{small:?}");
+    assert_eq!(small, large, "the record is batch-shaped, not state-shaped");
+    assert_eq!(
+        (small_loads, large_loads),
+        (0, 0),
+        "no load on the batch path"
+    );
+    // A blob store changes what the members persist, not what ships.
+    let (_, blob_loads) = shipped_for_one_batch(5_000, MemoryStorage::new());
+    assert_eq!(blob_loads, 0, "no load on the batch path");
+}

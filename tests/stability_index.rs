@@ -1,7 +1,9 @@
 //! The stability index inside a real `TrustedContext<KvStore>`: every
 //! path that installs `V` wholesale (restore from a checkpoint and a
-//! delta suffix, `apply_replica`, whole-context migration) must rebuild
-//! the index, and the incremental path must keep answering exactly what
+//! delta suffix, `apply_replica` of a checkpoint, whole-context
+//! migration) must rebuild the index, a follower applying the
+//! replication stream's delta records must keep it current entry by
+//! entry, and the incremental path must keep answering exactly what
 //! the definition of stability answers — at a client-group size where
 //! evaluating that definition per operation is out of the question.
 
@@ -196,6 +198,33 @@ fn index_is_rebuilt_by_apply_replica() {
     }
     let blob = leader.persist_blobs().unwrap().state_blob;
     follower.apply_replica(&blob).unwrap();
+    // The leader dies; the clients carry on against the follower.
+    group.first_after_rebuild(&mut follower, 2);
+    group.run(&mut follower, &WARM);
+}
+
+#[test]
+fn index_is_maintained_by_applied_delta_records() {
+    // The delta twin of the test above: the follower never installs
+    // `V` wholesale — it receives the touched entries batch by batch
+    // through the replication stream, and its index must follow.
+    let world = TeeWorld::new_deterministic(8);
+    let member = |r| ShardIdentity::new(0, 1).with_replica(r, 3);
+    let mut group = Group::new(7, Quorum::All);
+    let mut leader = provisioned(&world, 1, 7, Quorum::All, member(0));
+    let mut follower = provisioned(&world, 2, 7, Quorum::All, member(1));
+    let mut ship = |leader: &mut Ctx| {
+        let record = leader.persist_batch_blobs().unwrap().record.unwrap();
+        follower.apply_replica(&record).unwrap();
+    };
+    group.run(&mut leader, &WARM[..7]);
+    ship(&mut leader);
+    group.run(&mut leader, &WARM[7..]);
+    ship(&mut leader);
+    for _ in 0..3 {
+        group.run(&mut leader, &AHEAD);
+        ship(&mut leader);
+    }
     // The leader dies; the clients carry on against the follower.
     group.first_after_rebuild(&mut follower, 2);
     group.run(&mut follower, &WARM);
