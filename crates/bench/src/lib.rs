@@ -1058,8 +1058,9 @@ pub mod shardbench {
         /// before the write cell's clock starts.
         pub preload: u32,
         /// Whether the members persist through one shared
-        /// [`DeltaLogStorage`] (sealed deltas, group commit) instead of
-        /// whole-state blobs.
+        /// [`DeltaLogStorage`] (journalled deltas, group commit)
+        /// instead of each rewriting its own `checkpoint ‖ deltas`
+        /// slot on the plain store.
         pub delta_log: bool,
     }
 

@@ -32,9 +32,9 @@
 //!   plaintext)` — on the member that sealed it and on every member
 //!   that applies it, so the position is a function of the executed
 //!   batches alone;
-//! * a checkpoint sealed right after that (a group member's own
-//!   persist on a blob store, a follower's persist after an apply)
-//!   *records* the position it stands at instead of replacing it;
+//! * a checkpoint sealed right after that (a group member's cadence
+//!   checkpoint, a follower's persist after an install) *records* the
+//!   position it stands at instead of replacing it;
 //! * every other checkpoint — provisioning, admin, migration, slice
 //!   moves, a batch persisted without a delta — seals a state no
 //!   delta leads to, and takes a fresh root
@@ -748,12 +748,17 @@ impl<F: Functionality> TrustedContext<F> {
     /// the host loaded from stable storage.
     ///
     /// `want_deltas` is the host's announcement that its storage
-    /// understands sealed delta blobs ([`lcm_storage::DeltaLogStorage`])
-    /// — when set, per-batch persists emit chained deltas instead of
-    /// whole-state checkpoints. The flag is untrusted and affects only
-    /// performance: every emitted blob is sealed and chained either
-    /// way, and a lying host merely gets blobs its storage handles
-    /// suboptimally.
+    /// takes sealed delta blobs — when set, per-batch persists emit
+    /// chained deltas instead of whole-state checkpoints. An
+    /// [`crate::server::LcmServer`] always sets it: its storage is a
+    /// [`lcm_storage::DeltaLogStorage`] the operator put there, or any
+    /// other store behind the [`lcm_storage::BundleStorage`] adapter
+    /// the server adds. Unset, every batch seals the whole state —
+    /// the paper's basic protocol (§4.2), still what a bare context
+    /// driven without that adapter does. The flag is untrusted and
+    /// affects only performance: every emitted blob is sealed and
+    /// chained either way, and a lying host merely gets blobs its
+    /// storage handles suboptimally.
     ///
     /// The state blob may be a single sealed checkpoint or a
     /// delta-log recovery *bundle* (`checkpoint ‖ deltas`); a bundle is
@@ -1411,9 +1416,10 @@ impl<F: Functionality> TrustedContext<F> {
     /// acknowledgement the host counts toward quorum stability, so
     /// only a record this enclave accepted can be acked — plus what
     /// this member persists as its *own* storage dictates: the
-    /// leader's sealed delta verbatim as the next record of a delta
-    /// log (same `kP`, no identity inside, nothing to re-seal), one
-    /// sealed checkpoint otherwise. Either way it records the position
+    /// leader's sealed delta verbatim as the next record of its log
+    /// or bundle (same `kP`, no identity inside, nothing to re-seal),
+    /// one sealed checkpoint when its own cadence asks for one, after
+    /// an install, or when the host takes no deltas. Either way it records the position
     /// the apply arrived at, and carries no key blob: keys cannot
     /// change on this path.
     ///
@@ -1612,8 +1618,9 @@ impl<F: Functionality> TrustedContext<F> {
     /// A **group member** (`replicas > 1` in its attested identity)
     /// seals that delta for every batch, whatever its own storage is,
     /// and returns it as the [`PersistBlobs::record`] its followers
-    /// apply; its own persist is the same delta on a delta log, or one
-    /// checkpoint recording the position the delta arrived at. A
+    /// apply; its own persist is the same delta, or — when the cadence
+    /// asks for one or the host takes no deltas — one checkpoint
+    /// recording the position the delta arrived at. A
     /// functionality that does not track changes gets the solo path:
     /// the checkpoint itself is what the group ships.
     ///
@@ -1639,7 +1646,7 @@ impl<F: Functionality> TrustedContext<F> {
                 state_blob: delta,
             })
         } else {
-            // Only a group member gets here without a delta log.
+            // Cadence checkpoint inside a group.
             Ok(PersistBlobs {
                 key_blob: Vec::new(),
                 state_blob: self.seal_checkpoint(false)?,

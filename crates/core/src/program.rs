@@ -270,8 +270,9 @@ pub enum HostReply {
         /// acknowledgement the host counts toward replica-quorum
         /// stability.
         digest: Digest,
-        /// What this member persists for it: the record itself on a
-        /// delta log, its own sealed checkpoint otherwise.
+        /// What this member persists for it: the record itself, or
+        /// its own sealed checkpoint (cadence, install, or a host
+        /// that takes no deltas).
         blobs: PersistBlobs,
     },
     /// A verified read leg was served; the encrypted read reply.
@@ -804,8 +805,9 @@ mod tests {
             batch_ok_for(ShardIdentity::SOLO, true),
             (BLOB_KIND_DELTA, None)
         );
-        // On a blob store the member persists a checkpoint and ships
-        // the delta beside it; on a delta log the two are one blob.
+        // A member whose host takes no deltas persists a checkpoint
+        // and ships the delta beside it; otherwise the two are one
+        // blob.
         let (kind, record) = batch_ok_for(member, false);
         assert_eq!(kind, BLOB_KIND_CHECKPOINT);
         assert_eq!(record.unwrap()[0], BLOB_KIND_DELTA);

@@ -7,8 +7,13 @@
 //! member, hands the host a **replication record** next to the blobs
 //! it persists. The host gives that record to every follower
 //! ([`BatchServer::apply_replica`]), each follower's enclave verifies
-//! and applies it, persists as its *own* storage dictates, and
-//! acknowledges with the in-enclave digest of the record. A batch's
+//! and applies it, persists as its *own* storage dictates — the
+//! record verbatim, appended to a delta log's journal or to the
+//! `checkpoint ‖ deltas` bundle a plain store's slot holds
+//! ([`lcm_storage::BundleStorage`]), and one sealed checkpoint when
+//! its own cadence asks for one: O(batch) sealed bytes per member
+//! either way — and acknowledges with the in-enclave digest of the
+//! record. A batch's
 //! replies are released to clients only once a **quorum**
 //! ([`Quorum::required`] of the group size, leader included) has
 //! persisted the batch — the same threshold machinery the protocol

@@ -12,7 +12,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use lcm_crypto::sha256::Digest;
-use lcm_storage::StableStorage;
+use lcm_storage::{BundleStorage, StableStorage};
 use lcm_tee::attestation::{Quote, QuotingEnclave, Report};
 use lcm_tee::enclave::Enclave;
 use lcm_tee::platform::TeePlatform;
@@ -98,11 +98,21 @@ impl<F: Functionality> LcmServer<F> {
     /// Creates a server on `platform` persisting to `storage`,
     /// batching up to `batch_limit` operations per seal-and-store
     /// cycle (1 disables batching).
+    ///
+    /// Every batch persists O(batch) sealed bytes whatever `storage`
+    /// is: a store that is not [`StableStorage::delta_capable`] gets a
+    /// [`BundleStorage`] around it, which keeps its one state slot as
+    /// `checkpoint ‖ deltas`.
     pub fn new(
         platform: &TeePlatform,
         storage: Arc<dyn StableStorage>,
         batch_limit: usize,
     ) -> Self {
+        let storage = if storage.delta_capable() {
+            storage
+        } else {
+            Arc::new(BundleStorage::new(storage))
+        };
         LcmServer {
             enclave: Enclave::create(platform),
             quoting: QuotingEnclave::new(platform),

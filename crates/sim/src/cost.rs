@@ -116,12 +116,13 @@ pub struct CostModel {
     pub admission_check: Duration,
     /// Per-follower acknowledgement overhead of a replicated shard
     /// group (LCM only, charged once per follower per batch): the host
-    /// lifting the sealed blob off the leader's medium, the follower's
-    /// in-enclave digest over what it installed, and the group's
-    /// holder/quorum bookkeeping. The blob *application* itself (an
-    /// unseal + reseal on the follower) is modelled as another
-    /// `per_batch` in the engine; this term is only the ack plumbing
-    /// around it. Validated against the real `ReplicaGroup` stack in
+    /// handing the leader's record over, the follower's in-enclave
+    /// digest over what it applied, and the group's holder/quorum
+    /// bookkeeping. The record's *application* itself (the follower
+    /// opens the sealed batch delta, replays it and stores it as it
+    /// came — on a plain store as on a delta log, never a whole-state
+    /// seal) is modelled as another `per_batch` in the engine; this
+    /// term is only the ack plumbing around it. Validated against the real `ReplicaGroup` stack in
     /// `tests/sharding_validation.rs`.
     pub replica_ack: Duration,
     /// Per-group-commit bookkeeping of the sealed delta-log storage

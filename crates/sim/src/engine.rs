@@ -174,10 +174,10 @@ impl Simulation {
             // wait for every follower's apply and ack before the
             // quorum frees them. A follower's `per_batch` is its *own*
             // persist of the batch — it applied the leader's sealed
-            // delta, and seals what its storage wants (one checkpoint
-            // on a blob store, nothing at all on a delta log, where it
-            // stores the record as it came) — not a reinstall of the
-            // leader's state.
+            // delta and stores the record as it came, on a delta log
+            // and on a plain store alike, sealing a checkpoint only
+            // when its own cadence asks for one — not a reinstall of
+            // the leader's state, and not a whole-state seal.
             total += (p.per_batch + self.replica_ack) * followers;
         }
         if p.fsync {

@@ -155,6 +155,10 @@ struct SlotState {
     /// Deltas newer than the current checkpoint, by epoch — exactly
     /// what `load` appends to the checkpoint frame.
     deltas: BTreeMap<u64, Vec<u8>>,
+    /// A checkpoint of this slot is being written with the core lock
+    /// released; the next one waits, because the parity it may
+    /// overwrite is whichever this one does not publish.
+    ckpt_in_flight: bool,
 }
 
 struct Core {
@@ -192,6 +196,8 @@ pub struct DeltaLogStorage {
     inner: Arc<dyn StableStorage>,
     config: DeltaLogConfig,
     core: Mutex<Core>,
+    /// Signalled when a group commit finishes and when a checkpoint
+    /// publishes: everything a caller can block on.
     commit_done: Condvar,
 }
 
@@ -460,9 +466,12 @@ impl DeltaLogStorage {
         core.stats.segments_sealed += 1;
     }
 
-    /// Garbage-collects fully superseded segments from the low end.
-    fn maybe_gc(&self, core: &mut Core) {
-        let mut advanced = false;
+    /// Takes the fully superseded segments off the low end of the log
+    /// window, returning their numbers for the caller to clear on the
+    /// medium. A manifest written before they are cleared merely stops
+    /// naming segments no recovery needs.
+    fn take_superseded(core: &mut Core) -> std::ops::Range<u64> {
+        let lo = core.seg_lo;
         while core.seg_lo < core.seg_next {
             let Some(index) = core.seg_index.get(&core.seg_lo) else {
                 break;
@@ -475,16 +484,11 @@ impl DeltaLogStorage {
             if !superseded {
                 break;
             }
-            let k = core.seg_lo;
-            let _ = self.inner.store(&seg_slot(k), &[]);
-            core.seg_index.remove(&k);
+            core.seg_index.remove(&core.seg_lo);
             core.seg_lo += 1;
             core.stats.segments_gced += 1;
-            advanced = true;
         }
-        if advanced {
-            let _ = self.write_meta(core, core.seg_lo, core.seg_next);
-        }
+        lo..core.seg_lo
     }
 
     /// The group-commit path: enqueue, then either win the committer
@@ -556,8 +560,21 @@ impl DeltaLogStorage {
     }
 
     /// The compaction path: a checkpoint supersedes the slot's deltas.
+    ///
+    /// The O(state) checkpoint write and the per-segment clears of the
+    /// garbage collection that follows run with the core lock
+    /// *released* — every lane of the deployment group-commits through
+    /// that lock, and one lane's compaction must not stall the rest.
+    /// Epoch and parity are reserved under the lock before the write
+    /// and the result is published under it after.
     fn store_checkpoint(&self, slot: &str, blob: &[u8]) -> Result<()> {
         let mut core = self.lock_core();
+        while core.slots.get(slot).is_some_and(|s| s.ckpt_in_flight) {
+            core = self
+                .commit_done
+                .wait(core)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
         let epoch = core.next_epoch;
         core.next_epoch += 1;
         if !core.slots.contains_key(slot) {
@@ -570,20 +587,44 @@ impl DeltaLogStorage {
                 return Err(e);
             }
         }
-        let state = &core.slots[slot];
+        let state = core.slots.get_mut(slot).expect("inserted above");
         let parity = match state.ckpt_epoch {
             Some(_) => state.ckpt_parity ^ 1,
             None => 0,
         };
-        self.inner
-            .store(&ckpt_slot(slot, parity), &encode_ckpt(epoch, blob))?;
-        let state = core.slots.get_mut(slot).expect("inserted above");
+        state.ckpt_in_flight = true;
+        drop(core);
+
+        let written = self
+            .inner
+            .store(&ckpt_slot(slot, parity), &encode_ckpt(epoch, blob));
+
+        let mut core = self.lock_core();
+        let state = core
+            .slots
+            .get_mut(slot)
+            .expect("slots are never removed once discoverable");
+        state.ckpt_in_flight = false;
+        self.commit_done.notify_all();
+        written?;
         state.prev_ckpt_epoch = state.ckpt_epoch.unwrap_or(0);
         state.ckpt_epoch = Some(epoch);
         state.ckpt_parity = parity;
         state.deltas = state.deltas.split_off(&(epoch + 1));
         core.stats.checkpoints += 1;
-        self.maybe_gc(&mut core);
+        let superseded = Self::take_superseded(&mut core);
+        if superseded.is_empty() {
+            return Ok(());
+        }
+        drop(core);
+
+        for k in superseded {
+            let _ = self.inner.store(&seg_slot(k), &[]);
+        }
+
+        let mut core = self.lock_core();
+        let (lo, next) = (core.seg_lo, core.seg_next);
+        let _ = self.write_meta(&mut core, lo, next);
         Ok(())
     }
 }
@@ -807,6 +848,61 @@ mod tests {
         );
         assert_eq!(e.stats().records_appended, LANES);
         assert_eq!(e.stats().group_commits, head_writes);
+    }
+
+    /// A plain store whose checkpoint-slot writes announce themselves
+    /// and then block until released.
+    struct GatedCheckpoints {
+        inner: MemoryStorage,
+        entered: Mutex<std::sync::mpsc::Sender<()>>,
+        release: Mutex<std::sync::mpsc::Receiver<()>>,
+    }
+
+    impl StableStorage for GatedCheckpoints {
+        fn store(&self, slot: &str, blob: &[u8]) -> Result<()> {
+            if slot.starts_with("dlog.ckpt.") {
+                self.entered.lock().unwrap().send(()).unwrap();
+                self.release.lock().unwrap().recv().unwrap();
+            }
+            self.inner.store(slot, blob)
+        }
+        fn load(&self, slot: &str) -> Result<Option<Vec<u8>>> {
+            self.inner.load(slot)
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_write_does_not_hold_up_another_slots_delta() {
+        use std::sync::mpsc::channel;
+        let (entered_tx, entered) = channel();
+        let (release, release_rx) = channel();
+        let e = Arc::new(
+            DeltaLogStorage::open(Arc::new(GatedCheckpoints {
+                inner: MemoryStorage::new(),
+                entered: Mutex::new(entered_tx),
+                release: Mutex::new(release_rx),
+            }))
+            .unwrap(),
+        );
+        let checkpointer = {
+            let e = e.clone();
+            std::thread::spawn(move || e.store("a", &ckpt(1)))
+        };
+        entered.recv().unwrap(); // "a"'s checkpoint is inside the inner write
+        let (done_tx, done) = channel();
+        let other_lane = {
+            let e = e.clone();
+            std::thread::spawn(move || done_tx.send(e.store("b", &delta(2))).unwrap())
+        };
+        let outcome = done.recv_timeout(Duration::from_secs(10));
+        release.send(()).unwrap(); // before any assert: never leave a thread gated
+        checkpointer.join().unwrap().unwrap();
+        other_lane.join().unwrap();
+        outcome
+            .expect("the delta waited for another slot's checkpoint write")
+            .unwrap();
+        assert_eq!(e.load("a").unwrap().unwrap(), ckpt(1));
+        assert_eq!(e.stats().records_appended, 1);
     }
 
     #[test]

@@ -16,6 +16,13 @@
 //!   survive process restarts);
 //! * [`DelayedStorage`] — an honest wrapper charging wall-clock device
 //!   latency per operation, for real-concurrency experiments;
+//! * [`DeltaLogStorage`] — the segmented, group-committing journal of
+//!   sealed per-batch deltas an operator puts under a whole
+//!   deployment;
+//! * [`BundleStorage`] — the adapter that makes any *other* store
+//!   accept sealed deltas, holding `checkpoint ‖ deltas` in the one
+//!   slot a plain store has (the server wraps it around every store
+//!   that is not [`StableStorage::delta_capable`]);
 //! * [`VersionedStorage`] — retains every version ever stored, the
 //!   building block for adversarial behaviour;
 //! * [`RollbackStorage`] — an adversarial wrapper that can be switched
@@ -31,6 +38,7 @@
 #![warn(missing_docs)]
 
 mod adversary;
+mod bundle;
 mod delayed;
 mod deltalog;
 mod disk;
@@ -43,6 +51,7 @@ mod namespace;
 mod versioned;
 
 pub use adversary::{AdversaryMode, ForkView, RollbackStorage};
+pub use bundle::BundleStorage;
 pub use delayed::DelayedStorage;
 pub use deltalog::{
     make_bundle, parse_bundle, DeltaLogConfig, DeltaLogStats, DeltaLogStorage, BLOB_KIND_BUNDLE,
@@ -84,11 +93,22 @@ pub trait StableStorage: Send + Sync {
     /// Implementations may fail on I/O errors.
     fn load(&self, slot: &str) -> Result<Option<Vec<u8>>>;
 
-    /// Whether this store understands the sealed delta-log blob kinds
-    /// ([`DeltaLogStorage`]): if `true`, a server booting on it asks
-    /// its enclave to emit per-batch deltas instead of whole-state
-    /// snapshots. Honest and adversarial wrappers forward this;
-    /// plain blob stores keep the default `false`.
+    /// Whether this store takes the sealed blob kinds an enclave emits
+    /// on the delta path — a [`BLOB_KIND_DELTA`] that extends the slot
+    /// and a [`BLOB_KIND_CHECKPOINT`] that replaces it — and loads
+    /// them back as `checkpoint ‖ deltas`. [`DeltaLogStorage`] and
+    /// [`BundleStorage`] do; plain blob stores keep the default
+    /// `false`, and honest wrappers forward their inner store's
+    /// answer.
+    ///
+    /// Nobody has to consult this to get O(batch) persists: a server
+    /// puts a [`BundleStorage`] around any store that answers `false`
+    /// and leaves one that answers `true` alone. The adapter — not the
+    /// segmented engine — is what it reaches for because one slot then
+    /// stays one coherent sealed state, the unit the paper's
+    /// `load`/`store` model and the adversarial wrappers
+    /// ([`RollbackStorage`], [`VersionedStorage`], [`ForkView`]) roll
+    /// back and fork.
     fn delta_capable(&self) -> bool {
         false
     }

@@ -28,7 +28,7 @@ use lcm::core::context::{
 use lcm::core::functionality::{Counter, Functionality};
 use lcm::core::program::lcm_measurement;
 use lcm::core::server::{BatchServer, SLOT_STATE_BLOB};
-use lcm::core::shard::{build_replicated, ReplicationSpec};
+use lcm::core::shard::{build_replicated, build_sharded, ReplicationSpec};
 use lcm::core::stability::Quorum;
 use lcm::core::types::ClientId;
 use lcm::core::{LcmError, Violation};
@@ -38,7 +38,8 @@ use lcm::crypto::sha256;
 use lcm::kvs::ops::KvOp;
 use lcm::kvs::store::KvStore;
 use lcm::storage::{
-    DeltaLogStorage, MemoryStorage, StableStorage, BLOB_KIND_CHECKPOINT, BLOB_KIND_DELTA,
+    parse_bundle, BundleStorage, DeltaLogStorage, MemoryStorage, StableStorage,
+    BLOB_KIND_CHECKPOINT, BLOB_KIND_DELTA,
 };
 use lcm::tee::platform::TeeServices;
 use lcm::tee::world::TeeWorld;
@@ -68,16 +69,44 @@ fn member(shard: u32, shards: u32, replica: u32) -> ShardIdentity {
     ShardIdentity::new(shard, shards).with_replica(replica, 3)
 }
 
-/// A context provisioned as `identity` over a delta log (`deltas`) or a
-/// blob store, with the blobs its provisioning sealed.
+/// What a member persists through.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Store {
+    /// A plain store under a host that takes no deltas: the enclave
+    /// seals a checkpoint per batch.
+    Blob,
+    /// A plain store the way `LcmServer` runs it — behind the adapter
+    /// that keeps its one slot as `checkpoint ‖ deltas`.
+    Bundle,
+    /// The segmented delta-log engine.
+    DeltaLog,
+}
+
+impl Store {
+    /// What the host announces to the enclave at `init`.
+    fn takes_deltas(self) -> bool {
+        self != Store::Blob
+    }
+}
+
+fn arb_store() -> impl Strategy<Value = Store> {
+    prop_oneof![
+        Just(Store::Blob),
+        Just(Store::Bundle),
+        Just(Store::DeltaLog)
+    ]
+}
+
+/// A context provisioned as `identity` over `store`, with the blobs
+/// its provisioning sealed.
 fn provisioned<F: Functionality>(
     world: &TeeWorld,
     platform: u64,
     identity: ShardIdentity,
-    deltas: bool,
+    store: Store,
 ) -> (TrustedContext<F>, PersistBlobs) {
     let mut ctx = boot::<F>(world, platform, platform);
-    ctx.init(None, None, deltas).unwrap();
+    ctx.init(None, None, store.takes_deltas()).unwrap();
     let payload = ProvisionPayload {
         k_p: k_p(),
         k_c: k_c(),
@@ -105,18 +134,22 @@ fn sealed_state<F: Functionality>(ctx: &mut TrustedContext<F>) -> Vec<u8> {
 
 /// One member's medium, written the way `LcmServer` writes it.
 struct Medium {
+    /// The plain store at the bottom.
+    raw: Arc<MemoryStorage>,
     storage: Arc<dyn StableStorage>,
     key_blob: Vec<u8>,
 }
 
 impl Medium {
-    fn new(deltas: bool, provisioning: &PersistBlobs) -> Self {
-        let storage: Arc<dyn StableStorage> = if deltas {
-            Arc::new(DeltaLogStorage::open(Arc::new(MemoryStorage::new())).unwrap())
-        } else {
-            Arc::new(MemoryStorage::new())
+    fn new(store: Store, provisioning: &PersistBlobs) -> Self {
+        let raw = Arc::new(MemoryStorage::new());
+        let storage: Arc<dyn StableStorage> = match store {
+            Store::Blob => raw.clone(),
+            Store::Bundle => Arc::new(BundleStorage::new(raw.clone())),
+            Store::DeltaLog => Arc::new(DeltaLogStorage::open(raw.clone()).unwrap()),
         };
         let medium = Medium {
+            raw,
             storage,
             key_blob: provisioning.key_blob.clone(),
         };
@@ -198,15 +231,15 @@ struct Pair<F: Functionality> {
 }
 
 impl<F: Functionality> Pair<F> {
-    fn new(seed: u64, leader_deltas: bool, follower_deltas: bool) -> Self {
+    fn new(seed: u64, leader_store: Store, follower_store: Store) -> Self {
         let world = TeeWorld::new_deterministic(seed);
-        let (leader, l_blobs) = provisioned::<F>(&world, 1, member(0, 1, 0), leader_deltas);
-        let (follower, f_blobs) = provisioned::<F>(&world, 2, member(0, 1, 1), follower_deltas);
+        let (leader, l_blobs) = provisioned::<F>(&world, 1, member(0, 1, 0), leader_store);
+        let (follower, f_blobs) = provisioned::<F>(&world, 2, member(0, 1, 1), follower_store);
         Pair {
             leader,
             follower,
-            leader_medium: Medium::new(leader_deltas, &l_blobs),
-            follower_medium: Medium::new(follower_deltas, &f_blobs),
+            leader_medium: Medium::new(leader_store, &l_blobs),
+            follower_medium: Medium::new(follower_store, &f_blobs),
             clients: (1..=CLIENTS)
                 .map(|c| LcmClient::new(ClientId(c), &k_c()))
                 .collect(),
@@ -300,16 +333,17 @@ impl<F: Functionality> Pair<F> {
 }
 
 /// The leader, the follower fed its stream, and a context recovered
-/// from each one's medium agree on every sealed byte and on the chain
-/// position.
+/// from each one's medium — a checkpoint per batch, the one-slot
+/// bundle, or the journal — agree on every sealed byte and on the
+/// chain position.
 fn replication_equals_recovery<F: Functionality>(
     steps: &[Step],
     seed: u64,
-    leader_deltas: bool,
-    follower_deltas: bool,
+    leader_store: Store,
+    follower_store: Store,
     probe_op: &[u8],
 ) -> Result<(), TestCaseError> {
-    let mut pair = Pair::<F>::new(seed, leader_deltas, follower_deltas);
+    let mut pair = Pair::<F>::new(seed, leader_store, follower_store);
     pair.run(steps);
     let mut from_leader = pair.leader_medium.recover::<F>(&pair.world, 1);
     let mut from_follower = pair.follower_medium.recover::<F>(&pair.world, 2);
@@ -347,47 +381,79 @@ proptest! {
     fn replication_equals_recovery_for_the_kvs(
         steps in arb_steps(arb_kv_op()),
         seed in 0u64..1000,
-        leader_deltas in any::<bool>(),
-        follower_deltas in any::<bool>(),
+        leader_store in arb_store(),
+        follower_store in arb_store(),
     ) {
         let probe = KvOp::Put(b"probe".to_vec(), b"x".to_vec()).to_bytes();
-        replication_equals_recovery::<KvStore>(&steps, seed, leader_deltas, follower_deltas, &probe)?;
+        replication_equals_recovery::<KvStore>(&steps, seed, leader_store, follower_store, &probe)?;
     }
 
     #[test]
     fn replication_equals_recovery_for_counters(
         steps in arb_steps(arb_counter_op()),
         seed in 0u64..1000,
-        leader_deltas in any::<bool>(),
-        follower_deltas in any::<bool>(),
+        leader_store in arb_store(),
+        follower_store in arb_store(),
     ) {
         let probe = Counter::inc_op(b"probe", 1);
-        replication_equals_recovery::<Counter>(&steps, seed, leader_deltas, follower_deltas, &probe)?;
+        replication_equals_recovery::<Counter>(&steps, seed, leader_store, follower_store, &probe)?;
     }
 }
 
-/// On a delta log the follower's persist for a record *is* the record
-/// (nothing re-sealed), until its own cadence asks for a checkpoint; on
-/// a blob store it is one checkpoint.
+/// Where the host takes deltas the follower's persist for a record
+/// *is* the record (nothing re-sealed), until its own cadence asks for
+/// a checkpoint; where it does not, it is one checkpoint. And each
+/// medium ends up holding what its kind says: the last checkpoint
+/// alone, that checkpoint and the records since in the one slot of a
+/// plain store, or those records in a delta log's journal.
 #[test]
 fn a_follower_persists_as_its_own_storage_dictates() {
-    for follower_deltas in [false, true] {
-        let mut pair = Pair::<Counter>::new(5, false, follower_deltas);
+    for follower_store in [Store::Blob, Store::Bundle, Store::DeltaLog] {
+        let mut pair = Pair::<Counter>::new(5, Store::Blob, follower_store);
         let mut verbatim = 0;
+        let mut last_checkpoint = Vec::new();
+        let mut since_checkpoint: Vec<Vec<u8>> = Vec::new();
         for round in 0..40u64 {
             pair.op(0, &Counter::inc_op(b"n", round), false);
             let record = pair.seal_batch();
             let (_, blobs) = pair.follower.apply_replica(&record).unwrap();
-            if follower_deltas && blobs.state_blob == record {
+            pair.follower_medium.store(&blobs);
+            if follower_store.takes_deltas() && blobs.state_blob == record {
                 verbatim += 1;
+                since_checkpoint.push(record);
             } else {
                 assert_eq!(blobs.state_blob[0], BLOB_KIND_CHECKPOINT);
+                last_checkpoint = blobs.state_blob;
+                since_checkpoint.clear();
             }
         }
-        if follower_deltas {
-            assert!((30..40).contains(&verbatim), "{verbatim} of 40 verbatim");
-        } else {
-            assert_eq!(verbatim, 0);
+        let slot = pair.follower_medium.raw.load(SLOT_STATE_BLOB).unwrap();
+        match follower_store {
+            Store::Blob => {
+                assert_eq!(verbatim, 0);
+                assert_eq!(slot, Some(last_checkpoint));
+            }
+            Store::Bundle => {
+                assert!((30..40).contains(&verbatim), "{verbatim} of 40 verbatim");
+                assert!(!since_checkpoint.is_empty(), "the run ends mid-cadence");
+                let slot = slot.unwrap();
+                let (checkpoint, records) = parse_bundle(&slot).unwrap();
+                assert_eq!(checkpoint, &last_checkpoint[..]);
+                assert_eq!(records, since_checkpoint);
+            }
+            Store::DeltaLog => {
+                assert!((30..40).contains(&verbatim), "{verbatim} of 40 verbatim");
+                // Nothing under the slot's own name: the engine spreads
+                // it over checkpoint slots and journal segments ...
+                assert_eq!(slot, None);
+                // ... and reassembles exactly the records since the
+                // last checkpoint.
+                let state = pair.follower_medium.storage.load(SLOT_STATE_BLOB);
+                let state = state.unwrap().unwrap();
+                let (checkpoint, records) = parse_bundle(&state).unwrap();
+                assert_eq!(checkpoint, &last_checkpoint[..]);
+                assert_eq!(records, since_checkpoint);
+            }
         }
     }
 }
@@ -420,7 +486,7 @@ fn three_records(pair: &mut Pair<Counter>) -> [Vec<u8>; 3] {
 
 #[test]
 fn a_dropped_record_is_refused_until_the_gap_is_filled() {
-    let mut pair = Pair::<Counter>::new(11, false, false);
+    let mut pair = Pair::<Counter>::new(11, Store::Blob, Store::Blob);
     let [r1, r2, r3] = three_records(&mut pair);
     pair.deliver(&r1).unwrap();
     // r2 never arrives.
@@ -439,7 +505,7 @@ fn a_dropped_record_is_refused_until_the_gap_is_filled() {
 
 #[test]
 fn a_duplicated_record_is_refused() {
-    let mut pair = Pair::<Counter>::new(12, false, false);
+    let mut pair = Pair::<Counter>::new(12, Store::Blob, Store::Blob);
     let [r1, r2, _] = three_records(&mut pair);
     pair.deliver(&r1).unwrap();
     assert_eq!(pair.deliver(&r1), Err(LcmError::RecordOutOfOrder));
@@ -450,7 +516,7 @@ fn a_duplicated_record_is_refused() {
 
 #[test]
 fn swapped_records_apply_only_in_order() {
-    let mut pair = Pair::<Counter>::new(13, false, false);
+    let mut pair = Pair::<Counter>::new(13, Store::Blob, Store::Blob);
     let [r1, r2, _] = three_records(&mut pair);
     assert_eq!(pair.deliver(&r2), Err(LcmError::RecordOutOfOrder));
     assert_eq!(read_n(&mut pair, 0), Ok(ReadOutcome::Behind));
@@ -461,7 +527,7 @@ fn swapped_records_apply_only_in_order() {
 
 #[test]
 fn a_record_from_before_a_control_plane_checkpoint_does_not_apply_after_it() {
-    let mut pair = Pair::<Counter>::new(14, false, false);
+    let mut pair = Pair::<Counter>::new(14, Store::Blob, Store::Blob);
     let [r1, r2, _] = three_records(&mut pair);
     pair.deliver(&r1).unwrap();
     // The leader re-seals at a fresh root (as an admin call would) with
@@ -481,7 +547,7 @@ fn a_record_from_before_a_control_plane_checkpoint_does_not_apply_after_it() {
 
 #[test]
 fn a_corrupted_record_is_a_violation() {
-    let mut pair = Pair::<Counter>::new(15, false, false);
+    let mut pair = Pair::<Counter>::new(15, Store::Blob, Store::Blob);
     let [r1, r2, _] = three_records(&mut pair);
     pair.deliver(&r1).unwrap();
     let mut bad = r2.clone();
@@ -501,12 +567,13 @@ fn a_corrupted_record_is_a_violation() {
 
 #[test]
 fn another_groups_records_do_not_apply() {
-    let mut pair = Pair::<Counter>::new(16, false, false);
+    let mut pair = Pair::<Counter>::new(16, Store::Blob, Store::Blob);
     // Shard 1's group of the same deployment: same kP, other slot.
     let world = TeeWorld::new_deterministic(16);
-    let (mut home, _) = provisioned::<Counter>(&world, 1, member(0, 2, 0), false);
-    let (mut follower, _) = provisioned::<Counter>(&world, 2, member(0, 2, 1), false);
-    let (mut foreign, foreign_blobs) = provisioned::<Counter>(&world, 3, member(1, 2, 0), false);
+    let (mut home, _) = provisioned::<Counter>(&world, 1, member(0, 2, 0), Store::Blob);
+    let (mut follower, _) = provisioned::<Counter>(&world, 2, member(0, 2, 1), Store::Blob);
+    let (mut foreign, foreign_blobs) =
+        provisioned::<Counter>(&world, 3, member(1, 2, 0), Store::Blob);
     let foreign_record = foreign.persist_batch_blobs().unwrap().record.unwrap();
     let home_record = home.persist_batch_blobs().unwrap().record.unwrap();
 
@@ -533,7 +600,7 @@ fn another_groups_records_do_not_apply() {
 /// control-plane re-seal fits after it.
 #[test]
 fn bundles_recover_only_along_the_chain() {
-    let mut pair = Pair::<Counter>::new(17, false, false);
+    let mut pair = Pair::<Counter>::new(17, Store::Blob, Store::Blob);
     // Batch k on a blob-store member: its own checkpoint c_k beside
     // the record d_k.
     let batch = |pair: &mut Pair<Counter>| {
@@ -563,23 +630,36 @@ fn bundles_recover_only_along_the_chain() {
     assert_eq!(recover(&resealed, &[&d4]), Ok(4));
 }
 
-/// Bytes each follower of a 3-member KVS group over `medium` is handed
-/// for one 8-Put batch on top of `preload` records, and the storage
-/// loads the group performs for it. Over a delta log the followers
-/// store the record verbatim, so the last delta of their logs shows
-/// exactly what was shipped; over a blob store the list is empty.
-fn shipped_for_one_batch<S: StableStorage + 'static>(preload: u32, medium: S) -> (Vec<usize>, u64) {
+/// The sealed delta each member of a `replicas`-member KVS group over
+/// `medium` (a solo lane for `replicas == 1`) stored for one 8-Put
+/// batch on top of `preload` records — the leader's enclave sealed
+/// it, the followers were shipped it and store it verbatim, so the
+/// last delta of each member's slot shows exactly that — and the
+/// storage loads performed for the batch.
+fn last_delta_of_one_batch<S: StableStorage + 'static>(
+    preload: u32,
+    replicas: u32,
+    medium: S,
+) -> (Vec<usize>, u64) {
     use lcm::core::admin::AdminHandle;
-    use lcm::storage::{parse_bundle, DelayedStorage, NamespacedStorage};
+    use lcm::storage::{DelayedStorage, NamespacedStorage};
     let world = TeeWorld::new_deterministic(21);
     // Zero delay: the wrapper is here for its load counter.
     let counting = Arc::new(DelayedStorage::new(medium, std::time::Duration::ZERO));
-    let spec = ReplicationSpec {
-        shards: 1,
-        replicas: 3,
-        quorum: Quorum::Majority,
+    let lane = NamespacedStorage::shard_prefix(0);
+    let (mut group, regions) = if replicas == 1 {
+        let solo = build_sharded::<KvStore>(&world, 1, counting.clone(), 16, 1, false);
+        (solo, vec![lane])
+    } else {
+        let spec = ReplicationSpec {
+            shards: 1,
+            replicas,
+            quorum: Quorum::Majority,
+        };
+        let group = build_replicated::<KvStore>(&world, 1, counting.clone(), 16, spec, false);
+        let regions = (0..replicas).map(|r| format!("{lane}rep{r}."));
+        (group, regions.collect())
     };
-    let mut group = build_replicated::<KvStore>(&world, 1, counting.clone(), 16, spec, false);
     assert!(group.boot().unwrap());
     let ids: Vec<ClientId> = (1..=8).map(ClientId).collect();
     let mut admin = AdminHandle::new_deterministic(&world, ids.clone(), Quorum::Majority, 3);
@@ -622,9 +702,9 @@ fn shipped_for_one_batch<S: StableStorage + 'static>(preload: u32, medium: S) ->
     let loads_before = counting.loads();
     round(puts(2));
     let loads = counting.loads() - loads_before;
-    let shipped = (1..3)
-        .filter_map(|r| {
-            let region = format!("{}rep{r}.", NamespacedStorage::shard_prefix(0));
+    let stored = regions
+        .iter()
+        .filter_map(|region| {
             let log = counting
                 .load(&format!("{region}{SLOT_STATE_BLOB}"))
                 .unwrap()?;
@@ -632,15 +712,19 @@ fn shipped_for_one_batch<S: StableStorage + 'static>(preload: u32, medium: S) ->
             deltas.last().map(|delta| delta.len())
         })
         .collect();
-    (shipped, loads)
+    (stored, loads)
 }
 
 #[test]
 fn shipped_bytes_do_not_depend_on_state() {
     let delta_log = || DeltaLogStorage::open(Arc::new(MemoryStorage::new())).unwrap();
-    let (small, small_loads) = shipped_for_one_batch(5_000, delta_log());
-    let (large, large_loads) = shipped_for_one_batch(50_000, delta_log());
-    assert_eq!(small.len(), 2, "one verbatim record per follower");
+    let (small, small_loads) = last_delta_of_one_batch(5_000, 3, delta_log());
+    let (large, large_loads) = last_delta_of_one_batch(50_000, 3, delta_log());
+    assert_eq!(
+        small.len(),
+        3,
+        "the leader's delta, verbatim on each follower"
+    );
     assert!(small.iter().all(|&b| b < 4096), "{small:?}");
     assert_eq!(small, large, "the record is batch-shaped, not state-shaped");
     assert_eq!(
@@ -648,7 +732,28 @@ fn shipped_bytes_do_not_depend_on_state() {
         (0, 0),
         "no load on the batch path"
     );
-    // A blob store changes what the members persist, not what ships.
-    let (_, blob_loads) = shipped_for_one_batch(5_000, MemoryStorage::new());
-    assert_eq!(blob_loads, 0, "no load on the batch path");
+}
+
+/// What PR 15 did for the bytes a group ships, the bundle adapter does
+/// for the bytes every enclave seals: over a plain store — solo or in
+/// a group — a batch seals one delta, not the state.
+#[test]
+fn sealed_bytes_per_batch_do_not_depend_on_state_on_a_plain_store() {
+    for replicas in [1, 3] {
+        let (small, small_loads) = last_delta_of_one_batch(5_000, replicas, MemoryStorage::new());
+        let (large, large_loads) = last_delta_of_one_batch(50_000, replicas, MemoryStorage::new());
+        assert_eq!(
+            small.len(),
+            replicas as usize,
+            "every member's slot ends in the batch's delta"
+        );
+        assert!(small.windows(2).all(|w| w[0] == w[1]), "{small:?}");
+        assert!(small.iter().all(|&b| b < 4096), "{small:?}");
+        assert_eq!(small, large, "the delta is batch-shaped, not state-shaped");
+        assert_eq!(
+            (small_loads, large_loads),
+            (0, 0),
+            "no load on the batch path"
+        );
+    }
 }

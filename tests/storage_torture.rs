@@ -1,9 +1,11 @@
-//! Storage-engine torture: the sealed delta log under adversarial
-//! media and arbitrary crash points.
+//! Storage-engine torture: sealed deltas under adversarial media and
+//! arbitrary crash points — journalled by the delta-log engine, and
+//! appended to the one `checkpoint ‖ deltas` slot of a plain store by
+//! the adapter `LcmServer` puts around it.
 //!
-//! Three attack surfaces, all driven through the full server stack
-//! (enclave + sealing + delta-log engine), never against the engine in
-//! isolation:
+//! Three attack surfaces, each on both stores, all driven through the
+//! full server stack (enclave + sealing + storage engine), never
+//! against the engine in isolation:
 //!
 //! 1. **Torn writes** — every write reaching the medium keeps only a
 //!    prefix (`AdversaryMode::TornWrites`), modelling power loss
@@ -66,18 +68,28 @@ fn mix(state: &mut u64) -> u64 {
 const WARMUP: usize = 4;
 const TORTURED: usize = 6;
 
-/// Sync server (batch 1) over a fresh delta-log engine over `disk`.
-/// Tiny segments force seal + compaction traffic on short schedules.
-fn mk_engine_server(
-    world: &TeeWorld,
-    disk: Arc<dyn StableStorage>,
-    segment_bytes: usize,
-) -> LcmServer<KvStore> {
-    let engine = DeltaLogStorage::with_config(disk, DeltaLogConfig { segment_bytes })
-        .expect("engine recovery must succeed on any honest-prefix or torn medium");
-    let platform = world.platform_deterministic(1);
-    LcmServer::<KvStore>::new(&platform, Arc::new(engine), 1)
+/// What a sync server (batch 1) persists through, over `disk`.
+#[derive(Debug, Clone, Copy)]
+enum Store {
+    /// A fresh delta-log engine; tiny segments force seal +
+    /// compaction traffic on short schedules.
+    DeltaLog { segment_bytes: usize },
+    /// `disk` as it is: the server adds the bundle adapter.
+    Plain,
 }
+
+fn mk_server(world: &TeeWorld, disk: Arc<dyn StableStorage>, store: Store) -> LcmServer<KvStore> {
+    let storage = match store {
+        Store::DeltaLog { segment_bytes } => Arc::new(
+            DeltaLogStorage::with_config(disk, DeltaLogConfig { segment_bytes })
+                .expect("engine recovery must succeed on any honest-prefix or torn medium"),
+        ),
+        Store::Plain => disk,
+    };
+    LcmServer::<KvStore>::new(&world.platform_deterministic(1), storage, 1)
+}
+
+const TORTURED_ENGINE: Store = Store::DeltaLog { segment_bytes: 256 };
 
 /// The full put schedule, in acknowledgement order.
 fn schedule() -> Vec<(Vec<u8>, Vec<u8>)> {
@@ -158,16 +170,16 @@ fn assert_acknowledged_client_outcome(server: &mut dyn BatchServer, client: &mut
     }
 }
 
-/// Runs the warm-up + tortured schedule against an engine over the
-/// adversarial disk, crashes (fresh engine, fresh server — the old
-/// engine's in-memory caches die with the process), and checks both
-/// the fresh-client prefix shape and the acknowledged client's
+/// Runs the warm-up + tortured schedule against `store` over the
+/// adversarial disk, crashes (fresh engine or adapter, fresh server —
+/// the old one's in-memory caches die with the process), and checks
+/// both the fresh-client prefix shape and the acknowledged client's
 /// detection guarantee.
-fn torture_run(seed: u64, adversary_phase: impl Fn(&RollbackStorage, &mut u64)) {
+fn torture_run(seed: u64, store: Store, adversary_phase: impl Fn(&RollbackStorage, &mut u64)) {
     let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
     let world = TeeWorld::new_deterministic(7_000 + seed);
     let disk = Arc::new(RollbackStorage::new());
-    let mut server = mk_engine_server(&world, disk.clone(), 256);
+    let mut server = mk_server(&world, disk.clone(), store);
     server.boot().unwrap();
     let mut admin = AdminHandle::new_deterministic(
         &world,
@@ -205,7 +217,7 @@ fn torture_run(seed: u64, adversary_phase: impl Fn(&RollbackStorage, &mut u64)) 
     disk.drop_buffered();
     disk.set_mode(AdversaryMode::Honest);
 
-    let mut server = mk_engine_server(&world, disk, 256);
+    let mut server = mk_server(&world, disk, store);
     match server.boot() {
         Ok(_) => {
             assert_prefix_consistent(&mut server, &admin);
@@ -222,29 +234,54 @@ fn torture_run(seed: u64, adversary_phase: impl Fn(&RollbackStorage, &mut u64)) 
     }
 }
 
-#[test]
-fn torn_writes_recover_to_a_detectable_prefix() {
+/// Five rounds of torn writes keeping `1 + rng % widest` bytes.
+fn torn_writes(store: Store, widest: u64) {
     let mut seed = stress_seed();
     for round in 0..5 {
-        // Tear widths from one byte up to roughly a whole frame.
-        let keep = 1 + (mix(&mut seed) % 640) as usize;
+        let keep = 1 + (mix(&mut seed) % widest) as usize;
         eprintln!("torn-writes round {round}: keep={keep}");
-        torture_run(seed.wrapping_add(round), |disk, _| {
+        torture_run(seed.wrapping_add(round), store, |disk, _| {
             disk.set_mode(AdversaryMode::TornWrites { keep });
         });
     }
 }
 
-#[test]
-fn reordered_flushes_with_power_failure_recover_to_a_detectable_prefix() {
+fn reordered_flushes(store: Store) {
     let mut seed = stress_seed();
     for round in 0..5 {
         mix(&mut seed);
         eprintln!("reordered-flush round {round}");
-        torture_run(seed.wrapping_add(round), |disk, _| {
+        torture_run(seed.wrapping_add(round), store, |disk, _| {
             disk.set_mode(AdversaryMode::ReorderedFlush);
         });
     }
+}
+
+#[test]
+fn torn_writes_recover_to_a_detectable_prefix() {
+    // Tear widths from one byte up to roughly a whole frame.
+    torn_writes(TORTURED_ENGINE, 640);
+}
+
+#[test]
+fn torn_writes_over_a_plain_store_recover_to_a_detectable_prefix() {
+    // The slot is rewritten whole, so a tear can land anywhere in it:
+    // inside the checkpoint frame (nothing to fall back to — the
+    // enclave must refuse it) or inside any delta frame after it (the
+    // adapter cuts the tail, the chain verifies up to the cut).
+    torn_writes(Store::Plain, 6_000);
+}
+
+#[test]
+fn reordered_flushes_with_power_failure_recover_to_a_detectable_prefix() {
+    reordered_flushes(TORTURED_ENGINE);
+}
+
+#[test]
+fn reordered_flushes_over_a_plain_store_recover_to_a_detectable_prefix() {
+    // Newest-first within a pair: an older `checkpoint ‖ deltas` lands
+    // on top of a newer one, and the power failure keeps it there.
+    reordered_flushes(Store::Plain);
 }
 
 #[test]
@@ -252,7 +289,7 @@ fn torn_writes_after_honest_flush_keep_the_flushed_state() {
     // Degenerate tear (keep = 0): nothing written during the tortured
     // phase reaches the medium at all. Recovery must land exactly on
     // the warm-up state and the acknowledged client must halt.
-    torture_run(stress_seed(), |disk, _| {
+    torture_run(stress_seed(), TORTURED_ENGINE, |disk, _| {
         disk.set_mode(AdversaryMode::TornWrites { keep: 0 });
     });
 }
@@ -299,16 +336,96 @@ impl StableStorage for RecorderStorage {
     }
 }
 
+/// Crash-safety invariant: for *every* prefix of the inner write
+/// log, recovery boots, the hash chain verifies end-to-end (a
+/// fresh client's reads succeed), the surviving puts form a
+/// contiguous prefix of the schedule, and every put acknowledged
+/// by write `k` is still present.
+fn every_kill_point_recovers(
+    world_seed: u64,
+    n_puts: usize,
+    value_len: usize,
+    store: Store,
+) -> Result<(), TestCaseError> {
+    let world = TeeWorld::new_deterministic(9_000 + world_seed);
+    let recorder = RecorderStorage::new();
+    let mut server = mk_server(&world, Arc::new(recorder.clone()), store);
+    server.boot().unwrap();
+    let mut admin = AdminHandle::new_deterministic(
+        &world,
+        vec![ClientId(1), ClientId(2)],
+        Quorum::Majority,
+        22,
+    );
+    admin.bootstrap(&mut server).unwrap();
+    let mut client = KvsClient::new_sharded(ClientId(1), admin.client_key(), 1);
+
+    // `persisted_by[i]` = write-log length when put i was
+    // acknowledged: cuts at or past it must preserve put i.
+    let mut persisted_by = Vec::with_capacity(n_puts);
+    for i in 0..n_puts {
+        let mut value = format!("v{i}-").into_bytes();
+        value.resize(value.len() + value_len, b'=');
+        client
+            .put(&mut server, format!("key{i}").as_bytes(), &value)
+            .unwrap();
+        persisted_by.push(recorder.writes().len());
+    }
+    drop(server);
+    let writes = recorder.writes();
+
+    for k in 0..=writes.len() {
+        let disk: Arc<dyn StableStorage> = Arc::new(MemoryStorage::new());
+        for (slot, blob) in &writes[..k] {
+            disk.store(slot, blob).unwrap();
+        }
+        let mut server = mk_server(&world, disk, store);
+        server.boot().unwrap_or_else(|e| {
+            panic!(
+                "recovery from honest prefix k={k}/{} failed: {e:?}",
+                writes.len()
+            )
+        });
+
+        let must_hold = persisted_by.iter().filter(|&&idx| idx <= k).count();
+        if must_hold == 0 {
+            continue; // cut may predate provisioning: nothing readable yet
+        }
+        let mut fresh = KvsClient::new_sharded(ClientId(2), admin.client_key(), 1);
+        let mut lost_from = None;
+        for i in 0..n_puts {
+            let got = fresh
+                .get(&mut server, format!("key{i}").as_bytes())
+                .unwrap_or_else(|e| panic!("verified read failed at k={k}: {e:?}"));
+            match got {
+                Some(v) => {
+                    prop_assert!(
+                        lost_from.is_none(),
+                        "k={k}: key{i} present after key{} was lost",
+                        lost_from.unwrap()
+                    );
+                    let mut expect = format!("v{i}-").into_bytes();
+                    expect.resize(expect.len() + value_len, b'=');
+                    prop_assert!(v == expect, "k={}: key{} wrong value", k, i);
+                }
+                None => lost_from = lost_from.or(Some(i)),
+            }
+        }
+        let held = lost_from.unwrap_or(n_puts);
+        prop_assert!(
+            held >= must_hold,
+            "k={k}: only {held} puts survived but {must_hold} were acknowledged \
+             by that write"
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     // Each case replays every kill point of its schedule, so a few
     // cases already cover hundreds of recoveries.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Crash-safety invariant: for *every* prefix of the inner write
-    /// log, recovery boots, the hash chain verifies end-to-end (a
-    /// fresh client's reads succeed), the surviving puts form a
-    /// contiguous prefix of the schedule, and every put acknowledged
-    /// by write `k` is still present.
     #[test]
     fn every_kill_point_recovers_prefix_consistent(
         world_seed in 0u64..1_000,
@@ -316,70 +433,20 @@ proptest! {
         value_len in 0usize..400,
         segment_bytes in prop_oneof![Just(64usize), Just(192), Just(1024)],
     ) {
-        let world = TeeWorld::new_deterministic(9_000 + world_seed);
-        let recorder = RecorderStorage::new();
-        let mut server = mk_engine_server(&world, Arc::new(recorder.clone()), segment_bytes);
-        server.boot().unwrap();
-        let mut admin = AdminHandle::new_deterministic(
-            &world,
-            vec![ClientId(1), ClientId(2)],
-            Quorum::Majority,
-            22,
-        );
-        admin.bootstrap(&mut server).unwrap();
-        let mut client = KvsClient::new_sharded(ClientId(1), admin.client_key(), 1);
+        every_kill_point_recovers(world_seed, n_puts, value_len, Store::DeltaLog { segment_bytes })?;
+    }
 
-        // `persisted_by[i]` = write-log length when put i was
-        // acknowledged: cuts at or past it must preserve put i.
-        let mut persisted_by = Vec::with_capacity(n_puts);
-        for i in 0..n_puts {
-            let mut value = format!("v{i}-").into_bytes();
-            value.resize(value.len() + value_len, b'=');
-            client.put(&mut server, format!("key{i}").as_bytes(), &value).unwrap();
-            persisted_by.push(recorder.writes().len());
-        }
-        drop(server);
-        let writes = recorder.writes();
-
-        for k in 0..=writes.len() {
-            let disk: Arc<dyn StableStorage> = Arc::new(MemoryStorage::new());
-            for (slot, blob) in &writes[..k] {
-                disk.store(slot, blob).unwrap();
-            }
-            let mut server = mk_engine_server(&world, disk, segment_bytes);
-            server.boot().unwrap_or_else(|e| panic!(
-                "recovery from honest prefix k={k}/{} failed: {e:?}", writes.len()
-            ));
-
-            let must_hold = persisted_by.iter().filter(|&&idx| idx <= k).count();
-            if must_hold == 0 {
-                continue; // cut may predate provisioning: nothing readable yet
-            }
-            let mut fresh = KvsClient::new_sharded(ClientId(2), admin.client_key(), 1);
-            let mut lost_from = None;
-            for i in 0..n_puts {
-                let got = fresh
-                    .get(&mut server, format!("key{i}").as_bytes())
-                    .unwrap_or_else(|e| panic!("verified read failed at k={k}: {e:?}"));
-                match got {
-                    Some(v) => {
-                        prop_assert!(
-                            lost_from.is_none(),
-                            "k={k}: key{i} present after key{} was lost", lost_from.unwrap()
-                        );
-                        let mut expect = format!("v{i}-").into_bytes();
-                        expect.resize(expect.len() + value_len, b'=');
-                        prop_assert!(v == expect, "k={}: key{} wrong value", k, i);
-                    }
-                    None => lost_from = lost_from.or(Some(i)),
-                }
-            }
-            let held = lost_from.unwrap_or(n_puts);
-            prop_assert!(
-                held >= must_hold,
-                "k={k}: only {held} puts survived but {must_hold} were acknowledged \
-                 by that write"
-            );
-        }
+    /// Every inner write of a plain store is a whole slot — a
+    /// checkpoint, a `checkpoint ‖ deltas` bundle one delta longer than
+    /// the last, or the key blob — so every cut leaves a whole state.
+    /// Long values push the schedule across the delta → checkpoint
+    /// cadence.
+    #[test]
+    fn every_kill_point_of_a_plain_store_recovers_prefix_consistent(
+        world_seed in 0u64..1_000,
+        n_puts in 1usize..12,
+        value_len in 0usize..1_500,
+    ) {
+        every_kill_point_recovers(world_seed, n_puts, value_len, Store::Plain)?;
     }
 }
