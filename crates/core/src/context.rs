@@ -98,14 +98,35 @@ pub const LABEL_INVOKE: &[u8] = b"lcm.invoke";
 /// the encrypted copy. Binding `epoch` means the host cannot re-stamp
 /// an in-flight wire with a different routing epoch to dodge the
 /// enclave's slice-table ownership check.
-pub fn invoke_aad(client: ClientId, route: u32, seq: u64, epoch: u64) -> Vec<u8> {
-    let mut aad = Vec::with_capacity(LABEL_INVOKE.len() + 24);
-    aad.extend_from_slice(LABEL_INVOKE);
-    aad.extend_from_slice(&client.0.to_be_bytes());
-    aad.extend_from_slice(&route.to_be_bytes());
-    aad.extend_from_slice(&seq.to_be_bytes());
-    aad.extend_from_slice(&epoch.to_be_bytes());
-    aad
+pub fn invoke_aad(
+    client: ClientId,
+    route: u32,
+    seq: u64,
+    epoch: u64,
+) -> [u8; LABEL_INVOKE.len() + 24] {
+    aad(
+        LABEL_INVOKE,
+        &[
+            &client.0.to_be_bytes(),
+            &route.to_be_bytes(),
+            &seq.to_be_bytes(),
+            &epoch.to_be_bytes(),
+        ],
+    )
+}
+
+/// `label ‖ fields` as a stack array: every per-message AAD is a label
+/// and a few big-endian integers, built once per operation on both
+/// ends of the wire before anything is authenticated.
+fn aad<const N: usize>(label: &[u8], fields: &[&[u8]]) -> [u8; N] {
+    let mut out = [0u8; N];
+    let mut at = 0;
+    for part in std::iter::once(&label).chain(fields) {
+        out[at..at + part.len()].copy_from_slice(part);
+        at += part.len();
+    }
+    debug_assert_eq!(at, N, "AAD length constant out of step with its fields");
+    out
 }
 /// AAD label for T→client messages. The destination client id is
 /// appended to this label (see [`reply_aad`]): the paper's Alg. 1/2
@@ -126,13 +147,15 @@ pub const LABEL_REPLY: &[u8] = b"lcm.reply";
 /// enclave's current table): the client can only decrypt under the
 /// epoch it stamped, so the echo proves which table version the
 /// enclave judged the wire against.
-pub fn reply_aad(client: ClientId, route: u32, epoch: u64) -> Vec<u8> {
-    let mut aad = Vec::with_capacity(LABEL_REPLY.len() + 16);
-    aad.extend_from_slice(LABEL_REPLY);
-    aad.extend_from_slice(&client.0.to_be_bytes());
-    aad.extend_from_slice(&route.to_be_bytes());
-    aad.extend_from_slice(&epoch.to_be_bytes());
-    aad
+pub fn reply_aad(client: ClientId, route: u32, epoch: u64) -> [u8; LABEL_REPLY.len() + 16] {
+    aad(
+        LABEL_REPLY,
+        &[
+            &client.0.to_be_bytes(),
+            &route.to_be_bytes(),
+            &epoch.to_be_bytes(),
+        ],
+    )
 }
 /// AAD label for client→replica verified-read legs. The plaintext
 /// routing envelope ([`crate::wire::ReadHint`]) is appended by
@@ -147,15 +170,23 @@ pub const LABEL_READ: &[u8] = b"lcm.read";
 /// leg pinned to `replica`, carrying route hash `route`, the client's
 /// context sequence `seq` (= `tc`), and the routing epoch `epoch` in
 /// its plaintext envelope.
-pub fn read_aad(client: ClientId, route: u32, seq: u64, replica: u32, epoch: u64) -> Vec<u8> {
-    let mut aad = Vec::with_capacity(LABEL_READ.len() + 28);
-    aad.extend_from_slice(LABEL_READ);
-    aad.extend_from_slice(&client.0.to_be_bytes());
-    aad.extend_from_slice(&route.to_be_bytes());
-    aad.extend_from_slice(&seq.to_be_bytes());
-    aad.extend_from_slice(&replica.to_be_bytes());
-    aad.extend_from_slice(&epoch.to_be_bytes());
-    aad
+pub fn read_aad(
+    client: ClientId,
+    route: u32,
+    seq: u64,
+    replica: u32,
+    epoch: u64,
+) -> [u8; LABEL_READ.len() + 28] {
+    aad(
+        LABEL_READ,
+        &[
+            &client.0.to_be_bytes(),
+            &route.to_be_bytes(),
+            &seq.to_be_bytes(),
+            &replica.to_be_bytes(),
+            &epoch.to_be_bytes(),
+        ],
+    )
 }
 
 /// AAD label for replica→client verified-read replies.
@@ -167,15 +198,23 @@ pub const LABEL_READ_REPLY: &[u8] = b"lcm.readreply";
 /// of the same client (different `seq`), by a different group member
 /// (different `replica`), or under a different routing epoch cannot be
 /// substituted.
-pub fn read_reply_aad(client: ClientId, route: u32, seq: u64, replica: u32, epoch: u64) -> Vec<u8> {
-    let mut aad = Vec::with_capacity(LABEL_READ_REPLY.len() + 28);
-    aad.extend_from_slice(LABEL_READ_REPLY);
-    aad.extend_from_slice(&client.0.to_be_bytes());
-    aad.extend_from_slice(&route.to_be_bytes());
-    aad.extend_from_slice(&seq.to_be_bytes());
-    aad.extend_from_slice(&replica.to_be_bytes());
-    aad.extend_from_slice(&epoch.to_be_bytes());
-    aad
+pub fn read_reply_aad(
+    client: ClientId,
+    route: u32,
+    seq: u64,
+    replica: u32,
+    epoch: u64,
+) -> [u8; LABEL_READ_REPLY.len() + 28] {
+    aad(
+        LABEL_READ_REPLY,
+        &[
+            &client.0.to_be_bytes(),
+            &route.to_be_bytes(),
+            &seq.to_be_bytes(),
+            &replica.to_be_bytes(),
+            &epoch.to_be_bytes(),
+        ],
+    )
 }
 
 /// AAD label for admin⇄T messages.
@@ -984,14 +1023,11 @@ impl<F: Functionality> TrustedContext<F> {
         let Some((hint, ciphertext)) = crate::wire::RouteHint::peel(wire) else {
             return Err(self.halt(Violation::BadAuthentication));
         };
-        let aead_c = self
-            .keys
-            .as_ref()
-            .expect("ready implies keys")
-            .aead_c
-            .clone();
+        // The key is borrowed only for the open: `halt` needs `self`.
+        let keys = self.keys.as_ref().expect("ready implies keys");
         let aad = invoke_aad(hint.client, hint.route, hint.seq, hint.epoch);
-        let plain = match aead::auth_decrypt(&aead_c, ciphertext, &aad) {
+        let opened = aead::auth_decrypt(&keys.aead_c, ciphertext, &aad);
+        let plain = match opened {
             Ok(p) => p,
             Err(_) => return Err(self.halt(Violation::BadAuthentication)),
         };
@@ -1178,18 +1214,12 @@ impl<F: Functionality> TrustedContext<F> {
         epoch: u64,
         reply: &ReplyMsg,
     ) -> Result<Vec<u8>> {
-        let aead_c = self
-            .keys
-            .as_ref()
-            .expect("ready implies keys")
-            .aead_c
-            .clone();
         let nonce = self.next_nonce();
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
         reply.encode(&mut scratch);
         let sealed = aead::auth_encrypt_with_nonce(
-            &aead_c,
+            &self.keys.as_ref().expect("ready implies keys").aead_c,
             &nonce,
             scratch.as_slice(),
             // The reply echoes the *request's* routing epoch — the

@@ -140,6 +140,19 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// The protocol's bytes, pinned: `SHA-256(0³² ‖ 0x33¹²¹ ‖ 7 (8 B BE)
+    /// ‖ 3 (4 B BE))`, recorded before the hash gained a hardware
+    /// kernel. A 165 B preimage takes the buffered block, a run from
+    /// the caller's slice and the padding block.
+    #[test]
+    fn chain_extend_golden_value() {
+        let h = ChainValue::GENESIS.extend(&[0x33; 121], SeqNo(7), ClientId(3));
+        assert_eq!(
+            h.0.to_hex(),
+            "3bb754236f5162a5c22e86a6acb8ffdbb366b7dc9a3029f9a8354518311aa616"
+        );
+    }
+
     #[test]
     fn chain_extend_binds_all_inputs() {
         let base = ChainValue::GENESIS.extend(b"op", SeqNo(1), ClientId(2));

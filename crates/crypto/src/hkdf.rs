@@ -62,6 +62,7 @@ pub fn derive_key(ikm: &SecretKey, salt: &[u8], info: &[u8]) -> SecretKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sha256::portable;
 
     fn hex(s: &str) -> Vec<u8> {
         (0..s.len())
@@ -70,24 +71,40 @@ mod tests {
             .collect()
     }
 
+    /// One RFC 5869 case, through the dispatching hasher and through
+    /// the portable kernel (extract-then-expand as the RFC's §2 writes
+    /// it, over [`portable::hmac`]).
+    fn check_case(ikm: &[u8], salt: &[u8], info: &[u8], prk_hex: Option<&str>, okm_hex: &str) {
+        let expected = hex(okm_hex);
+        let prk = extract(salt, ikm);
+        if let Some(prk_hex) = prk_hex {
+            assert_eq!(prk.to_vec(), hex(prk_hex));
+        }
+        let mut okm = vec![0u8; expected.len()];
+        expand(&prk, info, &mut okm).unwrap();
+        assert_eq!(okm, expected);
+
+        let portable_prk = portable::hmac(salt, ikm).0;
+        assert_eq!(portable_prk, prk, "portable");
+        let (mut t, mut portable_okm) = (Vec::new(), Vec::new());
+        for counter in 1..=expected.len().div_ceil(DIGEST_LEN) as u8 {
+            t = portable::hmac(&portable_prk, &[&t[..], info, &[counter]].concat())
+                .0
+                .to_vec();
+            portable_okm.extend_from_slice(&t);
+        }
+        assert_eq!(portable_okm[..expected.len()], expected, "portable");
+    }
+
     // RFC 5869 Test Case 1.
     #[test]
     fn rfc5869_case_1() {
-        let ikm = [0x0bu8; 22];
-        let salt = hex("000102030405060708090a0b0c");
-        let info = hex("f0f1f2f3f4f5f6f7f8f9");
-
-        let prk = extract(&salt, &ikm);
-        assert_eq!(
-            prk.to_vec(),
-            hex("077709362c2e32df0ddc3f0dc47bba6390b6c73bb50f9c3122ec844ad7c2b3e5")
-        );
-
-        let mut okm = [0u8; 42];
-        expand(&prk, &info, &mut okm).unwrap();
-        assert_eq!(
-            okm.to_vec(),
-            hex("3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf34007208d5b887185865")
+        check_case(
+            &[0x0b; 22],
+            &hex("000102030405060708090a0b0c"),
+            &hex("f0f1f2f3f4f5f6f7f8f9"),
+            Some("077709362c2e32df0ddc3f0dc47bba6390b6c73bb50f9c3122ec844ad7c2b3e5"),
+            "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf34007208d5b887185865",
         );
     }
 
@@ -97,30 +114,26 @@ mod tests {
         let ikm: Vec<u8> = (0x00..=0x4fu8).collect();
         let salt: Vec<u8> = (0x60..=0xafu8).collect();
         let info: Vec<u8> = (0xb0..=0xffu8).collect();
-
-        let prk = extract(&salt, &ikm);
-        let mut okm = [0u8; 82];
-        expand(&prk, &info, &mut okm).unwrap();
-        assert_eq!(
-            okm.to_vec(),
-            hex(
-                "b11e398dc80327a1c8e7f78c596a49344f012eda2d4efad8a050cc4c19afa97c\
+        check_case(
+            &ikm,
+            &salt,
+            &info,
+            None,
+            "b11e398dc80327a1c8e7f78c596a49344f012eda2d4efad8a050cc4c19afa97c\
 59045a99cac7827271cb41c65e590e09da3275600c2f09b8367793a9aca3db71\
-cc30c58179ec3e87c14c01d5c1f3434f1d87"
-            )
+cc30c58179ec3e87c14c01d5c1f3434f1d87",
         );
     }
 
     // RFC 5869 Test Case 3 (zero-length salt and info).
     #[test]
     fn rfc5869_case_3() {
-        let ikm = [0x0bu8; 22];
-        let prk = extract(&[], &ikm);
-        let mut okm = [0u8; 42];
-        expand(&prk, &[], &mut okm).unwrap();
-        assert_eq!(
-            okm.to_vec(),
-            hex("8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d9d201395faa4b61a96c8")
+        check_case(
+            &[0x0b; 22],
+            &[],
+            &[],
+            None,
+            "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d9d201395faa4b61a96c8",
         );
     }
 

@@ -104,70 +104,67 @@ pub fn hmac_sha256(key: &[u8], data: &[u8]) -> Digest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sha256::portable;
 
-    // RFC 4231 test cases.
+    /// One RFC 4231 case, through the dispatching hasher and through
+    /// the portable kernel.
+    fn check_case(key: &[u8], data: &[u8], expected: &str) {
+        assert_eq!(hmac_sha256(key, data).to_hex(), expected);
+        assert_eq!(portable::hmac(key, data).to_hex(), expected, "portable");
+    }
+
     #[test]
     fn rfc4231_case_1() {
-        let key = [0x0bu8; 20];
-        let tag = hmac_sha256(&key, b"Hi There");
-        assert_eq!(
-            tag.to_hex(),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
+        check_case(
+            &[0x0b; 20],
+            b"Hi There",
+            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
         );
     }
 
     #[test]
     fn rfc4231_case_2() {
-        let tag = hmac_sha256(b"Jefe", b"what do ya want for nothing?");
-        assert_eq!(
-            tag.to_hex(),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
+        check_case(
+            b"Jefe",
+            b"what do ya want for nothing?",
+            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
         );
     }
 
     #[test]
     fn rfc4231_case_3() {
-        let key = [0xaau8; 20];
-        let data = [0xddu8; 50];
-        let tag = hmac_sha256(&key, &data);
-        assert_eq!(
-            tag.to_hex(),
-            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
+        check_case(
+            &[0xaa; 20],
+            &[0xdd; 50],
+            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
         );
     }
 
     #[test]
     fn rfc4231_case_4() {
         let key: Vec<u8> = (1..=25u8).collect();
-        let data = [0xcdu8; 50];
-        let tag = hmac_sha256(&key, &data);
-        assert_eq!(
-            tag.to_hex(),
-            "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"
+        check_case(
+            &key,
+            &[0xcd; 50],
+            "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b",
         );
     }
 
     #[test]
     fn rfc4231_case_6_long_key() {
-        let key = [0xaau8; 131];
-        let tag = hmac_sha256(
-            &key,
+        check_case(
+            &[0xaa; 131],
             b"Test Using Larger Than Block-Size Key - Hash Key First",
-        );
-        assert_eq!(
-            tag.to_hex(),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
         );
     }
 
     #[test]
     fn rfc4231_case_7_long_key_and_data() {
-        let key = [0xaau8; 131];
-        let data = b"This is a test using a larger than block-size key and a larger than block-size data. The key needs to be hashed before being used by the HMAC algorithm.";
-        let tag = hmac_sha256(&key, data);
-        assert_eq!(
-            tag.to_hex(),
-            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
+        check_case(
+            &[0xaa; 131],
+            b"This is a test using a larger than block-size key and a larger than block-size data. The key needs to be hashed before being used by the HMAC algorithm.",
+            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2",
         );
     }
 

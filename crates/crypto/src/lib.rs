@@ -16,11 +16,30 @@
 //! [`hmac`] and [`hkdf`] derive keys (sealing keys, AEAD keys,
 //! attestation MACs); no message is authenticated with HMAC.
 //!
-//! All primitives are implemented from scratch in safe Rust so that the
-//! trusted execution environment simulator stays fully self-contained
-//! and deterministic. Each primitive is validated against published
+//! All primitives are implemented from scratch so that the trusted
+//! execution environment simulator stays fully self-contained and
+//! deterministic. Each primitive is validated against published
 //! test vectors (FIPS 180-4, RFC 4231, RFC 5869, RFC 8439) in its
 //! module tests and in `tests/kat.rs`.
+//!
+//! # `unsafe`
+//!
+//! Everything is safe Rust except one kernel: on an x86-64 CPU with
+//! the SHA extensions, [`sha256`] compresses with the `sha256rnds2`
+//! family of instructions, about five times the portable loop's rate,
+//! and every hash-chain step, delta anchor, HMAC and HKDF call rides
+//! on it. Executing instructions the build target does not guarantee
+//! takes a `#[target_feature]` function, which is `unsafe` to call.
+//! So this crate *denies* `unsafe_code` rather than forbidding it, and
+//! exactly one private module — `sha256::shani`, compiled only for
+//! x86-64 — is allowed it. That module exposes two safe functions
+//! (is the feature there; compress these blocks) and the second
+//! checks the first before its single `unsafe` call. Every other CPU
+//! and architecture takes the portable kernel, with identical
+//! digests; see the [`sha256`] module docs for the selection and for
+//! what a real SGX enclave would consult instead of `cpuid`. CI greps
+//! that `unsafe` stays in that one file and that every other crate
+//! root keeps `forbid(unsafe_code)`.
 //!
 //! # Example
 //!
@@ -37,7 +56,7 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aead;

@@ -7,8 +7,8 @@
 //! This crate re-exports the workspace's public API under one roof; see
 //! the individual crates for details:
 //!
-//! * [`crypto`] — SHA-256 / HMAC / HKDF / ChaCha20-Poly1305 AEAD
-//!   primitives.
+//! * [`crypto`] — SHA-256 (SHA-NI when present) / HMAC / HKDF /
+//!   ChaCha20-Poly1305 AEAD primitives.
 //! * [`tee`] — SGX-like trusted-execution-environment simulator.
 //! * [`storage`] — stable storage with adversarial (rollback) wrappers.
 //! * [`net`] — adversary-controllable links (hold, tamper, replay)
@@ -44,6 +44,8 @@
 //! See `examples/quickstart.rs` for a complete bootstrapped
 //! client/server session, and `examples/rollback_attack.rs` /
 //! `examples/forking_attack.rs` for attack detection in action.
+
+#![forbid(unsafe_code)]
 
 pub use lcm_core as core;
 pub use lcm_crypto as crypto;
