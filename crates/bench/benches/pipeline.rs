@@ -38,7 +38,7 @@ fn setup(batch: usize, pipelined: bool, seed: u64) -> (Box<dyn BatchServer>, Vec
     server.boot().unwrap();
     let ids: Vec<ClientId> = (1..=N_CLIENTS).map(ClientId).collect();
     let mut admin = AdminHandle::new_deterministic(&world, ids.clone(), Quorum::Majority, seed);
-    admin.bootstrap(&mut server).unwrap();
+    admin.bootstrap(&mut *server).unwrap();
     let clients = ids
         .iter()
         .map(|&id| LcmClient::new(id, admin.client_key()))

@@ -57,7 +57,7 @@ fn measure_real(batch: usize, pipelined: bool, n_clients: u32, rounds: u32) -> f
     server.boot().unwrap();
     let ids: Vec<ClientId> = (1..=n_clients).map(ClientId).collect();
     let mut admin = AdminHandle::new_deterministic(&world, ids.clone(), Quorum::Majority, 7);
-    admin.bootstrap(&mut server).unwrap();
+    admin.bootstrap(&mut *server).unwrap();
     let mut clients: Vec<LcmClient> = ids
         .iter()
         .map(|&id| LcmClient::new(id, admin.client_key()))

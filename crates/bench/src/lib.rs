@@ -745,7 +745,7 @@ pub mod shardbench {
         assert!(server.boot().unwrap());
         let ids: Vec<ClientId> = (1..=cfg.clients).map(ClientId).collect();
         let mut admin = AdminHandle::new_deterministic(&world, ids.clone(), Quorum::Majority, 13);
-        admin.bootstrap(&mut server).unwrap();
+        admin.bootstrap(&mut *server).unwrap();
         let clients = ids
             .iter()
             .map(|&id| LcmClient::new_sharded(id, admin.client_key(), cfg.shards))
@@ -817,55 +817,21 @@ pub mod shardbench {
         ops as f64 / t0.elapsed().as_secs_f64()
     }
 
-    /// The same workload as [`measure`], driven through the concurrent
-    /// transport front-end: the deployment sits behind
-    /// `lcm_core::transport::Frontend` with `driver_threads` lane
-    /// drivers, and every client runs its own closed loop on its own
-    /// OS thread through a `FrontendPort` — independent clients
+    /// The same workload as [`measure_for`], driven through the
+    /// concurrent transport front-end for `window`: the deployment sits
+    /// behind `lcm_core::transport::Frontend` with `driver_threads`
+    /// lane drivers, and every client runs its own closed loop on its
+    /// own OS thread through a `FrontendPort` — independent clients
     /// submitting from independent threads, no global round barrier.
     ///
-    /// The single-driver [`measure`] waits for the *slowest* shard's
-    /// full backlog before any client may continue; here each shard
-    /// serves its own clients at its own pace, which is what lets a
-    /// deployment whose hot shard needs several batch cycles per round
-    /// keep the other shards busy meanwhile.
-    pub fn measure_frontend(cfg: &ShardRun, driver_threads: usize) -> f64 {
-        measure_frontend_debug(cfg, driver_threads).0
-    }
-
-    /// [`measure_frontend`] plus the deployment's `(ops, batches)`
-    /// counters — how well the front-end's batch forming amortized the
-    /// seal-and-store cycles.
-    pub fn measure_frontend_debug(cfg: &ShardRun, driver_threads: usize) -> (f64, u64, u64) {
-        measure_frontend_tuned(cfg, driver_threads, lcm_core::transport::BATCH_LINGER)
-    }
-
-    /// [`measure_frontend_debug`] with an explicit batch-forming
-    /// linger.
-    pub fn measure_frontend_tuned(
-        cfg: &ShardRun,
-        driver_threads: usize,
-        linger: std::time::Duration,
-    ) -> (f64, u64, u64) {
-        let out = run_frontend(cfg, driver_threads, linger, FeRun::Rounds(cfg.rounds), None);
-        (out.ops_per_s, out.ops_processed, out.batches_processed)
-    }
-
-    /// Time-bounded front-end measurement (the counterpart of
-    /// [`measure_for`]): every client loops until `window` elapses,
-    /// entirely at its own shard's pace. Under a skewed workload the
-    /// cold shards' clients keep completing operations while the hot
-    /// shard works through its backlog — the throughput the
-    /// single-driver barrier gives up.
+    /// The single-driver [`measure_for`] waits for the *slowest*
+    /// shard's full backlog before any client may continue; here each
+    /// shard serves its own clients at its own pace. Under a skewed
+    /// workload the cold shards' clients keep completing operations
+    /// while the hot shard works through its backlog — the throughput
+    /// the single-driver barrier gives up.
     pub fn measure_frontend_for(cfg: &ShardRun, driver_threads: usize, window: Duration) -> f64 {
-        run_frontend(
-            cfg,
-            driver_threads,
-            lcm_core::transport::BATCH_LINGER,
-            FeRun::Window(window),
-            None,
-        )
-        .ops_per_s
+        run_frontend(cfg, driver_threads, window, None).0
     }
 
     /// Tenant id the admitted skewed cell assigns the hot-shard
@@ -921,14 +887,7 @@ pub mod shardbench {
         driver_threads: usize,
         window: Duration,
     ) -> (f64, HealthSnapshot) {
-        let out = run_frontend(
-            cfg,
-            driver_threads,
-            lcm_core::transport::BATCH_LINGER,
-            FeRun::Window(window),
-            Some(admitted_policy(cfg)),
-        );
-        (out.ops_per_s, out.health)
+        run_frontend(cfg, driver_threads, window, Some(admitted_policy(cfg)))
     }
 
     /// One sealed-delta-log measurement configuration: a single shard
@@ -996,7 +955,7 @@ pub mod shardbench {
         assert!(server.boot().unwrap());
         let ids: Vec<ClientId> = (1..=cfg.clients).map(ClientId).collect();
         let mut admin = AdminHandle::new_deterministic(&world, ids.clone(), Quorum::Majority, 13);
-        admin.bootstrap(&mut server).unwrap();
+        admin.bootstrap(&mut *server).unwrap();
         let mut clients: Vec<LcmClient> = ids
             .iter()
             .map(|&id| LcmClient::new_sharded(id, admin.client_key(), 1))
@@ -1085,7 +1044,7 @@ pub mod shardbench {
         assert!(server.boot().unwrap());
         let ids: Vec<ClientId> = (1..=cfg.clients).map(ClientId).collect();
         let mut admin = AdminHandle::new_deterministic(&world, ids.clone(), Quorum::Majority, 13);
-        admin.bootstrap(&mut server).unwrap();
+        admin.bootstrap(&mut *server).unwrap();
         let clients = ids
             .iter()
             .map(|&id| LcmClient::new_sharded(id, admin.client_key(), 1))
@@ -1185,25 +1144,13 @@ pub mod shardbench {
         total as f64 / t0.elapsed().as_secs_f64()
     }
 
-    enum FeRun {
-        Rounds(u32),
-        Window(Duration),
-    }
-
-    struct FeOutcome {
-        ops_per_s: f64,
-        ops_processed: u64,
-        batches_processed: u64,
-        health: HealthSnapshot,
-    }
-
+    /// One front-end run: overall ops/s and the health snapshot.
     fn run_frontend(
         cfg: &ShardRun,
         driver_threads: usize,
-        linger: std::time::Duration,
-        run: FeRun,
+        window: Duration,
         admission: Option<AdmissionConfig>,
-    ) -> FeOutcome {
+    ) -> (f64, HealthSnapshot) {
         use lcm_core::codec::WireCodec;
         use lcm_core::transport::{DriveMode, Frontend};
 
@@ -1216,18 +1163,14 @@ pub mod shardbench {
             server.configure_admission(config);
         }
         let mut fe = Frontend::new(server, driver_threads, DriveMode::Continuous);
-        fe.set_linger(linger);
         assert!(fe.boot().unwrap());
         let ids: Vec<ClientId> = (1..=cfg.clients).map(ClientId).collect();
         let mut admin = AdminHandle::new_deterministic(&world, ids.clone(), Quorum::Majority, 13);
         admin.bootstrap(&mut fe).unwrap();
 
         let payload = vec![0x42u8; 100];
-        let (rounds, deadline) = match run {
-            FeRun::Rounds(r) => (Some(r), None),
-            FeRun::Window(w) => (None, Some(Instant::now() + w)),
-        };
         let t0 = Instant::now();
+        let deadline = t0 + window;
         let workers: Vec<_> = ids
             .iter()
             .enumerate()
@@ -1242,12 +1185,7 @@ pub mod shardbench {
                 };
                 std::thread::spawn(move || {
                     let mut done = 0u64;
-                    loop {
-                        match (rounds, deadline) {
-                            (Some(r), _) if done >= u64::from(r) => break,
-                            (_, Some(d)) if Instant::now() >= d => break,
-                            _ => {}
-                        }
+                    while Instant::now() < deadline {
                         let op = KvOp::Put(key.clone(), payload.clone());
                         port.send(client.invoke_for::<KvStore>(&op.to_bytes()).unwrap());
                         let reply = port
@@ -1275,11 +1213,6 @@ pub mod shardbench {
                 );
             }
         }
-        FeOutcome {
-            ops_per_s: ops,
-            ops_processed: fe.ops_processed(),
-            batches_processed: fe.batches_processed(),
-            health: fe.health_snapshot(),
-        }
+        (ops, fe.health_snapshot())
     }
 }

@@ -36,15 +36,16 @@
 //! * [`program`] — packaging of the trusted context as an
 //!   [`lcm_tee::enclave::EnclaveProgram`] plus the host-call ABI.
 //! * [`server`] — an honest host server: enclave + stable storage +
-//!   request batching (paper §5.2/§5.3 architecture), plus the
-//!   [`server::BatchServer`] trait the rest of the stack programs
-//!   against.
+//!   request batching (paper §5.2/§5.3 architecture) — the *member*
+//!   role, [`server::LcmServer`] — plus one trait for each role around
+//!   it: [`server::Lane`] (one shard) and [`server::BatchServer`] (the
+//!   deployment the rest of the stack programs against).
 //! * [`pipeline`] — asynchronous write as a persist policy of that
 //!   one server: [`server::LcmServer::into_pipelined`] attaches a
 //!   background writer that persists sealed state while the enclave
 //!   executes the next batch (the mode behind the paper's Figs. 4/5).
 //! * [`shard`] — sharded multi-enclave execution:
-//!   [`shard::ShardedServer`] runs N boxed server lanes behind a
+//!   [`shard::ShardedServer`] runs N boxed [`server::Lane`]s behind a
 //!   key-partitioned router so stage 2 (execute + seal) parallelizes
 //!   across enclaves; a single-enclave deployment is the 1-lane case.
 //! * [`transport`] — the one transport: the concurrent

@@ -6,7 +6,7 @@
 //! enclave, knowing from its attested identity that it is a group
 //! member, hands the host a **replication record** next to the blobs
 //! it persists. The host gives that record to every follower
-//! ([`BatchServer::apply_replica`]), each follower's enclave verifies
+//! ([`LcmServer::apply_replica`]), each follower's enclave verifies
 //! and applies it, persists as its *own* storage dictates — the
 //! record verbatim, appended to a delta log's journal or to the
 //! `checkpoint ‖ deltas` bundle a plain store's slot holds
@@ -36,7 +36,7 @@
 //!   position* section); a follower applies it only while standing at
 //!   that position.
 //! * **Checkpoint / bundle** — what the leader's state slot holds
-//!   ([`BatchServer::sealed_state`]): the whole state, installed
+//!   ([`LcmServer::sealed_state`]): the whole state, installed
 //!   wholesale, leaving the follower at the sealer's position. Ships
 //!   where no delta can: to *level* a member that is out of step with
 //!   the leader (rebooted, promoted past, restored from its own medium
@@ -76,7 +76,7 @@
 //! never repeat (each commits to its predecessor, roots are random or
 //! bind `kP`), so a position names one state. A record is
 //! **quorum-held** once [`Quorum::required`] members — the leader
-//! after its own [`BatchServer::flush_persists`] — have persisted it
+//! after its own [`LcmServer::flush`] — have persisted it
 //! and each acked with a digest computed inside its enclave over the
 //! record it applied. A write is **acknowledged** when its reply was
 //! released, which happens only for quorum-held records (release is
@@ -157,24 +157,26 @@
 //! halt).
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use lcm_crypto::sha256::{self, Digest};
 use lcm_tee::attestation::Quote;
 
-use crate::server::{BatchServer, ReadPort, Replies};
+use crate::functionality::Functionality;
+use crate::server::{no_replica, Lane, LcmServer, ReadPort, Replies};
 use crate::stability::Quorum;
 use crate::types::ClientId;
 use crate::wire::ReadHint;
 use crate::{LcmError, Result};
 
-#[allow(unused_imports)] // rustdoc links
-use crate::functionality::Functionality;
+type MemberServer<F> = Arc<Mutex<LcmServer<F>>>;
 
-type MemberServer = Arc<Mutex<Box<dyn BatchServer>>>;
+fn lock<F: Functionality>(server: &MemberServer<F>) -> MutexGuard<'_, LcmServer<F>> {
+    server.lock().unwrap_or_else(|e| e.into_inner())
+}
 
-struct Member {
-    server: MemberServer,
+struct Member<F: Functionality> {
+    server: MemberServer<F>,
     alive: bool,
     /// Epoch (group record counter) of the last record this member is
     /// known to hold; the promotion key on failover.
@@ -207,12 +209,15 @@ pub struct GroupStats {
     pub followers_dropped: u64,
 }
 
-/// One shard executed by a 2f+1 replica group. Implements
-/// [`BatchServer`] so it slots behind the existing sharded router,
-/// transport front-end, and admin handle unchanged; see the
-/// [module docs](self) for the protocol.
-pub struct ReplicaGroup {
-    members: Vec<Member>,
+/// One shard executed by a 2f+1 replica group of [`LcmServer`]
+/// members. Implements [`Lane`], so it slots behind the sharded router,
+/// the transport front-end and the admin handle like a solo server
+/// does; see the [module docs](self) for the protocol.
+pub struct ReplicaGroup<F: Functionality> {
+    members: Vec<Member<F>>,
+    /// The members' concurrent read surface (they are fixed at
+    /// construction, so it is built once).
+    port: Arc<GroupReadPort<F>>,
     quorum: Quorum,
     leader: usize,
     /// Wires not yet handed to the leader. Kept at group level so a
@@ -225,7 +230,7 @@ pub struct ReplicaGroup {
     stats: GroupStats,
 }
 
-impl ReplicaGroup {
+impl<F: Functionality> ReplicaGroup<F> {
     /// Builds a group from its member servers (each over its own
     /// storage region). The first member starts as leader. `quorum` is
     /// the replica-acknowledgement threshold — [`Quorum::Majority`]
@@ -236,9 +241,9 @@ impl ReplicaGroup {
     ///
     /// Panics if `members` is empty.
     #[must_use]
-    pub fn new(members: Vec<Box<dyn BatchServer>>, quorum: Quorum) -> Self {
+    pub fn new(members: Vec<LcmServer<F>>, quorum: Quorum) -> Self {
         assert!(!members.is_empty(), "a replica group needs members");
-        let members = members
+        let members: Vec<Member<F>> = members
             .into_iter()
             .map(|server| Member {
                 server: Arc::new(Mutex::new(server)),
@@ -246,8 +251,12 @@ impl ReplicaGroup {
                 applied_epoch: 0,
             })
             .collect();
+        let port = Arc::new(GroupReadPort {
+            members: members.iter().map(|m| Arc::clone(&m.server)).collect(),
+        });
         ReplicaGroup {
             members,
+            port,
             quorum,
             leader: 0,
             queue: VecDeque::new(),
@@ -276,17 +285,22 @@ impl ReplicaGroup {
         self.leader
     }
 
-    fn member(&self, replica: u32) -> Result<&Member> {
-        self.members.get(replica as usize).ok_or_else(|| {
-            LcmError::Tee(format!(
-                "replica {replica} out of range (group of {})",
-                self.members.len()
-            ))
-        })
+    fn leader_server(&self) -> MutexGuard<'_, LcmServer<F>> {
+        lock(&self.members[self.leader].server)
     }
 
-    fn lock(server: &MemberServer) -> std::sync::MutexGuard<'_, Box<dyn BatchServer>> {
-        server.lock().unwrap_or_else(|e| e.into_inner())
+    /// Runs `call` on member `replica`'s server; an out-of-range
+    /// `replica` is an error.
+    fn on_member<T>(
+        &self,
+        replica: u32,
+        call: impl FnOnce(&mut LcmServer<F>) -> Result<T>,
+    ) -> Result<T> {
+        let member = self
+            .members
+            .get(replica as usize)
+            .ok_or_else(|| no_replica(replica, self.members.len()))?;
+        call(&mut lock(&member.server))
     }
 
     /// Ensures a live leader, promoting the live member with the
@@ -319,7 +333,7 @@ impl ReplicaGroup {
     /// Hands `record` to member `i` and checks the in-enclave digest it
     /// acknowledges with against the record shipped.
     fn apply(&self, i: usize, record: &[u8], expected: &Digest) -> Result<()> {
-        let acked = Self::lock(&self.members[i].server).apply_replica(record)?;
+        let acked = lock(&self.members[i].server).apply_replica(record)?;
         if acked == *expected {
             Ok(())
         } else {
@@ -332,7 +346,7 @@ impl ReplicaGroup {
     /// The leader's sealed state with its digest — what levels a
     /// member that cannot take the stream's next delta.
     fn leader_state(&self) -> Result<(Vec<u8>, Digest)> {
-        let state = Self::lock(&self.members[self.leader].server).sealed_state()?;
+        let state = self.leader_server().sealed_state()?;
         let digest = sha256::digest(&state);
         Ok((state, digest))
     }
@@ -344,32 +358,38 @@ impl ReplicaGroup {
     /// refuses a delta as out of order is levelled with the sealed
     /// state in the same step; a follower whose apply fails any other
     /// way is treated as crashed — it no longer counts toward any
-    /// quorum until rebooted. The leader counts as a holder once its
+    /// quorum until rebooted. The sealed state is O(state) to lift off
+    /// the leader's medium, so it is materialised only when the first
+    /// live follower needs it. The leader counts as a holder once its
     /// own persist is flushed, which a delta lets overlap with the
     /// followers' work.
     fn replicate(&mut self, record: Option<Vec<u8>>) -> Result<()> {
         let leader = self.leader;
+        let delta = record.map(|record| {
+            let digest = sha256::digest(&record);
+            (record, digest)
+        });
         let mut sealed_state = None;
-        let (record, expected) = match record {
-            Some(record) => {
-                let expected = sha256::digest(&record);
-                (record, expected)
-            }
-            None => self.leader_state()?,
-        };
         for i in 0..self.members.len() {
             if i == leader || !self.members[i].alive {
                 continue;
             }
-            let mut applied = self.apply(i, &record, &expected);
-            if matches!(applied, Err(LcmError::RecordOutOfOrder)) {
-                self.stats.relevels += 1;
-                if sealed_state.is_none() {
-                    sealed_state = Some(self.leader_state()?);
+            let by_delta = delta
+                .as_ref()
+                .map(|(record, digest)| self.apply(i, record, digest));
+            let applied = match by_delta {
+                Some(outcome) if !matches!(outcome, Err(LcmError::RecordOutOfOrder)) => outcome,
+                // No delta to ship, or this member refused it as out
+                // of order: the leader's sealed state levels it.
+                refused => {
+                    self.stats.relevels += u64::from(refused.is_some());
+                    if sealed_state.is_none() {
+                        sealed_state = Some(self.leader_state()?);
+                    }
+                    let (state, digest) = sealed_state.as_ref().expect("just fetched");
+                    self.apply(i, state, digest)
                 }
-                let (state, digest) = sealed_state.as_ref().expect("just fetched");
-                applied = self.apply(i, state, digest);
-            }
+            };
             match applied {
                 Ok(()) => {
                     self.members[i].applied_epoch = self.epoch;
@@ -381,7 +401,7 @@ impl ReplicaGroup {
                 }
             }
         }
-        Self::lock(&self.members[leader].server).flush_persists()?;
+        self.leader_server().flush()?;
         self.members[leader].applied_epoch = self.epoch;
         Ok(())
     }
@@ -429,19 +449,21 @@ impl ReplicaGroup {
     /// Runs a control-plane call on the leader and ships the re-sealed
     /// state it leaves behind, so a failover cannot roll the call's
     /// effect back.
-    fn on_leader<T>(
-        &mut self,
-        call: impl FnOnce(&mut Box<dyn BatchServer>) -> Result<T>,
-    ) -> Result<T> {
+    fn on_leader<T>(&mut self, call: impl FnOnce(&mut LcmServer<F>) -> Result<T>) -> Result<T> {
         self.ensure_leader()?;
-        let out = call(&mut Self::lock(&self.members[self.leader].server))?;
+        let out = call(&mut self.leader_server())?;
         self.epoch += 1;
         self.replicate(None)?;
         Ok(out)
     }
+
+    /// Wires accepted but not yet executed by the leader.
+    fn unexecuted(&self) -> usize {
+        self.queue.len() + self.leader_server().queued()
+    }
 }
 
-impl BatchServer for ReplicaGroup {
+impl<F: Functionality + 'static> Lane for ReplicaGroup<F> {
     fn boot(&mut self) -> Result<bool> {
         // Every member restores from its own medium, so after a
         // whole-group restart positions may differ (a member that was
@@ -450,7 +472,7 @@ impl BatchServer for ReplicaGroup {
         // levelled in that same step.
         let mut needs_provisioning = false;
         for (i, member) in self.members.iter_mut().enumerate() {
-            let fresh = Self::lock(&member.server).boot()?;
+            let fresh = lock(&member.server).boot()?;
             member.alive = true;
             member.applied_epoch = 0;
             if i == self.leader {
@@ -465,7 +487,7 @@ impl BatchServer for ReplicaGroup {
         // withheld replies are lost — the solo-server crash contract,
         // scaled to the group.
         for member in &mut self.members {
-            Self::lock(&member.server).crash();
+            lock(&member.server).crash();
             member.alive = false;
         }
         self.queue.clear();
@@ -473,63 +495,27 @@ impl BatchServer for ReplicaGroup {
     }
 
     fn is_running(&self) -> bool {
-        self.members[self.leader].alive
-            && Self::lock(&self.members[self.leader].server).is_running()
+        self.members[self.leader].alive && self.leader_server().is_running()
     }
 
-    fn provision(&mut self, sealed_payload: Vec<u8>) -> Result<()> {
-        self.provision_member(0, 0, sealed_payload)
-    }
-
-    fn attest(&mut self, user_data: Digest) -> Result<Quote> {
-        self.attest_member(0, 0, user_data)
-    }
-
-    fn replica_count(&self) -> u32 {
+    fn replicas(&self) -> u32 {
         self.members.len() as u32
     }
 
-    fn group_leader(&self, shard: u32) -> u32 {
-        let _ = shard;
+    fn leader(&self) -> u32 {
         self.leader as u32
     }
 
-    fn attest_member(&mut self, shard: u32, replica: u32, user_data: Digest) -> Result<Quote> {
-        if shard != 0 {
-            return Err(LcmError::Tee(format!(
-                "attest_member(shard {shard}) on a single replica group"
-            )));
-        }
-        let server = Arc::clone(&self.member(replica)?.server);
-        let quote = Self::lock(&server).attest(user_data);
-        quote
+    fn attest(&mut self, replica: u32, user_data: Digest) -> Result<Quote> {
+        self.on_member(replica, |server| server.attest(user_data))
     }
 
-    fn provision_member(
-        &mut self,
-        shard: u32,
-        replica: u32,
-        sealed_payload: Vec<u8>,
-    ) -> Result<()> {
-        if shard != 0 {
-            return Err(LcmError::Tee(format!(
-                "provision_member(shard {shard}) on a single replica group"
-            )));
-        }
-        let server = Arc::clone(&self.member(replica)?.server);
-        let outcome = Self::lock(&server).provision(sealed_payload);
-        outcome
+    fn provision(&mut self, replica: u32, sealed_payload: Vec<u8>) -> Result<()> {
+        self.on_member(replica, |server| server.provision(sealed_payload))
     }
 
-    fn kill_member(&mut self, shard: u32, replica: u32, power_failure: bool) -> Result<()> {
-        if shard != 0 {
-            return Err(LcmError::Tee(format!(
-                "kill_member(shard {shard}) on a single replica group"
-            )));
-        }
-        let member = self.member(replica)?;
-        let server = Arc::clone(&member.server);
-        Self::lock(&server).kill_member(0, 0, power_failure)?;
+    fn kill(&mut self, replica: u32, power_failure: bool) -> Result<()> {
+        self.on_member(replica, |server| server.kill(0, power_failure))?;
         let member = &mut self.members[replica as usize];
         member.alive = false;
         member.applied_epoch = 0;
@@ -546,15 +532,8 @@ impl BatchServer for ReplicaGroup {
         Ok(())
     }
 
-    fn reboot_member(&mut self, shard: u32, replica: u32) -> Result<bool> {
-        if shard != 0 {
-            return Err(LcmError::Tee(format!(
-                "reboot_member(shard {shard}) on a single replica group"
-            )));
-        }
-        let member = self.member(replica)?;
-        let server = Arc::clone(&member.server);
-        let fresh = Self::lock(&server).boot()?;
+    fn reboot(&mut self, replica: u32) -> Result<bool> {
+        let fresh = self.on_member(replica, LcmServer::boot)?;
         let idx = replica as usize;
         self.members[idx].alive = true;
         self.members[idx].applied_epoch = 0;
@@ -574,22 +553,18 @@ impl BatchServer for ReplicaGroup {
         // them have not settled, and the sharded reply book's ticket
         // accounting (and the front-end's work detection) must keep
         // driving this group until the quorum releases them.
-        self.queue.len()
-            + Self::lock(&self.members[self.leader].server).queued()
-            + self.withheld.len()
+        self.unexecuted() + self.withheld.len()
     }
 
     fn batch_limit(&self) -> usize {
-        Self::lock(&self.members[self.leader].server).batch_limit()
+        self.leader_server().batch_limit()
     }
 
     fn step(&mut self) -> Result<Replies> {
         self.ensure_leader()?;
-        let leader = self.leader;
-        let limit = self.batch_limit().max(1);
         let executed = {
-            let mut server = Self::lock(&self.members[leader].server);
-            for _ in 0..limit {
+            let mut server = lock(&self.members[self.leader].server);
+            for _ in 0..server.batch_limit() {
                 let Some(wire) = self.queue.pop_front() else {
                     break;
                 };
@@ -615,12 +590,7 @@ impl BatchServer for ReplicaGroup {
         // `release`, not by further steps, and spinning on them would
         // never terminate while the quorum is down.
         let mut out = Vec::new();
-        loop {
-            let unexecuted =
-                self.queue.len() + Self::lock(&self.members[self.leader].server).queued();
-            if unexecuted == 0 {
-                break;
-            }
+        while self.unexecuted() > 0 {
             out.extend(self.step()?);
         }
         // Drain a quorum stall if the queue emptied while replies were
@@ -637,30 +607,18 @@ impl BatchServer for ReplicaGroup {
 
     fn export_migration(&mut self) -> Result<Vec<u8>> {
         self.ensure_leader()?;
-        Self::lock(&self.members[self.leader].server).export_migration()
+        self.leader_server().export_migration()
     }
 
     fn import_migration(&mut self, ticket: Vec<u8>) -> Result<()> {
         let replicas = self.members.len() as u32;
         for (i, member) in self.members.iter().enumerate() {
-            let mut server = Self::lock(&member.server);
-            server.import_migration_as(ticket.clone(), i as u32, replicas)?;
+            lock(&member.server).import_migration_as(ticket.clone(), i as u32, replicas)?;
         }
         // Every member re-sealed the ticket at a chain root of its
         // own; the leader's checkpoint puts them all at one position.
         self.epoch += 1;
         self.replicate(None)
-    }
-
-    fn import_migration_as(&mut self, ticket: Vec<u8>, replica: u32, replicas: u32) -> Result<()> {
-        if replicas != self.members.len() as u32 {
-            return Err(LcmError::Tee(format!(
-                "import_migration_as into a group of {} with replicas={replicas}",
-                self.members.len()
-            )));
-        }
-        let member = self.member(replica)?;
-        Self::lock(&member.server).import_migration_as(ticket, replica, replicas)
     }
 
     fn export_slice(&mut self, slice: u32, to: u32) -> Result<(Vec<u8>, Vec<u8>)> {
@@ -681,7 +639,7 @@ impl BatchServer for ReplicaGroup {
     fn batches_processed(&self) -> u64 {
         self.members
             .iter()
-            .map(|m| Self::lock(&m.server).batches_processed())
+            .map(|m| lock(&m.server).batches_processed())
             .max()
             .unwrap_or(0)
     }
@@ -689,85 +647,86 @@ impl BatchServer for ReplicaGroup {
     fn ops_processed(&self) -> u64 {
         self.members
             .iter()
-            .map(|m| Self::lock(&m.server).ops_processed())
+            .map(|m| lock(&m.server).ops_processed())
             .max()
             .unwrap_or(0)
     }
 
     fn flush_persists(&mut self) -> Result<()> {
-        Self::lock(&self.members[self.leader].server).flush_persists()
+        self.leader_server().flush()
     }
 
     fn serve_read(&mut self, read_wire: Vec<u8>) -> Result<Vec<u8>> {
-        let Some((hint, _)) = ReadHint::peel(&read_wire) else {
-            return Err(LcmError::Tee(
-                "read wire too short for a routing hint".into(),
-            ));
-        };
-        let member = self.member(hint.replica)?;
-        let server = Arc::clone(&member.server);
-        let reply = Self::lock(&server).serve_read(read_wire);
-        reply
+        self.port.serve_read(read_wire)
     }
 
     fn read_port(&self) -> Option<Arc<dyn ReadPort>> {
-        Some(Arc::new(GroupReadPort {
-            members: self.members.iter().map(|m| Arc::clone(&m.server)).collect(),
-        }))
+        Some(self.port.clone())
     }
 }
 
 /// The group's concurrent read surface: locks only the member the read
 /// leg is pinned to, so reads to distinct replicas proceed in parallel
 /// with each other and with the write path on the leader.
-struct GroupReadPort {
-    members: Vec<MemberServer>,
+struct GroupReadPort<F: Functionality> {
+    members: Vec<MemberServer<F>>,
 }
 
-impl ReadPort for GroupReadPort {
+impl<F: Functionality> ReadPort for GroupReadPort<F> {
     fn serve_read(&self, read_wire: Vec<u8>) -> Result<Vec<u8>> {
         let Some((hint, _)) = ReadHint::peel(&read_wire) else {
             return Err(LcmError::Tee(
                 "read wire too short for a routing hint".into(),
             ));
         };
-        let member = self.members.get(hint.replica as usize).ok_or_else(|| {
-            LcmError::Tee(format!(
-                "replica {} out of range (group of {})",
-                hint.replica,
-                self.members.len()
-            ))
-        })?;
-        let mut server = member.lock().unwrap_or_else(|e| e.into_inner());
-        server.serve_read(read_wire)
+        let member = self
+            .members
+            .get(hint.replica as usize)
+            .ok_or_else(|| no_replica(hint.replica, self.members.len()))?;
+        lock(member).serve_read(read_wire)
     }
 }
+
 #[cfg(test)]
 mod tests {
-    use super::*;
+    // `Lane` stays out of scope: the suite drives the group as the
+    // one-shard deployment it is, through `BatchServer`.
+    use super::{lock, Quorum, ReadHint, ReplicaGroup};
     use crate::admin::AdminHandle;
     use crate::client::{LcmClient, ReadOutcome};
-    use crate::functionality::{AppendLog, Counter};
-    use crate::server::LcmServer;
+    use crate::functionality::{AppendLog, Counter, Functionality};
+    use crate::server::{BatchServer, LcmServer};
     use crate::types::ClientId;
+    use crate::LcmError;
     use lcm_storage::{MemoryStorage, NamespacedStorage, StableStorage};
     use lcm_tee::world::TeeWorld;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
-    fn group(replicas: u32, quorum: Quorum) -> (ReplicaGroup, LcmClient) {
+    fn group(replicas: u32, quorum: Quorum) -> (ReplicaGroup<AppendLog>, LcmClient) {
         group_of::<AppendLog>(replicas, quorum)
     }
 
     fn group_of<F: Functionality + 'static>(
         replicas: u32,
         quorum: Quorum,
-    ) -> (ReplicaGroup, LcmClient) {
+    ) -> (ReplicaGroup<F>, LcmClient) {
+        let (group, _admin, client) =
+            group_on::<F>(replicas, quorum, Arc::new(MemoryStorage::new()));
+        (group, client)
+    }
+
+    fn group_on<F: Functionality + 'static>(
+        replicas: u32,
+        quorum: Quorum,
+        storage: Arc<dyn StableStorage>,
+    ) -> (ReplicaGroup<F>, AdminHandle, LcmClient) {
         let world = TeeWorld::new_deterministic(77);
-        let storage: Arc<dyn StableStorage> = Arc::new(MemoryStorage::new());
         let members = (0..replicas)
             .map(|r| {
                 let platform = world.platform_deterministic(1 + u64::from(r));
                 let region = Arc::new(NamespacedStorage::new(storage.clone(), format!("rep{r}.")));
-                Box::new(LcmServer::<F>::new(&platform, region, 4)) as Box<dyn BatchServer>
+                LcmServer::<F>::new(&platform, region, 4)
             })
             .collect();
         let mut group = ReplicaGroup::new(members, quorum);
@@ -775,7 +734,8 @@ mod tests {
         let mut admin =
             AdminHandle::new_deterministic(&world, vec![ClientId(1)], Quorum::Majority, 12);
         admin.bootstrap(&mut group).unwrap();
-        (group, LcmClient::new(ClientId(1), admin.client_key()))
+        let client = LcmClient::new(ClientId(1), admin.client_key());
+        (group, admin, client)
     }
 
     #[test]
@@ -907,7 +867,7 @@ mod tests {
     }
 
     /// One increment through the group; the reply count of the step.
-    fn inc(group: &mut ReplicaGroup, client: &mut LcmClient) -> usize {
+    fn inc(group: &mut ReplicaGroup<Counter>, client: &mut LcmClient) -> usize {
         let op = Counter::inc_op(b"n", 1);
         group.submit(client.invoke_for::<Counter>(&op).unwrap());
         let replies = group.process_all().unwrap();
@@ -918,7 +878,11 @@ mod tests {
     }
 
     /// The counter as `client` reads it on `replica`.
-    fn read_on(group: &mut ReplicaGroup, client: &mut LcmClient, replica: u32) -> ReadOutcome {
+    fn read_on(
+        group: &mut ReplicaGroup<Counter>,
+        client: &mut LcmClient,
+        replica: u32,
+    ) -> ReadOutcome {
         let op = Counter::read_op(b"n");
         let wire = client.read_for::<Counter>(&op, replica).unwrap();
         let reply = group.serve_read(wire).unwrap();
@@ -996,13 +960,58 @@ mod tests {
         // The host hands member 2 bytes no group member sealed: its
         // enclave halts.
         let forged = [lcm_storage::BLOB_KIND_DELTA, 0xde, 0xad];
-        let verdict = ReplicaGroup::lock(&group.members[2].server).apply_replica(&forged);
+        let verdict = lock(&group.members[2].server).apply_replica(&forged);
         assert!(matches!(verdict, Err(LcmError::Violation(_))));
 
         assert_eq!(inc(&mut group, &mut client), 1, "2 of 3 still a majority");
         let stats = group.stats();
         assert_eq!((stats.relevels, stats.followers_dropped), (0, 1));
         assert!(!group.members[2].alive);
+    }
+
+    /// A medium that counts the loads of one slot.
+    struct LoadCounter {
+        inner: MemoryStorage,
+        slot: &'static str,
+        loads: AtomicU64,
+    }
+
+    impl StableStorage for LoadCounter {
+        fn store(&self, slot: &str, blob: &[u8]) -> lcm_storage::Result<()> {
+            self.inner.store(slot, blob)
+        }
+        fn load(&self, slot: &str) -> lcm_storage::Result<Option<Vec<u8>>> {
+            if slot == self.slot {
+                self.loads.fetch_add(1, Ordering::SeqCst);
+            }
+            self.inner.load(slot)
+        }
+    }
+
+    #[test]
+    fn a_control_plane_call_lifts_no_state_without_a_follower_to_take_it() {
+        let medium = Arc::new(LoadCounter {
+            inner: MemoryStorage::new(),
+            slot: "rep0.lcm.state",
+            loads: AtomicU64::new(0),
+        });
+        let (mut group, mut admin, _client) =
+            group_on::<AppendLog>(3, Quorum::Majority, medium.clone());
+        let loads = || medium.loads.load(Ordering::SeqCst);
+        assert!(loads() > 0, "bootstrap levelled two live followers");
+        group.kill_member(0, 1, false).unwrap();
+        group.kill_member(0, 2, false).unwrap();
+
+        let before = loads();
+        let (_t, _q, n) = admin.status(&mut group).unwrap();
+        assert_eq!(n, 1);
+        assert_eq!(loads(), before, "nobody to ship the leader's state to");
+
+        // With a follower back the same call ships it again.
+        group.reboot_member(0, 1).unwrap();
+        let before = loads();
+        admin.status(&mut group).unwrap();
+        assert_eq!(loads(), before + 1);
     }
 
     #[test]

@@ -7,6 +7,27 @@
 //! storage ([`lcm_storage::RollbackStorage`]), running two enclaves
 //! over forked storage, or tampering with links — because the adversary
 //! has exactly the host's powers, no more.
+//!
+//! ## Three roles, one type or trait each
+//!
+//! The paper has one server `S` hosting one context `T`; this stack
+//! nests three roles around that pair, and each has exactly its own
+//! verbs:
+//!
+//! * a **member** — the paper's `S` + `T`: [`LcmServer`], a concrete
+//!   type. Its member-only verbs ([`LcmServer::apply_replica`],
+//!   [`LcmServer::take_record`], [`LcmServer::sealed_state`],
+//!   [`LcmServer::import_migration_as`]) are inherent methods a
+//!   replica group calls on the members it owns; no trait carries them.
+//! * a **shard** — [`Lane`]: one member on its own ([`LcmServer`]) or
+//!   2f+1 of them ([`crate::replica::ReplicaGroup`]), members addressed
+//!   by `replica`. It is what a [`crate::shard::ShardedServer`] holds
+//!   per shard, and where the per-lane steps of a slice move live.
+//! * a **deployment** — [`BatchServer`]: what clients, the admin
+//!   handle and scenarios hold, members addressed by `(shard,
+//!   replica)`: [`crate::shard::ShardedServer`],
+//!   [`crate::transport::Frontend`], and — through one blanket impl —
+//!   every [`Lane`] on its own as the one-shard deployment.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -79,7 +100,7 @@ pub struct LcmServer<F: Functionality> {
     writer: Option<PersistWriter>,
     /// The replication record the enclave emitted with the last batch
     /// (group members only), until the group takes it
-    /// ([`BatchServer::take_record`]).
+    /// ([`LcmServer::take_record`]).
     record: Option<Vec<u8>>,
 }
 
@@ -433,6 +454,33 @@ impl<F: Functionality> LcmServer<F> {
         }
     }
 
+    /// Takes the replication record the enclave emitted with the last
+    /// executed batch (see [`crate::context::PersistBlobs::record`]).
+    /// `None` when there was none to emit — the server is no group
+    /// member, its functionality does not track changes, or the last
+    /// call was control-plane — and the sealed state itself
+    /// ([`LcmServer::sealed_state`]) is what followers install.
+    pub fn take_record(&mut self) -> Option<Vec<u8>> {
+        self.record.take()
+    }
+
+    /// What this server's state slot currently holds, every persist
+    /// issued so far included: a sealed checkpoint, or a delta log's
+    /// `checkpoint ‖ deltas` bundle — either way a record
+    /// [`LcmServer::apply_replica`] installs wholesale. A replica
+    /// group levels a member that is out of step with its leader with
+    /// this.
+    ///
+    /// # Errors
+    ///
+    /// Storage errors, deferred writer errors included.
+    pub fn sealed_state(&mut self) -> Result<Vec<u8>> {
+        self.flush()?;
+        self.storage
+            .load(SLOT_STATE_BLOB)?
+            .ok_or_else(|| LcmError::Storage("no sealed state on the medium".into()))
+    }
+
     /// Origin side of a live slice migration: the enclave extracts
     /// routing slice `slice`, bumps its table to assign it to shard
     /// `to`, and hands back `(ticket, bulletin)` — the sealed slice
@@ -565,10 +613,10 @@ pub(crate) fn store_blobs(
     Ok(())
 }
 
-/// The error of addressing a member a single-enclave server lacks.
-fn no_member(op: &str, shard: u32, replica: u32) -> LcmError {
+/// The error of addressing a member a lane does not have.
+pub(crate) fn no_replica(replica: u32, members: usize) -> LcmError {
     LcmError::Tee(format!(
-        "{op}(shard {shard}, replica {replica}) on a single-enclave server"
+        "replica {replica} out of range (group of {members})"
     ))
 }
 
@@ -576,22 +624,35 @@ fn unexpected(reply: HostReply) -> LcmError {
     LcmError::Tee(format!("unexpected enclave reply: {reply:?}"))
 }
 
-/// The host-server surface the rest of the stack programs against:
-/// everything a client library, admin handle, transport front-end, or
-/// test scenario needs, independent of how many enclaves sit behind it
-/// and of whether they persist synchronously or on a background
-/// writer ([`LcmServer::into_pipelined`]).
+/// The **deployment** surface the rest of the stack programs against:
+/// everything a client library, admin handle or test scenario needs,
+/// independent of how many shards sit behind it, how many members run
+/// each shard, and whether they persist synchronously or on a
+/// background writer ([`LcmServer::into_pipelined`]). Members are
+/// addressed by `(shard, replica)`.
 ///
-/// The trait is object-safe: a deployment's lanes are
-/// `Box<dyn BatchServer>` by definition (a solo [`LcmServer`] or a
-/// [`crate::replica::ReplicaGroup`]), and scenarios run the same code
-/// against every topology. `Send` is part of the
-/// contract so servers can be driven from worker threads — the sharded
-/// host ([`crate::shard::ShardedServer`]) executes its shards on an
-/// [`lcm_runtime::WorkerPool`].
+/// Three types fill the role: [`crate::shard::ShardedServer`],
+/// [`crate::transport::Frontend`], and every [`Lane`] on its own — a
+/// solo [`LcmServer`] or a [`crate::replica::ReplicaGroup`] is the
+/// one-shard deployment through the blanket impl below, the single
+/// place that answers for `shard != 0` there. The trait is object-safe,
+/// so scenarios run the same code against every topology; `Send` is
+/// part of the contract so servers can be driven from worker threads.
+///
+/// The verbs of the inner roles are not here, so a deployment handle
+/// cannot reach them: feeding a member a replication record, say, is
+/// something only the group that owns the member does.
+///
+/// ```compile_fail,E0599
+/// use lcm_core::server::BatchServer;
+///
+/// fn forge_an_ack(deployment: &mut dyn BatchServer, record: &[u8]) {
+///     let _ = deployment.apply_replica(record);
+/// }
+/// ```
 pub trait BatchServer: Send {
-    /// Starts (or restarts after a crash) the enclave; `true` means the
-    /// context needs provisioning. See [`LcmServer::boot`].
+    /// Starts (or restarts after a crash) every enclave; `true` means
+    /// the contexts need provisioning. See [`LcmServer::boot`].
     ///
     /// # Errors
     ///
@@ -601,34 +662,16 @@ pub trait BatchServer: Send {
     /// Simulates a crash of the server process; volatile state is lost.
     fn crash(&mut self);
 
-    /// Whether the enclave is currently running.
+    /// Whether every shard's (leading) enclave is currently running.
     fn is_running(&self) -> bool;
 
-    /// Forwards the admin's provisioning payload. See
-    /// [`LcmServer::provision`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates context errors.
-    fn provision(&mut self, sealed_payload: Vec<u8>) -> Result<()>;
-
-    /// Produces an attestation quote over `user_data`. See
-    /// [`LcmServer::attest`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates TEE errors.
-    fn attest(&mut self, user_data: Digest) -> Result<Quote>;
-
-    /// Number of enclave shards behind this server: 1 for the
-    /// single-enclave servers, N for the sharded fan-out
+    /// Number of enclave shards behind this server: 1 for a lane on
+    /// its own, N for the sharded fan-out
     /// ([`crate::shard::ShardedServer`]). Drives the admin's per-member
     /// provisioning and whole-deployment attestation
     /// ([`BatchServer::attest_member`] /
     /// [`BatchServer::provision_member`]).
-    fn shard_count(&self) -> u32 {
-        1
-    }
+    fn shard_count(&self) -> u32;
 
     /// Enqueues an encrypted INVOKE message.
     fn submit(&mut self, invoke_wire: Vec<u8>);
@@ -636,13 +679,10 @@ pub trait BatchServer: Send {
     /// Delivers a wire to an *explicit* shard, ignoring the routing
     /// envelope — the host has this power (the honest router is just
     /// software it runs), so adversarial tests model misdelivery
-    /// through it. On single-enclave servers this is `submit`. The
+    /// through it. On a one-shard deployment this is `submit`. The
     /// enclave's attested-identity check makes a misdirected intact
     /// wire a detected violation, not a misplaced write.
-    fn submit_to_shard(&mut self, shard: u32, invoke_wire: Vec<u8>) {
-        let _ = shard;
-        self.submit(invoke_wire);
-    }
+    fn submit_to_shard(&mut self, shard: u32, invoke_wire: Vec<u8>);
 
     /// Number of queued, unprocessed messages.
     fn queued(&self) -> usize;
@@ -651,29 +691,22 @@ pub trait BatchServer: Send {
     /// cycle) — a *hint* for batch-forming front-ends: driving a lane
     /// with far fewer queued wires than this wastes seal/store cycles
     /// the single-threaded loop would have amortized.
-    fn batch_limit(&self) -> usize {
-        1
-    }
+    fn batch_limit(&self) -> usize;
 
-    /// Processes one batch. See [`LcmServer::step`].
+    /// Processes one batch per shard with work. See
+    /// [`LcmServer::step`].
     ///
     /// # Errors
     ///
     /// Propagates violations detected inside the context.
-    fn step(&mut self) -> Result<Vec<(ClientId, Vec<u8>)>>;
+    fn step(&mut self) -> Result<Replies>;
 
     /// Processes all queued messages, batch by batch.
     ///
     /// # Errors
     ///
     /// Same as [`BatchServer::step`].
-    fn process_all(&mut self) -> Result<Vec<(ClientId, Vec<u8>)>> {
-        let mut out = Vec::new();
-        while self.queued() > 0 {
-            out.extend(self.step()?);
-        }
-        Ok(out)
-    }
+    fn process_all(&mut self) -> Result<Replies>;
 
     /// Forwards an encrypted admin message. See [`LcmServer::admin`].
     ///
@@ -711,60 +744,12 @@ pub trait BatchServer: Send {
     /// # Errors
     ///
     /// Surfaces asynchronous storage failures.
-    fn flush_persists(&mut self) -> Result<()> {
-        Ok(())
-    }
+    fn flush_persists(&mut self) -> Result<()>;
 
     /// Number of replicas in each shard's group: 1 for unreplicated
     /// servers, 2f+1 for [`crate::replica::ReplicaGroup`]-backed
     /// deployments. Groups are uniform across shards.
-    fn replica_count(&self) -> u32 {
-        1
-    }
-
-    /// Applies one record of a group's replication stream in this
-    /// server's enclave, returning the in-enclave digest of the
-    /// record. The replication driver counts the digest as this
-    /// member's acknowledgement of the batch. See
-    /// [`LcmServer::apply_replica`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates context errors; servers outside a replica group
-    /// reject.
-    fn apply_replica(&mut self, record: &[u8]) -> Result<Digest> {
-        let _ = record;
-        Err(LcmError::Tee(
-            "apply_replica on a server without a replication path".into(),
-        ))
-    }
-
-    /// Takes the replication record the enclave emitted with the last
-    /// executed batch (see
-    /// [`crate::context::PersistBlobs::record`]). `None` when there
-    /// was none to emit — the server is no group member, its
-    /// functionality does not track changes, or the last call was
-    /// control-plane — and the sealed state itself
-    /// ([`BatchServer::sealed_state`]) is what followers install.
-    fn take_record(&mut self) -> Option<Vec<u8>> {
-        None
-    }
-
-    /// What this server's state slot currently holds, every persist
-    /// issued so far included: a sealed checkpoint, or a delta log's
-    /// `checkpoint ‖ deltas` bundle — either way a record
-    /// [`BatchServer::apply_replica`] installs wholesale. A replica
-    /// group levels a member that is out of step with its leader with
-    /// this.
-    ///
-    /// # Errors
-    ///
-    /// Storage errors; servers that are not a single member reject.
-    fn sealed_state(&mut self) -> Result<Vec<u8>> {
-        Err(LcmError::Tee(
-            "sealed_state on a server that is not a single group member".into(),
-        ))
-    }
+    fn replica_count(&self) -> u32;
 
     /// Serves a replica-pinned verified read leg (see
     /// [`crate::context::TrustedContext::serve_read`]) and returns the
@@ -773,30 +758,21 @@ pub trait BatchServer: Send {
     ///
     /// # Errors
     ///
-    /// Propagates context errors; servers without a read path reject.
-    fn serve_read(&mut self, read_wire: Vec<u8>) -> Result<Vec<u8>> {
-        let _ = read_wire;
-        Err(LcmError::Tee(
-            "verified reads are not supported by this server".into(),
-        ))
-    }
+    /// Propagates context errors.
+    fn serve_read(&mut self, read_wire: Vec<u8>) -> Result<Vec<u8>>;
 
     /// The thread-safe `&self` read surface of this server, if it has
     /// one: reader threads call [`ReadPort::serve_read`] concurrently
     /// with the write path, which is what lets read throughput scale
-    /// with replica count. Single-enclave servers return `None` (their
-    /// owner drives reads through [`BatchServer::serve_read`]).
-    fn read_port(&self) -> Option<Arc<dyn ReadPort>> {
-        None
-    }
+    /// with replica count. A solo [`LcmServer`] on its own returns
+    /// `None` (its owner drives reads through
+    /// [`BatchServer::serve_read`]).
+    fn read_port(&self) -> Option<Arc<dyn ReadPort>>;
 
     /// Index of the group member currently executing shard `shard`'s
     /// writes. Starts at 0; changes when a failover promotes a
     /// follower. Unreplicated servers always report 0.
-    fn group_leader(&self, shard: u32) -> u32 {
-        let _ = shard;
-        0
-    }
+    fn group_leader(&self, shard: u32) -> u32;
 
     /// Produces an attestation quote from member `replica` of shard
     /// `shard`'s group — the admin attests *every* member of a
@@ -806,12 +782,7 @@ pub trait BatchServer: Send {
     /// # Errors
     ///
     /// Propagates TEE errors; out-of-range coordinates are an error.
-    fn attest_member(&mut self, shard: u32, replica: u32, user_data: Digest) -> Result<Quote> {
-        if shard != 0 || replica != 0 {
-            return Err(no_member("attest_member", shard, replica));
-        }
-        self.attest(user_data)
-    }
+    fn attest_member(&mut self, shard: u32, replica: u32, user_data: Digest) -> Result<Quote>;
 
     /// Delivers the admin's sealed provisioning payload to member
     /// `replica` of shard `shard`'s group. Each member receives its own
@@ -823,24 +794,14 @@ pub trait BatchServer: Send {
     ///
     /// Propagates context errors; out-of-range coordinates are an
     /// error.
-    fn provision_member(
-        &mut self,
-        shard: u32,
-        replica: u32,
-        sealed_payload: Vec<u8>,
-    ) -> Result<()> {
-        if shard != 0 || replica != 0 {
-            return Err(no_member("provision_member", shard, replica));
-        }
-        self.provision(sealed_payload)
-    }
+    fn provision_member(&mut self, shard: u32, replica: u32, sealed_payload: Vec<u8>)
+        -> Result<()>;
 
     /// Crash-stops member `replica` of shard `shard`'s group (the
     /// fault-injection hook for replica-failure tests). `power_failure`
     /// additionally discards persists still queued behind the member's
     /// write pipeline, modelling a power cut rather than a process
-    /// kill. On a single-enclave server member `(0, 0)` is the server
-    /// itself.
+    /// kill. On a solo server member `(0, 0)` is the server itself.
     ///
     /// # Errors
     ///
@@ -857,107 +818,29 @@ pub trait BatchServer: Send {
     /// # Errors
     ///
     /// Propagates boot errors; out-of-range coordinates are an error.
-    fn reboot_member(&mut self, shard: u32, replica: u32) -> Result<bool> {
-        if shard != 0 || replica != 0 {
-            return Err(no_member("reboot_member", shard, replica));
-        }
-        self.boot()
-    }
-
-    /// Target side of migration under a host-assigned replica slot:
-    /// like [`BatchServer::import_migration`], but the importing
-    /// enclave adopts the ticket as member `replica` of a group of
-    /// `replicas`. A replicated target fans one ticket out to every
-    /// member through this.
-    ///
-    /// # Errors
-    ///
-    /// Propagates context errors.
-    fn import_migration_as(&mut self, ticket: Vec<u8>, replica: u32, replicas: u32) -> Result<()> {
-        if replica == 0 && replicas == 1 {
-            self.import_migration(ticket)
-        } else {
-            Err(LcmError::Tee(format!(
-                "import_migration_as(replica {replica}/{replicas}) on an unreplicated server"
-            )))
-        }
-    }
-
-    /// Origin side of a live slice migration on this lane's enclave:
-    /// returns the sealed `(ticket, bulletin)` pair. See
-    /// [`LcmServer::export_slice`]. Replicated lanes run this on the
-    /// leader and ship the post-export checkpoint to followers.
-    ///
-    /// # Errors
-    ///
-    /// Propagates context errors; servers without the slice path
-    /// reject.
-    fn export_slice(&mut self, slice: u32, to: u32) -> Result<(Vec<u8>, Vec<u8>)> {
-        let _ = (slice, to);
-        Err(LcmError::Tee(
-            "export_slice on a server without a slice-migration path".into(),
-        ))
-    }
-
-    /// Target side of a live slice migration on this lane's enclave.
-    /// See [`LcmServer::import_slice`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates context errors; servers without the slice path
-    /// reject.
-    fn import_slice(&mut self, ticket: Vec<u8>) -> Result<()> {
-        let _ = ticket;
-        Err(LcmError::Tee(
-            "import_slice on a server without a slice-migration path".into(),
-        ))
-    }
-
-    /// Bystander side of a live slice migration on this lane's
-    /// enclave. See [`LcmServer::adopt_table`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates context errors; servers without the slice path
-    /// reject.
-    fn adopt_table(&mut self, bulletin: Vec<u8>) -> Result<()> {
-        let _ = bulletin;
-        Err(LcmError::Tee(
-            "adopt_table on a server without a slice-migration path".into(),
-        ))
-    }
+    fn reboot_member(&mut self, shard: u32, replica: u32) -> Result<bool>;
 
     /// Moves one routing slice from its current owner shard to shard
     /// `to` while both stay live, driving the export → import → adopt
     /// handshake end to end (see
-    /// [`crate::shard::ShardedServer::migrate_slice`]). Servers
-    /// without a multi-shard topology reject: with one shard there is
-    /// nowhere to move a slice to.
+    /// [`crate::shard::ShardedServer::migrate_slice`]).
     ///
     /// # Errors
     ///
-    /// Propagates context errors; single-enclave servers reject.
-    fn migrate_slice(&mut self, slice: u32, to: u32) -> Result<()> {
-        let _ = (slice, to);
-        Err(LcmError::Tee(
-            "migrate_slice on a server without a multi-shard topology".into(),
-        ))
-    }
+    /// Propagates context errors; a one-shard deployment rejects —
+    /// there is nowhere to move a slice to.
+    fn migrate_slice(&mut self, slice: u32, to: u32) -> Result<()>;
 
     /// The current routing epoch of the deployment as the host sees
     /// it: the epoch of the newest slice table any shard has
     /// installed. Static deployments stay at 0.
-    fn routing_epoch(&self) -> u64 {
-        0
-    }
+    fn routing_epoch(&self) -> u64;
 
     /// Per-slice operation counts observed by the host's routing
     /// front-end since the last call, drained (heat telemetry for
-    /// rebalancing). Servers without a routing front-end report an
-    /// empty heat map.
-    fn take_slice_heat(&self) -> Vec<u64> {
-        Vec::new()
-    }
+    /// rebalancing). A one-shard deployment has no router and reports
+    /// an empty heat map.
+    fn take_slice_heat(&self) -> Vec<u64>;
 }
 
 /// A thread-safe verified-read surface: reader threads serve
@@ -976,84 +859,186 @@ pub trait ReadPort: Send + Sync {
     fn serve_read(&self, read_wire: Vec<u8>) -> Result<Vec<u8>>;
 }
 
-impl<S: BatchServer + ?Sized> BatchServer for Box<S> {
+/// One **shard** of a deployment: a solo [`LcmServer`] or a
+/// [`crate::replica::ReplicaGroup`], members addressed by `replica`
+/// alone. [`crate::shard::ShardedServer`] holds one boxed `Lane` per
+/// shard and drives the data plane and the per-lane steps of a slice
+/// move through it; on its own a lane is the one-shard
+/// [`BatchServer`].
+pub trait Lane: Send {
+    /// Starts (or restarts after a crash) every member; `true` means
+    /// the lane needs provisioning. Errors as [`LcmServer::boot`].
+    fn boot(&mut self) -> Result<bool>;
+
+    /// Crashes every member; queued wires are lost.
+    fn crash(&mut self);
+
+    /// Whether the (leading) member's enclave is running.
+    fn is_running(&self) -> bool;
+
+    /// Enqueues an encrypted INVOKE message.
+    fn submit(&mut self, invoke_wire: Vec<u8>);
+
+    /// Wires accepted whose replies have not been returned yet.
+    fn queued(&self) -> usize;
+
+    /// Operations per seal-and-store cycle.
+    fn batch_limit(&self) -> usize;
+
+    /// Processes one batch; a violation detected inside the context is
+    /// the error. See [`LcmServer::step`].
+    fn step(&mut self) -> Result<Replies>;
+
+    /// Processes all queued messages, batch by batch; errors as
+    /// [`Lane::step`].
+    fn process_all(&mut self) -> Result<Replies>;
+
+    /// Forwards an encrypted admin message; context errors propagate.
+    /// See [`LcmServer::admin`].
+    fn admin(&mut self, admin_wire: Vec<u8>) -> Result<Vec<u8>>;
+
+    /// Origin side of migration; context errors propagate. See
+    /// [`LcmServer::export_migration`].
+    fn export_migration(&mut self) -> Result<Vec<u8>>;
+
+    /// Target side of migration — a group fans the ticket out to every
+    /// member; context errors propagate. See
+    /// [`LcmServer::import_migration`].
+    fn import_migration(&mut self, ticket: Vec<u8>) -> Result<()>;
+
+    /// Number of seal-and-store cycles performed.
+    fn batches_processed(&self) -> u64;
+
+    /// Number of INVOKE messages processed.
+    fn ops_processed(&self) -> u64;
+
+    /// Blocks until the (leading) member's persists have reached
+    /// stable storage, surfacing asynchronous storage failures. See
+    /// [`BatchServer::flush_persists`].
+    fn flush_persists(&mut self) -> Result<()>;
+
+    /// Number of members: 1 for a solo server, 2f+1 for a group.
+    fn replicas(&self) -> u32;
+
+    /// Index of the member currently executing the lane's writes.
+    fn leader(&self) -> u32;
+
+    /// Produces an attestation quote from member `replica`
+    /// ([`LcmServer::attest`]). TEE errors propagate; here and on the
+    /// three verbs below an out-of-range `replica` is an error.
+    fn attest(&mut self, replica: u32, user_data: Digest) -> Result<Quote>;
+
+    /// Delivers the admin's sealed provisioning payload to member
+    /// `replica` ([`LcmServer::provision`]); context errors propagate.
+    fn provision(&mut self, replica: u32, sealed_payload: Vec<u8>) -> Result<()>;
+
+    /// Crash-stops member `replica`; see [`BatchServer::kill_member`]
+    /// for `power_failure`.
+    fn kill(&mut self, replica: u32, power_failure: bool) -> Result<()>;
+
+    /// Reboots member `replica` and re-admits it; boot errors
+    /// propagate. See [`BatchServer::reboot_member`].
+    fn reboot(&mut self, replica: u32) -> Result<bool>;
+
+    /// Serves a verified read leg on the member it is pinned to;
+    /// context errors propagate. See [`BatchServer::serve_read`].
+    fn serve_read(&mut self, read_wire: Vec<u8>) -> Result<Vec<u8>>;
+
+    /// The lane's `&self` read surface, if its members can serve reads
+    /// beside the write path. See [`BatchServer::read_port`].
+    fn read_port(&self) -> Option<Arc<dyn ReadPort>>;
+
+    /// Origin side of a live slice migration on this lane: returns the
+    /// sealed `(ticket, bulletin)` pair ([`LcmServer::export_slice`]).
+    /// A group runs this on the leader and ships the post-export state
+    /// to followers. Here and on the two steps below context errors
+    /// propagate.
+    fn export_slice(&mut self, slice: u32, to: u32) -> Result<(Vec<u8>, Vec<u8>)>;
+
+    /// Target side of a live slice migration on this lane. See
+    /// [`LcmServer::import_slice`].
+    fn import_slice(&mut self, ticket: Vec<u8>) -> Result<()>;
+
+    /// Bystander side of a live slice migration on this lane. See
+    /// [`LcmServer::adopt_table`].
+    fn adopt_table(&mut self, bulletin: Vec<u8>) -> Result<()>;
+}
+
+/// Shard 0 is the only shard of a lane on its own.
+fn only_shard(op: &str, shard: u32) -> Result<()> {
+    if shard == 0 {
+        return Ok(());
+    }
+    Err(LcmError::Tee(format!(
+        "{op}(shard {shard}) on a one-shard deployment"
+    )))
+}
+
+/// A lane on its own is the one-shard deployment.
+impl<L: Lane + ?Sized> BatchServer for L {
     fn boot(&mut self) -> Result<bool> {
-        (**self).boot()
+        Lane::boot(self)
     }
     fn crash(&mut self) {
-        (**self).crash();
+        Lane::crash(self);
     }
     fn is_running(&self) -> bool {
-        (**self).is_running()
-    }
-    fn provision(&mut self, sealed_payload: Vec<u8>) -> Result<()> {
-        (**self).provision(sealed_payload)
-    }
-    fn attest(&mut self, user_data: Digest) -> Result<Quote> {
-        (**self).attest(user_data)
+        Lane::is_running(self)
     }
     fn shard_count(&self) -> u32 {
-        (**self).shard_count()
+        1
     }
     fn submit(&mut self, invoke_wire: Vec<u8>) {
-        (**self).submit(invoke_wire);
+        Lane::submit(self, invoke_wire);
     }
-    fn submit_to_shard(&mut self, shard: u32, invoke_wire: Vec<u8>) {
-        (**self).submit_to_shard(shard, invoke_wire);
+    fn submit_to_shard(&mut self, _shard: u32, invoke_wire: Vec<u8>) {
+        Lane::submit(self, invoke_wire);
     }
     fn queued(&self) -> usize {
-        (**self).queued()
+        Lane::queued(self)
     }
     fn batch_limit(&self) -> usize {
-        (**self).batch_limit()
+        Lane::batch_limit(self)
     }
-    fn step(&mut self) -> Result<Vec<(ClientId, Vec<u8>)>> {
-        (**self).step()
+    fn step(&mut self) -> Result<Replies> {
+        Lane::step(self)
     }
-    fn process_all(&mut self) -> Result<Vec<(ClientId, Vec<u8>)>> {
-        (**self).process_all()
+    fn process_all(&mut self) -> Result<Replies> {
+        Lane::process_all(self)
     }
     fn admin(&mut self, admin_wire: Vec<u8>) -> Result<Vec<u8>> {
-        (**self).admin(admin_wire)
+        Lane::admin(self, admin_wire)
     }
     fn export_migration(&mut self) -> Result<Vec<u8>> {
-        (**self).export_migration()
+        Lane::export_migration(self)
     }
     fn import_migration(&mut self, ticket: Vec<u8>) -> Result<()> {
-        (**self).import_migration(ticket)
+        Lane::import_migration(self, ticket)
     }
     fn batches_processed(&self) -> u64 {
-        (**self).batches_processed()
+        Lane::batches_processed(self)
     }
     fn ops_processed(&self) -> u64 {
-        (**self).ops_processed()
+        Lane::ops_processed(self)
     }
     fn flush_persists(&mut self) -> Result<()> {
-        (**self).flush_persists()
+        Lane::flush_persists(self)
     }
     fn replica_count(&self) -> u32 {
-        (**self).replica_count()
-    }
-    fn apply_replica(&mut self, record: &[u8]) -> Result<Digest> {
-        (**self).apply_replica(record)
-    }
-    fn take_record(&mut self) -> Option<Vec<u8>> {
-        (**self).take_record()
-    }
-    fn sealed_state(&mut self) -> Result<Vec<u8>> {
-        (**self).sealed_state()
+        self.replicas()
     }
     fn serve_read(&mut self, read_wire: Vec<u8>) -> Result<Vec<u8>> {
-        (**self).serve_read(read_wire)
+        Lane::serve_read(self, read_wire)
     }
     fn read_port(&self) -> Option<Arc<dyn ReadPort>> {
-        (**self).read_port()
+        Lane::read_port(self)
     }
-    fn group_leader(&self, shard: u32) -> u32 {
-        (**self).group_leader(shard)
+    fn group_leader(&self, _shard: u32) -> u32 {
+        self.leader()
     }
     fn attest_member(&mut self, shard: u32, replica: u32, user_data: Digest) -> Result<Quote> {
-        (**self).attest_member(shard, replica, user_data)
+        only_shard("attest_member", shard)?;
+        self.attest(replica, user_data)
     }
     fn provision_member(
         &mut self,
@@ -1061,38 +1046,40 @@ impl<S: BatchServer + ?Sized> BatchServer for Box<S> {
         replica: u32,
         sealed_payload: Vec<u8>,
     ) -> Result<()> {
-        (**self).provision_member(shard, replica, sealed_payload)
+        only_shard("provision_member", shard)?;
+        self.provision(replica, sealed_payload)
     }
     fn kill_member(&mut self, shard: u32, replica: u32, power_failure: bool) -> Result<()> {
-        (**self).kill_member(shard, replica, power_failure)
+        only_shard("kill_member", shard)?;
+        self.kill(replica, power_failure)
     }
     fn reboot_member(&mut self, shard: u32, replica: u32) -> Result<bool> {
-        (**self).reboot_member(shard, replica)
-    }
-    fn import_migration_as(&mut self, ticket: Vec<u8>, replica: u32, replicas: u32) -> Result<()> {
-        (**self).import_migration_as(ticket, replica, replicas)
-    }
-    fn export_slice(&mut self, slice: u32, to: u32) -> Result<(Vec<u8>, Vec<u8>)> {
-        (**self).export_slice(slice, to)
-    }
-    fn import_slice(&mut self, ticket: Vec<u8>) -> Result<()> {
-        (**self).import_slice(ticket)
-    }
-    fn adopt_table(&mut self, bulletin: Vec<u8>) -> Result<()> {
-        (**self).adopt_table(bulletin)
+        only_shard("reboot_member", shard)?;
+        self.reboot(replica)
     }
     fn migrate_slice(&mut self, slice: u32, to: u32) -> Result<()> {
-        (**self).migrate_slice(slice, to)
+        Err(LcmError::Tee(format!(
+            "migrate_slice({slice} -> shard {to}) on a one-shard deployment"
+        )))
     }
     fn routing_epoch(&self) -> u64 {
-        (**self).routing_epoch()
+        0
     }
     fn take_slice_heat(&self) -> Vec<u64> {
-        (**self).take_slice_heat()
+        Vec::new()
     }
 }
 
-impl<F: Functionality> BatchServer for LcmServer<F> {
+/// Replica 0 is the only member of a solo server.
+fn sole_member(replica: u32) -> Result<()> {
+    if replica == 0 {
+        Ok(())
+    } else {
+        Err(no_replica(replica, 1))
+    }
+}
+
+impl<F: Functionality> Lane for LcmServer<F> {
     fn boot(&mut self) -> Result<bool> {
         LcmServer::boot(self)
     }
@@ -1101,12 +1088,6 @@ impl<F: Functionality> BatchServer for LcmServer<F> {
     }
     fn is_running(&self) -> bool {
         LcmServer::is_running(self)
-    }
-    fn provision(&mut self, sealed_payload: Vec<u8>) -> Result<()> {
-        LcmServer::provision(self, sealed_payload)
-    }
-    fn attest(&mut self, user_data: Digest) -> Result<Quote> {
-        LcmServer::attest(self, user_data)
     }
     fn submit(&mut self, invoke_wire: Vec<u8>) {
         LcmServer::submit(self, invoke_wire);
@@ -1117,8 +1098,11 @@ impl<F: Functionality> BatchServer for LcmServer<F> {
     fn batch_limit(&self) -> usize {
         self.batch_limit
     }
-    fn step(&mut self) -> Result<Vec<(ClientId, Vec<u8>)>> {
+    fn step(&mut self) -> Result<Replies> {
         LcmServer::step(self)
+    }
+    fn process_all(&mut self) -> Result<Replies> {
+        LcmServer::process_all(self)
     }
     fn admin(&mut self, admin_wire: Vec<u8>) -> Result<Vec<u8>> {
         LcmServer::admin(self, admin_wire)
@@ -1138,30 +1122,34 @@ impl<F: Functionality> BatchServer for LcmServer<F> {
     fn flush_persists(&mut self) -> Result<()> {
         LcmServer::flush(self)
     }
-    fn kill_member(&mut self, shard: u32, replica: u32, power_failure: bool) -> Result<()> {
-        if shard != 0 || replica != 0 {
-            return Err(no_member("kill_member", shard, replica));
-        }
+    fn replicas(&self) -> u32 {
+        1
+    }
+    fn leader(&self) -> u32 {
+        0
+    }
+    fn attest(&mut self, replica: u32, user_data: Digest) -> Result<Quote> {
+        sole_member(replica)?;
+        LcmServer::attest(self, user_data)
+    }
+    fn provision(&mut self, replica: u32, sealed_payload: Vec<u8>) -> Result<()> {
+        sole_member(replica)?;
+        LcmServer::provision(self, sealed_payload)
+    }
+    fn kill(&mut self, replica: u32, power_failure: bool) -> Result<()> {
+        sole_member(replica)?;
         self.stop(power_failure);
         Ok(())
+    }
+    fn reboot(&mut self, replica: u32) -> Result<bool> {
+        sole_member(replica)?;
+        LcmServer::boot(self)
     }
     fn serve_read(&mut self, read_wire: Vec<u8>) -> Result<Vec<u8>> {
         LcmServer::serve_read(self, read_wire)
     }
-    fn apply_replica(&mut self, record: &[u8]) -> Result<Digest> {
-        LcmServer::apply_replica(self, record)
-    }
-    fn take_record(&mut self) -> Option<Vec<u8>> {
-        self.record.take()
-    }
-    fn sealed_state(&mut self) -> Result<Vec<u8>> {
-        self.flush()?;
-        self.storage
-            .load(SLOT_STATE_BLOB)?
-            .ok_or_else(|| LcmError::Storage("no sealed state on the medium".into()))
-    }
-    fn import_migration_as(&mut self, ticket: Vec<u8>, replica: u32, replicas: u32) -> Result<()> {
-        LcmServer::import_migration_as(self, ticket, replica, replicas)
+    fn read_port(&self) -> Option<Arc<dyn ReadPort>> {
+        None
     }
     fn export_slice(&mut self, slice: u32, to: u32) -> Result<(Vec<u8>, Vec<u8>)> {
         LcmServer::export_slice(self, slice, to)
@@ -1201,6 +1189,76 @@ mod tests {
             .map(|&id| LcmClient::new(id, admin.client_key()))
             .collect();
         (server, admin, lcm_clients)
+    }
+
+    /// Both kinds of lane, booted, as the one-shard deployments the
+    /// blanket impl makes them, with their member counts.
+    fn one_shard_deployments() -> Vec<(&'static str, Box<dyn BatchServer>, u32)> {
+        let world = TeeWorld::new_deterministic(43);
+        let member = |id: u64| {
+            let platform = world.platform_deterministic(id);
+            LcmServer::<AppendLog>::new(&platform, Arc::new(MemoryStorage::new()), 4)
+        };
+        let group = crate::replica::ReplicaGroup::new(
+            vec![member(2), member(3), member(4)],
+            Quorum::Majority,
+        );
+        let mut lanes: Vec<(&'static str, Box<dyn BatchServer>, u32)> = vec![
+            ("solo", Box::new(member(1)), 1),
+            ("group", Box::new(group), 3),
+        ];
+        for (_, server, _) in &mut lanes {
+            assert!(server.boot().unwrap());
+        }
+        lanes
+    }
+
+    #[test]
+    fn a_lane_on_its_own_answers_bad_addresses_with_errors() {
+        type Addressed = fn(&mut dyn BatchServer, u32, u32) -> Result<()>;
+        let nonce = lcm_crypto::sha256::digest(b"verifier nonce");
+        let verbs: [(&str, Addressed); 4] = [
+            ("attest_member", |s, shard, replica| {
+                s.attest_member(shard, replica, lcm_crypto::sha256::digest(b"n"))
+                    .map(drop)
+            }),
+            ("provision_member", |s, shard, replica| {
+                s.provision_member(shard, replica, b"not a payload".to_vec())
+            }),
+            ("kill_member", |s, shard, replica| {
+                s.kill_member(shard, replica, false)
+            }),
+            ("reboot_member", |s, shard, replica| {
+                s.reboot_member(shard, replica).map(drop)
+            }),
+        ];
+        for (lane, mut server, replicas) in one_shard_deployments() {
+            for (verb, call) in verbs {
+                for (shard, replica) in [(1, 0), (u32::MAX, 0), (0, replicas), (0, u32::MAX)] {
+                    let outcome = call(&mut *server, shard, replica);
+                    assert!(
+                        matches!(outcome, Err(LcmError::Tee(_))),
+                        "{lane}: {verb}({shard}, {replica}) gave {outcome:?}"
+                    );
+                }
+            }
+            for (slice, to) in [(0, 0), (0, 1), (u32::MAX, u32::MAX)] {
+                assert!(
+                    matches!(server.migrate_slice(slice, to), Err(LcmError::Tee(_))),
+                    "{lane}: one shard has nowhere to move a slice to"
+                );
+            }
+            // No bad address reached a member: all are still up and
+            // answer at their real coordinates.
+            assert!(server.is_running(), "{lane}");
+            assert_eq!(
+                (server.shard_count(), server.replica_count()),
+                (1, replicas)
+            );
+            for replica in 0..replicas {
+                server.attest_member(0, replica, nonce).unwrap();
+            }
+        }
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! With asynchronous write moving persistence off the critical path,
 //! the throughput ceiling is stage 2 itself — one enclave executing and
 //! sealing every batch. [`ShardedServer`] removes that ceiling by
-//! running **N independent lanes** ("shards" — each a boxed
-//! [`BatchServer`]: a solo [`LcmServer`] or a
-//! [`crate::replica::ReplicaGroup`]), each owning a disjoint slice of
-//! the functionality state and its own V-map, behind a deterministic
-//! router. A single-enclave deployment *is* the 1-lane case:
+//! running **N independent lanes** ("shards" — each a boxed [`Lane`]:
+//! a solo [`LcmServer`] or a [`crate::replica::ReplicaGroup`]), each
+//! owning a disjoint slice of the functionality state and its own
+//! V-map, behind a deterministic router. A single-enclave deployment
+//! *is* the 1-lane case:
 //!
 //! ```text
 //!                      ┌── ingress queue 0 ──▶ shard 0 (enclave + storage ns 0) ─┐
@@ -150,7 +150,7 @@ use crate::admission::{AdmissionState, AdmitOutcome, RetryAfter, SettledTicket};
 use crate::codec::{Reader, Writer};
 use crate::functionality::Functionality;
 use crate::routing::{slice_of, SliceTable, SLICE_COUNT};
-use crate::server::{BatchServer, LcmServer, Replies};
+use crate::server::{BatchServer, Lane, LcmServer, ReadPort, Replies};
 use crate::types::ClientId;
 use crate::wire::RouteHint;
 use crate::{LcmError, Result};
@@ -304,8 +304,8 @@ impl ShardStatsRollup {
 type Ticketed = (u64, ClientId, Vec<u8>);
 
 /// State owned by one shard and touched only under its lock.
-struct Lane {
-    server: Box<dyn BatchServer>,
+struct LaneState {
+    server: Box<dyn Lane>,
     /// Tickets (with their envelope clients) of wires already moved
     /// into the server's queue, in FIFO order — pairs each reply batch
     /// back to its tickets, and names what to write off when the shard
@@ -314,7 +314,7 @@ struct Lane {
 }
 
 struct Shard {
-    lane: Mutex<Lane>,
+    lane: Mutex<LaneState>,
     ingress: BoundedQueue<Ticketed>,
     /// When the lane's oldest undriven wire arrived — the clock behind
     /// the batch-forming linger gate of [`ShardCore::drive`]. `None`
@@ -331,7 +331,7 @@ impl Shard {
     }
 }
 
-fn lock(lane: &Mutex<Lane>) -> MutexGuard<'_, Lane> {
+fn lock(lane: &Mutex<LaneState>) -> MutexGuard<'_, LaneState> {
     lane.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -544,13 +544,13 @@ pub(crate) struct ShardCore {
 }
 
 impl ShardCore {
-    fn new(servers: Vec<Box<dyn BatchServer>>, ingress_capacity: usize) -> Self {
+    fn new(servers: Vec<Box<dyn Lane>>, ingress_capacity: usize) -> Self {
         let n = servers.len();
         ShardCore {
             shards: servers
                 .into_iter()
                 .map(|server| Shard {
-                    lane: Mutex::new(Lane {
+                    lane: Mutex::new(LaneState {
                         server,
                         inflight: VecDeque::new(),
                     }),
@@ -1049,8 +1049,8 @@ pub(crate) enum DriveStatus {
     Progress,
 }
 
-/// A key-partitioned fan-out server: N boxed [`BatchServer`] lanes
-/// driven concurrently by an [`lcm_runtime::WorkerPool`], presented to
+/// A key-partitioned fan-out server: N boxed [`Lane`]s driven
+/// concurrently by an [`lcm_runtime::WorkerPool`], presented to
 /// the rest of the stack as a single [`BatchServer`].
 ///
 /// Construct over pre-built lanes with [`ShardedServer::new`], or use
@@ -1068,6 +1068,10 @@ pub struct ShardedServer {
     /// transport front-end holds a second `Arc` to it.
     core: Arc<ShardCore>,
     pool: WorkerPool,
+    /// The deployment's concurrent read surface. Lanes and their
+    /// members are fixed at construction, so it is built once and
+    /// handed out by clone.
+    read_port: Arc<CoreReadPort>,
     /// Digest of each shard's last attestation quote (`None` until the
     /// lane is attested; cleared on `crash`). Surfaced through
     /// [`ShardStatsRollup`] so operators can assert the *whole*
@@ -1112,17 +1116,23 @@ impl ShardedServer {
     /// Builds a sharded server over the given lanes (at least one)
     /// with the default ingress capacity and one worker thread per
     /// shard.
-    pub fn new(servers: Vec<Box<dyn BatchServer>>) -> Self {
+    pub fn new(servers: Vec<Box<dyn Lane>>) -> Self {
         Self::with_config(servers, DEFAULT_INGRESS_CAPACITY)
     }
 
     /// Builds a sharded server with an explicit per-shard ingress
     /// queue bound.
-    pub fn with_config(servers: Vec<Box<dyn BatchServer>>, ingress_capacity: usize) -> Self {
+    pub fn with_config(servers: Vec<Box<dyn Lane>>, ingress_capacity: usize) -> Self {
         assert!(!servers.is_empty(), "a sharded server needs >= 1 shard");
         let n = servers.len();
+        let ports = servers.iter().map(|lane| lane.read_port()).collect();
+        let core = Arc::new(ShardCore::new(servers, ingress_capacity));
         ShardedServer {
-            core: Arc::new(ShardCore::new(servers, ingress_capacity)),
+            read_port: Arc::new(CoreReadPort {
+                core: Arc::clone(&core),
+                ports,
+            }),
+            core,
             pool: WorkerPool::new("lcm-shard", n, n),
             quote_digests: vec![None; n],
             pending_slice: None,
@@ -1152,7 +1162,7 @@ impl ShardedServer {
     /// # Panics
     ///
     /// Panics if `index` is out of range.
-    pub fn with_shard<R>(&mut self, index: u32, f: impl FnOnce(&mut dyn BatchServer) -> R) -> R {
+    pub fn with_shard<R>(&mut self, index: u32, f: impl FnOnce(&mut dyn Lane) -> R) -> R {
         let (result, purged) = {
             let shard = &self.core.shards[index as usize];
             let mut lane = lock(&shard.lane);
@@ -1200,7 +1210,7 @@ impl ShardedServer {
 
     fn for_each_shard<R>(
         &mut self,
-        mut f: impl FnMut(&mut dyn BatchServer) -> Result<R>,
+        mut f: impl FnMut(&mut dyn Lane) -> Result<R>,
     ) -> Result<Vec<R>> {
         let mut out = Vec::with_capacity(self.core.shards.len());
         for shard in &self.core.shards {
@@ -1409,11 +1419,9 @@ pub fn plan_rebalance(heat: &[u64], table: &SliceTable) -> Option<(u32, u32)> {
     Some((slice, cold as u32))
 }
 
-/// Concatenates per-shard sealed provisioning payloads into the one
-/// blob the multi-shard form of [`BatchServer::provision`] fans back
-/// out (count-prefixed, each part length-prefixed — the same codec
-/// shape as sharded migration tickets).
-pub fn concat_provision_payloads(parts: &[Vec<u8>]) -> Vec<u8> {
+/// The sharded migration-ticket codec: one deployment ticket is the
+/// count-prefixed, length-prefixed sequence of its lanes' tickets.
+fn join_lane_tickets(parts: &[Vec<u8>]) -> Vec<u8> {
     let mut w = Writer::new();
     w.put_u32(parts.len() as u32);
     for part in parts {
@@ -1422,9 +1430,9 @@ pub fn concat_provision_payloads(parts: &[Vec<u8>]) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Inverse of [`concat_provision_payloads`]; `None` when the blob is not a
-/// well-formed concatenation (e.g. a single raw sealed payload).
-fn split_parts(blob: &[u8]) -> Option<Vec<Vec<u8>>> {
+/// Inverse of [`join_lane_tickets`]; `None` when the blob is not a
+/// well-formed deployment ticket.
+fn split_lane_tickets(blob: &[u8]) -> Option<Vec<Vec<u8>>> {
     let mut r = Reader::new(blob);
     let n = r.get_u32().ok()? as usize;
     let mut parts = Vec::new();
@@ -1481,48 +1489,6 @@ impl BatchServer for ShardedServer {
             .shards
             .iter()
             .all(|s| lock(&s.lane).server.is_running())
-    }
-
-    fn provision(&mut self, sealed_payload: Vec<u8>) -> Result<()> {
-        // A multi-shard deployment cannot be provisioned from one
-        // sealed payload: each enclave's payload carries its own
-        // identity, so fanning out a clone would forge an identity
-        // collision. Instead, the multi-shard form of `provision`
-        // takes the count-prefixed concatenation of per-shard payloads
-        // (see [`concat_provision_payloads`]) and delegates to the
-        // `provision_member` loop — the same loop
-        // [`crate::admin::AdminHandle::bootstrap`] drives directly.
-        if self.core.shards.len() == 1 {
-            return self.provision_member(0, 0, sealed_payload);
-        }
-        let parts = split_parts(&sealed_payload).ok_or_else(|| {
-            LcmError::Tee(
-                "sharded deployment requires per-shard provisioning: pass \
-                 concat_provision_payloads() of one identity-bearing payload \
-                 per shard (or drive provision_member / AdminHandle::bootstrap \
-                 directly)"
-                    .into(),
-            )
-        })?;
-        if parts.len() != self.core.shards.len() {
-            return Err(LcmError::Tee(format!(
-                "provision carries {} per-shard payloads for a {}-shard deployment",
-                parts.len(),
-                self.core.shards.len()
-            )));
-        }
-        for (i, part) in parts.into_iter().enumerate() {
-            self.provision_member(i as u32, 0, part)?;
-        }
-        Ok(())
-    }
-
-    fn attest(&mut self, user_data: Digest) -> Result<Quote> {
-        // Single-quote view of the deployment: shard 0. The admin's
-        // bootstrap does NOT rely on this — it attests every lane via
-        // `attest_member` and verifies each quote against that shard's
-        // identity binding.
-        self.attest_member(0, 0, user_data)
     }
 
     fn shard_count(&self) -> u32 {
@@ -1627,12 +1593,11 @@ impl BatchServer for ShardedServer {
 
     fn export_migration(&mut self) -> Result<Vec<u8>> {
         let tickets = self.for_each_shard(|s| s.export_migration())?;
-        // Same codec shape as the per-shard provisioning payloads.
-        Ok(concat_provision_payloads(&tickets))
+        Ok(join_lane_tickets(&tickets))
     }
 
     fn import_migration(&mut self, ticket: Vec<u8>) -> Result<()> {
-        let parts = split_parts(&ticket)
+        let parts = split_lane_tickets(&ticket)
             .ok_or_else(|| LcmError::Tee("malformed sharded migration ticket".into()))?;
         if parts.len() != self.core.shards.len() {
             return Err(LcmError::Tee(format!(
@@ -1670,20 +1635,18 @@ impl BatchServer for ShardedServer {
 
     fn replica_count(&self) -> u32 {
         // Groups are uniform across shards; lane 0 speaks for all.
-        lock(&self.core.shards[0].lane).server.replica_count()
+        lock(&self.core.shards[0].lane).server.replicas()
     }
 
     fn group_leader(&self, shard: u32) -> u32 {
-        lock(&self.core.shards[shard as usize].lane)
-            .server
-            .group_leader(0)
+        lock(&self.core.shards[shard as usize].lane).server.leader()
     }
 
     fn attest_member(&mut self, shard: u32, replica: u32, user_data: Digest) -> Result<Quote> {
         self.check_shard(shard, "attest_member")?;
         let quote = lock(&self.core.shards[shard as usize].lane)
             .server
-            .attest_member(0, replica, user_data)?;
+            .attest(replica, user_data)?;
         // Record the attestation host-side: a fingerprint of what the
         // verifier saw (measurement + identity-bound user data), so
         // stats can assert every member was attested.
@@ -1703,7 +1666,7 @@ impl BatchServer for ShardedServer {
         self.check_shard(shard, "provision_member")?;
         lock(&self.core.shards[shard as usize].lane)
             .server
-            .provision_member(0, replica, sealed_payload)
+            .provision(replica, sealed_payload)
     }
 
     fn kill_member(&mut self, shard: u32, replica: u32, power_failure: bool) -> Result<()> {
@@ -1711,41 +1674,20 @@ impl BatchServer for ShardedServer {
         // `with_shard`'s resync writes the group's in-flight tickets
         // off when a leader kill stops the group (`is_running` goes
         // false); follower kills leave the lane running and settled.
-        self.with_shard(shard, |s| s.kill_member(0, replica, power_failure))
+        self.with_shard(shard, |s| s.kill(replica, power_failure))
     }
 
     fn reboot_member(&mut self, shard: u32, replica: u32) -> Result<bool> {
         self.check_shard(shard, "reboot_member")?;
-        self.with_shard(shard, |s| s.reboot_member(0, replica))
+        self.with_shard(shard, |s| s.reboot(replica))
     }
 
     fn serve_read(&mut self, read_wire: Vec<u8>) -> Result<Vec<u8>> {
-        match self.read_port() {
-            Some(port) => port.serve_read(read_wire),
-            None => unreachable!("a sharded server always has a read port"),
-        }
+        self.read_port.serve_read(read_wire)
     }
 
-    fn read_port(&self) -> Option<Arc<dyn crate::server::ReadPort>> {
-        let ports = self
-            .core
-            .shards
-            .iter()
-            .map(|shard| lock(&shard.lane).server.read_port())
-            .collect();
-        Some(Arc::new(CoreReadPort {
-            core: Arc::clone(&self.core),
-            ports,
-        }))
-    }
-
-    fn import_migration_as(&mut self, ticket: Vec<u8>, replica: u32, replicas: u32) -> Result<()> {
-        let _ = (ticket, replica, replicas);
-        Err(LcmError::Tee(
-            "import_migration_as addresses one group; use import_migration \
-             on the sharded deployment (each lane fans its part out)"
-                .into(),
-        ))
+    fn read_port(&self) -> Option<Arc<dyn ReadPort>> {
+        Some(self.read_port.clone())
     }
 
     fn migrate_slice(&mut self, slice: u32, to: u32) -> Result<()> {
@@ -1771,10 +1713,10 @@ impl BatchServer for ShardedServer {
 /// the bench snapshot are measured against.
 struct CoreReadPort {
     core: Arc<ShardCore>,
-    ports: Vec<Option<Arc<dyn crate::server::ReadPort>>>,
+    ports: Vec<Option<Arc<dyn ReadPort>>>,
 }
 
-impl crate::server::ReadPort for CoreReadPort {
+impl ReadPort for CoreReadPort {
     fn serve_read(&self, read_wire: Vec<u8>) -> Result<Vec<u8>> {
         let Some((hint, _)) = crate::wire::ReadHint::peel(&read_wire) else {
             return Err(LcmError::Tee(
@@ -1804,21 +1746,21 @@ fn build_member<F: Functionality + 'static>(
     region_prefix: String,
     batch_limit: usize,
     pipelined: bool,
-) -> Box<dyn BatchServer> {
+) -> LcmServer<F> {
     let platform = world.platform_deterministic(platform_id);
     let region = Arc::new(NamespacedStorage::new(storage.clone(), region_prefix));
     let server = LcmServer::<F>::new(&platform, region, batch_limit);
-    Box::new(if pipelined {
+    if pipelined {
         server.into_pipelined()
     } else {
         server
-    })
+    }
 }
 
 /// Assembles lanes into a deployment, labelling its health snapshots
 /// with the execution mode so operators (and the bench gate) can tell
 /// sync and pipelined cells apart.
-fn assemble(lanes: Vec<Box<dyn BatchServer>>, pipelined: bool) -> ShardedServer {
+fn assemble(lanes: Vec<Box<dyn Lane>>, pipelined: bool) -> ShardedServer {
     let server = ShardedServer::new(lanes);
     server
         .admission_state()
@@ -1846,14 +1788,14 @@ pub fn build_sharded<F: Functionality + 'static>(
 ) -> ShardedServer {
     let lanes = (0..shards.max(1))
         .map(|i| {
-            build_member::<F>(
+            Box::new(build_member::<F>(
                 world,
                 base_platform + u64::from(i),
                 &storage,
                 NamespacedStorage::shard_prefix(i),
                 batch_limit,
                 pipelined,
-            )
+            )) as Box<dyn Lane>
         })
         .collect();
     assemble(lanes, pipelined)
@@ -1908,8 +1850,7 @@ pub fn build_replicated<F: Functionality + 'static>(
                     )
                 })
                 .collect();
-            Box::new(crate::replica::ReplicaGroup::new(members, spec.quorum))
-                as Box<dyn BatchServer>
+            Box::new(crate::replica::ReplicaGroup::new(members, spec.quorum)) as Box<dyn Lane>
         })
         .collect();
     assemble(lanes, pipelined)
@@ -2034,63 +1975,20 @@ mod tests {
     }
 
     #[test]
-    fn single_payload_provision_rejected_on_multi_shard_deployment() {
-        // A raw (non-concatenated) payload cannot provision more than
-        // one shard: cloning it across lanes would forge an identity
-        // collision, so the multi-shard `provision` only accepts the
-        // count-prefixed concatenation of identity-bearing payloads.
-        let world = TeeWorld::new_deterministic(95);
-        let mut server =
-            build_sharded::<Counter>(&world, 1, Arc::new(MemoryStorage::new()), 8, 2, false);
-        assert!(server.boot().unwrap());
-        let err = server.provision(b"one payload for everyone".to_vec());
+    fn read_port_is_built_once_and_handed_out_by_clone() {
+        let (mut server, _admin, mut clients) = sharded_counter(2, 1);
+        run_one(&mut server, &mut clients[0], &Counter::inc_op(b"n", 3));
+        let (first, second) = (server.read_port().unwrap(), server.read_port().unwrap());
         assert!(
-            matches!(err, Err(LcmError::Tee(ref m)) if m.contains("per-shard")),
-            "got {err:?}"
+            Arc::ptr_eq(&first, &second),
+            "one allocation per deployment"
         );
-        // A well-formed concatenation with the wrong cardinality is a
-        // distinct, explicit error.
-        let err = server.provision(concat_provision_payloads(&[b"only-one".to_vec()]));
-        assert!(
-            matches!(err, Err(LcmError::Tee(ref m)) if m.contains("1 per-shard payloads")),
-            "got {err:?}"
-        );
-    }
-
-    #[test]
-    fn concatenated_provision_delegates_to_per_shard_loop() {
-        use crate::context::{ProvisionPayload, ShardIdentity, LABEL_PROVISION};
-        use crate::program::lcm_measurement;
-        use lcm_crypto::aead::{self, AeadKey};
-        use lcm_crypto::keys::SecretKey;
-
-        let world = TeeWorld::new_deterministic(97);
-        let mut server =
-            build_sharded::<Counter>(&world, 1, Arc::new(MemoryStorage::new()), 8, 2, false);
-        assert!(server.boot().unwrap());
-
-        let channel = AeadKey::from_secret(&world.admin_provision_key(&lcm_measurement()));
-        let sealed_for = |index: u32| {
-            use crate::codec::WireCodec;
-            let payload = ProvisionPayload {
-                k_p: SecretKey::from_bytes([1u8; 32]),
-                k_c: SecretKey::from_bytes([2u8; 32]),
-                k_a: SecretKey::from_bytes([3u8; 32]),
-                clients: vec![ClientId(1)],
-                quorum: Quorum::Majority,
-                identity: ShardIdentity::new(index, 2),
-            };
-            aead::auth_encrypt(&channel, &payload.to_bytes(), LABEL_PROVISION).unwrap()
-        };
-        // One identity-bearing payload per shard, in shard order: the
-        // single `provision` call fans them out via `provision_member`.
-        server
-            .provision(concat_provision_payloads(&[sealed_for(0), sealed_for(1)]))
+        // `serve_read` goes through that same port.
+        let wire = clients[0]
+            .read_for::<Counter>(&Counter::read_op(b"n"), 0)
             .unwrap();
-
-        let mut admin =
-            AdminHandle::new_deterministic(&world, vec![ClientId(1)], Quorum::Majority, 97);
-        admin.verify_deployment(&mut server).unwrap();
+        let reply = server.serve_read(wire).unwrap();
+        assert!(clients[0].handle_read_reply(&reply).is_ok());
     }
 
     #[test]
@@ -2492,14 +2390,14 @@ mod tests {
         // before ever stepping: submit must make progress by running
         // batches inline, not block forever.
         let world = TeeWorld::new_deterministic(93);
-        let servers: Vec<Box<dyn BatchServer>> = (0..2)
+        let servers: Vec<Box<dyn Lane>> = (0..2)
             .map(|i| {
                 let platform = world.platform_deterministic(1 + i);
                 Box::new(LcmServer::<Counter>::new(
                     &platform,
                     Arc::new(MemoryStorage::new()),
                     16,
-                )) as Box<dyn BatchServer>
+                )) as Box<dyn Lane>
             })
             .collect();
         let mut server = ShardedServer::with_config(servers, 8);

@@ -89,10 +89,9 @@ impl TransportStats {
 }
 
 /// How long a [`DriveMode::Continuous`] driver lets a sub-batch-size
-/// lane fill before executing it anyway (override per front-end with
-/// [`Frontend::set_linger`]). Free-running drivers would otherwise
-/// execute one-wire batches the moment each producer's wire lands,
-/// squandering the seal-and-store amortization; a fraction of a
+/// lane fill before executing it anyway. Free-running drivers would
+/// otherwise execute one-wire batches the moment each producer's wire
+/// lands, squandering the seal-and-store amortization; a fraction of a
 /// typical store round-trip recovers full batches at a latency cost
 /// one batch cycle amortizes away.
 pub const BATCH_LINGER: Duration = Duration::from_micros(600);
@@ -140,8 +139,6 @@ struct FrontendShared {
     /// open-window read can never execute work submitted after the
     /// pump returned.
     sweepers: AtomicUsize,
-    /// Batch-forming linger in nanoseconds (see [`BATCH_LINGER`]).
-    linger_nanos: AtomicU64,
     demux: Mutex<Demux>,
     stats: Arc<TransportStats>,
 }
@@ -328,10 +325,8 @@ fn driver_loop(core: Arc<ShardCore>, shared: Arc<FrontendShared>, mode: DriveMod
     // Continuous drivers form batches (linger gate); OnDemand pumps
     // run with everything already queued, so gating would only slow
     // the deterministic suites down.
-    let gate = || match mode {
-        DriveMode::Continuous => Some(Duration::from_nanos(
-            shared.linger_nanos.load(Ordering::SeqCst),
-        )),
+    let gate = match mode {
+        DriveMode::Continuous => Some(BATCH_LINGER),
         DriveMode::OnDemand => None,
     };
     let mut epoch = 0u64;
@@ -362,7 +357,7 @@ fn driver_loop(core: Arc<ShardCore>, shared: Arc<FrontendShared>, mode: DriveMod
                 if !core.window_open() {
                     break;
                 }
-                match core.drive(lane, gate()) {
+                match core.drive(lane, gate) {
                     DriveStatus::Progress => {
                         progress = true;
                         // Demux NOW, before touching the next lane: a
@@ -406,7 +401,6 @@ impl Frontend {
         let shared = Arc::new(FrontendShared {
             shutdown: AtomicBool::new(false),
             sweepers: AtomicUsize::new(0),
-            linger_nanos: AtomicU64::new(BATCH_LINGER.as_nanos() as u64),
             demux: Mutex::new(Demux {
                 ports: BTreeMap::new(),
                 buffer: VecDeque::new(),
@@ -454,15 +448,6 @@ impl Frontend {
     /// off) — the front-end's in-flight depth; `0` means quiescent.
     pub fn in_flight(&self) -> u64 {
         self.core.unsettled()
-    }
-
-    /// Overrides the batch-forming linger (default [`BATCH_LINGER`]).
-    /// `Duration::ZERO` disables batch forming entirely: drivers
-    /// execute whatever is queued the moment they see it.
-    pub fn set_linger(&self, linger: Duration) {
-        self.shared
-            .linger_nanos
-            .store(linger.as_nanos() as u64, Ordering::SeqCst);
     }
 
     /// Installs (or replaces) the deployment's multi-tenant admission
@@ -586,12 +571,6 @@ impl BatchServer for Frontend {
     fn is_running(&self) -> bool {
         self.server.is_running()
     }
-    fn provision(&mut self, sealed_payload: Vec<u8>) -> Result<()> {
-        self.server.provision(sealed_payload)
-    }
-    fn attest(&mut self, user_data: Digest) -> Result<Quote> {
-        self.server.attest(user_data)
-    }
     fn shard_count(&self) -> u32 {
         self.server.shard_count()
     }
@@ -650,9 +629,6 @@ impl BatchServer for Frontend {
     fn replica_count(&self) -> u32 {
         self.server.replica_count()
     }
-    fn apply_replica(&mut self, record: &[u8]) -> Result<Digest> {
-        self.server.apply_replica(record)
-    }
     /// Serves a verified read against the wrapped server. Reads bypass
     /// the ingress queue entirely — they never mutate state, so they
     /// need no ticket, no admission slot, and no driver; this is what
@@ -683,9 +659,6 @@ impl BatchServer for Frontend {
     }
     fn reboot_member(&mut self, shard: u32, replica: u32) -> Result<bool> {
         self.server.reboot_member(shard, replica)
-    }
-    fn import_migration_as(&mut self, ticket: Vec<u8>, replica: u32, replicas: u32) -> Result<()> {
-        self.server.import_migration_as(ticket, replica, replicas)
     }
 }
 

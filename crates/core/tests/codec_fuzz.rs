@@ -2,13 +2,25 @@
 //! bytes must never panic, and valid encodings must roundtrip.
 //!
 //! Everything that crosses a trust boundary is covered: wire messages,
-//! host calls/replies, the V map, provisioning payloads.
+//! host calls/replies, the V map, provisioning payloads — and the
+//! three inputs the untrusted host hands a lane's enclave outside the
+//! invoke path: replication records, slice tickets, table bulletins.
 
+use std::sync::Arc;
+
+use lcm_core::admin::AdminHandle;
+use lcm_core::client::LcmClient;
 use lcm_core::codec::{Reader, WireCodec, Writer};
+use lcm_core::functionality::Counter;
 use lcm_core::program::{HostCall, HostReply};
+use lcm_core::server::{BatchServer, LcmServer};
+use lcm_core::shard::{build_sharded, route_hash};
 use lcm_core::stability::{decode_vmap, encode_vmap, CachedReply, Quorum, VEntry, VMap};
 use lcm_core::types::{ChainValue, ClientId, SeqNo};
 use lcm_core::wire::{InvokeMsg, ReplyMsg};
+use lcm_core::LcmError;
+use lcm_storage::MemoryStorage;
+use lcm_tee::world::TeeWorld;
 use proptest::prelude::*;
 
 fn arb_chain() -> impl Strategy<Value = ChainValue> {
@@ -81,7 +93,136 @@ fn arb_ventry() -> impl Strategy<Value = VEntry> {
         })
 }
 
+/// A provisioned solo server with `batches` counter increments
+/// executed (one per batch).
+fn provisioned(batches: u64) -> LcmServer<Counter> {
+    let world = TeeWorld::new_deterministic(61);
+    let platform = world.platform_deterministic(1);
+    let mut server = LcmServer::<Counter>::new(&platform, Arc::new(MemoryStorage::new()), 1);
+    assert!(server.boot().unwrap());
+    let mut admin = AdminHandle::new_deterministic(&world, vec![ClientId(1)], Quorum::Majority, 3);
+    admin.bootstrap(&mut server).unwrap();
+    let mut client = LcmClient::new(ClientId(1), admin.client_key());
+    for _ in 0..batches {
+        server.submit(client.invoke(&Counter::inc_op(b"n", 1)).unwrap());
+        let replies = server.process_all().unwrap();
+        client.handle_reply(&replies[0].1).unwrap();
+    }
+    server
+}
+
+/// The lane-only verbs that take host-supplied bytes.
+type HostInput = fn(&mut LcmServer<Counter>, &[u8]) -> Result<(), LcmError>;
+const HOST_INPUTS: [(&str, HostInput); 3] = [
+    ("apply_replica", |s, bytes| s.apply_replica(bytes).map(drop)),
+    ("import_slice", |s, bytes| s.import_slice(bytes.to_vec())),
+    ("adopt_table", |s, bytes| s.adopt_table(bytes.to_vec())),
+];
+
+/// Every strict prefix of a sealed checkpoint is refused by
+/// `apply_replica`; prefixes of a `checkpoint ‖ deltas` bundle (where a
+/// cut on a frame boundary is an older, valid state) at least never
+/// panic; and the server recovers from its own medium afterwards.
+#[test]
+fn truncated_replication_records_are_refused() {
+    let mut source = provisioned(0);
+    let checkpoint = source.sealed_state().unwrap();
+    assert!(lcm_storage::parse_bundle(&checkpoint).is_none());
+    for cut in 0..checkpoint.len() {
+        let outcome = source.apply_replica(&checkpoint[..cut]);
+        assert!(outcome.is_err(), "prefix of {cut} bytes gave {outcome:?}");
+        assert!(
+            !source.boot().unwrap(),
+            "a refusal costs a restart, not the state"
+        );
+    }
+    source.apply_replica(&checkpoint).unwrap();
+
+    let mut source = provisioned(3);
+    let bundle = source.sealed_state().unwrap();
+    let (_, deltas) = lcm_storage::parse_bundle(&bundle).expect("three batches were logged");
+    assert!(!deltas.is_empty());
+    for cut in 0..bundle.len() {
+        let _ = source.apply_replica(&bundle[..cut]);
+        source.boot().unwrap();
+    }
+}
+
+/// Every strict prefix of a real slice ticket and of a real table
+/// bulletin is refused by the lane it was sealed for, and the intact
+/// ones still land afterwards: the refusals changed nothing.
+#[test]
+fn truncated_slice_tickets_and_bulletins_are_refused() {
+    let world = TeeWorld::new_deterministic(62);
+    let mut server =
+        build_sharded::<Counter>(&world, 1, Arc::new(MemoryStorage::new()), 4, 3, false);
+    assert!(server.boot().unwrap());
+    let mut admin = AdminHandle::new_deterministic(&world, vec![ClientId(1)], Quorum::Majority, 4);
+    admin.bootstrap(&mut server).unwrap();
+    let mut client = LcmClient::new_sharded(ClientId(1), admin.client_key(), 3);
+    server.submit(
+        client
+            .invoke_for::<Counter>(&Counter::inc_op(b"n", 7))
+            .unwrap(),
+    );
+    let replies = server.process_all().unwrap();
+    client.handle_reply(&replies[0].1).unwrap();
+
+    let slice = lcm_core::routing::slice_of(route_hash(b"n"));
+    let from = server.current_table().owner(slice);
+    let (to, bystander) = ((from + 1) % 3, (from + 2) % 3);
+    let (ticket, bulletin) = server
+        .with_shard(from, |lane| lane.export_slice(slice, to))
+        .unwrap();
+
+    for cut in 0..ticket.len() {
+        let outcome = server.with_shard(to, |lane| lane.import_slice(ticket[..cut].to_vec()));
+        assert!(
+            outcome.is_err(),
+            "ticket prefix of {cut} bytes gave {outcome:?}"
+        );
+        assert!(!server.with_shard(to, |lane| lane.boot()).unwrap());
+    }
+    for cut in 0..bulletin.len() {
+        let outcome =
+            server.with_shard(bystander, |lane| lane.adopt_table(bulletin[..cut].to_vec()));
+        assert!(
+            outcome.is_err(),
+            "bulletin prefix of {cut} bytes gave {outcome:?}"
+        );
+        assert!(!server.with_shard(bystander, |lane| lane.boot()).unwrap());
+    }
+    server
+        .with_shard(bystander, |lane| lane.adopt_table(bulletin.clone()))
+        .unwrap();
+    server
+        .with_shard(to, |lane| lane.import_slice(ticket.clone()))
+        .unwrap();
+}
+
 proptest! {
+    /// Arbitrary bytes into the lane-only verbs of a provisioned
+    /// server are an `Err`, never a panic, and leave nothing behind: the
+    /// server restarts from its medium without re-provisioning.
+    #[test]
+    fn host_supplied_lane_inputs_never_panic(
+        bytes in proptest::collection::vec(any::<u8>(), 0..512),
+        kind in 0u8..4,
+    ) {
+        // Three cases in four carry a real blob-kind byte, so the
+        // bytes get past the dispatch and into that kind's decoder.
+        let mut bytes = bytes;
+        if let (Some(first), 1..=3) = (bytes.first_mut(), kind) {
+            *first = kind;
+        }
+        let mut server = provisioned(1);
+        for (verb, call) in HOST_INPUTS {
+            let outcome = call(&mut server, &bytes);
+            prop_assert!(outcome.is_err(), "{} accepted {:?}", verb, bytes);
+            prop_assert!(!server.boot().unwrap());
+        }
+    }
+
     /// Arbitrary bytes never panic any decoder.
     #[test]
     fn decoders_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {

@@ -16,13 +16,10 @@
 //!   messages. Every attack in the integration tests is expressed
 //!   through this interface rather than by mocking protocol internals.
 //! * [`Duplex`] — a client⇄server pair of links.
-//! * [`NetModel`] — latency/bandwidth cost model used by `lcm-sim`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod link;
-mod model;
 
 pub use link::{Duplex, DuplexEnd, Link, LinkController, LinkEnd};
-pub use model::NetModel;

@@ -59,7 +59,7 @@ fn real_stack(batch: usize, pipelined: bool, seed: u64) -> Duration {
     server.boot().unwrap();
     let ids: Vec<ClientId> = (1..=N_CLIENTS).map(ClientId).collect();
     let mut admin = AdminHandle::new_deterministic(&world, ids.clone(), Quorum::Majority, seed);
-    admin.bootstrap(&mut server).unwrap();
+    admin.bootstrap(&mut *server).unwrap();
     let mut clients: Vec<LcmClient> = ids
         .iter()
         .map(|&id| LcmClient::new(id, admin.client_key()))

@@ -46,7 +46,7 @@ fn setup_adversarial(
     server.boot().unwrap();
     let ids: Vec<ClientId> = (1..=n_clients).map(ClientId).collect();
     let mut admin = AdminHandle::new_deterministic(&world, ids.clone(), Quorum::Majority, seed);
-    admin.bootstrap(&mut server).unwrap();
+    admin.bootstrap(&mut *server).unwrap();
     let clients = ids
         .iter()
         .map(|&id| {
@@ -94,22 +94,22 @@ fn fork_second_instance(
 fn rollback_one_step_detected_by_victim(mode: Mode) {
     let (_w, storage, mut server, _a, mut clients) = setup_adversarial(mode, 1, 21);
     let c = &mut clients[0];
-    c.put(&mut server, b"k", b"v1").unwrap();
-    c.put(&mut server, b"k", b"v2").unwrap();
+    c.put(&mut *server, b"k", b"v1").unwrap();
+    c.put(&mut *server, b"k", b"v2").unwrap();
 
     server.flush_persists().unwrap();
     storage.set_mode(AdversaryMode::ServeStale { steps_back: 1 });
     server.crash();
     server.boot().unwrap();
 
-    let err = c.get(&mut server, b"k").unwrap_err();
+    let err = c.get(&mut *server, b"k").unwrap_err();
     assert!(err.is_violation(), "got {err:?}");
 }
 
 fn rollback_to_genesis_detected(mode: Mode) {
     let (_w, storage, mut server, _a, mut clients) = setup_adversarial(mode, 2, 22);
-    clients[0].put(&mut server, b"k", b"v1").unwrap();
-    clients[1].put(&mut server, b"k", b"v2").unwrap();
+    clients[0].put(&mut *server, b"k", b"v1").unwrap();
+    clients[1].put(&mut *server, b"k", b"v2").unwrap();
 
     // Roll all the way back to the freshly-provisioned state.
     server.flush_persists().unwrap();
@@ -117,19 +117,19 @@ fn rollback_to_genesis_detected(mode: Mode) {
     server.crash();
     server.boot().unwrap();
 
-    let err = clients[0].get(&mut server, b"k").unwrap_err();
+    let err = clients[0].get(&mut *server, b"k").unwrap_err();
     assert!(err.is_violation());
 }
 
 fn dropped_writes_surface_as_rollback_on_restart(mode: Mode) {
     let (_w, storage, mut server, _a, mut clients) = setup_adversarial(mode, 1, 23);
     let c = &mut clients[0];
-    c.put(&mut server, b"k", b"v1").unwrap();
+    c.put(&mut *server, b"k", b"v1").unwrap();
     // The server silently discards all subsequent persistence.
     server.flush_persists().unwrap();
     storage.set_mode(AdversaryMode::DropWrites);
-    c.put(&mut server, b"k", b"v2").unwrap();
-    c.put(&mut server, b"k", b"v3").unwrap();
+    c.put(&mut *server, b"k", b"v2").unwrap();
+    c.put(&mut *server, b"k", b"v3").unwrap();
 
     server.flush_persists().unwrap();
     storage.set_mode(AdversaryMode::Honest);
@@ -138,7 +138,7 @@ fn dropped_writes_surface_as_rollback_on_restart(mode: Mode) {
 
     // T recovered from the last version that actually hit storage; the
     // client's context is ahead ⇒ detected.
-    let err = c.get(&mut server, b"k").unwrap_err();
+    let err = c.get(&mut *server, b"k").unwrap_err();
     assert!(err.is_violation());
 }
 
@@ -148,19 +148,19 @@ fn fork_detected_when_clients_cross(mode: Mode) {
     let alice = &mut alice[0];
     let bob = &mut rest[0];
 
-    alice.put(&mut server_a, b"doc", b"v1").unwrap();
-    bob.put(&mut server_a, b"doc", b"v2").unwrap();
+    alice.put(&mut *server_a, b"doc", b"v1").unwrap();
+    bob.put(&mut *server_a, b"doc", b"v2").unwrap();
 
     // Fork the storage and start a second instance.
     server_a.flush_persists().unwrap();
     let mut server_b = fork_second_instance(mode, &storage, 24);
 
     // Divergent progress on both branches.
-    alice.put(&mut server_a, b"doc", b"a-edit").unwrap();
-    bob.put(&mut server_b, b"doc", b"b-edit").unwrap();
+    alice.put(&mut *server_a, b"doc", b"a-edit").unwrap();
+    bob.put(&mut *server_b, b"doc", b"b-edit").unwrap();
 
     // Any crossing detects the fork.
-    let err = bob.get(&mut server_a, b"doc").unwrap_err();
+    let err = bob.get(&mut *server_a, b"doc").unwrap_err();
     assert!(err.is_violation());
     // And the out-of-band record comparison sees divergent chains.
     assert!(check_single_history(&[alice.lcm().records(), bob.lcm().records()]).is_err());
@@ -171,7 +171,7 @@ fn forked_minority_never_becomes_stable(mode: Mode) {
     // never reach majority stability there.
     let (_w, storage, mut server_a, _admin, mut clients) = setup_adversarial(mode, 3, 25);
     for c in clients.iter_mut() {
-        c.put(&mut server_a, b"warm", b"up").unwrap();
+        c.put(&mut *server_a, b"warm", b"up").unwrap();
     }
     server_a.flush_persists().unwrap();
     let mut server_b = fork_second_instance(mode, &storage, 25);
@@ -179,7 +179,7 @@ fn forked_minority_never_becomes_stable(mode: Mode) {
     let victim = &mut clients[2];
     for i in 0..10u32 {
         let done = victim
-            .put(&mut server_b, b"lonely", &i.to_be_bytes())
+            .put(&mut *server_b, b"lonely", &i.to_be_bytes())
             .unwrap();
         // The watermark can never cover the victim's new ops: no
         // majority of acknowledgers exists on branch B.
@@ -198,16 +198,16 @@ fn forked_views_never_join(mode: Mode) {
     let alice = &mut alice[0];
     let bob = &mut rest[0];
 
-    alice.put(&mut server_a, b"doc", b"common-1").unwrap();
-    bob.put(&mut server_a, b"doc", b"common-2").unwrap();
+    alice.put(&mut *server_a, b"doc", b"common-1").unwrap();
+    bob.put(&mut *server_a, b"doc", b"common-2").unwrap();
 
     server_a.flush_persists().unwrap();
     let mut server_b = fork_second_instance(mode, &storage, 34);
 
     // Extended divergent progress on both branches.
     for i in 0..5u32 {
-        alice.put(&mut server_a, b"doc", &i.to_be_bytes()).unwrap();
-        bob.put(&mut server_b, b"doc", &(100 + i).to_be_bytes())
+        alice.put(&mut *server_a, b"doc", &i.to_be_bytes()).unwrap();
+        bob.put(&mut *server_b, b"doc", &(100 + i).to_be_bytes())
             .unwrap();
     }
 
@@ -319,7 +319,7 @@ fn wrong_world_enclave_fails_bootstrap(mode: Mode) {
     server.boot().unwrap();
     let mut admin =
         AdminHandle::new_deterministic(&honest_world, vec![ClientId(1)], Quorum::Majority, 31);
-    assert!(admin.bootstrap(&mut server).is_err());
+    assert!(admin.bootstrap(&mut *server).is_err());
 }
 
 fn halted_context_refuses_everything(mode: Mode) {
@@ -334,7 +334,7 @@ fn halted_context_refuses_everything(mode: Mode) {
     // Everything afterwards is refused, including admin operations.
     server.submit(c.lcm_mut().retry().unwrap());
     assert_eq!(server.process_all().unwrap_err(), LcmError::Halted);
-    assert!(admin.status(&mut server).is_err());
+    assert!(admin.status(&mut *server).is_err());
 }
 
 fn stale_state_with_fresh_keyblob_detected(mode: Mode) {
@@ -342,8 +342,8 @@ fn stale_state_with_fresh_keyblob_detected(mode: Mode) {
     // rollback and must be caught.
     let (_w, storage, mut server, _a, mut clients) = setup_adversarial(mode, 1, 33);
     let c = &mut clients[0];
-    c.put(&mut server, b"k", b"v1").unwrap();
-    c.put(&mut server, b"k", b"v2").unwrap();
+    c.put(&mut *server, b"k", b"v1").unwrap();
+    c.put(&mut *server, b"k", b"v2").unwrap();
     server.flush_persists().unwrap();
 
     // Adversary: serve the victim shard (the one owning "k") its
@@ -382,7 +382,7 @@ fn stale_state_with_fresh_keyblob_detected(mode: Mode) {
     let mut server2 = mk_server::<KvStore>(mode, &world, 1, Arc::new(mixed), 1);
     server2.boot().unwrap();
 
-    let err = c.get(&mut server2, b"k").unwrap_err();
+    let err = c.get(&mut *server2, b"k").unwrap_err();
     assert!(err.is_violation());
 }
 
@@ -435,7 +435,7 @@ fn misdelivery_after_history_still_detected_by_enclave(mode: Mode) {
     let (_w, _s, mut server, _a, mut clients) = setup_adversarial(mode, 1, 35);
     let c = &mut clients[0];
     let key = b"seasoned-key".to_vec();
-    c.put(&mut server, &key, b"v1").unwrap();
+    c.put(&mut *server, &key, b"v1").unwrap();
     let ops_before = server.ops_processed();
     let wire = c
         .invoke_wire(&KvOp::Put(key.clone(), b"v2".to_vec()))
@@ -465,7 +465,7 @@ fn moved_slice_cannot_resurrect_on_old_owner(mode: Mode) {
     let (_w, _s, mut server, _a, mut clients) = setup_adversarial(mode, 1, 36);
     let c = &mut clients[0];
     let key = b"moving-key".to_vec();
-    c.put(&mut server, &key, b"v1").unwrap();
+    c.put(&mut *server, &key, b"v1").unwrap();
     if mode.shards() < 2 {
         // No sibling to migrate to: the surface must refuse cleanly
         // instead of corrupting the single-lane topology.
@@ -500,7 +500,7 @@ fn moved_slice_cannot_resurrect_on_old_owner(mode: Mode) {
     let replies = server.process_all().unwrap();
     let done = c.complete(&replies[0].1).unwrap();
     assert_eq!(done.result, lcm::kvs::ops::KvResult::Stored);
-    assert_eq!(c.get(&mut server, &key).unwrap().unwrap(), b"v2".to_vec());
+    assert_eq!(c.get(&mut *server, &key).unwrap().unwrap(), b"v2".to_vec());
 }
 
 fn stale_epoch_delivery_to_bystander_detected(mode: Mode) {
@@ -514,7 +514,7 @@ fn stale_epoch_delivery_to_bystander_detected(mode: Mode) {
     }
     let c = &mut clients[0];
     let key = b"bystander-key".to_vec();
-    c.put(&mut server, &key, b"v1").unwrap();
+    c.put(&mut *server, &key, b"v1").unwrap();
     let old_owner = mode.shard_of_key(&key);
     let new_owner = (old_owner + 1) % mode.shards();
     let bystander = (old_owner + 2) % mode.shards();

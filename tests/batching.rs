@@ -32,7 +32,7 @@ fn setup(
     assert!(server.boot().unwrap());
     let ids: Vec<ClientId> = (1..=n_clients).map(ClientId).collect();
     let mut admin = AdminHandle::new_deterministic(&world, ids.clone(), Quorum::Majority, seed);
-    admin.bootstrap(&mut server).unwrap();
+    admin.bootstrap(&mut *server).unwrap();
     let clients = ids
         .iter()
         .map(|&id| mk_client(mode, id, admin.client_key()))
@@ -116,7 +116,7 @@ fn batch_limits_agree_on_state(mode: Mode) {
         let snapshot: Vec<_> = (0..8)
             .map(|i| {
                 clients[i]
-                    .get(&mut server, format!("k{i}").as_bytes())
+                    .get(&mut *server, format!("k{i}").as_bytes())
                     .unwrap()
             })
             .collect();

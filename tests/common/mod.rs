@@ -5,6 +5,11 @@
 //! deployment behind the concurrent transport `Frontend`
 //! (multi-threaded lane driving; `OnDemand` so batch arithmetic and
 //! crash scheduling stay deterministic), and replicated shard groups.
+//!
+//! Every mode is handed out as a `Box<dyn BatchServer>` — the
+//! deployment role; a bare `LcmServer` fills it through the blanket
+//! impl over `Lane`. A box is not itself a `BatchServer`: scenarios
+//! pass it on as `&mut *server`.
 
 // Compiled once per test binary; not every binary uses every helper.
 #![allow(dead_code, unused_macros, unused_imports)]

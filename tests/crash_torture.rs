@@ -37,7 +37,7 @@ fn run_with_crash(mode: Mode, crash_at: usize, kind: CrashKind) {
     let mut server = mk_server::<KvStore>(mode, &world, 1, Arc::new(MemoryStorage::new()), 1);
     server.boot().unwrap();
     let mut admin = AdminHandle::new_deterministic(&world, vec![ClientId(1)], Quorum::Majority, 8);
-    admin.bootstrap(&mut server).unwrap();
+    admin.bootstrap(&mut *server).unwrap();
     let mut client = mk_client(mode, ClientId(1), admin.client_key());
 
     // Sequence numbers are per shard; predict them with the router.
@@ -82,7 +82,9 @@ fn run_with_crash(mode: Mode, crash_at: usize, kind: CrashKind) {
 
     // Full state check after the torture run.
     for i in 0..SCHEDULE_LEN {
-        let got = client.get(&mut server, format!("k{i}").as_bytes()).unwrap();
+        let got = client
+            .get(&mut *server, format!("k{i}").as_bytes())
+            .unwrap();
         assert_eq!(got.unwrap(), (i as u64).to_be_bytes().to_vec());
     }
 }
@@ -106,7 +108,7 @@ fn double_crash_same_operation(mode: Mode) {
     let mut server = mk_server::<KvStore>(mode, &world, 1, Arc::new(MemoryStorage::new()), 1);
     server.boot().unwrap();
     let mut admin = AdminHandle::new_deterministic(&world, vec![ClientId(1)], Quorum::Majority, 9);
-    admin.bootstrap(&mut server).unwrap();
+    admin.bootstrap(&mut *server).unwrap();
     let mut client = mk_client(mode, ClientId(1), admin.client_key());
 
     let wire = client
@@ -127,7 +129,7 @@ fn double_crash_same_operation(mode: Mode) {
     let replies = server.process_all().unwrap();
     let done = client.complete(&replies[0].1).unwrap();
     assert_eq!(done.completion.seq.0, 1);
-    assert_eq!(client.get(&mut server, b"k").unwrap().unwrap(), b"v");
+    assert_eq!(client.get(&mut *server, b"k").unwrap().unwrap(), b"v");
     assert_eq!(
         client.lcm().last_seq().0,
         2,
@@ -146,7 +148,7 @@ fn member_kill_churn(mode: Mode, power_failure: bool) {
     let mut server = mk_server::<KvStore>(mode, &world, 1, Arc::new(MemoryStorage::new()), 1);
     server.boot().unwrap();
     let mut admin = AdminHandle::new_deterministic(&world, vec![ClientId(1)], Quorum::Majority, 10);
-    admin.bootstrap(&mut server).unwrap();
+    admin.bootstrap(&mut *server).unwrap();
     let mut client = mk_client(mode, ClientId(1), admin.client_key());
     let replicas = mode.replicas();
 
@@ -155,7 +157,7 @@ fn member_kill_churn(mode: Mode, power_failure: bool) {
         let key = format!("k{i}").into_bytes();
         let done = client
             .run(
-                &mut server,
+                &mut *server,
                 &KvOp::Put(key.clone(), (i as u64).to_be_bytes().to_vec()),
             )
             .unwrap();
@@ -188,7 +190,9 @@ fn member_kill_churn(mode: Mode, power_failure: bool) {
     }
 
     for i in 0..SCHEDULE_LEN {
-        let got = client.get(&mut server, format!("k{i}").as_bytes()).unwrap();
+        let got = client
+            .get(&mut *server, format!("k{i}").as_bytes())
+            .unwrap();
         assert_eq!(got.unwrap(), (i as u64).to_be_bytes().to_vec());
     }
     assert!(
@@ -215,10 +219,10 @@ fn leader_kill_with_queued_work_recovers_via_retry(mode: Mode) {
     let mut server = mk_server::<KvStore>(mode, &world, 1, Arc::new(MemoryStorage::new()), 1);
     server.boot().unwrap();
     let mut admin = AdminHandle::new_deterministic(&world, vec![ClientId(1)], Quorum::Majority, 11);
-    admin.bootstrap(&mut server).unwrap();
+    admin.bootstrap(&mut *server).unwrap();
     let mut client = mk_client(mode, ClientId(1), admin.client_key());
 
-    client.put(&mut server, b"warm", b"up").unwrap();
+    client.put(&mut *server, b"warm", b"up").unwrap();
 
     let key = b"contested".to_vec();
     let shard = mode.shard_of_key(&key);
@@ -247,7 +251,7 @@ fn leader_kill_with_queued_work_recovers_via_retry(mode: Mode) {
         );
     }
     assert_eq!(
-        client.get(&mut server, &key).unwrap().unwrap(),
+        client.get(&mut *server, &key).unwrap().unwrap(),
         b"v".to_vec()
     );
     assert!(!client.lcm().is_halted());

@@ -37,7 +37,7 @@ fn setup(
     assert!(server.boot().unwrap());
     let ids: Vec<ClientId> = (1..=n_clients).map(ClientId).collect();
     let mut admin = AdminHandle::new_deterministic(&world, ids.clone(), Quorum::Majority, seed);
-    admin.bootstrap(&mut server).unwrap();
+    admin.bootstrap(&mut *server).unwrap();
     let clients = ids
         .iter()
         .map(|&id| {
@@ -55,7 +55,7 @@ fn many_rounds_many_clients_stability_converges(mode: Mode) {
     for round in 0..10u32 {
         for (i, c) in clients.iter_mut().enumerate() {
             let key = format!("key-{i}");
-            c.put(&mut server, key.as_bytes(), &round.to_be_bytes())
+            c.put(&mut *server, key.as_bytes(), &round.to_be_bytes())
                 .unwrap();
         }
     }
@@ -65,7 +65,7 @@ fn many_rounds_many_clients_stability_converges(mode: Mode) {
     // only stabilizes what a majority of the whole group acknowledged
     // *there*, so the absolute bound applies to 1-shard modes.)
     for c in clients.iter_mut() {
-        let done = c.put(&mut server, b"final", b"x").unwrap();
+        let done = c.put(&mut *server, b"final", b"x").unwrap();
         if mode.shards() == 1 {
             assert!(
                 done.stable.0 >= 40,
@@ -83,11 +83,11 @@ fn many_rounds_many_clients_stability_converges(mode: Mode) {
 
 fn reads_of_other_clients_writes_are_linearized(mode: Mode) {
     let (_w, mut server, _admin, mut clients) = setup(mode, 3, 4, 2);
-    clients[0].put(&mut server, b"x", b"from-0").unwrap();
-    let v = clients[1].get(&mut server, b"x").unwrap();
+    clients[0].put(&mut *server, b"x", b"from-0").unwrap();
+    let v = clients[1].get(&mut *server, b"x").unwrap();
     assert_eq!(v.unwrap(), b"from-0");
-    clients[1].put(&mut server, b"x", b"from-1").unwrap();
-    let v = clients[2].get(&mut server, b"x").unwrap();
+    clients[1].put(&mut *server, b"x", b"from-1").unwrap();
+    let v = clients[2].get(&mut *server, b"x").unwrap();
     assert_eq!(v.unwrap(), b"from-1");
 }
 
@@ -99,13 +99,13 @@ fn batched_and_unbatched_servers_agree(mode: Mode) {
             let c = &mut clients[(i % 2) as usize];
             let done = c
                 .run(
-                    &mut server,
+                    &mut *server,
                     &KvOp::Put(b"k".to_vec(), i.to_be_bytes().to_vec()),
                 )
                 .unwrap();
             results.push((done.completion.seq, done.result));
         }
-        let v = clients[0].get(&mut server, b"k").unwrap();
+        let v = clients[0].get(&mut *server, b"k").unwrap();
         (results, v)
     };
     // Same sequence numbers and final value regardless of batching.
@@ -143,11 +143,11 @@ fn interleaved_batch_replies_route_correctly(mode: Mode) {
 
 fn crash_between_rounds_is_transparent(mode: Mode) {
     let (_w, mut server, _admin, mut clients) = setup(mode, 2, 8, 5);
-    clients[0].put(&mut server, b"persist", b"me").unwrap();
+    clients[0].put(&mut *server, b"persist", b"me").unwrap();
     for _ in 0..3 {
         server.crash();
         assert!(!server.boot().unwrap());
-        let v = clients[1].get(&mut server, b"persist").unwrap();
+        let v = clients[1].get(&mut *server, b"persist").unwrap();
         assert_eq!(v.unwrap(), b"me");
     }
 }
@@ -210,15 +210,15 @@ fn lost_reply_recovered_via_cached_retry_over_links(mode: Mode) {
     let done = c.complete(&duplex.client.try_recv().unwrap()).unwrap();
     assert_eq!(done.completion.seq.0, 1);
     // The store was mutated exactly once.
-    let v = c.get(&mut server, b"a").unwrap();
+    let v = c.get(&mut *server, b"a").unwrap();
     assert_eq!(v.unwrap(), b"1");
 }
 
 fn single_client_group_is_immediately_stable(mode: Mode) {
     let (_w, mut server, _admin, mut clients) = setup(mode, 1, 1, 8);
     let c = &mut clients[0];
-    c.put(&mut server, b"k", b"v").unwrap();
-    let done = c.put(&mut server, b"k", b"v2").unwrap();
+    c.put(&mut *server, b"k", b"v").unwrap();
+    let done = c.put(&mut *server, b"k", b"v2").unwrap();
     // With n=1 the majority is the client itself; acknowledging op 1
     // makes it stable.
     assert_eq!(done.stable.0, 1);
@@ -228,18 +228,18 @@ fn large_values_roundtrip_through_the_full_stack(mode: Mode) {
     let (_w, mut server, _admin, mut clients) = setup(mode, 1, 1, 9);
     let c = &mut clients[0];
     let big = vec![0xabu8; 100_000];
-    c.put(&mut server, b"blob", &big).unwrap();
-    assert_eq!(c.get(&mut server, b"blob").unwrap().unwrap(), big);
+    c.put(&mut *server, b"blob", &big).unwrap();
+    assert_eq!(c.get(&mut *server, b"blob").unwrap().unwrap(), big);
 }
 
 fn admin_status_matches_client_progress(mode: Mode) {
     let (_w, mut server, mut admin, mut clients) = setup(mode, 2, 1, 10);
     for i in 0..5u32 {
         clients[(i % 2) as usize]
-            .put(&mut server, b"k", &i.to_be_bytes())
+            .put(&mut *server, b"k", &i.to_be_bytes())
             .unwrap();
     }
-    let (t, _q, n) = admin.status(&mut server).unwrap();
+    let (t, _q, n) = admin.status(&mut *server).unwrap();
     // Status fans out and reports shard 0; all five ops hit the shard
     // owning "k", which is shard 0 only in single-shard modes.
     if mode.shards() == 1 || mode.shard_of_key(b"k") == 0 {
@@ -260,7 +260,7 @@ fn fresh_client_first_ops_reach_every_shard(mode: Mode) {
     // admin provisioned.
     let (_w, mut server, mut admin, _clients) = setup(mode, 1, 4, 9);
     assert_eq!(server.shard_count(), mode.shards());
-    admin.add_client(&mut server, ClientId(42)).unwrap();
+    admin.add_client(&mut *server, ClientId(42)).unwrap();
     let mut fresh = mk_client(mode, ClientId(42), admin.client_key());
     assert_eq!(fresh.n_shards(), mode.shards());
 
@@ -274,9 +274,9 @@ fn fresh_client_first_ops_reach_every_shard(mode: Mode) {
             continue;
         }
         covered[shard] = true;
-        fresh.put(&mut server, &key, b"genesis-write").unwrap();
+        fresh.put(&mut *server, &key, b"genesis-write").unwrap();
         assert_eq!(
-            fresh.get(&mut server, &key).unwrap().unwrap(),
+            fresh.get(&mut *server, &key).unwrap().unwrap(),
             b"genesis-write".to_vec()
         );
     }
@@ -302,7 +302,7 @@ fn scatter_gather_reads_cover_all_shards(mode: Mode) {
         let key = format!("sg-{i:03}").into_bytes();
         let value = format!("v{i}").into_bytes();
         covered[mode.shard_of_key(&key) as usize] = true;
-        writer.put(&mut server, &key, &value).unwrap();
+        writer.put(&mut *server, &key, &value).unwrap();
         expected.push((key, value));
         i += 1;
     }
@@ -313,7 +313,7 @@ fn scatter_gather_reads_cover_all_shards(mode: Mode) {
     let reader = &mut clients[1];
     let mut keys: Vec<Vec<u8>> = expected.iter().map(|(k, _)| k.clone()).collect();
     keys.push(b"sg-missing".to_vec());
-    let values = reader.multi_get(&mut server, &keys).unwrap();
+    let values = reader.multi_get(&mut *server, &keys).unwrap();
     for (i, (_, v)) in expected.iter().enumerate() {
         assert_eq!(values[i].as_deref(), Some(v.as_slice()));
     }
@@ -322,20 +322,20 @@ fn scatter_gather_reads_cover_all_shards(mode: Mode) {
     // Scatter-gather SCAN: the merged range equals the full expected
     // contents, in global key order, regardless of which shard owns
     // which slice.
-    let all = reader.scan_all(&mut server, b"sg-", 100).unwrap();
+    let all = reader.scan_all(&mut *server, b"sg-", 100).unwrap();
     assert_eq!(all, expected);
     // A limited scan returns the global smallest `limit` keys — not
     // one shard's smallest.
-    let first3 = reader.scan_all(&mut server, b"sg-", 3).unwrap();
+    let first3 = reader.scan_all(&mut *server, b"sg-", 3).unwrap();
     assert_eq!(first3, expected[..3].to_vec());
     // A mid-range start works across shard boundaries.
-    let tail = reader.scan_all(&mut server, &expected[2].0, 100).unwrap();
+    let tail = reader.scan_all(&mut *server, &expected[2].0, 100).unwrap();
     assert_eq!(tail, expected[2..].to_vec());
     assert!(!reader.lcm().is_halted());
 
     // The single-wire scan still sees only one shard's slice under
     // sharding — the gap scan_all exists to close.
-    let one_leg = reader.scan(&mut server, b"sg-", 100).unwrap();
+    let one_leg = reader.scan(&mut *server, b"sg-", 100).unwrap();
     if mode.shards() == 1 {
         assert_eq!(one_leg, expected);
     } else {

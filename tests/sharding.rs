@@ -84,11 +84,11 @@ proptest! {
         prop_assert!(server.boot().unwrap());
         let mut admin = AdminHandle::new_deterministic(
             &world, vec![ClientId(1)], Quorum::Majority, seed);
-        admin.bootstrap(&mut server).unwrap();
+        admin.bootstrap(&mut *server).unwrap();
         let mut client = mk_client(SHARDED, ClientId(1), admin.client_key());
 
         for (i, key) in keys.iter().enumerate() {
-            client.put(&mut server, key, &[i as u8]).unwrap();
+            client.put(&mut *server, key, &[i as u8]).unwrap();
         }
         server.crash();
         prop_assert!(!server.boot().unwrap(), "recovered, not re-provisioned");
@@ -96,7 +96,7 @@ proptest! {
             // Later writes to a duplicate key win; recompute the
             // expected value.
             let expected = keys.iter().rposition(|k| k == key).unwrap_or(i) as u8;
-            let got = client.get(&mut server, key).unwrap();
+            let got = client.get(&mut *server, key).unwrap();
             prop_assert_eq!(got.unwrap(), vec![expected]);
         }
     }
@@ -233,24 +233,24 @@ fn routing_stable_across_migration() {
     let mut origin = mk_server::<KvStore>(SHARDED, &world, 1, Arc::new(MemoryStorage::new()), 4);
     assert!(origin.boot().unwrap());
     let mut admin = AdminHandle::new_deterministic(&world, vec![ClientId(1)], Quorum::Majority, 7);
-    admin.bootstrap(&mut origin).unwrap();
+    admin.bootstrap(&mut *origin).unwrap();
     let mut client = mk_client(SHARDED, ClientId(1), admin.client_key());
 
     let keys: Vec<Vec<u8>> = (0..12).map(|i| format!("mk{i}").into_bytes()).collect();
     for (i, key) in keys.iter().enumerate() {
-        client.put(&mut origin, key, &[i as u8]).unwrap();
+        client.put(&mut *origin, key, &[i as u8]).unwrap();
     }
 
     let mut target = mk_server::<KvStore>(SHARDED, &world, 200, Arc::new(MemoryStorage::new()), 4);
     assert!(target.boot().unwrap());
     // Migration re-verifies the whole target deployment: one
     // identity-bound quote per imported shard.
-    let manifest = admin.migrate(&mut origin, &mut target).unwrap();
+    let manifest = admin.migrate(&mut *origin, &mut *target).unwrap();
     assert_eq!(manifest.shards, 4);
     assert_eq!(manifest.quotes.len(), 4);
 
     for (i, key) in keys.iter().enumerate() {
-        let got = client.get(&mut target, key).unwrap();
+        let got = client.get(&mut *target, key).unwrap();
         assert_eq!(got.unwrap(), vec![i as u8], "key {i} after migration");
     }
     // The origin refuses service after migrating away.
