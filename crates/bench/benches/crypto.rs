@@ -7,6 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use lcm_crypto::aead::{self, AeadKey};
+use lcm_crypto::chacha20::NONCE_LEN;
 use lcm_crypto::hmac::hmac_sha256;
 use lcm_crypto::keys::SecretKey;
 use lcm_crypto::{chacha20, poly1305, sha256};
@@ -15,9 +16,14 @@ use lcm_storage::framing::crc32;
 const KERNEL_SIZES: [usize; 3] = [64, 4 * 1024, 1024 * 1024];
 
 fn bench_sha256(c: &mut Criterion) {
-    // SHA-NI and the portable kernel differ about fivefold: name the
-    // one measured, or runs from two boxes cannot be compared.
-    println!("sha256 backend: {}", sha256::backend());
+    // SHA-NI and the portable kernel differ about fivefold, the two
+    // ChaCha20 kernels about twofold: name the ones measured, or runs
+    // from two boxes cannot be compared.
+    println!(
+        "sha256 backend: {}, chacha20 backend: {}",
+        sha256::backend(),
+        chacha20::backend()
+    );
     let mut group = c.benchmark_group("sha256");
     // Among them the sizes the protocol hashes: one block, the 165 B
     // chain-step preimage of a 100 B-value Put, a 4 KiB delta anchor.
@@ -54,6 +60,35 @@ fn bench_aead(c: &mut Criterion) {
         let sealed = aead::auth_encrypt(&key, &data, b"lcm.invoke").unwrap();
         group.bench_with_input(BenchmarkId::new("decrypt", size), &sealed, |b, sealed| {
             b.iter(|| aead::auth_decrypt(&key, sealed, b"lcm.invoke").unwrap());
+        });
+    }
+    // The in-place primitives at the sizes the protocol seals: the
+    // REPLY body behind a 110 B wire, the benchmark probe's size, the
+    // INVOKE body behind a 218 B wire, the last body the stream's head
+    // covers and the first that reaches the bulk kernel, a batch
+    // delta, a checkpoint.
+    let (nonce, aad) = ([9u8; NONCE_LEN], [7u8; 34]);
+    for size in [82usize, 145, 166, 192, 193, 4 * 1024, 1024 * 1024] {
+        group.throughput(Throughput::Bytes(size as u64));
+        // Sealing an already sealed body is the same work; only the
+        // appended tag has to go again.
+        let mut buf = vec![0u8; NONCE_LEN + size];
+        buf.reserve(aead::TAG_LEN);
+        group.bench_function(BenchmarkId::new("seal_in_place", size), |b| {
+            b.iter(|| {
+                buf.truncate(NONCE_LEN + size);
+                aead::seal_in_place(&key, &nonce, &aad, &mut buf, NONCE_LEN).unwrap();
+            });
+        });
+        // Opening decrypts the buffer, so each iteration opens a copy
+        // made into the same scratch buffer (a `memcpy` of `size`).
+        let sealed = aead::auth_encrypt_with_nonce(&key, &nonce, &vec![0u8; size], &aad).unwrap();
+        let mut scratch = sealed.clone();
+        group.bench_function(BenchmarkId::new("open_in_place", size), |b| {
+            b.iter(|| {
+                scratch.copy_from_slice(&sealed);
+                aead::open_in_place(&key, &aad, &mut scratch).unwrap().len()
+            });
         });
     }
     group.finish();

@@ -18,7 +18,8 @@ use crate::shard::route_for;
 use crate::types::{ChainValue, ClientId, Completion, SeqNo};
 use crate::verify::OpRecord;
 use crate::wire::{
-    InvokeMsg, ReadHint, ReadMsg, ReadReplyMsg, ReplyMsg, RouteHint, READ_HINT_LEN, ROUTE_HINT_LEN,
+    seal_message, InvokeView, ReadHint, ReadMsg, ReadReplyMsg, ReplyView, RouteHint,
+    INVOKE_OVERHEAD,
 };
 use crate::{LcmError, Result, Violation};
 
@@ -192,6 +193,12 @@ pub struct LcmClient {
     next_watch: u64,
     /// Fired notifications awaiting collection.
     notifications: Vec<StabilityEvent>,
+    /// The buffer reply wires are opened in: a reply is copied here
+    /// once, tried against each pending operation's AAD (a failed
+    /// open leaves it intact), decrypted in place by the one that
+    /// verifies and decoded as a borrowed view. It keeps its
+    /// allocation — and the last reply's plaintext — between replies.
+    scratch: Vec<u8>,
 }
 
 impl std::fmt::Debug for LcmClient {
@@ -231,7 +238,15 @@ impl LcmClient {
             watches: Vec::new(),
             next_watch: 0,
             notifications: Vec::new(),
+            scratch: Vec::new(),
         }
+    }
+
+    /// Pins the next wire's nonce, for tests that pin wire bytes.
+    #[cfg(test)]
+    pub(crate) fn with_send_counter(mut self, counter: u64) -> Self {
+        self.send_counter = counter;
+        self
     }
 
     /// This client's identity.
@@ -436,7 +451,8 @@ impl LcmClient {
             route,
             epoch: self.table.epoch(),
         };
-        let wire = self.encode_invoke(&pending, false)?;
+        let nonce = self.next_nonce();
+        let wire = seal_invoke(&self.key, self.id, &nonce, &pending, false)?;
         self.shards[shard as usize].pending = Some(pending);
         self.pending_order.push_back(shard);
         Ok(wire)
@@ -456,11 +472,18 @@ impl LcmClient {
             return Err(LcmError::Halted);
         }
         let &shard = self.pending_order.front().ok_or(LcmError::NothingToRetry)?;
-        let pending = self.shards[shard as usize]
-            .pending
-            .clone()
-            .ok_or(LcmError::NothingToRetry)?;
-        self.encode_invoke(&pending, true)
+        if self.shards[shard as usize].pending.is_none() {
+            return Err(LcmError::NothingToRetry);
+        }
+        let nonce = self.next_nonce();
+        let pending = self.shards[shard as usize].pending.as_ref();
+        seal_invoke(
+            &self.key,
+            self.id,
+            &nonce,
+            pending.expect("checked above"),
+            true,
+        )
     }
 
     /// The nonce of the next sealed wire: `client id (4, BE) ‖ send
@@ -471,40 +494,6 @@ impl LcmClient {
         nonce[4..].copy_from_slice(&self.send_counter.to_be_bytes());
         self.send_counter = self.send_counter.wrapping_add(1);
         nonce
-    }
-
-    fn encode_invoke(&mut self, pending: &Pending, retry: bool) -> Result<Vec<u8>> {
-        let msg = InvokeMsg {
-            client: self.id,
-            tc: pending.tc,
-            hc: pending.hc,
-            retry,
-            op: pending.op.clone(),
-        };
-        let nonce = self.next_nonce();
-        let ciphertext = aead::auth_encrypt_with_nonce(
-            &self.key,
-            &nonce,
-            &msg.to_bytes(),
-            &invoke_aad(self.id, pending.route, pending.tc.0, pending.epoch),
-        )
-        .map_err(|e| LcmError::Tee(e.to_string()))?;
-        let mut wire = Vec::with_capacity(ROUTE_HINT_LEN + ciphertext.len());
-        RouteHint {
-            client: self.id,
-            route: pending.route,
-            // `tc` is fixed when the op is first submitted, so a retry
-            // re-encodes the *same* envelope sequence — the property
-            // the host-side dedup of `crate::admission` keys on.
-            seq: pending.tc.0,
-            // Likewise the routing epoch: a retry replays the stamp of
-            // the original submission even if the client has adopted a
-            // newer table since (the AAD binds it).
-            epoch: pending.epoch,
-        }
-        .encode_to(&mut wire);
-        wire.extend_from_slice(&ciphertext);
-        Ok(wire)
     }
 
     /// Produces an encrypted verified-read leg for the read-only
@@ -561,7 +550,8 @@ impl LcmClient {
             replica,
             epoch: self.table.epoch(),
         };
-        let wire = self.encode_read(&pending)?;
+        let nonce = self.next_nonce();
+        let wire = seal_read(&self.key, self.id, &nonce, &pending)?;
         self.shards[shard as usize].pending_read = Some(pending);
         Ok(wire)
     }
@@ -589,8 +579,9 @@ impl LcmClient {
         if let Some(r) = replica {
             pending.replica = r;
         }
-        let pending = pending.clone();
-        self.encode_read(&pending)
+        let nonce = self.next_nonce();
+        let pending = self.shards[shard as usize].pending_read.as_ref();
+        seal_read(&self.key, self.id, &nonce, pending.expect("checked above"))
     }
 
     /// Abandons the pending read leg on `shard` (e.g. to fall back to
@@ -609,40 +600,6 @@ impl LcmClient {
         self.shards
             .get(shard as usize)
             .is_some_and(|c| c.pending_read.is_some())
-    }
-
-    fn encode_read(&mut self, pending: &PendingRead) -> Result<Vec<u8>> {
-        let msg = ReadMsg {
-            client: self.id,
-            tc: pending.tc,
-            hc: pending.hc,
-            op: pending.op.clone(),
-        };
-        let nonce = self.next_nonce();
-        let ciphertext = aead::auth_encrypt_with_nonce(
-            &self.key,
-            &nonce,
-            &msg.to_bytes(),
-            &read_aad(
-                self.id,
-                pending.route,
-                pending.tc.0,
-                pending.replica,
-                pending.epoch,
-            ),
-        )
-        .map_err(|e| LcmError::Tee(e.to_string()))?;
-        let mut wire = Vec::with_capacity(READ_HINT_LEN + ciphertext.len());
-        ReadHint {
-            client: self.id,
-            route: pending.route,
-            seq: pending.tc.0,
-            replica: pending.replica,
-            epoch: pending.epoch,
-        }
-        .encode_to(&mut wire);
-        wire.extend_from_slice(&ciphertext);
-        Ok(wire)
     }
 
     /// Consumes a READ-REPLY leg, completing the pending read on the
@@ -664,6 +621,26 @@ impl LcmClient {
         if self.halted {
             return Err(LcmError::Halted);
         }
+        self.in_scratch(wire, Self::complete_read)
+    }
+
+    /// Runs `complete` on a copy of `wire` made in the scratch buffer,
+    /// which it may decrypt where it lies.
+    fn in_scratch<R>(
+        &mut self,
+        wire: &[u8],
+        complete: impl FnOnce(&mut Self, &mut [u8]) -> R,
+    ) -> R {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.clear();
+        scratch.extend_from_slice(wire);
+        let outcome = complete(self, &mut scratch);
+        self.scratch = scratch;
+        outcome
+    }
+
+    /// [`LcmClient::handle_read_reply`] on the scratch copy of the wire.
+    fn complete_read(&mut self, sealed: &mut [u8]) -> Result<ReadOutcome> {
         // Identify the read this reply answers by AAD authentication,
         // like handle_reply_on does for writes: at most one read per
         // shard, each under a distinct (route, seq, replica) AAD.
@@ -679,23 +656,25 @@ impl LcmClient {
                 pending.replica,
                 pending.epoch,
             );
-            if let Ok(p) = aead::auth_decrypt(&self.key, wire, &aad) {
-                matched = Some((idx as u32, p));
+            if let Ok(plain) = aead::open_in_place(&self.key, &aad, sealed) {
+                matched = Some((idx, plain.len()));
                 break;
             }
         }
-        let Some((shard, plain)) = matched else {
+        let Some((shard, plain_len)) = matched else {
             self.halted = true;
             if self.shards.iter().all(|c| c.pending_read.is_none()) {
                 return Err(Violation::UnexpectedReply.into());
             }
             return Err(Violation::BadAuthentication.into());
         };
-        let pending = self.shards[shard as usize]
-            .pending_read
-            .clone()
-            .expect("matched pending read exists");
-        let reply = match ReadReplyMsg::from_bytes(&plain) {
+        let plain = &sealed[NONCE_LEN..NONCE_LEN + plain_len];
+        let (pending_tc, pending_hc) = {
+            let pending = self.shards[shard].pending_read.as_ref();
+            let pending = pending.expect("matched pending read exists");
+            (pending.tc, pending.hc)
+        };
+        let reply = match ReadReplyMsg::from_bytes(plain) {
             Ok(m) => m,
             Err(_) => {
                 self.halted = true;
@@ -704,10 +683,10 @@ impl LcmClient {
         };
 
         // assert h'c = hc — the echo ties the reply to this leg.
-        if reply.hc_echo != pending.hc {
+        if reply.hc_echo != pending_hc {
             self.halted = true;
             return Err(Violation::ReplyMismatch {
-                expected: pending.hc,
+                expected: pending_hc,
                 got: reply.hc_echo,
             }
             .into());
@@ -720,7 +699,7 @@ impl LcmClient {
                 // stamped the leg with). Retryable, not an attack:
                 // quorum stability means at least a quorum HAS applied
                 // it, just not this member.
-                self.shards[shard as usize].pending_read = None;
+                self.shards[shard].pending_read = None;
                 return Ok(ReadOutcome::Behind);
             }
             crate::wire::ReadStatus::Moved => {
@@ -728,7 +707,7 @@ impl LcmClient {
                 // in the result: adopt it and let the caller re-issue
                 // against the new owner.
                 self.adopt_table(&reply.result)?;
-                self.shards[shard as usize].pending_read = None;
+                self.shards[shard].pending_read = None;
                 return Ok(ReadOutcome::Moved);
             }
             crate::wire::ReadStatus::Fresh => {}
@@ -737,17 +716,16 @@ impl LcmClient {
         // Fresh: the member's recorded entry must BE our context, and
         // its stable watermark can only have moved forward relative to
         // what any earlier reply on this shard told us.
-        let ctx = &self.shards[shard as usize];
-        if reply.t != pending.tc || reply.h != pending.hc || reply.q < ctx.ts {
+        let ctx = &mut self.shards[shard];
+        if reply.t != pending_tc || reply.h != pending_hc || reply.q < ctx.ts {
             self.halted = true;
             return Err(Violation::ReplyMismatch {
-                expected: pending.hc,
+                expected: pending_hc,
                 got: reply.h,
             }
             .into());
         }
 
-        let ctx = &mut self.shards[shard as usize];
         ctx.ts = reply.q; // reads piggyback stability, never (tc, hc)
         ctx.pending_read = None;
         self.fire_watches();
@@ -827,6 +805,11 @@ impl LcmClient {
             self.halted = true;
             return Err(Violation::UnexpectedReply.into());
         }
+        self.in_scratch(wire, Self::complete_write)
+    }
+
+    /// [`LcmClient::handle_reply_on`] on the scratch copy of the wire.
+    fn complete_write(&mut self, sealed: &mut [u8]) -> Result<(u32, WriteOutcome)> {
         // The reply AAD binds (client, route), and concurrent pendings
         // necessarily carry distinct routes (one pending per shard),
         // so authentication *identifies* the operation being
@@ -842,24 +825,17 @@ impl LcmClient {
                 .pending
                 .as_ref()
                 .expect("pending_order entries always have a pending op");
-            if let Ok(p) = aead::auth_decrypt(
-                &self.key,
-                wire,
-                &reply_aad(self.id, pending.route, pending.epoch),
-            ) {
-                matched = Some((pos, shard, p));
+            let aad = reply_aad(self.id, pending.route, pending.epoch);
+            if let Ok(plain) = aead::open_in_place(&self.key, &aad, sealed) {
+                matched = Some((pos, shard, plain.len()));
                 break;
             }
         }
-        let Some((pos, shard, plain)) = matched else {
+        let Some((pos, shard, plain_len)) = matched else {
             self.halted = true;
             return Err(Violation::BadAuthentication.into());
         };
-        let pending = self.shards[shard as usize]
-            .pending
-            .clone()
-            .expect("matched pending exists");
-        let reply = match ReplyMsg::from_bytes(&plain) {
+        let reply = match ReplyView::from_bytes(&sealed[NONCE_LEN..NONCE_LEN + plain_len]) {
             Ok(m) => m,
             Err(_) => {
                 self.halted = true;
@@ -868,10 +844,12 @@ impl LcmClient {
         };
 
         // assert h'c = hc — against the invocation-time context.
-        if reply.hc_echo != pending.hc {
+        let ctx = &mut self.shards[shard as usize];
+        let pending_hc = ctx.pending.as_ref().expect("matched pending exists").hc;
+        if reply.hc_echo != pending_hc {
             self.halted = true;
             return Err(Violation::ReplyMismatch {
-                expected: pending.hc,
+                expected: pending_hc,
                 got: reply.hc_echo,
             }
             .into());
@@ -880,7 +858,6 @@ impl LcmClient {
         // (tc, ts, hc) ← (t, q, h). Sequence numbers returned by one
         // shard to one client strictly increase and stability never
         // decreases; a server violating either is caught here.
-        let ctx = &self.shards[shard as usize];
         if reply.t <= ctx.tc || reply.q < ctx.ts {
             self.halted = true;
             return Err(Violation::ReplyMismatch {
@@ -890,11 +867,10 @@ impl LcmClient {
             .into());
         }
 
-        let ctx = &mut self.shards[shard as usize];
         ctx.tc = reply.t;
         ctx.ts = reply.q;
         ctx.hc = reply.h;
-        ctx.pending = None;
+        let pending = ctx.pending.take().expect("matched pending exists");
         self.pending_order.remove(pos);
         self.fire_watches();
 
@@ -907,18 +883,19 @@ impl LcmClient {
             // table. Redirect stamps are deliberately not recorded:
             // the history checkers replay executed operations, and a
             // redirect executes nothing.
-            self.adopt_table(&reply.result)?;
+            self.adopt_table(reply.result)?;
             return Ok((shard, WriteOutcome::Redirected { op: pending.op }));
         }
 
+        let result = reply.result.to_vec();
         if let Some(log) = self.recording.as_mut() {
             log.push(OpRecord {
                 client: self.id,
                 shard,
                 seq: reply.t,
                 chain: reply.h,
-                op: pending.op.clone(),
-                result: reply.result.clone(),
+                op: pending.op,
+                result: result.clone(),
                 stable: reply.q,
             });
         }
@@ -926,12 +903,87 @@ impl LcmClient {
         Ok((
             shard,
             WriteOutcome::Done(Completion {
-                result: reply.result,
+                result,
                 seq: reply.t,
                 stable: reply.q,
             }),
         ))
     }
+}
+
+/// The INVOKE wire for `pending`: `route hint ‖ nonce ‖ ciphertext ‖
+/// tag`, the operation copied once, from `pending` into the wire.
+fn seal_invoke(
+    key: &AeadKey,
+    id: ClientId,
+    nonce: &[u8; NONCE_LEN],
+    pending: &Pending,
+    retry: bool,
+) -> Result<Vec<u8>> {
+    let hint = RouteHint {
+        client: id,
+        route: pending.route,
+        // `tc` is fixed when the op is first submitted, so a retry
+        // re-encodes the *same* envelope sequence — the property
+        // the host-side dedup of `crate::admission` keys on.
+        seq: pending.tc.0,
+        // Likewise the routing epoch: a retry replays the stamp of
+        // the original submission even if the client has adopted a
+        // newer table since (the AAD binds it).
+        epoch: pending.epoch,
+    };
+    let msg = InvokeView {
+        client: id,
+        tc: pending.tc,
+        hc: pending.hc,
+        retry,
+        op: &pending.op,
+    };
+    seal_message(
+        key,
+        nonce,
+        &invoke_aad(id, pending.route, pending.tc.0, pending.epoch),
+        &hint.to_bytes(),
+        INVOKE_OVERHEAD + pending.op.len(),
+        |w| msg.encode(w),
+    )
+}
+
+/// The verified-read leg for `pending`: `read hint ‖ nonce ‖
+/// ciphertext ‖ tag`.
+fn seal_read(
+    key: &AeadKey,
+    id: ClientId,
+    nonce: &[u8; NONCE_LEN],
+    pending: &PendingRead,
+) -> Result<Vec<u8>> {
+    let hint = ReadHint {
+        client: id,
+        route: pending.route,
+        seq: pending.tc.0,
+        replica: pending.replica,
+        epoch: pending.epoch,
+    };
+    let msg = ReadMsg {
+        client: id,
+        tc: pending.tc,
+        hc: pending.hc,
+        op: pending.op.clone(),
+    };
+    seal_message(
+        key,
+        nonce,
+        &read_aad(
+            id,
+            pending.route,
+            pending.tc.0,
+            pending.replica,
+            pending.epoch,
+        ),
+        &hint.to_bytes(),
+        INVOKE_OVERHEAD + pending.op.len(),
+        |w| msg.encode(w),
+    )
 }
 
 // A client session is plain `Send` data — independent clients submit
@@ -946,7 +998,7 @@ const _: fn() = || {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::ReadStatus;
+    use crate::wire::{InvokeMsg, ReadStatus, ReplyMsg, READ_HINT_LEN, ROUTE_HINT_LEN};
     use proptest::prelude::*;
 
     fn key() -> SecretKey {

@@ -63,7 +63,7 @@ use crate::functionality::Functionality;
 use crate::routing::{slice_of, SliceTable};
 use crate::stability::{CachedReply, Quorum, VMap, VState};
 use crate::types::{ChainValue, ClientId, SeqNo};
-use crate::wire::{InvokeMsg, ReplyMsg};
+use crate::wire::{seal_message, InvokeView, ReplyMsg};
 use crate::{LcmError, Result, Violation};
 
 /// AAD label for the key blob (sealed under the TEE sealing key `kS`).
@@ -404,16 +404,6 @@ fn read_key(r: &mut Reader<'_>) -> std::result::Result<SecretKey, crate::codec::
     Ok(SecretKey::from_bytes(d.0))
 }
 
-/// Prefixes a sealed blob with its storage-facing kind byte — the one
-/// plaintext byte the delta-log engine routes on. It carries no secret
-/// and tampering with it only changes which parser rejects the blob.
-fn tag_blob(kind: u8, sealed: Vec<u8>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(1 + sealed.len());
-    out.push(kind);
-    out.extend_from_slice(&sealed);
-    out
-}
-
 /// The attested identity of one enclave within a deployment:
 /// *"I am replica `replica` of shard `index`'s group of `replicas`,
 /// in a deployment of `count` shards"*.
@@ -718,10 +708,12 @@ pub struct TrustedContext<F: Functionality> {
     delta_bytes: usize,
     /// Plaintext size of the last checkpoint (the cadence baseline).
     last_ckpt_len: usize,
-    /// Reusable encode buffer for the per-batch hot path (sealed state,
-    /// encrypted replies) — retains its allocation across batches so
-    /// steady-state serving stops churning fresh `Vec`s.
-    scratch: Writer,
+    /// The buffer [`TrustedContext::handle_invoke`] and
+    /// [`TrustedContext::serve_read`] copy a borrowed wire into to
+    /// open it in place; keeps its allocation (and the last message's
+    /// plaintext) between calls. Everything this context *seals* is
+    /// encoded straight into the buffer it is returned in.
+    scratch: Vec<u8>,
 }
 
 impl<F: Functionality> std::fmt::Debug for TrustedContext<F> {
@@ -755,7 +747,7 @@ impl<F: Functionality> TrustedContext<F> {
             touched: std::collections::BTreeSet::new(),
             delta_bytes: 0,
             last_ckpt_len: 0,
-            scratch: Writer::new(),
+            scratch: Vec::new(),
         }
     }
 
@@ -1016,24 +1008,38 @@ impl<F: Functionality> TrustedContext<F> {
     /// * [`LcmError::NotProvisioned`] / [`LcmError::Halted`] — wrong
     ///   phase.
     pub fn handle_invoke(&mut self, wire: &[u8]) -> Result<(ClientId, Vec<u8>)> {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.clear();
+        scratch.extend_from_slice(wire);
+        let outcome = self.handle_invoke_in_place(&mut scratch);
+        self.scratch = scratch;
+        outcome
+    }
+
+    /// [`TrustedContext::handle_invoke`] on a wire this side owns: the
+    /// ciphertext is verified, then decrypted where it lies, and the
+    /// operation is executed from there. The ecall boundary decodes
+    /// each wire of a batch into a buffer of its own and hands it
+    /// here, so that decode is the only copy a wire sees.
+    pub(crate) fn handle_invoke_in_place(
+        &mut self,
+        wire: &mut [u8],
+    ) -> Result<(ClientId, Vec<u8>)> {
         self.require_ready()?;
         // Peel the plaintext routing envelope; its fields are bound
         // into the AAD, so any tampering (or a truncated wire) fails
         // authentication below.
-        let Some((hint, ciphertext)) = crate::wire::RouteHint::peel(wire) else {
+        let Some((hint, _)) = crate::wire::RouteHint::peel(wire) else {
             return Err(self.halt(Violation::BadAuthentication));
         };
         // The key is borrowed only for the open: `halt` needs `self`.
         let keys = self.keys.as_ref().expect("ready implies keys");
         let aad = invoke_aad(hint.client, hint.route, hint.seq, hint.epoch);
-        let opened = aead::auth_decrypt(&keys.aead_c, ciphertext, &aad);
-        let plain = match opened {
-            Ok(p) => p,
-            Err(_) => return Err(self.halt(Violation::BadAuthentication)),
-        };
-        let msg = match InvokeMsg::from_bytes(&plain) {
-            Ok(m) => m,
-            Err(_) => return Err(self.halt(Violation::BadAuthentication)),
+        let sealed = &mut wire[crate::wire::ROUTE_HINT_LEN..];
+        let opened = aead::open_in_place(&keys.aead_c, &aad, sealed);
+        let msg = match opened.map(|plain| InvokeView::from_bytes(plain)) {
+            Ok(Ok(m)) => m,
+            _ => return Err(self.halt(Violation::BadAuthentication)),
         };
         // The envelope's client id is authenticated (it is in the AAD),
         // so a mismatch with the encrypted copy means the *sender*
@@ -1077,7 +1083,7 @@ impl<F: Functionality> TrustedContext<F> {
         // * not owned, same epoch — the host redirected an intact wire
         //   to the wrong shard, or the sender's envelope lies: halt.
         let identity = self.identity.expect("ready implies identity");
-        let recomputed = crate::shard::route_for(msg.client, F::shard_key(&msg.op));
+        let recomputed = crate::shard::route_for(msg.client, F::shard_key(msg.op));
         let table_epoch = self.table.epoch();
         if hint.epoch > table_epoch {
             return Err(self.halt(Violation::WrongShard {
@@ -1165,7 +1171,7 @@ impl<F: Functionality> TrustedContext<F> {
     /// as a fresh invocation under that shard's own context.
     fn execute_fresh(
         &mut self,
-        msg: InvokeMsg,
+        msg: InvokeView<'_>,
         route: u32,
         epoch: u64,
         redirect: bool,
@@ -1175,9 +1181,9 @@ impl<F: Functionality> TrustedContext<F> {
         let result = if redirect {
             self.table.to_bytes()
         } else {
-            self.f.exec(&msg.op)
+            self.f.exec(msg.op)
         };
-        self.h = self.h.extend(&msg.op, self.t, msg.client);
+        self.h = self.h.extend(msg.op, self.t, msg.client);
 
         // V[i] ← (tc, t, h) ; q ← majority-stable(V)
         self.v.advance(msg.client, msg.tc, self.t, self.h);
@@ -1215,19 +1221,16 @@ impl<F: Functionality> TrustedContext<F> {
         reply: &ReplyMsg,
     ) -> Result<Vec<u8>> {
         let nonce = self.next_nonce();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        reply.encode(&mut scratch);
-        let sealed = aead::auth_encrypt_with_nonce(
+        seal_message(
             &self.keys.as_ref().expect("ready implies keys").aead_c,
             &nonce,
-            scratch.as_slice(),
             // The reply echoes the *request's* routing epoch — the
             // client can only decrypt under the epoch it stamped.
             &reply_aad(client, route, epoch),
-        );
-        self.scratch = scratch;
-        sealed.map_err(|e| LcmError::Tee(e.to_string()))
+            &[],
+            crate::wire::REPLY_OVERHEAD + reply.result.len(),
+            |w| reply.encode(w),
+        )
     }
 
     /// Serves one verified read leg on this group member (leader or
@@ -1260,16 +1263,10 @@ impl<F: Functionality> TrustedContext<F> {
     ///   phase.
     pub fn serve_read(&mut self, wire: &[u8]) -> Result<Vec<u8>> {
         self.require_ready()?;
-        let Some((hint, ciphertext)) = crate::wire::ReadHint::peel(wire) else {
+        let Some((hint, sealed)) = crate::wire::ReadHint::peel(wire) else {
             return Err(self.halt(Violation::BadAuthentication));
         };
         let identity = self.identity.expect("ready implies identity");
-        let aead_c = self
-            .keys
-            .as_ref()
-            .expect("ready implies keys")
-            .aead_c
-            .clone();
         let aad = read_aad(
             hint.client,
             hint.route,
@@ -1277,13 +1274,18 @@ impl<F: Functionality> TrustedContext<F> {
             identity.replica,
             hint.epoch,
         );
-        let plain = match aead::auth_decrypt(&aead_c, ciphertext, &aad) {
-            Ok(p) => p,
-            Err(_) => return Err(self.halt(Violation::BadAuthentication)),
-        };
-        let msg = match crate::wire::ReadMsg::from_bytes(&plain) {
-            Ok(m) => m,
-            Err(_) => return Err(self.halt(Violation::BadAuthentication)),
+        // Opened in the scratch buffer; the decoded leg owns its
+        // operation, so the buffer goes straight back.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.clear();
+        scratch.extend_from_slice(sealed);
+        let keys = self.keys.as_ref().expect("ready implies keys");
+        let opened = aead::open_in_place(&keys.aead_c, &aad, &mut scratch)
+            .map(|plain| crate::wire::ReadMsg::from_bytes(plain));
+        self.scratch = scratch;
+        let msg = match opened {
+            Ok(Ok(m)) => m,
+            _ => return Err(self.halt(Violation::BadAuthentication)),
         };
         if msg.client != hint.client || msg.tc.0 != hint.seq {
             return Err(self.halt(Violation::BadAuthentication));
@@ -1395,13 +1397,9 @@ impl<F: Functionality> TrustedContext<F> {
             }));
         };
         let nonce = self.next_nonce();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        reply.encode(&mut scratch);
-        let sealed = aead::auth_encrypt_with_nonce(
-            &aead_c,
+        seal_message(
+            &self.keys.as_ref().expect("ready implies keys").aead_c,
             &nonce,
-            scratch.as_slice(),
             &read_reply_aad(
                 msg.client,
                 hint.route,
@@ -1409,9 +1407,10 @@ impl<F: Functionality> TrustedContext<F> {
                 identity.replica,
                 hint.epoch,
             ),
-        );
-        self.scratch = scratch;
-        sealed.map_err(|e| LcmError::Tee(e.to_string()))
+            &[],
+            crate::wire::REPLY_OVERHEAD + reply.result.len(),
+            |w| reply.encode(w),
+        )
     }
 
     /// Applies one record of the group's replication stream on this
@@ -1518,17 +1517,25 @@ impl<F: Functionality> TrustedContext<F> {
     /// The key blob and a checkpoint, in the nonce order every
     /// control-plane persist has always used.
     fn seal_blobs(&mut self, reroot: bool) -> Result<PersistBlobs> {
-        let keys = self.keys.as_ref().ok_or(LcmError::NotProvisioned)?;
-        let mut key_plain = Writer::with_capacity(64);
-        key_plain.put_raw(keys.k_p.as_bytes());
-        key_plain.put_raw(keys.k_a.as_bytes());
+        if self.keys.is_none() {
+            return Err(LcmError::NotProvisioned);
+        }
         let seal_key = AeadKey::from_secret(&self.services.sealing_key());
         let nonce = self.next_nonce();
-        let key_blob =
-            aead::auth_encrypt_with_nonce(&seal_key, &nonce, key_plain.as_slice(), LABEL_KEY_BLOB)
-                .map_err(|e| LcmError::Tee(e.to_string()))?;
+        let keys = self.keys.as_ref().expect("checked above");
+        let key_blob = seal_message(
+            &seal_key,
+            &nonce,
+            LABEL_KEY_BLOB,
+            &[lcm_storage::BLOB_KIND_OPAQUE],
+            2 * lcm_crypto::keys::KEY_LEN,
+            |w| {
+                w.put_raw(keys.k_p.as_bytes());
+                w.put_raw(keys.k_a.as_bytes());
+            },
+        )?;
         Ok(PersistBlobs {
-            key_blob: tag_blob(lcm_storage::BLOB_KIND_OPAQUE, key_blob),
+            key_blob,
             state_blob: self.seal_checkpoint(reroot)?,
             record: None,
         })
@@ -1553,39 +1560,37 @@ impl<F: Functionality> TrustedContext<F> {
         // Reset the functionality's change tracking: the snapshot below
         // is the new baseline deltas build on.
         let _ = self.f.take_delta();
-        // The state encoding is the per-batch hot allocation: reuse the
-        // context's scratch buffer instead of a fresh Vec per seal.
-        let mut state_plain = std::mem::take(&mut self.scratch);
-        state_plain.clear();
-        state_plain.put_raw(k_c.as_bytes());
-        state_plain.put_u64(self.admin_seq);
-        self.stable_floor.encode(&mut state_plain);
-        self.v.quorum().encode(&mut state_plain);
-        self.identity
-            .unwrap_or(ShardIdentity::SOLO)
-            .encode(&mut state_plain);
-        // The routing table seals with the rest of the protocol state:
-        // a rolled-back enclave thereby rolls back its table too, which
-        // is exactly what future-epoch wires expose.
-        self.table.encode(&mut state_plain);
-        crate::stability::encode_vmap(self.v.map(), &mut state_plain);
-        state_plain.put_bytes(&self.f.snapshot());
-        state_plain.put_digest(&self.persist_anchor);
-
-        let sealed = aead::auth_encrypt_with_nonce(
+        // The state is encoded where it is sealed; the last
+        // checkpoint's size is the estimate the buffer starts from.
+        let mut plain_len = 0;
+        let sealed = seal_message(
             &aead_p,
             &nonce,
-            state_plain.as_slice(),
             LABEL_STATE_BLOB,
-        );
+            &[lcm_storage::BLOB_KIND_CHECKPOINT],
+            self.last_ckpt_len + self.last_ckpt_len / 8,
+            |w| {
+                let start = w.len();
+                w.put_raw(k_c.as_bytes());
+                w.put_u64(self.admin_seq);
+                self.stable_floor.encode(w);
+                self.v.quorum().encode(w);
+                self.identity.unwrap_or(ShardIdentity::SOLO).encode(w);
+                // The routing table seals with the rest of the protocol
+                // state: a rolled-back enclave thereby rolls back its
+                // table too, which is exactly what future-epoch wires
+                // expose.
+                self.table.encode(w);
+                crate::stability::encode_vmap(self.v.map(), w);
+                w.put_bytes(&self.f.snapshot());
+                w.put_digest(&self.persist_anchor);
+                plain_len = w.len() - start;
+            },
+        )?;
         self.delta_bytes = 0;
-        self.last_ckpt_len = state_plain.len();
+        self.last_ckpt_len = plain_len;
         self.touched.clear();
-        self.scratch = state_plain;
-        Ok(tag_blob(
-            lcm_storage::BLOB_KIND_CHECKPOINT,
-            sealed.map_err(|e| LcmError::Tee(e.to_string()))?,
-        ))
+        Ok(sealed)
     }
 
     /// Seals what changed since the last persisted blob — the stable
@@ -1597,32 +1602,31 @@ impl<F: Functionality> TrustedContext<F> {
         let keys = self.keys.as_ref().ok_or(LcmError::NotProvisioned)?;
         let aead_p = keys.aead_p.clone();
 
-        let mut delta_plain = std::mem::take(&mut self.scratch);
-        delta_plain.clear();
-        delta_plain.put_digest(&self.persist_anchor);
-        self.stable_floor.encode(&mut delta_plain);
-        let mut dv = VMap::new();
-        for client in &self.touched {
-            if let Some(entry) = self.v.map().get(client) {
-                dv.insert(*client, entry.clone());
-            }
-        }
-        crate::stability::encode_vmap(&dv, &mut delta_plain);
-        delta_plain.put_bytes(f_delta);
-
-        let anchor = lcm_crypto::sha256::digest_parts(&[ANCHOR_DELTA, delta_plain.as_slice()]);
         let nonce = self.next_nonce();
-        let sealed = aead::auth_encrypt_with_nonce(
+        let mut anchor = Digest::ZERO;
+        let delta = seal_message(
             &aead_p,
             &nonce,
-            delta_plain.as_slice(),
             LABEL_DELTA_BLOB,
-        );
-        self.scratch = delta_plain;
-        let delta = tag_blob(
-            lcm_storage::BLOB_KIND_DELTA,
-            sealed.map_err(|e| LcmError::Tee(e.to_string()))?,
-        );
+            &[lcm_storage::BLOB_KIND_DELTA],
+            // An entry of `V` with its cached reply, per touched
+            // client, beside the functionality's own diff.
+            64 + 160 * self.touched.len() + f_delta.len(),
+            |w| {
+                let start = w.len();
+                w.put_digest(&self.persist_anchor);
+                self.stable_floor.encode(w);
+                let mut dv = VMap::new();
+                for client in &self.touched {
+                    if let Some(entry) = self.v.map().get(client) {
+                        dv.insert(*client, entry.clone());
+                    }
+                }
+                crate::stability::encode_vmap(&dv, w);
+                w.put_bytes(f_delta);
+                anchor = lcm_crypto::sha256::digest_parts(&[ANCHOR_DELTA, &w.as_slice()[start..]]);
+            },
+        )?;
         self.persist_anchor = anchor;
         self.touched.clear();
         Ok(delta)
@@ -2158,6 +2162,7 @@ impl<F: Functionality> TrustedContext<F> {
 mod tests {
     use super::*;
     use crate::functionality::AppendLog;
+    use crate::wire::InvokeMsg;
     use lcm_tee::measurement::Measurement;
     use lcm_tee::world::TeeWorld;
 
@@ -2244,6 +2249,56 @@ mod tests {
         };
         let (_, wire) = ctx.handle_invoke(&encrypt_invoke(&msg))?;
         Ok(decrypt_reply(&wire, client))
+    }
+
+    /// The protocol's bytes, pinned: the first INVOKE of client 3
+    /// (`kC` = 0x02³², send counter 0, so nonce `00000003 ‖ 0⁸`)
+    /// carrying the 121 B encoding of a key-value `Put` of a 16 B key
+    /// and a 100 B value, and the REPLY a freshly provisioned context
+    /// of the deterministic test world draws for it (`T`'s third
+    /// nonce). Recorded from the code before sealing and opening moved
+    /// in place and the AEAD gained its AVX2 kernel.
+    #[test]
+    fn invoke_and_reply_golden_wires() {
+        fn hex(bytes: &[u8]) -> String {
+            bytes.iter().map(|b| format!("{b:02x}")).collect()
+        }
+        let world = world();
+        let (mut ctx, _) = provisioned_context(&world);
+        let mut client =
+            crate::client::LcmClient::new(ClientId(3), &SecretKey::from_bytes([2u8; 32]))
+                .with_send_counter(0);
+        let mut op = vec![2u8];
+        op.extend_from_slice(&16u32.to_be_bytes());
+        op.extend_from_slice(&[0x6b; 16]);
+        op.extend_from_slice(&[0x76; 100]);
+
+        let invoke = client.invoke(&op).unwrap();
+        assert_eq!(invoke.len(), 218);
+        assert_eq!(
+            hex(&invoke),
+            "000000034895f05c000000000000000000000000000000000000000300000000\
+             000000001ff6881d6bc384664c7be13dc42f80ea10cc0e0195730d7789f0ee2f\
+             ea275f58357603605f266ebf9753b1c8a9fc23d29d2cdc74aeddecaa96d26a1f\
+             204dbcd79db5d45ffd9bd430b48cfeda1067e1de6add6a46f09f880332ffa406\
+             367afe51b35138fd9e999126d28cafb6f940883fa45db88f811872a0190f4621\
+             e7668086e7a601e7fa614ad38c3f30c2d07934b4155c6557d72f1f4646b0451e\
+             22f23e187dfc7cbd835f8640526f40bbfab66fd5f2261b34d5d2"
+        );
+        let (to, reply) = ctx.handle_invoke(&invoke).unwrap();
+        assert_eq!(to, ClientId(3));
+        assert_eq!(
+            hex(&reply),
+            "9bc2036f7fd0c5cf8de03f9503645b75438672612df78b79df8abf5602840e35\
+             36b19df59b2cfdeaeb0e2a9f54d1ea2ace32d093f4903d6171e5ee0a46757723\
+             157ec2e1ed232911e7349b623ac334d631e1f1a1292f550194a4403642c20ea8\
+             a3b0be97e9cec67d6b132ba3c7c074a17e4787f5c6"
+        );
+        let done = client.handle_reply(&reply).unwrap();
+        assert_eq!(
+            (done.seq, done.result),
+            (SeqNo(1), 0u64.to_be_bytes().to_vec())
+        );
     }
 
     #[test]

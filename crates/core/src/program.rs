@@ -548,10 +548,12 @@ impl<F: Functionality> LcmProgram<F> {
                 Ok(blobs) => HostReply::ProvisionOk(blobs),
                 Err(e) => HostReply::Err((&e).into()),
             },
-            HostCall::InvokeBatch(batch) => {
+            HostCall::InvokeBatch(mut batch) => {
                 let mut replies = Vec::with_capacity(batch.len());
-                for msg in &batch {
-                    match self.context.handle_invoke(msg) {
+                // Each wire was copied out of the ecall buffer once, by
+                // the decoder; it is opened in that copy.
+                for msg in &mut batch {
+                    match self.context.handle_invoke_in_place(msg) {
                         Ok(pair) => replies.push(pair),
                         Err(e) => return HostReply::Err((&e).into()),
                     }

@@ -16,8 +16,37 @@
 //! size*, which is the property the §6.3 experiment establishes; the
 //! deviation is recorded in EXPERIMENTS.md.
 
+use lcm_crypto::aead::{self, AeadKey};
+use lcm_crypto::chacha20::NONCE_LEN;
+
 use crate::codec::{CodecError, Reader, WireCodec, Writer};
 use crate::types::{ChainValue, ClientId, SeqNo};
+
+/// Seals one message in the buffer it is returned in:
+/// `framing ‖ nonce ‖ message` is encoded into one `Vec` — sized from
+/// `message_len`, the caller's count or estimate, for the tag as well —
+/// and the message is encrypted where it lies. `framing` is plaintext
+/// the receiver peels before opening: a routing envelope for an INVOKE
+/// or read leg, nothing for a reply, the storage-facing kind byte for
+/// a sealed blob.
+pub(crate) fn seal_message(
+    key: &AeadKey,
+    nonce: &[u8; NONCE_LEN],
+    aad: &[u8],
+    framing: &[u8],
+    message_len: usize,
+    message: impl FnOnce(&mut Writer),
+) -> crate::Result<Vec<u8>> {
+    let body = framing.len() + NONCE_LEN;
+    let mut w = Writer::with_capacity(body + message_len + aead::TAG_LEN);
+    w.put_raw(framing);
+    w.put_raw(nonce);
+    message(&mut w);
+    let mut sealed = w.into_bytes();
+    aead::seal_in_place(key, nonce, aad, &mut sealed, body)
+        .map_err(|e| crate::LcmError::Tee(e.to_string()))?;
+    Ok(sealed)
+}
 
 /// Tag byte of a first-attempt INVOKE.
 pub const TAG_INVOKE: u8 = 0x01;
@@ -92,12 +121,19 @@ pub struct RouteHint {
 }
 
 impl RouteHint {
+    /// The envelope bytes.
+    pub fn to_bytes(&self) -> [u8; ROUTE_HINT_LEN] {
+        let mut out = [0u8; ROUTE_HINT_LEN];
+        out[0..4].copy_from_slice(&self.client.0.to_be_bytes());
+        out[4..8].copy_from_slice(&self.route.to_be_bytes());
+        out[8..16].copy_from_slice(&self.seq.to_be_bytes());
+        out[16..24].copy_from_slice(&self.epoch.to_be_bytes());
+        out
+    }
+
     /// Appends the envelope bytes to `out`.
     pub fn encode_to(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.client.0.to_be_bytes());
-        out.extend_from_slice(&self.route.to_be_bytes());
-        out.extend_from_slice(&self.seq.to_be_bytes());
-        out.extend_from_slice(&self.epoch.to_be_bytes());
+        out.extend_from_slice(&self.to_bytes());
     }
 
     /// Splits a wire into its envelope and the AEAD ciphertext.
@@ -173,13 +209,20 @@ pub struct ReadHint {
 }
 
 impl ReadHint {
+    /// The envelope bytes.
+    pub fn to_bytes(&self) -> [u8; READ_HINT_LEN] {
+        let mut out = [0u8; READ_HINT_LEN];
+        out[0..4].copy_from_slice(&self.client.0.to_be_bytes());
+        out[4..8].copy_from_slice(&self.route.to_be_bytes());
+        out[8..16].copy_from_slice(&self.seq.to_be_bytes());
+        out[16..20].copy_from_slice(&self.replica.to_be_bytes());
+        out[20..28].copy_from_slice(&self.epoch.to_be_bytes());
+        out
+    }
+
     /// Appends the envelope bytes to `out`.
     pub fn encode_to(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.client.0.to_be_bytes());
-        out.extend_from_slice(&self.route.to_be_bytes());
-        out.extend_from_slice(&self.seq.to_be_bytes());
-        out.extend_from_slice(&self.replica.to_be_bytes());
-        out.extend_from_slice(&self.epoch.to_be_bytes());
+        out.extend_from_slice(&self.to_bytes());
     }
 
     /// Splits a read wire into its envelope and the AEAD ciphertext.
@@ -329,8 +372,28 @@ pub struct InvokeMsg {
     pub op: Vec<u8>,
 }
 
-impl WireCodec for InvokeMsg {
-    fn encode(&self, w: &mut Writer) {
+/// An [`InvokeMsg`] whose operation is borrowed — from the buffer a
+/// wire was opened in, or from the pending operation a wire is built
+/// for. This is the form the protocol's hot path handles, and the one
+/// codec of the message: [`InvokeMsg`] encodes as its view and decodes
+/// as a view made owned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InvokeView<'a> {
+    /// Invoking client.
+    pub client: ClientId,
+    /// Sequence number of the client's last completed operation.
+    pub tc: SeqNo,
+    /// Hash chain value from the client's last completed operation.
+    pub hc: ChainValue,
+    /// Whether this is a retry of an unanswered invocation.
+    pub retry: bool,
+    /// The opaque operation for the functionality `F`.
+    pub op: &'a [u8],
+}
+
+impl<'a> InvokeView<'a> {
+    /// Appends the message's encoding to `w`.
+    pub fn encode(&self, w: &mut Writer) {
         w.put_u8(if self.retry {
             TAG_INVOKE_RETRY
         } else {
@@ -339,23 +402,67 @@ impl WireCodec for InvokeMsg {
         self.client.encode(w);
         self.tc.encode(w);
         self.hc.encode(w);
-        w.put_raw(&self.op);
+        w.put_raw(self.op);
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+    /// Decodes a message from all of `bytes`; the operation stays
+    /// where it is.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CodecError`] on malformed input.
+    pub fn from_bytes(bytes: &'a [u8]) -> Result<Self, CodecError> {
+        Self::decode(&mut Reader::new(bytes))
+    }
+
+    fn decode(r: &mut Reader<'a>) -> Result<Self, CodecError> {
         let tag = r.get_u8()?;
         let retry = match tag {
             TAG_INVOKE => false,
             TAG_INVOKE_RETRY => true,
             other => return Err(CodecError::InvalidTag(other)),
         };
-        Ok(InvokeMsg {
+        Ok(InvokeView {
             client: ClientId::decode(r)?,
             tc: SeqNo::decode(r)?,
             hc: ChainValue::decode(r)?,
             retry,
-            op: r.get_rest().to_vec(),
+            op: r.get_rest(),
         })
+    }
+
+    /// The message with an operation of its own.
+    pub fn to_owned(&self) -> InvokeMsg {
+        InvokeMsg {
+            client: self.client,
+            tc: self.tc,
+            hc: self.hc,
+            retry: self.retry,
+            op: self.op.to_vec(),
+        }
+    }
+}
+
+impl InvokeMsg {
+    /// This message with its operation borrowed.
+    pub fn view(&self) -> InvokeView<'_> {
+        InvokeView {
+            client: self.client,
+            tc: self.tc,
+            hc: self.hc,
+            retry: self.retry,
+            op: &self.op,
+        }
+    }
+}
+
+impl WireCodec for InvokeMsg {
+    fn encode(&self, w: &mut Writer) {
+        self.view().encode(w);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(InvokeView::decode(r)?.to_owned())
     }
 }
 
@@ -380,8 +487,28 @@ pub struct ReplyMsg {
     pub result: Vec<u8>,
 }
 
-impl WireCodec for ReplyMsg {
-    fn encode(&self, w: &mut Writer) {
+/// A [`ReplyMsg`] whose result is borrowed; to [`ReplyMsg`] what
+/// [`InvokeView`] is to [`InvokeMsg`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReplyView<'a> {
+    /// Sequence number assigned to the operation.
+    pub t: SeqNo,
+    /// Majority-stable sequence number at execution time.
+    pub q: SeqNo,
+    /// Hash chain value after the operation.
+    pub h: ChainValue,
+    /// Echo of the client's previous chain value.
+    pub hc_echo: ChainValue,
+    /// Whether this reply is a routing redirect.
+    pub redirect: bool,
+    /// The operation result from `F` (the encoded slice table when
+    /// `redirect`).
+    pub result: &'a [u8],
+}
+
+impl<'a> ReplyView<'a> {
+    /// Appends the message's encoding to `w`.
+    pub fn encode(&self, w: &mut Writer) {
         w.put_u8(if self.redirect {
             TAG_REPLY_REDIRECT
         } else {
@@ -391,24 +518,70 @@ impl WireCodec for ReplyMsg {
         self.q.encode(w);
         self.h.encode(w);
         self.hc_echo.encode(w);
-        w.put_raw(&self.result);
+        w.put_raw(self.result);
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+    /// Decodes a message from all of `bytes`; the result stays where
+    /// it is.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CodecError`] on malformed input.
+    pub fn from_bytes(bytes: &'a [u8]) -> Result<Self, CodecError> {
+        Self::decode(&mut Reader::new(bytes))
+    }
+
+    fn decode(r: &mut Reader<'a>) -> Result<Self, CodecError> {
         let tag = r.get_u8()?;
         let redirect = match tag {
             TAG_REPLY => false,
             TAG_REPLY_REDIRECT => true,
             other => return Err(CodecError::InvalidTag(other)),
         };
-        Ok(ReplyMsg {
+        Ok(ReplyView {
             t: SeqNo::decode(r)?,
             q: SeqNo::decode(r)?,
             h: ChainValue::decode(r)?,
             hc_echo: ChainValue::decode(r)?,
             redirect,
-            result: r.get_rest().to_vec(),
+            result: r.get_rest(),
         })
+    }
+
+    /// The message with a result of its own.
+    pub fn to_owned(&self) -> ReplyMsg {
+        ReplyMsg {
+            t: self.t,
+            q: self.q,
+            h: self.h,
+            hc_echo: self.hc_echo,
+            redirect: self.redirect,
+            result: self.result.to_vec(),
+        }
+    }
+}
+
+impl ReplyMsg {
+    /// This message with its result borrowed.
+    pub fn view(&self) -> ReplyView<'_> {
+        ReplyView {
+            t: self.t,
+            q: self.q,
+            h: self.h,
+            hc_echo: self.hc_echo,
+            redirect: self.redirect,
+            result: &self.result,
+        }
+    }
+}
+
+impl WireCodec for ReplyMsg {
+    fn encode(&self, w: &mut Writer) {
+        self.view().encode(w);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(ReplyView::decode(r)?.to_owned())
     }
 }
 

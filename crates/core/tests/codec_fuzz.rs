@@ -17,7 +17,7 @@ use lcm_core::server::{BatchServer, LcmServer};
 use lcm_core::shard::{build_sharded, route_hash};
 use lcm_core::stability::{decode_vmap, encode_vmap, CachedReply, Quorum, VEntry, VMap};
 use lcm_core::types::{ChainValue, ClientId, SeqNo};
-use lcm_core::wire::{InvokeMsg, ReplyMsg};
+use lcm_core::wire::{InvokeMsg, InvokeView, ReplyMsg, ReplyView};
 use lcm_core::LcmError;
 use lcm_storage::MemoryStorage;
 use lcm_tee::world::TeeWorld;
@@ -226,8 +226,16 @@ proptest! {
     /// Arbitrary bytes never panic any decoder.
     #[test]
     fn decoders_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let _ = InvokeMsg::from_bytes(&bytes);
-        let _ = ReplyMsg::from_bytes(&bytes);
+        // The borrowed views are the decoders; the owned forms only
+        // copy what a view found.
+        prop_assert_eq!(
+            InvokeView::from_bytes(&bytes).map(|v| v.to_owned()),
+            InvokeMsg::from_bytes(&bytes)
+        );
+        prop_assert_eq!(
+            ReplyView::from_bytes(&bytes).map(|v| v.to_owned()),
+            ReplyMsg::from_bytes(&bytes)
+        );
         let _ = HostCall::from_bytes(&bytes);
         let _ = HostReply::from_bytes(&bytes);
         let _ = Quorum::from_bytes(&bytes);
@@ -238,13 +246,29 @@ proptest! {
     /// InvokeMsg roundtrips for arbitrary field values.
     #[test]
     fn invoke_roundtrips(msg in arb_invoke()) {
-        prop_assert_eq!(InvokeMsg::from_bytes(&msg.to_bytes()).unwrap(), msg);
+        let bytes = msg.to_bytes();
+        prop_assert_eq!(InvokeMsg::from_bytes(&bytes).unwrap(), msg.clone());
+        // The view decodes the same fields, borrows the operation from
+        // the input, and encodes to the same bytes.
+        let view = InvokeView::from_bytes(&bytes).unwrap();
+        prop_assert_eq!(view, msg.view());
+        prop_assert_eq!(view.op.as_ptr_range().end, bytes.as_ptr_range().end);
+        let mut w = Writer::new();
+        view.encode(&mut w);
+        prop_assert_eq!(w.into_bytes(), bytes);
     }
 
     /// ReplyMsg roundtrips for arbitrary field values.
     #[test]
     fn reply_roundtrips(msg in arb_reply()) {
-        prop_assert_eq!(ReplyMsg::from_bytes(&msg.to_bytes()).unwrap(), msg);
+        let bytes = msg.to_bytes();
+        prop_assert_eq!(ReplyMsg::from_bytes(&bytes).unwrap(), msg.clone());
+        let view = ReplyView::from_bytes(&bytes).unwrap();
+        prop_assert_eq!(view, msg.view());
+        prop_assert_eq!(view.result.as_ptr_range().end, bytes.as_ptr_range().end);
+        let mut w = Writer::new();
+        view.encode(&mut w);
+        prop_assert_eq!(w.into_bytes(), bytes);
     }
 
     /// VMap encoding is canonical: decode(encode(v)) == v and encoding
@@ -273,7 +297,8 @@ proptest! {
     fn truncation_is_graceful(msg in arb_invoke(), cut in 0usize..512) {
         let bytes = msg.to_bytes();
         let cut = cut % (bytes.len() + 1);
-        let _ = InvokeMsg::from_bytes(&bytes[..cut]);
+        let owned = InvokeMsg::from_bytes(&bytes[..cut]);
+        prop_assert_eq!(InvokeView::from_bytes(&bytes[..cut]).map(|v| v.to_owned()), owned);
     }
 
     /// Host calls roundtrip.

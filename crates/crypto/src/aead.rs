@@ -31,11 +31,29 @@
 //! attacker solves for the key and *forges* further messages. Nonces
 //! must therefore be unique per key by construction wherever a key is
 //! shared or long-lived: `lcm_core`'s clients, which all hold `kC`, seal
-//! under `client id ‖ send counter` through
-//! [`auth_encrypt_with_nonce`]; [`auth_encrypt`] draws 96 random bits
-//! and is for callers that seal rarely (provisioning, admin, tests).
+//! under `client id ‖ send counter`; [`auth_encrypt`] draws 96 random
+//! bits and is for callers that seal rarely (provisioning, admin,
+//! tests).
 //!
 //! Wire layout of a sealed blob: `nonce(12) ‖ ciphertext ‖ tag(16)`.
+//!
+//! # In place
+//!
+//! The construction exists once, as [`seal_in_place`] and
+//! [`open_in_place`]; [`auth_encrypt`], [`auth_encrypt_with_nonce`] and
+//! [`auth_decrypt`] copy their input into a fresh `Vec` and call them.
+//! Anything that runs per operation builds its message where it will
+//! be sent from and seals it there: the caller writes
+//! `framing ‖ nonce ‖ plaintext` into one buffer, and sealing XORs the
+//! plaintext and appends the tag without touching what stands before
+//! it. Opening **verifies, then decrypts**: the tag is recomputed over
+//! the ciphertext as received and compared in constant time, and only
+//! a blob that passes has a single byte XORed — a rejected buffer is
+//! handed back exactly as it came, so nothing unauthenticated is ever
+//! decrypted into memory the caller goes on to read.
+//!
+//! Which ChaCha20 kernel produces the keystream is the CPU's answer to
+//! [`chacha20::backend`]; the bytes are the same on either.
 
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
@@ -66,8 +84,16 @@ pub const MIN_SEALED_LEN: usize = NONCE_LEN + TAG_LEN;
 /// let key = AeadKey::from_secret(&master);
 /// # let _ = key;
 /// ```
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone, Eq)]
 pub struct AeadKey([u8; chacha20::KEY_LEN]);
+
+/// Key material compares in time independent of where two keys first
+/// differ.
+impl PartialEq for AeadKey {
+    fn eq(&self, other: &Self) -> bool {
+        crate::ct::ct_eq(&self.0, &other.0)
+    }
+}
 
 impl std::fmt::Debug for AeadKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -89,11 +115,76 @@ impl AeadKey {
     }
 }
 
+/// Seals `buf[body..]` where it lies: XORs it with the keystream of
+/// `(key, nonce)` and appends the tag, which binds `aad`. Nothing
+/// before `body` is read or written — that is the caller's framing,
+/// which for the sealed layout of this module ends with the 12 bytes
+/// of `nonce` itself (`… ‖ nonce ‖ plaintext` becomes
+/// `… ‖ nonce ‖ ciphertext ‖ tag`, and `buf[body - 12..]` is then what
+/// [`open_in_place`] takes).
+///
+/// # Errors
+///
+/// Returns [`CryptoError::NonceExhausted`] only for bodies so large
+/// they would overflow the ChaCha20 block counter (≈ 256 GiB); `buf`
+/// is unchanged then. The caller must never pass the same nonce twice
+/// under one key: a repeat leaks the XOR of the two plaintexts and
+/// lets an attacker forge tags.
+///
+/// # Panics
+///
+/// If `body > buf.len()`.
+pub fn seal_in_place(
+    key: &AeadKey,
+    nonce: &[u8; NONCE_LEN],
+    aad: &[u8],
+    buf: &mut Vec<u8>,
+    body: usize,
+) -> Result<()> {
+    let stream = AeadStream::new(&key.0, nonce);
+    stream.xor_body(&mut buf[body..])?;
+    let tag = compute_tag(stream.poly1305_key(), aad, &buf[body..]);
+    buf.extend_from_slice(&tag);
+    Ok(())
+}
+
+/// Verifies `sealed` (`nonce ‖ ciphertext ‖ tag`) against `aad`, then
+/// decrypts the ciphertext where it lies and returns it as the
+/// plaintext slice. The tag is checked, in constant time, **before** a
+/// single byte is decrypted.
+///
+/// # Errors
+///
+/// Returns [`CryptoError::AuthenticationFailed`] when the blob is
+/// malformed, the tag does not verify, or `aad` differs from the value
+/// used at encryption time — and leaves `sealed` byte for byte as it
+/// was handed in.
+pub fn open_in_place<'a>(key: &AeadKey, aad: &[u8], sealed: &'a mut [u8]) -> Result<&'a mut [u8]> {
+    if sealed.len() < MIN_SEALED_LEN {
+        return Err(CryptoError::AuthenticationFailed);
+    }
+    let (nonce, rest) = sealed.split_at_mut(NONCE_LEN);
+    let (ciphertext, tag) = rest.split_at_mut(rest.len() - TAG_LEN);
+    let nonce: &[u8; NONCE_LEN] = (&*nonce).try_into().expect("split at the nonce length");
+
+    let stream = AeadStream::new(&key.0, nonce);
+    let expected = compute_tag(stream.poly1305_key(), aad, ciphertext);
+    if !crate::ct::ct_eq(&expected, tag) {
+        return Err(CryptoError::AuthenticationFailed);
+    }
+    stream.xor_body(ciphertext)?;
+    Ok(ciphertext)
+}
+
 /// Encrypts and authenticates `plaintext`, binding `aad` into the tag.
 ///
 /// Returns `nonce ‖ ciphertext ‖ tag`. A random 96-bit nonce is drawn
-/// per call; a caller that seals many messages under one key should
-/// construct its nonces instead (see the module docs).
+/// from `thread_rng` per call, which suits **rare sealers only**
+/// (provisioning, admin messages, tests): 96 random bits collide after
+/// about 2^48 messages under one key, and the draw costs more than
+/// sealing a short message. Anything that seals per operation
+/// constructs its nonces (see the module docs) and seals with
+/// [`seal_in_place`].
 ///
 /// # Errors
 ///
@@ -105,13 +196,12 @@ pub fn auth_encrypt(key: &AeadKey, plaintext: &[u8], aad: &[u8]) -> Result<Vec<u
     auth_encrypt_with_nonce(key, &nonce, plaintext, aad)
 }
 
-/// [`auth_encrypt`] under a caller-chosen nonce.
+/// [`auth_encrypt`] under a caller-chosen nonce: [`seal_in_place`] on
+/// a fresh `nonce ‖ plaintext`.
 ///
 /// # Errors
 ///
-/// Same as [`auth_encrypt`]. The caller must never pass the same nonce
-/// twice under one key: a repeat leaks the XOR of the two plaintexts
-/// and lets an attacker forge tags.
+/// Same as [`seal_in_place`].
 pub fn auth_encrypt_with_nonce(
     key: &AeadKey,
     nonce: &[u8; NONCE_LEN],
@@ -121,48 +211,40 @@ pub fn auth_encrypt_with_nonce(
     let mut out = Vec::with_capacity(NONCE_LEN + plaintext.len() + TAG_LEN);
     out.extend_from_slice(nonce);
     out.extend_from_slice(plaintext);
-    let stream = AeadStream::new(&key.0, nonce);
-    stream.xor_body(&mut out[NONCE_LEN..])?;
-    let tag = compute_tag(stream.poly1305_key(), &out[NONCE_LEN..], aad);
-    out.extend_from_slice(&tag);
+    seal_in_place(key, nonce, aad, &mut out, NONCE_LEN)?;
     Ok(out)
 }
 
-/// Verifies and decrypts a blob produced by [`auth_encrypt`].
+/// Verifies and decrypts a blob produced by [`auth_encrypt`]:
+/// [`open_in_place`] on a copy of `sealed`.
 ///
 /// # Errors
 ///
-/// Returns [`CryptoError::AuthenticationFailed`] when the blob is
-/// malformed, the tag does not verify, or `aad` differs from the value
-/// used at encryption time.
+/// Same as [`open_in_place`].
 pub fn auth_decrypt(key: &AeadKey, sealed: &[u8], aad: &[u8]) -> Result<Vec<u8>> {
-    if sealed.len() < MIN_SEALED_LEN {
-        return Err(CryptoError::AuthenticationFailed);
-    }
-    let (nonce_bytes, rest) = sealed.split_at(NONCE_LEN);
-    let (ciphertext, tag) = rest.split_at(rest.len() - TAG_LEN);
-    let mut nonce = [0u8; NONCE_LEN];
-    nonce.copy_from_slice(nonce_bytes);
-
-    let stream = AeadStream::new(&key.0, &nonce);
-    let expected = compute_tag(stream.poly1305_key(), ciphertext, aad);
-    if !crate::ct::ct_eq(&expected, tag) {
-        return Err(CryptoError::AuthenticationFailed);
-    }
-
-    let mut plaintext = ciphertext.to_vec();
-    stream.xor_body(&mut plaintext)?;
-    Ok(plaintext)
+    let mut buf = sealed.to_vec();
+    let len = open_in_place(key, aad, &mut buf)?.len();
+    buf.copy_within(NONCE_LEN..NONCE_LEN + len, 0);
+    buf.truncate(len);
+    Ok(buf)
 }
 
-/// The RFC 8439 §2.8 tag: both lengths close the MAC input, so no
-/// `(aad, ciphertext)` split can collide with another.
-fn compute_tag(mac_key: &[u8; poly1305::KEY_LEN], ciphertext: &[u8], aad: &[u8]) -> [u8; TAG_LEN] {
+/// The RFC 8439 §2.8 tag over
+/// `aad ‖ pad16 ‖ ciphertext ‖ pad16 ‖ len(aad) ‖ len(ciphertext)`:
+/// both lengths close the MAC input, so no `(aad, ciphertext)` split
+/// can collide with another. Every whole block goes to the MAC
+/// straight from the caller's slices; the ciphertext's padded tail and
+/// the lengths block are built here and absorbed as one run.
+fn compute_tag(mac_key: &[u8; poly1305::KEY_LEN], aad: &[u8], ciphertext: &[u8]) -> [u8; TAG_LEN] {
     let mut mac = Poly1305::new(mac_key);
     mac.update_padded(aad);
-    mac.update_padded(ciphertext);
-    mac.update(&(aad.len() as u64).to_le_bytes());
-    mac.update(&(ciphertext.len() as u64).to_le_bytes());
+    let (whole, tail) = ciphertext.split_at(ciphertext.len() - ciphertext.len() % 16);
+    mac.blocks(whole);
+    let mut end = [0u8; 32];
+    end[..tail.len()].copy_from_slice(tail);
+    end[16..24].copy_from_slice(&(aad.len() as u64).to_le_bytes());
+    end[24..].copy_from_slice(&(ciphertext.len() as u64).to_le_bytes());
+    mac.blocks(if tail.is_empty() { &end[16..] } else { &end });
     mac.finalize()
 }
 
@@ -274,6 +356,81 @@ mod tests {
                 "cut {cut}"
             );
         }
+    }
+
+    /// Every way a sealed buffer can be wrong is refused before a
+    /// byte of it is decrypted: the buffer comes back as handed in.
+    #[test]
+    fn rejected_buffers_are_left_untouched() {
+        let nonce = [3u8; NONCE_LEN];
+        let sealed = auth_encrypt_with_nonce(&key(), &nonce, &[0x5a; 200], b"aad").unwrap();
+        let flipped = |at: usize, bit: u8| {
+            let mut s = sealed.clone();
+            s[at] ^= bit;
+            s
+        };
+        let mut cases = vec![
+            ("ciphertext bit", flipped(NONCE_LEN + 77, 0x10), &b"aad"[..]),
+            (
+                "last ciphertext bit",
+                flipped(sealed.len() - TAG_LEN - 1, 0x01),
+                b"aad",
+            ),
+            ("tag bit", flipped(sealed.len() - 1, 0x80), b"aad"),
+            ("nonce bit", flipped(0, 0x01), b"aad"),
+            ("wrong aad", sealed.clone(), b"aae"),
+            (
+                "truncated body",
+                sealed[..sealed.len() - 1].to_vec(),
+                b"aad",
+            ),
+        ];
+        for cut in 0..MIN_SEALED_LEN {
+            cases.push(("below the minimum length", sealed[..cut].to_vec(), b"aad"));
+        }
+        for (what, handed_in, aad) in cases {
+            let mut buf = handed_in.clone();
+            assert_eq!(
+                open_in_place(&key(), aad, &mut buf).map(|plain| plain.len()),
+                Err(CryptoError::AuthenticationFailed),
+                "{what} ({} B)",
+                buf.len()
+            );
+            assert_eq!(buf, handed_in, "{what} ({} B)", buf.len());
+            assert_eq!(
+                auth_decrypt(&key(), &handed_in, aad),
+                Err(CryptoError::AuthenticationFailed)
+            );
+        }
+        let mut buf = sealed.clone();
+        assert_eq!(
+            open_in_place(&key(), b"aad", &mut buf).unwrap(),
+            [0x5a; 200]
+        );
+    }
+
+    #[test]
+    fn seal_in_place_leaves_the_framing_alone() {
+        let nonce = [4u8; NONCE_LEN];
+        for len in [0usize, 1, 82, 192, 193, 1000] {
+            let plaintext = vec![0xc3u8; len];
+            let mut buf = b"framing".to_vec();
+            buf.extend_from_slice(&nonce);
+            buf.extend_from_slice(&plaintext);
+            seal_in_place(&key(), &nonce, b"ctx", &mut buf, 7 + NONCE_LEN).unwrap();
+            assert_eq!(&buf[..7], b"framing");
+            let wrapped = auth_encrypt_with_nonce(&key(), &nonce, &plaintext, b"ctx").unwrap();
+            assert_eq!(&buf[7..], &wrapped[..], "len {len}");
+        }
+    }
+
+    #[test]
+    fn keys_compare_by_value() {
+        assert_eq!(key(), key());
+        assert_ne!(
+            key(),
+            AeadKey::from_secret(&SecretKey::from_bytes([0x22; 32]))
+        );
     }
 
     #[test]

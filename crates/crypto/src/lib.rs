@@ -10,7 +10,8 @@
 //!   ChaCha20-Poly1305 as RFC 8439 defines it ([`chacha20`] for the
 //!   body, [`poly1305`] keyed per nonce for the 16-byte tag), see
 //!   [`aead`] for the construction, why its contract is the paper's,
-//!   and what a repeated nonce costs;
+//!   what a repeated nonce costs, and the seal/open-in-place
+//!   primitives everything per-operation uses;
 //! * a secure random generator for key material, see [`keys`].
 //!
 //! [`hmac`] and [`hkdf`] derive keys (sealing keys, AEAD keys,
@@ -24,22 +25,32 @@
 //!
 //! # `unsafe`
 //!
-//! Everything is safe Rust except one kernel: on an x86-64 CPU with
-//! the SHA extensions, [`sha256`] compresses with the `sha256rnds2`
-//! family of instructions, about five times the portable loop's rate,
-//! and every hash-chain step, delta anchor, HMAC and HKDF call rides
-//! on it. Executing instructions the build target does not guarantee
-//! takes a `#[target_feature]` function, which is `unsafe` to call.
-//! So this crate *denies* `unsafe_code` rather than forbidding it, and
-//! exactly one private module — `sha256::shani`, compiled only for
-//! x86-64 — is allowed it. That module exposes two safe functions
-//! (is the feature there; compress these blocks) and the second
-//! checks the first before its single `unsafe` call. Every other CPU
-//! and architecture takes the portable kernel, with identical
-//! digests; see the [`sha256`] module docs for the selection and for
-//! what a real SGX enclave would consult instead of `cpuid`. CI greps
-//! that `unsafe` stays in that one file and that every other crate
-//! root keeps `forbid(unsafe_code)`.
+//! Everything is safe Rust except two kernels, one per primitive that
+//! every operation pays for:
+//!
+//! * on an x86-64 CPU with the SHA extensions, [`sha256`] compresses
+//!   with the `sha256rnds2` family of instructions, about five times
+//!   the portable loop's rate — every hash-chain step, delta anchor,
+//!   HMAC and HKDF call rides on it;
+//! * on an x86-64 CPU with AVX2, [`chacha20`] produces its keystream
+//!   blocks on 256-bit registers, about twice the rate of the portable
+//!   lane-array function — every sealed wire and state blob rides on
+//!   it.
+//!
+//! Executing instructions the build target does not guarantee takes a
+//! `#[target_feature]` function, which is `unsafe` to call. So this
+//! crate *denies* `unsafe_code` rather than forbidding it, and exactly
+//! two private modules — `sha256::shani` and `chacha20::avx2`, compiled
+//! only for x86-64 — are allowed it, each by an attribute on its own
+//! `mod` line. Each module is one fence of the same shape: two safe
+//! functions (is the feature there; run the kernel over these blocks),
+//! the second checking the first before its single `unsafe` call.
+//! Every other CPU and architecture takes the portable kernels, with
+//! identical digests and keystream; see the [`sha256`] and
+//! [`chacha20`] module docs for the selection and for what a real SGX
+//! enclave would consult instead of `cpuid`. CI greps that `unsafe`
+//! stays in exactly those two files and that every other crate root
+//! keeps `forbid(unsafe_code)`.
 //!
 //! # Example
 //!

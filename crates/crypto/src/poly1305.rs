@@ -8,12 +8,28 @@
 //! forgeries. [`crate::aead`] derives a fresh key per nonce from
 //! ChaCha20 block 0 (RFC 8439 §2.6).
 //!
-//! Arithmetic is in three limbs of 44, 44 and 42 bits with `u128`
-//! products. Bounds that keep every `u64`/`u128` operation below
-//! overflow (debug builds check them): limbs of `h` stay under `2^45`
-//! between blocks and under `2^46` with a message block added, `r`
-//! limbs are under `2^44` and the pre-multiplied `20·r` under `2^49`,
-//! so each product is under `2^95` and a sum of three under `2^97`.
+//! Arithmetic is in radix `2^64`: `h` is two full words and a third of
+//! a few bits, `r` two clamped words. Clamping clears the top four
+//! bits of each word of `r` and the low two of `r1`, which is what
+//! makes a block step four wide multiplies: the partial product
+//! `h1·r1·2^128` is `h1·(r1/4)·2^130 ≡ h1·(5·r1/4)`, an exact integer
+//! `s1 = r1 + r1/4` computed once. Bounds that keep every `u64`/`u128`
+//! operation below overflow (debug builds check them): `r0`, `r1` are
+//! under `2^60` and `s1` under `2^61`; `h2` is at most 4 between
+//! blocks and at most 6 with a block and its `2^128` bit added, so
+//! `h2·s1` and `h2·r0` fit a word, each sum of wide products stays
+//! under `2^126`, and the word above `2^128` after a multiply is under
+//! `1.5·2^63`, whose fold `5·(d2 >> 2)` is under `2^64`.
+//!
+//! Whole blocks are absorbed in *runs* ([`Poly1305::update`] hands
+//! over every whole block of its input at once, straight from the
+//! caller's slice) with `h` in locals across the run. One block per
+//! step: two per step with `r²` was built and measured too — it needs
+//! the 44-bit-limb form (an unclamped `r²` has no `s1`), nine
+//! multiplies a block, and beat this form on a quiet core only to
+//! fall back to the old serial rate whenever the core's multiplier
+//! was shared, while the four multiplies here hold their rate in both
+//! states.
 
 /// Poly1305 key length in bytes (`r ‖ s`).
 pub const KEY_LEN: usize = 32;
@@ -22,10 +38,6 @@ pub const KEY_LEN: usize = 32;
 pub const TAG_LEN: usize = 16;
 
 const BLOCK_LEN: usize = 16;
-const MASK44: u64 = (1 << 44) - 1;
-const MASK42: u64 = (1 << 42) - 1;
-/// The `2^128` bit appended to every full block, in limb 2.
-const HIBIT: u64 = 1 << 40;
 
 fn le64(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(bytes.try_into().expect("8-byte half block"))
@@ -46,10 +58,10 @@ fn le64(bytes: &[u8]) -> u64 {
 /// ```
 #[derive(Clone)]
 pub struct Poly1305 {
-    r: [u64; 3],
-    /// `20·r[1]`, `20·r[2]`: the `2^130 ≡ 5` wrap-around, pre-shifted
-    /// by the two bits limb 2 is short of 44.
-    s: [u64; 2],
+    r: [u64; 2],
+    /// `r1 + r1/4 = 5·r1/4`: the `2^130 ≡ 5` wrap-around of the
+    /// products that land on `2^128`.
+    s1: u64,
     h: [u64; 3],
     pad: [u64; 2],
     buf: [u8; BLOCK_LEN],
@@ -60,15 +72,13 @@ impl Poly1305 {
     /// Starts a MAC under the one-time `key` (`r ‖ s`; `r` is clamped
     /// here).
     pub fn new(key: &[u8; KEY_LEN]) -> Self {
-        let (t0, t1) = (le64(&key[0..8]), le64(&key[8..16]));
         let r = [
-            t0 & 0xffc_0fff_ffff,
-            ((t0 >> 44) | (t1 << 20)) & 0xfff_ffc0_ffff,
-            (t1 >> 24) & 0x00f_ffff_fc0f,
+            le64(&key[0..8]) & 0x0fff_fffc_0fff_ffff,
+            le64(&key[8..16]) & 0x0fff_fffc_0fff_fffc,
         ];
         Poly1305 {
             r,
-            s: [r[1] * 20, r[2] * 20],
+            s1: r[1] + (r[1] >> 2),
             h: [0; 3],
             pad: [le64(&key[16..24]), le64(&key[24..32])],
             buf: [0; BLOCK_LEN],
@@ -76,26 +86,39 @@ impl Poly1305 {
         }
     }
 
-    /// `h = (h + block) · r mod p`, partially reduced.
+    /// Absorbs `blocks` — a whole number of 16-byte blocks, each with
+    /// the `2^128` bit appended — with nothing buffered before them.
+    pub(crate) fn blocks(&mut self, blocks: &[u8]) {
+        debug_assert_eq!(blocks.len() % BLOCK_LEN, 0, "partial Poly1305 block");
+        let mut h = self.h;
+        for block in blocks.chunks_exact(BLOCK_LEN) {
+            h = self.step(h, block, 1);
+        }
+        self.h = h;
+    }
+
+    /// `(h + block + hibit·2^128) · r mod p`, partially reduced: two
+    /// full words and a third of at most 4.
     #[inline(always)]
-    fn block(&mut self, block: &[u8], hibit: u64) {
-        let [r0, r1, r2] = self.r.map(u128::from);
-        let [s1, s2] = self.s.map(u128::from);
-        let (t0, t1) = (le64(&block[0..8]), le64(&block[8..16]));
+    fn step(&self, [h0, h1, h2]: [u64; 3], block: &[u8], hibit: u64) -> [u64; 3] {
+        let [r0, r1] = self.r.map(u128::from);
+        let s1 = u128::from(self.s1);
 
-        let h0 = u128::from(self.h[0] + (t0 & MASK44));
-        let h1 = u128::from(self.h[1] + (((t0 >> 44) | (t1 << 20)) & MASK44));
-        let h2 = u128::from(self.h[2] + (((t1 >> 24) & MASK42) | hibit));
+        let t = u128::from(h0) + u128::from(le64(&block[0..8]));
+        let x0 = u128::from(t as u64);
+        let t = u128::from(h1) + (t >> 64) + u128::from(le64(&block[8..16]));
+        let x1 = u128::from(t as u64);
+        let x2 = h2 + (t >> 64) as u64 + hibit;
 
-        let d0 = h0 * r0 + h1 * s2 + h2 * s1;
-        let d1 = h0 * r1 + h1 * r0 + h2 * s2;
-        let d2 = h0 * r2 + h1 * r1 + h2 * r0;
+        let d0 = x0 * r0 + x1 * s1;
+        let d1 = x0 * r1 + x1 * r0 + u128::from(x2 * self.s1) + (d0 >> 64);
+        let d2 = x2 * self.r[0] + (d1 >> 64) as u64;
 
-        let d1 = d1 + (d0 >> 44);
-        let d2 = d2 + (d1 >> 44);
-        let h0 = (d0 as u64 & MASK44) + (d2 >> 42) as u64 * 5;
-        let h1 = (d1 as u64 & MASK44) + (h0 >> 44);
-        self.h = [h0 & MASK44, h1, d2 as u64 & MASK42];
+        // Everything from bit 130 up folds back in times five.
+        let t = u128::from(d0 as u64) + u128::from((d2 >> 2) * 5);
+        let h0 = t as u64;
+        let t = u128::from(d1 as u64) + (t >> 64);
+        [h0, t as u64, (d2 & 3) + (t >> 64) as u64]
     }
 
     /// Absorbs `data`; any split of a message into `update` calls
@@ -110,14 +133,11 @@ impl Poly1305 {
                 return;
             }
             let buf = self.buf;
-            self.block(&buf, HIBIT);
+            self.blocks(&buf);
             self.buffered = 0;
         }
-        let mut blocks = data.chunks_exact(BLOCK_LEN);
-        for block in &mut blocks {
-            self.block(block, HIBIT);
-        }
-        let rest = blocks.remainder();
+        let (whole, rest) = data.split_at(data.len() - data.len() % BLOCK_LEN);
+        self.blocks(whole);
         self.buf[..rest.len()].copy_from_slice(rest);
         self.buffered = rest.len();
     }
@@ -127,7 +147,10 @@ impl Poly1305 {
     pub fn update_padded(&mut self, data: &[u8]) {
         self.update(data);
         if self.buffered > 0 {
-            self.update(&[0; BLOCK_LEN][self.buffered..]);
+            let mut last = [0u8; BLOCK_LEN];
+            last[..self.buffered].copy_from_slice(&self.buf[..self.buffered]);
+            self.blocks(&last);
+            self.buffered = 0;
         }
     }
 
@@ -139,38 +162,24 @@ impl Poly1305 {
             let mut last = [0u8; BLOCK_LEN];
             last[..self.buffered].copy_from_slice(&self.buf[..self.buffered]);
             last[self.buffered] = 1;
-            self.block(&last, 0);
+            self.h = self.step(self.h, &last, 0);
         }
 
-        // Carry h fully, so h < 2^130.
-        let [mut h0, mut h1, mut h2] = self.h;
-        h2 += h1 >> 44;
-        h1 &= MASK44;
-        h0 += (h2 >> 42) * 5;
-        h2 &= MASK42;
-        h1 += h0 >> 44;
-        h0 &= MASK44;
-        h2 += h1 >> 44;
-        h1 &= MASK44;
-        h0 += (h2 >> 42) * 5;
-        h2 &= MASK42;
-        h1 += h0 >> 44;
-        h0 &= MASK44;
-
-        // g = h - p = h + 5 - 2^130; keep g iff it did not borrow.
-        let g0 = h0 + 5;
-        let g1 = h1 + (g0 >> 44);
-        let g2 = (h2 + (g1 >> 44)).wrapping_sub(1 << 42);
-        let keep_g = (g2 >> 63).wrapping_sub(1); // all ones iff h >= p
-        let h0 = (h0 & !keep_g) | (g0 & MASK44 & keep_g);
-        let h1 = (h1 & !keep_g) | (g1 & MASK44 & keep_g);
-        let h2 = (h2 & !keep_g) | (g2 & keep_g);
+        // h < 5·2^128 < 2p. g = h - p = h + 5 - 2^130; keep g iff it
+        // did not borrow, i.e. iff h + 5 reaches bit 130.
+        let [h0, h1, h2] = self.h;
+        let t = u128::from(h0) + 5;
+        let g0 = t as u64;
+        let t = u128::from(h1) + (t >> 64);
+        let g1 = t as u64;
+        let g2 = h2 + (t >> 64) as u64;
+        let keep_g = 0u64.wrapping_sub(g2 >> 2); // all ones iff h >= p
+        let h0 = (h0 & !keep_g) | (g0 & keep_g);
+        let h1 = (h1 & !keep_g) | (g1 & keep_g);
 
         // tag = (h + s) mod 2^128.
         let pad = u128::from(self.pad[0]) | (u128::from(self.pad[1]) << 64);
-        u128::from(h0)
-            .wrapping_add(u128::from(h1) << 44)
-            .wrapping_add(u128::from(h2) << 88)
+        (u128::from(h0) | (u128::from(h1) << 64))
             .wrapping_add(pad)
             .to_le_bytes()
     }
@@ -187,7 +196,7 @@ pub fn mac(key: &[u8; KEY_LEN], msg: &[u8]) -> [u8; TAG_LEN] {
 mod tests {
     use super::*;
 
-    /// RFC 8439 Appendix A.3 vectors 5–11: every limb saturated, so each
+    /// RFC 8439 Appendix A.3 vectors 5–11: every word saturated, so each
     /// carry and the final conditional subtraction of `p` is exercised
     /// (and, in a debug build, every overflow check).
     #[test]
@@ -241,6 +250,20 @@ mod tests {
         );
         // #11: the same with the last block dropped.
         assert_eq!(mac(&key(&r, &[]), &m[..48]), tag(&[0x13]));
+    }
+
+    /// The largest `r` clamping admits against all-ones blocks: every
+    /// product and carry at the top of the bounds the module docs
+    /// derive (a debug build checks each for overflow), and the result
+    /// still independent of how the input was cut.
+    #[test]
+    fn saturated_key_and_blocks_stay_inside_the_bounds() {
+        let key = [0xffu8; 32];
+        let msg = [0xffu8; 4099];
+        let tag = mac(&key, &msg);
+        let mut pieces = Poly1305::new(&key);
+        msg.chunks(7).for_each(|piece| pieces.update(piece));
+        assert_eq!(pieces.finalize(), tag);
     }
 
     #[test]

@@ -27,7 +27,8 @@
 //! type, and [`backend`] only reports it. The hardware kernel needs
 //! `unsafe` (`#[target_feature]` functions and raw 16-byte loads); it
 //! is confined to that one private module behind two safe functions,
-//! and the crate denies `unsafe_code` everywhere else.
+//! and the crate denies `unsafe_code` everywhere but there and in
+//! `chacha20`'s AVX2 kernel, which is fenced the same way.
 //!
 //! A port to real SGX would not execute `cpuid` inside the enclave (it
 //! faults there): it would dispatch on the feature bits the SDK caches

@@ -1,9 +1,10 @@
 //! The SHA-256 compression function on the x86-64 SHA extensions.
 //!
-//! This is the only module in the workspace's library crates that
-//! contains `unsafe`: the crate root says `#![deny(unsafe_code)]`, the
-//! `mod` line for this file carries the one `#[allow(unsafe_code)]`,
-//! and CI's lint job greps that it stays that way. The `unsafe` is
+//! One of the two modules in the workspace's library crates that
+//! contain `unsafe` (the other is `chacha20::avx2`): the crate root
+//! says `#![deny(unsafe_code)]`, the `mod` line for this file carries
+//! its own `#[allow(unsafe_code)]`, and CI's lint job greps that the
+//! set stays exactly those two files. The `unsafe` is
 //! there for two things safe Rust has no operation for: executing
 //! instructions the build target does not guarantee (`sha256rnds2`,
 //! `sha256msg1`, `sha256msg2`, plus the SSSE3 / SSE4.1 shuffles around

@@ -268,6 +268,19 @@ fn chacha20_rfc7539_sunscreen_encryption() {
 // --------------------------------------------------------------------------
 // Poly1305 and ChaCha20-Poly1305 — RFC 8439.
 
+/// The tag over `msg` three ways: one shot (whole blocks as one run
+/// from the slice), sixteen bytes at a time (every block a run of its
+/// own) and byte by byte (everything through the buffer).
+fn poly1305_every_way(key: &[u8; 32], msg: &[u8]) -> [u8; 16] {
+    let tag = poly1305::mac(key, msg);
+    for piece in [16, 1] {
+        let mut mac = poly1305::Poly1305::new(key);
+        msg.chunks(piece).for_each(|chunk| mac.update(chunk));
+        assert_eq!(mac.finalize(), tag, "{piece} bytes at a time");
+    }
+    tag
+}
+
 #[test]
 fn poly1305_rfc8439_2_5_2() {
     let key: [u8; 32] = unhex(
@@ -277,8 +290,48 @@ fn poly1305_rfc8439_2_5_2() {
     .try_into()
     .unwrap();
     assert_eq!(
-        poly1305::mac(&key, b"Cryptographic Forum Research Group").to_vec(),
+        poly1305_every_way(&key, b"Cryptographic Forum Research Group").to_vec(),
         unhex("a8061dc1305136c6c22b8baf0c0127a9")
+    );
+}
+
+/// RFC 8439 Appendix A.3, vectors 1–4 (vectors 5–11, the limb edge
+/// cases, are in the module's own tests).
+#[test]
+fn poly1305_rfc8439_appendix_a3() {
+    let ietf = b"Any submission to the IETF intended by the Contributor for publi\
+cation as all or part of an IETF Internet-Draft or RFC and any statement made within the c\
+ontext of an IETF activity is considered an \"IETF Contribution\". Such statements include \
+oral statements in IETF sessions, as well as written and electronic communications made at \
+any time or place, which are addressed to";
+    let jabberwocky = b"'Twas brillig, and the slithy toves\nDid gyre and gimble in the wab\
+e:\nAll mimsy were the borogoves,\nAnd the mome raths outgrabe.";
+    let s = unhex("36e5f6b5c5e06070f0efca96227a863e");
+    let key = |r: &[u8], s: &[u8]| -> [u8; 32] {
+        let mut k = [0u8; 32];
+        k[..r.len()].copy_from_slice(r);
+        k[16..16 + s.len()].copy_from_slice(s);
+        k
+    };
+    // #1: an all-zero key tags anything with zero.
+    assert_eq!(poly1305_every_way(&[0; 32], &[0; 64]), [0; 16]);
+    // #2: r = 0, so the tag is s.
+    assert_eq!(poly1305_every_way(&key(&[], &s), ietf).to_vec(), s);
+    // #3: s = 0, r as above.
+    assert_eq!(
+        poly1305_every_way(&key(&s, &[]), ietf).to_vec(),
+        unhex("f3477e7cd95417af89a6b8794c310cf0")
+    );
+    // #4
+    let k: [u8; 32] = unhex(
+        "1c9240a5eb55d38af333888604f6b5f0\
+         473917c1402b80099dca5cbc207075c0",
+    )
+    .try_into()
+    .unwrap();
+    assert_eq!(
+        poly1305_every_way(&k, jabberwocky).to_vec(),
+        unhex("4541669a7eaaee61e708dc7cbcc5eb62")
     );
 }
 
@@ -304,25 +357,35 @@ fn chacha20_poly1305_rfc8439_2_8_2() {
     let aad = unhex("50515253c0c1c2c3c4c5c6c7");
     let plaintext = b"Ladies and Gentlemen of the class of '99: If I could offer you \
                       only one tip for the future, sunscreen would be it.";
-    let sealed = aead::auth_encrypt_with_nonce(&key, &nonce, plaintext, &aad).unwrap();
+    let ciphertext = unhex(
+        "d31a8d34648e60db7b86afbc53ef7ec2\
+         a4aded51296e08fea9e2b5a736ee62d6\
+         3dbea45e8ca9671282fafb69da92728b\
+         1a71de0a9e060b2905d6a5b67ecd3b36\
+         92ddbd7f2d778b8c9803aee328091b58\
+         fab324e4fad675945585808b4831d7bc\
+         3ff4def08e4b7a9de576d26586cec64b\
+         6116",
+    );
+    let tag = unhex("1ae10b594f09e26a7e902ecbd0600691");
     // Wire layout: nonce (12) ‖ ciphertext ‖ tag (16).
-    assert_eq!(sealed[..12], nonce);
-    assert_eq!(
-        sealed[12..sealed.len() - 16].to_vec(),
-        unhex(
-            "d31a8d34648e60db7b86afbc53ef7ec2\
-             a4aded51296e08fea9e2b5a736ee62d6\
-             3dbea45e8ca9671282fafb69da92728b\
-             1a71de0a9e060b2905d6a5b67ecd3b36\
-             92ddbd7f2d778b8c9803aee328091b58\
-             fab324e4fad675945585808b4831d7bc\
-             3ff4def08e4b7a9de576d26586cec64b\
-             6116"
-        )
-    );
-    assert_eq!(
-        sealed[sealed.len() - 16..].to_vec(),
-        unhex("1ae10b594f09e26a7e902ecbd0600691")
-    );
+    let expected = [&nonce[..], &ciphertext, &tag].concat();
+
+    // Through the wrappers.
+    let sealed = aead::auth_encrypt_with_nonce(&key, &nonce, plaintext, &aad).unwrap();
+    assert_eq!(sealed, expected);
     assert_eq!(aead::auth_decrypt(&key, &sealed, &aad).unwrap(), plaintext);
+
+    // In place, behind framing the seal must not touch.
+    let framing = b"route hint";
+    let mut buf = [&framing[..], &nonce, plaintext].concat();
+    aead::seal_in_place(&key, &nonce, &aad, &mut buf, framing.len() + 12).unwrap();
+    assert_eq!(&buf[..framing.len()], framing);
+    assert_eq!(&buf[framing.len()..], &expected[..]);
+    let opened = aead::open_in_place(&key, &aad, &mut buf[framing.len()..]).unwrap();
+    assert_eq!(opened, plaintext);
+    assert_eq!(
+        &buf[..framing.len() + 12],
+        &[&framing[..], &nonce].concat()[..]
+    );
 }

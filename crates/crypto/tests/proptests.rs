@@ -115,6 +115,50 @@ proptest! {
         prop_assert_eq!(mac.finalize(), poly1305::mac(&key, &data));
     }
 
+    /// The tag an AEAD seal appends — whole blocks absorbed as runs
+    /// from the caller's slices, the padded tails and the lengths
+    /// block built on the stack — is the tag of the RFC's MAC input
+    /// `aad ‖ pad16 ‖ ct ‖ pad16 ‖ len(aad) ‖ len(ct)` absorbed one
+    /// block per call, and of the same input streamed in random cuts.
+    #[test]
+    fn aead_tag_is_the_one_block_tag_of_the_rfc_mac_input(
+        key in any::<[u8; 32]>(),
+        nonce in any::<[u8; 12]>(),
+        plaintext in proptest::collection::vec(any::<u8>(), 0..=4096),
+        aad_pick in 0usize..6,
+        cuts in proptest::collection::vec(0usize..=4300, 0..8),
+    ) {
+        let aad_len = [0usize, 1, 15, 16, 17, 40][aad_pick];
+        let aad: Vec<u8> = (0..aad_len).map(|i| i as u8 ^ key[0]).collect();
+        let sealed =
+            aead::auth_encrypt_with_nonce(&AeadKey::from_raw(key), &nonce, &plaintext, &aad)
+                .unwrap();
+        let (ciphertext, tag) = sealed[12..].split_at(plaintext.len());
+
+        let mut input = aad.clone();
+        input.resize(aad.len().next_multiple_of(16), 0);
+        input.extend_from_slice(ciphertext);
+        input.resize(input.len().next_multiple_of(16), 0);
+        input.extend_from_slice(&(aad.len() as u64).to_le_bytes());
+        input.extend_from_slice(&(ciphertext.len() as u64).to_le_bytes());
+
+        let stream = chacha20::AeadStream::new(&key, &nonce);
+        let mut one_block = Poly1305::new(stream.poly1305_key());
+        input.chunks(16).for_each(|block| one_block.update(block));
+        prop_assert_eq!(&one_block.finalize()[..], tag);
+
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (input.len() + 1)).collect();
+        cuts.push(input.len());
+        cuts.sort_unstable();
+        let mut streamed = Poly1305::new(stream.poly1305_key());
+        let mut from = 0;
+        for cut in cuts {
+            streamed.update(&input[from..cut]);
+            from = cut;
+        }
+        prop_assert_eq!(&streamed.finalize()[..], tag);
+    }
+
     /// ChaCha20 is an involution: applying the keystream twice restores
     /// the plaintext.
     #[test]

@@ -171,6 +171,14 @@ impl Default for CostModel {
             // 2-core reference container (ChaCha20-Poly1305, mean of
             // encrypt and decrypt): 145 B 0.43 µs, 1 KiB 1.70 µs,
             // 16 KiB 23.4 µs ⇒ 1.41 ns/B over a 0.25 µs intercept.
+            // The values stay there (the validation bands and figure
+            // bins depend on them). Re-measured per ChaCha20 kernel
+            // with radix-2⁶⁴ Poly1305 (2.1 GHz Xeon), the two fits a
+            // `measured(trace)` profile takes: lane-array 145 B
+            // 0.47 µs, 1 KiB 1.74 µs, 16 KiB 23.9 µs ⇒ 1.44 ns/B over
+            // 0.26 µs; AVX2 145 B 0.37 µs, 1 KiB 1.33 µs, 16 KiB
+            // 14.8 µs ⇒ 0.89 ns/B over 0.24 µs. In place (no copy, no
+            // `thread_rng` nonce) a 145 B seal is 0.30 µs on AVX2.
             aead_fixed: Duration::from_nanos(250),
             aead_ns_per_byte: 1.4,
             enclave_exec: Duration::from_micros(2),
