@@ -136,12 +136,12 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use lcm_crypto::sha256::Digest;
 use lcm_runtime::queue::{BoundedQueue, QueueStats};
-use lcm_runtime::WorkerPool;
+use lcm_runtime::{CountedCondvar, WorkerPool};
 use lcm_storage::{NamespacedStorage, StableStorage};
 use lcm_tee::attestation::Quote;
 use lcm_tee::world::TeeWorld;
@@ -503,11 +503,16 @@ pub(crate) struct ShardCore {
     shards: Vec<Shard>,
     book: Mutex<ReplyBook>,
     /// Notified whenever `settled` advances or an error is recorded —
-    /// what [`ShardCore::wait_quiescent`] waits on.
-    settled_cv: Condvar,
+    /// what [`ShardCore::wait_quiescent`] waits on. Like `work_cv`, a
+    /// counted wait point: the waiter registers under the mutex it
+    /// waits with (`book` here, `work` there), every notifier has
+    /// changed that mutex's state before it reads the count, so a
+    /// notify with nobody parked is skipped and none is lost
+    /// ([`lcm_runtime::parked`]).
+    settled_cv: CountedCondvar,
     /// Work-arrival signal for attached driver threads.
     work: Mutex<u64>,
-    work_cv: Condvar,
+    work_cv: CountedCondvar,
     /// Driver threads currently willing to drain the ingress. With
     /// none attached, a full ingress is relieved *inline* by the
     /// submitting thread (there is nobody else to drain it — blocking
@@ -559,9 +564,9 @@ impl ShardCore {
                 })
                 .collect(),
             book: Mutex::new(ReplyBook::new()),
-            settled_cv: Condvar::new(),
+            settled_cv: CountedCondvar::new(),
             work: Mutex::new(0),
-            work_cv: Condvar::new(),
+            work_cv: CountedCondvar::new(),
             active_drivers: AtomicUsize::new(0),
             window: AtomicBool::new(false),
             admission: Arc::new(AdmissionState::new()),
@@ -979,10 +984,7 @@ impl ShardCore {
     pub(crate) fn wait_quiescent(&self) {
         let mut book = self.book();
         while book.settled < book.issued {
-            book = self
-                .settled_cv
-                .wait(book)
-                .unwrap_or_else(|e| e.into_inner());
+            book = self.settled_cv.wait(book);
         }
     }
 
@@ -991,11 +993,7 @@ impl ShardCore {
     pub(crate) fn wait_work(&self, last_epoch: u64, timeout: Duration) -> u64 {
         let mut epoch = self.work.lock().unwrap_or_else(|e| e.into_inner());
         if *epoch == last_epoch {
-            let (guard, _) = self
-                .work_cv
-                .wait_timeout(epoch, timeout)
-                .unwrap_or_else(|e| e.into_inner());
-            epoch = guard;
+            epoch = self.work_cv.wait_timeout(epoch, timeout);
         }
         *epoch
     }

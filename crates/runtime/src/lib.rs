@@ -10,6 +10,9 @@
 //!   the **back-pressure** mechanism of the server pipeline — a slow
 //!   disk eventually slows the enclave instead of buffering unbounded
 //!   sealed state in memory.
+//! * [`parked::CountedCondvar`] — the one wait point every hand-off
+//!   in the workspace parks on: a condition variable that counts its
+//!   waiters, so a notify with nobody parked is not a system call.
 //! * [`pool::WorkerPool`] — a fixed set of worker threads draining a
 //!   shared job queue, with [`task::JoinHandle`]s for results.
 //! * [`stage::StageWorker`] — the reactor loop of one pipeline stage: a
@@ -46,11 +49,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod parked;
 pub mod pool;
 pub mod queue;
 pub mod stage;
 pub mod task;
 
+pub use parked::CountedCondvar;
 pub use pool::WorkerPool;
 pub use queue::{BoundedQueue, PushError, QueueStats};
 pub use stage::StageWorker;

@@ -1,7 +1,18 @@
 //! A blocking MPMC queue with a hard capacity bound.
+//!
+//! Both wait points (`not_empty`, `not_full`) are
+//! [`CountedCondvar`]s: a `push` or `pop` that finds nobody parked on
+//! the other side makes no system call. The rule and its proof are in
+//! [`crate::parked`] — waiters register under the queue's mutex before
+//! releasing it, `push`/`pop` change the queue under that mutex before
+//! reading the count, so the mutex orders the two and no wake-up is
+//! lost. `close` goes through the same calls: a closed flag set under
+//! the mutex is a predicate change like any other.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
+
+use crate::parked::CountedCondvar;
 
 /// Counters describing a queue's lifetime activity.
 ///
@@ -53,8 +64,8 @@ struct State<T> {
 pub struct BoundedQueue<T> {
     capacity: usize,
     state: Mutex<State<T>>,
-    not_empty: Condvar,
-    not_full: Condvar,
+    not_empty: CountedCondvar,
+    not_full: CountedCondvar,
 }
 
 impl<T> std::fmt::Debug for BoundedQueue<T> {
@@ -78,8 +89,8 @@ impl<T> BoundedQueue<T> {
                 closed: false,
                 stats: QueueStats::default(),
             }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
+            not_empty: CountedCondvar::new(),
+            not_full: CountedCondvar::new(),
         }
     }
 
@@ -117,7 +128,7 @@ impl<T> BoundedQueue<T> {
         if st.items.len() >= self.capacity && !st.closed {
             st.stats.blocked_pushes += 1;
             while st.items.len() >= self.capacity && !st.closed {
-                st = self.wait_not_full(st);
+                st = self.not_full.wait(st);
             }
         }
         if st.closed {
@@ -129,13 +140,6 @@ impl<T> BoundedQueue<T> {
         drop(st);
         self.not_empty.notify_one();
         Ok(())
-    }
-
-    fn wait_not_full<'a>(
-        &self,
-        guard: std::sync::MutexGuard<'a, State<T>>,
-    ) -> std::sync::MutexGuard<'a, State<T>> {
-        self.not_full.wait(guard).unwrap_or_else(|e| e.into_inner())
     }
 
     /// Enqueues `item` without blocking.
@@ -174,7 +178,7 @@ impl<T> BoundedQueue<T> {
             if st.closed {
                 return None;
             }
-            st = self.not_empty.wait(st).unwrap_or_else(|e| e.into_inner());
+            st = self.not_empty.wait(st);
         }
     }
 
@@ -199,11 +203,7 @@ impl<T> BoundedQueue<T> {
             let left = deadline
                 .checked_duration_since(now)
                 .filter(|d| !d.is_zero())?;
-            let (guard, _timed_out) = self
-                .not_empty
-                .wait_timeout(st, left)
-                .unwrap_or_else(|e| e.into_inner());
-            st = guard;
+            st = self.not_empty.wait_timeout(st, left);
         }
     }
 
@@ -309,6 +309,140 @@ mod tests {
         q.close();
         assert_eq!(q.pop_timeout(Duration::from_millis(5)), None);
         assert!(q.is_closed());
+    }
+
+    /// Runs `body` on its own thread and fails — instead of hanging the
+    /// suite — if it has not finished within a minute: what a lost
+    /// wake-up looks like from outside.
+    fn must_finish(body: impl FnOnce() + Send + 'static) {
+        let (done_tx, done) = std::sync::mpsc::channel();
+        let runner = thread::spawn(move || {
+            body();
+            let _ = done_tx.send(());
+        });
+        done.recv_timeout(std::time::Duration::from_secs(60))
+            .expect("a thread stayed parked: lost wake-up");
+        runner.join().unwrap();
+    }
+
+    /// Tiny xorshift: how many times a thread yields before its next
+    /// queue operation, so the rounds cover different interleavings
+    /// reproducibly.
+    fn yields(state: &mut u64) {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        for _ in 0..*state % 4 {
+            thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn counted_waiters_lose_no_wake_up_through_a_one_slot_queue() {
+        const PRODUCERS: u64 = 3;
+        const CONSUMERS: u64 = 2;
+        const PER_PRODUCER: u64 = 4;
+        must_finish(|| {
+            for round in 0..1_000u64 {
+                // Capacity 1: every push but the first parks on
+                // `not_full`, every pop that outruns a push on
+                // `not_empty` — both wait points, both directions.
+                let q = BoundedQueue::new(1);
+                let popped: u64 = thread::scope(|s| {
+                    let producers: Vec<_> = (0..PRODUCERS)
+                        .map(|p| {
+                            let q = &q;
+                            s.spawn(move || {
+                                let mut rng = (round * 31 + p + 1) * 0x9e37_79b9;
+                                for i in 0..PER_PRODUCER {
+                                    yields(&mut rng);
+                                    q.push(p * 100 + i).unwrap();
+                                }
+                            })
+                        })
+                        .collect();
+                    let consumers: Vec<_> = (0..CONSUMERS)
+                        .map(|c| {
+                            let q = &q;
+                            s.spawn(move || {
+                                let mut rng = (round * 17 + c + 7) * 0x9e37_79b9;
+                                let mut n = 0;
+                                loop {
+                                    yields(&mut rng);
+                                    if q.pop().is_none() {
+                                        return n;
+                                    }
+                                    n += 1;
+                                }
+                            })
+                        })
+                        .collect();
+                    for p in producers {
+                        p.join().unwrap();
+                    }
+                    q.close(); // consumers drain what is left, then see None
+                    consumers.into_iter().map(|c| c.join().unwrap()).sum()
+                });
+                assert_eq!(popped, PRODUCERS * PER_PRODUCER, "round {round}");
+                assert_eq!(q.not_empty.parked() + q.not_full.parked(), 0);
+            }
+        });
+    }
+
+    #[test]
+    fn an_expired_pop_timeout_deregisters_and_later_pops_are_still_woken() {
+        must_finish(|| {
+            let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(2));
+            assert_eq!(q.pop_timeout(std::time::Duration::from_millis(2)), None);
+            // Nobody is parked any more, so this push has nobody to wake…
+            assert_eq!(q.not_empty.parked(), 0);
+            q.push(1).unwrap();
+            assert_eq!(q.pop(), Some(1));
+            // …and the count did not stick or underflow: a blocking pop
+            // that parks now is counted, and the next push wakes it.
+            let consumer = {
+                let q = q.clone();
+                thread::spawn(move || q.pop())
+            };
+            q.not_empty.await_parked(&q.state, 1);
+            q.push(2).unwrap();
+            assert_eq!(consumer.join().unwrap(), Some(2));
+            assert_eq!(q.not_empty.parked(), 0);
+        });
+    }
+
+    #[test]
+    fn close_wakes_every_parked_pusher_and_popper() {
+        must_finish(|| {
+            // Parked poppers on an empty queue.
+            let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(1));
+            let poppers: Vec<_> = (0..3)
+                .map(|_| {
+                    let q = q.clone();
+                    thread::spawn(move || q.pop())
+                })
+                .collect();
+            q.not_empty.await_parked(&q.state, 3);
+            q.close();
+            for p in poppers {
+                assert_eq!(p.join().unwrap(), None);
+            }
+            // Parked pushers on a full one.
+            let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(1));
+            q.push(0).unwrap();
+            let pushers: Vec<_> = (1..4)
+                .map(|i| {
+                    let q = q.clone();
+                    thread::spawn(move || q.push(i))
+                })
+                .collect();
+            q.not_full.await_parked(&q.state, 3);
+            q.close();
+            for (i, p) in (1..4).zip(pushers) {
+                assert_eq!(p.join().unwrap(), Err(i), "closed: item handed back");
+            }
+            assert_eq!(q.pop(), Some(0), "what was queued still drains");
+        });
     }
 
     #[test]

@@ -1,16 +1,24 @@
 //! One pipeline stage: a dedicated thread reacting to items on a
 //! bounded inbox.
+//!
+//! The worker reports each finished item on a
+//! [`CountedCondvar`]: `flush` registers under the progress mutex
+//! before it parks, the worker bumps the counter under that mutex
+//! before it reads the waiter count — so an item finished with nobody
+//! flushing costs no system call, and a flush never misses the item it
+//! waits for (the rule and its proof: [`crate::parked`]).
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread;
 
+use crate::parked::CountedCondvar;
 use crate::queue::{BoundedQueue, QueueStats};
 
 /// Monotone progress counter the worker bumps after disposing of each
 /// item; `flush` waits on it.
 struct Progress {
     done: Mutex<u64>,
-    advanced: Condvar,
+    advanced: CountedCondvar,
 }
 
 impl Progress {
@@ -24,7 +32,7 @@ impl Progress {
     fn wait_until(&self, target: u64) {
         let mut done = self.done.lock().unwrap_or_else(|e| e.into_inner());
         while *done < target {
-            done = self.advanced.wait(done).unwrap_or_else(|e| e.into_inner());
+            done = self.advanced.wait(done);
         }
     }
 }
@@ -65,7 +73,7 @@ impl<T: Send + 'static> StageWorker<T> {
         let queue = Arc::new(BoundedQueue::new(capacity));
         let progress = Arc::new(Progress {
             done: Mutex::new(0),
-            advanced: Condvar::new(),
+            advanced: CountedCondvar::new(),
         });
         let thread = {
             let queue = queue.clone();
@@ -149,6 +157,7 @@ impl<T> Drop for StageWorker<T> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Condvar;
     use std::time::Duration;
 
     #[test]
@@ -213,6 +222,66 @@ mod tests {
         gate.1.notify_all();
         stage.flush();
         assert_eq!(count.load(Ordering::SeqCst), 1);
+    }
+
+    /// A stage whose handler announces each item and then blocks until
+    /// the test lets it finish.
+    fn gated_stage() -> (
+        StageWorker<u32>,
+        std::sync::mpsc::Receiver<u32>,
+        std::sync::mpsc::Sender<()>,
+    ) {
+        let (entered_tx, entered) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel::<()>();
+        let stage = StageWorker::spawn("gated-flush", 4, move |n: u32| {
+            entered_tx.send(n).unwrap();
+            release_rx.recv().unwrap();
+        });
+        (stage, entered, release)
+    }
+
+    #[test]
+    fn flush_returns_when_the_last_item_completes() {
+        let (mut stage, entered, release) = gated_stage();
+        stage.submit(1).unwrap();
+        assert_eq!(entered.recv().unwrap(), 1); // in the handler, not done
+        let (flushed_tx, flushed) = std::sync::mpsc::channel();
+        thread::scope(|s| {
+            let stage = &stage;
+            s.spawn(move || {
+                stage.flush();
+                flushed_tx.send(()).unwrap();
+            });
+            // Wait until the flusher is parked, so the worker's report
+            // is the wake-up that must reach it.
+            let progress = &stage.progress;
+            progress.advanced.await_parked(&progress.done, 1);
+            assert!(flushed.try_recv().is_err(), "flushed before the item");
+            release.send(()).unwrap();
+            flushed
+                .recv_timeout(Duration::from_secs(60))
+                .expect("flush missed the last item's completion");
+        });
+        // Nothing outstanding, nobody parked: a flush now returns at
+        // once and an item finishing now has nobody to wake.
+        stage.flush();
+        assert_eq!(stage.progress.advanced.parked(), 0);
+    }
+
+    #[test]
+    fn flush_covers_an_item_submitted_while_the_worker_was_busy() {
+        let (mut stage, entered, release) = gated_stage();
+        stage.submit(1).unwrap();
+        assert_eq!(entered.recv().unwrap(), 1);
+        // The second submit lands while the first item is still in the
+        // handler: `flush` must wait for both, and each completion is
+        // reported with or without a flusher parked at that moment.
+        stage.submit(2).unwrap();
+        release.send(()).unwrap();
+        assert_eq!(entered.recv().unwrap(), 2);
+        release.send(()).unwrap();
+        stage.flush();
+        assert_eq!(*stage.progress.done.lock().unwrap(), 2);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! One-shot result slots for work handed to another thread.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
+
+use crate::parked::CountedCondvar;
 
 enum SlotState<T> {
     Pending,
@@ -12,7 +14,7 @@ enum SlotState<T> {
 
 struct Slot<T> {
     state: Mutex<SlotState<T>>,
-    ready: Condvar,
+    ready: CountedCondvar,
 }
 
 /// The producing side of a [`JoinHandle`]: delivers exactly one value.
@@ -70,7 +72,7 @@ impl<T> JoinHandle<T> {
                 SlotState::Done(v) => return Some(v),
                 SlotState::Abandoned => return None,
                 SlotState::Pending => {
-                    st = self.slot.ready.wait(st).unwrap_or_else(|e| e.into_inner());
+                    st = self.slot.ready.wait(st);
                 }
             }
         }
@@ -94,7 +96,7 @@ impl<T> JoinHandle<T> {
 pub fn promise<T>() -> (Completer<T>, JoinHandle<T>) {
     let slot = Arc::new(Slot {
         state: Mutex::new(SlotState::Pending),
-        ready: Condvar::new(),
+        ready: CountedCondvar::new(),
     });
     (
         Completer {

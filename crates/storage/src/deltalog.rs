@@ -7,20 +7,24 @@
 //! sealed *deltas* per batch, and this engine journals them into an
 //! append-style segmented log over any inner [`StableStorage`], with
 //!
-//! * a **group-commit writer** — concurrent delta stores from many
-//!   shards'/replicas' lanes are drained into one inner write (one
-//!   modelled fsync) by whichever caller wins the committer role, the
-//!   rest blocking until their record is durable;
-//! * **sealed segments** — the active journal head is sealed into an
-//!   immutable segment once it reaches
-//!   [`DeltaLogConfig::segment_bytes`];
+//! * a **group-commit writer, two commits deep** — concurrent delta
+//!   stores from many shards'/replicas' lanes are drained into one
+//!   inner write (one modelled fsync) of a journal *head* by whichever
+//!   caller wins the committer role, the rest blocking until their
+//!   record is durable. There are two heads (`dlog.head` and
+//!   `dlog.head.1`): a store that finds a commit on the device takes
+//!   the free head and starts its own inner write at once, instead of
+//!   waiting out a write it is not part of and then its own;
+//! * **sealed segments** — a head is sealed into an immutable segment
+//!   once it reaches [`DeltaLogConfig::segment_bytes`], with the engine
+//!   lock released while the other head keeps committing;
 //! * **compaction** — a sealed checkpoint store supersedes the slot's
 //!   older deltas; fully superseded segments are garbage-collected from
 //!   the low end of the log;
-//! * **recovery** — reopening scans checkpoints + segments + head,
-//!   truncates any torn head tail at the last intact frame
-//!   ([`crate::framing`]), and replays the surviving records in epoch
-//!   order.
+//! * **recovery** — reopening scans checkpoints + segments + both
+//!   heads, truncates a torn head tail at that head's last intact frame
+//!   ([`crate::framing`]), and replays the surviving records merged in
+//!   epoch order. A medium that only ever had one head opens unchanged.
 //!
 //! The engine never opens a seal: deltas and checkpoints are opaque
 //! ciphertexts that it routes by a one-byte *kind* prefix the enclave
@@ -30,24 +34,58 @@
 //! reorders, drops, or splices journal records is detected exactly like
 //! any other rollback/forking attempt.
 //!
-//! Crash-safety invariants (exercised by the recovery proptests in
-//! `tests/storage_torture.rs`):
+//! # Two commits in flight: the three rules
 //!
-//! 1. every record is tagged with a monotone *epoch*, so replaying a
-//!    prefix of inner writes — in any order the host flushed them —
-//!    recovers a *prefix* of the committed history;
+//! 1. **Acknowledge in order.** Commits are numbered as they take the
+//!    queue, each takes a *prefix* of the epoch-ordered queue, and one
+//!    publishes — `committed_epoch`, the slot mirrors, its callers'
+//!    return — only after every earlier one has. So no `store` returns
+//!    before its record *and every earlier-epoch record* is on the
+//!    medium (or has failed its own caller): an acknowledged record
+//!    never has an unacknowledged predecessor, even when the later
+//!    commit's inner write finishes first.
+//! 2. **One slot, one commit at a time.** A record whose slot has a
+//!    record in the unfinished commit on the other head stays queued
+//!    (and, the queue being taken by prefix, so does everything behind
+//!    it). Two head writes that are in flight together therefore never
+//!    carry the same slot, and whichever of them a crash lands, each
+//!    slot's surviving records are a prefix of that slot's history.
+//!    No lane stores one slot concurrently today; the engine does not
+//!    depend on that.
+//! 3. **Recovery merges both heads by epoch.** Records are keyed by
+//!    epoch wherever they were found (segments, either head — a record
+//!    may be in a segment and still in its head), and a torn tail
+//!    truncates its own head only.
+//!
+//! The single-lane case is the same code with one head ever busy.
+//!
+//! # Crash-safety invariants
+//!
+//! Exercised by the recovery proptests in `tests/storage_torture.rs`:
+//!
+//! 1. every record is tagged with a monotone *epoch* and every
+//!    acknowledged record survives: replaying a prefix of inner writes —
+//!    in any order the host flushed them, with either of two in-flight
+//!    head writes lost — recovers, *per slot*, a prefix of that slot's
+//!    committed history that holds everything acknowledged;
 //! 2. checkpoints alternate between two parity slots and deltas are
 //!    GC-eligible only one checkpoint generation late, so a torn
 //!    checkpoint overwrite always leaves the previous checkpoint plus
 //!    the deltas needed to reach (at least) its state;
 //! 3. the manifest is written before any checkpoint that would make a
-//!    new slot discoverable, and before the head is cleared when a
-//!    segment seals, so no acknowledged record is ever unreachable.
+//!    new slot discoverable, and covers a sealed segment before that
+//!    segment's head is cleared, so no acknowledged record is ever
+//!    unreachable. A seal holds no lock across its three device writes:
+//!    the full head stays marked busy (no commit touches it), its
+//!    segment number is reserved under the lock (garbage collection
+//!    stops below a reserved number, the other head's seal takes the
+//!    next), then segment → manifest → head clear run in that order.
+//!    Manifest writes queue behind one another, never behind the lock.
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use lcm_runtime::CountedCondvar;
 
 use crate::framing;
 use crate::{Result, StableStorage, StorageError};
@@ -63,8 +101,10 @@ pub const BLOB_KIND_DELTA: u8 = 2;
 /// `[3] ‖ frame(checkpoint) ‖ frame(delta)…` ([`parse_bundle`]).
 pub const BLOB_KIND_BUNDLE: u8 = 3;
 
-/// Slot holding the active (unsealed) journal segment.
-const HEAD_SLOT: &str = "dlog.head";
+/// Slots holding the two active (unsealed) journal heads. Head 0 keeps
+/// the name the one-head layout used, so media written by it open as
+/// they are.
+const HEAD_SLOTS: [&str; 2] = ["dlog.head", "dlog.head.1"];
 
 fn seg_slot(k: u64) -> String {
     format!("dlog.seg.{k:08}")
@@ -98,9 +138,18 @@ pub fn parse_bundle(blob: &[u8]) -> Option<(&[u8], Vec<&[u8]>)> {
 
 /// Assembles a recovery bundle from a checkpoint blob and delta blobs
 /// (the inverse of [`parse_bundle`]; public so tests can fabricate
-/// bundles without an engine).
-pub fn make_bundle<'a>(checkpoint: &[u8], deltas: impl Iterator<Item = &'a [u8]>) -> Vec<u8> {
-    let mut bundle = vec![BLOB_KIND_BUNDLE];
+/// bundles without an engine). Sized up front, so the checkpoint — the
+/// O(state) part — is copied exactly once.
+pub fn make_bundle<'a>(
+    checkpoint: &[u8],
+    deltas: impl Iterator<Item = &'a [u8]> + Clone,
+) -> Vec<u8> {
+    let delta_bytes: usize = deltas
+        .clone()
+        .map(|d| framing::FRAME_HEADER + d.len())
+        .sum();
+    let mut bundle = Vec::with_capacity(1 + framing::FRAME_HEADER + checkpoint.len() + delta_bytes);
+    bundle.push(BLOB_KIND_BUNDLE);
     framing::append_frame(&mut bundle, checkpoint);
     for d in deltas {
         framing::append_frame(&mut bundle, d);
@@ -111,7 +160,7 @@ pub fn make_bundle<'a>(checkpoint: &[u8], deltas: impl Iterator<Item = &'a [u8]>
 /// Tuning knobs for [`DeltaLogStorage`].
 #[derive(Debug, Clone, Copy)]
 pub struct DeltaLogConfig {
-    /// Seal the journal head into an immutable segment once it reaches
+    /// Seal a journal head into an immutable segment once it reaches
     /// this many bytes.
     pub segment_bytes: usize,
 }
@@ -127,9 +176,12 @@ impl Default for DeltaLogConfig {
 /// Observable engine counters (monotone since `open`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeltaLogStats {
-    /// Inner writes of the journal head — each one is a group commit
+    /// Inner writes of a journal head — each one is a group commit
     /// covering every record drained that round.
     pub group_commits: u64,
+    /// Group commits that started while the other head's was still
+    /// unfinished — the overlap the second head exists for.
+    pub overlapped_commits: u64,
     /// Delta records appended across all group commits.
     pub records_appended: u64,
     /// Head buffers sealed into immutable segments.
@@ -153,36 +205,121 @@ struct SlotState {
     /// recoverable from its predecessor).
     prev_ckpt_epoch: u64,
     /// Deltas newer than the current checkpoint, by epoch — exactly
-    /// what `load` appends to the checkpoint frame.
-    deltas: BTreeMap<u64, Vec<u8>>,
+    /// what `load` appends to the checkpoint frame. Shared, so `load`
+    /// takes references under the lock and copies outside it.
+    deltas: BTreeMap<u64, Arc<[u8]>>,
     /// A checkpoint of this slot is being written with the core lock
     /// released; the next one waits, because the parity it may
     /// overwrite is whichever this one does not publish.
     ckpt_in_flight: bool,
 }
 
+/// One delta on its way into the journal.
+struct Record {
+    epoch: u64,
+    slot: String,
+    blob: Arc<[u8]>,
+}
+
+/// One of the two journal heads.
+#[derive(Default)]
+struct Head {
+    /// In-memory mirror of the durable head slot. Away with the
+    /// committer (empty here) while the head is `busy`.
+    buf: Vec<u8>,
+    /// (epoch, slot) of every record in the head slot.
+    index: Vec<(u64, String)>,
+    /// The records of the unfinished commit on this head, empty without
+    /// one. Kept here rather than with its committer so the other
+    /// head's next commit can apply rule 2 against it.
+    batch: Vec<Record>,
+    /// A commit or a seal owns this head: its inner writes run with the
+    /// core lock released, and nothing else may touch the head slot.
+    busy: bool,
+}
+
+/// A commit whose inner write failed, kept until each of its callers
+/// has collected the error.
+struct FailedCommit {
+    first: u64,
+    last: u64,
+    message: String,
+    /// Callers (one per record) that have not returned yet.
+    uncollected: usize,
+}
+
 struct Core {
-    /// Records enqueued for the next group commit.
-    queue: Vec<(u64, String, Vec<u8>)>,
+    /// Records enqueued for a coming group commit, in epoch order.
+    queue: VecDeque<Record>,
     next_epoch: u64,
-    /// Highest epoch whose commit round has finished (ok or failed).
+    /// Highest epoch whose commit has published (ok or failed).
     committed_epoch: u64,
-    /// Whether a committer is currently writing the head.
-    committing: bool,
-    /// Epoch ranges whose commit round hit an inner store error.
-    failed: Vec<(u64, u64, String)>,
-    /// In-memory mirror of the durable journal head.
-    head_buf: Vec<u8>,
-    /// (epoch, slot) of every record in the head.
-    head_index: Vec<(u64, String)>,
+    /// Commits are numbered as they take the queue and publish in that
+    /// order (rule 1): `commits_published` is the number of the next
+    /// one allowed to.
+    commits_started: u64,
+    commits_published: u64,
+    failed: Vec<FailedCommit>,
+    heads: [Head; 2],
     seg_lo: u64,
+    /// Next unreserved segment number; a seal in flight holds one below
+    /// it that has no `seg_index` entry yet.
     seg_next: u64,
     /// (epoch, slot) of every record per sealed segment.
     seg_index: BTreeMap<u64, Vec<(u64, String)>>,
     meta_gen: u64,
     meta_parity: u8,
+    /// A manifest write is on the device (lock released); the next
+    /// waits, so generations reach the medium in order.
+    meta_busy: bool,
     slots: HashMap<String, SlotState>,
     stats: DeltaLogStats,
+}
+
+impl Core {
+    /// Starts a group commit if a head is free and the queue's front is
+    /// eligible: takes the longest queue prefix rule 2 allows onto the
+    /// free head, numbers the commit, and returns `(head, number)`.
+    fn begin_commit(&mut self) -> Option<(usize, u64)> {
+        let h = self.heads.iter().position(|head| !head.busy)?;
+        let unfinished = &self.heads[h ^ 1].batch;
+        let eligible = self
+            .queue
+            .iter()
+            .position(|r| unfinished.iter().any(|u| u.slot == r.slot))
+            .unwrap_or(self.queue.len());
+        if eligible == 0 {
+            return None;
+        }
+        if !unfinished.is_empty() {
+            self.stats.overlapped_commits += 1;
+        }
+        let number = self.commits_started;
+        self.commits_started += 1;
+        let head = &mut self.heads[h];
+        head.busy = true;
+        head.batch.extend(self.queue.drain(..eligible));
+        Some((h, number))
+    }
+
+    /// The outcome of the published commit that carried `epoch`; a
+    /// failed commit is forgotten once its last caller has asked.
+    fn collect(&mut self, epoch: u64) -> Result<()> {
+        let Some(i) = self
+            .failed
+            .iter()
+            .position(|f| (f.first..=f.last).contains(&epoch))
+        else {
+            return Ok(());
+        };
+        let failed = &mut self.failed[i];
+        let message = format!("group commit failed: {}", failed.message);
+        failed.uncollected -= 1;
+        if failed.uncollected == 0 {
+            self.failed.swap_remove(i);
+        }
+        Err(StorageError::Io(std::io::Error::other(message)))
+    }
 }
 
 /// The segmented sealed delta-log engine. See the module docs.
@@ -196,9 +333,12 @@ pub struct DeltaLogStorage {
     inner: Arc<dyn StableStorage>,
     config: DeltaLogConfig,
     core: Mutex<Core>,
-    /// Signalled when a group commit finishes and when a checkpoint
-    /// publishes: everything a caller can block on.
-    commit_done: Condvar,
+    /// Everything a caller can block on — a commit publishing, a head
+    /// coming free after a seal, a checkpoint or manifest write
+    /// finishing. Counted: every change is made under `core`'s lock and
+    /// waiters register under it, so a notify with nobody parked (the
+    /// single-lane case, always) is no system call and none is lost.
+    commit_done: CountedCondvar,
 }
 
 impl std::fmt::Debug for DeltaLogStorage {
@@ -206,20 +346,28 @@ impl std::fmt::Debug for DeltaLogStorage {
         let core = self.lock_core();
         f.debug_struct("DeltaLogStorage")
             .field("segments", &(core.seg_lo..core.seg_next))
-            .field("head_bytes", &core.head_buf.len())
+            .field(
+                "head_bytes",
+                &[core.heads[0].buf.len(), core.heads[1].buf.len()],
+            )
             .field("slots", &core.slots.len())
             .field("stats", &core.stats)
             .finish()
     }
 }
 
-fn encode_record(epoch: u64, slot: &str, blob: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + 4 + slot.len() + blob.len());
-    out.extend_from_slice(&epoch.to_be_bytes());
-    out.extend_from_slice(&(slot.len() as u32).to_be_bytes());
-    out.extend_from_slice(slot.as_bytes());
-    out.extend_from_slice(blob);
-    out
+/// Appends the journal frame of `r` — `epoch ‖ len(slot) ‖ slot ‖ blob`
+/// — to a head buffer.
+fn append_record(buf: &mut Vec<u8>, r: &Record) {
+    framing::append_frame_parts(
+        buf,
+        &[
+            &r.epoch.to_be_bytes(),
+            &(r.slot.len() as u32).to_be_bytes(),
+            r.slot.as_bytes(),
+            &r.blob,
+        ],
+    );
 }
 
 fn parse_record(payload: &[u8]) -> Option<(u64, &str, &[u8])> {
@@ -262,23 +410,23 @@ fn parse_meta(buf: &[u8]) -> Option<(u64, u64, u64, Vec<String>)> {
     Some((gen, seg_lo, seg_next, slots))
 }
 
+/// The checkpoint slot's content: one frame over `epoch ‖ blob`, the
+/// blob copied once, straight into it.
 fn encode_ckpt(epoch: u64, blob: &[u8]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(8 + blob.len());
-    payload.extend_from_slice(&epoch.to_be_bytes());
-    payload.extend_from_slice(blob);
-    let mut framed = Vec::new();
-    framing::append_frame(&mut framed, &payload);
+    let mut framed = Vec::with_capacity(framing::FRAME_HEADER + 8 + blob.len());
+    framing::append_frame_parts(&mut framed, &[&epoch.to_be_bytes(), blob]);
     framed
 }
 
-fn parse_ckpt(buf: &[u8]) -> Option<(u64, Vec<u8>)> {
+/// The epoch and (borrowed) blob of a checkpoint slot's content.
+fn parse_ckpt(buf: &[u8]) -> Option<(u64, &[u8])> {
     let scanned = framing::scan(buf);
     if scanned.valid_len != buf.len() {
         return None; // a torn checkpoint overwrite is invalid wholesale
     }
     let payload = *scanned.payloads.first()?;
     let epoch = u64::from_be_bytes(payload.get(..8)?.try_into().ok()?);
-    Some((epoch, payload.get(8..)?.to_vec()))
+    Some((epoch, payload.get(8..)?))
 }
 
 impl DeltaLogStorage {
@@ -300,18 +448,19 @@ impl DeltaLogStorage {
     /// Fails only on inner I/O errors.
     pub fn with_config(inner: Arc<dyn StableStorage>, config: DeltaLogConfig) -> Result<Self> {
         let mut core = Core {
-            queue: Vec::new(),
+            queue: VecDeque::new(),
             next_epoch: 1,
             committed_epoch: 0,
-            committing: false,
+            commits_started: 0,
+            commits_published: 0,
             failed: Vec::new(),
-            head_buf: Vec::new(),
-            head_index: Vec::new(),
+            heads: Default::default(),
             seg_lo: 0,
             seg_next: 0,
             seg_index: BTreeMap::new(),
             meta_gen: 0,
             meta_parity: 0,
+            meta_busy: false,
             slots: HashMap::new(),
             stats: DeltaLogStats::default(),
         };
@@ -360,40 +509,40 @@ impl DeltaLogStorage {
             core.slots.insert(slot, state);
         }
 
-        // Sealed segments, then the head: collect records by epoch.
-        let mut records: BTreeMap<u64, (String, Vec<u8>)> = BTreeMap::new();
-        for k in core.seg_lo..core.seg_next {
-            let Some(buf) = inner.load(&seg_slot(k))? else {
-                continue; // GC'd before a manifest update landed
-            };
-            if buf.is_empty() {
-                continue;
-            }
-            let scanned = framing::scan(&buf);
+        // Sealed segments, then both heads: collect records by epoch
+        // (rule 3 — where a record was found does not matter, and one
+        // found twice is one record).
+        let mut records: BTreeMap<u64, (String, Arc<[u8]>)> = BTreeMap::new();
+        let mut collect = |buf: &[u8], stats: &mut DeltaLogStats| {
+            let scanned = framing::scan(buf);
             if scanned.is_torn(buf.len()) {
-                core.stats.torn_truncations += 1;
+                stats.torn_truncations += 1;
             }
             let mut index = Vec::new();
             for payload in scanned.payloads {
                 if let Some((epoch, slot, blob)) = parse_record(payload) {
                     index.push((epoch, slot.to_string()));
-                    records.insert(epoch, (slot.to_string(), blob.to_vec()));
+                    records.insert(epoch, (slot.to_string(), Arc::from(blob)));
                 }
             }
+            (index, scanned.valid_len)
+        };
+        for k in core.seg_lo..core.seg_next {
+            // A number in the window with nothing (left) behind it — a
+            // seal that reserved it and died, a segment cleared before
+            // the manifest that drops it landed — still gets its (empty)
+            // index, or garbage collection could never pass it.
+            let buf = inner.load(&seg_slot(k))?.unwrap_or_default();
+            let (index, _) = collect(&buf, &mut core.stats);
             core.seg_index.insert(k, index);
         }
-        if let Some(buf) = inner.load(HEAD_SLOT)? {
-            let scanned = framing::scan(&buf);
-            if scanned.is_torn(buf.len()) {
-                core.stats.torn_truncations += 1;
+        for (head, slot) in core.heads.iter_mut().zip(HEAD_SLOTS) {
+            if let Some(mut buf) = inner.load(slot)? {
+                let (index, valid_len) = collect(&buf, &mut core.stats);
+                buf.truncate(valid_len); // a torn tail cuts its own head only
+                head.buf = buf;
+                head.index = index;
             }
-            for payload in &scanned.payloads {
-                if let Some((epoch, slot, blob)) = parse_record(payload) {
-                    core.head_index.push((epoch, slot.to_string()));
-                    records.insert(epoch, (slot.to_string(), blob.to_vec()));
-                }
-            }
-            core.head_buf = buf[..scanned.valid_len].to_vec();
         }
 
         for (epoch, (slot, blob)) in records {
@@ -410,7 +559,7 @@ impl DeltaLogStorage {
             inner,
             config,
             core: Mutex::new(core),
-            commit_done: Condvar::new(),
+            commit_done: CountedCondvar::new(),
         })
     }
 
@@ -428,48 +577,52 @@ impl DeltaLogStorage {
         &self.inner
     }
 
-    /// Writes the manifest to the non-current parity slot with the
-    /// given segment window; on success flips the current parity.
-    fn write_meta(&self, core: &mut Core, seg_lo: u64, seg_next: u64) -> Result<()> {
+    /// Writes the manifest — the current segment window and slot names
+    /// — to the non-current parity slot; on success flips the current
+    /// parity. Call with the core lock **released**: it is taken only to
+    /// read the window and to publish the flip, never across the device
+    /// write, and concurrent manifest writers take turns.
+    fn write_meta(&self) -> Result<()> {
+        let mut core = self.lock_core();
+        while core.meta_busy {
+            core = self.commit_done.wait(core);
+        }
+        core.meta_busy = true;
         let gen = core.meta_gen + 1;
         let parity = core.meta_parity ^ 1;
         let slots: Vec<&String> = core.slots.keys().collect();
-        let buf = encode_meta(gen, seg_lo, seg_next, &slots);
-        self.inner.store(&meta_slot(parity), &buf)?;
-        core.meta_gen = gen;
-        core.meta_parity = parity;
-        Ok(())
+        let buf = encode_meta(gen, core.seg_lo, core.seg_next, &slots);
+        drop(core);
+        let written = self.inner.store(&meta_slot(parity), &buf);
+        let mut core = self.lock_core();
+        core.meta_busy = false;
+        if written.is_ok() {
+            core.meta_gen = gen;
+            core.meta_parity = parity;
+        }
+        drop(core);
+        self.commit_done.notify_all();
+        written
     }
 
-    /// Seals the head into an immutable segment if it is full. Best
-    /// effort: a failed inner write leaves the head in place (records
-    /// stay durable there) and sealing retries at the next commit.
-    fn maybe_seal(&self, core: &mut Core) {
-        if core.head_buf.len() < self.config.segment_bytes {
-            return;
-        }
-        let k = core.seg_next;
-        if self.inner.store(&seg_slot(k), &core.head_buf).is_err() {
-            return;
-        }
+    /// The device writes of sealing head `h`, whose content is `buf`,
+    /// into segment `k` — all with the core lock released.
+    fn seal_writes(&self, h: usize, k: u64, buf: &[u8]) -> Result<()> {
+        self.inner.store(&seg_slot(k), buf)?;
         // The manifest must cover the segment before the head may be
         // cleared, or a crash between the two writes would orphan every
-        // record in it.
-        if self.write_meta(core, core.seg_lo, k + 1).is_err() {
-            return;
-        }
-        let _ = self.inner.store(HEAD_SLOT, &[]); // dup records dedupe by epoch
-        let index = std::mem::take(&mut core.head_index);
-        core.seg_index.insert(k, index);
-        core.seg_next = k + 1;
-        core.head_buf.clear();
-        core.stats.segments_sealed += 1;
+        // record in it. (`k` was reserved before the segment was
+        // written, so any manifest from here on covers it.)
+        self.write_meta()?;
+        let _ = self.inner.store(HEAD_SLOTS[h], &[]); // dup records dedupe by epoch
+        Ok(())
     }
 
     /// Takes the fully superseded segments off the low end of the log
     /// window, returning their numbers for the caller to clear on the
     /// medium. A manifest written before they are cleared merely stops
-    /// naming segments no recovery needs.
+    /// naming segments no recovery needs. Stops below a segment number
+    /// a seal in flight has reserved (it has no index yet).
     fn take_superseded(core: &mut Core) -> std::ops::Range<u64> {
         let lo = core.seg_lo;
         while core.seg_lo < core.seg_next {
@@ -491,108 +644,164 @@ impl DeltaLogStorage {
         lo..core.seg_lo
     }
 
-    /// The group-commit path: enqueue, then either win the committer
-    /// role and drain everything pending into one inner head write, or
-    /// block until a committer covered our epoch.
+    /// The group-commit path: enqueue, then — until a commit that
+    /// carried our record has published — either win the committer role
+    /// on a free head, or block until something changes.
     fn store_delta(&self, slot: &str, blob: &[u8]) -> Result<()> {
+        let blob: Arc<[u8]> = Arc::from(blob);
         let mut core = self.lock_core();
         let epoch = core.next_epoch;
         core.next_epoch += 1;
-        core.queue.push((epoch, slot.to_string(), blob.to_vec()));
+        core.queue.push_back(Record {
+            epoch,
+            slot: slot.to_string(),
+            blob,
+        });
         loop {
-            if let Some(msg) = core
-                .failed
-                .iter()
-                .find(|&&(lo, hi, _)| (lo..=hi).contains(&epoch))
-                .map(|(_, _, m)| m.clone())
-            {
-                return Err(StorageError::Io(std::io::Error::other(format!(
-                    "group commit failed: {msg}"
-                ))));
-            }
             if core.committed_epoch >= epoch {
-                return Ok(());
+                return core.collect(epoch);
             }
-            if !core.committing {
-                core.committing = true;
-                let batch = std::mem::take(&mut core.queue);
-                let first = batch.first().map(|r| r.0).unwrap_or(epoch);
-                let last = batch.last().map(|r| r.0).unwrap_or(epoch);
-                // The head mirror leaves the core for the write (only
-                // the committer touches it) and grows in place; a failed
-                // write cuts it back to the records acknowledged so far.
-                let mut buf = std::mem::take(&mut core.head_buf);
-                let durable_len = buf.len();
-                for (e, s, b) in &batch {
-                    framing::append_frame(&mut buf, &encode_record(*e, s, b));
-                }
-                // One inner write covers the whole drained batch; the
-                // lock is released so more lanes can enqueue meanwhile.
-                drop(core);
-                let written = self.inner.store(HEAD_SLOT, &buf);
-                if written.is_err() {
-                    buf.truncate(durable_len);
-                }
-                core = self.lock_core();
-                core.head_buf = buf;
-                core.committing = false;
-                core.committed_epoch = last;
-                match written {
-                    Ok(()) => {
-                        core.stats.group_commits += 1;
-                        core.stats.records_appended += batch.len() as u64;
-                        for (e, s, b) in batch {
-                            core.head_index.push((e, s.clone()));
-                            core.slots.entry(s).or_default().deltas.insert(e, b);
-                        }
-                        self.maybe_seal(&mut core);
-                    }
-                    Err(e) => core.failed.push((first, last, e.to_string())),
-                }
-                self.commit_done.notify_all();
-                continue;
-            }
-            core = self
-                .commit_done
-                .wait(core)
-                .unwrap_or_else(PoisonError::into_inner);
+            core = match core.begin_commit() {
+                Some((h, number)) => self.commit(core, h, number),
+                None => self.commit_done.wait(core),
+            };
         }
+    }
+
+    /// Runs commit `number`, whose batch [`Core::begin_commit`] put on
+    /// head `h`: one inner write of the whole head with the lock
+    /// released, publication in commit order, and the head's seal if it
+    /// filled up. Returns the re-taken lock.
+    fn commit<'a>(
+        &'a self,
+        mut core: MutexGuard<'a, Core>,
+        h: usize,
+        number: u64,
+    ) -> MutexGuard<'a, Core> {
+        // The head mirror leaves the core for the write (the head is
+        // busy: nobody else touches it) and grows in place; a failed
+        // write cuts it back to the records acknowledged so far.
+        let head = &mut core.heads[h];
+        let mut buf = std::mem::take(&mut head.buf);
+        let durable_len = buf.len();
+        for r in &head.batch {
+            append_record(&mut buf, r);
+        }
+        drop(core);
+        let written = self.inner.store(HEAD_SLOTS[h], &buf);
+
+        let mut core = self.lock_core();
+        // Rule 1: our write may have finished first, our callers do not.
+        while core.commits_published != number {
+            core = self.commit_done.wait(core);
+        }
+        core.commits_published += 1;
+        let batch = std::mem::take(&mut core.heads[h].batch);
+        let (first, last) = (batch[0].epoch, batch[batch.len() - 1].epoch);
+        core.committed_epoch = last;
+        let mut seal_into = None;
+        match &written {
+            Ok(()) => {
+                core.stats.group_commits += 1;
+                core.stats.records_appended += batch.len() as u64;
+                for r in batch {
+                    core.heads[h].index.push((r.epoch, r.slot.clone()));
+                    let state = core.slots.entry(r.slot).or_default();
+                    // A checkpoint of the slot that overtook this record
+                    // has superseded it already.
+                    if r.epoch > state.ckpt_epoch.unwrap_or(0) {
+                        state.deltas.insert(r.epoch, r.blob);
+                    }
+                }
+                if buf.len() >= self.config.segment_bytes {
+                    // Reserved here, under the lock: the other head's
+                    // seal takes the next number, garbage collection
+                    // stops below this one.
+                    seal_into = Some(core.seg_next);
+                    core.seg_next += 1;
+                }
+            }
+            Err(e) => {
+                buf.truncate(durable_len);
+                core.failed.push(FailedCommit {
+                    first,
+                    last,
+                    message: e.to_string(),
+                    uncollected: batch.len(),
+                });
+            }
+        }
+        if let Some(k) = seal_into {
+            // The commit's callers go now; the head stays busy and the
+            // other head keeps committing while this one seals.
+            drop(core);
+            self.commit_done.notify_all();
+            let sealed = self.seal_writes(h, k, &buf);
+            core = self.lock_core();
+            match sealed {
+                Ok(()) => {
+                    let index = std::mem::take(&mut core.heads[h].index);
+                    core.seg_index.insert(k, index);
+                    core.stats.segments_sealed += 1;
+                    buf.clear(); // keeps its capacity for the next fill
+                }
+                // Best effort: the records stay durable in the head and
+                // the seal retries after this head's next commit; the
+                // reserved number stays behind as an empty segment.
+                Err(_) => {
+                    core.seg_index.insert(k, Vec::new());
+                }
+            }
+        }
+        core.heads[h].buf = buf;
+        core.heads[h].busy = false;
+        drop(core);
+        self.commit_done.notify_all();
+        self.lock_core()
     }
 
     /// The compaction path: a checkpoint supersedes the slot's deltas.
     ///
-    /// The O(state) checkpoint write and the per-segment clears of the
-    /// garbage collection that follows run with the core lock
-    /// *released* — every lane of the deployment group-commits through
-    /// that lock, and one lane's compaction must not stall the rest.
-    /// Epoch and parity are reserved under the lock before the write
-    /// and the result is published under it after.
+    /// Every device write here — the manifest that makes a new slot
+    /// discoverable, the O(state) checkpoint, the per-segment clears of
+    /// the garbage collection that follows and its manifest — runs with
+    /// the core lock *released*: every lane of the deployment
+    /// group-commits through that lock, and one lane's compaction must
+    /// not stall the rest. Epoch and parity are reserved under the lock
+    /// before the write and the result is published under it after.
     fn store_checkpoint(&self, slot: &str, blob: &[u8]) -> Result<()> {
         let mut core = self.lock_core();
         while core.slots.get(slot).is_some_and(|s| s.ckpt_in_flight) {
-            core = self
-                .commit_done
-                .wait(core)
-                .unwrap_or_else(PoisonError::into_inner);
+            core = self.commit_done.wait(core);
         }
         let epoch = core.next_epoch;
         core.next_epoch += 1;
-        if !core.slots.contains_key(slot) {
+        let discoverable = core.slots.contains_key(slot);
+        core.slots
+            .entry(slot.to_string())
+            .or_default()
+            .ckpt_in_flight = true;
+        if !discoverable {
             // The slot must be discoverable before its first checkpoint
             // lands, or a crash in between loses it entirely.
-            core.slots.insert(slot.to_string(), SlotState::default());
-            let (lo, next) = (core.seg_lo, core.seg_next);
-            if let Err(e) = self.write_meta(&mut core, lo, next) {
+            drop(core);
+            let listed = self.write_meta();
+            core = self.lock_core();
+            if let Err(e) = listed {
                 core.slots.remove(slot);
+                drop(core);
+                self.commit_done.notify_all();
                 return Err(e);
             }
         }
-        let state = core.slots.get_mut(slot).expect("inserted above");
+        let state = core
+            .slots
+            .get_mut(slot)
+            .expect("slots are never removed once discoverable");
         let parity = match state.ckpt_epoch {
             Some(_) => state.ckpt_parity ^ 1,
             None => 0,
         };
-        state.ckpt_in_flight = true;
         drop(core);
 
         let written = self
@@ -605,26 +814,28 @@ impl DeltaLogStorage {
             .get_mut(slot)
             .expect("slots are never removed once discoverable");
         state.ckpt_in_flight = false;
+        let superseded = match written {
+            Ok(()) => {
+                state.prev_ckpt_epoch = state.ckpt_epoch.unwrap_or(0);
+                state.ckpt_epoch = Some(epoch);
+                state.ckpt_parity = parity;
+                state.deltas = state.deltas.split_off(&(epoch + 1));
+                core.stats.checkpoints += 1;
+                Self::take_superseded(&mut core)
+            }
+            Err(_) => 0..0,
+        };
+        drop(core);
         self.commit_done.notify_all();
         written?;
-        state.prev_ckpt_epoch = state.ckpt_epoch.unwrap_or(0);
-        state.ckpt_epoch = Some(epoch);
-        state.ckpt_parity = parity;
-        state.deltas = state.deltas.split_off(&(epoch + 1));
-        core.stats.checkpoints += 1;
-        let superseded = Self::take_superseded(&mut core);
         if superseded.is_empty() {
             return Ok(());
         }
-        drop(core);
 
         for k in superseded {
             let _ = self.inner.store(&seg_slot(k), &[]);
         }
-
-        let mut core = self.lock_core();
-        let (lo, next) = (core.seg_lo, core.seg_next);
-        let _ = self.write_meta(&mut core, lo, next);
+        let _ = self.write_meta(); // the old manifest merely names cleared segments
         Ok(())
     }
 }
@@ -639,34 +850,35 @@ impl StableStorage for DeltaLogStorage {
     }
 
     fn load(&self, slot: &str) -> Result<Option<Vec<u8>>> {
+        // Under the lock: reference bumps only. The O(state) work — the
+        // checkpoint read, the bundle's assembly — happens outside it.
         let (parity, deltas) = {
             let core = self.lock_core();
-            let Some(state) = core.slots.get(slot) else {
-                drop(core);
-                return self.inner.load(slot);
-            };
-            if state.ckpt_epoch.is_none() {
-                drop(core);
-                return self.inner.load(slot);
+            match core.slots.get(slot) {
+                Some(state) if state.ckpt_epoch.is_some() => (
+                    state.ckpt_parity,
+                    state.deltas.values().cloned().collect::<Vec<_>>(),
+                ),
+                _ => {
+                    drop(core);
+                    return self.inner.load(slot);
+                }
             }
-            (
-                state.ckpt_parity,
-                state.deltas.values().cloned().collect::<Vec<_>>(),
-            )
         };
-        let Some(buf) = self.inner.load(&ckpt_slot(slot, parity))? else {
+        let Some(mut buf) = self.inner.load(&ckpt_slot(slot, parity))? else {
             return Ok(None);
         };
         let Some((_, ckpt_blob)) = parse_ckpt(&buf) else {
             return Ok(None);
         };
         if deltas.is_empty() {
-            return Ok(Some(ckpt_blob));
+            // The blob is the tail of the slot's one frame: hand the
+            // buffer itself back, minus what precedes the blob.
+            let blob_at = buf.len() - ckpt_blob.len();
+            buf.drain(..blob_at);
+            return Ok(Some(buf));
         }
-        Ok(Some(make_bundle(
-            &ckpt_blob,
-            deltas.iter().map(Vec::as_slice),
-        )))
+        Ok(Some(make_bundle(ckpt_blob, deltas.iter().map(|d| &**d))))
     }
 
     fn delta_capable(&self) -> bool {
@@ -678,6 +890,7 @@ impl StableStorage for DeltaLogStorage {
 mod tests {
     use super::*;
     use crate::{DelayedStorage, MemoryStorage};
+    use std::sync::mpsc::{channel, Receiver, Sender};
     use std::time::Duration;
 
     fn ckpt(n: u8) -> Vec<u8> {
@@ -765,9 +978,9 @@ mod tests {
         e.store("s", &delta(3)).unwrap();
         drop(e);
         // Crash mid-append: chop bytes off the durable head.
-        let mut head = inner.load(HEAD_SLOT).unwrap().unwrap();
+        let mut head = inner.load(HEAD_SLOTS[0]).unwrap().unwrap();
         head.truncate(head.len() - 3);
-        inner.store(HEAD_SLOT, &head).unwrap();
+        inner.store(HEAD_SLOTS[0], &head).unwrap();
         let e2 = DeltaLogStorage::open(inner).unwrap();
         assert_eq!(e2.stats().torn_truncations, 1);
         let got = e2.load("s").unwrap().unwrap();
@@ -850,19 +1063,46 @@ mod tests {
         assert_eq!(e.stats().group_commits, head_writes);
     }
 
-    /// A plain store whose checkpoint-slot writes announce themselves
-    /// and then block until released.
-    struct GatedCheckpoints {
+    /// A plain store whose writes to chosen slots announce themselves
+    /// and then block until the test decides their outcome — how the
+    /// tests below hold an inner write on the device without sleeping.
+    #[derive(Default)]
+    struct GatedStore {
         inner: MemoryStorage,
-        entered: Mutex<std::sync::mpsc::Sender<()>>,
-        release: Mutex<std::sync::mpsc::Receiver<()>>,
+        gates: Mutex<HashMap<String, Gate>>,
     }
 
-    impl StableStorage for GatedCheckpoints {
+    #[derive(Clone)]
+    struct Gate {
+        entered: Sender<()>,
+        /// `true` lets the write through, `false` fails it. A test that
+        /// ended (sender dropped) releases whatever is still gated.
+        outcome: Arc<Mutex<Receiver<bool>>>,
+    }
+
+    impl GatedStore {
+        /// Gates every write to exactly `slot`; returns the "a write is
+        /// inside" receiver and the outcome sender.
+        fn gate(&self, slot: &str) -> (Receiver<()>, Sender<bool>) {
+            let (entered, entered_rx) = channel();
+            let (outcome_tx, outcome) = channel();
+            let gate = Gate {
+                entered,
+                outcome: Arc::new(Mutex::new(outcome)),
+            };
+            self.gates.lock().unwrap().insert(slot.to_string(), gate);
+            (entered_rx, outcome_tx)
+        }
+    }
+
+    impl StableStorage for GatedStore {
         fn store(&self, slot: &str, blob: &[u8]) -> Result<()> {
-            if slot.starts_with("dlog.ckpt.") {
-                self.entered.lock().unwrap().send(()).unwrap();
-                self.release.lock().unwrap().recv().unwrap();
+            let gate = self.gates.lock().unwrap().get(slot).cloned();
+            if let Some(gate) = gate {
+                let _ = gate.entered.send(());
+                if gate.outcome.lock().unwrap().recv() == Ok(false) {
+                    return Err(StorageError::Io(std::io::Error::other("gated: failed")));
+                }
             }
             self.inner.store(slot, blob)
         }
@@ -871,38 +1111,184 @@ mod tests {
         }
     }
 
+    /// `e.store(slot, blob)` on its own thread, the result on a channel.
+    fn store_on_a_thread(
+        e: &Arc<DeltaLogStorage>,
+        slot: &'static str,
+        blob: Vec<u8>,
+    ) -> (std::thread::JoinHandle<()>, Receiver<Result<()>>) {
+        let (done_tx, done) = channel();
+        let e = e.clone();
+        let thread = std::thread::spawn(move || done_tx.send(e.store(slot, &blob)).unwrap());
+        (thread, done)
+    }
+
+    /// Spins until `n` callers are parked inside the engine. Waiters
+    /// register under the core lock, so reading `n` with it held means
+    /// they are in `wait`, with everything they did before it visible.
+    fn await_parked(e: &DeltaLogStorage, n: usize) -> MutexGuard<'_, Core> {
+        loop {
+            let core = e.lock_core();
+            if e.commit_done.parked() == n {
+                return core;
+            }
+            drop(core);
+            std::thread::yield_now();
+        }
+    }
+
+    const LONG: Duration = Duration::from_secs(10);
+
     #[test]
     fn a_checkpoint_write_does_not_hold_up_another_slots_delta() {
-        use std::sync::mpsc::channel;
-        let (entered_tx, entered) = channel();
-        let (release, release_rx) = channel();
-        let e = Arc::new(
-            DeltaLogStorage::open(Arc::new(GatedCheckpoints {
-                inner: MemoryStorage::new(),
-                entered: Mutex::new(entered_tx),
-                release: Mutex::new(release_rx),
-            }))
-            .unwrap(),
-        );
-        let checkpointer = {
-            let e = e.clone();
-            std::thread::spawn(move || e.store("a", &ckpt(1)))
-        };
+        let store = Arc::new(GatedStore::default());
+        let (entered, release) = store.gate(&ckpt_slot("a", 0));
+        let e = Arc::new(DeltaLogStorage::open(store).unwrap());
+        let (checkpointer, checkpointed) = store_on_a_thread(&e, "a", ckpt(1));
         entered.recv().unwrap(); // "a"'s checkpoint is inside the inner write
-        let (done_tx, done) = channel();
-        let other_lane = {
-            let e = e.clone();
-            std::thread::spawn(move || done_tx.send(e.store("b", &delta(2))).unwrap())
-        };
-        let outcome = done.recv_timeout(Duration::from_secs(10));
-        release.send(()).unwrap(); // before any assert: never leave a thread gated
-        checkpointer.join().unwrap().unwrap();
+        let (other_lane, done) = store_on_a_thread(&e, "b", delta(2));
+        let outcome = done.recv_timeout(LONG);
+        release.send(true).unwrap(); // before any assert: never leave a thread gated
+        checkpointer.join().unwrap();
         other_lane.join().unwrap();
+        checkpointed.recv().unwrap().unwrap();
         outcome
             .expect("the delta waited for another slot's checkpoint write")
             .unwrap();
         assert_eq!(e.load("a").unwrap().unwrap(), ckpt(1));
         assert_eq!(e.stats().records_appended, 1);
+    }
+
+    #[test]
+    fn a_second_commit_starts_while_the_first_is_on_the_device_and_acknowledges_after_it() {
+        let store = Arc::new(GatedStore::default());
+        let (head0_entered, head0) = store.gate(HEAD_SLOTS[0]);
+        let (head1_entered, head1) = store.gate(HEAD_SLOTS[1]);
+        let e = Arc::new(DeltaLogStorage::open(store).unwrap());
+        let (first, first_done) = store_on_a_thread(&e, "a", delta(1));
+        head0_entered.recv().unwrap(); // "a"'s commit is inside head 0's write
+        let (second, second_done) = store_on_a_thread(&e, "b", delta(2));
+        // With one commit at a time this never comes: "b" would wait
+        // for "a"'s commit to finish before starting its own.
+        let overlapped = head1_entered.recv_timeout(LONG);
+        head1.send(true).unwrap(); // "b"'s inner write finishes first…
+        let early = overlapped.is_ok().then(|| {
+            // …and its committer parks behind rule 1, nothing published.
+            let core = await_parked(&e, 1);
+            (second_done.try_recv().is_ok(), core.committed_epoch)
+        });
+        head0.send(true).unwrap();
+        first.join().unwrap();
+        second.join().unwrap();
+        overlapped.expect("the second slot's delta waited for the first commit");
+        assert_eq!(
+            early,
+            Some((false, 0)),
+            "the later commit acknowledged before the earlier one"
+        );
+        first_done.recv().unwrap().unwrap();
+        second_done.recv().unwrap().unwrap();
+        let stats = e.stats();
+        assert_eq!((stats.group_commits, stats.overlapped_commits), (2, 1));
+        assert_eq!(e.lock_core().committed_epoch, 2);
+    }
+
+    #[test]
+    fn a_same_slot_record_stays_queued_behind_its_slots_in_flight_commit() {
+        let store = Arc::new(GatedStore::default());
+        let (head0_entered, head0) = store.gate(HEAD_SLOTS[0]);
+        // Sender dropped: a write to head 1 would announce itself and
+        // pass, not block the test.
+        let (head1_entered, _) = store.gate(HEAD_SLOTS[1]);
+        let e = Arc::new(DeltaLogStorage::open(store).unwrap());
+        e.store("a", &ckpt(0)).unwrap();
+        let (first, first_done) = store_on_a_thread(&e, "a", delta(1));
+        head0_entered.recv().unwrap();
+        let (same_slot, same_slot_done) = store_on_a_thread(&e, "a", delta(2));
+        let core = await_parked(&e, 1);
+        // Rule 2: head 1 is free, and the record is not on it.
+        let queued_behind = (core.queue.len(), core.heads[1].busy);
+        drop(core);
+        // Rule 1 takes the queue by prefix, so another slot's record
+        // behind the held one waits with it rather than overtaking.
+        let (behind, behind_done) = store_on_a_thread(&e, "b", delta(3));
+        let core = await_parked(&e, 2);
+        let both_queued = (core.queue.len(), core.heads[1].busy);
+        drop(core);
+        head0.send(true).unwrap(); // "a"'s first commit…
+        head0_entered.recv().unwrap();
+        head0.send(true).unwrap(); // …then one commit for what waited
+        for t in [first, same_slot, behind] {
+            t.join().unwrap();
+        }
+        assert_eq!(queued_behind, (1, false));
+        assert_eq!(both_queued, (2, false));
+        assert!(head1_entered.try_recv().is_err(), "nothing went to head 1");
+        for done in [first_done, same_slot_done, behind_done] {
+            done.recv().unwrap().unwrap();
+        }
+        let bundle = e.load("a").unwrap().unwrap();
+        let (_, ds) = parse_bundle(&bundle).unwrap();
+        assert_eq!(ds, vec![&delta(1)[..], &delta(2)[..]]);
+        let stats = e.stats();
+        assert_eq!((stats.group_commits, stats.overlapped_commits), (2, 0));
+    }
+
+    #[test]
+    fn a_sealing_head_does_not_hold_up_a_commit_on_the_other_head() {
+        let store = Arc::new(GatedStore::default());
+        let (seal_entered, seal) = store.gate(&seg_slot(0));
+        let config = DeltaLogConfig { segment_bytes: 16 }; // every commit fills its head
+        let e = Arc::new(DeltaLogStorage::with_config(store.clone(), config).unwrap());
+        e.store("a", &ckpt(0)).unwrap();
+        e.store("b", &ckpt(0)).unwrap();
+        let (sealer, sealed) = store_on_a_thread(&e, "a", delta(1));
+        seal_entered.recv().unwrap(); // head 0's seal is inside its segment write
+        let (other_lane, done) = store_on_a_thread(&e, "b", delta(2));
+        let outcome = done.recv_timeout(LONG);
+        seal.send(true).unwrap();
+        sealer.join().unwrap();
+        other_lane.join().unwrap();
+        outcome
+            .expect("the delta waited for the other head's seal")
+            .unwrap();
+        sealed.recv().unwrap().unwrap();
+        // "b"'s commit filled and sealed head 1 meanwhile — as segment
+        // 1, the number after the one head 0's seal had reserved.
+        assert_eq!(e.stats().segments_sealed, 2);
+        assert_eq!(e.lock_core().seg_index[&1], vec![(4, "b".to_string())]);
+        drop(e);
+        let reopened = DeltaLogStorage::open(store).unwrap();
+        for (slot, d) in [("a", delta(1)), ("b", delta(2))] {
+            let bundle = reopened.load(slot).unwrap().unwrap();
+            assert_eq!(parse_bundle(&bundle).unwrap().1, vec![&d[..]]);
+        }
+    }
+
+    #[test]
+    fn a_failed_commit_fails_its_own_callers_and_not_the_overlapping_commits() {
+        let store = Arc::new(GatedStore::default());
+        let (head0_entered, head0) = store.gate(HEAD_SLOTS[0]);
+        let (head1_entered, head1) = store.gate(HEAD_SLOTS[1]);
+        let e = Arc::new(DeltaLogStorage::open(store.clone()).unwrap());
+        e.store("a", &ckpt(0)).unwrap();
+        e.store("b", &ckpt(0)).unwrap();
+        let (first, first_done) = store_on_a_thread(&e, "a", delta(1));
+        head0_entered.recv().unwrap();
+        let (second, second_done) = store_on_a_thread(&e, "b", delta(2));
+        head1_entered.recv().unwrap();
+        head1.send(true).unwrap();
+        head0.send(false).unwrap(); // the earlier commit's write fails
+        first.join().unwrap();
+        second.join().unwrap();
+        assert!(first_done.recv().unwrap().is_err());
+        second_done.recv().unwrap().unwrap();
+        assert!(e.lock_core().failed.is_empty(), "collected, so forgotten");
+        drop(e);
+        let reopened = DeltaLogStorage::open(store).unwrap();
+        assert_eq!(reopened.load("a").unwrap().unwrap(), ckpt(0));
+        let bundle = reopened.load("b").unwrap().unwrap();
+        assert_eq!(parse_bundle(&bundle).unwrap().1, vec![&delta(2)[..]]);
     }
 
     #[test]
@@ -948,5 +1334,82 @@ mod tests {
         let got = e.load("s").unwrap().unwrap();
         let (_, ds) = parse_bundle(&got).unwrap();
         assert_eq!(ds, vec![&delta(3)[..]]);
+    }
+
+    #[test]
+    fn failed_commits_are_forgotten_once_their_callers_have_the_error() {
+        let flaky = Arc::new(crate::FlakyStorage::new(MemoryStorage::new()));
+        let e = DeltaLogStorage::open(flaky.clone() as Arc<dyn StableStorage>).unwrap();
+        e.store("s", &ckpt(1)).unwrap();
+        flaky.set_mode(crate::FailureMode::FailStores);
+        for round in 0..1_000u32 {
+            assert!(e.store("s", &delta(round as u8)).is_err());
+            assert!(e.lock_core().failed.len() <= 1, "round {round}");
+        }
+        assert!(e.lock_core().failed.is_empty());
+        flaky.set_mode(crate::FailureMode::None);
+        e.store("s", &delta(7)).unwrap();
+        let bundle = e.load("s").unwrap().unwrap();
+        assert_eq!(parse_bundle(&bundle).unwrap().1, vec![&delta(7)[..]]);
+    }
+
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// The bytes the engine puts on the medium and hands the enclave,
+    /// as the one-head engine of commit `2594420` wrote them (recorded
+    /// by this very schedule in a scratch clone): the checkpoint slot,
+    /// the journal head, the manifest and the recovery bundle.
+    #[test]
+    fn medium_and_bundle_bytes_are_the_recorded_ones() {
+        let (inner, e) = engine(1 << 20);
+        let blob = |kind: u8, body: &[u8]| [&[kind][..], body].concat();
+        e.store(
+            "lane.a",
+            &blob(BLOB_KIND_CHECKPOINT, b"checkpoint-of-lane-a"),
+        )
+        .unwrap();
+        e.store("lane.a", &blob(BLOB_KIND_DELTA, b"delta-one"))
+            .unwrap();
+        e.store("lane.b", &blob(BLOB_KIND_DELTA, b"other-lane"))
+            .unwrap();
+        e.store("lane.a", &blob(BLOB_KIND_DELTA, b"delta-two"))
+            .unwrap();
+        let on_medium = |slot: &str| inner.load(slot).unwrap().unwrap();
+        assert_eq!(
+            on_medium("dlog.ckpt.0.lane.a"),
+            unhex("0000001d2e9090c0000000000000000101636865636b706f696e742d6f662d6c616e652d61")
+        );
+        assert_eq!(
+            on_medium("dlog.head"),
+            unhex(concat!(
+                "0000001ca01542d30000000000000002000000066c616e652e610264656c74612d6f6e65",
+                "0000001de9f12f2e0000000000000003000000066c616e652e62026f746865722d6c616e65",
+                "0000001c3d8e4b820000000000000004000000066c616e652e610264656c74612d74776f",
+            ))
+        );
+        assert_eq!(
+            on_medium("dlog.meta.1"),
+            unhex(concat!(
+                "000000264b73d95d000000000000000100000000000000000000000000000000",
+                "00000001000000066c616e652e61",
+            ))
+        );
+        assert_eq!(
+            inner.load("dlog.head.1").unwrap(),
+            None,
+            "one lane, one head"
+        );
+        assert_eq!(
+            e.load("lane.a").unwrap().unwrap(),
+            unhex(concat!(
+                "030000001573e8f4ad01636865636b706f696e742d6f662d6c616e652d61",
+                "0000000ad179d9870264656c74612d6f6e650000000abadfd5100264656c74612d74776f",
+            ))
+        );
     }
 }

@@ -81,10 +81,26 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 /// Appends one framed record holding `payload` to `buf`.
 pub fn append_frame(buf: &mut Vec<u8>, payload: &[u8]) {
-    buf.reserve(FRAME_HEADER + payload.len());
-    buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    buf.extend_from_slice(&crc32(payload).to_be_bytes());
-    buf.extend_from_slice(payload);
+    append_frame_parts(buf, &[payload]);
+}
+
+/// Appends one framed record whose payload is the concatenation of
+/// `parts` — the same bytes as [`append_frame`] over the joined parts,
+/// without joining them first: a writer that prefixes a large blob with
+/// a small header (the journal's `epoch ‖ slot ‖ delta`, a checkpoint's
+/// `epoch ‖ state`) copies the blob once, into its frame. The checksum
+/// runs over the payload where it landed in `buf`.
+pub fn append_frame_parts(buf: &mut Vec<u8>, parts: &[&[u8]]) {
+    let len: usize = parts.iter().map(|p| p.len()).sum();
+    buf.reserve(FRAME_HEADER + len);
+    buf.extend_from_slice(&(len as u32).to_be_bytes());
+    let crc_at = buf.len();
+    buf.extend_from_slice(&[0; 4]);
+    for part in parts {
+        buf.extend_from_slice(part);
+    }
+    let crc = crc32(&buf[crc_at + 4..]);
+    buf[crc_at..crc_at + 4].copy_from_slice(&crc.to_be_bytes());
 }
 
 /// The result of walking a buffer of frames.
@@ -177,6 +193,20 @@ mod tests {
         assert_eq!(out.payloads, vec![&b"first"[..], b"", b"third record"]);
         assert_eq!(out.valid_len, buf.len());
         assert!(!out.is_torn(buf.len()));
+    }
+
+    #[test]
+    fn a_frame_from_parts_is_the_frame_of_their_concatenation() {
+        let parts: [&[u8]; 4] = [b"epoch---", b"", b"slot", &[0xAB; 1000]];
+        let mut joined = Vec::new();
+        append_frame(&mut joined, b"before");
+        let mut from_parts = joined.clone();
+        append_frame(&mut joined, &parts.concat());
+        append_frame_parts(&mut from_parts, &parts);
+        assert_eq!(from_parts, joined);
+        append_frame_parts(&mut from_parts, &[]);
+        assert_eq!(scan(&from_parts).payloads.len(), 3);
+        assert_eq!(scan(&from_parts).valid_len, from_parts.len());
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! appended to the one `checkpoint ‖ deltas` slot of a plain store by
 //! the adapter `LcmServer` puts around it.
 //!
-//! Three attack surfaces, each on both stores, all driven through the
-//! full server stack (enclave + sealing + storage engine), never
+//! Four attack surfaces, the first three on both stores, all driven
+//! through the full server stack (enclave + sealing + storage engine), never
 //! against the engine in isolation:
 //!
 //! 1. **Torn writes** — every write reaching the medium keeps only a
@@ -23,13 +23,25 @@
 //!    of the acknowledged operations, with everything whose commit
 //!    write survived the cut still present.
 //!
+//! 4. **Two lanes, two heads** (proptest) — two lanes journal through
+//!    one engine, so two group commits (or a commit and a seal, a
+//!    checkpoint, a manifest) are on the device together. A gate
+//!    records which inner writes were in flight at once and in what
+//!    order they landed; recovery is judged at every prefix of that
+//!    recording *and* with either one of each concurrent pair lost.
+//!    A medium written by the one-head layout must open unchanged.
+//!
 //! The CI `storage-torture` job repeats this suite with distinct
 //! `LCM_STRESS_SEED`s; the seed is logged so a failing schedule can be
 //! replayed.
 
 mod common;
 
+use std::collections::HashMap;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
+use std::time::Duration;
 
 use lcm::core::admin::AdminHandle;
 use lcm::core::server::{BatchServer, LcmServer};
@@ -39,8 +51,8 @@ use lcm::kvs::client::KvsClient;
 use lcm::kvs::ops::KvOp;
 use lcm::kvs::store::KvStore;
 use lcm::storage::{
-    AdversaryMode, DeltaLogConfig, DeltaLogStorage, MemoryStorage, Result as StorageResult,
-    RollbackStorage, StableStorage,
+    parse_bundle, AdversaryMode, DeltaLogConfig, DeltaLogStorage, MemoryStorage, NamespacedStorage,
+    Result as StorageResult, RollbackStorage, StableStorage,
 };
 use lcm::tee::world::TeeWorld;
 use proptest::prelude::*;
@@ -449,4 +461,369 @@ proptest! {
     ) {
         every_kill_point_recovers(world_seed, n_puts, value_len, Store::Plain)?;
     }
+}
+
+// ---------------------------------------------------------------------
+// Two lanes, two heads: kill points over a recorded interleaving.
+// ---------------------------------------------------------------------
+
+/// What the gate tells the controller about a lane's thread.
+enum LaneEvent {
+    /// Inside an inner write, held until released.
+    Entered(usize),
+    /// Done with its schedule.
+    Finished(usize),
+}
+
+/// Records every inner write like [`RecorderStorage`] — and holds each
+/// write made by a registered lane thread until the controller releases
+/// that lane, so the test sees which writes are on the device together
+/// and decides the order they land in.
+struct GatedRecorder {
+    inner: MemoryStorage,
+    log: Mutex<Vec<WriteRecord>>,
+    lanes: Mutex<HashMap<ThreadId, usize>>,
+    events: Mutex<Sender<LaneEvent>>,
+    releases: [Mutex<Receiver<()>>; 2],
+}
+
+impl GatedRecorder {
+    fn written(&self) -> usize {
+        self.log.lock().unwrap().len()
+    }
+
+    fn tell(&self, event: LaneEvent) {
+        self.events.lock().unwrap().send(event).unwrap();
+    }
+}
+
+impl StableStorage for GatedRecorder {
+    fn store(&self, slot: &str, blob: &[u8]) -> StorageResult<()> {
+        let lane = self
+            .lanes
+            .lock()
+            .unwrap()
+            .get(&std::thread::current().id())
+            .copied();
+        if let Some(lane) = lane {
+            self.tell(LaneEvent::Entered(lane));
+            self.releases[lane].lock().unwrap().recv().unwrap();
+        }
+        // Landing and logging are one step, so the log is the order the
+        // medium saw.
+        let mut log = self.log.lock().unwrap();
+        self.inner.store(slot, blob)?;
+        log.push((slot.to_string(), blob.to_vec()));
+        Ok(())
+    }
+
+    fn load(&self, slot: &str) -> StorageResult<Option<Vec<u8>>> {
+        self.inner.load(slot)
+    }
+}
+
+/// Releases gated writes until both lanes have finished. Whenever both
+/// lanes are held inside an inner write at once, `first_lands` picks
+/// which lands first and the pair is noted: the returned `L`s say
+/// "writes `L` and `L + 1` of the recording were in flight together".
+fn release_in_recorded_order(
+    recorder: &GatedRecorder,
+    events: &Receiver<LaneEvent>,
+    releases: &[Sender<()>; 2],
+    first_lands: &[bool],
+) -> Vec<usize> {
+    #[derive(Clone, Copy, PartialEq)]
+    enum Lane {
+        Running,
+        Held,
+        Finished,
+    }
+    let mut lanes = [Lane::Running; 2];
+    let mut pairs = Vec::new();
+    let mut first_lands = first_lands.iter().cycle();
+    loop {
+        // Let every running lane reach its next inner write. A lane
+        // that stays silent is parked inside the engine behind the
+        // write the other lane is held in (a manifest's turn, say) —
+        // except before the first release, when nothing can be: that
+        // round is waited out, so every recording has a concurrent pair.
+        let patience = match pairs.is_empty() {
+            true => Duration::from_secs(30),
+            false => Duration::from_millis(5),
+        };
+        while lanes.contains(&Lane::Running) {
+            match events.recv_timeout(patience) {
+                Ok(LaneEvent::Entered(l)) => lanes[l] = Lane::Held,
+                Ok(LaneEvent::Finished(l)) => lanes[l] = Lane::Finished,
+                Err(RecvTimeoutError::Timeout) => break,
+                Err(RecvTimeoutError::Disconnected) => panic!("a lane thread died"),
+            }
+        }
+        let held: Vec<usize> = (0..2).filter(|&l| lanes[l] == Lane::Held).collect();
+        let order = match held[..] {
+            [] if lanes == [Lane::Finished; 2] => return pairs,
+            [a, b] => {
+                pairs.push(recorder.written());
+                match first_lands.next() {
+                    Some(true) => vec![a, b],
+                    _ => vec![b, a],
+                }
+            }
+            _ => held,
+        };
+        for l in order {
+            lanes[l] = Lane::Running;
+            releases[l].send(()).unwrap();
+        }
+    }
+}
+
+/// One lane of the two-lane schedule: its own world, admin and client,
+/// its own namespace of the shared engine.
+struct TortureLane {
+    world: TeeWorld,
+    admin: AdminHandle,
+    server: LcmServer<KvStore>,
+}
+
+const LANE_PREFIXES: [&str; 2] = ["laneA.", "laneB."];
+
+fn mk_lane(world: &TeeWorld, engine: &Arc<DeltaLogStorage>, lane: usize) -> LcmServer<KvStore> {
+    let storage = NamespacedStorage::new(
+        engine.clone() as Arc<dyn StableStorage>,
+        LANE_PREFIXES[lane],
+    );
+    LcmServer::<KvStore>::new(&world.platform_deterministic(1), Arc::new(storage), 1)
+}
+
+fn lane_key(i: usize) -> Vec<u8> {
+    format!("key{i}").into_bytes()
+}
+
+fn lane_value(lane: usize, i: usize, value_len: usize) -> Vec<u8> {
+    let mut value = format!("lane{lane}-v{i}-").into_bytes();
+    value.resize(value.len() + value_len, b'=');
+    value
+}
+
+/// Crash-safety with two commits in flight: for every prefix of the
+/// recorded inner writes, and for every pair of writes that were on the
+/// device together with the one that landed first lost instead, both
+/// lanes boot, their chains verify end to end, each lane's surviving
+/// puts are a prefix of *that lane's* schedule, and every put
+/// acknowledged before the cut is still there.
+fn every_two_lane_kill_point_recovers(
+    world_seed: u64,
+    n_puts: usize,
+    value_len: usize,
+    segment_bytes: usize,
+    first_lands: &[bool],
+) -> Result<(), TestCaseError> {
+    let (events_tx, events) = channel();
+    let (release_a, held_a) = channel();
+    let (release_b, held_b) = channel();
+    let recorder = Arc::new(GatedRecorder {
+        inner: MemoryStorage::new(),
+        log: Mutex::new(Vec::new()),
+        lanes: Mutex::new(HashMap::new()),
+        events: Mutex::new(events_tx),
+        releases: [Mutex::new(held_a), Mutex::new(held_b)],
+    });
+    let config = DeltaLogConfig { segment_bytes };
+    let engine = Arc::new(DeltaLogStorage::with_config(recorder.clone(), config).unwrap());
+
+    // Provisioning runs ungated (this thread is no lane) but recorded.
+    let mut lanes: Vec<TortureLane> = (0..2)
+        .map(|lane| {
+            let world = TeeWorld::new_deterministic(9_500 + 2 * world_seed + lane as u64);
+            let mut server = mk_lane(&world, &engine, lane);
+            server.boot().unwrap();
+            let mut admin = AdminHandle::new_deterministic(
+                &world,
+                vec![ClientId(1), ClientId(2)],
+                Quorum::Majority,
+                23,
+            );
+            admin.bootstrap(&mut server).unwrap();
+            TortureLane {
+                world,
+                admin,
+                server,
+            }
+        })
+        .collect();
+
+    // `acked[lane][i]` = recording length when the lane's put i was
+    // acknowledged: cuts at or past it must preserve that put.
+    let (acked, pairs) = std::thread::scope(|s| {
+        let threads: Vec<_> = lanes
+            .iter_mut()
+            .enumerate()
+            .map(|(lane, l)| {
+                let recorder = &recorder;
+                let mut client = KvsClient::new_sharded(ClientId(1), l.admin.client_key(), 1);
+                let server = &mut l.server;
+                s.spawn(move || {
+                    let me = std::thread::current().id();
+                    recorder.lanes.lock().unwrap().insert(me, lane);
+                    let mut acked = Vec::with_capacity(n_puts);
+                    for i in 0..n_puts {
+                        client
+                            .put(server, &lane_key(i), &lane_value(lane, i, value_len))
+                            .unwrap();
+                        acked.push(recorder.written());
+                    }
+                    recorder.lanes.lock().unwrap().remove(&me);
+                    recorder.tell(LaneEvent::Finished(lane));
+                    acked
+                })
+            })
+            .collect();
+        let pairs =
+            release_in_recorded_order(&recorder, &events, &[release_a, release_b], first_lands);
+        let acked: Vec<Vec<usize>> = threads.into_iter().map(|t| t.join().unwrap()).collect();
+        (acked, pairs)
+    });
+    prop_assert!(
+        engine.stats().overlapped_commits > 0,
+        "the schedule never had two group commits in flight: {:?}",
+        engine.stats()
+    );
+    drop(engine);
+    let writes = recorder.log.lock().unwrap().clone();
+
+    // (what reached the medium, how many writes the cut is known to
+    // follow): every prefix, then every concurrent pair with the write
+    // that landed first lost — a crash with both in flight, before
+    // either was acknowledged, in which only the other one landed.
+    let mut cuts: Vec<(Vec<&WriteRecord>, usize)> = (0..=writes.len())
+        .map(|k| (writes[..k].iter().collect(), k))
+        .collect();
+    for &first in &pairs {
+        let mut landed: Vec<&WriteRecord> = writes[..first].iter().collect();
+        landed.push(&writes[first + 1]);
+        cuts.push((landed, first));
+    }
+
+    for (landed, follows) in cuts {
+        let what = format!("cut after {follows} with {} landed", landed.len());
+        let disk: Arc<dyn StableStorage> = Arc::new(MemoryStorage::new());
+        for (slot, blob) in landed {
+            disk.store(slot, blob).unwrap();
+        }
+        let engine = Arc::new(DeltaLogStorage::with_config(disk, config).unwrap());
+        for (lane, l) in lanes.iter().enumerate() {
+            let mut server = mk_lane(&l.world, &engine, lane);
+            server
+                .boot()
+                .unwrap_or_else(|e| panic!("lane {lane} failed to recover, {what}: {e:?}"));
+            let must_hold = acked[lane].iter().filter(|&&at| at <= follows).count();
+            if must_hold == 0 {
+                continue; // cut may predate provisioning: nothing readable yet
+            }
+            let mut fresh = KvsClient::new_sharded(ClientId(2), l.admin.client_key(), 1);
+            let mut lost_from = None;
+            for i in 0..n_puts {
+                let got = fresh
+                    .get(&mut server, &lane_key(i))
+                    .unwrap_or_else(|e| panic!("lane {lane} verified read failed, {what}: {e:?}"));
+                match got {
+                    Some(v) => {
+                        prop_assert!(
+                            lost_from.is_none(),
+                            "lane {lane}, {what}: key{i} present after key{} was lost",
+                            lost_from.unwrap()
+                        );
+                        prop_assert!(
+                            v == lane_value(lane, i, value_len),
+                            "lane {lane}, {what}: key{i} wrong value"
+                        );
+                    }
+                    None => lost_from = lost_from.or(Some(i)),
+                }
+            }
+            let held = lost_from.unwrap_or(n_puts);
+            prop_assert!(
+                held >= must_hold,
+                "lane {lane}, {what}: only {held} puts survived but {must_hold} were acknowledged"
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn every_kill_point_with_two_commits_in_flight_recovers_prefix_consistent_per_lane(
+        world_seed in 0u64..1_000,
+        n_puts in 1usize..7,
+        value_len in 0usize..300,
+        segment_bytes in prop_oneof![Just(192usize), Just(1024), Just(1 << 16)],
+        first_lands in proptest::collection::vec(any::<bool>(), 1..8),
+    ) {
+        every_two_lane_kill_point_recovers(
+            world_seed, n_puts, value_len, segment_bytes, &first_lands,
+        )?;
+    }
+}
+
+fn unhex(s: &str) -> Vec<u8> {
+    (0..s.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+        .collect()
+}
+
+/// A medium written by the one-head engine — the bytes commit `2594420`
+/// left behind for `checkpoint(lane.a), delta(lane.a), delta(lane.b),
+/// delta(lane.a)`, recorded in a scratch clone — opens under the
+/// two-head engine, serves its state, and keeps journalling.
+#[test]
+fn a_medium_written_with_one_head_opens_and_accepts_further_deltas() {
+    let disk = Arc::new(MemoryStorage::new());
+    for (slot, hex) in [
+        (
+            "dlog.ckpt.0.lane.a",
+            "0000001d2e9090c0000000000000000101636865636b706f696e742d6f662d6c616e652d61",
+        ),
+        (
+            "dlog.head",
+            concat!(
+                "0000001ca01542d30000000000000002000000066c616e652e610264656c74612d6f6e65",
+                "0000001de9f12f2e0000000000000003000000066c616e652e62026f746865722d6c616e65",
+                "0000001c3d8e4b820000000000000004000000066c616e652e610264656c74612d74776f",
+            ),
+        ),
+        (
+            "dlog.meta.1",
+            concat!(
+                "000000264b73d95d000000000000000100000000000000000000000000000000",
+                "00000001000000066c616e652e61",
+            ),
+        ),
+    ] {
+        disk.store(slot, &unhex(hex)).unwrap();
+    }
+    let engine = DeltaLogStorage::open(disk.clone()).unwrap();
+    assert_eq!(engine.stats().torn_truncations, 0);
+    // What the one-head engine's own `load` returned for this medium.
+    assert_eq!(
+        engine.load("lane.a").unwrap().unwrap(),
+        unhex(concat!(
+            "030000001573e8f4ad01636865636b706f696e742d6f662d6c616e652d61",
+            "0000000ad179d9870264656c74612d6f6e650000000abadfd5100264656c74612d74776f",
+        ))
+    );
+    engine.store("lane.a", b"\x02delta-three").unwrap();
+    drop(engine);
+    let engine = DeltaLogStorage::open(disk).unwrap();
+    let bundle = engine.load("lane.a").unwrap().unwrap();
+    let (checkpoint, deltas) = parse_bundle(&bundle).unwrap();
+    assert_eq!(checkpoint, b"\x01checkpoint-of-lane-a");
+    assert_eq!(
+        deltas,
+        [&b"\x02delta-one"[..], b"\x02delta-two", b"\x02delta-three"]
+    );
 }
