@@ -124,6 +124,12 @@ impl Writer {
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
+
+    /// The allocation a scratch writer holds on to between uses.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
 }
 
 /// Incremental decoder over a byte slice.

@@ -904,7 +904,7 @@ impl<F: Functionality> TrustedContext<F> {
             let prev = r.get_digest()?;
             let floor = SeqNo::decode(&mut r)?;
             let dv = crate::stability::decode_vmap(&mut r)?;
-            let f_delta = r.get_bytes()?.to_vec();
+            let f_delta = r.get_bytes()?;
             r.finish()?;
             Ok((prev, floor, dv, f_delta))
         })();
@@ -916,7 +916,7 @@ impl<F: Functionality> TrustedContext<F> {
         }
         self.stable_floor = floor;
         self.v.apply_entries(dv);
-        self.f.apply_delta(&f_delta).map_err(LcmError::from)?;
+        self.f.apply_delta(f_delta).map_err(LcmError::from)?;
         self.resume_from_latest();
         self.persist_anchor = lcm_crypto::sha256::digest_parts(&[ANCHOR_DELTA, plain]);
         Ok(true)
@@ -1698,12 +1698,14 @@ impl<F: Functionality> TrustedContext<F> {
         self.identity = Some(ShardIdentity::decode(&mut r).map_err(LcmError::from)?);
         self.table = SliceTable::decode(&mut r).map_err(LcmError::from)?;
         let v = crate::stability::decode_vmap(&mut r).map_err(LcmError::from)?;
-        let snapshot = r.get_bytes().map_err(LcmError::from)?.to_vec();
+        // Borrowed from the opened blob: the functionality decodes the
+        // O(state) part straight out of it.
+        let snapshot = r.get_bytes().map_err(LcmError::from)?;
         let anchor = r.get_digest().map_err(LcmError::from)?;
         r.finish().map_err(LcmError::from)?;
 
         self.v.replace(v, quorum);
-        self.f.restore(&snapshot).map_err(LcmError::from)?;
+        self.f.restore(snapshot).map_err(LcmError::from)?;
         self.persist_anchor = anchor;
         self.delta_bytes = 0;
         self.last_ckpt_len = plain.len();
@@ -1903,7 +1905,7 @@ impl<F: Functionality> TrustedContext<F> {
         }
         let table = SliceTable::decode(&mut r).map_err(LcmError::from)?;
         let v = crate::stability::decode_vmap(&mut r).map_err(LcmError::from)?;
-        let snapshot = r.get_bytes().map_err(LcmError::from)?.to_vec();
+        let snapshot = r.get_bytes().map_err(LcmError::from)?;
         r.finish().map_err(LcmError::from)?;
 
         self.keys = Some(Keys::from_raw(k_p, k_c, k_a));
@@ -1912,7 +1914,7 @@ impl<F: Functionality> TrustedContext<F> {
         self.identity = Some(identity);
         self.table = table;
         self.v.replace(v, quorum);
-        self.f.restore(&snapshot).map_err(LcmError::from)?;
+        self.f.restore(snapshot).map_err(LcmError::from)?;
         self.resume_from_latest();
         self.phase = Phase::Ready;
         self.persist_blobs()

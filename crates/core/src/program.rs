@@ -142,12 +142,12 @@ impl WireCodec for HostCall {
                 key_blob,
                 state_blob,
                 want_deltas,
-            } => {
-                w.put_u8(CALL_INIT);
-                encode_opt_bytes(w, key_blob.as_deref());
-                encode_opt_bytes(w, state_blob.as_deref());
-                w.put_bool(*want_deltas);
-            }
+            } => HostCall::encode_init_into(
+                w,
+                key_blob.as_deref(),
+                state_blob.as_deref(),
+                *want_deltas,
+            ),
             HostCall::Provision(payload) => {
                 w.put_u8(CALL_PROVISION);
                 w.put_bytes(payload);
@@ -199,11 +199,14 @@ impl WireCodec for HostCall {
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         match r.get_u8()? {
-            CALL_INIT => Ok(HostCall::Init {
-                key_blob: decode_opt_bytes(r)?,
-                state_blob: decode_opt_bytes(r)?,
-                want_deltas: r.get_bool()?,
-            }),
+            CALL_INIT => {
+                let init = InitView::decode_body(r)?;
+                Ok(HostCall::Init {
+                    key_blob: init.key_blob.map(<[u8]>::to_vec),
+                    state_blob: init.state_blob.map(<[u8]>::to_vec),
+                    want_deltas: init.want_deltas,
+                })
+            }
             CALL_PROVISION => Ok(HostCall::Provision(r.get_bytes()?.to_vec())),
             CALL_INVOKE_BATCH => {
                 let n = r.get_u32()? as usize;
@@ -385,12 +388,47 @@ fn encode_opt_bytes(w: &mut Writer, bytes: Option<&[u8]>) {
     }
 }
 
-fn decode_opt_bytes(r: &mut Reader<'_>) -> Result<Option<Vec<u8>>, CodecError> {
+fn decode_opt_slice<'a>(r: &mut Reader<'a>) -> Result<Option<&'a [u8]>, CodecError> {
     Ok(if r.get_bool()? {
-        Some(r.get_bytes()?.to_vec())
+        Some(r.get_bytes()?)
     } else {
         None
     })
+}
+
+fn decode_opt_bytes(r: &mut Reader<'_>) -> Result<Option<Vec<u8>>, CodecError> {
+    Ok(decode_opt_slice(r)?.map(<[u8]>::to_vec))
+}
+
+/// A [`HostCall::Init`] whose blobs are still where the host put them:
+/// the one call that carries O(state) bytes — the whole recovery
+/// bundle — is decoded without copying it, and the only copy the
+/// enclave makes of a sealed frame is the one that decrypts it.
+struct InitView<'a> {
+    key_blob: Option<&'a [u8]>,
+    state_blob: Option<&'a [u8]>,
+    want_deltas: bool,
+}
+
+impl<'a> InitView<'a> {
+    /// What follows the `CALL_INIT` tag.
+    fn decode_body(r: &mut Reader<'a>) -> Result<Self, CodecError> {
+        Ok(InitView {
+            key_blob: decode_opt_slice(r)?,
+            state_blob: decode_opt_slice(r)?,
+            want_deltas: r.get_bool()?,
+        })
+    }
+
+    /// The whole of `input`, if it is an `Init` call; `None` for any
+    /// other call (or none at all), which the owned decoder takes.
+    fn from_call(input: &'a [u8]) -> Option<Result<Self, CodecError>> {
+        let (&CALL_INIT, body) = input.split_first()? else {
+            return None;
+        };
+        let mut r = Reader::new(body);
+        Some(Self::decode_body(&mut r).and_then(|init| r.finish().map(|()| init)))
+    }
 }
 
 impl WireCodec for HostReply {
@@ -502,6 +540,21 @@ pub struct LcmProgram<F: Functionality> {
 }
 
 impl HostCall {
+    /// Encodes an `Init` call directly into `w` from the borrowed
+    /// blobs storage returned: the state blob is a whole recovery
+    /// bundle, and the host needs no second copy of it to encode from.
+    pub fn encode_init_into(
+        w: &mut Writer,
+        key_blob: Option<&[u8]>,
+        state_blob: Option<&[u8]>,
+        want_deltas: bool,
+    ) {
+        w.put_u8(CALL_INIT);
+        encode_opt_bytes(w, key_blob);
+        encode_opt_bytes(w, state_blob);
+        w.put_bool(want_deltas);
+    }
+
     /// Encodes an `InvokeBatch` call directly into `w` from borrowed
     /// wires — the host's hot path, avoiding the intermediate
     /// [`HostCall`] value and a fresh buffer per batch.
@@ -529,21 +582,30 @@ impl<F: Functionality> LcmProgram<F> {
         &self.context
     }
 
+    fn init(&mut self, init: InitView<'_>) -> HostReply {
+        match self
+            .context
+            .init(init.key_blob, init.state_blob, init.want_deltas)
+        {
+            Ok(outcome) => HostReply::InitOk {
+                need_provision: outcome == InitOutcome::NeedProvision,
+            },
+            Err(e) => HostReply::Err((&e).into()),
+        }
+    }
+
     fn dispatch(&mut self, call: HostCall) -> HostReply {
         match call {
+            // `ecall` takes `Init` borrowed; an owned one is the same call.
             HostCall::Init {
                 key_blob,
                 state_blob,
                 want_deltas,
-            } => match self
-                .context
-                .init(key_blob.as_deref(), state_blob.as_deref(), want_deltas)
-            {
-                Ok(outcome) => HostReply::InitOk {
-                    need_provision: outcome == InitOutcome::NeedProvision,
-                },
-                Err(e) => HostReply::Err((&e).into()),
-            },
+            } => self.init(InitView {
+                key_blob: key_blob.as_deref(),
+                state_blob: state_blob.as_deref(),
+                want_deltas,
+            }),
             HostCall::Provision(payload) => match self.context.provision(&payload) {
                 Ok(blobs) => HostReply::ProvisionOk(blobs),
                 Err(e) => HostReply::Err((&e).into()),
@@ -629,13 +691,16 @@ impl<F: Functionality> EnclaveProgram for LcmProgram<F> {
     }
 
     fn ecall(&mut self, input: &[u8]) -> Vec<u8> {
-        let reply = match HostCall::from_bytes(input) {
-            Ok(call) => self.dispatch(call),
-            Err(e) => HostReply::Err(ReplyError {
+        let call = match InitView::from_call(input) {
+            Some(init) => init.map(|init| self.init(init)),
+            None => HostCall::from_bytes(input).map(|call| self.dispatch(call)),
+        };
+        let reply = call.unwrap_or_else(|e| {
+            HostReply::Err(ReplyError {
                 code: ERR_OTHER,
                 message: format!("malformed host call: {e}"),
-            }),
-        };
+            })
+        });
         reply.to_bytes()
     }
 }

@@ -184,11 +184,18 @@ impl<F: Functionality> LcmServer<F> {
         self.enclave.start()?;
         let key_blob = self.storage.load(SLOT_KEY_BLOB)?;
         let state_blob = self.storage.load(SLOT_STATE_BLOB)?;
-        let reply = self.call(HostCall::Init {
-            key_blob,
-            state_blob,
-            want_deltas: self.storage.delta_capable(),
-        })?;
+        // Encoded from the loaded blobs into a buffer of its own,
+        // dropped with them after the call: `call_scratch` is sized by
+        // batches and lives as long as the lane, a recovery bundle is
+        // sized by the state and needed once.
+        let mut init = crate::codec::Writer::new();
+        HostCall::encode_init_into(
+            &mut init,
+            key_blob.as_deref(),
+            state_blob.as_deref(),
+            self.storage.delta_capable(),
+        );
+        let reply = HostReply::from_bytes(&self.enclave.ecall(init.as_slice())?)?;
         match reply {
             HostReply::InitOk { need_provision } => Ok(need_provision),
             HostReply::Err(e) => Err(e.into_lcm_error()),
@@ -1383,6 +1390,33 @@ mod tests {
                 ckpt.len()
             );
         }
+    }
+
+    /// A reboot hands the enclave the whole sealed state, once; the
+    /// buffer the lane keeps for encoding its per-batch calls must not
+    /// come out of it sized for that.
+    #[test]
+    fn a_reboot_from_a_large_state_leaves_the_call_scratch_at_batch_scale() {
+        const OP: usize = 64 * 1024;
+        let (mut server, _admin, mut clients) = setup(1, 1);
+        for _ in 0..17 {
+            server.submit(clients[0].invoke(&[0x5a; OP]).unwrap());
+            let replies = server.process_all().unwrap();
+            clients[0].handle_reply(&replies[0].1).unwrap();
+        }
+        let sealed = server.sealed_state().unwrap().len();
+        assert!(sealed >= 1 << 20, "a {sealed} B state proves nothing");
+        server.crash();
+        assert!(!server.boot().unwrap(), "recovered, not re-provisioned");
+        let held = server.call_scratch.capacity();
+        assert!(
+            held < 4 * OP,
+            "the lane holds a {held} B call buffer after booting from {sealed} B"
+        );
+        // And the recovered lane serves on.
+        server.submit(clients[0].invoke(b"after").unwrap());
+        let replies = server.process_all().unwrap();
+        assert_eq!(clients[0].handle_reply(&replies[0].1).unwrap().seq.0, 18);
     }
 
     #[test]

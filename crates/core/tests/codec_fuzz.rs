@@ -2,24 +2,29 @@
 //! bytes must never panic, and valid encodings must roundtrip.
 //!
 //! Everything that crosses a trust boundary is covered: wire messages,
-//! host calls/replies, the V map, provisioning payloads — and the
-//! three inputs the untrusted host hands a lane's enclave outside the
-//! invoke path: replication records, slice tickets, table bulletins.
+//! host calls/replies, the V map, provisioning payloads — the three
+//! inputs the untrusted host hands a lane's enclave outside the invoke
+//! path: replication records, slice tickets, table bulletins — and the
+//! recovery bundle, from the medium's bytes through both storage
+//! engines' `load` into `TrustedContext::init`.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use lcm_core::admin::AdminHandle;
 use lcm_core::client::LcmClient;
 use lcm_core::codec::{Reader, WireCodec, Writer};
+use lcm_core::context::TrustedContext;
 use lcm_core::functionality::Counter;
-use lcm_core::program::{HostCall, HostReply};
-use lcm_core::server::{BatchServer, LcmServer};
+use lcm_core::program::{lcm_measurement, HostCall, HostReply};
+use lcm_core::server::{BatchServer, LcmServer, SLOT_KEY_BLOB, SLOT_STATE_BLOB};
 use lcm_core::shard::{build_sharded, route_hash};
 use lcm_core::stability::{decode_vmap, encode_vmap, CachedReply, Quorum, VEntry, VMap};
 use lcm_core::types::{ChainValue, ClientId, SeqNo};
 use lcm_core::wire::{InvokeMsg, InvokeView, ReplyMsg, ReplyView};
 use lcm_core::LcmError;
-use lcm_storage::MemoryStorage;
+use lcm_storage::framing::FRAME_HEADER;
+use lcm_storage::{parse_bundle, BundleStorage, DeltaLogStorage, MemoryStorage, StableStorage};
+use lcm_tee::platform::TeeServices;
 use lcm_tee::world::TeeWorld;
 use proptest::prelude::*;
 
@@ -96,9 +101,14 @@ fn arb_ventry() -> impl Strategy<Value = VEntry> {
 /// A provisioned solo server with `batches` counter increments
 /// executed (one per batch).
 fn provisioned(batches: u64) -> LcmServer<Counter> {
+    provisioned_over(Arc::new(MemoryStorage::new()), batches)
+}
+
+/// [`provisioned`], persisting to `storage`.
+fn provisioned_over(storage: Arc<dyn StableStorage>, batches: u64) -> LcmServer<Counter> {
     let world = TeeWorld::new_deterministic(61);
     let platform = world.platform_deterministic(1);
-    let mut server = LcmServer::<Counter>::new(&platform, Arc::new(MemoryStorage::new()), 1);
+    let mut server = LcmServer::<Counter>::new(&platform, storage, 1);
     assert!(server.boot().unwrap());
     let mut admin = AdminHandle::new_deterministic(&world, vec![ClientId(1)], Quorum::Majority, 3);
     admin.bootstrap(&mut server).unwrap();
@@ -198,6 +208,228 @@ fn truncated_slice_tickets_and_bulletins_are_refused() {
     server
         .with_shard(to, |lane| lane.import_slice(ticket.clone()))
         .unwrap();
+}
+
+/// Increments behind the checkpoint on the media below: few enough
+/// that the cadence takes no second checkpoint, so the restored value
+/// of `n` *is* the number of deltas that were replayed.
+const LOGGED: u64 = 4;
+
+/// What a fresh enclave on the lanes' platform makes of the blobs a
+/// host hands `init`: the value of `n` it restored, or its refusal.
+fn recover(key_blob: Option<&[u8]>, state_blob: Option<&[u8]>) -> Result<u64, LcmError> {
+    let platform = TeeWorld::new_deterministic(61).platform_deterministic(1);
+    let services = TeeServices::for_tests(platform, lcm_measurement(), 1);
+    let mut context = TrustedContext::<Counter>::new(services);
+    context.init(key_blob, state_blob, true)?;
+    Ok(context.functionality().value(b"n"))
+}
+
+fn assert_refused(outcome: Result<u64, LcmError>, what: std::fmt::Arguments<'_>) {
+    assert!(
+        matches!(outcome, Err(LcmError::Violation(_))),
+        "{what} gave {outcome:?}"
+    );
+}
+
+/// A plain store holding `blob` in the state slot.
+fn plain_with(blob: &[u8]) -> Arc<MemoryStorage> {
+    let plain = Arc::new(MemoryStorage::new());
+    plain.store(SLOT_STATE_BLOB, blob).unwrap();
+    plain
+}
+
+/// The key blob and the `checkpoint ‖ deltas` state slot of a lane over
+/// a plain store after [`LOGGED`] batches.
+fn bundle_medium() -> &'static (Vec<u8>, Vec<u8>) {
+    static MEDIUM: OnceLock<(Vec<u8>, Vec<u8>)> = OnceLock::new();
+    MEDIUM.get_or_init(|| {
+        let plain = Arc::new(MemoryStorage::new());
+        drop(provisioned_over(plain.clone(), LOGGED));
+        let load = |slot| plain.load(slot).unwrap().unwrap();
+        (load(SLOT_KEY_BLOB), load(SLOT_STATE_BLOB))
+    })
+}
+
+/// Where each frame of `framed` ends, given where the first begins.
+fn frame_ends<'a>(first_at: usize, payloads: impl IntoIterator<Item = &'a [u8]>) -> Vec<usize> {
+    let mut at = first_at;
+    let ends = payloads.into_iter().map(|p| {
+        at += FRAME_HEADER + p.len();
+        at
+    });
+    ends.collect()
+}
+
+/// Every strict prefix and every single-byte flip of a valid
+/// `checkpoint ‖ deltas`, handed to the enclave bare and through
+/// `BundleStorage::load`: the enclave restores exactly the deltas that
+/// are intact in front of the damage, or refuses — never anything
+/// else, never a panic.
+#[test]
+fn a_damaged_bundle_restores_its_intact_prefix_or_is_refused() {
+    let (key_blob, bundle) = bundle_medium();
+    let recover = |state: &[u8]| recover(Some(key_blob), Some(state));
+    let (checkpoint, deltas) = parse_bundle(bundle).expect("checkpoint ‖ deltas");
+    assert_eq!(deltas.len() as u64, LOGGED);
+    assert_eq!(recover(bundle), Ok(LOGGED));
+    let ends = frame_ends(1, std::iter::once(checkpoint).chain(deltas));
+    assert_eq!(ends.last(), Some(&bundle.len()));
+    // Frames that lie wholly in front of byte `at`.
+    let whole_before = |at: usize| ends.iter().filter(|&&end| end <= at).count() as u64;
+    let through_the_adapter = |state: &[u8]| {
+        let adapter = BundleStorage::new(plain_with(state));
+        recover(&adapter.load(SLOT_STATE_BLOB).unwrap().unwrap())
+    };
+
+    for cut in 0..bundle.len() {
+        let (prefix, whole) = (&bundle[..cut], whole_before(cut));
+        // Bare, a prefix is a bundle only on a frame boundary; the
+        // adapter cuts a torn tail back to one.
+        let bare = recover(prefix);
+        if ends.contains(&cut) {
+            assert_eq!(bare, Ok(whole - 1), "prefix of {cut} bytes, bare");
+        } else {
+            assert_refused(bare, format_args!("prefix of {cut} bytes, bare"));
+        }
+        let adapted = through_the_adapter(prefix);
+        if whole >= 1 {
+            assert_eq!(adapted, Ok(whole - 1), "prefix of {cut} bytes");
+        } else {
+            assert_refused(adapted, format_args!("prefix of {cut} bytes"));
+        }
+    }
+    for at in 0..bundle.len() {
+        let mut flipped = bundle.clone();
+        flipped[at] ^= 0x40;
+        assert_refused(recover(&flipped), format_args!("flip at {at}, bare"));
+        let (adapted, whole) = (through_the_adapter(&flipped), whole_before(at));
+        if at >= 1 && whole >= 1 {
+            assert_eq!(adapted, Ok(whole - 1), "flip at {at}");
+        } else {
+            assert_refused(adapted, format_args!("flip at {at}"));
+        }
+    }
+}
+
+/// The delta-log slots a one-lane medium can hold.
+const DLOG_SLOTS: [&str; 6] = [
+    "dlog.meta.0",
+    "dlog.meta.1",
+    "dlog.ckpt.0.lcm.state",
+    "dlog.ckpt.1.lcm.state",
+    "dlog.head",
+    "dlog.head.1",
+];
+
+/// Every slot of a lane's medium under a delta log after [`LOGGED`]
+/// batches (key blob included).
+fn dlog_medium() -> &'static Vec<(&'static str, Vec<u8>)> {
+    static MEDIUM: OnceLock<Vec<(&'static str, Vec<u8>)>> = OnceLock::new();
+    MEDIUM.get_or_init(|| {
+        let raw = Arc::new(MemoryStorage::new());
+        let engine = Arc::new(DeltaLogStorage::open(raw.clone()).unwrap());
+        drop(provisioned_over(engine, LOGGED));
+        let held = |slot: &&'static str| Some((*slot, raw.load(slot).unwrap()?));
+        let slots = DLOG_SLOTS.iter().chain([&SLOT_KEY_BLOB]);
+        slots.filter_map(held).collect()
+    })
+}
+
+/// Opens a delta log over [`dlog_medium`] with `slot` holding `bytes`
+/// instead, loads both blobs and hands them to a fresh enclave.
+fn recover_from_dlog_with(slot: &str, bytes: &[u8]) -> Result<u64, LcmError> {
+    let raw = Arc::new(MemoryStorage::new());
+    for (name, blob) in dlog_medium() {
+        raw.store(name, blob).unwrap();
+    }
+    raw.store(slot, bytes).unwrap();
+    let engine = DeltaLogStorage::open(raw).unwrap();
+    let key_blob = engine.load(SLOT_KEY_BLOB).unwrap();
+    let state_blob = engine.load(SLOT_STATE_BLOB).unwrap();
+    recover(key_blob.as_deref(), state_blob.as_deref())
+}
+
+/// The same damage on a delta-log medium, slot by slot, through
+/// `DeltaLogStorage::open` + `load`: a damaged journal head costs the
+/// records from the damage on, a damaged checkpoint or manifest costs
+/// the state (there is one generation on this medium, nothing to fall
+/// back to) — and the enclave is told so by getting no state at all.
+#[test]
+fn a_damaged_delta_log_medium_restores_its_intact_prefix_or_is_refused() {
+    let slot = |name: &str| {
+        let found = dlog_medium().iter().find(|(n, _)| *n == name);
+        &found.unwrap_or_else(|| panic!("no {name} on the medium")).1
+    };
+    let (head, ckpt, meta) = (
+        slot("dlog.head"),
+        slot("dlog.ckpt.0.lcm.state"),
+        slot("dlog.meta.1"),
+    );
+    assert_eq!(dlog_medium().len(), 4, "one of each, and the key blob");
+    assert_eq!(recover_from_dlog_with("dlog.head", head), Ok(LOGGED));
+
+    let records = lcm_storage::framing::scan(head);
+    assert_eq!(records.payloads.len() as u64, LOGGED);
+    let ends = frame_ends(0, records.payloads);
+    let whole_before = |at: usize| ends.iter().filter(|&&end| end <= at).count() as u64;
+    for cut in 0..head.len() {
+        let outcome = recover_from_dlog_with("dlog.head", &head[..cut]);
+        assert_eq!(outcome, Ok(whole_before(cut)), "head cut at {cut}");
+    }
+    for at in 0..head.len() {
+        let mut flipped = head.clone();
+        flipped[at] ^= 0x40;
+        let outcome = recover_from_dlog_with("dlog.head", &flipped);
+        assert_eq!(outcome, Ok(whole_before(at)), "head flipped at {at}");
+    }
+
+    for (name, blob) in [("dlog.ckpt.0.lcm.state", ckpt), ("dlog.meta.1", meta)] {
+        for cut in 0..blob.len() {
+            let outcome = recover_from_dlog_with(name, &blob[..cut]);
+            assert_refused(outcome, format_args!("{name} cut at {cut}"));
+        }
+        for at in 0..blob.len() {
+            let mut flipped = blob.clone();
+            flipped[at] ^= 0x40;
+            let outcome = recover_from_dlog_with(name, &flipped);
+            assert_refused(outcome, format_args!("{name} flipped at {at}"));
+        }
+    }
+}
+
+proptest! {
+    /// Arbitrary bytes where a sealed state should be — the one slot of
+    /// a plain store, or any slot of a delta-log medium — never panic
+    /// either engine or the enclave, and never produce a state: the
+    /// enclave refuses, or (where the bytes replaced journal records
+    /// only) restores the checkpoint and the records still intact.
+    #[test]
+    fn arbitrary_bytes_on_the_medium_never_become_a_state(
+        bytes in proptest::collection::vec(any::<u8>(), 0..512),
+        kind in 0u8..5,
+        slot in 0usize..DLOG_SLOTS.len(),
+    ) {
+        // Four cases in five carry a real blob-kind byte, so the bytes
+        // get past the dispatch and into that kind's decoder.
+        let mut bytes = bytes;
+        if let (Some(first), 1..=4) = (bytes.first_mut(), kind) {
+            *first = kind - 1;
+        }
+        let key_blob = &bundle_medium().0;
+        let bare = recover(Some(key_blob), Some(&bytes));
+        prop_assert!(matches!(bare, Err(LcmError::Violation(_))), "bare: {:?}", bare);
+        let adapter = BundleStorage::new(plain_with(&bytes));
+        let loaded = adapter.load(SLOT_STATE_BLOB).unwrap().unwrap();
+        let adapted = recover(Some(key_blob), Some(&loaded));
+        prop_assert!(matches!(adapted, Err(LcmError::Violation(_))), "adapted: {:?}", adapted);
+
+        let outcome = recover_from_dlog_with(DLOG_SLOTS[slot], &bytes);
+        prop_assert!(
+            matches!(outcome, Err(LcmError::Violation(_)) | Ok(0..=LOGGED)),
+            "{} replaced: {:?}", DLOG_SLOTS[slot], outcome
+        );
+    }
 }
 
 proptest! {

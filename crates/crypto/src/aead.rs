@@ -40,8 +40,10 @@
 //! # In place
 //!
 //! The construction exists once, as [`seal_in_place`] and
-//! [`open_in_place`]; [`auth_encrypt`], [`auth_encrypt_with_nonce`] and
-//! [`auth_decrypt`] copy their input into a fresh `Vec` and call them.
+//! [`open_in_place`]; [`auth_encrypt`] and [`auth_encrypt_with_nonce`]
+//! copy their input into a fresh `Vec` and seal it there, and
+//! [`auth_decrypt`] runs the same verify over its borrowed input before
+//! it copies the ciphertext out to decrypt.
 //! Anything that runs per operation builds its message where it will
 //! be sent from and seals it there: the caller writes
 //! `framing ‖ nonce ‖ plaintext` into one buffer, and sealing XORs the
@@ -165,15 +167,27 @@ pub fn open_in_place<'a>(key: &AeadKey, aad: &[u8], sealed: &'a mut [u8]) -> Res
     }
     let (nonce, rest) = sealed.split_at_mut(NONCE_LEN);
     let (ciphertext, tag) = rest.split_at_mut(rest.len() - TAG_LEN);
-    let nonce: &[u8; NONCE_LEN] = (&*nonce).try_into().expect("split at the nonce length");
+    verified_stream(key, aad, nonce, ciphertext, tag)?.xor_body(ciphertext)?;
+    Ok(ciphertext)
+}
 
+/// The verify of verify-then-decrypt: the keystream of `(key, nonce)`,
+/// handed out only once `tag` has been recomputed over `ciphertext` as
+/// received and compared in constant time.
+fn verified_stream(
+    key: &AeadKey,
+    aad: &[u8],
+    nonce: &[u8],
+    ciphertext: &[u8],
+    tag: &[u8],
+) -> Result<AeadStream> {
+    let nonce: &[u8; NONCE_LEN] = nonce.try_into().expect("split at the nonce length");
     let stream = AeadStream::new(&key.0, nonce);
     let expected = compute_tag(stream.poly1305_key(), aad, ciphertext);
     if !crate::ct::ct_eq(&expected, tag) {
         return Err(CryptoError::AuthenticationFailed);
     }
-    stream.xor_body(ciphertext)?;
-    Ok(ciphertext)
+    Ok(stream)
 }
 
 /// Encrypts and authenticates `plaintext`, binding `aad` into the tag.
@@ -215,18 +229,25 @@ pub fn auth_encrypt_with_nonce(
     Ok(out)
 }
 
-/// Verifies and decrypts a blob produced by [`auth_encrypt`]:
-/// [`open_in_place`] on a copy of `sealed`.
+/// Verifies and decrypts a blob produced by [`auth_encrypt`] into a
+/// fresh `Vec`: the tag is checked over `sealed` where it lies, and
+/// only a blob that passes has its ciphertext — nothing else — copied
+/// out and decrypted, so a multi-megabyte sealed state is touched once
+/// by the MAC and once by the copy-and-XOR.
 ///
 /// # Errors
 ///
 /// Same as [`open_in_place`].
 pub fn auth_decrypt(key: &AeadKey, sealed: &[u8], aad: &[u8]) -> Result<Vec<u8>> {
-    let mut buf = sealed.to_vec();
-    let len = open_in_place(key, aad, &mut buf)?.len();
-    buf.copy_within(NONCE_LEN..NONCE_LEN + len, 0);
-    buf.truncate(len);
-    Ok(buf)
+    if sealed.len() < MIN_SEALED_LEN {
+        return Err(CryptoError::AuthenticationFailed);
+    }
+    let (nonce, rest) = sealed.split_at(NONCE_LEN);
+    let (ciphertext, tag) = rest.split_at(rest.len() - TAG_LEN);
+    let stream = verified_stream(key, aad, nonce, ciphertext, tag)?;
+    let mut plain = ciphertext.to_vec();
+    stream.xor_body(&mut plain)?;
+    Ok(plain)
 }
 
 /// The RFC 8439 §2.8 tag over

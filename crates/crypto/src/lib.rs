@@ -49,8 +49,9 @@
 //! identical digests and keystream; see the [`sha256`] and
 //! [`chacha20`] module docs for the selection and for what a real SGX
 //! enclave would consult instead of `cpuid`. CI greps that `unsafe`
-//! stays in exactly those two files and that every other crate root
-//! keeps `forbid(unsafe_code)`.
+//! stays in exactly those two files plus `lcm_storage`'s one (the
+//! CRC-32 kernel under its frames, fenced the same way) and that every
+//! other crate root keeps `forbid(unsafe_code)`.
 //!
 //! # Example
 //!

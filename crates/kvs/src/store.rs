@@ -185,14 +185,19 @@ impl Functionality for KvStore {
     fn restore(&mut self, snapshot: &[u8]) -> Result<(), CodecError> {
         let mut r = Reader::new(snapshot);
         let n = r.get_u32()? as usize;
-        let mut map = BTreeMap::new();
+        // Decode every pair, then build the tree in one go: `collect`
+        // sorts (one pass over a snapshot, which is written in key
+        // order), keeps the last of equal keys as repeated inserts
+        // would, and builds bottom-up instead of descending the tree
+        // per record. Nothing is touched until the snapshot has decoded
+        // whole. A pair is at least its two length prefixes, so a
+        // lying count cannot reserve more than the input could hold.
+        let mut pairs = Vec::with_capacity(n.min(r.remaining() / 8));
         for _ in 0..n {
-            let k = r.get_bytes()?.to_vec();
-            let v = r.get_bytes()?.to_vec();
-            map.insert(k, v);
+            pairs.push((r.get_bytes()?.to_vec(), r.get_bytes()?.to_vec()));
         }
         r.finish()?;
-        self.map = map;
+        self.map = pairs.into_iter().collect();
         // The snapshot is the new persistence baseline; pending diffs
         // against the pre-restore contents are meaningless now.
         self.dirty.0.clear();
@@ -587,5 +592,94 @@ mod tests {
         let snap = s.snapshot();
         let mut t = KvStore::default();
         assert!(t.restore(&snap[..snap.len() - 1]).is_err());
+    }
+
+    /// What `restore` means, record by record: decode a pair, insert
+    /// it, the last of equal keys staying. The oracle for the bulk
+    /// build.
+    fn restore_by_inserts(snapshot: &[u8]) -> Result<BTreeMap<Vec<u8>, Vec<u8>>, CodecError> {
+        let mut r = Reader::new(snapshot);
+        let mut map = BTreeMap::new();
+        for _ in 0..r.get_u32()? {
+            let k = r.get_bytes()?.to_vec();
+            map.insert(k, r.get_bytes()?.to_vec());
+        }
+        r.finish()?;
+        Ok(map)
+    }
+
+    fn snapshot_of(pairs: &[(&[u8], &[u8])]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_u32(pairs.len() as u32);
+        for (k, v) in pairs {
+            w.put_bytes(k);
+            w.put_bytes(v);
+        }
+        w.into_bytes()
+    }
+
+    /// A store with one record and one pending diff entry: what a
+    /// failed restore must leave exactly as it was.
+    fn occupied() -> KvStore {
+        let mut s = KvStore::default();
+        s.apply(&KvOp::Put(b"before".to_vec(), b"restore".to_vec()));
+        s
+    }
+
+    #[test]
+    fn restore_of_an_unsorted_snapshot_with_a_duplicate_key_is_the_insert_loops() {
+        // No snapshot this store writes looks like this; a sealed one
+        // from elsewhere still has to mean what it always meant.
+        let snap = snapshot_of(&[
+            (b"m", b"first"),
+            (b"z", b"last-key"),
+            (b"a", b"first-key"),
+            (b"m", b"second"),
+            (b"", b"empty-key"),
+            (b"m", b"third"),
+        ]);
+        let mut s = occupied();
+        s.restore(&snap).unwrap();
+        assert_eq!(s.map, restore_by_inserts(&snap).unwrap());
+        assert_eq!(s.len(), 4);
+        assert_eq!(s.get(b"m"), Some(&b"third"[..]), "the last duplicate wins");
+        assert_eq!(s.get(b"before"), None);
+        assert!(s.dirty.0.is_empty(), "the snapshot is the new baseline");
+    }
+
+    #[test]
+    fn restore_of_a_snapshot_cut_at_any_byte_touches_nothing() {
+        let mut source = KvStore::default();
+        for i in 0..40u32 {
+            source.apply(&KvOp::Put(
+                format!("key-{i:03}").into_bytes(),
+                vec![i as u8; (i % 7) as usize],
+            ));
+        }
+        let snap = source.snapshot();
+        for cut in 0..snap.len() {
+            let mut s = occupied();
+            assert!(restore_by_inserts(&snap[..cut]).is_err(), "cut {cut}");
+            assert!(s.restore(&snap[..cut]).is_err(), "cut {cut}");
+            assert_eq!(s, occupied(), "cut {cut}: state touched");
+            assert_eq!(s.dirty.0, occupied().dirty.0, "cut {cut}: diff touched");
+        }
+        // Trailing bytes are as malformed as missing ones.
+        let mut s = occupied();
+        assert!(s.restore(&[&snap[..], &[0]].concat()).is_err());
+        assert_eq!(s, occupied());
+        // And whole, it restores: state replaced, diff baseline reset.
+        s.restore(&snap).unwrap();
+        assert_eq!(s, source);
+        assert!(s.dirty.0.is_empty());
+    }
+
+    #[test]
+    fn restore_bounds_what_a_lying_count_can_reserve() {
+        let mut w = Writer::new();
+        w.put_u32(u32::MAX); // four billion records in four bytes
+        let mut s = occupied();
+        assert!(s.restore(&w.into_bytes()).is_err());
+        assert_eq!(s, occupied());
     }
 }

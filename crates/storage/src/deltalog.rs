@@ -25,6 +25,8 @@
 //!   heads, truncates a torn head tail at that head's last intact frame
 //!   ([`crate::framing`]), and replays the surviving records merged in
 //!   epoch order. A medium that only ever had one head opens unchanged.
+//!   Which layer checks what on the way is listed under
+//!   [Who checks what at a reboot](#who-checks-what-at-a-reboot).
 //!
 //! The engine never opens a seal: deltas and checkpoints are opaque
 //! ciphertexts that it routes by a one-byte *kind* prefix the enclave
@@ -58,6 +60,45 @@
 //!    truncates its own head only.
 //!
 //! The single-lane case is the same code with one head ever busy.
+//!
+//! # Who checks what at a reboot
+//!
+//! A reboot passes every sealed byte through three layers. Each pass
+//! of [`framing::crc32`] over the bytes answers a question no other
+//! pass can, and there is no pass beside these:
+//!
+//! 1. **The probe** ([`DeltaLogStorage::open`]) decides *which bytes
+//!    count*. Both parity slots of every slot the manifest names are
+//!    loaded and their one frame is checked, because a torn checkpoint
+//!    overwrite must not be taken for current: the valid one with the
+//!    higher epoch is current, the other's epoch is the generation that
+//!    gates garbage collection. The journal — segments, then both heads
+//!    — is scanned once, which is what finds each head's torn tail. A
+//!    record its slot's current checkpoint already supersedes is
+//!    indexed (collection must know which segment holds it) but its
+//!    blob is not copied out: collection runs one generation late, so
+//!    on a busy log that is most of the window.
+//! 2. **`load`** answers for *the frame it hands up*. It reads the
+//!    current parity slot from the medium again — the engine keeps no
+//!    checkpoint in memory, and what the medium serves now is what the
+//!    enclave has to judge — and checks that frame as read: a slot
+//!    that rotted since the probe is "no state", not bytes to pass on
+//!    under a fresh checksum. Then it frames what goes up: the
+//!    checkpoint blob without its epoch (another payload, so another
+//!    checksum) and each kept delta. A slot with no deltas goes up
+//!    bare — no frame, no second pass.
+//! 3. **The enclave's [`parse_bundle`]** answers for *the boundary*:
+//!    the bundle crossed the host, so before any frame is opened it
+//!    must be exactly whole frames with no trailing bytes. What is
+//!    inside a frame is the seal's to judge, frame by frame, after
+//!    that.
+//!
+//! So a checkpoint byte is checksummed once per parity at the probe,
+//! twice in `load` (as read, as handed up) and once in the enclave; a
+//! kept journal byte once at the probe, once into the bundle, once in
+//! the enclave. ([`crate::BundleStorage`] has the same three roles in
+//! two places: its `load` cuts the torn tail, the enclave checks the
+//! boundary.)
 //!
 //! # Crash-safety invariants
 //!
@@ -511,34 +552,41 @@ impl DeltaLogStorage {
 
         // Sealed segments, then both heads: collect records by epoch
         // (rule 3 — where a record was found does not matter, and one
-        // found twice is one record).
+        // found twice is one record). The checkpoints are known by now,
+        // so a record its slot's checkpoint supersedes is indexed but
+        // never copied; its epoch is below the checkpoint's, which
+        // `max_epoch` already covers.
         let mut records: BTreeMap<u64, (String, Arc<[u8]>)> = BTreeMap::new();
-        let mut collect = |buf: &[u8], stats: &mut DeltaLogStats| {
-            let scanned = framing::scan(buf);
-            if scanned.is_torn(buf.len()) {
-                stats.torn_truncations += 1;
-            }
-            let mut index = Vec::new();
-            for payload in scanned.payloads {
-                if let Some((epoch, slot, blob)) = parse_record(payload) {
-                    index.push((epoch, slot.to_string()));
-                    records.insert(epoch, (slot.to_string(), Arc::from(blob)));
+        let mut collect =
+            |buf: &[u8], slots: &HashMap<String, SlotState>, stats: &mut DeltaLogStats| {
+                let scanned = framing::scan(buf);
+                if scanned.is_torn(buf.len()) {
+                    stats.torn_truncations += 1;
                 }
-            }
-            (index, scanned.valid_len)
-        };
+                let mut index = Vec::new();
+                for payload in scanned.payloads {
+                    if let Some((epoch, slot, blob)) = parse_record(payload) {
+                        index.push((epoch, slot.to_string()));
+                        let ckpt_epoch = slots.get(slot).and_then(|s| s.ckpt_epoch);
+                        if epoch > ckpt_epoch.unwrap_or(0) {
+                            records.insert(epoch, (slot.to_string(), Arc::from(blob)));
+                        }
+                    }
+                }
+                (index, scanned.valid_len)
+            };
         for k in core.seg_lo..core.seg_next {
             // A number in the window with nothing (left) behind it — a
             // seal that reserved it and died, a segment cleared before
             // the manifest that drops it landed — still gets its (empty)
             // index, or garbage collection could never pass it.
             let buf = inner.load(&seg_slot(k))?.unwrap_or_default();
-            let (index, _) = collect(&buf, &mut core.stats);
+            let (index, _) = collect(&buf, &core.slots, &mut core.stats);
             core.seg_index.insert(k, index);
         }
         for (head, slot) in core.heads.iter_mut().zip(HEAD_SLOTS) {
             if let Some(mut buf) = inner.load(slot)? {
-                let (index, valid_len) = collect(&buf, &mut core.stats);
+                let (index, valid_len) = collect(&buf, &core.slots, &mut core.stats);
                 buf.truncate(valid_len); // a torn tail cuts its own head only
                 head.buf = buf;
                 head.index = index;
@@ -547,10 +595,11 @@ impl DeltaLogStorage {
 
         for (epoch, (slot, blob)) in records {
             max_epoch = max_epoch.max(epoch);
-            let state = core.slots.entry(slot).or_default();
-            if epoch > state.ckpt_epoch.unwrap_or(0) {
-                state.deltas.insert(epoch, blob);
-            }
+            core.slots
+                .entry(slot)
+                .or_default()
+                .deltas
+                .insert(epoch, blob);
         }
         core.next_epoch = max_epoch + 1;
         core.committed_epoch = max_epoch;

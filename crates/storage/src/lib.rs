@@ -33,8 +33,23 @@
 //! * [`DiskModel`] — the fsync/throughput cost model used by the
 //!   discrete-event simulator for the paper's sync-vs-async experiments
 //!   (Fig. 5 vs Fig. 6).
+//!
+//! # `unsafe`
+//!
+//! Everything is safe Rust except one kernel: on an x86-64 CPU with
+//! `pclmulqdq`, [`framing::crc32`] — the checksum under every frame of
+//! every journal, checkpoint slot and bundle — folds its input by
+//! carry-less multiplication, more than ten times the table kernel's
+//! rate. That takes a `#[target_feature]` function, which is `unsafe`
+//! to call, so this crate *denies* `unsafe_code` rather than forbidding
+//! it, and exactly one private module, `framing::clmul`, is allowed it
+//! by an attribute on its own `mod` line — the fence `lcm_crypto` puts
+//! around its two hardware kernels (two safe functions, the second
+//! checking the first before its single `unsafe` call). Every other
+//! CPU takes the table kernel, with identical checksums; CI greps that
+//! `unsafe` stays in exactly those three files.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod adversary;

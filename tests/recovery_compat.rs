@@ -1,0 +1,254 @@
+//! Media written before the checksum kernel and the one-copy reboot
+//! path went in still open, load and replay — and the same inputs
+//! still put the same bytes on the medium.
+//!
+//! `fixtures/medium_c61ba9d.txt` holds every slot of two media as
+//! commit `c61ba9d` wrote them (recorded by running [`write_medium`]
+//! in a clone of that commit): a delta log with a small segment size —
+//! manifest, both checkpoint parities, sealed segments, a journal head
+//! — and the one-slot `checkpoint ‖ deltas` bundle a plain store gets
+//! from `BundleStorage`. The enclave is a bare `TrustedContext` on
+//! deterministic services, so every sealed byte is reproducible.
+
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
+
+use lcm::core::client::LcmClient;
+use lcm::core::codec::WireCodec;
+use lcm::core::context::{
+    InitOutcome, PersistBlobs, Phase, ProvisionPayload, ShardIdentity, TrustedContext,
+    LABEL_PROVISION,
+};
+use lcm::core::program::lcm_measurement;
+use lcm::core::server::{SLOT_KEY_BLOB, SLOT_STATE_BLOB};
+use lcm::core::stability::Quorum;
+use lcm::core::types::ClientId;
+use lcm::core::LcmError;
+use lcm::crypto::aead::{self, AeadKey};
+use lcm::crypto::keys::SecretKey;
+use lcm::kvs::ops::KvOp;
+use lcm::kvs::store::KvStore;
+use lcm::storage::{
+    make_bundle, parse_bundle, BundleStorage, DeltaLogConfig, DeltaLogStorage, StableStorage,
+    StorageError,
+};
+use lcm::tee::platform::{TeePlatform, TeeServices};
+use lcm::tee::world::TeeWorld;
+
+const FIXTURE: &str = include_str!("fixtures/medium_c61ba9d.txt");
+
+/// A plain store whose slots can be listed.
+#[derive(Default)]
+struct Medium(Mutex<BTreeMap<String, Vec<u8>>>);
+
+impl StableStorage for Medium {
+    fn store(&self, slot: &str, blob: &[u8]) -> Result<(), StorageError> {
+        self.0.lock().unwrap().insert(slot.into(), blob.to_vec());
+        Ok(())
+    }
+    fn load(&self, slot: &str) -> Result<Option<Vec<u8>>, StorageError> {
+        Ok(self.0.lock().unwrap().get(slot).cloned())
+    }
+}
+
+impl Medium {
+    /// `<name>/<slot> <hex>` per slot, in slot order.
+    fn dump(&self, name: &str) -> String {
+        let slots = self.0.lock().unwrap();
+        let line = |(slot, blob): (&String, &Vec<u8>)| {
+            let hex: String = blob.iter().map(|b| format!("{b:02x}")).collect();
+            format!("{name}/{slot} {hex}\n")
+        };
+        slots.iter().map(line).collect()
+    }
+
+    /// The medium `name` of the fixture.
+    fn recorded(name: &str) -> Medium {
+        let medium = Medium::default();
+        for line in FIXTURE.lines() {
+            let (slot, hex) = line.split_once(' ').expect("slot, space, hex");
+            if let Some(slot) = slot.strip_prefix(name).and_then(|s| s.strip_prefix('/')) {
+                let blob: Vec<u8> = (0..hex.len())
+                    .step_by(2)
+                    .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+                    .collect();
+                medium.store(slot, &blob).unwrap();
+            }
+        }
+        medium
+    }
+}
+
+fn platform() -> TeePlatform {
+    TeeWorld::new_deterministic(77).platform_deterministic(1)
+}
+
+fn context(rng_seed: u64) -> TrustedContext<KvStore> {
+    TrustedContext::new(TeeServices::for_tests(
+        platform(),
+        lcm_measurement(),
+        rng_seed,
+    ))
+}
+
+fn persist(storage: &dyn StableStorage, blobs: &PersistBlobs) {
+    storage.store(SLOT_STATE_BLOB, &blobs.state_blob).unwrap();
+    if !blobs.key_blob.is_empty() {
+        storage.store(SLOT_KEY_BLOB, &blobs.key_blob).unwrap();
+    }
+}
+
+/// The recorded schedule: provision, then 40 one-operation batches —
+/// enough sealed delta bytes to cross the checkpoint cadence twice, so
+/// the delta log alternates parities, seals segments and collects some.
+/// Returns the context and the client as they stand after the last
+/// batch.
+fn write_medium(storage: &dyn StableStorage) -> (TrustedContext<KvStore>, LcmClient) {
+    let mut ctx = context(5);
+    assert_eq!(
+        ctx.init(None, None, true).unwrap(),
+        InitOutcome::NeedProvision
+    );
+    let k_c = SecretKey::from_bytes([0xc2; 32]);
+    let payload = ProvisionPayload {
+        k_p: SecretKey::from_bytes([0xc1; 32]),
+        k_c: k_c.clone(),
+        k_a: SecretKey::from_bytes([0xc3; 32]),
+        clients: vec![ClientId(1)],
+        quorum: Quorum::Majority,
+        identity: ShardIdentity::SOLO,
+    };
+    let world = TeeWorld::new_deterministic(77);
+    let channel = AeadKey::from_secret(&world.admin_provision_key(&lcm_measurement()));
+    let sealed = aead::auth_encrypt(&channel, &payload.to_bytes(), LABEL_PROVISION).unwrap();
+    persist(storage, &ctx.provision(&sealed).unwrap());
+
+    let mut client = LcmClient::new(ClientId(1), &k_c);
+    for i in 0..40u32 {
+        let key = format!("key-{:02}", i % 12).into_bytes();
+        let op = match i % 7 {
+            6 => KvOp::Del(key),
+            _ => KvOp::Put(key, vec![i as u8; 150 + (i as usize % 5) * 40]),
+        };
+        let wire = client.invoke(&op.to_bytes()).unwrap();
+        let (_, reply) = ctx.handle_invoke(&wire).unwrap();
+        persist(storage, &ctx.persist_batch_blobs().unwrap());
+        client.handle_reply(&reply).unwrap();
+    }
+    (ctx, client)
+}
+
+fn delta_log(medium: Arc<Medium>) -> DeltaLogStorage {
+    let config = DeltaLogConfig {
+        segment_bytes: 1024,
+    };
+    DeltaLogStorage::with_config(medium, config).unwrap()
+}
+
+/// A fresh enclave on the same platform, recovered from what `storage`
+/// loads.
+fn reboot(storage: &dyn StableStorage) -> TrustedContext<KvStore> {
+    let key_blob = storage.load(SLOT_KEY_BLOB).unwrap().unwrap();
+    let state_blob = storage.load(SLOT_STATE_BLOB).unwrap().unwrap();
+    let mut ctx = context(6);
+    let outcome = ctx.init(Some(&key_blob), Some(&state_blob), true);
+    assert_eq!(outcome.unwrap(), InitOutcome::Resumed);
+    ctx
+}
+
+#[test]
+fn the_same_inputs_put_the_recorded_bytes_on_both_media() {
+    let dlog = Arc::new(Medium::default());
+    write_medium(&delta_log(dlog.clone()));
+    let plain = Arc::new(Medium::default());
+    write_medium(&BundleStorage::new(plain.clone()));
+    let written = dlog.dump("dlog") + &plain.dump("bundle");
+    // Not `assert_eq!`: two 20 kB hex dumps help nobody.
+    for (n, (ours, theirs)) in written.lines().zip(FIXTURE.lines()).enumerate() {
+        let slot = ours.split(' ').next().unwrap();
+        assert!(ours == theirs, "line {n} ({slot}) differs from c61ba9d's");
+    }
+    assert_eq!(written.lines().count(), FIXTURE.lines().count());
+}
+
+#[test]
+fn a_delta_log_written_by_the_parent_opens_loads_and_replays() {
+    let medium = Arc::new(Medium::recorded("dlog"));
+    let slots: Vec<String> = medium.0.lock().unwrap().keys().cloned().collect();
+    // What the schedule is there to produce: the fixture is not a
+    // trivial log.
+    for needed in ["dlog.ckpt.0.", "dlog.ckpt.1.", "dlog.seg.", "dlog.meta."] {
+        assert!(
+            slots.iter().any(|s| s.starts_with(needed)),
+            "{needed}* missing from {slots:?}"
+        );
+    }
+    let engine = delta_log(medium.clone());
+    let bundle = engine.load(SLOT_STATE_BLOB).unwrap().unwrap();
+    let (_, deltas) = parse_bundle(&bundle).expect("checkpoint ‖ deltas");
+    assert!(!deltas.is_empty());
+
+    let (expected, _) = write_medium(&Medium::default());
+    let recovered = reboot(&engine);
+    assert_eq!(recovered.functionality(), expected.functionality());
+    assert!(recovered.functionality().len() > 6);
+    // Opening and loading wrote nothing.
+    assert_eq!(medium.dump("dlog"), Medium::recorded("dlog").dump("dlog"));
+}
+
+#[test]
+fn a_bundle_slot_written_by_the_parent_loads_and_replays() {
+    let medium = Arc::new(Medium::recorded("bundle"));
+    let adapter = BundleStorage::new(medium.clone());
+    let bundle = adapter.load(SLOT_STATE_BLOB).unwrap().unwrap();
+    assert_eq!(bundle, medium.load(SLOT_STATE_BLOB).unwrap().unwrap());
+    let (_, deltas) = parse_bundle(&bundle).expect("checkpoint ‖ deltas");
+    assert!(!deltas.is_empty());
+
+    let (expected, _) = write_medium(&Medium::default());
+    let recovered = reboot(&adapter);
+    assert_eq!(recovered.functionality(), expected.functionality());
+}
+
+/// Recovery replays delta by delta, so when the second delta of a
+/// bundle is refused the first has already been applied — to a context
+/// that is halted in the same call and never answers again: not a
+/// write, not a read leg.
+#[test]
+fn a_bundle_whose_second_delta_fails_authentication_halts_before_anything_is_served() {
+    let plain = Arc::new(Medium::default());
+    let (_, mut client) = write_medium(&BundleStorage::new(plain.clone()));
+    let key_blob = plain.load(SLOT_KEY_BLOB).unwrap().unwrap();
+    let bundle = plain.load(SLOT_STATE_BLOB).unwrap().unwrap();
+    let (checkpoint, deltas) = parse_bundle(&bundle).unwrap();
+    assert!(deltas.len() >= 3);
+
+    // The first delta alone is a state the enclave restores…
+    let first_only = make_bundle(checkpoint, deltas[..1].iter().copied());
+    let mut ctx = context(6);
+    ctx.init(Some(&key_blob), Some(&first_only), true).unwrap();
+    assert_eq!(ctx.phase(), Phase::Ready);
+
+    // …and with one ciphertext bit of the second flipped — in frames
+    // whose checksums are right, so only the seal can tell — nothing is.
+    let mut second = deltas[1].to_vec();
+    let middle = second.len() / 2;
+    second[middle] ^= 0x01;
+    let mut tampered: Vec<&[u8]> = deltas.clone();
+    tampered[1] = &second;
+    let tampered = make_bundle(checkpoint, tampered.into_iter());
+    assert!(parse_bundle(&tampered).is_some(), "the frames are intact");
+    let mut ctx = context(6);
+    let refused = ctx.init(Some(&key_blob), Some(&tampered), true);
+    assert!(
+        matches!(refused, Err(LcmError::Violation(_))),
+        "{refused:?}"
+    );
+    assert_eq!(ctx.phase(), Phase::Halted);
+    let get = KvOp::Get(b"key-00".to_vec()).to_bytes();
+    let leg = client.read_for::<KvStore>(&get, 0).unwrap();
+    assert_eq!(ctx.serve_read(&leg), Err(LcmError::Halted));
+    client.cancel_read(0);
+    let wire = client.invoke(&get).unwrap();
+    assert_eq!(ctx.handle_invoke(&wire), Err(LcmError::Halted));
+}
