@@ -139,5 +139,54 @@ fn bench_sharded(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_pipeline, bench_aof, bench_sharded);
+/// The host plane around one lane: `n` closed-loop clients on a
+/// one-shard [`lcm_core::shard::ShardedServer`] over `Counter` on
+/// plain `MemoryStorage`, each iteration one `step` (a batch of 16),
+/// the 16 replies verified and their clients' next wires submitted.
+/// Printed per operation: how the cost of one operation moves with
+/// the number of clients *waiting* is the host's side of ROADMAP item
+/// 5(d) (the rows also carry `T`'s and the store's share, equal at
+/// equal `n`, so compare two commits row by row).
+fn bench_host_plane(c: &mut Criterion) {
+    use lcm_core::functionality::Counter;
+
+    let mut group = c.benchmark_group("host_plane");
+    group.throughput(Throughput::Elements(16));
+    for n in [16u32, 512, 16_384] {
+        let world = TeeWorld::new_deterministic(71);
+        let storage = Arc::new(MemoryStorage::new());
+        let mut server =
+            lcm_core::shard::build_sharded::<Counter>(&world, 1, storage, 16, 1, false);
+        server.boot().unwrap();
+        let ids: Vec<ClientId> = (1..=n).map(ClientId).collect();
+        let mut admin = AdminHandle::new_deterministic(&world, ids.clone(), Quorum::Majority, 71);
+        admin.bootstrap(&mut server).unwrap();
+        let mut clients: Vec<LcmClient> = ids
+            .iter()
+            .map(|&id| LcmClient::new_sharded(id, admin.client_key(), 1))
+            .collect();
+        let op = Counter::inc_op(b"n", 1);
+        for client in &mut clients {
+            server.submit(client.invoke_for::<Counter>(&op).unwrap());
+        }
+        group.bench_function(BenchmarkId::new("step_16_of_n", n), |b| {
+            b.iter(|| {
+                for (id, wire) in server.step().unwrap() {
+                    let client = &mut clients[id.0 as usize - 1];
+                    client.handle_reply(&wire).unwrap();
+                    server.submit(client.invoke_for::<Counter>(&op).unwrap());
+                }
+            });
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_pipeline,
+    bench_aof,
+    bench_sharded,
+    bench_host_plane
+);
 criterion_main!(benches);
