@@ -66,6 +66,8 @@ use crate::types::{ChainValue, ClientId, SeqNo};
 use crate::wire::{seal_message, InvokeView, ReplyMsg};
 use crate::{LcmError, Result, Violation};
 
+mod record;
+
 /// AAD label for the key blob (sealed under the TEE sealing key `kS`).
 pub const LABEL_KEY_BLOB: &[u8] = b"lcm.keyblob";
 /// AAD label for the state blob (sealed under the protocol key `kP`).
@@ -846,82 +848,6 @@ impl<F: Functionality> TrustedContext<F> {
         Ok(InitOutcome::Resumed)
     }
 
-    /// Opens a blob of storage kind `kind` sealed under `kP` with
-    /// `label`. Anything but an intact blob of that kind is tampering:
-    /// the context halts. Requires `self.keys` (at least `kP`).
-    fn open_sealed(&mut self, blob: &[u8], kind: u8, label: &[u8]) -> Result<Vec<u8>> {
-        let aead_p = &self
-            .keys
-            .as_ref()
-            .expect("caller installs keys first")
-            .aead_p;
-        let opened = match blob.split_first() {
-            Some((&k, sealed)) if k == kind => aead::auth_decrypt(aead_p, sealed, label).ok(),
-            _ => None,
-        };
-        opened.ok_or_else(|| self.halt(Violation::BadAuthentication))
-    }
-
-    /// Restores from a kind-tagged sealed state blob: a checkpoint or
-    /// a delta-log bundle. Requires `self.keys` (at least `kP`).
-    fn restore_sealed_state(&mut self, state_blob: &[u8]) -> Result<()> {
-        use lcm_storage::{BLOB_KIND_BUNDLE, BLOB_KIND_CHECKPOINT, BLOB_KIND_DELTA};
-        if state_blob.first() != Some(&BLOB_KIND_BUNDLE) {
-            let plain = self.open_sealed(state_blob, BLOB_KIND_CHECKPOINT, LABEL_STATE_BLOB)?;
-            return self.restore_state(&plain);
-        }
-        let Some((ckpt, deltas)) = lcm_storage::parse_bundle(state_blob) else {
-            return Err(self.halt(Violation::BadAuthentication));
-        };
-        let plain = self.open_sealed(ckpt, BLOB_KIND_CHECKPOINT, LABEL_STATE_BLOB)?;
-        self.restore_state(&plain)?;
-        for delta in deltas {
-            let plain = self.open_sealed(delta, BLOB_KIND_DELTA, LABEL_DELTA_BLOB)?;
-            if !self.apply_delta_plain(&plain)? {
-                // A journal the storage itself assembled must be one
-                // unbroken chain: the host spliced records across
-                // generations or reordered it.
-                return Err(self.halt(Violation::BadAuthentication));
-            }
-            // The log still holds this delta: it counts toward the
-            // checkpoint cadence exactly as when emitted, or reboots
-            // would grow the log without bound.
-            self.delta_bytes += delta.len();
-        }
-        Ok(())
-    }
-
-    /// Replays one decrypted delta onto the current state — the one
-    /// function behind delta-by-delta recovery *and* a follower's
-    /// apply of a replication record. The delta applies only at the
-    /// chain position it was sealed against: `Ok(false)`, with nothing
-    /// mutated, when this context stands anywhere else. What that
-    /// means is the caller's to say — a broken journal on the recovery
-    /// path, a record delivered out of turn on the replication path.
-    fn apply_delta_plain(&mut self, plain: &[u8]) -> Result<bool> {
-        let mut r = Reader::new(plain);
-        let decoded = (|| -> std::result::Result<_, crate::codec::CodecError> {
-            let prev = r.get_digest()?;
-            let floor = SeqNo::decode(&mut r)?;
-            let dv = crate::stability::decode_vmap(&mut r)?;
-            let f_delta = r.get_bytes()?;
-            r.finish()?;
-            Ok((prev, floor, dv, f_delta))
-        })();
-        let Ok((prev, floor, dv, f_delta)) = decoded else {
-            return Err(self.halt(Violation::BadAuthentication));
-        };
-        if prev != self.persist_anchor {
-            return Ok(false);
-        }
-        self.stable_floor = floor;
-        self.v.apply_entries(dv);
-        self.f.apply_delta(f_delta).map_err(LcmError::from)?;
-        self.resume_from_latest();
-        self.persist_anchor = lcm_crypto::sha256::digest_parts(&[ANCHOR_DELTA, plain]);
-        Ok(true)
-    }
-
     /// Installs keys and the initial group from the admin's attested
     /// provisioning channel (§4.3 bootstrapping, phase 3).
     ///
@@ -1413,319 +1339,6 @@ impl<F: Functionality> TrustedContext<F> {
         )
     }
 
-    /// Applies one record of the group's replication stream on this
-    /// member — the single follower entry point of the
-    /// replicated-shard design. The record's kind byte picks the path,
-    /// exactly as it does for recovery from storage:
-    ///
-    /// * a **delta** (the leader's per-batch
-    ///   [`PersistBlobs::record`]) is opened under the shared `kP` and
-    ///   replayed by the function delta-by-delta recovery runs —
-    ///   replication is continuous recovery. It applies only at the
-    ///   chain position it was sealed against; delivered anywhere
-    ///   else it is refused with [`LcmError::RecordOutOfOrder`],
-    ///   **without** touching the state and **without** halting: which
-    ///   record reaches which member when is host scheduling (a member
-    ///   that was dead, a promotion), and a member that missed a
-    ///   record is levelled with a checkpoint, not accused.
-    /// * a **checkpoint or bundle** (what the leader's storage slot
-    ///   holds: catch-up after a reboot or promotion, control-plane
-    ///   re-seals, functionalities that do not track changes) replaces
-    ///   this member's `V`, `t`, `h`, stability floor, service state
-    ///   and chain position wholesale, leaving it where the sealer
-    ///   stood; the member keeps its **own** replica identity
-    ///   (asserting the sealer is of the same group — another shard's
-    ///   state halts). The install is unconditional: a host that ships
-    ///   a stale checkpoint merely produces a lagging follower (reads
-    ///   answer `behind`, later deltas are refused), and a promotion
-    ///   that loses an unacknowledged suffix is what clients detect as
-    ///   rollback — see [`crate::replica`].
-    ///
-    /// Returns the in-enclave digest of the record — the
-    /// acknowledgement the host counts toward quorum stability, so
-    /// only a record this enclave accepted can be acked — plus what
-    /// this member persists as its *own* storage dictates: the
-    /// leader's sealed delta verbatim as the next record of its log
-    /// or bundle (same `kP`, no identity inside, nothing to re-seal),
-    /// one sealed checkpoint when its own cadence asks for one, after
-    /// an install, or when the host takes no deltas. Either way it records the position
-    /// the apply arrived at, and carries no key blob: keys cannot
-    /// change on this path.
-    ///
-    /// # Errors
-    ///
-    /// * [`LcmError::RecordOutOfOrder`] — a delta for another
-    ///   position; state unchanged, the context keeps serving.
-    /// * [`LcmError::Violation`] — the record failed authentication or
-    ///   names a different shard group; the context halts.
-    /// * [`LcmError::NotProvisioned`] / [`LcmError::Halted`] — wrong
-    ///   phase.
-    pub fn apply_replica(&mut self, record: &[u8]) -> Result<(Digest, PersistBlobs)> {
-        self.require_ready()?;
-        let state_blob = if record.first() == Some(&lcm_storage::BLOB_KIND_DELTA) {
-            let plain = self.open_sealed(record, lcm_storage::BLOB_KIND_DELTA, LABEL_DELTA_BLOB)?;
-            if !self.apply_delta_plain(&plain)? {
-                return Err(LcmError::RecordOutOfOrder);
-            }
-            if self.logs_deltas() {
-                self.delta_bytes += record.len();
-                record.to_vec()
-            } else {
-                self.seal_checkpoint(false)?
-            }
-        } else {
-            let own = self.identity.expect("ready implies identity");
-            self.restore_sealed_state(record)?;
-            let sealer = self.identity.expect("restored state carries an identity");
-            if !sealer.same_group(&own) {
-                // The dummy client id marks a violation with no invoking
-                // client: the host shipped another shard's state here.
-                let shard_epoch = self.table.epoch();
-                return Err(self.halt(Violation::WrongShard {
-                    client: ClientId(0),
-                    delivered_to: own.index,
-                    owner: sealer.index,
-                    wire_epoch: shard_epoch,
-                    shard_epoch,
-                }));
-            }
-            self.identity = Some(own);
-            self.seal_checkpoint(false)?
-        };
-        let blobs = PersistBlobs {
-            key_blob: Vec::new(),
-            state_blob,
-            record: None,
-        };
-        Ok((lcm_crypto::sha256::digest(record), blobs))
-    }
-
-    /// Seals the current protocol + service state as a full checkpoint
-    /// at a **fresh chain root** for the host to persist. Control-plane
-    /// paths (provisioning, admin, migration, slice moves) always end
-    /// here — their effects (key rotation, membership, identity) are
-    /// deliberately excluded from the delta format, so no delta leads
-    /// to the state they seal (see the [module docs](self#chain-position)).
-    ///
-    /// # Errors
-    ///
-    /// * [`LcmError::NotProvisioned`] when no keys are installed.
-    pub fn persist_blobs(&mut self) -> Result<PersistBlobs> {
-        self.seal_blobs(true)
-    }
-
-    /// The key blob and a checkpoint, in the nonce order every
-    /// control-plane persist has always used.
-    fn seal_blobs(&mut self, reroot: bool) -> Result<PersistBlobs> {
-        if self.keys.is_none() {
-            return Err(LcmError::NotProvisioned);
-        }
-        let seal_key = AeadKey::from_secret(&self.services.sealing_key());
-        let nonce = self.next_nonce();
-        let keys = self.keys.as_ref().expect("checked above");
-        let key_blob = seal_message(
-            &seal_key,
-            &nonce,
-            LABEL_KEY_BLOB,
-            &[lcm_storage::BLOB_KIND_OPAQUE],
-            2 * lcm_crypto::keys::KEY_LEN,
-            |w| {
-                w.put_raw(keys.k_p.as_bytes());
-                w.put_raw(keys.k_a.as_bytes());
-            },
-        )?;
-        Ok(PersistBlobs {
-            key_blob,
-            state_blob: self.seal_checkpoint(reroot)?,
-            record: None,
-        })
-    }
-
-    /// Seals the whole protocol + service state as a kind-tagged
-    /// checkpoint. With `reroot` the chain takes a fresh random root
-    /// first; without, the checkpoint records the position the context
-    /// stands at — only correct right after a delta (sealed or
-    /// applied) or an install put it there (see the
-    /// [module docs](self#chain-position)).
-    fn seal_checkpoint(&mut self, reroot: bool) -> Result<Vec<u8>> {
-        let keys = self.keys.as_ref().ok_or(LcmError::NotProvisioned)?;
-        let aead_p = keys.aead_p.clone();
-        let k_c = keys.k_c.clone();
-        let nonce = self.next_nonce();
-        if reroot {
-            // The unique nonce makes the root distinct per checkpoint.
-            self.persist_anchor = lcm_crypto::sha256::digest_parts(&[ANCHOR_CKPT, &nonce]);
-        }
-
-        // Reset the functionality's change tracking: the snapshot below
-        // is the new baseline deltas build on.
-        let _ = self.f.take_delta();
-        // The state is encoded where it is sealed; the last
-        // checkpoint's size is the estimate the buffer starts from.
-        let mut plain_len = 0;
-        let sealed = seal_message(
-            &aead_p,
-            &nonce,
-            LABEL_STATE_BLOB,
-            &[lcm_storage::BLOB_KIND_CHECKPOINT],
-            self.last_ckpt_len + self.last_ckpt_len / 8,
-            |w| {
-                let start = w.len();
-                w.put_raw(k_c.as_bytes());
-                w.put_u64(self.admin_seq);
-                self.stable_floor.encode(w);
-                self.v.quorum().encode(w);
-                self.identity.unwrap_or(ShardIdentity::SOLO).encode(w);
-                // The routing table seals with the rest of the protocol
-                // state: a rolled-back enclave thereby rolls back its
-                // table too, which is exactly what future-epoch wires
-                // expose.
-                self.table.encode(w);
-                crate::stability::encode_vmap(self.v.map(), w);
-                w.put_bytes(&self.f.snapshot());
-                w.put_digest(&self.persist_anchor);
-                plain_len = w.len() - start;
-            },
-        )?;
-        self.delta_bytes = 0;
-        self.last_ckpt_len = plain_len;
-        self.touched.clear();
-        Ok(sealed)
-    }
-
-    /// Seals what changed since the last persisted blob — the stable
-    /// floor, the touched clients' `V` entries (with their cached
-    /// replies) and the functionality's own diff `f_delta` — as a
-    /// kind-tagged delta chained from the current position, and moves
-    /// the position past it.
-    fn seal_delta(&mut self, f_delta: &[u8]) -> Result<Vec<u8>> {
-        let keys = self.keys.as_ref().ok_or(LcmError::NotProvisioned)?;
-        let aead_p = keys.aead_p.clone();
-
-        let nonce = self.next_nonce();
-        let mut anchor = Digest::ZERO;
-        let delta = seal_message(
-            &aead_p,
-            &nonce,
-            LABEL_DELTA_BLOB,
-            &[lcm_storage::BLOB_KIND_DELTA],
-            // An entry of `V` with its cached reply, per touched
-            // client, beside the functionality's own diff.
-            64 + 160 * self.touched.len() + f_delta.len(),
-            |w| {
-                let start = w.len();
-                w.put_digest(&self.persist_anchor);
-                self.stable_floor.encode(w);
-                let mut dv = VMap::new();
-                for client in &self.touched {
-                    if let Some(entry) = self.v.map().get(client) {
-                        dv.insert(*client, entry.clone());
-                    }
-                }
-                crate::stability::encode_vmap(&dv, w);
-                w.put_bytes(f_delta);
-                anchor = lcm_crypto::sha256::digest_parts(&[ANCHOR_DELTA, &w.as_slice()[start..]]);
-            },
-        )?;
-        self.persist_anchor = anchor;
-        self.touched.clear();
-        Ok(delta)
-    }
-
-    /// Whether this member's next persist may be a delta: the host's
-    /// storage journals them and the log since the last checkpoint is
-    /// still within the cadence budget.
-    fn logs_deltas(&self) -> bool {
-        self.delta_mode && self.delta_bytes <= self.last_ckpt_len.max(DELTA_CHECKPOINT_MIN)
-    }
-
-    /// The per-batch persist.
-    ///
-    /// A lane outside a group seals a delta when the host's storage
-    /// supports it and the cadence allows, a full checkpoint otherwise
-    /// (the checkpoint is also the compaction point the delta-log
-    /// engine garbage-collects against). A delta carries only what a
-    /// batch can change, chained from the current position. Its
-    /// `key_blob` is empty: keys never change on the batch path, and
-    /// the host skips the redundant store.
-    ///
-    /// A **group member** (`replicas > 1` in its attested identity)
-    /// seals that delta for every batch, whatever its own storage is,
-    /// and returns it as the [`PersistBlobs::record`] its followers
-    /// apply; its own persist is the same delta, or — when the cadence
-    /// asks for one or the host takes no deltas — one checkpoint
-    /// recording the position the delta arrived at. A
-    /// functionality that does not track changes gets the solo path:
-    /// the checkpoint itself is what the group ships.
-    ///
-    /// # Errors
-    ///
-    /// * [`LcmError::NotProvisioned`] when no keys are installed.
-    pub fn persist_batch_blobs(&mut self) -> Result<PersistBlobs> {
-        let in_group = self.identity.is_some_and(|id| id.replicas > 1);
-        let log_delta = self.logs_deltas();
-        if !(log_delta || in_group) {
-            return self.persist_blobs();
-        }
-        let Some(f_delta) = self.f.take_delta() else {
-            // The functionality does not track changes.
-            return self.persist_blobs();
-        };
-        let delta = self.seal_delta(&f_delta)?;
-        if log_delta {
-            self.delta_bytes += delta.len();
-            Ok(PersistBlobs {
-                key_blob: Vec::new(),
-                record: in_group.then(|| delta.clone()),
-                state_blob: delta,
-            })
-        } else {
-            // Cadence checkpoint inside a group.
-            Ok(PersistBlobs {
-                key_blob: Vec::new(),
-                state_blob: self.seal_checkpoint(false)?,
-                record: Some(delta),
-            })
-        }
-    }
-
-    fn restore_state(&mut self, plain: &[u8]) -> Result<()> {
-        let mut r = Reader::new(plain);
-        let k_c = read_key(&mut r).map_err(LcmError::from)?;
-        self.admin_seq = r.get_u64().map_err(LcmError::from)?;
-        self.stable_floor = SeqNo::decode(&mut r).map_err(LcmError::from)?;
-        let quorum = Quorum::decode(&mut r).map_err(LcmError::from)?;
-        self.identity = Some(ShardIdentity::decode(&mut r).map_err(LcmError::from)?);
-        self.table = SliceTable::decode(&mut r).map_err(LcmError::from)?;
-        let v = crate::stability::decode_vmap(&mut r).map_err(LcmError::from)?;
-        // Borrowed from the opened blob: the functionality decodes the
-        // O(state) part straight out of it.
-        let snapshot = r.get_bytes().map_err(LcmError::from)?;
-        let anchor = r.get_digest().map_err(LcmError::from)?;
-        r.finish().map_err(LcmError::from)?;
-
-        self.v.replace(v, quorum);
-        self.f.restore(snapshot).map_err(LcmError::from)?;
-        self.persist_anchor = anchor;
-        self.delta_bytes = 0;
-        self.last_ckpt_len = plain.len();
-        self.touched.clear();
-        if let Some(keys) = self.keys.as_mut() {
-            keys.rotate_kc(k_c);
-        }
-        self.resume_from_latest();
-        Ok(())
-    }
-
-    /// `(·, t, h) ← V[argmax(V)]` of Alg. 2: the context resumes from
-    /// the most recent operation recorded in `V`.
-    fn resume_from_latest(&mut self) {
-        (self.t, self.h) = self
-            .v
-            .latest()
-            .map_or((SeqNo::ZERO, ChainValue::GENESIS), |e| (e.t, e.h));
-    }
-
     /// Handles an authenticated admin operation (§4.6.3).
     ///
     /// # Errors
@@ -1799,335 +1412,6 @@ impl<F: Functionality> TrustedContext<F> {
                 .map_err(|e| LcmError::Tee(e.to_string()))?;
         let blobs = self.persist_blobs()?;
         Ok((reply_wire, blobs))
-    }
-
-    /// Exports the full context state as a migration ticket encrypted
-    /// for a same-program enclave (§4.6.2), then stops serving.
-    ///
-    /// # Errors
-    ///
-    /// * [`LcmError::Tee`] — no migration channel on this platform.
-    /// * [`LcmError::NotProvisioned`] / [`LcmError::Halted`] — wrong
-    ///   phase.
-    pub fn export_migration(&mut self) -> Result<Vec<u8>> {
-        self.require_ready()?;
-        let channel_key = self
-            .services
-            .migration_key()
-            .ok_or_else(|| LcmError::Tee("platform has no migration channel".into()))?;
-        let keys = self.keys.as_ref().expect("ready implies keys");
-
-        let mut w = Writer::new();
-        w.put_raw(keys.k_p.as_bytes());
-        w.put_raw(keys.k_c.as_bytes());
-        w.put_raw(keys.k_a.as_bytes());
-        w.put_u64(self.admin_seq);
-        self.stable_floor.encode(&mut w);
-        self.v.quorum().encode(&mut w);
-        // The identity travels with the ticket: the target enclave
-        // adopts the origin shard's place in the deployment, so a
-        // migrated deployment re-verifies exactly like a fresh one.
-        // The routing table travels too, for the same reason.
-        self.identity.unwrap_or(ShardIdentity::SOLO).encode(&mut w);
-        self.table.encode(&mut w);
-        crate::stability::encode_vmap(self.v.map(), &mut w);
-        w.put_bytes(&self.f.snapshot());
-
-        let channel = AeadKey::from_secret(&channel_key);
-        let nonce = self.next_nonce();
-        let ticket =
-            aead::auth_encrypt_with_nonce(&channel, &nonce, &w.into_bytes(), LABEL_MIGRATION)
-                .map_err(|e| LcmError::Tee(e.to_string()))?;
-        // "At this point, T stops processing requests" (§4.6.2).
-        self.phase = Phase::Migrated;
-        Ok(ticket)
-    }
-
-    /// Imports a migration ticket on the target enclave, installing the
-    /// origin's keys and state and re-sealing them for this platform.
-    ///
-    /// # Errors
-    ///
-    /// * [`LcmError::AlreadyProvisioned`] — the target already has
-    ///   state.
-    /// * [`LcmError::Violation`] — the ticket failed authentication.
-    pub fn import_migration(&mut self, ticket: &[u8]) -> Result<PersistBlobs> {
-        self.import_migration_with(ticket, None)
-    }
-
-    /// [`TrustedContext::import_migration`] with a host-supplied
-    /// replica slot: the target adopts the ticket's shard slot but
-    /// occupies `Some((replica, replicas))` within the group.
-    ///
-    /// Replica *assignment* is the host's scheduling domain — the same
-    /// migration ticket fans out to every member of a replicated
-    /// target group, each importing under a different slot — while
-    /// *verification* of the claimed coordinates stays with the
-    /// admin's post-migration attestation (the quote user data binds
-    /// whatever slot was installed here).
-    pub fn import_migration_with(
-        &mut self,
-        ticket: &[u8],
-        replica_override: Option<(u32, u32)>,
-    ) -> Result<PersistBlobs> {
-        if self.phase != Phase::AwaitingProvision {
-            return Err(LcmError::AlreadyProvisioned);
-        }
-        if let Some((replica, replicas)) = replica_override {
-            if replicas == 0 || replica >= replicas {
-                return Err(LcmError::Tee(format!(
-                    "invalid replica override {replica}/{replicas}"
-                )));
-            }
-        }
-        let channel_key = self
-            .services
-            .migration_key()
-            .ok_or_else(|| LcmError::Tee("platform has no migration channel".into()))?;
-        let channel = AeadKey::from_secret(&channel_key);
-        let plain = aead::auth_decrypt(&channel, ticket, LABEL_MIGRATION)
-            .map_err(|_| self.halt(Violation::BadAuthentication))?;
-
-        let mut r = Reader::new(&plain);
-        let k_p = read_key(&mut r).map_err(LcmError::from)?;
-        let k_c = read_key(&mut r).map_err(LcmError::from)?;
-        let k_a = read_key(&mut r).map_err(LcmError::from)?;
-        let admin_seq = r.get_u64().map_err(LcmError::from)?;
-        let stable_floor = SeqNo::decode(&mut r).map_err(LcmError::from)?;
-        let quorum = Quorum::decode(&mut r).map_err(LcmError::from)?;
-        let mut identity = ShardIdentity::decode(&mut r).map_err(LcmError::from)?;
-        if let Some((replica, replicas)) = replica_override {
-            identity = ShardIdentity {
-                replica,
-                replicas,
-                ..identity
-            };
-        }
-        let table = SliceTable::decode(&mut r).map_err(LcmError::from)?;
-        let v = crate::stability::decode_vmap(&mut r).map_err(LcmError::from)?;
-        let snapshot = r.get_bytes().map_err(LcmError::from)?;
-        r.finish().map_err(LcmError::from)?;
-
-        self.keys = Some(Keys::from_raw(k_p, k_c, k_a));
-        self.admin_seq = admin_seq;
-        self.stable_floor = stable_floor;
-        self.identity = Some(identity);
-        self.table = table;
-        self.v.replace(v, quorum);
-        self.f.restore(snapshot).map_err(LcmError::from)?;
-        self.resume_from_latest();
-        self.phase = Phase::Ready;
-        self.persist_blobs()
-    }
-
-    /// Exports one routing slice to shard `to` while *both* shards keep
-    /// running — the live half of heat-aware rebalancing, in contrast
-    /// to [`TrustedContext::export_migration`] which moves a whole
-    /// shard and stops it.
-    ///
-    /// The exporting enclave extracts the slice's partition of the
-    /// service state, advances its table to the epoch-bumped assignment
-    /// (so it redirects rather than executes the slice's wires from
-    /// this point on), and seals two artifacts for the host to carry:
-    /// a *ticket* only the adopting shard can apply and a *bulletin*
-    /// every bystander shard adopts. Client history (`V`) does not
-    /// travel — each shard keeps its own sequence space, and clients
-    /// re-pin per-shard contexts when they chase the redirect.
-    ///
-    /// # Errors
-    ///
-    /// * [`LcmError::Tee`] — no migration channel, the slice is not
-    ///   owned here, the destination is out of range, or the
-    ///   functionality does not support partition extraction. The
-    ///   context state is unchanged (host bugs, not attacks).
-    /// * [`LcmError::NotProvisioned`] / [`LcmError::Halted`] — wrong
-    ///   phase.
-    pub fn export_slice(&mut self, slice: u32, to: u32) -> Result<SliceExport> {
-        self.require_ready()?;
-        let channel_key = self
-            .services
-            .migration_key()
-            .ok_or_else(|| LcmError::Tee("platform has no migration channel".into()))?;
-        let identity = self.identity.expect("ready implies identity");
-        if slice >= crate::routing::SLICE_COUNT || self.table.owner(slice) != identity.index {
-            return Err(LcmError::Tee(format!(
-                "shard {} does not own slice {slice}",
-                identity.index
-            )));
-        }
-        let new_table = self
-            .table
-            .moved(slice, to)
-            .ok_or_else(|| LcmError::Tee(format!("invalid slice move {slice} -> {to}")))?;
-        // Extract the slice's partition of the service state. `None`
-        // means the functionality does not track partition keys — the
-        // default — and nothing has been mutated yet, so the error is
-        // clean.
-        let Some(partition) = self
-            .f
-            .take_partition(&|key| slice_of(crate::shard::route_hash(key)) == slice)
-        else {
-            return Err(LcmError::Tee(
-                "functionality does not support slice migration".into(),
-            ));
-        };
-        let old_epoch = self.table.epoch();
-        self.table = new_table;
-
-        let mut w = Writer::new();
-        identity.encode(&mut w);
-        w.put_u32(to);
-        w.put_u32(slice);
-        w.put_u64(old_epoch);
-        self.table.encode(&mut w);
-        w.put_bytes(&partition);
-        let channel = AeadKey::from_secret(&channel_key);
-        let nonce = self.next_nonce();
-        let ticket =
-            aead::auth_encrypt_with_nonce(&channel, &nonce, &w.into_bytes(), LABEL_SLICE_TICKET)
-                .map_err(|e| LcmError::Tee(e.to_string()))?;
-
-        let mut w = Writer::new();
-        self.table.encode(&mut w);
-        let nonce = self.next_nonce();
-        let bulletin =
-            aead::auth_encrypt_with_nonce(&channel, &nonce, &w.into_bytes(), LABEL_SLICE_BULLETIN)
-                .map_err(|e| LcmError::Tee(e.to_string()))?;
-
-        // Slice moves always checkpoint: the exported keys vanish from
-        // this shard's state wholesale, which a dirty-set delta cannot
-        // express against an arbitrary baseline.
-        let blobs = self.persist_blobs()?;
-        Ok(SliceExport {
-            ticket,
-            bulletin,
-            blobs,
-        })
-    }
-
-    /// Adopts one routing slice exported by a sibling shard via
-    /// [`TrustedContext::export_slice`]: validates the sealed ticket,
-    /// installs the slice's partition of the service state, and
-    /// advances to the epoch-bumped table.
-    ///
-    /// Replaying a ticket is harmless: once this shard sits at the
-    /// bumped epoch the ticket's `old_epoch` no longer matches and the
-    /// import is refused without any state change — which is exactly
-    /// what makes crash-retry of a half-done migration safe.
-    ///
-    /// # Errors
-    ///
-    /// * [`LcmError::Violation`] — the ticket failed authentication or
-    ///   names a different destination shard (a misdelivered ticket is
-    ///   host misbehaviour); the context halts.
-    /// * [`LcmError::Tee`] — epoch mismatch (stale or premature
-    ///   ticket) or a deployment-shape mismatch; state unchanged.
-    /// * [`LcmError::NotProvisioned`] / [`LcmError::Halted`] — wrong
-    ///   phase.
-    pub fn import_slice(&mut self, ticket: &[u8]) -> Result<PersistBlobs> {
-        self.require_ready()?;
-        let channel_key = self
-            .services
-            .migration_key()
-            .ok_or_else(|| LcmError::Tee("platform has no migration channel".into()))?;
-        let channel = AeadKey::from_secret(&channel_key);
-        let plain = aead::auth_decrypt(&channel, ticket, LABEL_SLICE_TICKET)
-            .map_err(|_| self.halt(Violation::BadAuthentication))?;
-        let mut r = Reader::new(&plain);
-        let decoded = (|| -> std::result::Result<_, crate::codec::CodecError> {
-            let exporter = ShardIdentity::decode(&mut r)?;
-            let to = r.get_u32()?;
-            let slice = r.get_u32()?;
-            let old_epoch = r.get_u64()?;
-            let table = SliceTable::decode(&mut r)?;
-            let partition = r.get_bytes()?.to_vec();
-            r.finish()?;
-            Ok((exporter, to, slice, old_epoch, table, partition))
-        })();
-        let Ok((exporter, to, slice, old_epoch, table, partition)) = decoded else {
-            return Err(self.halt(Violation::BadAuthentication));
-        };
-        let identity = self.identity.expect("ready implies identity");
-        if to != identity.index {
-            // An intact ticket delivered to the wrong shard: the host
-            // redirected it, exactly like a misdelivered wire.
-            let shard_epoch = self.table.epoch();
-            return Err(self.halt(Violation::WrongShard {
-                client: ClientId(0),
-                delivered_to: identity.index,
-                owner: to,
-                wire_epoch: table.epoch(),
-                shard_epoch,
-            }));
-        }
-        if exporter.count != identity.count || table.count() != identity.count {
-            return Err(LcmError::Tee(
-                "slice ticket from a different deployment shape".into(),
-            ));
-        }
-        if old_epoch != self.table.epoch() {
-            return Err(LcmError::Tee(format!(
-                "slice ticket for epoch {old_epoch} does not apply at epoch {}",
-                self.table.epoch()
-            )));
-        }
-        if table.owner(slice) != identity.index {
-            return Err(LcmError::Tee(format!(
-                "slice ticket assigns slice {slice} to shard {} not {}",
-                table.owner(slice),
-                identity.index
-            )));
-        }
-        self.f.apply_partition(&partition).map_err(LcmError::from)?;
-        self.table = table;
-        self.persist_blobs()
-    }
-
-    /// Adopts an epoch-bumped slice table announced by a sibling's
-    /// [`TrustedContext::export_slice`] bulletin, so this bystander
-    /// shard judges wires against the same routing epoch as the pair
-    /// that moved the slice. A bulletin at or below the current epoch
-    /// is a harmless replay and changes nothing.
-    ///
-    /// # Errors
-    ///
-    /// * [`LcmError::Violation`] — the bulletin failed authentication;
-    ///   the context halts.
-    /// * [`LcmError::Tee`] — the bulletin skips epochs or names a
-    ///   different deployment shape; state unchanged.
-    /// * [`LcmError::NotProvisioned`] / [`LcmError::Halted`] — wrong
-    ///   phase.
-    pub fn adopt_table(&mut self, bulletin: &[u8]) -> Result<PersistBlobs> {
-        self.require_ready()?;
-        let channel_key = self
-            .services
-            .migration_key()
-            .ok_or_else(|| LcmError::Tee("platform has no migration channel".into()))?;
-        let channel = AeadKey::from_secret(&channel_key);
-        let plain = aead::auth_decrypt(&channel, bulletin, LABEL_SLICE_BULLETIN)
-            .map_err(|_| self.halt(Violation::BadAuthentication))?;
-        let table = match SliceTable::from_bytes(&plain) {
-            Ok(t) => t,
-            Err(_) => return Err(self.halt(Violation::BadAuthentication)),
-        };
-        let identity = self.identity.expect("ready implies identity");
-        if table.epoch() <= self.table.epoch() {
-            return self.persist_blobs();
-        }
-        if table.count() != identity.count {
-            return Err(LcmError::Tee(
-                "slice-table bulletin from a different deployment shape".into(),
-            ));
-        }
-        if table.epoch() != self.table.epoch() + 1 {
-            return Err(LcmError::Tee(format!(
-                "slice-table bulletin skips epochs ({} -> {})",
-                self.table.epoch(),
-                table.epoch()
-            )));
-        }
-        self.table = table;
-        self.persist_blobs()
     }
 
     fn require_ready(&self) -> Result<()> {
