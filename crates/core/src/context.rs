@@ -21,6 +21,19 @@
 //!
 //! # Chain position
 //!
+//! Everything `T` seals is one of six records — a whole context has
+//! one encoding, the state record, a partial one has one, `F`'s delta
+//! — and the child module `record` alone holds their formats:
+//!
+//! | record | plaintext | sealed under |
+//! |---|---|---|
+//! | key blob | `kP ‖ kA` | the TEE sealing key `kS` |
+//! | checkpoint | the **state record**: `kC`, admin sequence, stable floor, quorum, identity, slice table, `V`, `F`'s snapshot, chain position | `kP` |
+//! | delta | chain position, stable floor, the touched entries of `V`, `F`'s delta | `kP` |
+//! | migration ticket | `kP ‖ kA ‖` the state record | the migration channel |
+//! | slice ticket | slice, bumped table, the slice's records as `F`'s delta | the migration channel |
+//! | table bulletin | bumped table | the migration channel |
+//!
 //! Every sealed state blob is tied into one hash chain. The context's
 //! **chain position** names the state its last sealed (or applied)
 //! blob leaves behind, and every delta seals the position it applies
@@ -58,7 +71,7 @@ use lcm_crypto::sha256::Digest;
 use lcm_tee::attestation::Report;
 use lcm_tee::platform::TeeServices;
 
-use crate::codec::{Reader, WireCodec, Writer};
+use crate::codec::{CodecError, Reader, WireCodec, Writer};
 use crate::functionality::Functionality;
 use crate::routing::{slice_of, SliceTable};
 use crate::stability::{CachedReply, Quorum, VMap, VState};
@@ -262,6 +275,13 @@ impl Keys {
         }
     }
 
+    /// The keys of a context about to restore a state record: `kC`
+    /// is part of that record, so a placeholder holds its place until
+    /// the restore rotates the real one in.
+    fn resuming(k_p: SecretKey, k_a: SecretKey) -> Keys {
+        Keys::from_raw(k_p, SecretKey::from_bytes([0u8; 32]), k_a)
+    }
+
     fn rotate_kc(&mut self, new_kc: SecretKey) {
         self.aead_c = AeadKey::from_secret(&new_kc);
         self.k_c = new_kc;
@@ -333,9 +353,7 @@ impl AdminOp {
         }
     }
 
-    pub(crate) fn decode(
-        r: &mut Reader<'_>,
-    ) -> std::result::Result<Self, crate::codec::CodecError> {
+    pub(crate) fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
         match r.get_u8()? {
             ADMIN_ADD => Ok(AdminOp::AddClient(ClientId::decode(r)?)),
             ADMIN_REMOVE => {
@@ -344,7 +362,7 @@ impl AdminOp {
             }
             ADMIN_ROTATE => Ok(AdminOp::RotateKey(read_key(r)?)),
             ADMIN_STATUS => Ok(AdminOp::Status),
-            other => Err(crate::codec::CodecError::InvalidTag(other)),
+            other => Err(CodecError::InvalidTag(other)),
         }
     }
 }
@@ -385,9 +403,7 @@ impl AdminReply {
         }
     }
 
-    pub(crate) fn decode(
-        r: &mut Reader<'_>,
-    ) -> std::result::Result<Self, crate::codec::CodecError> {
+    pub(crate) fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
         match r.get_u8()? {
             1 => Ok(AdminReply::Ok),
             2 => Ok(AdminReply::Status {
@@ -396,12 +412,12 @@ impl AdminReply {
                 n: r.get_u32()?,
             }),
             3 => Ok(AdminReply::Rejected(r.get_str()?.to_owned())),
-            other => Err(crate::codec::CodecError::InvalidTag(other)),
+            other => Err(CodecError::InvalidTag(other)),
         }
     }
 }
 
-fn read_key(r: &mut Reader<'_>) -> std::result::Result<SecretKey, crate::codec::CodecError> {
+fn read_key(r: &mut Reader<'_>) -> std::result::Result<SecretKey, CodecError> {
     let d = r.get_digest()?; // 32 raw bytes
     Ok(SecretKey::from_bytes(d.0))
 }
@@ -503,15 +519,13 @@ impl ShardIdentity {
         w.put_u32(self.replicas);
     }
 
-    pub(crate) fn decode(
-        r: &mut Reader<'_>,
-    ) -> std::result::Result<Self, crate::codec::CodecError> {
+    pub(crate) fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
         let index = r.get_u32()?;
         let count = r.get_u32()?;
         let replica = r.get_u32()?;
         let replicas = r.get_u32()?;
         if count == 0 || index >= count || replicas == 0 || replica >= replicas {
-            return Err(crate::codec::CodecError::InvalidTag(0));
+            return Err(CodecError::InvalidTag(0));
         }
         Ok(ShardIdentity {
             index,
@@ -543,20 +557,14 @@ impl std::fmt::Display for ShardIdentity {
 /// (shard i, replica r) holds exactly those coordinates"* rather than
 /// *"enough genuine enclaves exist"*.
 pub fn attest_user_data(challenge: &Digest, identity: Option<ShardIdentity>) -> Digest {
-    let mut buf = Vec::with_capacity(16 + 32 + 17);
-    buf.extend_from_slice(b"lcm.attest-id");
-    buf.extend_from_slice(challenge.as_bytes());
-    match identity {
-        None => buf.push(0),
-        Some(id) => {
-            buf.push(1);
-            buf.extend_from_slice(&id.index.to_be_bytes());
-            buf.extend_from_slice(&id.count.to_be_bytes());
-            buf.extend_from_slice(&id.replica.to_be_bytes());
-            buf.extend_from_slice(&id.replicas.to_be_bytes());
-        }
+    let mut w = Writer::with_capacity(16 + 32 + 17);
+    w.put_raw(b"lcm.attest-id");
+    w.put_raw(challenge.as_bytes());
+    w.put_bool(identity.is_some());
+    if let Some(id) = identity {
+        id.encode(&mut w);
     }
-    lcm_crypto::sha256::digest(&buf)
+    lcm_crypto::sha256::digest(w.as_slice())
 }
 
 /// The provisioning payload the admin sends over its attested channel
@@ -595,7 +603,7 @@ impl WireCodec for ProvisionPayload {
         }
     }
 
-    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, crate::codec::CodecError> {
+    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
         let k_p = read_key(r)?;
         let k_c = read_key(r)?;
         let k_a = read_key(r)?;
@@ -633,6 +641,19 @@ pub struct PersistBlobs {
     /// changes; everywhere else the sealed state itself is what a
     /// follower installs.
     pub record: Option<Vec<u8>>,
+}
+
+impl PersistBlobs {
+    /// A persist off the control plane — a batch, a replication record
+    /// applied: keys cannot have changed, so no key blob is re-sealed
+    /// and the host skips that store.
+    fn state_only(state_blob: Vec<u8>, record: Option<Vec<u8>>) -> Self {
+        PersistBlobs {
+            key_blob: Vec::new(),
+            state_blob,
+            record,
+        }
+    }
 }
 
 /// The sealed artifacts of [`TrustedContext::export_slice`]: one live
@@ -822,27 +843,25 @@ impl<F: Functionality> TrustedContext<F> {
 
         // Strip the storage-facing kind byte; key blobs are opaque to
         // the delta-log engine.
-        let sealed_keys = match key_blob.split_first() {
-            Some((&lcm_storage::BLOB_KIND_OPAQUE, rest)) => rest,
-            _ => return Err(self.halt(Violation::BadAuthentication)),
-        };
         let seal_key = AeadKey::from_secret(&self.services.sealing_key());
-        let key_plain = match aead::auth_decrypt(&seal_key, sealed_keys, LABEL_KEY_BLOB) {
-            Ok(p) => p,
-            Err(_) => return Err(self.halt(Violation::BadAuthentication)),
+        let key_plain = match key_blob.split_first() {
+            Some((&lcm_storage::BLOB_KIND_OPAQUE, sealed)) => {
+                aead::auth_decrypt(&seal_key, sealed, LABEL_KEY_BLOB).ok()
+            }
+            _ => None,
         };
+        let key_plain = key_plain.ok_or_else(|| self.halt(Violation::BadAuthentication))?;
         let mut r = Reader::new(&key_plain);
-        let k_p = read_key(&mut r).map_err(LcmError::from)?;
-        let k_a = read_key(&mut r).map_err(LcmError::from)?;
-        r.finish().map_err(LcmError::from)?;
+        let (k_p, k_a) = (read_key(&mut r)?, read_key(&mut r)?);
+        r.finish()?;
 
         let Some(state_blob) = state_blob else {
             // Keys persisted but state withheld: storage tampering.
             return Err(self.halt(Violation::BadAuthentication));
         };
-        // kC is recovered from the state blob below; install a
-        // placeholder until then.
-        self.keys = Some(Keys::from_raw(k_p, SecretKey::from_bytes([0u8; 32]), k_a));
+        // The resume tail, shared with `import_migration`: kC is
+        // recovered from the state record.
+        self.keys = Some(Keys::resuming(k_p, k_a));
         self.restore_sealed_state(state_blob)?;
         self.phase = Phase::Ready;
         Ok(InitOutcome::Resumed)
@@ -869,12 +888,9 @@ impl<F: Functionality> TrustedContext<F> {
             .provision_key()
             .ok_or_else(|| LcmError::Tee("platform has no provisioning channel".into()))?;
         let channel = AeadKey::from_secret(&channel_key);
-        let plain = match aead::auth_decrypt(&channel, sealed_payload, LABEL_PROVISION) {
-            Ok(p) => p,
-            Err(_) => return Err(self.halt(Violation::BadAuthentication)),
-        };
-        let payload = ProvisionPayload::from_bytes(&plain).map_err(LcmError::from)?;
-        self.install(payload)
+        let plain = aead::auth_decrypt(&channel, sealed_payload, LABEL_PROVISION)
+            .map_err(|_| self.halt(Violation::BadAuthentication))?;
+        self.install(ProvisionPayload::from_bytes(&plain)?)
     }
 
     fn install(&mut self, payload: ProvisionPayload) -> Result<PersistBlobs> {
@@ -951,7 +967,7 @@ impl<F: Functionality> TrustedContext<F> {
         &mut self,
         wire: &mut [u8],
     ) -> Result<(ClientId, Vec<u8>)> {
-        self.require_ready()?;
+        let (identity, _) = self.require_ready()?;
         // Peel the plaintext routing envelope; its fields are bound
         // into the AAD, so any tampering (or a truncated wire) fails
         // authentication below.
@@ -959,7 +975,7 @@ impl<F: Functionality> TrustedContext<F> {
             return Err(self.halt(Violation::BadAuthentication));
         };
         // The key is borrowed only for the open: `halt` needs `self`.
-        let keys = self.keys.as_ref().expect("ready implies keys");
+        let keys = self.keys()?;
         let aad = invoke_aad(hint.client, hint.route, hint.seq, hint.epoch);
         let sealed = &mut wire[crate::wire::ROUTE_HINT_LEN..];
         let opened = aead::open_in_place(&keys.aead_c, &aad, sealed);
@@ -1008,38 +1024,13 @@ impl<F: Functionality> TrustedContext<F> {
         //   table instead of executing (see `execute_fresh`).
         // * not owned, same epoch — the host redirected an intact wire
         //   to the wrong shard, or the sender's envelope lies: halt.
-        let identity = self.identity.expect("ready implies identity");
         let recomputed = crate::shard::route_for(msg.client, F::shard_key(msg.op));
-        let table_epoch = self.table.epoch();
-        if hint.epoch > table_epoch {
-            return Err(self.halt(Violation::WrongShard {
-                client: msg.client,
-                delivered_to: identity.index,
-                owner: self.table.shard_of(hint.route),
-                wire_epoch: hint.epoch,
-                shard_epoch: table_epoch,
-            }));
+        if hint.epoch > self.table.epoch() {
+            let owner = self.table.shard_of(hint.route);
+            return Err(self.halt_wrong_shard(identity.index, msg.client, owner, hint.epoch));
         }
-        let owned = self.table.owns(identity.index, hint.route)
-            && self.table.owns(identity.index, recomputed);
-        let redirect = if owned {
-            false
-        } else if hint.epoch < table_epoch {
-            true
-        } else {
-            let bad = if self.table.owns(identity.index, hint.route) {
-                recomputed
-            } else {
-                hint.route
-            };
-            return Err(self.halt(Violation::WrongShard {
-                client: msg.client,
-                delivered_to: identity.index,
-                owner: self.table.shard_of(bad),
-                wire_epoch: hint.epoch,
-                shard_epoch: table_epoch,
-            }));
-        };
+        let routes = [hint.route, recomputed];
+        let redirect = !self.owns_wire(identity.index, msg.client, routes, hint.epoch)?;
 
         let Some(entry) = self.v.map().get(&msg.client) else {
             let client = msg.client;
@@ -1049,41 +1040,32 @@ impl<F: Functionality> TrustedContext<F> {
 
         // Alg. 2: assert V[i] = (∗, tc, hc).
         if entry.t == msg.tc && entry.h == msg.hc {
-            self.execute_fresh(msg, hint.route, hint.epoch, redirect)
-        } else if msg.retry {
-            // §4.6.1 second case: T crashed after storing but before the
-            // client got the reply — resend the cached result. The
-            // cached reply replays verbatim, including its redirect
-            // flag: whether the original attempt executed or redirected
-            // is part of the acknowledged history.
-            let cached_matches =
-                entry.ta == msg.tc && entry.cached.as_ref().is_some_and(|c| c.hc_echo == msg.hc);
-            if cached_matches {
-                let cached = entry.cached.clone().expect("checked above");
-                let reply = ReplyMsg {
-                    t: cached.t,
-                    q: cached.q,
-                    h: cached.h,
-                    hc_echo: cached.hc_echo,
-                    redirect: cached.redirect,
-                    result: cached.result,
-                };
-                let wire = self.encrypt_reply(msg.client, hint.route, hint.epoch, &reply)?;
-                Ok((msg.client, wire))
-            } else {
-                Err(self.halt(Violation::ContextMismatch {
-                    client: msg.client,
-                    claimed: msg.tc,
-                    recorded: entry.t,
-                }))
-            }
-        } else {
-            Err(self.halt(Violation::ContextMismatch {
+            return self.execute_fresh(msg, hint.route, hint.epoch, redirect);
+        }
+        // §4.6.1 second case: T crashed after storing but before the
+        // client got the reply — a *retry* of the acknowledged
+        // operation is answered with the cached result. The cached
+        // reply replays verbatim, including its redirect flag: whether
+        // the original attempt executed or redirected is part of the
+        // acknowledged history.
+        let resend = |c: &&CachedReply| msg.retry && entry.ta == msg.tc && c.hc_echo == msg.hc;
+        let Some(cached) = entry.cached.as_ref().filter(resend).cloned() else {
+            return Err(self.halt(Violation::ContextMismatch {
                 client: msg.client,
                 claimed: msg.tc,
                 recorded: entry.t,
-            }))
-        }
+            }));
+        };
+        let reply = ReplyMsg {
+            t: cached.t,
+            q: cached.q,
+            h: cached.h,
+            hc_echo: cached.hc_echo,
+            redirect: cached.redirect,
+            result: cached.result,
+        };
+        let wire = self.encrypt_reply(msg.client, hint.route, hint.epoch, &reply)?;
+        Ok((msg.client, wire))
     }
 
     /// Executes one context-fresh operation — or, when `redirect` is
@@ -1148,7 +1130,7 @@ impl<F: Functionality> TrustedContext<F> {
     ) -> Result<Vec<u8>> {
         let nonce = self.next_nonce();
         seal_message(
-            &self.keys.as_ref().expect("ready implies keys").aead_c,
+            &self.keys()?.aead_c,
             &nonce,
             // The reply echoes the *request's* routing epoch — the
             // client can only decrypt under the epoch it stamped.
@@ -1188,11 +1170,10 @@ impl<F: Functionality> TrustedContext<F> {
     /// * [`LcmError::NotProvisioned`] / [`LcmError::Halted`] — wrong
     ///   phase.
     pub fn serve_read(&mut self, wire: &[u8]) -> Result<Vec<u8>> {
-        self.require_ready()?;
+        let (identity, _) = self.require_ready()?;
         let Some((hint, sealed)) = crate::wire::ReadHint::peel(wire) else {
             return Err(self.halt(Violation::BadAuthentication));
         };
-        let identity = self.identity.expect("ready implies identity");
         let aad = read_aad(
             hint.client,
             hint.route,
@@ -1205,8 +1186,7 @@ impl<F: Functionality> TrustedContext<F> {
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
         scratch.extend_from_slice(sealed);
-        let keys = self.keys.as_ref().expect("ready implies keys");
-        let opened = aead::open_in_place(&keys.aead_c, &aad, &mut scratch)
+        let opened = aead::open_in_place(&self.keys()?.aead_c, &aad, &mut scratch)
             .map(|plain| crate::wire::ReadMsg::from_bytes(plain));
         self.scratch = scratch;
         let msg = match opened {
@@ -1236,28 +1216,10 @@ impl<F: Functionality> TrustedContext<F> {
         // leg this shard does not own is a misdelivery or a lying
         // envelope — halt.
         let recomputed = crate::shard::route_for(msg.client, F::shard_key(&msg.op));
-        let table_epoch = self.table.epoch();
-        let future_epoch = hint.epoch > table_epoch;
-        let owned = self.table.owns(identity.index, hint.route)
-            && self.table.owns(identity.index, recomputed);
-        let moved = if owned || future_epoch {
-            false
-        } else if hint.epoch < table_epoch {
-            true
-        } else {
-            let bad = if self.table.owns(identity.index, hint.route) {
-                recomputed
-            } else {
-                hint.route
-            };
-            return Err(self.halt(Violation::WrongShard {
-                client: msg.client,
-                delivered_to: identity.index,
-                owner: self.table.shard_of(bad),
-                wire_epoch: hint.epoch,
-                shard_epoch: table_epoch,
-            }));
-        };
+        let future_epoch = hint.epoch > self.table.epoch();
+        let routes = [hint.route, recomputed];
+        let moved =
+            !future_epoch && !self.owns_wire(identity.index, msg.client, routes, hint.epoch)?;
         let (entry_t, entry_h) = match self.v.map().get(&msg.client) {
             Some(e) => (e.t, e.h),
             None => {
@@ -1266,55 +1228,28 @@ impl<F: Functionality> TrustedContext<F> {
                 return Err(LcmError::UnknownClient(client));
             }
         };
-        let reply = if future_epoch {
+        use crate::wire::ReadStatus::{Behind, Fresh, Moved};
+        let (status, q, result) = if future_epoch {
             // This member has not installed the table the client
             // routes by yet: honest adoption lag, retryable.
-            crate::wire::ReadReplyMsg {
-                t: entry_t,
-                q: self.stable_floor,
-                h: entry_h,
-                hc_echo: msg.hc,
-                status: crate::wire::ReadStatus::Behind,
-                result: Vec::new(),
-            }
+            (Behind, self.stable_floor, Vec::new())
         } else if moved {
             // The slice migrated away since the client's table: hand
             // back the current table so the client re-pins. No context
             // stamp — reads are idempotent, so unlike the write path
             // there is nothing an exactly-once replay could lose.
-            crate::wire::ReadReplyMsg {
-                t: entry_t,
-                q: self.stable_floor,
-                h: entry_h,
-                hc_echo: msg.hc,
-                status: crate::wire::ReadStatus::Moved,
-                result: self.table.to_bytes(),
-            }
+            (Moved, self.stable_floor, self.table.to_bytes())
         } else if entry_t == msg.tc && entry_h == msg.hc {
             // Up to date for this client: execute the read. The
             // `is_readonly` contract guarantees `exec` leaves the
             // service state untouched.
-            let result = self.f.exec(&msg.op);
-            crate::wire::ReadReplyMsg {
-                t: entry_t,
-                q: self.v.stable().max(self.stable_floor),
-                h: entry_h,
-                hc_echo: msg.hc,
-                status: crate::wire::ReadStatus::Fresh,
-                result,
-            }
+            let q = self.v.stable().max(self.stable_floor);
+            (Fresh, q, self.f.exec(&msg.op))
         } else if entry_t < msg.tc {
             // Honest replication lag: this member has not installed
             // the client's latest acknowledged write yet. Retryable —
             // never a violation.
-            crate::wire::ReadReplyMsg {
-                t: entry_t,
-                q: self.stable_floor,
-                h: entry_h,
-                hc_echo: msg.hc,
-                status: crate::wire::ReadStatus::Behind,
-                result: Vec::new(),
-            }
+            (Behind, self.stable_floor, Vec::new())
         } else {
             return Err(self.halt(Violation::ContextMismatch {
                 client: msg.client,
@@ -1322,9 +1257,17 @@ impl<F: Functionality> TrustedContext<F> {
                 recorded: entry_t,
             }));
         };
+        let reply = crate::wire::ReadReplyMsg {
+            t: entry_t,
+            q,
+            h: entry_h,
+            hc_echo: msg.hc,
+            status,
+            result,
+        };
         let nonce = self.next_nonce();
         seal_message(
-            &self.keys.as_ref().expect("ready implies keys").aead_c,
+            &self.keys()?.aead_c,
             &nonce,
             &read_reply_aad(
                 msg.client,
@@ -1346,28 +1289,20 @@ impl<F: Functionality> TrustedContext<F> {
     /// * [`LcmError::Violation`] — bad authentication or admin-sequence
     ///   replay; the context halts.
     pub fn handle_admin(&mut self, wire: &[u8]) -> Result<(Vec<u8>, PersistBlobs)> {
-        self.require_ready()?;
-        let aead_a = self
-            .keys
-            .as_ref()
-            .expect("ready implies keys")
-            .aead_a
-            .clone();
-        let plain = match aead::auth_decrypt(&aead_a, wire, LABEL_ADMIN) {
-            Ok(p) => p,
-            Err(_) => return Err(self.halt(Violation::BadAuthentication)),
-        };
+        // The admin key never rotates: one clone opens the request
+        // and seals the reply.
+        let (_, keys) = self.require_ready()?;
+        let aead_a = keys.aead_a.clone();
+        let plain = aead::auth_decrypt(&aead_a, wire, LABEL_ADMIN)
+            .map_err(|_| self.halt(Violation::BadAuthentication))?;
         let mut r = Reader::new(&plain);
-        let decoded = (|| -> std::result::Result<_, crate::codec::CodecError> {
+        let decoded = (|| -> std::result::Result<_, CodecError> {
             let seq = r.get_u64()?;
             let op = AdminOp::decode(&mut r)?;
             r.finish()?;
             Ok((seq, op))
         })();
-        let (seq, op) = match decoded {
-            Ok(v) => v,
-            Err(_) => return Err(self.halt(Violation::BadAuthentication)),
-        };
+        let (seq, op) = decoded.map_err(|_| self.halt(Violation::BadAuthentication))?;
 
         if seq != self.admin_seq + 1 {
             return Err(self.halt(Violation::AdminReplay));
@@ -1384,14 +1319,14 @@ impl<F: Functionality> TrustedContext<F> {
             }
             AdminOp::RemoveClient(id, new_kc) => {
                 if self.v.remove_member(id) {
-                    self.keys.as_mut().expect("ready").rotate_kc(new_kc);
+                    self.rotate_kc(new_kc);
                     AdminReply::Ok
                 } else {
                     AdminReply::Rejected(format!("client {id} not in group"))
                 }
             }
             AdminOp::RotateKey(new_kc) => {
-                self.keys.as_mut().expect("ready").rotate_kc(new_kc);
+                self.rotate_kc(new_kc);
                 AdminReply::Ok
             }
             AdminOp::Status => AdminReply::Status {
@@ -1404,8 +1339,6 @@ impl<F: Functionality> TrustedContext<F> {
         let mut w = Writer::new();
         w.put_u64(seq);
         reply.encode(&mut w);
-        let keys = self.keys.as_ref().expect("ready implies keys");
-        let aead_a = keys.aead_a.clone();
         let nonce = self.next_nonce();
         let reply_wire =
             aead::auth_encrypt_with_nonce(&aead_a, &nonce, &w.into_bytes(), LABEL_ADMIN)
@@ -1414,17 +1347,83 @@ impl<F: Functionality> TrustedContext<F> {
         Ok((reply_wire, blobs))
     }
 
-    fn require_ready(&self) -> Result<()> {
-        match self.phase {
-            Phase::Ready => Ok(()),
-            Phase::Halted => Err(LcmError::Halted),
+    /// What `Ready` implies, handed to the caller that checked for
+    /// it: the attested identity and the keys.
+    fn require_ready(&self) -> Result<(ShardIdentity, &Keys)> {
+        match (self.phase, self.identity, &self.keys) {
+            (Phase::Ready, Some(identity), Some(keys)) => Ok((identity, keys)),
+            (Phase::Halted, ..) => Err(LcmError::Halted),
             _ => Err(LcmError::NotProvisioned),
+        }
+    }
+
+    /// The installed keys: `kP` and `kA` from provisioning, a key blob
+    /// or a migration ticket on, `kC` once the state is restored too.
+    fn keys(&self) -> Result<&Keys> {
+        self.keys.as_ref().ok_or(LcmError::NotProvisioned)
+    }
+
+    /// Installs a new communication key `kC` (admin rotation, or the
+    /// one a restored state record carries).
+    fn rotate_kc(&mut self, new_kc: SecretKey) {
+        if let Some(keys) = &mut self.keys {
+            keys.rotate_kc(new_kc);
         }
     }
 
     fn halt(&mut self, violation: Violation) -> LcmError {
         self.phase = Phase::Halted;
         LcmError::Violation(violation)
+    }
+
+    /// Halts over something meant for shard `owner` that the host
+    /// delivered to this one, shard `here`, under routing epoch
+    /// `wire_epoch`. A sealed record or ticket has no invoking client:
+    /// the dummy `ClientId(0)` marks those.
+    #[cold]
+    fn halt_wrong_shard(
+        &mut self,
+        here: u32,
+        client: ClientId,
+        owner: u32,
+        wire_epoch: u64,
+    ) -> LcmError {
+        let shard_epoch = self.table.epoch();
+        self.halt(Violation::WrongShard {
+            client,
+            delivered_to: here,
+            owner,
+            wire_epoch,
+            shard_epoch,
+        })
+    }
+
+    /// Judges an authenticated wire's two routes — the envelope route
+    /// the host delivered by and the route recomputed from the
+    /// decrypted operation — against this enclave's table: `true` when
+    /// shard `here` owns both, `false` when it does not and the wire
+    /// was stamped under an older epoch (its slice has since migrated
+    /// away), and a `WrongShard` halt naming the first route not owned
+    /// when the wire carries the current epoch — the host misdelivered
+    /// it, or its envelope lies. A wire of a *future* epoch is the
+    /// caller's to judge first. Inlined into both per-operation
+    /// paths, where the ownership test used to be written out.
+    #[inline]
+    fn owns_wire(
+        &mut self,
+        here: u32,
+        client: ClientId,
+        routes: [u32; 2],
+        epoch: u64,
+    ) -> Result<bool> {
+        match routes.into_iter().find(|&r| !self.table.owns(here, r)) {
+            None => Ok(true),
+            Some(_) if epoch < self.table.epoch() => Ok(false),
+            Some(stray) => {
+                let owner = self.table.shard_of(stray);
+                Err(self.halt_wrong_shard(here, client, owner, epoch))
+            }
+        }
     }
 
     /// Deterministic unique nonces from the TEE RNG seed and a counter.
@@ -1939,13 +1938,61 @@ mod tests {
         // Target on a DIFFERENT platform.
         let mut target = TrustedContext::<AppendLog>::new(services(&world, 2));
         target.init(None, None, false).unwrap();
-        let blobs = target.import_migration(&ticket).unwrap();
+        let blobs = target.import_migration(&ticket, None).unwrap();
         assert!(!blobs.key_blob.is_empty());
 
         // Clients continue seamlessly against the target.
         let r2 = invoke(&mut target, 1, r1.t, r1.h, b"b").unwrap();
         assert_eq!(r2.t, SeqNo(2));
         assert_eq!(target.functionality().entries().len(), 2);
+    }
+
+    /// One state record: a context migrated to another platform and a
+    /// context recovered on the origin's platform from the origin's
+    /// last checkpoint are the same context — same identity and table,
+    /// same answer to an admin `Status`, same reply to the next invoke.
+    #[test]
+    fn a_migrated_context_is_the_context_its_last_checkpoint_recovers() {
+        let world = world();
+        let (mut origin, _) = provisioned_context(&world);
+        let r1 = invoke(&mut origin, 1, SeqNo::ZERO, ChainValue::GENESIS, b"a").unwrap();
+        invoke(&mut origin, 2, SeqNo::ZERO, ChainValue::GENESIS, b"b").unwrap();
+        let r3 = invoke(&mut origin, 1, r1.t, r1.h, b"c").unwrap();
+        let checkpoint = origin.persist_blobs().unwrap();
+        let ticket = origin.export_migration().unwrap();
+
+        let mut recovered = TrustedContext::<AppendLog>::new(services(&world, 1));
+        let (key_blob, state_blob) = (&checkpoint.key_blob, &checkpoint.state_blob);
+        recovered
+            .init(Some(key_blob), Some(state_blob), false)
+            .unwrap();
+        let mut migrated = TrustedContext::<AppendLog>::new(services(&world, 2));
+        migrated.init(None, None, false).unwrap();
+        migrated.import_migration(&ticket, None).unwrap();
+
+        let admin_key = AeadKey::from_secret(&SecretKey::from_bytes([3u8; 32]));
+        let mut w = Writer::new();
+        w.put_u64(1);
+        AdminOp::Status.encode(&mut w);
+        let status = aead::auth_encrypt(&admin_key, &w.into_bytes(), LABEL_ADMIN).unwrap();
+        let answers = [&mut recovered, &mut migrated].map(|ctx| {
+            let (reply, _) = ctx.handle_admin(&status).unwrap();
+            let status = aead::auth_decrypt(&admin_key, &reply, LABEL_ADMIN).unwrap();
+            let next = invoke(ctx, 1, r3.t, r3.h, b"d").unwrap();
+            let log = ctx.functionality().entries().to_vec();
+            (ctx.identity(), ctx.slice_table().clone(), status, next, log)
+        });
+        assert_eq!(answers[0], answers[1]);
+        let (_, _, status, next, log) = &answers[0];
+        let mut r = Reader::new(status);
+        assert_eq!(r.get_u64().unwrap(), 1);
+        let expected = AdminReply::Status {
+            t: SeqNo(3),
+            q: r3.q,
+            n: 3,
+        };
+        assert_eq!(AdminReply::decode(&mut r).unwrap(), expected);
+        assert_eq!((next.t, log.len()), (SeqNo(4), 4));
     }
 
     #[test]
@@ -1958,7 +2005,7 @@ mod tests {
         let mut target = TrustedContext::<AppendLog>::new(services(&world_b, 9));
         target.init(None, None, false).unwrap();
         assert!(matches!(
-            target.import_migration(&ticket),
+            target.import_migration(&ticket, None),
             Err(LcmError::Violation(Violation::BadAuthentication))
         ));
     }
@@ -2154,7 +2201,7 @@ mod tests {
         let ticket = resumed.export_migration().unwrap();
         let mut target = TrustedContext::<AppendLog>::new(services(&world, 2));
         target.init(None, None, false).unwrap();
-        target.import_migration(&ticket).unwrap();
+        target.import_migration(&ticket, None).unwrap();
         assert_eq!(target.identity(), Some(identity));
     }
 

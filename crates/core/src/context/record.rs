@@ -12,11 +12,7 @@ impl<F: Functionality> TrustedContext<F> {
     /// `label`. Anything but an intact blob of that kind is tampering:
     /// the context halts. Requires `self.keys` (at least `kP`).
     fn open_sealed(&mut self, blob: &[u8], kind: u8, label: &[u8]) -> Result<Vec<u8>> {
-        let aead_p = &self
-            .keys
-            .as_ref()
-            .expect("caller installs keys first")
-            .aead_p;
+        let aead_p = &self.keys()?.aead_p;
         let opened = match blob.split_first() {
             Some((&k, sealed)) if k == kind => aead::auth_decrypt(aead_p, sealed, label).ok(),
             _ => None,
@@ -26,17 +22,16 @@ impl<F: Functionality> TrustedContext<F> {
 
     /// Restores from a kind-tagged sealed state blob: a checkpoint or
     /// a delta-log bundle. Requires `self.keys` (at least `kP`).
-    pub(super) fn restore_sealed_state(&mut self, state_blob: &[u8]) -> Result<()> {
+    /// Returns the identity of the context that sealed it.
+    pub(super) fn restore_sealed_state(&mut self, state_blob: &[u8]) -> Result<ShardIdentity> {
         use lcm_storage::{BLOB_KIND_BUNDLE, BLOB_KIND_CHECKPOINT, BLOB_KIND_DELTA};
-        if state_blob.first() != Some(&BLOB_KIND_BUNDLE) {
-            let plain = self.open_sealed(state_blob, BLOB_KIND_CHECKPOINT, LABEL_STATE_BLOB)?;
-            return self.restore_state(&plain);
-        }
-        let Some((ckpt, deltas)) = lcm_storage::parse_bundle(state_blob) else {
-            return Err(self.halt(Violation::BadAuthentication));
+        let (ckpt, deltas) = match state_blob.first() {
+            Some(&BLOB_KIND_BUNDLE) => lcm_storage::parse_bundle(state_blob)
+                .ok_or_else(|| self.halt(Violation::BadAuthentication))?,
+            _ => (state_blob, Vec::new()),
         };
         let plain = self.open_sealed(ckpt, BLOB_KIND_CHECKPOINT, LABEL_STATE_BLOB)?;
-        self.restore_state(&plain)?;
+        let sealer = self.restore_state(&plain)?;
         for delta in deltas {
             let plain = self.open_sealed(delta, BLOB_KIND_DELTA, LABEL_DELTA_BLOB)?;
             if !self.apply_delta_plain(&plain)? {
@@ -50,7 +45,7 @@ impl<F: Functionality> TrustedContext<F> {
             // would grow the log without bound.
             self.delta_bytes += delta.len();
         }
-        Ok(())
+        Ok(sealer)
     }
 
     /// Replays one decrypted delta onto the current state — the one
@@ -62,7 +57,7 @@ impl<F: Functionality> TrustedContext<F> {
     /// path, a record delivered out of turn on the replication path.
     fn apply_delta_plain(&mut self, plain: &[u8]) -> Result<bool> {
         let mut r = Reader::new(plain);
-        let decoded = (|| -> std::result::Result<_, crate::codec::CodecError> {
+        let decoded = (|| -> std::result::Result<_, CodecError> {
             let prev = r.get_digest()?;
             let floor = SeqNo::decode(&mut r)?;
             let dv = crate::stability::decode_vmap(&mut r)?;
@@ -70,15 +65,14 @@ impl<F: Functionality> TrustedContext<F> {
             r.finish()?;
             Ok((prev, floor, dv, f_delta))
         })();
-        let Ok((prev, floor, dv, f_delta)) = decoded else {
-            return Err(self.halt(Violation::BadAuthentication));
-        };
+        let (prev, floor, dv, f_delta) =
+            decoded.map_err(|_| self.halt(Violation::BadAuthentication))?;
         if prev != self.persist_anchor {
             return Ok(false);
         }
         self.stable_floor = floor;
         self.v.apply_entries(dv);
-        self.f.apply_delta(f_delta).map_err(LcmError::from)?;
+        self.f.apply_delta(f_delta)?;
         self.resume_from_latest();
         self.persist_anchor = lcm_crypto::sha256::digest_parts(&[ANCHOR_DELTA, plain]);
         Ok(true)
@@ -132,7 +126,7 @@ impl<F: Functionality> TrustedContext<F> {
     /// * [`LcmError::NotProvisioned`] / [`LcmError::Halted`] — wrong
     ///   phase.
     pub fn apply_replica(&mut self, record: &[u8]) -> Result<(Digest, PersistBlobs)> {
-        self.require_ready()?;
+        let (own, _) = self.require_ready()?;
         let state_blob = if record.first() == Some(&lcm_storage::BLOB_KIND_DELTA) {
             let plain = self.open_sealed(record, lcm_storage::BLOB_KIND_DELTA, LABEL_DELTA_BLOB)?;
             if !self.apply_delta_plain(&plain)? {
@@ -145,29 +139,16 @@ impl<F: Functionality> TrustedContext<F> {
                 self.seal_checkpoint(false)?
             }
         } else {
-            let own = self.identity.expect("ready implies identity");
-            self.restore_sealed_state(record)?;
-            let sealer = self.identity.expect("restored state carries an identity");
+            let sealer = self.restore_sealed_state(record)?;
             if !sealer.same_group(&own) {
-                // The dummy client id marks a violation with no invoking
-                // client: the host shipped another shard's state here.
-                let shard_epoch = self.table.epoch();
-                return Err(self.halt(Violation::WrongShard {
-                    client: ClientId(0),
-                    delivered_to: own.index,
-                    owner: sealer.index,
-                    wire_epoch: shard_epoch,
-                    shard_epoch,
-                }));
+                // The host shipped another shard's state here.
+                let epoch = self.table.epoch();
+                return Err(self.halt_wrong_shard(own.index, ClientId(0), sealer.index, epoch));
             }
             self.identity = Some(own);
             self.seal_checkpoint(false)?
         };
-        let blobs = PersistBlobs {
-            key_blob: Vec::new(),
-            state_blob,
-            record: None,
-        };
+        let blobs = PersistBlobs::state_only(state_blob, None);
         Ok((lcm_crypto::sha256::digest(record), blobs))
     }
 
@@ -188,12 +169,11 @@ impl<F: Functionality> TrustedContext<F> {
     /// The key blob and a checkpoint, in the nonce order every
     /// control-plane persist has always used.
     pub(super) fn seal_blobs(&mut self, reroot: bool) -> Result<PersistBlobs> {
-        if self.keys.is_none() {
-            return Err(LcmError::NotProvisioned);
-        }
+        // Unprovisioned, this fails before it draws a nonce.
+        self.keys()?;
         let seal_key = AeadKey::from_secret(&self.services.sealing_key());
         let nonce = self.next_nonce();
-        let keys = self.keys.as_ref().expect("checked above");
+        let keys = self.keys()?;
         let key_blob = seal_message(
             &seal_key,
             &nonce,
@@ -219,9 +199,6 @@ impl<F: Functionality> TrustedContext<F> {
     /// applied) or an install put it there (see the
     /// [module docs](super#chain-position)).
     fn seal_checkpoint(&mut self, reroot: bool) -> Result<Vec<u8>> {
-        let keys = self.keys.as_ref().ok_or(LcmError::NotProvisioned)?;
-        let aead_p = keys.aead_p.clone();
-        let k_c = keys.k_c.clone();
         let nonce = self.next_nonce();
         if reroot {
             // The unique nonce makes the root distinct per checkpoint.
@@ -231,30 +208,19 @@ impl<F: Functionality> TrustedContext<F> {
         // Reset the functionality's change tracking: the snapshot below
         // is the new baseline deltas build on.
         let _ = self.f.take_delta();
+        let keys = self.keys()?;
         // The state is encoded where it is sealed; the last
         // checkpoint's size is the estimate the buffer starts from.
         let mut plain_len = 0;
         let sealed = seal_message(
-            &aead_p,
+            &keys.aead_p,
             &nonce,
             LABEL_STATE_BLOB,
             &[lcm_storage::BLOB_KIND_CHECKPOINT],
             self.last_ckpt_len + self.last_ckpt_len / 8,
             |w| {
                 let start = w.len();
-                w.put_raw(k_c.as_bytes());
-                w.put_u64(self.admin_seq);
-                self.stable_floor.encode(w);
-                self.v.quorum().encode(w);
-                self.identity.unwrap_or(ShardIdentity::SOLO).encode(w);
-                // The routing table seals with the rest of the protocol
-                // state: a rolled-back enclave thereby rolls back its
-                // table too, which is exactly what future-epoch wires
-                // expose.
-                self.table.encode(w);
-                crate::stability::encode_vmap(self.v.map(), w);
-                w.put_bytes(&self.f.snapshot());
-                w.put_digest(&self.persist_anchor);
+                self.encode_state(keys, w);
                 plain_len = w.len() - start;
             },
         )?;
@@ -262,6 +228,26 @@ impl<F: Functionality> TrustedContext<F> {
         self.last_ckpt_len = plain_len;
         self.touched.clear();
         Ok(sealed)
+    }
+
+    /// The state record: the one encoding of a whole context, `(kC, V,
+    /// state)` of Alg. 2 with the §4.6 extensions beside them. A
+    /// checkpoint is this sealed under `kP`; a migration ticket is
+    /// `kP ‖ kA ‖` this, sealed for a sibling enclave;
+    /// [`TrustedContext::restore_state`] reads both.
+    fn encode_state(&self, keys: &Keys, w: &mut Writer) {
+        w.put_raw(keys.k_c.as_bytes());
+        w.put_u64(self.admin_seq);
+        self.stable_floor.encode(w);
+        self.v.quorum().encode(w);
+        self.identity.unwrap_or(ShardIdentity::SOLO).encode(w);
+        // The routing table seals with the rest of the protocol
+        // state: a rolled-back enclave thereby rolls back its table
+        // too, which is exactly what future-epoch wires expose.
+        self.table.encode(w);
+        crate::stability::encode_vmap(self.v.map(), w);
+        w.put_bytes(&self.f.snapshot());
+        w.put_digest(&self.persist_anchor);
     }
 
     /// Seals what changed since the last persisted blob — the stable
@@ -345,47 +331,46 @@ impl<F: Functionality> TrustedContext<F> {
         let delta = self.seal_delta(&f_delta)?;
         if log_delta {
             self.delta_bytes += delta.len();
-            Ok(PersistBlobs {
-                key_blob: Vec::new(),
-                record: in_group.then(|| delta.clone()),
-                state_blob: delta,
-            })
+            let record = in_group.then(|| delta.clone());
+            Ok(PersistBlobs::state_only(delta, record))
         } else {
             // Cadence checkpoint inside a group.
-            Ok(PersistBlobs {
-                key_blob: Vec::new(),
-                state_blob: self.seal_checkpoint(false)?,
-                record: Some(delta),
-            })
+            let checkpoint = self.seal_checkpoint(false)?;
+            Ok(PersistBlobs::state_only(checkpoint, Some(delta)))
         }
     }
 
-    fn restore_state(&mut self, plain: &[u8]) -> Result<()> {
+    /// Installs a state record ([`TrustedContext::encode_state`]) in
+    /// place of whatever this context held, `kC` included, and returns
+    /// the identity sealed into it. Requires `self.keys`.
+    fn restore_state(&mut self, plain: &[u8]) -> Result<ShardIdentity> {
         let mut r = Reader::new(plain);
-        let k_c = read_key(&mut r).map_err(LcmError::from)?;
-        self.admin_seq = r.get_u64().map_err(LcmError::from)?;
-        self.stable_floor = SeqNo::decode(&mut r).map_err(LcmError::from)?;
-        let quorum = Quorum::decode(&mut r).map_err(LcmError::from)?;
-        self.identity = Some(ShardIdentity::decode(&mut r).map_err(LcmError::from)?);
-        self.table = SliceTable::decode(&mut r).map_err(LcmError::from)?;
-        let v = crate::stability::decode_vmap(&mut r).map_err(LcmError::from)?;
+        let k_c = read_key(&mut r)?;
+        let admin_seq = r.get_u64()?;
+        let stable_floor = SeqNo::decode(&mut r)?;
+        let quorum = Quorum::decode(&mut r)?;
+        let identity = ShardIdentity::decode(&mut r)?;
+        let table = SliceTable::decode(&mut r)?;
+        let v = crate::stability::decode_vmap(&mut r)?;
         // Borrowed from the opened blob: the functionality decodes the
         // O(state) part straight out of it.
-        let snapshot = r.get_bytes().map_err(LcmError::from)?;
-        let anchor = r.get_digest().map_err(LcmError::from)?;
-        r.finish().map_err(LcmError::from)?;
+        let snapshot = r.get_bytes()?;
+        let anchor = r.get_digest()?;
+        r.finish()?;
 
+        self.f.restore(snapshot)?;
+        self.admin_seq = admin_seq;
+        self.stable_floor = stable_floor;
+        self.identity = Some(identity);
+        self.table = table;
         self.v.replace(v, quorum);
-        self.f.restore(snapshot).map_err(LcmError::from)?;
         self.persist_anchor = anchor;
         self.delta_bytes = 0;
         self.last_ckpt_len = plain.len();
         self.touched.clear();
-        if let Some(keys) = self.keys.as_mut() {
-            keys.rotate_kc(k_c);
-        }
+        self.rotate_kc(k_c);
         self.resume_from_latest();
-        Ok(())
+        Ok(identity)
     }
 
     /// `(·, t, h) ← V[argmax(V)]` of Alg. 2: the context resumes from
@@ -397,8 +382,28 @@ impl<F: Functionality> TrustedContext<F> {
             .map_or((SeqNo::ZERO, ChainValue::GENESIS), |e| (e.t, e.h));
     }
 
+    /// The enclave-to-enclave channel every ticket and bulletin is
+    /// sealed under (§4.6.2: the key same-program enclaves agree on).
+    fn migration_channel(&self) -> Result<AeadKey> {
+        let key = self.services.migration_key();
+        let key = key.ok_or_else(|| LcmError::Tee("platform has no migration channel".into()))?;
+        Ok(AeadKey::from_secret(&key))
+    }
+
+    /// Opens a ticket or bulletin a sibling enclave sealed under
+    /// `label`; anything but an intact one is tampering and halts.
+    fn open_ticket(&mut self, sealed: &[u8], label: &[u8]) -> Result<Vec<u8>> {
+        let channel = self.migration_channel()?;
+        aead::auth_decrypt(&channel, sealed, label)
+            .map_err(|_| self.halt(Violation::BadAuthentication))
+    }
+
     /// Exports the full context state as a migration ticket encrypted
-    /// for a same-program enclave (§4.6.2), then stops serving.
+    /// for a same-program enclave (§4.6.2), then stops serving. The
+    /// ticket is `kP ‖ kA ‖` the state record a checkpoint seals — the
+    /// paper's "that blob, to another platform" — so the identity and
+    /// the routing table travel with it and the target takes the
+    /// origin's place in the deployment.
     ///
     /// # Errors
     ///
@@ -407,111 +412,68 @@ impl<F: Functionality> TrustedContext<F> {
     ///   phase.
     pub fn export_migration(&mut self) -> Result<Vec<u8>> {
         self.require_ready()?;
-        let channel_key = self
-            .services
-            .migration_key()
-            .ok_or_else(|| LcmError::Tee("platform has no migration channel".into()))?;
-        let keys = self.keys.as_ref().expect("ready implies keys");
-
-        let mut w = Writer::new();
-        w.put_raw(keys.k_p.as_bytes());
-        w.put_raw(keys.k_c.as_bytes());
-        w.put_raw(keys.k_a.as_bytes());
-        w.put_u64(self.admin_seq);
-        self.stable_floor.encode(&mut w);
-        self.v.quorum().encode(&mut w);
-        // The identity travels with the ticket: the target enclave
-        // adopts the origin shard's place in the deployment, so a
-        // migrated deployment re-verifies exactly like a fresh one.
-        // The routing table travels too, for the same reason.
-        self.identity.unwrap_or(ShardIdentity::SOLO).encode(&mut w);
-        self.table.encode(&mut w);
-        crate::stability::encode_vmap(self.v.map(), &mut w);
-        w.put_bytes(&self.f.snapshot());
-
-        let channel = AeadKey::from_secret(&channel_key);
+        let channel = self.migration_channel()?;
         let nonce = self.next_nonce();
-        let ticket =
-            aead::auth_encrypt_with_nonce(&channel, &nonce, &w.into_bytes(), LABEL_MIGRATION)
-                .map_err(|e| LcmError::Tee(e.to_string()))?;
+        let keys = self.keys()?;
+        let ticket = seal_message(
+            &channel,
+            &nonce,
+            LABEL_MIGRATION,
+            &[],
+            2 * lcm_crypto::keys::KEY_LEN + self.last_ckpt_len + self.last_ckpt_len / 8,
+            |w| {
+                w.put_raw(keys.k_p.as_bytes());
+                w.put_raw(keys.k_a.as_bytes());
+                self.encode_state(keys, w);
+            },
+        )?;
         // "At this point, T stops processing requests" (§4.6.2).
         self.phase = Phase::Migrated;
         Ok(ticket)
     }
 
-    /// Imports a migration ticket on the target enclave, installing the
-    /// origin's keys and state and re-sealing them for this platform.
+    /// Imports a migration ticket on the target enclave: the resume
+    /// tail of [`TrustedContext::init`] with the keys and the state
+    /// record taken from the ticket instead of this platform's sealed
+    /// blobs, then re-sealed for this platform.
+    ///
+    /// With `slot = Some((replica, replicas))` the target adopts the
+    /// ticket's shard slot but occupies that replica slot within the
+    /// group. Replica *assignment* is the host's scheduling domain —
+    /// the same migration ticket fans out to every member of a
+    /// replicated target group, each importing under a different slot
+    /// — while *verification* of the claimed coordinates stays with
+    /// the admin's post-migration attestation (the quote user data
+    /// binds whatever slot was installed here).
     ///
     /// # Errors
     ///
     /// * [`LcmError::AlreadyProvisioned`] — the target already has
     ///   state.
     /// * [`LcmError::Violation`] — the ticket failed authentication.
-    pub fn import_migration(&mut self, ticket: &[u8]) -> Result<PersistBlobs> {
-        self.import_migration_with(ticket, None)
-    }
-
-    /// [`TrustedContext::import_migration`] with a host-supplied
-    /// replica slot: the target adopts the ticket's shard slot but
-    /// occupies `Some((replica, replicas))` within the group.
-    ///
-    /// Replica *assignment* is the host's scheduling domain — the same
-    /// migration ticket fans out to every member of a replicated
-    /// target group, each importing under a different slot — while
-    /// *verification* of the claimed coordinates stays with the
-    /// admin's post-migration attestation (the quote user data binds
-    /// whatever slot was installed here).
-    pub fn import_migration_with(
+    /// * [`LcmError::Tee`] — no migration channel, or a slot outside
+    ///   its group.
+    pub fn import_migration(
         &mut self,
         ticket: &[u8],
-        replica_override: Option<(u32, u32)>,
+        slot: Option<(u32, u32)>,
     ) -> Result<PersistBlobs> {
         if self.phase != Phase::AwaitingProvision {
             return Err(LcmError::AlreadyProvisioned);
         }
-        if let Some((replica, replicas)) = replica_override {
-            if replicas == 0 || replica >= replicas {
-                return Err(LcmError::Tee(format!(
-                    "invalid replica override {replica}/{replicas}"
-                )));
-            }
+        if let Some((replica, replicas)) = slot.filter(|&(r, n)| r >= n) {
+            return Err(LcmError::Tee(format!(
+                "invalid replica override {replica}/{replicas}"
+            )));
         }
-        let channel_key = self
-            .services
-            .migration_key()
-            .ok_or_else(|| LcmError::Tee("platform has no migration channel".into()))?;
-        let channel = AeadKey::from_secret(&channel_key);
-        let plain = aead::auth_decrypt(&channel, ticket, LABEL_MIGRATION)
-            .map_err(|_| self.halt(Violation::BadAuthentication))?;
-
+        let plain = self.open_ticket(ticket, LABEL_MIGRATION)?;
         let mut r = Reader::new(&plain);
-        let k_p = read_key(&mut r).map_err(LcmError::from)?;
-        let k_c = read_key(&mut r).map_err(LcmError::from)?;
-        let k_a = read_key(&mut r).map_err(LcmError::from)?;
-        let admin_seq = r.get_u64().map_err(LcmError::from)?;
-        let stable_floor = SeqNo::decode(&mut r).map_err(LcmError::from)?;
-        let quorum = Quorum::decode(&mut r).map_err(LcmError::from)?;
-        let mut identity = ShardIdentity::decode(&mut r).map_err(LcmError::from)?;
-        if let Some((replica, replicas)) = replica_override {
-            identity = ShardIdentity {
-                replica,
-                replicas,
-                ..identity
-            };
+        let (k_p, k_a) = (read_key(&mut r)?, read_key(&mut r)?);
+        self.keys = Some(Keys::resuming(k_p, k_a));
+        let sealed_as = self.restore_state(r.get_rest())?;
+        if let Some((replica, replicas)) = slot {
+            self.identity = Some(sealed_as.with_replica(replica, replicas));
         }
-        let table = SliceTable::decode(&mut r).map_err(LcmError::from)?;
-        let v = crate::stability::decode_vmap(&mut r).map_err(LcmError::from)?;
-        let snapshot = r.get_bytes().map_err(LcmError::from)?;
-        r.finish().map_err(LcmError::from)?;
-
-        self.keys = Some(Keys::from_raw(k_p, k_c, k_a));
-        self.admin_seq = admin_seq;
-        self.stable_floor = stable_floor;
-        self.identity = Some(identity);
-        self.table = table;
-        self.v.replace(v, quorum);
-        self.f.restore(snapshot).map_err(LcmError::from)?;
-        self.resume_from_latest();
         self.phase = Phase::Ready;
         self.persist_blobs()
     }
@@ -524,11 +486,14 @@ impl<F: Functionality> TrustedContext<F> {
     /// The exporting enclave extracts the slice's partition of the
     /// service state, advances its table to the epoch-bumped assignment
     /// (so it redirects rather than executes the slice's wires from
-    /// this point on), and seals two artifacts for the host to carry:
-    /// a *ticket* only the adopting shard can apply and a *bulletin*
-    /// every bystander shard adopts. Client history (`V`) does not
-    /// travel — each shard keeps its own sequence space, and clients
-    /// re-pin per-shard contexts when they chase the redirect.
+    /// this point on — no operation on the slice runs here after the
+    /// cut, so the ticket has no in-flight tail to carry), and seals
+    /// two artifacts for the host to carry: a *ticket* only the
+    /// adopting shard can apply — the slice, the bumped table, and the
+    /// partition as a functionality delta — and a *bulletin* every
+    /// bystander shard adopts. Client history (`V`) does not travel —
+    /// each shard keeps its own sequence space, and clients re-pin
+    /// per-shard contexts when they chase the redirect.
     ///
     /// # Errors
     ///
@@ -539,12 +504,8 @@ impl<F: Functionality> TrustedContext<F> {
     /// * [`LcmError::NotProvisioned`] / [`LcmError::Halted`] — wrong
     ///   phase.
     pub fn export_slice(&mut self, slice: u32, to: u32) -> Result<SliceExport> {
-        self.require_ready()?;
-        let channel_key = self
-            .services
-            .migration_key()
-            .ok_or_else(|| LcmError::Tee("platform has no migration channel".into()))?;
-        let identity = self.identity.expect("ready implies identity");
+        let (identity, _) = self.require_ready()?;
+        let channel = self.migration_channel()?;
         if slice >= crate::routing::SLICE_COUNT || self.table.owner(slice) != identity.index {
             return Err(LcmError::Tee(format!(
                 "shard {} does not own slice {slice}",
@@ -559,36 +520,37 @@ impl<F: Functionality> TrustedContext<F> {
         // means the functionality does not track partition keys — the
         // default — and nothing has been mutated yet, so the error is
         // clean.
-        let Some(partition) = self
+        let partition = self
             .f
             .take_partition(&|key| slice_of(crate::shard::route_hash(key)) == slice)
-        else {
-            return Err(LcmError::Tee(
-                "functionality does not support slice migration".into(),
-            ));
-        };
-        let old_epoch = self.table.epoch();
+            .ok_or_else(|| {
+                LcmError::Tee("functionality does not support slice migration".into())
+            })?;
+        let table = new_table.to_bytes();
         self.table = new_table;
 
-        let mut w = Writer::new();
-        identity.encode(&mut w);
-        w.put_u32(to);
-        w.put_u32(slice);
-        w.put_u64(old_epoch);
-        self.table.encode(&mut w);
-        w.put_bytes(&partition);
-        let channel = AeadKey::from_secret(&channel_key);
         let nonce = self.next_nonce();
-        let ticket =
-            aead::auth_encrypt_with_nonce(&channel, &nonce, &w.into_bytes(), LABEL_SLICE_TICKET)
-                .map_err(|e| LcmError::Tee(e.to_string()))?;
-
-        let mut w = Writer::new();
-        self.table.encode(&mut w);
+        let ticket = seal_message(
+            &channel,
+            &nonce,
+            LABEL_SLICE_TICKET,
+            &[],
+            table.len() + 8 + partition.len(),
+            |w| {
+                w.put_u32(slice);
+                w.put_raw(&table);
+                w.put_bytes(&partition);
+            },
+        )?;
         let nonce = self.next_nonce();
-        let bulletin =
-            aead::auth_encrypt_with_nonce(&channel, &nonce, &w.into_bytes(), LABEL_SLICE_BULLETIN)
-                .map_err(|e| LcmError::Tee(e.to_string()))?;
+        let bulletin = seal_message(
+            &channel,
+            &nonce,
+            LABEL_SLICE_BULLETIN,
+            &[],
+            table.len(),
+            |w| w.put_raw(&table),
+        )?;
 
         // Slice moves always checkpoint: the exported keys vanish from
         // this shard's state wholesale, which a dirty-set delta cannot
@@ -601,80 +563,66 @@ impl<F: Functionality> TrustedContext<F> {
         })
     }
 
+    /// A sibling's bumped table applies here only as the successor of
+    /// this enclave's own, over the same shards; anything else is a
+    /// stale, premature or foreign `what`, refused with nothing changed.
+    fn check_successor(&self, own: ShardIdentity, table: &SliceTable, what: &str) -> Result<()> {
+        if table.count() != own.count {
+            return Err(LcmError::Tee(format!(
+                "{what} from a different deployment shape"
+            )));
+        }
+        if table.epoch() != self.table.epoch() + 1 {
+            return Err(LcmError::Tee(format!(
+                "{what} to epoch {} does not apply at epoch {}",
+                table.epoch(),
+                self.table.epoch()
+            )));
+        }
+        Ok(())
+    }
+
     /// Adopts one routing slice exported by a sibling shard via
     /// [`TrustedContext::export_slice`]: validates the sealed ticket,
-    /// installs the slice's partition of the service state, and
-    /// advances to the epoch-bumped table.
+    /// applies the slice's partition of the service state as the
+    /// functionality delta it is, and advances to the epoch-bumped
+    /// table.
     ///
     /// Replaying a ticket is harmless: once this shard sits at the
-    /// bumped epoch the ticket's `old_epoch` no longer matches and the
-    /// import is refused without any state change — which is exactly
-    /// what makes crash-retry of a half-done migration safe.
+    /// bumped epoch the ticket's table no longer succeeds its own and
+    /// the import is refused without any state change — which is
+    /// exactly what makes crash-retry of a half-done migration safe.
     ///
     /// # Errors
     ///
     /// * [`LcmError::Violation`] — the ticket failed authentication or
-    ///   names a different destination shard (a misdelivered ticket is
-    ///   host misbehaviour); the context halts.
+    ///   assigns the slice to a different shard (a misdelivered ticket
+    ///   is host misbehaviour); the context halts.
     /// * [`LcmError::Tee`] — epoch mismatch (stale or premature
     ///   ticket) or a deployment-shape mismatch; state unchanged.
     /// * [`LcmError::NotProvisioned`] / [`LcmError::Halted`] — wrong
     ///   phase.
     pub fn import_slice(&mut self, ticket: &[u8]) -> Result<PersistBlobs> {
-        self.require_ready()?;
-        let channel_key = self
-            .services
-            .migration_key()
-            .ok_or_else(|| LcmError::Tee("platform has no migration channel".into()))?;
-        let channel = AeadKey::from_secret(&channel_key);
-        let plain = aead::auth_decrypt(&channel, ticket, LABEL_SLICE_TICKET)
-            .map_err(|_| self.halt(Violation::BadAuthentication))?;
+        let (identity, _) = self.require_ready()?;
+        let plain = self.open_ticket(ticket, LABEL_SLICE_TICKET)?;
         let mut r = Reader::new(&plain);
-        let decoded = (|| -> std::result::Result<_, crate::codec::CodecError> {
-            let exporter = ShardIdentity::decode(&mut r)?;
-            let to = r.get_u32()?;
+        let decoded = (|| -> std::result::Result<_, CodecError> {
             let slice = r.get_u32()?;
-            let old_epoch = r.get_u64()?;
             let table = SliceTable::decode(&mut r)?;
-            let partition = r.get_bytes()?.to_vec();
+            let partition = r.get_bytes()?;
             r.finish()?;
-            Ok((exporter, to, slice, old_epoch, table, partition))
+            Ok((slice, table, partition))
         })();
-        let Ok((exporter, to, slice, old_epoch, table, partition)) = decoded else {
-            return Err(self.halt(Violation::BadAuthentication));
-        };
-        let identity = self.identity.expect("ready implies identity");
-        if to != identity.index {
+        let (slice, table, partition) =
+            decoded.map_err(|_| self.halt(Violation::BadAuthentication))?;
+        let (to, here) = (table.owner(slice), identity.index);
+        if to != here {
             // An intact ticket delivered to the wrong shard: the host
             // redirected it, exactly like a misdelivered wire.
-            let shard_epoch = self.table.epoch();
-            return Err(self.halt(Violation::WrongShard {
-                client: ClientId(0),
-                delivered_to: identity.index,
-                owner: to,
-                wire_epoch: table.epoch(),
-                shard_epoch,
-            }));
+            return Err(self.halt_wrong_shard(here, ClientId(0), to, table.epoch()));
         }
-        if exporter.count != identity.count || table.count() != identity.count {
-            return Err(LcmError::Tee(
-                "slice ticket from a different deployment shape".into(),
-            ));
-        }
-        if old_epoch != self.table.epoch() {
-            return Err(LcmError::Tee(format!(
-                "slice ticket for epoch {old_epoch} does not apply at epoch {}",
-                self.table.epoch()
-            )));
-        }
-        if table.owner(slice) != identity.index {
-            return Err(LcmError::Tee(format!(
-                "slice ticket assigns slice {slice} to shard {} not {}",
-                table.owner(slice),
-                identity.index
-            )));
-        }
-        self.f.apply_partition(&partition).map_err(LcmError::from)?;
+        self.check_successor(identity, &table, "slice ticket")?;
+        self.f.apply_delta(partition)?;
         self.table = table;
         self.persist_blobs()
     }
@@ -694,34 +642,14 @@ impl<F: Functionality> TrustedContext<F> {
     /// * [`LcmError::NotProvisioned`] / [`LcmError::Halted`] — wrong
     ///   phase.
     pub fn adopt_table(&mut self, bulletin: &[u8]) -> Result<PersistBlobs> {
-        self.require_ready()?;
-        let channel_key = self
-            .services
-            .migration_key()
-            .ok_or_else(|| LcmError::Tee("platform has no migration channel".into()))?;
-        let channel = AeadKey::from_secret(&channel_key);
-        let plain = aead::auth_decrypt(&channel, bulletin, LABEL_SLICE_BULLETIN)
-            .map_err(|_| self.halt(Violation::BadAuthentication))?;
-        let table = match SliceTable::from_bytes(&plain) {
-            Ok(t) => t,
-            Err(_) => return Err(self.halt(Violation::BadAuthentication)),
-        };
-        let identity = self.identity.expect("ready implies identity");
+        let (identity, _) = self.require_ready()?;
+        let plain = self.open_ticket(bulletin, LABEL_SLICE_BULLETIN)?;
+        let table =
+            SliceTable::from_bytes(&plain).map_err(|_| self.halt(Violation::BadAuthentication))?;
         if table.epoch() <= self.table.epoch() {
             return self.persist_blobs();
         }
-        if table.count() != identity.count {
-            return Err(LcmError::Tee(
-                "slice-table bulletin from a different deployment shape".into(),
-            ));
-        }
-        if table.epoch() != self.table.epoch() + 1 {
-            return Err(LcmError::Tee(format!(
-                "slice-table bulletin skips epochs ({} -> {})",
-                self.table.epoch(),
-                table.epoch()
-            )));
-        }
+        self.check_successor(identity, &table, "slice-table bulletin")?;
         self.table = table;
         self.persist_blobs()
     }

@@ -78,29 +78,37 @@ pub trait Functionality: Default + Send {
     }
 
     /// Applies a delta produced by [`Functionality::take_delta`] on
-    /// top of the state it was taken against.
+    /// top of the state it was taken against, or one produced by
+    /// [`Functionality::take_partition`] on another instance.
     ///
     /// # Errors
     ///
     /// Returns a [`CodecError`] when the delta is malformed or the
     /// functionality does not support deltas (the default). Like a
     /// malformed snapshot this can only result from a bug: deltas are
-    /// sealed and chain-verified before they reach this method.
+    /// sealed and chain-verified, or travel in sealed, authenticated
+    /// slice tickets, before they reach this method.
     fn apply_delta(&mut self, delta: &[u8]) -> Result<(), CodecError> {
         let _ = delta;
         Err(CodecError::InvalidTag(0xff))
     }
 
     /// Extracts **and removes** the subset of the state whose
-    /// partition keys satisfy `belongs`, serialized for
-    /// [`Functionality::apply_partition`] on another instance — the
-    /// state-transfer half of a live slice migration
-    /// ([`crate::context::TrustedContext::export_slice`]).
+    /// partition keys satisfy `belongs` and returns it as a delta
+    /// [`Functionality::apply_delta`] accepts: applied on another
+    /// instance it merges the extracted entries into that instance's
+    /// state (the adopted keys are disjoint from the local ones by the
+    /// routing invariant). This is the state-transfer half of a live
+    /// slice migration
+    /// ([`crate::context::TrustedContext::export_slice`]); a partial
+    /// state has one encoding, and it is the delta's.
     ///
     /// `belongs` is called with the same byte strings
     /// [`Functionality::shard_key`] exposes for routing, so the
     /// extracted partition is exactly the state the routing slice
-    /// covers. Implementations must also drop the removed entries from
+    /// covers — only the functionality can make that cut, an opaque
+    /// snapshot cannot be filtered by key from outside. Implementations
+    /// must also drop the removed entries from
     /// any delta dirty-tracking (the exporting context checkpoints
     /// immediately, but the tracking must not resurrect them).
     ///
@@ -111,22 +119,6 @@ pub trait Functionality: Default + Send {
     fn take_partition(&mut self, belongs: &dyn Fn(&[u8]) -> bool) -> Option<Vec<u8>> {
         let _ = belongs;
         None
-    }
-
-    /// Installs a partition produced by
-    /// [`Functionality::take_partition`] on another instance, merging
-    /// it into the current state (the adopted keys are disjoint from
-    /// the local ones by the routing invariant).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CodecError`] when the partition is malformed or the
-    /// functionality does not support partitions (the default). Like a
-    /// malformed snapshot this can only result from a bug: partitions
-    /// travel in sealed, authenticated tickets.
-    fn apply_partition(&mut self, partition: &[u8]) -> Result<(), CodecError> {
-        let _ = partition;
-        Err(CodecError::InvalidTag(0xfe))
     }
 
     /// Whether an *encoded* operation is a pure read.
@@ -260,6 +252,32 @@ impl Counter {
     pub fn value(&self, name: &[u8]) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
     }
+
+    /// `count ‖ (name ‖ value)*`: the one layout of a snapshot, a
+    /// delta and a partition alike — they differ in which names they
+    /// list, and in whether the reader replaces or merges.
+    fn encode_entries<'a>(entries: impl ExactSizeIterator<Item = (&'a Vec<u8>, u64)>) -> Vec<u8> {
+        let mut w = crate::codec::Writer::new();
+        w.put_u32(entries.len() as u32);
+        for (name, value) in entries {
+            w.put_bytes(name);
+            w.put_u64(value);
+        }
+        w.into_bytes()
+    }
+
+    /// Decodes [`Counter::encode_entries`] whole, so that malformed
+    /// bytes leave the state untouched.
+    fn decode_entries(bytes: &[u8]) -> Result<Vec<(Vec<u8>, u64)>, CodecError> {
+        let mut r = crate::codec::Reader::new(bytes);
+        let n = r.get_u32()? as usize;
+        let mut entries = Vec::with_capacity(n.min(1 << 16));
+        for _ in 0..n {
+            entries.push((r.get_bytes()?.to_vec(), r.get_u64()?));
+        }
+        r.finish()?;
+        Ok(entries)
+    }
 }
 
 impl Functionality for Counter {
@@ -305,26 +323,11 @@ impl Functionality for Counter {
     }
 
     fn snapshot(&self) -> Vec<u8> {
-        let mut w = crate::codec::Writer::new();
-        w.put_u32(self.counters.len() as u32);
-        for (name, value) in &self.counters {
-            w.put_bytes(name);
-            w.put_u64(*value);
-        }
-        w.into_bytes()
+        Self::encode_entries(self.counters.iter().map(|(name, value)| (name, *value)))
     }
 
     fn restore(&mut self, snapshot: &[u8]) -> Result<(), CodecError> {
-        let mut r = crate::codec::Reader::new(snapshot);
-        let n = r.get_u32()? as usize;
-        let mut counters = std::collections::BTreeMap::new();
-        for _ in 0..n {
-            let name = r.get_bytes()?.to_vec();
-            let value = r.get_u64()?;
-            counters.insert(name, value);
-        }
-        r.finish()?;
-        self.counters = counters;
+        self.counters = Self::decode_entries(snapshot)?.into_iter().collect();
         self.dirty.0.clear();
         Ok(())
     }
@@ -341,67 +344,34 @@ impl Functionality for Counter {
     /// names from the dirty set and is followed by a full checkpoint,
     /// so no delta taken afterwards can mention them.
     fn take_delta(&mut self) -> Option<Vec<u8>> {
-        let mut w = crate::codec::Writer::new();
-        w.put_u32(self.dirty.0.len() as u32);
-        for name in std::mem::take(&mut self.dirty.0) {
-            let value = self.counters.get(&name).copied().unwrap_or(0);
-            w.put_bytes(&name);
-            w.put_u64(value);
-        }
-        Some(w.into_bytes())
+        let dirty = std::mem::take(&mut self.dirty.0);
+        Some(Self::encode_entries(
+            dirty.iter().map(|name| (name, self.value(name))),
+        ))
     }
 
     fn apply_delta(&mut self, delta: &[u8]) -> Result<(), CodecError> {
-        let mut r = crate::codec::Reader::new(delta);
-        let n = r.get_u32()? as usize;
-        // Decode fully before mutating, so a malformed delta leaves
-        // the state untouched.
-        let mut upserts = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let name = r.get_bytes()?.to_vec();
-            let value = r.get_u64()?;
-            upserts.push((name, value));
-        }
-        r.finish()?;
-        for (name, value) in upserts {
-            self.counters.insert(name, value);
-        }
+        self.counters.extend(Self::decode_entries(delta)?);
         Ok(())
     }
 
+    /// The moved names with their absolute values: an upserts-only
+    /// delta like any other.
     fn take_partition(&mut self, belongs: &dyn Fn(&[u8]) -> bool) -> Option<Vec<u8>> {
-        let names: Vec<Vec<u8>> = self
-            .counters
-            .keys()
-            .filter(|name| belongs(name))
-            .cloned()
-            .collect();
-        let mut w = crate::codec::Writer::new();
-        w.put_u32(names.len() as u32);
-        for name in names {
-            let value = self.counters.remove(&name).expect("collected above");
-            self.dirty.0.remove(&name);
-            w.put_bytes(&name);
-            w.put_u64(value);
+        let mut moved = Vec::new();
+        self.counters.retain(|name, value| {
+            let goes = belongs(name);
+            if goes {
+                moved.push((name.clone(), *value));
+            }
+            !goes
+        });
+        for (name, _) in &moved {
+            self.dirty.0.remove(name);
         }
-        Some(w.into_bytes())
-    }
-
-    fn apply_partition(&mut self, partition: &[u8]) -> Result<(), CodecError> {
-        let mut r = crate::codec::Reader::new(partition);
-        let n = r.get_u32()? as usize;
-        let mut entries = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let name = r.get_bytes()?.to_vec();
-            let value = r.get_u64()?;
-            entries.push((name, value));
-        }
-        r.finish()?;
-        for (name, value) in entries {
-            self.dirty.0.insert(name.clone());
-            self.counters.insert(name, value);
-        }
-        Ok(())
+        Some(Self::encode_entries(
+            moved.iter().map(|(name, value)| (name, *value)),
+        ))
     }
 }
 
@@ -541,15 +511,29 @@ mod tests {
         let part = c
             .take_partition(&|name| name.starts_with(b"a"))
             .expect("counters support partitions");
+        // Matching names left, the others stayed...
         assert_eq!(c.value(b"apple"), 0);
         assert_eq!(c.value(b"banana"), 4);
+        // ...and the exporter's own next delta does not bring a moved
+        // name back, although it was dirty when it left.
+        let mut replay = Counter::default();
+        replay.apply_delta(&c.take_delta().unwrap()).unwrap();
+        assert_eq!(replay.value(b"apple"), 0);
+        assert_eq!(replay.value(b"banana"), 4);
 
         let mut target = Counter::default();
         target.exec(&Counter::inc_op(b"cherry", 1));
-        target.apply_partition(&part).unwrap();
+        target.apply_delta(&part).unwrap();
         assert_eq!(target.value(b"apple"), 3);
         assert_eq!(target.value(b"cherry"), 1);
-        assert!(Counter::default().apply_partition(&[0xff]).is_err());
+
+        // A partition nothing matches is the empty delta.
+        let mut clean = Counter::default();
+        assert_eq!(
+            c.take_partition(&|_| false),
+            Some(clean.take_delta().unwrap())
+        );
+        assert_eq!(c.value(b"banana"), 4);
         // The default implementation reports "unsupported".
         assert!(AppendLog::default().take_partition(&|_| true).is_none());
     }

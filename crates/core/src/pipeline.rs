@@ -363,14 +363,13 @@ mod tests {
     #[test]
     fn control_plane_calls_drain_the_writer_first() {
         type Call = fn(&mut LcmServer<AppendLog>, &mut AdminHandle);
-        let calls: [(&str, Call); 10] = [
+        let calls: [(&str, Call); 9] = [
             ("boot", |s, _| drop(s.boot())),
             ("provision", |s, _| drop(s.provision(vec![0; 8]))),
             ("admin", |s, a| drop(a.add_client(s, ClientId(2)))),
             ("export_migration", |s, _| drop(s.export_migration())),
-            ("import_migration", |s, _| drop(s.import_migration(vec![]))),
-            ("import_migration_as", |s, _| {
-                drop(s.import_migration_as(vec![], 0, 1))
+            ("import_migration", |s, _| {
+                drop(s.import_migration(vec![], Some((0, 1))))
             }),
             ("apply_replica", |s, _| drop(s.apply_replica(&[]))),
             ("export_slice", |s, _| drop(s.export_slice(0, 0))),

@@ -14,16 +14,21 @@ use lcm_tee::measurement::Measurement;
 use lcm_tee::platform::TeeServices;
 
 use crate::codec::{CodecError, Reader, WireCodec, Writer};
-use crate::context::{InitOutcome, PersistBlobs, TrustedContext};
+use crate::context::{InitOutcome, PersistBlobs, SliceExport, TrustedContext};
 use crate::functionality::Functionality;
 use crate::types::ClientId;
 use crate::{LcmError, Violation};
 
 /// Name under which LCM programs are measured.
 pub const PROGRAM_NAME: &str = "lcm";
-/// Version string folded into the measurement. Version 6 makes the
-/// anchor-chained delta the replication stream: a group member's
-/// batch reply carries a replication record
+/// Version string folded into the measurement. It stays 6 although
+/// the migration and slice tickets changed layout since (they are the
+/// checkpoint's state record and the functionality's delta now): every
+/// *stored* record is byte-identical, media sealed under this
+/// measurement must keep recovering (`tests/recovery_compat.rs`), and
+/// a ticket is only ever exchanged between enclaves of one build.
+/// Version 6 makes the anchor-chained delta the replication stream: a
+/// group member's batch reply carries a replication record
 /// ([`crate::context::PersistBlobs::record`]),
 /// [`HostCall::ApplyReplica`] replays it with the recovery path's own
 /// function, and the chain position continues across checkpoints
@@ -84,8 +89,16 @@ pub enum HostCall {
     Attest(Digest),
     /// Export a migration ticket (origin side).
     ExportMigration,
-    /// Import a migration ticket (target side).
-    ImportMigration(Vec<u8>),
+    /// Import a migration ticket (target side), optionally under a
+    /// host-assigned replica slot `(replica, replicas)` of the
+    /// ticket's shard group (see
+    /// [`crate::context::TrustedContext::import_migration`]).
+    ImportMigration {
+        /// The encrypted migration ticket.
+        ticket: Vec<u8>,
+        /// Replica slot the target occupies, and the size of its group.
+        slot: Option<(u32, u32)>,
+    },
     /// Apply one record of the group's replication stream — the
     /// leader's sealed batch delta, or a sealed checkpoint/bundle — on
     /// this replica-group member (see
@@ -94,16 +107,6 @@ pub enum HostCall {
     /// Serve a replica-pinned verified read leg (see
     /// [`crate::context::TrustedContext::serve_read`]).
     ServeRead(Vec<u8>),
-    /// Import a migration ticket under a host-assigned replica slot
-    /// `(replica, replicas)` of the ticket's shard group.
-    ImportMigrationAs {
-        /// The encrypted migration ticket.
-        ticket: Vec<u8>,
-        /// Replica slot the target occupies.
-        replica: u32,
-        /// Size of the target group.
-        replicas: u32,
-    },
     /// Export one routing slice to another shard (origin side of a
     /// live slice migration; see
     /// [`crate::context::TrustedContext::export_slice`]).
@@ -130,7 +133,6 @@ const CALL_EXPORT_MIG: u8 = 6;
 const CALL_IMPORT_MIG: u8 = 7;
 const CALL_APPLY_REPLICA: u8 = 8;
 const CALL_SERVE_READ: u8 = 9;
-const CALL_IMPORT_MIG_AS: u8 = 10;
 const CALL_EXPORT_SLICE: u8 = 11;
 const CALL_IMPORT_SLICE: u8 = 12;
 const CALL_ADOPT_TABLE: u8 = 13;
@@ -162,24 +164,19 @@ impl WireCodec for HostCall {
                 w.put_digest(user_data);
             }
             HostCall::ExportMigration => w.put_u8(CALL_EXPORT_MIG),
-            HostCall::ImportMigration(ticket) => {
+            HostCall::ImportMigration { ticket, slot } => {
                 w.put_u8(CALL_IMPORT_MIG);
                 w.put_bytes(ticket);
+                w.put_bool(slot.is_some());
+                if let Some((replica, replicas)) = slot {
+                    w.put_u32(*replica);
+                    w.put_u32(*replicas);
+                }
             }
             HostCall::ApplyReplica(record) => HostCall::encode_apply_replica_into(w, record),
             HostCall::ServeRead(wire) => {
                 w.put_u8(CALL_SERVE_READ);
                 w.put_bytes(wire);
-            }
-            HostCall::ImportMigrationAs {
-                ticket,
-                replica,
-                replicas,
-            } => {
-                w.put_u8(CALL_IMPORT_MIG_AS);
-                w.put_bytes(ticket);
-                w.put_u32(*replica);
-                w.put_u32(*replicas);
             }
             HostCall::ExportSlice { slice, to } => {
                 w.put_u8(CALL_EXPORT_SLICE);
@@ -219,14 +216,15 @@ impl WireCodec for HostCall {
             CALL_ADMIN => Ok(HostCall::Admin(r.get_bytes()?.to_vec())),
             CALL_ATTEST => Ok(HostCall::Attest(r.get_digest()?)),
             CALL_EXPORT_MIG => Ok(HostCall::ExportMigration),
-            CALL_IMPORT_MIG => Ok(HostCall::ImportMigration(r.get_bytes()?.to_vec())),
+            CALL_IMPORT_MIG => Ok(HostCall::ImportMigration {
+                ticket: r.get_bytes()?.to_vec(),
+                slot: match r.get_bool()? {
+                    true => Some((r.get_u32()?, r.get_u32()?)),
+                    false => None,
+                },
+            }),
             CALL_APPLY_REPLICA => Ok(HostCall::ApplyReplica(r.get_bytes()?.to_vec())),
             CALL_SERVE_READ => Ok(HostCall::ServeRead(r.get_bytes()?.to_vec())),
-            CALL_IMPORT_MIG_AS => Ok(HostCall::ImportMigrationAs {
-                ticket: r.get_bytes()?.to_vec(),
-                replica: r.get_u32()?,
-                replicas: r.get_u32()?,
-            }),
             CALL_EXPORT_SLICE => Ok(HostCall::ExportSlice {
                 slice: r.get_u32()?,
                 to: r.get_u32()?,
@@ -281,16 +279,9 @@ pub enum HostReply {
     /// A verified read leg was served; the encrypted read reply.
     ReadOk(Vec<u8>),
     /// A routing slice was exported (origin side of a live slice
-    /// migration).
-    SliceExported {
-        /// Sealed slice ticket for the target shard.
-        ticket: Vec<u8>,
-        /// Sealed table bulletin for bystander shards.
-        bulletin: Vec<u8>,
-        /// The origin's re-sealed blobs to persist (full checkpoint;
-        /// the moved keys are already gone from it).
-        blobs: PersistBlobs,
-    },
+    /// migration): the ticket, the bulletin, and the origin's
+    /// re-sealed blobs to persist.
+    SliceExported(SliceExport),
     /// The call failed. The context may now be halted.
     Err(ReplyError),
 }
@@ -473,15 +464,11 @@ impl WireCodec for HostReply {
                 w.put_u8(REPLY_READ);
                 w.put_bytes(reply);
             }
-            HostReply::SliceExported {
-                ticket,
-                bulletin,
-                blobs,
-            } => {
+            HostReply::SliceExported(export) => {
                 w.put_u8(REPLY_SLICE_EXPORTED);
-                w.put_bytes(ticket);
-                w.put_bytes(bulletin);
-                encode_blobs(w, blobs);
+                w.put_bytes(&export.ticket);
+                w.put_bytes(&export.bulletin);
+                encode_blobs(w, &export.blobs);
             }
             HostReply::Err(e) => {
                 w.put_u8(REPLY_ERR);
@@ -520,11 +507,11 @@ impl WireCodec for HostReply {
                 blobs: decode_blobs(r)?,
             }),
             REPLY_READ => Ok(HostReply::ReadOk(r.get_bytes()?.to_vec())),
-            REPLY_SLICE_EXPORTED => Ok(HostReply::SliceExported {
+            REPLY_SLICE_EXPORTED => Ok(HostReply::SliceExported(SliceExport {
                 ticket: r.get_bytes()?.to_vec(),
                 bulletin: r.get_bytes()?.to_vec(),
                 blobs: decode_blobs(r)?,
-            }),
+            })),
             REPLY_ERR => Ok(HostReply::Err(ReplyError {
                 code: r.get_u8()?,
                 message: r.get_str()?.to_owned(),
@@ -582,100 +569,62 @@ impl<F: Functionality> LcmProgram<F> {
         &self.context
     }
 
-    fn init(&mut self, init: InitView<'_>) -> HostReply {
-        match self
-            .context
-            .init(init.key_blob, init.state_blob, init.want_deltas)
-        {
-            Ok(outcome) => HostReply::InitOk {
-                need_provision: outcome == InitOutcome::NeedProvision,
-            },
-            Err(e) => HostReply::Err((&e).into()),
-        }
+    fn init(
+        &mut self,
+        key_blob: Option<&[u8]>,
+        state_blob: Option<&[u8]>,
+        want_deltas: bool,
+    ) -> crate::Result<HostReply> {
+        let outcome = self.context.init(key_blob, state_blob, want_deltas)?;
+        Ok(HostReply::InitOk {
+            need_provision: outcome == InitOutcome::NeedProvision,
+        })
     }
 
-    fn dispatch(&mut self, call: HostCall) -> HostReply {
-        match call {
+    fn dispatch(&mut self, call: HostCall) -> crate::Result<HostReply> {
+        let context = &mut self.context;
+        Ok(match call {
             // `ecall` takes `Init` borrowed; an owned one is the same call.
             HostCall::Init {
                 key_blob,
                 state_blob,
                 want_deltas,
-            } => self.init(InitView {
-                key_blob: key_blob.as_deref(),
-                state_blob: state_blob.as_deref(),
-                want_deltas,
-            }),
-            HostCall::Provision(payload) => match self.context.provision(&payload) {
-                Ok(blobs) => HostReply::ProvisionOk(blobs),
-                Err(e) => HostReply::Err((&e).into()),
-            },
+            } => self.init(key_blob.as_deref(), state_blob.as_deref(), want_deltas)?,
+            HostCall::Provision(payload) => HostReply::ProvisionOk(context.provision(&payload)?),
             HostCall::InvokeBatch(mut batch) => {
                 let mut replies = Vec::with_capacity(batch.len());
                 // Each wire was copied out of the ecall buffer once, by
                 // the decoder; it is opened in that copy.
                 for msg in &mut batch {
-                    match self.context.handle_invoke_in_place(msg) {
-                        Ok(pair) => replies.push(pair),
-                        Err(e) => return HostReply::Err((&e).into()),
-                    }
+                    replies.push(context.handle_invoke_in_place(msg)?);
                 }
-                match self.context.persist_batch_blobs() {
-                    Ok(blobs) => HostReply::BatchOk { replies, blobs },
-                    Err(e) => HostReply::Err((&e).into()),
-                }
+                let blobs = context.persist_batch_blobs()?;
+                HostReply::BatchOk { replies, blobs }
             }
-            HostCall::Admin(msg) => match self.context.handle_admin(&msg) {
-                Ok((reply, blobs)) => HostReply::AdminOk { reply, blobs },
-                Err(e) => HostReply::Err((&e).into()),
-            },
+            HostCall::Admin(msg) => {
+                let (reply, blobs) = context.handle_admin(&msg)?;
+                HostReply::AdminOk { reply, blobs }
+            }
             HostCall::Attest(user_data) => {
-                HostReply::AttestOk(self.context.attest(user_data).to_bytes())
+                HostReply::AttestOk(context.attest(user_data).to_bytes())
             }
-            HostCall::ExportMigration => match self.context.export_migration() {
-                Ok(ticket) => HostReply::MigrationTicket(ticket),
-                Err(e) => HostReply::Err((&e).into()),
-            },
-            HostCall::ImportMigration(ticket) => match self.context.import_migration(&ticket) {
-                Ok(blobs) => HostReply::ProvisionOk(blobs),
-                Err(e) => HostReply::Err((&e).into()),
-            },
-            HostCall::ApplyReplica(blob) => match self.context.apply_replica(&blob) {
-                Ok((digest, blobs)) => HostReply::ApplyOk { digest, blobs },
-                Err(e) => HostReply::Err((&e).into()),
-            },
-            HostCall::ServeRead(wire) => match self.context.serve_read(&wire) {
-                Ok(reply) => HostReply::ReadOk(reply),
-                Err(e) => HostReply::Err((&e).into()),
-            },
-            HostCall::ImportMigrationAs {
-                ticket,
-                replica,
-                replicas,
-            } => match self
-                .context
-                .import_migration_with(&ticket, Some((replica, replicas)))
-            {
-                Ok(blobs) => HostReply::ProvisionOk(blobs),
-                Err(e) => HostReply::Err((&e).into()),
-            },
-            HostCall::ExportSlice { slice, to } => match self.context.export_slice(slice, to) {
-                Ok(export) => HostReply::SliceExported {
-                    ticket: export.ticket,
-                    bulletin: export.bulletin,
-                    blobs: export.blobs,
-                },
-                Err(e) => HostReply::Err((&e).into()),
-            },
-            HostCall::ImportSlice(ticket) => match self.context.import_slice(&ticket) {
-                Ok(blobs) => HostReply::ProvisionOk(blobs),
-                Err(e) => HostReply::Err((&e).into()),
-            },
-            HostCall::AdoptTable(bulletin) => match self.context.adopt_table(&bulletin) {
-                Ok(blobs) => HostReply::ProvisionOk(blobs),
-                Err(e) => HostReply::Err((&e).into()),
-            },
-        }
+            HostCall::ExportMigration => HostReply::MigrationTicket(context.export_migration()?),
+            HostCall::ImportMigration { ticket, slot } => {
+                HostReply::ProvisionOk(context.import_migration(&ticket, slot)?)
+            }
+            HostCall::ApplyReplica(blob) => {
+                let (digest, blobs) = context.apply_replica(&blob)?;
+                HostReply::ApplyOk { digest, blobs }
+            }
+            HostCall::ServeRead(wire) => HostReply::ReadOk(context.serve_read(&wire)?),
+            HostCall::ExportSlice { slice, to } => {
+                HostReply::SliceExported(context.export_slice(slice, to)?)
+            }
+            HostCall::ImportSlice(ticket) => HostReply::ProvisionOk(context.import_slice(&ticket)?),
+            HostCall::AdoptTable(bulletin) => {
+                HostReply::ProvisionOk(context.adopt_table(&bulletin)?)
+            }
+        })
     }
 }
 
@@ -691,16 +640,18 @@ impl<F: Functionality> EnclaveProgram for LcmProgram<F> {
     }
 
     fn ecall(&mut self, input: &[u8]) -> Vec<u8> {
-        let call = match InitView::from_call(input) {
-            Some(init) => init.map(|init| self.init(init)),
+        let outcome = match InitView::from_call(input) {
+            Some(init) => init.map(|i| self.init(i.key_blob, i.state_blob, i.want_deltas)),
             None => HostCall::from_bytes(input).map(|call| self.dispatch(call)),
         };
-        let reply = call.unwrap_or_else(|e| {
-            HostReply::Err(ReplyError {
+        let reply = match outcome {
+            Ok(Ok(reply)) => reply,
+            Ok(Err(e)) => HostReply::Err((&e).into()),
+            Err(e) => HostReply::Err(ReplyError {
                 code: ERR_OTHER,
                 message: format!("malformed host call: {e}"),
-            })
-        });
+            }),
+        };
         reply.to_bytes()
     }
 }
@@ -722,13 +673,15 @@ mod tests {
             HostCall::Admin(b"admin".to_vec()),
             HostCall::Attest(lcm_crypto::sha256::digest(b"challenge")),
             HostCall::ExportMigration,
-            HostCall::ImportMigration(b"ticket".to_vec()),
+            HostCall::ImportMigration {
+                ticket: b"ticket".to_vec(),
+                slot: None,
+            },
             HostCall::ApplyReplica(b"blob".to_vec()),
             HostCall::ServeRead(b"leg".to_vec()),
-            HostCall::ImportMigrationAs {
+            HostCall::ImportMigration {
                 ticket: b"ticket".to_vec(),
-                replica: 2,
-                replicas: 3,
+                slot: Some((2, 3)),
             },
             HostCall::ExportSlice { slice: 17, to: 3 },
             HostCall::ImportSlice(b"slice-ticket".to_vec()),
@@ -770,7 +723,7 @@ mod tests {
                 },
             },
             HostReply::ReadOk(b"read-reply".to_vec()),
-            HostReply::SliceExported {
+            HostReply::SliceExported(SliceExport {
                 ticket: b"ticket".to_vec(),
                 bulletin: b"bulletin".to_vec(),
                 blobs: PersistBlobs {
@@ -778,7 +731,7 @@ mod tests {
                     state_blob: b"sb".to_vec(),
                     record: None,
                 },
-            },
+            }),
             HostReply::Err(ReplyError {
                 code: ERR_VIOLATION,
                 message: "boom".to_owned(),

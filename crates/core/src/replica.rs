@@ -613,7 +613,7 @@ impl<F: Functionality + 'static> Lane for ReplicaGroup<F> {
     fn import_migration(&mut self, ticket: Vec<u8>) -> Result<()> {
         let replicas = self.members.len() as u32;
         for (i, member) in self.members.iter().enumerate() {
-            lock(&member.server).import_migration_as(ticket.clone(), i as u32, replicas)?;
+            lock(&member.server).import_migration(ticket.clone(), Some((i as u32, replicas)))?;
         }
         // Every member re-sealed the ticket at a chain root of its
         // own; the leader's checkpoint puts them all at one position.

@@ -16,9 +16,10 @@
 //!
 //! * a **member** — the paper's `S` + `T`: [`LcmServer`], a concrete
 //!   type. Its member-only verbs ([`LcmServer::apply_replica`],
-//!   [`LcmServer::take_record`], [`LcmServer::sealed_state`],
-//!   [`LcmServer::import_migration_as`]) are inherent methods a
-//!   replica group calls on the members it owns; no trait carries them.
+//!   [`LcmServer::take_record`], [`LcmServer::sealed_state`], and
+//!   [`LcmServer::import_migration`] under a replica slot) are
+//!   inherent methods a replica group calls on the members it owns;
+//!   no trait carries them.
 //! * a **shard** — [`Lane`]: one member on its own ([`LcmServer`]) or
 //!   2f+1 of them ([`crate::replica::ReplicaGroup`]), members addressed
 //!   by `replica`. It is what a [`crate::shard::ShardedServer`] holds
@@ -264,7 +265,6 @@ impl<F: Functionality> LcmServer<F> {
         let reply = self.ecall(HostCall::Attest(user_data))?;
         let report_bytes = match reply {
             HostReply::AttestOk(bytes) => bytes,
-            HostReply::Err(e) => return Err(e.into_lcm_error()),
             other => return Err(unexpected(other)),
         };
         let report = Report::from_bytes(&report_bytes)
@@ -322,7 +322,6 @@ impl<F: Functionality> LcmServer<F> {
                 }
                 Ok(replies)
             }
-            HostReply::Err(e) => Err(e.into_lcm_error()),
             other => Err(unexpected(other)),
         }
     }
@@ -377,13 +376,11 @@ impl<F: Functionality> LcmServer<F> {
     ///
     /// Propagates context errors.
     pub fn admin(&mut self, admin_wire: Vec<u8>) -> Result<Vec<u8>> {
-        let reply = self.call(HostCall::Admin(admin_wire))?;
-        match reply {
+        match self.call(HostCall::Admin(admin_wire))? {
             HostReply::AdminOk { reply, blobs } => {
                 self.persist(&blobs)?;
                 Ok(reply)
             }
-            HostReply::Err(e) => Err(e.into_lcm_error()),
             other => Err(unexpected(other)),
         }
     }
@@ -395,43 +392,24 @@ impl<F: Functionality> LcmServer<F> {
     ///
     /// Propagates context errors.
     pub fn export_migration(&mut self) -> Result<Vec<u8>> {
-        let reply = self.call(HostCall::ExportMigration)?;
-        match reply {
+        match self.call(HostCall::ExportMigration)? {
             HostReply::MigrationTicket(t) => Ok(t),
-            HostReply::Err(e) => Err(e.into_lcm_error()),
             other => Err(unexpected(other)),
         }
     }
 
     /// Target side of migration: imports the ticket into a freshly
     /// booted, unprovisioned enclave and persists the re-sealed blobs.
+    /// With `slot = Some((replica, replicas))` the enclave adopts the
+    /// ticket's shard slot as member `replica` of a group of
+    /// `replicas` — how one migration ticket fans out to every member
+    /// of a replicated target group.
     ///
     /// # Errors
     ///
     /// Propagates context errors.
-    pub fn import_migration(&mut self, ticket: Vec<u8>) -> Result<()> {
-        self.call_and_persist(HostCall::ImportMigration(ticket))
-    }
-
-    /// [`LcmServer::import_migration`] under a host-assigned replica
-    /// slot: the enclave adopts the ticket's shard slot as member
-    /// `replica` of a group of `replicas`. Used when a migration
-    /// ticket fans out to every member of a replicated target group.
-    ///
-    /// # Errors
-    ///
-    /// Propagates context errors.
-    pub fn import_migration_as(
-        &mut self,
-        ticket: Vec<u8>,
-        replica: u32,
-        replicas: u32,
-    ) -> Result<()> {
-        self.call_and_persist(HostCall::ImportMigrationAs {
-            ticket,
-            replica,
-            replicas,
-        })
+    pub fn import_migration(&mut self, ticket: Vec<u8>, slot: Option<(u32, u32)>) -> Result<()> {
+        self.call_and_persist(HostCall::ImportMigration { ticket, slot })
     }
 
     /// Applies one record of the group's replication stream in this
@@ -456,7 +434,6 @@ impl<F: Functionality> LcmServer<F> {
                 self.persist(&blobs)?;
                 Ok(digest)
             }
-            HostReply::Err(e) => Err(e.into_lcm_error()),
             other => Err(unexpected(other)),
         }
     }
@@ -500,17 +477,11 @@ impl<F: Functionality> LcmServer<F> {
     ///
     /// Propagates context errors.
     pub fn export_slice(&mut self, slice: u32, to: u32) -> Result<(Vec<u8>, Vec<u8>)> {
-        let reply = self.call(HostCall::ExportSlice { slice, to })?;
-        match reply {
-            HostReply::SliceExported {
-                ticket,
-                bulletin,
-                blobs,
-            } => {
-                self.persist(&blobs)?;
-                Ok((ticket, bulletin))
+        match self.call(HostCall::ExportSlice { slice, to })? {
+            HostReply::SliceExported(export) => {
+                self.persist(&export.blobs)?;
+                Ok((export.ticket, export.bulletin))
             }
-            HostReply::Err(e) => Err(e.into_lcm_error()),
             other => Err(unexpected(other)),
         }
     }
@@ -550,10 +521,8 @@ impl<F: Functionality> LcmServer<F> {
     /// replica 0; legs pinned elsewhere fail authentication inside the
     /// enclave).
     pub fn serve_read(&mut self, read_wire: Vec<u8>) -> Result<Vec<u8>> {
-        let reply = self.ecall(HostCall::ServeRead(read_wire))?;
-        match reply {
+        match self.ecall(HostCall::ServeRead(read_wire))? {
             HostReply::ReadOk(wire) => Ok(wire),
-            HostReply::Err(e) => Err(e.into_lcm_error()),
             other => Err(unexpected(other)),
         }
     }
@@ -567,7 +536,6 @@ impl<F: Functionality> LcmServer<F> {
     fn call_and_persist(&mut self, call: HostCall) -> Result<()> {
         match self.call(call)? {
             HostReply::ProvisionOk(blobs) => self.persist(&blobs),
-            HostReply::Err(e) => Err(e.into_lcm_error()),
             other => Err(unexpected(other)),
         }
     }
@@ -592,9 +560,13 @@ impl<F: Functionality> LcmServer<F> {
     /// Makes the host call already encoded in `call_scratch` — the
     /// calls with large borrowed payloads (a batch's wires, a
     /// replication record) encode themselves there directly.
+    /// An error reply comes back as the `Err` it projects.
     fn ecall_encoded(&mut self) -> Result<HostReply> {
         let out = self.enclave.ecall(self.call_scratch.as_slice())?;
-        Ok(HostReply::from_bytes(&out)?)
+        match HostReply::from_bytes(&out)? {
+            HostReply::Err(e) => Err(e.into_lcm_error()),
+            reply => Ok(reply),
+        }
     }
 }
 
@@ -1118,7 +1090,7 @@ impl<F: Functionality> Lane for LcmServer<F> {
         LcmServer::export_migration(self)
     }
     fn import_migration(&mut self, ticket: Vec<u8>) -> Result<()> {
-        LcmServer::import_migration(self, ticket)
+        LcmServer::import_migration(self, ticket, None)
     }
     fn batches_processed(&self) -> u64 {
         LcmServer::batches_processed(self)

@@ -50,9 +50,10 @@
 //! (mechanism) move one slice between *running* enclaves:
 //!
 //! 1. the origin enclave exports the slice — a sealed **ticket**
-//!    (channel-key-encrypted slice state, addressed to the target's
-//!    identity) plus a **bulletin** (the new table, sealed for every
-//!    sibling) — and installs the next-epoch table itself;
+//!    (channel-key-encrypted: the new table, which names the target,
+//!    and the slice's records as a functionality delta) plus a
+//!    **bulletin** (the new table, sealed for every sibling) — and
+//!    installs the next-epoch table itself;
 //! 2. every bystander shard adopts the bulletin;
 //! 3. the target imports the ticket (state + table in one step);
 //! 4. the host appends the new table to its routing history.
@@ -169,7 +170,7 @@ use lcm_tee::attestation::Quote;
 use lcm_tee::world::TeeWorld;
 
 use crate::admission::{AdmissionState, AdmitOutcome, RetryAfter, SettledTicket};
-use crate::codec::{Reader, Writer};
+use crate::codec::{Reader, WireCodec, Writer};
 use crate::functionality::Functionality;
 use crate::routing::{slice_of, SliceTable, SLICE_COUNT};
 use crate::server::{BatchServer, Lane, LcmServer, ReadPort, Replies};
@@ -626,9 +627,11 @@ pub(crate) struct ShardCore {
     ///
     /// This history is process-lifetime host state: `crash`/`boot` of
     /// the enclaves does not lose it (their own tables recover from
-    /// sealed checkpoints). A *rebuilt* host over previously migrated
-    /// storage starts back at the genesis table and cannot route
-    /// post-migration epochs; re-prime it by replaying the moves.
+    /// sealed checkpoints), and a whole-deployment migration carries
+    /// it to the target host beside the lanes' tickets. A *rebuilt*
+    /// host over previously migrated storage starts back at the
+    /// genesis table and cannot route post-migration epochs; re-prime
+    /// it by replaying the moves.
     routing: Mutex<Vec<SliceTable>>,
     /// Per-slice write-arrival counters ("heat"), indexed by
     /// [`slice_of`] the routing hash. Drained by
@@ -1426,27 +1429,45 @@ pub fn plan_rebalance(heat: &[u64], table: &SliceTable) -> Option<(u32, u32)> {
 }
 
 /// The sharded migration-ticket codec: one deployment ticket is the
-/// count-prefixed, length-prefixed sequence of its lanes' tickets.
-fn join_lane_tickets(parts: &[Vec<u8>]) -> Vec<u8> {
+/// count-prefixed, length-prefixed sequence of its lanes' sealed
+/// tickets, then the origin host's routing history, count-prefixed and
+/// in the clear. The history is host state — the enclaves carry their
+/// own table inside their tickets and still judge every wire — but
+/// without it the target host would deliver by the genesis table what
+/// clients stamp with the epochs the origin reached.
+fn join_lane_tickets(parts: &[Vec<u8>], routing: &[SliceTable]) -> Vec<u8> {
     let mut w = Writer::new();
     w.put_u32(parts.len() as u32);
     for part in parts {
         w.put_bytes(part);
     }
+    w.put_u32(routing.len() as u32);
+    for table in routing {
+        table.encode(&mut w);
+    }
     w.into_bytes()
 }
 
 /// Inverse of [`join_lane_tickets`]; `None` when the blob is not a
-/// well-formed deployment ticket.
-fn split_lane_tickets(blob: &[u8]) -> Option<Vec<Vec<u8>>> {
+/// well-formed deployment ticket, or its history is not the dense
+/// sequence of epochs `0..` over as many shards as it has tickets.
+fn split_lane_tickets(blob: &[u8]) -> Option<(Vec<Vec<u8>>, Vec<SliceTable>)> {
     let mut r = Reader::new(blob);
     let n = r.get_u32().ok()? as usize;
     let mut parts = Vec::new();
     for _ in 0..n {
         parts.push(r.get_bytes().ok()?.to_vec());
     }
+    let mut routing = Vec::new();
+    for epoch in 0..u64::from(r.get_u32().ok()?) {
+        let table = SliceTable::decode(&mut r).ok()?;
+        if table.epoch() != epoch || table.count() as usize != n {
+            return None;
+        }
+        routing.push(table);
+    }
     r.finish().ok()?;
-    Some(parts)
+    (!routing.is_empty()).then_some((parts, routing))
 }
 
 impl BatchServer for ShardedServer {
@@ -1587,11 +1608,11 @@ impl BatchServer for ShardedServer {
 
     fn export_migration(&mut self) -> Result<Vec<u8>> {
         let tickets = self.for_each_shard(|s| s.export_migration())?;
-        Ok(join_lane_tickets(&tickets))
+        Ok(join_lane_tickets(&tickets, &self.core.routing()))
     }
 
     fn import_migration(&mut self, ticket: Vec<u8>) -> Result<()> {
-        let parts = split_lane_tickets(&ticket)
+        let (parts, routing) = split_lane_tickets(&ticket)
             .ok_or_else(|| LcmError::Tee("malformed sharded migration ticket".into()))?;
         if parts.len() != self.core.shards.len() {
             return Err(LcmError::Tee(format!(
@@ -1603,6 +1624,9 @@ impl BatchServer for ShardedServer {
         for (shard, part) in self.core.shards.iter().zip(parts) {
             lock(&shard.lane).server.import_migration(part)?;
         }
+        // The lanes arrived at the origin's table epoch; route by the
+        // origin's history from here on.
+        *self.core.routing() = routing;
         Ok(())
     }
 
@@ -2285,6 +2309,55 @@ mod tests {
                 3
             );
         }
+    }
+
+    /// A deployment that moved a slice and is then migrated: the
+    /// enclaves arrive on the target at table epoch 1, so the target
+    /// host must route by the origin's history too — with a genesis
+    /// router it hands an epoch-1 wire for the moved slice to the old
+    /// owner, and that honest enclave halts with `WrongShard`.
+    #[test]
+    fn migration_after_a_slice_move_carries_the_routing_history() {
+        let world = TeeWorld::new_deterministic(93);
+        let mut origin =
+            build_sharded::<Counter>(&world, 1, Arc::new(MemoryStorage::new()), 8, 2, false);
+        assert!(origin.boot().unwrap());
+        let ids = vec![ClientId(1), ClientId(2)];
+        let mut admin = AdminHandle::new_deterministic(&world, ids, Quorum::Majority, 8);
+        admin.bootstrap(&mut origin).unwrap();
+        let mut clients =
+            [1, 2].map(|id| LcmClient::new_sharded(ClientId(id), admin.client_key(), 2));
+
+        let name = b"moved-then-migrated".to_vec();
+        run_one(&mut origin, &mut clients[0], &Counter::inc_op(&name, 5));
+        let slice = slice_of(route_hash(&name));
+        let to = 1 - origin.current_table().owner(slice);
+        BatchServer::migrate_slice(&mut origin, slice, to).unwrap();
+        // Client 1 chases the redirect and routes by epoch 1 from now
+        // on; client 2 never hears of the move before the migration.
+        assert_eq!(
+            run_chasing(&mut origin, &mut clients[0], &Counter::inc_op(&name, 2)),
+            7
+        );
+
+        let mut target =
+            build_sharded::<Counter>(&world, 100, Arc::new(MemoryStorage::new()), 8, 2, false);
+        assert!(target.boot().unwrap());
+        admin.migrate(&mut origin, &mut target).unwrap();
+        assert_eq!(target.routing_epoch(), origin.routing_epoch());
+        assert_eq!(target.current_table(), origin.current_table());
+
+        assert_eq!(
+            run_one(&mut target, &mut clients[0], &Counter::inc_op(&name, 1)),
+            8
+        );
+        // The epoch-0 wire still reaches the old owner, which
+        // redirects it exactly as it would have on the origin.
+        assert_eq!(
+            run_chasing(&mut target, &mut clients[1], &Counter::read_op(&name)),
+            8
+        );
+        assert_eq!(clients[1].routing_epoch(), 1);
     }
 
     #[test]

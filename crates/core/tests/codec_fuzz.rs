@@ -2,11 +2,12 @@
 //! bytes must never panic, and valid encodings must roundtrip.
 //!
 //! Everything that crosses a trust boundary is covered: wire messages,
-//! host calls/replies, the V map, provisioning payloads — the three
+//! host calls/replies, the V map, provisioning payloads — the four
 //! inputs the untrusted host hands a lane's enclave outside the invoke
-//! path: replication records, slice tickets, table bulletins — and the
-//! recovery bundle, from the medium's bytes through both storage
-//! engines' `load` into `TrustedContext::init`.
+//! path: replication records, slice tickets, table bulletins,
+//! migration tickets — and the recovery bundle, from the medium's
+//! bytes through both storage engines' `load` into
+//! `TrustedContext::init`, bare and through `LcmServer::boot`.
 
 use std::sync::{Arc, OnceLock};
 
@@ -106,6 +107,14 @@ fn provisioned(batches: u64) -> LcmServer<Counter> {
 
 /// [`provisioned`], persisting to `storage`.
 fn provisioned_over(storage: Arc<dyn StableStorage>, batches: u64) -> LcmServer<Counter> {
+    provisioned_with_client(storage, batches).0
+}
+
+/// [`provisioned_over`], with the client that ran the batches.
+fn provisioned_with_client(
+    storage: Arc<dyn StableStorage>,
+    batches: u64,
+) -> (LcmServer<Counter>, LcmClient) {
     let world = TeeWorld::new_deterministic(61);
     let platform = world.platform_deterministic(1);
     let mut server = LcmServer::<Counter>::new(&platform, storage, 1);
@@ -118,7 +127,7 @@ fn provisioned_over(storage: Arc<dyn StableStorage>, batches: u64) -> LcmServer<
         let replies = server.process_all().unwrap();
         client.handle_reply(&replies[0].1).unwrap();
     }
-    server
+    (server, client)
 }
 
 /// The lane-only verbs that take host-supplied bytes.
@@ -208,6 +217,37 @@ fn truncated_slice_tickets_and_bulletins_are_refused() {
     server
         .with_shard(to, |lane| lane.import_slice(ticket.clone()))
         .unwrap();
+}
+
+/// A booted, unprovisioned server on another platform of
+/// [`provisioned`]'s world: what a migration ticket is handed to.
+fn migration_target() -> LcmServer<Counter> {
+    let platform = TeeWorld::new_deterministic(61).platform_deterministic(2);
+    let mut target = LcmServer::<Counter>::new(&platform, Arc::new(MemoryStorage::new()), 1);
+    assert!(target.boot().unwrap());
+    target
+}
+
+/// Every strict prefix of a real migration ticket is refused by
+/// `import_migration` on a fresh unprovisioned server — under either
+/// form of the verb — and the intact ticket then imports: the state
+/// arrives whole, and the target persisted it for its own platform.
+#[test]
+fn truncated_migration_tickets_are_refused() {
+    let (mut origin, mut client) = provisioned_with_client(Arc::new(MemoryStorage::new()), 3);
+    let ticket = origin.export_migration().unwrap();
+    for cut in 0..ticket.len() {
+        let slot = (cut % 2 == 1).then_some((0, 1));
+        let mut target = migration_target();
+        let outcome = target.import_migration(ticket[..cut].to_vec(), slot);
+        assert!(outcome.is_err(), "prefix of {cut} bytes gave {outcome:?}");
+    }
+    let mut target = migration_target();
+    target.import_migration(ticket, None).unwrap();
+    assert!(!target.boot().unwrap(), "restarts from its own medium");
+    target.submit(client.invoke(&Counter::inc_op(b"n", 1)).unwrap());
+    let done = client.handle_reply(&target.process_all().unwrap()[0].1);
+    assert_eq!(Counter::decode_result(&done.unwrap().result), Some(4));
 }
 
 /// Increments behind the checkpoint on the media below: few enough
@@ -398,6 +438,42 @@ fn a_damaged_delta_log_medium_restores_its_intact_prefix_or_is_refused() {
     }
 }
 
+/// The same media through the whole host path: every strict prefix of
+/// the state slot of a plain store (which `LcmServer::new` puts behind
+/// `BundleStorage`), and of every slot of a delta-log medium, under a
+/// server that `boot`s from it — an older state or a refusal, never a
+/// panic in either engine, the host or the enclave.
+#[test]
+fn booting_from_a_truncated_medium_never_panics() {
+    let platform = TeeWorld::new_deterministic(61).platform_deterministic(1);
+    let boot = |storage: Arc<dyn StableStorage>| {
+        let outcome = LcmServer::<Counter>::new(&platform, storage, 1).boot();
+        assert!(!matches!(outcome, Ok(true)), "keys held, state asked for");
+        outcome.is_ok()
+    };
+    let (key_blob, bundle) = bundle_medium();
+    for cut in 0..bundle.len() {
+        let plain = plain_with(&bundle[..cut]);
+        plain.store(SLOT_KEY_BLOB, key_blob).unwrap();
+        boot(plain);
+    }
+    for (damaged, blob) in dlog_medium().iter().filter(|(n, _)| *n != SLOT_KEY_BLOB) {
+        for cut in 0..blob.len() {
+            let raw = Arc::new(MemoryStorage::new());
+            for (name, intact) in dlog_medium() {
+                let held = if name == damaged {
+                    &blob[..cut]
+                } else {
+                    intact
+                };
+                raw.store(name, held).unwrap();
+            }
+            let booted = boot(Arc::new(DeltaLogStorage::open(raw).unwrap()));
+            assert_eq!(booted, *damaged == "dlog.head", "{damaged} cut at {cut}");
+        }
+    }
+}
+
 proptest! {
     /// Arbitrary bytes where a sealed state should be — the one slot of
     /// a plain store, or any slot of a delta-log medium — never panic
@@ -453,6 +529,20 @@ proptest! {
             prop_assert!(outcome.is_err(), "{} accepted {:?}", verb, bytes);
             prop_assert!(!server.boot().unwrap());
         }
+    }
+
+    /// Arbitrary bytes handed to an unprovisioned server as a migration
+    /// ticket are an `Err`, never a panic, under either form of the
+    /// verb, and leave nothing on its medium.
+    #[test]
+    fn arbitrary_bytes_are_no_migration_ticket(
+        bytes in proptest::collection::vec(any::<u8>(), 0..512),
+        slot in proptest::option::of((any::<u32>(), any::<u32>())),
+    ) {
+        let mut target = migration_target();
+        let outcome = target.import_migration(bytes, slot);
+        prop_assert!(outcome.is_err(), "imported as {:?}", slot);
+        prop_assert!(target.boot().unwrap(), "still awaiting provisioning");
     }
 
     /// Arbitrary bytes never panic any decoder.

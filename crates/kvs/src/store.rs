@@ -133,6 +133,23 @@ impl KvStore {
     pub fn get(&self, key: &[u8]) -> Option<&[u8]> {
         self.map.get(key).map(|v| v.as_slice())
     }
+
+    /// The delta format: `count` entries of `key ‖ present ‖ value?`,
+    /// a deletion travelling as `present = false`.
+    fn encode_delta<'a>(
+        entries: impl ExactSizeIterator<Item = (&'a Vec<u8>, Option<&'a Vec<u8>>)>,
+    ) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_u32(entries.len() as u32);
+        for (key, value) in entries {
+            w.put_bytes(key);
+            w.put_bool(value.is_some());
+            if let Some(value) = value {
+                w.put_bytes(value);
+            }
+        }
+        w.into_bytes()
+    }
 }
 
 impl Functionality for KvStore {
@@ -205,25 +222,13 @@ impl Functionality for KvStore {
     }
 
     /// Drains the keys touched since the last persist into a compact
-    /// diff: `count` entries of `key ‖ present ‖ value?`. Deletions
-    /// travel as `present = false`. Always returns `Some` — the KVS
-    /// supports delta persistence even when the diff happens to be
+    /// diff (`encode_delta` has the layout). Always returns `Some` — the
+    /// KVS supports delta persistence even when the diff happens to be
     /// empty (the empty delta is a valid no-op replay record).
     fn take_delta(&mut self) -> Option<Vec<u8>> {
         let dirty = std::mem::take(&mut self.dirty.0);
-        let mut w = Writer::new();
-        w.put_u32(dirty.len() as u32);
-        for key in &dirty {
-            w.put_bytes(key);
-            match self.map.get(key) {
-                Some(v) => {
-                    w.put_bool(true);
-                    w.put_bytes(v);
-                }
-                None => w.put_bool(false),
-            }
-        }
-        Some(w.into_bytes())
+        let entries = dirty.iter().map(|key| (key, self.map.get(key)));
+        Some(Self::encode_delta(entries))
     }
 
     fn apply_delta(&mut self, delta: &[u8]) -> Result<(), CodecError> {
@@ -258,41 +263,24 @@ impl Functionality for KvStore {
     /// Extracts and removes the records whose keys satisfy `belongs` —
     /// the record key IS the partition key ([`KvStore`]'s `shard_key`
     /// routes by it), so the predicate selects exactly the routing
-    /// slice's state. Removed keys are also dropped from the dirty set
-    /// so later deltas cannot resurrect them on the exporting shard.
+    /// slice's state — as a delta of `present` entries, which the
+    /// adopting shard merges with `apply_delta`. Removed keys are also
+    /// dropped from the dirty set so later deltas cannot resurrect
+    /// them on the exporting shard.
     fn take_partition(&mut self, belongs: &dyn Fn(&[u8]) -> bool) -> Option<Vec<u8>> {
-        let moved: Vec<Vec<u8>> = self.map.keys().filter(|k| belongs(k)).cloned().collect();
-        let mut w = Writer::new();
-        w.put_u32(moved.len() as u32);
-        for key in &moved {
-            let value = self.map.remove(key).expect("key just listed");
+        let mut moved = Vec::new();
+        self.map.retain(|key, value| {
+            let goes = belongs(key);
+            if goes {
+                moved.push((key.clone(), std::mem::take(value)));
+            }
+            !goes
+        });
+        for (key, _) in &moved {
             self.dirty.0.remove(key);
-            w.put_bytes(key);
-            w.put_bytes(&value);
         }
-        Some(w.into_bytes())
-    }
-
-    /// Merges a partition exported by another shard. The adopted keys
-    /// are marked dirty: the importing shard's next delta must carry
-    /// them, since ITS persisted baseline has never seen them.
-    fn apply_partition(&mut self, partition: &[u8]) -> Result<(), CodecError> {
-        let mut r = Reader::new(partition);
-        let n = r.get_u32()? as usize;
-        // Decode fully before mutating so a malformed partition cannot
-        // leave the store half-updated.
-        let mut entries = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let k = r.get_bytes()?.to_vec();
-            let v = r.get_bytes()?.to_vec();
-            entries.push((k, v));
-        }
-        r.finish()?;
-        for (k, v) in entries {
-            self.dirty.0.insert(k.clone());
-            self.map.insert(k, v);
-        }
-        Ok(())
+        let entries = moved.iter().map(|(key, value)| (key, Some(value)));
+        Some(Self::encode_delta(entries))
     }
 
     fn heap_bytes(&self) -> usize {
@@ -497,17 +485,11 @@ mod tests {
         // The importer merges them alongside its own records...
         let mut b = KvStore::default();
         b.apply(&KvOp::Put(b"c".to_vec(), b"x".to_vec()));
-        let _ = b.take_delta(); // persisted baseline without the slice
-        b.apply_partition(&part).unwrap();
+        b.apply_delta(&part).unwrap();
+        assert_eq!(b.len(), 3);
         assert_eq!(b.get(b"a1"), Some(&b"1"[..]));
         assert_eq!(b.get(b"a2"), Some(&b"3"[..]));
         assert_eq!(b.get(b"c"), Some(&b"x"[..]));
-        // ...and its next delta carries the adopted keys: the
-        // importer's persisted baseline has never seen them.
-        let mut replay = KvStore::default();
-        replay.apply_delta(&b.take_delta().unwrap()).unwrap();
-        assert_eq!(replay.get(b"a1"), Some(&b"1"[..]));
-        assert_eq!(replay.get(b"a2"), Some(&b"3"[..]));
     }
 
     #[test]
@@ -516,20 +498,10 @@ mod tests {
         a.apply(&KvOp::Put(b"k".to_vec(), b"v".to_vec()));
         let part = a.take_partition(&|_| false).unwrap();
         assert_eq!(a.len(), 1);
+        assert_eq!(part, KvStore::default().take_delta().unwrap());
         let mut b = KvStore::default();
-        b.apply_partition(&part).unwrap();
+        b.apply_delta(&part).unwrap();
         assert!(b.is_empty());
-    }
-
-    #[test]
-    fn apply_partition_rejects_malformed_bytes_without_mutating() {
-        let mut s = KvStore::default();
-        s.apply(&KvOp::Put(b"k".to_vec(), b"v".to_vec()));
-        let before = s.clone();
-        let mut w = Writer::new();
-        w.put_u32(3); // promise three records, deliver none
-        assert!(s.apply_partition(&w.into_bytes()).is_err());
-        assert_eq!(s, before);
     }
 
     #[test]

@@ -91,8 +91,8 @@ fn migration_ticket_replay_on_second_target_rejected() {
 
     let mut t1 = fresh_server(&world, 2);
     let mut t2 = fresh_server(&world, 3);
-    t1.import_migration(ticket.clone()).unwrap();
-    t2.import_migration(ticket).unwrap();
+    t1.import_migration(ticket.clone(), None).unwrap();
+    t2.import_migration(ticket, None).unwrap();
 
     // Client proceeds on t1; its context diverges from t2's copy.
     client.put(&mut t1, b"k", b"v2").unwrap();

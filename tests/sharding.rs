@@ -257,6 +257,70 @@ fn routing_stable_across_migration() {
     let mut late = KvsClient::new_sharded(ClientId(1), admin.client_key(), 4);
     origin.submit(late.invoke_wire(&KvOp::Get(keys[0].clone())).unwrap());
     assert!(origin.process_all().is_err(), "origin must refuse service");
+
+    // And a deployment that has moved a slice: its lanes arrive on the
+    // next target at table epoch 1, so that host must route by epoch 1
+    // too — the client stamps every wire with the epoch it learned on
+    // the origin, and an epoch-1 wire delivered by the genesis table
+    // halts the honest lane it lands on with `WrongShard`.
+    let slice = slice_of(route_hash(&keys[0]));
+    let to = (SliceTable::uniform(4).owner(slice) + 1) % 4;
+    admin.reshard(&mut *target, slice, to).unwrap();
+    client.put(&mut *target, &keys[0], b"moved").unwrap();
+    let mut third = mk_server::<KvStore>(SHARDED, &world, 300, Arc::new(MemoryStorage::new()), 4);
+    assert!(third.boot().unwrap());
+    admin.migrate(&mut *target, &mut *third).unwrap();
+    assert_eq!(third.routing_epoch(), 1);
+    assert_eq!(third.routing_epoch(), target.routing_epoch());
+    assert_eq!(
+        client.get(&mut *third, &keys[0]).unwrap().unwrap(),
+        b"moved"
+    );
+    for (i, key) in keys.iter().enumerate().skip(1) {
+        let got = client.get(&mut *third, key).unwrap();
+        assert_eq!(got.unwrap(), vec![i as u8], "key {i} after both moves");
+    }
+}
+
+/// Slice-move bytes are proportional to the slice, not to the shard:
+/// the ticket carries the moved records as a functionality delta, so a
+/// shard holding ten times the records *outside* the slice exports a
+/// ticket of the same size (the bulletin is a table either way).
+#[test]
+fn slice_ticket_bytes_do_not_depend_on_what_stays_behind() {
+    const SLICE: u32 = 0;
+    // Keys `t{j}` by whether their route hash falls in the moved slice.
+    let genesis = SliceTable::uniform(2);
+    let keys = |inside: bool, n: usize| -> Vec<Vec<u8>> {
+        let all = (0u32..).map(|j| format!("t{j:06}").into_bytes());
+        let mine = all.filter(|k| {
+            let slice = slice_of(route_hash(k));
+            (slice == SLICE) == inside && genesis.owner(slice) == 0
+        });
+        mine.take(n).collect()
+    };
+    let export = |outside: usize| -> (usize, usize) {
+        let world = TeeWorld::new_deterministic(79);
+        let medium = Arc::new(MemoryStorage::new());
+        let mut server = build_sharded::<KvStore>(&world, 1, medium, 64, 2, false);
+        assert!(server.boot().unwrap());
+        let mut admin =
+            AdminHandle::new_deterministic(&world, vec![ClientId(1)], Quorum::Majority, 9);
+        admin.bootstrap(&mut server).unwrap();
+        let mut client = KvsClient::new_sharded(ClientId(1), admin.client_key(), 2);
+        for key in keys(true, 8).iter().chain(&keys(false, outside)) {
+            client.put(&mut server, key, &[0x5a; 100]).unwrap();
+        }
+        let (ticket, bulletin) = server
+            .with_shard(0, |lane| lane.export_slice(SLICE, 1))
+            .unwrap();
+        (ticket.len(), bulletin.len())
+    };
+    let (small, large) = (export(40), export(400));
+    assert_eq!(small, large, "the ticket is slice-shaped, not shard-shaped");
+    // Eight records of a 7 B key and a 100 B value, a table, and
+    // change — not the 40 (or 400) that stayed.
+    assert!((8 * 107..8 * 107 + 512).contains(&small.0), "{small:?}");
 }
 
 /// Storage whose writes block until a gate opens — pins persist jobs

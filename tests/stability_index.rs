@@ -242,7 +242,7 @@ fn index_is_rebuilt_by_whole_context_migration() {
     let ticket = origin.export_migration().unwrap();
     let mut target = boot(&world, 2);
     target.init(None, None, true).unwrap();
-    target.import_migration(&ticket).unwrap();
+    target.import_migration(&ticket, None).unwrap();
     group.first_after_rebuild(&mut target, 0);
     group.run(&mut target, &WARM);
 }
