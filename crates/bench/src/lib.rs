@@ -1152,7 +1152,7 @@ pub mod shardbench {
         admission: Option<AdmissionConfig>,
     ) -> (f64, HealthSnapshot) {
         use lcm_core::codec::WireCodec;
-        use lcm_core::transport::{DriveMode, Frontend};
+        use lcm_core::transport::Frontend;
 
         let world = TeeWorld::new_deterministic(8_900 + u64::from(cfg.shards));
         let storage = Arc::new(DelayedStorage::new(MemoryStorage::new(), cfg.store_delay));
@@ -1162,7 +1162,7 @@ pub mod shardbench {
         if let Some(config) = admission {
             server.configure_admission(config);
         }
-        let mut fe = Frontend::new(server, driver_threads, DriveMode::Continuous);
+        let mut fe = Frontend::new(server, driver_threads);
         assert!(fe.boot().unwrap());
         let ids: Vec<ClientId> = (1..=cfg.clients).map(ClientId).collect();
         let mut admin = AdminHandle::new_deterministic(&world, ids.clone(), Quorum::Majority, 13);

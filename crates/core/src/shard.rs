@@ -97,7 +97,7 @@
 //!   identity from the sealed state, so a host cannot silently
 //!   reshuffle which enclave serves which slice.
 //! * Host-side attestation activity is observable per shard through
-//!   [`ShardStats::attested`] / [`ShardStatsRollup::attested_shards`].
+//!   [`ShardStats::attested`].
 //!
 //! ## Protocol guarantees under sharding
 //!
@@ -148,17 +148,23 @@
 //! thread-safe core, so the deployment is **not** bound to a single
 //! driving thread: submission and lane driving need only `&self`, and
 //! any number of driver threads may pump different lanes at once (each
-//! lane is still stepped by at most one driver at a time). The
-//! single-threaded path — `submit` + `process_all` from one caller —
-//! remains exactly as before (including inline back-pressure relief
-//! when an ingress queue fills with nobody else to drain it), while
-//! [`crate::transport::Frontend`] attaches a pool of driver threads to
-//! the same core and turns a full ingress into submitter back-pressure
-//! instead.
+//! lane is still stepped by at most one driver at a time). It is
+//! driven in one of two ways:
+//!
+//! * **No drivers ⇒ the caller steps the server.** `submit` + `step` /
+//!   `process_all` from one caller; each `step` runs one batch per lane
+//!   with work, in parallel on this server's pool, and an ingress
+//!   queue that fills with nobody else to drain it is relieved inline
+//!   by the submitter. A [`crate::transport::Frontend`] built with no
+//!   driver threads steps through exactly this path and only adds its
+//!   reply demux.
+//! * **Continuous drivers.** A front-end with driver threads attaches
+//!   them to the same core: they execute whatever arrives, and a full
+//!   ingress becomes submitter back-pressure instead.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -245,7 +251,7 @@ pub fn nth_key_routing_to(shard: u32, shards: u32, prefix: &str, nth: u32) -> Ve
     unreachable!("FNV-1a reaches every residue infinitely often")
 }
 
-/// Per-shard activity counters, rolled up by [`ShardStatsRollup`].
+/// Per-shard activity counters ([`ShardedServer::shard_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardStats {
     /// Which shard these counters describe.
@@ -259,67 +265,12 @@ pub struct ShardStats {
     /// whether the remote verifier accepted the quote — that verdict
     /// lives in the admin's
     /// [`crate::admin::DeploymentManifest`] — so this records
-    /// attestation *activity* per member: a deployment whose rollup
-    /// shows fewer attested shards than lanes was certainly never
-    /// fully verified.
+    /// attestation *activity* per member: a deployment with fewer
+    /// attested rows than lanes was certainly never fully verified.
     pub attested: bool,
     /// Ingress-queue counters; `blocked_pushes` is this shard's
     /// back-pressure signal.
     pub ingress: QueueStats,
-}
-
-/// Aggregate view over all shards' [`ShardStats`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardStatsRollup {
-    /// The per-shard rows the rollup was built from.
-    pub per_shard: Vec<ShardStats>,
-    /// Total operations across shards.
-    pub total_ops: u64,
-    /// Total seal-and-store cycles across shards.
-    pub total_batches: u64,
-    /// How many shards have produced an attestation quote since the
-    /// deployment (re)started (see [`ShardStats::attested`] for what
-    /// this does and does not prove). A fully bootstrapped deployment
-    /// shows `attested_shards == per_shard.len()`.
-    pub attested_shards: u32,
-    /// Digest over every shard's last quote (in shard order), present
-    /// once *all* shards have produced one — a compact fingerprint of
-    /// the deployment's claimed identities for operator dashboards;
-    /// the admin-side [`crate::admin::DeploymentManifest::digest`] is
-    /// the *verified* counterpart.
-    pub identity_digest: Option<Digest>,
-    /// Merged ingress counters (sums; worst-case high water).
-    pub ingress: QueueStats,
-}
-
-impl ShardStatsRollup {
-    fn from_rows(per_shard: Vec<ShardStats>, quote_digests: &[Option<Digest>]) -> Self {
-        let mut ingress = QueueStats::default();
-        let (mut total_ops, mut total_batches) = (0, 0);
-        for row in &per_shard {
-            total_ops += row.ops;
-            total_batches += row.batches;
-            ingress.absorb(&row.ingress);
-        }
-        let attested_shards = quote_digests.iter().filter(|d| d.is_some()).count() as u32;
-        let identity_digest = if attested_shards as usize == quote_digests.len() {
-            let mut buf = Vec::with_capacity(quote_digests.len() * 32);
-            for d in quote_digests.iter().flatten() {
-                buf.extend_from_slice(d.as_bytes());
-            }
-            Some(lcm_crypto::sha256::digest(&buf))
-        } else {
-            None
-        };
-        ShardStatsRollup {
-            per_shard,
-            total_ops,
-            total_batches,
-            attested_shards,
-            identity_digest,
-            ingress,
-        }
-    }
 }
 
 /// A ticketed wire waiting in a shard's ingress queue: `(ticket,
@@ -584,8 +535,9 @@ impl ReplyBook {
 /// plane (per-shard bounded queues), the execution lanes, and the
 /// reply demux book. `ShardedServer` owns it behind an `Arc`; the
 /// concurrent transport front-end ([`crate::transport::Frontend`])
-/// holds a second `Arc` and drives it from worker threads. Everything
-/// here needs only `&self`: any number of producer threads may submit
+/// holds a second `Arc` and drives it from its driver threads, if it
+/// has any. Everything here needs only `&self`: any number of
+/// producer threads may submit
 /// while any number of driver threads `drive` lanes; each lane is
 /// stepped by at most one driver at a time.
 pub(crate) struct ShardCore {
@@ -607,12 +559,9 @@ pub(crate) struct ShardCore {
     /// submitting thread (there is nobody else to drain it — blocking
     /// would deadlock the single driver); with drivers attached, a
     /// full ingress blocks the submitter instead (back-pressure).
+    /// Doubles as the "is anybody listening" test of `enqueue`'s
+    /// wake-up.
     active_drivers: AtomicUsize,
-    /// Whether a front-end's drivers may pump right now: always, once
-    /// a continuous front-end is attached; only inside a pump for an
-    /// on-demand one; never without a front-end. Doubles as the
-    /// "is anybody listening" test of `enqueue`'s wake-up.
-    window: AtomicBool,
     /// The multi-tenant admission controller gating
     /// [`ShardCore::try_submit`]. Disabled (a transparent
     /// pass-through) until configured.
@@ -659,7 +608,6 @@ impl ShardCore {
             work: Mutex::new(0),
             work_cv: CountedCondvar::new(),
             active_drivers: AtomicUsize::new(0),
-            window: AtomicBool::new(false),
             admission: Arc::new(AdmissionState::new()),
             routing: Mutex::new(vec![SliceTable::uniform(n as u32)]),
             heat: (0..SLICE_COUNT).map(|_| AtomicU64::new(0)).collect(),
@@ -766,12 +714,9 @@ impl ShardCore {
                 std::thread::sleep(Duration::from_micros(50));
             }
         }
-        // Outside a pump window there is nobody to wake: without a
-        // front-end no driver exists, and an on-demand front-end's
-        // drivers stay parked until its pump notifies them itself.
-        // (Inside one, a wire arriving after the drivers went idle
-        // must wake them — the pump is waiting on it.)
-        if self.window_open() {
+        // Without drivers there is nobody to wake: the caller steps
+        // the lanes itself.
+        if self.active_drivers.load(Ordering::SeqCst) > 0 {
             self.notify_work();
         }
     }
@@ -1009,16 +954,6 @@ impl ShardCore {
         *epoch
     }
 
-    /// Opens or closes the pump window (see the field).
-    pub(crate) fn set_window(&self, open: bool) {
-        self.window.store(open, Ordering::SeqCst);
-    }
-
-    /// Whether drivers may pump right now.
-    pub(crate) fn window_open(&self) -> bool {
-        self.window.load(Ordering::SeqCst)
-    }
-
     /// Registers `n` driver threads as willing to drain the ingress
     /// (switches a full ingress from inline relief to submitter
     /// back-pressure).
@@ -1081,11 +1016,11 @@ pub struct ShardedServer {
     /// members are fixed at construction, so it is built once and
     /// handed out by clone.
     read_port: Arc<CoreReadPort>,
-    /// Digest of each shard's last attestation quote (`None` until the
-    /// lane is attested; cleared on `crash`). Surfaced through
-    /// [`ShardStatsRollup`] so operators can assert the *whole*
+    /// Whether each shard produced an attestation quote since the
+    /// deployment (re)started (cleared on `crash`). Surfaced through
+    /// [`ShardStats::attested`] so operators can assert the *whole*
     /// deployment was attested.
-    quote_digests: Vec<Option<Digest>>,
+    attested: Vec<bool>,
     /// A slice move whose sealed export has been cut but whose
     /// handshake (target import + bystander adoptions + host table
     /// push) has not completed — held so a member crash mid-migration
@@ -1143,7 +1078,7 @@ impl ShardedServer {
             }),
             core,
             pool: WorkerPool::new("lcm-shard", n, n),
-            quote_digests: vec![None; n],
+            attested: vec![false; n],
             pending_slice: None,
         }
     }
@@ -1156,6 +1091,44 @@ impl ShardedServer {
     /// The shared core the concurrent front-end drives.
     pub(crate) fn core(&self) -> Arc<ShardCore> {
         Arc::clone(&self.core)
+    }
+
+    /// One batch on every lane with work, in parallel on the pool; the
+    /// replies it releases wait in the book for the caller to take
+    /// ([`BatchServer::step`] here, the demux of a driverless
+    /// [`crate::transport::Frontend`]).
+    pub(crate) fn drive_lanes(&self) -> Result<()> {
+        // Surface a failure recorded by back-pressure relief inside
+        // `submit` (which cannot return errors) before doing new work.
+        if let Some(e) = self.core.take_error() {
+            return Err(e);
+        }
+        let mut handles = Vec::new();
+        for i in 0..self.core.shards.len() {
+            if !self.core.lane_has_work(i) {
+                continue;
+            }
+            let core = self.core.clone();
+            handles.push(self.pool.spawn(move || core.drive(i as u32, None)));
+        }
+        let mut vanished = false;
+        for handle in handles {
+            // `None` means the worker died without completing the
+            // drive (a panic inside the lane); its tickets may never
+            // settle, so this must surface, not vanish.
+            vanished |= handle.join().is_none();
+        }
+        // Drives record failures in the book; the first one recorded
+        // wins and this call reports it. Replies already released stay
+        // in the out-buffer — healthy shards' replies survive a
+        // sibling's crash-stop and are returned by the next call.
+        if let Some(e) = self.core.take_error() {
+            return Err(e);
+        }
+        if vanished {
+            return Err(LcmError::Tee("shard worker vanished".into()));
+        }
+        Ok(())
     }
 
     /// Runs `f` with exclusive access to shard `index`'s server — the
@@ -1205,16 +1178,11 @@ impl ShardedServer {
                     shard: i as u32,
                     ops: lane.server.ops_processed(),
                     batches: lane.server.batches_processed(),
-                    attested: self.quote_digests[i].is_some(),
+                    attested: self.attested[i],
                     ingress: shard.ingress.stats(),
                 }
             })
             .collect()
-    }
-
-    /// The aggregate rollup over [`ShardedServer::shard_stats`].
-    pub fn stats_rollup(&self) -> ShardStatsRollup {
-        ShardStatsRollup::from_rows(self.shard_stats(), &self.quote_digests)
     }
 
     fn for_each_shard<R>(
@@ -1498,7 +1466,7 @@ impl BatchServer for ShardedServer {
         // The enclaves restart: their identities recover from sealed
         // state, but the operational "this epoch was attested" record
         // starts over.
-        self.quote_digests.fill(None);
+        self.attested.fill(false);
     }
 
     fn is_running(&self) -> bool {
@@ -1540,36 +1508,7 @@ impl BatchServer for ShardedServer {
     }
 
     fn step(&mut self) -> Result<Replies> {
-        // Surface a failure recorded by back-pressure relief inside
-        // `submit` (which cannot return errors) before doing new work.
-        if let Some(e) = self.core.take_error() {
-            return Err(e);
-        }
-        let mut handles = Vec::new();
-        for (i, _) in self.core.shards.iter().enumerate() {
-            if !self.core.lane_has_work(i) {
-                continue;
-            }
-            let core = self.core.clone();
-            handles.push(self.pool.spawn(move || core.drive(i as u32, None)));
-        }
-        let mut vanished = false;
-        for handle in handles {
-            // `None` means the worker died without completing the
-            // drive (a panic inside the lane); its tickets may never
-            // settle, so this must surface, not vanish.
-            vanished |= handle.join().is_none();
-        }
-        // Drives record failures in the book; the first one recorded
-        // wins and this step reports it. Replies already released stay
-        // in the out-buffer — healthy shards' replies survive a
-        // sibling's crash-stop and are returned by the next call.
-        if let Some(e) = self.core.take_error() {
-            return Err(e);
-        }
-        if vanished {
-            return Err(LcmError::Tee("shard worker vanished".into()));
-        }
+        self.drive_lanes()?;
         Ok(self.core.take_ready())
     }
 
@@ -1665,13 +1604,9 @@ impl BatchServer for ShardedServer {
         let quote = lock(&self.core.shards[shard as usize].lane)
             .server
             .attest(replica, user_data)?;
-        // Record the attestation host-side: a fingerprint of what the
-        // verifier saw (measurement + identity-bound user data), so
-        // stats can assert every member was attested.
-        let mut buf = Vec::with_capacity(64);
-        buf.extend_from_slice(quote.measurement.as_bytes());
-        buf.extend_from_slice(quote.user_data.as_bytes());
-        self.quote_digests[shard as usize] = Some(lcm_crypto::sha256::digest(&buf));
+        // Record the attestation host-side, so stats can assert every
+        // member was attested.
+        self.attested[shard as usize] = true;
         Ok(quote)
     }
 
@@ -1967,29 +1902,25 @@ mod tests {
 
     #[test]
     fn stats_rollup_reports_whole_deployment_attestation() {
-        // Bootstrap attests every lane, so the rollup must show all
-        // four shards attested — not just shard 0 — with a deployment
-        // identity fingerprint present.
+        // Bootstrap attests every lane, so the stats must show all
+        // four shards attested — not just shard 0.
         let (mut server, mut admin, _clients) = sharded_counter(4, 1);
-        let rollup = server.stats_rollup();
-        assert_eq!(rollup.attested_shards, 4);
-        assert!(rollup.identity_digest.is_some());
-        assert!(rollup.per_shard.iter().all(|s| s.attested));
+        let attested = |server: &ShardedServer| {
+            let rows = server.shard_stats();
+            assert_eq!(rows.len(), 4);
+            rows.iter().filter(|s| s.attested).count()
+        };
+        assert_eq!(attested(&server), 4);
 
         // A crash resets the epoch's attestation record...
         server.crash();
-        let rollup = server.stats_rollup();
-        assert_eq!(rollup.attested_shards, 0);
-        assert!(rollup.identity_digest.is_none());
-        assert!(server.shard_stats().iter().all(|s| !s.attested));
+        assert_eq!(attested(&server), 0);
 
         // ...and re-verification after reboot restores it: the sealed
         // state recovered each lane's identity.
         assert!(!server.boot().unwrap());
         admin.verify_deployment(&mut server).unwrap();
-        let rollup = server.stats_rollup();
-        assert_eq!(rollup.attested_shards, 4);
-        assert!(rollup.identity_digest.is_some());
+        assert_eq!(attested(&server), 4);
     }
 
     #[test]
@@ -2078,17 +2009,18 @@ mod tests {
         for name in [&b"a"[..], b"b", b"c", b"d", b"e", b"f"] {
             run_one(&mut server, &mut clients[0], &Counter::inc_op(name, 1));
         }
-        let rollup = server.stats_rollup();
-        assert_eq!(rollup.per_shard.len(), 4);
-        assert_eq!(rollup.total_ops, 6);
-        assert_eq!(rollup.ingress.pushed, 6);
-        assert_eq!(rollup.ingress.popped, 6);
+        let rows = server.shard_stats();
+        assert_eq!(rows.len(), 4);
+        assert_eq!(server.ops_processed(), 6);
+        assert_eq!(rows.iter().map(|s| s.ops).sum::<u64>(), 6);
         assert_eq!(
-            rollup.total_ops,
-            rollup.per_shard.iter().map(|s| s.ops).sum::<u64>()
+            server.batches_processed(),
+            rows.iter().map(|s| s.batches).sum::<u64>()
         );
+        assert_eq!(rows.iter().map(|s| s.ingress.pushed).sum::<u64>(), 6);
+        assert_eq!(rows.iter().map(|s| s.ingress.popped).sum::<u64>(), 6);
         // More than one shard actually took traffic.
-        assert!(rollup.per_shard.iter().filter(|s| s.ops > 0).count() > 1);
+        assert!(rows.iter().filter(|s| s.ops > 0).count() > 1);
     }
 
     #[test]
@@ -2496,7 +2428,10 @@ mod tests {
         let done = client.handle_reply(&replies[0].1).unwrap();
         assert_eq!(Counter::decode_result(&done.result), Some(1));
         // The ingress bound held throughout the flood.
-        assert!(server.stats_rollup().ingress.high_water <= 8);
+        assert!(server
+            .shard_stats()
+            .iter()
+            .all(|s| s.ingress.high_water <= 8));
     }
 
     #[test]

@@ -11,6 +11,14 @@
 //! client's port in that client's submission order. The untrusted host
 //! becomes a concurrent message pump between clients and the enclaves.
 //!
+//! The pump comes in two forms and no third. With driver threads
+//! attached it is continuous: drivers execute whatever arrives and
+//! stream replies to the ports. No drivers (`Frontend::new(server, 0)`)
+//! ⇒ the caller steps the server: [`BatchServer::step`] runs one batch
+//! per lane through the drive [`ShardedServer`]'s own `step` runs,
+//! which keeps batch arithmetic and crash scheduling deterministic in
+//! the suites.
+//!
 //! There is one transport and one plane beneath it: the front-end
 //! drives the shared core of a [`ShardedServer`] directly (a solo
 //! server is the 1-lane deployment). Link-level adversaries — hold,
@@ -20,7 +28,7 @@
 //! readable from `&self` while other threads keep pumping.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -45,8 +53,6 @@ pub struct TransportStats {
     delivered: AtomicU64,
     buffered: AtomicU64,
     dropped_replies: AtomicU64,
-    rejected: AtomicU64,
-    replayed: AtomicU64,
 }
 
 impl TransportStats {
@@ -73,23 +79,10 @@ impl TransportStats {
     pub fn dropped_replies(&self) -> u64 {
         self.dropped_replies.load(Ordering::SeqCst)
     }
-
-    /// Submissions bounced by admission control with a typed
-    /// [`RetryAfter`] (counted by [`FrontendPort::try_send`]; the
-    /// blocking [`FrontendPort::send`] counts each bounce it absorbs).
-    pub fn rejected(&self) -> u64 {
-        self.rejected.load(Ordering::SeqCst)
-    }
-
-    /// Retries answered from the host reply cache instead of
-    /// re-executed ([`AdmitOutcome::ReplayedReply`]).
-    pub fn replayed(&self) -> u64 {
-        self.replayed.load(Ordering::SeqCst)
-    }
 }
 
-/// How long a [`DriveMode::Continuous`] driver lets a sub-batch-size
-/// lane fill before executing it anyway. Free-running drivers would
+/// How long a [`Frontend`] driver thread lets a sub-batch-size lane
+/// fill before executing it anyway. Free-running drivers would
 /// otherwise execute one-wire batches the moment each producer's wire
 /// lands, squandering the seal-and-store amortization; a fraction of a
 /// typical store round-trip recovers full batches at a latency cost
@@ -99,21 +92,6 @@ pub const BATCH_LINGER: Duration = Duration::from_micros(600);
 // ---------------------------------------------------------------------------
 // The concurrent front-end.
 // ---------------------------------------------------------------------------
-
-/// When the [`Frontend`]'s driver threads are allowed to pump.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DriveMode {
-    /// Drivers pump whenever work arrives — the deployment posture:
-    /// replies stream back to ports while producers keep submitting.
-    Continuous,
-    /// Drivers pump only inside [`Frontend::process_all`] /
-    /// [`Frontend::pump`]. Submissions queue up unprocessed until the
-    /// caller asks, which keeps batch-count arithmetic and
-    /// crash-scheduling deterministic — the mode the `all_modes!`
-    /// scenario suites run through (the driving is still concurrent
-    /// across lanes *inside* the pump).
-    OnDemand,
-}
 
 /// One client's reply queue inside the demux plane.
 type PortRx = Arc<BoundedQueue<Vec<u8>>>;
@@ -133,12 +111,6 @@ struct Demux {
 
 struct FrontendShared {
     shutdown: AtomicBool,
-    /// Drivers currently inside a sweep window (registered *before*
-    /// they read the core's pump window): after closing the window, an OnDemand pump
-    /// waits for this to reach zero, so a driver acting on a stale
-    /// open-window read can never execute work submitted after the
-    /// pump returned.
-    sweepers: AtomicUsize,
     demux: Mutex<Demux>,
     stats: Arc<TransportStats>,
 }
@@ -211,7 +183,7 @@ impl FrontendPort {
     /// is retried after the controller's suggested back-off until it
     /// is accepted — the blocking convenience over
     /// [`FrontendPort::try_send`]. Each absorbed bounce still counts
-    /// in [`TransportStats::rejected`].
+    /// in the tenant's row of [`Frontend::health_snapshot`].
     pub fn send(&self, wire: Vec<u8>) {
         /// Cap on one blocking-send back-off nap, so a shutdown or a
         /// policy change never strands the sender in a long sleep.
@@ -238,28 +210,15 @@ impl FrontendPort {
     /// suggested nap). With no admission policy configured every wire
     /// is accepted.
     pub fn try_send(&self, wire: Vec<u8>) -> std::result::Result<AdmitOutcome, RetryAfter> {
-        match self.core.try_submit(wire) {
-            Ok(outcome) => {
-                // `submitted` counts wires the ingress plane accepted,
-                // matching `delivered` at quiescence — replayed and
-                // coalesced retries produce (at most) cached replies,
-                // not fresh tickets, so they are tracked separately.
-                match outcome {
-                    AdmitOutcome::Enqueued => {
-                        self.stats.submitted.fetch_add(1, Ordering::SeqCst);
-                    }
-                    AdmitOutcome::ReplayedReply => {
-                        self.stats.replayed.fetch_add(1, Ordering::SeqCst);
-                    }
-                    AdmitOutcome::DuplicateInFlight => {}
-                }
-                Ok(outcome)
-            }
-            Err(rejection) => {
-                self.stats.rejected.fetch_add(1, Ordering::SeqCst);
-                Err(rejection)
-            }
+        let outcome = self.core.try_submit(wire)?;
+        // `submitted` counts wires the ingress plane accepted, matching
+        // `delivered` at quiescence. Replayed and coalesced retries get
+        // no fresh ticket; the admission controller counts them (and
+        // rejections) per tenant in its health snapshot.
+        if outcome == AdmitOutcome::Enqueued {
+            self.stats.submitted.fetch_add(1, Ordering::SeqCst);
         }
+        Ok(outcome)
     }
 
     /// Receives the next reply, if one has been delivered.
@@ -275,9 +234,8 @@ impl FrontendPort {
 }
 
 /// The concurrent transport front-end: a multi-producer ingress plane,
-/// per-shard driver loops on a [`WorkerPool`], and a reply demux plane
-/// — the multi-threaded replacement for driving a server with one
-/// `submit`/`process_all` thread.
+/// per-shard driver loops on a [`WorkerPool`] (or none, see below),
+/// and a reply demux plane.
 ///
 /// ```text
 ///  producer threads ──┐                ┌─ driver 0 ─▶ lane 0 ─┐
@@ -297,16 +255,18 @@ impl FrontendPort {
 /// bootstrap and scenario suites run on top unchanged:
 /// control-plane calls forward to the wrapped server (serialized
 /// against the drivers by the per-lane locks), `submit` feeds the
-/// ingress plane, and `process_all` pumps to quiescence and returns
-/// the replies of clients without a connected port.
+/// ingress plane, and `step` / `process_all` return the replies of
+/// clients without a connected port. With drivers attached both wait
+/// for quiescence; without drivers `step` runs one batch per lane on
+/// the caller's behalf and `process_all` steps until nothing is
+/// queued.
 pub struct Frontend {
     server: ShardedServer,
     core: Arc<ShardCore>,
     shared: Arc<FrontendShared>,
-    mode: DriveMode,
     threads: usize,
-    /// Driver threads; the pool's `Drop` joins them after
-    /// `Frontend::drop` signals shutdown.
+    /// Driver threads (`None` without any); the pool's `Drop` joins
+    /// them after `Frontend::drop` signals shutdown.
     drivers: Option<WorkerPool>,
 }
 
@@ -315,49 +275,26 @@ impl std::fmt::Debug for Frontend {
         f.debug_struct("Frontend")
             .field("lanes", &self.core.lanes())
             .field("threads", &self.threads)
-            .field("mode", &self.mode)
             .field("queued", &self.core.queued())
             .finish()
     }
 }
 
-fn driver_loop(core: Arc<ShardCore>, shared: Arc<FrontendShared>, mode: DriveMode) {
-    // Continuous drivers form batches (linger gate); OnDemand pumps
-    // run with everything already queued, so gating would only slow
-    // the deterministic suites down.
-    let gate = match mode {
-        DriveMode::Continuous => Some(BATCH_LINGER),
-        DriveMode::OnDemand => None,
-    };
+fn driver_loop(core: Arc<ShardCore>, shared: Arc<FrontendShared>) {
     let mut epoch = 0u64;
     loop {
         epoch = core.wait_work(epoch, Duration::from_millis(25));
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        // Enter the sweep window: register BEFORE reading the window
-        // flag, so a pump that closes the window can wait for every
-        // driver whose (possibly stale) open-window read lets it keep
-        // sweeping — without this handshake a wire submitted right
-        // after `pump` returns could be executed outside any pump,
-        // breaking `DriveMode::OnDemand`'s contract.
-        shared.sweepers.fetch_add(1, Ordering::SeqCst);
-        if !core.window_open() {
-            shared.sweepers.fetch_sub(1, Ordering::SeqCst);
-            continue;
-        }
-        // Pump every lane until a full sweep makes no progress (or the
-        // window closes); lanes another driver currently owns are
-        // skipped, not waited on; lanes still forming a batch are
-        // revisited when ripe.
+        // Pump every lane until a full sweep makes no progress; lanes
+        // another driver currently owns are skipped, not waited on;
+        // lanes still forming a batch are revisited when ripe.
         loop {
             let mut progress = false;
             let mut forming: Option<Duration> = None;
             for lane in 0..core.lanes() {
-                if !core.window_open() {
-                    break;
-                }
-                match core.drive(lane, gate) {
+                match core.drive(lane, Some(BATCH_LINGER)) {
                     DriveStatus::Progress => {
                         progress = true;
                         // Demux NOW, before touching the next lane: a
@@ -374,8 +311,8 @@ fn driver_loop(core: Arc<ShardCore>, shared: Arc<FrontendShared>, mode: DriveMod
                 }
             }
             shared.dispatch(&core);
-            if shared.shutdown.load(Ordering::SeqCst) || !core.window_open() {
-                break;
+            if shared.shutdown.load(Ordering::SeqCst) {
+                return;
             }
             if progress {
                 continue;
@@ -388,42 +325,41 @@ fn driver_loop(core: Arc<ShardCore>, shared: Arc<FrontendShared>, mode: DriveMod
                 None => break,
             }
         }
-        shared.sweepers.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
 impl Frontend {
     /// Lifts `server` into a concurrent front-end with `threads`
-    /// driver threads (min 1; more drivers than lanes buys nothing).
-    pub fn new(server: ShardedServer, threads: usize, mode: DriveMode) -> Self {
+    /// continuous driver threads (more drivers than lanes buys
+    /// nothing). `threads == 0` attaches none and spawns no thread:
+    /// the caller steps the server through [`BatchServer::step`] /
+    /// [`BatchServer::process_all`].
+    pub fn new(server: ShardedServer, threads: usize) -> Self {
         let core = server.core();
-        let threads = threads.max(1);
         let shared = Arc::new(FrontendShared {
             shutdown: AtomicBool::new(false),
-            sweepers: AtomicUsize::new(0),
             demux: Mutex::new(Demux {
                 ports: BTreeMap::new(),
                 buffer: VecDeque::new(),
             }),
             stats: Arc::new(TransportStats::default()),
         });
-        if matches!(mode, DriveMode::Continuous) {
+        let drivers = (threads > 0).then(|| {
             core.attach_drivers(threads);
-            core.set_window(true);
-        }
-        let pool = WorkerPool::new("lcm-frontend", threads, threads);
-        for _ in 0..threads {
-            let core = core.clone();
-            let shared = shared.clone();
-            pool.execute(move || driver_loop(core, shared, mode));
-        }
+            let pool = WorkerPool::new("lcm-frontend", threads, threads);
+            for _ in 0..threads {
+                let core = core.clone();
+                let shared = shared.clone();
+                pool.execute(move || driver_loop(core, shared));
+            }
+            pool
+        });
         Frontend {
             server,
             core,
             shared,
-            mode,
             threads,
-            drivers: Some(pool),
+            drivers,
         }
     }
 
@@ -502,38 +438,38 @@ impl Frontend {
         self.core.submit(invoke_wire);
     }
 
-    /// Pumps the deployment to quiescence: wakes the drivers, waits
-    /// until every accepted wire has settled (reply released or
-    /// written off), and returns the buffered replies of clients
-    /// without a connected port.
+    /// Runs the deployment and returns the buffered replies of clients
+    /// without a connected port. With drivers attached it wakes them
+    /// and waits until every accepted wire has settled (reply released
+    /// or written off). Without, it runs one batch per lane on this
+    /// thread — again until nothing is queued when `until_idle` — and
+    /// routes what that released.
     ///
     /// # Errors
     ///
-    /// Surfaces the first lane failure recorded since the last pump;
+    /// Surfaces the first lane failure recorded since the last call;
     /// buffered replies survive the error for the next call.
-    pub fn pump(&mut self) -> Result<Replies> {
-        if matches!(self.mode, DriveMode::OnDemand) {
-            self.core.set_window(true);
-        }
-        self.core.notify_work();
-        self.core.wait_quiescent();
-        if matches!(self.mode, DriveMode::OnDemand) {
-            self.core.set_window(false);
-            // Wait out every driver still inside a sweep window: one
-            // may hold a stale open-window read, and returning before
-            // it re-checks would let it execute wires submitted after
-            // this pump. Sweeps exit quickly post-quiescence.
-            while self.shared.sweepers.load(Ordering::SeqCst) > 0 {
-                std::thread::yield_now();
+    fn pump(&mut self, until_idle: bool) -> Result<Replies> {
+        if self.drivers.is_some() {
+            self.core.notify_work();
+            self.core.wait_quiescent();
+            // The drive that settled the last ticket dispatched after
+            // it, but dispatch defensively: a driver may have been
+            // parked between its final drive and its dispatch when we
+            // observed quiescence.
+            self.shared.dispatch(&self.core);
+            if let Some(e) = self.core.take_error() {
+                return Err(e);
             }
-        }
-        // The drive that settled the last ticket dispatched after it,
-        // but dispatch defensively: a driver may have been parked
-        // between its final drive and its dispatch when we observed
-        // quiescence.
-        self.shared.dispatch(&self.core);
-        if let Some(e) = self.core.take_error() {
-            return Err(e);
+        } else {
+            loop {
+                let driven = self.server.drive_lanes();
+                self.shared.dispatch(&self.core);
+                driven?;
+                if !until_idle || self.core.queued() == 0 {
+                    break;
+                }
+            }
         }
         let mut demux = self.shared.lock_demux();
         Ok(demux.buffer.drain(..).collect())
@@ -542,19 +478,21 @@ impl Frontend {
 
 impl Drop for Frontend {
     fn drop(&mut self) {
+        // Without drivers there is no thread to stop and no producer
+        // blocked on a full ingress (it is relieved inline).
+        let Some(drivers) = self.drivers.take() else {
+            return;
+        };
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.core.set_window(false);
         self.core.notify_work();
-        if matches!(self.mode, DriveMode::Continuous) {
-            self.core.detach_drivers(self.threads);
-        }
+        self.core.detach_drivers(self.threads);
         // Free any producer blocked in back-pressure `push`: with the
         // drivers gone, nobody would ever drain the full queue it is
         // waiting on (later submits fall back to inline relief, since
         // no drivers are attached anymore).
         self.core.shed_ingress();
         // Join the drivers before the wrapped server is torn down.
-        drop(self.drivers.take());
+        drop(drivers);
     }
 }
 
@@ -587,13 +525,14 @@ impl BatchServer for Frontend {
     fn batch_limit(&self) -> usize {
         self.server.batch_limit()
     }
-    /// One pump to quiescence (the front-end has no single-batch
-    /// granularity: its drivers pump lanes independently).
+    /// One batch per lane without drivers; with drivers, a wait for
+    /// quiescence (they pump lanes independently, so there is no
+    /// single-batch granularity to offer).
     fn step(&mut self) -> Result<Replies> {
-        self.pump()
+        self.pump(false)
     }
     fn process_all(&mut self) -> Result<Replies> {
-        self.pump()
+        self.pump(true)
     }
     fn admin(&mut self, admin_wire: Vec<u8>) -> Result<Vec<u8>> {
         self.server.admin(admin_wire)
@@ -674,16 +613,11 @@ mod tests {
     use lcm_tee::world::TeeWorld;
     use std::sync::Arc;
 
-    fn frontend_counter(
-        shards: u32,
-        n_clients: u32,
-        threads: usize,
-        mode: DriveMode,
-    ) -> (Frontend, Vec<LcmClient>) {
+    fn frontend_counter(shards: u32, n_clients: u32, threads: usize) -> (Frontend, Vec<LcmClient>) {
         let world = TeeWorld::new_deterministic(70 + u64::from(shards));
         let server =
             build_sharded::<Counter>(&world, 1, Arc::new(MemoryStorage::new()), 16, shards, false);
-        let mut fe = Frontend::new(server, threads, mode);
+        let mut fe = Frontend::new(server, threads);
         assert!(fe.boot().unwrap());
         let ids: Vec<ClientId> = (1..=n_clients).map(ClientId).collect();
         let mut admin = AdminHandle::new_deterministic(&world, ids.clone(), Quorum::Majority, 7);
@@ -704,11 +638,7 @@ mod tests {
         let world = TeeWorld::new_deterministic(72);
         let platform = world.platform_deterministic(1);
         let solo = LcmServer::<AppendLog>::new(&platform, Arc::new(MemoryStorage::new()), 16);
-        let mut fe = Frontend::new(
-            ShardedServer::new(vec![Box::new(solo)]),
-            2,
-            DriveMode::OnDemand,
-        );
+        let mut fe = Frontend::new(ShardedServer::new(vec![Box::new(solo)]), 0);
         assert!(fe.boot().unwrap());
         let mut admin =
             AdminHandle::new_deterministic(&world, vec![ClientId(1)], Quorum::Majority, 8);
@@ -725,7 +655,7 @@ mod tests {
         // A reply for a client without a connected port has no queue
         // to land on: it is buffered for collection — and counted —
         // while the connected client's reply goes to its port.
-        let (mut fe, mut clients) = frontend_counter(2, 2, 2, DriveMode::OnDemand);
+        let (mut fe, mut clients) = frontend_counter(2, 2, 0);
         let port = fe.connect(clients[0].id());
         for (i, client) in clients.iter_mut().enumerate() {
             let name = format!("ctr-{i}").into_bytes();
@@ -750,7 +680,7 @@ mod tests {
         // Drop/flow statistics are atomic and shared — an observer
         // thread holding only the stats Arc sees them move while the
         // pump owner keeps the `&mut Frontend`.
-        let (mut fe, mut clients) = frontend_counter(1, 1, 1, DriveMode::OnDemand);
+        let (mut fe, mut clients) = frontend_counter(1, 1, 0);
         let port = fe.connect(clients[0].id());
         let stats = fe.stats();
         let observer = std::thread::spawn(move || {
@@ -775,7 +705,7 @@ mod tests {
 
     #[test]
     fn frontend_ports_deliver_replies_to_their_clients() {
-        let (fe, mut clients) = frontend_counter(4, 3, 2, DriveMode::Continuous);
+        let (fe, mut clients) = frontend_counter(4, 3, 2);
         let ports: Vec<FrontendPort> = clients.iter().map(|c| fe.connect(c.id())).collect();
         for (i, (client, port)) in clients.iter_mut().zip(&ports).enumerate() {
             let name = format!("ctr-{i}").into_bytes();
@@ -800,7 +730,7 @@ mod tests {
 
     #[test]
     fn ondemand_frontend_defers_processing_until_pumped() {
-        let (mut fe, mut clients) = frontend_counter(2, 1, 2, DriveMode::OnDemand);
+        let (mut fe, mut clients) = frontend_counter(2, 1, 0);
         let wire = clients[0]
             .invoke_for::<Counter>(&Counter::inc_op(b"n", 1))
             .unwrap();
@@ -816,8 +746,27 @@ mod tests {
     }
 
     #[test]
+    fn an_on_demand_step_runs_one_batch_per_lane() {
+        // Without drivers, `step` keeps `BatchServer`'s contract: one
+        // batch per lane, the rest stays queued for the next call.
+        let (mut fe, mut clients) = frontend_counter(1, 20, 0);
+        for client in &mut clients {
+            fe.submit(
+                client
+                    .invoke_for::<Counter>(&Counter::inc_op(b"n", 1))
+                    .unwrap(),
+            );
+        }
+        let replies = fe.step().unwrap();
+        assert_eq!(replies.len(), 16);
+        assert_eq!(fe.queued(), 4);
+        assert_eq!(fe.batches_processed(), 1);
+        assert_eq!(fe.process_all().unwrap().len(), 4);
+    }
+
+    #[test]
     fn frontend_disconnect_counts_dropped_replies() {
-        let (mut fe, mut clients) = frontend_counter(2, 1, 1, DriveMode::OnDemand);
+        let (mut fe, mut clients) = frontend_counter(2, 1, 0);
         let port = fe.connect(clients[0].id());
         port.send(
             clients[0]
@@ -834,7 +783,7 @@ mod tests {
 
     #[test]
     fn frontend_violation_surfaces_from_pump() {
-        let (mut fe, mut clients) = frontend_counter(2, 1, 2, DriveMode::Continuous);
+        let (mut fe, mut clients) = frontend_counter(2, 1, 2);
         let mut wire = clients[0]
             .invoke_for::<Counter>(&Counter::inc_op(b"bad", 1))
             .unwrap();
@@ -847,7 +796,7 @@ mod tests {
 
     #[test]
     fn frontend_preserves_per_client_order_across_lanes() {
-        let (fe, mut clients) = frontend_counter(4, 1, 4, DriveMode::Continuous);
+        let (fe, mut clients) = frontend_counter(4, 1, 4);
         let client = &mut clients[0];
         let port = fe.connect(client.id());
         // Up to four ops pipelined across distinct shards.

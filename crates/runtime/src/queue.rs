@@ -30,19 +30,6 @@ pub struct QueueStats {
     pub high_water: usize,
 }
 
-impl QueueStats {
-    /// Folds another queue's counters into this one — the rollup
-    /// primitive for multi-queue pipelines (one ingress queue per
-    /// shard): throughput counters add, `high_water` takes the worst
-    /// single queue.
-    pub fn absorb(&mut self, other: &QueueStats) {
-        self.pushed += other.pushed;
-        self.popped += other.popped;
-        self.blocked_pushes += other.blocked_pushes;
-        self.high_water = self.high_water.max(other.high_water);
-    }
-}
-
 /// Error returned by [`BoundedQueue::try_push`], giving the item back.
 #[derive(Debug, PartialEq, Eq)]
 pub enum PushError<T> {
@@ -455,29 +442,6 @@ mod tests {
         thread::sleep(std::time::Duration::from_millis(5));
         q.push(42).unwrap();
         assert_eq!(consumer.join().unwrap(), Some(42));
-    }
-
-    #[test]
-    fn stats_absorb_rolls_up_counters() {
-        let a = QueueStats {
-            pushed: 10,
-            popped: 8,
-            blocked_pushes: 1,
-            high_water: 4,
-        };
-        let b = QueueStats {
-            pushed: 3,
-            popped: 3,
-            blocked_pushes: 0,
-            high_water: 7,
-        };
-        let mut total = QueueStats::default();
-        total.absorb(&a);
-        total.absorb(&b);
-        assert_eq!(total.pushed, 13);
-        assert_eq!(total.popped, 11);
-        assert_eq!(total.blocked_pushes, 1);
-        assert_eq!(total.high_water, 7, "worst single queue, not a sum");
     }
 
     #[test]

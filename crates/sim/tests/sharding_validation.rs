@@ -78,11 +78,11 @@ fn predict(shards: usize, n_clients: usize) -> f64 {
 /// front-end with `driver_threads` lane drivers: every client runs its
 /// own closed loop on its own thread through a `FrontendPort`.
 fn measure_real_frontend(shards: u32, driver_threads: usize) -> f64 {
-    use lcm_core::transport::{DriveMode, Frontend};
+    use lcm_core::transport::Frontend;
     let world = TeeWorld::new_deterministic(9_100 + u64::from(shards));
     let storage = Arc::new(DelayedStorage::new(MemoryStorage::new(), STORE_DELAY));
     let server = build_sharded::<Counter>(&world, 1, storage, BATCH, shards, false);
-    let mut fe = Frontend::new(server, driver_threads, DriveMode::Continuous);
+    let mut fe = Frontend::new(server, driver_threads);
     assert!(fe.boot().unwrap());
     let ids: Vec<ClientId> = (1..=N_CLIENTS).map(ClientId).collect();
     let mut admin = AdminHandle::new_deterministic(&world, ids.clone(), Quorum::Majority, 11);
@@ -138,7 +138,7 @@ fn predict_frontend_with_model(
 /// `admission_check`.
 fn measure_real_frontend_admitted(shards: u32, driver_threads: usize) -> f64 {
     use lcm_core::admission::{AdmissionConfig, TenantConfig, TenantId};
-    use lcm_core::transport::{DriveMode, Frontend};
+    use lcm_core::transport::Frontend;
     let world = TeeWorld::new_deterministic(9_100 + u64::from(shards));
     let storage = Arc::new(DelayedStorage::new(MemoryStorage::new(), STORE_DELAY));
     let server = build_sharded::<Counter>(&world, 1, storage, BATCH, shards, false);
@@ -147,7 +147,7 @@ fn measure_real_frontend_admitted(shards: u32, driver_threads: usize) -> f64 {
         tenants: vec![TenantConfig::unlimited(TenantId(1), ids.clone(), 1)],
         max_in_flight: 1024,
     });
-    let mut fe = Frontend::new(server, driver_threads, DriveMode::Continuous);
+    let mut fe = Frontend::new(server, driver_threads);
     assert!(fe.boot().unwrap());
     let mut admin = AdminHandle::new_deterministic(&world, ids.clone(), Quorum::Majority, 11);
     admin.bootstrap(&mut fe).unwrap();

@@ -33,7 +33,7 @@ use lcm_core::functionality::Functionality;
 use lcm_core::server::{BatchServer, Replies};
 use lcm_core::shard::build_sharded;
 use lcm_core::stability::Quorum;
-use lcm_core::transport::{DriveMode, Frontend, FrontendPort, TransportStats};
+use lcm_core::transport::{Frontend, FrontendPort, TransportStats};
 use lcm_core::types::ClientId;
 use lcm_core::Result;
 use lcm_kvs::client::KvsClient;
@@ -57,16 +57,16 @@ pub enum Mode {
 /// enclaves run (e.g. [`lcm_kvs::store::KvStore`],
 /// [`lcm_core::functionality::Counter`]).
 ///
-/// Every knob has a working default: one shard, [`Mode::Sync`], an
-/// on-demand front-end (deterministic `process_all` pumping), client
-/// group `{1}`, majority quorum, fresh in-memory storage, no
-/// admission policy.
+/// Every knob has a working default: one shard, [`Mode::Sync`], a
+/// front-end without driver threads (the caller steps it with
+/// `process_all`, deterministically), client group `{1}`, majority
+/// quorum, fresh in-memory storage, no admission policy.
 pub struct DeploymentBuilder<F: Functionality + 'static> {
     shards: u32,
     replicas: u32,
     mode: Mode,
     /// `Some(n)` = continuous front-end with `n` driver threads;
-    /// `None` = on-demand with one driver per shard.
+    /// `None` = no drivers, the caller steps the deployment.
     driver_threads: Option<usize>,
     admission: Option<AdmissionConfig>,
     batch_limit: usize,
@@ -138,9 +138,10 @@ impl<F: Functionality + 'static> DeploymentBuilder<F> {
 
     /// Runs the front-end continuously with `driver_threads` driver
     /// threads (the deployment posture: replies stream to ports while
-    /// producers submit). Without this, the front-end is on-demand —
-    /// submissions queue until [`Deployment::process_all`] pumps,
-    /// which keeps batch arithmetic deterministic for tests.
+    /// producers submit). Without this, the front-end has no driver
+    /// threads — submissions queue until [`Deployment::process_all`]
+    /// steps the lanes on the caller's thread, which keeps batch
+    /// arithmetic deterministic for tests.
     pub fn frontend(mut self, driver_threads: usize) -> Self {
         self.driver_threads = Some(driver_threads.max(1));
         self
@@ -228,11 +229,7 @@ impl<F: Functionality + 'static> DeploymentBuilder<F> {
         if let Some(config) = self.admission {
             server.configure_admission(config);
         }
-        let (threads, drive_mode) = match self.driver_threads {
-            Some(n) => (n, DriveMode::Continuous),
-            None => (self.shards.max(1) as usize, DriveMode::OnDemand),
-        };
-        let mut frontend = Frontend::new(server, threads, drive_mode);
+        let mut frontend = Frontend::new(server, self.driver_threads.unwrap_or(0));
         let fresh = frontend.boot()?;
         let mut admin =
             AdminHandle::new_deterministic(&world, self.clients, self.quorum, self.seed);
@@ -367,7 +364,7 @@ impl Deployment {
     ///
     /// # Errors
     ///
-    /// Surfaces the first lane failure recorded since the last pump.
+    /// Surfaces the first lane failure recorded since the last call.
     pub fn process_all(&mut self) -> Result<Replies> {
         self.frontend.process_all()
     }

@@ -2,9 +2,15 @@
 //! server mode: a bare `LcmServer` with synchronous or asynchronous
 //! write (`into_pipelined`), the sharded multi-enclave `ShardedServer`
 //! at 1 and 4 shards (each lane sync or pipelined), the sharded
-//! deployment behind the concurrent transport `Frontend`
-//! (multi-threaded lane driving; `OnDemand` so batch arithmetic and
-//! crash scheduling stay deterministic), and replicated shard groups.
+//! deployment behind the concurrent transport `Frontend` (without
+//! driver threads, so batch arithmetic and crash scheduling stay
+//! deterministic), and replicated shard groups.
+//!
+//! A driverless `Frontend` steps its `ShardedServer` through the same
+//! per-lane drive as a bare one (same `submit` / `submit_to_lane`,
+//! same `crash`) and adds only its reply demux and the forwarding of
+//! control-plane calls, so every `frontend_*_4` row also covers what
+//! the `sharded_*_4` row of the same write mode covers.
 //!
 //! Every mode is handed out as a `Box<dyn BatchServer>` — the
 //! deployment role; a bare `LcmServer` fills it through the blanket
@@ -19,15 +25,12 @@ use std::sync::Arc;
 use lcm::core::functionality::Functionality;
 use lcm::core::server::{BatchServer, LcmServer};
 use lcm::core::shard;
-use lcm::core::transport::{DriveMode, Frontend};
+use lcm::core::transport::Frontend;
 use lcm::core::types::ClientId;
 use lcm::crypto::keys::SecretKey;
 use lcm::kvs::client::KvsClient;
 use lcm::storage::{DeltaLogConfig, DeltaLogStorage, NamespacedStorage, StableStorage};
 use lcm::tee::world::TeeWorld;
-
-/// Driver threads the concurrent-frontend mode attaches.
-pub const FRONTEND_THREADS: usize = 3;
 
 /// Which execution mode a scenario runs the server in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,9 +50,9 @@ pub enum Mode {
     },
     /// The sharded deployment behind the concurrent transport
     /// `Frontend`: every submit goes through the thread-safe ingress
-    /// plane and every pump is executed by [`FRONTEND_THREADS`] driver
-    /// threads concurrently (on-demand windows keep scenarios
-    /// deterministic).
+    /// plane and every reply through the demux; the front-end has no
+    /// driver threads, so each `step` runs one batch per lane and
+    /// scenarios stay deterministic.
     Frontend {
         /// Number of shards behind the front-end.
         shards: u32,
@@ -216,11 +219,7 @@ pub fn mk_server<F: Functionality + 'static>(
         Mode::Frontend { shards, pipelined } => {
             let sharded =
                 shard::build_sharded::<F>(world, platform_base, storage, batch, shards, pipelined);
-            Box::new(Frontend::new(
-                sharded,
-                FRONTEND_THREADS,
-                DriveMode::OnDemand,
-            ))
+            Box::new(Frontend::new(sharded, 0))
         }
         Mode::Replicated {
             shards,

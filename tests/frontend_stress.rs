@@ -32,7 +32,7 @@ use lcm::core::functionality::Counter;
 use lcm::core::server::BatchServer;
 use lcm::core::shard::{self, build_sharded, route_hash, shard_index};
 use lcm::core::stability::Quorum;
-use lcm::core::transport::{DriveMode, Frontend, FrontendPort};
+use lcm::core::transport::{Frontend, FrontendPort};
 use lcm::core::types::ClientId;
 use lcm::storage::MemoryStorage;
 use lcm::tee::world::TeeWorld;
@@ -68,7 +68,7 @@ fn build_fleet(pipelined: bool, seed: u64) -> Fleet {
         SHARDS,
         pipelined,
     );
-    let mut fe = Frontend::new(server, DRIVER_THREADS, DriveMode::Continuous);
+    let mut fe = Frontend::new(server, DRIVER_THREADS);
     assert!(fe.boot().unwrap());
     let ids: Vec<ClientId> = (1..=CLIENT_THREADS).map(ClientId).collect();
     let mut admin = AdminHandle::new_deterministic(&world, ids.clone(), Quorum::Majority, seed);
