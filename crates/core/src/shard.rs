@@ -161,10 +161,52 @@
 //! * **Continuous drivers.** A front-end with driver threads attaches
 //!   them to the same core: they execute whatever arrives, and a full
 //!   ingress becomes submitter back-pressure instead.
+//!
+//! Continuous drivers park on one work signal between sweeps, for at
+//! most as long as the nearest forming batch has left to linger. A
+//! submission does not raise that signal for every wire. Each shard
+//! counts its **backlog** — wires accepted and not yet answered or
+//! written off, in its ingress or in the lane's queue. A wire wakes
+//! the drivers only when it makes that count 1 (somebody must start
+//! the lane's linger clock) or exactly the lane's batch limit (a batch
+//! is ripe). The count is one signed atomic, raised by each submitter
+//! once its wire is in the ingress and lowered by whoever answers or
+//! writes wires off; each increment reads the value it made, so two
+//! racing submitters cannot both miss the 1 (two reads of the ingress
+//! length after their pushes could). A drive may answer a wire before
+//! its submitter counted it, and the count then dips below zero for a
+//! moment; a wire that brings it to 1 *or below* wakes the drivers, so
+//! no wire waits for another submitter to count. Why that loses no
+//! wire:
+//!
+//! * A driver parks only after a sweep that found every lane it could
+//!   lock idle or forming; it waits for the nearest forming deadline.
+//!   An idle lane's count then stands at zero or below (wires the
+//!   sweep answered may not have counted themselves yet), and only
+//!   submitters move it while the driver is parked. The first wire to
+//!   land there next reads 1 or below and wakes the driver after its
+//!   own push; the driver then finds the lane forming. A later wire
+//!   reads more than 1 only while an earlier one is unanswered:
+//!   executing (its driver sweeps again once it answered it), forming
+//!   under a deadline, or in the ingress behind a wake not yet served.
+//! * A lane that ripens passes through its batch limit, and that wire
+//!   wakes the driver. The wake can come late — a submitter counts a
+//!   moment after its push — but the batch never runs later than its
+//!   deadline, which the parked driver waits for anyway. A spurious
+//!   wake costs one sweep.
+//! * The count goes down only in a drive or a purge. A driver that
+//!   made progress sweeps again before it parks. The two callers that
+//!   purge under a lane's lock — [`ShardedServer::with_shard`] and a
+//!   whole deployment crash — wake the drivers on release whenever
+//!   the lane still holds wires, so a wire that arrived meanwhile
+//!   never waits for a driver's idle timeout. And a driver that finds
+//!   a lane held by anyone else revisits it one linger later.
+//!
+//! Without drivers nobody is woken at all.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicIsize, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -294,14 +336,43 @@ struct LaneState {
 struct Shard {
     lane: Mutex<LaneState>,
     ingress: BoundedQueue<Ticketed>,
+    /// Wires accepted for this shard and not yet answered or written
+    /// off, in the ingress or in the lane's queue. Raised by
+    /// `ShardCore::enqueue` once the wire is in the ingress, which
+    /// reads it to decide whether the wire is worth waking the drivers
+    /// for; lowered through `Shard::retire`. Signed: it dips below
+    /// zero while a wire answered early is still uncounted (module
+    /// docs, § Concurrent driving).
+    backlog: AtomicIsize,
+    /// The lane's batch limit, read once: it never changes.
+    batch_limit: usize,
 }
 
 impl Shard {
+    /// Counts `n` of this shard's wires gone: answered, or written off.
+    fn retire(&self, n: usize) {
+        self.backlog.fetch_sub(n as isize, Ordering::SeqCst);
+    }
+
     /// Empties the ingress without executing it, naming the tickets
     /// the caller must write off.
-    fn drain_ingress(&self) -> impl Iterator<Item = (u64, ClientId)> {
+    fn drain_ingress(&self) -> Vec<(u64, ClientId)> {
         let pending = self.ingress.drain_pending().into_iter();
-        pending.map(|(ticket, client, ..)| (ticket, client))
+        let drained: Vec<_> = pending
+            .map(|(ticket, client, ..)| (ticket, client))
+            .collect();
+        self.retire(drained.len());
+        drained
+    }
+
+    /// Empties the lane's in-flight tickets and the ingress behind them
+    /// without executing anything, naming the tickets the caller must
+    /// write off (the lane crashed, so did the wires it held).
+    fn purge(&self, lane: &mut LaneState) -> Vec<(u64, ClientId)> {
+        let mut purged: Vec<_> = lane.inflight.drain(..).collect();
+        self.retire(purged.len());
+        purged.extend(self.drain_ingress());
+        purged
     }
 }
 
@@ -595,12 +666,14 @@ impl ShardCore {
             shards: servers
                 .into_iter()
                 .map(|server| Shard {
+                    batch_limit: server.batch_limit(),
                     lane: Mutex::new(LaneState {
                         server,
                         inflight: VecDeque::new(),
                         pending_since: None,
                     }),
                     ingress: BoundedQueue::new(ingress_capacity),
+                    backlog: AtomicIsize::new(0),
                 })
                 .collect(),
             book: Mutex::new(ReplyBook::default()),
@@ -665,7 +738,12 @@ impl ShardCore {
         self.settled_cv.notify_all();
     }
 
-    /// Wakes driver threads parked in [`ShardCore::wait_work`].
+    /// Wakes driver threads parked in [`ShardCore::wait_work`] by
+    /// advancing the work epoch. A submission raises it only when it
+    /// starts or fills a lane's batch ([`ShardCore::enqueue`]); every
+    /// other caller needs a parked driver at once: a submitter about to
+    /// block on a full ingress, a replayed reply to route, a lane
+    /// released with wires in it, a quiescence wait, a shutdown.
     pub(crate) fn notify_work(&self) {
         let mut epoch = self.work.lock().unwrap_or_else(|e| e.into_inner());
         *epoch += 1;
@@ -673,13 +751,30 @@ impl ShardCore {
         self.work_cv.notify_all();
     }
 
+    /// Wakes the drivers if lane `idx` holds wires: called by a
+    /// caller other than a driver once it released the lane, since a
+    /// driver that found the lane held has not seen those wires.
+    fn wake_if_backlogged(&self, idx: usize) {
+        if self.active_drivers.load(Ordering::SeqCst) > 0
+            && self.shards[idx].backlog.load(Ordering::SeqCst) > 0
+        {
+            self.notify_work();
+        }
+    }
+
     /// Tickets one wire under the caller's hold of the book, then
-    /// pushes it into `shard`'s bounded ingress and wakes the drivers
-    /// (the shared tail of every submission path; the caller has
-    /// peeled the envelope exactly once). `dedup_seq` is the envelope
-    /// sequence when the wire was admitted with retry dedup active;
-    /// `credited` whether the ticket holds an admission credit
-    /// (returned to its tenant at settlement).
+    /// pushes it into `shard`'s bounded ingress (the shared tail of
+    /// every submission path; the caller has peeled the envelope
+    /// exactly once). `dedup_seq` is the envelope sequence when the
+    /// wire was admitted with retry dedup active; `credited` whether
+    /// the ticket holds an admission credit (returned to its tenant at
+    /// settlement).
+    ///
+    /// Attached drivers are woken only when the wire brings the
+    /// shard's backlog to 1 (or below) — a driver must start the lane's
+    /// linger clock — or to exactly its batch limit — a batch is ripe.
+    /// Any other wire joins a batch a driver already knows is forming
+    /// (module docs, § Concurrent driving).
     fn enqueue(
         &self,
         mut book: MutexGuard<'_, ReplyBook>,
@@ -692,16 +787,17 @@ impl ShardCore {
         let admitted = Instant::now();
         let ticket = book.issue(client, shard as u32, dedup_seq, credited, admitted);
         drop(book);
+        let target = &self.shards[shard];
         let mut item = (ticket, client, admitted, wire);
         // The ingress is never closed while the server exists, so a
         // refused push means full.
-        while let Err(PushError::Full(back)) = self.shards[shard].ingress.try_push(item) {
+        while let Err(PushError::Full(back)) = target.ingress.try_push(item) {
             item = back;
             if self.active_drivers.load(Ordering::SeqCst) > 0 {
                 // Attached front-end drivers drain the queue: block
                 // with back-pressure instead of stealing their batch.
                 self.notify_work();
-                let _ = self.shards[shard].ingress.push(item);
+                let _ = target.ingress.push(item);
                 break;
             }
             // No other thread will drain the queue: execute one of
@@ -714,9 +810,16 @@ impl ShardCore {
                 std::thread::sleep(Duration::from_micros(50));
             }
         }
+        // Counted only once visible, so a wake is never for a wire a
+        // driver cannot see yet. At most 1 rather than exactly: below
+        // zero, wires already answered have yet to count themselves,
+        // and this one must not wait for their submitters.
+        let backlog = target.backlog.fetch_add(1, Ordering::SeqCst) + 1;
         // Without drivers there is nobody to wake: the caller steps
         // the lanes itself.
-        if self.active_drivers.load(Ordering::SeqCst) > 0 {
+        if (backlog <= 1 || backlog == target.batch_limit as isize)
+            && self.active_drivers.load(Ordering::SeqCst) > 0
+        {
             self.notify_work();
         }
     }
@@ -815,7 +918,10 @@ impl ShardCore {
     /// batch* whose oldest wire has waited under `linger` is left to
     /// fill instead of being executed — free-running drivers would
     /// otherwise pounce on one-wire batches and squander the
-    /// seal-and-store amortization the batch limit exists for.
+    /// seal-and-store amortization the batch limit exists for. Only the
+    /// linger deadline or a wire that fills the batch ends the wait: a
+    /// driver that got `Waiting` parks on [`ShardCore::wait_work`]
+    /// until the nearer of the two.
     pub(crate) fn drive(&self, idx: u32, gate: Option<Duration>) -> DriveStatus {
         let shard = &self.shards[idx as usize];
         let Ok(mut lane) = shard.lane.try_lock() else {
@@ -835,7 +941,7 @@ impl ShardCore {
         }
         let now = Instant::now();
         if let Some(linger) = gate {
-            if work < lane.server.batch_limit() {
+            if work < shard.batch_limit {
                 let oldest = *lane.pending_since.get_or_insert(now);
                 let waited = now.saturating_duration_since(oldest);
                 if waited < linger {
@@ -845,7 +951,7 @@ impl ShardCore {
         }
         // Restart the linger clock for whatever this batch leaves
         // behind.
-        lane.pending_since = (work > lane.server.batch_limit()).then_some(now);
+        lane.pending_since = (work > shard.batch_limit).then_some(now);
         match lane.server.step() {
             Ok(replies) => {
                 // Replies are 1:1, in order, with the first
@@ -855,6 +961,7 @@ impl ShardCore {
                 // delivery. The book is updated while the lane is
                 // still held so `crash`'s lane-by-lane clearing never
                 // interleaves with a half-booked step.
+                shard.retire(replies.len());
                 let tickets = lane.inflight.drain(..replies.len());
                 let answered = tickets.zip(replies.into_iter().map(Some));
                 let settled = self.book().settle(answered, Instant::now());
@@ -869,6 +976,7 @@ impl ShardCore {
                 // later replies are not held back forever — they
                 // simply retry, getting fresh tickets.
                 let purged: Vec<(u64, ClientId)> = lane.inflight.drain(..).collect();
+                shard.retire(purged.len());
                 self.book().deferred_error.get_or_insert(e);
                 self.write_off(purged);
                 DriveStatus::Progress
@@ -945,7 +1053,12 @@ impl ShardCore {
     }
 
     /// Parks the caller until the work epoch moves past `last_epoch`,
-    /// at most `timeout`; returns the current epoch either way.
+    /// at most `timeout`; returns the current epoch either way. A
+    /// driver's only wait point: it passes the nearest linger deadline
+    /// of its last sweep as `timeout`, so the wait ends when that batch
+    /// is due or when a wire starts or fills a batch, whichever comes
+    /// first. An epoch that moved since `last_epoch` was returned
+    /// returns at once, so no wake-up between two waits is lost.
     pub(crate) fn wait_work(&self, last_epoch: u64, timeout: Duration) -> u64 {
         let mut epoch = self.work.lock().unwrap_or_else(|e| e.into_inner());
         if *epoch == last_epoch {
@@ -1140,13 +1253,16 @@ impl ShardedServer {
     /// so the ordering book stays consistent — affected clients simply
     /// retry. Do not *submit* wires through this hook: out-of-band
     /// wires have no tickets and would desynchronize reply pairing.
+    /// Attached drivers are woken on release if the shard still holds
+    /// wires (they may have arrived while `f` ran).
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of range.
     pub fn with_shard<R>(&mut self, index: u32, f: impl FnOnce(&mut dyn Lane) -> R) -> R {
+        let idx = index as usize;
         let (result, purged) = {
-            let shard = &self.core.shards[index as usize];
+            let shard = &self.core.shards[idx];
             let mut lane = lock(&shard.lane);
             let result = f(&mut *lane.server);
             // Resync: a stopped enclave (crash/power failure) — or
@@ -1155,14 +1271,16 @@ impl ShardedServer {
             // `LcmServer::crash` (which drops its host-side queue),
             // the crashed shard's ingress dies with it: write every
             // affected ticket off so clients retry with fresh ones.
-            let mut purged: Vec<(u64, ClientId)> = Vec::new();
-            if !lane.server.is_running() || lane.server.queued() < lane.inflight.len() {
-                purged.extend(lane.inflight.drain(..));
-                purged.extend(shard.drain_ingress());
-            }
+            let destroyed = !lane.server.is_running() || lane.server.queued() < lane.inflight.len();
+            let purged = if destroyed {
+                shard.purge(&mut lane)
+            } else {
+                Vec::new()
+            };
             (result, purged)
         };
         self.core.write_off(purged);
+        self.core.wake_if_backlogged(idx);
         result
     }
 
@@ -1452,9 +1570,8 @@ impl BatchServer for ShardedServer {
 
     fn crash(&mut self) {
         for shard in &self.core.shards {
-            shard.ingress.drain_pending();
             let mut lane = lock(&shard.lane);
-            lane.inflight.clear();
+            shard.purge(&mut lane);
             lane.server.crash();
         }
         // The book settles wholesale, so a concurrent front-end's
@@ -1463,6 +1580,11 @@ impl BatchServer for ShardedServer {
         // Outstanding admission credits died with their tickets.
         self.core.admission.reset_in_flight();
         self.core.notify_settled();
+        // Wires that arrived after their lane was purged wait for a
+        // driver that found the lane held.
+        for idx in 0..self.core.shards.len() {
+            self.core.wake_if_backlogged(idx);
+        }
         // The enclaves restart: their identities recover from sealed
         // state, but the operational "this epoch was attested" record
         // starts over.
@@ -1484,7 +1606,7 @@ impl BatchServer for ShardedServer {
         self.core
             .shards
             .iter()
-            .map(|s| lock(&s.lane).server.batch_limit())
+            .map(|s| s.batch_limit)
             .max()
             .unwrap_or(1)
     }
@@ -3099,6 +3221,57 @@ mod tests {
         }
         assert_eq!(book.collect().len(), 100_000);
         assert!(book.lines.is_empty(), "{} lines kept", book.lines.len());
+    }
+
+    /// The epoch parked drivers wait on.
+    fn work_epoch(core: &ShardCore) -> u64 {
+        *core.work.lock().unwrap()
+    }
+
+    /// Submits `n` wires to lane 0 and names (1-based) the ones that
+    /// woke the drivers. Nothing drives the lane meanwhile.
+    fn waking_wires(core: &ShardCore, n: usize) -> Vec<usize> {
+        let woke = |_: &usize| {
+            let before = work_epoch(core);
+            core.submit_to_lane(0, vec![0; 4]);
+            work_epoch(core) != before
+        };
+        (1..=n).filter(woke).collect()
+    }
+
+    #[test]
+    fn a_submission_wakes_drivers_only_when_a_lane_starts_or_fills_a_batch() {
+        let world = TeeWorld::new_deterministic(91);
+        let server =
+            build_sharded::<Counter>(&world, 1, Arc::new(MemoryStorage::new()), 16, 1, false);
+        let core = server.core();
+        core.attach_drivers(1);
+        assert_eq!(waking_wires(&core, 40), [1, 16]);
+    }
+
+    #[test]
+    fn a_submission_wakes_drivers_only_when_a_lane_starts_or_fills_a_batch_after_with_shard_purges_the_lane(
+    ) {
+        let (mut server, _admin, _clients) = sharded_counter(1, 1);
+        let core = server.core();
+        core.attach_drivers(1);
+        assert_eq!(waking_wires(&core, 5), [1]);
+        // A driver takes the five in and leaves them to form a batch.
+        let status = core.drive(0, Some(Duration::from_secs(3600)));
+        assert!(matches!(status, DriveStatus::Waiting(_)), "{status:?}");
+        assert!(waking_wires(&core, 3).is_empty());
+        // Releasing a lane that holds wires wakes the drivers: one that
+        // found it held has not seen them.
+        let before = work_epoch(&core);
+        assert_eq!(server.with_shard(0, |lane| lane.queued()), 5);
+        assert_eq!(work_epoch(&core), before + 1);
+        // A crash through the same hook writes the forming lane off,
+        // ingress and all...
+        server.with_shard(0, |lane| lane.crash());
+        assert_eq!(core.unsettled(), 0);
+        assert_eq!(work_epoch(&core), before + 1, "nothing left to wake for");
+        // ...so the next wire starts a batch again.
+        assert_eq!(waking_wires(&core, 16), [1, 16]);
     }
 
     #[test]

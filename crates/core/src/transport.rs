@@ -13,7 +13,13 @@
 //!
 //! The pump comes in two forms and no third. With driver threads
 //! attached it is continuous: drivers execute whatever arrives and
-//! stream replies to the ports. No drivers (`Frontend::new(server, 0)`)
+//! stream replies to the ports. A lane holding less than a batch
+//! lingers up to [`BATCH_LINGER`] to fill; a lane that fills its batch
+//! is driven at once. Between sweeps a driver parks on the shared
+//! work signal until the nearest forming batch is due, and a
+//! submission raises that signal only when it starts or fills a
+//! lane's batch (`shard.rs` module docs, § Concurrent driving, has the
+//! rule and why it loses no wire). No drivers (`Frontend::new(server, 0)`)
 //! ⇒ the caller steps the server: [`BatchServer::step`] runs one batch
 //! per lane through the drive [`ShardedServer`]'s own `step` runs,
 //! which keeps batch arithmetic and crash scheduling deterministic in
@@ -87,6 +93,9 @@ impl TransportStats {
 /// lands, squandering the seal-and-store amortization; a fraction of a
 /// typical store round-trip recovers full batches at a latency cost
 /// one batch cycle amortizes away.
+///
+/// The linger bounds only a sub-batch: the wire that fills a lane's
+/// batch wakes a parked driver, which executes it at once.
 pub const BATCH_LINGER: Duration = Duration::from_micros(600);
 
 // ---------------------------------------------------------------------------
@@ -281,49 +290,42 @@ impl std::fmt::Debug for Frontend {
 }
 
 fn driver_loop(core: Arc<ShardCore>, shared: Arc<FrontendShared>) {
+    /// How long a driver with no batch forming parks before it sweeps
+    /// again unasked (a safety net: every lane that gains a wire wakes
+    /// it first).
+    const IDLE: Duration = Duration::from_millis(25);
     let mut epoch = 0u64;
-    loop {
-        epoch = core.wait_work(epoch, Duration::from_millis(25));
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        // Pump every lane until a full sweep makes no progress; lanes
-        // another driver currently owns are skipped, not waited on;
-        // lanes still forming a batch are revisited when ripe.
-        loop {
-            let mut progress = false;
-            let mut forming: Option<Duration> = None;
-            for lane in 0..core.lanes() {
-                match core.drive(lane, Some(BATCH_LINGER)) {
-                    DriveStatus::Progress => {
-                        progress = true;
-                        // Demux NOW, before touching the next lane: a
-                        // drive can block a store round-trip, and
-                        // replies sitting in the book that long would
-                        // stall their producers' closed loops (and
-                        // fragment the next batch).
-                        shared.dispatch(&core);
-                    }
-                    DriveStatus::Waiting(left) => {
-                        forming = Some(forming.map_or(left, |f| f.min(left)));
-                    }
-                    DriveStatus::Idle | DriveStatus::Busy => {}
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        // Sweep every lane; lanes another thread currently holds are
+        // skipped, not waited on.
+        let mut progress = false;
+        let mut due: Option<Duration> = None;
+        for lane in 0..core.lanes() {
+            let revisit = match core.drive(lane, Some(BATCH_LINGER)) {
+                DriveStatus::Progress => {
+                    progress = true;
+                    // Demux NOW, before touching the next lane: a drive
+                    // can block a store round-trip, and replies sitting
+                    // in the book that long would stall their
+                    // producers' closed loops (and fragment the next
+                    // batch).
+                    shared.dispatch(&core);
+                    continue;
                 }
-            }
-            shared.dispatch(&core);
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            if progress {
-                continue;
-            }
-            match forming {
-                // Nap until the nearest forming batch ripens (more
-                // wires arriving will ripen it early — the next sweep
-                // sees a full batch either way).
-                Some(left) => std::thread::sleep(left.min(Duration::from_millis(5))),
-                None => break,
-            }
+                DriveStatus::Idle => continue,
+                DriveStatus::Waiting(left) => left,
+                // Its holder may be no driver (a control-plane call, a
+                // read): look again one linger later.
+                DriveStatus::Busy => BATCH_LINGER,
+            };
+            due = Some(due.map_or(revisit, |d| d.min(revisit)));
+        }
+        shared.dispatch(&core);
+        // Park until the nearest forming batch is due — or until a
+        // wire starts or fills a batch, which is what ends the wait of
+        // a lane that fills before its linger is out.
+        if !progress {
+            epoch = core.wait_work(epoch, due.unwrap_or(IDLE));
         }
     }
 }
@@ -792,6 +794,78 @@ mod tests {
         fe.submit(wire);
         let err = fe.process_all().unwrap_err();
         assert!(err.is_violation(), "got {err:?}");
+    }
+
+    #[test]
+    fn a_full_batch_does_not_wait_out_the_linger() {
+        // One lane, one driver, sixteen clients. In a `filled` round
+        // the first wire starts the lane's linger clock and the other
+        // fifteen fill the batch, and the driver must run it then — not
+        // when the linger is out. A `whole` round, alternated with it,
+        // reads what sending and answering a batch cost on this build:
+        // all sixteen wires land while the lane is held, so the driver
+        // finds the batch full once woken. Either clock runs from the
+        // last sends to the last reply, across one wake-up.
+        const ROUNDS: usize = 20;
+        let (mut fe, mut clients) = frontend_counter(1, 16, 1);
+        let ports: Vec<FrontendPort> = clients.iter().map(|c| fe.connect(c.id())).collect();
+        let (mut filled, mut whole) = (Vec::new(), Vec::new());
+        for round in 0..20 * ROUNDS {
+            if filled.len() == ROUNDS && whole.len() == ROUNDS {
+                break;
+            }
+            let op = Counter::inc_op(b"n", 1);
+            let wires = clients
+                .iter_mut()
+                .map(|c| c.invoke_for::<Counter>(&op).unwrap());
+            let mut sends = ports.iter().zip(wires.collect::<Vec<_>>());
+            let first = std::time::Instant::now();
+            let mut start = first;
+            let times = if round % 2 == 0 {
+                let (port, wire) = sends.next().unwrap();
+                port.send(wire);
+                // Let the driver take the first wire in and linger.
+                std::thread::sleep(BATCH_LINGER / 6);
+                start = std::time::Instant::now();
+                sends.for_each(|(port, wire)| port.send(wire));
+                // Count only rounds whose wires all landed in the first
+                // third of the linger: a driver that waits it out then
+                // costs at least the other two thirds. (On a loaded host
+                // the sleep or the sends can outlast the linger, and
+                // part of the batch runs at the deadline whatever the
+                // drivers do.)
+                (first.elapsed() < BATCH_LINGER / 3).then_some(&mut filled)
+            } else {
+                fe.server_mut()
+                    .with_shard(0, |_| sends.for_each(|(port, wire)| port.send(wire)));
+                // Releasing the lane woke the driver already; wake it
+                // here as well so the control does not rest on that.
+                fe.core.notify_work();
+                Some(&mut whole)
+            };
+            let replies: Vec<Vec<u8>> = ports
+                .iter()
+                .map(|p| p.recv_timeout(Duration::from_secs(10)).expect("reply"))
+                .collect();
+            if let Some(times) = times.filter(|t| t.len() < ROUNDS) {
+                times.push(start.elapsed());
+            }
+            for (client, reply) in clients.iter_mut().zip(&replies) {
+                client.handle_reply(reply).unwrap();
+            }
+        }
+        assert_eq!(filled.len(), ROUNDS, "too few rounds beat the linger");
+        // Lower quartiles: a loaded host adds whole scheduler slices to
+        // some rounds of either kind, never takes time away.
+        let quartile = |mut times: Vec<Duration>| {
+            times.sort();
+            times[times.len() / 4]
+        };
+        let (filled, whole) = (quartile(filled), quartile(whole));
+        assert!(
+            filled < whole + BATCH_LINGER / 3,
+            "a batch filled while lingering took {filled:?} to answer, a whole one {whole:?}"
+        );
     }
 
     #[test]
