@@ -543,12 +543,6 @@ impl AdmissionState {
         self.enabled.store(true, Ordering::SeqCst);
     }
 
-    /// Deactivates metering + dedup; histograms keep filling under
-    /// the last registration (or [`TenantId::UNMETERED`]).
-    pub fn disable(&self) {
-        self.enabled.store(false, Ordering::SeqCst);
-    }
-
     /// Sets the deployment-mode label reported by snapshots.
     pub fn set_mode(&self, mode: &str) {
         self.lock().mode = mode.to_string();
@@ -732,9 +726,9 @@ impl AdmissionState {
             tenants.push(row(
                 TenantId::UNMETERED,
                 u.admitted,
+                0,
                 u.replayed,
                 u.deduped,
-                0,
                 u.in_flight,
                 usize::MAX,
             ));
@@ -865,6 +859,29 @@ mod tests {
         let un = snap.tenant(TenantId::UNMETERED).unwrap();
         assert_eq!(un.overall.count, 1);
         assert_eq!(un.cells[0].shard, 2);
+    }
+
+    #[test]
+    fn unmetered_row_reports_each_counter_in_its_own_column() {
+        let adm = AdmissionState::new();
+        adm.configure(AdmissionConfig::new(vec![TenantConfig::unlimited(
+            TenantId(1),
+            vec![ClientId(1)],
+            1,
+        )]));
+        let stranger = ClientId(2);
+        assert!(adm.admit(stranger).unwrap());
+        adm.note_replayed(stranger);
+        adm.note_replayed(stranger);
+        adm.note_deduped(stranger);
+        adm.note_deduped(stranger);
+        adm.note_deduped(stranger);
+        let snap = adm.health_snapshot();
+        let un = snap.tenant(TenantId::UNMETERED).unwrap();
+        assert_eq!(
+            (un.admitted, un.rejected, un.replayed, un.deduped),
+            (1, 0, 2, 3)
+        );
     }
 
     #[test]

@@ -500,12 +500,6 @@ impl ShardIdentity {
         }
     }
 
-    /// Whether route hash `route` maps to this shard (any replica of
-    /// the group owns the same routes).
-    pub fn owns_route(&self, route: u32) -> bool {
-        crate::shard::shard_index(route, self.count) == self.index
-    }
-
     /// Whether `other` names a member of the same replica group: same
     /// shard slot and the same group size, any replica.
     pub fn same_group(&self, other: &ShardIdentity) -> bool {

@@ -27,9 +27,25 @@
 //!
 //! There is one transport and one plane beneath it: the front-end
 //! drives the shared core of a [`ShardedServer`] directly (a solo
-//! server is the 1-lane deployment). Link-level adversaries — hold,
-//! tamper, replay — are modelled with `lcm_net::Duplex` links in front
-//! of `submit` (see `tests/attacks.rs`), not with a second transport.
+//! server is the 1-lane deployment). The host *is* the link adversary,
+//! so every wire attack is something the host does on the one path
+//! every wire takes — `submit`, `process_all`, `submit_to_shard` — and
+//! each power has a scenario that fails if the attack goes undetected
+//! or the loss unrecovered (the `tests/` scenarios run in every
+//! `all_modes!` row):
+//!
+//! | Host power | Scenario |
+//! |------------|----------|
+//! | drop a request | `end_to_end::lost_request_recovered_via_retry_over_links` |
+//! | drop a reply | `end_to_end::lost_reply_recovered_via_cached_retry_over_links` |
+//! | replay a request | `attacks::replayed_invoke_halts_context` |
+//! | reorder a client's requests | `attacks::reordered_requests_from_one_client_detected` |
+//! | tamper with an invoke | `attacks::tampered_invoke_halts_context` |
+//! | tamper with a reply | `attacks::tampered_reply_halts_client` |
+//! | hand a reply to the wrong client | `attacks::reply_swapped_between_clients_detected` |
+//! | misdeliver a wire to another shard | `attacks::first_op_misdelivered_to_wrong_shard_detected`, `attacks::misdelivery_after_history_still_detected_by_enclave` |
+//! | swap cross-shard replies | `shard::tests::swapped_cross_shard_genesis_replies_cannot_be_misattributed` |
+//!
 //! Shared drop/flow counters are atomic ([`TransportStats`]) and
 //! readable from `&self` while other threads keep pumping.
 

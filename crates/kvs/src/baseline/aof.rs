@@ -1,9 +1,10 @@
 //! File-backed append-only-file baseline with fsync batching (group
-//! commit).
+//! commit): the "Redis TLS" series.
 //!
-//! [`crate::baseline::RedisLikeKvsServer`] models Redis' AOF strategy
-//! against the abstract blob-store interface; this variant grounds it
-//! further: a **real file**, appended incrementally, with the three
+//! The paper benchmarks Redis configured with an append log (§6.1);
+//! Redis itself is out of scope, and this server models its AOF
+//! strategy with no security machinery in the server process: a
+//! **real file**, appended incrementally, with the three
 //! durability policies Redis exposes as `appendfsync`
 //! (`always` / `everysec`-style batching / `no`). Group commit is the
 //! baseline counterpart of the LCM server's seal batching — one fsync

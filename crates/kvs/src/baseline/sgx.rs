@@ -13,7 +13,6 @@ use std::sync::Arc;
 use lcm_core::codec::{CodecError, Reader, WireCodec, Writer};
 use lcm_core::functionality::Functionality;
 use lcm_crypto::aead::{self, AeadKey};
-use lcm_crypto::keys::SecretKey;
 use lcm_storage::StableStorage;
 use lcm_tee::enclave::{Enclave, EnclaveProgram};
 use lcm_tee::measurement::Measurement;
@@ -340,9 +339,6 @@ impl SecureKvsClient {
         self.decrypt_reply(last)
     }
 }
-
-/// Wrap `SecretKey` derivation for the session, used by keys module.
-pub(crate) fn _session_secret(_k: &SecretKey) {}
 
 #[cfg(test)]
 mod tests {

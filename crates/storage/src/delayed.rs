@@ -6,8 +6,8 @@ use std::time::Duration;
 use crate::{Result, StableStorage};
 
 /// Wraps an honest store, sleeping for a fixed duration on every
-/// `store` (and optionally `load`) — a deterministic stand-in for
-/// write+fsync latency when measuring *real* concurrency.
+/// `store` — a deterministic stand-in for write+fsync latency when
+/// measuring *real* concurrency.
 ///
 /// The discrete-event simulator charges disk costs virtually
 /// ([`crate::DiskModel`]); this wrapper charges them in wall-clock
@@ -19,7 +19,6 @@ use crate::{Result, StableStorage};
 pub struct DelayedStorage<S> {
     inner: S,
     store_delay: Duration,
-    load_delay: Duration,
     stores: AtomicU64,
     loads: AtomicU64,
 }
@@ -30,16 +29,9 @@ impl<S: StableStorage> DelayedStorage<S> {
         DelayedStorage {
             inner,
             store_delay,
-            load_delay: Duration::ZERO,
             stores: AtomicU64::new(0),
             loads: AtomicU64::new(0),
         }
-    }
-
-    /// Also sleeps `load_delay` on every read.
-    pub fn with_load_delay(mut self, load_delay: Duration) -> Self {
-        self.load_delay = load_delay;
-        self
     }
 
     /// Number of `store` calls served.
@@ -68,9 +60,6 @@ impl<S: StableStorage> StableStorage for DelayedStorage<S> {
     }
 
     fn load(&self, slot: &str) -> Result<Option<Vec<u8>>> {
-        if !self.load_delay.is_zero() {
-            std::thread::sleep(self.load_delay);
-        }
         self.loads.fetch_add(1, Ordering::SeqCst);
         self.inner.load(slot)
     }

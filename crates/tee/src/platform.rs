@@ -10,7 +10,7 @@ use lcm_crypto::hmac::hmac_sha256;
 use lcm_crypto::keys::SecretKey;
 use lcm_crypto::sha256::Digest;
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::attestation::Report;
@@ -246,11 +246,6 @@ impl TeeServices {
     /// independent, reproducible stream.
     pub fn rng(&self) -> StdRng {
         StdRng::seed_from_u64(self.rng_seed)
-    }
-
-    /// Fills `buf` with TEE-sourced randomness.
-    pub fn fill_random(&self, buf: &mut [u8]) {
-        self.rng().fill_bytes(buf);
     }
 
     /// The migration-channel key shared by enclaves running this same

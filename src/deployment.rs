@@ -30,7 +30,7 @@ use lcm_core::admin::{AdminHandle, DeploymentManifest};
 use lcm_core::admission::{AdmissionConfig, HealthSnapshot};
 use lcm_core::client::LcmClient;
 use lcm_core::functionality::Functionality;
-use lcm_core::server::{BatchServer, Replies};
+use lcm_core::server::{BatchServer, Replies, DEFAULT_BATCH_LIMIT};
 use lcm_core::shard::build_sharded;
 use lcm_core::stability::Quorum;
 use lcm_core::transport::{Frontend, FrontendPort, TransportStats};
@@ -104,7 +104,7 @@ impl<F: Functionality + 'static> DeploymentBuilder<F> {
             mode: Mode::Sync,
             driver_threads: None,
             admission: None,
-            batch_limit: 16,
+            batch_limit: DEFAULT_BATCH_LIMIT,
             clients: vec![ClientId(1)],
             quorum: Quorum::Majority,
             seed: 2024,
@@ -156,7 +156,7 @@ impl<F: Functionality + 'static> DeploymentBuilder<F> {
         self
     }
 
-    /// Per-shard batch limit (default 16).
+    /// Per-shard batch limit (default [`DEFAULT_BATCH_LIMIT`], 16).
     pub fn batch_limit(mut self, n: usize) -> Self {
         self.batch_limit = n.max(1);
         self

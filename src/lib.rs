@@ -11,8 +11,6 @@
 //!   ChaCha20-Poly1305 AEAD primitives.
 //! * [`tee`] — SGX-like trusted-execution-environment simulator.
 //! * [`storage`] — stable storage with adversarial (rollback) wrappers.
-//! * [`net`] — adversary-controllable links (hold, tamper, replay)
-//!   the attack suites put in front of a server.
 //! * [`runtime`] — hand-rolled bounded queues, worker pools, and
 //!   pipeline stage workers (the concurrency substrate of the
 //!   asynchronous-write mode and the front-end).
@@ -50,7 +48,6 @@
 pub use lcm_core as core;
 pub use lcm_crypto as crypto;
 pub use lcm_kvs as kvs;
-pub use lcm_net as net;
 pub use lcm_runtime as runtime;
 pub use lcm_sim as sim;
 pub use lcm_storage as storage;

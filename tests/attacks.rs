@@ -25,7 +25,6 @@ use lcm::core::LcmError;
 use lcm::kvs::client::KvsClient;
 use lcm::kvs::ops::KvOp;
 use lcm::kvs::store::KvStore;
-use lcm::net::Duplex;
 use lcm::storage::{AdversaryMode, RollbackStorage, StableStorage, Version};
 use lcm::tee::world::TeeWorld;
 
@@ -220,22 +219,17 @@ fn forked_views_never_join(mode: Mode) {
 fn replayed_invoke_halts_context(mode: Mode) {
     let (_w, _s, mut server, _a, mut clients) = setup_adversarial(mode, 1, 26);
     let c = &mut clients[0];
-    let duplex = Duplex::adversarial();
-    duplex.to_server.set_auto_deliver(true);
-    duplex.to_client.set_auto_deliver(true);
 
+    // The host forwards the request and keeps a copy of the wire.
     let wire = c
         .invoke_wire(&KvOp::Put(b"k".to_vec(), b"v".to_vec()))
         .unwrap();
-    duplex.client.send(wire.clone());
-    server.submit(duplex.server.try_recv().unwrap());
+    server.submit(wire.clone());
     let replies = server.process_all().unwrap();
-    duplex.server.send(replies[0].1.clone());
-    c.complete(&duplex.client.try_recv().unwrap()).unwrap();
+    c.complete(&replies[0].1).unwrap();
 
     // The server replays the captured request.
-    duplex.to_server.inject(wire);
-    server.submit(duplex.server.try_recv().unwrap());
+    server.submit(wire);
     let err = server.process_all().unwrap_err();
     assert!(err.is_violation(), "got {err:?}");
 }

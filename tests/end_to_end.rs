@@ -1,6 +1,6 @@
 //! End-to-end integration tests across the full stack:
-//! clients ⇄ (adversary-controllable links) ⇄ host server ⇄ enclave ⇄
-//! sealed storage.
+//! clients ⇄ host server (which carries, and may drop, every wire) ⇄
+//! enclave ⇄ sealed storage.
 //!
 //! Every scenario runs against every server mode — the synchronous
 //! `LcmServer` loop, the same server with asynchronous write
@@ -22,7 +22,6 @@ use lcm::core::verify::{check_single_history, check_stable_prefix};
 use lcm::kvs::client::KvsClient;
 use lcm::kvs::ops::{KvOp, KvResult};
 use lcm::kvs::store::KvStore;
-use lcm::net::Duplex;
 use lcm::storage::MemoryStorage;
 use lcm::tee::world::TeeWorld;
 
@@ -155,46 +154,33 @@ fn crash_between_rounds_is_transparent(mode: Mode) {
 fn lost_request_recovered_via_retry_over_links(mode: Mode) {
     let (_w, mut server, _admin, mut clients) = setup(mode, 1, 1, 6);
     let c = &mut clients[0];
-    let duplex = Duplex::adversarial();
 
-    // Client sends; the message is dropped in flight (server crash).
-    duplex.client.send(
-        c.invoke_wire(&KvOp::Put(b"a".to_vec(), b"1".to_vec()))
-            .unwrap(),
-    );
-    duplex.to_server.drop_next();
+    // The host never submits the request, then crashes.
+    c.invoke_wire(&KvOp::Put(b"a".to_vec(), b"1".to_vec()))
+        .unwrap();
     server.crash();
     server.boot().unwrap();
 
-    // Timeout expires: the client retries through the (now honest)
-    // link; the retry executes normally.
-    duplex.to_server.set_auto_deliver(true);
-    duplex.to_client.set_auto_deliver(true);
-    duplex.client.send(c.lcm_mut().retry().unwrap());
-    let wire = duplex.server.try_recv().unwrap();
-    server.submit(wire);
+    // Timeout expires: the client retries, the host forwards it, and
+    // the retry executes normally.
+    server.submit(c.lcm_mut().retry().unwrap());
     let replies = server.process_all().unwrap();
-    duplex.server.send(replies[0].1.clone());
-    let reply = duplex.client.try_recv().unwrap();
-    let done = c.complete(&reply).unwrap();
+    let done = c.complete(&replies[0].1).unwrap();
     assert_eq!(done.completion.seq.0, 1);
+    assert_eq!(c.get(&mut *server, b"a").unwrap().unwrap(), b"1");
 }
 
 fn lost_reply_recovered_via_cached_retry_over_links(mode: Mode) {
     let (_w, mut server, _admin, mut clients) = setup(mode, 1, 1, 7);
     let c = &mut clients[0];
-    let duplex = Duplex::adversarial();
-    duplex.to_server.set_auto_deliver(true);
 
-    // Request processed; reply dropped in flight.
-    duplex.client.send(
+    // Request processed; the host discards the reply before the
+    // client can `complete` it.
+    server.submit(
         c.invoke_wire(&KvOp::Put(b"a".to_vec(), b"1".to_vec()))
             .unwrap(),
     );
-    server.submit(duplex.server.try_recv().unwrap());
-    let replies = server.process_all().unwrap();
-    duplex.server.send(replies[0].1.clone());
-    duplex.to_client.drop_next(); // reply lost
+    assert_eq!(server.process_all().unwrap().len(), 1);
 
     // Server even crashes afterwards.
     server.crash();
@@ -202,16 +188,15 @@ fn lost_reply_recovered_via_cached_retry_over_links(mode: Mode) {
 
     // Retry: T recognizes the acknowledged context and resends the
     // cached reply without re-executing.
-    duplex.client.send(c.lcm_mut().retry().unwrap());
-    server.submit(duplex.server.try_recv().unwrap());
+    server.submit(c.lcm_mut().retry().unwrap());
     let replies = server.process_all().unwrap();
-    duplex.to_client.set_auto_deliver(true);
-    duplex.server.send(replies[0].1.clone());
-    let done = c.complete(&duplex.client.try_recv().unwrap()).unwrap();
+    let done = c.complete(&replies[0].1).unwrap();
     assert_eq!(done.completion.seq.0, 1);
-    // The store was mutated exactly once.
-    let v = c.get(&mut *server, b"a").unwrap();
-    assert_eq!(v.unwrap(), b"1");
+    // The store was mutated exactly once: the next op on the key
+    // takes sequence number 2, not 3.
+    let read = c.run(&mut *server, &KvOp::Get(b"a".to_vec())).unwrap();
+    assert_eq!(read.completion.seq.0, 2);
+    assert_eq!(read.result, KvResult::Value(Some(b"1".to_vec())));
 }
 
 fn single_client_group_is_immediately_stable(mode: Mode) {
