@@ -128,7 +128,6 @@ fn bench_sharded(c: &mut Criterion) {
             clients: SHARD_CLIENTS,
             rounds: 0, // driven by criterion below
             store_delay: Duration::from_micros(400),
-            hot_clients: 0,
         });
         group.bench_function(
             BenchmarkId::from_parameter(format!("shards_{shards}")),

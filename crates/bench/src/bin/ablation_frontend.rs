@@ -106,7 +106,6 @@ fn main() {
             clients: CLIENTS,
             rounds: 0,
             store_delay: STORE_DELAY,
-            hot_clients: 0,
         };
         let single = measure_for(&cfg, window);
         let fe: Vec<f64> = THREAD_SWEEP

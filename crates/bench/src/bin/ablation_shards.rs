@@ -91,7 +91,6 @@ fn main() {
                 clients,
                 rounds,
                 store_delay: STORE_DELAY,
-                hot_clients: 0,
             };
             let sync = measure(&cfg);
             let pipe = measure(&ShardRun {

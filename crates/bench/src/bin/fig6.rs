@@ -88,7 +88,8 @@ fn main() {
     // The delta-log engine is not in the paper; even at the paper's
     // small 1000-record store the touched-key diff seals less than the
     // full state, buying a modest edge that widens with store size
-    // (see bench_snapshot's delta cells for the large-store case).
+    // (`sharding_validation::delta_store_term_tracks_the_real_engine_state_independence`
+    // pins the large-store case).
     compare(
         "LCM+batch delta-log / full-seal (fsync)",
         "1.0x – 1.3x",

@@ -1015,6 +1015,45 @@ mod tests {
     }
 
     #[test]
+    fn reads_pinned_to_distinct_members_do_not_wait_for_each_other() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let (mut group, mut client) = group_of::<Counter>(3, Quorum::Majority);
+        assert_eq!(inc(&mut group, &mut client), 1);
+        let port = group.read_port().unwrap();
+        let op = Counter::read_op(b"n");
+
+        // Member 0 is busy (the test holds it): a read pinned there
+        // waits for it, and one pinned to member 1 must not wait too.
+        let held = lock(&group.members[0].server);
+        std::thread::scope(|s| {
+            let serve = |wire: Vec<u8>| {
+                let (tx, rx) = mpsc::channel();
+                let port = &port;
+                s.spawn(move || tx.send(port.serve_read(wire)).unwrap());
+                rx
+            };
+            let on_0 = serve(client.read_for::<Counter>(&op, 0).unwrap());
+            // Time for the first read to park on member 0, so that a
+            // port serializing its reads would hold the second one
+            // behind it; the assertions hold however long this takes.
+            std::thread::sleep(Duration::from_millis(50));
+            assert!(on_0.try_recv().is_err(), "member 0 is held");
+            let on_1 = serve(client.retry_read(0, Some(1)).unwrap());
+            let reply = on_1
+                .recv_timeout(Duration::from_secs(30))
+                .expect("member 1 served while member 0 was held")
+                .unwrap();
+            assert_eq!(fresh(client.handle_read_reply(&reply).unwrap()), 1);
+            assert!(on_0.try_recv().is_err(), "member 0 is still held");
+
+            drop(held);
+            let late = on_0.recv_timeout(Duration::from_secs(30));
+            assert!(late.expect("member 0 serves once released").is_ok());
+        });
+    }
+
+    #[test]
     fn read_port_rejects_out_of_range_and_truncated_hints() {
         let (group, _client) = group(3, Quorum::Majority);
         let port = group.read_port().unwrap();

@@ -825,6 +825,23 @@ mod tests {
         const ROUNDS: usize = 20;
         let (mut fe, mut clients) = frontend_counter(1, 16, 1);
         let ports: Vec<FrontendPort> = clients.iter().map(|c| fe.connect(c.id())).collect();
+        // Both kinds of round send one wire, pause while the driver
+        // takes it in, then send the other fifteen: the clock starts
+        // there. The pause yields, neither sleeps (a nap this short
+        // overshoots by the timer slack, which alone can spend the third
+        // of the linger a counted round has) nor spins without yielding
+        // (the driver is woken onto this thread's core).
+        let send_round = |wires: Vec<Vec<u8>>, first: std::time::Instant| {
+            let mut sends = ports.iter().zip(wires);
+            let (port, wire) = sends.next().unwrap();
+            port.send(wire);
+            while first.elapsed() < BATCH_LINGER / 6 {
+                std::thread::yield_now();
+            }
+            let start = std::time::Instant::now();
+            sends.for_each(|(port, wire)| port.send(wire));
+            start
+        };
         let (mut filled, mut whole) = (Vec::new(), Vec::new());
         for round in 0..20 * ROUNDS {
             if filled.len() == ROUNDS && whole.len() == ROUNDS {
@@ -834,43 +851,39 @@ mod tests {
             let wires = clients
                 .iter_mut()
                 .map(|c| c.invoke_for::<Counter>(&op).unwrap());
-            let mut sends = ports.iter().zip(wires.collect::<Vec<_>>());
+            let wires: Vec<Vec<u8>> = wires.collect();
             let first = std::time::Instant::now();
-            let mut start = first;
-            let times = if round % 2 == 0 {
-                let (port, wire) = sends.next().unwrap();
-                port.send(wire);
-                // Let the driver take the first wire in and linger.
-                std::thread::sleep(BATCH_LINGER / 6);
-                start = std::time::Instant::now();
-                sends.for_each(|(port, wire)| port.send(wire));
-                // Count only rounds whose wires all landed in the first
-                // third of the linger: a driver that waits it out then
-                // costs at least the other two thirds. (On a loaded host
-                // the sleep or the sends can outlast the linger, and
-                // part of the batch runs at the deadline whatever the
-                // drivers do.)
-                (first.elapsed() < BATCH_LINGER / 3).then_some(&mut filled)
+            let (start, times) = if round % 2 == 0 {
+                (send_round(wires, first), &mut filled)
             } else {
-                fe.server_mut()
-                    .with_shard(0, |_| sends.for_each(|(port, wire)| port.send(wire)));
+                let start = fe.server_mut().with_shard(0, |_| send_round(wires, first));
                 // Releasing the lane woke the driver already; wake it
                 // here as well so the control does not rest on that.
                 fe.core.notify_work();
-                Some(&mut whole)
+                (start, &mut whole)
             };
+            // Count only rounds whose wires all landed in the first third
+            // of the linger: a driver that waits it out then costs at
+            // least the other two thirds. (On a loaded host the pause or
+            // the sends can outlast the linger, and part of the batch
+            // runs at the deadline whatever the drivers do.)
+            let counted = first.elapsed() < BATCH_LINGER / 3;
             let replies: Vec<Vec<u8>> = ports
                 .iter()
                 .map(|p| p.recv_timeout(Duration::from_secs(10)).expect("reply"))
                 .collect();
-            if let Some(times) = times.filter(|t| t.len() < ROUNDS) {
+            if counted && times.len() < ROUNDS {
                 times.push(start.elapsed());
             }
             for (client, reply) in clients.iter_mut().zip(&replies) {
                 client.handle_reply(reply).unwrap();
             }
         }
-        assert_eq!(filled.len(), ROUNDS, "too few rounds beat the linger");
+        assert_eq!(
+            (filled.len(), whole.len()),
+            (ROUNDS, ROUNDS),
+            "too few rounds beat the linger"
+        );
         // Lower quartiles: a loaded host adds whole scheduler slices to
         // some rounds of either kind, never takes time away.
         let quartile = |mut times: Vec<Duration>| {
@@ -882,6 +895,42 @@ mod tests {
             filled < whole + BATCH_LINGER / 3,
             "a batch filled while lingering took {filled:?} to answer, a whole one {whole:?}"
         );
+    }
+
+    #[test]
+    fn a_held_lane_does_not_stall_its_siblings() {
+        // Four lanes, two drivers, and lane 0 held by a control-plane
+        // call with wires queued behind it: a driver that waited for
+        // the lane instead of skipping it would leave lane 2's client
+        // unanswered until the lane is released.
+        let (mut fe, mut clients) = frontend_counter(4, 3, 2);
+        let ports: Vec<FrontendPort> = clients.iter().map(|c| fe.connect(c.id())).collect();
+        let names = [
+            crate::shard::nth_key_routing_to(0, 4, "held", 0),
+            crate::shard::nth_key_routing_to(0, 4, "held", 1),
+            crate::shard::nth_key_routing_to(2, 4, "free", 0),
+        ];
+        let wires: Vec<Vec<u8>> = clients
+            .iter_mut()
+            .zip(&names)
+            .map(|(c, name)| c.invoke_for::<Counter>(&Counter::inc_op(name, 1)).unwrap())
+            .collect();
+        let sibling = fe.server_mut().with_shard(0, |_| {
+            for (port, wire) in ports.iter().zip(wires) {
+                port.send(wire);
+            }
+            let reply = ports[2].recv_timeout(Duration::from_secs(30));
+            assert!(ports[0].try_recv().is_none(), "lane 0 is held");
+            reply
+        });
+        let reply = sibling.expect("lane 2 answered while lane 0 was held");
+        clients[2].handle_reply(&reply).unwrap();
+        for (client, port) in clients.iter_mut().zip(&ports).take(2) {
+            let reply = port
+                .recv_timeout(Duration::from_secs(30))
+                .expect("lane 0's queued wires complete once it is released");
+            client.handle_reply(&reply).unwrap();
+        }
     }
 
     #[test]

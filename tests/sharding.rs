@@ -1,6 +1,8 @@
 //! Sharding-specific integration tests: router invariants
 //! (property-based), routing stability across reboot and migration,
-//! and fault isolation when a single shard power-fails.
+//! fault isolation when a single shard power-fails, and the batch
+//! cycles a round costs at 4 vs 8 shards and before vs after live
+//! rebalancing.
 
 mod common;
 
@@ -8,9 +10,11 @@ use std::sync::Arc;
 
 use common::{mk_client, mk_server, Mode};
 use lcm::core::admin::AdminHandle;
+use lcm::core::client::{LcmClient, WriteOutcome};
+use lcm::core::codec::WireCodec;
 use lcm::core::routing::{slice_of, SliceTable, SLICE_COUNT};
 use lcm::core::server::BatchServer;
-use lcm::core::shard::{build_sharded, route_hash, shard_index};
+use lcm::core::shard::{build_sharded, nth_key_routing_to, route_hash, shard_index, ShardedServer};
 use lcm::core::stability::Quorum;
 use lcm::core::types::ClientId;
 use lcm::kvs::client::KvsClient;
@@ -445,4 +449,128 @@ fn power_failure_of_one_shard_is_isolated_and_detected() {
     // bystander's protocol state is untouched.
     assert!(victim.lcm().has_pending());
     assert!(!bystander.lcm().is_halted());
+}
+
+/// A driverless KVS deployment on `MemoryStorage`, batch 16, whose
+/// client `i` PUTs `keys[i]` once per round. `BatchServer::step` runs
+/// one batch per lane, so the steps a round takes is its busiest lane's
+/// backlog in batches — the persist cycles every client of the round
+/// waits for, counted instead of timed.
+struct BatchCycles {
+    server: ShardedServer,
+    clients: Vec<LcmClient>,
+    keys: Vec<Vec<u8>>,
+}
+
+impl BatchCycles {
+    fn new(shards: u32, keys: Vec<Vec<u8>>) -> Self {
+        let world = TeeWorld::new_deterministic(8_800 + u64::from(shards));
+        let mut server =
+            build_sharded::<KvStore>(&world, 1, Arc::new(MemoryStorage::new()), 16, shards, false);
+        assert!(server.boot().unwrap());
+        let ids: Vec<ClientId> = (1..=keys.len() as u32).map(ClientId).collect();
+        let mut admin = AdminHandle::new_deterministic(&world, ids.clone(), Quorum::Majority, 13);
+        admin.bootstrap(&mut server).unwrap();
+        let clients = ids
+            .iter()
+            .map(|&id| LcmClient::new_sharded(id, admin.client_key(), shards))
+            .collect();
+        BatchCycles {
+            server,
+            clients,
+            keys,
+        }
+    }
+
+    /// One round: every client PUTs its key, and a client redirected by
+    /// a slice move re-invokes under the table it adopted, until every
+    /// client is answered. Returns the `step` calls the round took.
+    fn round(&mut self) -> u32 {
+        let mut steps = 0;
+        let mut pending: Vec<usize> = (0..self.clients.len()).collect();
+        while !pending.is_empty() {
+            for &i in &pending {
+                let op = KvOp::Put(self.keys[i].clone(), vec![0x42; 100]).to_bytes();
+                let wire = self.clients[i].invoke_for::<KvStore>(&op).unwrap();
+                self.server.submit(wire);
+            }
+            let mut answered = 0;
+            let mut chasing = Vec::new();
+            while answered < pending.len() {
+                let replies = self.server.step().unwrap();
+                steps += 1;
+                answered += replies.len();
+                for (id, wire) in replies {
+                    let i = self.clients.iter().position(|c| c.id() == id).unwrap();
+                    match self.clients[i].handle_reply_on(&wire).unwrap() {
+                        (_, WriteOutcome::Done(_)) => {}
+                        (_, WriteOutcome::Redirected { .. }) => chasing.push(i),
+                    }
+                }
+            }
+            pending = chasing;
+        }
+        steps
+    }
+
+    /// Operations each lane has executed so far.
+    fn lane_ops(&self) -> Vec<u64> {
+        self.server.shard_stats().iter().map(|s| s.ops).collect()
+    }
+}
+
+/// Scale-out past four shards is a batch-cycle count: 96 route-hashed
+/// keys load four lanes with 24 each (two batches of 16 per round) and
+/// eight lanes with 11–13 (one), so eight shards answer a round in half
+/// the steps. Every lane also carries exactly the keys the genesis
+/// router `shard_index` assigns it — a router that stopped using some
+/// lanes would load the rest past one batch.
+#[test]
+fn eight_shards_answer_a_uniform_round_in_half_the_steps_of_four() {
+    let keys: Vec<Vec<u8>> = (0..96).map(|i| format!("k{i}").into_bytes()).collect();
+    for (shards, steps) in [(4u32, 2u32), (8, 1)] {
+        let mut rig = BatchCycles::new(shards, keys.clone());
+        assert_eq!(rig.round(), steps, "{shards} shards");
+        let mut routed = vec![0u64; shards as usize];
+        for key in &keys {
+            routed[shard_index(route_hash(key), shards) as usize] += 1;
+        }
+        assert_eq!(rig.lane_ops(), routed, "{shards} shards");
+        assert_eq!(rig.round(), steps, "{shards} shards, second round");
+    }
+}
+
+/// Live resharding dissolves a hot shard's backlog. Half of 96 clients
+/// write keys on shard 0 of 8, so lane 0 carries 53 operations a round
+/// and every client waits four batch cycles for it. The heat monitor
+/// (`rebalance_once`, alternated with rounds that chase the redirects
+/// its moves cause) spreads shard 0's slices until it declares the load
+/// balanced; from then on a round is one batch cycle on every lane.
+#[test]
+fn rebalancing_a_hot_shard_at_least_quarters_its_steps_per_round() {
+    const SHARDS: u32 = 8;
+    let keys = (0..48)
+        .map(|i| nth_key_routing_to(0, SHARDS, "hot", i))
+        .chain((48..96).map(|i| format!("k{i}").into_bytes()))
+        .collect();
+    let mut rig = BatchCycles::new(SHARDS, keys);
+    assert_eq!(rig.round(), 4);
+    assert_eq!(rig.lane_ops()[0], 53);
+
+    let mut moves = 0;
+    while rig.server.rebalance_once().unwrap().is_some() {
+        moves += 1;
+        rig.round();
+    }
+    assert_eq!(moves, 5);
+
+    let before = rig.lane_ops();
+    assert_eq!(rig.round(), 1);
+    let per_lane: Vec<u64> = rig
+        .lane_ops()
+        .iter()
+        .zip(&before)
+        .map(|(a, b)| a - b)
+        .collect();
+    assert!(per_lane.iter().all(|&ops| ops <= 16), "{per_lane:?}");
 }
