@@ -49,6 +49,12 @@
 //!   (`V[i]` mismatch). This is exactly the paper's trade: async mode
 //!   buys throughput, and the stability watermark (§4.5) tells each
 //!   client which operations were guaranteed durable.
+//!
+//! A replica group's member holds back a second kind of unwritten
+//! record: a straggler's applied-but-unstored deltas
+//! ([`LcmServer::buffered_records`]). Both crash kinds discard those.
+//! The group never counted them as held; the composed guarantee in
+//! [`crate::replica`] says why that loses no acknowledged write.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};

@@ -103,6 +103,10 @@ pub struct LcmServer<F: Functionality> {
     /// (group members only), until the group takes it
     /// ([`LcmServer::take_record`]).
     record: Option<Vec<u8>>,
+    /// Sealed deltas this member applied as a replica and has not
+    /// stored yet, in chain order; [`LcmServer::flush`] stores them in
+    /// one [`StableStorage::store_all`].
+    buffered: Vec<Vec<u8>>,
 }
 
 impl<F: Functionality> std::fmt::Debug for LcmServer<F> {
@@ -112,6 +116,7 @@ impl<F: Functionality> std::fmt::Debug for LcmServer<F> {
             .field("queued", &self.queue.len())
             .field("batch_limit", &self.batch_limit)
             .field("pending_persists", &self.pending_persists())
+            .field("buffered_records", &self.buffered.len())
             .finish()
     }
 }
@@ -147,6 +152,7 @@ impl<F: Functionality> LcmServer<F> {
             batch_scratch: Vec::new(),
             writer: None,
             record: None,
+            buffered: Vec::new(),
         }
     }
 
@@ -222,11 +228,15 @@ impl<F: Functionality> LcmServer<F> {
         self.stop(true)
     }
 
+    /// Buffered replica records die with the process on either kind of
+    /// crash: they never reached the kernel. A replica group never
+    /// counted them as held (see [`crate::replica`]).
     fn stop(&mut self, power_failure: bool) -> usize {
         let dropped = self.writer.as_ref().map_or(0, |w| w.crash(power_failure));
         self.enclave.stop();
         self.queue.clear();
         self.record = None;
+        self.buffered.clear();
         dropped
     }
 
@@ -316,6 +326,10 @@ impl<F: Functionality> LcmServer<F> {
                 self.ops_processed += n_ops;
                 // The record goes up to the group, not down to storage.
                 self.record = blobs.record.take();
+                // Records this member buffered as a follower land first,
+                // on either persist path: the slot takes records in
+                // chain order.
+                self.store_buffered()?;
                 match &mut self.writer {
                     Some(writer) => writer.submit(blobs)?,
                     None => self.persist(&blobs)?,
@@ -326,14 +340,43 @@ impl<F: Functionality> LcmServer<F> {
         }
     }
 
-    /// Blocks until every sealed snapshot handed to the background
-    /// writer has been persisted, then surfaces any storage error the
-    /// writer hit. A no-op in synchronous mode.
+    /// Stores the replica records [`LcmServer::apply_replica`]
+    /// buffered, in one [`StableStorage::store_all`], then blocks until
+    /// every sealed snapshot handed to the background writer has been
+    /// persisted and surfaces any storage error the writer hit. With
+    /// nothing buffered, a no-op in synchronous mode.
     ///
     /// # Errors
     ///
-    /// [`LcmError::Storage`] if an asynchronous persist failed.
+    /// [`LcmError::Storage`] if storing the buffer or an asynchronous
+    /// persist failed.
     pub fn flush(&mut self) -> Result<()> {
+        self.store_buffered()?;
+        self.writer_barrier()
+    }
+
+    /// Replica records applied in the enclave but not yet stored: what
+    /// the next [`LcmServer::flush`] writes.
+    pub fn buffered_records(&self) -> usize {
+        self.buffered.len()
+    }
+
+    /// Stores the buffered replica records, oldest first, in one
+    /// write. The buffer empties even if the write fails: what a store
+    /// took in part must not be handed to it again.
+    fn store_buffered(&mut self) -> Result<()> {
+        if self.buffered.is_empty() {
+            return Ok(());
+        }
+        let blobs: Vec<&[u8]> = self.buffered.iter().map(Vec::as_slice).collect();
+        let stored = self.storage.store_all(SLOT_STATE_BLOB, &blobs);
+        self.buffered.clear();
+        Ok(stored?)
+    }
+
+    /// Blocks until the background writer's queue is empty; a no-op in
+    /// synchronous mode.
+    fn writer_barrier(&self) -> Result<()> {
         self.writer.as_ref().map_or(Ok(()), PersistWriter::flush)
     }
 
@@ -413,25 +456,35 @@ impl<F: Functionality> LcmServer<F> {
     }
 
     /// Applies one record of the group's replication stream in this
-    /// server's enclave and persists what the enclave hands back for
-    /// it, returning the in-enclave digest of the record (the
-    /// acknowledgement a replica group counts toward quorum
+    /// server's enclave, returning the in-enclave digest of the record
+    /// (the acknowledgement a replica group counts toward quorum
     /// stability). See
     /// [`crate::context::TrustedContext::apply_replica`].
+    ///
+    /// What the enclave hands back to persist is stored only if it is
+    /// a sealed state (an install, or this member's own cadence
+    /// checkpoint), after the buffered records. A sealed delta is
+    /// buffered instead, until [`LcmServer::flush`] or any other store
+    /// writes the buffer: the group decides when a follower's medium
+    /// must hold a record (see [`crate::replica`]).
     ///
     /// # Errors
     ///
     /// Propagates context errors; [`LcmError::RecordOutOfOrder`]
-    /// leaves enclave and storage untouched.
+    /// leaves enclave, buffer and storage untouched.
     pub fn apply_replica(&mut self, record: &[u8]) -> Result<Digest> {
         // Control-plane barrier, as in `call`: the apply's persist
         // must land on top of everything the writer still holds.
-        self.flush()?;
+        self.writer_barrier()?;
         self.call_scratch.clear();
         HostCall::encode_apply_replica_into(&mut self.call_scratch, record);
         match self.ecall_encoded()? {
             HostReply::ApplyOk { digest, blobs } => {
-                self.persist(&blobs)?;
+                if blobs.state_blob.first() == Some(&lcm_storage::BLOB_KIND_DELTA) {
+                    self.buffered.push(blobs.state_blob);
+                } else {
+                    self.persist(&blobs)?;
+                }
                 Ok(digest)
             }
             other => Err(unexpected(other)),
@@ -527,7 +580,10 @@ impl<F: Functionality> LcmServer<F> {
         }
     }
 
-    fn persist(&self, blobs: &PersistBlobs) -> Result<()> {
+    /// Stores `blobs` inline, behind the buffered replica records, so
+    /// the slot receives records in chain order.
+    fn persist(&mut self, blobs: &PersistBlobs) -> Result<()> {
+        self.store_buffered()?;
         Ok(store_blobs(&*self.storage, blobs)?)
     }
 
@@ -891,8 +947,9 @@ pub trait Lane: Send {
     /// Number of INVOKE messages processed.
     fn ops_processed(&self) -> u64;
 
-    /// Blocks until the (leading) member's persists have reached
-    /// stable storage, surfacing asynchronous storage failures. See
+    /// Blocks until every live member's persists — a group
+    /// straggler's buffered records included — have reached stable
+    /// storage, surfacing storage failures. See
     /// [`BatchServer::flush_persists`].
     fn flush_persists(&mut self) -> Result<()>;
 

@@ -29,6 +29,8 @@ use crate::{framing, Result, StableStorage, StorageError};
 /// whose state is spread over journal, checkpoint and manifest slots.
 /// The price is device *bytes*: the slot is rewritten whole per batch,
 /// as the checkpoint was; only the sealing became O(batch).
+/// [`StableStorage::store_all`] spreads that price: it appends several
+/// deltas and writes the slot once.
 ///
 /// `lcm_core`'s server puts one around any store that is not
 /// [`StableStorage::delta_capable`]; wrap explicitly only to inspect
@@ -112,40 +114,56 @@ fn is_state(blob: &[u8]) -> bool {
     )
 }
 
+/// Whether `blob` is a sealed record the adapter folds into a mirror:
+/// a checkpoint replaces it, a delta extends it.
+fn is_record(blob: &[u8]) -> bool {
+    matches!(blob.first(), Some(&BLOB_KIND_CHECKPOINT | &BLOB_KIND_DELTA))
+}
+
 impl StableStorage for BundleStorage {
     fn store(&self, slot: &str, blob: &[u8]) -> Result<()> {
+        if is_record(blob) {
+            self.store_all(slot, &[blob])
+        } else {
+            self.inner.store(slot, blob)
+        }
+    }
+
+    fn store_all(&self, slot: &str, blobs: &[&[u8]]) -> Result<()> {
+        if blobs.is_empty() {
+            return Ok(());
+        }
+        if !blobs.iter().all(|blob| is_record(blob)) {
+            return blobs.iter().try_for_each(|blob| self.store(slot, blob));
+        }
         // The lock is held across the inner write: the adapter serves
         // one lane, and the alternative is a copy of the slot per
-        // batch. A failed write leaves the mirror ahead of the medium,
+        // write. A failed write leaves the mirror ahead of the medium,
         // which the next store — the slot, whole — repairs.
-        match blob.first() {
-            Some(&BLOB_KIND_CHECKPOINT) => {
-                let mut slots = self.lock_slots();
+        let mut slots = self.lock_slots();
+        for blob in blobs {
+            if blob.first() == Some(&BLOB_KIND_CHECKPOINT) {
                 let mirror = slots.entry(slot.to_owned()).or_default();
                 mirror.clear();
                 mirror.extend_from_slice(blob);
-                self.inner.store(slot, mirror)
+                continue;
             }
-            Some(&BLOB_KIND_DELTA) => {
-                let mut slots = self.lock_slots();
-                if !slots.contains_key(slot) {
-                    if let Some(state) = self.load_intact(slot)?.filter(|b| is_state(b)) {
-                        slots.insert(slot.to_owned(), state);
-                    }
+            if !slots.contains_key(slot) {
+                if let Some(state) = self.load_intact(slot)?.filter(|b| is_state(b)) {
+                    slots.insert(slot.to_owned(), state);
                 }
-                let Some(mirror) = slots.get_mut(slot) else {
-                    return Err(StorageError::Io(std::io::Error::other(format!(
-                        "delta for slot {slot:?}, which holds no checkpoint"
-                    ))));
-                };
-                if mirror.first() == Some(&BLOB_KIND_CHECKPOINT) {
-                    *mirror = make_bundle(mirror, std::iter::empty());
-                }
-                framing::append_frame(mirror, blob);
-                self.inner.store(slot, mirror)
             }
-            _ => self.inner.store(slot, blob),
+            let Some(mirror) = slots.get_mut(slot) else {
+                return Err(StorageError::Io(std::io::Error::other(format!(
+                    "delta for slot {slot:?}, which holds no checkpoint"
+                ))));
+            };
+            if mirror.first() == Some(&BLOB_KIND_CHECKPOINT) {
+                *mirror = make_bundle(mirror, std::iter::empty());
+            }
+            framing::append_frame(mirror, blob);
         }
+        self.inner.store(slot, &slots[slot])
     }
 
     fn load(&self, slot: &str) -> Result<Option<Vec<u8>>> {
@@ -215,6 +233,35 @@ mod tests {
         assert_eq!(c, &ckpt(1)[..]);
         assert_eq!(ds, vec![&delta(2)[..], &delta(3)[..]]);
         assert_eq!(s.load("s").unwrap().unwrap(), slot);
+    }
+
+    #[test]
+    fn store_all_appends_every_delta_and_writes_the_slot_once() {
+        let plain = Arc::new(crate::DelayedStorage::new(
+            MemoryStorage::new(),
+            std::time::Duration::ZERO,
+        ));
+        let s = BundleStorage::new(plain.clone());
+        s.store("s", &ckpt(1)).unwrap();
+        let before = plain.stores();
+        s.store_all("s", &[&delta(2), &delta(3), &delta(4)])
+            .unwrap();
+        assert_eq!(plain.stores(), before + 1, "one write for three records");
+        let slot = plain.load("s").unwrap().unwrap();
+        let (c, ds) = parse_bundle(&slot).unwrap();
+        assert_eq!(c, &ckpt(1)[..]);
+        assert_eq!(ds, vec![&delta(2)[..], &delta(3)[..], &delta(4)[..]]);
+
+        // A checkpoint among them replaces what came before it, still
+        // in one write; nothing at all writes nothing.
+        s.store_all("s", &[&delta(5), &ckpt(6), &delta(7)]).unwrap();
+        s.store_all("s", &[]).unwrap();
+        assert_eq!(plain.stores(), before + 2);
+        let slot = plain.load("s").unwrap().unwrap();
+        assert_eq!(
+            parse_bundle(&slot),
+            Some((&ckpt(6)[..], vec![&delta(7)[..]]))
+        );
     }
 
     #[test]

@@ -100,6 +100,20 @@ pub trait StableStorage: Send + Sync {
     /// an error — the caller cannot tell).
     fn store(&self, slot: &str, blob: &[u8]) -> Result<()>;
 
+    /// Persists `blobs` under `slot` in order, as if stored one after
+    /// the other. The default is exactly that; [`BundleStorage`]
+    /// appends every delta to the slot's `checkpoint ‖ deltas` and
+    /// writes the slot once, which is what lets a replica group's
+    /// straggler persist several records for the price of one.
+    ///
+    /// # Errors
+    ///
+    /// As [`StableStorage::store`]; blobs before the failing one may
+    /// have been stored.
+    fn store_all(&self, slot: &str, blobs: &[&[u8]]) -> Result<()> {
+        blobs.iter().try_for_each(|blob| self.store(slot, blob))
+    }
+
     /// Loads the blob currently visible under `slot`, or `None` if the
     /// slot was never stored.
     ///
@@ -132,6 +146,9 @@ pub trait StableStorage: Send + Sync {
 impl<T: StableStorage + ?Sized> StableStorage for std::sync::Arc<T> {
     fn store(&self, slot: &str, blob: &[u8]) -> Result<()> {
         (**self).store(slot, blob)
+    }
+    fn store_all(&self, slot: &str, blobs: &[&[u8]]) -> Result<()> {
+        (**self).store_all(slot, blobs)
     }
     fn load(&self, slot: &str) -> Result<Option<Vec<u8>>> {
         (**self).load(slot)

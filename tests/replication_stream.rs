@@ -630,17 +630,28 @@ fn bundles_recover_only_along_the_chain() {
     assert_eq!(recover(&resealed, &[&d4]), Ok(4));
 }
 
-/// The sealed delta each member of a `replicas`-member KVS group over
-/// `medium` (a solo lane for `replicas == 1`) stored for one 8-Put
-/// batch on top of `preload` records — the leader's enclave sealed
-/// it, the followers were shipped it and store it verbatim, so the
-/// last delta of each member's slot shows exactly that — and the
-/// storage loads performed for the batch.
-fn last_delta_of_one_batch<S: StableStorage + 'static>(
-    preload: u32,
-    replicas: u32,
-    medium: S,
-) -> (Vec<usize>, u64) {
+/// One 8-Put batch through a `replicas`-member KVS group (a solo lane
+/// for `replicas == 1`) on top of `preload` records.
+struct OneBatch {
+    /// The batch's sealed delta: the record the leader's enclave
+    /// sealed, stored by the leader and shipped to every follower.
+    record: Vec<u8>,
+    /// Whether each member's slot ends in `record` right after the
+    /// batch.
+    ends_in_record: Vec<bool>,
+    /// The same after `flush_persists`.
+    ends_in_record_after_flush: Vec<bool>,
+    /// Storage loads performed for the batch.
+    loads: u64,
+}
+
+impl OneBatch {
+    fn holders(ends_in_record: &[bool]) -> usize {
+        ends_in_record.iter().filter(|&&held| held).count()
+    }
+}
+
+fn one_batch<S: StableStorage + 'static>(preload: u32, replicas: u32, medium: S) -> OneBatch {
     use lcm::core::admin::AdminHandle;
     use lcm::storage::{DelayedStorage, NamespacedStorage};
     let world = TeeWorld::new_deterministic(21);
@@ -702,36 +713,72 @@ fn last_delta_of_one_batch<S: StableStorage + 'static>(
     let loads_before = counting.loads();
     round(puts(2));
     let loads = counting.loads() - loads_before;
-    let stored = regions
-        .iter()
-        .filter_map(|region| {
-            let log = counting
-                .load(&format!("{region}{SLOT_STATE_BLOB}"))
-                .unwrap()?;
-            let (_, deltas) = parse_bundle(&log)?;
-            deltas.last().map(|delta| delta.len())
-        })
-        .collect();
-    (stored, loads)
+    let last_deltas = || -> Vec<Option<Vec<u8>>> {
+        regions
+            .iter()
+            .map(|region| {
+                let slot = counting
+                    .load(&format!("{region}{SLOT_STATE_BLOB}"))
+                    .unwrap()?;
+                let (_, deltas) = parse_bundle(&slot)?;
+                deltas.last().map(|delta| delta.to_vec())
+            })
+            .collect()
+    };
+    let after_batch = last_deltas();
+    group.flush_persists().unwrap();
+    let after_flush = last_deltas();
+    // Member 0 leads throughout: its slot ends in the record.
+    let record = after_batch[0].clone().expect("the leader stored a delta");
+    let ends_in = |slots: Vec<Option<Vec<u8>>>| -> Vec<bool> {
+        slots.iter().map(|d| d.as_ref() == Some(&record)).collect()
+    };
+    OneBatch {
+        ends_in_record: ends_in(after_batch),
+        ends_in_record_after_flush: ends_in(after_flush),
+        record,
+        loads,
+    }
+}
+
+/// The batch's record is the same size at 5 000 and 50 000 resident
+/// records, well under a page, and costs no load on the batch path. A
+/// quorum of members stores it in the batch's own step; the rest
+/// store it with their next flush.
+fn assert_batch_shaped(replicas: u32, small: &OneBatch, large: &OneBatch) {
+    let quorum = Quorum::Majority.required(replicas as usize);
+    for run in [small, large] {
+        assert_eq!(
+            OneBatch::holders(&run.ends_in_record),
+            quorum,
+            "right after the batch, exactly a quorum's slots end in its delta: {:?}",
+            run.ends_in_record
+        );
+        assert_eq!(
+            OneBatch::holders(&run.ends_in_record_after_flush),
+            replicas as usize,
+            "after flush_persists every member's slot ends in the leader's delta, verbatim"
+        );
+    }
+    assert!(small.record.len() < 4096, "{} B", small.record.len());
+    assert_eq!(
+        small.record.len(),
+        large.record.len(),
+        "the record is batch-shaped, not state-shaped"
+    );
+    assert_eq!(
+        (small.loads, large.loads),
+        (0, 0),
+        "no load on the batch path"
+    );
 }
 
 #[test]
 fn shipped_bytes_do_not_depend_on_state() {
     let delta_log = || DeltaLogStorage::open(Arc::new(MemoryStorage::new())).unwrap();
-    let (small, small_loads) = last_delta_of_one_batch(5_000, 3, delta_log());
-    let (large, large_loads) = last_delta_of_one_batch(50_000, 3, delta_log());
-    assert_eq!(
-        small.len(),
-        3,
-        "the leader's delta, verbatim on each follower"
-    );
-    assert!(small.iter().all(|&b| b < 4096), "{small:?}");
-    assert_eq!(small, large, "the record is batch-shaped, not state-shaped");
-    assert_eq!(
-        (small_loads, large_loads),
-        (0, 0),
-        "no load on the batch path"
-    );
+    let small = one_batch(5_000, 3, delta_log());
+    let large = one_batch(50_000, 3, delta_log());
+    assert_batch_shaped(3, &small, &large);
 }
 
 /// What PR 15 did for the bytes a group ships, the bundle adapter does
@@ -740,20 +787,8 @@ fn shipped_bytes_do_not_depend_on_state() {
 #[test]
 fn sealed_bytes_per_batch_do_not_depend_on_state_on_a_plain_store() {
     for replicas in [1, 3] {
-        let (small, small_loads) = last_delta_of_one_batch(5_000, replicas, MemoryStorage::new());
-        let (large, large_loads) = last_delta_of_one_batch(50_000, replicas, MemoryStorage::new());
-        assert_eq!(
-            small.len(),
-            replicas as usize,
-            "every member's slot ends in the batch's delta"
-        );
-        assert!(small.windows(2).all(|w| w[0] == w[1]), "{small:?}");
-        assert!(small.iter().all(|&b| b < 4096), "{small:?}");
-        assert_eq!(small, large, "the delta is batch-shaped, not state-shaped");
-        assert_eq!(
-            (small_loads, large_loads),
-            (0, 0),
-            "no load on the batch path"
-        );
+        let small = one_batch(5_000, replicas, MemoryStorage::new());
+        let large = one_batch(50_000, replicas, MemoryStorage::new());
+        assert_batch_shaped(replicas, &small, &large);
     }
 }
