@@ -144,7 +144,7 @@ fn bench_sharded(c: &mut Criterion) {
 /// the 16 replies verified and their clients' next wires submitted.
 /// Printed per operation: how the cost of one operation moves with
 /// the number of clients *waiting* is the host's side of ROADMAP item
-/// 5(d) (the rows also carry `T`'s and the store's share, equal at
+/// 5(c) (the rows also carry `T`'s and the store's share, equal at
 /// equal `n`, so compare two commits row by row).
 fn bench_host_plane(c: &mut Criterion) {
     use lcm_core::functionality::Counter;

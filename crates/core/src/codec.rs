@@ -99,6 +99,31 @@ impl Writer {
         self.put_bytes(s.as_bytes());
     }
 
+    /// Appends what `body` writes behind a u32 length prefix, filled in
+    /// once `body` has returned — [`Writer::put_bytes`] for bytes that
+    /// are produced in place rather than copied in.
+    pub fn put_sized<R>(&mut self, body: impl FnOnce(&mut Writer) -> R) -> R {
+        let at = self.buf.len();
+        self.put_u32(0);
+        let out = body(self);
+        self.patch_u32(at, (self.buf.len() - at - 4) as u32);
+        out
+    }
+
+    /// Overwrites the big-endian u32 written at byte offset `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `at + 4` exceeds the encoded length.
+    pub fn patch_u32(&mut self, at: usize, v: u32) {
+        self.buf[at..at + 4].copy_from_slice(&v.to_be_bytes());
+    }
+
+    /// The buffer itself, for sealing what was encoded where it lies.
+    pub(crate) fn buf_mut(&mut self) -> &mut Vec<u8> {
+        &mut self.buf
+    }
+
     /// Finishes encoding, returning the bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf

@@ -76,7 +76,7 @@ use crate::functionality::Functionality;
 use crate::routing::{slice_of, SliceTable};
 use crate::stability::{CachedReply, Quorum, VMap, VState};
 use crate::types::{ChainValue, ClientId, SeqNo};
-use crate::wire::{seal_message, InvokeView, ReplyMsg};
+use crate::wire::{seal_message, seal_message_into, InvokeView, ReplyView};
 use crate::{LcmError, Result, Violation};
 
 mod record;
@@ -718,8 +718,10 @@ pub struct TrustedContext<F: Functionality> {
     /// checkpoint; a spliced or reordered record breaks it.
     persist_anchor: Digest,
     /// Clients whose `V` entry changed since the last persisted blob —
-    /// exactly the entries the next delta must carry.
-    touched: std::collections::BTreeSet<ClientId>,
+    /// exactly the entries the next delta must carry — sorted and
+    /// without repeats. Emptied by every persist; the buffer keeps its
+    /// allocation.
+    touched: Vec<ClientId>,
     /// Sealed delta bytes emitted since the last checkpoint (drives the
     /// adaptive checkpoint cadence).
     delta_bytes: usize,
@@ -761,7 +763,7 @@ impl<F: Functionality> TrustedContext<F> {
             nonce_counter: 0,
             delta_mode: false,
             persist_anchor: Digest::ZERO,
-            touched: std::collections::BTreeSet::new(),
+            touched: Vec::new(),
             delta_bytes: 0,
             last_ckpt_len: 0,
             scratch: Vec::new(),
@@ -944,23 +946,30 @@ impl<F: Functionality> TrustedContext<F> {
     /// * [`LcmError::NotProvisioned`] / [`LcmError::Halted`] — wrong
     ///   phase.
     pub fn handle_invoke(&mut self, wire: &[u8]) -> Result<(ClientId, Vec<u8>)> {
+        let mut reply = Writer::new();
+        let client = self.handle_invoke_into(wire, &mut reply)?;
+        Ok((client, reply.into_bytes()))
+    }
+
+    /// [`TrustedContext::handle_invoke`] with the encrypted REPLY
+    /// appended to `out` instead of returned in a buffer of its own:
+    /// the ecall boundary seals a batch's replies straight into its
+    /// output. The wire is copied once, into the context's scratch
+    /// buffer, verified, and decrypted and executed where it lies
+    /// there; nothing of it is allocated per operation. On an error
+    /// `out` may hold a partial reply the caller must discard.
+    pub(crate) fn handle_invoke_into(&mut self, wire: &[u8], out: &mut Writer) -> Result<ClientId> {
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
         scratch.extend_from_slice(wire);
-        let outcome = self.handle_invoke_in_place(&mut scratch);
+        let outcome = self.invoke_in_place(&mut scratch, out);
         self.scratch = scratch;
         outcome
     }
 
-    /// [`TrustedContext::handle_invoke`] on a wire this side owns: the
-    /// ciphertext is verified, then decrypted where it lies, and the
-    /// operation is executed from there. The ecall boundary decodes
-    /// each wire of a batch into a buffer of its own and hands it
-    /// here, so that decode is the only copy a wire sees.
-    pub(crate) fn handle_invoke_in_place(
-        &mut self,
-        wire: &mut [u8],
-    ) -> Result<(ClientId, Vec<u8>)> {
+    /// The body of [`TrustedContext::handle_invoke_into`] on the
+    /// scratch copy of the wire.
+    fn invoke_in_place(&mut self, wire: &mut [u8], out: &mut Writer) -> Result<ClientId> {
         let (identity, _) = self.require_ready()?;
         // Peel the plaintext routing envelope; its fields are bound
         // into the AAD, so any tampering (or a truncated wire) fails
@@ -1034,7 +1043,7 @@ impl<F: Functionality> TrustedContext<F> {
 
         // Alg. 2: assert V[i] = (∗, tc, hc).
         if entry.t == msg.tc && entry.h == msg.hc {
-            return self.execute_fresh(msg, hint.route, hint.epoch, redirect);
+            return self.execute_fresh(msg, hint.route, hint.epoch, redirect, out);
         }
         // §4.6.1 second case: T crashed after storing but before the
         // client got the reply — a *retry* of the acknowledged
@@ -1042,24 +1051,30 @@ impl<F: Functionality> TrustedContext<F> {
         // reply replays verbatim, including its redirect flag: whether
         // the original attempt executed or redirected is part of the
         // acknowledged history.
-        let resend = |c: &&CachedReply| msg.retry && entry.ta == msg.tc && c.hc_echo == msg.hc;
-        let Some(cached) = entry.cached.as_ref().filter(resend).cloned() else {
+        let resend = msg.retry
+            && entry.ta == msg.tc
+            && (entry.cached.as_ref()).is_some_and(|c| c.hc_echo == msg.hc);
+        if !resend {
+            let recorded = entry.t;
             return Err(self.halt(Violation::ContextMismatch {
                 client: msg.client,
                 claimed: msg.tc,
-                recorded: entry.t,
+                recorded,
             }));
-        };
-        let reply = ReplyMsg {
+        }
+        let nonce = self.next_nonce();
+        let cached = self.v.map()[&msg.client].cached.as_ref();
+        let cached = cached.expect("a resend has a cached reply");
+        let reply = ReplyView {
             t: cached.t,
             q: cached.q,
             h: cached.h,
             hc_echo: cached.hc_echo,
             redirect: cached.redirect,
-            result: cached.result,
+            result: &cached.result,
         };
-        let wire = self.encrypt_reply(msg.client, hint.route, hint.epoch, &reply)?;
-        Ok((msg.client, wire))
+        self.seal_reply(out, &nonce, msg.client, hint.route, hint.epoch, reply)?;
+        Ok(msg.client)
     }
 
     /// Executes one context-fresh operation — or, when `redirect` is
@@ -1077,7 +1092,8 @@ impl<F: Functionality> TrustedContext<F> {
         route: u32,
         epoch: u64,
         redirect: bool,
-    ) -> Result<(ClientId, Vec<u8>)> {
+        out: &mut Writer,
+    ) -> Result<ClientId> {
         // t ← t + 1 ; (r, s) ← execF(s, o) ; h ← hash(h ‖ o ‖ t ‖ i)
         self.t = self.t.next();
         let result = if redirect {
@@ -1089,11 +1105,13 @@ impl<F: Functionality> TrustedContext<F> {
 
         // V[i] ← (tc, t, h) ; q ← majority-stable(V)
         self.v.advance(msg.client, msg.tc, self.t, self.h);
-        self.touched.insert(msg.client);
+        if let Err(at) = self.touched.binary_search(&msg.client) {
+            self.touched.insert(at, msg.client);
+        }
         let q = self.v.stable().max(self.stable_floor);
         self.stable_floor = q;
 
-        let reply = ReplyMsg {
+        let cached = CachedReply {
             t: self.t,
             q,
             h: self.h,
@@ -1101,31 +1119,36 @@ impl<F: Functionality> TrustedContext<F> {
             redirect,
             result,
         };
-        let wire = self.encrypt_reply(msg.client, route, epoch, &reply);
-        // The encoded reply's fields move into the cache as they are.
-        let cached = CachedReply {
-            t: reply.t,
-            q: reply.q,
-            h: reply.h,
-            hc_echo: reply.hc_echo,
-            redirect: reply.redirect,
-            result: reply.result,
+        let nonce = self.next_nonce();
+        let reply = ReplyView {
+            t: cached.t,
+            q: cached.q,
+            h: cached.h,
+            hc_echo: cached.hc_echo,
+            redirect: cached.redirect,
+            result: &cached.result,
         };
+        let sealed = self.seal_reply(out, &nonce, msg.client, route, epoch, reply);
+        // The sealed reply's fields move into the cache as they are.
         self.v.set_cached(msg.client, cached);
-        Ok((msg.client, wire?))
+        sealed?;
+        Ok(msg.client)
     }
 
-    fn encrypt_reply(
-        &mut self,
+    /// Appends `reply`, sealed for `client` under `nonce`, to `out`.
+    fn seal_reply(
+        &self,
+        out: &mut Writer,
+        nonce: &[u8; 12],
         client: ClientId,
         route: u32,
         epoch: u64,
-        reply: &ReplyMsg,
-    ) -> Result<Vec<u8>> {
-        let nonce = self.next_nonce();
-        seal_message(
+        reply: ReplyView<'_>,
+    ) -> Result<()> {
+        seal_message_into(
+            out,
             &self.keys()?.aead_c,
-            &nonce,
+            nonce,
             // The reply echoes the *request's* routing epoch — the
             // client can only decrypt under the epoch it stamped.
             &reply_aad(client, route, epoch),
@@ -1164,6 +1187,15 @@ impl<F: Functionality> TrustedContext<F> {
     /// * [`LcmError::NotProvisioned`] / [`LcmError::Halted`] — wrong
     ///   phase.
     pub fn serve_read(&mut self, wire: &[u8]) -> Result<Vec<u8>> {
+        let mut reply = Writer::new();
+        self.serve_read_into(wire, &mut reply)?;
+        Ok(reply.into_bytes())
+    }
+
+    /// [`TrustedContext::serve_read`] with the encrypted read reply
+    /// appended to `out`, as the ecall boundary answers a read leg. On
+    /// an error `out` may hold a partial reply the caller must discard.
+    pub(crate) fn serve_read_into(&mut self, wire: &[u8], out: &mut Writer) -> Result<()> {
         let (identity, _) = self.require_ready()?;
         let Some((hint, sealed)) = crate::wire::ReadHint::peel(wire) else {
             return Err(self.halt(Violation::BadAuthentication));
@@ -1260,7 +1292,8 @@ impl<F: Functionality> TrustedContext<F> {
             result,
         };
         let nonce = self.next_nonce();
-        seal_message(
+        seal_message_into(
+            out,
             &self.keys()?.aead_c,
             &nonce,
             &read_reply_aad(
@@ -1441,13 +1474,13 @@ impl<F: Functionality> TrustedContext<F> {
 mod tests {
     use super::*;
     use crate::functionality::AppendLog;
-    use crate::wire::InvokeMsg;
+    use crate::wire::{InvokeMsg, ReplyMsg};
     use lcm_tee::measurement::Measurement;
     use lcm_tee::world::TeeWorld;
 
     pub(crate) const M_NAME: &str = "lcm-test";
 
-    fn world() -> TeeWorld {
+    pub(super) fn world() -> TeeWorld {
         TeeWorld::new_deterministic(11)
     }
 
@@ -1467,7 +1500,9 @@ mod tests {
         }
     }
 
-    fn provisioned_context(world: &TeeWorld) -> (TrustedContext<AppendLog>, PersistBlobs) {
+    pub(super) fn provisioned_context(
+        world: &TeeWorld,
+    ) -> (TrustedContext<AppendLog>, PersistBlobs) {
         let mut ctx = TrustedContext::<AppendLog>::new(services(world, 1));
         assert_eq!(
             ctx.init(None, None, false).unwrap(),
@@ -1512,7 +1547,7 @@ mod tests {
         ReplyMsg::from_bytes(&plain).unwrap()
     }
 
-    fn invoke(
+    pub(super) fn invoke(
         ctx: &mut TrustedContext<AppendLog>,
         client: u32,
         tc: SeqNo,

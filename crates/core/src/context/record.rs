@@ -32,30 +32,43 @@ impl<F: Functionality> TrustedContext<F> {
         };
         let plain = self.open_sealed(ckpt, BLOB_KIND_CHECKPOINT, LABEL_STATE_BLOB)?;
         let sealer = self.restore_state(&plain)?;
+        if deltas.is_empty() {
+            return Ok(sealer);
+        }
+        // `V`'s entries of the whole journal are applied at its end,
+        // with one rebuild of the stability index instead of one
+        // update per entry: nothing on this path reads the index.
+        let mut entries = Vec::with_capacity(deltas.len());
         for delta in deltas {
             let plain = self.open_sealed(delta, BLOB_KIND_DELTA, LABEL_DELTA_BLOB)?;
-            if !self.apply_delta_plain(&plain)? {
+            let Some(dv) = self.apply_delta_plain(&plain)? else {
                 // A journal the storage itself assembled must be one
                 // unbroken chain: the host spliced records across
                 // generations or reordered it.
                 return Err(self.halt(Violation::BadAuthentication));
-            }
+            };
+            entries.push(dv);
             // The log still holds this delta: it counts toward the
             // checkpoint cadence exactly as when emitted, or reboots
             // would grow the log without bound.
             self.delta_bytes += delta.len();
         }
+        self.v.replay_entries(entries);
+        self.resume_from_latest();
         Ok(sealer)
     }
 
     /// Replays one decrypted delta onto the current state — the one
     /// function behind delta-by-delta recovery *and* a follower's
-    /// apply of a replication record. The delta applies only at the
-    /// chain position it was sealed against: `Ok(false)`, with nothing
-    /// mutated, when this context stands anywhere else. What that
-    /// means is the caller's to say — a broken journal on the recovery
-    /// path, a record delivered out of turn on the replication path.
-    fn apply_delta_plain(&mut self, plain: &[u8]) -> Result<bool> {
+    /// apply of a replication record — all but its entries of `V`,
+    /// which it returns for the caller to apply: one delta's at once
+    /// on the replication path, a whole journal's at its end on the
+    /// recovery path. The delta applies only at the chain position it
+    /// was sealed against: `Ok(None)`, with nothing mutated, when this
+    /// context stands anywhere else. What that means is the caller's
+    /// to say — a broken journal on the recovery path, a record
+    /// delivered out of turn on the replication path.
+    fn apply_delta_plain(&mut self, plain: &[u8]) -> Result<Option<VMap>> {
         let mut r = Reader::new(plain);
         let decoded = (|| -> std::result::Result<_, CodecError> {
             let prev = r.get_digest()?;
@@ -68,14 +81,12 @@ impl<F: Functionality> TrustedContext<F> {
         let (prev, floor, dv, f_delta) =
             decoded.map_err(|_| self.halt(Violation::BadAuthentication))?;
         if prev != self.persist_anchor {
-            return Ok(false);
+            return Ok(None);
         }
         self.stable_floor = floor;
-        self.v.apply_entries(dv);
         self.f.apply_delta(f_delta)?;
-        self.resume_from_latest();
         self.persist_anchor = lcm_crypto::sha256::digest_parts(&[ANCHOR_DELTA, plain]);
-        Ok(true)
+        Ok(Some(dv))
     }
 
     /// Applies one record of the group's replication stream on this
@@ -129,9 +140,11 @@ impl<F: Functionality> TrustedContext<F> {
         let (own, _) = self.require_ready()?;
         let state_blob = if record.first() == Some(&lcm_storage::BLOB_KIND_DELTA) {
             let plain = self.open_sealed(record, lcm_storage::BLOB_KIND_DELTA, LABEL_DELTA_BLOB)?;
-            if !self.apply_delta_plain(&plain)? {
+            let Some(dv) = self.apply_delta_plain(&plain)? else {
                 return Err(LcmError::RecordOutOfOrder);
-            }
+            };
+            self.v.apply_entries(dv);
+            self.resume_from_latest();
             if self.logs_deltas() {
                 self.delta_bytes += record.len();
                 record.to_vec()
@@ -256,13 +269,13 @@ impl<F: Functionality> TrustedContext<F> {
     /// kind-tagged delta chained from the current position, and moves
     /// the position past it.
     fn seal_delta(&mut self, f_delta: &[u8]) -> Result<Vec<u8>> {
-        let keys = self.keys.as_ref().ok_or(LcmError::NotProvisioned)?;
-        let aead_p = keys.aead_p.clone();
-
+        // Unprovisioned, this fails before it draws a nonce.
+        self.keys()?;
         let nonce = self.next_nonce();
+        let keys = self.keys()?;
         let mut anchor = Digest::ZERO;
         let delta = seal_message(
-            &aead_p,
+            &keys.aead_p,
             &nonce,
             LABEL_DELTA_BLOB,
             &[lcm_storage::BLOB_KIND_DELTA],
@@ -273,13 +286,7 @@ impl<F: Functionality> TrustedContext<F> {
                 let start = w.len();
                 w.put_digest(&self.persist_anchor);
                 self.stable_floor.encode(w);
-                let mut dv = VMap::new();
-                for client in &self.touched {
-                    if let Some(entry) = self.v.map().get(client) {
-                        dv.insert(*client, entry.clone());
-                    }
-                }
-                crate::stability::encode_vmap(&dv, w);
+                self.v.encode_entries(&self.touched, w);
                 w.put_bytes(f_delta);
                 anchor = lcm_crypto::sha256::digest_parts(&[ANCHOR_DELTA, &w.as_slice()[start..]]);
             },
@@ -652,5 +659,45 @@ impl<F: Functionality> TrustedContext<F> {
         self.check_successor(identity, &table, "slice-table bulletin")?;
         self.table = table;
         self.persist_blobs()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::{invoke, provisioned_context, world};
+    use super::*;
+    use crate::stability::encode_vmap;
+
+    /// A delta carries of `V` exactly the bytes `encode_vmap` writes
+    /// for a map of clones of the touched entries — written straight
+    /// from `V`, in client order whatever the order of execution,
+    /// once per client however often it ran, and without the entry of
+    /// a touched client no longer in `V`.
+    #[test]
+    fn a_delta_encodes_the_touched_entries_as_encode_vmap_of_their_clones() {
+        let world = world();
+        let (mut ctx, _) = provisioned_context(&world);
+        let first = invoke(&mut ctx, 3, SeqNo::ZERO, ChainValue::GENESIS, b"a").unwrap();
+        invoke(&mut ctx, 1, SeqNo::ZERO, ChainValue::GENESIS, b"b").unwrap();
+        invoke(&mut ctx, 3, first.t, first.h, b"c").unwrap();
+        invoke(&mut ctx, 2, SeqNo::ZERO, ChainValue::GENESIS, b"d").unwrap();
+        assert_eq!(ctx.touched, [ClientId(1), ClientId(2), ClientId(3)]);
+        assert!(ctx.v.remove_member(ClientId(2)));
+
+        let clones: VMap = [ClientId(1), ClientId(3)]
+            .iter()
+            .map(|c| (*c, ctx.v.map()[c].clone()))
+            .collect();
+        let mut want = Writer::new();
+        encode_vmap(&clones, &mut want);
+
+        let delta = ctx.seal_delta(b"f-delta").unwrap();
+        assert!(ctx.touched.is_empty());
+        let plain = ctx
+            .open_sealed(&delta, lcm_storage::BLOB_KIND_DELTA, LABEL_DELTA_BLOB)
+            .unwrap();
+        // prev anchor (32) ‖ stable floor (8) ‖ V entries ‖ F's delta
+        let entries = &plain[40..plain.len() - (4 + b"f-delta".len())];
+        assert_eq!(entries, want.as_slice());
     }
 }

@@ -7,6 +7,26 @@
 //! Batching lives here too — one `InvokeBatch` ecall processes many
 //! client messages and returns one aggregated state blob, the §5.2
 //! optimization that amortizes seal-and-store costs.
+//!
+//! ## Buffer lifecycle
+//!
+//! Everything this module allocates lives and dies on the lane thread
+//! that makes the ecall, once per call, not per operation. The call's
+//! input is the host's reused encode buffer
+//! ([`crate::server::LcmServer`] owns it) and is read where it lies:
+//! `Init`, `InvokeBatch` and `ServeRead` are answered from borrowed
+//! views of it, and each wire is copied once, into the context's one
+//! scratch buffer, to be opened and executed in place. The answer is
+//! one output buffer, sized from the last one's length: every reply of
+//! a batch is sealed straight into it behind its routing id, then the
+//! batch's blobs are appended. The host reads that buffer in place
+//! (`HostReply::batch_replies`, `HostReply::read_reply_into`) —
+//! each reply is copied into the buffer its request arrived in — and
+//! frees it before storing the blobs. Inside the enclave, per
+//! operation, only the functionality's result is allocated: it is the
+//! cached reply in `V` until the client's next operation replaces it.
+//! The owned [`HostCall`] / [`HostReply`] values are the control
+//! plane's and the tests' codec; the data plane never builds them.
 
 use lcm_crypto::sha256::Digest;
 use lcm_tee::enclave::EnclaveProgram;
@@ -16,6 +36,7 @@ use lcm_tee::platform::TeeServices;
 use crate::codec::{CodecError, Reader, WireCodec, Writer};
 use crate::context::{InitOutcome, PersistBlobs, SliceExport, TrustedContext};
 use crate::functionality::Functionality;
+use crate::server::Replies;
 use crate::types::ClientId;
 use crate::{LcmError, Violation};
 
@@ -174,10 +195,7 @@ impl WireCodec for HostCall {
                 }
             }
             HostCall::ApplyReplica(record) => HostCall::encode_apply_replica_into(w, record),
-            HostCall::ServeRead(wire) => {
-                w.put_u8(CALL_SERVE_READ);
-                w.put_bytes(wire);
-            }
+            HostCall::ServeRead(wire) => HostCall::encode_serve_read_into(w, wire),
             HostCall::ExportSlice { slice, to } => {
                 w.put_u8(CALL_EXPORT_SLICE);
                 w.put_u32(*slice);
@@ -410,17 +428,46 @@ impl<'a> InitView<'a> {
             want_deltas: r.get_bool()?,
         })
     }
+}
 
-    /// The whole of `input`, if it is an `Init` call; `None` for any
-    /// other call (or none at all), which the owned decoder takes.
-    fn from_call(input: &'a [u8]) -> Option<Result<Self, CodecError>> {
-        let (&CALL_INIT, body) = input.split_first()? else {
-            return None;
-        };
-        let mut r = Reader::new(body);
-        Some(Self::decode_body(&mut r).and_then(|init| r.finish().map(|()| init)))
+/// The wires of an [`HostCall::InvokeBatch`], still where the host put
+/// them: each is handed to the context borrowed, and the context opens
+/// it in its one scratch buffer — no wire is copied out per operation.
+/// Built only over a call whose framing has been checked whole, so a
+/// malformed batch is refused before any wire of it executes.
+struct WireList<'a> {
+    left: u32,
+    wires: Reader<'a>,
+}
+
+impl<'a> WireList<'a> {
+    /// What follows the `CALL_INVOKE_BATCH` tag, up to the end of the
+    /// call.
+    fn decode_body(r: &mut Reader<'a>) -> Result<Self, CodecError> {
+        let left = r.get_u32()?;
+        let wires = r.clone();
+        for _ in 0..left {
+            r.get_bytes()?;
+        }
+        r.finish()?;
+        Ok(WireList { left, wires })
     }
 }
+
+impl<'a> Iterator for WireList<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        self.left = self.left.checked_sub(1)?;
+        self.wires.get_bytes().ok()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left as usize, Some(self.left as usize))
+    }
+}
+
+impl ExactSizeIterator for WireList<'_> {}
 
 impl WireCodec for HostReply {
     fn encode(&self, w: &mut Writer) {
@@ -521,9 +568,17 @@ impl WireCodec for HostReply {
     }
 }
 
+/// The most an ecall's output buffer starts with: a batch's replies
+/// and delta fit, a checkpoint that came with the last one need not.
+const REPLY_HINT_MAX: usize = 64 * 1024;
+
 /// The enclave program wrapping a [`TrustedContext`] over `F`.
 pub struct LcmProgram<F: Functionality> {
     context: TrustedContext<F>,
+    /// Length of the last reply: the next one's buffer starts at that
+    /// size (up to [`REPLY_HINT_MAX`]), so a batch's output is
+    /// allocated once, not grown.
+    reply_len: usize,
 }
 
 impl HostCall {
@@ -560,6 +615,85 @@ impl HostCall {
         w.put_u8(CALL_APPLY_REPLICA);
         w.put_bytes(record);
     }
+
+    /// Encodes a `ServeRead` call directly into `w` from a borrowed
+    /// read leg: the host keeps the leg's buffer to receive the reply
+    /// in.
+    pub fn encode_serve_read_into(w: &mut Writer, wire: &[u8]) {
+        w.put_u8(CALL_SERVE_READ);
+        w.put_bytes(wire);
+    }
+}
+
+impl HostReply {
+    /// Decodes the enclave's answer to an `InvokeBatch` of `wires` in
+    /// place: reply *i* is written into `wires[i]` — the buffer request
+    /// *i* arrived in, grown if the reply is larger — and the buffers
+    /// come back as the batch's replies, each with the client the
+    /// enclave reported, beside the blobs to persist. Every wire is
+    /// consumed whatever the outcome.
+    ///
+    /// # Errors
+    ///
+    /// An error reply is the error it projects; any other reply, a
+    /// malformed one, or one that does not answer exactly the wires
+    /// handed in, is an [`LcmError::Tee`] or [`LcmError::Codec`].
+    pub(crate) fn batch_replies(
+        out: &[u8],
+        wires: &mut Vec<Vec<u8>>,
+    ) -> crate::Result<(Replies, PersistBlobs)> {
+        let wires = wires.drain(..);
+        if out.first() != Some(&REPLY_BATCH) {
+            return Err(not_the_reply(out, "a batch"));
+        }
+        let mut r = Reader::new(&out[1..]);
+        let n = r.get_u32()? as usize;
+        if n != wires.len() {
+            return Err(LcmError::Tee(format!(
+                "the enclave answered {n} replies to a batch of {} wires",
+                wires.len()
+            )));
+        }
+        let mut replies = Vec::with_capacity(n);
+        for mut wire in wires {
+            let client = ClientId::decode(&mut r)?;
+            wire.clear();
+            wire.extend_from_slice(r.get_bytes()?);
+            replies.push((client, wire));
+        }
+        let blobs = decode_blobs(&mut r)?;
+        r.finish()?;
+        Ok((replies, blobs))
+    }
+
+    /// Decodes the enclave's answer to a `ServeRead` into `wire`, the
+    /// buffer the read leg arrived in.
+    ///
+    /// # Errors
+    ///
+    /// As [`HostReply::batch_replies`].
+    pub(crate) fn read_reply_into(out: &[u8], wire: &mut Vec<u8>) -> crate::Result<()> {
+        if out.first() != Some(&REPLY_READ) {
+            return Err(not_the_reply(out, "a read"));
+        }
+        let mut r = Reader::new(&out[1..]);
+        let reply = r.get_bytes()?;
+        r.finish()?;
+        wire.clear();
+        wire.extend_from_slice(reply);
+        Ok(())
+    }
+}
+
+/// The error an enclave output that is not the awaited `what` reply
+/// stands for: the error it carries, or its being unexpected or
+/// malformed.
+fn not_the_reply(out: &[u8], what: &str) -> LcmError {
+    match HostReply::from_bytes(out) {
+        Ok(HostReply::Err(e)) => e.into_lcm_error(),
+        Ok(other) => LcmError::Tee(format!("unexpected enclave reply to {what}: {other:?}")),
+        Err(e) => e.into(),
+    }
 }
 
 impl<F: Functionality> LcmProgram<F> {
@@ -581,26 +715,76 @@ impl<F: Functionality> LcmProgram<F> {
         })
     }
 
-    fn dispatch(&mut self, call: HostCall) -> crate::Result<HostReply> {
+    /// Answers an `InvokeBatch` straight into `out`: each wire's reply
+    /// is sealed where the encoded reply keeps it, then the batch's
+    /// blobs follow.
+    fn invoke_batch<'w>(
+        &mut self,
+        wires: impl ExactSizeIterator<Item = &'w [u8]>,
+        out: &mut Writer,
+    ) -> crate::Result<()> {
         let context = &mut self.context;
-        Ok(match call {
-            // `ecall` takes `Init` borrowed; an owned one is the same call.
+        out.put_u8(REPLY_BATCH);
+        out.put_u32(wires.len() as u32);
+        for wire in wires {
+            // The routing id is known once the wire is open.
+            let at = out.len();
+            out.put_u32(0);
+            let client = out.put_sized(|w| context.handle_invoke_into(wire, w))?;
+            out.patch_u32(at, client.0);
+        }
+        encode_blobs(out, &context.persist_batch_blobs()?);
+        Ok(())
+    }
+
+    /// Answers a `ServeRead` straight into `out`.
+    fn serve_read(&mut self, wire: &[u8], out: &mut Writer) -> crate::Result<()> {
+        out.put_u8(REPLY_READ);
+        out.put_sized(|w| self.context.serve_read_into(wire, w))
+    }
+
+    /// Answers the call in `input` into `out`. The calls that carry
+    /// O(state) bytes (`Init`) or run per operation (`InvokeBatch`,
+    /// `ServeRead`) are read where the host put them; the control
+    /// plane is decoded into a [`HostCall`] and answered by
+    /// [`LcmProgram::dispatch`].
+    fn answer(&mut self, input: &[u8], out: &mut Writer) -> Result<crate::Result<()>, CodecError> {
+        let mut r = Reader::new(input);
+        Ok(match r.get_u8()? {
+            CALL_INIT => {
+                let init = InitView::decode_body(&mut r)?;
+                r.finish()?;
+                let reply = self.init(init.key_blob, init.state_blob, init.want_deltas);
+                reply.map(|reply| reply.encode(out))
+            }
+            CALL_INVOKE_BATCH => {
+                let wires = WireList::decode_body(&mut r)?;
+                self.invoke_batch(wires, out)
+            }
+            CALL_SERVE_READ => {
+                let wire = r.get_bytes()?;
+                r.finish()?;
+                self.serve_read(wire, out)
+            }
+            _ => self.dispatch(HostCall::from_bytes(input)?, out),
+        })
+    }
+
+    fn dispatch(&mut self, call: HostCall, out: &mut Writer) -> crate::Result<()> {
+        let context = &mut self.context;
+        let reply = match call {
+            // `answer` takes these borrowed; an owned one is the same
+            // call.
             HostCall::Init {
                 key_blob,
                 state_blob,
                 want_deltas,
             } => self.init(key_blob.as_deref(), state_blob.as_deref(), want_deltas)?,
-            HostCall::Provision(payload) => HostReply::ProvisionOk(context.provision(&payload)?),
-            HostCall::InvokeBatch(mut batch) => {
-                let mut replies = Vec::with_capacity(batch.len());
-                // Each wire was copied out of the ecall buffer once, by
-                // the decoder; it is opened in that copy.
-                for msg in &mut batch {
-                    replies.push(context.handle_invoke_in_place(msg)?);
-                }
-                let blobs = context.persist_batch_blobs()?;
-                HostReply::BatchOk { replies, blobs }
+            HostCall::InvokeBatch(batch) => {
+                return self.invoke_batch(batch.iter().map(Vec::as_slice), out)
             }
+            HostCall::ServeRead(wire) => return self.serve_read(&wire, out),
+            HostCall::Provision(payload) => HostReply::ProvisionOk(context.provision(&payload)?),
             HostCall::Admin(msg) => {
                 let (reply, blobs) = context.handle_admin(&msg)?;
                 HostReply::AdminOk { reply, blobs }
@@ -616,7 +800,6 @@ impl<F: Functionality> LcmProgram<F> {
                 let (digest, blobs) = context.apply_replica(&blob)?;
                 HostReply::ApplyOk { digest, blobs }
             }
-            HostCall::ServeRead(wire) => HostReply::ReadOk(context.serve_read(&wire)?),
             HostCall::ExportSlice { slice, to } => {
                 HostReply::SliceExported(context.export_slice(slice, to)?)
             }
@@ -624,7 +807,9 @@ impl<F: Functionality> LcmProgram<F> {
             HostCall::AdoptTable(bulletin) => {
                 HostReply::ProvisionOk(context.adopt_table(&bulletin)?)
             }
-        })
+        };
+        reply.encode(out);
+        Ok(())
     }
 }
 
@@ -636,23 +821,27 @@ impl<F: Functionality> EnclaveProgram for LcmProgram<F> {
     fn boot(services: TeeServices) -> Self {
         LcmProgram {
             context: TrustedContext::new(services),
+            reply_len: 0,
         }
     }
 
     fn ecall(&mut self, input: &[u8]) -> Vec<u8> {
-        let outcome = match InitView::from_call(input) {
-            Some(init) => init.map(|i| self.init(i.key_blob, i.state_blob, i.want_deltas)),
-            None => HostCall::from_bytes(input).map(|call| self.dispatch(call)),
-        };
-        let reply = match outcome {
-            Ok(Ok(reply)) => reply,
-            Ok(Err(e)) => HostReply::Err((&e).into()),
-            Err(e) => HostReply::Err(ReplyError {
+        let mut out = Writer::with_capacity(self.reply_len.min(REPLY_HINT_MAX));
+        let failure = match self.answer(input, &mut out) {
+            Ok(Ok(())) => None,
+            Ok(Err(e)) => Some((&e).into()),
+            Err(e) => Some(ReplyError {
                 code: ERR_OTHER,
                 message: format!("malformed host call: {e}"),
             }),
         };
-        reply.to_bytes()
+        if let Some(e) = failure {
+            // Whatever was answered before the failure goes with it.
+            out.clear();
+            HostReply::Err(e).encode(&mut out);
+        }
+        self.reply_len = out.len();
+        out.into_bytes()
     }
 }
 
@@ -758,13 +947,15 @@ mod tests {
         }
     }
 
-    /// What `BatchOk` carries for one batch of one `Counter` increment
-    /// on an enclave provisioned as `identity`: `(state blob kind,
-    /// record)`.
-    fn batch_ok_for(
+    /// A started `Counter` enclave provisioned as `identity` for
+    /// clients 1 and 2, and those clients.
+    fn provisioned_counter(
         identity: crate::context::ShardIdentity,
         want_deltas: bool,
-    ) -> (u8, Option<Vec<u8>>) {
+    ) -> (
+        lcm_tee::enclave::Enclave<LcmProgram<crate::functionality::Counter>>,
+        Vec<crate::client::LcmClient>,
+    ) {
         use crate::client::LcmClient;
         use crate::context::{ProvisionPayload, LABEL_PROVISION};
         use crate::functionality::Counter;
@@ -785,11 +976,12 @@ mod tests {
             want_deltas,
         });
         let k_c = SecretKey::from_bytes([2u8; 32]);
+        let clients = vec![ClientId(1), ClientId(2)];
         let payload = ProvisionPayload {
             k_p: SecretKey::from_bytes([1u8; 32]),
             k_c: k_c.clone(),
             k_a: SecretKey::from_bytes([3u8; 32]),
-            clients: vec![ClientId(1)],
+            clients: clients.clone(),
             quorum: crate::stability::Quorum::Majority,
             identity,
         };
@@ -799,12 +991,97 @@ mod tests {
             call(HostCall::Provision(sealed)),
             HostReply::ProvisionOk(PersistBlobs { record: None, .. })
         ));
-        let mut client = LcmClient::new(ClientId(1), &k_c);
-        let wire = client.invoke(&Counter::inc_op(b"n", 1)).unwrap();
-        match call(HostCall::InvokeBatch(vec![wire])) {
+        let clients = clients.iter().map(|&id| LcmClient::new(id, &k_c)).collect();
+        (enclave, clients)
+    }
+
+    /// What `BatchOk` carries for one batch of one `Counter` increment
+    /// on an enclave provisioned as `identity`: `(state blob kind,
+    /// record)`.
+    fn batch_ok_for(
+        identity: crate::context::ShardIdentity,
+        want_deltas: bool,
+    ) -> (u8, Option<Vec<u8>>) {
+        use crate::functionality::Counter;
+        let (mut enclave, mut clients) = provisioned_counter(identity, want_deltas);
+        let wire = clients[0].invoke(&Counter::inc_op(b"n", 1)).unwrap();
+        let call = HostCall::InvokeBatch(vec![wire]).to_bytes();
+        match HostReply::from_bytes(&enclave.ecall(&call).unwrap()).unwrap() {
             HostReply::BatchOk { blobs, .. } => (blobs.state_blob[0], blobs.record),
             other => panic!("expected BatchOk, got {other:?}"),
         }
+    }
+
+    /// The host's reading of a batch reply: reply *i* in wire *i*, and
+    /// anything but a reply to exactly these wires an error that
+    /// consumes them — a miscounted reply either way, a reply cut off
+    /// anywhere, an error reply — never a panic.
+    #[test]
+    fn a_batch_reply_is_read_into_its_wires_or_refused() {
+        use crate::functionality::Counter;
+        let (mut enclave, mut clients) =
+            provisioned_counter(crate::context::ShardIdentity::SOLO, true);
+        let wires: Vec<Vec<u8>> = clients
+            .iter_mut()
+            .map(|c| c.invoke(&Counter::inc_op(b"n", 1)).unwrap())
+            .collect();
+        let mut call = Writer::new();
+        HostCall::encode_invoke_batch_into(&mut call, &wires);
+        let out = enclave.ecall(call.as_slice()).unwrap();
+
+        // The owned decoder and the in-place reading agree.
+        let HostReply::BatchOk { replies, blobs } = HostReply::from_bytes(&out).unwrap() else {
+            panic!("expected a batch reply");
+        };
+        // Wires with room for their replies: no growth moves them.
+        let mut held: Vec<Vec<u8>> = wires.clone();
+        held.iter_mut().for_each(|w| w.reserve(256));
+        let buffers: Vec<_> = held.iter().map(|w| w.as_ptr()).collect();
+        let (in_place, in_place_blobs) = HostReply::batch_replies(&out, &mut held).unwrap();
+        assert_eq!((&in_place, &in_place_blobs), (&replies, &blobs));
+        assert!(held.is_empty());
+        for (((id, reply), buffer), c) in in_place.iter().zip(buffers).zip(&mut clients) {
+            assert_eq!(reply.as_ptr(), buffer, "{id}'s reply is not in its wire");
+            c.handle_reply(reply).unwrap();
+        }
+
+        // More replies than wires, and fewer.
+        for wired in [1, 3] {
+            let mut held = vec![vec![0u8; 8]; wired];
+            let refused = HostReply::batch_replies(&out, &mut held);
+            assert!(
+                matches!(refused, Err(LcmError::Tee(_))),
+                "{wired}: {refused:?}"
+            );
+            assert!(held.is_empty(), "{wired}: wires left behind");
+        }
+        // Cut anywhere, it is malformed.
+        for cut in 0..out.len() {
+            let mut held = wires.clone();
+            assert!(
+                HostReply::batch_replies(&out[..cut], &mut held).is_err(),
+                "cut {cut}"
+            );
+            assert!(held.is_empty(), "cut {cut}: wires left behind");
+        }
+        let mut long = out.clone();
+        long.push(0);
+        assert!(HostReply::batch_replies(&long, &mut wires.clone()).is_err());
+        // An error reply is the error it carries.
+        let halted = HostReply::Err((&LcmError::Halted).into()).to_bytes();
+        let mut held = wires.clone();
+        assert_eq!(
+            HostReply::batch_replies(&halted, &mut held),
+            Err(LcmError::Halted)
+        );
+        assert!(held.is_empty());
+        // And a read reply is not a batch reply, nor the other way round.
+        let read = HostReply::ReadOk(b"r".to_vec()).to_bytes();
+        assert!(HostReply::batch_replies(&read, &mut wires.clone()).is_err());
+        assert!(HostReply::read_reply_into(&out, &mut Vec::new()).is_err());
+        let mut wire = b"leg".to_vec();
+        HostReply::read_reply_into(&read, &mut wire).unwrap();
+        assert_eq!(wire, b"r");
     }
 
     /// Which record a batch ships is decided by what the enclave can

@@ -1015,6 +1015,21 @@ mod tests {
     }
 
     #[test]
+    fn a_follower_read_reply_rides_home_in_its_legs_buffer() {
+        let (mut group, mut client) = group_of::<Counter>(3, Quorum::All);
+        inc(&mut group, &mut client);
+        for replica in 0..3 {
+            let op = Counter::read_op(b"n");
+            let mut leg = client.read_for::<Counter>(&op, replica).unwrap();
+            leg.reserve(256);
+            let buffer = leg.as_ptr();
+            let reply = group.serve_read(leg).unwrap();
+            assert_eq!(reply.as_ptr(), buffer, "member {replica}");
+            assert_eq!(fresh(client.handle_read_reply(&reply).unwrap()), 1);
+        }
+    }
+
+    #[test]
     fn a_fault_free_stream_needs_no_levelling() {
         let (mut group, mut client) = group_of::<Counter>(3, Quorum::All);
         for _ in 0..5 {

@@ -29,6 +29,31 @@
 //!   replica)`: [`crate::shard::ShardedServer`],
 //!   [`crate::transport::Frontend`], and — through one blanket impl —
 //!   every [`Lane`] on its own as the one-shard deployment.
+//!
+//! ## Buffer lifecycle
+//!
+//! A request's bytes and its reply's share one buffer, allocated and
+//! freed on the thread of the client that sent it. The client library
+//! seals the INVOKE into a fresh `Vec` on the client's thread
+//! ([`crate::client::LcmClient::invoke`]); the host moves that `Vec`
+//! by value — [`BatchServer::submit`], a shard's ingress, the lane's
+//! queue — to the lane thread that runs [`LcmServer::step`], which
+//! encodes the batch's wires by reference into its reused call buffer
+//! and makes one ecall. The enclave answers into one output buffer per
+//! call, allocated and freed on that lane thread (see
+//! [`crate::program`]); `step` copies reply *i* into wire *i* — the
+//! client's own buffer, grown only if the reply is larger — and
+//! returns the wires as the [`Replies`], paired 1:1 and in order with
+//! the batch's wires. They travel back through the reply book to the
+//! client, which frees them after verifying (or reuses them). A
+//! verified read takes the same round trip: [`LcmServer::serve_read`]
+//! takes the leg by value and returns the reply in it. The sealed
+//! blobs a batch persists are allocated on the lane thread and freed
+//! there, or on the background writer's thread in asynchronous-write
+//! mode. An error reply, or a reply that does not answer exactly the
+//! batch's wires, is the step's `Err` and drops the batch's wires on
+//! the lane thread: the shard crash-stops, and its tickets are written
+//! off ([`crate::shard`]).
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -294,7 +319,9 @@ impl<F: Functionality> LcmServer<F> {
     }
 
     /// Processes one batch (up to the batch limit): a single ecall, a
-    /// single seal-and-store, replies routed per client. In
+    /// single seal-and-store, replies routed per client — each in the
+    /// buffer its request was submitted in (module docs, § Buffer
+    /// lifecycle). In
     /// asynchronous-write mode the sealed state is queued for the
     /// background writer and the replies return before the disk write
     /// completes; the call blocks only when the writer queue is full
@@ -320,24 +347,24 @@ impl<F: Functionality> LcmServer<F> {
         let n_ops = self.batch_scratch.len() as u64;
         self.call_scratch.clear();
         HostCall::encode_invoke_batch_into(&mut self.call_scratch, &self.batch_scratch);
-        match self.ecall_encoded()? {
-            HostReply::BatchOk { replies, mut blobs } => {
-                self.batches_processed += 1;
-                self.ops_processed += n_ops;
-                // The record goes up to the group, not down to storage.
-                self.record = blobs.record.take();
-                // Records this member buffered as a follower land first,
-                // on either persist path: the slot takes records in
-                // chain order.
-                self.store_buffered()?;
-                match &mut self.writer {
-                    Some(writer) => writer.submit(blobs)?,
-                    None => self.persist(&blobs)?,
-                }
-                Ok(replies)
-            }
-            other => Err(unexpected(other)),
+        let out = self.enclave.ecall(self.call_scratch.as_slice())?;
+        // Each reply rides home in the buffer its request came in.
+        let (replies, mut blobs) = HostReply::batch_replies(&out, &mut self.batch_scratch)?;
+        // Freed before the store copies the blobs, which can then
+        // reuse its memory.
+        drop(out);
+        self.batches_processed += 1;
+        self.ops_processed += n_ops;
+        // The record goes up to the group, not down to storage.
+        self.record = blobs.record.take();
+        // Records this member buffered as a follower land first, on
+        // either persist path: the slot takes records in chain order.
+        self.store_buffered()?;
+        match &mut self.writer {
+            Some(writer) => writer.submit(blobs)?,
+            None => self.persist(&blobs)?,
         }
+        Ok(replies)
     }
 
     /// Stores the replica records [`LcmServer::apply_replica`]
@@ -564,8 +591,8 @@ impl<F: Functionality> LcmServer<F> {
     }
 
     /// Serves a replica-pinned verified read leg against this server's
-    /// enclave, returning the encrypted read reply. Reads mutate no
-    /// protocol state and persist nothing. See
+    /// enclave, returning the encrypted read reply in the leg's own
+    /// buffer. Reads mutate no protocol state and persist nothing. See
     /// [`crate::context::TrustedContext::serve_read`].
     ///
     /// # Errors
@@ -573,11 +600,13 @@ impl<F: Functionality> LcmServer<F> {
     /// Propagates context errors (a solo server answers legs pinned to
     /// replica 0; legs pinned elsewhere fail authentication inside the
     /// enclave).
-    pub fn serve_read(&mut self, read_wire: Vec<u8>) -> Result<Vec<u8>> {
-        match self.ecall(HostCall::ServeRead(read_wire))? {
-            HostReply::ReadOk(wire) => Ok(wire),
-            other => Err(unexpected(other)),
-        }
+    pub fn serve_read(&mut self, mut read_wire: Vec<u8>) -> Result<Vec<u8>> {
+        self.call_scratch.clear();
+        HostCall::encode_serve_read_into(&mut self.call_scratch, &read_wire);
+        let out = self.enclave.ecall(self.call_scratch.as_slice())?;
+        // The reply rides home in the leg's buffer.
+        HostReply::read_reply_into(&out, &mut read_wire)?;
+        Ok(read_wire)
     }
 
     /// Stores `blobs` inline, behind the buffered replica records, so
@@ -606,17 +635,18 @@ impl<F: Functionality> LcmServer<F> {
     }
 
     /// A host call without the writer barrier: for calls that neither
-    /// read nor write stable storage (attestation, verified reads).
+    /// read nor write stable storage (attestation).
     fn ecall(&mut self, call: HostCall) -> Result<HostReply> {
         self.call_scratch.clear();
         call.encode(&mut self.call_scratch);
         self.ecall_encoded()
     }
 
-    /// Makes the host call already encoded in `call_scratch` — the
-    /// calls with large borrowed payloads (a batch's wires, a
-    /// replication record) encode themselves there directly.
-    /// An error reply comes back as the `Err` it projects.
+    /// Makes the host call already encoded in `call_scratch` — a call
+    /// with a large borrowed payload (a replication record) encodes
+    /// itself there directly; a batch and a read leg, whose replies are
+    /// read in place, make their ecall themselves. An error reply
+    /// comes back as the `Err` it projects.
     fn ecall_encoded(&mut self) -> Result<HostReply> {
         let out = self.enclave.ecall(self.call_scratch.as_slice())?;
         match HostReply::from_bytes(&out)? {
@@ -1446,6 +1476,113 @@ mod tests {
         server.submit(clients[0].invoke(b"after").unwrap());
         let replies = server.process_all().unwrap();
         assert_eq!(clients[0].handle_reply(&replies[0].1).unwrap().seq.0, 18);
+    }
+
+    /// A functionality whose result is 64 bytes per byte of its
+    /// operation: replies far larger than the requests they answer.
+    #[derive(Default)]
+    struct Amplify;
+
+    impl Functionality for Amplify {
+        fn exec(&mut self, op: &[u8]) -> Vec<u8> {
+            vec![0xa5; 64 * op.len()]
+        }
+        fn snapshot(&self) -> Vec<u8> {
+            Vec::new()
+        }
+        fn restore(&mut self, _: &[u8]) -> std::result::Result<(), crate::codec::CodecError> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn replies_ride_home_in_their_requests_buffers() {
+        let (mut server, _admin, mut clients) = setup(3, 16);
+        let mut sent = Vec::new();
+        for c in clients.iter_mut() {
+            let mut wire = c.invoke(b"op").unwrap();
+            // Room for the reply, so that no growth moves the buffer.
+            wire.reserve(256);
+            sent.push((c.id(), wire.as_ptr()));
+            server.submit(wire);
+        }
+        let replies = server.step().unwrap();
+        assert_eq!(replies.len(), sent.len());
+        for ((id, wire), (sent_id, buffer)) in replies.iter().zip(&sent) {
+            assert_eq!(id, sent_id, "replies come back in submission order");
+            assert_eq!(
+                wire.as_ptr(),
+                *buffer,
+                "{id}'s reply came home in another buffer"
+            );
+            let c = clients.iter_mut().find(|c| c.id() == *id).unwrap();
+            c.handle_reply(wire).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_reply_larger_than_its_request_grows_the_request_buffer() {
+        let world = TeeWorld::new_deterministic(45);
+        let platform = world.platform_deterministic(1);
+        let mut server = LcmServer::<Amplify>::new(&platform, Arc::new(MemoryStorage::new()), 16);
+        assert!(server.boot().unwrap());
+        let ids = vec![ClientId(1), ClientId(2)];
+        let mut admin = AdminHandle::new_deterministic(&world, ids.clone(), Quorum::Majority, 7);
+        admin.bootstrap(&mut server).unwrap();
+        let mut clients: Vec<LcmClient> = ids
+            .iter()
+            .map(|&id| LcmClient::new(id, admin.client_key()))
+            .collect();
+        // A small and a large reply in one batch, each in a wire whose
+        // capacity is exactly its request.
+        let ops = [vec![1u8; 1], vec![2u8; 300]];
+        let mut capacities = Vec::new();
+        for (c, op) in clients.iter_mut().zip(&ops) {
+            let wire = c.invoke(op).unwrap();
+            capacities.push(wire.capacity());
+            server.submit(wire);
+        }
+        let replies = server.step().unwrap();
+        assert!(
+            replies[1].1.len() > capacities[1],
+            "the large reply outgrew its request"
+        );
+        for ((id, wire), op) in replies.iter().zip(&ops) {
+            let done = clients[id.0 as usize - 1].handle_reply(wire).unwrap();
+            assert_eq!(done.result, vec![0xa5; 64 * op.len()], "{id}");
+        }
+    }
+
+    #[test]
+    fn a_read_reply_rides_home_in_its_legs_buffer() {
+        use crate::client::ReadOutcome;
+        use crate::functionality::Counter;
+        let world = TeeWorld::new_deterministic(46);
+        let platform = world.platform_deterministic(1);
+        let mut server = LcmServer::<Counter>::new(&platform, Arc::new(MemoryStorage::new()), 16);
+        assert!(server.boot().unwrap());
+        let mut admin =
+            AdminHandle::new_deterministic(&world, vec![ClientId(1)], Quorum::Majority, 7);
+        admin.bootstrap(&mut server).unwrap();
+        let mut c = LcmClient::new(ClientId(1), admin.client_key());
+        server.submit(c.invoke_for::<Counter>(&Counter::inc_op(b"n", 3)).unwrap());
+        c.handle_reply(&server.step().unwrap()[0].1).unwrap();
+
+        let mut leg = c.read_for::<Counter>(&Counter::read_op(b"n"), 0).unwrap();
+        leg.reserve(256);
+        let buffer = leg.as_ptr();
+        let reply = server.serve_read(leg).unwrap();
+        assert_eq!(
+            reply.as_ptr(),
+            buffer,
+            "the reply came home in another buffer"
+        );
+        match c.handle_read_reply(&reply).unwrap() {
+            ReadOutcome::Fresh(done) => assert_eq!(Counter::decode_result(&done.result), Some(3)),
+            other => panic!("expected a fresh read, got {other:?}"),
+        }
+        // A leg the enclave refuses is an error, not a reply.
+        assert!(server.serve_read(vec![0u8; 3]).is_err());
     }
 
     #[test]

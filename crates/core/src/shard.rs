@@ -2505,6 +2505,37 @@ mod tests {
         );
     }
 
+    /// A batch whose third wire fails to open: the lane's step is the
+    /// error, every ticket of the batch is written off and nothing of
+    /// it is released — the replies the enclave sealed for the first
+    /// two wires never leave it — and the halted lane refuses later
+    /// work the same way. No panic anywhere.
+    #[test]
+    fn a_wire_that_fails_mid_batch_writes_the_whole_batch_off() {
+        let (mut server, _admin, mut clients) = sharded_counter(1, 4);
+        let core = server.core();
+        for (i, c) in clients.iter_mut().enumerate() {
+            let mut wire = c.invoke_for::<Counter>(&Counter::inc_op(b"n", 1)).unwrap();
+            if i == 2 {
+                let last = wire.len() - 1;
+                wire[last] ^= 0xff;
+            }
+            server.submit(wire);
+        }
+        assert_eq!(core.unsettled(), 4);
+        let err = server.step().unwrap_err();
+        assert!(err.is_violation(), "got {err:?}");
+        assert_eq!(core.unsettled(), 0, "the batch's tickets are written off");
+        assert!(
+            core.take_ready().is_empty(),
+            "nothing of the batch is released"
+        );
+        assert_eq!(server.queued(), 0);
+        server.submit(clients[0].retry().unwrap());
+        assert_eq!(server.process_all().unwrap_err(), LcmError::Halted);
+        assert_eq!(core.unsettled(), 0);
+    }
+
     #[test]
     fn ingress_overflow_relieves_inline_instead_of_deadlocking() {
         // Route far more wires at one shard than its ingress bound

@@ -432,6 +432,34 @@ impl VState {
         }
     }
 
+    /// Overwrites (or adds) the entries of every delta in `deltas`, in
+    /// order, and rebuilds the index once at the end instead of
+    /// maintaining it per entry — the replay of a whole journal at
+    /// boot. Equal to [`VState::apply_entries`] of each in turn.
+    pub fn replay_entries(&mut self, deltas: impl IntoIterator<Item = VMap>) {
+        for entries in deltas {
+            self.map.extend(entries);
+        }
+        self.index = Index::build(&self.map, self.quorum.required(self.map.len()));
+    }
+
+    /// Encodes the entries of `clients` — ascending, without repeats —
+    /// that `V` holds, in the [`encode_vmap`] layout: the bytes
+    /// `encode_vmap` writes for a map of clones of those entries,
+    /// written straight from `V`. What a delta carries of `V`.
+    pub fn encode_entries(&self, clients: &[ClientId], w: &mut Writer) {
+        debug_assert!(clients.windows(2).all(|p| p[0] < p[1]));
+        let at = w.len();
+        w.put_u32(0);
+        let mut n = 0;
+        for (id, entry) in clients.iter().filter_map(|c| self.map.get_key_value(c)) {
+            id.encode(w);
+            entry.encode(w);
+            n += 1;
+        }
+        w.patch_u32(at, n);
+    }
+
     /// Installs `map` wholesale under `quorum` and rebuilds the index
     /// from it.
     pub fn replace(&mut self, map: VMap, quorum: Quorum) {
@@ -705,6 +733,38 @@ mod tests {
     }
 
     proptest::proptest! {
+        /// A journal replayed in bulk — the entries of every delta
+        /// applied, the index rebuilt once — leaves the map, `stable()`
+        /// and `latest()` exactly as replaying it delta by delta does,
+        /// under every quorum, from any starting map: ties, stale and
+        /// out-of-order entries, new and repeated clients included.
+        #[test]
+        fn bulk_replay_is_per_entry_replay(
+            start in proptest::collection::vec((0u32..10, 0u64..12, 0u64..12), 0..8),
+            journal in proptest::collection::vec(
+                proptest::collection::vec((0u32..12, 0u64..12, 0u64..12), 0..6),
+                0..12,
+            ),
+            k in 0u32..12,
+        ) {
+            use proptest::prelude::*;
+            for quorum in [Quorum::Majority, Quorum::All, Quorum::AtLeast(k)] {
+                let mut per_entry = VState::new(quorum);
+                per_entry.replace(vmap(&start), quorum);
+                let mut bulk = VState::new(quorum);
+                bulk.replace(vmap(&start), quorum);
+                for delta in &journal {
+                    per_entry.apply_entries(vmap(delta));
+                }
+                bulk.replay_entries(journal.iter().map(|delta| vmap(delta)));
+                prop_assert_eq!(bulk.map(), per_entry.map());
+                prop_assert_eq!(bulk.stable(), per_entry.stable());
+                prop_assert_eq!(bulk.latest(), per_entry.latest());
+                prop_assert_eq!(&bulk.index.top, &per_entry.index.top);
+                prop_assert_eq!(&bulk.index.acks, &per_entry.index.acks);
+            }
+        }
+
         /// After every step of a random script the index agrees with
         /// the quadratic oracle and `argmax`, and the map equals a
         /// plain `VMap` driven by the same script — from the all-zero

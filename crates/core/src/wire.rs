@@ -37,15 +37,33 @@ pub(crate) fn seal_message(
     message_len: usize,
     message: impl FnOnce(&mut Writer),
 ) -> crate::Result<Vec<u8>> {
-    let body = framing.len() + NONCE_LEN;
-    let mut w = Writer::with_capacity(body + message_len + aead::TAG_LEN);
-    w.put_raw(framing);
-    w.put_raw(nonce);
-    message(&mut w);
-    let mut sealed = w.into_bytes();
-    aead::seal_in_place(key, nonce, aad, &mut sealed, body)
-        .map_err(|e| crate::LcmError::Tee(e.to_string()))?;
-    Ok(sealed)
+    let mut w = Writer::new();
+    seal_message_into(&mut w, key, nonce, aad, framing, message_len, message)?;
+    Ok(w.into_bytes())
+}
+
+/// [`seal_message`] appended to `w`: `framing ‖ nonce ‖ message ‖ tag`
+/// follows whatever `w` already holds (room for it reserved from
+/// `message_len`), and the message is encrypted where `message`
+/// encoded it. The one sealing routine: a batch's replies are sealed
+/// this way straight into the ecall's output.
+pub(crate) fn seal_message_into(
+    w: &mut Writer,
+    key: &AeadKey,
+    nonce: &[u8; NONCE_LEN],
+    aad: &[u8],
+    framing: &[u8],
+    message_len: usize,
+    message: impl FnOnce(&mut Writer),
+) -> crate::Result<()> {
+    let buf = w.buf_mut();
+    buf.reserve(framing.len() + NONCE_LEN + message_len + aead::TAG_LEN);
+    buf.extend_from_slice(framing);
+    buf.extend_from_slice(nonce);
+    let body = buf.len();
+    message(w);
+    aead::seal_in_place(key, nonce, aad, w.buf_mut(), body)
+        .map_err(|e| crate::LcmError::Tee(e.to_string()))
 }
 
 /// Tag byte of a first-attempt INVOKE.

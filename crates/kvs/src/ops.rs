@@ -76,6 +76,35 @@ impl KvOp {
             KvOp::ScanShard { pin, .. } | KvOp::Fill { pin, .. } => pin,
         }
     }
+
+    /// This operation with its buffers borrowed.
+    pub fn view(&self) -> KvOpView<'_> {
+        match self {
+            KvOp::Get(key) => KvOpView::Get(key),
+            KvOp::Put(key, value) => KvOpView::Put(key, value),
+            KvOp::Del(key) => KvOpView::Del(key),
+            KvOp::Scan { start, limit } => KvOpView::Scan {
+                start,
+                limit: *limit,
+            },
+            KvOp::ScanShard { pin, start, limit } => KvOpView::ScanShard {
+                pin,
+                start,
+                limit: *limit,
+            },
+            KvOp::Fill {
+                pin,
+                start,
+                count,
+                value_len,
+            } => KvOpView::Fill {
+                pin,
+                start: *start,
+                count: *count,
+                value_len: *value_len,
+            },
+        }
+    }
 }
 
 impl WireCodec for KvOp {
@@ -121,42 +150,123 @@ impl WireCodec for KvOp {
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(KvOpView::decode(r)?.to_owned())
+    }
+}
+
+/// A [`KvOp`] whose keys, values and pins are borrowed from the bytes
+/// it was decoded from — the one decoder of the operation format; the
+/// owned [`KvOp`] only copies what a view found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KvOpView<'a> {
+    /// See [`KvOp::Get`].
+    Get(&'a [u8]),
+    /// See [`KvOp::Put`].
+    Put(&'a [u8], &'a [u8]),
+    /// See [`KvOp::Del`].
+    Del(&'a [u8]),
+    /// See [`KvOp::Scan`].
+    Scan {
+        /// First key of the range (inclusive).
+        start: &'a [u8],
+        /// Maximum number of records returned.
+        limit: u32,
+    },
+    /// See [`KvOp::ScanShard`].
+    ScanShard {
+        /// Routing pin.
+        pin: &'a [u8],
+        /// First key of the range (inclusive).
+        start: &'a [u8],
+        /// Maximum number of records returned by this shard.
+        limit: u32,
+    },
+    /// See [`KvOp::Fill`].
+    Fill {
+        /// Routing pin.
+        pin: &'a [u8],
+        /// First synthetic key index.
+        start: u64,
+        /// Number of records to insert.
+        count: u32,
+        /// Length in bytes of each filler value.
+        value_len: u32,
+    },
+}
+
+impl<'a> KvOpView<'a> {
+    /// Decodes an operation from all of `bytes`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CodecError`] on malformed input.
+    pub fn from_bytes(bytes: &'a [u8]) -> Result<Self, CodecError> {
+        let mut r = Reader::new(bytes);
+        let op = Self::decode(&mut r)?;
+        r.finish()?;
+        Ok(op)
+    }
+
+    fn decode(r: &mut Reader<'a>) -> Result<Self, CodecError> {
         match r.get_u8()? {
-            OP_GET => Ok(KvOp::Get(r.get_rest().to_vec())),
+            OP_GET => Ok(KvOpView::Get(r.get_rest())),
             OP_PUT => {
-                let key = r.get_bytes()?.to_vec();
-                Ok(KvOp::Put(key, r.get_rest().to_vec()))
+                let key = r.get_bytes()?;
+                Ok(KvOpView::Put(key, r.get_rest()))
             }
-            OP_DEL => Ok(KvOp::Del(r.get_rest().to_vec())),
+            OP_DEL => Ok(KvOpView::Del(r.get_rest())),
             OP_SCAN => {
                 let limit = r.get_u32()?;
-                Ok(KvOp::Scan {
+                Ok(KvOpView::Scan {
                     limit,
-                    start: r.get_rest().to_vec(),
+                    start: r.get_rest(),
                 })
             }
             OP_SCAN_SHARD => {
-                let pin = r.get_bytes()?.to_vec();
+                let pin = r.get_bytes()?;
                 let limit = r.get_u32()?;
-                Ok(KvOp::ScanShard {
+                Ok(KvOpView::ScanShard {
                     pin,
                     limit,
-                    start: r.get_rest().to_vec(),
+                    start: r.get_rest(),
                 })
             }
-            OP_FILL => {
-                let pin = r.get_bytes()?.to_vec();
-                let start = r.get_u64()?;
-                let count = r.get_u32()?;
-                let value_len = r.get_u32()?;
-                Ok(KvOp::Fill {
-                    pin,
-                    start,
-                    count,
-                    value_len,
-                })
-            }
+            OP_FILL => Ok(KvOpView::Fill {
+                pin: r.get_bytes()?,
+                start: r.get_u64()?,
+                count: r.get_u32()?,
+                value_len: r.get_u32()?,
+            }),
             other => Err(CodecError::InvalidTag(other)),
+        }
+    }
+
+    /// The operation with buffers of its own.
+    pub fn to_owned(&self) -> KvOp {
+        match *self {
+            KvOpView::Get(key) => KvOp::Get(key.to_vec()),
+            KvOpView::Put(key, value) => KvOp::Put(key.to_vec(), value.to_vec()),
+            KvOpView::Del(key) => KvOp::Del(key.to_vec()),
+            KvOpView::Scan { start, limit } => KvOp::Scan {
+                start: start.to_vec(),
+                limit,
+            },
+            KvOpView::ScanShard { pin, start, limit } => KvOp::ScanShard {
+                pin: pin.to_vec(),
+                start: start.to_vec(),
+                limit,
+            },
+            KvOpView::Fill {
+                pin,
+                start,
+                count,
+                value_len,
+            } => KvOp::Fill {
+                pin: pin.to_vec(),
+                start,
+                count,
+                value_len,
+            },
         }
     }
 }
@@ -183,26 +293,47 @@ const RES_DELETED: u8 = 4;
 const RES_MALFORMED: u8 = 5;
 const RES_RANGE: u8 = 6;
 
-impl WireCodec for KvResult {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            KvResult::Value(None) => w.put_u8(RES_NONE),
-            KvResult::Value(Some(v)) => {
+impl KvResult {
+    /// Encodes a GET result from a borrowed value, as
+    /// [`KvResult::Value`] encodes.
+    pub(crate) fn encode_value(w: &mut Writer, value: Option<&[u8]>) {
+        match value {
+            None => w.put_u8(RES_NONE),
+            Some(v) => {
                 w.put_u8(RES_VALUE);
                 w.put_raw(v);
             }
+        }
+    }
+
+    /// Encodes a SCAN result of `count` borrowed pairs, as
+    /// [`KvResult::Range`] encodes.
+    pub(crate) fn encode_range<'a>(
+        w: &mut Writer,
+        count: usize,
+        pairs: impl Iterator<Item = (&'a [u8], &'a [u8])>,
+    ) {
+        w.put_u8(RES_RANGE);
+        w.put_u32(count as u32);
+        for (k, v) in pairs {
+            w.put_bytes(k);
+            w.put_bytes(v);
+        }
+    }
+}
+
+impl WireCodec for KvResult {
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            KvResult::Value(v) => KvResult::encode_value(w, v.as_deref()),
             KvResult::Stored => w.put_u8(RES_STORED),
             KvResult::Deleted(existed) => {
                 w.put_u8(RES_DELETED);
                 w.put_bool(*existed);
             }
             KvResult::Range(pairs) => {
-                w.put_u8(RES_RANGE);
-                w.put_u32(pairs.len() as u32);
-                for (k, v) in pairs {
-                    w.put_bytes(k);
-                    w.put_bytes(v);
-                }
+                let borrowed = pairs.iter().map(|(k, v)| (k.as_slice(), v.as_slice()));
+                KvResult::encode_range(w, pairs.len(), borrowed);
             }
             KvResult::Malformed => w.put_u8(RES_MALFORMED),
         }

@@ -1,12 +1,13 @@
 //! The in-enclave key-value store: the functionality `F`.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{btree_map, BTreeMap, BTreeSet};
+use std::ops::Bound;
 
 use lcm_core::codec::{CodecError, Reader, WireCodec, Writer};
 use lcm_core::functionality::Functionality;
 use lcm_tee::epc::MapMemoryModel;
 
-use crate::ops::{KvOp, KvResult};
+use crate::ops::{KvOp, KvOpView, KvResult};
 
 /// An ordered-map key-value store implementing the LCM
 /// [`Functionality`] interface.
@@ -59,7 +60,15 @@ impl Eq for MemoryModelWrapper {}
 /// the same records are the same store regardless of how recently
 /// their contents were persisted.
 #[derive(Debug, Clone, Default)]
-struct DirtyWrapper(BTreeSet<Vec<u8>>);
+struct DirtyWrapper {
+    keys: BTreeSet<Vec<u8>>,
+    /// Key buffers of drained deltas, reused for the next keys
+    /// touched (at most [`DIRTY_SPARES`] of them).
+    spare: Vec<Vec<u8>>,
+    /// Length of the last encoded delta: the next one's buffer starts
+    /// at that size.
+    last_delta_len: usize,
+}
 
 impl PartialEq for DirtyWrapper {
     fn eq(&self, _other: &Self) -> bool {
@@ -67,6 +76,36 @@ impl PartialEq for DirtyWrapper {
     }
 }
 impl Eq for DirtyWrapper {}
+
+/// Drained key buffers [`DirtyWrapper`] keeps for reuse: a batch's
+/// worth and then some, not a bulk load's.
+const DIRTY_SPARES: usize = 256;
+
+/// Keys longer than this are not kept for reuse.
+const DIRTY_SPARE_KEY_LEN: usize = 256;
+
+impl DirtyWrapper {
+    /// Marks `key` dirty; only its first touch since the last drain
+    /// copies it, into a reused buffer when there is one.
+    fn touch(&mut self, key: &[u8]) {
+        if self.keys.contains(key) {
+            return;
+        }
+        let mut owned = self.spare.pop().unwrap_or_default();
+        owned.clear();
+        owned.extend_from_slice(key);
+        self.keys.insert(owned);
+    }
+
+    /// Hands the drained keys' buffers back for reuse.
+    fn recycle(&mut self, drained: BTreeSet<Vec<u8>>) {
+        let room = DIRTY_SPARES.saturating_sub(self.spare.len());
+        let reusable = drained
+            .into_iter()
+            .filter(|k| k.capacity() <= DIRTY_SPARE_KEY_LEN);
+        self.spare.extend(reusable.take(room));
+    }
+}
 
 /// Upper bound on a single [`KvOp::Fill`]'s record count: large enough
 /// for the million-object benchmark preload, small enough that a
@@ -76,47 +115,128 @@ const FILL_MAX_COUNT: u32 = 1 << 24;
 /// Upper bound on a [`KvOp::Fill`] filler-value length.
 const FILL_MAX_VALUE_LEN: u32 = 1 << 20;
 
-impl KvStore {
-    /// Applies a typed operation directly (in-enclave fast path; the
-    /// byte-level entry point is [`Functionality::exec`]).
-    pub fn apply(&mut self, op: &KvOp) -> KvResult {
-        match op {
-            KvOp::Get(key) => KvResult::Value(self.map.get(key).cloned()),
-            KvOp::Put(key, value) => {
-                self.map.insert(key.clone(), value.clone());
-                self.dirty.0.insert(key.clone());
-                KvResult::Stored
+/// What one operation did, borrowing what it read from the store:
+/// [`Functionality::exec`] encodes it, [`KvStore::apply`] copies it
+/// into a [`KvResult`].
+enum Outcome<'s> {
+    /// A GET's value.
+    Value(Option<&'s [u8]>),
+    /// A scan's records.
+    Range(std::iter::Take<btree_map::Range<'s, Vec<u8>, Vec<u8>>>),
+    /// A result that holds no bytes of the store.
+    Done(KvResult),
+}
+
+impl Outcome<'_> {
+    /// The result's encoding, in a buffer of exactly its size.
+    fn to_bytes(&self) -> Vec<u8> {
+        match self {
+            Outcome::Value(value) => {
+                let mut w = Writer::with_capacity(1 + value.map_or(0, <[u8]>::len));
+                KvResult::encode_value(&mut w, *value);
+                w.into_bytes()
             }
-            KvOp::Del(key) => {
-                let existed = self.map.remove(key).is_some();
-                self.dirty.0.insert(key.clone());
-                KvResult::Deleted(existed)
+            Outcome::Range(records) => {
+                let pairs = records.clone().map(|(k, v)| (k.as_slice(), v.as_slice()));
+                let len: usize = pairs.clone().map(|(k, v)| 8 + k.len() + v.len()).sum();
+                let mut w = Writer::with_capacity(5 + len);
+                KvResult::encode_range(&mut w, pairs.clone().count(), pairs);
+                w.into_bytes()
             }
-            KvOp::Scan { start, limit } | KvOp::ScanShard { start, limit, .. } => KvResult::Range(
-                self.map
-                    .range(start.clone()..)
-                    .take(*limit as usize)
+            Outcome::Done(result) => result.to_bytes(),
+        }
+    }
+
+    fn to_owned(&self) -> KvResult {
+        match self {
+            Outcome::Value(value) => KvResult::Value(value.map(<[u8]>::to_vec)),
+            Outcome::Range(records) => KvResult::Range(
+                records
+                    .clone()
                     .map(|(k, v)| (k.clone(), v.clone()))
                     .collect(),
             ),
-            KvOp::Fill {
+            Outcome::Done(result) => result.clone(),
+        }
+    }
+}
+
+/// Overwrites a stored buffer with `bytes` in place — unless it holds
+/// more than twice what `bytes` needs, which a fresh buffer gives back.
+fn overwrite(held: &mut Vec<u8>, bytes: &[u8]) {
+    if held.capacity() / 2 > bytes.len() {
+        *held = bytes.to_vec();
+    } else {
+        held.clear();
+        held.extend_from_slice(bytes);
+    }
+}
+
+impl KvStore {
+    /// Applies a typed operation directly (in-enclave fast path; the
+    /// byte-level entry point is [`Functionality::exec`]). The same
+    /// execution as `exec`, with the result copied out of the store.
+    pub fn apply(&mut self, op: &KvOp) -> KvResult {
+        self.run(op.view()).to_owned()
+    }
+
+    /// Executes one operation where its bytes lie: a `Put` overwrites
+    /// the value it replaces in that value's buffer, and nothing but a
+    /// key new to the store or to the pending diff is copied.
+    fn run(&mut self, op: KvOpView<'_>) -> Outcome<'_> {
+        match op {
+            KvOpView::Get(key) => Outcome::Value(self.map.get(key).map(Vec::as_slice)),
+            KvOpView::Put(key, value) => {
+                self.put(key, value);
+                Outcome::Done(KvResult::Stored)
+            }
+            KvOpView::Del(key) => {
+                let existed = self.map.remove(key).is_some();
+                self.dirty.touch(key);
+                Outcome::Done(KvResult::Deleted(existed))
+            }
+            KvOpView::Scan { start, limit } | KvOpView::ScanShard { start, limit, .. } => {
+                let from = (Bound::Included(start), Bound::Unbounded);
+                Outcome::Range(self.map.range::<[u8], _>(from).take(limit as usize))
+            }
+            KvOpView::Fill {
                 start,
                 count,
                 value_len,
                 ..
             } => {
-                if *count > FILL_MAX_COUNT || *value_len > FILL_MAX_VALUE_LEN {
-                    return KvResult::Malformed;
+                if count > FILL_MAX_COUNT || value_len > FILL_MAX_VALUE_LEN {
+                    return Outcome::Done(KvResult::Malformed);
                 }
-                let value = vec![b'x'; *value_len as usize];
-                for i in 0..u64::from(*count) {
+                // The keys are made here, so each is moved into the
+                // store, and its copy into the diff goes in without a
+                // look-up first: a bulk load's keys are new to it.
+                let value = vec![b'x'; value_len as usize];
+                for i in 0..u64::from(count) {
                     let key = format!("{:016x}", start.wrapping_add(i)).into_bytes();
-                    self.map.insert(key.clone(), value.clone());
-                    self.dirty.0.insert(key);
+                    let entry = self.map.entry(key);
+                    self.dirty.keys.insert(entry.key().clone());
+                    match entry {
+                        btree_map::Entry::Vacant(e) => {
+                            e.insert(value.clone());
+                        }
+                        btree_map::Entry::Occupied(mut e) => overwrite(e.get_mut(), &value),
+                    }
                 }
-                KvResult::Stored
+                Outcome::Done(KvResult::Stored)
             }
         }
+    }
+
+    /// Stores `value` under `key` and marks the key dirty.
+    fn put(&mut self, key: &[u8], value: &[u8]) {
+        match self.map.get_mut(key) {
+            Some(held) => overwrite(held, value),
+            None => {
+                self.map.insert(key.to_vec(), value.to_vec());
+            }
+        }
+        self.dirty.touch(key);
     }
 
     /// Number of stored objects.
@@ -138,8 +258,9 @@ impl KvStore {
     /// a deletion travelling as `present = false`.
     fn encode_delta<'a>(
         entries: impl ExactSizeIterator<Item = (&'a Vec<u8>, Option<&'a Vec<u8>>)>,
+        capacity: usize,
     ) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut w = Writer::with_capacity(capacity);
         w.put_u32(entries.len() as u32);
         for (key, value) in entries {
             w.put_bytes(key);
@@ -154,8 +275,8 @@ impl KvStore {
 
 impl Functionality for KvStore {
     fn exec(&mut self, op: &[u8]) -> Vec<u8> {
-        match KvOp::from_bytes(op) {
-            Ok(op) => self.apply(&op).to_bytes(),
+        match KvOpView::from_bytes(op) {
+            Ok(op) => self.run(op).to_bytes(),
             Err(_) => KvResult::Malformed.to_bytes(),
         }
     }
@@ -217,7 +338,7 @@ impl Functionality for KvStore {
         self.map = pairs.into_iter().collect();
         // The snapshot is the new persistence baseline; pending diffs
         // against the pre-restore contents are meaningless now.
-        self.dirty.0.clear();
+        self.dirty.keys.clear();
         Ok(())
     }
 
@@ -226,9 +347,12 @@ impl Functionality for KvStore {
     /// KVS supports delta persistence even when the diff happens to be
     /// empty (the empty delta is a valid no-op replay record).
     fn take_delta(&mut self) -> Option<Vec<u8>> {
-        let dirty = std::mem::take(&mut self.dirty.0);
+        let dirty = std::mem::take(&mut self.dirty.keys);
         let entries = dirty.iter().map(|key| (key, self.map.get(key)));
-        Some(Self::encode_delta(entries))
+        let delta = Self::encode_delta(entries, self.dirty.last_delta_len);
+        self.dirty.last_delta_len = delta.len();
+        self.dirty.recycle(dirty);
+        Some(delta)
     }
 
     fn apply_delta(&mut self, delta: &[u8]) -> Result<(), CodecError> {
@@ -236,11 +360,11 @@ impl Functionality for KvStore {
         let n = r.get_u32()? as usize;
         // Decode fully before mutating so a malformed delta cannot
         // leave the store half-updated.
-        let mut entries = Vec::with_capacity(n.min(1 << 16));
+        let mut entries = Vec::with_capacity(n.min(r.remaining() / 5));
         for _ in 0..n {
-            let k = r.get_bytes()?.to_vec();
+            let k = r.get_bytes()?;
             let v = if r.get_bool()? {
-                Some(r.get_bytes()?.to_vec())
+                Some(r.get_bytes()?)
             } else {
                 None
             };
@@ -248,12 +372,17 @@ impl Functionality for KvStore {
         }
         r.finish()?;
         for (k, v) in entries {
-            match v {
-                Some(v) => {
-                    self.map.insert(k, v);
-                }
+            let Some(v) = v else {
+                self.map.remove(k);
+                continue;
+            };
+            // A key past the store's last one is new: no look-up for
+            // it first (a bulk load's delta is all such keys).
+            let beyond = (self.map.last_key_value()).map_or(true, |(last, _)| k > last.as_slice());
+            match if beyond { None } else { self.map.get_mut(k) } {
+                Some(held) => overwrite(held, v),
                 None => {
-                    self.map.remove(&k);
+                    self.map.insert(k.to_vec(), v.to_vec());
                 }
             }
         }
@@ -277,10 +406,11 @@ impl Functionality for KvStore {
             !goes
         });
         for (key, _) in &moved {
-            self.dirty.0.remove(key);
+            self.dirty.keys.remove(key);
         }
+        let len: usize = moved.iter().map(|(k, v)| 9 + k.len() + v.len()).sum();
         let entries = moved.iter().map(|(key, value)| (key, Some(value)));
-        Some(Self::encode_delta(entries))
+        Some(Self::encode_delta(entries, 4 + len))
     }
 
     fn heap_bytes(&self) -> usize {
@@ -616,7 +746,7 @@ mod tests {
         assert_eq!(s.len(), 4);
         assert_eq!(s.get(b"m"), Some(&b"third"[..]), "the last duplicate wins");
         assert_eq!(s.get(b"before"), None);
-        assert!(s.dirty.0.is_empty(), "the snapshot is the new baseline");
+        assert!(s.dirty.keys.is_empty(), "the snapshot is the new baseline");
     }
 
     #[test]
@@ -634,7 +764,11 @@ mod tests {
             assert!(restore_by_inserts(&snap[..cut]).is_err(), "cut {cut}");
             assert!(s.restore(&snap[..cut]).is_err(), "cut {cut}");
             assert_eq!(s, occupied(), "cut {cut}: state touched");
-            assert_eq!(s.dirty.0, occupied().dirty.0, "cut {cut}: diff touched");
+            assert_eq!(
+                s.dirty.keys,
+                occupied().dirty.keys,
+                "cut {cut}: diff touched"
+            );
         }
         // Trailing bytes are as malformed as missing ones.
         let mut s = occupied();
@@ -643,7 +777,7 @@ mod tests {
         // And whole, it restores: state replaced, diff baseline reset.
         s.restore(&snap).unwrap();
         assert_eq!(s, source);
-        assert!(s.dirty.0.is_empty());
+        assert!(s.dirty.keys.is_empty());
     }
 
     #[test]

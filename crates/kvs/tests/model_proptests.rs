@@ -3,9 +3,9 @@
 //! through serialization boundaries and through the full byte-level
 //! `Functionality` interface.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-use lcm_core::codec::WireCodec;
+use lcm_core::codec::{WireCodec, Writer};
 use lcm_core::functionality::Functionality;
 use lcm_kvs::ops::{KvOp, KvResult};
 use lcm_kvs::store::KvStore;
@@ -76,6 +76,82 @@ fn reference_apply(model: &mut BTreeMap<Vec<u8>, Vec<u8>>, op: &KvOp) -> KvResul
     }
 }
 
+/// A key from a space of seven, so that operations collide.
+fn small_key() -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec(0u8..2, 0..3)
+}
+
+/// One step of a byte-level script: an operation's bytes — a valid
+/// encoding, one cut short or grown, or garbage — or a persist.
+#[derive(Debug, Clone)]
+enum Step {
+    Exec(Vec<u8>),
+    TakeDelta,
+}
+
+/// The encoding of a valid operation over [`small_key`]s.
+fn valid_op_bytes() -> impl Strategy<Value = Vec<u8>> {
+    let value = proptest::collection::vec(any::<u8>(), 0..24);
+    prop_oneof![
+        2 => small_key().prop_map(KvOp::Get),
+        4 => (small_key(), value).prop_map(|(k, v)| KvOp::Put(k, v)),
+        1 => small_key().prop_map(KvOp::Del),
+        1 => (small_key(), 0u32..8).prop_map(|(start, limit)| KvOp::Scan { start, limit }),
+        1 => (small_key(), small_key(), 0u32..8)
+            .prop_map(|(pin, start, limit)| KvOp::ScanShard { pin, start, limit }),
+        1 => (0u64..4, 0u32..4, 0u32..6).prop_map(|(start, count, value_len)| KvOp::Fill {
+            pin: Vec::new(),
+            start,
+            count,
+            value_len,
+        }),
+    ]
+    .prop_map(|op| op.to_bytes())
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        8 => valid_op_bytes().prop_map(Step::Exec),
+        1 => (valid_op_bytes(), 0usize..64).prop_map(|(mut bytes, cut)| {
+            bytes.truncate(cut % (bytes.len() + 1));
+            Step::Exec(bytes)
+        }),
+        1 => (valid_op_bytes(), any::<u8>()).prop_map(|(mut bytes, extra)| {
+            bytes.push(extra);
+            Step::Exec(bytes)
+        }),
+        1 => proptest::collection::vec(any::<u8>(), 0..16).prop_map(Step::Exec),
+        2 => Just(Step::TakeDelta),
+    ]
+}
+
+/// The keys `op` writes (or deletes).
+fn written_keys(op: &KvOp) -> Vec<Vec<u8>> {
+    match op {
+        KvOp::Put(k, _) | KvOp::Del(k) => vec![k.clone()],
+        KvOp::Fill { start, count, .. } => (0..u64::from(*count))
+            .map(|i| format!("{:016x}", start.wrapping_add(i)).into_bytes())
+            .collect(),
+        KvOp::Get(_) | KvOp::Scan { .. } | KvOp::ScanShard { .. } => Vec::new(),
+    }
+}
+
+/// The diff of `written` against `model`, in the delta layout: the
+/// count, then per key in order `key ‖ present ‖ value?`.
+fn reference_diff(model: &BTreeMap<Vec<u8>, Vec<u8>>, written: &BTreeSet<Vec<u8>>) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.put_u32(written.len() as u32);
+    for key in written {
+        w.put_bytes(key);
+        let value = model.get(key);
+        w.put_bool(value.is_some());
+        if let Some(value) = value {
+            w.put_bytes(value);
+        }
+    }
+    w.into_bytes()
+}
+
 proptest! {
     // Pinned case count so CI time is bounded; the runner's seed is
     // derived deterministically from each test's name.
@@ -103,6 +179,48 @@ proptest! {
             let raw_result = KvResult::from_bytes(&raw.exec(&op.to_bytes())).unwrap();
             prop_assert_eq!(typed_result, raw_result);
         }
+    }
+
+    /// `exec` — one borrowed view of the op, executed in place — is
+    /// the owned route byte for byte: decode a `KvOp`, `apply` it,
+    /// encode the `KvResult` (`Malformed` when the bytes do not
+    /// decode). Both stores hold the same records and owe the same
+    /// diff after every step, including keys touched again before a
+    /// persist.
+    ///
+    /// Each diff is also the reference model's: the keys written since
+    /// the last one, each once, with its value now or its absence.
+    #[test]
+    fn exec_is_the_owned_route(script in proptest::collection::vec(arb_step(), 0..120)) {
+        let mut in_place = KvStore::default();
+        let mut owned = KvStore::default();
+        let mut model = BTreeMap::new();
+        let mut written = BTreeSet::new();
+        for step in &script {
+            match step {
+                Step::Exec(bytes) => {
+                    let expected = match KvOp::from_bytes(bytes) {
+                        Ok(op) => {
+                            written.extend(written_keys(&op));
+                            let result = owned.apply(&op);
+                            prop_assert_eq!(&result, &reference_apply(&mut model, &op));
+                            result.to_bytes()
+                        }
+                        Err(_) => KvResult::Malformed.to_bytes(),
+                    };
+                    prop_assert_eq!(in_place.exec(bytes), expected);
+                }
+                Step::TakeDelta => {
+                    let diff = in_place.take_delta();
+                    prop_assert_eq!(&diff, &owned.take_delta());
+                    prop_assert_eq!(diff, Some(reference_diff(&model, &written)));
+                    written.clear();
+                }
+            }
+            prop_assert_eq!(in_place.snapshot(), owned.snapshot());
+        }
+        prop_assert_eq!(in_place.take_delta(), Some(reference_diff(&model, &written)));
+        prop_assert_eq!(&in_place, &owned);
     }
 
     /// Snapshot/restore at any point is transparent.
