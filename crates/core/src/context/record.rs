@@ -286,7 +286,7 @@ impl<F: Functionality> TrustedContext<F> {
                 let start = w.len();
                 w.put_digest(&self.persist_anchor);
                 self.stable_floor.encode(w);
-                self.v.encode_entries(&self.touched, w);
+                crate::stability::encode_vmap(self.v.entries_of(&self.touched), w);
                 w.put_bytes(f_delta);
                 anchor = lcm_crypto::sha256::digest_parts(&[ANCHOR_DELTA, &w.as_slice()[start..]]);
             },

@@ -461,13 +461,7 @@ impl<'a> Iterator for WireList<'a> {
         self.left = self.left.checked_sub(1)?;
         self.wires.get_bytes().ok()
     }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.left as usize, Some(self.left as usize))
-    }
 }
-
-impl ExactSizeIterator for WireList<'_> {}
 
 impl WireCodec for HostReply {
     fn encode(&self, w: &mut Writer) {
@@ -628,7 +622,7 @@ impl HostCall {
 impl HostReply {
     /// Decodes the enclave's answer to an `InvokeBatch` of `wires` in
     /// place: reply *i* is written into `wires[i]` — the buffer request
-    /// *i* arrived in, grown if the reply is larger — and the buffers
+    /// *i* arrived in (see [`reply_into`]) — and the buffers
     /// come back as the batch's replies, each with the client the
     /// enclave reported, beside the blobs to persist. Every wire is
     /// consumed whatever the outcome.
@@ -657,8 +651,7 @@ impl HostReply {
         let mut replies = Vec::with_capacity(n);
         for mut wire in wires {
             let client = ClientId::decode(&mut r)?;
-            wire.clear();
-            wire.extend_from_slice(r.get_bytes()?);
+            reply_into(&mut wire, r.get_bytes()?);
             replies.push((client, wire));
         }
         let blobs = decode_blobs(&mut r)?;
@@ -679,9 +672,25 @@ impl HostReply {
         let mut r = Reader::new(&out[1..]);
         let reply = r.get_bytes()?;
         r.finish()?;
+        reply_into(wire, reply);
+        Ok(())
+    }
+}
+
+/// A request buffer up to this size carries its reply home whatever
+/// the reply's size.
+const WIRE_KEEP_MAX: usize = 4096;
+
+/// Writes `reply` into `wire`, the buffer its request arrived in. A
+/// buffer over [`WIRE_KEEP_MAX`] and more than twice the reply is let
+/// go for an exact copy instead: a reply waits until its client
+/// collects it, and should hold about its own size, not its request's.
+fn reply_into(wire: &mut Vec<u8>, reply: &[u8]) {
+    if wire.capacity() > WIRE_KEEP_MAX && wire.capacity() / 2 > reply.len() {
+        *wire = reply.to_vec();
+    } else {
         wire.clear();
         wire.extend_from_slice(reply);
-        Ok(())
     }
 }
 
@@ -703,29 +712,28 @@ impl<F: Functionality> LcmProgram<F> {
         &self.context
     }
 
-    fn init(
-        &mut self,
-        key_blob: Option<&[u8]>,
-        state_blob: Option<&[u8]>,
-        want_deltas: bool,
-    ) -> crate::Result<HostReply> {
+    /// Answers an `Init` from its borrowed blobs.
+    fn init(&mut self, init: InitView<'_>, out: &mut Writer) -> crate::Result<()> {
+        let InitView {
+            key_blob,
+            state_blob,
+            want_deltas,
+        } = init;
         let outcome = self.context.init(key_blob, state_blob, want_deltas)?;
-        Ok(HostReply::InitOk {
+        HostReply::InitOk {
             need_provision: outcome == InitOutcome::NeedProvision,
-        })
+        }
+        .encode(out);
+        Ok(())
     }
 
     /// Answers an `InvokeBatch` straight into `out`: each wire's reply
     /// is sealed where the encoded reply keeps it, then the batch's
     /// blobs follow.
-    fn invoke_batch<'w>(
-        &mut self,
-        wires: impl ExactSizeIterator<Item = &'w [u8]>,
-        out: &mut Writer,
-    ) -> crate::Result<()> {
+    fn invoke_batch(&mut self, wires: WireList<'_>, out: &mut Writer) -> crate::Result<()> {
         let context = &mut self.context;
         out.put_u8(REPLY_BATCH);
-        out.put_u32(wires.len() as u32);
+        out.put_u32(wires.left);
         for wire in wires {
             // The routing id is known once the wire is open.
             let at = out.len();
@@ -754,8 +762,7 @@ impl<F: Functionality> LcmProgram<F> {
             CALL_INIT => {
                 let init = InitView::decode_body(&mut r)?;
                 r.finish()?;
-                let reply = self.init(init.key_blob, init.state_blob, init.want_deltas);
-                reply.map(|reply| reply.encode(out))
+                self.init(init, out)
             }
             CALL_INVOKE_BATCH => {
                 let wires = WireList::decode_body(&mut r)?;
@@ -770,20 +777,17 @@ impl<F: Functionality> LcmProgram<F> {
         })
     }
 
+    /// Answers a control-plane call.
     fn dispatch(&mut self, call: HostCall, out: &mut Writer) -> crate::Result<()> {
         let context = &mut self.context;
         let reply = match call {
-            // `answer` takes these borrowed; an owned one is the same
-            // call.
-            HostCall::Init {
-                key_blob,
-                state_blob,
-                want_deltas,
-            } => self.init(key_blob.as_deref(), state_blob.as_deref(), want_deltas)?,
-            HostCall::InvokeBatch(batch) => {
-                return self.invoke_batch(batch.iter().map(Vec::as_slice), out)
+            // `answer` reads these where the host put them: an owned
+            // one never reaches this match.
+            HostCall::Init { .. } | HostCall::InvokeBatch(_) | HostCall::ServeRead(_) => {
+                return Err(LcmError::Tee(
+                    "a data-plane call is answered in place".into(),
+                ))
             }
-            HostCall::ServeRead(wire) => return self.serve_read(&wire, out),
             HostCall::Provision(payload) => HostReply::ProvisionOk(context.provision(&payload)?),
             HostCall::Admin(msg) => {
                 let (reply, blobs) = context.handle_admin(&msg)?;
@@ -848,6 +852,30 @@ impl<F: Functionality> EnclaveProgram for LcmProgram<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_reply_keeps_its_request_buffer_unless_that_is_far_larger() {
+        // Up to a page, a request buffer carries any reply.
+        let mut wire = vec![0u8; WIRE_KEEP_MAX];
+        let buffer = wire.as_ptr();
+        reply_into(&mut wire, b"ok");
+        assert_eq!((wire.as_slice(), wire.as_ptr()), (&b"ok"[..], buffer));
+        // Over a page, one at most twice the reply still does ...
+        let mut wire = vec![0u8; 4 * WIRE_KEEP_MAX];
+        let buffer = wire.as_ptr();
+        reply_into(&mut wire, &[1; 2 * WIRE_KEEP_MAX]);
+        assert_eq!(wire, [1; 2 * WIRE_KEEP_MAX]);
+        assert_eq!(wire.as_ptr(), buffer);
+        // ... and a larger one is let go for an exact copy.
+        let mut wire = vec![0u8; 1 << 20];
+        reply_into(&mut wire, b"ok");
+        assert_eq!(wire, b"ok");
+        assert!(wire.capacity() < WIRE_KEEP_MAX);
+        // A reply larger than its request grows the buffer.
+        let mut wire = vec![0u8; 8];
+        reply_into(&mut wire, &[2; 300]);
+        assert_eq!(wire, [2; 300]);
+    }
 
     #[test]
     fn host_call_roundtrips() {

@@ -42,8 +42,10 @@
 //! and makes one ecall. The enclave answers into one output buffer per
 //! call, allocated and freed on that lane thread (see
 //! [`crate::program`]); `step` copies reply *i* into wire *i* — the
-//! client's own buffer, grown only if the reply is larger — and
-//! returns the wires as the [`Replies`], paired 1:1 and in order with
+//! client's own buffer, grown only if the reply is larger, and swapped
+//! for an exact copy only if it is over a page and more than twice the
+//! reply, so a waiting reply never holds a large request's memory —
+//! and returns the wires as the [`Replies`], paired 1:1 and in order with
 //! the batch's wires. They travel back through the reply book to the
 //! client, which frees them after verifying (or reuses them). A
 //! verified read takes the same round trip: [`LcmServer::serve_read`]
@@ -1551,6 +1553,34 @@ mod tests {
             let done = clients[id.0 as usize - 1].handle_reply(wire).unwrap();
             assert_eq!(done.result, vec![0xa5; 64 * op.len()], "{id}");
         }
+    }
+
+    #[test]
+    fn a_small_reply_does_not_hold_a_large_requests_buffer() {
+        use crate::functionality::Counter;
+        let world = TeeWorld::new_deterministic(47);
+        let platform = world.platform_deterministic(1);
+        let mut server = LcmServer::<Counter>::new(&platform, Arc::new(MemoryStorage::new()), 16);
+        assert!(server.boot().unwrap());
+        let mut admin =
+            AdminHandle::new_deterministic(&world, vec![ClientId(1)], Quorum::Majority, 7);
+        admin.bootstrap(&mut server).unwrap();
+        let mut c = LcmClient::new(ClientId(1), admin.client_key());
+        // A 256 KiB counter name; the reply carries only the count.
+        let op = Counter::inc_op(&[b'n'; 256 << 10], 5);
+        let wire = c.invoke_for::<Counter>(&op).unwrap();
+        assert!(wire.capacity() > 256 << 10);
+        server.submit(wire);
+        let replies = server.step().unwrap();
+        let reply = &replies[0].1;
+        assert!(
+            reply.capacity() < 4096,
+            "a {} B reply holds {} B",
+            reply.len(),
+            reply.capacity()
+        );
+        let done = c.handle_reply(reply).unwrap();
+        assert_eq!(Counter::decode_result(&done.result), Some(5));
     }
 
     #[test]

@@ -133,14 +133,23 @@ impl WireCodec for VEntry {
 /// The protocol state map `V`, indexed by client identifier.
 pub type VMap = BTreeMap<ClientId, VEntry>;
 
-/// Encodes a [`VMap`] deterministically (BTreeMap iterates in key
-/// order).
-pub fn encode_vmap(v: &VMap, w: &mut Writer) {
-    w.put_u32(v.len() as u32);
-    for (id, entry) in v {
+/// Encodes entries of `V` deterministically: their count, then each
+/// in the order given — key order for a whole [`VMap`] (BTreeMap
+/// iterates in key order), client order for the touched entries a
+/// delta carries ([`VState::entries_of`]).
+pub fn encode_vmap<'a>(
+    entries: impl IntoIterator<Item = (&'a ClientId, &'a VEntry)>,
+    w: &mut Writer,
+) {
+    let at = w.len();
+    w.put_u32(0);
+    let mut n = 0;
+    for (id, entry) in entries {
         id.encode(w);
         entry.encode(w);
+        n += 1;
     }
+    w.patch_u32(at, n);
 }
 
 /// Decodes a [`VMap`].
@@ -443,21 +452,16 @@ impl VState {
         self.index = Index::build(&self.map, self.quorum.required(self.map.len()));
     }
 
-    /// Encodes the entries of `clients` — ascending, without repeats —
-    /// that `V` holds, in the [`encode_vmap`] layout: the bytes
-    /// `encode_vmap` writes for a map of clones of those entries,
-    /// written straight from `V`. What a delta carries of `V`.
-    pub fn encode_entries(&self, clients: &[ClientId], w: &mut Writer) {
+    /// The entries of `clients` — ascending, without repeats — that
+    /// `V` holds, in client order, borrowed: what a delta carries of
+    /// `V`. [`encode_vmap`] writes for them the bytes it writes for a
+    /// map of their clones.
+    pub fn entries_of<'a>(
+        &'a self,
+        clients: &'a [ClientId],
+    ) -> impl Iterator<Item = (&'a ClientId, &'a VEntry)> + 'a {
         debug_assert!(clients.windows(2).all(|p| p[0] < p[1]));
-        let at = w.len();
-        w.put_u32(0);
-        let mut n = 0;
-        for (id, entry) in clients.iter().filter_map(|c| self.map.get_key_value(c)) {
-            id.encode(w);
-            entry.encode(w);
-            n += 1;
-        }
-        w.patch_u32(at, n);
+        clients.iter().filter_map(|c| self.map.get_key_value(c))
     }
 
     /// Installs `map` wholesale under `quorum` and rebuilds the index

@@ -62,11 +62,8 @@ impl Eq for MemoryModelWrapper {}
 #[derive(Debug, Clone, Default)]
 struct DirtyWrapper {
     keys: BTreeSet<Vec<u8>>,
-    /// Key buffers of drained deltas, reused for the next keys
-    /// touched (at most [`DIRTY_SPARES`] of them).
-    spare: Vec<Vec<u8>>,
     /// Length of the last encoded delta: the next one's buffer starts
-    /// at that size.
+    /// at that size, up to [`DELTA_HINT_MAX`].
     last_delta_len: usize,
 }
 
@@ -77,33 +74,17 @@ impl PartialEq for DirtyWrapper {
 }
 impl Eq for DirtyWrapper {}
 
-/// Drained key buffers [`DirtyWrapper`] keeps for reuse: a batch's
-/// worth and then some, not a bulk load's.
-const DIRTY_SPARES: usize = 256;
-
-/// Keys longer than this are not kept for reuse.
-const DIRTY_SPARE_KEY_LEN: usize = 256;
+/// The most a delta's buffer starts with: a batch's delta fits, a bulk
+/// load's that came before it need not.
+const DELTA_HINT_MAX: usize = 64 * 1024;
 
 impl DirtyWrapper {
     /// Marks `key` dirty; only its first touch since the last drain
-    /// copies it, into a reused buffer when there is one.
+    /// copies it.
     fn touch(&mut self, key: &[u8]) {
-        if self.keys.contains(key) {
-            return;
+        if !self.keys.contains(key) {
+            self.keys.insert(key.to_vec());
         }
-        let mut owned = self.spare.pop().unwrap_or_default();
-        owned.clear();
-        owned.extend_from_slice(key);
-        self.keys.insert(owned);
-    }
-
-    /// Hands the drained keys' buffers back for reuse.
-    fn recycle(&mut self, drained: BTreeSet<Vec<u8>>) {
-        let room = DIRTY_SPARES.saturating_sub(self.spare.len());
-        let reusable = drained
-            .into_iter()
-            .filter(|k| k.capacity() <= DIRTY_SPARE_KEY_LEN);
-        self.spare.extend(reusable.take(room));
     }
 }
 
@@ -349,9 +330,9 @@ impl Functionality for KvStore {
     fn take_delta(&mut self) -> Option<Vec<u8>> {
         let dirty = std::mem::take(&mut self.dirty.keys);
         let entries = dirty.iter().map(|key| (key, self.map.get(key)));
-        let delta = Self::encode_delta(entries, self.dirty.last_delta_len);
+        let hint = self.dirty.last_delta_len.min(DELTA_HINT_MAX);
+        let delta = Self::encode_delta(entries, hint);
         self.dirty.last_delta_len = delta.len();
-        self.dirty.recycle(dirty);
         Some(delta)
     }
 
