@@ -1,6 +1,6 @@
 //! Criterion benches comparing the real in-process servers: LCM vs the
-//! SGX baseline vs native — wall-clock per-operation cost of the
-//! actual implementations (complements the calibrated simulator).
+//! SGX baseline — wall-clock per-operation cost of the actual
+//! implementations (complements the calibrated simulator).
 
 use std::sync::Arc;
 
@@ -9,7 +9,7 @@ use lcm_core::admin::AdminHandle;
 use lcm_core::server::LcmServer;
 use lcm_core::stability::Quorum;
 use lcm_core::types::ClientId;
-use lcm_kvs::baseline::{NativeKvsServer, SecureKvsClient, SgxKvsServer};
+use lcm_kvs::baseline::{SecureKvsClient, SgxKvsServer};
 use lcm_kvs::client::KvsClient;
 use lcm_kvs::ops::KvOp;
 use lcm_kvs::store::KvStore;
@@ -18,16 +18,6 @@ use lcm_tee::world::TeeWorld;
 
 fn bench_servers(c: &mut Criterion) {
     let mut group = c.benchmark_group("put_100B");
-
-    // Native (no protection).
-    group.bench_function(BenchmarkId::from_parameter("native"), |b| {
-        let mut server = NativeKvsServer::new(Arc::new(MemoryStorage::new()));
-        let mut i = 0u64;
-        b.iter(|| {
-            i += 1;
-            server.handle(&KvOp::Put(b"key".to_vec(), i.to_be_bytes().to_vec()))
-        });
-    });
 
     // SGX baseline (sealing, no LCM).
     group.bench_function(BenchmarkId::from_parameter("sgx"), |b| {

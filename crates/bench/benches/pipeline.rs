@@ -1,6 +1,5 @@
 //! Criterion benches for the execution pipeline: synchronous loop vs
-//! asynchronous-write mode (`into_pipelined`) under identical storage cost,
-//! plus the fsync-batching file-backed AOF baseline.
+//! asynchronous-write mode (`into_pipelined`) under identical storage cost.
 //!
 //! The acceptance bar for the pipeline: at batch=16 the async-write
 //! mode must sustain at least the synchronous loop's throughput — the
@@ -15,7 +14,6 @@ use lcm_core::client::LcmClient;
 use lcm_core::server::{BatchServer, LcmServer};
 use lcm_core::stability::Quorum;
 use lcm_core::types::ClientId;
-use lcm_kvs::baseline::{FileAofKvsServer, FsyncPolicy};
 use lcm_kvs::ops::KvOp;
 use lcm_kvs::store::KvStore;
 use lcm_storage::{DelayedStorage, MemoryStorage};
@@ -78,33 +76,6 @@ fn bench_pipeline(c: &mut Criterion) {
     });
 
     group.finish();
-}
-
-fn bench_aof(c: &mut Criterion) {
-    let dir = std::env::temp_dir().join(format!("lcm-bench-aof-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-
-    let mut group = c.benchmark_group("aof_put_100B");
-    for (name, policy) in [
-        ("fsync_every_op", FsyncPolicy::EveryOp),
-        ("group_commit_16", FsyncPolicy::EveryN(16)),
-        ("no_fsync", FsyncPolicy::Never),
-    ] {
-        group.bench_function(BenchmarkId::from_parameter(name), |b| {
-            let mut server =
-                FileAofKvsServer::open(dir.join(format!("{name}.aof")), policy).unwrap();
-            let mut i = 0u64;
-            b.iter(|| {
-                i += 1;
-                server
-                    .handle(&KvOp::Put(b"key".to_vec(), i.to_be_bytes().to_vec()))
-                    .unwrap()
-            });
-        });
-    }
-    group.finish();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Sharded stage 2: one round of 64 clients PUTting their own keys
@@ -181,11 +152,5 @@ fn bench_host_plane(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_pipeline,
-    bench_aof,
-    bench_sharded,
-    bench_host_plane
-);
+criterion_group!(benches, bench_pipeline, bench_sharded, bench_host_plane);
 criterion_main!(benches);

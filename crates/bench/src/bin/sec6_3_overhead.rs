@@ -8,8 +8,8 @@
 //! Our INVOKE matches the 45 bytes exactly. Our REPLY carries the full
 //! Alg. 2 field list `[REPLY, t, h, r, q, hc]` (81 bytes); the paper's
 //! 46 bytes implies their implementation elides part of the echoed
-//! chain value — see EXPERIMENTS.md. Constancy, the property §6.3
-//! establishes, holds for both.
+//! chain value. Constancy, the property §6.3 establishes, holds for
+//! both.
 //!
 //! Regenerate: `cargo run -p lcm-bench --bin sec6_3_overhead --release`
 
@@ -89,7 +89,7 @@ fn main() {
     compare(
         "result overhead",
         "46 B",
-        &format!("{REPLY_OVERHEAD} B (full Alg. 2 field list; see EXPERIMENTS.md)"),
+        &format!("{REPLY_OVERHEAD} B (full Alg. 2 field list, echoed hc included)"),
     );
     compare(
         "overhead constant in payload size",

@@ -1,10 +1,10 @@
 //! Deterministic binary wire codec.
 //!
-//! The workspace's sanctioned dependency list has no binary serde
-//! format, so wire messages and sealed state use this small,
-//! deterministic, length-prefixed codec. Determinism matters: sealed
-//! state must re-encode byte-identically for tests that compare blobs,
-//! and the §6.3 message-overhead experiment counts exact bytes.
+//! The workspace depends on no serialization framework, so wire
+//! messages and sealed state use this small, deterministic,
+//! length-prefixed codec. Determinism matters: sealed state must
+//! re-encode byte-identically for tests that compare blobs, and the
+//! §6.3 message-overhead experiment counts exact bytes.
 
 use std::error::Error;
 use std::fmt;

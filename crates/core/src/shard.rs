@@ -58,10 +58,11 @@
 //! 3. the target imports the ticket (state + table in one step);
 //! 4. the host appends the new table to its routing history.
 //!
-//! The origin lane stays locked for the whole handshake so the new
-//! epoch cannot leak to clients (via redirect stamps) before every
-//! shard has installed it. A member crash mid-handshake leaves a
-//! [`ShardedServer::pending_slice_move`] that
+//! Every lane that installs the new table — the origin from its
+//! export on, each bystander from its adoption on — stays locked until
+//! the host has appended it, so the new epoch cannot leak to clients
+//! (via redirect stamps) before every shard has installed it. A member
+//! crash mid-handshake leaves a [`ShardedServer::pending_slice_move`] that
 //! [`ShardedServer::resume_slice_migration`] retries after reboot —
 //! each enclave step is idempotent, and an origin crash-stopped
 //! *after* its export recovers the post-export checkpoint, so the
@@ -803,9 +804,9 @@ impl ShardCore {
             // No other thread will drain the queue: execute one of
             // this shard's batches inline (back-pressure relief;
             // replies land in the book's out-buffer, failures defer).
-            // If the lane is momentarily owned by someone else (a pump
-            // driver mid-store), back off instead of spinning on
-            // try_push/try_lock.
+            // If the lane is momentarily owned by someone else (a
+            // caller stepping it, or a control-plane call), back off
+            // instead of spinning on try_push/try_lock.
             if self.drive(shard as u32, None) != DriveStatus::Progress {
                 std::thread::sleep(Duration::from_micros(50));
             }
@@ -1364,11 +1365,12 @@ impl ShardedServer {
     }
 
     /// Cuts the sealed export of `slice` out of its owner (bumping the
-    /// owner's table to the next epoch) and records the pending
-    /// handshake. Fails without touching any enclave if a move is
-    /// already in flight, the target is out of range, or the target
-    /// already owns the slice.
-    fn begin_slice_move(&mut self, slice: u32, to: u32) -> Result<()> {
+    /// owner's table to the next epoch) and runs the handshake with the
+    /// origin lane held from the export on; a handshake a member crash
+    /// interrupts stays pending. Fails without touching any enclave if
+    /// a move is already in flight, the target is out of range, or the
+    /// target already owns the slice.
+    fn move_slice(&mut self, slice: u32, to: u32) -> Result<()> {
         if let Some(p) = &self.pending_slice {
             return Err(LcmError::Tee(format!(
                 "slice {} -> shard {} migration already in flight; \
@@ -1395,11 +1397,10 @@ impl ShardedServer {
             )));
         }
         let next_table = table.moved(slice, to).expect("bounds checked above");
-        let (ticket, bulletin) = {
-            let mut lane = lock(&self.core.shards[from as usize].lane);
-            lane.server.export_slice(slice, to)?
-        };
-        self.pending_slice = Some(PendingSliceMove {
+        // Held from the export on: the export installs the new table.
+        let mut origin = lock(&self.core.shards[from as usize].lane);
+        let (ticket, bulletin) = origin.server.export_slice(slice, to)?;
+        let pending = self.pending_slice.insert(PendingSliceMove {
             slice,
             from,
             to,
@@ -1409,6 +1410,8 @@ impl ShardedServer {
             imported: false,
             adopted: vec![false; n as usize],
         });
+        Self::drive_slice_move(&self.core, pending)?;
+        self.pending_slice = None;
         Ok(())
     }
 
@@ -1420,38 +1423,35 @@ impl ShardedServer {
     /// enclave-side step is idempotent, so re-delivering a step that
     /// already landed is safe.
     ///
-    /// The origin lane is held for the whole handshake: the origin is
-    /// the only enclave able to emit redirect stamps revealing the new
-    /// epoch, and it must stay silent until every shard has installed
-    /// the new table — otherwise a client could chase the redirect
-    /// into a shard that has not adopted yet and trip its future-epoch
-    /// rollback alarm on an honest deployment.
+    /// Every lane that has installed the new table is held until the
+    /// handshake ends: any of them stamps its whole table on the
+    /// redirects it answers (a stale wire for a slice an earlier move
+    /// took away is enough), and a client chasing one into a shard
+    /// that has not installed it yet would trip that shard's
+    /// future-epoch rollback alarm on an honest deployment.
     pub fn resume_slice_migration(&mut self) -> Result<()> {
-        let Some(mut pending) = self.pending_slice.take() else {
+        let Some(pending) = self.pending_slice.as_mut() else {
             return Err(LcmError::Tee("no slice migration in flight".into()));
         };
-        match Self::drive_slice_move(&self.core, &mut pending) {
-            Ok(()) => {
-                self.core.routing().push(pending.next_table);
-                Ok(())
-            }
-            Err(e) => {
-                self.pending_slice = Some(pending);
-                Err(e)
-            }
-        }
+        let _origin = lock(&self.core.shards[pending.from as usize].lane);
+        Self::drive_slice_move(&self.core, pending)?;
+        self.pending_slice = None;
+        Ok(())
     }
 
+    /// The handshake after the export, ending with the host table
+    /// push; the caller holds the origin lane, and every lane that
+    /// installs the new table here stays held until the end.
     fn drive_slice_move(core: &ShardCore, pending: &mut PendingSliceMove) -> Result<()> {
-        let _origin = lock(&core.shards[pending.from as usize].lane);
+        let mut installed = Vec::with_capacity(core.shards.len());
         for (i, shard) in core.shards.iter().enumerate() {
             if i == pending.from as usize || i == pending.to as usize || pending.adopted[i] {
                 continue;
             }
-            lock(&shard.lane)
-                .server
-                .adopt_table(pending.bulletin.clone())?;
+            let mut lane = lock(&shard.lane);
+            lane.server.adopt_table(pending.bulletin.clone())?;
             pending.adopted[i] = true;
+            installed.push(lane);
         }
         if !pending.imported {
             lock(&core.shards[pending.to as usize].lane)
@@ -1459,6 +1459,7 @@ impl ShardedServer {
                 .import_slice(pending.ticket.clone())?;
             pending.imported = true;
         }
+        core.routing().push(pending.next_table.clone());
         Ok(())
     }
 
@@ -1473,8 +1474,7 @@ impl ShardedServer {
         let Some((slice, to)) = plan_rebalance(&heat, &table) else {
             return Ok(None);
         };
-        self.begin_slice_move(slice, to)?;
-        self.resume_slice_migration()?;
+        self.move_slice(slice, to)?;
         Ok(Some((slice, to)))
     }
 }
@@ -1766,8 +1766,7 @@ impl BatchServer for ShardedServer {
     }
 
     fn migrate_slice(&mut self, slice: u32, to: u32) -> Result<()> {
-        self.begin_slice_move(slice, to)?;
-        self.resume_slice_migration()
+        self.move_slice(slice, to)
     }
 
     fn routing_epoch(&self) -> u64 {

@@ -3,14 +3,11 @@
 use std::fmt;
 
 use lcm_crypto::sha256::{self, Digest};
-use serde::{Deserialize, Serialize};
 
 use crate::codec::{CodecError, Reader, WireCodec, Writer};
 
 /// Identifier of one client in the group (the `i` of the paper).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct ClientId(pub u32);
 
 impl fmt::Display for ClientId {
@@ -30,9 +27,7 @@ impl WireCodec for ClientId {
 
 /// A global operation sequence number assigned by the trusted context
 /// (the `t` of the paper). `SeqNo(0)` means "no operation yet".
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct SeqNo(pub u64);
 
 impl SeqNo {
@@ -62,7 +57,7 @@ impl WireCodec for SeqNo {
 }
 
 /// A value of the operation hash chain (the `h` / `hc` of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ChainValue(pub Digest);
 
 impl ChainValue {

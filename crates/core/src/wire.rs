@@ -14,7 +14,7 @@
 //! bytes; the paper's implementation reports 46 (it presumably elides
 //! or truncates the echoed `hc`). Both are *constant in the payload
 //! size*, which is the property the §6.3 experiment establishes; the
-//! deviation is recorded in EXPERIMENTS.md.
+//! `sec6_3_overhead` binary prints both figures beside the paper's.
 
 use lcm_crypto::aead::{self, AeadKey};
 use lcm_crypto::chacha20::NONCE_LEN;

@@ -58,7 +58,6 @@
 //! [`chacha20::backend`]; the bytes are the same on either.
 
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 use crate::chacha20::{self, AeadStream, NONCE_LEN};
 use crate::hkdf;
@@ -269,45 +268,6 @@ fn compute_tag(mac_key: &[u8; poly1305::KEY_LEN], aad: &[u8], ciphertext: &[u8])
     mac.finalize()
 }
 
-/// A sealed blob paired with the associated data label it was bound to.
-///
-/// Higher layers (TEE sealing, protocol state blobs) use this as a
-/// self-describing container in [`serde`]-encoded form.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SealedBox {
-    /// Domain-separation label bound as associated data.
-    pub label: String,
-    /// `nonce ‖ ciphertext ‖ tag` as produced by [`auth_encrypt`].
-    pub blob: Vec<u8>,
-}
-
-impl SealedBox {
-    /// Seals `plaintext` under `key`, binding `label` as associated data.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`auth_encrypt`] errors.
-    pub fn seal(key: &AeadKey, label: &str, plaintext: &[u8]) -> Result<Self> {
-        Ok(SealedBox {
-            label: label.to_owned(),
-            blob: auth_encrypt(key, plaintext, label.as_bytes())?,
-        })
-    }
-
-    /// Opens the box, verifying both the tag and that `label` matches
-    /// the label the box was sealed under.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CryptoError::AuthenticationFailed`] on any mismatch.
-    pub fn open(&self, key: &AeadKey, label: &str) -> Result<Vec<u8>> {
-        if self.label != label {
-            return Err(CryptoError::AuthenticationFailed);
-        }
-        auth_decrypt(key, &self.blob, label.as_bytes())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -476,27 +436,6 @@ mod tests {
         let nonce = [9u8; NONCE_LEN];
         let sealed = auth_encrypt_with_nonce(&key(), &nonce, b"xyz", b"ab").unwrap();
         assert!(auth_decrypt(&key(), &sealed, b"a").is_err());
-    }
-
-    #[test]
-    fn sealed_box_roundtrip() {
-        let boxed = SealedBox::seal(&key(), "state-blob", b"contents").unwrap();
-        assert_eq!(boxed.open(&key(), "state-blob").unwrap(), b"contents");
-    }
-
-    #[test]
-    fn sealed_box_label_mismatch() {
-        let boxed = SealedBox::seal(&key(), "state-blob", b"contents").unwrap();
-        assert!(boxed.open(&key(), "other-label").is_err());
-    }
-
-    #[test]
-    fn sealed_box_label_swap_attack() {
-        // Swapping the declared label to match the open() call must still
-        // fail because the original label is bound into the AAD.
-        let mut boxed = SealedBox::seal(&key(), "state-blob", b"contents").unwrap();
-        boxed.label = "other-label".to_owned();
-        assert!(boxed.open(&key(), "other-label").is_err());
     }
 
     #[test]

@@ -9,7 +9,6 @@
 use std::fmt;
 
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// Length of every symmetric key in this workspace, in bytes.
 pub const KEY_LEN: usize = 32;
@@ -19,7 +18,7 @@ pub const KEY_LEN: usize = 32;
 /// `Debug`/`Display` never reveal the key bytes. Keys are comparable so
 /// that tests and the TEE simulator can assert key equality; comparison
 /// is constant time.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct SecretKey([u8; KEY_LEN]);
 
 impl SecretKey {
@@ -111,17 +110,8 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
+    fn bytes_roundtrip() {
         let key = SecretKey::generate();
-        let json = serde_json_like_roundtrip(&key);
-        assert_eq!(key, json);
-    }
-
-    // Avoids a serde_json dependency: roundtrip through the bincode-like
-    // wire codec used across the workspace would be circular here, so use
-    // the derived Serialize impl with a minimal in-memory format.
-    fn serde_json_like_roundtrip(key: &SecretKey) -> SecretKey {
-        // Serialize is derived over [u8; 32]; just clone through bytes.
-        SecretKey::from_bytes(*key.as_bytes())
+        assert_eq!(SecretKey::from_bytes(*key.as_bytes()), key);
     }
 }

@@ -55,8 +55,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod shani;
@@ -86,8 +84,8 @@ const H0: [u32; 8] = [
 ///
 /// The hash-chain values `h` and `hc` exchanged by the LCM protocol are
 /// values of this type. It is a plain data structure: comparable,
-/// hashable, serializable, and printable as lowercase hex.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default)]
+/// hashable, and printable as lowercase hex.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Digest(pub [u8; DIGEST_LEN]);
 
 impl Digest {

@@ -14,10 +14,9 @@
 //!   `std::map`; we use `BTreeMap`, the same ordered-tree shape, and
 //!   account for its memory with the §6.2 model);
 //! * [`client`] — a typed KVS client over the LCM client library;
-//! * [`baseline`] — the evaluation baselines: a native (unprotected)
-//!   KVS, an SGX-sealed KVS *without* rollback protection, an SGX KVS
-//!   gated by a trusted monotonic counter, and a Redis-like
-//!   append-only-file KVS.
+//! * [`baseline`] — the enclave baselines of the evaluation: an
+//!   SGX-sealed KVS *without* rollback protection, and an SGX KVS gated
+//!   by a trusted monotonic counter.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,8 +3,9 @@
 use std::time::Duration;
 
 use lcm_core::wire::{INVOKE_OVERHEAD, REPLY_OVERHEAD, ROUTE_HINT_LEN};
-use lcm_storage::DiskModel;
 use lcm_tee::epc::{EpcModel, MapMemoryModel};
+
+use crate::DiskModel;
 
 /// AEAD framing bytes (nonce + tag) added by the transport encryption
 /// of this workspace's crypto substrate.

@@ -5,14 +5,12 @@
 //! tolerance, the server application has to write the state
 //! synchronously to disk (fsync), this clearly decreases the
 //! performance"*. [`DiskModel`] converts a write size and sync flag into
-//! a simulated latency charged by `lcm-sim`.
+//! a simulated latency charged by the engine.
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 /// Latency/throughput model of the server's SSD.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiskModel {
     /// Fixed cost of an fsync barrier (SATA SSD class: ~1–5 ms; the
     /// shapes in Fig. 6 imply a few ms on the paper's machine).

@@ -47,7 +47,7 @@ enum Event {
 #[derive(Debug, Clone)]
 pub struct Simulation {
     profile: ServiceProfile,
-    disk: lcm_storage::DiskModel,
+    disk: crate::DiskModel,
     n_clients: usize,
     shards: usize,
     /// Transport front-end driver threads (0 = auto: one driver per

@@ -25,8 +25,8 @@
 //! handling) are *calibrated* so that the simulated SGX baseline lands
 //! in the paper's throughput ballpark; the LCM metadata premium is
 //! fitted to the §6.3/Fig. 4 overhead measurements (20.12 % at 100 B
-//! falling to 10.96 % at 2500 B). EXPERIMENTS.md reports
-//! paper-vs-simulated numbers for every figure.
+//! falling to 10.96 % at 2500 B). Each figure binary in `lcm-bench`
+//! prints its paper-vs-simulated numbers.
 //!
 //! ## Layout
 //!
@@ -41,12 +41,14 @@
 #![warn(missing_docs)]
 
 pub mod cost;
+mod disk;
 pub mod engine;
 pub mod metrics;
 pub mod mva;
 pub mod scenario;
 
 pub use cost::{CostModel, ServerKind, ServiceProfile};
+pub use disk::DiskModel;
 pub use engine::Simulation;
 pub use metrics::Metrics;
 pub use scenario::{run_scenario, Scenario};

@@ -10,7 +10,7 @@ use crate::{Result, StableStorage};
 /// measuring *real* concurrency.
 ///
 /// The discrete-event simulator charges disk costs virtually
-/// ([`crate::DiskModel`]); this wrapper charges them in wall-clock
+/// (`lcm_sim::DiskModel`); this wrapper charges them in wall-clock
 /// time, which is what the pipelined server's background writer
 /// overlaps with execution. Benches and the simulator-validation tests
 /// use it to compare the synchronous and asynchronous-write modes

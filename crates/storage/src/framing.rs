@@ -1,10 +1,9 @@
 //! Length-prefixed, checksummed record framing.
 //!
 //! One parser for every append-style byte log in the workspace: the
-//! delta-log journal segments ([`crate::DeltaLogStorage`]), the
-//! one-slot bundles of [`crate::BundleStorage`] and the file-backed AOF
-//! baseline all append records that must survive a crash mid-write. A
-//! frame is
+//! delta-log journal segments ([`crate::DeltaLogStorage`]) and the
+//! one-slot bundles of [`crate::BundleStorage`] both append records
+//! that must survive a crash mid-write. A frame is
 //!
 //! ```text
 //! len(4, BE) ‖ crc32(payload)(4, BE) ‖ payload(len)

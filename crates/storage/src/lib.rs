@@ -29,10 +29,7 @@
 //!   at runtime between honest operation, serving stale versions,
 //!   silently dropping writes, and freezing;
 //! * [`ForkView`] — per-branch views over one history, used to feed
-//!   divergent states to multiple enclave instances;
-//! * [`DiskModel`] — the fsync/throughput cost model used by the
-//!   discrete-event simulator for the paper's sync-vs-async experiments
-//!   (Fig. 5 vs Fig. 6).
+//!   divergent states to multiple enclave instances.
 //!
 //! # `unsafe`
 //!
@@ -56,7 +53,6 @@ mod adversary;
 mod bundle;
 mod delayed;
 mod deltalog;
-mod disk;
 mod error;
 mod file;
 mod flaky;
@@ -72,7 +68,6 @@ pub use deltalog::{
     make_bundle, parse_bundle, DeltaLogConfig, DeltaLogStats, DeltaLogStorage, BLOB_KIND_BUNDLE,
     BLOB_KIND_CHECKPOINT, BLOB_KIND_DELTA, BLOB_KIND_OPAQUE,
 };
-pub use disk::DiskModel;
 pub use error::StorageError;
 pub use file::FileStorage;
 pub use flaky::{FailureMode, FlakyStorage};

@@ -28,14 +28,13 @@ use std::fmt;
 use lcm_crypto::hmac::hmac_sha256;
 use lcm_crypto::keys::SecretKey;
 use lcm_crypto::sha256::Digest;
-use serde::{Deserialize, Serialize};
 
 use crate::measurement::Measurement;
 use crate::platform::TeePlatform;
 use crate::{Result, TeeError};
 
 /// A local attestation report produced inside an enclave.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Report {
     /// Measurement of the reporting enclave.
     pub measurement: Measurement,
@@ -82,7 +81,7 @@ impl Report {
 
 /// A remotely verifiable quote: a report signed under the EPID-style
 /// group secret.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Quote {
     /// The attested measurement.
     pub measurement: Measurement,

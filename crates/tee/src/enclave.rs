@@ -151,25 +151,12 @@ impl<P: EnclaveProgram> Enclave<P> {
 
     /// Invokes the program with `input` and returns its output.
     ///
-    /// When the hosting platform models an enclave-transition cost
-    /// ([`TeePlatform::set_ecall_cost`]), the calling thread occupies
-    /// the enclave for that long before the program runs — so callers
-    /// that serialize access to one enclave (a mutex around the
-    /// server) serialize the modelled cost too, while calls into
-    /// distinct enclaves overlap.
-    ///
     /// # Errors
     ///
     /// Returns [`TeeError::EnclaveNotRunning`] if the enclave is stopped.
     pub fn ecall(&mut self, input: &[u8]) -> Result<Vec<u8>> {
         match self.program.as_mut() {
-            Some(p) => {
-                let cost = self.platform.ecall_cost();
-                if !cost.is_zero() {
-                    std::thread::sleep(cost);
-                }
-                Ok(p.ecall(input))
-            }
+            Some(p) => Ok(p.ecall(input)),
             None => Err(TeeError::EnclaveNotRunning),
         }
     }
@@ -278,20 +265,6 @@ mod tests {
         e.stop();
         e.stop();
         assert!(!e.is_running());
-    }
-
-    #[test]
-    fn modelled_ecall_cost_occupies_the_caller() {
-        let platform = TeePlatform::new_deterministic(1);
-        let mut e = Enclave::<Echo>::create(&platform);
-        e.start().unwrap();
-        // Free by default; setting the cost on any handle clone takes
-        // effect on the already-running enclave.
-        assert_eq!(platform.ecall_cost(), std::time::Duration::ZERO);
-        platform.set_ecall_cost(std::time::Duration::from_millis(5));
-        let t0 = std::time::Instant::now();
-        e.ecall(b"").unwrap();
-        assert!(t0.elapsed() >= std::time::Duration::from_millis(5));
     }
 
     #[test]

@@ -17,8 +17,6 @@
 //! accounting so the §6.2 experiment can be regenerated without SGX
 //! hardware.
 
-use serde::{Deserialize, Serialize};
-
 /// Reproduction of the paper's measured `std::map` storage overhead.
 ///
 /// # Example
@@ -31,7 +29,7 @@ use serde::{Deserialize, Serialize};
 /// let bytes = model.heap_for_objects(300_000, 40, 100);
 /// assert!((90..100).contains(&(bytes / 1_000_000)));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MapMemoryModel {
     /// Fixed allocator/string overhead added to each stored string.
     pub per_string_overhead: usize,
@@ -80,7 +78,7 @@ impl MapMemoryModel {
 /// swapped page grows with the excess working set, and each miss costs a
 /// large constant factor — producing the latency knee of paper §6.2 that
 /// saturates around +240 %.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpcModel {
     /// Total EPC size in bytes (SGX v1: 128 MB).
     pub epc_bytes: usize,

@@ -3,7 +3,6 @@
 use std::fmt;
 
 use lcm_crypto::sha256::{self, Digest};
-use serde::{Deserialize, Serialize};
 
 /// A cryptographic identity of enclave program code.
 ///
@@ -25,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(m1, m2);
 /// assert_ne!(m1, other);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Measurement(Digest);
 
 impl Measurement {

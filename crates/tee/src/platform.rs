@@ -1,9 +1,7 @@
 //! TEE-capable platforms and the services they expose to enclaves.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use lcm_crypto::hkdf;
 use lcm_crypto::hmac::hmac_sha256;
@@ -11,7 +9,6 @@ use lcm_crypto::keys::SecretKey;
 use lcm_crypto::sha256::Digest;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::attestation::Report;
 use crate::measurement::Measurement;
@@ -20,7 +17,7 @@ use crate::measurement::Measurement;
 ///
 /// Not revealed through attestation (quotes are anonymous, as with
 /// EPID); used by tests and the simulator to tell machines apart.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PlatformId(pub u64);
 
 impl fmt::Display for PlatformId {
@@ -40,10 +37,6 @@ pub(crate) struct PlatformInner {
     /// [`crate::world::TeeWorld`]; enables attested secure-channel key
     /// derivation. `None` for standalone platforms.
     pub(crate) world_secret: Option<SecretKey>,
-    /// Modelled enclave-transition cost in nanoseconds, charged by
-    /// [`crate::enclave::Enclave::ecall`] while the calling thread
-    /// occupies the enclave. `0` (the default) disables the model.
-    pub(crate) ecall_cost_ns: AtomicU64,
 }
 
 impl PlatformInner {
@@ -143,7 +136,6 @@ impl TeePlatform {
                 root_secret,
                 group_secret: parking_lot::Mutex::new(None),
                 world_secret,
-                ecall_cost_ns: AtomicU64::new(0),
             }),
         }
     }
@@ -151,31 +143,6 @@ impl TeePlatform {
     /// Returns this platform's identifier.
     pub fn id(&self) -> PlatformId {
         self.inner.id
-    }
-
-    /// Sets the modelled enclave-transition cost charged on every
-    /// [`crate::enclave::Enclave::ecall`] against this platform.
-    ///
-    /// Real TEE calls are far from free — an SGX ecall/ocall round
-    /// trip burns thousands of cycles on the context switch alone, and
-    /// the in-enclave work (AEAD, EPC paging) comes on top. Like the
-    /// [`crate::tmc::Tmc`] latencies, this knob lets
-    /// benchmarks model that occupancy with wall-clock time so that
-    /// *ratios* between deployments (e.g. follower-read scale-out
-    /// across a replica group) reflect the architecture instead of the
-    /// host's core count. Zero — the default everywhere — keeps
-    /// ecalls free for functional tests.
-    ///
-    /// The cost is shared by every clone of this platform handle and
-    /// every enclave already hosted on it.
-    pub fn set_ecall_cost(&self, cost: Duration) {
-        let ns = u64::try_from(cost.as_nanos()).unwrap_or(u64::MAX);
-        self.inner.ecall_cost_ns.store(ns, Ordering::Relaxed);
-    }
-
-    /// The modelled per-ecall cost; see [`TeePlatform::set_ecall_cost`].
-    pub fn ecall_cost(&self) -> Duration {
-        Duration::from_nanos(self.inner.ecall_cost_ns.load(Ordering::Relaxed))
     }
 }
 

@@ -8,9 +8,9 @@
 //! across platforms — plus non-volatility and wear-out limits.
 //!
 //! [`Tmc`] emulates a counter bound to one platform. Increments return
-//! the configured latency as data so that the discrete-event simulator
-//! can charge it in virtual time; [`Tmc::increment_blocking`] actually
-//! sleeps, for wall-clock demos. Like the hardware, the counter value
+//! the configured latency as data, for the caller to charge (the
+//! discrete-event simulator does so in virtual time); nothing here
+//! sleeps. Like the hardware, the counter value
 //! survives enclave restarts (it lives on the platform, not in enclave
 //! memory) but is *not* transferable between platforms — the
 //! location-transparency drawback §3.1 highlights.
@@ -133,18 +133,6 @@ impl Tmc {
         Ok((state.value, self.config.increment_latency))
     }
 
-    /// Increments and actually sleeps for the configured latency —
-    /// reproduces real TMC behaviour in wall-clock examples.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Tmc::increment`].
-    pub fn increment_blocking(&self) -> Result<u64> {
-        let (value, latency) = self.increment()?;
-        std::thread::sleep(latency);
-        Ok(value)
-    }
-
     /// Reads the current value and the simulated read latency.
     pub fn read(&self) -> (u64, Duration) {
         (self.state.lock().value, self.config.read_latency)
@@ -209,17 +197,5 @@ mod tests {
         }
         assert_eq!(tmc.increment(), Err(TeeError::CounterOverflow));
         assert_eq!(tmc.wear(), 3);
-    }
-
-    #[test]
-    fn blocking_increment_sleeps() {
-        let config = TmcConfig {
-            increment_latency: Duration::from_millis(5),
-            ..TmcConfig::default()
-        };
-        let tmc = Tmc::new(config);
-        let start = std::time::Instant::now();
-        tmc.increment_blocking().unwrap();
-        assert!(start.elapsed() >= Duration::from_millis(5));
     }
 }

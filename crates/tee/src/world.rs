@@ -22,10 +22,6 @@
 //! provisioning key is faithful: the admin is trusted in the paper's
 //! model and is the party the RA-DH channel would terminate at.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
-
 use lcm_crypto::hkdf;
 use lcm_crypto::keys::SecretKey;
 use rand::rngs::StdRng;
@@ -59,9 +55,6 @@ use crate::platform::TeePlatform;
 pub struct TeeWorld {
     secret: SecretKey,
     authority: AttestationAuthority,
-    /// Modelled per-ecall cost (ns) stamped onto every platform this
-    /// world manufactures from now on; shared across clones.
-    ecall_cost_ns: Arc<AtomicU64>,
 }
 
 impl std::fmt::Debug for TeeWorld {
@@ -82,7 +75,6 @@ impl TeeWorld {
         TeeWorld {
             secret: SecretKey::generate(),
             authority: AttestationAuthority::new(),
-            ecall_cost_ns: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -92,24 +84,13 @@ impl TeeWorld {
         TeeWorld {
             secret: SecretKey::generate_with(&mut rng),
             authority: AttestationAuthority::new_deterministic(seed),
-            ecall_cost_ns: Arc::new(AtomicU64::new(0)),
         }
-    }
-
-    /// Sets the modelled enclave-transition cost stamped onto every
-    /// platform this world manufactures from here on; see
-    /// [`TeePlatform::set_ecall_cost`]. Zero (the default) keeps
-    /// ecalls free.
-    pub fn set_ecall_cost(&self, cost: Duration) {
-        let ns = u64::try_from(cost.as_nanos()).unwrap_or(u64::MAX);
-        self.ecall_cost_ns.store(ns, Ordering::Relaxed);
     }
 
     /// Manufactures a platform enrolled with this world's attestation
     /// authority.
     pub fn platform(&self, id: u64) -> TeePlatform {
         let platform = TeePlatform::new_world_member(id, self.secret.clone());
-        platform.set_ecall_cost(self.ecall_cost());
         self.authority.enroll(&platform);
         platform
     }
@@ -118,13 +99,8 @@ impl TeeWorld {
     /// from `id`), enrolled with the authority.
     pub fn platform_deterministic(&self, id: u64) -> TeePlatform {
         let platform = TeePlatform::new_world_member_deterministic(id, self.secret.clone());
-        platform.set_ecall_cost(self.ecall_cost());
         self.authority.enroll(&platform);
         platform
-    }
-
-    fn ecall_cost(&self) -> Duration {
-        Duration::from_nanos(self.ecall_cost_ns.load(Ordering::Relaxed))
     }
 
     /// The attestation authority of this world.
@@ -215,24 +191,6 @@ mod tests {
         };
         assert!(services.migration_key().is_none());
         assert!(services.provision_key().is_none());
-    }
-
-    #[test]
-    fn manufactured_platforms_inherit_the_world_ecall_cost() {
-        let world = TeeWorld::new_deterministic(6);
-        let before = world.platform(1);
-        assert_eq!(before.ecall_cost(), Duration::ZERO);
-        world.set_ecall_cost(Duration::from_micros(80));
-        assert_eq!(
-            world.platform(2).ecall_cost(),
-            Duration::from_micros(80),
-            "platforms manufactured after the knob carry it"
-        );
-        assert_eq!(
-            before.ecall_cost(),
-            Duration::ZERO,
-            "already-manufactured platforms keep their own setting"
-        );
     }
 
     #[test]
