@@ -68,6 +68,7 @@
 use lcm_crypto::aead::{self, AeadKey};
 use lcm_crypto::keys::SecretKey;
 use lcm_crypto::sha256::Digest;
+use lcm_storage::BLOB_KIND_OPAQUE;
 use lcm_tee::attestation::Report;
 use lcm_tee::platform::TeeServices;
 
@@ -76,7 +77,7 @@ use crate::functionality::Functionality;
 use crate::routing::{slice_of, SliceTable};
 use crate::stability::{CachedReply, Quorum, VMap, VState};
 use crate::types::{ChainValue, ClientId, SeqNo};
-use crate::wire::{seal_message, seal_message_into, InvokeView, ReplyView};
+use crate::wire::{open_blob, seal_message, seal_message_into, InvokeView, ReplyView};
 use crate::{LcmError, Result, Violation};
 
 mod record;
@@ -641,7 +642,7 @@ impl PersistBlobs {
     /// A persist off the control plane — a batch, a replication record
     /// applied: keys cannot have changed, so no key blob is re-sealed
     /// and the host skips that store.
-    fn state_only(state_blob: Vec<u8>, record: Option<Vec<u8>>) -> Self {
+    pub fn state_only(state_blob: Vec<u8>, record: Option<Vec<u8>>) -> Self {
         PersistBlobs {
             key_blob: Vec::new(),
             state_blob,
@@ -665,6 +666,73 @@ pub struct SliceExport {
     /// The exporting shard's re-sealed state (always a full
     /// checkpoint).
     pub blobs: PersistBlobs,
+}
+
+/// The AEAD nonces of one enclave lifetime: the lifetime's TEE RNG
+/// draw XOR a counter, unique per key because every lifetime derives a
+/// distinct RNG stream and the counter never repeats within one.
+#[derive(Debug, Default)]
+pub struct Nonces {
+    counter: u64,
+}
+
+impl Nonces {
+    /// The next nonce of `services`' RNG stream.
+    pub fn next(&mut self, services: &TeeServices) -> [u8; 12] {
+        use rand::RngCore;
+        self.counter += 1;
+        let mut nonce = [0u8; 12];
+        services.rng().fill_bytes(&mut nonce);
+        for (b, c) in nonce[4..].iter_mut().zip(self.counter.to_be_bytes()) {
+            *b ^= c;
+        }
+        nonce
+    }
+}
+
+/// When a per-batch persist may be a sealed delta: while the host's
+/// storage takes them and the deltas since the last checkpoint stay
+/// within `max(4 KiB, its size)` bytes. A checkpoint comes first.
+#[derive(Debug, Clone, Copy)]
+pub struct Cadence {
+    deltas: bool,
+    /// Saturated until the first checkpoint.
+    since_checkpoint: usize,
+    checkpoint_len: usize,
+}
+
+impl Cadence {
+    /// The cadence for a host whose storage does or does not take
+    /// sealed deltas.
+    pub fn new(deltas: bool) -> Self {
+        Cadence {
+            deltas,
+            since_checkpoint: usize::MAX,
+            checkpoint_len: 0,
+        }
+    }
+
+    /// Whether the next per-batch persist may be a delta.
+    pub fn allows_delta(&self) -> bool {
+        self.deltas && self.since_checkpoint <= self.checkpoint_len.max(DELTA_CHECKPOINT_MIN)
+    }
+
+    /// Counts a sealed delta of `len` bytes, emitted or replayed from a
+    /// log that still holds it.
+    pub fn delta(&mut self, len: usize) {
+        self.since_checkpoint = self.since_checkpoint.saturating_add(len);
+    }
+
+    /// Counts a checkpoint, sealed or restored, of `len` plaintext bytes.
+    pub fn checkpoint(&mut self, len: usize) {
+        self.since_checkpoint = 0;
+        self.checkpoint_len = len;
+    }
+
+    /// Plaintext size of the last checkpoint.
+    pub fn checkpoint_len(&self) -> usize {
+        self.checkpoint_len
+    }
 }
 
 /// The trusted execution context `T`.
@@ -706,12 +774,7 @@ pub struct TrustedContext<F: Functionality> {
     /// so a rolled-back enclave also rolls back its table, and wires
     /// stamped with a newer epoch expose it.
     table: SliceTable,
-    nonce_counter: u64,
-    /// Whether the host's storage understands sealed deltas
-    /// ([`lcm_storage::DeltaLogStorage`]): announced by the host at
-    /// `init` and trusted only for *performance* — a host that lies
-    /// either way still gets correctly sealed, chained blobs.
-    delta_mode: bool,
+    nonces: Nonces,
     /// Anchor digest of the newest persisted blob (checkpoint or
     /// delta). Each delta seals the anchor of its predecessor, so a
     /// replayed bundle re-verifies as an unbroken chain rooted in its
@@ -722,11 +785,8 @@ pub struct TrustedContext<F: Functionality> {
     /// without repeats. Emptied by every persist; the buffer keeps its
     /// allocation.
     touched: Vec<ClientId>,
-    /// Sealed delta bytes emitted since the last checkpoint (drives the
-    /// adaptive checkpoint cadence).
-    delta_bytes: usize,
-    /// Plaintext size of the last checkpoint (the cadence baseline).
-    last_ckpt_len: usize,
+    /// Whether a batch persists a delta (see [`TrustedContext::init`]).
+    cadence: Cadence,
     /// The buffer [`TrustedContext::handle_invoke`] and
     /// [`TrustedContext::serve_read`] copy a borrowed wire into to
     /// open it in place; keeps its allocation (and the last message's
@@ -760,12 +820,10 @@ impl<F: Functionality> TrustedContext<F> {
             admin_seq: 0,
             identity: None,
             table: SliceTable::uniform(1),
-            nonce_counter: 0,
-            delta_mode: false,
+            nonces: Nonces::default(),
             persist_anchor: Digest::ZERO,
             touched: Vec::new(),
-            delta_bytes: 0,
-            last_ckpt_len: 0,
+            cadence: Cadence::new(false),
             scratch: Vec::new(),
         }
     }
@@ -831,7 +889,7 @@ impl<F: Functionality> TrustedContext<F> {
         if self.phase != Phase::Created {
             return Err(LcmError::AlreadyProvisioned);
         }
-        self.delta_mode = want_deltas;
+        self.cadence = Cadence::new(want_deltas);
         let Some(key_blob) = key_blob else {
             self.phase = Phase::AwaitingProvision;
             return Ok(InitOutcome::NeedProvision);
@@ -840,12 +898,7 @@ impl<F: Functionality> TrustedContext<F> {
         // Strip the storage-facing kind byte; key blobs are opaque to
         // the delta-log engine.
         let seal_key = AeadKey::from_secret(&self.services.sealing_key());
-        let key_plain = match key_blob.split_first() {
-            Some((&lcm_storage::BLOB_KIND_OPAQUE, sealed)) => {
-                aead::auth_decrypt(&seal_key, sealed, LABEL_KEY_BLOB).ok()
-            }
-            _ => None,
-        };
+        let key_plain = open_blob(&seal_key, key_blob, BLOB_KIND_OPAQUE, LABEL_KEY_BLOB);
         let key_plain = key_plain.ok_or_else(|| self.halt(Violation::BadAuthentication))?;
         let mut r = Reader::new(&key_plain);
         let (k_p, k_a) = (read_key(&mut r)?, read_key(&mut r)?);
@@ -1453,20 +1506,9 @@ impl<F: Functionality> TrustedContext<F> {
         }
     }
 
-    /// Deterministic unique nonces from the TEE RNG seed and a counter.
-    /// Uniqueness per key holds because every epoch derives a distinct
-    /// RNG stream and the counter never repeats within an epoch.
+    /// The next of this lifetime's unique nonces ([`Nonces`]).
     fn next_nonce(&mut self) -> [u8; 12] {
-        use rand::RngCore;
-        self.nonce_counter += 1;
-        let mut rng = self.services.rng();
-        let mut base = [0u8; 12];
-        rng.fill_bytes(&mut base);
-        let ctr = self.nonce_counter.to_be_bytes();
-        for (i, b) in ctr.iter().enumerate() {
-            base[i + 4] ^= b;
-        }
-        base
+        self.nonces.next(&self.services)
     }
 }
 

@@ -12,11 +12,7 @@ impl<F: Functionality> TrustedContext<F> {
     /// `label`. Anything but an intact blob of that kind is tampering:
     /// the context halts. Requires `self.keys` (at least `kP`).
     fn open_sealed(&mut self, blob: &[u8], kind: u8, label: &[u8]) -> Result<Vec<u8>> {
-        let aead_p = &self.keys()?.aead_p;
-        let opened = match blob.split_first() {
-            Some((&k, sealed)) if k == kind => aead::auth_decrypt(aead_p, sealed, label).ok(),
-            _ => None,
-        };
+        let opened = open_blob(&self.keys()?.aead_p, blob, kind, label);
         opened.ok_or_else(|| self.halt(Violation::BadAuthentication))
     }
 
@@ -49,9 +45,8 @@ impl<F: Functionality> TrustedContext<F> {
             };
             entries.push(dv);
             // The log still holds this delta: it counts toward the
-            // checkpoint cadence exactly as when emitted, or reboots
-            // would grow the log without bound.
-            self.delta_bytes += delta.len();
+            // checkpoint cadence exactly as when emitted.
+            self.cadence.delta(delta.len());
         }
         self.v.replay_entries(entries);
         self.resume_from_latest();
@@ -145,8 +140,8 @@ impl<F: Functionality> TrustedContext<F> {
             };
             self.v.apply_entries(dv);
             self.resume_from_latest();
-            if self.logs_deltas() {
-                self.delta_bytes += record.len();
+            if self.cadence.allows_delta() {
+                self.cadence.delta(record.len());
                 record.to_vec()
             } else {
                 self.seal_checkpoint(false)?
@@ -230,15 +225,14 @@ impl<F: Functionality> TrustedContext<F> {
             &nonce,
             LABEL_STATE_BLOB,
             &[lcm_storage::BLOB_KIND_CHECKPOINT],
-            self.last_ckpt_len + self.last_ckpt_len / 8,
+            self.cadence.checkpoint_len() + self.cadence.checkpoint_len() / 8,
             |w| {
                 let start = w.len();
                 self.encode_state(keys, w);
                 plain_len = w.len() - start;
             },
         )?;
-        self.delta_bytes = 0;
-        self.last_ckpt_len = plain_len;
+        self.cadence.checkpoint(plain_len);
         self.touched.clear();
         Ok(sealed)
     }
@@ -296,13 +290,6 @@ impl<F: Functionality> TrustedContext<F> {
         Ok(delta)
     }
 
-    /// Whether this member's next persist may be a delta: the host's
-    /// storage journals them and the log since the last checkpoint is
-    /// still within the cadence budget.
-    fn logs_deltas(&self) -> bool {
-        self.delta_mode && self.delta_bytes <= self.last_ckpt_len.max(DELTA_CHECKPOINT_MIN)
-    }
-
     /// The per-batch persist.
     ///
     /// A lane outside a group seals a delta when the host's storage
@@ -327,7 +314,7 @@ impl<F: Functionality> TrustedContext<F> {
     /// * [`LcmError::NotProvisioned`] when no keys are installed.
     pub fn persist_batch_blobs(&mut self) -> Result<PersistBlobs> {
         let in_group = self.identity.is_some_and(|id| id.replicas > 1);
-        let log_delta = self.logs_deltas();
+        let log_delta = self.cadence.allows_delta();
         if !(log_delta || in_group) {
             return self.persist_blobs();
         }
@@ -337,7 +324,7 @@ impl<F: Functionality> TrustedContext<F> {
         };
         let delta = self.seal_delta(&f_delta)?;
         if log_delta {
-            self.delta_bytes += delta.len();
+            self.cadence.delta(delta.len());
             let record = in_group.then(|| delta.clone());
             Ok(PersistBlobs::state_only(delta, record))
         } else {
@@ -372,8 +359,7 @@ impl<F: Functionality> TrustedContext<F> {
         self.table = table;
         self.v.replace(v, quorum);
         self.persist_anchor = anchor;
-        self.delta_bytes = 0;
-        self.last_ckpt_len = plain.len();
+        self.cadence.checkpoint(plain.len());
         self.touched.clear();
         self.rotate_kc(k_c);
         self.resume_from_latest();
@@ -427,7 +413,9 @@ impl<F: Functionality> TrustedContext<F> {
             &nonce,
             LABEL_MIGRATION,
             &[],
-            2 * lcm_crypto::keys::KEY_LEN + self.last_ckpt_len + self.last_ckpt_len / 8,
+            2 * lcm_crypto::keys::KEY_LEN
+                + self.cadence.checkpoint_len()
+                + self.cadence.checkpoint_len() / 8,
             |w| {
                 w.put_raw(keys.k_p.as_bytes());
                 w.put_raw(keys.k_a.as_bytes());

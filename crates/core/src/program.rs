@@ -8,6 +8,9 @@
 //! client messages and returns one aggregated state blob, the §5.2
 //! optimization that amortizes seal-and-store costs.
 //!
+//! Every program behind [`crate::server::LcmServer`] answers through
+//! one codec, [`answer_ecall`] over a [`DataPlane`].
+//!
 //! ## Buffer lifecycle
 //!
 //! Everything this module allocates lives and dies on the lane thread
@@ -413,10 +416,16 @@ fn decode_opt_bytes(r: &mut Reader<'_>) -> Result<Option<Vec<u8>>, CodecError> {
 /// the one call that carries O(state) bytes — the whole recovery
 /// bundle — is decoded without copying it, and the only copy the
 /// enclave makes of a sealed frame is the one that decrypts it.
-struct InitView<'a> {
-    key_blob: Option<&'a [u8]>,
-    state_blob: Option<&'a [u8]>,
-    want_deltas: bool,
+#[derive(Debug, Clone, Copy)]
+pub struct InitView<'a> {
+    /// Sealed key blob, if storage had one.
+    pub key_blob: Option<&'a [u8]>,
+    /// Sealed state blob — a checkpoint, or a `checkpoint ‖ deltas`
+    /// bundle ([`lcm_storage::parse_bundle`]) — if storage had one.
+    pub state_blob: Option<&'a [u8]>,
+    /// Whether the host's storage takes sealed deltas; untrusted,
+    /// performance-only.
+    pub want_deltas: bool,
 }
 
 impl<'a> InitView<'a> {
@@ -566,12 +575,111 @@ impl WireCodec for HostReply {
 /// and delta fit, a checkpoint that came with the last one need not.
 const REPLY_HINT_MAX: usize = 64 * 1024;
 
+/// What a program behind [`crate::server::LcmServer`]'s host loop
+/// answers: `Init` at boot and one `InvokeBatch` per batch, read and
+/// written by [`answer_ecall`]. [`TrustedContext`] is LCM's; the
+/// SGX-only baseline (`lcm_kvs::baseline::SgxKvsProgram`) is the same
+/// lane minus the protocol.
+pub trait DataPlane {
+    /// Recovers from the blobs the host loaded; `Ok(true)` when the
+    /// program awaits provisioning. Blobs that fail to authenticate or
+    /// decode are refused.
+    fn recover(&mut self, init: InitView<'_>) -> crate::Result<bool>;
+
+    /// Appends the sealed reply to one wire of a batch to `out`, and
+    /// returns the client the host routes it to. An error fails the
+    /// whole batch.
+    fn invoke_into(&mut self, wire: &[u8], out: &mut Writer) -> crate::Result<ClientId>;
+
+    /// The blobs the host persists for the batch just answered.
+    fn persist_batch(&mut self) -> crate::Result<PersistBlobs>;
+
+    /// Answers any other call, `input` whole: `Err` if it is malformed,
+    /// `Ok(Err)` if refused — by default, every other call is.
+    fn answer_other(
+        &mut self,
+        input: &[u8],
+        out: &mut Writer,
+    ) -> Result<crate::Result<()>, CodecError> {
+        let _ = (input, out);
+        Ok(Err(LcmError::Tee("no such call on this program".into())))
+    }
+}
+
+/// Answers the ecall `input` on `plane`, the one ecall codec: `Init` and
+/// `InvokeBatch` are read where the host put them, reply *i* of a batch
+/// is sealed straight into the output behind its routing id and the
+/// batch's blobs follow, and a call that fails or does not decode is
+/// answered with [`HostReply::Err`] alone. The output starts at
+/// `reply_hint` bytes (the last answer's length, up to 64 KiB), so a
+/// batch's output is allocated once, not grown.
+pub fn answer_ecall<D: DataPlane>(plane: &mut D, reply_hint: usize, input: &[u8]) -> Vec<u8> {
+    let mut out = Writer::with_capacity(reply_hint.min(REPLY_HINT_MAX));
+    let failure = match answer(plane, input, &mut out) {
+        Ok(Ok(())) => None,
+        Ok(Err(e)) => Some((&e).into()),
+        Err(e) => Some(ReplyError {
+            code: ERR_OTHER,
+            message: format!("malformed host call: {e}"),
+        }),
+    };
+    if let Some(e) = failure {
+        // Whatever was answered before the failure goes with it.
+        out.clear();
+        HostReply::Err(e).encode(&mut out);
+    }
+    out.into_bytes()
+}
+
+/// The body of [`answer_ecall`].
+fn answer<D: DataPlane>(
+    plane: &mut D,
+    input: &[u8],
+    out: &mut Writer,
+) -> Result<crate::Result<()>, CodecError> {
+    let mut r = Reader::new(input);
+    Ok(match r.get_u8()? {
+        CALL_INIT => {
+            let init = InitView::decode_body(&mut r)?;
+            r.finish()?;
+            plane
+                .recover(init)
+                .map(|need_provision| HostReply::InitOk { need_provision }.encode(out))
+        }
+        CALL_INVOKE_BATCH => {
+            let wires = WireList::decode_body(&mut r)?;
+            invoke_batch(plane, wires, out)
+        }
+        _ => return plane.answer_other(input, out),
+    })
+}
+
+/// Answers an `InvokeBatch` straight into `out`: each wire's reply is
+/// sealed where the encoded reply keeps it, then the batch's blobs
+/// follow.
+fn invoke_batch<D: DataPlane>(
+    plane: &mut D,
+    wires: WireList<'_>,
+    out: &mut Writer,
+) -> crate::Result<()> {
+    out.put_u8(REPLY_BATCH);
+    out.put_u32(wires.left);
+    for wire in wires {
+        // The routing id is known once the wire is open.
+        let at = out.len();
+        out.put_u32(0);
+        let client = out.put_sized(|w| plane.invoke_into(wire, w))?;
+        out.patch_u32(at, client.0);
+    }
+    encode_blobs(out, &plane.persist_batch()?);
+    Ok(())
+}
+
 /// The enclave program wrapping a [`TrustedContext`] over `F`.
 pub struct LcmProgram<F: Functionality> {
     context: TrustedContext<F>,
     /// Length of the last reply: the next one's buffer starts at that
-    /// size (up to [`REPLY_HINT_MAX`]), so a batch's output is
-    /// allocated once, not grown.
+    /// size (see [`answer_ecall`]).
     reply_len: usize,
 }
 
@@ -705,116 +813,75 @@ fn not_the_reply(out: &[u8], what: &str) -> LcmError {
     }
 }
 
-impl<F: Functionality> LcmProgram<F> {
-    /// Read access to the inner context (in-enclave only; the host
-    /// boundary is [`EnclaveProgram::ecall`]).
-    pub fn context(&self) -> &TrustedContext<F> {
-        &self.context
+impl<F: Functionality> DataPlane for TrustedContext<F> {
+    fn recover(&mut self, init: InitView<'_>) -> crate::Result<bool> {
+        let outcome = self.init(init.key_blob, init.state_blob, init.want_deltas)?;
+        Ok(outcome == InitOutcome::NeedProvision)
     }
 
-    /// Answers an `Init` from its borrowed blobs.
-    fn init(&mut self, init: InitView<'_>, out: &mut Writer) -> crate::Result<()> {
-        let InitView {
-            key_blob,
-            state_blob,
-            want_deltas,
-        } = init;
-        let outcome = self.context.init(key_blob, state_blob, want_deltas)?;
-        HostReply::InitOk {
-            need_provision: outcome == InitOutcome::NeedProvision,
-        }
-        .encode(out);
-        Ok(())
+    fn invoke_into(&mut self, wire: &[u8], out: &mut Writer) -> crate::Result<ClientId> {
+        self.handle_invoke_into(wire, out)
     }
 
-    /// Answers an `InvokeBatch` straight into `out`: each wire's reply
-    /// is sealed where the encoded reply keeps it, then the batch's
-    /// blobs follow.
-    fn invoke_batch(&mut self, wires: WireList<'_>, out: &mut Writer) -> crate::Result<()> {
-        let context = &mut self.context;
-        out.put_u8(REPLY_BATCH);
-        out.put_u32(wires.left);
-        for wire in wires {
-            // The routing id is known once the wire is open.
-            let at = out.len();
-            out.put_u32(0);
-            let client = out.put_sized(|w| context.handle_invoke_into(wire, w))?;
-            out.patch_u32(at, client.0);
-        }
-        encode_blobs(out, &context.persist_batch_blobs()?);
-        Ok(())
+    fn persist_batch(&mut self) -> crate::Result<PersistBlobs> {
+        self.persist_batch_blobs()
     }
 
-    /// Answers a `ServeRead` straight into `out`.
-    fn serve_read(&mut self, wire: &[u8], out: &mut Writer) -> crate::Result<()> {
-        out.put_u8(REPLY_READ);
-        out.put_sized(|w| self.context.serve_read_into(wire, w))
-    }
-
-    /// Answers the call in `input` into `out`. The calls that carry
-    /// O(state) bytes (`Init`) or run per operation (`InvokeBatch`,
-    /// `ServeRead`) are read where the host put them; the control
-    /// plane is decoded into a [`HostCall`] and answered by
-    /// [`LcmProgram::dispatch`].
-    fn answer(&mut self, input: &[u8], out: &mut Writer) -> Result<crate::Result<()>, CodecError> {
+    /// A `ServeRead` is read where the host put it and answered
+    /// straight into `out`; the control plane is decoded into a
+    /// [`HostCall`] and answered by the context.
+    fn answer_other(
+        &mut self,
+        input: &[u8],
+        out: &mut Writer,
+    ) -> Result<crate::Result<()>, CodecError> {
         let mut r = Reader::new(input);
-        Ok(match r.get_u8()? {
-            CALL_INIT => {
-                let init = InitView::decode_body(&mut r)?;
-                r.finish()?;
-                self.init(init, out)
-            }
-            CALL_INVOKE_BATCH => {
-                let wires = WireList::decode_body(&mut r)?;
-                self.invoke_batch(wires, out)
-            }
-            CALL_SERVE_READ => {
-                let wire = r.get_bytes()?;
-                r.finish()?;
-                self.serve_read(wire, out)
-            }
-            _ => self.dispatch(HostCall::from_bytes(input)?, out),
-        })
+        if r.get_u8()? == CALL_SERVE_READ {
+            let wire = r.get_bytes()?;
+            r.finish()?;
+            out.put_u8(REPLY_READ);
+            return Ok(out.put_sized(|w| self.serve_read_into(wire, w)));
+        }
+        Ok(dispatch(self, HostCall::from_bytes(input)?, out))
     }
+}
 
-    /// Answers a control-plane call.
-    fn dispatch(&mut self, call: HostCall, out: &mut Writer) -> crate::Result<()> {
-        let context = &mut self.context;
-        let reply = match call {
-            // `answer` reads these where the host put them: an owned
-            // one never reaches this match.
-            HostCall::Init { .. } | HostCall::InvokeBatch(_) | HostCall::ServeRead(_) => {
-                return Err(LcmError::Tee(
-                    "a data-plane call is answered in place".into(),
-                ))
-            }
-            HostCall::Provision(payload) => HostReply::ProvisionOk(context.provision(&payload)?),
-            HostCall::Admin(msg) => {
-                let (reply, blobs) = context.handle_admin(&msg)?;
-                HostReply::AdminOk { reply, blobs }
-            }
-            HostCall::Attest(user_data) => {
-                HostReply::AttestOk(context.attest(user_data).to_bytes())
-            }
-            HostCall::ExportMigration => HostReply::MigrationTicket(context.export_migration()?),
-            HostCall::ImportMigration { ticket, slot } => {
-                HostReply::ProvisionOk(context.import_migration(&ticket, slot)?)
-            }
-            HostCall::ApplyReplica(blob) => {
-                let (digest, blobs) = context.apply_replica(&blob)?;
-                HostReply::ApplyOk { digest, blobs }
-            }
-            HostCall::ExportSlice { slice, to } => {
-                HostReply::SliceExported(context.export_slice(slice, to)?)
-            }
-            HostCall::ImportSlice(ticket) => HostReply::ProvisionOk(context.import_slice(&ticket)?),
-            HostCall::AdoptTable(bulletin) => {
-                HostReply::ProvisionOk(context.adopt_table(&bulletin)?)
-            }
-        };
-        reply.encode(out);
-        Ok(())
-    }
+/// Answers a control-plane call.
+fn dispatch<F: Functionality>(
+    context: &mut TrustedContext<F>,
+    call: HostCall,
+    out: &mut Writer,
+) -> crate::Result<()> {
+    let reply = match call {
+        // `answer_ecall` and `answer_other` read these where the host
+        // put them: an owned one never reaches this match.
+        HostCall::Init { .. } | HostCall::InvokeBatch(_) | HostCall::ServeRead(_) => {
+            return Err(LcmError::Tee(
+                "a data-plane call is answered in place".into(),
+            ))
+        }
+        HostCall::Provision(payload) => HostReply::ProvisionOk(context.provision(&payload)?),
+        HostCall::Admin(msg) => {
+            let (reply, blobs) = context.handle_admin(&msg)?;
+            HostReply::AdminOk { reply, blobs }
+        }
+        HostCall::Attest(user_data) => HostReply::AttestOk(context.attest(user_data).to_bytes()),
+        HostCall::ExportMigration => HostReply::MigrationTicket(context.export_migration()?),
+        HostCall::ImportMigration { ticket, slot } => {
+            HostReply::ProvisionOk(context.import_migration(&ticket, slot)?)
+        }
+        HostCall::ApplyReplica(blob) => {
+            let (digest, blobs) = context.apply_replica(&blob)?;
+            HostReply::ApplyOk { digest, blobs }
+        }
+        HostCall::ExportSlice { slice, to } => {
+            HostReply::SliceExported(context.export_slice(slice, to)?)
+        }
+        HostCall::ImportSlice(ticket) => HostReply::ProvisionOk(context.import_slice(&ticket)?),
+        HostCall::AdoptTable(bulletin) => HostReply::ProvisionOk(context.adopt_table(&bulletin)?),
+    };
+    reply.encode(out);
+    Ok(())
 }
 
 impl<F: Functionality> EnclaveProgram for LcmProgram<F> {
@@ -830,22 +897,9 @@ impl<F: Functionality> EnclaveProgram for LcmProgram<F> {
     }
 
     fn ecall(&mut self, input: &[u8]) -> Vec<u8> {
-        let mut out = Writer::with_capacity(self.reply_len.min(REPLY_HINT_MAX));
-        let failure = match self.answer(input, &mut out) {
-            Ok(Ok(())) => None,
-            Ok(Err(e)) => Some((&e).into()),
-            Err(e) => Some(ReplyError {
-                code: ERR_OTHER,
-                message: format!("malformed host call: {e}"),
-            }),
-        };
-        if let Some(e) = failure {
-            // Whatever was answered before the failure goes with it.
-            out.clear();
-            HostReply::Err(e).encode(&mut out);
-        }
+        let out = answer_ecall(&mut self.context, self.reply_len, input);
         self.reply_len = out.len();
-        out.into_bytes()
+        out
     }
 }
 

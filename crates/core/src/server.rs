@@ -20,6 +20,15 @@
 //!   [`LcmServer::import_migration`] under a replica slot) are
 //!   inherent methods a replica group calls on the members it owns;
 //!   no trait carries them.
+//!
+//! `LcmServer<F, P>` takes its enclave program `P` as a type parameter
+//! that defaults to [`LcmProgram<F>`](crate::program::LcmProgram). Its
+//! host loop — the queue, one `InvokeBatch` ecall per batch, replies
+//! home in their requests' buffers, synchronous or pipelined persists
+//! — serves any [`crate::program::DataPlane`] program; [`Lane`] and the
+//! LCM-only verbs exist for the default program alone. The SGX-only
+//! baseline (`lcm_kvs::baseline::SgxKvsServer`) is an `LcmServer` over
+//! its own program: the lane minus the protocol, in none of the roles.
 //! * a **shard** — [`Lane`]: one member on its own ([`LcmServer`]) or
 //!   2f+1 of them ([`crate::replica::ReplicaGroup`]), members addressed
 //!   by `replica`. It is what a [`crate::shard::ShardedServer`] holds
@@ -58,12 +67,13 @@
 //! off ([`crate::shard`]).
 
 use std::collections::VecDeque;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use lcm_crypto::sha256::Digest;
 use lcm_storage::{BundleStorage, StableStorage};
 use lcm_tee::attestation::{Quote, QuotingEnclave, Report};
-use lcm_tee::enclave::Enclave;
+use lcm_tee::enclave::{Enclave, EnclaveProgram};
 use lcm_tee::platform::TeePlatform;
 
 use crate::codec::WireCodec;
@@ -106,8 +116,11 @@ pub type Replies = Vec<(ClientId, Vec<u8>)>;
 /// let server = LcmServer::<AppendLog>::new(&platform, storage, 16);
 /// # let _ = server;
 /// ```
-pub struct LcmServer<F: Functionality> {
-    enclave: Enclave<LcmProgram<F>>,
+///
+/// The enclave program `P` is LCM's by default (module docs, § Three
+/// roles).
+pub struct LcmServer<F: Functionality, P: EnclaveProgram = LcmProgram<F>> {
+    enclave: Enclave<P>,
     quoting: QuotingEnclave,
     storage: Arc<dyn StableStorage>,
     batch_limit: usize,
@@ -134,9 +147,11 @@ pub struct LcmServer<F: Functionality> {
     /// stored yet, in chain order; [`LcmServer::flush`] stores them in
     /// one [`StableStorage::store_all`].
     buffered: Vec<Vec<u8>>,
+    /// The service the program runs.
+    functionality: PhantomData<fn() -> F>,
 }
 
-impl<F: Functionality> std::fmt::Debug for LcmServer<F> {
+impl<F: Functionality, P: EnclaveProgram> std::fmt::Debug for LcmServer<F, P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LcmServer")
             .field("running", &self.enclave.is_running())
@@ -148,7 +163,7 @@ impl<F: Functionality> std::fmt::Debug for LcmServer<F> {
     }
 }
 
-impl<F: Functionality> LcmServer<F> {
+impl<F: Functionality, P: EnclaveProgram> LcmServer<F, P> {
     /// Creates a server on `platform` persisting to `storage`,
     /// batching up to `batch_limit` operations per seal-and-store
     /// cycle (1 disables batching).
@@ -180,6 +195,7 @@ impl<F: Functionality> LcmServer<F> {
             writer: None,
             record: None,
             buffered: Vec::new(),
+            functionality: PhantomData,
         }
     }
 
@@ -280,33 +296,6 @@ impl<F: Functionality> LcmServer<F> {
     /// Number of INVOKE messages processed.
     pub fn ops_processed(&self) -> u64 {
         self.ops_processed
-    }
-
-    /// Forwards the admin's provisioning payload and persists the
-    /// returned blobs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates context errors (e.g. already provisioned).
-    pub fn provision(&mut self, sealed_payload: Vec<u8>) -> Result<()> {
-        self.call_and_persist(HostCall::Provision(sealed_payload))
-    }
-
-    /// Produces an attestation [`Quote`] over `user_data` for a remote
-    /// verifier.
-    ///
-    /// # Errors
-    ///
-    /// Propagates TEE errors (enclave stopped, quoting failure).
-    pub fn attest(&mut self, user_data: Digest) -> Result<Quote> {
-        let reply = self.ecall(HostCall::Attest(user_data))?;
-        let report_bytes = match reply {
-            HostReply::AttestOk(bytes) => bytes,
-            other => return Err(unexpected(other)),
-        };
-        let report = Report::from_bytes(&report_bytes)
-            .ok_or_else(|| LcmError::Tee("malformed report".into()))?;
-        Ok(self.quoting.quote(&report)?)
     }
 
     /// Enqueues an encrypted INVOKE message (paper §5.3: requests are
@@ -439,6 +428,45 @@ impl<F: Functionality> LcmServer<F> {
             out.extend(self.step()?);
         }
         Ok(out)
+    }
+
+    /// Stores `blobs` inline, behind the buffered replica records, so
+    /// the slot receives records in chain order.
+    fn persist(&mut self, blobs: &PersistBlobs) -> Result<()> {
+        self.store_buffered()?;
+        Ok(store_blobs(&*self.storage, blobs)?)
+    }
+}
+
+/// The LCM-only verbs: provisioning, attestation, admin, migration,
+/// replication, slice moves and verified reads exist for the default
+/// program alone.
+impl<F: Functionality> LcmServer<F> {
+    /// Forwards the admin's provisioning payload and persists the
+    /// returned blobs.
+    ///
+    /// # Errors
+    ///
+    /// Propagates context errors (e.g. already provisioned).
+    pub fn provision(&mut self, sealed_payload: Vec<u8>) -> Result<()> {
+        self.call_and_persist(HostCall::Provision(sealed_payload))
+    }
+
+    /// Produces an attestation [`Quote`] over `user_data` for a remote
+    /// verifier.
+    ///
+    /// # Errors
+    ///
+    /// Propagates TEE errors (enclave stopped, quoting failure).
+    pub fn attest(&mut self, user_data: Digest) -> Result<Quote> {
+        let reply = self.ecall(HostCall::Attest(user_data))?;
+        let report_bytes = match reply {
+            HostReply::AttestOk(bytes) => bytes,
+            other => return Err(unexpected(other)),
+        };
+        let report = Report::from_bytes(&report_bytes)
+            .ok_or_else(|| LcmError::Tee("malformed report".into()))?;
+        Ok(self.quoting.quote(&report)?)
     }
 
     /// Forwards an encrypted admin message and persists the resulting
@@ -609,13 +637,6 @@ impl<F: Functionality> LcmServer<F> {
         // The reply rides home in the leg's buffer.
         HostReply::read_reply_into(&out, &mut read_wire)?;
         Ok(read_wire)
-    }
-
-    /// Stores `blobs` inline, behind the buffered replica records, so
-    /// the slot receives records in chain order.
-    fn persist(&mut self, blobs: &PersistBlobs) -> Result<()> {
-        self.store_buffered()?;
-        Ok(store_blobs(&*self.storage, blobs)?)
     }
 
     /// A control-plane call whose only result is the re-sealed state

@@ -29,7 +29,7 @@ use crate::types::{ChainValue, ClientId, SeqNo};
 /// the receiver peels before opening: a routing envelope for an INVOKE
 /// or read leg, nothing for a reply, the storage-facing kind byte for
 /// a sealed blob.
-pub(crate) fn seal_message(
+pub fn seal_message(
     key: &AeadKey,
     nonce: &[u8; NONCE_LEN],
     aad: &[u8],
@@ -42,12 +42,20 @@ pub(crate) fn seal_message(
     Ok(w.into_bytes())
 }
 
+/// Opens a blob [`seal_message`] sealed behind the one framing byte
+/// `kind` (a sealed blob's storage kind): `None` unless it is intact
+/// and of that kind.
+pub fn open_blob(key: &AeadKey, blob: &[u8], kind: u8, aad: &[u8]) -> Option<Vec<u8>> {
+    aead::auth_decrypt(key, blob.strip_prefix(&[kind])?, aad).ok()
+}
+
 /// [`seal_message`] appended to `w`: `framing ‖ nonce ‖ message ‖ tag`
 /// follows whatever `w` already holds (room for it reserved from
 /// `message_len`), and the message is encrypted where `message`
 /// encoded it. The one sealing routine: a batch's replies are sealed
-/// this way straight into the ecall's output.
-pub(crate) fn seal_message_into(
+/// this way straight into the ecall's output, by the trusted context
+/// and by the SGX-only baseline alike.
+pub fn seal_message_into(
     w: &mut Writer,
     key: &AeadKey,
     nonce: &[u8; NONCE_LEN],

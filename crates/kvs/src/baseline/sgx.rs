@@ -6,15 +6,30 @@
 //! enclave — yet a host that restarts the enclave from a stale sealed
 //! blob goes completely undetected, because nothing ties the client's
 //! view to the enclave's history.
+//!
+//! It is the LCM lane minus the protocol: [`SgxKvsServer`] is an
+//! [`LcmServer`] over [`SgxKvsProgram`], which shares the lane's ecall
+//! codec, nonces, checkpoint cadence and sealed checkpoint and delta
+//! format, and carries no chain, no `V`, no stability and no `(tc, hc)`.
+//!
+//! Sealing gives integrity, not freshness: a state blob that fails to
+//! authenticate or decode fails boot, an intact stale one boots and
+//! serves stale data, and a withheld one boots the store empty — a
+//! rollback to genesis, which the baseline by design cannot detect.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
-use lcm_core::codec::{CodecError, Reader, WireCodec, Writer};
+use lcm_core::codec::{WireCodec, Writer};
+use lcm_core::context::{Cadence, Nonces, PersistBlobs};
 use lcm_core::functionality::Functionality;
+use lcm_core::program::{answer_ecall, DataPlane, InitView};
+use lcm_core::server::LcmServer;
+use lcm_core::types::ClientId;
+use lcm_core::wire::{open_blob, seal_message, seal_message_into};
+use lcm_core::{LcmError, Violation};
 use lcm_crypto::aead::{self, AeadKey};
-use lcm_storage::StableStorage;
-use lcm_tee::enclave::{Enclave, EnclaveProgram};
+use lcm_storage::{StableStorage, BLOB_KIND_BUNDLE, BLOB_KIND_CHECKPOINT, BLOB_KIND_DELTA};
+use lcm_tee::enclave::EnclaveProgram;
 use lcm_tee::measurement::Measurement;
 use lcm_tee::platform::{TeePlatform, TeeServices};
 
@@ -25,228 +40,187 @@ use crate::store::KvStore;
 const LABEL_REQ: &[u8] = b"sgx-kvs.req";
 /// AAD label for enclave→client messages.
 const LABEL_RES: &[u8] = b"sgx-kvs.res";
-/// AAD label for the sealed state.
-const LABEL_STATE: &[u8] = b"sgx-kvs.state";
+/// AAD label for a sealed checkpoint of the store.
+const LABEL_CHECKPOINT: &[u8] = b"sgx-kvs.checkpoint";
+/// AAD label for a sealed per-batch delta of the store.
+const LABEL_DELTA: &[u8] = b"sgx-kvs.delta";
 
-/// Storage slot for the sealed KVS state.
-pub const SLOT_SGX_STATE: &str = "sgx-kvs.state";
-
-enum ProgramCall {
-    Init(Option<Vec<u8>>),
-    Batch(Vec<Vec<u8>>),
-}
-
-impl ProgramCall {
-    fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        match self {
-            ProgramCall::Init(blob) => {
-                w.put_u8(1);
-                match blob {
-                    None => w.put_bool(false),
-                    Some(b) => {
-                        w.put_bool(true);
-                        w.put_bytes(b);
-                    }
-                }
-            }
-            ProgramCall::Batch(msgs) => {
-                w.put_u8(2);
-                w.put_u32(msgs.len() as u32);
-                for m in msgs {
-                    w.put_bytes(m);
-                }
-            }
-        }
-        w.into_bytes()
-    }
-
-    fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-        let mut r = Reader::new(bytes);
-        let out = match r.get_u8()? {
-            1 => {
-                let blob = if r.get_bool()? {
-                    Some(r.get_bytes()?.to_vec())
-                } else {
-                    None
-                };
-                ProgramCall::Init(blob)
-            }
-            2 => {
-                let n = r.get_u32()? as usize;
-                let mut msgs = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    msgs.push(r.get_bytes()?.to_vec());
-                }
-                ProgramCall::Batch(msgs)
-            }
-            other => return Err(CodecError::InvalidTag(other)),
-        };
-        r.finish()?;
-        Ok(out)
-    }
+/// The session key clients use: derived from the sealing key in this
+/// baseline. Clients of the SGX KVS are assumed to have obtained it via
+/// attestation; the baseline's security properties are not the object
+/// of study.
+fn session_key(services: &TeeServices) -> AeadKey {
+    let key = lcm_crypto::hkdf::derive_key(&services.sealing_key(), b"sgx-kvs", b"session");
+    AeadKey::from_secret(&key)
 }
 
 /// The enclave program: a sealed KVS without history metadata.
-pub struct SecureKvsProgram {
+pub struct SgxKvsProgram {
     services: TeeServices,
     store: KvStore,
     session: AeadKey,
-    nonce_counter: u64,
+    /// The TEE sealing key every checkpoint and delta is sealed under.
+    sealing: AeadKey,
+    nonces: Nonces,
+    cadence: Cadence,
+    /// `None` until `Init` is answered, then whether it recovered.
+    ready: Option<bool>,
+    /// The buffer a wire is copied into to be opened in place.
+    scratch: Vec<u8>,
+    /// Length of the last reply (see [`answer_ecall`]).
+    reply_len: usize,
 }
 
-impl SecureKvsProgram {
-    fn seal_state(&mut self) -> Vec<u8> {
-        let seal = AeadKey::from_secret(&self.services.sealing_key());
-        let nonce = self.next_nonce();
-        aead::auth_encrypt_with_nonce(&seal, &nonce, &self.store.snapshot(), LABEL_STATE)
-            .expect("sealing cannot fail for snapshot-sized payloads")
-    }
-
-    fn next_nonce(&mut self) -> [u8; 12] {
-        use rand::RngCore;
-        self.nonce_counter += 1;
-        let mut rng = self.services.rng();
-        let mut base = [0u8; 12];
-        rng.fill_bytes(&mut base);
-        for (i, b) in self.nonce_counter.to_be_bytes().iter().enumerate() {
-            base[i + 4] ^= b;
+impl SgxKvsProgram {
+    fn require_ready(&self) -> lcm_core::Result<()> {
+        match self.ready {
+            Some(true) => Ok(()),
+            _ => Err(LcmError::NotProvisioned),
         }
-        base
+    }
+
+    /// Seals `plain` as a blob of storage kind `kind`.
+    fn seal(&mut self, kind: u8, label: &[u8], plain: &[u8]) -> lcm_core::Result<Vec<u8>> {
+        let nonce = self.nonces.next(&self.services);
+        seal_message(&self.sealing, &nonce, label, &[kind], plain.len(), |w| {
+            w.put_raw(plain)
+        })
+    }
+
+    /// Opens a sealed blob of storage kind `kind`, however stale: no
+    /// freshness check is possible here. That is the vulnerability LCM
+    /// exists to close.
+    fn open(&self, blob: &[u8], kind: u8, label: &[u8]) -> lcm_core::Result<Vec<u8>> {
+        open_blob(&self.sealing, blob, kind, label)
+            .ok_or(LcmError::Violation(Violation::BadAuthentication))
     }
 }
 
-impl EnclaveProgram for SecureKvsProgram {
+impl DataPlane for SgxKvsProgram {
+    fn recover(&mut self, init: InitView<'_>) -> lcm_core::Result<bool> {
+        if self.ready.is_some() {
+            return Err(LcmError::AlreadyProvisioned);
+        }
+        // Refused unless it completes.
+        self.ready = Some(false);
+        self.cadence = Cadence::new(init.want_deltas);
+        if let Some(blob) = init.state_blob {
+            let (checkpoint, deltas) = match blob.first() {
+                Some(&BLOB_KIND_BUNDLE) => lcm_storage::parse_bundle(blob)
+                    .ok_or(LcmError::Violation(Violation::BadAuthentication))?,
+                _ => (blob, Vec::new()),
+            };
+            let snapshot = self.open(checkpoint, BLOB_KIND_CHECKPOINT, LABEL_CHECKPOINT)?;
+            self.store.restore(&snapshot)?;
+            self.cadence.checkpoint(snapshot.len());
+            for delta in deltas {
+                let plain = self.open(delta, BLOB_KIND_DELTA, LABEL_DELTA)?;
+                self.store.apply_delta(&plain)?;
+                self.cadence.delta(delta.len());
+            }
+        }
+        self.ready = Some(true);
+        Ok(false)
+    }
+
+    fn invoke_into(&mut self, wire: &[u8], out: &mut Writer) -> lcm_core::Result<ClientId> {
+        self.require_ready()?;
+        self.scratch.clear();
+        self.scratch.extend_from_slice(wire);
+        let result = match aead::open_in_place(&self.session, LABEL_REQ, &mut self.scratch) {
+            Ok(op) => self.store.exec(op),
+            Err(_) => KvResult::Malformed.to_bytes(),
+        };
+        let (key, nonce) = (&self.session, self.nonces.next(&self.services));
+        seal_message_into(out, key, &nonce, LABEL_RES, &[], result.len(), |w| {
+            w.put_raw(&result)
+        })?;
+        // Nothing identifies a client: the host routes by position.
+        Ok(ClientId(0))
+    }
+
+    /// The store's delta while the cadence allows one, else a
+    /// checkpoint of the whole store: the base the next deltas extend.
+    fn persist_batch(&mut self) -> lcm_core::Result<PersistBlobs> {
+        self.require_ready()?;
+        let state_blob = match self.cadence.allows_delta().then(|| self.store.take_delta()) {
+            Some(Some(delta)) => {
+                let sealed = self.seal(BLOB_KIND_DELTA, LABEL_DELTA, &delta)?;
+                self.cadence.delta(sealed.len());
+                sealed
+            }
+            _ => {
+                let _ = self.store.take_delta();
+                let snapshot = self.store.snapshot();
+                self.cadence.checkpoint(snapshot.len());
+                self.seal(BLOB_KIND_CHECKPOINT, LABEL_CHECKPOINT, &snapshot)?
+            }
+        };
+        Ok(PersistBlobs::state_only(state_blob, None))
+    }
+}
+
+impl EnclaveProgram for SgxKvsProgram {
     fn measurement() -> Measurement {
-        Measurement::of_program("sgx-kvs", "1")
+        Measurement::of_program("sgx-kvs", "2")
     }
 
     fn boot(services: TeeServices) -> Self {
-        // The session key is derived from the sealing key in this
-        // baseline: clients of the SGX KVS are assumed to have obtained
-        // it via attestation; the baseline's security properties are
-        // not the object of study.
-        let session = AeadKey::from_secret(&lcm_crypto::hkdf::derive_key(
-            &services.sealing_key(),
-            b"sgx-kvs",
-            b"session",
-        ));
-        SecureKvsProgram {
+        SgxKvsProgram {
+            session: session_key(&services),
+            sealing: AeadKey::from_secret(&services.sealing_key()),
             services,
             store: KvStore::default(),
-            session,
-            nonce_counter: 0,
+            nonces: Nonces::default(),
+            cadence: Cadence::new(false),
+            ready: None,
+            scratch: Vec::new(),
+            reply_len: 0,
         }
     }
 
     fn ecall(&mut self, input: &[u8]) -> Vec<u8> {
-        let Ok(call) = ProgramCall::from_bytes(input) else {
-            return Vec::new();
-        };
-        match call {
-            ProgramCall::Init(blob) => {
-                if let Some(blob) = blob {
-                    let seal = AeadKey::from_secret(&self.services.sealing_key());
-                    // No freshness check is POSSIBLE here: any correctly
-                    // sealed blob unseals, however stale. That is the
-                    // vulnerability LCM exists to close.
-                    if let Ok(snapshot) = aead::auth_decrypt(&seal, &blob, LABEL_STATE) {
-                        let _ = self.store.restore(&snapshot);
-                    }
-                }
-                Vec::new()
-            }
-            ProgramCall::Batch(msgs) => {
-                let mut w = Writer::new();
-                w.put_u32(msgs.len() as u32);
-                for msg in msgs {
-                    let reply = match aead::auth_decrypt(&self.session, &msg, LABEL_REQ) {
-                        Ok(plain) => match KvOp::from_bytes(&plain) {
-                            Ok(op) => self.store.apply(&op),
-                            Err(_) => KvResult::Malformed,
-                        },
-                        Err(_) => KvResult::Malformed,
-                    };
-                    let nonce = self.next_nonce();
-                    let sealed = aead::auth_encrypt_with_nonce(
-                        &self.session,
-                        &nonce,
-                        &reply.to_bytes(),
-                        LABEL_RES,
-                    )
-                    .expect("reply encryption");
-                    w.put_bytes(&sealed);
-                }
-                w.put_bytes(&self.seal_state());
-                w.into_bytes()
-            }
-        }
+        let out = answer_ecall(self, self.reply_len, input);
+        self.reply_len = out.len();
+        out
     }
 }
 
-/// Host server for the SGX KVS baseline: enclave + sealed persistence +
-/// batching, mirroring [`lcm_core::server::LcmServer`] minus LCM.
-pub struct SgxKvsServer {
-    enclave: Enclave<SecureKvsProgram>,
-    storage: Arc<dyn StableStorage>,
-    batch_limit: usize,
-    queue: VecDeque<Vec<u8>>,
-}
-
-impl std::fmt::Debug for SgxKvsServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SgxKvsServer")
-            .field("running", &self.enclave.is_running())
-            .field("queued", &self.queue.len())
-            .finish()
-    }
-}
+/// Host server for the SGX KVS baseline: [`LcmServer`]'s host loop —
+/// enclave, batching, sealed delta persistence — over
+/// [`SgxKvsProgram`].
+#[derive(Debug)]
+pub struct SgxKvsServer(LcmServer<KvStore, SgxKvsProgram>);
 
 impl SgxKvsServer {
-    /// Creates the server on `platform`, persisting sealed snapshots to
-    /// `storage`, batching up to `batch_limit` ops per seal.
+    /// Creates the server on `platform`, persisting sealed state to
+    /// `storage`, batching up to `batch_limit` ops per persist.
     pub fn new(
         platform: &TeePlatform,
         storage: Arc<dyn StableStorage>,
         batch_limit: usize,
     ) -> Self {
-        SgxKvsServer {
-            enclave: Enclave::create(platform),
-            storage,
-            batch_limit: batch_limit.max(1),
-            queue: VecDeque::new(),
-        }
+        SgxKvsServer(LcmServer::new(platform, storage, batch_limit))
     }
 
     /// Starts (or restarts) the enclave and loads the sealed state.
     ///
     /// # Errors
     ///
-    /// Propagates TEE and storage failures as strings.
+    /// Propagates TEE and storage failures, and a sealed state that
+    /// fails to authenticate or decode, as strings.
     pub fn boot(&mut self) -> Result<(), String> {
-        if self.enclave.is_running() {
-            self.enclave.stop();
-        }
-        self.enclave.start().map_err(|e| e.to_string())?;
-        let blob = self
-            .storage
-            .load(SLOT_SGX_STATE)
-            .map_err(|e| e.to_string())?;
-        self.enclave
-            .ecall(&ProgramCall::Init(blob).to_bytes())
-            .map_err(|e| e.to_string())?;
-        Ok(())
+        self.0.boot().map(drop).map_err(|e| e.to_string())
     }
 
     /// Simulates a crash.
     pub fn crash(&mut self) {
-        self.enclave.stop();
-        self.queue.clear();
+        self.0.crash();
     }
 
     /// Enqueues an encrypted request.
     pub fn submit(&mut self, wire: Vec<u8>) {
-        self.queue.push_back(wire);
+        self.0.submit(wire);
     }
 
     /// Processes all queued requests, returning encrypted replies in
@@ -256,49 +230,22 @@ impl SgxKvsServer {
     ///
     /// Propagates TEE and storage failures as strings.
     pub fn process_all(&mut self) -> Result<Vec<Vec<u8>>, String> {
-        let mut out = Vec::new();
-        while !self.queue.is_empty() {
-            let take = self.batch_limit.min(self.queue.len());
-            let batch: Vec<Vec<u8>> = self.queue.drain(..take).collect();
-            let raw = self
-                .enclave
-                .ecall(&ProgramCall::Batch(batch).to_bytes())
-                .map_err(|e| e.to_string())?;
-            let mut r = Reader::new(&raw);
-            let n = r.get_u32().map_err(|e| e.to_string())? as usize;
-            for _ in 0..n {
-                out.push(r.get_bytes().map_err(|e| e.to_string())?.to_vec());
-            }
-            let state = r.get_bytes().map_err(|e| e.to_string())?;
-            self.storage
-                .store(SLOT_SGX_STATE, state)
-                .map_err(|e| e.to_string())?;
-        }
-        Ok(out)
+        let replies = self.0.process_all().map_err(|e| e.to_string())?;
+        Ok(replies.into_iter().map(|(_, reply)| reply).collect())
     }
 
     /// The session key clients use (obtained via attestation in a real
     /// deployment; exposed here for the baseline client).
     pub fn session_key_for(platform: &TeePlatform) -> AeadKey {
-        let services = TeeServices::for_tests(platform.clone(), SecureKvsProgram::measurement(), 0);
-        AeadKey::from_secret(&lcm_crypto::hkdf::derive_key(
-            &services.sealing_key(),
-            b"sgx-kvs",
-            b"session",
-        ))
+        let measurement = SgxKvsProgram::measurement();
+        session_key(&TeeServices::for_tests(platform.clone(), measurement, 0))
     }
 }
 
 /// Client for the SGX KVS baseline.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct SecureKvsClient {
     key: AeadKey,
-}
-
-impl std::fmt::Debug for SecureKvsClient {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("SecureKvsClient")
-    }
 }
 
 impl SecureKvsClient {
@@ -343,7 +290,9 @@ impl SecureKvsClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcm_storage::{AdversaryMode, MemoryStorage, RollbackStorage, Version};
+    use lcm_core::server::SLOT_STATE_BLOB;
+    use lcm_storage::framing::FRAME_HEADER;
+    use lcm_storage::{parse_bundle, AdversaryMode, MemoryStorage, RollbackStorage, Version};
     use lcm_tee::world::TeeWorld;
 
     fn setup() -> (SgxKvsServer, SecureKvsClient) {
@@ -373,6 +322,12 @@ mod tests {
     #[test]
     fn crash_recovery_from_sealed_state() {
         let (mut server, client) = setup();
+        // Enough batches that recovery replays `checkpoint ‖ deltas`
+        // across cadence checkpoints.
+        for i in 0..64u32 {
+            let put = KvOp::Put(i.to_be_bytes().to_vec(), vec![i as u8; 100]);
+            client.run(&mut server, &put).unwrap();
+        }
         client
             .run(&mut server, &KvOp::Put(b"k".to_vec(), b"v".to_vec()))
             .unwrap();
@@ -381,6 +336,12 @@ mod tests {
         assert_eq!(
             client.run(&mut server, &KvOp::Get(b"k".to_vec())).unwrap(),
             KvResult::Value(Some(b"v".to_vec()))
+        );
+        assert_eq!(
+            client
+                .run(&mut server, &KvOp::Get(7u32.to_be_bytes().to_vec()))
+                .unwrap(),
+            KvResult::Value(Some(vec![7; 100]))
         );
     }
 
@@ -430,5 +391,91 @@ mod tests {
                 .unwrap(),
             KvResult::Value(Some(b"100".to_vec()))
         );
+    }
+
+    /// Sealing gives integrity, not freshness: a state altered in any
+    /// sealed byte fails `boot`, an intact stale one boots and serves
+    /// its stale data. (A damaged *last* delta of a bundle never reaches
+    /// the enclave: the plain store's adapter cuts it as a torn tail,
+    /// which leaves the stale state before it.)
+    #[test]
+    fn a_tampered_state_fails_boot_and_a_stale_one_serves_stale_data() {
+        let world = TeeWorld::new_deterministic(8);
+        let platform = world.platform_deterministic(1);
+        let medium = Arc::new(MemoryStorage::new());
+        let mut server = SgxKvsServer::new(&platform, medium.clone(), 1);
+        server.boot().unwrap();
+        let client = SecureKvsClient::new(SgxKvsServer::session_key_for(&platform));
+        let slot = || medium.load(SLOT_STATE_BLOB).unwrap().unwrap();
+        let put = |server: &mut SgxKvsServer, balance: &[u8]| {
+            let op = KvOp::Put(b"balance".to_vec(), balance.to_vec());
+            client.run(server, &op).unwrap();
+        };
+        // Each of the first `sealed` bytes of `blob` altered fails boot;
+        // `blob` intact boots again.
+        let refused_if_altered = |server: &mut SgxKvsServer, blob: &[u8], sealed: usize| {
+            for at in 0..sealed {
+                let mut tampered = blob.to_vec();
+                tampered[at] ^= 0x01;
+                medium.store(SLOT_STATE_BLOB, &tampered).unwrap();
+                server.crash();
+                assert!(server.boot().is_err(), "byte {at} altered, yet it booted");
+            }
+            medium.store(SLOT_STATE_BLOB, blob).unwrap();
+            server.crash();
+            server.boot().unwrap();
+        };
+        put(&mut server, b"100");
+        let stale = slot();
+        refused_if_altered(&mut server, &stale, stale.len());
+        put(&mut server, b"0");
+        let bundle = slot();
+        let checkpoint = parse_bundle(&bundle).unwrap().0.len();
+        refused_if_altered(&mut server, &bundle, 1 + FRAME_HEADER + checkpoint);
+
+        medium.store(SLOT_STATE_BLOB, &stale).unwrap();
+        server.crash();
+        server.boot().unwrap();
+        assert_eq!(
+            client
+                .run(&mut server, &KvOp::Get(b"balance".to_vec()))
+                .unwrap(),
+            KvResult::Value(Some(b"100".to_vec()))
+        );
+    }
+
+    /// What one batch seals is the size of the batch, not of the
+    /// state: at 5 000 and at 50 000 records the batch's delta is the
+    /// same number of bytes, well under a page.
+    #[test]
+    fn sealed_bytes_per_batch_do_not_grow_with_the_state() {
+        let one_batch = |records: u32| -> usize {
+            let world = TeeWorld::new_deterministic(8);
+            let platform = world.platform_deterministic(1);
+            let medium = Arc::new(MemoryStorage::new());
+            let mut server = SgxKvsServer::new(&platform, medium.clone(), 16);
+            server.boot().unwrap();
+            let client = SecureKvsClient::new(SgxKvsServer::session_key_for(&platform));
+            let fill = KvOp::Fill {
+                pin: b"fill".to_vec(),
+                start: 0,
+                count: records,
+                value_len: 100,
+            };
+            client.run(&mut server, &fill).unwrap();
+            for c in 0..8u8 {
+                let put = KvOp::Put(vec![b'w', c], vec![7; 100]);
+                server.submit(client.encrypt_op(&put).unwrap());
+            }
+            assert_eq!(server.process_all().unwrap().len(), 8);
+            // What the batch sealed: the delta that ends the bundle, or
+            // the whole slot if that is a bare checkpoint.
+            let slot = medium.load(SLOT_STATE_BLOB).unwrap().unwrap();
+            let delta = parse_bundle(&slot).and_then(|(_, deltas)| deltas.last().map(|d| d.len()));
+            delta.unwrap_or(slot.len())
+        };
+        let (small, large) = (one_batch(5_000), one_batch(50_000));
+        assert!(small < 4096, "{small} B");
+        assert_eq!(small, large, "the delta is batch-shaped, not state-shaped");
     }
 }

@@ -19,24 +19,17 @@ use crate::ops::{KvOp, KvResult};
 
 /// The SGX KVS gated by a trusted monotonic counter.
 ///
-/// Functionally identical to [`SgxKvsServer`] (the counter-binding of
+/// Functionally the SGX-only baseline [`SgxKvsServer`] — the LCM lane
+/// minus the protocol — with batching disabled (the counter-binding of
 /// sealed state is modelled, not bit-encoded — its performance effect
-/// is what the §6.5 experiment studies); every mutation pays one TMC
+/// is what the §6.5 experiment studies); every request pays one TMC
 /// increment, and the accumulated simulated latency is exposed for the
 /// cost model.
+#[derive(Debug)]
 pub struct SgxTmcKvsServer {
     inner: SgxKvsServer,
     tmc: Tmc,
     simulated_latency: Duration,
-}
-
-impl std::fmt::Debug for SgxTmcKvsServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SgxTmcKvsServer")
-            .field("tmc", &self.tmc)
-            .field("simulated_latency", &self.simulated_latency)
-            .finish()
-    }
 }
 
 impl SgxTmcKvsServer {

@@ -15,8 +15,10 @@
 //!   account for its memory with the §6.2 model);
 //! * [`client`] — a typed KVS client over the LCM client library;
 //! * [`baseline`] — the enclave baselines of the evaluation: an
-//!   SGX-sealed KVS *without* rollback protection, and an SGX KVS gated
-//!   by a trusted monotonic counter.
+//!   SGX-sealed KVS *without* rollback protection — the LCM lane minus
+//!   the protocol, an [`lcm_core::server::LcmServer`] over its own
+//!   enclave program — and that KVS gated by a trusted monotonic
+//!   counter.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

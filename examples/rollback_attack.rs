@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use lcm::core::admin::AdminHandle;
-use lcm::core::server::LcmServer;
+use lcm::core::server::{LcmServer, SLOT_STATE_BLOB};
 use lcm::core::stability::Quorum;
 use lcm::core::types::ClientId;
 use lcm::core::LcmError;
@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // The malicious host restarts the enclave from the old blob.
         let stale = storage
             .history()
-            .load_version("sgx-kvs.state", Version(0))?;
+            .load_version(SLOT_STATE_BLOB, Version(0))?;
         storage.set_mode(AdversaryMode::ServeVersion(Version(0)));
         println!(
             "  host rolls storage back to version 0 ({} sealed bytes)",
