@@ -8,12 +8,15 @@
 //! it persists. The host gives that record to every follower
 //! ([`LcmServer::apply_replica`]), each follower's enclave verifies
 //! and applies it, persists as its *own* storage dictates — the
-//! record verbatim, appended to a delta log's journal or to the
-//! `checkpoint ‖ deltas` bundle a plain store's slot holds
-//! ([`lcm_storage::BundleStorage`]), and one sealed checkpoint when
-//! its own cadence asks for one: O(batch) sealed bytes per member
-//! either way — and acknowledges with the in-enclave digest of the
-//! record. A batch's
+//! record verbatim, appended to a delta log's journal
+//! ([`lcm_storage::DeltaLogStorage`], which a deployment's builder
+//! opens over a plain medium for every member) or, in a group built
+//! straight over a plain store, to the `checkpoint ‖ deltas` bundle
+//! its slot holds ([`lcm_storage::BundleStorage`]), and one sealed
+//! checkpoint when its own cadence asks for one: O(batch) sealed bytes
+//! per member either way, and O(batch) device bytes on the journal,
+//! where the bundle slot is rewritten whole — and acknowledges with
+//! the in-enclave digest of the record. A batch's
 //! replies are released to clients only once a **quorum**
 //! ([`Quorum::required`] of the group size, leader included) has
 //! persisted the batch — the same threshold machinery the protocol
@@ -95,7 +98,8 @@
 //!   follower visited after that is a **straggler**: it buffers the
 //!   sealed delta in host memory and writes its slot once per
 //!   [`DEFAULT_WRITER_QUEUE`] records, all of them in one
-//!   [`lcm_storage::StableStorage::store_all`]. A sealed state (a
+//!   [`lcm_storage::StableStorage::store_all`] (one journal head write
+//!   on a delta log, one slot rewrite on a bundle). A sealed state (a
 //!   level, a catch-up, its own cadence checkpoint) is stored at once,
 //!   behind the buffer. [`crate::server::BatchServer::flush_persists`]
 //!   flushes every live member.

@@ -168,10 +168,17 @@ impl<F: Functionality, P: EnclaveProgram> LcmServer<F, P> {
     /// batching up to `batch_limit` operations per seal-and-store
     /// cycle (1 disables batching).
     ///
-    /// Every batch persists O(batch) sealed bytes whatever `storage`
-    /// is: a store that is not [`StableStorage::delta_capable`] gets a
+    /// Every batch seals O(batch) bytes whatever `storage` is: a store
+    /// that is not [`StableStorage::delta_capable`] gets a
     /// [`BundleStorage`] around it, which keeps its one state slot as
-    /// `checkpoint ‖ deltas`.
+    /// `checkpoint ‖ deltas`. The *device* still takes that slot whole
+    /// per batch — O(state) bytes. A deployment built with
+    /// `lcm::deployment::DeploymentBuilder` does not pay that: it puts
+    /// one [`lcm_storage::DeltaLogStorage`] over such a medium, which
+    /// journals the deltas, and this constructor leaves a delta-capable
+    /// store alone. A bare server keeps the adapter because its one
+    /// slot is one coherent sealed state, the paper's load/store unit
+    /// that a test's adversarial store rolls back and forks by name.
     pub fn new(
         platform: &TeePlatform,
         storage: Arc<dyn StableStorage>,

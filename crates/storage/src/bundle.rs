@@ -3,7 +3,9 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use crate::deltalog::{make_bundle, BLOB_KIND_BUNDLE, BLOB_KIND_CHECKPOINT, BLOB_KIND_DELTA};
+use crate::deltalog::{
+    cut_torn_bundle, make_bundle, BLOB_KIND_BUNDLE, BLOB_KIND_CHECKPOINT, BLOB_KIND_DELTA,
+};
 use crate::{framing, Result, StableStorage, StorageError};
 
 /// Delta persists over a plain blob store: one slot holds
@@ -24,17 +26,28 @@ use crate::{framing, Result, StableStorage, StorageError};
 /// One slot stays **one coherent sealed state** — the paper's
 /// `load`/`store` model, and the unit the adversarial wrappers
 /// ([`crate::RollbackStorage`], [`crate::VersionedStorage`],
-/// [`crate::ForkView`]) roll back and fork. That is why a plain store
-/// gets this adapter and not the segmented [`crate::DeltaLogStorage`],
-/// whose state is spread over journal, checkpoint and manifest slots.
-/// The price is device *bytes*: the slot is rewritten whole per batch,
-/// as the checkpoint was; only the sealing became O(batch).
-/// [`StableStorage::store_all`] spreads that price: it appends several
-/// deltas and writes the slot once.
+/// [`crate::ForkView`]) roll back and fork. The price is device
+/// *bytes*: the slot is rewritten whole per batch, as the checkpoint
+/// was; only the sealing became O(batch). [`StableStorage::store_all`]
+/// spreads that price: it appends several deltas and writes the slot
+/// once.
 ///
-/// `lcm_core`'s server puts one around any store that is not
-/// [`StableStorage::delta_capable`]; wrap explicitly only to inspect
-/// the adapter in isolation.
+/// Who gets which, for a store that is not
+/// [`StableStorage::delta_capable`]:
+///
+/// * a bare server (`lcm_core`'s `LcmServer::new`) gets this adapter:
+///   its one slot must stay the unit an adversarial store rolls back
+///   and forks by name, which the segmented [`crate::DeltaLogStorage`]
+///   — state spread over journal, checkpoint and manifest slots — is
+///   not;
+/// * a whole deployment (`lcm::deployment::DeploymentBuilder`) gets
+///   one [`crate::DeltaLogStorage`] over the medium instead, so every
+///   lane and replica journals O(batch) device bytes through one
+///   group-commit writer. The engine adopts a slot this adapter wrote
+///   before the first delta on it, so a medium keeps its state across
+///   the switch.
+///
+/// Wrap explicitly only to inspect the adapter in isolation.
 ///
 /// # Example
 ///
@@ -96,12 +109,7 @@ impl BundleStorage {
         let Some(mut blob) = self.inner.load(slot)? else {
             return Ok(None);
         };
-        if let Some((&BLOB_KIND_BUNDLE, body)) = blob.split_first() {
-            let scanned = framing::scan(body);
-            if !scanned.payloads.is_empty() {
-                blob.truncate(1 + scanned.valid_len);
-            }
-        }
+        cut_torn_bundle(&mut blob);
         Ok(Some(blob))
     }
 }

@@ -21,6 +21,9 @@
 //! * **compaction** — a sealed checkpoint store supersedes the slot's
 //!   older deltas; fully superseded segments are garbage-collected from
 //!   the low end of the log;
+//! * **batched stores** — [`StableStorage::store_all`] journals a run
+//!   of one slot's deltas (a replica-group straggler's buffer) as one
+//!   group commit, one head write;
 //! * **recovery** — reopening scans checkpoints + segments + both
 //!   heads, truncates a torn head tail at that head's last intact frame
 //!   ([`crate::framing`]), and replays the surviving records merged in
@@ -159,6 +162,18 @@ fn ckpt_slot(slot: &str, parity: u8) -> String {
     format!("dlog.ckpt.{parity}.{slot}")
 }
 
+/// Cuts a torn tail off a bundle read from a plain slot: what is left
+/// is the longest intact `checkpoint ‖ deltas` prefix. A bundle whose
+/// *checkpoint* frame is torn, and any other blob, is left as it is.
+pub(crate) fn cut_torn_bundle(blob: &mut Vec<u8>) {
+    if let Some((&BLOB_KIND_BUNDLE, body)) = blob.split_first() {
+        let scanned = framing::scan(body);
+        if !scanned.payloads.is_empty() {
+            blob.truncate(1 + scanned.valid_len);
+        }
+    }
+}
+
 /// Splits an engine-assembled bundle blob into its checkpoint frame
 /// and delta frames. Returns `None` unless the blob has the bundle
 /// kind byte, at least one frame, and **no** trailing bytes — a
@@ -253,6 +268,10 @@ struct SlotState {
     /// released; the next one waits, because the parity it may
     /// overwrite is whichever this one does not publish.
     ckpt_in_flight: bool,
+    /// The inner store's own slot of this name has been looked at for
+    /// a state written without the engine, and adopted if it held one
+    /// (`DeltaLogStorage::adopt`).
+    inner_checked: bool,
 }
 
 /// One delta on its way into the journal.
@@ -318,6 +337,11 @@ struct Core {
 }
 
 impl Core {
+    fn take_epoch(&mut self) -> u64 {
+        self.next_epoch += 1;
+        self.next_epoch - 1
+    }
+
     /// Starts a group commit if a head is free and the queue's front is
     /// eligible: takes the longest queue prefix rule 2 allows onto the
     /// free head, numbers the commit, and returns `(head, number)`.
@@ -369,7 +393,14 @@ impl Core {
 /// arriving from per-shard/per-replica [`crate::NamespacedStorage`]
 /// layers stay distinct, so one engine instance journals every lane —
 /// which is what lets the group-commit writer amortize one inner write
-/// across all of them.
+/// across all of them. `lcm::deployment::DeploymentBuilder` does so for
+/// any medium that is not [`StableStorage::delta_capable`].
+///
+/// A medium a store without the engine wrote — a plain slot holding a
+/// checkpoint or a [`crate::BundleStorage`] bundle under the slot's own
+/// name — loads as it is until the first delta on that slot, which
+/// adopts it into the engine first (`adopt`): no delta is acknowledged
+/// on top of a state the engine could not load back.
 pub struct DeltaLogStorage {
     inner: Arc<dyn StableStorage>,
     config: DeltaLogConfig,
@@ -409,6 +440,20 @@ fn append_record(buf: &mut Vec<u8>, r: &Record) {
             &r.blob,
         ],
     );
+}
+
+/// `blob`, bound for `slot`, as a record to journal (its epoch is
+/// assigned as it takes the queue).
+fn record(slot: &str, blob: &[u8]) -> Record {
+    Record {
+        epoch: 0,
+        slot: slot.to_string(),
+        blob: Arc::from(blob),
+    }
+}
+
+fn records(slot: &str, blobs: &[&[u8]]) -> Vec<Record> {
+    blobs.iter().map(|blob| record(slot, blob)).collect()
 }
 
 fn parse_record(payload: &[u8]) -> Option<(u64, &str, &[u8])> {
@@ -693,27 +738,115 @@ impl DeltaLogStorage {
         lo..core.seg_lo
     }
 
-    /// The group-commit path: enqueue, then — until a commit that
-    /// carried our record has published — either win the committer role
-    /// on a free head, or block until something changes.
-    fn store_delta(&self, slot: &str, blob: &[u8]) -> Result<()> {
-        let blob: Arc<[u8]> = Arc::from(blob);
+    /// The group-commit path for deltas of one slot: adopt the slot's
+    /// pre-engine state if it may have one, then journal them.
+    fn store_deltas(&self, slot: &str, records: impl IntoIterator<Item = Record>) -> Result<()> {
         let mut core = self.lock_core();
-        let epoch = core.next_epoch;
-        core.next_epoch += 1;
-        core.queue.push_back(Record {
-            epoch,
-            slot: slot.to_string(),
-            blob,
-        });
+        if !core
+            .slots
+            .get(slot)
+            .is_some_and(|s| s.ckpt_epoch.is_some() || s.inner_checked)
+        {
+            drop(core);
+            self.adopt(slot)?;
+            core = self.lock_core();
+        }
+        self.journal(core, records)
+    }
+
+    /// Enqueues `records` at consecutive epochs, then — until the
+    /// commit that carried them has published — either wins the
+    /// committer role on a free head, or blocks until something
+    /// changes. One commit carries them all: they share a slot and sit
+    /// together in the queue, and a commit takes a queue prefix that
+    /// rule 2 cuts only in front of a record of a busy slot.
+    fn journal<'a>(
+        &'a self,
+        mut core: MutexGuard<'a, Core>,
+        records: impl IntoIterator<Item = Record>,
+    ) -> Result<()> {
+        let first = core.next_epoch;
+        for mut r in records {
+            r.epoch = core.take_epoch();
+            core.queue.push_back(r);
+        }
+        if core.next_epoch == first {
+            return Ok(());
+        }
+        let last = core.next_epoch - 1;
         loop {
-            if core.committed_epoch >= epoch {
-                return core.collect(epoch);
+            if core.committed_epoch >= last {
+                // Every record's outcome is collected, so a failed
+                // commit is forgotten; they share the one outcome.
+                let mut outcome = Ok(());
+                for epoch in first..=last {
+                    let collected = core.collect(epoch);
+                    outcome = outcome.and(collected);
+                }
+                return outcome;
             }
             core = match core.begin_commit() {
                 Some((h, number)) => self.commit(core, h, number),
                 None => self.commit_done.wait(core),
             };
+        }
+    }
+
+    /// Takes over, once, the state a store *without* the engine left
+    /// under `slot`'s own name on the inner store — a plain slot holding
+    /// a checkpoint or a `checkpoint ‖ deltas` bundle, as a deployment
+    /// of a plain medium wrote it before it got an engine. Runs before
+    /// the first delta on a slot the engine holds no checkpoint of:
+    /// `load` falls back to that inner slot, so the enclave restored
+    /// from it, and a delta journaled without it would extend a state
+    /// the engine cannot load back — lost at the next reboot, and a
+    /// false rollback for every client that saw it.
+    ///
+    /// The state becomes the slot's engine checkpoint plus journaled
+    /// deltas. The checkpoint's epoch is reserved first and its write
+    /// comes last, after the deltas (epochs above it) are durable, so a
+    /// crash at any point leaves either the finished adoption or an
+    /// unlisted or checkpoint-less slot whose `load` still falls back
+    /// to the untouched inner slot (the orphaned deltas sort below the
+    /// next adoption's checkpoint). Checkpoints of the slot wait for it
+    /// as for one in flight, and so does a second delta.
+    fn adopt(&self, slot: &str) -> Result<()> {
+        let mut core = self.lock_core();
+        loop {
+            match core.slots.get(slot) {
+                Some(s) if s.ckpt_epoch.is_some() || s.inner_checked => return Ok(()),
+                Some(s) if s.ckpt_in_flight => core = self.commit_done.wait(core),
+                _ => break,
+            }
+        }
+        // Held from here like a checkpoint in flight.
+        core.slots
+            .entry(slot.to_string())
+            .or_default()
+            .ckpt_in_flight = true;
+        drop(core);
+        let mut state = match self.inner.load(slot) {
+            Ok(Some(state)) => state,
+            Ok(None) => return self.release_checkpoint(slot, Ok(())),
+            Err(e) => return self.release_checkpoint(slot, Err(e)),
+        };
+        cut_torn_bundle(&mut state);
+        let (checkpoint, deltas) = match state.first() {
+            Some(&BLOB_KIND_CHECKPOINT) => (&state[..], Vec::new()),
+            Some(&BLOB_KIND_BUNDLE) => match parse_bundle(&state) {
+                Some(parsed) => parsed,
+                // A torn checkpoint frame: no enclave restored from it,
+                // so no delta extends it.
+                None => return self.release_checkpoint(slot, Ok(())),
+            },
+            _ => return self.release_checkpoint(slot, Ok(())),
+        };
+        let records = records(slot, &deltas);
+        let mut core = self.lock_core();
+        let epoch = core.take_epoch();
+        match self.journal(core, records) {
+            Ok(()) => self.write_checkpoint(slot, checkpoint, epoch),
+            Err(e) => self.release_checkpoint(slot, Err(e)),
         }
     }
 
@@ -823,35 +956,56 @@ impl DeltaLogStorage {
         while core.slots.get(slot).is_some_and(|s| s.ckpt_in_flight) {
             core = self.commit_done.wait(core);
         }
-        let epoch = core.next_epoch;
-        core.next_epoch += 1;
-        let discoverable = core.slots.contains_key(slot);
+        let epoch = Self::reserve_checkpoint(&mut core, slot);
+        drop(core);
+        self.write_checkpoint(slot, blob, epoch)
+    }
+
+    /// Reserves the next epoch for a checkpoint of `slot` and marks one
+    /// in flight. Call with none of the slot's in flight.
+    fn reserve_checkpoint(core: &mut Core, slot: &str) -> u64 {
+        let epoch = core.take_epoch();
         core.slots
             .entry(slot.to_string())
             .or_default()
             .ckpt_in_flight = true;
-        if !discoverable {
-            // The slot must be discoverable before its first checkpoint
-            // lands, or a crash in between loses it entirely.
-            drop(core);
-            let listed = self.write_meta();
-            core = self.lock_core();
-            if let Err(e) = listed {
-                core.slots.remove(slot);
-                drop(core);
-                self.commit_done.notify_all();
-                return Err(e);
-            }
+        epoch
+    }
+
+    /// Clears the in-flight mark [`Self::reserve_checkpoint`] set,
+    /// without a checkpoint, and passes `outcome` on. An `Ok` one is an
+    /// adoption that found nothing to adopt.
+    fn release_checkpoint(&self, slot: &str, outcome: Result<()>) -> Result<()> {
+        let mut core = self.lock_core();
+        if let Some(state) = core.slots.get_mut(slot) {
+            state.ckpt_in_flight = false;
+            state.inner_checked |= outcome.is_ok();
         }
+        drop(core);
+        self.commit_done.notify_all();
+        outcome
+    }
+
+    /// Writes the checkpoint [`Self::reserve_checkpoint`] reserved
+    /// `epoch` for, publishes it and collects what it supersedes.
+    fn write_checkpoint(&self, slot: &str, blob: &[u8], epoch: u64) -> Result<()> {
+        let core = self.lock_core();
         let state = core
             .slots
-            .get_mut(slot)
-            .expect("slots are never removed once discoverable");
-        let parity = match state.ckpt_epoch {
-            Some(_) => state.ckpt_parity ^ 1,
-            None => 0,
+            .get(slot)
+            .expect("reserved slots are never removed");
+        let (parity, first) = match state.ckpt_epoch {
+            Some(_) => (state.ckpt_parity ^ 1, false),
+            None => (0, true),
         };
         drop(core);
+        if first {
+            // The slot must be discoverable before its first checkpoint
+            // lands, or a crash in between loses it entirely.
+            if let Err(e) = self.write_meta() {
+                return self.release_checkpoint(slot, Err(e));
+            }
+        }
 
         let written = self
             .inner
@@ -861,7 +1015,7 @@ impl DeltaLogStorage {
         let state = core
             .slots
             .get_mut(slot)
-            .expect("slots are never removed once discoverable");
+            .expect("reserved slots are never removed");
         state.ckpt_in_flight = false;
         let superseded = match written {
             Ok(()) => {
@@ -892,10 +1046,31 @@ impl DeltaLogStorage {
 impl StableStorage for DeltaLogStorage {
     fn store(&self, slot: &str, blob: &[u8]) -> Result<()> {
         match blob.first() {
-            Some(&BLOB_KIND_DELTA) => self.store_delta(slot, blob),
+            Some(&BLOB_KIND_DELTA) => self.store_deltas(slot, [record(slot, blob)]),
             Some(&BLOB_KIND_CHECKPOINT) => self.store_checkpoint(slot, blob),
             _ => self.inner.store(slot, blob),
         }
+    }
+
+    /// Every run of deltas among `blobs` is journaled as one group
+    /// commit — one head write — under the same three rules as a single
+    /// delta; anything else is stored in turn between the runs.
+    fn store_all(&self, slot: &str, blobs: &[&[u8]]) -> Result<()> {
+        let mut rest = blobs;
+        while let Some(blob) = rest.first() {
+            let run = rest
+                .iter()
+                .take_while(|b| b.first() == Some(&BLOB_KIND_DELTA))
+                .count();
+            if run == 0 {
+                self.store(slot, blob)?;
+                rest = &rest[1..];
+            } else {
+                self.store_deltas(slot, records(slot, &rest[..run]))?;
+                rest = &rest[run..];
+            }
+        }
+        Ok(())
     }
 
     fn load(&self, slot: &str) -> Result<Option<Vec<u8>>> {
@@ -1338,6 +1513,103 @@ mod tests {
         assert_eq!(reopened.load("a").unwrap().unwrap(), ckpt(0));
         let bundle = reopened.load("b").unwrap().unwrap();
         assert_eq!(parse_bundle(&bundle).unwrap().1, vec![&delta(2)[..]]);
+    }
+
+    #[test]
+    fn store_all_journals_every_delta_in_one_head_write() {
+        let inner = Arc::new(DelayedStorage::new(MemoryStorage::new(), Duration::ZERO));
+        let e = DeltaLogStorage::open(inner.clone()).unwrap();
+        e.store("s", &ckpt(1)).unwrap();
+        let before = inner.stores();
+        e.store_all("s", &[&delta(2), &delta(3), &delta(4)])
+            .unwrap();
+        assert_eq!(inner.stores(), before + 1, "one write for three records");
+        assert_eq!(e.stats().group_commits, 1);
+        let bundle = e.load("s").unwrap().unwrap();
+        let (c, ds) = parse_bundle(&bundle).unwrap();
+        assert_eq!(c, &ckpt(1)[..]);
+        assert_eq!(ds, vec![&delta(2)[..], &delta(3)[..], &delta(4)[..]]);
+
+        // A checkpoint among them is its own write between the runs of
+        // deltas around it; nothing at all writes nothing.
+        e.store_all("s", &[&delta(5), &ckpt(6), &delta(7)]).unwrap();
+        e.store_all("s", &[]).unwrap();
+        assert_eq!(inner.stores(), before + 4);
+        assert_eq!(
+            parse_bundle(&e.load("s").unwrap().unwrap()),
+            Some((&ckpt(6)[..], vec![&delta(7)[..]]))
+        );
+        drop(e);
+        let reopened = DeltaLogStorage::open(inner).unwrap();
+        assert_eq!(
+            parse_bundle(&reopened.load("s").unwrap().unwrap()),
+            Some((&ckpt(6)[..], vec![&delta(7)[..]]))
+        );
+    }
+
+    #[test]
+    fn a_plain_slot_is_adopted_before_the_first_delta_on_it() {
+        let inner = Arc::new(MemoryStorage::new());
+        let old = make_bundle(&ckpt(1), [&delta(2)[..], &delta(3)[..]].into_iter());
+        inner.store("bundled", &old).unwrap();
+        inner.store("bare", &ckpt(4)).unwrap();
+        let e = DeltaLogStorage::open(inner.clone()).unwrap();
+        // Until a delta arrives, the plain slot is what loads.
+        assert_eq!(e.load("bundled").unwrap().unwrap(), old);
+        e.store("bundled", &delta(5)).unwrap();
+        e.store("bare", &delta(6)).unwrap();
+        e.store("bare", &delta(7)).unwrap();
+        // Nothing to adopt: journaled as ever, probed once.
+        e.store("fresh", &delta(8)).unwrap();
+        assert!(e.lock_core().slots["fresh"].inner_checked);
+        drop(e);
+
+        let reopened = DeltaLogStorage::open(inner.clone()).unwrap();
+        let bundle = reopened.load("bundled").unwrap().unwrap();
+        let (c, ds) = parse_bundle(&bundle).unwrap();
+        assert_eq!(c, &ckpt(1)[..]);
+        assert_eq!(ds, vec![&delta(2)[..], &delta(3)[..], &delta(5)[..]]);
+        let bundle = reopened.load("bare").unwrap().unwrap();
+        assert_eq!(
+            parse_bundle(&bundle),
+            Some((&ckpt(4)[..], vec![&delta(6)[..], &delta(7)[..]]))
+        );
+        // The plain slots are left as they were.
+        assert_eq!(inner.load("bundled").unwrap().unwrap(), old);
+    }
+
+    #[test]
+    fn a_delta_whose_adoption_fails_is_not_acknowledged_and_adopts_again() {
+        let store = Arc::new(GatedStore::default());
+        let old = make_bundle(&ckpt(1), [&delta(2)[..]].into_iter());
+        store.store("s", &old).unwrap();
+        let (entered, outcome) = store.gate(&ckpt_slot("s", 0));
+        let e = Arc::new(DeltaLogStorage::open(store.clone()).unwrap());
+        let (writer, done) = store_on_a_thread(&e, "s", delta(3));
+        // The adopted delta is journaled, then the checkpoint write
+        // comes — and fails.
+        let adopting = entered.recv_timeout(LONG);
+        outcome.send(false).unwrap();
+        writer.join().unwrap();
+        adopting.expect("the delta was journaled without adopting the slot");
+        assert!(done.recv().unwrap().is_err());
+        drop(e);
+        // The orphaned journal records change nothing: the plain slot
+        // still loads, and the next delta adopts it anew.
+        let e = Arc::new(DeltaLogStorage::open(store.clone()).unwrap());
+        assert_eq!(e.load("s").unwrap().unwrap(), old);
+        let (writer, done) = store_on_a_thread(&e, "s", delta(4));
+        let adopting = entered.recv_timeout(LONG);
+        outcome.send(true).unwrap();
+        adopting.unwrap();
+        writer.join().unwrap();
+        done.recv().unwrap().unwrap();
+        drop(e);
+        let reopened = DeltaLogStorage::open(store).unwrap();
+        assert_eq!(
+            parse_bundle(&reopened.load("s").unwrap().unwrap()),
+            Some((&ckpt(1)[..], vec![&delta(2)[..], &delta(4)[..]]))
+        );
     }
 
     #[test]

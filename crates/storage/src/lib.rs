@@ -17,11 +17,12 @@
 //! * [`DelayedStorage`] — an honest wrapper charging wall-clock device
 //!   latency per operation, for real-concurrency experiments;
 //! * [`DeltaLogStorage`] — the segmented, group-committing journal of
-//!   sealed per-batch deltas an operator puts under a whole
-//!   deployment;
+//!   sealed per-batch deltas under a whole deployment (the deployment
+//!   builder opens one over any medium that is not
+//!   [`StableStorage::delta_capable`]);
 //! * [`BundleStorage`] — the adapter that makes any *other* store
 //!   accept sealed deltas, holding `checkpoint ‖ deltas` in the one
-//!   slot a plain store has (the server wraps it around every store
+//!   slot a plain store has (a bare server wraps it around every store
 //!   that is not [`StableStorage::delta_capable`]);
 //! * [`VersionedStorage`] — retains every version ever stored, the
 //!   building block for adversarial behaviour;
@@ -98,8 +99,10 @@ pub trait StableStorage: Send + Sync {
     /// Persists `blobs` under `slot` in order, as if stored one after
     /// the other. The default is exactly that; [`BundleStorage`]
     /// appends every delta to the slot's `checkpoint ‖ deltas` and
-    /// writes the slot once, which is what lets a replica group's
+    /// writes the slot once, and [`DeltaLogStorage`] journals them in
+    /// one group commit, which is what lets a replica group's
     /// straggler persist several records for the price of one.
+    /// [`NamespacedStorage`] forwards it.
     ///
     /// # Errors
     ///
@@ -125,14 +128,20 @@ pub trait StableStorage: Send + Sync {
     /// `false`, and honest wrappers forward their inner store's
     /// answer.
     ///
-    /// Nobody has to consult this to get O(batch) persists: a server
-    /// puts a [`BundleStorage`] around any store that answers `false`
-    /// and leaves one that answers `true` alone. The adapter — not the
-    /// segmented engine — is what it reaches for because one slot then
-    /// stays one coherent sealed state, the unit the paper's
-    /// `load`/`store` model and the adversarial wrappers
-    /// ([`RollbackStorage`], [`VersionedStorage`], [`ForkView`]) roll
-    /// back and fork.
+    /// Nobody has to consult this to get O(batch) sealing: a store that
+    /// answers `true` is used as it is, and one that answers `false`
+    /// gets an adapter from whoever builds on it:
+    ///
+    /// * a bare server (`lcm_core`'s `LcmServer::new`) puts a
+    ///   [`BundleStorage`] around it. One slot then stays one coherent
+    ///   sealed state, the unit the paper's `load`/`store` model and
+    ///   the adversarial wrappers ([`RollbackStorage`],
+    ///   [`VersionedStorage`], [`ForkView`]) roll back and fork — but
+    ///   the device takes that whole slot per batch;
+    /// * a deployment (`lcm::deployment::DeploymentBuilder::build`)
+    ///   opens one [`DeltaLogStorage`] over it for every lane and
+    ///   replica, which journals O(batch) device bytes per batch and
+    ///   adopts any slot a [`BundleStorage`] wrote there before.
     fn delta_capable(&self) -> bool {
         false
     }

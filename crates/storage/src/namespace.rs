@@ -68,6 +68,10 @@ impl StableStorage for NamespacedStorage {
         self.inner.store(&self.physical_slot(slot), blob)
     }
 
+    fn store_all(&self, slot: &str, blobs: &[&[u8]]) -> Result<()> {
+        self.inner.store_all(&self.physical_slot(slot), blobs)
+    }
+
     fn load(&self, slot: &str) -> Result<Option<Vec<u8>>> {
         self.inner.load(&self.physical_slot(slot))
     }
@@ -101,6 +105,22 @@ mod tests {
         ns.store("lcm.keyblob", b"kb").unwrap();
         assert_eq!(shared.load("shard3.lcm.keyblob").unwrap().unwrap(), b"kb");
         assert_eq!(ns.physical_slot("x"), "shard3.x");
+    }
+
+    #[test]
+    fn store_all_reaches_the_inner_store_as_one_call() {
+        use crate::{DelayedStorage, DeltaLogStorage, BLOB_KIND_CHECKPOINT, BLOB_KIND_DELTA};
+        let device = Arc::new(DelayedStorage::new(
+            MemoryStorage::new(),
+            std::time::Duration::ZERO,
+        ));
+        let engine = Arc::new(DeltaLogStorage::open(device.clone()).unwrap());
+        let ns = NamespacedStorage::new(engine, "shard0.");
+        ns.store("s", &[BLOB_KIND_CHECKPOINT, 1]).unwrap();
+        let before = device.stores();
+        ns.store_all("s", &[&[BLOB_KIND_DELTA, 2], &[BLOB_KIND_DELTA, 3]])
+            .unwrap();
+        assert_eq!(device.stores(), before + 1, "one journal write for both");
     }
 
     #[test]

@@ -37,7 +37,7 @@ use lcm_core::transport::{Frontend, FrontendPort, TransportStats};
 use lcm_core::types::ClientId;
 use lcm_core::Result;
 use lcm_kvs::client::KvsClient;
-use lcm_storage::{MemoryStorage, StableStorage};
+use lcm_storage::{DeltaLogStorage, MemoryStorage, StableStorage};
 use lcm_tee::world::TeeWorld;
 
 /// Execution mode of the deployment's server lanes.
@@ -61,6 +61,15 @@ pub enum Mode {
 /// front-end without driver threads (the caller steps it with
 /// `process_all`, deterministically), client group `{1}`, majority
 /// quorum, fresh in-memory storage, no admission policy.
+///
+/// Storage: every lane and replica of the deployment persists through
+/// one [`DeltaLogStorage`] over the medium — opened by
+/// [`DeploymentBuilder::build`] unless the medium is
+/// [`StableStorage::delta_capable`] already — so each batch costs the
+/// device its sealed deltas, journaled by one group-commit writer,
+/// whatever the state size. (A bare `LcmServer` over a plain store
+/// keeps the one-slot [`lcm_storage::BundleStorage`] instead, which
+/// rewrites the slot whole per batch.)
 pub struct DeploymentBuilder<F: Functionality + 'static> {
     shards: u32,
     replicas: u32,
@@ -182,7 +191,14 @@ impl<F: Functionality + 'static> DeploymentBuilder<F> {
         self
     }
 
-    /// Stable storage medium (default: fresh in-memory storage).
+    /// Stable storage medium (default: fresh in-memory storage). A
+    /// medium that is not [`StableStorage::delta_capable`] — a
+    /// [`MemoryStorage`], a file store — gets one [`DeltaLogStorage`]
+    /// opened over it at `build`, shared by every lane; one that is (an
+    /// engine the caller opened, to read its stats) is used as it is.
+    /// A plain medium an earlier deployment wrote one
+    /// `checkpoint ‖ deltas` slot per lane into reboots as it is: the
+    /// engine adopts each slot before the first delta on it.
     pub fn storage(mut self, storage: Arc<dyn StableStorage>) -> Self {
         self.storage = Some(storage);
         self
@@ -197,12 +213,18 @@ impl<F: Functionality + 'static> DeploymentBuilder<F> {
     /// # Errors
     ///
     /// Boot and bootstrap failures surface unchanged (attestation
-    /// rejection, storage errors, provisioning rejections).
+    /// rejection, storage errors including the journal's recovery
+    /// scan, provisioning rejections).
     pub fn build(self) -> Result<Deployment> {
         let world = TeeWorld::new_deterministic(self.seed);
         let storage = self
             .storage
             .unwrap_or_else(|| Arc::new(MemoryStorage::new()));
+        let storage: Arc<dyn StableStorage> = if storage.delta_capable() {
+            storage
+        } else {
+            Arc::new(DeltaLogStorage::open(storage)?)
+        };
         let server = if self.replicas > 1 {
             lcm_core::shard::build_replicated::<F>(
                 &world,

@@ -22,7 +22,7 @@ use lcm::core::verify::{check_single_history, check_stable_prefix};
 use lcm::kvs::client::KvsClient;
 use lcm::kvs::ops::{KvOp, KvResult};
 use lcm::kvs::store::KvStore;
-use lcm::storage::MemoryStorage;
+use lcm::storage::{MemoryStorage, StableStorage, StorageError};
 use lcm::tee::world::TeeWorld;
 
 fn setup(
@@ -381,4 +381,90 @@ fn storage_io_failures_are_errors_not_violations() {
     let replies = server.process_all().unwrap();
     let done = client.complete(&replies[0].1).unwrap();
     assert_eq!(done.result, KvResult::Stored);
+}
+
+/// A plain medium whose written slots can be copied out: the stale
+/// image a rollback serves later.
+#[derive(Default)]
+struct Imaged {
+    inner: MemoryStorage,
+    slots: std::sync::Mutex<std::collections::BTreeSet<String>>,
+}
+
+impl StableStorage for Imaged {
+    fn store(&self, slot: &str, blob: &[u8]) -> Result<(), StorageError> {
+        self.slots.lock().unwrap().insert(slot.to_owned());
+        self.inner.store(slot, blob)
+    }
+    fn load(&self, slot: &str) -> Result<Option<Vec<u8>>, StorageError> {
+        self.inner.load(slot)
+    }
+}
+
+impl Imaged {
+    /// A new medium holding what this one holds now.
+    fn image(&self) -> Imaged {
+        let copy = Imaged::default();
+        for slot in self.slots.lock().unwrap().iter() {
+            let blob = self.inner.load(slot).unwrap().unwrap();
+            copy.store(slot, &blob).unwrap();
+        }
+        copy
+    }
+}
+
+/// A deployment over a plain medium journals through its own delta
+/// log, and detection holds there as over any store: rebuilt honestly,
+/// the deployment reads back every acknowledged write; rebuilt over a
+/// copy of the medium taken three acknowledged writes earlier, it
+/// answers the writer with a `Violation`.
+#[test]
+fn a_deployment_rebuilt_over_a_stale_plain_medium_is_detected() {
+    use lcm::core::LcmError;
+    use lcm::deployment::DeploymentBuilder;
+    for replicas in [1, 3] {
+        let build = |medium: Arc<Imaged>| {
+            DeploymentBuilder::<KvStore>::new()
+                .replicas(replicas)
+                .seed(7)
+                .storage(medium)
+                .build()
+                .unwrap()
+        };
+        let value = |i: u32| format!("value-{i}").into_bytes();
+        let medium = Arc::new(Imaged::default());
+        let mut dep = build(medium.clone());
+        let mut alice = dep.kvs_client(ClientId(1));
+        let mut stale = None;
+        for i in 0..24u32 {
+            if i == 21 {
+                dep.frontend_mut().flush_persists().unwrap();
+                stale = Some(Arc::new(medium.image()));
+            }
+            let key = format!("key-{}", i % 16);
+            alice
+                .put(dep.frontend_mut(), key.as_bytes(), &value(i))
+                .unwrap();
+        }
+        dep.frontend_mut().flush_persists().unwrap();
+        drop(dep);
+
+        let mut honest = build(medium);
+        for i in 8..24u32 {
+            let key = format!("key-{}", i % 16);
+            let read = alice.get(honest.frontend_mut(), key.as_bytes()).unwrap();
+            assert_eq!(read, Some(value(i)), "{replicas} replicas, {key}");
+        }
+
+        let mut rolled_back = build(stale.unwrap());
+        assert!(
+            rolled_back.manifest().is_none(),
+            "rebooted, not provisioned"
+        );
+        let outcome = alice.get(rolled_back.frontend_mut(), b"key-0");
+        assert!(
+            matches!(outcome, Err(LcmError::Violation(_))),
+            "{replicas} replicas: the stale medium went undetected: {outcome:?}"
+        );
+    }
 }

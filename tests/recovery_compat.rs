@@ -30,7 +30,7 @@ use lcm::kvs::ops::KvOp;
 use lcm::kvs::store::KvStore;
 use lcm::storage::{
     make_bundle, parse_bundle, BundleStorage, DeltaLogConfig, DeltaLogStorage, StableStorage,
-    StorageError,
+    StorageError, BLOB_KIND_DELTA,
 };
 use lcm::tee::platform::{TeePlatform, TeeServices};
 use lcm::tee::world::TeeWorld;
@@ -251,4 +251,38 @@ fn a_bundle_whose_second_delta_fails_authentication_halts_before_anything_is_ser
     client.cancel_read(0);
     let wire = client.invoke(&get).unwrap();
     assert_eq!(ctx.handle_invoke(&wire), Err(LcmError::Halted));
+}
+
+/// A plain medium that a deployment wrote before it got a delta log —
+/// the one-slot bundle — loads through the engine unchanged, and the
+/// first write after that survives the next reboot: the engine adopts
+/// the bundle before it acknowledges a delta that extends it. (The
+/// first persist after a restore is a delta: the checkpoint cadence
+/// counts the restored state.)
+#[test]
+fn the_first_write_after_a_plain_medium_gets_a_delta_log_survives_a_reboot() {
+    let medium = Arc::new(Medium::recorded("bundle"));
+    let (_, mut client) = write_medium(&Medium::default());
+    let engine = delta_log(medium.clone());
+    let mut ctx = reboot(&engine);
+    let put = KvOp::Put(b"after-the-switch".to_vec(), b"kept".to_vec());
+    let wire = client.invoke(&put.to_bytes()).unwrap();
+    let (_, reply) = ctx.handle_invoke(&wire).unwrap();
+    let blobs = ctx.persist_batch_blobs().unwrap();
+    assert_eq!(blobs.state_blob[0], BLOB_KIND_DELTA);
+    persist(&engine, &blobs);
+    client.handle_reply(&reply).unwrap();
+    drop(engine);
+
+    let mut recovered = reboot(&delta_log(medium));
+    assert_eq!(
+        recovered.functionality().get(b"after-the-switch"),
+        Some(&b"kept"[..])
+    );
+    // The writer's next operation finds its write: no false rollback.
+    let wire = client
+        .invoke(&KvOp::Get(b"key-00".to_vec()).to_bytes())
+        .unwrap();
+    let (_, reply) = recovered.handle_invoke(&wire).unwrap();
+    client.handle_reply(&reply).unwrap();
 }

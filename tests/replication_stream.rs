@@ -630,6 +630,26 @@ fn bundles_recover_only_along_the_chain() {
     assert_eq!(recover(&resealed, &[&d4]), Ok(4));
 }
 
+/// Client 0's operation writing `preload` records of 100 B.
+fn fill(preload: u32) -> KvOp {
+    KvOp::Fill {
+        pin: b"fill".to_vec(),
+        start: 0,
+        count: preload,
+        value_len: 100,
+    }
+}
+
+/// One 100 B `Put` from each of the eight clients, keys tagged `tag`.
+fn puts(tag: u32) -> Vec<(usize, KvOp)> {
+    (0..8)
+        .map(|c| {
+            let key = format!("w{c}-{tag}").into_bytes();
+            (c, KvOp::Put(key, vec![7u8; 100]))
+        })
+        .collect()
+}
+
 /// One 8-Put batch through a `replicas`-member KVS group (a solo lane
 /// for `replicas == 1`) on top of `preload` records.
 struct OneBatch {
@@ -691,21 +711,7 @@ fn one_batch<S: StableStorage + 'static>(preload: u32, replicas: u32, medium: S)
             clients[id.0 as usize - 1].handle_reply(&wire).unwrap();
         }
     };
-    let fill = KvOp::Fill {
-        pin: b"fill".to_vec(),
-        start: 0,
-        count: preload,
-        value_len: 100,
-    };
-    round(vec![(0, fill)]);
-    let puts = |tag: u32| -> Vec<(usize, KvOp)> {
-        (0..8)
-            .map(|c| {
-                let key = format!("w{c}-{tag}").into_bytes();
-                (c, KvOp::Put(key, vec![7u8; 100]))
-            })
-            .collect()
-    };
+    round(vec![(0, fill(preload))]);
     // Let the fill's deferred compaction checkpoint happen first.
     round(puts(0));
     round(puts(1));
@@ -790,5 +796,82 @@ fn sealed_bytes_per_batch_do_not_depend_on_state_on_a_plain_store() {
         let small = one_batch(5_000, replicas, MemoryStorage::new());
         let large = one_batch(50_000, replicas, MemoryStorage::new());
         assert_batch_shaped(replicas, &small, &large);
+    }
+}
+
+/// A plain medium that counts the bytes stored to it.
+#[derive(Default)]
+struct ByteCounting {
+    inner: MemoryStorage,
+    bytes: std::sync::atomic::AtomicU64,
+}
+
+impl StableStorage for ByteCounting {
+    fn store(&self, slot: &str, blob: &[u8]) -> Result<(), lcm::storage::StorageError> {
+        self.bytes
+            .fetch_add(blob.len() as u64, std::sync::atomic::Ordering::Relaxed);
+        self.inner.store(slot, blob)
+    }
+    fn load(&self, slot: &str) -> Result<Option<Vec<u8>>, lcm::storage::StorageError> {
+        self.inner.load(slot)
+    }
+}
+
+/// The bytes one 8-Put batch puts on the plain medium under a
+/// `replicas`-member deployment from `DeploymentBuilder`, on top of
+/// `preload` records — every member's share, the straggler's included
+/// (`flush_persists` before and after).
+fn device_bytes_of_one_batch(preload: u32, replicas: u32) -> u64 {
+    use lcm::deployment::DeploymentBuilder;
+    use std::sync::atomic::Ordering;
+    let medium = Arc::new(ByteCounting::default());
+    let ids: Vec<ClientId> = (1..=8).map(ClientId).collect();
+    let mut dep = DeploymentBuilder::<KvStore>::new()
+        .replicas(replicas)
+        .clients(ids.clone())
+        .storage(medium.clone())
+        .build()
+        .unwrap();
+    let mut clients: Vec<LcmClient> = ids.iter().map(|&id| dep.client(id)).collect();
+    let mut round = |ops: Vec<(usize, KvOp)>| {
+        let n = ops.len();
+        for (c, op) in ops {
+            let wire = clients[c].invoke_for::<KvStore>(&op.to_bytes()).unwrap();
+            dep.frontend_mut().submit(wire);
+        }
+        let replies = dep.process_all().unwrap();
+        assert_eq!(replies.len(), n);
+        for (id, wire) in replies {
+            clients[id.0 as usize - 1].handle_reply(&wire).unwrap();
+        }
+        dep.frontend_mut().flush_persists().unwrap();
+        medium.bytes.load(Ordering::Relaxed)
+    };
+    round(vec![(0, fill(preload))]);
+    // Let the fill's deferred compaction checkpoint happen first.
+    round(puts(0));
+    let before = round(puts(1));
+    round(puts(2)) - before
+}
+
+/// What the sealed delta did for the bytes an enclave seals, the
+/// deployment's journal does for the bytes the device takes: a
+/// deployment over a plain medium journals each batch's deltas instead
+/// of rewriting every member's whole `checkpoint ‖ deltas` slot.
+#[test]
+fn device_bytes_per_batch_do_not_depend_on_state_in_a_deployment_over_a_plain_store() {
+    for replicas in [1, 3] {
+        let small = device_bytes_of_one_batch(5_000, replicas);
+        let large = device_bytes_of_one_batch(50_000, replicas);
+        println!("{replicas} replicas: {small} B at 5 000 records, {large} B at 50 000");
+        // 5 000 records of 100 B are ≈ 0.5 MB of state per member.
+        assert!(
+            small < 64 * 1024 * u64::from(replicas),
+            "{small} B for one batch of 8 Puts"
+        );
+        assert!(
+            large <= small + small / 4,
+            "{large} B at 50 000 records against {small} B at 5 000"
+        );
     }
 }
