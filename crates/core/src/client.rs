@@ -4,6 +4,13 @@
 //! communication key — which is the paper's headline simplification
 //! over prior fork-linearizable protocols where clients verified every
 //! other client's operations.
+//!
+//! The client handles REPLY bytes the server supplies, so outside its
+//! tests this module takes the trusted crate's lints: no `unwrap`,
+//! `expect`, `panic!` or unchecked indexing — a malformed reply is an
+//! error the client returns.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::indexing_slicing))]
 
 use lcm_crypto::aead::{self, AeadKey};
 use lcm_crypto::chacha20::NONCE_LEN;
@@ -297,9 +304,11 @@ impl LcmClient {
     }
 
     /// Hash-chain value of the last completed operation on `shard`
-    /// (shard 0 is *the* chain value for an unsharded deployment).
+    /// (shard 0 is *the* chain value for an unsharded deployment; a
+    /// shard this client has no context for reads as genesis).
     pub fn chain_value_on(&self, shard: u32) -> ChainValue {
-        self.shards[shard as usize].hc
+        let ctx = self.shards.get(shard as usize);
+        ctx.map_or(ChainValue::GENESIS, |c| c.hc)
     }
 
     /// Hash-chain value of the last completed operation (shard 0).
@@ -307,10 +316,11 @@ impl LcmClient {
         self.chain_value_on(0)
     }
 
-    /// The `(tc, ts)` pair of one shard context.
+    /// The `(tc, ts)` pair of one shard context (zeros for a shard
+    /// this client has no context for).
     pub fn shard_seqs(&self, shard: u32) -> (SeqNo, SeqNo) {
-        let ctx = &self.shards[shard as usize];
-        (ctx.tc, ctx.ts)
+        let ctx = self.shards.get(shard as usize);
+        ctx.map_or((SeqNo::ZERO, SeqNo::ZERO), |c| (c.tc, c.ts))
     }
 
     /// Whether any operation is awaiting its reply.
@@ -357,19 +367,12 @@ impl LcmClient {
     /// watermark. Fires immediately into the queue if the threshold is
     /// already covered. An application typically watches the sequence
     /// number of a critical operation before acting on it irrevocably.
+    /// A watch on a shard this client has no context for never fires.
     pub fn watch_stability_on(&mut self, shard: u32, threshold: SeqNo) -> WatchId {
         let id = WatchId(self.next_watch);
         self.next_watch += 1;
-        let ts = self.shards[shard as usize].ts;
-        if ts >= threshold {
-            self.notifications.push(StabilityEvent {
-                watch: id,
-                threshold,
-                watermark: ts,
-            });
-        } else {
-            self.watches.push((id, shard, threshold));
-        }
+        self.watches.push((id, shard, threshold));
+        self.fire_watches();
         id
     }
 
@@ -379,18 +382,20 @@ impl LcmClient {
     }
 
     fn fire_watches(&mut self) {
-        let shards = &self.shards;
-        let (fired, kept): (Vec<_>, Vec<_>) = std::mem::take(&mut self.watches)
-            .into_iter()
-            .partition(|&(_, shard, t)| shards[shard as usize].ts >= t);
-        self.watches = kept;
-        for (watch, shard, threshold) in fired {
-            self.notifications.push(StabilityEvent {
-                watch,
-                threshold,
-                watermark: self.shards[shard as usize].ts,
-            });
-        }
+        let (shards, notifications) = (&self.shards, &mut self.notifications);
+        self.watches.retain(
+            |&(watch, shard, threshold)| match shards.get(shard as usize) {
+                Some(ctx) if ctx.ts >= threshold => {
+                    notifications.push(StabilityEvent {
+                        watch,
+                        threshold,
+                        watermark: ctx.ts,
+                    });
+                    false
+                }
+                _ => true,
+            },
+        );
     }
 
     /// Produces the encrypted INVOKE message for operation `op`
@@ -440,10 +445,7 @@ impl LcmClient {
         }
         let route = route_for(self.id, shard_key);
         let shard = self.table.shard_of(route);
-        let ctx = &self.shards[shard as usize];
-        if ctx.pending.is_some() || ctx.pending_read.is_some() {
-            return Err(LcmError::OperationPending);
-        }
+        let ctx = idle_ctx(&mut self.shards, shard)?;
         let pending = Pending {
             op: op.to_vec(),
             tc: ctx.tc,
@@ -451,9 +453,9 @@ impl LcmClient {
             route,
             epoch: self.table.epoch(),
         };
-        let nonce = self.next_nonce();
+        let nonce = next_nonce(self.id, &mut self.send_counter);
         let wire = seal_invoke(&self.key, self.id, &nonce, &pending, false)?;
-        self.shards[shard as usize].pending = Some(pending);
+        ctx.pending = Some(pending);
         self.pending_order.push_back(shard);
         Ok(wire)
     }
@@ -472,28 +474,12 @@ impl LcmClient {
             return Err(LcmError::Halted);
         }
         let &shard = self.pending_order.front().ok_or(LcmError::NothingToRetry)?;
-        if self.shards[shard as usize].pending.is_none() {
+        let ctx = self.shards.get(shard as usize);
+        let Some(pending) = ctx.and_then(|c| c.pending.as_ref()) else {
             return Err(LcmError::NothingToRetry);
-        }
-        let nonce = self.next_nonce();
-        let pending = self.shards[shard as usize].pending.as_ref();
-        seal_invoke(
-            &self.key,
-            self.id,
-            &nonce,
-            pending.expect("checked above"),
-            true,
-        )
-    }
-
-    /// The nonce of the next sealed wire: `client id (4, BE) ‖ send
-    /// counter (8, BE)`. Consumes the counter value.
-    fn next_nonce(&mut self) -> [u8; NONCE_LEN] {
-        let mut nonce = [0u8; NONCE_LEN];
-        nonce[..4].copy_from_slice(&self.id.0.to_be_bytes());
-        nonce[4..].copy_from_slice(&self.send_counter.to_be_bytes());
-        self.send_counter = self.send_counter.wrapping_add(1);
-        nonce
+        };
+        let nonce = next_nonce(self.id, &mut self.send_counter);
+        seal_invoke(&self.key, self.id, &nonce, pending, true)
     }
 
     /// Produces an encrypted verified-read leg for the read-only
@@ -538,10 +524,7 @@ impl LcmClient {
         }
         let route = route_for(self.id, shard_key);
         let shard = self.table.shard_of(route);
-        let ctx = &self.shards[shard as usize];
-        if ctx.pending.is_some() || ctx.pending_read.is_some() {
-            return Err(LcmError::OperationPending);
-        }
+        let ctx = idle_ctx(&mut self.shards, shard)?;
         let pending = PendingRead {
             op: op.to_vec(),
             tc: ctx.tc,
@@ -550,9 +533,9 @@ impl LcmClient {
             replica,
             epoch: self.table.epoch(),
         };
-        let nonce = self.next_nonce();
+        let nonce = next_nonce(self.id, &mut self.send_counter);
         let wire = seal_read(&self.key, self.id, &nonce, &pending)?;
-        self.shards[shard as usize].pending_read = Some(pending);
+        ctx.pending_read = Some(pending);
         Ok(wire)
     }
 
@@ -571,17 +554,14 @@ impl LcmClient {
         if self.halted {
             return Err(LcmError::Halted);
         }
-        let ctx = self
-            .shards
-            .get_mut(shard as usize)
-            .ok_or(LcmError::NothingToRetry)?;
-        let pending = ctx.pending_read.as_mut().ok_or(LcmError::NothingToRetry)?;
+        let ctx = self.shards.get_mut(shard as usize);
+        let pending = ctx.and_then(|c| c.pending_read.as_mut());
+        let pending = pending.ok_or(LcmError::NothingToRetry)?;
         if let Some(r) = replica {
             pending.replica = r;
         }
-        let nonce = self.next_nonce();
-        let pending = self.shards[shard as usize].pending_read.as_ref();
-        seal_read(&self.key, self.id, &nonce, pending.expect("checked above"))
+        let nonce = next_nonce(self.id, &mut self.send_counter);
+        seal_read(&self.key, self.id, &nonce, pending)
     }
 
     /// Abandons the pending read leg on `shard` (e.g. to fall back to
@@ -657,24 +637,19 @@ impl LcmClient {
                 pending.epoch,
             );
             if let Ok(plain) = aead::open_in_place(&self.key, &aad, sealed) {
-                matched = Some((idx, plain.len()));
+                matched = Some((idx as u32, pending.tc, pending.hc, plain.len()));
                 break;
             }
         }
-        let Some((shard, plain_len)) = matched else {
+        let Some((shard, pending_tc, pending_hc, plain_len)) = matched else {
             self.halted = true;
             if self.shards.iter().all(|c| c.pending_read.is_none()) {
                 return Err(Violation::UnexpectedReply.into());
             }
             return Err(Violation::BadAuthentication.into());
         };
-        let plain = &sealed[NONCE_LEN..NONCE_LEN + plain_len];
-        let (pending_tc, pending_hc) = {
-            let pending = self.shards[shard].pending_read.as_ref();
-            let pending = pending.expect("matched pending read exists");
-            (pending.tc, pending.hc)
-        };
-        let reply = match ReadReplyMsg::from_bytes(plain) {
+        let plain = sealed.get(NONCE_LEN..NONCE_LEN + plain_len);
+        let reply = match ReadReplyMsg::from_bytes(plain.unwrap_or_default()) {
             Ok(m) => m,
             Err(_) => {
                 self.halted = true;
@@ -699,7 +674,7 @@ impl LcmClient {
                 // stamped the leg with). Retryable, not an attack:
                 // quorum stability means at least a quorum HAS applied
                 // it, just not this member.
-                self.shards[shard].pending_read = None;
+                self.cancel_read(shard);
                 return Ok(ReadOutcome::Behind);
             }
             crate::wire::ReadStatus::Moved => {
@@ -707,7 +682,7 @@ impl LcmClient {
                 // in the result: adopt it and let the caller re-issue
                 // against the new owner.
                 self.adopt_table(&reply.result)?;
-                self.shards[shard].pending_read = None;
+                self.cancel_read(shard);
                 return Ok(ReadOutcome::Moved);
             }
             crate::wire::ReadStatus::Fresh => {}
@@ -716,15 +691,16 @@ impl LcmClient {
         // Fresh: the member's recorded entry must BE our context, and
         // its stable watermark can only have moved forward relative to
         // what any earlier reply on this shard told us.
-        let ctx = &mut self.shards[shard];
-        if reply.t != pending_tc || reply.h != pending_hc || reply.q < ctx.ts {
+        let ctx = (self.shards.get_mut(shard as usize))
+            .filter(|c| reply.t == pending_tc && reply.h == pending_hc && reply.q >= c.ts);
+        let Some(ctx) = ctx else {
             self.halted = true;
             return Err(Violation::ReplyMismatch {
                 expected: pending_hc,
                 got: reply.h,
             }
             .into());
-        }
+        };
 
         ctx.ts = reply.q; // reads piggyback stability, never (tc, hc)
         ctx.pending_read = None;
@@ -821,21 +797,22 @@ impl LcmClient {
         // pending route at all.
         let mut matched = None;
         for (pos, &shard) in self.pending_order.iter().enumerate() {
-            let pending = self.shards[shard as usize]
-                .pending
-                .as_ref()
-                .expect("pending_order entries always have a pending op");
+            let ctx = self.shards.get(shard as usize);
+            let Some(pending) = ctx.and_then(|c| c.pending.as_ref()) else {
+                continue;
+            };
             let aad = reply_aad(self.id, pending.route, pending.epoch);
             if let Ok(plain) = aead::open_in_place(&self.key, &aad, sealed) {
-                matched = Some((pos, shard, plain.len()));
+                matched = Some((pos, shard, pending.hc, plain.len()));
                 break;
             }
         }
-        let Some((pos, shard, plain_len)) = matched else {
+        let Some((pos, shard, pending_hc, plain_len)) = matched else {
             self.halted = true;
             return Err(Violation::BadAuthentication.into());
         };
-        let reply = match ReplyView::from_bytes(&sealed[NONCE_LEN..NONCE_LEN + plain_len]) {
+        let plain = sealed.get(NONCE_LEN..NONCE_LEN + plain_len);
+        let reply = match ReplyView::from_bytes(plain.unwrap_or_default()) {
             Ok(m) => m,
             Err(_) => {
                 self.halted = true;
@@ -844,8 +821,6 @@ impl LcmClient {
         };
 
         // assert h'c = hc — against the invocation-time context.
-        let ctx = &mut self.shards[shard as usize];
-        let pending_hc = ctx.pending.as_ref().expect("matched pending exists").hc;
         if reply.hc_echo != pending_hc {
             self.halted = true;
             return Err(Violation::ReplyMismatch {
@@ -858,6 +833,10 @@ impl LcmClient {
         // (tc, ts, hc) ← (t, q, h). Sequence numbers returned by one
         // shard to one client strictly increase and stability never
         // decreases; a server violating either is caught here.
+        let Some(ctx) = self.shards.get_mut(shard as usize) else {
+            self.halted = true;
+            return Err(Violation::BadAuthentication.into());
+        };
         if reply.t <= ctx.tc || reply.q < ctx.ts {
             self.halted = true;
             return Err(Violation::ReplyMismatch {
@@ -866,11 +845,14 @@ impl LcmClient {
             }
             .into());
         }
+        let Some(pending) = ctx.pending.take() else {
+            self.halted = true;
+            return Err(Violation::BadAuthentication.into());
+        };
 
         ctx.tc = reply.t;
         ctx.ts = reply.q;
         ctx.hc = reply.h;
-        let pending = ctx.pending.take().expect("matched pending exists");
         self.pending_order.remove(pos);
         self.fire_watches();
 
@@ -909,6 +891,30 @@ impl LcmClient {
             }),
         ))
     }
+}
+
+/// The context of `shard` when nothing is in flight on it. A client's
+/// table has exactly one shard per context (`adopt_table` refuses any
+/// other), so a miss is a table no honest enclave sent, and is refused
+/// like one.
+fn idle_ctx(shards: &mut [ShardCtx], shard: u32) -> Result<&mut ShardCtx> {
+    let Some(ctx) = shards.get_mut(shard as usize) else {
+        return Err(Violation::BadAuthentication.into());
+    };
+    if ctx.pending.is_some() || ctx.pending_read.is_some() {
+        return Err(LcmError::OperationPending);
+    }
+    Ok(ctx)
+}
+
+/// The nonce of client `id`'s next sealed wire: `id (4, BE) ‖ send
+/// counter (8, BE)`. Consumes the counter value.
+fn next_nonce(id: ClientId, send_counter: &mut u64) -> [u8; NONCE_LEN] {
+    let mut nonce = [0u8; NONCE_LEN];
+    nonce[..4].copy_from_slice(&id.0.to_be_bytes());
+    nonce[4..].copy_from_slice(&send_counter.to_be_bytes());
+    *send_counter = send_counter.wrapping_add(1);
+    nonce
 }
 
 /// The INVOKE wire for `pending`: `route hint ‖ nonce ‖ ciphertext ‖

@@ -25,16 +25,24 @@
 //!
 //! ## Crate layout
 //!
-//! * [`types`] — identifiers, sequence numbers, chain values.
-//! * [`codec`] — the deterministic binary wire codec.
-//! * [`wire`] — INVOKE/REPLY message formats (paper §4.2 / §6.3).
-//! * [`functionality`] — the trait for the application `F` running
-//!   inside `T`.
-//! * [`client`] — the client state machine (Alg. 1) with retry support.
+//! The code the enclave runs lives in `lcm-trusted`, whose dependencies
+//! and panic-freedom the compiler checks; this crate re-exports each of
+//! its modules under the path it always had:
+//!
+//! * [`types`], [`codec`], [`wire`] — identifiers, the deterministic
+//!   binary codec, the INVOKE/REPLY formats (paper §4.2 / §6.3).
+//! * [`functionality`] — the trait for the application `F` inside `T`.
+//! * [`stability`] — the `majority-stable` function (§4.5).
+//! * [`routing`] — the route hash and the epoch-versioned slice table
+//!   behind the shard router.
 //! * [`context`] — the trusted-context state machine (Alg. 2) with
 //!   batching, recovery, migration, and membership extensions (§4.6).
 //! * [`program`] — packaging of the trusted context as an
 //!   [`lcm_tee::enclave::EnclaveProgram`] plus the host-call ABI.
+//!
+//! The untrusted side and the client are this crate's own:
+//!
+//! * [`client`] — the client state machine (Alg. 1) with retry support.
 //! * [`server`] — an honest host server: enclave + stable storage +
 //!   request batching (paper §5.2/§5.3 architecture) — the *member*
 //!   role, [`server::LcmServer`] — plus one trait for each role around
@@ -52,18 +60,12 @@
 //!   [`transport::Frontend`] driving a sharded server's shared core
 //!   from a pool of driver threads, with per-client reply ports.
 //! * [`admission`] — multi-tenant admission control at the front door.
-//! * [`routing`] — the epoch-versioned slice table behind that
-//!   router: an attested, rebalanceable key→shard map whose epoch is
-//!   bound into every wire's AEAD so stale or malicious routes stay
-//!   detectable in-enclave.
 //! * [`replica`] — replicated shard groups:
 //!   [`replica::ReplicaGroup`] runs one shard as 2f+1 replicas with
 //!   quorum-gated reply release, crash failover, and follower-served
 //!   verified reads.
 //! * [`admin`] — the trusted admin: bootstrapping, attestation,
 //!   membership changes, migration orchestration (§4.3, §4.6).
-//! * [`stability`] — the `majority-stable` function and stability
-//!   tracking (§4.5).
 //! * [`verify`] — omniscient history checkers used by tests to validate
 //!   fork-linearizability and stability claims on recorded runs.
 //!
@@ -78,24 +80,14 @@
 pub mod admin;
 pub mod admission;
 pub mod client;
-pub mod codec;
 pub mod context;
-pub mod functionality;
 pub mod pipeline;
 pub mod program;
 pub mod replica;
-pub mod routing;
 pub mod server;
 pub mod shard;
-pub mod stability;
 pub mod transport;
-pub mod types;
 pub mod verify;
-pub mod wire;
 
-mod error;
-
-pub use error::{LcmError, Violation};
-
-/// Convenience alias for results produced by this crate.
-pub type Result<T> = std::result::Result<T, LcmError>;
+pub use lcm_trusted::{codec, functionality, routing, stability, types, wire};
+pub use lcm_trusted::{LcmError, Result, Violation};

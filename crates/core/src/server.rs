@@ -76,11 +76,11 @@ use lcm_tee::attestation::{Quote, QuotingEnclave, Report};
 use lcm_tee::enclave::{Enclave, EnclaveProgram};
 use lcm_tee::platform::TeePlatform;
 
-use crate::codec::WireCodec;
+use crate::codec::{Reader, WireCodec};
 use crate::context::PersistBlobs;
 use crate::functionality::Functionality;
 use crate::pipeline::{PersistWriter, DEFAULT_WRITER_QUEUE};
-use crate::program::{HostCall, HostReply, LcmProgram};
+use crate::program::{decode_blobs, HostCall, HostReply, LcmProgram, REPLY_BATCH, REPLY_READ};
 use crate::types::ClientId;
 use crate::{LcmError, Result};
 
@@ -347,7 +347,7 @@ impl<F: Functionality, P: EnclaveProgram> LcmServer<F, P> {
         HostCall::encode_invoke_batch_into(&mut self.call_scratch, &self.batch_scratch);
         let out = self.enclave.ecall(self.call_scratch.as_slice())?;
         // Each reply rides home in the buffer its request came in.
-        let (replies, mut blobs) = HostReply::batch_replies(&out, &mut self.batch_scratch)?;
+        let (replies, mut blobs) = batch_replies(&out, &mut self.batch_scratch)?;
         // Freed before the store copies the blobs, which can then
         // reuse its memory.
         drop(out);
@@ -642,7 +642,7 @@ impl<F: Functionality> LcmServer<F> {
         HostCall::encode_serve_read_into(&mut self.call_scratch, &read_wire);
         let out = self.enclave.ecall(self.call_scratch.as_slice())?;
         // The reply rides home in the leg's buffer.
-        HostReply::read_reply_into(&out, &mut read_wire)?;
+        read_reply_into(&out, &mut read_wire)?;
         Ok(read_wire)
     }
 
@@ -1255,6 +1255,90 @@ impl<F: Functionality> Lane for LcmServer<F> {
     }
     fn adopt_table(&mut self, bulletin: Vec<u8>) -> Result<()> {
         LcmServer::adopt_table(self, bulletin)
+    }
+}
+
+/// Decodes the enclave's answer to an `InvokeBatch` of `wires` in
+/// place (module docs, § Buffer lifecycle): reply *i* is written into
+/// `wires[i]` — the buffer request *i* arrived in (see
+/// [`reply_into`]) — and the buffers come back as the batch's
+/// replies, each with the client the enclave reported, beside the
+/// blobs to persist. Every wire is consumed whatever the outcome.
+///
+/// # Errors
+///
+/// An error reply is the error it projects; any other reply, a
+/// malformed one, or one that does not answer exactly the wires
+/// handed in, is an [`LcmError::Tee`] or [`LcmError::Codec`].
+pub(crate) fn batch_replies(
+    out: &[u8],
+    wires: &mut Vec<Vec<u8>>,
+) -> Result<(Replies, PersistBlobs)> {
+    let wires = wires.drain(..);
+    let Some((&REPLY_BATCH, body)) = out.split_first() else {
+        return Err(not_the_reply(out, "a batch"));
+    };
+    let mut r = Reader::new(body);
+    let n = r.get_u32()? as usize;
+    if n != wires.len() {
+        return Err(LcmError::Tee(format!(
+            "the enclave answered {n} replies to a batch of {} wires",
+            wires.len()
+        )));
+    }
+    let mut replies = Vec::with_capacity(n);
+    for mut wire in wires {
+        let client = ClientId::decode(&mut r)?;
+        reply_into(&mut wire, r.get_bytes()?);
+        replies.push((client, wire));
+    }
+    let blobs = decode_blobs(&mut r)?;
+    r.finish()?;
+    Ok((replies, blobs))
+}
+
+/// Decodes the enclave's answer to a `ServeRead` into `wire`, the
+/// buffer the read leg arrived in.
+///
+/// # Errors
+///
+/// As [`batch_replies`].
+pub(crate) fn read_reply_into(out: &[u8], wire: &mut Vec<u8>) -> Result<()> {
+    let Some((&REPLY_READ, body)) = out.split_first() else {
+        return Err(not_the_reply(out, "a read"));
+    };
+    let mut r = Reader::new(body);
+    let reply = r.get_bytes()?;
+    r.finish()?;
+    reply_into(wire, reply);
+    Ok(())
+}
+
+/// A request buffer up to this size carries its reply home whatever
+/// the reply's size.
+pub(crate) const WIRE_KEEP_MAX: usize = 4096;
+
+/// Writes `reply` into `wire`, the buffer its request arrived in. A
+/// buffer over [`WIRE_KEEP_MAX`] and more than twice the reply is let
+/// go for an exact copy instead: a reply waits until its client
+/// collects it, and should hold about its own size, not its request's.
+pub(crate) fn reply_into(wire: &mut Vec<u8>, reply: &[u8]) {
+    if wire.capacity() > WIRE_KEEP_MAX && wire.capacity() / 2 > reply.len() {
+        *wire = reply.to_vec();
+    } else {
+        wire.clear();
+        wire.extend_from_slice(reply);
+    }
+}
+
+/// The error an enclave output that is not the awaited `what` reply
+/// stands for: the error it carries, or its being unexpected or
+/// malformed.
+fn not_the_reply(out: &[u8], what: &str) -> LcmError {
+    match HostReply::from_bytes(out) {
+        Ok(HostReply::Err(e)) => e.into_lcm_error(),
+        Ok(other) => LcmError::Tee(format!("unexpected enclave reply to {what}: {other:?}")),
+        Err(e) => e.into(),
     }
 }
 

@@ -221,6 +221,7 @@ use lcm_tee::world::TeeWorld;
 use crate::admission::{AdmissionState, AdmitOutcome, RetryAfter, SettledTicket};
 use crate::codec::{Reader, WireCodec, Writer};
 use crate::functionality::Functionality;
+pub use crate::routing::{route_for, route_hash, shard_index};
 use crate::routing::{slice_of, SliceTable, SLICE_COUNT};
 use crate::server::{BatchServer, Lane, LcmServer, ReadPort, Replies};
 use crate::types::ClientId;
@@ -231,43 +232,6 @@ use crate::{LcmError, Result};
 /// queue blocks (back-pressure); the default is generous enough for
 /// every closed-loop test workload while still bounding host memory.
 pub const DEFAULT_INGRESS_CAPACITY: usize = 1024;
-
-/// 32-bit FNV-1a over the partition key — the stable route hash.
-///
-/// Stability matters more than distribution quality here: the same key
-/// must map to the same shard across process restarts, migrations, and
-/// architectures, so the hash is a fixed public function rather than a
-/// seeded hasher.
-pub fn route_hash(key: &[u8]) -> u32 {
-    const OFFSET: u32 = 0x811c_9dc5;
-    const PRIME: u32 = 0x0100_0193;
-    let mut h = OFFSET;
-    for &b in key {
-        h ^= u32::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
-
-/// The route hash of one operation: the functionality's partition key
-/// when there is one, otherwise the client identity (all of one
-/// client's operations then share a shard).
-pub fn route_for(client: ClientId, shard_key: Option<&[u8]>) -> u32 {
-    match shard_key {
-        Some(key) => route_hash(key),
-        None => route_hash(&client.0.to_be_bytes()),
-    }
-}
-
-/// Maps a route hash onto one of `n` shards under the *genesis*
-/// (epoch-0, uniform) table — for shard counts dividing
-/// [`SLICE_COUNT`] this equals [`SliceTable::uniform`]`(n).shard_of`.
-/// Deployment-time helpers (key placement, per-shard test workloads)
-/// use this; live routing goes through the current [`SliceTable`],
-/// which slice migrations advance.
-pub fn shard_index(route: u32, n: u32) -> u32 {
-    route % n.max(1)
-}
 
 /// The `nth` key (0-based) of the form `{prefix}{j}` (j = 0, 1, …)
 /// whose route hash maps to `shard` of a `shards`-shard deployment —

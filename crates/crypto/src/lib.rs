@@ -16,6 +16,9 @@
 //!
 //! [`hmac`] and [`hkdf`] derive keys (sealing keys, AEAD keys,
 //! attestation MACs); no message is authenticated with HMAC.
+//! [`framing`] is the CRC-32 record framing under every stored log —
+//! a crash check, not an integrity one — here so that the enclave,
+//! which reads bundles in that framing, needs no storage crate.
 //!
 //! All primitives are implemented from scratch so that the trusted
 //! execution environment simulator stays fully self-contained and
@@ -25,8 +28,8 @@
 //!
 //! # `unsafe`
 //!
-//! Everything is safe Rust except two kernels, one per primitive that
-//! every operation pays for:
+//! Everything is safe Rust except three kernels, one per primitive that
+//! every operation or every stored byte pays for:
 //!
 //! * on an x86-64 CPU with the SHA extensions, [`sha256`] compresses
 //!   with the `sha256rnds2` family of instructions, about five times
@@ -35,23 +38,27 @@
 //! * on an x86-64 CPU with AVX2, [`chacha20`] produces its keystream
 //!   blocks on 256-bit registers, about twice the rate of the portable
 //!   lane-array function — every sealed wire and state blob rides on
-//!   it.
+//!   it;
+//! * on an x86-64 CPU with `pclmulqdq`, [`framing::crc32`] — the
+//!   checksum under every frame of every journal, checkpoint slot and
+//!   bundle — folds its input by carry-less multiplication, more than
+//!   ten times the table kernel's rate.
 //!
 //! Executing instructions the build target does not guarantee takes a
 //! `#[target_feature]` function, which is `unsafe` to call. So this
 //! crate *denies* `unsafe_code` rather than forbidding it, and exactly
-//! two private modules — `sha256::shani` and `chacha20::avx2`, compiled
-//! only for x86-64 — are allowed it, each by an attribute on its own
+//! three private modules — `sha256::shani`, `chacha20::avx2` and
+//! `framing::clmul`, compiled only for x86-64 — are allowed it, each by
+//! an attribute on its own
 //! `mod` line. Each module is one fence of the same shape: two safe
 //! functions (is the feature there; run the kernel over these blocks),
 //! the second checking the first before its single `unsafe` call.
 //! Every other CPU and architecture takes the portable kernels, with
-//! identical digests and keystream; see the [`sha256`] and
+//! identical digests, keystream and checksums; see the [`sha256`] and
 //! [`chacha20`] module docs for the selection and for what a real SGX
-//! enclave would consult instead of `cpuid`. CI greps that `unsafe`
-//! stays in exactly those two files plus `lcm_storage`'s one (the
-//! CRC-32 kernel under its frames, fenced the same way) and that every
-//! other crate root keeps `forbid(unsafe_code)`.
+//! enclave would consult instead of `cpuid`. A tier-1 rule checks that
+//! `unsafe` stays in exactly those three files and that every other
+//! crate root keeps `forbid(unsafe_code)`.
 //!
 //! # Example
 //!
@@ -74,6 +81,7 @@
 pub mod aead;
 pub mod chacha20;
 pub mod ct;
+pub mod framing;
 pub mod hkdf;
 pub mod hmac;
 pub mod keys;

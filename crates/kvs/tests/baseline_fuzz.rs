@@ -91,3 +91,29 @@ proptest! {
         prop_assert!(client.run(&mut server, &get(b"k")).is_err());
     }
 }
+
+/// A withheld state blob is a rollback to genesis the baseline cannot
+/// see: rebooted over a medium that holds everything its old one did
+/// except the state slot, it boots without an error and answers a key
+/// it stored as absent.
+#[test]
+fn a_withheld_state_boots_empty_and_a_stored_key_reads_absent() {
+    let written = Arc::new(MemoryStorage::new());
+    let (booted, mut server, client) = baseline(written.clone());
+    booted.unwrap();
+    let put = KvOp::Put(b"k".to_vec(), b"v".to_vec());
+    client.run(&mut server, &put).unwrap();
+    let stored = KvResult::Value(Some(b"v".to_vec()));
+    assert_eq!(client.run(&mut server, &get(b"k")).unwrap(), stored);
+    // The state slot is all the baseline keeps, so the medium without
+    // it is an empty one.
+    assert!(written.load(SLOT_STATE_BLOB).unwrap().is_some());
+    assert_eq!(written.len(), 1, "slots besides the state slot");
+
+    let (booted, mut server, client) = baseline(Arc::new(MemoryStorage::new()));
+    booted.expect("a withheld state boots like a first start");
+    assert_eq!(
+        client.run(&mut server, &get(b"k")).unwrap(),
+        KvResult::Value(None)
+    );
+}

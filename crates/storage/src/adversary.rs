@@ -11,9 +11,7 @@
 //! [`VersionedStorage`] history, and [`ForkView`] gives each enclave
 //! instance its own divergent branch of that history.
 
-use std::sync::Arc;
-
-use parking_lot::RwLock;
+use std::sync::{Arc, RwLock};
 
 use crate::versioned::{Version, VersionedStorage};
 use crate::{Result, StableStorage};
@@ -125,7 +123,7 @@ impl RollbackStorage {
     /// [`RollbackStorage::drop_buffered`] first to model a power
     /// failure instead.
     pub fn set_mode(&self, mode: AdversaryMode) {
-        let mut inner = self.inner.write();
+        let mut inner = crate::write(&self.inner);
         if matches!(inner.mode, AdversaryMode::ReorderedFlush)
             && !matches!(mode, AdversaryMode::ReorderedFlush)
         {
@@ -135,7 +133,7 @@ impl RollbackStorage {
         }
         if let AdversaryMode::Frozen = mode {
             // Record the current latest version of every slot.
-            let snapshot = self.history.inner.read();
+            let snapshot = crate::read(&self.history.inner);
             inner.frozen_at = snapshot
                 .slots
                 .iter()
@@ -148,7 +146,7 @@ impl RollbackStorage {
 
     /// The current adversary mode.
     pub fn mode(&self) -> AdversaryMode {
-        self.inner.read().mode
+        crate::read(&self.inner).mode
     }
 
     /// The full retained history, for forking and assertions.
@@ -161,7 +159,7 @@ impl RollbackStorage {
     /// the volatile write cache with it. Returns how many writes were
     /// lost.
     pub fn drop_buffered(&self) -> usize {
-        std::mem::take(&mut self.inner.write().buffered).len()
+        std::mem::take(&mut crate::write(&self.inner).buffered).len()
     }
 
     /// Creates a divergent branch view seeded from the given version of
@@ -176,14 +174,14 @@ impl RollbackStorage {
 
 impl StableStorage for RollbackStorage {
     fn store(&self, slot: &str, blob: &[u8]) -> Result<()> {
-        let mode = self.inner.read().mode;
+        let mode = crate::read(&self.inner).mode;
         match mode {
             AdversaryMode::DropWrites => Ok(()), // silently discarded
             AdversaryMode::TornWrites { keep } => {
                 self.history.store(slot, &blob[..keep.min(blob.len())])
             }
             AdversaryMode::ReorderedFlush => {
-                let mut inner = self.inner.write();
+                let mut inner = crate::write(&self.inner);
                 inner.buffered.push((slot.to_string(), blob.to_vec()));
                 if inner.buffered.len() == 2 {
                     // The scheduler flushes the pair newest-first.
@@ -198,7 +196,7 @@ impl StableStorage for RollbackStorage {
     }
 
     fn load(&self, slot: &str) -> Result<Option<Vec<u8>>> {
-        let inner = self.inner.read();
+        let inner = crate::read(&self.inner);
         match inner.mode {
             AdversaryMode::Honest
             | AdversaryMode::DropWrites

@@ -3,10 +3,11 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use crate::deltalog::{
-    cut_torn_bundle, make_bundle, BLOB_KIND_BUNDLE, BLOB_KIND_CHECKPOINT, BLOB_KIND_DELTA,
+use crate::deltalog::cut_torn_bundle;
+use crate::{
+    framing, make_bundle, Result, StableStorage, StorageError, BLOB_KIND_BUNDLE,
+    BLOB_KIND_CHECKPOINT, BLOB_KIND_DELTA,
 };
-use crate::{framing, Result, StableStorage, StorageError};
 
 /// Delta persists over a plain blob store: one slot holds
 /// `checkpoint ‖ deltas`.
@@ -200,7 +201,7 @@ impl StableStorage for BundleStorage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deltalog::parse_bundle;
+    use crate::parse_bundle;
     use crate::{MemoryStorage, BLOB_KIND_OPAQUE};
 
     fn ckpt(n: u8) -> Vec<u8> {

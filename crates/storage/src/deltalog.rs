@@ -131,19 +131,10 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use lcm_runtime::CountedCondvar;
 
-use crate::framing;
-use crate::{Result, StableStorage, StorageError};
-
-/// Kind byte of a blob the engine must not interpret (sealed key
-/// blobs, foreign slots): stored and loaded verbatim.
-pub const BLOB_KIND_OPAQUE: u8 = 0;
-/// Kind byte of a sealed full-state checkpoint.
-pub const BLOB_KIND_CHECKPOINT: u8 = 1;
-/// Kind byte of a sealed per-batch delta.
-pub const BLOB_KIND_DELTA: u8 = 2;
-/// Kind byte of an engine-assembled recovery bundle:
-/// `[3] ‖ frame(checkpoint) ‖ frame(delta)…` ([`parse_bundle`]).
-pub const BLOB_KIND_BUNDLE: u8 = 3;
+use crate::{
+    framing, make_bundle, parse_bundle, Result, StableStorage, StorageError, BLOB_KIND_BUNDLE,
+    BLOB_KIND_CHECKPOINT, BLOB_KIND_DELTA,
+};
 
 /// Slots holding the two active (unsealed) journal heads. Head 0 keeps
 /// the name the one-head layout used, so media written by it open as
@@ -172,45 +163,6 @@ pub(crate) fn cut_torn_bundle(blob: &mut Vec<u8>) {
             blob.truncate(1 + scanned.valid_len);
         }
     }
-}
-
-/// Splits an engine-assembled bundle blob into its checkpoint frame
-/// and delta frames. Returns `None` unless the blob has the bundle
-/// kind byte, at least one frame, and **no** trailing bytes — a
-/// tampered bundle must not parse.
-pub fn parse_bundle(blob: &[u8]) -> Option<(&[u8], Vec<&[u8]>)> {
-    let body = match blob.split_first() {
-        Some((&BLOB_KIND_BUNDLE, body)) => body,
-        _ => return None,
-    };
-    let scanned = framing::scan(body);
-    if scanned.valid_len != body.len() || scanned.payloads.is_empty() {
-        return None;
-    }
-    let mut frames = scanned.payloads.into_iter();
-    let checkpoint = frames.next().expect("non-empty");
-    Some((checkpoint, frames.collect()))
-}
-
-/// Assembles a recovery bundle from a checkpoint blob and delta blobs
-/// (the inverse of [`parse_bundle`]; public so tests can fabricate
-/// bundles without an engine). Sized up front, so the checkpoint — the
-/// O(state) part — is copied exactly once.
-pub fn make_bundle<'a>(
-    checkpoint: &[u8],
-    deltas: impl Iterator<Item = &'a [u8]> + Clone,
-) -> Vec<u8> {
-    let delta_bytes: usize = deltas
-        .clone()
-        .map(|d| framing::FRAME_HEADER + d.len())
-        .sum();
-    let mut bundle = Vec::with_capacity(1 + framing::FRAME_HEADER + checkpoint.len() + delta_bytes);
-    bundle.push(BLOB_KIND_BUNDLE);
-    framing::append_frame(&mut bundle, checkpoint);
-    for d in deltas {
-        framing::append_frame(&mut bundle, d);
-    }
-    bundle
 }
 
 /// Tuning knobs for [`DeltaLogStorage`].
@@ -1113,7 +1065,7 @@ impl StableStorage for DeltaLogStorage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DelayedStorage, MemoryStorage};
+    use crate::{DelayedStorage, MemoryStorage, BLOB_KIND_OPAQUE};
     use std::sync::mpsc::{channel, Receiver, Sender};
     use std::time::Duration;
 

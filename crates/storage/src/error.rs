@@ -41,3 +41,9 @@ impl From<std::io::Error> for StorageError {
         StorageError::Io(e)
     }
 }
+
+impl From<StorageError> for lcm_trusted::LcmError {
+    fn from(e: StorageError) -> Self {
+        lcm_trusted::LcmError::Storage(e.to_string())
+    }
+}

@@ -7,7 +7,7 @@
 //! paths that never involve the protocol's violation machinery.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 use crate::{Result, StableStorage, StorageError};
 
@@ -28,7 +28,7 @@ pub enum FailureMode {
 #[derive(Debug, Clone)]
 pub struct FlakyStorage<S> {
     inner: S,
-    mode: Arc<parking_lot::RwLock<FailureMode>>,
+    mode: Arc<RwLock<FailureMode>>,
     failures: Arc<AtomicU64>,
 }
 
@@ -37,14 +37,14 @@ impl<S: StableStorage> FlakyStorage<S> {
     pub fn new(inner: S) -> Self {
         FlakyStorage {
             inner,
-            mode: Arc::new(parking_lot::RwLock::new(FailureMode::None)),
+            mode: Arc::new(RwLock::new(FailureMode::None)),
             failures: Arc::new(AtomicU64::new(0)),
         }
     }
 
     /// Switches the failure mode.
     pub fn set_mode(&self, mode: FailureMode) {
-        *self.mode.write() = mode;
+        *crate::write(&self.mode) = mode;
     }
 
     /// Number of injected failures so far.
@@ -60,14 +60,14 @@ impl<S: StableStorage> FlakyStorage<S> {
 
 impl<S: StableStorage> StableStorage for FlakyStorage<S> {
     fn store(&self, slot: &str, blob: &[u8]) -> Result<()> {
-        match *self.mode.read() {
+        match *crate::read(&self.mode) {
             FailureMode::FailStores | FailureMode::FailAll => Err(self.inject()),
             _ => self.inner.store(slot, blob),
         }
     }
 
     fn load(&self, slot: &str) -> Result<Option<Vec<u8>>> {
-        match *self.mode.read() {
+        match *crate::read(&self.mode) {
             FailureMode::FailLoads | FailureMode::FailAll => Err(self.inject()),
             _ => self.inner.load(slot),
         }

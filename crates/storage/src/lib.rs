@@ -32,23 +32,16 @@
 //! * [`ForkView`] — per-branch views over one history, used to feed
 //!   divergent states to multiple enclave instances.
 //!
-//! # `unsafe`
-//!
-//! Everything is safe Rust except one kernel: on an x86-64 CPU with
-//! `pclmulqdq`, [`framing::crc32`] — the checksum under every frame of
-//! every journal, checkpoint slot and bundle — folds its input by
-//! carry-less multiplication, more than ten times the table kernel's
-//! rate. That takes a `#[target_feature]` function, which is `unsafe`
-//! to call, so this crate *denies* `unsafe_code` rather than forbidding
-//! it, and exactly one private module, `framing::clmul`, is allowed it
-//! by an attribute on its own `mod` line — the fence `lcm_crypto` puts
-//! around its two hardware kernels (two safe functions, the second
-//! checking the first before its single `unsafe` call). Every other
-//! CPU takes the table kernel, with identical checksums; CI greps that
-//! `unsafe` stays in exactly those three files.
+//! The record framing under every journal and bundle
+//! ([`framing`]) and the bundle format itself ([`parse_bundle`],
+//! [`make_bundle`], the `BLOB_KIND_*` bytes) live below this crate, in
+//! `lcm_crypto` and `lcm_trusted` — the enclave reads that format too —
+//! and are re-exported here.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 mod adversary;
 mod bundle;
@@ -57,7 +50,6 @@ mod deltalog;
 mod error;
 mod file;
 mod flaky;
-pub mod framing;
 mod memory;
 mod namespace;
 mod versioned;
@@ -65,19 +57,32 @@ mod versioned;
 pub use adversary::{AdversaryMode, ForkView, RollbackStorage};
 pub use bundle::BundleStorage;
 pub use delayed::DelayedStorage;
-pub use deltalog::{
-    make_bundle, parse_bundle, DeltaLogConfig, DeltaLogStats, DeltaLogStorage, BLOB_KIND_BUNDLE,
-    BLOB_KIND_CHECKPOINT, BLOB_KIND_DELTA, BLOB_KIND_OPAQUE,
-};
+pub use deltalog::{DeltaLogConfig, DeltaLogStats, DeltaLogStorage};
 pub use error::StorageError;
 pub use file::FileStorage;
 pub use flaky::{FailureMode, FlakyStorage};
+pub use lcm_crypto::framing;
+pub use lcm_trusted::blob::{
+    make_bundle, parse_bundle, BLOB_KIND_BUNDLE, BLOB_KIND_CHECKPOINT, BLOB_KIND_DELTA,
+    BLOB_KIND_OPAQUE,
+};
 pub use memory::MemoryStorage;
 pub use namespace::NamespacedStorage;
 pub use versioned::{Version, VersionedStorage};
 
 /// Convenience alias for results produced by this crate.
 pub type Result<T> = std::result::Result<T, StorageError>;
+
+/// Read-locks `lock`. No critical section here leaves its data half
+/// updated, so a lock a panicking holder poisoned is used as it is.
+fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Write-locks `lock`, as [`read`] read-locks it.
+fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// The `load`/`store` interface of the paper's system model.
 ///

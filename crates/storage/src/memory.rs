@@ -1,8 +1,7 @@
 //! Honest in-memory storage.
 
 use std::collections::HashMap;
-
-use parking_lot::RwLock;
+use std::sync::RwLock;
 
 use crate::{Result, StableStorage};
 
@@ -36,23 +35,23 @@ impl MemoryStorage {
 
     /// Number of distinct slots stored.
     pub fn len(&self) -> usize {
-        self.slots.read().len()
+        crate::read(&self.slots).len()
     }
 
     /// Whether the store holds no slots.
     pub fn is_empty(&self) -> bool {
-        self.slots.read().is_empty()
+        crate::read(&self.slots).is_empty()
     }
 }
 
 impl StableStorage for MemoryStorage {
     fn store(&self, slot: &str, blob: &[u8]) -> Result<()> {
-        self.slots.write().insert(slot.to_owned(), blob.to_vec());
+        crate::write(&self.slots).insert(slot.to_owned(), blob.to_vec());
         Ok(())
     }
 
     fn load(&self, slot: &str) -> Result<Option<Vec<u8>>> {
-        Ok(self.slots.read().get(slot).cloned())
+        Ok(crate::read(&self.slots).get(slot).cloned())
     }
 }
 

@@ -1,9 +1,7 @@
 //! Version-retaining storage: the substrate for rollback adversaries.
 
 use std::collections::HashMap;
-use std::sync::Arc;
-
-use parking_lot::RwLock;
+use std::sync::{Arc, RwLock};
 
 use crate::{Result, StableStorage, StorageError};
 
@@ -56,7 +54,7 @@ impl VersionedStorage {
     /// Returns [`StorageError::NoSuchVersion`] when the slot has fewer
     /// versions.
     pub fn load_version(&self, slot: &str, version: Version) -> Result<Vec<u8>> {
-        let inner = self.inner.read();
+        let inner = crate::read(&self.inner);
         inner
             .slots
             .get(slot)
@@ -70,8 +68,7 @@ impl VersionedStorage {
 
     /// Number of versions stored for `slot` (0 when never stored).
     pub fn version_count(&self, slot: &str) -> u64 {
-        self.inner
-            .read()
+        crate::read(&self.inner)
             .slots
             .get(slot)
             .map_or(0, |v| v.len() as u64)
@@ -88,8 +85,7 @@ impl VersionedStorage {
 
 impl StableStorage for VersionedStorage {
     fn store(&self, slot: &str, blob: &[u8]) -> Result<()> {
-        self.inner
-            .write()
+        crate::write(&self.inner)
             .slots
             .entry(slot.to_owned())
             .or_default()
@@ -98,9 +94,7 @@ impl StableStorage for VersionedStorage {
     }
 
     fn load(&self, slot: &str) -> Result<Option<Vec<u8>>> {
-        Ok(self
-            .inner
-            .read()
+        Ok(crate::read(&self.inner)
             .slots
             .get(slot)
             .and_then(|versions| versions.last())

@@ -143,7 +143,7 @@ impl QuotingEnclave {
         if expected != report.mac {
             return Err(TeeError::AttestationFailed("report MAC invalid"));
         }
-        let guard = self.platform.inner.group_secret.lock();
+        let guard = crate::lock(&self.platform.inner.group_secret);
         let group_secret = guard
             .as_ref()
             .ok_or(TeeError::AttestationFailed("platform not in EPID group"))?;
@@ -210,7 +210,7 @@ impl AttestationAuthority {
     /// Enrolls `platform` into the signature group, enabling its quoting
     /// enclave.
     pub fn enroll(&self, platform: &TeePlatform) {
-        *platform.inner.group_secret.lock() = Some(self.group_secret.clone());
+        *crate::lock(&platform.inner.group_secret) = Some(self.group_secret.clone());
     }
 
     /// Produces a verifier handle for relying parties.

@@ -42,6 +42,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 pub mod attestation;
 pub mod enclave;
 pub mod epc;
@@ -56,3 +58,9 @@ pub use error::TeeError;
 
 /// Convenience alias for results produced by this crate.
 pub type Result<T> = std::result::Result<T, TeeError>;
+
+/// Locks `mutex`. No critical section here leaves its data half
+/// updated, so a lock a panicking holder poisoned is used as it is.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}

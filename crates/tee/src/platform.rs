@@ -1,14 +1,14 @@
 //! TEE-capable platforms and the services they expose to enclaves.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use lcm_crypto::hkdf;
 use lcm_crypto::hmac::hmac_sha256;
 use lcm_crypto::keys::SecretKey;
 use lcm_crypto::sha256::Digest;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 use crate::attestation::Report;
 use crate::measurement::Measurement;
@@ -32,7 +32,7 @@ pub(crate) struct PlatformInner {
     root_secret: SecretKey,
     /// EPID-style group member secret, installed when the platform joins
     /// an attestation authority. `None` until joined.
-    pub(crate) group_secret: parking_lot::Mutex<Option<SecretKey>>,
+    pub(crate) group_secret: Mutex<Option<SecretKey>>,
     /// Manufacturer secret shared by all platforms of one
     /// [`crate::world::TeeWorld`]; enables attested secure-channel key
     /// derivation. `None` for standalone platforms.
@@ -134,7 +134,7 @@ impl TeePlatform {
             inner: Arc::new(PlatformInner {
                 id: PlatformId(id),
                 root_secret,
-                group_secret: parking_lot::Mutex::new(None),
+                group_secret: Mutex::new(None),
                 world_secret,
             }),
         }
@@ -207,12 +207,13 @@ impl TeeServices {
         }
     }
 
-    /// A random-number generator seeded by the TEE.
+    /// Fills `buf` from the TEE's random-number generator.
     ///
     /// Real SGX exposes RDRAND; the simulator gives every epoch an
-    /// independent, reproducible stream.
-    pub fn rng(&self) -> StdRng {
-        StdRng::seed_from_u64(self.rng_seed)
+    /// independent, reproducible stream, and every call draws from
+    /// the start of it.
+    pub fn fill_random(&self, buf: &mut [u8]) {
+        StdRng::seed_from_u64(self.rng_seed).fill_bytes(buf);
     }
 
     /// The migration-channel key shared by enclaves running this same

@@ -16,10 +16,8 @@
 //! location-transparency drawback §3.1 highlights.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use crate::{Result, TeeError};
 
@@ -91,7 +89,7 @@ pub struct Tmc {
 impl fmt::Debug for Tmc {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Tmc")
-            .field("value", &self.state.lock().value)
+            .field("value", &crate::lock(&self.state).value)
             .field("config", &self.config)
             .finish()
     }
@@ -124,7 +122,7 @@ impl Tmc {
     /// reached (the hardware refuses further writes) or the value would
     /// wrap.
     pub fn increment(&self) -> Result<(u64, Duration)> {
-        let mut state = self.state.lock();
+        let mut state = crate::lock(&self.state);
         if state.increments >= self.config.wear_out_limit || state.value == u64::MAX {
             return Err(TeeError::CounterOverflow);
         }
@@ -135,12 +133,12 @@ impl Tmc {
 
     /// Reads the current value and the simulated read latency.
     pub fn read(&self) -> (u64, Duration) {
-        (self.state.lock().value, self.config.read_latency)
+        (crate::lock(&self.state).value, self.config.read_latency)
     }
 
     /// Number of increments performed (wear tracking).
     pub fn wear(&self) -> u64 {
-        self.state.lock().increments
+        crate::lock(&self.state).increments
     }
 }
 

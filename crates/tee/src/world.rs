@@ -198,6 +198,6 @@ mod tests {
         let world = TeeWorld::new_deterministic(4);
         let platform = world.platform(1);
         // Enrollment happened: the group secret is installed.
-        assert!(platform.inner.group_secret.lock().is_some());
+        assert!(crate::lock(&platform.inner.group_secret).is_some());
     }
 }

@@ -111,12 +111,12 @@ impl Writer {
     }
 
     /// Overwrites the big-endian u32 written at byte offset `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `at + 4` exceeds the encoded length.
+    /// Every caller patches a word it wrote; an `at + 4` past the
+    /// encoded length leaves the bytes alone.
     pub fn patch_u32(&mut self, at: usize, v: u32) {
-        self.buf[at..at + 4].copy_from_slice(&v.to_be_bytes());
+        if let Some(word) = self.buf.get_mut(at..at.saturating_add(4)) {
+            word.copy_from_slice(&v.to_be_bytes());
+        }
     }
 
     /// The buffer itself, for sealing what was encoded where it lies.
@@ -151,8 +151,7 @@ impl Writer {
     }
 
     /// The allocation a scratch writer holds on to between uses.
-    #[cfg(test)]
-    pub(crate) fn capacity(&self) -> usize {
+    pub fn capacity(&self) -> usize {
         self.buf.capacity()
     }
 }
@@ -185,31 +184,35 @@ impl<'a> Reader<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        if self.remaining() < n {
-            return Err(CodecError::UnexpectedEnd);
-        }
-        let out = &self.buf[self.pos..self.pos + n];
+        let out = self.rest().get(..n).ok_or(CodecError::UnexpectedEnd)?;
         self.pos += n;
         Ok(out)
     }
 
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let out = self.take(N)?.try_into();
+        out.map_err(|_| CodecError::UnexpectedEnd)
+    }
+
+    /// The bytes not yet consumed.
+    fn rest(&self) -> &'a [u8] {
+        self.buf.get(self.pos..).unwrap_or_default()
+    }
+
     /// Reads one byte.
     pub fn get_u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
+        let [b] = self.take_array()?;
+        Ok(b)
     }
 
     /// Reads a big-endian u32.
     pub fn get_u32(&mut self) -> Result<u32, CodecError> {
-        let b = self.take(4)?;
-        Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
+        Ok(u32::from_be_bytes(self.take_array()?))
     }
 
     /// Reads a big-endian u64.
     pub fn get_u64(&mut self) -> Result<u64, CodecError> {
-        let b = self.take(8)?;
-        Ok(u64::from_be_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+        Ok(u64::from_be_bytes(self.take_array()?))
     }
 
     /// Reads a bool (strictly 0 or 1).
@@ -223,15 +226,12 @@ impl<'a> Reader<'a> {
 
     /// Reads a 32-byte digest.
     pub fn get_digest(&mut self) -> Result<Digest, CodecError> {
-        let b = self.take(DIGEST_LEN)?;
-        let mut arr = [0u8; DIGEST_LEN];
-        arr.copy_from_slice(b);
-        Ok(Digest(arr))
+        Ok(Digest(self.take_array::<DIGEST_LEN>()?))
     }
 
     /// Reads all remaining bytes.
     pub fn get_rest(&mut self) -> &'a [u8] {
-        let out = &self.buf[self.pos..];
+        let out = self.rest();
         self.pos = self.buf.len();
         out
     }

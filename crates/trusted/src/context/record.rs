@@ -20,9 +20,9 @@ impl<F: Functionality> TrustedContext<F> {
     /// a delta-log bundle. Requires `self.keys` (at least `kP`).
     /// Returns the identity of the context that sealed it.
     pub(super) fn restore_sealed_state(&mut self, state_blob: &[u8]) -> Result<ShardIdentity> {
-        use lcm_storage::{BLOB_KIND_BUNDLE, BLOB_KIND_CHECKPOINT, BLOB_KIND_DELTA};
+        use crate::blob::{BLOB_KIND_BUNDLE, BLOB_KIND_CHECKPOINT, BLOB_KIND_DELTA};
         let (ckpt, deltas) = match state_blob.first() {
-            Some(&BLOB_KIND_BUNDLE) => lcm_storage::parse_bundle(state_blob)
+            Some(&BLOB_KIND_BUNDLE) => crate::blob::parse_bundle(state_blob)
                 .ok_or_else(|| self.halt(Violation::BadAuthentication))?,
             _ => (state_blob, Vec::new()),
         };
@@ -110,7 +110,7 @@ impl<F: Functionality> TrustedContext<F> {
     ///   a stale checkpoint merely produces a lagging follower (reads
     ///   answer `behind`, later deltas are refused), and a promotion
     ///   that loses an unacknowledged suffix is what clients detect as
-    ///   rollback — see [`crate::replica`].
+    ///   rollback — see `lcm_core::replica`.
     ///
     /// Returns the in-enclave digest of the record — the
     /// acknowledgement the host counts toward quorum stability, so
@@ -133,8 +133,8 @@ impl<F: Functionality> TrustedContext<F> {
     ///   phase.
     pub fn apply_replica(&mut self, record: &[u8]) -> Result<(Digest, PersistBlobs)> {
         let (own, _) = self.require_ready()?;
-        let state_blob = if record.first() == Some(&lcm_storage::BLOB_KIND_DELTA) {
-            let plain = self.open_sealed(record, lcm_storage::BLOB_KIND_DELTA, LABEL_DELTA_BLOB)?;
+        let state_blob = if record.first() == Some(&crate::blob::BLOB_KIND_DELTA) {
+            let plain = self.open_sealed(record, crate::blob::BLOB_KIND_DELTA, LABEL_DELTA_BLOB)?;
             let Some(dv) = self.apply_delta_plain(&plain)? else {
                 return Err(LcmError::RecordOutOfOrder);
             };
@@ -186,7 +186,7 @@ impl<F: Functionality> TrustedContext<F> {
             &seal_key,
             &nonce,
             LABEL_KEY_BLOB,
-            &[lcm_storage::BLOB_KIND_OPAQUE],
+            &[crate::blob::BLOB_KIND_OPAQUE],
             2 * lcm_crypto::keys::KEY_LEN,
             |w| {
                 w.put_raw(keys.k_p.as_bytes());
@@ -224,7 +224,7 @@ impl<F: Functionality> TrustedContext<F> {
             &keys.aead_p,
             &nonce,
             LABEL_STATE_BLOB,
-            &[lcm_storage::BLOB_KIND_CHECKPOINT],
+            &[crate::blob::BLOB_KIND_CHECKPOINT],
             self.cadence.checkpoint_len() + self.cadence.checkpoint_len() / 8,
             |w| {
                 let start = w.len();
@@ -272,7 +272,7 @@ impl<F: Functionality> TrustedContext<F> {
             &keys.aead_p,
             &nonce,
             LABEL_DELTA_BLOB,
-            &[lcm_storage::BLOB_KIND_DELTA],
+            &[crate::blob::BLOB_KIND_DELTA],
             // An entry of `V` with its cached reply, per touched
             // client, beside the functionality's own diff.
             64 + 160 * self.touched.len() + f_delta.len(),
@@ -282,7 +282,8 @@ impl<F: Functionality> TrustedContext<F> {
                 self.stable_floor.encode(w);
                 crate::stability::encode_vmap(self.v.entries_of(&self.touched), w);
                 w.put_bytes(f_delta);
-                anchor = lcm_crypto::sha256::digest_parts(&[ANCHOR_DELTA, &w.as_slice()[start..]]);
+                let plain = w.as_slice().get(start..).unwrap_or_default();
+                anchor = lcm_crypto::sha256::digest_parts(&[ANCHOR_DELTA, plain]);
             },
         )?;
         self.persist_anchor = anchor;
@@ -517,7 +518,7 @@ impl<F: Functionality> TrustedContext<F> {
         // clean.
         let partition = self
             .f
-            .take_partition(&|key| slice_of(crate::shard::route_hash(key)) == slice)
+            .take_partition(&|key| slice_of(crate::routing::route_hash(key)) == slice)
             .ok_or_else(|| {
                 LcmError::Tee("functionality does not support slice migration".into())
             })?;
@@ -682,7 +683,7 @@ mod tests {
         let delta = ctx.seal_delta(b"f-delta").unwrap();
         assert!(ctx.touched.is_empty());
         let plain = ctx
-            .open_sealed(&delta, lcm_storage::BLOB_KIND_DELTA, LABEL_DELTA_BLOB)
+            .open_sealed(&delta, crate::blob::BLOB_KIND_DELTA, LABEL_DELTA_BLOB)
             .unwrap();
         // prev anchor (32) ‖ stable floor (8) ‖ V entries ‖ F's delta
         let entries = &plain[40..plain.len() - (4 + b"f-delta".len())];

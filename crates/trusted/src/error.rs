@@ -140,7 +140,7 @@ pub enum LcmError {
     /// against (the member missed a record, or saw this one already).
     /// Not an attack: delivery order is host scheduling. The member's
     /// state is unchanged and it keeps serving; the group levels it
-    /// with a checkpoint (see [`crate::replica`]).
+    /// with a checkpoint (see `lcm_core::replica`).
     RecordOutOfOrder,
     /// Wire-format decoding failure of *trusted* data (sealed state) —
     /// distinct from message tampering, which surfaces as a
@@ -192,12 +192,6 @@ impl From<CodecError> for LcmError {
 impl From<lcm_tee::TeeError> for LcmError {
     fn from(e: lcm_tee::TeeError) -> Self {
         LcmError::Tee(e.to_string())
-    }
-}
-
-impl From<lcm_storage::StorageError> for LcmError {
-    fn from(e: lcm_storage::StorageError) -> Self {
-        LcmError::Storage(e.to_string())
     }
 }
 

@@ -19,7 +19,7 @@ use crate::codec::CodecError;
 ///
 /// `Send` is required so servers hosting the functionality can be
 /// driven from worker threads (the sharded multi-enclave host,
-/// [`crate::shard::ShardedServer`]).
+/// `lcm_core::shard::ShardedServer`).
 pub trait Functionality: Default + Send {
     /// Executes one operation against the state, returning the result
     /// (the paper's `(r, s) ← execF(s, o)`).
@@ -28,7 +28,7 @@ pub trait Functionality: Default + Send {
     /// The partition key of an *encoded* operation, if this
     /// functionality's state is partitionable by it.
     ///
-    /// A sharded deployment ([`crate::shard::ShardedServer`]) routes
+    /// A sharded deployment (`lcm_core::shard::ShardedServer`) routes
     /// every operation whose key hashes to the same value to the same
     /// shard, so each shard owns a disjoint slice of the state. The
     /// client library calls this on the plaintext op before encrypting
@@ -126,7 +126,7 @@ pub trait Functionality: Default + Send {
     /// Contract: if this returns `true`, [`Functionality::exec`] on
     /// that operation MUST NOT modify the service state. Read-only
     /// operations are eligible for follower-served verified reads in a
-    /// replicated shard group ([`crate::replica`]) — everything else
+    /// replicated shard group (`lcm_core::replica`) — everything else
     /// must flow through the leader's quorum path, and a follower
     /// enclave halts with [`crate::Violation::MutationOnReadPath`] if
     /// the host delivers a non-read-only op on a read leg.

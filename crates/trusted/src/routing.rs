@@ -1,6 +1,8 @@
-//! Epoch-versioned slice routing: the dynamic key→shard map.
+//! The route hash, and epoch-versioned slice routing: the dynamic
+//! key→shard map.
 //!
-//! The static router (`shard_index(route, count)` in [`crate::shard`])
+//! Every wire carries the [`route_hash`] of its partition key
+//! ([`route_for`]). The static router ([`shard_index`]`(route, count)`)
 //! fixes every key's shard for the lifetime of the deployment, so a
 //! skewed workload pins its whole hot set to one enclave and the
 //! deployment scales no further. This module replaces that with a
@@ -35,6 +37,7 @@
 //! that never migrate a slice behave bit-for-bit as before.
 
 use crate::codec::{CodecError, Reader, WireCodec, Writer};
+use crate::types::ClientId;
 
 /// Number of routing slices the 32-bit route-hash space folds into.
 ///
@@ -49,13 +52,50 @@ pub fn slice_of(route: u32) -> u32 {
     route % SLICE_COUNT
 }
 
+/// 32-bit FNV-1a over the partition key — the stable route hash.
+///
+/// Stability matters more than distribution quality here: the same key
+/// must map to the same shard across process restarts, migrations, and
+/// architectures, so the hash is a fixed public function rather than a
+/// seeded hasher.
+pub fn route_hash(key: &[u8]) -> u32 {
+    const OFFSET: u32 = 0x811c_9dc5;
+    const PRIME: u32 = 0x0100_0193;
+    let mut h = OFFSET;
+    for &b in key {
+        h ^= u32::from(b);
+        h = h.wrapping_mul(PRIME);
+    }
+    h
+}
+
+/// The route hash of one operation: the functionality's partition key
+/// when there is one, otherwise the client identity (all of one
+/// client's operations then share a shard).
+pub fn route_for(client: ClientId, shard_key: Option<&[u8]>) -> u32 {
+    match shard_key {
+        Some(key) => route_hash(key),
+        None => route_hash(&client.0.to_be_bytes()),
+    }
+}
+
+/// Maps a route hash onto one of `n` shards under the *genesis*
+/// (epoch-0, uniform) table — for shard counts dividing
+/// [`SLICE_COUNT`] this equals [`SliceTable::uniform`]`(n).shard_of`.
+/// Deployment-time helpers (key placement, per-shard test workloads)
+/// use this; live routing goes through the current [`SliceTable`],
+/// which slice migrations advance.
+pub fn shard_index(route: u32, n: u32) -> u32 {
+    route % n.max(1)
+}
+
 /// An epoch-stamped assignment of the [`SLICE_COUNT`] routing slices
 /// to the shards of one deployment.
 ///
 /// Immutable by design: a migration produces a *new* table via
 /// [`SliceTable::moved`] with the epoch incremented, so every version
 /// that ever routed traffic stays addressable by its epoch (the host
-/// side of [`crate::shard::ShardedServer`] keeps the history to route
+/// side of `lcm_core::shard::ShardedServer` keeps the history to route
 /// in-flight wires).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SliceTable {
@@ -89,7 +129,8 @@ impl SliceTable {
 
     /// The shard that owns `slice`.
     pub fn owner(&self, slice: u32) -> u32 {
-        self.assign[(slice % SLICE_COUNT) as usize]
+        let owner = self.assign.get((slice % SLICE_COUNT) as usize);
+        owner.copied().unwrap_or_default()
     }
 
     /// The shard a route hash maps to under this table.
@@ -118,7 +159,7 @@ impl SliceTable {
             return None;
         }
         let mut assign = self.assign.clone();
-        assign[slice as usize] = to;
+        *assign.get_mut(slice as usize)? = to;
         Some(SliceTable {
             epoch: self.epoch + 1,
             count: self.count,

@@ -178,8 +178,8 @@ pub fn decode_vmap(r: &mut Reader<'_>) -> Result<VMap, CodecError> {
 /// # Example
 ///
 /// ```
-/// use lcm_core::stability::{majority_stable, VEntry, VMap};
-/// use lcm_core::types::{ClientId, SeqNo};
+/// use lcm_trusted::stability::{majority_stable, VEntry, VMap};
+/// use lcm_trusted::types::{ClientId, SeqNo};
 ///
 /// let mut v = VMap::new();
 /// // Three clients; C1 acknowledged op #4, and ops ≥ 4 were executed
@@ -205,7 +205,7 @@ pub fn majority_stable(v: &VMap) -> SeqNo {
 ///   quorum governs what *stability watermark* a reply carries. The
 ///   paper uses a majority but notes *"one may use different strengths
 ///   of stability"*, so it is configurable.
-/// * **Replica quorum** ([`crate::replica::ReplicaGroup`]): how many
+/// * **Replica quorum** (`lcm_core::replica::ReplicaGroup`): how many
 ///   *group members* must hold a sealed state blob before the host
 ///   releases the batch's replies. `n` is the replica count `2f + 1`,
 ///   the parties are enclave instances on one untrusted host, and the
@@ -321,7 +321,9 @@ impl Index {
     /// one element to move unless `required` itself jumped.
     fn rebalance(&mut self, required: usize) {
         while self.top.len() > required {
-            let min = self.top.pop_first().expect("top is non-empty");
+            let Some(min) = self.top.pop_first() else {
+                break;
+            };
             self.rest.insert(min);
         }
         while self.top.len() < required {
@@ -460,7 +462,10 @@ impl VState {
         &'a self,
         clients: &'a [ClientId],
     ) -> impl Iterator<Item = (&'a ClientId, &'a VEntry)> + 'a {
-        debug_assert!(clients.windows(2).all(|p| p[0] < p[1]));
+        debug_assert!(clients
+            .iter()
+            .zip(clients.iter().skip(1))
+            .all(|(a, b)| a < b));
         clients.iter().filter_map(|c| self.map.get_key_value(c))
     }
 

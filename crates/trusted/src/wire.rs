@@ -102,13 +102,13 @@ pub const ROUTE_HINT_LEN: usize = 4 + 4 + 8 + 8;
 /// The plaintext routing envelope of an encrypted INVOKE wire:
 /// `client(4) ‖ route(4) ‖ seq(8) ‖ epoch(8) ‖ ciphertext`.
 ///
-/// A key-partitioned sharded host (see [`crate::shard`]) must route
+/// A key-partitioned sharded host (see `lcm_core::shard`) must route
 /// each request without decrypting it, so the client attaches the
 /// stable route hash in the clear — exposing no more than the host
 /// learns anyway from routing the reply (the client identity) plus a
 /// hash of the partition key. The `seq` field carries the client's
 /// sequence number `tc` in the clear so the host's admission layer
-/// (see [`crate::admission`]) can deduplicate retried submissions
+/// (see `lcm_core::admission`) can deduplicate retried submissions
 /// without decrypting; it reveals only an op counter. The `epoch`
 /// field names the [`crate::routing::SliceTable`] version the client
 /// routed under, so the host can deliver in-flight wires by the map
@@ -134,7 +134,7 @@ pub struct RouteHint {
     /// enclave asserts both copies agree).
     pub client: ClientId,
     /// Stable route hash of the operation's partition key (see
-    /// [`crate::shard::route_for`]).
+    /// [`crate::routing::route_for`]).
     pub route: u32,
     /// The client's sequence number `tc` for this invocation
     /// (duplicated inside the ciphertext; the enclave asserts both
@@ -165,22 +165,14 @@ impl RouteHint {
     /// Splits a wire into its envelope and the AEAD ciphertext.
     /// Returns `None` when the wire is shorter than the envelope.
     pub fn peel(wire: &[u8]) -> Option<(RouteHint, &[u8])> {
-        if wire.len() < ROUTE_HINT_LEN {
-            return None;
-        }
-        let client = ClientId(u32::from_be_bytes(wire[0..4].try_into().ok()?));
-        let route = u32::from_be_bytes(wire[4..8].try_into().ok()?);
-        let seq = u64::from_be_bytes(wire[8..16].try_into().ok()?);
-        let epoch = u64::from_be_bytes(wire[16..24].try_into().ok()?);
-        Some((
-            RouteHint {
-                client,
-                route,
-                seq,
-                epoch,
-            },
-            &wire[ROUTE_HINT_LEN..],
-        ))
+        let mut r = Reader::new(wire);
+        let hint = RouteHint {
+            client: ClientId(r.get_u32().ok()?),
+            route: r.get_u32().ok()?,
+            seq: r.get_u64().ok()?,
+            epoch: r.get_u64().ok()?,
+        };
+        Some((hint, r.get_rest()))
     }
 }
 
@@ -254,24 +246,15 @@ impl ReadHint {
     /// Splits a read wire into its envelope and the AEAD ciphertext.
     /// Returns `None` when the wire is shorter than the envelope.
     pub fn peel(wire: &[u8]) -> Option<(ReadHint, &[u8])> {
-        if wire.len() < READ_HINT_LEN {
-            return None;
-        }
-        let client = ClientId(u32::from_be_bytes(wire[0..4].try_into().ok()?));
-        let route = u32::from_be_bytes(wire[4..8].try_into().ok()?);
-        let seq = u64::from_be_bytes(wire[8..16].try_into().ok()?);
-        let replica = u32::from_be_bytes(wire[16..20].try_into().ok()?);
-        let epoch = u64::from_be_bytes(wire[20..28].try_into().ok()?);
-        Some((
-            ReadHint {
-                client,
-                route,
-                seq,
-                replica,
-                epoch,
-            },
-            &wire[READ_HINT_LEN..],
-        ))
+        let mut r = Reader::new(wire);
+        let hint = ReadHint {
+            client: ClientId(r.get_u32().ok()?),
+            route: r.get_u32().ok()?,
+            seq: r.get_u64().ok()?,
+            replica: r.get_u32().ok()?,
+            epoch: r.get_u64().ok()?,
+        };
+        Some((hint, r.get_rest()))
     }
 }
 

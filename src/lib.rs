@@ -14,7 +14,10 @@
 //! * [`runtime`] — hand-rolled bounded queues, worker pools, and
 //!   pipeline stage workers (the concurrency substrate of the
 //!   asynchronous-write mode and the front-end).
-//! * [`core`] — the LCM protocol itself (client + trusted context).
+//! * [`trusted`] — the code the enclave `T` runs (Alg. 2): wire
+//!   codec, trusted context, stability, routing, enclave program.
+//! * [`core`] — the LCM protocol around it: the client (Alg. 1), the
+//!   host servers, shards, replicas, transport; re-exports [`trusted`].
 //! * [`kvs`] — the key-value store application and baseline servers.
 //! * [`workload`] — YCSB-style workload generation.
 //! * [`sim`] — deterministic discrete-event simulator and cost model
@@ -52,6 +55,7 @@ pub use lcm_runtime as runtime;
 pub use lcm_sim as sim;
 pub use lcm_storage as storage;
 pub use lcm_tee as tee;
+pub use lcm_trusted as trusted;
 pub use lcm_workload as workload;
 
 pub mod deployment;

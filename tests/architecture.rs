@@ -231,12 +231,12 @@ fn mentions(dirs: &[&str], exts: &[&str], names: &[&str], words: &[&str]) -> Vec
 
 // ---------------------------------------------------------------- rules
 
-/// The workspace's `unsafe` is three hardware kernels: SHA-256 on the
-/// SHA extensions and ChaCha20 on AVX2 in lcm-crypto, CRC-32 on
-/// PCLMULQDQ in lcm-storage. `unsafe` as a keyword may occur in exactly
-/// those three files, each admitted by its own `allow(unsafe_code)` on
-/// its `mod` line under a crate root that denies it, and every other
-/// crate root must still forbid it.
+/// The workspace's `unsafe` is three hardware kernels in lcm-crypto:
+/// SHA-256 on the SHA extensions, ChaCha20 on AVX2 and CRC-32 on
+/// PCLMULQDQ. `unsafe` as a keyword may occur in exactly those three
+/// files, each admitted by its own `allow(unsafe_code)` on its `mod`
+/// line under a crate root that denies it, and every other crate root
+/// — the trusted crate's among them — must still forbid it.
 #[test]
 fn unsafe_stays_in_three_files() {
     let found: Vec<&str> = files(&["crates", "src"], &[".rs"])
@@ -247,8 +247,8 @@ fn unsafe_stays_in_three_files() {
         found,
         [
             "crates/crypto/src/chacha20/avx2.rs",
+            "crates/crypto/src/framing/clmul.rs",
             "crates/crypto/src/sha256/shani.rs",
-            "crates/storage/src/framing/clmul.rs",
         ],
         "files with unsafe code"
     );
@@ -265,7 +265,7 @@ fn unsafe_stays_in_three_files() {
     assert!(roots.len() > 1, "no crate roots found");
     for root in roots {
         let attr = match root.path.as_str() {
-            "crates/crypto/src/lib.rs" | "crates/storage/src/lib.rs" => "#![deny(unsafe_code)]",
+            "crates/crypto/src/lib.rs" => "#![deny(unsafe_code)]",
             _ => "#![forbid(unsafe_code)]",
         };
         assert!(
@@ -322,7 +322,7 @@ fn one_trait_per_role() {
     );
 }
 
-/// One state record (`crates/core/src/context.rs` module docs): a whole
+/// One state record (`crates/trusted/src/context.rs` module docs): a whole
 /// context has one encoding — the record `encode_state` writes, sealed
 /// as a checkpoint or carried by a migration ticket — and a partial one
 /// has one, the functionality's delta. The names of the second decoders
@@ -344,7 +344,10 @@ fn one_state_record() {
     assert!(gone.is_empty(), "second decoders: {gone:#?}");
 
     let context = files(
-        &["crates/core/src/context.rs", "crates/core/src/context"],
+        &[
+            "crates/trusted/src/context.rs",
+            "crates/trusted/src/context",
+        ],
         &[".rs"],
     );
     let encoders = hits(context, true, |l| l.contains("encode_vmap("));
@@ -410,10 +413,11 @@ fn one_driving_path() {
 /// stay gone, and so does what nothing ran: the unprotected native and
 /// file-AOF servers (Fig. 5/6 "Native" and "Redis TLS" are simulator
 /// cost profiles), the no-op serde shim, the modelled ecall-cost and
-/// blocking-TMC sleeps, and the unused sealed-box container. So does
-/// the SGX-only baseline's second stack (its own call codec, program,
-/// host loop and state slot): it is an `LcmServer` over its own
-/// program now.
+/// blocking-TMC sleeps, the unused sealed-box container, and the lock
+/// shim over `std::sync` (a poisoned lock is recovered where it is
+/// taken). So does the SGX-only baseline's second stack (its own call
+/// codec, program, host loop and state slot): it is an `LcmServer`
+/// over its own program now.
 #[test]
 fn one_transport() {
     let gone = mentions(
@@ -436,6 +440,7 @@ fn one_transport() {
             "SecureKvsProgram",
             "SLOT_SGX_STATE",
             "sgx-kvs.state",
+            "parking_lot",
         ],
         &[],
     );
@@ -599,36 +604,65 @@ fn clock_census_only_goes_down() {
     );
 }
 
-/// The enclave-side modules of `lcm-core` — the code `T` runs — name
-/// no clock, thread or lock in non-test code. What `T` computes must not depend on host time or
-/// scheduling, and a trusted crate takes neither `std::time`,
-/// `std::thread` nor `std::sync`.
+/// The code `T` runs is the `lcm-trusted` crate, and it names no
+/// clock, thread or lock in non-test code. What `T` computes must not
+/// depend on host time or scheduling, and a trusted crate takes neither
+/// `std::time`, `std::thread` nor `std::sync`.
 #[test]
 fn trusted_modules_take_no_clock_thread_or_lock() {
-    const MODULES: [&str; 9] = [
-        "crates/core/src/codec.rs",
-        "crates/core/src/types.rs",
-        "crates/core/src/wire.rs",
-        "crates/core/src/functionality.rs",
-        "crates/core/src/stability.rs",
-        "crates/core/src/routing.rs",
-        "crates/core/src/context.rs",
-        "crates/core/src/context",
-        "crates/core/src/program.rs",
-    ];
     const HOST_ONLY: [&str; 5] = ["std::time", "std::thread", "std::sync", "Instant", "sleep("];
-    for module in MODULES {
-        assert!(
-            files(&[module], &[".rs"]).next().is_some(),
-            "{module}: no such trusted module"
-        );
-    }
-    let found = hits(files(&MODULES, &[".rs"]), true, |l| {
+    assert!(
+        files(&[TRUSTED_SRC], &[".rs"]).count() > 1,
+        "{TRUSTED_SRC}: no trusted crate"
+    );
+    let found = hits(files(&[TRUSTED_SRC], &[".rs"]), true, |l| {
         HOST_ONLY.iter().any(|n| l.contains(n))
     });
     assert!(
         found.is_empty(),
         "host-only names in trusted modules: {found:#?}"
+    );
+}
+
+/// Where the code `T` runs lives.
+const TRUSTED_SRC: &str = "crates/trusted/src";
+
+/// The trusted crate builds on the primitives and the TEE alone: the
+/// `[dependencies]` of its manifest are exactly `lcm-crypto` and
+/// `lcm-tee`. A dependency on storage, the runtime or the host stack
+/// would put their code — threads, locks, clocks — inside `T`.
+#[test]
+fn trusted_crate_depends_only_on_crypto_and_tee() {
+    let manifest = &file("crates/trusted/Cargo.toml").text;
+    let deps: Vec<&str> = manifest
+        .lines()
+        .skip_while(|l| l.trim() != "[dependencies]")
+        .skip(1)
+        .take_while(|l| !l.trim_start().starts_with('['))
+        .filter(|l| !l.trim_start().starts_with('#'))
+        .filter_map(|l| l.split_once('=').map(|(key, _)| key.trim()))
+        .map(|key| key.split_once('.').map_or(key, |(name, _)| name))
+        .collect();
+    assert_eq!(
+        deps,
+        ["lcm-crypto", "lcm-tee"],
+        "crates/trusted/Cargo.toml [dependencies]"
+    );
+}
+
+/// The TCB — the code `T` runs, `lcm-trusted`'s non-test lines — only
+/// shrinks. Its size is pinned here: a rise fails, and so does a fall
+/// until the pin is lowered, like the clock census. Every line of `T`
+/// is a line the threat model must trust.
+#[test]
+fn tcb_only_shrinks() {
+    const TCB_LINES: usize = 5364;
+    let lines: usize = files(&[TRUSTED_SRC], &[".rs"])
+        .map(|f| non_test(&f.text).count())
+        .sum();
+    assert_eq!(
+        lines, TCB_LINES,
+        "{TRUSTED_SRC}: non-test lines (the TCB is {lines}; lower the pin after a cut)"
     );
 }
 
