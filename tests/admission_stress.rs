@@ -20,10 +20,13 @@
 //! `LCM_STRESS_SEED`s; the seed is logged so a failing schedule can
 //! be replayed.
 
+mod common;
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use common::stress_seed;
 use lcm::core::admission::{AdmissionConfig, AdmitOutcome, TenantConfig, TenantId};
 use lcm::core::functionality::Counter;
 use lcm::core::shard;
@@ -43,15 +46,6 @@ const VICTIM_OPS: u64 = 32;
 /// that 3× of it is below scheduling noise.
 const BOUND_FACTOR: u64 = 3;
 const FLOOR_US: u64 = 10_000;
-
-fn stress_seed() -> u64 {
-    let seed = std::env::var("LCM_STRESS_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1u64);
-    eprintln!("admission_stress config: seed={seed} shards={SHARDS} greedy={GREEDY_CLIENTS}");
-    seed
-}
 
 /// Victim tenant generously provisioned; greedy tenant throttled to a
 /// low rate and a small fair-queueing share. The weights matter as

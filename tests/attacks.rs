@@ -13,7 +13,7 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{all_modes, mk_client, mk_server, Mode};
+use common::{all_modes, bootstrap, mk_server, Mode};
 use lcm::core::admin::AdminHandle;
 use lcm::core::routing::slice_of;
 use lcm::core::server::BatchServer;
@@ -22,40 +22,10 @@ use lcm::core::stability::Quorum;
 use lcm::core::types::ClientId;
 use lcm::core::verify::check_single_history;
 use lcm::core::LcmError;
-use lcm::kvs::client::KvsClient;
 use lcm::kvs::ops::KvOp;
 use lcm::kvs::store::KvStore;
 use lcm::storage::{AdversaryMode, RollbackStorage, StableStorage, Version};
 use lcm::tee::world::TeeWorld;
-
-fn setup_adversarial(
-    mode: Mode,
-    n_clients: u32,
-    seed: u64,
-) -> (
-    TeeWorld,
-    Arc<RollbackStorage>,
-    Box<dyn BatchServer>,
-    AdminHandle,
-    Vec<KvsClient>,
-) {
-    let world = TeeWorld::new_deterministic(seed);
-    let storage = Arc::new(RollbackStorage::new());
-    let mut server = mk_server::<KvStore>(mode, &world, 1, storage.clone(), 1);
-    server.boot().unwrap();
-    let ids: Vec<ClientId> = (1..=n_clients).map(ClientId).collect();
-    let mut admin = AdminHandle::new_deterministic(&world, ids.clone(), Quorum::Majority, seed);
-    admin.bootstrap(&mut *server).unwrap();
-    let clients = ids
-        .iter()
-        .map(|&id| {
-            let mut c = mk_client(mode, id, admin.client_key());
-            c.lcm_mut().set_recording(true);
-            c
-        })
-        .collect();
-    (world, storage, server, admin, clients)
-}
 
 /// Forks `storage` at the latest version of every shard's slots and
 /// boots a second server instance of the same mode on the branch.
@@ -91,7 +61,8 @@ fn fork_second_instance(
 }
 
 fn rollback_one_step_detected_by_victim(mode: Mode) {
-    let (_w, storage, mut server, _a, mut clients) = setup_adversarial(mode, 1, 21);
+    let storage = Arc::new(RollbackStorage::new());
+    let (_w, mut server, _a, mut clients) = bootstrap(mode, storage.clone(), 1, 1, 21);
     let c = &mut clients[0];
     c.put(&mut *server, b"k", b"v1").unwrap();
     c.put(&mut *server, b"k", b"v2").unwrap();
@@ -106,7 +77,8 @@ fn rollback_one_step_detected_by_victim(mode: Mode) {
 }
 
 fn rollback_to_genesis_detected(mode: Mode) {
-    let (_w, storage, mut server, _a, mut clients) = setup_adversarial(mode, 2, 22);
+    let storage = Arc::new(RollbackStorage::new());
+    let (_w, mut server, _a, mut clients) = bootstrap(mode, storage.clone(), 2, 1, 22);
     clients[0].put(&mut *server, b"k", b"v1").unwrap();
     clients[1].put(&mut *server, b"k", b"v2").unwrap();
 
@@ -121,7 +93,8 @@ fn rollback_to_genesis_detected(mode: Mode) {
 }
 
 fn dropped_writes_surface_as_rollback_on_restart(mode: Mode) {
-    let (_w, storage, mut server, _a, mut clients) = setup_adversarial(mode, 1, 23);
+    let storage = Arc::new(RollbackStorage::new());
+    let (_w, mut server, _a, mut clients) = bootstrap(mode, storage.clone(), 1, 1, 23);
     let c = &mut clients[0];
     c.put(&mut *server, b"k", b"v1").unwrap();
     // The server silently discards all subsequent persistence.
@@ -142,7 +115,8 @@ fn dropped_writes_surface_as_rollback_on_restart(mode: Mode) {
 }
 
 fn fork_detected_when_clients_cross(mode: Mode) {
-    let (_w, storage, mut server_a, _admin, mut clients) = setup_adversarial(mode, 3, 24);
+    let storage = Arc::new(RollbackStorage::new());
+    let (_w, mut server_a, _admin, mut clients) = bootstrap(mode, storage.clone(), 3, 1, 24);
     let (alice, rest) = clients.split_at_mut(1);
     let alice = &mut alice[0];
     let bob = &mut rest[0];
@@ -168,7 +142,8 @@ fn fork_detected_when_clients_cross(mode: Mode) {
 fn forked_minority_never_becomes_stable(mode: Mode) {
     // 3 clients; the fork isolates one client on branch B. Its ops can
     // never reach majority stability there.
-    let (_w, storage, mut server_a, _admin, mut clients) = setup_adversarial(mode, 3, 25);
+    let storage = Arc::new(RollbackStorage::new());
+    let (_w, mut server_a, _admin, mut clients) = bootstrap(mode, storage.clone(), 3, 1, 25);
     for c in clients.iter_mut() {
         c.put(&mut *server_a, b"warm", b"up").unwrap();
     }
@@ -192,7 +167,8 @@ fn forked_views_never_join(mode: Mode) {
     // after the branches diverge, the two clients' views never agree
     // on any later sequence number.
     use lcm::core::verify::check_no_join;
-    let (_w, storage, mut server_a, _admin, mut clients) = setup_adversarial(mode, 3, 34);
+    let storage = Arc::new(RollbackStorage::new());
+    let (_w, mut server_a, _admin, mut clients) = bootstrap(mode, storage.clone(), 3, 1, 34);
     let (alice, rest) = clients.split_at_mut(1);
     let alice = &mut alice[0];
     let bob = &mut rest[0];
@@ -217,7 +193,8 @@ fn forked_views_never_join(mode: Mode) {
 }
 
 fn replayed_invoke_halts_context(mode: Mode) {
-    let (_w, _s, mut server, _a, mut clients) = setup_adversarial(mode, 1, 26);
+    let storage = Arc::new(RollbackStorage::new());
+    let (_w, mut server, _a, mut clients) = bootstrap(mode, storage, 1, 1, 26);
     let c = &mut clients[0];
 
     // The host forwards the request and keeps a copy of the wire.
@@ -235,7 +212,8 @@ fn replayed_invoke_halts_context(mode: Mode) {
 }
 
 fn tampered_invoke_halts_context(mode: Mode) {
-    let (_w, _s, mut server, _a, mut clients) = setup_adversarial(mode, 1, 27);
+    let storage = Arc::new(RollbackStorage::new());
+    let (_w, mut server, _a, mut clients) = bootstrap(mode, storage, 1, 1, 27);
     let c = &mut clients[0];
     let mut wire = c.invoke_wire(&KvOp::Get(b"k".to_vec())).unwrap();
     let mid = wire.len() / 2;
@@ -246,7 +224,8 @@ fn tampered_invoke_halts_context(mode: Mode) {
 }
 
 fn tampered_reply_halts_client(mode: Mode) {
-    let (_w, _s, mut server, _a, mut clients) = setup_adversarial(mode, 1, 28);
+    let storage = Arc::new(RollbackStorage::new());
+    let (_w, mut server, _a, mut clients) = bootstrap(mode, storage, 1, 1, 28);
     let c = &mut clients[0];
     server.submit(c.invoke_wire(&KvOp::Get(b"k".to_vec())).unwrap());
     let mut replies = server.process_all().unwrap();
@@ -257,7 +236,8 @@ fn tampered_reply_halts_client(mode: Mode) {
 }
 
 fn reply_swapped_between_clients_detected(mode: Mode) {
-    let (_w, _s, mut server, _a, mut clients) = setup_adversarial(mode, 2, 29);
+    let storage = Arc::new(RollbackStorage::new());
+    let (_w, mut server, _a, mut clients) = bootstrap(mode, storage, 2, 1, 29);
     let w1 = clients[0]
         .invoke_wire(&KvOp::Put(b"a".to_vec(), b"1".to_vec()))
         .unwrap();
@@ -284,7 +264,8 @@ fn reordered_requests_from_one_client_detected(mode: Mode) {
     // and delivers the (illegally obtained) second... since a correct
     // client never has two in flight, the adversary instead replays an
     // OLD buffered message after newer progress — same signature.
-    let (_w, _s, mut server, _a, mut clients) = setup_adversarial(mode, 1, 30);
+    let storage = Arc::new(RollbackStorage::new());
+    let (_w, mut server, _a, mut clients) = bootstrap(mode, storage, 1, 1, 30);
     let c = &mut clients[0];
     let old_wire = c
         .invoke_wire(&KvOp::Put(b"k".to_vec(), b"old".to_vec()))
@@ -317,7 +298,8 @@ fn wrong_world_enclave_fails_bootstrap(mode: Mode) {
 }
 
 fn halted_context_refuses_everything(mode: Mode) {
-    let (_w, _s, mut server, mut admin, mut clients) = setup_adversarial(mode, 1, 32);
+    let storage = Arc::new(RollbackStorage::new());
+    let (_w, mut server, mut admin, mut clients) = bootstrap(mode, storage, 1, 1, 32);
     let c = &mut clients[0];
     // Trigger a violation.
     let mut wire = c.invoke_wire(&KvOp::Get(b"k".to_vec())).unwrap();
@@ -334,7 +316,8 @@ fn halted_context_refuses_everything(mode: Mode) {
 fn stale_state_with_fresh_keyblob_detected(mode: Mode) {
     // Mixing blob versions (fresh key blob + stale state) is still a
     // rollback and must be caught.
-    let (_w, storage, mut server, _a, mut clients) = setup_adversarial(mode, 1, 33);
+    let storage = Arc::new(RollbackStorage::new());
+    let (_w, mut server, _a, mut clients) = bootstrap(mode, storage.clone(), 1, 1, 33);
     let c = &mut clients[0];
     c.put(&mut *server, b"k", b"v1").unwrap();
     c.put(&mut *server, b"k", b"v2").unwrap();
@@ -388,7 +371,8 @@ fn first_op_misdelivered_to_wrong_shard_detected(mode: Mode) {
     // the genesis entry everywhere and cannot catch the redirect. The
     // enclave's attested shard identity must: executing a wire it does
     // not own is a violation, not a misplaced write.
-    let (_w, _s, mut server, _a, mut clients) = setup_adversarial(mode, 1, 34);
+    let storage = Arc::new(RollbackStorage::new());
+    let (_w, mut server, _a, mut clients) = bootstrap(mode, storage, 1, 1, 34);
     let c = &mut clients[0];
     let key = b"first-op-key".to_vec();
     let wire = c
@@ -426,7 +410,8 @@ fn misdelivery_after_history_still_detected_by_enclave(mode: Mode) {
     // home shard's context, so even pre-identity servers would catch
     // this one; the identity check just fails faster and with sharper
     // evidence). Either way: violation, nothing executed.
-    let (_w, _s, mut server, _a, mut clients) = setup_adversarial(mode, 1, 35);
+    let storage = Arc::new(RollbackStorage::new());
+    let (_w, mut server, _a, mut clients) = bootstrap(mode, storage, 1, 1, 35);
     let c = &mut clients[0];
     let key = b"seasoned-key".to_vec();
     c.put(&mut *server, &key, b"v1").unwrap();
@@ -456,7 +441,8 @@ fn moved_slice_cannot_resurrect_on_old_owner(mode: Mode) {
     // redirect: the enclave NEVER executes a slice outside its
     // installed table, no matter how the wire reaches it.
     use lcm::core::client::WriteOutcome;
-    let (_w, _s, mut server, _a, mut clients) = setup_adversarial(mode, 1, 36);
+    let storage = Arc::new(RollbackStorage::new());
+    let (_w, mut server, _a, mut clients) = bootstrap(mode, storage, 1, 1, 36);
     let c = &mut clients[0];
     let key = b"moving-key".to_vec();
     c.put(&mut *server, &key, b"v1").unwrap();
@@ -502,7 +488,8 @@ fn stale_epoch_delivery_to_bystander_detected(mode: Mode) {
     // wire to a shard that never owned the moved slice — under either
     // epoch. The bystander adopted the new table during the handshake,
     // so its recomputation rejects the wire just like the old owner's.
-    let (_w, _s, mut server, _a, mut clients) = setup_adversarial(mode, 1, 37);
+    let storage = Arc::new(RollbackStorage::new());
+    let (_w, mut server, _a, mut clients) = bootstrap(mode, storage, 1, 1, 37);
     if mode.shards() < 3 {
         return; // needs old owner, new owner, and a third shard
     }

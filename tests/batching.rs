@@ -7,7 +7,7 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{all_modes, mk_client, mk_server, Mode};
+use common::{all_modes, bootstrap, Mode};
 use lcm::core::admin::AdminHandle;
 use lcm::core::server::{BatchServer, LcmServer};
 use lcm::core::stability::Quorum;
@@ -20,25 +20,6 @@ use lcm::tee::world::TeeWorld;
 
 const BATCH_LIMITS: [usize; 3] = [1, 64, 256];
 const GROUP: u32 = 256;
-
-fn setup(
-    mode: Mode,
-    n_clients: u32,
-    batch: usize,
-    seed: u64,
-) -> (Box<dyn BatchServer>, Vec<KvsClient>) {
-    let world = TeeWorld::new_deterministic(seed);
-    let mut server = mk_server::<KvStore>(mode, &world, 1, Arc::new(MemoryStorage::new()), batch);
-    assert!(server.boot().unwrap());
-    let ids: Vec<ClientId> = (1..=n_clients).map(ClientId).collect();
-    let mut admin = AdminHandle::new_deterministic(&world, ids.clone(), Quorum::Majority, seed);
-    admin.bootstrap(&mut *server).unwrap();
-    let clients = ids
-        .iter()
-        .map(|&id| mk_client(mode, id, admin.client_key()))
-        .collect();
-    (server, clients)
-}
 
 /// Queues one op per client (no processing in between), then processes
 /// everything; returns the replies routed per client.
@@ -77,7 +58,13 @@ fn complete_round(clients: &mut [KvsClient], replies: Vec<(ClientId, Vec<u8>)>) 
 fn amortization_invariants_across_batch_limits(mode: Mode) {
     let keys: Vec<Vec<u8>> = (0..GROUP).map(|i| format!("k{i}").into_bytes()).collect();
     for &batch in &BATCH_LIMITS {
-        let (mut server, mut clients) = setup(mode, GROUP, batch, 11_000 + batch as u64);
+        let (_, mut server, _, mut clients) = bootstrap(
+            mode,
+            Arc::new(MemoryStorage::new()),
+            GROUP,
+            batch,
+            11_000 + batch as u64,
+        );
         let m = GROUP as u64;
         let expected_batches_per_round = common::expected_batches(mode, &keys, batch);
 
@@ -108,7 +95,8 @@ fn batch_limits_agree_on_state(mode: Mode) {
     let mut finals = Vec::new();
     for &batch in &BATCH_LIMITS {
         // Same seed for every batch limit: identical keys and ops.
-        let (mut server, mut clients) = setup(mode, 8, batch, 12_345);
+        let (_, mut server, _, mut clients) =
+            bootstrap(mode, Arc::new(MemoryStorage::new()), 8, batch, 12_345);
         for round in 0..3u32 {
             let replies = submit_round(&mut server, &mut clients, round);
             complete_round(&mut clients, replies);
@@ -130,7 +118,8 @@ fn batch_limits_agree_on_state(mode: Mode) {
 /// before any reply is delivered. Every client retries; recovery must
 /// be exactly-once (cached replies, original sequence numbers).
 fn crash_mid_batch_recovery(mode: Mode) {
-    let (mut server, mut clients) = setup(mode, 64, 64, 13_000);
+    let (_, mut server, _, mut clients) =
+        bootstrap(mode, Arc::new(MemoryStorage::new()), 64, 64, 13_000);
     // Round 0 completes normally so every client has context.
     let replies = submit_round(&mut server, &mut clients, 0);
     complete_round(&mut clients, replies);
@@ -171,7 +160,8 @@ fn crash_mid_batch_recovery(mode: Mode) {
 /// pending operation, so any reordering trips the echo check as a
 /// violation.)
 fn replies_ordered_per_client_under_fanout(mode: Mode) {
-    let (mut server, mut clients) = setup(mode, 10, 4, 16_000);
+    let (_, mut server, _, mut clients) =
+        bootstrap(mode, Arc::new(MemoryStorage::new()), 10, 4, 16_000);
 
     // Two keys on different shards when sharded (any two keys when
     // not): k_busy's shard also absorbs filler traffic from the other

@@ -13,8 +13,7 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{all_modes, mk_client, mk_server, Mode};
-use lcm::core::admin::AdminHandle;
+use common::{all_modes, bootstrap, mk_client, Mode};
 use lcm::core::server::{BatchServer, LcmServer};
 use lcm::core::stability::Quorum;
 use lcm::core::types::ClientId;
@@ -25,31 +24,9 @@ use lcm::kvs::store::KvStore;
 use lcm::storage::{MemoryStorage, StableStorage, StorageError};
 use lcm::tee::world::TeeWorld;
 
-fn setup(
-    mode: Mode,
-    n_clients: u32,
-    batch: usize,
-    seed: u64,
-) -> (TeeWorld, Box<dyn BatchServer>, AdminHandle, Vec<KvsClient>) {
-    let world = TeeWorld::new_deterministic(seed);
-    let mut server = mk_server::<KvStore>(mode, &world, 1, Arc::new(MemoryStorage::new()), batch);
-    assert!(server.boot().unwrap());
-    let ids: Vec<ClientId> = (1..=n_clients).map(ClientId).collect();
-    let mut admin = AdminHandle::new_deterministic(&world, ids.clone(), Quorum::Majority, seed);
-    admin.bootstrap(&mut *server).unwrap();
-    let clients = ids
-        .iter()
-        .map(|&id| {
-            let mut c = mk_client(mode, id, admin.client_key());
-            c.lcm_mut().set_recording(true);
-            c
-        })
-        .collect();
-    (world, server, admin, clients)
-}
-
 fn many_rounds_many_clients_stability_converges(mode: Mode) {
-    let (_w, mut server, _admin, mut clients) = setup(mode, 5, 16, 1);
+    let (_w, mut server, _admin, mut clients) =
+        bootstrap(mode, Arc::new(MemoryStorage::new()), 5, 16, 1);
     // 10 rounds of everyone writing then reading.
     for round in 0..10u32 {
         for (i, c) in clients.iter_mut().enumerate() {
@@ -81,7 +58,8 @@ fn many_rounds_many_clients_stability_converges(mode: Mode) {
 }
 
 fn reads_of_other_clients_writes_are_linearized(mode: Mode) {
-    let (_w, mut server, _admin, mut clients) = setup(mode, 3, 4, 2);
+    let (_w, mut server, _admin, mut clients) =
+        bootstrap(mode, Arc::new(MemoryStorage::new()), 3, 4, 2);
     clients[0].put(&mut *server, b"x", b"from-0").unwrap();
     let v = clients[1].get(&mut *server, b"x").unwrap();
     assert_eq!(v.unwrap(), b"from-0");
@@ -92,7 +70,8 @@ fn reads_of_other_clients_writes_are_linearized(mode: Mode) {
 
 fn batched_and_unbatched_servers_agree(mode: Mode) {
     let run = |batch: usize| {
-        let (_w, mut server, _a, mut clients) = setup(mode, 2, batch, 3);
+        let (_w, mut server, _a, mut clients) =
+            bootstrap(mode, Arc::new(MemoryStorage::new()), 2, batch, 3);
         let mut results = Vec::new();
         for i in 0..20u32 {
             let c = &mut clients[(i % 2) as usize];
@@ -112,7 +91,8 @@ fn batched_and_unbatched_servers_agree(mode: Mode) {
 }
 
 fn interleaved_batch_replies_route_correctly(mode: Mode) {
-    let (_w, mut server, _admin, mut clients) = setup(mode, 4, 16, 4);
+    let (_w, mut server, _admin, mut clients) =
+        bootstrap(mode, Arc::new(MemoryStorage::new()), 4, 16, 4);
     // All four clients submit before any processing happens: one batch.
     let wires: Vec<_> = clients
         .iter_mut()
@@ -141,7 +121,8 @@ fn interleaved_batch_replies_route_correctly(mode: Mode) {
 }
 
 fn crash_between_rounds_is_transparent(mode: Mode) {
-    let (_w, mut server, _admin, mut clients) = setup(mode, 2, 8, 5);
+    let (_w, mut server, _admin, mut clients) =
+        bootstrap(mode, Arc::new(MemoryStorage::new()), 2, 8, 5);
     clients[0].put(&mut *server, b"persist", b"me").unwrap();
     for _ in 0..3 {
         server.crash();
@@ -152,7 +133,8 @@ fn crash_between_rounds_is_transparent(mode: Mode) {
 }
 
 fn lost_request_recovered_via_retry_over_links(mode: Mode) {
-    let (_w, mut server, _admin, mut clients) = setup(mode, 1, 1, 6);
+    let (_w, mut server, _admin, mut clients) =
+        bootstrap(mode, Arc::new(MemoryStorage::new()), 1, 1, 6);
     let c = &mut clients[0];
 
     // The host never submits the request, then crashes.
@@ -171,7 +153,8 @@ fn lost_request_recovered_via_retry_over_links(mode: Mode) {
 }
 
 fn lost_reply_recovered_via_cached_retry_over_links(mode: Mode) {
-    let (_w, mut server, _admin, mut clients) = setup(mode, 1, 1, 7);
+    let (_w, mut server, _admin, mut clients) =
+        bootstrap(mode, Arc::new(MemoryStorage::new()), 1, 1, 7);
     let c = &mut clients[0];
 
     // Request processed; the host discards the reply before the
@@ -200,7 +183,8 @@ fn lost_reply_recovered_via_cached_retry_over_links(mode: Mode) {
 }
 
 fn single_client_group_is_immediately_stable(mode: Mode) {
-    let (_w, mut server, _admin, mut clients) = setup(mode, 1, 1, 8);
+    let (_w, mut server, _admin, mut clients) =
+        bootstrap(mode, Arc::new(MemoryStorage::new()), 1, 1, 8);
     let c = &mut clients[0];
     c.put(&mut *server, b"k", b"v").unwrap();
     let done = c.put(&mut *server, b"k", b"v2").unwrap();
@@ -210,7 +194,8 @@ fn single_client_group_is_immediately_stable(mode: Mode) {
 }
 
 fn large_values_roundtrip_through_the_full_stack(mode: Mode) {
-    let (_w, mut server, _admin, mut clients) = setup(mode, 1, 1, 9);
+    let (_w, mut server, _admin, mut clients) =
+        bootstrap(mode, Arc::new(MemoryStorage::new()), 1, 1, 9);
     let c = &mut clients[0];
     let big = vec![0xabu8; 100_000];
     c.put(&mut *server, b"blob", &big).unwrap();
@@ -218,7 +203,8 @@ fn large_values_roundtrip_through_the_full_stack(mode: Mode) {
 }
 
 fn admin_status_matches_client_progress(mode: Mode) {
-    let (_w, mut server, mut admin, mut clients) = setup(mode, 2, 1, 10);
+    let (_w, mut server, mut admin, mut clients) =
+        bootstrap(mode, Arc::new(MemoryStorage::new()), 2, 1, 10);
     for i in 0..5u32 {
         clients[(i % 2) as usize]
             .put(&mut *server, b"k", &i.to_be_bytes())
@@ -243,7 +229,8 @@ fn fresh_client_first_ops_reach_every_shard(mode: Mode) {
     // routed genesis traffic. Keys are chosen to cover every shard of
     // the deployment, and the deployment's shard count is what the
     // admin provisioned.
-    let (_w, mut server, mut admin, _clients) = setup(mode, 1, 4, 9);
+    let (_w, mut server, mut admin, _clients) =
+        bootstrap(mode, Arc::new(MemoryStorage::new()), 1, 4, 9);
     assert_eq!(server.shard_count(), mode.shards());
     admin.add_client(&mut *server, ClientId(42)).unwrap();
     let mut fresh = mk_client(mode, ClientId(42), admin.client_key());
@@ -275,7 +262,8 @@ fn scatter_gather_reads_cover_all_shards(mode: Mode) {
     // verified against its shard's own (tc, ts, hc) context — a wrong
     // or replayed leg would halt the client, so completing un-halted
     // IS the verification.
-    let (_w, mut server, _admin, mut clients) = setup(mode, 2, 8, 11);
+    let (_w, mut server, _admin, mut clients) =
+        bootstrap(mode, Arc::new(MemoryStorage::new()), 2, 8, 11);
     let writer = &mut clients[0];
 
     // Write keys until every shard owns at least one, tracking the

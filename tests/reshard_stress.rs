@@ -18,24 +18,18 @@
 //!    epochs it is behind.
 //!
 //! Both lanes run: sync shard servers and pipelined ones. The CI
-//! `reshard-stress` job repeats this suite with distinct
+//! `reshard-stress` tier repeats this suite with distinct
 //! `LCM_STRESS_SEED`s; the seed picks the forced-move schedule and is
 //! logged so a failing schedule can be replayed.
 
-use std::sync::Arc;
+mod common;
+
 use std::time::Duration;
 
-use lcm::core::admin::AdminHandle;
-use lcm::core::client::{LcmClient, WriteOutcome};
-use lcm::core::functionality::Counter;
+use common::{fleet, increment_once, settle, stress_seed};
 use lcm::core::routing::SLICE_COUNT;
-use lcm::core::server::BatchServer;
-use lcm::core::shard::{self, build_sharded};
-use lcm::core::stability::Quorum;
-use lcm::core::transport::{Frontend, FrontendPort};
-use lcm::core::types::ClientId;
-use lcm::storage::MemoryStorage;
-use lcm::tee::world::TeeWorld;
+use lcm::core::shard;
+use lcm::prelude::*;
 
 const SHARDS: u32 = 4;
 const HOT_SHARD: u32 = 0;
@@ -46,46 +40,6 @@ const HOT_CLIENTS: u32 = 4;
 const DRIVER_THREADS: usize = 3;
 const CHURN_CYCLES: usize = 5;
 const INCS_PER_NAME: u64 = 8;
-/// Retry timeout: long enough that an idle-system reply never races
-/// it, short enough to converge through a migration window quickly.
-const RETRY_AFTER: Duration = Duration::from_millis(500);
-
-fn stress_seed() -> u64 {
-    let seed = std::env::var("LCM_STRESS_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1u64);
-    eprintln!(
-        "reshard_stress config: seed={seed} shards={SHARDS} hot_shard={HOT_SHARD} \
-         client_threads={CLIENT_THREADS} hot_clients={HOT_CLIENTS} \
-         driver_threads={DRIVER_THREADS} churn_cycles={CHURN_CYCLES}"
-    );
-    seed
-}
-
-type Fleet = (Frontend, Vec<LcmClient>);
-
-fn build_fleet(pipelined: bool, seed: u64) -> Fleet {
-    let world = TeeWorld::new_deterministic(48_000 + seed);
-    let server = build_sharded::<Counter>(
-        &world,
-        1,
-        Arc::new(MemoryStorage::new()),
-        16,
-        SHARDS,
-        pipelined,
-    );
-    let mut fe = Frontend::new(server, DRIVER_THREADS);
-    assert!(fe.boot().unwrap());
-    let ids: Vec<ClientId> = (1..=CLIENT_THREADS).map(ClientId).collect();
-    let mut admin = AdminHandle::new_deterministic(&world, ids.clone(), Quorum::Majority, seed);
-    admin.bootstrap(&mut fe).unwrap();
-    let clients = ids
-        .iter()
-        .map(|&id| LcmClient::new_sharded(id, admin.client_key(), SHARDS))
-        .collect();
-    (fe, clients)
-}
 
 /// The private counter names one client hammers: hot clients pin all
 /// their names to (genesis) slices of the hot shard, the rest cover
@@ -105,70 +59,20 @@ fn names_for(client: ClientId) -> Vec<Vec<u8>> {
 /// Continuous slice migration under live hot-skew load.
 fn continuous_migration_under_load(pipelined: bool) {
     let seed = stress_seed();
-    let (mut fe, clients) = build_fleet(pipelined, seed);
-    let handles: Vec<_> = clients
-        .into_iter()
-        .map(|mut client| {
-            let port: FrontendPort = fe.connect(client.id());
-            std::thread::spawn(move || {
-                let names = names_for(client.id());
-                for round in 1..=INCS_PER_NAME {
-                    for name in &names {
-                        let op = Counter::inc_op(name, 1);
-                        port.send(client.invoke_for::<Counter>(&op).unwrap());
-                        let mut attempts = 0u32;
-                        let value = loop {
-                            match port.recv_timeout(RETRY_AFTER) {
-                                Some(reply) => match client.handle_reply_on(&reply).unwrap() {
-                                    (_, WriteOutcome::Done(done)) => {
-                                        break Counter::decode_result(&done.result).unwrap();
-                                    }
-                                    (_, WriteOutcome::Redirected { .. }) => {
-                                        // Chase: re-mint under the
-                                        // newer table the redirect
-                                        // taught us.
-                                        attempts += 1;
-                                        assert!(
-                                            attempts < 120,
-                                            "redirect chase diverged: client {:?} name {:?}",
-                                            client.id(),
-                                            String::from_utf8_lossy(name)
-                                        );
-                                        port.send(client.invoke_for::<Counter>(&op).unwrap());
-                                    }
-                                },
-                                None => {
-                                    attempts += 1;
-                                    assert!(
-                                        attempts < 120,
-                                        "op starved: client {:?} name {:?} round {round}",
-                                        client.id(),
-                                        String::from_utf8_lossy(name)
-                                    );
-                                    port.send(client.retry().unwrap());
-                                }
-                            }
-                        };
-                        // Exactly-once through any number of slice
-                        // moves: the i-th completed increment reads i.
-                        assert_eq!(
-                            value,
-                            round,
-                            "lost or doubled acknowledged write: client {:?} name {:?}",
-                            client.id(),
-                            String::from_utf8_lossy(name)
-                        );
-                        while port.try_recv().is_some() {}
-                    }
-                }
-                assert!(
-                    !client.is_halted(),
-                    "live migration must never surface as a violation"
-                );
-                u64::from(SHARDS) * INCS_PER_NAME
-            })
-        })
-        .collect();
+    let builder = DeploymentBuilder::new()
+        .shards(SHARDS)
+        .frontend(DRIVER_THREADS)
+        .seed(48_000 + seed);
+    let (mut dep, clients) = fleet(builder, pipelined, CLIENT_THREADS, |client, port| {
+        // Exactly-once through any number of slice moves: the i-th
+        // completed increment reads i, redirect chases included.
+        let names = names_for(client.id());
+        for round in 1..=INCS_PER_NAME {
+            for name in &names {
+                increment_once(client, port, name, round);
+            }
+        }
+    });
 
     // The migration loop: heat-driven rebalance passes (the monitor a
     // deployment would run) interleaved with seeded forced moves, so
@@ -176,6 +80,7 @@ fn continuous_migration_under_load(pipelined: bool) {
     // balanced. A tiny LCG on the seed picks the forced schedule.
     let mut rng = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
     let mut forced = 0u64;
+    let fe = dep.frontend_mut();
     for _ in 0..CHURN_CYCLES {
         std::thread::sleep(Duration::from_millis(60));
         if let Some((slice, to)) = fe.server_mut().rebalance_once().unwrap() {
@@ -193,20 +98,15 @@ fn continuous_migration_under_load(pipelined: bool) {
         }
     }
 
-    let total: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
+    // Migration is honest reconfiguration: nothing may surface as a
+    // protocol violation, and every redirect and retry settled.
+    let total = settle(&mut dep, clients);
     assert_eq!(total, u64::from(CLIENT_THREADS * SHARDS) * INCS_PER_NAME);
     assert!(
-        fe.routing_epoch() >= forced,
+        dep.frontend().routing_epoch() >= forced,
         "every forced move must have advanced the epoch"
     );
     assert!(forced > 0, "the seeded schedule always forces moves");
-    // Migration is honest reconfiguration: nothing may surface as a
-    // protocol violation, and every ticket settles.
-    if let Err(e) = fe.process_all() {
-        assert!(!e.is_violation(), "migration noise misclassified: {e:?}");
-    }
-    assert_eq!(fe.stats().dropped_replies(), 0);
-    assert_eq!(fe.in_flight(), 0, "every redirect and retry settled");
 }
 
 #[test]

@@ -43,6 +43,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 use std::time::Duration;
 
+use common::stress_seed;
 use lcm::core::admin::AdminHandle;
 use lcm::core::server::{BatchServer, LcmServer};
 use lcm::core::stability::Quorum;
@@ -56,15 +57,6 @@ use lcm::storage::{
 };
 use lcm::tee::world::TeeWorld;
 use proptest::prelude::*;
-
-fn stress_seed() -> u64 {
-    let seed = std::env::var("LCM_STRESS_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1u64);
-    eprintln!("storage_torture config: seed={seed}");
-    seed
-}
 
 /// Tiny xorshift so the adversary's tear widths vary per CI seed
 /// without pulling in a full RNG.
