@@ -10,8 +10,8 @@
 //! 1. the calibrated simulator (`Scenario::frontend_threads`: at most
 //!    F shard cycles overlap, plus the `CostModel::frontend_contention`
 //!    surcharge on the per-op host share), and
-//! 2. a **real-stack** sweep: the same sharded deployment behind
-//!    `lcm_core::transport::Frontend` with driver threads {1, 2, 4},
+//! 2. a **real-stack** sweep: the same sharded deployment with driver
+//!    threads {1, 2, 4} (`ShardedServer::with_drivers`),
 //!    uniform closed-loop clients on their own threads, measured over
 //!    a fixed wall-clock window against storage with a modelled
 //!    per-store latency. The single-driver `process_all` loop is the

@@ -214,10 +214,10 @@ pub mod shardbench {
         ops as f64 / t0.elapsed().as_secs_f64()
     }
 
-    /// The same workload as [`measure_for`], driven through the
-    /// concurrent transport front-end for `window`: the deployment sits
-    /// behind `lcm_core::transport::Frontend` with `driver_threads`
-    /// lane drivers, and every client runs its own closed loop on its
+    /// The same workload as [`measure_for`], driven continuously for
+    /// `window`: the deployment runs `driver_threads` lane drivers
+    /// (`ShardedServer::with_drivers`), and every client runs its own
+    /// closed loop on its
     /// own OS thread through a `FrontendPort` — independent clients
     /// submitting from independent threads, no global round barrier.
     ///
@@ -226,13 +226,12 @@ pub mod shardbench {
     /// shard serves its own clients at its own pace.
     pub fn measure_frontend_for(cfg: &ShardRun, driver_threads: usize, window: Duration) -> f64 {
         use lcm_core::codec::WireCodec;
-        use lcm_core::transport::Frontend;
 
         let world = TeeWorld::new_deterministic(8_900 + u64::from(cfg.shards));
         let storage = Arc::new(DelayedStorage::new(MemoryStorage::new(), cfg.store_delay));
-        let server =
-            build_sharded::<KvStore>(&world, 1, storage, cfg.batch, cfg.shards, cfg.pipelined);
-        let mut fe = Frontend::new(server, driver_threads);
+        let mut fe =
+            build_sharded::<KvStore>(&world, 1, storage, cfg.batch, cfg.shards, cfg.pipelined)
+                .with_drivers(driver_threads);
         assert!(fe.boot().unwrap());
         let ids: Vec<ClientId> = (1..=cfg.clients).map(ClientId).collect();
         let mut admin = AdminHandle::new_deterministic(&world, ids.clone(), Quorum::Majority, 13);

@@ -38,8 +38,7 @@
 //! * **Latency observability** — every ticket is timestamped from
 //!   admission to reply release; per-(tenant, shard) HDR-style
 //!   histograms surface p50/p99/p999 through [`HealthSnapshot`]
-//!   (reachable via `Frontend::health_snapshot` and
-//!   `ShardedServer::health_snapshot`).
+//!   (reachable via `ShardedServer::health_snapshot`).
 //!
 //! # Trust boundary
 //!
@@ -446,7 +445,7 @@ struct AdmissionInner {
 
 /// The shared, thread-safe admission state of one deployment's
 /// ingress: owned by the sharded core, configured through
-/// `ShardedServer::configure_admission` (or the deployment builder),
+/// `ShardedServer::set_admission` (or the deployment builder),
 /// and observable while traffic flows.
 ///
 /// With no configuration installed the state is *passive*: every wire

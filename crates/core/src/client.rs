@@ -993,8 +993,8 @@ fn seal_read(
 }
 
 // A client session is plain `Send` data — independent clients submit
-// from independent threads through the concurrent transport front-end
-// ([`crate::transport::Frontend`]). This fails to compile if a future
+// from independent threads through their deployment's ports
+// ([`crate::transport::FrontendPort`]). This fails to compile if a future
 // field change silently breaks that.
 const _: fn() = || {
     fn assert_send<T: Send>() {}

@@ -56,9 +56,9 @@
 //!   [`shard::ShardedServer`] runs N boxed [`server::Lane`]s behind a
 //!   key-partitioned router so stage 2 (execute + seal) parallelizes
 //!   across enclaves; a single-enclave deployment is the 1-lane case.
-//! * [`transport`] — the one transport: the concurrent
-//!   [`transport::Frontend`] driving a sharded server's shared core
-//!   from a pool of driver threads, with per-client reply ports.
+//! * [`transport`] — the one transport: a sharded server's ingress,
+//!   its per-client reply ports ([`transport::FrontendPort`]) and
+//!   reply demux, and its optional pool of driver threads.
 //! * [`admission`] — multi-tenant admission control at the front door.
 //! * [`replica`] — replicated shard groups:
 //!   [`replica::ReplicaGroup`] runs one shard as 2f+1 replicas with

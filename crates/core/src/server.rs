@@ -35,9 +35,9 @@
 //!   per shard, and where the per-lane steps of a slice move live.
 //! * a **deployment** — [`BatchServer`]: what clients, the admin
 //!   handle and scenarios hold, members addressed by `(shard,
-//!   replica)`: [`crate::shard::ShardedServer`],
-//!   [`crate::transport::Frontend`], and — through one blanket impl —
-//!   every [`Lane`] on its own as the one-shard deployment.
+//!   replica)`: [`crate::shard::ShardedServer`] and — through one
+//!   blanket impl — every [`Lane`] on its own as the one-shard
+//!   deployment.
 //!
 //! ## Buffer lifecycle
 //!
@@ -726,11 +726,11 @@ fn unexpected(reply: HostReply) -> LcmError {
 /// background writer ([`LcmServer::into_pipelined`]). Members are
 /// addressed by `(shard, replica)`.
 ///
-/// Three types fill the role: [`crate::shard::ShardedServer`],
-/// [`crate::transport::Frontend`], and every [`Lane`] on its own — a
-/// solo [`LcmServer`] or a [`crate::replica::ReplicaGroup`] is the
-/// one-shard deployment through the blanket impl below, the single
-/// place that answers for `shard != 0` there. The trait is object-safe,
+/// Two impls fill the role: [`crate::shard::ShardedServer`] and every
+/// [`Lane`] on its own — a solo [`LcmServer`] or a
+/// [`crate::replica::ReplicaGroup`] is the one-shard deployment through
+/// the blanket impl below, the single place that answers for
+/// `shard != 0` there. The trait is object-safe,
 /// so scenarios run the same code against every topology; `Send` is
 /// part of the contract so servers can be driven from worker threads.
 ///

@@ -133,7 +133,7 @@
 //! 3. **Exactly once**: a ticket settles once, released or written
 //!    off; a repeat, or a reply to a ticket no longer held, is a no-op.
 //! 4. **Quiescence**: `issued == settled` exactly when no line holds
-//!    a ticket — what the front-end's barrier waits on.
+//!    a ticket — what a pump with drivers attached waits on.
 //! 5. **A crash forgets** every pending ticket (settled wholesale),
 //!    cached reply and uncollected reply: a post-restart retry reaches
 //!    the enclave's §4.6.1 path, never a dead instance's reply.
@@ -154,14 +154,13 @@
 //!
 //! * **No drivers ⇒ the caller steps the server.** `submit` + `step` /
 //!   `process_all` from one caller; each `step` runs one batch per lane
-//!   with work, in parallel on this server's pool, and an ingress
-//!   queue that fills with nobody else to drain it is relieved inline
-//!   by the submitter. A [`crate::transport::Frontend`] built with no
-//!   driver threads steps through exactly this path and only adds its
-//!   reply demux.
-//! * **Continuous drivers.** A front-end with driver threads attaches
-//!   them to the same core: they execute whatever arrives, and a full
-//!   ingress becomes submitter back-pressure instead.
+//!   with work, in parallel on this server's pool, routes what it
+//!   released through the reply demux (`transport.rs`), and returns the
+//!   replies of clients without a port. An ingress queue that fills
+//!   with nobody else to drain it is relieved inline by the submitter.
+//! * **Continuous drivers.** [`ShardedServer::with_drivers`] attaches
+//!   driver threads to the same core: they execute whatever arrives,
+//!   and a full ingress becomes submitter back-pressure instead.
 //!
 //! Continuous drivers park on one work signal between sweeps, for at
 //! most as long as the nearest forming batch has left to linger. A
@@ -224,6 +223,7 @@ use crate::functionality::Functionality;
 pub use crate::routing::{route_for, route_hash, shard_index};
 use crate::routing::{slice_of, SliceTable, SLICE_COUNT};
 use crate::server::{BatchServer, Lane, LcmServer, ReadPort, Replies};
+use crate::transport::ReplyPlane;
 use crate::types::ClientId;
 use crate::wire::RouteHint;
 use crate::{LcmError, Result};
@@ -569,10 +569,9 @@ impl ReplyBook {
 
 /// The shared, thread-safe core of a sharded deployment: the ingress
 /// plane (per-shard bounded queues), the execution lanes, and the
-/// reply demux book. `ShardedServer` owns it behind an `Arc`; the
-/// concurrent transport front-end ([`crate::transport::Frontend`])
-/// holds a second `Arc` and drives it from its driver threads, if it
-/// has any. Everything here needs only `&self`: any number of
+/// reply book. `ShardedServer` owns it behind an `Arc`; its driver
+/// threads, if it has any, and its client ports hold more. Everything
+/// here needs only `&self`: any number of
 /// producer threads may submit
 /// while any number of driver threads `drive` lanes; each lane is
 /// stepped by at most one driver at a time.
@@ -759,7 +758,7 @@ impl ShardCore {
         while let Err(PushError::Full(back)) = target.ingress.try_push(item) {
             item = back;
             if self.active_drivers.load(Ordering::SeqCst) > 0 {
-                // Attached front-end drivers drain the queue: block
+                // Attached drivers drain the queue: block
                 // with back-pressure instead of stealing their batch.
                 self.notify_work();
                 let _ = target.ingress.push(item);
@@ -1045,7 +1044,7 @@ impl ShardCore {
     }
 
     /// Drains every lane's ingress without executing it, writing the
-    /// drained tickets off. Called by a shutting-down front-end after
+    /// drained tickets off. Called by a shutting-down deployment after
     /// detaching its drivers: a producer blocked in back-pressure
     /// `push` would otherwise wait forever on a queue nobody will
     /// drain again.
@@ -1077,18 +1076,28 @@ pub(crate) enum DriveStatus {
 ///
 /// Construct over pre-built lanes with [`ShardedServer::new`], or use
 /// [`build_sharded`] / [`build_replicated`] for the common
-/// LCM-over-namespaced-storage layouts. The transport
-/// [`crate::transport::Frontend`], the [`crate::admin::AdminHandle`],
-/// and client libraries all run unmodified on top.
+/// LCM-over-namespaced-storage layouts. The
+/// [`crate::admin::AdminHandle`] and client libraries run unmodified
+/// on top.
+///
+/// It is the one deployment object: its transport surface (client
+/// ports, the reply demux, optional driver threads, see
+/// [`ShardedServer::with_drivers`]) lives in `transport.rs`.
 ///
 /// Control-plane operations (boot, provision, admin, migration) fan
 /// out to every shard on the calling thread; the data plane
 /// ([`ShardedServer::step`]) executes one batch per non-empty shard in
 /// parallel on the pool.
 pub struct ShardedServer {
-    /// The shared ingress/execution/reply core; the concurrent
-    /// transport front-end holds a second `Arc` to it.
-    core: Arc<ShardCore>,
+    /// The shared ingress/execution/reply core; driver threads and
+    /// client ports hold more `Arc`s to it.
+    pub(crate) core: Arc<ShardCore>,
+    /// The reply demux: client ports, the collection buffer and the
+    /// transport counters, shared with the driver threads.
+    pub(crate) replies: Arc<ReplyPlane>,
+    /// Continuous driver threads (`None` without any); the pool's
+    /// `Drop` joins them after this server's `Drop` signals shutdown.
+    pub(crate) drivers: Option<WorkerPool>,
     pool: WorkerPool,
     /// The deployment's concurrent read surface. Lanes and their
     /// members are fixed at construction, so it is built once and
@@ -1129,6 +1138,10 @@ impl std::fmt::Debug for ShardedServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedServer")
             .field("shards", &self.core.shards.len())
+            .field(
+                "drivers",
+                &self.drivers.as_ref().map_or(0, WorkerPool::workers),
+            )
             .field("queued", &self.core.queued())
             .finish()
     }
@@ -1155,6 +1168,8 @@ impl ShardedServer {
                 ports,
             }),
             core,
+            replies: Arc::new(ReplyPlane::new()),
+            drivers: None,
             pool: WorkerPool::new("lcm-shard", n, n),
             attested: vec![false; n],
             pending_slice: None,
@@ -1166,15 +1181,9 @@ impl ShardedServer {
         self.core.lanes()
     }
 
-    /// The shared core the concurrent front-end drives.
-    pub(crate) fn core(&self) -> Arc<ShardCore> {
-        Arc::clone(&self.core)
-    }
-
     /// One batch on every lane with work, in parallel on the pool; the
-    /// replies it releases wait in the book for the caller to take
-    /// ([`BatchServer::step`] here, the demux of a driverless
-    /// [`crate::transport::Frontend`]).
+    /// replies it releases wait in the book for the reply demux to take
+    /// ([`BatchServer::step`] without drivers).
     pub(crate) fn drive_lanes(&self) -> Result<()> {
         // Surface a failure recorded by back-pressure relief inside
         // `submit` (which cannot return errors) before doing new work.
@@ -1297,12 +1306,12 @@ impl ShardedServer {
     /// token buckets, weighted fair-queueing caps, retry dedup, and
     /// per-tenant × shard latency histograms. Plain `submit` is
     /// unaffected.
-    pub fn configure_admission(&self, config: crate::admission::AdmissionConfig) {
+    pub fn set_admission(&self, config: crate::admission::AdmissionConfig) {
         self.core.admission.configure(config);
     }
 
     /// The deployment's admission controller (disabled until
-    /// [`ShardedServer::configure_admission`] runs; it still collects
+    /// [`ShardedServer::set_admission`] runs; it still collects
     /// latency/health observability for unmetered traffic submitted
     /// through `try_submit`).
     pub fn admission_state(&self) -> Arc<AdmissionState> {
@@ -1538,9 +1547,12 @@ impl BatchServer for ShardedServer {
             shard.purge(&mut lane);
             lane.server.crash();
         }
-        // The book settles wholesale, so a concurrent front-end's
-        // quiescence wait cannot hang on wires that no longer exist.
+        // The book settles wholesale, so a quiescence wait with drivers
+        // attached cannot hang on wires that no longer exist.
         self.core.book().crash_reset();
+        // Replies already demuxed into the collection buffer died with
+        // the host process too.
+        self.replies.crash();
         // Outstanding admission credits died with their tickets.
         self.core.admission.reset_in_flight();
         self.core.notify_settled();
@@ -1576,7 +1588,7 @@ impl BatchServer for ShardedServer {
     }
 
     fn submit(&mut self, invoke_wire: Vec<u8>) {
-        self.core.submit(invoke_wire);
+        self.submit_shared(invoke_wire);
     }
 
     /// # Panics
@@ -1586,6 +1598,7 @@ impl BatchServer for ShardedServer {
     /// deliver to, and clamping silently would let an adversarial
     /// test exercise a different shard than it named.
     fn submit_to_shard(&mut self, shard: u32, invoke_wire: Vec<u8>) {
+        self.replies.stats().count_submitted();
         self.core.submit_to_lane(shard, invoke_wire);
     }
 
@@ -1593,34 +1606,18 @@ impl BatchServer for ShardedServer {
         self.core.queued()
     }
 
+    /// One batch per lane without drivers; with drivers, a wait for
+    /// quiescence (they pump lanes independently, so there is no
+    /// single-batch granularity to offer).
     fn step(&mut self) -> Result<Replies> {
-        self.drive_lanes()?;
-        Ok(self.core.take_ready())
+        self.pump(false)
     }
 
+    /// Unlike the default `while queued > 0` loop, always runs at least
+    /// one step: relief inside `submit` may have left ready replies in
+    /// the out-buffer (or a deferred error) with nothing queued.
     fn process_all(&mut self) -> Result<Replies> {
-        // Unlike the default `while queued > 0` loop, always run at
-        // least one step: relief inside `submit` may have left ready
-        // replies in the out-buffer (or a deferred error) with nothing
-        // queued.
-        let mut out = Vec::new();
-        loop {
-            match self.step() {
-                Ok(replies) => out.extend(replies),
-                Err(e) => {
-                    // Replies collected by earlier iterations must not
-                    // die with the error: push them back onto the
-                    // front of the out-buffer for the next successful
-                    // call.
-                    self.core.book().ready.splice(0..0, out);
-                    return Err(e);
-                }
-            }
-            if self.core.queued() == 0 {
-                break;
-            }
-        }
-        Ok(out)
+        self.pump(true)
     }
 
     fn admin(&mut self, admin_wire: Vec<u8>) -> Result<Vec<u8>> {
@@ -2476,7 +2473,7 @@ mod tests {
     #[test]
     fn a_wire_that_fails_mid_batch_writes_the_whole_batch_off() {
         let (mut server, _admin, mut clients) = sharded_counter(1, 4);
-        let core = server.core();
+        let core = Arc::clone(&server.core);
         for (i, c) in clients.iter_mut().enumerate() {
             let mut wire = c.invoke_for::<Counter>(&Counter::inc_op(b"n", 1)).unwrap();
             if i == 2 {
@@ -3238,7 +3235,7 @@ mod tests {
         let world = TeeWorld::new_deterministic(91);
         let server =
             build_sharded::<Counter>(&world, 1, Arc::new(MemoryStorage::new()), 16, 1, false);
-        let core = server.core();
+        let core = Arc::clone(&server.core);
         core.attach_drivers(1);
         assert_eq!(waking_wires(&core, 40), [1, 16]);
     }
@@ -3247,7 +3244,7 @@ mod tests {
     fn a_submission_wakes_drivers_only_when_a_lane_starts_or_fills_a_batch_after_with_shard_purges_the_lane(
     ) {
         let (mut server, _admin, _clients) = sharded_counter(1, 1);
-        let core = server.core();
+        let core = Arc::clone(&server.core);
         core.attach_drivers(1);
         assert_eq!(waking_wires(&core, 5), [1]);
         // A driver takes the five in and leaves them to form a batch.
@@ -3273,12 +3270,12 @@ mod tests {
         use crate::admission::{AdmissionConfig, TenantConfig, TenantId};
         let (mut server, _admin, mut clients) = sharded_counter(2, 2);
         let ids = clients.iter().map(LcmClient::id).collect();
-        server.configure_admission(AdmissionConfig::new(vec![TenantConfig::unlimited(
+        server.set_admission(AdmissionConfig::new(vec![TenantConfig::unlimited(
             TenantId(1),
             ids,
             1,
         )]));
-        let core = server.core();
+        let core = Arc::clone(&server.core);
         // Client 1's operation executes, but its reply is lost on the
         // way back: the retry is answered from the host's cache.
         let lost = clients[0]

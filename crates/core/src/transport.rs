@@ -1,38 +1,38 @@
 //! The transport layer between clients and the host server: the
-//! multi-producer concurrent [`Frontend`].
+//! multi-producer ingress and the reply demux of a [`ShardedServer`].
 //!
 //! The paper's model routes every client⇄T message through the server,
 //! which may "intercept, modify, reorder, discard, or replay" them
-//! (§2.3). [`Frontend`] materializes that topology at deployment
-//! scale: a thread-safe ingress plane (any number of producer threads
-//! submit through [`FrontendPort::send`] / [`Frontend::submit_shared`]),
-//! per-shard driver loops running on an [`lcm_runtime::WorkerPool`],
-//! and a reply demux plane that routes each released reply to its
-//! client's port in that client's submission order. The untrusted host
-//! becomes a concurrent message pump between clients and the enclaves.
+//! (§2.3). The deployment materializes that topology as one object: a
+//! thread-safe ingress plane (any number of producer threads submit
+//! through [`FrontendPort::send`] / [`ShardedServer::submit_shared`]),
+//! the lanes, and a reply demux plane that routes each released reply
+//! to its client's port in that client's submission order. The
+//! untrusted host becomes a concurrent message pump between clients
+//! and the enclaves.
 //!
-//! The pump comes in two forms and no third. With driver threads
-//! attached it is continuous: drivers execute whatever arrives and
-//! stream replies to the ports. A lane holding less than a batch
-//! lingers up to [`BATCH_LINGER`] to fill; a lane that fills its batch
-//! is driven at once. Between sweeps a driver parks on the shared
-//! work signal until the nearest forming batch is due, and a
-//! submission raises that signal only when it starts or fills a
-//! lane's batch (`shard.rs` module docs, § Concurrent driving, has the
-//! rule and why it loses no wire). No drivers (`Frontend::new(server, 0)`)
-//! ⇒ the caller steps the server: [`BatchServer::step`] runs one batch
-//! per lane through the drive [`ShardedServer`]'s own `step` runs,
-//! which keeps batch arithmetic and crash scheduling deterministic in
-//! the suites.
+//! The pump is driven or stepped. With driver threads attached
+//! ([`ShardedServer::with_drivers`]) it is continuous: drivers on an
+//! [`lcm_runtime::WorkerPool`] execute whatever arrives and stream
+//! replies to the ports. A lane holding less than a batch lingers up
+//! to [`BATCH_LINGER`] to fill; a lane that fills its batch is driven
+//! at once. Between sweeps a driver parks on the shared work signal
+//! until the nearest forming batch is due, and a submission raises that
+//! signal only when it starts or fills a lane's batch (`shard.rs`
+//! module docs, § Concurrent driving, has the rule and why it loses no
+//! wire). Without drivers (the default) the caller steps the server:
+//! [`BatchServer::step`] runs one batch per lane on the caller's
+//! behalf, which keeps batch arithmetic and crash scheduling
+//! deterministic in the suites. Either way a released reply goes to
+//! its client's port, or to the collection buffer that `step` and
+//! `process_all` return when the client has none.
 //!
-//! There is one transport and one plane beneath it: the front-end
-//! drives the shared core of a [`ShardedServer`] directly (a solo
-//! server is the 1-lane deployment). The host *is* the link adversary,
-//! so every wire attack is something the host does on the one path
-//! every wire takes — `submit`, `process_all`, `submit_to_shard` — and
-//! each power has a scenario that fails if the attack goes undetected
-//! or the loss unrecovered (the `tests/` scenarios run in every
-//! `all_modes!` row):
+//! There is one transport and one plane beneath it (a solo server is
+//! the 1-lane deployment). The host *is* the link adversary, so every
+//! wire attack is something the host does on the one path every wire
+//! takes — `submit`, `process_all`, `submit_to_shard` — and each power
+//! has a scenario that fails if the attack goes undetected or the loss
+//! unrecovered (the `tests/` scenarios run in every `all_modes!` row):
 //!
 //! | Host power | Scenario |
 //! |------------|----------|
@@ -48,19 +48,19 @@
 //!
 //! Shared drop/flow counters are atomic ([`TransportStats`]) and
 //! readable from `&self` while other threads keep pumping.
+//!
+//! [`BatchServer::step`]: crate::server::BatchServer::step
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-use lcm_crypto::sha256::Digest;
 use lcm_runtime::queue::BoundedQueue;
 use lcm_runtime::WorkerPool;
-use lcm_tee::attestation::Quote;
 
-use crate::admission::{AdmitOutcome, HealthSnapshot, RetryAfter};
-use crate::server::{BatchServer, Replies};
+use crate::admission::{AdmitOutcome, RetryAfter};
+use crate::server::Replies;
 use crate::shard::{DriveStatus, ShardCore, ShardedServer};
 use crate::types::ClientId;
 use crate::Result;
@@ -94,90 +94,126 @@ impl TransportStats {
     }
 
     /// Replies that could not be routed to any connected port and were
-    /// dropped (client disconnected). A drop is not an error — the
-    /// affected client simply retries — but it must be observable;
-    /// tests assert on this instead of relying on the absence of
-    /// panics.
+    /// dropped (client disconnected, or its port full). A drop is not
+    /// an error — the affected client simply retries — but it must be
+    /// observable; tests assert on this instead of relying on the
+    /// absence of panics.
     pub fn dropped_replies(&self) -> u64 {
         self.dropped_replies.load(Ordering::SeqCst)
     }
+
+    pub(crate) fn count_submitted(&self) {
+        self.submitted.fetch_add(1, Ordering::SeqCst);
+    }
 }
 
-/// How long a [`Frontend`] driver thread lets a sub-batch-size lane
-/// fill before executing it anyway. Free-running drivers would
-/// otherwise execute one-wire batches the moment each producer's wire
-/// lands, squandering the seal-and-store amortization; a fraction of a
-/// typical store round-trip recovers full batches at a latency cost
-/// one batch cycle amortizes away.
+/// How long a driver thread lets a sub-batch-size lane fill before
+/// executing it anyway. Free-running drivers would otherwise execute
+/// one-wire batches the moment each producer's wire lands, squandering
+/// the seal-and-store amortization; a fraction of a typical store
+/// round-trip recovers full batches at a latency cost one batch cycle
+/// amortizes away.
 ///
 /// The linger bounds only a sub-batch: the wire that fills a lane's
 /// batch wakes a parked driver, which executes it at once.
 pub const BATCH_LINGER: Duration = Duration::from_micros(600);
 
 // ---------------------------------------------------------------------------
-// The concurrent front-end.
+// The reply demux and the drivers.
 // ---------------------------------------------------------------------------
 
 /// One client's reply queue inside the demux plane.
 type PortRx = Arc<BoundedQueue<Vec<u8>>>;
 
 /// Capacity of each client port's reply queue. Deep enough that a
-/// draining client never stalls a driver; a client that stops draining
-/// eventually exerts back-pressure on the demux instead of growing
-/// host memory unboundedly.
+/// draining client never loses a reply; a reply to a full port is
+/// dropped and counted instead of blocking the demux, so a client that
+/// stops draining costs the host at most this many replies of memory
+/// and stalls nobody else. Its §4.6.1 retry gets the cached reply.
 const PORT_CAPACITY: usize = 4096;
 
 struct Demux {
     ports: BTreeMap<ClientId, PortRx>,
     /// Replies for clients without a connected port, awaiting
-    /// collection by [`Frontend::process_all`].
-    buffer: VecDeque<(ClientId, Vec<u8>)>,
+    /// collection by `step` / `process_all`.
+    buffer: Replies,
 }
 
-struct FrontendShared {
+/// The reply demux plane, shared by a [`ShardedServer`] and its driver
+/// threads.
+pub(crate) struct ReplyPlane {
     shutdown: AtomicBool,
     demux: Mutex<Demux>,
     stats: Arc<TransportStats>,
 }
 
-impl FrontendShared {
+impl ReplyPlane {
+    pub(crate) fn new() -> Self {
+        ReplyPlane {
+            shutdown: AtomicBool::new(false),
+            demux: Mutex::new(Demux {
+                ports: BTreeMap::new(),
+                buffer: Vec::new(),
+            }),
+            stats: Arc::new(TransportStats::default()),
+        }
+    }
+
+    pub(crate) fn stats(&self) -> &TransportStats {
+        &self.stats
+    }
+
     fn lock_demux(&self) -> MutexGuard<'_, Demux> {
         self.demux.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Forgets the collection buffer: replies already demuxed into it
+    /// die with the host process, like the book's out-buffer.
+    pub(crate) fn crash(&self) {
+        self.lock_demux().buffer.clear();
     }
 
     /// Moves every released reply out of the plane and onto its
     /// client's port (or the collection buffer). The demux lock makes
     /// take-and-route atomic, so two drivers can never reorder one
-    /// client's replies between taking and routing them.
+    /// client's replies between taking and routing them. No push here
+    /// blocks: a full port drops the reply rather than hold the lock
+    /// every other client's replies wait on.
     fn dispatch(&self, core: &ShardCore) {
         let mut demux = self.lock_demux();
-        for (client, wire) in core.take_ready() {
-            match demux.ports.get(&client) {
-                Some(rx) => {
-                    // Count BEFORE the push: the receiving client may
-                    // consume the reply and a joiner may read the
-                    // stats before this thread runs another
-                    // instruction.
-                    self.stats.delivered.fetch_add(1, Ordering::SeqCst);
-                    if rx.push(wire).is_err() {
-                        // The port was disconnected (queue closed)
-                        // after lookup: the reply has nowhere to go.
-                        self.stats.delivered.fetch_sub(1, Ordering::SeqCst);
-                        self.stats.dropped_replies.fetch_add(1, Ordering::SeqCst);
-                    }
-                }
-                None => {
-                    demux.buffer.push_back((client, wire));
-                    self.stats.buffered.fetch_add(1, Ordering::SeqCst);
-                }
+        let mut ready = core.take_ready();
+        ready.retain_mut(|(client, wire)| {
+            let Some(rx) = demux.ports.get(client) else {
+                return true;
+            };
+            // Count BEFORE the push: the receiving client may consume
+            // the reply and a joiner may read the stats before this
+            // thread runs another instruction.
+            self.stats.delivered.fetch_add(1, Ordering::SeqCst);
+            if rx.try_push(std::mem::take(wire)).is_err() {
+                // The port is full (its client stopped draining) or was
+                // closed after lookup: the reply has nowhere to go.
+                self.stats.delivered.fetch_sub(1, Ordering::SeqCst);
+                self.stats.dropped_replies.fetch_add(1, Ordering::SeqCst);
             }
+            false
+        });
+        self.stats
+            .buffered
+            .fetch_add(ready.len() as u64, Ordering::SeqCst);
+        // A stepped deployment with no ports buffers every reply: keep
+        // the book's vector rather than copy it.
+        if demux.buffer.is_empty() {
+            demux.buffer = ready;
+        } else {
+            demux.buffer.append(&mut ready);
         }
     }
 }
 
-/// A client's handle on the concurrent front-end: `&self` submission
-/// into the ingress plane and a private reply queue fed by the demux
-/// plane. Clone it freely; send it to the client's own thread.
+/// A client's handle on the deployment: `&self` submission into the
+/// ingress plane and a private reply queue fed by the demux plane.
+/// Clone it freely; send it to the client's own thread.
 #[derive(Clone)]
 pub struct FrontendPort {
     id: ClientId,
@@ -208,7 +244,7 @@ impl FrontendPort {
     /// is retried after the controller's suggested back-off until it
     /// is accepted — the blocking convenience over
     /// [`FrontendPort::try_send`]. Each absorbed bounce still counts
-    /// in the tenant's row of [`Frontend::health_snapshot`].
+    /// in the tenant's row of [`ShardedServer::health_snapshot`].
     pub fn send(&self, wire: Vec<u8>) {
         /// Cap on one blocking-send back-off nap, so a shutdown or a
         /// policy change never strands the sender in a long sleep.
@@ -241,7 +277,7 @@ impl FrontendPort {
         // no fresh ticket; the admission controller counts them (and
         // rejections) per tenant in its health snapshot.
         if outcome == AdmitOutcome::Enqueued {
-            self.stats.submitted.fetch_add(1, Ordering::SeqCst);
+            self.stats.count_submitted();
         }
         Ok(outcome)
     }
@@ -258,60 +294,13 @@ impl FrontendPort {
     }
 }
 
-/// The concurrent transport front-end: a multi-producer ingress plane,
-/// per-shard driver loops on a [`WorkerPool`] (or none, see below),
-/// and a reply demux plane.
-///
-/// ```text
-///  producer threads ──┐                ┌─ driver 0 ─▶ lane 0 ─┐
-///  (FrontendPort::send├─▶ ingress plane┼─ driver 1 ─▶ lane 1 ─┼─▶ reply book ─▶ demux ─▶ ports
-///   / Frontend::submit┘   (per-shard   └─ driver …  ▶ lane …  ┘   (global        (per-client
-///        , &self)          BoundedQueues)                          ticket order)   FIFO queues)
-/// ```
-///
-/// Ordering guarantee: replies to any one client leave the demux in
-/// that client's submission order (global-ticket release order from
-/// the shared core); tickets of a crash-stopped shard
-/// are written off so they can never dam up the client's later
-/// replies — the client retries those operations and the retries get
-/// fresh tickets.
-///
-/// The front-end itself implements [`BatchServer`], so admin
-/// bootstrap and scenario suites run on top unchanged:
-/// control-plane calls forward to the wrapped server (serialized
-/// against the drivers by the per-lane locks), `submit` feeds the
-/// ingress plane, and `step` / `process_all` return the replies of
-/// clients without a connected port. With drivers attached both wait
-/// for quiescence; without drivers `step` runs one batch per lane on
-/// the caller's behalf and `process_all` steps until nothing is
-/// queued.
-pub struct Frontend {
-    server: ShardedServer,
-    core: Arc<ShardCore>,
-    shared: Arc<FrontendShared>,
-    threads: usize,
-    /// Driver threads (`None` without any); the pool's `Drop` joins
-    /// them after `Frontend::drop` signals shutdown.
-    drivers: Option<WorkerPool>,
-}
-
-impl std::fmt::Debug for Frontend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Frontend")
-            .field("lanes", &self.core.lanes())
-            .field("threads", &self.threads)
-            .field("queued", &self.core.queued())
-            .finish()
-    }
-}
-
-fn driver_loop(core: Arc<ShardCore>, shared: Arc<FrontendShared>) {
+fn driver_loop(core: Arc<ShardCore>, plane: Arc<ReplyPlane>) {
     /// How long a driver with no batch forming parks before it sweeps
     /// again unasked (a safety net: every lane that gains a wire wakes
     /// it first).
     const IDLE: Duration = Duration::from_millis(25);
     let mut epoch = 0u64;
-    while !shared.shutdown.load(Ordering::SeqCst) {
+    while !plane.shutdown.load(Ordering::SeqCst) {
         // Sweep every lane; lanes another thread currently holds are
         // skipped, not waited on.
         let mut progress = false;
@@ -325,7 +314,7 @@ fn driver_loop(core: Arc<ShardCore>, shared: Arc<FrontendShared>) {
                     // in the book that long would stall their
                     // producers' closed loops (and fragment the next
                     // batch).
-                    shared.dispatch(&core);
+                    plane.dispatch(&core);
                     continue;
                 }
                 DriveStatus::Idle => continue,
@@ -336,7 +325,7 @@ fn driver_loop(core: Arc<ShardCore>, shared: Arc<FrontendShared>) {
             };
             due = Some(due.map_or(revisit, |d| d.min(revisit)));
         }
-        shared.dispatch(&core);
+        plane.dispatch(&core);
         // Park until the nearest forming batch is due — or until a
         // wire starts or fills a batch, which is what ends the wait of
         // a lane that fills before its linger is out.
@@ -346,75 +335,77 @@ fn driver_loop(core: Arc<ShardCore>, shared: Arc<FrontendShared>) {
     }
 }
 
-impl Frontend {
-    /// Lifts `server` into a concurrent front-end with `threads`
-    /// continuous driver threads (more drivers than lanes buys
-    /// nothing). `threads == 0` attaches none and spawns no thread:
-    /// the caller steps the server through [`BatchServer::step`] /
-    /// [`BatchServer::process_all`].
-    pub fn new(server: ShardedServer, threads: usize) -> Self {
-        let core = server.core();
-        let shared = Arc::new(FrontendShared {
-            shutdown: AtomicBool::new(false),
-            demux: Mutex::new(Demux {
-                ports: BTreeMap::new(),
-                buffer: VecDeque::new(),
-            }),
-            stats: Arc::new(TransportStats::default()),
-        });
-        let drivers = (threads > 0).then(|| {
-            core.attach_drivers(threads);
-            let pool = WorkerPool::new("lcm-frontend", threads, threads);
-            for _ in 0..threads {
-                let core = core.clone();
-                let shared = shared.clone();
-                pool.execute(move || driver_loop(core, shared));
-            }
-            pool
-        });
-        Frontend {
-            server,
-            core,
-            shared,
-            threads,
-            drivers,
+/// The deployment's transport surface: drivers, ports and the demux.
+///
+/// ```text
+///  producer threads ──┐                ┌─ driver 0 ─▶ lane 0 ─┐
+///  (FrontendPort::send├─▶ ingress plane┼─ driver 1 ─▶ lane 1 ─┼─▶ reply book ─▶ demux ─▶ ports
+///   / submit_shared,  ┘   (per-shard   └─ driver …  ▶ lane …  ┘   (global        (per-client
+///        &self)            BoundedQueues)                          ticket order)   FIFO queues)
+/// ```
+///
+/// Ordering guarantee: replies to any one client leave the demux in
+/// that client's submission order (global-ticket release order from
+/// the shared core); tickets of a crash-stopped shard
+/// are written off so they can never dam up the client's later
+/// replies — the client retries those operations and the retries get
+/// fresh tickets.
+impl ShardedServer {
+    /// Attaches `threads` continuous driver threads (more drivers than
+    /// lanes buys nothing; `0` attaches none and spawns no thread). The
+    /// drivers execute whatever arrives and stream replies to the
+    /// ports; [`BatchServer::step`] and [`BatchServer::process_all`]
+    /// then wake them and wait until every accepted wire has settled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if drivers are already attached.
+    ///
+    /// [`BatchServer::step`]: crate::server::BatchServer::step
+    /// [`BatchServer::process_all`]: crate::server::BatchServer::process_all
+    pub fn with_drivers(mut self, threads: usize) -> Self {
+        assert!(self.drivers.is_none(), "drivers are attached once");
+        if threads == 0 {
+            return self;
         }
+        self.core.attach_drivers(threads);
+        let pool = WorkerPool::new("lcm-driver", threads, threads);
+        for _ in 0..threads {
+            let core = self.core.clone();
+            let plane = self.replies.clone();
+            pool.execute(move || driver_loop(core, plane));
+        }
+        self.drivers = Some(pool);
+        self
     }
 
-    /// Direct access to the wrapped server (boot, crash, shard hooks,
-    /// stats). Control-plane calls made through it serialize against
-    /// the drivers on the per-lane locks.
-    pub fn server_mut(&mut self) -> &mut ShardedServer {
-        &mut self.server
-    }
-
-    /// Shared access to the wrapped server's `&self` surface.
+    /// `self`: what the frozen benchmark harness reaches through
+    /// `dep.frontend().server()`.
+    ///
+    /// Goes once the harness is unfrozen (ROADMAP item 14).
+    #[doc(hidden)]
     pub fn server(&self) -> &ShardedServer {
-        &self.server
+        self
+    }
+
+    /// `self`: what the frozen benchmark harness reaches through
+    /// `dep.frontend_mut().server_mut()`.
+    ///
+    /// Goes once the harness is unfrozen (ROADMAP item 14).
+    #[doc(hidden)]
+    pub fn server_mut(&mut self) -> &mut ShardedServer {
+        self
     }
 
     /// The shared flow/drop counters (atomic, `&self`).
-    pub fn stats(&self) -> Arc<TransportStats> {
-        self.shared.stats.clone()
+    pub fn transport_stats(&self) -> Arc<TransportStats> {
+        self.replies.stats.clone()
     }
 
     /// Wires accepted but not yet settled (reply released or written
-    /// off) — the front-end's in-flight depth; `0` means quiescent.
+    /// off) — the deployment's in-flight depth; `0` means quiescent.
     pub fn in_flight(&self) -> u64 {
         self.core.unsettled()
-    }
-
-    /// Installs (or replaces) the deployment's multi-tenant admission
-    /// policy (see [`ShardedServer::configure_admission`]).
-    pub fn set_admission(&self, config: crate::admission::AdmissionConfig) {
-        self.core.admission.configure(config);
-    }
-
-    /// Point-in-time admission/latency health: per-tenant admit and
-    /// reject counters plus p50/p99/p999 end-to-end latency per
-    /// tenant × shard.
-    pub fn health_snapshot(&self) -> HealthSnapshot {
-        self.core.admission.health_snapshot()
     }
 
     /// Connects a client, returning its thread-safe port. Replies for
@@ -423,7 +414,7 @@ impl Frontend {
     /// previous port.
     pub fn connect(&self, id: ClientId) -> FrontendPort {
         let rx: PortRx = Arc::new(BoundedQueue::new(PORT_CAPACITY));
-        let mut demux = self.shared.lock_demux();
+        let mut demux = self.replies.lock_demux();
         if let Some(old) = demux.ports.insert(id, rx.clone()) {
             old.close();
         }
@@ -431,7 +422,7 @@ impl Frontend {
             id,
             core: self.core.clone(),
             rx,
-            stats: self.shared.stats.clone(),
+            stats: self.replies.stats.clone(),
         }
     }
 
@@ -439,7 +430,7 @@ impl Frontend {
     /// buffered (or, if the port queue was closed mid-dispatch,
     /// counted in [`TransportStats::dropped_replies`]).
     pub fn disconnect(&self, id: ClientId) -> bool {
-        let mut demux = self.shared.lock_demux();
+        let mut demux = self.replies.lock_demux();
         match demux.ports.remove(&id) {
             Some(rx) => {
                 rx.close();
@@ -452,7 +443,7 @@ impl Frontend {
     /// Submits one wire into the ingress plane (`&self`,
     /// multi-producer safe) without needing a port.
     pub fn submit_shared(&self, invoke_wire: Vec<u8>) {
-        self.shared.stats.submitted.fetch_add(1, Ordering::SeqCst);
+        self.replies.stats.count_submitted();
         self.core.submit(invoke_wire);
     }
 
@@ -467,7 +458,7 @@ impl Frontend {
     ///
     /// Surfaces the first lane failure recorded since the last call;
     /// buffered replies survive the error for the next call.
-    fn pump(&mut self, until_idle: bool) -> Result<Replies> {
+    pub(crate) fn pump(&mut self, until_idle: bool) -> Result<Replies> {
         if self.drivers.is_some() {
             self.core.notify_work();
             self.core.wait_quiescent();
@@ -475,147 +466,41 @@ impl Frontend {
             // it, but dispatch defensively: a driver may have been
             // parked between its final drive and its dispatch when we
             // observed quiescence.
-            self.shared.dispatch(&self.core);
+            self.replies.dispatch(&self.core);
             if let Some(e) = self.core.take_error() {
                 return Err(e);
             }
         } else {
             loop {
-                let driven = self.server.drive_lanes();
-                self.shared.dispatch(&self.core);
+                let driven = self.drive_lanes();
+                self.replies.dispatch(&self.core);
                 driven?;
                 if !until_idle || self.core.queued() == 0 {
                     break;
                 }
             }
         }
-        let mut demux = self.shared.lock_demux();
-        Ok(demux.buffer.drain(..).collect())
+        Ok(std::mem::take(&mut self.replies.lock_demux().buffer))
     }
 }
 
-impl Drop for Frontend {
+impl Drop for ShardedServer {
     fn drop(&mut self) {
         // Without drivers there is no thread to stop and no producer
         // blocked on a full ingress (it is relieved inline).
         let Some(drivers) = self.drivers.take() else {
             return;
         };
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.replies.shutdown.store(true, Ordering::SeqCst);
         self.core.notify_work();
-        self.core.detach_drivers(self.threads);
+        self.core.detach_drivers(drivers.workers());
         // Free any producer blocked in back-pressure `push`: with the
         // drivers gone, nobody would ever drain the full queue it is
         // waiting on (later submits fall back to inline relief, since
         // no drivers are attached anymore).
         self.core.shed_ingress();
-        // Join the drivers before the wrapped server is torn down.
+        // Join the drivers before the lanes are torn down.
         drop(drivers);
-    }
-}
-
-impl BatchServer for Frontend {
-    fn boot(&mut self) -> Result<bool> {
-        self.server.boot()
-    }
-    fn crash(&mut self) {
-        self.server.crash();
-        // Replies already demuxed into the collection buffer died with
-        // the host process, exactly like the sharded out-buffer.
-        self.shared.lock_demux().buffer.clear();
-    }
-    fn is_running(&self) -> bool {
-        self.server.is_running()
-    }
-    fn shard_count(&self) -> u32 {
-        self.server.shard_count()
-    }
-    fn submit(&mut self, invoke_wire: Vec<u8>) {
-        self.submit_shared(invoke_wire);
-    }
-    fn submit_to_shard(&mut self, shard: u32, invoke_wire: Vec<u8>) {
-        self.shared.stats.submitted.fetch_add(1, Ordering::SeqCst);
-        self.core.submit_to_lane(shard, invoke_wire);
-    }
-    fn queued(&self) -> usize {
-        self.core.queued()
-    }
-    fn batch_limit(&self) -> usize {
-        self.server.batch_limit()
-    }
-    /// One batch per lane without drivers; with drivers, a wait for
-    /// quiescence (they pump lanes independently, so there is no
-    /// single-batch granularity to offer).
-    fn step(&mut self) -> Result<Replies> {
-        self.pump(false)
-    }
-    fn process_all(&mut self) -> Result<Replies> {
-        self.pump(true)
-    }
-    fn admin(&mut self, admin_wire: Vec<u8>) -> Result<Vec<u8>> {
-        self.server.admin(admin_wire)
-    }
-    fn export_migration(&mut self) -> Result<Vec<u8>> {
-        self.server.export_migration()
-    }
-    fn import_migration(&mut self, ticket: Vec<u8>) -> Result<()> {
-        self.server.import_migration(ticket)
-    }
-    /// Live slice migration on the wrapped server: the front-end shares
-    /// the deployment's slice table through the ingress router, so the
-    /// move is visible to wires routed by either path the moment the
-    /// new epoch installs.
-    fn migrate_slice(&mut self, slice: u32, to: u32) -> Result<()> {
-        self.server.migrate_slice(slice, to)
-    }
-    fn routing_epoch(&self) -> u64 {
-        self.server.routing_epoch()
-    }
-    fn take_slice_heat(&self) -> Vec<u64> {
-        self.server.take_slice_heat()
-    }
-    fn batches_processed(&self) -> u64 {
-        self.server.batches_processed()
-    }
-    fn ops_processed(&self) -> u64 {
-        self.server.ops_processed()
-    }
-    fn flush_persists(&mut self) -> Result<()> {
-        self.server.flush_persists()
-    }
-    fn replica_count(&self) -> u32 {
-        self.server.replica_count()
-    }
-    /// Serves a verified read against the wrapped server. Reads bypass
-    /// the ingress queue entirely — they never mutate state, so they
-    /// need no ticket, no admission slot, and no driver; this is what
-    /// lets them scale out across follower replicas while the write
-    /// lanes keep executing.
-    fn serve_read(&mut self, read_wire: Vec<u8>) -> Result<Vec<u8>> {
-        self.server.serve_read(read_wire)
-    }
-    fn read_port(&self) -> Option<Arc<dyn crate::server::ReadPort>> {
-        self.server.read_port()
-    }
-    fn group_leader(&self, shard: u32) -> u32 {
-        self.server.group_leader(shard)
-    }
-    fn attest_member(&mut self, shard: u32, replica: u32, user_data: Digest) -> Result<Quote> {
-        self.server.attest_member(shard, replica, user_data)
-    }
-    fn provision_member(
-        &mut self,
-        shard: u32,
-        replica: u32,
-        sealed_payload: Vec<u8>,
-    ) -> Result<()> {
-        self.server.provision_member(shard, replica, sealed_payload)
-    }
-    fn kill_member(&mut self, shard: u32, replica: u32, power_failure: bool) -> Result<()> {
-        self.server.kill_member(shard, replica, power_failure)
-    }
-    fn reboot_member(&mut self, shard: u32, replica: u32) -> Result<bool> {
-        self.server.reboot_member(shard, replica)
     }
 }
 
@@ -625,17 +510,22 @@ mod tests {
     use crate::admin::AdminHandle;
     use crate::client::LcmClient;
     use crate::functionality::Counter;
+    use crate::server::BatchServer;
     use crate::shard::{build_sharded, route_hash, shard_index};
     use crate::stability::Quorum;
     use lcm_storage::MemoryStorage;
     use lcm_tee::world::TeeWorld;
     use std::sync::Arc;
 
-    fn frontend_counter(shards: u32, n_clients: u32, threads: usize) -> (Frontend, Vec<LcmClient>) {
+    fn frontend_counter(
+        shards: u32,
+        n_clients: u32,
+        threads: usize,
+    ) -> (ShardedServer, Vec<LcmClient>) {
         let world = TeeWorld::new_deterministic(70 + u64::from(shards));
-        let server =
-            build_sharded::<Counter>(&world, 1, Arc::new(MemoryStorage::new()), 16, shards, false);
-        let mut fe = Frontend::new(server, threads);
+        let storage = Arc::new(MemoryStorage::new());
+        let mut fe =
+            build_sharded::<Counter>(&world, 1, storage, 16, shards, false).with_drivers(threads);
         assert!(fe.boot().unwrap());
         let ids: Vec<ClientId> = (1..=n_clients).map(ClientId).collect();
         let mut admin = AdminHandle::new_deterministic(&world, ids.clone(), Quorum::Majority, 7);
@@ -650,13 +540,13 @@ mod tests {
     #[test]
     fn solo_server_runs_behind_the_frontend() {
         // A pre-built single-enclave server is the 1-lane deployment:
-        // box it into a one-shard `ShardedServer` and lift that.
+        // box it into a one-shard `ShardedServer`.
         use crate::functionality::AppendLog;
         use crate::server::LcmServer;
         let world = TeeWorld::new_deterministic(72);
         let platform = world.platform_deterministic(1);
         let solo = LcmServer::<AppendLog>::new(&platform, Arc::new(MemoryStorage::new()), 16);
-        let mut fe = Frontend::new(ShardedServer::new(vec![Box::new(solo)]), 0);
+        let mut fe = ShardedServer::new(vec![Box::new(solo)]);
         assert!(fe.boot().unwrap());
         let mut admin =
             AdminHandle::new_deterministic(&world, vec![ClientId(1)], Quorum::Majority, 8);
@@ -687,7 +577,7 @@ mod tests {
         assert_eq!(orphans.len(), 1);
         assert_eq!(orphans[0].0, clients[1].id());
         assert!(port.try_recv().is_some());
-        let stats = fe.stats();
+        let stats = fe.transport_stats();
         assert_eq!(stats.buffered(), 1);
         assert_eq!(stats.delivered(), 1);
         assert_eq!(stats.dropped_replies(), 0);
@@ -697,10 +587,10 @@ mod tests {
     fn stats_are_readable_from_another_thread_mid_pump() {
         // Drop/flow statistics are atomic and shared — an observer
         // thread holding only the stats Arc sees them move while the
-        // pump owner keeps the `&mut Frontend`.
+        // pump owner keeps the `&mut ShardedServer`.
         let (mut fe, mut clients) = frontend_counter(1, 1, 0);
         let port = fe.connect(clients[0].id());
-        let stats = fe.stats();
+        let stats = fe.transport_stats();
         let observer = std::thread::spawn(move || {
             // Wait (bounded) until a delivery becomes visible.
             let deadline = std::time::Instant::now() + Duration::from_secs(10);
@@ -740,7 +630,7 @@ mod tests {
             let done = client.handle_reply(&reply).unwrap();
             assert_eq!(Counter::decode_result(&done.result), Some(1 + i as u64));
         }
-        let stats = fe.stats();
+        let stats = fe.transport_stats();
         assert_eq!(stats.submitted(), 3);
         assert_eq!(stats.delivered(), 3);
         assert_eq!(stats.dropped_replies(), 0);
@@ -856,7 +746,7 @@ mod tests {
             let (start, times) = if round % 2 == 0 {
                 (send_round(wires, first), &mut filled)
             } else {
-                let start = fe.server_mut().with_shard(0, |_| send_round(wires, first));
+                let start = fe.with_shard(0, |_| send_round(wires, first));
                 // Releasing the lane woke the driver already; wake it
                 // here as well so the control does not rest on that.
                 fe.core.notify_work();
@@ -915,7 +805,7 @@ mod tests {
             .zip(&names)
             .map(|(c, name)| c.invoke_for::<Counter>(&Counter::inc_op(name, 1)).unwrap())
             .collect();
-        let sibling = fe.server_mut().with_shard(0, |_| {
+        let sibling = fe.with_shard(0, |_| {
             for (port, wire) in ports.iter().zip(wires) {
                 port.send(wire);
             }
@@ -971,5 +861,55 @@ mod tests {
             .collect();
         assert_eq!(recorded, submitted);
         assert!(!client.has_pending());
+    }
+
+    #[test]
+    fn a_stalled_port_does_not_wedge_the_deployment() {
+        // A client that stops draining its port while its retries keep
+        // arriving: the port fills, and every further reply to it is
+        // dropped and counted. Pushing it instead would block the
+        // driver under the demux lock, wedging every other client's
+        // replies and the `disconnect` that could close the port.
+        let (fe, mut clients) = frontend_counter(1, 1, 1);
+        let id = clients[0].id();
+        let stalled = fe.connect(id);
+        let first = clients[0]
+            .invoke_for::<Counter>(&Counter::inc_op(b"n", 1))
+            .unwrap();
+        fe.submit_shared(first);
+        let wires = PORT_CAPACITY as u64 + 64;
+        for _ in 1..wires {
+            fe.submit_shared(clients[0].retry().unwrap());
+        }
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while fe.in_flight() > 0 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let in_flight = fe.in_flight();
+        let fe = &fe;
+        let disconnected = std::thread::scope(|s| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            s.spawn(move || tx.send(fe.disconnect(id)).unwrap());
+            let answer = rx.recv_timeout(Duration::from_secs(5));
+            if answer.is_err() {
+                // Watchdog: drain the port so a wedged driver and the
+                // waiting `disconnect` finish, and the test fails
+                // instead of hanging.
+                while rx.try_recv().is_err() {
+                    stalled.try_recv();
+                    std::thread::yield_now();
+                }
+            }
+            answer.ok()
+        });
+        assert_eq!(in_flight, 0, "tickets stuck behind the stalled port");
+        assert_eq!(
+            disconnected,
+            Some(true),
+            "disconnect waited on the stalled port"
+        );
+        let stats = fe.transport_stats();
+        assert_eq!(stats.delivered(), PORT_CAPACITY as u64);
+        assert_eq!(stats.dropped_replies(), wires - PORT_CAPACITY as u64);
     }
 }

@@ -74,15 +74,14 @@ fn predict(shards: usize, n_clients: usize) -> f64 {
     run_scenario(&model, &scenario).throughput()
 }
 
-/// Real ops/s of the sharded stack behind the concurrent transport
-/// front-end with `driver_threads` lane drivers: every client runs its
-/// own closed loop on its own thread through a `FrontendPort`.
+/// Real ops/s of the sharded stack with `driver_threads` lane drivers:
+/// every client runs its own closed loop on its own thread through a
+/// `FrontendPort`.
 fn measure_real_frontend(shards: u32, driver_threads: usize) -> f64 {
-    use lcm_core::transport::Frontend;
     let world = TeeWorld::new_deterministic(9_100 + u64::from(shards));
     let storage = Arc::new(DelayedStorage::new(MemoryStorage::new(), STORE_DELAY));
-    let server = build_sharded::<Counter>(&world, 1, storage, BATCH, shards, false);
-    let mut fe = Frontend::new(server, driver_threads);
+    let mut fe = build_sharded::<Counter>(&world, 1, storage, BATCH, shards, false)
+        .with_drivers(driver_threads);
     assert!(fe.boot().unwrap());
     let ids: Vec<ClientId> = (1..=N_CLIENTS).map(ClientId).collect();
     let mut admin = AdminHandle::new_deterministic(&world, ids.clone(), Quorum::Majority, 11);
@@ -138,16 +137,15 @@ fn predict_frontend_with_model(
 /// `admission_check`.
 fn measure_real_frontend_admitted(shards: u32, driver_threads: usize) -> f64 {
     use lcm_core::admission::{AdmissionConfig, TenantConfig, TenantId};
-    use lcm_core::transport::Frontend;
     let world = TeeWorld::new_deterministic(9_100 + u64::from(shards));
     let storage = Arc::new(DelayedStorage::new(MemoryStorage::new(), STORE_DELAY));
     let server = build_sharded::<Counter>(&world, 1, storage, BATCH, shards, false);
     let ids: Vec<ClientId> = (1..=N_CLIENTS).map(ClientId).collect();
-    server.configure_admission(AdmissionConfig {
+    server.set_admission(AdmissionConfig {
         tenants: vec![TenantConfig::unlimited(TenantId(1), ids.clone(), 1)],
         max_in_flight: 1024,
     });
-    let mut fe = Frontend::new(server, driver_threads);
+    let mut fe = server.with_drivers(driver_threads);
     assert!(fe.boot().unwrap());
     let mut admin = AdminHandle::new_deterministic(&world, ids.clone(), Quorum::Majority, 11);
     admin.bootstrap(&mut fe).unwrap();
@@ -356,8 +354,8 @@ fn four_shards_beat_one_in_pipelined_mode_too() {
 fn simulator_frontend_knob_tracks_the_real_trend() {
     // The engine models front-end driver threads as the vehicles of
     // shard cycles: with one driver, the 4 shards' store round-trips
-    // serialize again; with 4, they overlap. The real stack behind the
-    // concurrent `Frontend` must show the same recovery, and the
+    // serialize again; with 4, they overlap. The real stack with its
+    // driver threads must show the same recovery, and the
     // predicted and measured 4-vs-1-driver speedups must agree within
     // the same generous band as the shard knob.
     let sim =

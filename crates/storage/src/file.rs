@@ -58,6 +58,13 @@ impl StableStorage for FileStorage {
             f.sync_all()?;
         }
         fs::rename(&tmp, &path)?;
+        // The rename lives in the directory's own data: until the
+        // directory is synced, a power loss can bring back the old
+        // entry (or none), and an acknowledged store vanishes (Pillai
+        // et al., "All File Systems Are Not Created Equal", OSDI'14).
+        // Directories open for reading, and sync, only on Unix.
+        #[cfg(unix)]
+        fs::File::open(&self.dir)?.sync_all()?;
         Ok(())
     }
 

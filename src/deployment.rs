@@ -1,7 +1,8 @@
 //! The unified deployment builder: one fluent entry point that
-//! assembles the whole LCM stack — TEE world, sharded servers,
-//! concurrent transport front-end, admission control, and the trusted
-//! admin's bootstrap — and hands back a ready-to-use [`Deployment`].
+//! assembles the whole LCM stack — TEE world, sharded servers and
+//! their transport (ports, reply demux, optional driver threads),
+//! admission control, and the trusted admin's bootstrap — and hands
+//! back a ready-to-use [`Deployment`].
 //!
 //! ```
 //! use lcm::prelude::*;
@@ -18,7 +19,7 @@
 //! ```
 //!
 //! The builder replaces the hand-rolled boilerplate (`TeeWorld` →
-//! `build_sharded` → `Frontend::new` → `boot` → `AdminHandle` →
+//! `build_sharded` → `with_drivers` → `boot` → `AdminHandle` →
 //! `bootstrap`) that every example and test used to repeat; the
 //! underlying constructors remain public and unchanged for callers
 //! that need to wire the layers differently.
@@ -31,9 +32,9 @@ use lcm_core::admission::{AdmissionConfig, HealthSnapshot};
 use lcm_core::client::LcmClient;
 use lcm_core::functionality::Functionality;
 use lcm_core::server::{BatchServer, Replies, DEFAULT_BATCH_LIMIT};
-use lcm_core::shard::build_sharded;
+use lcm_core::shard::{build_sharded, ShardedServer};
 use lcm_core::stability::Quorum;
-use lcm_core::transport::{Frontend, FrontendPort, TransportStats};
+use lcm_core::transport::{FrontendPort, TransportStats};
 use lcm_core::types::ClientId;
 use lcm_core::Result;
 use lcm_kvs::client::KvsClient;
@@ -57,8 +58,8 @@ pub enum Mode {
 /// enclaves run (e.g. [`lcm_kvs::store::KvStore`],
 /// [`lcm_core::functionality::Counter`]).
 ///
-/// Every knob has a working default: one shard, [`Mode::Sync`], a
-/// front-end without driver threads (the caller steps it with
+/// Every knob has a working default: one shard, [`Mode::Sync`], no
+/// driver threads (the caller steps the deployment with
 /// `process_all`, deterministically), client group `{1}`, majority
 /// quorum, fresh in-memory storage, no admission policy.
 ///
@@ -74,7 +75,7 @@ pub struct DeploymentBuilder<F: Functionality + 'static> {
     shards: u32,
     replicas: u32,
     mode: Mode,
-    /// `Some(n)` = continuous front-end with `n` driver threads;
+    /// `Some(n)` = continuous deployment with `n` driver threads;
     /// `None` = no drivers, the caller steps the deployment.
     driver_threads: Option<usize>,
     admission: Option<AdmissionConfig>,
@@ -145,10 +146,11 @@ impl<F: Functionality + 'static> DeploymentBuilder<F> {
         self
     }
 
-    /// Runs the front-end continuously with `driver_threads` driver
+    /// Runs the deployment continuously with `driver_threads` driver
     /// threads (the deployment posture: replies stream to ports while
-    /// producers submit). Without this, the front-end has no driver
-    /// threads — submissions queue until [`Deployment::process_all`]
+    /// producers submit; [`ShardedServer::with_drivers`]). Without
+    /// this there are no driver threads — submissions queue until
+    /// [`Deployment::process_all`]
     /// steps the lanes on the caller's thread, which keeps batch
     /// arithmetic deterministic for tests.
     pub fn frontend(mut self, driver_threads: usize) -> Self {
@@ -206,7 +208,7 @@ impl<F: Functionality + 'static> DeploymentBuilder<F> {
 
     /// Assembles and bootstraps the deployment: builds the sharded
     /// servers over the TEE world, installs the admission policy,
-    /// lifts them into the concurrent front-end, boots every lane,
+    /// attaches the driver threads, boots every lane,
     /// and (for a fresh deployment) runs the admin's attest-and-
     /// provision bootstrap.
     ///
@@ -249,14 +251,14 @@ impl<F: Functionality + 'static> DeploymentBuilder<F> {
             )
         };
         if let Some(config) = self.admission {
-            server.configure_admission(config);
+            server.set_admission(config);
         }
-        let mut frontend = Frontend::new(server, self.driver_threads.unwrap_or(0));
-        let fresh = frontend.boot()?;
+        let mut server = server.with_drivers(self.driver_threads.unwrap_or(0));
+        let fresh = server.boot()?;
         let mut admin =
             AdminHandle::new_deterministic(&world, self.clients, self.quorum, self.seed);
         let manifest = if fresh {
-            Some(admin.bootstrap(&mut frontend)?)
+            Some(admin.bootstrap(&mut server)?)
         } else {
             // Rebooted from existing sealed state: the enclaves
             // already hold their keys (same seed ⇒ the deterministic
@@ -266,7 +268,7 @@ impl<F: Functionality + 'static> DeploymentBuilder<F> {
         Ok(Deployment {
             shards: self.shards,
             replicas: self.replicas,
-            frontend,
+            server,
             admin,
             manifest,
             world,
@@ -274,13 +276,13 @@ impl<F: Functionality + 'static> DeploymentBuilder<F> {
     }
 }
 
-/// A fully bootstrapped LCM deployment: the sharded servers behind
-/// their concurrent front-end, plus the trusted admin — everything
+/// A fully bootstrapped LCM deployment: the sharded servers with their
+/// transport, plus the trusted admin — everything
 /// [`DeploymentBuilder::build`] assembled, ready for clients.
 pub struct Deployment {
     shards: u32,
     replicas: u32,
-    frontend: Frontend,
+    server: ShardedServer,
     admin: AdminHandle,
     manifest: Option<DeploymentManifest>,
     world: TeeWorld,
@@ -313,7 +315,7 @@ impl Deployment {
     /// replica without touching the write lanes (always `Some`: every
     /// deployment is sharded, and a sharded server always has one).
     pub fn read_port(&self) -> Option<Arc<dyn lcm_core::server::ReadPort>> {
-        self.frontend.read_port()
+        self.server.read_port()
     }
 
     /// A protocol client for `id`, wired for this deployment's shard
@@ -328,23 +330,23 @@ impl Deployment {
         KvsClient::new_sharded(id, self.admin.client_key(), self.shards)
     }
 
-    /// Connects `id` to the front-end's reply demux, returning its
+    /// Connects `id` to the deployment's reply demux, returning its
     /// thread-safe submit/receive port.
     pub fn port(&self, id: ClientId) -> FrontendPort {
-        self.frontend.connect(id)
+        self.server.connect(id)
     }
 
-    /// The concurrent front-end (shared surface: connect, stats,
+    /// The deployment's server (shared surface: connect, stats,
     /// admission).
-    pub fn frontend(&self) -> &Frontend {
-        &self.frontend
+    pub fn frontend(&self) -> &ShardedServer {
+        &self.server
     }
 
-    /// The front-end's exclusive surface (pumping, crash hooks, the
-    /// wrapped server). The [`BatchServer`] methods clients take
+    /// The deployment's server, exclusively (pumping, crash hooks,
+    /// shard hooks). The [`BatchServer`] methods clients take
     /// (`&mut server`) are all here.
-    pub fn frontend_mut(&mut self) -> &mut Frontend {
-        &mut self.frontend
+    pub fn frontend_mut(&mut self) -> &mut ShardedServer {
+        &mut self.server
     }
 
     /// The trusted admin's shared surface (client group, keys).
@@ -369,15 +371,15 @@ impl Deployment {
         &self.world
     }
 
-    /// The front-end's shared flow/drop counters.
+    /// The transport's shared flow/drop counters.
     pub fn stats(&self) -> Arc<TransportStats> {
-        self.frontend.stats()
+        self.server.transport_stats()
     }
 
     /// Per-tenant × shard admission/latency health (always `Some`;
     /// the `Option` is what `lcm_benchmark` was frozen against).
     pub fn health_snapshot(&self) -> Option<HealthSnapshot> {
-        Some(self.frontend.health_snapshot())
+        Some(self.server.health_snapshot())
     }
 
     /// Pumps every queued wire to completion and returns the buffered
@@ -388,6 +390,6 @@ impl Deployment {
     ///
     /// Surfaces the first lane failure recorded since the last call.
     pub fn process_all(&mut self) -> Result<Replies> {
-        self.frontend.process_all()
+        self.server.process_all()
     }
 }

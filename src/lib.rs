@@ -13,7 +13,7 @@
 //! * [`storage`] — stable storage with adversarial (rollback) wrappers.
 //! * [`runtime`] — hand-rolled bounded queues, worker pools, and
 //!   pipeline stage workers (the concurrency substrate of the
-//!   asynchronous-write mode and the front-end).
+//!   asynchronous-write mode and the driver threads).
 //! * [`trusted`] — the code the enclave `T` runs (Alg. 2): wire
 //!   codec, trusted context, stability, routing, enclave program.
 //! * [`core`] — the LCM protocol around it: the client (Alg. 1), the
@@ -25,7 +25,7 @@
 //!
 //! On top of the re-exports, this crate owns the [`deployment`]
 //! builder — the one-call assembly of world + sharded servers +
-//! front-end + admission + admin bootstrap — and the [`prelude`].
+//! transport + admission + admin bootstrap — and the [`prelude`].
 //!
 //! ## Quickstart
 //!
@@ -61,7 +61,7 @@ pub use lcm_workload as workload;
 pub mod deployment;
 
 /// The common surface in one import: the deployment builder, both
-/// client libraries, the front-end port, and the admission/tenancy
+/// client libraries, the client port, and the admission/tenancy
 /// types.
 pub mod prelude {
     pub use crate::deployment::{Deployment, DeploymentBuilder, Mode};

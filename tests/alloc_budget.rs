@@ -78,7 +78,7 @@ fn a_put_stays_within_its_allocation_budget() {
         .build()
         .unwrap();
     let mut lcm: Vec<_> = clients.iter().map(|&id| dep.client(id)).collect();
-    let server: &mut dyn BatchServer = dep.frontend_mut().server_mut();
+    let server: &mut dyn BatchServer = dep.frontend_mut();
 
     // One round: every client submits one `Put`, one step answers all
     // of them, every reply is verified. The operations are encoded

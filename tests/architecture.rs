@@ -283,10 +283,12 @@ fn unsafe_stays_in_three_files() {
 }
 
 /// One trait per role (`crates/core/src/server.rs` module docs): the
-/// deployment surface has three implementors, the shard surface two,
-/// and a group member is a concrete `LcmServer`. A fourth
-/// `BatchServer` impl, or library code holding a deployment behind a
-/// `Box`, is the five-impls-per-verb surface growing back.
+/// deployment surface has two implementors — `ShardedServer` and any
+/// lane on its own — the shard surface two, and a group member is a
+/// concrete `LcmServer`. A third `BatchServer` impl (a wrapper that
+/// forwards every verb, as the front-end's did), or library code
+/// holding a deployment behind a `Box`, is the five-impls-per-verb
+/// surface growing back.
 #[test]
 fn one_trait_per_role() {
     let impls = |role: &str, generics_required: bool| {
@@ -300,11 +302,7 @@ fn one_trait_per_role() {
     };
     assert_eq!(
         impls("BatchServer for", false),
-        [
-            "BatchServer for Frontend",
-            "BatchServer for L",
-            "BatchServer for ShardedServer",
-        ],
+        ["BatchServer for L", "BatchServer for ShardedServer"],
         "BatchServer impls"
     );
     assert_eq!(
@@ -359,10 +357,12 @@ fn one_state_record() {
 }
 
 /// One driving path (`crates/core/src/shard.rs` module docs, §
-/// Concurrent driving): a front-end either has continuous drivers or
+/// Concurrent driving): a deployment either has continuous drivers or
 /// none, and with none the caller steps the `ShardedServer`. The
-/// on-demand pump window, its sweeper handshake and the second stats
-/// rollup stay gone, and the scenario matrix keeps its rows. A
+/// on-demand pump window, its sweeper handshake, the second stats
+/// rollup and the second deployment face (`Frontend`, a wrapper over
+/// the same `ShardedServer`) stay gone, and the scenario matrix keeps
+/// its rows. A
 /// continuous driver waits in exactly one place, the work signal a
 /// filling batch raises (`GUARANTEES.md`, "The drivers' wake rule"): a
 /// blind nap in `driver_loop` would let full batches wait out the
@@ -379,7 +379,7 @@ fn one_driving_path() {
             "sweepers",
             "ShardStatsRollup",
         ],
-        &["fn absorb", "fn rejected", "fn replayed"],
+        &["fn absorb", "fn rejected", "fn replayed", "Frontend"],
     );
     assert!(gone.is_empty(), "second driving path: {gone:#?}");
 
@@ -749,6 +749,8 @@ fn matcher_blocks_rows_and_word_ends() {
     assert!(contains_word("    fn absorb(&self)", "fn absorb"));
     assert!(contains_word("fn absorb", "fn absorb"));
     assert!(!contains_word("fn absorbed(&self)", "fn absorb"));
+    assert!(contains_word("impl Drop for Frontend {", "Frontend"));
+    assert!(!contains_word("    port: FrontendPort,", "Frontend"));
 }
 
 #[test]

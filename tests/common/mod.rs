@@ -1,16 +1,22 @@
 //! Shared scaffolding for running integration scenarios against every
 //! server mode: a bare `LcmServer` with synchronous or asynchronous
 //! write (`into_pipelined`), the sharded multi-enclave `ShardedServer`
-//! at 1 and 4 shards (each lane sync or pipelined), the sharded
-//! deployment behind the concurrent transport `Frontend` (without
-//! driver threads, so batch arithmetic and crash scheduling stay
-//! deterministic), and replicated shard groups.
+//! at 1 and 4 shards (each lane sync or pipelined; every submit goes
+//! through its thread-safe ingress and every reply through its demux,
+//! without driver threads, so batch arithmetic and crash scheduling
+//! stay deterministic), the 4-shard `ShardedServer` with an
+//! admission policy installed (the `frontend_*_4` rows), and replicated
+//! shard groups.
 //!
-//! A driverless `Frontend` steps its `ShardedServer` through the same
-//! per-lane drive as a bare one (same `submit` / `submit_to_lane`,
-//! same `crash`) and adds only its reply demux and the forwarding of
-//! control-plane calls, so every `frontend_*_4` row also covers what
-//! the `sharded_*_4` row of the same write mode covers.
+//! The `frontend_*_4` rows keep the scenario ids of the former
+//! `Frontend` wrapper, which now is the `ShardedServer` itself. They
+//! differ from the `sharded_*_4` row of their write mode in one thing:
+//! the front door's admission controller is switched on (no tenants,
+//! so every client is unmetered). A plain `submit` does not consult
+//! it, so these rows pin that an installed policy leaves every
+//! scenario's outcome as it is — a replayed wire still
+//! reaches the enclave instead of being answered from the retry
+//! cache.
 //!
 //! Every mode is handed out as a `Box<dyn BatchServer>` — the
 //! deployment role; a bare `LcmServer` fills it through the blanket
@@ -37,12 +43,13 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use lcm::core::admin::AdminHandle;
+use lcm::core::admission::AdmissionConfig;
 use lcm::core::client::{LcmClient, WriteOutcome};
 use lcm::core::functionality::{Counter, Functionality};
 use lcm::core::server::{BatchServer, LcmServer};
 use lcm::core::shard;
 use lcm::core::stability::Quorum;
-use lcm::core::transport::{Frontend, FrontendPort};
+use lcm::core::transport::FrontendPort;
 use lcm::core::types::ClientId;
 use lcm::core::verify::{check_single_history, check_stable_prefix};
 use lcm::crypto::keys::SecretKey;
@@ -62,19 +69,19 @@ pub enum Mode {
     Pipelined,
     /// `ShardedServer` over `shards` lanes; each lane is a plain
     /// `LcmServer`, synchronous (`pipelined: false`) or pipelined.
+    /// There are no driver threads, so each `step` runs one batch per
+    /// lane and scenarios stay deterministic.
     Sharded {
         /// Number of shards.
         shards: u32,
         /// Whether each shard persists on a background writer.
         pipelined: bool,
     },
-    /// The sharded deployment behind the concurrent transport
-    /// `Frontend`: every submit goes through the thread-safe ingress
-    /// plane and every reply through the demux; the front-end has no
-    /// driver threads, so each `step` runs one batch per lane and
-    /// scenarios stay deterministic.
+    /// `Sharded`, with the admission controller switched on and no
+    /// tenant configured: every client is unmetered, and plain
+    /// submits bypass the controller.
     Frontend {
-        /// Number of shards behind the front-end.
+        /// Number of shards.
         shards: u32,
         /// Whether each shard persists on a background writer.
         pipelined: bool,
@@ -239,7 +246,8 @@ pub fn mk_server<F: Functionality + 'static>(
         Mode::Frontend { shards, pipelined } => {
             let sharded =
                 shard::build_sharded::<F>(world, platform_base, storage, batch, shards, pipelined);
-            Box::new(Frontend::new(sharded, 0))
+            sharded.set_admission(AdmissionConfig::new(Vec::new()));
+            Box::new(sharded)
         }
         Mode::Replicated {
             shards,
@@ -327,7 +335,7 @@ pub type Fleet = (Deployment, Vec<JoinHandle<LcmClient>>);
 
 /// Builds `builder`'s deployment of `Counter` lanes (sync or
 /// `pipelined`) for clients `1..=clients`, and runs `body` for each
-/// client on a thread of its own, over its front-end port, recording
+/// client on a thread of its own, over its client port, recording
 /// its history. [`settle`] joins the threads.
 pub fn fleet(
     builder: DeploymentBuilder<Counter>,
@@ -423,8 +431,9 @@ pub fn settle(dep: &mut Deployment, threads: Vec<JoinHandle<LcmClient>>) -> u64 
 }
 
 /// Instantiates each `fn scenario(Mode)` in the invoking test crate as
-/// a `#[test]` per server mode: both unsharded modes and the sharded
-/// fan-out at 1 and 4 shards, sync and pipelined.
+/// a `#[test]` per server mode: both unsharded modes, the sharded
+/// fan-out at 1 and 4 shards, the 4-shard fan-out with admission
+/// switched on, and replicated groups, each sync and pipelined.
 macro_rules! all_modes {
     ($($name:ident),* $(,)?) => {
         mod sync_mode {

@@ -66,7 +66,7 @@ fn member_churn_under_load(pipelined: bool) {
     // A rebooted member must resume from its sealed state (never
     // fresh), and the reboot path catches it up to the leader so the
     // group re-arms to full 2f+1 tolerance before the next cycle.
-    let server = dep.frontend_mut().server_mut();
+    let server = dep.frontend_mut();
     for cycle in 0..CHURN_CYCLES {
         std::thread::sleep(Duration::from_millis(120));
         for group in 0..SHARDS {

@@ -114,7 +114,7 @@ fn crash_reboot_one_shard(pipelined: bool) {
     // tickets so no other shard's replies are ever dammed up.
     for _ in 0..3 {
         std::thread::sleep(Duration::from_millis(120));
-        let server = dep.frontend_mut().server_mut();
+        let server = dep.frontend_mut();
         server.with_shard(victim, |s| s.crash());
         std::thread::sleep(Duration::from_millis(80));
         server

@@ -83,14 +83,14 @@ fn continuous_migration_under_load(pipelined: bool) {
     let fe = dep.frontend_mut();
     for _ in 0..CHURN_CYCLES {
         std::thread::sleep(Duration::from_millis(60));
-        if let Some((slice, to)) = fe.server_mut().rebalance_once().unwrap() {
+        if let Some((slice, to)) = fe.rebalance_once().unwrap() {
             eprintln!("rebalance: slice {slice} -> shard {to}");
         }
         rng = rng
             .wrapping_mul(6_364_136_223_846_793_005)
             .wrapping_add(1_442_695_040_888_963_407);
         let slice = (rng >> 33) as u32 % SLICE_COUNT;
-        let owner = fe.server_mut().current_table().owner(slice);
+        let owner = fe.current_table().owner(slice);
         let to = (owner + 1 + ((rng >> 11) as u32 % (SHARDS - 1))) % SHARDS;
         if to != owner {
             fe.migrate_slice(slice, to).unwrap();

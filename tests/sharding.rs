@@ -451,6 +451,80 @@ fn power_failure_of_one_shard_is_isolated_and_detected() {
     assert!(!bystander.lcm().is_halted());
 }
 
+/// Dropping a deployment stops its drivers without waiting on a store
+/// first: a driver parked in a store keeps its lane until the store
+/// returns, but a producer blocked on the full ingress behind it is
+/// freed at once (the ingress is shed), and the drop joins the driver
+/// once the store returns. The lane holds its queued work while parked,
+/// so the producer's blocked push is read off the tickets issued (the
+/// per-shard queue stats need the lane).
+#[test]
+fn dropping_a_deployment_frees_a_producer_blocked_behind_a_parked_driver() {
+    use lcm::core::functionality::Counter;
+    use lcm::core::server::{Lane, LcmServer};
+    use std::sync::mpsc;
+    use std::time::Duration;
+    let world = TeeWorld::new_deterministic(89);
+    let medium = Arc::new(GatedStorage::new());
+    let platform = world.platform_deterministic(1);
+    let lane: Box<dyn Lane> = Box::new(LcmServer::<Counter>::new(&platform, medium.clone(), 16));
+    let mut server = ShardedServer::with_config(vec![lane], 1);
+    assert!(server.boot().unwrap());
+    let mut admin = AdminHandle::new_deterministic(&world, vec![ClientId(1)], Quorum::Majority, 9);
+    admin.bootstrap(&mut server).unwrap();
+    let server = server.with_drivers(1);
+    let mut client = LcmClient::new_sharded(ClientId(1), admin.client_key(), 1);
+    let port = server.connect(client.id());
+
+    // The driver takes the first wire in and parks in its store.
+    medium.close();
+    port.send(
+        client
+            .invoke_for::<Counter>(&Counter::inc_op(b"n", 1))
+            .unwrap(),
+    );
+    while medium.parked() != 1 {
+        std::thread::yield_now();
+    }
+    // Two retries: one fills the ingress, the next blocks behind it.
+    let retries = [client.retry().unwrap(), client.retry().unwrap()];
+    let (sent_tx, sent_rx) = mpsc::channel();
+    let producer = std::thread::spawn(move || {
+        for wire in retries {
+            port.send(wire);
+        }
+        sent_tx.send(()).unwrap();
+    });
+    while server.in_flight() < 3 {
+        std::thread::yield_now();
+    }
+    std::thread::sleep(Duration::from_millis(50));
+    assert!(sent_rx.try_recv().is_err(), "the producer is blocked");
+
+    let (dropped_tx, dropped_rx) = mpsc::channel();
+    let dropper = std::thread::spawn(move || {
+        drop(server);
+        dropped_tx.send(()).unwrap();
+    });
+    let freed = sent_rx.recv_timeout(Duration::from_secs(10));
+    let parked = medium.parked();
+    medium.open();
+    assert!(
+        freed.is_ok(),
+        "dropping the deployment left the producer blocked"
+    );
+    assert_eq!(
+        parked, 1,
+        "the producer returned while the driver was parked"
+    );
+    producer.join().unwrap();
+    assert!(
+        dropped_rx.recv_timeout(Duration::from_secs(10)).is_ok(),
+        "the drop completes once the store returns"
+    );
+    dropper.join().unwrap();
+}
+
 /// A driverless KVS deployment on `MemoryStorage`, batch 16, whose
 /// client `i` PUTs `keys[i]` once per round. `BatchServer::step` runs
 /// one batch per lane, so the steps a round takes is its busiest lane's
