@@ -2,12 +2,15 @@
 //!
 //! These ground the simulator's cost constants: per-byte AEAD and hash
 //! throughput on the build machine. The `chacha20`, `poly1305` and
-//! `crc32` rows are the byte kernels under every sealed message and
-//! every journal frame, at a message, a page and a bulk size.
+//! `crc32` rows are the byte kernels under every sealed blob and
+//! every journal frame, at a message, a page and a bulk size; the
+//! `aead_gcm` rows are the AES-128-GCM channel every INVOKE, READ leg
+//! and REPLY is sealed on, beside the `aead` (ChaCha20-Poly1305) ones.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use lcm_crypto::aead::{self, AeadKey};
 use lcm_crypto::chacha20::NONCE_LEN;
+use lcm_crypto::gcm::{self, GcmKey};
 use lcm_crypto::hmac::hmac_sha256;
 use lcm_crypto::keys::SecretKey;
 use lcm_crypto::{chacha20, poly1305, sha256};
@@ -20,9 +23,10 @@ fn bench_sha256(c: &mut Criterion) {
     // ChaCha20 kernels about twofold: name the ones measured, or runs
     // from two boxes cannot be compared.
     println!(
-        "sha256 backend: {}, chacha20 backend: {}",
+        "sha256 backend: {}, chacha20 backend: {}, gcm backend: {}",
         sha256::backend(),
-        chacha20::backend()
+        chacha20::backend(),
+        gcm::backend()
     );
     let mut group = c.benchmark_group("sha256");
     // Among them the sizes the protocol hashes: one block, the 165 B
@@ -94,6 +98,36 @@ fn bench_aead(c: &mut Criterion) {
     group.finish();
 }
 
+/// The channel's AEAD in place, at the sizes it seals per operation —
+/// a REPLY body behind a 110 B wire and an INVOKE body behind a 218 B
+/// one — and at a page and a bulk size, with the AAD of the `aead`
+/// rows. Same seal and open loops as those.
+fn bench_aead_gcm(c: &mut Criterion) {
+    let key = GcmKey::from_secret(&SecretKey::from_bytes([7u8; 32]));
+    let mut group = c.benchmark_group("aead_gcm");
+    let (nonce, aad) = ([9u8; gcm::NONCE_LEN], [7u8; 34]);
+    for size in [82usize, 166, 4 * 1024, 1024 * 1024] {
+        group.throughput(Throughput::Bytes(size as u64));
+        let mut buf = vec![0u8; gcm::NONCE_LEN + size];
+        buf.reserve(gcm::TAG_LEN);
+        group.bench_function(BenchmarkId::new("seal_in_place", size), |b| {
+            b.iter(|| {
+                buf.truncate(gcm::NONCE_LEN + size);
+                gcm::seal_in_place(&key, &nonce, &aad, &mut buf, gcm::NONCE_LEN).unwrap();
+            });
+        });
+        let sealed = gcm::auth_encrypt_with_nonce(&key, &nonce, &vec![0u8; size], &aad).unwrap();
+        let mut scratch = sealed.clone();
+        group.bench_function(BenchmarkId::new("open_in_place", size), |b| {
+            b.iter(|| {
+                scratch.copy_from_slice(&sealed);
+                gcm::open_in_place(&key, &aad, &mut scratch).unwrap().len()
+            });
+        });
+    }
+    group.finish();
+}
+
 /// One byte kernel over a buffer of each of [`KERNEL_SIZES`].
 fn bench_kernel<O>(c: &mut Criterion, name: &str, mut kernel: impl FnMut(&mut [u8]) -> O) {
     let mut group = c.benchmark_group(name);
@@ -132,6 +166,7 @@ criterion_group!(
     bench_sha256,
     bench_hash_chain_step,
     bench_aead,
+    bench_aead_gcm,
     bench_kernels,
     bench_hmac
 );

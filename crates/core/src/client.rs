@@ -12,8 +12,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::indexing_slicing))]
 
-use lcm_crypto::aead::{self, AeadKey};
-use lcm_crypto::chacha20::NONCE_LEN;
+use lcm_crypto::gcm::{self, GcmKey, NONCE_LEN};
 use lcm_crypto::keys::SecretKey;
 use rand::RngCore;
 
@@ -164,7 +163,7 @@ pub struct StabilityEvent {
 /// ```
 pub struct LcmClient {
     id: ClientId,
-    key: AeadKey,
+    key: GcmKey,
     /// Low eight bytes of the next wire's AEAD nonce; the high four
     /// are `id`. Every client of the group seals under the same `kC`,
     /// so nonces must be unique across clients *and* sends without
@@ -235,7 +234,7 @@ impl LcmClient {
     pub fn new_sharded(id: ClientId, k_c: &SecretKey, n_shards: u32) -> Self {
         LcmClient {
             id,
-            key: AeadKey::from_secret(k_c),
+            key: GcmKey::from_secret(k_c),
             send_counter: rand::thread_rng().next_u64(),
             shards: vec![ShardCtx::default(); n_shards.max(1) as usize],
             table: SliceTable::uniform(n_shards.max(1)),
@@ -336,7 +335,7 @@ impl LcmClient {
     /// Installs a rotated communication key (after a membership change
     /// distributed by the admin, §4.6.3).
     pub fn rotate_key(&mut self, new_k_c: &SecretKey) {
-        self.key = AeadKey::from_secret(new_k_c);
+        self.key = GcmKey::from_secret(new_k_c);
     }
 
     /// Enables completion recording for the history checkers.
@@ -636,7 +635,7 @@ impl LcmClient {
                 pending.replica,
                 pending.epoch,
             );
-            if let Ok(plain) = aead::open_in_place(&self.key, &aad, sealed) {
+            if let Ok(plain) = gcm::open_in_place(&self.key, &aad, sealed) {
                 matched = Some((idx as u32, pending.tc, pending.hc, plain.len()));
                 break;
             }
@@ -802,7 +801,7 @@ impl LcmClient {
                 continue;
             };
             let aad = reply_aad(self.id, pending.route, pending.epoch);
-            if let Ok(plain) = aead::open_in_place(&self.key, &aad, sealed) {
+            if let Ok(plain) = gcm::open_in_place(&self.key, &aad, sealed) {
                 matched = Some((pos, shard, pending.hc, plain.len()));
                 break;
             }
@@ -920,7 +919,7 @@ fn next_nonce(id: ClientId, send_counter: &mut u64) -> [u8; NONCE_LEN] {
 /// The INVOKE wire for `pending`: `route hint ‖ nonce ‖ ciphertext ‖
 /// tag`, the operation copied once, from `pending` into the wire.
 fn seal_invoke(
-    key: &AeadKey,
+    key: &GcmKey,
     id: ClientId,
     nonce: &[u8; NONCE_LEN],
     pending: &Pending,
@@ -958,7 +957,7 @@ fn seal_invoke(
 /// The verified-read leg for `pending`: `read hint ‖ nonce ‖
 /// ciphertext ‖ tag`.
 fn seal_read(
-    key: &AeadKey,
+    key: &GcmKey,
     id: ClientId,
     nonce: &[u8; NONCE_LEN],
     pending: &PendingRead,
@@ -1012,8 +1011,8 @@ mod tests {
     }
 
     fn reply_wire(k: &SecretKey, reply: &ReplyMsg) -> Vec<u8> {
-        aead::auth_encrypt(
-            &AeadKey::from_secret(k),
+        gcm::auth_encrypt(
+            &GcmKey::from_secret(k),
             &reply.to_bytes(),
             &reply_aad(ClientId(1), crate::shard::route_for(ClientId(1), None), 0),
         )
@@ -1034,8 +1033,8 @@ mod tests {
     /// Decrypts an enveloped invoke wire at the "T" side.
     fn decrypt_invoke(k: &SecretKey, wire: &[u8]) -> Result<InvokeMsg> {
         let (hint, ct) = RouteHint::peel(wire).expect("envelope present");
-        let plain = aead::auth_decrypt(
-            &AeadKey::from_secret(k),
+        let plain = gcm::auth_decrypt(
+            &GcmKey::from_secret(k),
             ct,
             &invoke_aad(hint.client, hint.route, hint.seq, hint.epoch),
         )
@@ -1254,8 +1253,8 @@ mod tests {
     // ---- verified read legs --------------------------------------
 
     fn read_reply_wire(k: &SecretKey, reply: &ReadReplyMsg, seq: u64, replica: u32) -> Vec<u8> {
-        aead::auth_encrypt(
-            &AeadKey::from_secret(k),
+        gcm::auth_encrypt(
+            &GcmKey::from_secret(k),
             &reply.to_bytes(),
             &read_reply_aad(
                 ClientId(1),
@@ -1288,14 +1287,14 @@ mod tests {
         assert_eq!(hint.seq, 1);
         // The leg decrypts only under the pinned member's AAD.
         let route = crate::shard::route_for(ClientId(1), None);
-        assert!(aead::auth_decrypt(
-            &AeadKey::from_secret(&key()),
+        assert!(gcm::auth_decrypt(
+            &GcmKey::from_secret(&key()),
             ct,
             &read_aad(ClientId(1), route, 1, 3, 0),
         )
         .is_err());
-        let plain = aead::auth_decrypt(
-            &AeadKey::from_secret(&key()),
+        let plain = gcm::auth_decrypt(
+            &GcmKey::from_secret(&key()),
             ct,
             &read_aad(ClientId(1), route, 1, 2, 0),
         )
@@ -1456,8 +1455,8 @@ mod tests {
             redirect: true,
             result: table.to_bytes(),
         };
-        let wire = aead::auth_encrypt(
-            &AeadKey::from_secret(&key()),
+        let wire = gcm::auth_encrypt(
+            &GcmKey::from_secret(&key()),
             &reply.to_bytes(),
             &reply_aad(ClientId(1), route, 0),
         )
@@ -1493,8 +1492,8 @@ mod tests {
             redirect: true,
             result: b"not a table".to_vec(),
         };
-        let wire = aead::auth_encrypt(
-            &AeadKey::from_secret(&key()),
+        let wire = gcm::auth_encrypt(
+            &GcmKey::from_secret(&key()),
             &reply.to_bytes(),
             &reply_aad(ClientId(1), route, 0),
         )
@@ -1518,8 +1517,8 @@ mod tests {
             status: ReadStatus::Moved,
             result: table.to_bytes(),
         };
-        let wire = aead::auth_encrypt(
-            &AeadKey::from_secret(&key()),
+        let wire = gcm::auth_encrypt(
+            &GcmKey::from_secret(&key()),
             &reply.to_bytes(),
             &read_reply_aad(ClientId(1), route, 0, 0, 0),
         )
@@ -1546,8 +1545,8 @@ mod tests {
             redirect: true,
             result: table.to_bytes(),
         };
-        let wire = aead::auth_encrypt(
-            &AeadKey::from_secret(&key()),
+        let wire = gcm::auth_encrypt(
+            &GcmKey::from_secret(&key()),
             &reply.to_bytes(),
             &reply_aad(ClientId(1), route, 0),
         )
@@ -1568,8 +1567,8 @@ mod tests {
             redirect: true,
             result: stale.to_bytes(),
         };
-        let wire2 = aead::auth_encrypt(
-            &AeadKey::from_secret(&key()),
+        let wire2 = gcm::auth_encrypt(
+            &GcmKey::from_secret(&key()),
             &reply2.to_bytes(),
             &reply_aad(ClientId(1), route, 1),
         )

@@ -51,8 +51,12 @@ mod tests {
     /// carrying the 121 B encoding of a key-value `Put` of a 16 B key
     /// and a 100 B value, and the REPLY a freshly provisioned context
     /// of the deterministic test world draws for it (`T`'s third
-    /// nonce). Recorded from the code before sealing and opening moved
-    /// in place and the AEAD gained its AVX2 kernel.
+    /// nonce). Recorded when the channel moved from ChaCha20-Poly1305
+    /// to AES-128-GCM: the plaintext envelope, both nonces and both
+    /// lengths are the ChaCha20-Poly1305 recording's, byte for byte;
+    /// only ciphertext and tags changed. Both GCM kernels produce these
+    /// bytes (`lcm_crypto::gcm`'s tests hold them to each other and to
+    /// the published vectors).
     #[test]
     fn invoke_and_reply_golden_wires() {
         fn hex(bytes: &[u8]) -> String {
@@ -71,21 +75,21 @@ mod tests {
         assert_eq!(
             hex(&invoke),
             "000000034895f05c000000000000000000000000000000000000000300000000\
-             000000001ff6881d6bc384664c7be13dc42f80ea10cc0e0195730d7789f0ee2f\
-             ea275f58357603605f266ebf9753b1c8a9fc23d29d2cdc74aeddecaa96d26a1f\
-             204dbcd79db5d45ffd9bd430b48cfeda1067e1de6add6a46f09f880332ffa406\
-             367afe51b35138fd9e999126d28cafb6f940883fa45db88f811872a0190f4621\
-             e7668086e7a601e7fa614ad38c3f30c2d07934b4155c6557d72f1f4646b0451e\
-             22f23e187dfc7cbd835f8640526f40bbfab66fd5f2261b34d5d2"
+             00000000ba17f5f0cf81aab943f6e40279dbf1fb45c3c458784d4233083cfb29\
+             a53989d98b42acfa4e5262e9f619907dc35464cf91cbbf3cfabc8ff1d670fcf8\
+             d985842f98c684a6cfe737007ca16ad0156309c1bd25138876adce80bb973f3f\
+             01f81e0dac64e46da6369d437668271db6be06ea5100f70ccfe8b2476dba2671\
+             a5975e791c0edd12c22f086af0d3110aac40945dd86274707bceff321ff08fde\
+             918dd9c76fdd8f56c3d98f0958061dccd58b3b04bd3cc7ca064f"
         );
         let (to, reply) = ctx.handle_invoke(&invoke).unwrap();
         assert_eq!(to, ClientId(3));
         assert_eq!(
             hex(&reply),
-            "9bc2036f7fd0c5cf8de03f9503645b75438672612df78b79df8abf5602840e35\
-             36b19df59b2cfdeaeb0e2a9f54d1ea2ace32d093f4903d6171e5ee0a46757723\
-             157ec2e1ed232911e7349b623ac334d631e1f1a1292f550194a4403642c20ea8\
-             a3b0be97e9cec67d6b132ba3c7c074a17e4787f5c6"
+            "9bc2036f7fd0c5cf8de03f95dd0aa13e24436b740ce720186943f168b39c263b\
+             97c655c5ba08fc8f59f36737591bebe87ea28137db094b848996ca536041f057\
+             106cf7b995e1e3e805729d52683aa28d79cedab926d4dc172f2c1524a8579864\
+             03b5c86782f863ff65e7627389c498ce792010a108"
         );
         let done = client.handle_reply(&reply).unwrap();
         assert_eq!(

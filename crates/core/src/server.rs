@@ -1441,6 +1441,37 @@ mod tests {
         }
     }
 
+    /// `T`'s reply nonces under `kC` (its `Nonces`: the enclave
+    /// lifetime's RNG draw XOR a counter) never repeat: within a
+    /// lifetime by the counter, across a crash and reboot by the fresh
+    /// draw. Under AES-128-GCM one repeat would expose the channel's
+    /// authentication key (`lcm_crypto::gcm` module docs).
+    #[test]
+    fn reply_nonces_are_pairwise_distinct_across_enclave_lifetimes() {
+        let (mut server, _admin, mut clients) = setup(4, 16);
+        let mut nonces = std::collections::HashSet::new();
+        for lifetime in 0..2 {
+            for _ in 0..3 {
+                for c in clients.iter_mut() {
+                    server.submit(c.invoke(b"op").unwrap());
+                }
+                for (id, reply) in server.process_all().unwrap() {
+                    let nonce: [u8; 12] = reply[..12].try_into().unwrap();
+                    assert!(
+                        nonces.insert(nonce),
+                        "lifetime {lifetime}: {nonce:02x?} again"
+                    );
+                    clients[id.0 as usize - 1].handle_reply(&reply).unwrap();
+                }
+            }
+            if lifetime == 0 {
+                server.crash();
+                assert!(!server.boot().unwrap(), "recovers, needs no provisioning");
+            }
+        }
+        assert_eq!(nonces.len(), 2 * 3 * clients.len());
+    }
+
     #[test]
     fn end_to_end_single_client() {
         let (mut server, _admin, mut clients) = setup(1, 1);

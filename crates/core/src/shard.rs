@@ -311,9 +311,61 @@ struct Shard {
     backlog: AtomicIsize,
     /// The lane's batch limit, read once: it never changes.
     batch_limit: usize,
+    /// The lane's `ops_processed` and `batches_processed`, mirrored
+    /// whenever the lane is released (and by a step before it settles
+    /// its replies), so [`ShardedServer::shard_stats`] reads them
+    /// without waiting for a lane a driver holds.
+    ops: AtomicU64,
+    batches: AtomicU64,
+}
+
+/// A held lane. Dropping it mirrors the lane's counters into its
+/// [`Shard`] before the lock is released.
+struct LaneGuard<'a> {
+    shard: &'a Shard,
+    state: MutexGuard<'a, LaneState>,
+}
+
+impl std::ops::Deref for LaneGuard<'_> {
+    type Target = LaneState;
+    fn deref(&self) -> &LaneState {
+        &self.state
+    }
+}
+
+impl std::ops::DerefMut for LaneGuard<'_> {
+    fn deref_mut(&mut self) -> &mut LaneState {
+        &mut self.state
+    }
+}
+
+impl Drop for LaneGuard<'_> {
+    fn drop(&mut self) {
+        self.shard.publish(&self.state);
+    }
 }
 
 impl Shard {
+    /// Takes the lane, waiting for whoever holds it.
+    fn lock(&self) -> LaneGuard<'_> {
+        let state = self.lane.lock().unwrap_or_else(|e| e.into_inner());
+        LaneGuard { shard: self, state }
+    }
+
+    /// Takes the lane if nobody holds it.
+    fn try_lock(&self) -> Option<LaneGuard<'_>> {
+        let state = self.lane.try_lock().ok()?;
+        Some(LaneGuard { shard: self, state })
+    }
+
+    /// Mirrors `lane`'s counters for lock-free readers.
+    fn publish(&self, lane: &LaneState) {
+        self.ops
+            .store(lane.server.ops_processed(), Ordering::Relaxed);
+        self.batches
+            .store(lane.server.batches_processed(), Ordering::Relaxed);
+    }
+
     /// Counts `n` of this shard's wires gone: answered, or written off.
     fn retire(&self, n: usize) {
         self.backlog.fetch_sub(n as isize, Ordering::SeqCst);
@@ -339,10 +391,6 @@ impl Shard {
         purged.extend(self.drain_ingress());
         purged
     }
-}
-
-fn lock(lane: &Mutex<LaneState>) -> MutexGuard<'_, LaneState> {
-    lane.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// One ticket between issue and settlement.
@@ -631,6 +679,8 @@ impl ShardCore {
                 .into_iter()
                 .map(|server| Shard {
                     batch_limit: server.batch_limit(),
+                    ops: AtomicU64::new(server.ops_processed()),
+                    batches: AtomicU64::new(server.batches_processed()),
                     lane: Mutex::new(LaneState {
                         server,
                         inflight: VecDeque::new(),
@@ -888,7 +938,7 @@ impl ShardCore {
     /// until the nearer of the two.
     pub(crate) fn drive(&self, idx: u32, gate: Option<Duration>) -> DriveStatus {
         let shard = &self.shards[idx as usize];
-        let Ok(mut lane) = shard.lane.try_lock() else {
+        let Some(mut lane) = shard.try_lock() else {
             // Another driver (or a control-plane operation) owns the
             // lane; let it make the progress.
             return DriveStatus::Busy;
@@ -916,7 +966,10 @@ impl ShardCore {
         // Restart the linger clock for whatever this batch leaves
         // behind.
         lane.pending_since = (work > shard.batch_limit).then_some(now);
-        match lane.server.step() {
+        let stepped = lane.server.step();
+        // Counted before anyone can see a reply of this step.
+        shard.publish(lane);
+        match stepped {
             Ok(replies) => {
                 // Replies are 1:1, in order, with the first
                 // `replies.len()` queued wires — pair them back to the
@@ -955,9 +1008,9 @@ impl ShardCore {
         if !shard.ingress.is_empty() {
             return true;
         }
-        match shard.lane.try_lock() {
-            Ok(lane) => lane.server.queued() > 0,
-            Err(_) => true,
+        match shard.try_lock() {
+            Some(lane) => lane.server.queued() > 0,
+            None => true,
         }
     }
 
@@ -965,7 +1018,7 @@ impl ShardCore {
     pub(crate) fn queued(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.ingress.len() + lock(&s.lane).server.queued())
+            .map(|s| s.ingress.len() + s.lock().server.queued())
             .sum()
     }
 
@@ -1237,7 +1290,7 @@ impl ShardedServer {
         let idx = index as usize;
         let (result, purged) = {
             let shard = &self.core.shards[idx];
-            let mut lane = lock(&shard.lane);
+            let mut lane = shard.lock();
             let result = f(&mut *lane.server);
             // Resync: a stopped enclave (crash/power failure) — or
             // fewer queued wires than tracked tickets — means the
@@ -1258,21 +1311,20 @@ impl ShardedServer {
         result
     }
 
-    /// Per-shard activity counters.
+    /// Per-shard activity counters, read without taking any lane: a
+    /// lane a driver holds — parked in a slow store, say — reports its
+    /// op and batch counts as of its last step.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.core
             .shards
             .iter()
             .enumerate()
-            .map(|(i, shard)| {
-                let lane = lock(&shard.lane);
-                ShardStats {
-                    shard: i as u32,
-                    ops: lane.server.ops_processed(),
-                    batches: lane.server.batches_processed(),
-                    attested: self.attested[i],
-                    ingress: shard.ingress.stats(),
-                }
+            .map(|(i, shard)| ShardStats {
+                shard: i as u32,
+                ops: shard.ops.load(Ordering::Relaxed),
+                batches: shard.batches.load(Ordering::Relaxed),
+                attested: self.attested[i],
+                ingress: shard.ingress.stats(),
             })
             .collect()
     }
@@ -1283,7 +1335,7 @@ impl ShardedServer {
     ) -> Result<Vec<R>> {
         let mut out = Vec::with_capacity(self.core.shards.len());
         for shard in &self.core.shards {
-            let mut lane = lock(&shard.lane);
+            let mut lane = shard.lock();
             out.push(f(&mut *lane.server)?);
         }
         Ok(out)
@@ -1371,7 +1423,7 @@ impl ShardedServer {
         }
         let next_table = table.moved(slice, to).expect("bounds checked above");
         // Held from the export on: the export installs the new table.
-        let mut origin = lock(&self.core.shards[from as usize].lane);
+        let mut origin = self.core.shards[from as usize].lock();
         let (ticket, bulletin) = origin.server.export_slice(slice, to)?;
         let pending = self.pending_slice.insert(PendingSliceMove {
             slice,
@@ -1406,7 +1458,7 @@ impl ShardedServer {
         let Some(pending) = self.pending_slice.as_mut() else {
             return Err(LcmError::Tee("no slice migration in flight".into()));
         };
-        let _origin = lock(&self.core.shards[pending.from as usize].lane);
+        let _origin = self.core.shards[pending.from as usize].lock();
         Self::drive_slice_move(&self.core, pending)?;
         self.pending_slice = None;
         Ok(())
@@ -1421,13 +1473,14 @@ impl ShardedServer {
             if i == pending.from as usize || i == pending.to as usize || pending.adopted[i] {
                 continue;
             }
-            let mut lane = lock(&shard.lane);
+            let mut lane = shard.lock();
             lane.server.adopt_table(pending.bulletin.clone())?;
             pending.adopted[i] = true;
             installed.push(lane);
         }
         if !pending.imported {
-            lock(&core.shards[pending.to as usize].lane)
+            core.shards[pending.to as usize]
+                .lock()
                 .server
                 .import_slice(pending.ticket.clone())?;
             pending.imported = true;
@@ -1543,7 +1596,7 @@ impl BatchServer for ShardedServer {
 
     fn crash(&mut self) {
         for shard in &self.core.shards {
-            let mut lane = lock(&shard.lane);
+            let mut lane = shard.lock();
             shard.purge(&mut lane);
             lane.server.crash();
         }
@@ -1571,7 +1624,7 @@ impl BatchServer for ShardedServer {
         self.core
             .shards
             .iter()
-            .all(|s| lock(&s.lane).server.is_running())
+            .all(|s| s.lock().server.is_running())
     }
 
     fn shard_count(&self) -> u32 {
@@ -1644,7 +1697,7 @@ impl BatchServer for ShardedServer {
             )));
         }
         for (shard, part) in self.core.shards.iter().zip(parts) {
-            lock(&shard.lane).server.import_migration(part)?;
+            shard.lock().server.import_migration(part)?;
         }
         // The lanes arrived at the origin's table epoch; route by the
         // origin's history from here on.
@@ -1656,7 +1709,7 @@ impl BatchServer for ShardedServer {
         self.core
             .shards
             .iter()
-            .map(|s| lock(&s.lane).server.batches_processed())
+            .map(|s| s.batches.load(Ordering::Relaxed))
             .sum()
     }
 
@@ -1664,7 +1717,7 @@ impl BatchServer for ShardedServer {
         self.core
             .shards
             .iter()
-            .map(|s| lock(&s.lane).server.ops_processed())
+            .map(|s| s.ops.load(Ordering::Relaxed))
             .sum()
     }
 
@@ -1675,16 +1728,17 @@ impl BatchServer for ShardedServer {
 
     fn replica_count(&self) -> u32 {
         // Groups are uniform across shards; lane 0 speaks for all.
-        lock(&self.core.shards[0].lane).server.replicas()
+        self.core.shards[0].lock().server.replicas()
     }
 
     fn group_leader(&self, shard: u32) -> u32 {
-        lock(&self.core.shards[shard as usize].lane).server.leader()
+        self.core.shards[shard as usize].lock().server.leader()
     }
 
     fn attest_member(&mut self, shard: u32, replica: u32, user_data: Digest) -> Result<Quote> {
         self.check_shard(shard, "attest_member")?;
-        let quote = lock(&self.core.shards[shard as usize].lane)
+        let quote = self.core.shards[shard as usize]
+            .lock()
             .server
             .attest(replica, user_data)?;
         // Record the attestation host-side, so stats can assert every
@@ -1700,7 +1754,8 @@ impl BatchServer for ShardedServer {
         sealed_payload: Vec<u8>,
     ) -> Result<()> {
         self.check_shard(shard, "provision_member")?;
-        lock(&self.core.shards[shard as usize].lane)
+        self.core.shards[shard as usize]
+            .lock()
             .server
             .provision(replica, sealed_payload)
     }
@@ -1762,7 +1817,7 @@ impl ReadPort for CoreReadPort {
         match &self.ports[idx] {
             Some(port) => port.serve_read(read_wire),
             None => {
-                let mut lane = lock(&self.core.shards[idx].lane);
+                let mut lane = self.core.shards[idx].lock();
                 lane.server.serve_read(read_wire)
             }
         }

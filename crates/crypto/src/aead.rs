@@ -7,10 +7,27 @@
 //! with messages or stored data by altering ciphertext."
 //!
 //! The paper's implementation uses AES-GCM-128 from the SGX SDK. This
-//! reproduction implements all cryptography from scratch and uses the
-//! other standard AEAD, **ChaCha20-Poly1305 exactly as RFC 8439 §2.8
-//! defines it**, so the implementation is checked byte for byte against
-//! the RFC's published vector (`tests/kat.rs`):
+//! reproduction implements all cryptography from scratch and runs two
+//! AEADs behind one wire layout and one in-place contract, one cipher
+//! per key:
+//!
+//! | key | sealed under it | cipher |
+//! |-----|-----------------|--------|
+//! | `kC` | every INVOKE, READ leg and REPLY | AES-128-GCM, [`crate::gcm`] |
+//! | `kP` | checkpoints and deltas | ChaCha20-Poly1305, this module |
+//! | `kS` | the key blob | ChaCha20-Poly1305 |
+//! | migration key | migration and slice tickets, bulletins | ChaCha20-Poly1305 |
+//! | `kA`, provisioning | admin messages, the provisioning payload | ChaCha20-Poly1305 |
+//!
+//! The channel pays four AEADs per operation on short messages, where
+//! AES-NI's one-instruction rounds beat ChaCha20's twenty; what rests
+//! on the medium stays here, because `tests/recovery_compat.rs` pins
+//! the bytes of media written before the channel moved. ([`SealKey`]
+//! is the one trait the two key types share.)
+//!
+//! This module is **ChaCha20-Poly1305 exactly as RFC 8439 §2.8 defines
+//! it**, so the implementation is checked byte for byte against the
+//! RFC's published vector (`tests/kat.rs`):
 //!
 //! * the body is XORed with the [`chacha20`] keystream from block
 //!   counter 1;
@@ -25,15 +42,17 @@
 //! and Poly1305 are both one-time polynomial MACs keyed per nonce from
 //! the cipher itself.
 //!
-//! **Nonce reuse.** Both constructions fail the same way when a
-//! `(key, nonce)` pair repeats: the two bodies share a keystream (their
-//! XOR leaks), and the two tags share a one-time MAC key, from which an
-//! attacker solves for the key and *forges* further messages. Nonces
-//! must therefore be unique per key by construction wherever a key is
-//! shared or long-lived: `lcm_core`'s clients, which all hold `kC`, seal
-//! under `client id ‖ send counter`; [`auth_encrypt`] draws 96 random
-//! bits and is for callers that seal rarely (provisioning, admin,
-//! tests).
+//! **Nonce reuse.** When a `(key, nonce)` pair repeats, the two bodies
+//! share a keystream (their XOR leaks), and the two tags share that
+//! nonce's one-time Poly1305 key, from which an attacker solves for it
+//! and forges further messages *under that nonce*. GCM fails harder:
+//! its GHASH key is the same under every nonce, so one repeat forges
+//! under all of them (see [`crate::gcm`] for the argument and for the
+//! two constructions that keep `kC`'s nonces unique). Nonces must
+//! therefore be unique per key by construction wherever a key is
+//! shared or long-lived: `T` seals under its per-lifetime `Nonces`
+//! sequence; [`auth_encrypt`] draws 96 random bits and is for callers
+//! that seal rarely (provisioning, admin, tests).
 //!
 //! Wire layout of a sealed blob: `nonce(12) ‖ ciphertext ‖ tag(16)`.
 //!
@@ -113,6 +132,40 @@ impl AeadKey {
     /// test vectors require.
     pub fn from_raw(key: [u8; chacha20::KEY_LEN]) -> Self {
         AeadKey(key)
+    }
+}
+
+/// A key that seals in place under this module's wire layout and
+/// contract: [`AeadKey`] (ChaCha20-Poly1305) and
+/// [`crate::gcm::GcmKey`] (AES-128-GCM). Code that seals under whichever
+/// key it is handed — the trusted context's one sealing routine — takes
+/// one of these; each key has exactly one cipher.
+pub trait SealKey {
+    /// This key's `seal_in_place`: [`seal_in_place`] for an
+    /// [`AeadKey`], [`crate::gcm::seal_in_place`] for a
+    /// [`crate::gcm::GcmKey`].
+    ///
+    /// # Errors
+    ///
+    /// As the cipher's `seal_in_place`.
+    fn seal_in_place(
+        &self,
+        nonce: &[u8; NONCE_LEN],
+        aad: &[u8],
+        buf: &mut Vec<u8>,
+        body: usize,
+    ) -> Result<()>;
+}
+
+impl SealKey for AeadKey {
+    fn seal_in_place(
+        &self,
+        nonce: &[u8; NONCE_LEN],
+        aad: &[u8],
+        buf: &mut Vec<u8>,
+        body: usize,
+    ) -> Result<()> {
+        seal_in_place(self, nonce, aad, buf, body)
     }
 }
 

@@ -1,11 +1,11 @@
 //! The ChaCha20 block function on AVX2.
 //!
-//! One of the three modules in the workspace's library crates that
-//! contain `unsafe` (the others are `sha256::shani` and `lcm_storage`'s
-//! `framing::clmul`): the crate root says
+//! One of the four modules in the workspace's library crates that
+//! contain `unsafe` (the others are `sha256::shani`, `framing::clmul`
+//! and `gcm::aesni`): the crate root says
 //! `#![deny(unsafe_code)]`, the `mod` line for this file carries its
-//! own `#[allow(unsafe_code)]`, and CI's lint job greps that the set
-//! stays exactly those three files. The `unsafe` is there for two things
+//! own `#[allow(unsafe_code)]`, and `tests/architecture.rs` checks that
+//! the set stays exactly those four files. The `unsafe` is there for two things
 //! safe Rust has no operation for: executing instructions the build
 //! target does not guarantee (256-bit integer adds, shifts and
 //! `vpshufb`), and the unaligned 16- and 32-byte loads and stores

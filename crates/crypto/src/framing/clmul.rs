@@ -1,11 +1,11 @@
 //! CRC-32 by carry-less multiplication (`pclmulqdq`).
 //!
-//! The third module in the workspace's library crates that contains
-//! `unsafe` (after `lcm_crypto`'s `sha256::shani` and
-//! `chacha20::avx2`), and fenced exactly like them: the crate root says
+//! One of the four modules in the workspace's library crates that
+//! contain `unsafe` (the others are `sha256::shani`, `chacha20::avx2`
+//! and `gcm::aesni`), and fenced exactly like them: the crate root says
 //! `#![deny(unsafe_code)]`, the `mod` line for this file carries its
-//! own `#[allow(unsafe_code)]`, and CI's lint job greps that the set
-//! stays exactly those three files. The `unsafe` is there for two
+//! own `#[allow(unsafe_code)]`, and `tests/architecture.rs` checks that
+//! the set stays exactly those four files. The `unsafe` is there for two
 //! things safe Rust has no operation for: executing instructions the
 //! build target does not guarantee (`pclmulqdq`, SSE4.1's `pextrd`),
 //! and the unaligned 16-byte loads that feed them.

@@ -5,13 +5,16 @@
 //!
 //! * a collision-resistant hash `hash()` — the paper uses SHA-256,
 //!   implemented here in [`sha256`];
-//! * authenticated encryption `auth-encrypt`/`auth-decrypt` — the paper
-//!   uses AES-GCM-128; we provide the other standard AEAD,
-//!   ChaCha20-Poly1305 as RFC 8439 defines it ([`chacha20`] for the
-//!   body, [`poly1305`] keyed per nonce for the 16-byte tag), see
-//!   [`aead`] for the construction, why its contract is the paper's,
-//!   what a repeated nonce costs, and the seal/open-in-place
-//!   primitives everything per-operation uses;
+//! * authenticated encryption `auth-encrypt`/`auth-decrypt`, one cipher
+//!   per key. The paper's AES-GCM-128 ([`gcm`], NIST SP 800-38D) seals
+//!   everything under the communication key `kC` — every INVOKE, READ
+//!   leg and REPLY. ChaCha20-Poly1305 as RFC 8439 defines it
+//!   ([`aead`]: [`chacha20`] for the body, [`poly1305`] keyed per nonce
+//!   for the 16-byte tag) seals everything that rests on the medium or
+//!   travels once (`kP`, `kS`, `kA`, provisioning, migration tickets),
+//!   whose bytes `tests/recovery_compat.rs` pins. Both keep one wire
+//!   layout and one seal/open-in-place contract; see [`aead`] for why
+//!   it is the paper's and [`gcm`] for what a repeated nonce costs;
 //! * a secure random generator for key material, see [`keys`].
 //!
 //! [`hmac`] and [`hkdf`] derive keys (sealing keys, AEAD keys,
@@ -23,12 +26,13 @@
 //! All primitives are implemented from scratch so that the trusted
 //! execution environment simulator stays fully self-contained and
 //! deterministic. Each primitive is validated against published
-//! test vectors (FIPS 180-4, RFC 4231, RFC 5869, RFC 8439) in its
-//! module tests and in `tests/kat.rs`.
+//! test vectors (FIPS 180-4, FIPS 197, RFC 4231, RFC 5869, RFC 8439,
+//! McGrew and Viega's GCM cases) in its module tests and in
+//! `tests/kat.rs`.
 //!
 //! # `unsafe`
 //!
-//! Everything is safe Rust except three kernels, one per primitive that
+//! Everything is safe Rust except four kernels, one per primitive that
 //! every operation or every stored byte pays for:
 //!
 //! * on an x86-64 CPU with the SHA extensions, [`sha256`] compresses
@@ -37,28 +41,35 @@
 //!   HMAC and HKDF call rides on it;
 //! * on an x86-64 CPU with AVX2, [`chacha20`] produces its keystream
 //!   blocks on 256-bit registers, about twice the rate of the portable
-//!   lane-array function — every sealed wire and state blob rides on
-//!   it;
+//!   lane-array function — every state blob, ticket and admin message
+//!   sealed at rest rides on it;
 //! * on an x86-64 CPU with `pclmulqdq`, [`framing::crc32`] — the
 //!   checksum under every frame of every journal, checkpoint slot and
 //!   bundle — folds its input by carry-less multiplication, more than
-//!   ten times the table kernel's rate.
+//!   ten times the table kernel's rate;
+//! * on an x86-64 CPU with AES-NI and `pclmulqdq`, [`gcm`] runs AES
+//!   rounds as single instructions, up to twelve counter blocks at a
+//!   time, and GHASH by carry-less multiplication with one reduction
+//!   per eight blocks, about ninety times the portable kernel's rate
+//!   on a 166 B seal — the four channel AEADs of every operation ride
+//!   on it.
 //!
 //! Executing instructions the build target does not guarantee takes a
 //! `#[target_feature]` function, which is `unsafe` to call. So this
 //! crate *denies* `unsafe_code` rather than forbidding it, and exactly
-//! three private modules — `sha256::shani`, `chacha20::avx2` and
-//! `framing::clmul`, compiled only for x86-64 — are allowed it, each by
-//! an attribute on its own
-//! `mod` line. Each module is one fence of the same shape: two safe
-//! functions (is the feature there; run the kernel over these blocks),
-//! the second checking the first before its single `unsafe` call.
-//! Every other CPU and architecture takes the portable kernels, with
-//! identical digests, keystream and checksums; see the [`sha256`] and
-//! [`chacha20`] module docs for the selection and for what a real SGX
-//! enclave would consult instead of `cpuid`. A tier-1 rule checks that
-//! `unsafe` stays in exactly those three files and that every other
-//! crate root keeps `forbid(unsafe_code)`.
+//! four private modules — `sha256::shani`, `chacha20::avx2`,
+//! `framing::clmul` and `gcm::aesni`, compiled only for x86-64 — are
+//! allowed it, each by an attribute on its own `mod` line. Each module
+//! is one fence of the same shape: safe functions (is the feature
+//! there; run the kernel over these blocks), each kernel call checking
+//! the first before its single `unsafe` call (`gcm::aesni` has three
+//! such calls: key setup, seal and open). Every other CPU and
+//! architecture takes the portable kernels, with identical digests,
+//! keystream, checksums and ciphertexts; see the [`sha256`],
+//! [`chacha20`] and [`gcm`] module docs for the selection and for what
+//! a real SGX enclave would consult instead of `cpuid`. A tier-1 rule
+//! checks that `unsafe` stays in exactly those four files and that
+//! every other crate root keeps `forbid(unsafe_code)`.
 //!
 //! # Example
 //!
@@ -82,6 +93,7 @@ pub mod aead;
 pub mod chacha20;
 pub mod ct;
 pub mod framing;
+pub mod gcm;
 pub mod hkdf;
 pub mod hmac;
 pub mod keys;

@@ -1,11 +1,11 @@
 //! The SHA-256 compression function on the x86-64 SHA extensions.
 //!
-//! One of the three modules in the workspace's library crates that
-//! contain `unsafe` (the others are `chacha20::avx2` and
-//! `lcm_storage`'s `framing::clmul`): the crate root
+//! One of the four modules in the workspace's library crates that
+//! contain `unsafe` (the others are `chacha20::avx2`,
+//! `framing::clmul` and `gcm::aesni`): the crate root
 //! says `#![deny(unsafe_code)]`, the `mod` line for this file carries
-//! its own `#[allow(unsafe_code)]`, and CI's lint job greps that the
-//! set stays exactly those three files. The `unsafe` is
+//! its own `#[allow(unsafe_code)]`, and `tests/architecture.rs` checks
+//! that the set stays exactly those four files. The `unsafe` is
 //! there for two things safe Rust has no operation for: executing
 //! instructions the build target does not guarantee (`sha256rnds2`,
 //! `sha256msg1`, `sha256msg2`, plus the SSSE3 / SSE4.1 shuffles around

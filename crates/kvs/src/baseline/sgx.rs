@@ -27,7 +27,8 @@ use lcm_core::server::LcmServer;
 use lcm_core::types::ClientId;
 use lcm_core::wire::{open_blob, seal_message, seal_message_into};
 use lcm_core::{LcmError, Violation};
-use lcm_crypto::aead::{self, AeadKey};
+use lcm_crypto::aead::AeadKey;
+use lcm_crypto::gcm::{self, GcmKey};
 use lcm_storage::{StableStorage, BLOB_KIND_BUNDLE, BLOB_KIND_CHECKPOINT, BLOB_KIND_DELTA};
 use lcm_tee::enclave::EnclaveProgram;
 use lcm_tee::measurement::Measurement;
@@ -49,16 +50,16 @@ const LABEL_DELTA: &[u8] = b"sgx-kvs.delta";
 /// baseline. Clients of the SGX KVS are assumed to have obtained it via
 /// attestation; the baseline's security properties are not the object
 /// of study.
-fn session_key(services: &TeeServices) -> AeadKey {
+fn session_key(services: &TeeServices) -> GcmKey {
     let key = lcm_crypto::hkdf::derive_key(&services.sealing_key(), b"sgx-kvs", b"session");
-    AeadKey::from_secret(&key)
+    GcmKey::from_secret(&key)
 }
 
 /// The enclave program: a sealed KVS without history metadata.
 pub struct SgxKvsProgram {
     services: TeeServices,
     store: KvStore,
-    session: AeadKey,
+    session: GcmKey,
     /// The TEE sealing key every checkpoint and delta is sealed under.
     sealing: AeadKey,
     nonces: Nonces,
@@ -127,7 +128,7 @@ impl DataPlane for SgxKvsProgram {
         self.require_ready()?;
         self.scratch.clear();
         self.scratch.extend_from_slice(wire);
-        let result = match aead::open_in_place(&self.session, LABEL_REQ, &mut self.scratch) {
+        let result = match gcm::open_in_place(&self.session, LABEL_REQ, &mut self.scratch) {
             Ok(op) => self.store.exec(op),
             Err(_) => KvResult::Malformed.to_bytes(),
         };
@@ -236,7 +237,7 @@ impl SgxKvsServer {
 
     /// The session key clients use (obtained via attestation in a real
     /// deployment; exposed here for the baseline client).
-    pub fn session_key_for(platform: &TeePlatform) -> AeadKey {
+    pub fn session_key_for(platform: &TeePlatform) -> GcmKey {
         let measurement = SgxKvsProgram::measurement();
         session_key(&TeeServices::for_tests(platform.clone(), measurement, 0))
     }
@@ -245,12 +246,12 @@ impl SgxKvsServer {
 /// Client for the SGX KVS baseline.
 #[derive(Clone, Debug)]
 pub struct SecureKvsClient {
-    key: AeadKey,
+    key: GcmKey,
 }
 
 impl SecureKvsClient {
     /// Creates a client holding the session key.
-    pub fn new(key: AeadKey) -> Self {
+    pub fn new(key: GcmKey) -> Self {
         SecureKvsClient { key }
     }
 
@@ -260,7 +261,7 @@ impl SecureKvsClient {
     ///
     /// Fails only on pathological payload sizes.
     pub fn encrypt_op(&self, op: &KvOp) -> Result<Vec<u8>, String> {
-        aead::auth_encrypt(&self.key, &op.to_bytes(), LABEL_REQ).map_err(|e| e.to_string())
+        gcm::auth_encrypt(&self.key, &op.to_bytes(), LABEL_REQ).map_err(|e| e.to_string())
     }
 
     /// Decrypts one reply.
@@ -269,7 +270,7 @@ impl SecureKvsClient {
     ///
     /// Fails on tampered replies.
     pub fn decrypt_reply(&self, wire: &[u8]) -> Result<KvResult, String> {
-        let plain = aead::auth_decrypt(&self.key, wire, LABEL_RES).map_err(|e| e.to_string())?;
+        let plain = gcm::auth_decrypt(&self.key, wire, LABEL_RES).map_err(|e| e.to_string())?;
         KvResult::from_bytes(&plain).map_err(|e| e.to_string())
     }
 

@@ -66,8 +66,8 @@
 //! onto the older one), which is why only the two cases above record.
 
 use lcm_crypto::aead::{self, AeadKey};
-use lcm_crypto::keys::SecretKey;
 use lcm_crypto::sha256::Digest;
+use lcm_crypto::{gcm, keys::SecretKey};
 use lcm_tee::attestation::Report;
 use lcm_tee::platform::TeeServices;
 
@@ -260,7 +260,7 @@ struct Keys {
     /// leaves admin-message security implicit).
     k_a: SecretKey,
     aead_p: AeadKey,
-    aead_c: AeadKey,
+    aead_c: gcm::GcmKey,
     aead_a: AeadKey,
 }
 
@@ -268,7 +268,7 @@ impl Keys {
     fn from_raw(k_p: SecretKey, k_c: SecretKey, k_a: SecretKey) -> Keys {
         Keys {
             aead_p: AeadKey::from_secret(&k_p),
-            aead_c: AeadKey::from_secret(&k_c),
+            aead_c: gcm::GcmKey::from_secret(&k_c),
             aead_a: AeadKey::from_secret(&k_a),
             k_p,
             k_c,
@@ -284,7 +284,7 @@ impl Keys {
     }
 
     fn rotate_kc(&mut self, new_kc: SecretKey) {
-        self.aead_c = AeadKey::from_secret(&new_kc);
+        self.aead_c = gcm::GcmKey::from_secret(&new_kc);
         self.k_c = new_kc;
     }
 }
@@ -1038,7 +1038,7 @@ impl<F: Functionality> TrustedContext<F> {
         let sealed = wire
             .get_mut(crate::wire::ROUTE_HINT_LEN..)
             .unwrap_or_default();
-        let opened = aead::open_in_place(&keys.aead_c, &aad, sealed);
+        let opened = gcm::open_in_place(&keys.aead_c, &aad, sealed);
         let msg = match opened.map(|plain| InvokeView::from_bytes(plain)) {
             Ok(Ok(m)) => m,
             _ => return Err(self.halt(Violation::BadAuthentication)),
@@ -1266,7 +1266,7 @@ impl<F: Functionality> TrustedContext<F> {
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
         scratch.extend_from_slice(sealed);
-        let opened = aead::open_in_place(&self.keys()?.aead_c, &aad, &mut scratch)
+        let opened = gcm::open_in_place(&self.keys()?.aead_c, &aad, &mut scratch)
             .map(|plain| crate::wire::ReadMsg::from_bytes(plain));
         self.scratch = scratch;
         let msg = match opened {
@@ -1559,8 +1559,8 @@ mod tests {
         (ctx, blobs)
     }
 
-    fn client_key() -> AeadKey {
-        AeadKey::from_secret(&SecretKey::from_bytes([2u8; 32]))
+    fn client_key() -> gcm::GcmKey {
+        gcm::GcmKey::from_secret(&SecretKey::from_bytes([2u8; 32]))
     }
 
     fn encrypt_invoke(msg: &InvokeMsg) -> Vec<u8> {
@@ -1571,7 +1571,7 @@ mod tests {
             seq: msg.tc.0,
             epoch: 0,
         };
-        let ct = aead::auth_encrypt(
+        let ct = gcm::auth_encrypt(
             &client_key(),
             &msg.to_bytes(),
             &invoke_aad(msg.client, route, msg.tc.0, 0),
@@ -1585,8 +1585,8 @@ mod tests {
 
     fn decrypt_reply(wire: &[u8], client: u32) -> ReplyMsg {
         let route = crate::routing::route_for(ClientId(client), None);
-        let plain = aead::auth_decrypt(&client_key(), wire, &reply_aad(ClientId(client), route, 0))
-            .unwrap();
+        let plain =
+            gcm::auth_decrypt(&client_key(), wire, &reply_aad(ClientId(client), route, 0)).unwrap();
         ReplyMsg::from_bytes(&plain).unwrap()
     }
 
@@ -2182,7 +2182,7 @@ mod tests {
             seq: 0,
             epoch: 0,
         };
-        let ct = aead::auth_encrypt(
+        let ct = gcm::auth_encrypt(
             &client_key(),
             &msg.to_bytes(),
             &invoke_aad(ClientId(1), lying_route, 0, 0),

@@ -16,7 +16,7 @@
 //! size*, which is the property the §6.3 experiment establishes; the
 //! `sec6_3_overhead` binary prints both figures beside the paper's.
 
-use lcm_crypto::aead::{self, AeadKey};
+use lcm_crypto::aead::{self, AeadKey, SealKey};
 use lcm_crypto::chacha20::NONCE_LEN;
 
 use crate::codec::{CodecError, Reader, WireCodec, Writer};
@@ -30,7 +30,7 @@ use crate::types::{ChainValue, ClientId, SeqNo};
 /// or read leg, nothing for a reply, the storage-facing kind byte for
 /// a sealed blob.
 pub fn seal_message(
-    key: &AeadKey,
+    key: &impl SealKey,
     nonce: &[u8; NONCE_LEN],
     aad: &[u8],
     framing: &[u8],
@@ -50,14 +50,14 @@ pub fn open_blob(key: &AeadKey, blob: &[u8], kind: u8, aad: &[u8]) -> Option<Vec
 }
 
 /// [`seal_message`] appended to `w`: `framing ‖ nonce ‖ message ‖ tag`
-/// follows whatever `w` already holds (room for it reserved from
+/// follows whatever `w` already holds (room reserved from
 /// `message_len`), and the message is encrypted where `message`
-/// encoded it. The one sealing routine: a batch's replies are sealed
-/// this way straight into the ecall's output, by the trusted context
-/// and by the SGX-only baseline alike.
+/// encoded it. The one sealing routine, under either cipher: replies
+/// (`kC`: AES-128-GCM) go straight into the ecall's output, sealed
+/// blobs (`kP`, `kS`: ChaCha20-Poly1305) into a buffer of their own.
 pub fn seal_message_into(
     w: &mut Writer,
-    key: &AeadKey,
+    key: &impl SealKey,
     nonce: &[u8; NONCE_LEN],
     aad: &[u8],
     framing: &[u8],
@@ -70,7 +70,7 @@ pub fn seal_message_into(
     buf.extend_from_slice(nonce);
     let body = buf.len();
     message(w);
-    aead::seal_in_place(key, nonce, aad, w.buf_mut(), body)
+    key.seal_in_place(nonce, aad, w.buf_mut(), body)
         .map_err(|e| crate::LcmError::Tee(e.to_string()))
 }
 

@@ -7,8 +7,9 @@
 //! This crate re-exports the workspace's public API under one roof; see
 //! the individual crates for details:
 //!
-//! * [`crypto`] — SHA-256 (SHA-NI when present) / HMAC / HKDF /
-//!   ChaCha20-Poly1305 AEAD primitives.
+//! * [`crypto`] — SHA-256 (SHA-NI when present) / HMAC / HKDF, and two
+//!   AEADs: AES-128-GCM for the client channel `kC`, ChaCha20-Poly1305
+//!   for what is sealed at rest.
 //! * [`tee`] — SGX-like trusted-execution-environment simulator.
 //! * [`storage`] — stable storage with adversarial (rollback) wrappers.
 //! * [`runtime`] — hand-rolled bounded queues, worker pools, and

@@ -231,14 +231,15 @@ fn mentions(dirs: &[&str], exts: &[&str], names: &[&str], words: &[&str]) -> Vec
 
 // ---------------------------------------------------------------- rules
 
-/// The workspace's `unsafe` is three hardware kernels in lcm-crypto:
-/// SHA-256 on the SHA extensions, ChaCha20 on AVX2 and CRC-32 on
-/// PCLMULQDQ. `unsafe` as a keyword may occur in exactly those three
-/// files, each admitted by its own `allow(unsafe_code)` on its `mod`
-/// line under a crate root that denies it, and every other crate root
-/// — the trusted crate's among them — must still forbid it.
+/// The workspace's `unsafe` is four hardware kernels in lcm-crypto:
+/// SHA-256 on the SHA extensions, ChaCha20 on AVX2, CRC-32 on
+/// PCLMULQDQ and AES-128-GCM on AES-NI + PCLMULQDQ. `unsafe` as a
+/// keyword may occur in exactly those four files, each admitted by its
+/// own `allow(unsafe_code)` on its `mod` line under a crate root that
+/// denies it, and every other crate root — the trusted crate's among
+/// them — must still forbid it.
 #[test]
-fn unsafe_stays_in_three_files() {
+fn unsafe_stays_in_four_files() {
     let found: Vec<&str> = files(&["crates", "src"], &[".rs"])
         .filter(|f| f.text.lines().any(is_unsafe_code))
         .map(|f| f.path.as_str())
@@ -248,6 +249,7 @@ fn unsafe_stays_in_three_files() {
         [
             "crates/crypto/src/chacha20/avx2.rs",
             "crates/crypto/src/framing/clmul.rs",
+            "crates/crypto/src/gcm/aesni.rs",
             "crates/crypto/src/sha256/shani.rs",
         ],
         "files with unsafe code"
@@ -279,7 +281,7 @@ fn unsafe_stays_in_three_files() {
         let l = l.trim_start();
         l.starts_with("#[allow(unsafe_code)]") || l.starts_with("#![allow(unsafe_code)]")
     });
-    assert_eq!(allows.len(), 3, "allow(unsafe_code) sites: {allows:#?}");
+    assert_eq!(allows.len(), 4, "allow(unsafe_code) sites: {allows:#?}");
 }
 
 /// One trait per role (`crates/core/src/server.rs` module docs): the

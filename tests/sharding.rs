@@ -525,6 +525,74 @@ fn dropping_a_deployment_frees_a_producer_blocked_behind_a_parked_driver() {
     dropper.join().unwrap();
 }
 
+/// `shard_stats` takes no lane lock: with the only driver parked in a
+/// store — holding its lane — a stats read on another thread answers
+/// at once instead of waiting for the gate, and once the deployment is
+/// quiet the counters are the operations driven, as the lane itself
+/// counts them.
+#[test]
+fn shard_stats_answer_while_a_driver_holds_its_lane() {
+    use lcm::core::functionality::Counter;
+    use lcm::core::server::{Lane, LcmServer};
+    use std::sync::mpsc;
+    use std::time::Duration;
+    let world = TeeWorld::new_deterministic(90);
+    let medium = Arc::new(GatedStorage::new());
+    let platform = world.platform_deterministic(1);
+    let lane: Box<dyn Lane> = Box::new(LcmServer::<Counter>::new(&platform, medium.clone(), 16));
+    let mut server = ShardedServer::with_config(vec![lane], 64);
+    assert!(server.boot().unwrap());
+    let mut admin = AdminHandle::new_deterministic(&world, vec![ClientId(1)], Quorum::Majority, 9);
+    admin.bootstrap(&mut server).unwrap();
+    let mut server = server.with_drivers(1);
+    let before = server.shard_stats()[0];
+    let mut client = LcmClient::new_sharded(ClientId(1), admin.client_key(), 1);
+    let port = server.connect(client.id());
+    let drive_one = |client: &mut LcmClient| {
+        let wire = client.invoke_for::<Counter>(&Counter::inc_op(b"n", 1));
+        port.send(wire.unwrap());
+    };
+
+    // Three operations through an open gate, one batch each…
+    const DRIVEN: u64 = 4;
+    for _ in 1..DRIVEN {
+        drive_one(&mut client);
+        let reply = port.recv_timeout(Duration::from_secs(10)).expect("a reply");
+        client.handle_reply(&reply).unwrap();
+    }
+    // …and a fourth the driver takes in and parks with, in its store.
+    medium.close();
+    drive_one(&mut client);
+    while medium.parked() != 1 {
+        std::thread::yield_now();
+    }
+
+    let (read, parked) = std::thread::scope(|scope| {
+        let (stats_tx, stats_rx) = mpsc::channel();
+        let server = &server;
+        // Ignores a hung-up receiver: the assertion below reports it.
+        scope.spawn(move || stats_tx.send(server.shard_stats()).ok());
+        let read = stats_rx.recv_timeout(Duration::from_millis(100));
+        let parked = medium.parked();
+        medium.open();
+        (read, parked)
+    });
+    let read = read.expect("shard_stats() waited for the parked driver's lane");
+    assert_eq!(parked, 1, "the read returned while the driver was parked");
+    assert!(read[0].ops >= before.ops + DRIVEN - 1, "{read:?}");
+
+    let reply = port.recv_timeout(Duration::from_secs(10)).expect("a reply");
+    client.handle_reply(&reply).unwrap();
+    server.process_all().unwrap();
+    let after = server.shard_stats()[0];
+    assert_eq!(
+        (after.ops - before.ops, after.batches - before.batches),
+        (DRIVEN, DRIVEN)
+    );
+    let counted = server.with_shard(0, |lane| (lane.ops_processed(), lane.batches_processed()));
+    assert_eq!((after.ops, after.batches), counted);
+}
+
 /// A driverless KVS deployment on `MemoryStorage`, batch 16, whose
 /// client `i` PUTs `keys[i]` once per round. `BatchServer::step` runs
 /// one batch per lane, so the steps a round takes is its busiest lane's
