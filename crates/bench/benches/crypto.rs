@@ -4,8 +4,9 @@
 //! throughput on the build machine. The `chacha20`, `poly1305` and
 //! `crc32` rows are the byte kernels under every sealed blob and
 //! every journal frame, at a message, a page and a bulk size; the
-//! `aead_gcm` rows are the AES-128-GCM channel every INVOKE, READ leg
-//! and REPLY is sealed on, beside the `aead` (ChaCha20-Poly1305) ones.
+//! `aead_gcm` rows are the AES-128-GCM every INVOKE, READ leg, REPLY,
+//! checkpoint and delta is sealed on, beside the `aead`
+//! (ChaCha20-Poly1305) ones.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use lcm_crypto::aead::{self, AeadKey};
@@ -98,15 +99,17 @@ fn bench_aead(c: &mut Criterion) {
     group.finish();
 }
 
-/// The channel's AEAD in place, at the sizes it seals per operation —
-/// a REPLY body behind a 110 B wire and an INVOKE body behind a 218 B
-/// one — and at a page and a bulk size, with the AAD of the `aead`
-/// rows. Same seal and open loops as those.
+/// AES-128-GCM in place, at the sizes the channel seals per operation
+/// — a REPLY body behind a 110 B wire and an INVOKE body behind a
+/// 218 B one — at the 4 305 B delta of one `kv-put-n16` batch (sealed
+/// by the leader, opened by every follower), and at a page and a bulk
+/// size, with the AAD of the `aead` rows. Same seal and open loops as
+/// those.
 fn bench_aead_gcm(c: &mut Criterion) {
     let key = GcmKey::from_secret(&SecretKey::from_bytes([7u8; 32]));
     let mut group = c.benchmark_group("aead_gcm");
     let (nonce, aad) = ([9u8; gcm::NONCE_LEN], [7u8; 34]);
-    for size in [82usize, 166, 4 * 1024, 1024 * 1024] {
+    for size in [82usize, 166, 4 * 1024, 4305, 1024 * 1024] {
         group.throughput(Throughput::Bytes(size as u64));
         let mut buf = vec![0u8; gcm::NONCE_LEN + size];
         buf.reserve(gcm::TAG_LEN);

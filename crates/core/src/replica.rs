@@ -16,7 +16,8 @@
 //! checkpoint when its own cadence asks for one: O(batch) sealed bytes
 //! per member either way, and O(batch) device bytes on the journal,
 //! where the bundle slot is rewritten whole — and acknowledges with
-//! the in-enclave digest of the record. A batch's
+//! the tag its enclave verified: the record's last 16 bytes, the AEAD
+//! tag of a delta or a checkpoint, or of a bundle's last delta. A batch's
 //! replies are released to clients only once a **quorum**
 //! ([`Quorum::required`] of the group size, leader included) has
 //! persisted the batch — the same threshold machinery the protocol
@@ -82,8 +83,8 @@
 //!   `kP`), so a position names one state.
 //! * A **holder** of a record is a member that has it on its *own
 //!   medium* — the leader after its own [`LcmServer::flush`], a
-//!   follower after its enclave acked the record (with a digest
-//!   computed inside it over the record it applied) *and* its host
+//!   follower after its enclave acked the record (with the tag its
+//!   open verified inside it, over the record it applied) *and* its host
 //!   stored what the enclave handed back. A record applied in an
 //!   enclave but not yet stored does not make a holder.
 //! * A record is **quorum-held** once it has [`Quorum::required`]
@@ -169,10 +170,13 @@
 //!   from a member of the *same group* (same shard slot, same group
 //!   size — attested identity coordinates, checked in
 //!   [`crate::context::TrustedContext::apply_replica`]);
-//! * the acknowledgement digest is computed *inside* the follower's
-//!   enclave over the exact record it applied, so a host cannot forge
-//!   quorum by acking records it never delivered, or delivered out of
-//!   order;
+//! * the acknowledgement is the tag the follower's enclave verified
+//!   over the exact record it applied — the record's last 16 bytes,
+//!   which under `kP` name one authentic sealed blob — and the enclave
+//!   hands it out only once that record applied, so a host cannot
+//!   forge quorum by acking records it never delivered, or delivered
+//!   out of order (a follower that acked another record's tag is
+//!   dropped: `a_follower_that_acks_the_previous_record_is_caught`);
 //! * no chain position, nor any other hash of plaintext, leaves an
 //!   enclave unsealed — the host learns that a member is out of step
 //!   only from its refusal;
@@ -199,7 +203,8 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use lcm_crypto::sha256::{self, Digest};
+use lcm_crypto::aead::{self, Tag};
+use lcm_crypto::sha256::Digest;
 use lcm_tee::attestation::Quote;
 
 use crate::functionality::Functionality;
@@ -418,9 +423,9 @@ impl<F: Functionality> ReplicaGroup<F> {
         self.stats.followers_dropped += 1;
     }
 
-    /// Hands `record` to member `i` and checks the in-enclave digest it
+    /// Hands `record` to member `i` and checks the verified tag it
     /// acknowledges with against the record shipped.
-    fn apply(&self, i: usize, record: &[u8], expected: &Digest) -> Result<()> {
+    fn apply(&self, i: usize, record: &[u8], expected: &Tag) -> Result<()> {
         let acked = lock(&self.members[i].server).apply_replica(record)?;
         if acked == *expected {
             Ok(())
@@ -431,12 +436,12 @@ impl<F: Functionality> ReplicaGroup<F> {
         }
     }
 
-    /// The leader's sealed state with its digest — what levels a
-    /// member that cannot take the stream's next delta.
-    fn leader_state(&self) -> Result<(Vec<u8>, Digest)> {
+    /// The leader's sealed state with its tag — what levels a member
+    /// that cannot take the stream's next delta.
+    fn leader_state(&self) -> Result<(Vec<u8>, Tag)> {
         let state = self.leader_server().sealed_state()?;
-        let digest = sha256::digest(&state);
-        Ok((state, digest))
+        let tag = aead::tag_of(&state);
+        Ok((state, tag))
     }
 
     /// Ships the current epoch's record to every live follower: the
@@ -461,8 +466,8 @@ impl<F: Functionality> ReplicaGroup<F> {
     fn replicate(&mut self, record: Option<Vec<u8>>) -> Result<()> {
         let leader = self.leader;
         let delta = record.map(|record| {
-            let digest = sha256::digest(&record);
-            (record, digest)
+            let tag = aead::tag_of(&record);
+            (record, tag)
         });
         let mut sealed_state = None;
         let mut holders = 1;
@@ -472,7 +477,7 @@ impl<F: Functionality> ReplicaGroup<F> {
             }
             let by_delta = delta
                 .as_ref()
-                .map(|(record, digest)| self.apply(i, record, digest));
+                .map(|(record, tag)| self.apply(i, record, tag));
             let applied = match by_delta {
                 Some(outcome) if !matches!(outcome, Err(LcmError::RecordOutOfOrder)) => outcome,
                 // No delta to ship, or this member refused it as out
@@ -482,8 +487,8 @@ impl<F: Functionality> ReplicaGroup<F> {
                     if sealed_state.is_none() {
                         sealed_state = Some(self.leader_state()?);
                     }
-                    let (state, digest) = sealed_state.as_ref().expect("just fetched");
-                    self.apply(i, state, digest)
+                    let (state, tag) = sealed_state.as_ref().expect("just fetched");
+                    self.apply(i, state, tag)
                 }
             };
             if applied.is_err() {
@@ -540,11 +545,11 @@ impl<F: Functionality> ReplicaGroup<F> {
         if replica == self.leader || !self.members[self.leader].alive || self.epoch == 0 {
             return;
         }
-        let Ok((state, digest)) = self.leader_state() else {
+        let Ok((state, tag)) = self.leader_state() else {
             return;
         };
         // A sealed state is stored as it is applied: no buffering.
-        if self.apply(replica, &state, &digest).is_ok() {
+        if self.apply(replica, &state, &tag).is_ok() {
             let member = &mut self.members[replica];
             member.applied_epoch = self.epoch;
             member.enclave_epoch = self.epoch;
@@ -810,7 +815,7 @@ impl<F: Functionality> ReadPort for GroupReadPort<F> {
 mod tests {
     // `Lane` stays out of scope: the suite drives the group as the
     // one-shard deployment it is, through `BatchServer`.
-    use super::{lock, Quorum, ReadHint, ReplicaGroup};
+    use super::{aead, lock, Quorum, ReadHint, ReplicaGroup};
     use crate::admin::AdminHandle;
     use crate::client::{LcmClient, ReadOutcome};
     use crate::context::TrustedContext;
@@ -997,6 +1002,38 @@ mod tests {
             client.handle_reply(wire).unwrap();
         }
         replies.len()
+    }
+
+    /// A record of one increment, executed on the leader alone and not
+    /// shipped.
+    fn unshipped_record(group: &ReplicaGroup<Counter>, client: &mut LcmClient) -> Vec<u8> {
+        let mut leader = lock(&group.members[group.leader].server);
+        let op = Counter::inc_op(b"n", 1);
+        leader.submit(client.invoke_for::<Counter>(&op).unwrap());
+        for (_, wire) in leader.step().unwrap() {
+            client.handle_reply(&wire).unwrap();
+        }
+        leader.take_record().expect("a group member emits a record")
+    }
+
+    /// The ack check, mutated the way a stale follower would answer: it
+    /// acks the record before the one the group shipped, because that
+    /// record is what reached it. The group's check refuses the ack,
+    /// while the honest ack of each record passes.
+    #[test]
+    fn a_follower_that_acks_the_previous_record_is_caught() {
+        let (mut group, mut client) = group_of::<Counter>(3, Quorum::Majority);
+        assert_eq!(inc(&mut group, &mut client), 1);
+        let previous = unshipped_record(&group, &mut client);
+        let shipped = unshipped_record(&group, &mut client);
+        let refused = group.apply(1, &previous, &aead::tag_of(&shipped));
+        let Err(LcmError::Tee(message)) = refused else {
+            panic!("{refused:?}");
+        };
+        assert_eq!(message, "replica 1 acknowledged a different record");
+        for record in [&previous, &shipped] {
+            group.apply(2, record, &aead::tag_of(record)).unwrap();
+        }
     }
 
     /// The counter as `client` reads it on `replica`.

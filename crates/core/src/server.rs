@@ -70,6 +70,7 @@ use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
+use lcm_crypto::aead::Tag;
 use lcm_crypto::sha256::Digest;
 use lcm_storage::{BundleStorage, StableStorage};
 use lcm_tee::attestation::{Quote, QuotingEnclave, Report};
@@ -520,9 +521,9 @@ impl<F: Functionality> LcmServer<F> {
     }
 
     /// Applies one record of the group's replication stream in this
-    /// server's enclave, returning the in-enclave digest of the record
-    /// (the acknowledgement a replica group counts toward quorum
-    /// stability). See
+    /// server's enclave, returning the tag the enclave verified (the
+    /// record's last 16 bytes: the acknowledgement a replica group
+    /// counts toward quorum stability). See
     /// [`crate::context::TrustedContext::apply_replica`].
     ///
     /// What the enclave hands back to persist is stored only if it is
@@ -536,20 +537,20 @@ impl<F: Functionality> LcmServer<F> {
     ///
     /// Propagates context errors; [`LcmError::RecordOutOfOrder`]
     /// leaves enclave, buffer and storage untouched.
-    pub fn apply_replica(&mut self, record: &[u8]) -> Result<Digest> {
+    pub fn apply_replica(&mut self, record: &[u8]) -> Result<Tag> {
         // Control-plane barrier, as in `call`: the apply's persist
         // must land on top of everything the writer still holds.
         self.writer_barrier()?;
         self.call_scratch.clear();
         HostCall::encode_apply_replica_into(&mut self.call_scratch, record);
         match self.ecall_encoded()? {
-            HostReply::ApplyOk { digest, blobs } => {
+            HostReply::ApplyOk { ack, blobs } => {
                 if blobs.state_blob.first() == Some(&lcm_storage::BLOB_KIND_DELTA) {
                     self.buffered.push(blobs.state_blob);
                 } else {
                     self.persist(&blobs)?;
                 }
-                Ok(digest)
+                Ok(ack)
             }
             other => Err(unexpected(other)),
         }

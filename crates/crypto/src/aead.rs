@@ -14,16 +14,20 @@
 //! | key | sealed under it | cipher |
 //! |-----|-----------------|--------|
 //! | `kC` | every INVOKE, READ leg and REPLY | AES-128-GCM, [`crate::gcm`] |
-//! | `kP` | checkpoints and deltas | ChaCha20-Poly1305, this module |
-//! | `kS` | the key blob | ChaCha20-Poly1305 |
+//! | `kP` | checkpoints and deltas, hence replication records | AES-128-GCM; opens ChaCha20-Poly1305 too ([`AtRestKey`]) |
+//! | `kS` | the key blob | ChaCha20-Poly1305, this module |
 //! | migration key | migration and slice tickets, bulletins | ChaCha20-Poly1305 |
 //! | `kA`, provisioning | admin messages, the provisioning payload | ChaCha20-Poly1305 |
 //!
-//! The channel pays four AEADs per operation on short messages, where
-//! AES-NI's one-instruction rounds beat ChaCha20's twenty; what rests
-//! on the medium stays here, because `tests/recovery_compat.rs` pins
-//! the bytes of media written before the channel moved. ([`SealKey`]
-//! is the one trait the two key types share.)
+//! The channel pays four AEADs per operation on short messages, and
+//! the record stream one seal per batch on the leader and one open per
+//! follower, where AES-NI's one-instruction rounds beat ChaCha20's
+//! twenty. ChaCha20-Poly1305 still *opens* `kP` blobs: media written
+//! before `kP` moved to GCM (`tests/recovery_compat.rs` pins such a
+//! medium) load through [`AtRestKey`]'s fallback, and nothing seals
+//! under `kP` with it any more. The control-plane keys seal once per
+//! call and stay here. ([`SealKey`] is the trait every key type
+//! shares, [`OpenKey`] the one the blob opener takes.)
 //!
 //! This module is **ChaCha20-Poly1305 exactly as RFC 8439 §2.8 defines
 //! it**, so the implementation is checked byte for byte against the
@@ -91,6 +95,21 @@ pub const TAG_LEN: usize = poly1305::TAG_LEN;
 /// ciphertext).
 pub const MIN_SEALED_LEN: usize = NONCE_LEN + TAG_LEN;
 
+/// A sealed blob's authentication tag, under either cipher.
+pub type Tag = [u8; TAG_LEN];
+
+/// The tag `bytes` end with: the last [`TAG_LEN`] bytes of a sealed
+/// blob, or of anything that ends in one (a frame of sealed blobs);
+/// all zeros for anything shorter. Under one key and unique nonces the
+/// tags of distinct authentic blobs collide with probability about
+/// 2⁻¹²⁸ per pair, so once a blob has been verified its tag names it.
+pub fn tag_of(bytes: &[u8]) -> Tag {
+    match bytes.len().checked_sub(TAG_LEN) {
+        Some(at) => bytes[at..].try_into().expect("TAG_LEN bytes"),
+        None => [0; TAG_LEN],
+    }
+}
+
 /// An AEAD key: the ChaCha20-Poly1305 key derived from one master
 /// secret.
 ///
@@ -136,14 +155,13 @@ impl AeadKey {
 }
 
 /// A key that seals in place under this module's wire layout and
-/// contract: [`AeadKey`] (ChaCha20-Poly1305) and
-/// [`crate::gcm::GcmKey`] (AES-128-GCM). Code that seals under whichever
+/// contract: [`AeadKey`] (ChaCha20-Poly1305), [`crate::gcm::GcmKey`]
+/// and [`AtRestKey`] (AES-128-GCM). Code that seals under whichever
 /// key it is handed — the trusted context's one sealing routine — takes
-/// one of these; each key has exactly one cipher.
+/// one of these; each key seals with exactly one cipher.
 pub trait SealKey {
     /// This key's `seal_in_place`: [`seal_in_place`] for an
-    /// [`AeadKey`], [`crate::gcm::seal_in_place`] for a
-    /// [`crate::gcm::GcmKey`].
+    /// [`AeadKey`], [`crate::gcm::seal_in_place`] for the other two.
     ///
     /// # Errors
     ///
@@ -166,6 +184,99 @@ impl SealKey for AeadKey {
         body: usize,
     ) -> Result<()> {
         seal_in_place(self, nonce, aad, buf, body)
+    }
+}
+
+/// A key that opens a blob sealed under this module's wire layout into
+/// a fresh `Vec`: [`AeadKey`] (ChaCha20-Poly1305) and [`AtRestKey`]
+/// (AES-128-GCM, or ChaCha20-Poly1305 for older blobs). The opener of
+/// kind-tagged blobs takes one of these.
+pub trait OpenKey {
+    /// Verifies `sealed` against `aad` and returns its plaintext, as
+    /// [`auth_decrypt`].
+    ///
+    /// # Errors
+    ///
+    /// [`CryptoError::AuthenticationFailed`] unless the blob is
+    /// authentic under this key.
+    fn auth_decrypt(&self, sealed: &[u8], aad: &[u8]) -> Result<Vec<u8>>;
+}
+
+impl OpenKey for AeadKey {
+    fn auth_decrypt(&self, sealed: &[u8], aad: &[u8]) -> Result<Vec<u8>> {
+        auth_decrypt(self, sealed, aad)
+    }
+}
+
+/// The key of what rests on the medium under `kP`: it seals with
+/// AES-128-GCM and opens with AES-128-GCM or, for blobs sealed before
+/// `kP` moved to GCM, ChaCha20-Poly1305.
+///
+/// Both ciphers' keys come from the one master secret through their
+/// own HKDF labels ([`crate::gcm::GcmKey::from_secret`],
+/// [`AeadKey::from_secret`]), so a blob opens only if it is authentic
+/// under one of them; the fallback widens nothing a host can present
+/// beyond what `T` itself once sealed. Opening tries GCM first: a blob
+/// GCM rejects is handed to ChaCha20-Poly1305 unchanged (verify, then
+/// decrypt), and only a blob both reject is refused.
+///
+/// # Example
+///
+/// ```
+/// use lcm_crypto::aead::{self, AeadKey, AtRestKey, OpenKey, SealKey};
+/// use lcm_crypto::keys::SecretKey;
+///
+/// # fn main() -> Result<(), lcm_crypto::CryptoError> {
+/// let k_p = SecretKey::from_bytes([7u8; 32]);
+/// let key = AtRestKey::from_secret(&k_p);
+/// let mut sealed = [3u8; 12].to_vec();
+/// sealed.extend_from_slice(b"checkpoint");
+/// key.seal_in_place(&[3; 12], b"state", &mut sealed, 12)?;
+/// assert_eq!(key.auth_decrypt(&sealed, b"state")?, b"checkpoint");
+/// // A blob sealed before the move still opens.
+/// let older = aead::auth_encrypt(&AeadKey::from_secret(&k_p), b"old", b"state")?;
+/// assert_eq!(key.auth_decrypt(&older, b"state")?, b"old");
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Clone)]
+pub struct AtRestKey {
+    gcm: crate::gcm::GcmKey,
+    legacy: AeadKey,
+}
+
+impl std::fmt::Debug for AtRestKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("AtRestKey(<redacted>)")
+    }
+}
+
+impl AtRestKey {
+    /// Derives both ciphers' keys from `master`.
+    pub fn from_secret(master: &SecretKey) -> Self {
+        AtRestKey {
+            gcm: crate::gcm::GcmKey::from_secret(master),
+            legacy: AeadKey::from_secret(master),
+        }
+    }
+}
+
+impl SealKey for AtRestKey {
+    fn seal_in_place(
+        &self,
+        nonce: &[u8; NONCE_LEN],
+        aad: &[u8],
+        buf: &mut Vec<u8>,
+        body: usize,
+    ) -> Result<()> {
+        crate::gcm::seal_in_place(&self.gcm, nonce, aad, buf, body)
+    }
+}
+
+impl OpenKey for AtRestKey {
+    fn auth_decrypt(&self, sealed: &[u8], aad: &[u8]) -> Result<Vec<u8>> {
+        crate::gcm::auth_decrypt(&self.gcm, sealed, aad)
+            .or_else(|_| auth_decrypt(&self.legacy, sealed, aad))
     }
 }
 
@@ -489,6 +600,47 @@ mod tests {
         let nonce = [9u8; NONCE_LEN];
         let sealed = auth_encrypt_with_nonce(&key(), &nonce, b"xyz", b"ab").unwrap();
         assert!(auth_decrypt(&key(), &sealed, b"a").is_err());
+    }
+
+    /// `kP`'s key seals exactly what AES-128-GCM under the same master
+    /// secret seals, and opens that and what ChaCha20-Poly1305 sealed
+    /// before the move — nothing else.
+    #[test]
+    fn the_at_rest_key_seals_with_gcm_and_opens_either_cipher() {
+        let master = SecretKey::from_bytes([0x11; 32]);
+        let at_rest = AtRestKey::from_secret(&master);
+        let nonce = [5u8; NONCE_LEN];
+        let mut sealed = nonce.to_vec();
+        sealed.extend_from_slice(&[0x5a; 300]);
+        at_rest
+            .seal_in_place(&nonce, b"state", &mut sealed, NONCE_LEN)
+            .unwrap();
+        let gcm = crate::gcm::GcmKey::from_secret(&master);
+        let want = crate::gcm::auth_encrypt_with_nonce(&gcm, &nonce, &[0x5a; 300], b"state");
+        assert_eq!(sealed, want.unwrap());
+        assert_eq!(
+            at_rest.auth_decrypt(&sealed, b"state").unwrap(),
+            [0x5a; 300]
+        );
+
+        let older = auth_encrypt_with_nonce(&key(), &nonce, b"before", b"state").unwrap();
+        assert_eq!(at_rest.auth_decrypt(&older, b"state").unwrap(), b"before");
+        // Neither cipher under another secret, a wrong label, a flipped
+        // bit in either cipher's blob: refused.
+        let other = AtRestKey::from_secret(&SecretKey::from_bytes([0x22; 32]));
+        assert!(other.auth_decrypt(&sealed, b"state").is_err());
+        assert!(other.auth_decrypt(&older, b"state").is_err());
+        assert!(at_rest.auth_decrypt(&sealed, b"delta").is_err());
+        for blob in [&sealed, &older] {
+            for at in [0, NONCE_LEN, blob.len() - 1] {
+                let mut flipped = blob.clone();
+                flipped[at] ^= 0x04;
+                assert!(at_rest.auth_decrypt(&flipped, b"state").is_err(), "{at}");
+            }
+        }
+        assert_eq!(tag_of(&sealed)[..], sealed[sealed.len() - TAG_LEN..]);
+        assert_eq!(tag_of(&sealed[..TAG_LEN - 1]), [0; TAG_LEN]);
+        assert_eq!(format!("{at_rest:?}"), "AtRestKey(<redacted>)");
     }
 
     #[test]

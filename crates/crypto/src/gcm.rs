@@ -1,13 +1,15 @@
 //! AES-128-GCM (NIST SP 800-38D): the cipher of the communication key
-//! `kC`.
+//! `kC` and of the state key `kP`.
 //!
 //! The paper seals with AES-GCM-128 from the SGX SDK. Here it seals
 //! everything under `kC`, the key every client of the group shares
-//! with `T`: each INVOKE and READ leg a client sends, and each REPLY
-//! `T` answers with — four short AEADs per operation. The keys of what
-//! rests on the medium (`kP`, `kS`, `kA`, provisioning, migration
-//! tickets) stay on [`crate::aead`]'s ChaCha20-Poly1305, whose bytes
-//! `tests/recovery_compat.rs` pins; see that module for the split.
+//! with `T` — each INVOKE and READ leg a client sends, and each REPLY
+//! `T` answers with, four short AEADs per operation — and everything
+//! under `kP`: every checkpoint and delta, and so every replication
+//! record ([`crate::aead::AtRestKey`], which still opens `kP` blobs
+//! sealed with ChaCha20-Poly1305 before the move). The control-plane
+//! keys (`kS`, `kA`, provisioning, migration tickets) stay on
+//! [`crate::aead`]'s ChaCha20-Poly1305; see that module for the split.
 //!
 //! The wire layout and the in-place contract are [`crate::aead`]'s,
 //! byte for byte in size: `nonce(12) ‖ ciphertext ‖ tag(16)`,
@@ -40,9 +42,11 @@
 //! two tags under one nonce give a polynomial in `H` whose roots an
 //! attacker can find (Joux, *Authentication failures in NIST version of
 //! GCM*, 2006), and with `H` — and the XOR mask of any tag already
-//! seen — they forge messages under every nonce ever used with `kC`.
-//! One repeat therefore costs the integrity of the whole channel until
-//! `kC` rotates.
+//! seen — they forge messages under every nonce ever used with the
+//! key. One repeat under `kC` therefore costs the integrity of the
+//! whole channel until `kC` rotates; one repeat under `kP` costs the
+//! integrity of every checkpoint and delta the group ever sealed, since
+//! `kP` never rotates.
 //!
 //! So no `kC` nonce is drawn at random per message; two constructions
 //! keep them unique, and they cannot collide with each other:
@@ -57,8 +61,19 @@
 //!   lifetimes by the draw.
 //!
 //! (The two spaces meet only if `T`'s draw happens to produce a client's
-//! `id ‖ counter`, a 2⁻⁹⁶ event per pair.) [`auth_encrypt`] draws 96
-//! random bits and is for callers that seal rarely.
+//! `id ‖ counter`, a 2⁻⁹⁶ event per pair.)
+//!
+//! `kP` is harder: every member of a replica group holds it, and it
+//! outlives every enclave lifetime of every member, so no one sealer
+//! sees all its nonces. Each sealer is `T` under its own `Nonces`, and
+//! uniqueness rests on each lifetime drawing its own random 96-bit
+//! start: two lifetimes collide only if their counter ranges overlap
+//! from those starts, about `n² · m / 2⁹⁶` for `n` lifetimes of `m`
+//! seals each. `tests/replication_stream.rs` collects the nonce of every
+//! checkpoint and delta a 3-member group puts on its media through
+//! kill, promote and reboot and checks that none repeats.
+//! [`auth_encrypt`] draws 96 random bits and is for callers that seal
+//! rarely.
 //!
 //! # Which kernel runs
 //!
@@ -260,7 +275,21 @@ impl Kernel {
         }
         let (nonce, rest) = sealed.split_at_mut(NONCE_LEN);
         let (body, tag) = rest.split_at_mut(rest.len() - TAG_LEN);
-        let nonce: &[u8; NONCE_LEN] = (&*nonce).try_into().expect("split at the nonce length");
+        self.open_body(key, aad, nonce, body, tag)?;
+        Ok(body)
+    }
+
+    /// [`Kernel::open`] over the three parts of a sealed blob wherever
+    /// they lie: `body` is decrypted in place only if `tag` verifies.
+    fn open_body(
+        self,
+        key: &GcmKey,
+        aad: &[u8],
+        nonce: &[u8],
+        body: &mut [u8],
+        tag: &[u8],
+    ) -> Result<()> {
+        let nonce: &[u8; NONCE_LEN] = nonce.try_into().expect("split at the nonce length");
         let (rk, h) = (&key.round_keys, &key.h_powers);
         let verified = body.len() as u64 <= MAX_BODY
             && match self {
@@ -271,7 +300,7 @@ impl Kernel {
         if !verified {
             return Err(CryptoError::AuthenticationFailed);
         }
-        Ok(body)
+        Ok(())
     }
 }
 
@@ -358,15 +387,22 @@ pub fn auth_encrypt_with_nonce(
 }
 
 /// Verifies and decrypts a sealed blob into a fresh `Vec`; the blob is
-/// only read.
+/// only read. Only the ciphertext is copied out, and it is decrypted
+/// where it landed once its tag verifies, so a multi-megabyte
+/// checkpoint is copied once and never shifted.
 ///
 /// # Errors
 ///
 /// Same as [`open_in_place`].
 pub fn auth_decrypt(key: &GcmKey, sealed: &[u8], aad: &[u8]) -> Result<Vec<u8>> {
-    let mut buf = sealed.to_vec();
-    let plain = open_in_place(key, aad, &mut buf)?.len();
-    Ok(buf.drain(NONCE_LEN..).take(plain).collect())
+    if sealed.len() < MIN_SEALED_LEN {
+        return Err(CryptoError::AuthenticationFailed);
+    }
+    let (nonce, rest) = sealed.split_at(NONCE_LEN);
+    let (ciphertext, tag) = rest.split_at(rest.len() - TAG_LEN);
+    let mut plain = ciphertext.to_vec();
+    Kernel::detect().open_body(key, aad, nonce, &mut plain, tag)?;
+    Ok(plain)
 }
 
 #[cfg(test)]
@@ -688,34 +724,26 @@ mod tests {
         assert_eq!(backend(), kernels().last().unwrap().name());
     }
 
-    /// Run by name in CI's `benchmark-smoke` job (`--release --
-    /// --ignored`): wall-clock ratios do not belong in the default
-    /// suite. 166 B is the INVOKE body the channel seals per
-    /// operation; the ChaCha20-Poly1305 side runs on whichever of its
-    /// kernels this CPU selects.
-    #[test]
-    #[ignore = "timing; run with --release -- --ignored"]
-    fn aesni_gcm_seal_is_at_least_twice_chacha20_poly1305_at_166_bytes() {
-        let Some(hardware) = hardware_or_skip() else {
-            return;
-        };
-        const ROUNDS: u32 = 20_000;
+    /// Best of five timings of `rounds` seals of a `len`-byte body
+    /// under a 34 B AAD: on `hardware` under a `GcmKey`, then under
+    /// ChaCha20-Poly1305 on whichever of its kernels this CPU selects.
+    fn seal_times(hardware: Kernel, len: usize, rounds: u32) -> [std::time::Duration; 2] {
         let master = SecretKey::from_bytes([7; 32]);
         let (gcm, chacha) = (
             GcmKey::from_secret(&master),
             crate::aead::AeadKey::from_secret(&master),
         );
         let (nonce, aad) = ([9u8; NONCE_LEN], [7u8; 34]);
-        let mut buf = vec![0u8; NONCE_LEN + 166 + TAG_LEN];
+        let mut buf = vec![0u8; NONCE_LEN + len + TAG_LEN];
         let mut best_of = |seal: &mut dyn FnMut(&mut Vec<u8>)| {
             (0..5)
                 .map(|_| {
                     let start = std::time::Instant::now();
-                    for _ in 0..ROUNDS {
-                        buf.truncate(NONCE_LEN + 166);
+                    for _ in 0..rounds {
+                        buf.truncate(NONCE_LEN + len);
                         seal(std::hint::black_box(&mut buf));
                     }
-                    start.elapsed() / ROUNDS
+                    start.elapsed() / rounds
                 })
                 .min()
                 .unwrap()
@@ -725,10 +753,37 @@ mod tests {
             crate::aead::seal_in_place(&chacha, &nonce, &aad, buf, NONCE_LEN).unwrap()
         });
         println!(
-            "166 B seal: aes-128-gcm ({}) {fast:?}, chacha20-poly1305 ({}) {slow:?}",
+            "{len} B seal: aes-128-gcm ({}) {fast:?}, chacha20-poly1305 ({}) {slow:?}",
             hardware.name(),
             crate::chacha20::backend()
         );
+        [fast, slow]
+    }
+
+    /// Run by name in CI's `benchmark-smoke` job (`--release --
+    /// --ignored`): wall-clock ratios do not belong in the default
+    /// suite. 166 B is the INVOKE body the channel seals per
+    /// operation.
+    #[test]
+    #[ignore = "timing; run with --release -- --ignored"]
+    fn aesni_gcm_seal_is_at_least_twice_chacha20_poly1305_at_166_bytes() {
+        let Some(hardware) = hardware_or_skip() else {
+            return;
+        };
+        let [fast, slow] = seal_times(hardware, 166, 20_000);
         assert!(fast * 2 <= slow, "{fast:?} vs {slow:?}");
+    }
+
+    /// As the 166 B test, for the record stream under `kP`: 4 305 B is
+    /// the delta one `kv-put-n16` batch seals, which the leader seals
+    /// once and every follower opens.
+    #[test]
+    #[ignore = "timing; run with --release -- --ignored"]
+    fn aesni_gcm_seal_is_at_least_1_8x_chacha20_poly1305_at_4305_bytes() {
+        let Some(hardware) = hardware_or_skip() else {
+            return;
+        };
+        let [fast, slow] = seal_times(hardware, 4305, 2_000);
+        assert!(fast * 9 <= slow * 5, "{fast:?} vs {slow:?}");
     }
 }

@@ -5,16 +5,18 @@
 //!
 //! * a collision-resistant hash `hash()` — the paper uses SHA-256,
 //!   implemented here in [`sha256`];
-//! * authenticated encryption `auth-encrypt`/`auth-decrypt`, one cipher
-//!   per key. The paper's AES-GCM-128 ([`gcm`], NIST SP 800-38D) seals
-//!   everything under the communication key `kC` — every INVOKE, READ
-//!   leg and REPLY. ChaCha20-Poly1305 as RFC 8439 defines it
-//!   ([`aead`]: [`chacha20`] for the body, [`poly1305`] keyed per nonce
-//!   for the 16-byte tag) seals everything that rests on the medium or
-//!   travels once (`kP`, `kS`, `kA`, provisioning, migration tickets),
-//!   whose bytes `tests/recovery_compat.rs` pins. Both keep one wire
-//!   layout and one seal/open-in-place contract; see [`aead`] for why
-//!   it is the paper's and [`gcm`] for what a repeated nonce costs;
+//! * authenticated encryption `auth-encrypt`/`auth-decrypt`, one
+//!   sealing cipher per key. The paper's AES-GCM-128 ([`gcm`], NIST SP
+//!   800-38D) seals everything under the communication key `kC` —
+//!   every INVOKE, READ leg and REPLY — and under the state key `kP`:
+//!   every checkpoint, delta and replication record. ChaCha20-Poly1305
+//!   as RFC 8439 defines it ([`aead`]: [`chacha20`] for the body,
+//!   [`poly1305`] keyed per nonce for the 16-byte tag) seals what
+//!   travels once per control-plane call (`kS`, `kA`, provisioning,
+//!   migration tickets) and still opens `kP` blobs sealed before `kP`
+//!   moved to GCM ([`aead::AtRestKey`]). Both keep one wire layout and
+//!   one seal/open-in-place contract; see [`aead`] for why it is the
+//!   paper's and [`gcm`] for what a repeated nonce costs;
 //! * a secure random generator for key material, see [`keys`].
 //!
 //! [`hmac`] and [`hkdf`] derive keys (sealing keys, AEAD keys,
@@ -41,8 +43,8 @@
 //!   HMAC and HKDF call rides on it;
 //! * on an x86-64 CPU with AVX2, [`chacha20`] produces its keystream
 //!   blocks on 256-bit registers, about twice the rate of the portable
-//!   lane-array function — every state blob, ticket and admin message
-//!   sealed at rest rides on it;
+//!   lane-array function — every key blob, ticket and admin message
+//!   rides on it;
 //! * on an x86-64 CPU with `pclmulqdq`, [`framing::crc32`] — the
 //!   checksum under every frame of every journal, checkpoint slot and
 //!   bundle — folds its input by carry-less multiplication, more than
@@ -51,8 +53,8 @@
 //!   rounds as single instructions, up to twelve counter blocks at a
 //!   time, and GHASH by carry-less multiplication with one reduction
 //!   per eight blocks, about ninety times the portable kernel's rate
-//!   on a 166 B seal — the four channel AEADs of every operation ride
-//!   on it.
+//!   on a 166 B seal — the four channel AEADs of every operation and
+//!   every sealed checkpoint and delta ride on it.
 //!
 //! Executing instructions the build target does not guarantee takes a
 //! `#[target_feature]` function, which is `unsafe` to call. So this

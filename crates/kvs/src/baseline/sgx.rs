@@ -9,8 +9,9 @@
 //!
 //! It is the LCM lane minus the protocol: [`SgxKvsServer`] is an
 //! [`LcmServer`] over [`SgxKvsProgram`], which shares the lane's ecall
-//! codec, nonces, checkpoint cadence and sealed checkpoint and delta
-//! format, and carries no chain, no `V`, no stability and no `(tc, hc)`.
+//! codec, nonces, checkpoint cadence, sealed checkpoint and delta
+//! format and ciphers (AES-128-GCM on the session channel and at rest),
+//! and carries no chain, no `V`, no stability and no `(tc, hc)`.
 //!
 //! Sealing gives integrity, not freshness: a state blob that fails to
 //! authenticate or decode fails boot, an intact stale one boots and
@@ -27,7 +28,7 @@ use lcm_core::server::LcmServer;
 use lcm_core::types::ClientId;
 use lcm_core::wire::{open_blob, seal_message, seal_message_into};
 use lcm_core::{LcmError, Violation};
-use lcm_crypto::aead::AeadKey;
+use lcm_crypto::aead::AtRestKey;
 use lcm_crypto::gcm::{self, GcmKey};
 use lcm_storage::{StableStorage, BLOB_KIND_BUNDLE, BLOB_KIND_CHECKPOINT, BLOB_KIND_DELTA};
 use lcm_tee::enclave::EnclaveProgram;
@@ -60,8 +61,10 @@ pub struct SgxKvsProgram {
     services: TeeServices,
     store: KvStore,
     session: GcmKey,
-    /// The TEE sealing key every checkpoint and delta is sealed under.
-    sealing: AeadKey,
+    /// The TEE sealing key every checkpoint and delta is sealed under:
+    /// AES-128-GCM, as the lane's `kP` (older ChaCha20-Poly1305 blobs
+    /// still open).
+    sealing: AtRestKey,
     nonces: Nonces,
     cadence: Cadence,
     /// `None` until `Init` is answered, then whether it recovered.
@@ -169,7 +172,7 @@ impl EnclaveProgram for SgxKvsProgram {
     fn boot(services: TeeServices) -> Self {
         SgxKvsProgram {
             session: session_key(&services),
-            sealing: AeadKey::from_secret(&services.sealing_key()),
+            sealing: AtRestKey::from_secret(&services.sealing_key()),
             services,
             store: KvStore::default(),
             nonces: Nonces::default(),

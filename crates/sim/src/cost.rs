@@ -180,8 +180,9 @@ impl Default for CostModel {
             // 0.26 µs; AVX2 145 B 0.37 µs, 1 KiB 1.33 µs, 16 KiB
             // 14.8 µs ⇒ 0.89 ns/B over 0.24 µs. In place (no copy, no
             // `thread_rng` nonce) a 145 B seal is 0.30 µs on AVX2. The
-            // per-operation channel (`kC`) now seals on AES-128-GCM
-            // (`lcm_crypto::gcm`): ≈ 0.1 µs an 82 B or 166 B seal on
+            // per-operation channel (`kC`) and the sealed state (`kP`)
+            // now seal on AES-128-GCM (`lcm_crypto::gcm`): ≈ 0.1 µs an
+            // 82 B or 166 B seal and ≈ 1.6 µs a 4 305 B delta on
             // AES-NI, the constants unchanged.
             aead_fixed: Duration::from_nanos(250),
             aead_ns_per_byte: 1.4,

@@ -189,7 +189,7 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+    pub(crate) fn take_array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
         let out = self.take(N)?.try_into();
         out.map_err(|_| CodecError::UnexpectedEnd)
     }

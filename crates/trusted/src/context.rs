@@ -27,12 +27,12 @@
 //!
 //! | record | plaintext | sealed under |
 //! |---|---|---|
-//! | key blob | `kP ‖ kA` | the TEE sealing key `kS` |
-//! | checkpoint | the **state record**: `kC`, admin sequence, stable floor, quorum, identity, slice table, `V`, `F`'s snapshot, chain position | `kP` |
-//! | delta | chain position, stable floor, the touched entries of `V`, `F`'s delta | `kP` |
-//! | migration ticket | `kP ‖ kA ‖` the state record | the migration channel |
-//! | slice ticket | slice, bumped table, the slice's records as `F`'s delta | the migration channel |
-//! | table bulletin | bumped table | the migration channel |
+//! | key blob | `kP ‖ kA` | the TEE sealing key `kS`, ChaCha20-Poly1305 |
+//! | checkpoint | the **state record**: `kC`, admin sequence, stable floor, quorum, identity, slice table, `V`, `F`'s snapshot, chain position | `kP`, AES-128-GCM (older media: ChaCha20-Poly1305, still opened) |
+//! | delta | chain position, stable floor, the touched entries of `V`, `F`'s delta | `kP`, AES-128-GCM (older media: ChaCha20-Poly1305, still opened) |
+//! | migration ticket | `kP ‖ kA ‖` the state record | the migration channel, ChaCha20-Poly1305 |
+//! | slice ticket | slice, bumped table, the slice's records as `F`'s delta | the migration channel, ChaCha20-Poly1305 |
+//! | table bulletin | bumped table | the migration channel, ChaCha20-Poly1305 |
 //!
 //! Every sealed state blob is tied into one hash chain. The context's
 //! **chain position** names the state its last sealed (or applied)
@@ -65,7 +65,7 @@
 //! that (one position, two states: a later delta could be spliced
 //! onto the older one), which is why only the two cases above record.
 
-use lcm_crypto::aead::{self, AeadKey};
+use lcm_crypto::aead::{self, AeadKey, AtRestKey};
 use lcm_crypto::sha256::Digest;
 use lcm_crypto::{gcm, keys::SecretKey};
 use lcm_tee::attestation::Report;
@@ -259,7 +259,7 @@ struct Keys {
     /// Admin authentication key (an addition over the paper, which
     /// leaves admin-message security implicit).
     k_a: SecretKey,
-    aead_p: AeadKey,
+    aead_p: AtRestKey,
     aead_c: gcm::GcmKey,
     aead_a: AeadKey,
 }
@@ -267,7 +267,7 @@ struct Keys {
 impl Keys {
     fn from_raw(k_p: SecretKey, k_c: SecretKey, k_a: SecretKey) -> Keys {
         Keys {
-            aead_p: AeadKey::from_secret(&k_p),
+            aead_p: AtRestKey::from_secret(&k_p),
             aead_c: gcm::GcmKey::from_secret(&k_c),
             aead_a: AeadKey::from_secret(&k_a),
             k_p,

@@ -112,9 +112,9 @@ impl<F: Functionality> TrustedContext<F> {
     ///   that loses an unacknowledged suffix is what clients detect as
     ///   rollback — see `lcm_core::replica`.
     ///
-    /// Returns the in-enclave digest of the record — the
-    /// acknowledgement the host counts toward quorum stability, so
-    /// only a record this enclave accepted can be acked — plus what
+    /// Returns the record's last 16 bytes, the tag verified last (a
+    /// bundle's last delta's): the ack the host counts toward quorum
+    /// stability, only ever handed out for a record it accepted, plus what
     /// this member persists as its *own* storage dictates: the
     /// leader's sealed delta verbatim as the next record of its log
     /// or bundle (same `kP`, no identity inside, nothing to re-seal),
@@ -131,7 +131,7 @@ impl<F: Functionality> TrustedContext<F> {
     ///   names a different shard group; the context halts.
     /// * [`LcmError::NotProvisioned`] / [`LcmError::Halted`] — wrong
     ///   phase.
-    pub fn apply_replica(&mut self, record: &[u8]) -> Result<(Digest, PersistBlobs)> {
+    pub fn apply_replica(&mut self, record: &[u8]) -> Result<(aead::Tag, PersistBlobs)> {
         let (own, _) = self.require_ready()?;
         let state_blob = if record.first() == Some(&crate::blob::BLOB_KIND_DELTA) {
             let plain = self.open_sealed(record, crate::blob::BLOB_KIND_DELTA, LABEL_DELTA_BLOB)?;
@@ -157,7 +157,7 @@ impl<F: Functionality> TrustedContext<F> {
             self.seal_checkpoint(false)?
         };
         let blobs = PersistBlobs::state_only(state_blob, None);
-        Ok((lcm_crypto::sha256::digest(record), blobs))
+        Ok((aead::tag_of(record), blobs))
     }
 
     /// Seals the current protocol + service state as a full checkpoint

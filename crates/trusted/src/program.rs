@@ -31,7 +31,7 @@
 //! The owned [`HostCall`] / [`HostReply`] values are the control
 //! plane's and the tests' codec; the data plane never builds them.
 
-use lcm_crypto::sha256::Digest;
+use lcm_crypto::{aead::Tag, sha256::Digest};
 use lcm_tee::enclave::EnclaveProgram;
 use lcm_tee::measurement::Measurement;
 use lcm_tee::platform::TeeServices;
@@ -287,10 +287,10 @@ pub enum HostReply {
     MigrationTicket(Vec<u8>),
     /// A replication record was applied on this member.
     ApplyOk {
-        /// In-enclave digest of the applied record — the member's
-        /// acknowledgement the host counts toward replica-quorum
-        /// stability.
-        digest: Digest,
+        /// The tag of the applied record its open verified — the
+        /// member's acknowledgement the host counts toward
+        /// replica-quorum stability.
+        ack: Tag,
         /// What this member persists for it: the record itself, or
         /// its own sealed checkpoint (cadence, install, or a host
         /// that takes no deltas).
@@ -507,9 +507,9 @@ impl WireCodec for HostReply {
                 w.put_u8(REPLY_MIG);
                 w.put_bytes(ticket);
             }
-            HostReply::ApplyOk { digest, blobs } => {
+            HostReply::ApplyOk { ack, blobs } => {
                 w.put_u8(REPLY_APPLY);
-                w.put_digest(digest);
+                w.put_raw(ack);
                 encode_blobs(w, blobs);
             }
             HostReply::ReadOk(reply) => {
@@ -555,7 +555,7 @@ impl WireCodec for HostReply {
             REPLY_ATTEST => Ok(HostReply::AttestOk(r.get_bytes()?.to_vec())),
             REPLY_MIG => Ok(HostReply::MigrationTicket(r.get_bytes()?.to_vec())),
             REPLY_APPLY => Ok(HostReply::ApplyOk {
-                digest: r.get_digest()?,
+                ack: r.take_array()?,
                 blobs: decode_blobs(r)?,
             }),
             REPLY_READ => Ok(HostReply::ReadOk(r.get_bytes()?.to_vec())),
@@ -787,8 +787,8 @@ fn dispatch<F: Functionality>(
             HostReply::ProvisionOk(context.import_migration(&ticket, slot)?)
         }
         HostCall::ApplyReplica(blob) => {
-            let (digest, blobs) = context.apply_replica(&blob)?;
-            HostReply::ApplyOk { digest, blobs }
+            let (ack, blobs) = context.apply_replica(&blob)?;
+            HostReply::ApplyOk { ack, blobs }
         }
         HostCall::ExportSlice { slice, to } => {
             HostReply::SliceExported(context.export_slice(slice, to)?)
@@ -878,7 +878,7 @@ mod tests {
             HostReply::AttestOk(b"report".to_vec()),
             HostReply::MigrationTicket(b"ticket".to_vec()),
             HostReply::ApplyOk {
-                digest: lcm_crypto::sha256::digest(b"blob"),
+                ack: [7; 16],
                 blobs: PersistBlobs {
                     key_blob: b"kb".to_vec(),
                     state_blob: b"sb".to_vec(),

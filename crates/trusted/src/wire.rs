@@ -16,7 +16,7 @@
 //! size*, which is the property the §6.3 experiment establishes; the
 //! `sec6_3_overhead` binary prints both figures beside the paper's.
 
-use lcm_crypto::aead::{self, AeadKey, SealKey};
+use lcm_crypto::aead::{self, OpenKey, SealKey};
 use lcm_crypto::chacha20::NONCE_LEN;
 
 use crate::codec::{CodecError, Reader, WireCodec, Writer};
@@ -45,8 +45,8 @@ pub fn seal_message(
 /// Opens a blob [`seal_message`] sealed behind the one framing byte
 /// `kind` (a sealed blob's storage kind): `None` unless it is intact
 /// and of that kind.
-pub fn open_blob(key: &AeadKey, blob: &[u8], kind: u8, aad: &[u8]) -> Option<Vec<u8>> {
-    aead::auth_decrypt(key, blob.strip_prefix(&[kind])?, aad).ok()
+pub fn open_blob(key: &impl OpenKey, blob: &[u8], kind: u8, aad: &[u8]) -> Option<Vec<u8>> {
+    key.auth_decrypt(blob.strip_prefix(&[kind])?, aad).ok()
 }
 
 /// [`seal_message`] appended to `w`: `framing ‖ nonce ‖ message ‖ tag`
@@ -54,7 +54,7 @@ pub fn open_blob(key: &AeadKey, blob: &[u8], kind: u8, aad: &[u8]) -> Option<Vec
 /// `message_len`), and the message is encrypted where `message`
 /// encoded it. The one sealing routine, under either cipher: replies
 /// (`kC`: AES-128-GCM) go straight into the ecall's output, sealed
-/// blobs (`kP`, `kS`: ChaCha20-Poly1305) into a buffer of their own.
+/// blobs (`kP`: AES-128-GCM, `kS`: ChaCha20) into a buffer of their own.
 pub fn seal_message_into(
     w: &mut Writer,
     key: &impl SealKey,

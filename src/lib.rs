@@ -8,8 +8,8 @@
 //! the individual crates for details:
 //!
 //! * [`crypto`] — SHA-256 (SHA-NI when present) / HMAC / HKDF, and two
-//!   AEADs: AES-128-GCM for the client channel `kC`, ChaCha20-Poly1305
-//!   for what is sealed at rest.
+//!   AEADs: AES-128-GCM for the client channel `kC` and the state key
+//!   `kP`, ChaCha20-Poly1305 for the control-plane keys.
 //! * [`tee`] — SGX-like trusted-execution-environment simulator.
 //! * [`storage`] — stable storage with adversarial (rollback) wrappers.
 //! * [`runtime`] — hand-rolled bounded queues, worker pools, and

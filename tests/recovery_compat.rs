@@ -1,14 +1,20 @@
-//! Media written before the checksum kernel and the one-copy reboot
-//! path went in still open, load and replay — and the same inputs
-//! still put the same bytes on the medium.
+//! Media written before the checksum kernel, the one-copy reboot path
+//! and the move of `kP` to AES-128-GCM still open, load and replay —
+//! and the same inputs still put the same bytes on the medium.
 //!
 //! `fixtures/medium_c61ba9d.txt` holds every slot of two media as
 //! commit `c61ba9d` wrote them (recorded by running [`write_medium`]
 //! in a clone of that commit): a delta log with a small segment size —
 //! manifest, both checkpoint parities, sealed segments, a journal head
 //! — and the one-slot `checkpoint ‖ deltas` bundle a plain store gets
-//! from `BundleStorage`. The enclave is a bare `TrustedContext` on
-//! deterministic services, so every sealed byte is reproducible.
+//! from `BundleStorage`. Its checkpoints and deltas are sealed with
+//! ChaCha20-Poly1305, so the read tests below open them through
+//! `AtRestKey`'s fallback. `fixtures/medium_gcm.txt` is the same two
+//! media as the code that seals `kP` with AES-128-GCM writes them:
+//! every slot, length, kind byte and nonce is c61ba9d's, and only
+//! ciphertexts, tags and the checksums over them differ. The enclave
+//! is a bare `TrustedContext` on deterministic services, so every
+//! sealed byte is reproducible.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -17,25 +23,27 @@ use lcm::core::client::LcmClient;
 use lcm::core::codec::WireCodec;
 use lcm::core::context::{
     InitOutcome, PersistBlobs, Phase, ProvisionPayload, ShardIdentity, TrustedContext,
-    LABEL_PROVISION,
+    LABEL_DELTA_BLOB, LABEL_PROVISION, LABEL_STATE_BLOB,
 };
 use lcm::core::program::lcm_measurement;
 use lcm::core::server::{SLOT_KEY_BLOB, SLOT_STATE_BLOB};
 use lcm::core::stability::Quorum;
 use lcm::core::types::ClientId;
 use lcm::core::LcmError;
-use lcm::crypto::aead::{self, AeadKey};
+use lcm::crypto::aead::{self, AeadKey, AtRestKey, OpenKey};
+use lcm::crypto::gcm::{self, GcmKey};
 use lcm::crypto::keys::SecretKey;
 use lcm::kvs::ops::KvOp;
 use lcm::kvs::store::KvStore;
 use lcm::storage::{
-    make_bundle, parse_bundle, BundleStorage, DeltaLogConfig, DeltaLogStorage, StableStorage,
-    StorageError, BLOB_KIND_DELTA,
+    framing, make_bundle, parse_bundle, BundleStorage, DeltaLogConfig, DeltaLogStorage,
+    StableStorage, StorageError, BLOB_KIND_CHECKPOINT, BLOB_KIND_DELTA,
 };
 use lcm::tee::platform::{TeePlatform, TeeServices};
 use lcm::tee::world::TeeWorld;
 
 const FIXTURE: &str = include_str!("fixtures/medium_c61ba9d.txt");
+const GCM_FIXTURE: &str = include_str!("fixtures/medium_gcm.txt");
 
 /// A plain store whose slots can be listed.
 #[derive(Default)]
@@ -62,21 +70,32 @@ impl Medium {
         slots.iter().map(line).collect()
     }
 
-    /// The medium `name` of the fixture.
+    /// The medium `name` of the c61ba9d fixture.
     fn recorded(name: &str) -> Medium {
         let medium = Medium::default();
-        for line in FIXTURE.lines() {
-            let (slot, hex) = line.split_once(' ').expect("slot, space, hex");
+        for (slot, blob) in slots(FIXTURE) {
             if let Some(slot) = slot.strip_prefix(name).and_then(|s| s.strip_prefix('/')) {
-                let blob: Vec<u8> = (0..hex.len())
-                    .step_by(2)
-                    .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
-                    .collect();
                 medium.store(slot, &blob).unwrap();
             }
         }
         medium
     }
+}
+
+/// Every `<medium>/<slot>` of a fixture with its bytes, in fixture
+/// order.
+fn slots(fixture: &'static str) -> Vec<(&'static str, Vec<u8>)> {
+    fixture
+        .lines()
+        .map(|line| {
+            let (slot, hex) = line.split_once(' ').expect("slot, space, hex");
+            let blob = (0..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+                .collect();
+            (slot, blob)
+        })
+        .collect()
 }
 
 fn platform() -> TeePlatform {
@@ -164,11 +183,158 @@ fn the_same_inputs_put_the_recorded_bytes_on_both_media() {
     write_medium(&BundleStorage::new(plain.clone()));
     let written = dlog.dump("dlog") + &plain.dump("bundle");
     // Not `assert_eq!`: two 20 kB hex dumps help nobody.
-    for (n, (ours, theirs)) in written.lines().zip(FIXTURE.lines()).enumerate() {
+    for (n, (ours, theirs)) in written.lines().zip(GCM_FIXTURE.lines()).enumerate() {
         let slot = ours.split(' ').next().unwrap();
-        assert!(ours == theirs, "line {n} ({slot}) differs from c61ba9d's");
+        assert!(
+            ours == theirs,
+            "line {n} ({slot}) differs from the recorded one"
+        );
     }
-    assert_eq!(written.lines().count(), FIXTURE.lines().count());
+    assert_eq!(written.lines().count(), GCM_FIXTURE.lines().count());
+}
+
+/// Every blob a store records, in order: what the enclave sealed.
+#[derive(Default)]
+struct Sealed(Mutex<Vec<Vec<u8>>>);
+
+impl StableStorage for Sealed {
+    fn store(&self, _slot: &str, blob: &[u8]) -> Result<(), StorageError> {
+        self.0.lock().unwrap().push(blob.to_vec());
+        Ok(())
+    }
+    fn load(&self, _slot: &str) -> Result<Option<Vec<u8>>, StorageError> {
+        Ok(None)
+    }
+}
+
+/// Whether `at` is the checksum field of a frame of `slot`: the four
+/// bytes after a big-endian payload length, holding the CRC-32 of the
+/// payload that follows them.
+fn is_frame_checksum(slot: &[u8], at: usize) -> bool {
+    let (Some(len), Some(crc)) = (slot.get(at.wrapping_sub(4)..at), slot.get(at..at + 4)) else {
+        return false;
+    };
+    let len = u32::from_be_bytes(len.try_into().unwrap()) as usize;
+    slot.get(at + 4..at + 4 + len)
+        .is_some_and(|payload| framing::crc32(payload).to_be_bytes() == crc)
+}
+
+/// The move of `kP` to AES-128-GCM changed the cipher and nothing
+/// else: against c61ba9d's media, every slot name, slot length, kind
+/// byte and nonce is the same, and every byte that differs lies in the
+/// ciphertext or tag of a sealed checkpoint or delta, or in a frame
+/// checksum that is right over its payload on both media.
+#[test]
+fn the_recorded_media_differ_from_c61ba9d_s_in_ciphertexts_tags_and_checksums_only() {
+    let sealed = Sealed::default();
+    write_medium(&sealed);
+    let sealed = sealed.0.into_inner().unwrap();
+    let (ours, theirs) = (slots(GCM_FIXTURE), slots(FIXTURE));
+    let names = |media: &[(&'static str, Vec<u8>)]| media.iter().map(|m| m.0).collect::<Vec<_>>();
+    assert_eq!(names(&ours), names(&theirs));
+    let (mut in_blobs, mut in_checksums, mut blobs_found) = (0, 0, 0);
+    for ((name, ours), (_, theirs)) in ours.iter().zip(&theirs) {
+        assert_eq!(ours.len(), theirs.len(), "{name}");
+        // Where each checkpoint and delta the enclave sealed lies in
+        // this slot, by its whole bytes.
+        let mut in_blob = vec![false; ours.len()];
+        let state_blobs = sealed
+            .iter()
+            .filter(|b| matches!(b[0], BLOB_KIND_CHECKPOINT | BLOB_KIND_DELTA));
+        for blob in state_blobs {
+            let Some(at) = ours.windows(blob.len()).position(|w| w == &blob[..]) else {
+                continue;
+            };
+            blobs_found += 1;
+            let prefix = 1 + gcm::NONCE_LEN;
+            assert_eq!(
+                ours[at..at + prefix],
+                theirs[at..at + prefix],
+                "{name}: the kind byte and nonce at {at}"
+            );
+            in_blob[at + prefix..at + blob.len()].fill(true);
+        }
+        for at in (0..ours.len()).filter(|&at| ours[at] != theirs[at]) {
+            if in_blob[at] {
+                in_blobs += 1;
+                continue;
+            }
+            let in_checksum = (at.saturating_sub(3)..=at)
+                .any(|f| is_frame_checksum(ours, f) && is_frame_checksum(theirs, f));
+            assert!(
+                in_checksum,
+                "{name}: byte {at} is neither sealed nor a checksum"
+            );
+            in_checksums += 1;
+        }
+    }
+    // The comparison saw sealed bytes and checksums change: both media
+    // hold GCM blobs where c61ba9d's hold ChaCha20-Poly1305 ones.
+    assert!(blobs_found > 10, "{blobs_found} sealed blobs located");
+    assert!(
+        in_blobs > 1000 && in_checksums > 10,
+        "{in_blobs} / {in_checksums}"
+    );
+}
+
+/// The upgrade boundary. An enclave boots over c61ba9d's delta log —
+/// a ChaCha20-Poly1305 checkpoint and deltas — and seals AES-128-GCM
+/// deltas that chain onto them in the same journal; its next lifetime
+/// replays both ciphers in one pass and serves the writer, who sees no
+/// rollback.
+#[test]
+fn gcm_deltas_chain_onto_a_chacha20_poly1305_medium_and_the_lane_replays_and_serves() {
+    let medium = Arc::new(Medium::recorded("dlog"));
+    let (_, mut client) = write_medium(&Medium::default());
+    let engine = delta_log(medium.clone());
+    let mut ctx = reboot(&engine);
+    for i in 0..3u8 {
+        let put = KvOp::Put(format!("upgraded-{i}").into_bytes(), vec![i; 64]);
+        let wire = client.invoke(&put.to_bytes()).unwrap();
+        let (_, reply) = ctx.handle_invoke(&wire).unwrap();
+        let blobs = ctx.persist_batch_blobs().unwrap();
+        assert_eq!(blobs.state_blob[0], BLOB_KIND_DELTA, "batch {i}");
+        persist(&engine, &blobs);
+        client.handle_reply(&reply).unwrap();
+    }
+    drop((ctx, engine));
+
+    // One journal, two ciphers: the recorded checkpoint opens only
+    // under ChaCha20-Poly1305, the three new deltas only under GCM.
+    let engine = delta_log(medium);
+    let bundle = engine.load(SLOT_STATE_BLOB).unwrap().unwrap();
+    let (checkpoint, deltas) = parse_bundle(&bundle).unwrap();
+    let k_p = SecretKey::from_bytes([0xc1; 32]);
+    let (chacha, aes) = (AeadKey::from_secret(&k_p), GcmKey::from_secret(&k_p));
+    assert!(aead::auth_decrypt(&chacha, &checkpoint[1..], LABEL_STATE_BLOB).is_ok());
+    assert!(gcm::auth_decrypt(&aes, &checkpoint[1..], LABEL_STATE_BLOB).is_err());
+    let (older, newer) = deltas.split_at(deltas.len() - 3);
+    assert!(!older.is_empty());
+    for delta in newer {
+        assert!(gcm::auth_decrypt(&aes, &delta[1..], LABEL_DELTA_BLOB).is_ok());
+        assert!(aead::auth_decrypt(&chacha, &delta[1..], LABEL_DELTA_BLOB).is_err());
+    }
+    assert!(older
+        .iter()
+        .all(|d| aead::auth_decrypt(&chacha, &d[1..], LABEL_DELTA_BLOB).is_ok()));
+    let at_rest = AtRestKey::from_secret(&k_p);
+    for blob in deltas.iter().chain([&checkpoint]) {
+        let label = match blob[0] {
+            BLOB_KIND_CHECKPOINT => LABEL_STATE_BLOB,
+            _ => LABEL_DELTA_BLOB,
+        };
+        assert!(at_rest.auth_decrypt(&blob[1..], label).is_ok());
+    }
+
+    let mut recovered = reboot(&engine);
+    for i in 0..3u8 {
+        let key = format!("upgraded-{i}").into_bytes();
+        assert_eq!(recovered.functionality().get(&key), Some(&[i; 64][..]));
+    }
+    let get = KvOp::Get(b"upgraded-2".to_vec()).to_bytes();
+    let wire = client.invoke(&get).unwrap();
+    let (_, reply) = recovered.handle_invoke(&wire).unwrap();
+    client.handle_reply(&reply).unwrap();
 }
 
 #[test]

@@ -22,8 +22,8 @@ use std::sync::Arc;
 use lcm::core::client::{LcmClient, ReadOutcome};
 use lcm::core::codec::WireCodec;
 use lcm::core::context::{
-    PersistBlobs, ProvisionPayload, ShardIdentity, TrustedContext, LABEL_PROVISION,
-    LABEL_STATE_BLOB,
+    PersistBlobs, Phase, ProvisionPayload, ShardIdentity, TrustedContext, LABEL_DELTA_BLOB,
+    LABEL_PROVISION, LABEL_STATE_BLOB,
 };
 use lcm::core::functionality::{Counter, Functionality};
 use lcm::core::program::lcm_measurement;
@@ -32,13 +32,13 @@ use lcm::core::shard::{build_replicated, build_sharded, ReplicationSpec};
 use lcm::core::stability::Quorum;
 use lcm::core::types::ClientId;
 use lcm::core::{LcmError, Violation};
-use lcm::crypto::aead::{self, AeadKey};
+use lcm::crypto::aead::{self, AeadKey, AtRestKey, OpenKey};
+use lcm::crypto::gcm::{self, GcmKey};
 use lcm::crypto::keys::SecretKey;
-use lcm::crypto::sha256;
 use lcm::kvs::ops::KvOp;
 use lcm::kvs::store::KvStore;
 use lcm::storage::{
-    parse_bundle, BundleStorage, DeltaLogStorage, MemoryStorage, StableStorage,
+    make_bundle, parse_bundle, BundleStorage, DeltaLogStorage, MemoryStorage, StableStorage,
     BLOB_KIND_CHECKPOINT, BLOB_KIND_DELTA,
 };
 use lcm::tee::platform::TeeServices;
@@ -126,8 +126,8 @@ fn provisioned<F: Functionality>(
 fn sealed_state<F: Functionality>(ctx: &mut TrustedContext<F>) -> Vec<u8> {
     let blob = ctx.persist_blobs().unwrap().state_blob;
     assert_eq!(blob[0], BLOB_KIND_CHECKPOINT);
-    let mut plain =
-        aead::auth_decrypt(&AeadKey::from_secret(&k_p()), &blob[1..], LABEL_STATE_BLOB).unwrap();
+    let k_p = AtRestKey::from_secret(&k_p());
+    let mut plain = k_p.auth_decrypt(&blob[1..], LABEL_STATE_BLOB).unwrap();
     plain.truncate(plain.len() - 32);
     plain
 }
@@ -280,7 +280,11 @@ impl<F: Functionality> Pair<F> {
     /// Delivers `record` to the follower as the group would.
     fn deliver(&mut self, record: &[u8]) -> Result<(), LcmError> {
         let (ack, blobs) = self.follower.apply_replica(record)?;
-        assert_eq!(ack, sha256::digest(record), "the ack is over the record");
+        assert_eq!(
+            ack[..],
+            record[record.len() - 16..],
+            "the ack is the record's tag"
+        );
         assert!(blobs.key_blob.is_empty() && blobs.record.is_none());
         self.follower_medium.store(&blobs);
         Ok(())
@@ -616,7 +620,7 @@ fn bundles_recover_only_along_the_chain() {
 
     let key_blob = pair.leader_medium.key_blob.clone();
     let recover = |checkpoint: &[u8], deltas: &[&[u8]]| {
-        let bundle = lcm::storage::make_bundle(checkpoint, deltas.iter().copied());
+        let bundle = make_bundle(checkpoint, deltas.iter().copied());
         let mut ctx = boot::<Counter>(&pair.world, 1, 200);
         ctx.init(Some(&key_blob), Some(&bundle), false)
             .map(|_| ctx.functionality().value(N))
@@ -628,6 +632,176 @@ fn bundles_recover_only_along_the_chain() {
     assert_eq!(recover(&c2, &[&d2]), broken, "a delta already inside");
     assert_eq!(recover(&c3, &[&d4]), broken, "across a re-seal");
     assert_eq!(recover(&resealed, &[&d4]), Ok(4));
+}
+
+/// Every single-bit flip of a sealed checkpoint and of a sealed delta
+/// — kind byte, nonce, body and tag alike — is refused by a follower's
+/// `apply_replica` and by a rebooting enclave's `init`, and nothing of
+/// the flipped blob is applied: the follower stays at the state it
+/// had, the rebooted enclave serves nothing. Both blobs are AES-128-GCM
+/// under `kP`.
+#[test]
+fn every_bit_flip_of_a_sealed_checkpoint_or_delta_is_refused_by_apply_and_init() {
+    let mut pair = Pair::<Counter>::new(18, Store::Blob, Store::Blob);
+    pair.op(0, &inc(), false);
+    pair.cut();
+    // The leader's checkpoint at 1, then its checkpoint and delta at 2.
+    let base = pair.leader_medium.storage.load(SLOT_STATE_BLOB);
+    let base = base.unwrap().unwrap();
+    pair.op(1, &inc(), false);
+    let blobs = pair.leader.persist_batch_blobs().unwrap();
+    let (checkpoint, delta) = (blobs.state_blob, blobs.record.unwrap());
+    let aes = GcmKey::from_secret(&k_p());
+    assert!(gcm::auth_decrypt(&aes, &checkpoint[1..], LABEL_STATE_BLOB).is_ok());
+    assert!(gcm::auth_decrypt(&aes, &delta[1..], LABEL_DELTA_BLOB).is_ok());
+
+    let key_blob = pair.leader_medium.key_blob.clone();
+    for (what, blob) in [("checkpoint", &checkpoint), ("delta", &delta)] {
+        for bit in 0..blob.len() * 8 {
+            let mut flipped = blob.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let mut follower = pair.follower_medium.recover::<Counter>(&pair.world, 2);
+            assert!(
+                matches!(
+                    follower.apply_replica(&flipped),
+                    Err(LcmError::Violation(_))
+                ),
+                "apply of the {what} with bit {bit} flipped"
+            );
+            assert_eq!(follower.functionality().value(N), 1, "{what} bit {bit}");
+
+            // At a reboot the checkpoint is the state slot, the delta
+            // the journal's record after the checkpoint it extends,
+            // which is restored (and halted on) before the delta fails.
+            let (state, restored) = match blob[0] {
+                BLOB_KIND_CHECKPOINT => (flipped, 0),
+                _ => (make_bundle(&base, [&flipped[..]].into_iter()), 1),
+            };
+            let mut rebooted = boot::<Counter>(&pair.world, 1, 300);
+            let refused = rebooted.init(Some(&key_blob), Some(&state), false);
+            assert!(
+                matches!(refused, Err(LcmError::Violation(_))),
+                "init over the {what} with bit {bit} flipped: {refused:?}"
+            );
+            assert_eq!(rebooted.phase(), Phase::Halted, "{what} bit {bit}");
+            assert_eq!(
+                rebooted.functionality().value(N),
+                restored,
+                "{what} bit {bit}"
+            );
+        }
+    }
+    // Unflipped, both apply.
+    let mut follower = pair.follower_medium.recover::<Counter>(&pair.world, 2);
+    follower.apply_replica(&delta).unwrap();
+    assert_eq!(follower.functionality().value(N), 2);
+    let mut follower = pair.follower_medium.recover::<Counter>(&pair.world, 2);
+    follower.apply_replica(&checkpoint).unwrap();
+    assert_eq!(follower.functionality().value(N), 2);
+}
+
+/// A plain medium that keeps every blob ever stored to it.
+#[derive(Default)]
+struct Recording {
+    inner: MemoryStorage,
+    stored: std::sync::Mutex<Vec<Vec<u8>>>,
+}
+
+impl StableStorage for Recording {
+    fn store(&self, slot: &str, blob: &[u8]) -> Result<(), lcm::storage::StorageError> {
+        self.stored.lock().unwrap().push(blob.to_vec());
+        self.inner.store(slot, blob)
+    }
+    fn load(&self, slot: &str) -> Result<Option<Vec<u8>>, lcm::storage::StorageError> {
+        self.inner.load(slot)
+    }
+}
+
+/// `kP` is shared by every member of a group and outlives every
+/// enclave lifetime, and under GCM one repeated nonce gives away the
+/// authentication key of every blob sealed under it. So: every
+/// checkpoint and delta a 3-member group puts on its members' media —
+/// through a leader kill and promotion, a power-failed member, and
+/// reboots that level members with the leader's state — has a nonce
+/// no other sealed blob has.
+#[test]
+fn every_checkpoint_and_delta_on_a_group_s_media_has_its_own_nonce() {
+    use lcm::core::admin::AdminHandle;
+    use std::collections::hash_map::Entry;
+    let world = TeeWorld::new_deterministic(23);
+    let medium = Arc::new(Recording::default());
+    let spec = ReplicationSpec {
+        shards: 1,
+        replicas: 3,
+        quorum: Quorum::Majority,
+    };
+    let mut group = build_replicated::<Counter>(&world, 1, medium.clone(), 4, spec, false);
+    assert!(group.boot().unwrap());
+    let ids: Vec<ClientId> = (1..=CLIENTS).map(ClientId).collect();
+    let mut admin = AdminHandle::new_deterministic(&world, ids.clone(), Quorum::Majority, 4);
+    admin.bootstrap(&mut group).unwrap();
+    let mut clients: Vec<LcmClient> = ids
+        .iter()
+        .map(|&id| LcmClient::new_sharded(id, admin.client_key(), 1))
+        .collect();
+    let mut rounds = |group: &mut dyn BatchServer, n: usize| {
+        for _ in 0..n {
+            for client in &mut clients {
+                group.submit(client.invoke_for::<Counter>(&inc()).unwrap());
+            }
+            for (id, wire) in group.process_all().unwrap() {
+                clients[id.0 as usize - 1].handle_reply(&wire).unwrap();
+            }
+        }
+    };
+    rounds(&mut group, 3);
+    group.kill_member(0, 0, false).unwrap(); // the leader: 1 is promoted
+    rounds(&mut group, 3);
+    group.reboot_member(0, 0).unwrap();
+    rounds(&mut group, 3);
+    group.kill_member(0, 2, true).unwrap();
+    rounds(&mut group, 2);
+    group.reboot_member(0, 2).unwrap();
+    group.kill_member(0, 1, false).unwrap(); // the leader again
+    rounds(&mut group, 3);
+    group.reboot_member(0, 1).unwrap();
+    rounds(&mut group, 2);
+    group.flush_persists().unwrap();
+
+    let mut by_nonce = std::collections::HashMap::new();
+    let mut kinds = [0usize; 3];
+    let stored = std::mem::take(&mut *medium.stored.lock().unwrap());
+    for stored in &stored {
+        let sealed: Vec<&[u8]> = match parse_bundle(stored) {
+            Some((checkpoint, deltas)) => [checkpoint].into_iter().chain(deltas).collect(),
+            None => vec![stored],
+        };
+        for blob in sealed {
+            if !matches!(blob[0], BLOB_KIND_CHECKPOINT | BLOB_KIND_DELTA) {
+                continue;
+            }
+            // The same blob stored again (a follower's copy of the
+            // leader's delta, a bundle rewritten) is one seal.
+            let nonce = blob[1..1 + gcm::NONCE_LEN].to_vec();
+            match by_nonce.entry(nonce) {
+                Entry::Vacant(seal) => {
+                    seal.insert(blob);
+                    kinds[usize::from(blob[0])] += 1;
+                }
+                Entry::Occupied(seal) => {
+                    assert!(
+                        *seal.get() == blob,
+                        "two blobs share the nonce {:02x?}",
+                        seal.key()
+                    )
+                }
+            }
+        }
+    }
+    // Checkpoints sealed by every member (installs, cadence) and the
+    // leaders' deltas.
+    println!("distinct checkpoints and deltas: {:?}", &kinds[1..]);
+    assert!(kinds[1] >= 5 && kinds[2] >= 12, "{kinds:?}");
 }
 
 /// Client 0's operation writing `preload` records of 100 B.
