@@ -1633,9 +1633,7 @@ mod tests {
         fn exec(&mut self, op: &[u8]) -> Vec<u8> {
             vec![0xa5; 64 * op.len()]
         }
-        fn snapshot(&self) -> Vec<u8> {
-            Vec::new()
-        }
+        fn snapshot_into(&self, _: &mut crate::codec::Writer) {}
         fn restore(&mut self, _: &[u8]) -> std::result::Result<(), crate::codec::CodecError> {
             Ok(())
         }

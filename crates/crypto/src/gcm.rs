@@ -46,7 +46,11 @@
 //! key. One repeat under `kC` therefore costs the integrity of the
 //! whole channel until `kC` rotates; one repeat under `kP` costs the
 //! integrity of every checkpoint and delta the group ever sealed, since
-//! `kP` never rotates.
+//! `kP` never rotates — and with it the chain of positions, since a
+//! delta moves the trusted context's chain position by its nonce and
+//! tag (`lcm_trusted::context`, "Chain position"): that one
+//! `(nonce, tag)` names one sealed record rests on `kP` nonces never
+//! repeating.
 //!
 //! So no `kC` nonce is drawn at random per message; two constructions
 //! keep them unique, and they cannot collide with each other:

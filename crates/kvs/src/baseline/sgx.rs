@@ -154,10 +154,19 @@ impl DataPlane for SgxKvsProgram {
                 sealed
             }
             _ => {
+                // Encoded where it is sealed, as the lane's checkpoint;
+                // the last one's size is where the buffer starts.
                 let _ = self.store.take_delta();
-                let snapshot = self.store.snapshot();
-                self.cadence.checkpoint(snapshot.len());
-                self.seal(BLOB_KIND_CHECKPOINT, LABEL_CHECKPOINT, &snapshot)?
+                let nonce = self.nonces.next(&self.services);
+                let hint = self.cadence.checkpoint_len() + self.cadence.checkpoint_len() / 8;
+                let (key, framing) = (&self.sealing, [BLOB_KIND_CHECKPOINT]);
+                let sealed = seal_message(key, &nonce, LABEL_CHECKPOINT, &framing, hint, |w| {
+                    self.store.snapshot_into(w)
+                })?;
+                // Kind byte, nonce and tag around the snapshot.
+                self.cadence
+                    .checkpoint(sealed.len() - 1 - gcm::MIN_SEALED_LEN);
+                sealed
             }
         };
         Ok(PersistBlobs::state_only(state_blob, None))

@@ -1,6 +1,6 @@
 //! The in-enclave key-value store: the functionality `F`.
 
-use std::collections::{btree_map, BTreeMap, BTreeSet};
+use std::collections::{btree_map, BTreeMap};
 use std::ops::Bound;
 
 use lcm_core::codec::{CodecError, Reader, WireCodec, Writer};
@@ -54,14 +54,15 @@ impl PartialEq for MemoryModelWrapper {
 }
 impl Eq for MemoryModelWrapper {}
 
-/// Keys touched since the last [`Functionality::take_delta`] — the
-/// diff the sealed delta log persists instead of a full snapshot.
-/// Excluded from equality like the memory model: two stores holding
-/// the same records are the same store regardless of how recently
-/// their contents were persisted.
+/// Keys touched since the last [`Functionality::take_delta`], each
+/// with the bytes it was last given (`None`: deleted) — the diff the
+/// sealed delta log persists instead of a full snapshot, kept so that
+/// draining it looks nothing up in the store. Excluded from equality
+/// like the memory model: two stores holding the same records are the
+/// same store regardless of how recently their contents were persisted.
 #[derive(Debug, Clone, Default)]
 struct DirtyWrapper {
-    keys: BTreeSet<Vec<u8>>,
+    entries: BTreeMap<Vec<u8>, Option<Vec<u8>>>,
     /// Length of the last encoded delta: the next one's buffer starts
     /// at that size, up to [`DELTA_HINT_MAX`].
     last_delta_len: usize,
@@ -79,11 +80,16 @@ impl Eq for DirtyWrapper {}
 const DELTA_HINT_MAX: usize = 64 * 1024;
 
 impl DirtyWrapper {
-    /// Marks `key` dirty; only its first touch since the last drain
-    /// copies it.
-    fn touch(&mut self, key: &[u8]) {
-        if !self.keys.contains(key) {
-            self.keys.insert(key.to_vec());
+    /// Records that `key` now holds `value`; only its first touch since
+    /// the last drain copies the key, and a value it held before is
+    /// overwritten in place.
+    fn touch(&mut self, key: &[u8], value: Option<&[u8]>) {
+        match (self.entries.get_mut(key), value) {
+            (Some(Some(held)), Some(value)) => overwrite(held, value),
+            (Some(held), value) => *held = value.map(<[u8]>::to_vec),
+            (None, value) => {
+                self.entries.insert(key.to_vec(), value.map(<[u8]>::to_vec));
+            }
         }
     }
 }
@@ -173,7 +179,7 @@ impl KvStore {
             }
             KvOpView::Del(key) => {
                 let existed = self.map.remove(key).is_some();
-                self.dirty.touch(key);
+                self.dirty.touch(key, None);
                 Outcome::Done(KvResult::Deleted(existed))
             }
             KvOpView::Scan { start, limit } | KvOpView::ScanShard { start, limit, .. } => {
@@ -196,7 +202,9 @@ impl KvStore {
                 for i in 0..u64::from(count) {
                     let key = format!("{:016x}", start.wrapping_add(i)).into_bytes();
                     let entry = self.map.entry(key);
-                    self.dirty.keys.insert(entry.key().clone());
+                    self.dirty
+                        .entries
+                        .insert(entry.key().clone(), Some(value.clone()));
                     match entry {
                         btree_map::Entry::Vacant(e) => {
                             e.insert(value.clone());
@@ -217,7 +225,7 @@ impl KvStore {
                 self.map.insert(key.to_vec(), value.to_vec());
             }
         }
-        self.dirty.touch(key);
+        self.dirty.touch(key, Some(value));
     }
 
     /// Number of stored objects.
@@ -291,14 +299,12 @@ impl Functionality for KvStore {
         )
     }
 
-    fn snapshot(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+    fn snapshot_into(&self, w: &mut Writer) {
         w.put_u32(self.map.len() as u32);
         for (k, v) in &self.map {
             w.put_bytes(k);
             w.put_bytes(v);
         }
-        w.into_bytes()
     }
 
     fn restore(&mut self, snapshot: &[u8]) -> Result<(), CodecError> {
@@ -319,17 +325,18 @@ impl Functionality for KvStore {
         self.map = pairs.into_iter().collect();
         // The snapshot is the new persistence baseline; pending diffs
         // against the pre-restore contents are meaningless now.
-        self.dirty.keys.clear();
+        self.dirty.entries.clear();
         Ok(())
     }
 
-    /// Drains the keys touched since the last persist into a compact
-    /// diff (`encode_delta` has the layout). Always returns `Some` — the
-    /// KVS supports delta persistence even when the diff happens to be
-    /// empty (the empty delta is a valid no-op replay record).
+    /// Drains the keys touched since the last persist, with the bytes
+    /// each was last given, into a compact diff (`encode_delta` has the
+    /// layout) without a look-up in the store. Always returns `Some` —
+    /// the KVS supports delta persistence even when the diff happens to
+    /// be empty (the empty delta is a valid no-op replay record).
     fn take_delta(&mut self) -> Option<Vec<u8>> {
-        let dirty = std::mem::take(&mut self.dirty.keys);
-        let entries = dirty.iter().map(|key| (key, self.map.get(key)));
+        let dirty = std::mem::take(&mut self.dirty.entries);
+        let entries = dirty.iter().map(|(key, value)| (key, value.as_ref()));
         let hint = self.dirty.last_delta_len.min(DELTA_HINT_MAX);
         let delta = Self::encode_delta(entries, hint);
         self.dirty.last_delta_len = delta.len();
@@ -353,6 +360,10 @@ impl Functionality for KvStore {
         }
         r.finish()?;
         for (k, v) in entries {
+            // A pending diff entry follows the key it names.
+            if let Some(held) = self.dirty.entries.get_mut(k) {
+                *held = v.map(<[u8]>::to_vec);
+            }
             let Some(v) = v else {
                 self.map.remove(k);
                 continue;
@@ -387,7 +398,7 @@ impl Functionality for KvStore {
             !goes
         });
         for (key, _) in &moved {
-            self.dirty.keys.remove(key);
+            self.dirty.entries.remove(key);
         }
         let len: usize = moved.iter().map(|(k, v)| 9 + k.len() + v.len()).sum();
         let entries = moved.iter().map(|(key, value)| (key, Some(value)));
@@ -405,6 +416,7 @@ impl Functionality for KvStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn put_get_del_cycle() {
@@ -727,7 +739,10 @@ mod tests {
         assert_eq!(s.len(), 4);
         assert_eq!(s.get(b"m"), Some(&b"third"[..]), "the last duplicate wins");
         assert_eq!(s.get(b"before"), None);
-        assert!(s.dirty.keys.is_empty(), "the snapshot is the new baseline");
+        assert!(
+            s.dirty.entries.is_empty(),
+            "the snapshot is the new baseline"
+        );
     }
 
     #[test]
@@ -746,8 +761,8 @@ mod tests {
             assert!(s.restore(&snap[..cut]).is_err(), "cut {cut}");
             assert_eq!(s, occupied(), "cut {cut}: state touched");
             assert_eq!(
-                s.dirty.keys,
-                occupied().dirty.keys,
+                s.dirty.entries,
+                occupied().dirty.entries,
                 "cut {cut}: diff touched"
             );
         }
@@ -758,7 +773,7 @@ mod tests {
         // And whole, it restores: state replaced, diff baseline reset.
         s.restore(&snap).unwrap();
         assert_eq!(s, source);
-        assert!(s.dirty.keys.is_empty());
+        assert!(s.dirty.entries.is_empty());
     }
 
     #[test]
@@ -768,5 +783,82 @@ mod tests {
         let mut s = occupied();
         assert!(s.restore(&w.into_bytes()).is_err());
         assert_eq!(s, occupied());
+    }
+
+    /// `take_delta` as it was before the dirty set kept values: each
+    /// dirty key looked up in the store. The oracle for the dirty set;
+    /// it leaves the set as it is.
+    fn take_delta_by_lookup(s: &KvStore) -> Vec<u8> {
+        KvStore::encode_delta(s.dirty.entries.keys().map(|k| (k, s.map.get(k))), 0)
+    }
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        Op(KvOp),
+        /// Moves out the records whose first byte is this one modulo 4.
+        Partition(u8),
+        /// Applies a delta of these entries, `None` deleting.
+        Apply(Vec<(Vec<u8>, Option<Vec<u8>>)>),
+        /// Takes a delta, and keeps a snapshot for `Restore`.
+        Take,
+        Restore,
+    }
+
+    /// Few keys, so that operations meet: short byte strings, and the
+    /// keys a `Fill` makes.
+    fn arb_key() -> impl Strategy<Value = Vec<u8>> {
+        prop_oneof![
+            proptest::collection::vec(0u8..4, 0..3),
+            (0u64..6).prop_map(|n| format!("{n:016x}").into_bytes()),
+        ]
+    }
+
+    fn arb_step() -> impl Strategy<Value = Step> {
+        let value = proptest::collection::vec(any::<u8>(), 0..12);
+        let entry = (arb_key(), proptest::option::of(value.clone()));
+        prop_oneof![
+            6 => (arb_key(), value).prop_map(|(k, v)| Step::Op(KvOp::Put(k, v))),
+            2 => arb_key().prop_map(|k| Step::Op(KvOp::Del(k))),
+            1 => (0u64..6, 0u32..4, 0u32..5).prop_map(|(start, count, value_len)| {
+                Step::Op(KvOp::Fill { pin: Vec::new(), start, count, value_len })
+            }),
+            1 => any::<u8>().prop_map(Step::Partition),
+            1 => proptest::collection::vec(entry, 0..4).prop_map(Step::Apply),
+            2 => Just(Step::Take),
+            1 => Just(Step::Restore),
+        ]
+    }
+
+    proptest! {
+        /// Whatever the sequence of writes, deletions, bulk loads,
+        /// partition moves, applied deltas and restores, every delta the
+        /// store drains is byte for byte the one the lookup oracle
+        /// encodes from the same dirty keys.
+        #[test]
+        fn every_delta_is_the_lookup_oracle_s(steps in proptest::collection::vec(arb_step(), 0..60)) {
+            let mut s = KvStore::default();
+            let mut saved = KvStore::default().snapshot();
+            for step in steps.into_iter().chain([Step::Take]) {
+                match step {
+                    Step::Op(op) => {
+                        s.apply(&op);
+                    }
+                    Step::Partition(b) => {
+                        s.take_partition(&|k| k.first().is_some_and(|f| f % 4 == b % 4));
+                    }
+                    Step::Apply(entries) => {
+                        let entries = entries.iter().map(|(k, v)| (k, v.as_ref()));
+                        s.apply_delta(&KvStore::encode_delta(entries, 0)).unwrap();
+                    }
+                    Step::Take => {
+                        let want = take_delta_by_lookup(&s);
+                        prop_assert_eq!(s.take_delta().unwrap(), want);
+                        prop_assert!(s.dirty.entries.is_empty());
+                        saved = s.snapshot();
+                    }
+                    Step::Restore => s.restore(&saved).unwrap(),
+                }
+            }
+        }
     }
 }

@@ -5,9 +5,31 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::deltalog::cut_torn_bundle;
 use crate::{
-    framing, make_bundle, Result, StableStorage, StorageError, BLOB_KIND_BUNDLE,
-    BLOB_KIND_CHECKPOINT, BLOB_KIND_DELTA,
+    framing, Result, StableStorage, StorageError, BLOB_KIND_BUNDLE, BLOB_KIND_CHECKPOINT,
+    BLOB_KIND_DELTA,
 };
+
+/// Assembles a recovery bundle from a checkpoint blob and delta blobs:
+/// the inverse of [`crate::parse_bundle`], which the enclave runs. This
+/// half is the host's; it is public so tests can fabricate bundles
+/// without an engine. Sized up front, so the checkpoint — the O(state)
+/// part — is copied exactly once.
+pub fn make_bundle<'a>(
+    checkpoint: &[u8],
+    deltas: impl Iterator<Item = &'a [u8]> + Clone,
+) -> Vec<u8> {
+    let delta_bytes: usize = deltas
+        .clone()
+        .map(|d| framing::FRAME_HEADER + d.len())
+        .sum();
+    let mut bundle = Vec::with_capacity(1 + framing::FRAME_HEADER + checkpoint.len() + delta_bytes);
+    bundle.push(BLOB_KIND_BUNDLE);
+    framing::append_frame(&mut bundle, checkpoint);
+    for d in deltas {
+        framing::append_frame(&mut bundle, d);
+    }
+    bundle
+}
 
 /// Delta persists over a plain blob store: one slot holds
 /// `checkpoint ‖ deltas`.

@@ -33,10 +33,10 @@
 //!   divergent states to multiple enclave instances.
 //!
 //! The record framing under every journal and bundle
-//! ([`framing`]) and the bundle format itself ([`parse_bundle`],
-//! [`make_bundle`], the `BLOB_KIND_*` bytes) live below this crate, in
-//! `lcm_crypto` and `lcm_trusted` — the enclave reads that format too —
-//! and are re-exported here.
+//! ([`framing`]) and the bundle format's reader ([`parse_bundle`], the
+//! `BLOB_KIND_*` bytes) live below this crate, in `lcm_crypto` and
+//! `lcm_trusted` — the enclave reads that format — and are re-exported
+//! here; its writer, [`make_bundle`], is the host's and lives here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,7 +55,7 @@ mod namespace;
 mod versioned;
 
 pub use adversary::{AdversaryMode, ForkView, RollbackStorage};
-pub use bundle::BundleStorage;
+pub use bundle::{make_bundle, BundleStorage};
 pub use delayed::DelayedStorage;
 pub use deltalog::{DeltaLogConfig, DeltaLogStats, DeltaLogStorage};
 pub use error::StorageError;
@@ -63,8 +63,7 @@ pub use file::FileStorage;
 pub use flaky::{FailureMode, FlakyStorage};
 pub use lcm_crypto::framing;
 pub use lcm_trusted::blob::{
-    make_bundle, parse_bundle, BLOB_KIND_BUNDLE, BLOB_KIND_CHECKPOINT, BLOB_KIND_DELTA,
-    BLOB_KIND_OPAQUE,
+    parse_bundle, BLOB_KIND_BUNDLE, BLOB_KIND_CHECKPOINT, BLOB_KIND_DELTA, BLOB_KIND_OPAQUE,
 };
 pub use memory::MemoryStorage;
 pub use namespace::NamespacedStorage;

@@ -33,24 +33,3 @@ pub fn parse_bundle(blob: &[u8]) -> Option<(&[u8], Vec<&[u8]>)> {
     let checkpoint = frames.next()?;
     Some((checkpoint, frames.collect()))
 }
-
-/// Assembles a recovery bundle from a checkpoint blob and delta blobs
-/// (the inverse of [`parse_bundle`]; public so tests can fabricate
-/// bundles without an engine). Sized up front, so the checkpoint — the
-/// O(state) part — is copied exactly once.
-pub fn make_bundle<'a>(
-    checkpoint: &[u8],
-    deltas: impl Iterator<Item = &'a [u8]> + Clone,
-) -> Vec<u8> {
-    let delta_bytes: usize = deltas
-        .clone()
-        .map(|d| framing::FRAME_HEADER + d.len())
-        .sum();
-    let mut bundle = Vec::with_capacity(1 + framing::FRAME_HEADER + checkpoint.len() + delta_bytes);
-    bundle.push(BLOB_KIND_BUNDLE);
-    framing::append_frame(&mut bundle, checkpoint);
-    for d in deltas {
-        framing::append_frame(&mut bundle, d);
-    }
-    bundle
-}

@@ -41,10 +41,13 @@
 //! followers alike ([`TrustedContext::apply_replica`]). The rule that
 //! keeps "position" and "state" one-to-one:
 //!
-//! * a delta moves the position to `H("lcm.delta-chain" ‖ delta
-//!   plaintext)` — on the member that sealed it and on every member
-//!   that applies it, so the position is a function of the executed
-//!   batches alone;
+//! * a delta sealed at `prev` moves the position to
+//!   `H("lcm.delta-tag-chain" ‖ prev ‖ nonce ‖ tag)` of its sealed
+//!   bytes, one 79-byte hash however large the delta — on the member
+//!   that sealed it and on every member that applies it, so the
+//!   position is a function of the sealed records alone (a delta sealed
+//!   under the older label `lcm.delta` moves it to `H("lcm.delta-chain"
+//!   ‖ plaintext)`: the label it opens under decides);
 //! * a checkpoint sealed right after that (a group member's cadence
 //!   checkpoint, a follower's persist after an install) *records* the
 //!   position it stands at instead of replacing it;
@@ -60,10 +63,13 @@
 //! across checkpoints: every position commits to its predecessor (and
 //! ultimately to a root that is random or binds `kP`), so positions
 //! never repeat, and a delta applies at exactly the one position —
-//! hence the one state — it was sealed against. Recording a position
-//! in a checkpoint whose state moved *without* a delta would break
-//! that (one position, two states: a later delta could be spliced
-//! onto the older one), which is why only the two cases above record.
+//! hence the one state — it was sealed against. A tag names one record
+//! as the plaintext hash did: [`Nonces`] never repeats a nonce under
+//! `kP`, and without `kP` no second record opens under a nonce and tag
+//! `T` used (GCM's authenticity, NIST SP 800-38D). Recording a position
+//! in a checkpoint whose state moved *without* a delta would break that
+//! (one position, two states: a later delta could be spliced onto the
+//! older one), which is why only the two cases above record.
 
 use lcm_crypto::aead::{self, AeadKey, AtRestKey};
 use lcm_crypto::sha256::Digest;
@@ -71,7 +77,7 @@ use lcm_crypto::{gcm, keys::SecretKey};
 use lcm_tee::attestation::Report;
 use lcm_tee::platform::TeeServices;
 
-use crate::blob::BLOB_KIND_OPAQUE;
+use crate::blob::{BLOB_KIND_BUNDLE, BLOB_KIND_CHECKPOINT, BLOB_KIND_DELTA, BLOB_KIND_OPAQUE};
 use crate::codec::{CodecError, Reader, WireCodec, Writer};
 use crate::functionality::Functionality;
 use crate::routing::{slice_of, SliceTable};
@@ -87,12 +93,15 @@ pub const LABEL_KEY_BLOB: &[u8] = b"lcm.keyblob";
 /// AAD label for the state blob (sealed under the protocol key `kP`).
 pub const LABEL_STATE_BLOB: &[u8] = b"lcm.state";
 /// AAD label for per-batch sealed delta blobs (sealed under `kP`).
-pub const LABEL_DELTA_BLOB: &[u8] = b"lcm.delta";
-/// Domain separator for a chain *root*: the position a checkpoint
-/// takes when no delta leads to the state it seals (the rule is the
-/// [module docs](self#chain-position)' *Chain position* section).
+pub const LABEL_DELTA_BLOB: &[u8] = b"lcm.delta.2";
+/// AAD label of the deltas sealed before [`LABEL_DELTA_BLOB`]: opened,
+/// never sealed.
+pub const LABEL_DELTA_BLOB_V1: &[u8] = b"lcm.delta";
+/// Domain separators of a chain root and of the position a delta
+/// leaves behind, by its tag or (older media) its plaintext: the rule
+/// is the [module docs](self#chain-position)'.
 const ANCHOR_CKPT: &[u8] = b"lcm.ckpt-anchor";
-/// Domain separator for the position a delta leaves behind.
+const ANCHOR_DELTA_TAG: &[u8] = b"lcm.delta-tag-chain";
 const ANCHOR_DELTA: &[u8] = b"lcm.delta-chain";
 /// Emit a checkpoint instead of a delta once the sealed deltas since
 /// the last checkpoint exceed `max(this, last checkpoint size)` bytes —
@@ -777,10 +786,8 @@ pub struct TrustedContext<F: Functionality> {
     /// stamped with a newer epoch expose it.
     table: SliceTable,
     nonces: Nonces,
-    /// Anchor digest of the newest persisted blob (checkpoint or
-    /// delta). Each delta seals the anchor of its predecessor, so a
-    /// replayed bundle re-verifies as an unbroken chain rooted in its
-    /// checkpoint; a spliced or reordered record breaks it.
+    /// The chain position ([module docs](self#chain-position)): the
+    /// one a delta sealed now applies at.
     persist_anchor: Digest,
     /// Clients whose `V` entry changed since the last persisted blob —
     /// exactly the entries the next delta must carry — sorted and

@@ -20,7 +20,6 @@ impl<F: Functionality> TrustedContext<F> {
     /// a delta-log bundle. Requires `self.keys` (at least `kP`).
     /// Returns the identity of the context that sealed it.
     pub(super) fn restore_sealed_state(&mut self, state_blob: &[u8]) -> Result<ShardIdentity> {
-        use crate::blob::{BLOB_KIND_BUNDLE, BLOB_KIND_CHECKPOINT, BLOB_KIND_DELTA};
         let (ckpt, deltas) = match state_blob.first() {
             Some(&BLOB_KIND_BUNDLE) => crate::blob::parse_bundle(state_blob)
                 .ok_or_else(|| self.halt(Violation::BadAuthentication))?,
@@ -36,8 +35,7 @@ impl<F: Functionality> TrustedContext<F> {
         // update per entry: nothing on this path reads the index.
         let mut entries = Vec::with_capacity(deltas.len());
         for delta in deltas {
-            let plain = self.open_sealed(delta, BLOB_KIND_DELTA, LABEL_DELTA_BLOB)?;
-            let Some(dv) = self.apply_delta_plain(&plain)? else {
+            let Some(dv) = self.apply_delta(delta)? else {
                 // A journal the storage itself assembled must be one
                 // unbroken chain: the host spliced records across
                 // generations or reordered it.
@@ -53,18 +51,26 @@ impl<F: Functionality> TrustedContext<F> {
         Ok(sealer)
     }
 
-    /// Replays one decrypted delta onto the current state — the one
-    /// function behind delta-by-delta recovery *and* a follower's
-    /// apply of a replication record — all but its entries of `V`,
-    /// which it returns for the caller to apply: one delta's at once
-    /// on the replication path, a whole journal's at its end on the
-    /// recovery path. The delta applies only at the chain position it
-    /// was sealed against: `Ok(None)`, with nothing mutated, when this
-    /// context stands anywhere else. What that means is the caller's
-    /// to say — a broken journal on the recovery path, a record
-    /// delivered out of turn on the replication path.
-    fn apply_delta_plain(&mut self, plain: &[u8]) -> Result<Option<VMap>> {
-        let mut r = Reader::new(plain);
+    /// Opens one sealed delta and replays it onto the current state —
+    /// the one function behind delta-by-delta recovery *and* a
+    /// follower's apply of a replication record — all but its entries
+    /// of `V`, which it returns for the caller to apply: one delta's at
+    /// once on the replication path, a whole journal's at its end on
+    /// the recovery path. The delta applies only at the chain position
+    /// it was sealed against: `Ok(None)`, with nothing mutated, when
+    /// this context stands anywhere else. What that means is the
+    /// caller's to say — a broken journal on the recovery path, a
+    /// record delivered out of turn on the replication path. The label
+    /// it opens under picks the position rule ([`tag_chained`] or not).
+    fn apply_delta(&mut self, delta: &[u8]) -> Result<Option<VMap>> {
+        let key = &self.keys()?.aead_p;
+        let tagged = open_blob(key, delta, BLOB_KIND_DELTA, LABEL_DELTA_BLOB);
+        let by_tag = tagged.is_some();
+        let plain = match tagged {
+            Some(plain) => plain,
+            None => self.open_sealed(delta, BLOB_KIND_DELTA, LABEL_DELTA_BLOB_V1)?,
+        };
+        let mut r = Reader::new(&plain);
         let decoded = (|| -> std::result::Result<_, CodecError> {
             let prev = r.get_digest()?;
             let floor = SeqNo::decode(&mut r)?;
@@ -80,7 +86,11 @@ impl<F: Functionality> TrustedContext<F> {
         }
         self.stable_floor = floor;
         self.f.apply_delta(f_delta)?;
-        self.persist_anchor = lcm_crypto::sha256::digest_parts(&[ANCHOR_DELTA, plain]);
+        self.persist_anchor = if by_tag {
+            tag_chained(&prev, delta)
+        } else {
+            lcm_crypto::sha256::digest_parts(&[ANCHOR_DELTA, &plain])
+        };
         Ok(Some(dv))
     }
 
@@ -114,14 +124,14 @@ impl<F: Functionality> TrustedContext<F> {
     ///
     /// Returns the record's last 16 bytes, the tag verified last (a
     /// bundle's last delta's): the ack the host counts toward quorum
-    /// stability, only ever handed out for a record it accepted, plus what
-    /// this member persists as its *own* storage dictates: the
-    /// leader's sealed delta verbatim as the next record of its log
-    /// or bundle (same `kP`, no identity inside, nothing to re-seal),
-    /// one sealed checkpoint when its own cadence asks for one, after
-    /// an install, or when the host takes no deltas. Either way it records the position
-    /// the apply arrived at, and carries no key blob: keys cannot
-    /// change on this path.
+    /// stability, only ever handed out for a record it accepted, plus
+    /// what this member persists as its *own* storage dictates: the
+    /// leader's sealed delta verbatim as the next record of its log or
+    /// bundle (same `kP`, no identity inside, nothing to re-seal), one
+    /// sealed checkpoint when its own cadence asks for one, after an
+    /// install, or when the host takes no deltas. Either way it records
+    /// the position the apply arrived at, and carries no key blob: keys
+    /// cannot change on this path.
     ///
     /// # Errors
     ///
@@ -133,9 +143,8 @@ impl<F: Functionality> TrustedContext<F> {
     ///   phase.
     pub fn apply_replica(&mut self, record: &[u8]) -> Result<(aead::Tag, PersistBlobs)> {
         let (own, _) = self.require_ready()?;
-        let state_blob = if record.first() == Some(&crate::blob::BLOB_KIND_DELTA) {
-            let plain = self.open_sealed(record, crate::blob::BLOB_KIND_DELTA, LABEL_DELTA_BLOB)?;
-            let Some(dv) = self.apply_delta_plain(&plain)? else {
+        let state_blob = if record.first() == Some(&BLOB_KIND_DELTA) {
+            let Some(dv) = self.apply_delta(record)? else {
                 return Err(LcmError::RecordOutOfOrder);
             };
             self.v.apply_entries(dv);
@@ -186,7 +195,7 @@ impl<F: Functionality> TrustedContext<F> {
             &seal_key,
             &nonce,
             LABEL_KEY_BLOB,
-            &[crate::blob::BLOB_KIND_OPAQUE],
+            &[BLOB_KIND_OPAQUE],
             2 * lcm_crypto::keys::KEY_LEN,
             |w| {
                 w.put_raw(keys.k_p.as_bytes());
@@ -219,19 +228,16 @@ impl<F: Functionality> TrustedContext<F> {
         let keys = self.keys()?;
         // The state is encoded where it is sealed; the last
         // checkpoint's size is the estimate the buffer starts from.
-        let mut plain_len = 0;
         let sealed = seal_message(
             &keys.aead_p,
             &nonce,
             LABEL_STATE_BLOB,
-            &[crate::blob::BLOB_KIND_CHECKPOINT],
+            &[BLOB_KIND_CHECKPOINT],
             self.cadence.checkpoint_len() + self.cadence.checkpoint_len() / 8,
-            |w| {
-                let start = w.len();
-                self.encode_state(keys, w);
-                plain_len = w.len() - start;
-            },
+            |w| self.encode_state(keys, w),
         )?;
+        // Kind byte, nonce and tag around the plaintext.
+        let plain_len = sealed.len().saturating_sub(1 + gcm::MIN_SEALED_LEN);
         self.cadence.checkpoint(plain_len);
         self.touched.clear();
         Ok(sealed)
@@ -253,7 +259,7 @@ impl<F: Functionality> TrustedContext<F> {
         // too, which is exactly what future-epoch wires expose.
         self.table.encode(w);
         crate::stability::encode_vmap(self.v.map(), w);
-        w.put_bytes(&self.f.snapshot());
+        w.put_sized(|w| self.f.snapshot_into(w));
         w.put_digest(&self.persist_anchor);
     }
 
@@ -261,32 +267,28 @@ impl<F: Functionality> TrustedContext<F> {
     /// floor, the touched clients' `V` entries (with their cached
     /// replies) and the functionality's own diff `f_delta` — as a
     /// kind-tagged delta chained from the current position, and moves
-    /// the position past it.
+    /// the position past it by the sealed delta's tag.
     fn seal_delta(&mut self, f_delta: &[u8]) -> Result<Vec<u8>> {
         // Unprovisioned, this fails before it draws a nonce.
         self.keys()?;
         let nonce = self.next_nonce();
         let keys = self.keys()?;
-        let mut anchor = Digest::ZERO;
         let delta = seal_message(
             &keys.aead_p,
             &nonce,
             LABEL_DELTA_BLOB,
-            &[crate::blob::BLOB_KIND_DELTA],
+            &[BLOB_KIND_DELTA],
             // An entry of `V` with its cached reply, per touched
             // client, beside the functionality's own diff.
             64 + 160 * self.touched.len() + f_delta.len(),
             |w| {
-                let start = w.len();
                 w.put_digest(&self.persist_anchor);
                 self.stable_floor.encode(w);
                 crate::stability::encode_vmap(self.v.entries_of(&self.touched), w);
                 w.put_bytes(f_delta);
-                let plain = w.as_slice().get(start..).unwrap_or_default();
-                anchor = lcm_crypto::sha256::digest_parts(&[ANCHOR_DELTA, plain]);
             },
         )?;
-        self.persist_anchor = anchor;
+        self.persist_anchor = tag_chained(&self.persist_anchor, &delta);
         self.touched.clear();
         Ok(delta)
     }
@@ -651,6 +653,15 @@ impl<F: Functionality> TrustedContext<F> {
     }
 }
 
+/// The position a delta sealed under [`LABEL_DELTA_BLOB`] at `prev`
+/// moves to: `H("lcm.delta-tag-chain" ‖ prev ‖ nonce ‖ tag)` over its
+/// sealed bytes, a fixed 79 bytes however large the delta.
+fn tag_chained(prev: &Digest, sealed: &[u8]) -> Digest {
+    let nonce = sealed.get(1..1 + gcm::NONCE_LEN).unwrap_or_default();
+    let tag = aead::tag_of(sealed);
+    lcm_crypto::sha256::digest_parts(&[ANCHOR_DELTA_TAG, prev.as_bytes(), nonce, &tag])
+}
+
 #[cfg(test)]
 mod tests {
     use super::super::tests::{invoke, provisioned_context, world};
@@ -683,10 +694,38 @@ mod tests {
         let delta = ctx.seal_delta(b"f-delta").unwrap();
         assert!(ctx.touched.is_empty());
         let plain = ctx
-            .open_sealed(&delta, crate::blob::BLOB_KIND_DELTA, LABEL_DELTA_BLOB)
+            .open_sealed(&delta, BLOB_KIND_DELTA, LABEL_DELTA_BLOB)
             .unwrap();
         // prev anchor (32) ‖ stable floor (8) ‖ V entries ‖ F's delta
         let entries = &plain[40..plain.len() - (4 + b"f-delta".len())];
         assert_eq!(entries, want.as_slice());
+    }
+
+    /// The tag rule's golden vector: a delta moves the position to
+    /// `SHA-256("lcm.delta-tag-chain" ‖ prev ‖ nonce ‖ tag)` of its
+    /// sealed bytes alone — 79 bytes in, no key, no plaintext, the body
+    /// not at all — and that is where sealing one leaves the context.
+    #[test]
+    fn a_delta_s_position_is_the_hash_of_prev_its_nonce_and_its_tag() {
+        let mut sealed = vec![BLOB_KIND_DELTA];
+        sealed.extend((0u8..12).chain([0xee; 40]).chain(100u8..116));
+        let prev = Digest([0x11; 32]);
+        // Computed apart from this code (Python's `hashlib.sha256`).
+        let want = "8ec6cb0f11e526fb4a0fdb05872b106ac3d502dfc0bc1b0fc6676c4280c205b8";
+        assert_eq!(tag_chained(&prev, &sealed).to_hex(), want);
+        sealed[20] ^= 1;
+        assert_eq!(tag_chained(&prev, &sealed).to_hex(), want);
+
+        let world = world();
+        let (mut ctx, _) = provisioned_context(&world);
+        invoke(&mut ctx, 1, SeqNo::ZERO, ChainValue::GENESIS, b"a").unwrap();
+        let prev = ctx.persist_anchor;
+        let delta = ctx.seal_delta(b"f-delta").unwrap();
+        let tag = &delta[delta.len() - 16..];
+        let input = [ANCHOR_DELTA_TAG, prev.as_bytes(), &delta[1..13], tag].concat();
+        assert_eq!(input.len(), 79);
+        assert_eq!(ctx.persist_anchor, lcm_crypto::sha256::digest(&input));
+        let pinned = "a5a03ec687e498326529da896bb618042464f5b2afcf34735f62d9fbe5a3b6c6";
+        assert_eq!(ctx.persist_anchor.to_hex(), pinned);
     }
 }

@@ -6,7 +6,7 @@
 //! the operation result; and ... a serialization interface that returns
 //! the application state as a byte sequence"*.
 
-use crate::codec::CodecError;
+use crate::codec::{CodecError, Writer};
 
 /// A deterministic stateful service run by the trusted context.
 ///
@@ -42,8 +42,16 @@ pub trait Functionality: Default + Send {
         None
     }
 
-    /// Serializes the full service state `s`.
-    fn snapshot(&self) -> Vec<u8>;
+    /// Serializes the full service state `s` at the end of `w`: the
+    /// trusted context encodes it straight into the checkpoint it seals.
+    fn snapshot_into(&self, w: &mut Writer);
+
+    /// [`Functionality::snapshot_into`] a buffer of its own.
+    fn snapshot(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        self.snapshot_into(&mut w);
+        w.into_bytes()
+    }
 
     /// Replaces the state with a previously serialized snapshot.
     ///
@@ -99,18 +107,17 @@ pub trait Functionality: Default + Send {
     /// instance it merges the extracted entries into that instance's
     /// state (the adopted keys are disjoint from the local ones by the
     /// routing invariant). This is the state-transfer half of a live
-    /// slice migration
-    /// ([`crate::context::TrustedContext::export_slice`]); a partial
-    /// state has one encoding, and it is the delta's.
+    /// slice migration ([`crate::context::TrustedContext::export_slice`]);
+    /// a partial state has one encoding, and it is the delta's.
     ///
     /// `belongs` is called with the same byte strings
     /// [`Functionality::shard_key`] exposes for routing, so the
     /// extracted partition is exactly the state the routing slice
     /// covers — only the functionality can make that cut, an opaque
     /// snapshot cannot be filtered by key from outside. Implementations
-    /// must also drop the removed entries from
-    /// any delta dirty-tracking (the exporting context checkpoints
-    /// immediately, but the tracking must not resurrect them).
+    /// must also drop the removed entries from any delta dirty-tracking
+    /// (the exporting context checkpoints immediately, but the tracking
+    /// must not resurrect them).
     ///
     /// The default returns `None` — "this functionality cannot be
     /// partitioned" — without touching the state, and slice migration
@@ -161,13 +168,11 @@ impl Functionality for AppendLog {
         ((self.entries.len() - 1) as u64).to_be_bytes().to_vec()
     }
 
-    fn snapshot(&self) -> Vec<u8> {
-        let mut w = crate::codec::Writer::new();
+    fn snapshot_into(&self, w: &mut Writer) {
         w.put_u32(self.entries.len() as u32);
         for e in &self.entries {
             w.put_bytes(e);
         }
-        w.into_bytes()
     }
 
     fn restore(&mut self, snapshot: &[u8]) -> Result<(), CodecError> {
@@ -200,25 +205,21 @@ impl Functionality for AppendLog {
 /// Both return the counter's value after the operation as 8 big-endian
 /// bytes (a never-touched counter reads 0). Malformed operations
 /// return the empty byte string.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct Counter {
     counters: std::collections::BTreeMap<Vec<u8>, u64>,
-    dirty: DirtyNames,
+    /// Names incremented since the last delta baseline.
+    dirty: std::collections::BTreeSet<Vec<u8>>,
 }
 
-/// Names incremented since the last delta baseline. Wrapped so it
-/// stays out of `Eq`: two counters with the same values are the same
-/// state regardless of what a host has or has not persisted yet.
-#[derive(Debug, Clone, Default)]
-struct DirtyNames(std::collections::BTreeSet<Vec<u8>>);
-
-impl PartialEq for DirtyNames {
-    fn eq(&self, _: &Self) -> bool {
-        true
+/// Two counters with the same values are the same state, whatever a
+/// host has or has not persisted of them yet.
+impl PartialEq for Counter {
+    fn eq(&self, other: &Self) -> bool {
+        self.counters == other.counters
     }
 }
-
-impl Eq for DirtyNames {}
+impl Eq for Counter {}
 
 /// Tag byte of a [`Counter`] increment operation.
 pub const COUNTER_OP_INC: u8 = 0x01;
@@ -228,7 +229,7 @@ pub const COUNTER_OP_READ: u8 = 0x02;
 impl Counter {
     /// Encodes an increment of `name` by `delta` (wrapping).
     pub fn inc_op(name: &[u8], delta: u64) -> Vec<u8> {
-        let mut w = crate::codec::Writer::with_capacity(1 + 4 + name.len() + 8);
+        let mut w = Writer::with_capacity(1 + 4 + name.len() + 8);
         w.put_u8(COUNTER_OP_INC);
         w.put_bytes(name);
         w.put_u64(delta);
@@ -237,7 +238,7 @@ impl Counter {
 
     /// Encodes a read of `name`.
     pub fn read_op(name: &[u8]) -> Vec<u8> {
-        let mut w = crate::codec::Writer::with_capacity(1 + name.len());
+        let mut w = Writer::with_capacity(1 + name.len());
         w.put_u8(COUNTER_OP_READ);
         w.put_raw(name);
         w.into_bytes()
@@ -257,7 +258,7 @@ impl Counter {
     /// delta and a partition alike — they differ in which names they
     /// list, and in whether the reader replaces or merges.
     fn encode_entries<'a>(entries: impl ExactSizeIterator<Item = (&'a Vec<u8>, u64)>) -> Vec<u8> {
-        let mut w = crate::codec::Writer::new();
+        let mut w = Writer::new();
         w.put_u32(entries.len() as u32);
         for (name, value) in entries {
             w.put_bytes(name);
@@ -289,7 +290,7 @@ impl Functionality for Counter {
                     let name = r.get_bytes()?.to_vec();
                     let delta = r.get_u64()?;
                     r.finish()?;
-                    self.dirty.0.insert(name.clone());
+                    self.dirty.insert(name.clone());
                     let slot = self.counters.entry(name).or_insert(0);
                     *slot = slot.wrapping_add(delta);
                     Ok(*slot)
@@ -322,13 +323,15 @@ impl Functionality for Counter {
         op.first() == Some(&COUNTER_OP_READ)
     }
 
-    fn snapshot(&self) -> Vec<u8> {
-        Self::encode_entries(self.counters.iter().map(|(name, value)| (name, *value)))
+    fn snapshot_into(&self, w: &mut Writer) {
+        w.put_raw(&Self::encode_entries(
+            self.counters.iter().map(|(n, v)| (n, *v)),
+        ));
     }
 
     fn restore(&mut self, snapshot: &[u8]) -> Result<(), CodecError> {
         self.counters = Self::decode_entries(snapshot)?.into_iter().collect();
-        self.dirty.0.clear();
+        self.dirty.clear();
         Ok(())
     }
 
@@ -344,7 +347,7 @@ impl Functionality for Counter {
     /// names from the dirty set and is followed by a full checkpoint,
     /// so no delta taken afterwards can mention them.
     fn take_delta(&mut self) -> Option<Vec<u8>> {
-        let dirty = std::mem::take(&mut self.dirty.0);
+        let dirty = std::mem::take(&mut self.dirty);
         Some(Self::encode_entries(
             dirty.iter().map(|name| (name, self.value(name))),
         ))
@@ -367,7 +370,7 @@ impl Functionality for Counter {
             !goes
         });
         for (name, _) in &moved {
-            self.dirty.0.remove(name);
+            self.dirty.remove(name);
         }
         Some(Self::encode_entries(
             moved.iter().map(|(name, value)| (name, *value)),

@@ -44,34 +44,17 @@ use crate::{LcmError, Violation};
 
 /// Name under which LCM programs are measured.
 pub const PROGRAM_NAME: &str = "lcm";
-/// Version string folded into the measurement. It stays 6 although
-/// the migration and slice tickets changed layout since (they are the
-/// checkpoint's state record and the functionality's delta now): every
-/// *stored* record is byte-identical, media sealed under this
-/// measurement must keep recovering (`tests/recovery_compat.rs`), and
-/// a ticket is only ever exchanged between enclaves of one build.
-/// Version 6 makes the anchor-chained delta the replication stream: a
-/// group member's batch reply carries a replication record
-/// ([`crate::context::PersistBlobs::record`]),
-/// [`HostCall::ApplyReplica`] replays it with the recovery path's own
-/// function, and the chain position continues across checkpoints
-/// instead of re-rooting at each one. Version 5 introduced
-/// epoch-versioned routing: the enclave holds a
-/// [`crate::routing::SliceTable`], every wire envelope and AAD carries
-/// the sender's routing epoch, and three new ecalls move slices
-/// between live enclaves ([`HostCall::ExportSlice`],
-/// [`HostCall::ImportSlice`], [`HostCall::AdoptTable`]). Version 4
-/// added incremental persistence: every sealed blob carries a
-/// storage-facing kind byte, per-batch persists may emit
-/// anchor-chained delta blobs instead of whole-state checkpoints, and
-/// `init` accepts delta-log recovery bundles (see
-/// `lcm_storage::DeltaLogStorage`). Version 3 was the
-/// replicated-shard-group protocol: identities carry `(shard,
-/// replica)` coordinates, the enclave installs sibling state blobs
-/// ([`HostCall::ApplyReplica`]) and serves replica-pinned verified
-/// reads ([`HostCall::ServeRead`]). Version 2 introduced the shard
-/// identity binding into attestation reports; version 1 was
-/// identity-less. Each is distinguishable by measurement.
+/// Version string folded into the measurement, hence into the sealing
+/// key `kS`. It stays 6 across the changes media sealed under this
+/// measurement must survive (`tests/recovery_compat.rs` loads them):
+/// the tickets' layouts, which only enclaves of one build exchange, and
+/// the tag-chained delta label, opened beside the old one. Each earlier
+/// version is distinguishable by measurement: 6 made the anchor-chained
+/// delta the replication stream ([`HostCall::ApplyReplica`]), 5 added
+/// epoch-versioned routing ([`crate::routing::SliceTable`], the slice
+/// ecalls), 4 kind-tagged blobs, deltas and recovery bundles, 3 replica
+/// groups and pinned reads, 2 the shard identity in attestation
+/// reports; version 1 was identity-less.
 pub const PROGRAM_VERSION: &str = "6";
 
 /// The LCM measurement: identical for every `LcmProgram<F>` so that the

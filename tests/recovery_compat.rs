@@ -10,8 +10,11 @@
 //! from `BundleStorage`. Its checkpoints and deltas are sealed with
 //! ChaCha20-Poly1305, so the read tests below open them through
 //! `AtRestKey`'s fallback. `fixtures/medium_gcm.txt` is the same two
-//! media as the code that seals `kP` with AES-128-GCM writes them:
-//! every slot, length, kind byte and nonce is c61ba9d's, and only
+//! media as the first code that sealed `kP` with AES-128-GCM wrote
+//! them, its deltas under the AAD label `lcm.delta` and chained by
+//! their plaintext hash; `fixtures/medium_tag_chain.txt` is what this
+//! code writes, deltas under `lcm.delta.2` chained by their tags. On
+//! both, every slot, length, kind byte and nonce is c61ba9d's, and only
 //! ciphertexts, tags and the checksums over them differ. The enclave
 //! is a bare `TrustedContext` on deterministic services, so every
 //! sealed byte is reproducible.
@@ -23,7 +26,7 @@ use lcm::core::client::LcmClient;
 use lcm::core::codec::WireCodec;
 use lcm::core::context::{
     InitOutcome, PersistBlobs, Phase, ProvisionPayload, ShardIdentity, TrustedContext,
-    LABEL_DELTA_BLOB, LABEL_PROVISION, LABEL_STATE_BLOB,
+    LABEL_DELTA_BLOB, LABEL_DELTA_BLOB_V1, LABEL_PROVISION, LABEL_STATE_BLOB,
 };
 use lcm::core::program::lcm_measurement;
 use lcm::core::server::{SLOT_KEY_BLOB, SLOT_STATE_BLOB};
@@ -44,6 +47,7 @@ use lcm::tee::world::TeeWorld;
 
 const FIXTURE: &str = include_str!("fixtures/medium_c61ba9d.txt");
 const GCM_FIXTURE: &str = include_str!("fixtures/medium_gcm.txt");
+const TAG_CHAIN_FIXTURE: &str = include_str!("fixtures/medium_tag_chain.txt");
 
 /// A plain store whose slots can be listed.
 #[derive(Default)]
@@ -72,8 +76,13 @@ impl Medium {
 
     /// The medium `name` of the c61ba9d fixture.
     fn recorded(name: &str) -> Medium {
+        Medium::from_fixture(FIXTURE, name)
+    }
+
+    /// The medium `name` of `fixture`.
+    fn from_fixture(fixture: &'static str, name: &str) -> Medium {
         let medium = Medium::default();
-        for (slot, blob) in slots(FIXTURE) {
+        for (slot, blob) in slots(fixture) {
             if let Some(slot) = slot.strip_prefix(name).and_then(|s| s.strip_prefix('/')) {
                 medium.store(slot, &blob).unwrap();
             }
@@ -183,14 +192,14 @@ fn the_same_inputs_put_the_recorded_bytes_on_both_media() {
     write_medium(&BundleStorage::new(plain.clone()));
     let written = dlog.dump("dlog") + &plain.dump("bundle");
     // Not `assert_eq!`: two 20 kB hex dumps help nobody.
-    for (n, (ours, theirs)) in written.lines().zip(GCM_FIXTURE.lines()).enumerate() {
+    for (n, (ours, theirs)) in written.lines().zip(TAG_CHAIN_FIXTURE.lines()).enumerate() {
         let slot = ours.split(' ').next().unwrap();
         assert!(
             ours == theirs,
             "line {n} ({slot}) differs from the recorded one"
         );
     }
-    assert_eq!(written.lines().count(), GCM_FIXTURE.lines().count());
+    assert_eq!(written.lines().count(), TAG_CHAIN_FIXTURE.lines().count());
 }
 
 /// Every blob a store records, in order: what the enclave sealed.
@@ -229,7 +238,7 @@ fn the_recorded_media_differ_from_c61ba9d_s_in_ciphertexts_tags_and_checksums_on
     let sealed = Sealed::default();
     write_medium(&sealed);
     let sealed = sealed.0.into_inner().unwrap();
-    let (ours, theirs) = (slots(GCM_FIXTURE), slots(FIXTURE));
+    let (ours, theirs) = (slots(TAG_CHAIN_FIXTURE), slots(FIXTURE));
     let names = |media: &[(&'static str, Vec<u8>)]| media.iter().map(|m| m.0).collect::<Vec<_>>();
     assert_eq!(names(&ours), names(&theirs));
     let (mut in_blobs, mut in_checksums, mut blobs_found) = (0, 0, 0);
@@ -316,11 +325,12 @@ fn gcm_deltas_chain_onto_a_chacha20_poly1305_medium_and_the_lane_replays_and_ser
     }
     assert!(older
         .iter()
-        .all(|d| aead::auth_decrypt(&chacha, &d[1..], LABEL_DELTA_BLOB).is_ok()));
+        .all(|d| aead::auth_decrypt(&chacha, &d[1..], LABEL_DELTA_BLOB_V1).is_ok()));
     let at_rest = AtRestKey::from_secret(&k_p);
-    for blob in deltas.iter().chain([&checkpoint]) {
+    for (n, blob) in deltas.iter().chain([&checkpoint]).enumerate() {
         let label = match blob[0] {
             BLOB_KIND_CHECKPOINT => LABEL_STATE_BLOB,
+            _ if n < older.len() => LABEL_DELTA_BLOB_V1,
             _ => LABEL_DELTA_BLOB,
         };
         assert!(at_rest.auth_decrypt(&blob[1..], label).is_ok());
@@ -333,6 +343,50 @@ fn gcm_deltas_chain_onto_a_chacha20_poly1305_medium_and_the_lane_replays_and_ser
     }
     let get = KvOp::Get(b"upgraded-2".to_vec()).to_bytes();
     let wire = client.invoke(&get).unwrap();
+    let (_, reply) = recovered.handle_invoke(&wire).unwrap();
+    client.handle_reply(&reply).unwrap();
+}
+
+/// The media written before positions were chained by tag: a delta
+/// log whose GCM deltas are sealed under `lcm.delta` and chained by
+/// their plaintext hash. A lane boots from it, replays every delta,
+/// and serves a verified `Put` whose delta — sealed under
+/// `lcm.delta.2`, chained by its tag — extends the old chain in the
+/// same journal; the next lifetime replays both rules in one pass.
+#[test]
+fn a_plaintext_chained_gcm_delta_log_replays_and_serves_a_verified_put() {
+    let medium = Arc::new(Medium::from_fixture(GCM_FIXTURE, "dlog"));
+    let engine = delta_log(medium.clone());
+    let bundle = engine.load(SLOT_STATE_BLOB).unwrap().unwrap();
+    let (_, deltas) = parse_bundle(&bundle).expect("checkpoint ‖ deltas");
+    let aes = GcmKey::from_secret(&SecretKey::from_bytes([0xc1; 32]));
+    assert!(deltas.len() > 3, "{} deltas", deltas.len());
+    for delta in &deltas {
+        assert!(gcm::auth_decrypt(&aes, &delta[1..], LABEL_DELTA_BLOB_V1).is_ok());
+        assert!(gcm::auth_decrypt(&aes, &delta[1..], LABEL_DELTA_BLOB).is_err());
+    }
+
+    let (expected, mut client) = write_medium(&Medium::default());
+    let mut ctx = reboot(&engine);
+    assert_eq!(ctx.functionality(), expected.functionality());
+    let put = KvOp::Put(b"after-the-relabel".to_vec(), b"tag-chained".to_vec());
+    let wire = client.invoke(&put.to_bytes()).unwrap();
+    let (_, reply) = ctx.handle_invoke(&wire).unwrap();
+    let blobs = ctx.persist_batch_blobs().unwrap();
+    assert_eq!(blobs.state_blob[0], BLOB_KIND_DELTA);
+    assert!(gcm::auth_decrypt(&aes, &blobs.state_blob[1..], LABEL_DELTA_BLOB).is_ok());
+    persist(&engine, &blobs);
+    client.handle_reply(&reply).unwrap();
+    drop((ctx, engine));
+
+    let mut recovered = reboot(&delta_log(medium));
+    assert_eq!(
+        recovered.functionality().get(b"after-the-relabel"),
+        Some(&b"tag-chained"[..])
+    );
+    let wire = client
+        .invoke(&KvOp::Get(b"after-the-relabel".to_vec()).to_bytes())
+        .unwrap();
     let (_, reply) = recovered.handle_invoke(&wire).unwrap();
     client.handle_reply(&reply).unwrap();
 }

@@ -23,7 +23,7 @@ use lcm::core::client::{LcmClient, ReadOutcome};
 use lcm::core::codec::WireCodec;
 use lcm::core::context::{
     PersistBlobs, Phase, ProvisionPayload, ShardIdentity, TrustedContext, LABEL_DELTA_BLOB,
-    LABEL_PROVISION, LABEL_STATE_BLOB,
+    LABEL_DELTA_BLOB_V1, LABEL_PROVISION, LABEL_STATE_BLOB,
 };
 use lcm::core::functionality::{Counter, Functionality};
 use lcm::core::program::lcm_measurement;
@@ -639,7 +639,8 @@ fn bundles_recover_only_along_the_chain() {
 /// `apply_replica` and by a rebooting enclave's `init`, and nothing of
 /// the flipped blob is applied: the follower stays at the state it
 /// had, the rebooted enclave serves nothing. Both blobs are AES-128-GCM
-/// under `kP`.
+/// under `kP`, the delta under the tag-chained label `lcm.delta.2`: a
+/// flip cannot make it open under the older label either.
 #[test]
 fn every_bit_flip_of_a_sealed_checkpoint_or_delta_is_refused_by_apply_and_init() {
     let mut pair = Pair::<Counter>::new(18, Store::Blob, Store::Blob);
@@ -654,6 +655,7 @@ fn every_bit_flip_of_a_sealed_checkpoint_or_delta_is_refused_by_apply_and_init()
     let aes = GcmKey::from_secret(&k_p());
     assert!(gcm::auth_decrypt(&aes, &checkpoint[1..], LABEL_STATE_BLOB).is_ok());
     assert!(gcm::auth_decrypt(&aes, &delta[1..], LABEL_DELTA_BLOB).is_ok());
+    assert!(gcm::auth_decrypt(&aes, &delta[1..], LABEL_DELTA_BLOB_V1).is_err());
 
     let key_blob = pair.leader_medium.key_blob.clone();
     for (what, blob) in [("checkpoint", &checkpoint), ("delta", &delta)] {
@@ -698,6 +700,87 @@ fn every_bit_flip_of_a_sealed_checkpoint_or_delta_is_refused_by_apply_and_init()
     let mut follower = pair.follower_medium.recover::<Counter>(&pair.world, 2);
     follower.apply_replica(&checkpoint).unwrap();
     assert_eq!(follower.functionality().value(N), 2);
+}
+
+/// The position a delta was sealed at: the first 32 bytes of its
+/// plaintext.
+fn sealed_at(delta: &[u8]) -> Vec<u8> {
+    let plain = AtRestKey::from_secret(&k_p()).auth_decrypt(&delta[1..], LABEL_DELTA_BLOB);
+    plain.unwrap()[..32].to_vec()
+}
+
+/// A host forks a member: it boots two enclaves from one medium and
+/// hands both the same wires. Each seals a delta at the one position
+/// the medium holds — the same plaintext, under its own lifetime's
+/// nonce — and the two deltas move their forks to different positions,
+/// each `H("lcm.delta-tag-chain" ‖ prev ‖ nonce ‖ tag)` of its own
+/// sealed bytes. Neither fork's next delta then fits the other: a
+/// follower that took one branch refuses the other's record, and a
+/// journal spliced from both halts the reboot.
+#[test]
+fn forks_of_one_medium_chain_apart_and_neither_s_next_delta_fits_the_other() {
+    let mut pair = Pair::<Counter>::new(19, Store::Blob, Store::Blob);
+    pair.op(0, &inc(), false);
+    pair.cut();
+    let base = pair.leader_medium.storage.load(SLOT_STATE_BLOB);
+    let base = base.unwrap().unwrap();
+    let key_blob = pair.leader_medium.key_blob.clone();
+    let mut forks = [400, 401].map(|epoch| {
+        let mut fork = boot::<Counter>(&pair.world, 1, epoch);
+        fork.init(Some(&key_blob), Some(&base), false).unwrap();
+        fork
+    });
+    // Two batches, each one client's first operation, on both forks.
+    let mut batch = |client: usize| {
+        let wire = pair.clients[client].invoke_for::<Counter>(&inc()).unwrap();
+        forks.each_mut().map(|fork| {
+            fork.handle_invoke(&wire).unwrap();
+            fork.persist_batch_blobs().unwrap().record.unwrap()
+        })
+    };
+    let [a1, b1] = batch(1);
+    let [a2, b2] = batch(2);
+
+    let position = |prev: &[u8], d: &[u8]| {
+        let input = [b"lcm.delta-tag-chain", prev, &d[1..13], &d[d.len() - 16..]].concat();
+        lcm::crypto::sha256::digest(&input).as_bytes().to_vec()
+    };
+    assert_eq!(sealed_at(&a1), sealed_at(&b1), "one position forked");
+    let plain = |d: &[u8]| AtRestKey::from_secret(&k_p()).auth_decrypt(&d[1..], LABEL_DELTA_BLOB);
+    assert_eq!(plain(&a1).unwrap(), plain(&b1).unwrap(), "one plaintext");
+    assert_ne!(sealed_at(&a2), sealed_at(&b2), "two positions");
+    assert_eq!(sealed_at(&a2), position(&sealed_at(&a1), &a1));
+    assert_eq!(sealed_at(&b2), position(&sealed_at(&b1), &b1));
+
+    // A follower on one branch refuses the other's next record, and
+    // still takes its own.
+    for (own, next, other) in [(&a1, &a2, &b2), (&b1, &b2, &a2)] {
+        let mut follower = pair.follower_medium.recover::<Counter>(&pair.world, 2);
+        follower.apply_replica(own).unwrap();
+        assert_eq!(
+            follower.apply_replica(other).map(|(ack, _)| ack),
+            Err(LcmError::RecordOutOfOrder)
+        );
+        assert_eq!(follower.functionality().value(N), 2);
+        follower.apply_replica(next).unwrap();
+        assert_eq!(follower.functionality().value(N), 3);
+    }
+    // A journal spliced from both branches halts the reboot; either
+    // branch whole recovers.
+    let reboot = |deltas: [&[u8]; 2]| {
+        let mut ctx = boot::<Counter>(&pair.world, 1, 500);
+        let bundle = make_bundle(&base, deltas.into_iter());
+        let outcome = ctx.init(Some(&key_blob), Some(&bundle), false);
+        (outcome.map(|_| ctx.functionality().value(N)), ctx.phase())
+    };
+    let halted = (
+        Err(LcmError::Violation(Violation::BadAuthentication)),
+        Phase::Halted,
+    );
+    assert_eq!(reboot([&a1, &b2]), halted);
+    assert_eq!(reboot([&b1, &a2]), halted);
+    assert_eq!(reboot([&a1, &a2]), (Ok(3), Phase::Ready));
+    assert_eq!(reboot([&b1, &b2]), (Ok(3), Phase::Ready));
 }
 
 /// A plain medium that keeps every blob ever stored to it.
