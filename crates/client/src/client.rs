@@ -4,30 +4,22 @@
 //! communication key — which is the paper's headline simplification
 //! over prior fork-linearizable protocols where clients verified every
 //! other client's operations.
-//!
-//! The client handles REPLY bytes the server supplies, so outside its
-//! tests this module takes the trusted crate's lints: no `unwrap`,
-//! `expect`, `panic!` or unchecked indexing — a malformed reply is an
-//! error the client returns.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-#![cfg_attr(not(test), deny(clippy::panic, clippy::indexing_slicing))]
 
 use lcm_crypto::gcm::{self, GcmKey, NONCE_LEN};
 use lcm_crypto::keys::SecretKey;
-use rand::RngCore;
-
-use crate::codec::WireCodec;
-use crate::context::{invoke_aad, read_aad, read_reply_aad, reply_aad};
-use crate::functionality::Functionality;
-use crate::routing::SliceTable;
-use crate::shard::route_for;
-use crate::types::{ChainValue, ClientId, Completion, SeqNo};
-use crate::verify::OpRecord;
-use crate::wire::{
-    seal_message, InvokeView, ReadHint, ReadMsg, ReadReplyMsg, ReplyView, RouteHint,
+use lcm_trusted::codec::WireCodec;
+use lcm_trusted::context::{invoke_aad, read_aad, read_reply_aad, reply_aad};
+use lcm_trusted::functionality::Functionality;
+use lcm_trusted::routing::{route_for, SliceTable};
+use lcm_trusted::types::{ChainValue, ClientId, Completion, SeqNo};
+use lcm_trusted::wire::{
+    seal_message, InvokeView, ReadHint, ReadMsg, ReadReplyMsg, ReadStatus, ReplyView, RouteHint,
     INVOKE_OVERHEAD,
 };
-use crate::{LcmError, Result, Violation};
+use lcm_trusted::{LcmError, Result, Violation};
+use rand::RngCore;
+
+use crate::verify::OpRecord;
 
 /// Outcome of a verified read leg ([`LcmClient::handle_read_reply`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -151,8 +143,8 @@ pub struct StabilityEvent {
 /// # Example
 ///
 /// ```
-/// use lcm_core::client::LcmClient;
-/// use lcm_core::types::ClientId;
+/// use lcm_client::LcmClient;
+/// use lcm_trusted::types::ClientId;
 /// use lcm_crypto::keys::SecretKey;
 ///
 /// let k_c = SecretKey::generate();
@@ -228,7 +220,7 @@ impl LcmClient {
     }
 
     /// Creates a client for a deployment of `n_shards` server shards
-    /// (see [`crate::shard::ShardedServer`]). The client keeps one
+    /// (the host's `ShardedServer`). The client keeps one
     /// `(tc, ts, hc)` context per shard; `n_shards = 1` is exactly the
     /// paper's client.
     pub fn new_sharded(id: ClientId, k_c: &SecretKey, n_shards: u32) -> Self {
@@ -278,7 +270,7 @@ impl LcmClient {
     }
 
     /// The slice table this client currently routes by.
-    pub fn slice_table(&self) -> &crate::routing::SliceTable {
+    pub fn slice_table(&self) -> &SliceTable {
         &self.table
     }
 
@@ -429,7 +421,7 @@ impl LcmClient {
     /// functionality itself derives (use [`LcmClient::invoke_for`]):
     /// the receiving enclave recomputes the route from the decrypted
     /// operation's `Functionality::shard_key` and halts with
-    /// [`crate::Violation::WrongShard`] if the envelope disagrees —
+    /// [`Violation::WrongShard`] if the envelope disagrees —
     /// an envelope may not lie about its own operation.
     ///
     /// # Errors
@@ -667,7 +659,7 @@ impl LcmClient {
         }
 
         match reply.status {
-            crate::wire::ReadStatus::Behind => {
+            ReadStatus::Behind => {
                 // The member hasn't applied the round holding our last
                 // op yet (or has not adopted the routing table we
                 // stamped the leg with). Retryable, not an attack:
@@ -676,7 +668,7 @@ impl LcmClient {
                 self.cancel_read(shard);
                 return Ok(ReadOutcome::Behind);
             }
-            crate::wire::ReadStatus::Moved => {
+            ReadStatus::Moved => {
                 // The slice migrated away under a newer table, carried
                 // in the result: adopt it and let the caller re-issue
                 // against the new owner.
@@ -684,7 +676,7 @@ impl LcmClient {
                 self.cancel_read(shard);
                 return Ok(ReadOutcome::Moved);
             }
-            crate::wire::ReadStatus::Fresh => {}
+            ReadStatus::Fresh => {}
         }
 
         // Fresh: the member's recorded entry must BE our context, and
@@ -930,7 +922,7 @@ fn seal_invoke(
         route: pending.route,
         // `tc` is fixed when the op is first submitted, so a retry
         // re-encodes the *same* envelope sequence — the property
-        // the host-side dedup of `crate::admission` keys on.
+        // the host-side dedup of admission control keys on.
         seq: pending.tc.0,
         // Likewise the routing epoch: a retry replays the stamp of
         // the original submission even if the client has adopted a
@@ -993,7 +985,7 @@ fn seal_read(
 
 // A client session is plain `Send` data — independent clients submit
 // from independent threads through their deployment's ports
-// ([`crate::transport::FrontendPort`]). This fails to compile if a future
+// (the host's `FrontendPort`s). This fails to compile if a future
 // field change silently breaks that.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
@@ -1003,7 +995,17 @@ const _: fn() = || {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{InvokeMsg, ReadStatus, ReplyMsg, READ_HINT_LEN, ROUTE_HINT_LEN};
+    use lcm_crypto::aead::{self, AeadKey};
+    use lcm_tee::measurement::Measurement;
+    use lcm_tee::platform::TeeServices;
+    use lcm_tee::world::TeeWorld;
+    use lcm_trusted::context::{
+        InitOutcome, ProvisionPayload, ShardIdentity, TrustedContext, LABEL_PROVISION,
+    };
+    use lcm_trusted::functionality::AppendLog;
+    use lcm_trusted::routing::{route_hash, shard_index, slice_of};
+    use lcm_trusted::stability::Quorum;
+    use lcm_trusted::wire::{InvokeMsg, ReplyMsg, READ_HINT_LEN, ROUTE_HINT_LEN};
     use proptest::prelude::*;
 
     fn key() -> SecretKey {
@@ -1014,7 +1016,7 @@ mod tests {
         gcm::auth_encrypt(
             &GcmKey::from_secret(k),
             &reply.to_bytes(),
-            &reply_aad(ClientId(1), crate::shard::route_for(ClientId(1), None), 0),
+            &reply_aad(ClientId(1), route_for(ClientId(1), None), 0),
         )
         .unwrap()
     }
@@ -1055,7 +1057,7 @@ mod tests {
         // The envelope carries the client and its client-derived route.
         let (hint, _) = RouteHint::peel(&wire).unwrap();
         assert_eq!(hint.client, ClientId(1));
-        assert_eq!(hint.route, crate::shard::route_for(ClientId(1), None));
+        assert_eq!(hint.route, route_for(ClientId(1), None));
 
         let completion = c
             .handle_reply(&reply_wire(&key(), &ok_reply(1, 0, ChainValue::GENESIS)))
@@ -1225,7 +1227,7 @@ mod tests {
         // shards may be in flight together; a second op on the SAME
         // shard is refused until the first completes.
         let mut c = LcmClient::new_sharded(ClientId(1), &key(), 2);
-        let shard_of = |k: &[u8]| crate::shard::shard_index(crate::shard::route_hash(k), 2);
+        let shard_of = |k: &[u8]| shard_index(route_hash(k), 2);
         // Find keys on both shards.
         let mut by_shard: [Option<Vec<u8>>; 2] = [None, None];
         for i in 0..32u32 {
@@ -1256,13 +1258,7 @@ mod tests {
         gcm::auth_encrypt(
             &GcmKey::from_secret(k),
             &reply.to_bytes(),
-            &read_reply_aad(
-                ClientId(1),
-                crate::shard::route_for(ClientId(1), None),
-                seq,
-                replica,
-                0,
-            ),
+            &read_reply_aad(ClientId(1), route_for(ClientId(1), None), seq, replica, 0),
         )
         .unwrap()
     }
@@ -1286,7 +1282,7 @@ mod tests {
         assert_eq!(hint.replica, 2);
         assert_eq!(hint.seq, 1);
         // The leg decrypts only under the pinned member's AAD.
-        let route = crate::shard::route_for(ClientId(1), None);
+        let route = route_for(ClientId(1), None);
         assert!(gcm::auth_decrypt(
             &GcmKey::from_secret(&key()),
             ct,
@@ -1432,16 +1428,15 @@ mod tests {
 
     /// A moved slice table (epoch 1) for a 2-shard deployment, where
     /// the given route's slice now lives on the other shard.
-    fn moved_table(route: u32, from: u32) -> crate::routing::SliceTable {
-        let base = crate::routing::SliceTable::uniform(2);
-        base.moved(crate::routing::slice_of(route), 1 - from)
-            .unwrap()
+    fn moved_table(route: u32, from: u32) -> SliceTable {
+        let base = SliceTable::uniform(2);
+        base.moved(slice_of(route), 1 - from).unwrap()
     }
 
     #[test]
     fn redirect_reply_adopts_table_and_reroutes() {
         let mut c = LcmClient::new_sharded(ClientId(1), &key(), 2);
-        let route = crate::shard::route_for(ClientId(1), Some(b"k"));
+        let route = route_for(ClientId(1), Some(b"k"));
         let shard = c.shard_of_route(route);
         c.invoke_routed(b"op", Some(b"k")).unwrap();
         // The shard answers with a redirect stamp carrying the moved
@@ -1482,7 +1477,7 @@ mod tests {
     #[test]
     fn redirect_reply_with_garbage_table_halts() {
         let mut c = LcmClient::new_sharded(ClientId(1), &key(), 2);
-        let route = crate::shard::route_for(ClientId(1), Some(b"k"));
+        let route = route_for(ClientId(1), Some(b"k"));
         c.invoke_routed(b"op", Some(b"k")).unwrap();
         let reply = ReplyMsg {
             t: SeqNo(1),
@@ -1505,7 +1500,7 @@ mod tests {
     #[test]
     fn moved_read_adopts_table() {
         let mut c2 = LcmClient::new_sharded(ClientId(1), &key(), 2);
-        let route = crate::shard::route_for(ClientId(1), Some(b"k"));
+        let route = route_for(ClientId(1), Some(b"k"));
         let shard = c2.shard_of_route(route);
         c2.read_routed(b"GET k", Some(b"k"), 0).unwrap();
         let table = moved_table(route, shard);
@@ -1533,7 +1528,7 @@ mod tests {
     #[test]
     fn stale_table_is_not_adopted_backwards() {
         let mut c = LcmClient::new_sharded(ClientId(1), &key(), 2);
-        let route = crate::shard::route_for(ClientId(1), Some(b"k"));
+        let route = route_for(ClientId(1), Some(b"k"));
         let shard = c.shard_of_route(route);
         c.invoke_routed(b"op", Some(b"k")).unwrap();
         let table = moved_table(route, shard);
@@ -1557,7 +1552,7 @@ mod tests {
         // delayed wire) must not roll the client's routing view back.
         // The re-routed op lands on the other shard, whose per-shard
         // context is still at genesis.
-        let stale = crate::routing::SliceTable::uniform(2);
+        let stale = SliceTable::uniform(2);
         c.invoke_routed(b"op2", Some(b"k")).unwrap();
         let reply2 = ReplyMsg {
             t: SeqNo(1),
@@ -1632,5 +1627,84 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A context of the deterministic test world, provisioned for
+    /// clients 1–3 with `kC` = 0x02³² (the trusted crate's own tests
+    /// build the same one).
+    fn provisioned_context() -> TrustedContext<AppendLog> {
+        let world = TeeWorld::new_deterministic(11);
+        let measurement = Measurement::of_program("lcm-test", "1");
+        let platform = world.platform_deterministic(1);
+        let mut ctx =
+            TrustedContext::<AppendLog>::new(TeeServices::for_tests(platform, measurement, 1));
+        assert_eq!(
+            ctx.init(None, None, false).unwrap(),
+            InitOutcome::NeedProvision
+        );
+        let payload = ProvisionPayload {
+            k_p: SecretKey::from_bytes([1u8; 32]),
+            k_c: SecretKey::from_bytes([2u8; 32]),
+            k_a: SecretKey::from_bytes([3u8; 32]),
+            clients: vec![ClientId(1), ClientId(2), ClientId(3)],
+            quorum: Quorum::Majority,
+            identity: ShardIdentity::SOLO,
+        };
+        let channel = AeadKey::from_secret(&world.admin_provision_key(&measurement));
+        let sealed = aead::auth_encrypt(&channel, &payload.to_bytes(), LABEL_PROVISION).unwrap();
+        ctx.provision(&sealed).unwrap();
+        ctx
+    }
+
+    /// The protocol's bytes, pinned: the first INVOKE of client 3
+    /// (`kC` = 0x02³², send counter 0, so nonce `00000003 ‖ 0⁸`)
+    /// carrying the 121 B encoding of a key-value `Put` of a 16 B key
+    /// and a 100 B value, and the REPLY a freshly provisioned context
+    /// of the deterministic test world draws for it (`T`'s third
+    /// nonce). Recorded when the channel moved from ChaCha20-Poly1305
+    /// to AES-128-GCM: the plaintext envelope, both nonces and both
+    /// lengths are the ChaCha20-Poly1305 recording's, byte for byte;
+    /// only ciphertext and tags changed. Both GCM kernels produce these
+    /// bytes (`lcm_crypto::gcm`'s tests hold them to each other and to
+    /// the published vectors).
+    #[test]
+    fn invoke_and_reply_golden_wires() {
+        fn hex(bytes: &[u8]) -> String {
+            bytes.iter().map(|b| format!("{b:02x}")).collect()
+        }
+        let mut ctx = provisioned_context();
+        let mut client =
+            LcmClient::new(ClientId(3), &SecretKey::from_bytes([2u8; 32])).with_send_counter(0);
+        let mut op = vec![2u8];
+        op.extend_from_slice(&16u32.to_be_bytes());
+        op.extend_from_slice(&[0x6b; 16]);
+        op.extend_from_slice(&[0x76; 100]);
+
+        let invoke = client.invoke(&op).unwrap();
+        assert_eq!(invoke.len(), 218);
+        assert_eq!(
+            hex(&invoke),
+            "000000034895f05c000000000000000000000000000000000000000300000000\
+             00000000ba17f5f0cf81aab943f6e40279dbf1fb45c3c458784d4233083cfb29\
+             a53989d98b42acfa4e5262e9f619907dc35464cf91cbbf3cfabc8ff1d670fcf8\
+             d985842f98c684a6cfe737007ca16ad0156309c1bd25138876adce80bb973f3f\
+             01f81e0dac64e46da6369d437668271db6be06ea5100f70ccfe8b2476dba2671\
+             a5975e791c0edd12c22f086af0d3110aac40945dd86274707bceff321ff08fde\
+             918dd9c76fdd8f56c3d98f0958061dccd58b3b04bd3cc7ca064f"
+        );
+        let (to, reply) = ctx.handle_invoke(&invoke).unwrap();
+        assert_eq!(to, ClientId(3));
+        assert_eq!(
+            hex(&reply),
+            "9bc2036f7fd0c5cf8de03f95dd0aa13e24436b740ce720186943f168b39c263b\
+             97c655c5ba08fc8f59f36737591bebe87ea28137db094b848996ca536041f057\
+             106cf7b995e1e3e805729d52683aa28d79cedab926d4dc172f2c1524a8579864\
+             03b5c86782f863ff65e7627389c498ce792010a108"
+        );
+        let done = client.handle_reply(&reply).unwrap();
+        assert_eq!(
+            (done.seq, done.result),
+            (SeqNo(1), 0u64.to_be_bytes().to_vec())
+        );
     }
 }

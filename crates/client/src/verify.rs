@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::types::{ChainValue, ClientId, SeqNo};
+use lcm_trusted::types::{ChainValue, ClientId, SeqNo};
 
 /// One completed operation as observed by a client.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -25,9 +25,10 @@
 //!
 //! ## Crate layout
 //!
-//! The code the enclave runs lives in `lcm-trusted`, whose dependencies
-//! and panic-freedom the compiler checks; this crate re-exports each of
-//! its modules under the path it always had:
+//! The code the enclave runs lives in `lcm-trusted` and the client in
+//! `lcm-client`, whose dependencies and panic-freedom the compiler
+//! checks; this crate re-exports each of their modules under the path
+//! it always had:
 //!
 //! * [`types`], [`codec`], [`wire`] — identifiers, the deterministic
 //!   binary codec, the INVOKE/REPLY formats (paper §4.2 / §6.3).
@@ -39,10 +40,12 @@
 //!   batching, recovery, migration, and membership extensions (§4.6).
 //! * [`program`] — packaging of the trusted context as an
 //!   [`lcm_tee::enclave::EnclaveProgram`] plus the host-call ABI.
-//!
-//! The untrusted side and the client are this crate's own:
-//!
 //! * [`client`] — the client state machine (Alg. 1) with retry support.
+//! * [`verify`] — omniscient history checkers used by tests to validate
+//!   fork-linearizability and stability claims on recorded runs.
+//!
+//! The untrusted side is this crate's own:
+//!
 //! * [`server`] — an honest host server: enclave + stable storage +
 //!   request batching (paper §5.2/§5.3 architecture) — the *member*
 //!   role, [`server::LcmServer`] — plus one trait for each role around
@@ -66,8 +69,6 @@
 //!   verified reads.
 //! * [`admin`] — the trusted admin: bootstrapping, attestation,
 //!   membership changes, migration orchestration (§4.3, §4.6).
-//! * [`verify`] — omniscient history checkers used by tests to validate
-//!   fork-linearizability and stability claims on recorded runs.
 //!
 //! ## Example
 //!
@@ -79,15 +80,13 @@
 
 pub mod admin;
 pub mod admission;
-pub mod client;
-pub mod context;
 pub mod pipeline;
 pub mod program;
 pub mod replica;
 pub mod server;
 pub mod shard;
 pub mod transport;
-pub mod verify;
 
-pub use lcm_trusted::{codec, functionality, routing, stability, types, wire};
+pub use lcm_client::{client, verify};
+pub use lcm_trusted::{codec, context, functionality, routing, stability, types, wire};
 pub use lcm_trusted::{LcmError, Result, Violation};

@@ -17,8 +17,10 @@
 //!   asynchronous-write mode and the driver threads).
 //! * [`trusted`] — the code the enclave `T` runs (Alg. 2): wire
 //!   codec, trusted context, stability, routing, enclave program.
-//! * [`core`] — the LCM protocol around it: the client (Alg. 1), the
-//!   host servers, shards, replicas, transport; re-exports [`trusted`].
+//! * [`client`] — the relying party (Alg. 1): the client state
+//!   machine and the history checkers, built on [`trusted`] alone.
+//! * [`core`] — the LCM protocol around them: the host servers,
+//!   shards, replicas, transport; re-exports [`trusted`] and [`client`].
 //! * [`kvs`] — the key-value store application and baseline servers.
 //! * [`workload`] — YCSB-style workload generation.
 //! * [`sim`] — deterministic discrete-event simulator and cost model
@@ -49,6 +51,7 @@
 
 #![forbid(unsafe_code)]
 
+pub use lcm_client as client;
 pub use lcm_core as core;
 pub use lcm_crypto as crypto;
 pub use lcm_kvs as kvs;
@@ -66,10 +69,10 @@ pub mod deployment;
 /// types.
 pub mod prelude {
     pub use crate::deployment::{Deployment, DeploymentBuilder, Mode};
+    pub use lcm_client::LcmClient;
     pub use lcm_core::admission::{
         AdmissionConfig, HealthSnapshot, RetryAfter, TenantConfig, TenantId,
     };
-    pub use lcm_core::client::LcmClient;
     pub use lcm_core::server::BatchServer;
     pub use lcm_core::stability::Quorum;
     pub use lcm_core::transport::FrontendPort;

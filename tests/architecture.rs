@@ -606,37 +606,37 @@ fn clock_census_only_goes_down() {
     );
 }
 
-/// The code `T` runs is the `lcm-trusted` crate, and it names no
-/// clock, thread or lock in non-test code. What `T` computes must not
-/// depend on host time or scheduling, and a trusted crate takes neither
-/// `std::time`, `std::thread` nor `std::sync`.
+/// The code `T` runs is the `lcm-trusted` crate, the client that
+/// checks it is `lcm-client`, and neither names a clock, thread or lock
+/// in non-test code. What `T` computes and what the client accepts
+/// must not depend on host time or scheduling, so these crates take
+/// neither `std::time`, `std::thread` nor `std::sync`.
 #[test]
 fn trusted_modules_take_no_clock_thread_or_lock() {
     const HOST_ONLY: [&str; 5] = ["std::time", "std::thread", "std::sync", "Instant", "sleep("];
-    assert!(
-        files(&[TRUSTED_SRC], &[".rs"]).count() > 1,
-        "{TRUSTED_SRC}: no trusted crate"
-    );
-    let found = hits(files(&[TRUSTED_SRC], &[".rs"]), true, |l| {
+    for dir in [TRUSTED_SRC, CLIENT_SRC] {
+        assert!(files(&[dir], &[".rs"]).count() > 1, "{dir}: no crate");
+    }
+    let found = hits(files(&[TRUSTED_SRC, CLIENT_SRC], &[".rs"]), true, |l| {
         HOST_ONLY.iter().any(|n| l.contains(n))
     });
     assert!(
         found.is_empty(),
-        "host-only names in trusted modules: {found:#?}"
+        "host-only names in trusted or client modules: {found:#?}"
     );
 }
 
 /// Where the code `T` runs lives.
 const TRUSTED_SRC: &str = "crates/trusted/src";
 
-/// The trusted crate builds on the primitives and the TEE alone: the
-/// `[dependencies]` of its manifest are exactly `lcm-crypto` and
-/// `lcm-tee`. A dependency on storage, the runtime or the host stack
-/// would put their code — threads, locks, clocks — inside `T`.
-#[test]
-fn trusted_crate_depends_only_on_crypto_and_tee() {
-    let manifest = &file("crates/trusted/Cargo.toml").text;
-    let deps: Vec<&str> = manifest
+/// Where the client (Alg. 1) and the history checkers live.
+const CLIENT_SRC: &str = "crates/client/src";
+
+/// The package names under `[dependencies]` of the manifest at `path`,
+/// in order.
+fn deps(path: &str) -> Vec<&'static str> {
+    file(path)
+        .text
         .lines()
         .skip_while(|l| l.trim() != "[dependencies]")
         .skip(1)
@@ -644,11 +644,33 @@ fn trusted_crate_depends_only_on_crypto_and_tee() {
         .filter(|l| !l.trim_start().starts_with('#'))
         .filter_map(|l| l.split_once('=').map(|(key, _)| key.trim()))
         .map(|key| key.split_once('.').map_or(key, |(name, _)| name))
-        .collect();
+        .collect()
+}
+
+/// The trusted crate builds on the primitives and the TEE alone: the
+/// `[dependencies]` of its manifest are exactly `lcm-crypto` and
+/// `lcm-tee`. A dependency on storage, the runtime or the host stack
+/// would put their code — threads, locks, clocks — inside `T`.
+#[test]
+fn trusted_crate_depends_only_on_crypto_and_tee() {
     assert_eq!(
-        deps,
+        deps("crates/trusted/Cargo.toml"),
         ["lcm-crypto", "lcm-tee"],
         "crates/trusted/Cargo.toml [dependencies]"
+    );
+}
+
+/// The client trusts nothing on the server except `T` (§2.3): the
+/// `[dependencies]` of its manifest are exactly `lcm-crypto`,
+/// `lcm-trusted` (the formats `T` seals) and `rand` (the start of its
+/// nonce counter). A dependency on storage, the runtime or the host
+/// stack would let what the host says decide what the client accepts.
+#[test]
+fn client_crate_depends_only_on_trusted_crypto_and_rand() {
+    assert_eq!(
+        deps("crates/client/Cargo.toml"),
+        ["lcm-crypto", "lcm-trusted", "rand"],
+        "crates/client/Cargo.toml [dependencies]"
     );
 }
 
@@ -665,6 +687,21 @@ fn tcb_only_shrinks() {
     assert_eq!(
         lines, TCB_LINES,
         "{TRUSTED_SRC}: non-test lines (the TCB is {lines}; lower the pin after a cut)"
+    );
+}
+
+/// The client — `lcm-client`'s non-test lines — only shrinks, like the
+/// TCB: the detection claim rests on every line of it, so its size is
+/// pinned here and a rise fails.
+#[test]
+fn client_only_shrinks() {
+    const CLIENT_LINES: usize = 1277;
+    let lines: usize = files(&[CLIENT_SRC], &[".rs"])
+        .map(|f| non_test(&f.text).count())
+        .sum();
+    assert_eq!(
+        lines, CLIENT_LINES,
+        "{CLIENT_SRC}: non-test lines (the client is {lines}; lower the pin after a cut)"
     );
 }
 
