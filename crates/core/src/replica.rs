@@ -784,6 +784,12 @@ impl<F: Functionality + 'static> Lane for ReplicaGroup<F> {
         self.port.serve_read(read_wire)
     }
 
+    /// The leader's: only the member executing the lane's writes
+    /// blocks the lane on its writer.
+    fn backpressure_events(&self) -> u64 {
+        self.leader_server().backpressure_events()
+    }
+
     fn read_port(&self) -> Option<Arc<dyn ReadPort>> {
         Some(self.port.clone())
     }

@@ -1008,6 +1008,13 @@ pub trait Lane: Send {
     /// Number of INVOKE messages processed.
     fn ops_processed(&self) -> u64;
 
+    /// How many times execution blocked on a full persist-writer
+    /// queue ([`LcmServer::backpressure_events`]); 0 for a lane
+    /// without a writer.
+    fn backpressure_events(&self) -> u64 {
+        0
+    }
+
     /// Blocks until every live member's persists — a group
     /// straggler's buffered records included — have reached stable
     /// storage, surfacing storage failures. See
@@ -1215,6 +1222,9 @@ impl<F: Functionality> Lane for LcmServer<F> {
     }
     fn ops_processed(&self) -> u64 {
         LcmServer::ops_processed(self)
+    }
+    fn backpressure_events(&self) -> u64 {
+        LcmServer::backpressure_events(self)
     }
     fn flush_persists(&mut self) -> Result<()> {
         LcmServer::flush(self)

@@ -275,9 +275,13 @@ pub struct ShardStats {
     /// attestation *activity* per member: a deployment with fewer
     /// attested rows than lanes was certainly never fully verified.
     pub attested: bool,
-    /// Ingress-queue counters; `blocked_pushes` is this shard's
-    /// back-pressure signal.
+    /// Ingress-queue counters; `blocked_pushes` counts submissions
+    /// that waited for room in the ingress.
     pub ingress: QueueStats,
+    /// How many times the lane's execution blocked on its full
+    /// persist-writer queue ([`Lane::backpressure_events`]) — the
+    /// back-pressure of a pipelined lane whose storage falls behind.
+    pub writer_waits: u64,
 }
 
 /// A ticketed wire waiting in a shard's ingress queue: `(ticket,
@@ -317,6 +321,8 @@ struct Shard {
     /// without waiting for a lane a driver holds.
     ops: AtomicU64,
     batches: AtomicU64,
+    /// The lane's `backpressure_events`, mirrored with the two above.
+    writer_waits: AtomicU64,
 }
 
 /// A held lane. Dropping it mirrors the lane's counters into its
@@ -364,6 +370,8 @@ impl Shard {
             .store(lane.server.ops_processed(), Ordering::Relaxed);
         self.batches
             .store(lane.server.batches_processed(), Ordering::Relaxed);
+        self.writer_waits
+            .store(lane.server.backpressure_events(), Ordering::Relaxed);
     }
 
     /// Counts `n` of this shard's wires gone: answered, or written off.
@@ -681,6 +689,7 @@ impl ShardCore {
                     batch_limit: server.batch_limit(),
                     ops: AtomicU64::new(server.ops_processed()),
                     batches: AtomicU64::new(server.batches_processed()),
+                    writer_waits: AtomicU64::new(server.backpressure_events()),
                     lane: Mutex::new(LaneState {
                         server,
                         inflight: VecDeque::new(),
@@ -1325,6 +1334,7 @@ impl ShardedServer {
                 batches: shard.batches.load(Ordering::Relaxed),
                 attested: self.attested[i],
                 ingress: shard.ingress.stats(),
+                writer_waits: shard.writer_waits.load(Ordering::Relaxed),
             })
             .collect()
     }

@@ -881,8 +881,15 @@ mod tests {
         for _ in 1..wires {
             fe.submit_shared(clients[0].retry().unwrap());
         }
+        // The book settles a batch's tickets before the demux has
+        // delivered or dropped its replies, so an empty book alone does
+        // not mean every reply is counted.
+        let settled = || {
+            let stats = fe.transport_stats();
+            fe.in_flight() == 0 && stats.delivered() + stats.dropped_replies() == wires
+        };
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while fe.in_flight() > 0 && std::time::Instant::now() < deadline {
+        while !settled() && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(1));
         }
         let in_flight = fe.in_flight();

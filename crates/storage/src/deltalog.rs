@@ -15,20 +15,29 @@
 //!   `dlog.head.1`): a store that finds a commit on the device takes
 //!   the free head and starts its own inner write at once, instead of
 //!   waiting out a write it is not part of and then its own;
-//! * **sealed segments** — a head is sealed into an immutable segment
-//!   once it reaches [`DeltaLogConfig::segment_bytes`], with the engine
-//!   lock released while the other head keeps committing;
+//! * **sealed segments** — a head is sealed into a segment once it
+//!   reaches [`DeltaLogConfig::segment_bytes`], with the engine lock
+//!   released while the other head keeps committing. A seal is one
+//!   device write of the full head into the lowest free segment slot
+//!   the manifest covers; only a seal that finds none grows the range,
+//!   and writes the manifest after its segment. The head is not
+//!   cleared: its next commit rewrites the slot;
 //! * **compaction** — a sealed checkpoint store supersedes the slot's
-//!   older deltas; fully superseded segments are garbage-collected from
-//!   the low end of the log;
+//!   older deltas. A segment whose every record is superseded one
+//!   checkpoint generation late goes on an in-memory free list, and a
+//!   later seal overwrites it in place: like a log-structured file
+//!   system, the log reclaims a segment by reusing it, not by erasing
+//!   it, so collection is bookkeeping and costs no device write;
 //! * **batched stores** — [`StableStorage::store_all`] journals a run
 //!   of one slot's deltas (a replica-group straggler's buffer) as one
 //!   group commit, one head write;
-//! * **recovery** — reopening scans checkpoints + segments + both
-//!   heads, truncates a torn head tail at that head's last intact frame
-//!   ([`crate::framing`]), and replays the surviving records merged in
-//!   epoch order. A medium that only ever had one head opens unchanged.
-//!   Which layer checks what on the way is listed under
+//! * **recovery** — reopening scans checkpoints, every segment slot in
+//!   the manifest's range and both heads, truncates a torn head tail at
+//!   that head's last intact frame ([`crate::framing`]), replays the
+//!   surviving records merged in epoch order, and rebuilds the free
+//!   list from the same scan. A medium that only ever had one head, or
+//!   whose collection cleared segments instead of freeing them, opens
+//!   unchanged. Which layer checks what on the way is listed under
 //!   [Who checks what at a reboot](#who-checks-what-at-a-reboot).
 //!
 //! The engine never opens a seal: deltas and checkpoints are opaque
@@ -75,12 +84,15 @@
 //!    loaded and their one frame is checked, because a torn checkpoint
 //!    overwrite must not be taken for current: the valid one with the
 //!    higher epoch is current, the other's epoch is the generation that
-//!    gates garbage collection. The journal — segments, then both heads
-//!    — is scanned once, which is what finds each head's torn tail. A
-//!    record its slot's current checkpoint already supersedes is
-//!    indexed (collection must know which segment holds it) but its
-//!    blob is not copied out: collection runs one generation late, so
-//!    on a busy log that is most of the window.
+//!    gates garbage collection. The journal — every segment slot in
+//!    the manifest's range, then both heads — is scanned once, which
+//!    is what finds each head's torn tail. A record its slot's current
+//!    checkpoint already supersedes is indexed (collection must know
+//!    which segment holds it) but its blob is not copied out:
+//!    collection runs one generation late, so on a busy log that is
+//!    most of the window, and the leftover frames of a reused slot are
+//!    such records. A head whose bytes a segment holds whole was sealed
+//!    and starts empty.
 //! 2. **`load`** answers for *the frame it hands up*. It reads the
 //!    current parity slot from the medium again — the engine keeps no
 //!    checkpoint in memory, and what the medium serves now is what the
@@ -105,28 +117,37 @@
 //!
 //! # Crash-safety invariants
 //!
-//! Exercised by the recovery proptests in `tests/storage_torture.rs`:
+//! Exercised by the recovery proptests in `tests/storage_torture.rs`,
+//! and for a reused segment by the crash-point unit tests below:
 //!
 //! 1. every record is tagged with a monotone *epoch* and every
 //!    acknowledged record survives: replaying a prefix of inner writes —
 //!    in any order the host flushed them, with either of two in-flight
 //!    head writes lost — recovers, *per slot*, a prefix of that slot's
 //!    committed history that holds everything acknowledged;
-//! 2. checkpoints alternate between two parity slots and deltas are
-//!    GC-eligible only one checkpoint generation late, so a torn
-//!    checkpoint overwrite always leaves the previous checkpoint plus
-//!    the deltas needed to reach (at least) its state;
+//! 2. checkpoints alternate between two parity slots, and a segment is
+//!    freed only one checkpoint generation late — when every record in
+//!    it is at or below its slot's *previous* checkpoint — so a torn or
+//!    lost newest checkpoint always leaves the previous checkpoint plus
+//!    the deltas needed to reach (at least) its state. A freed slot's
+//!    frames stay on the medium until a seal overwrites them; whichever
+//!    of the two checkpoints recovery lands on supersedes them by
+//!    epoch, so they are indexed and never replayed;
 //! 3. the manifest is written before any checkpoint that would make a
-//!    new slot discoverable, and covers a sealed segment before that
-//!    segment's head is cleared, so no acknowledged record is ever
-//!    unreachable. A seal holds no lock across its three device writes:
-//!    the full head stays marked busy (no commit touches it), its
-//!    segment number is reserved under the lock (garbage collection
-//!    stops below a reserved number, the other head's seal takes the
-//!    next), then segment → manifest → head clear run in that order.
-//!    Manifest writes queue behind one another, never behind the lock.
+//!    new slot discoverable, and a seal writes only into a segment the
+//!    medium's manifest already covers or, growing the range, writes
+//!    the manifest after its segment; the sealed records stay in their
+//!    head slot until that head's next commit rewrites it, which starts
+//!    only after the seal has returned. So a torn seal — a reused slot
+//!    overwritten in part — loses no acknowledged record: the head
+//!    still holds them, and the slot's old frames were free. A seal
+//!    holds no lock across its device writes: the full head stays
+//!    marked busy (no commit touches it) and its segment is taken off
+//!    the free list or reserved under the lock, so the other head's
+//!    seal takes another. Manifest writes queue behind one another,
+//!    never behind the lock.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use lcm_runtime::CountedCondvar;
@@ -196,7 +217,7 @@ pub struct DeltaLogStats {
     pub segments_sealed: u64,
     /// Checkpoints stored (compaction points).
     pub checkpoints: u64,
-    /// Fully superseded segments garbage-collected.
+    /// Fully superseded segments put on the free list for reuse.
     pub segments_gced: u64,
     /// Torn tails truncated during recovery (head or segment).
     pub torn_truncations: u64,
@@ -208,9 +229,10 @@ struct SlotState {
     ckpt_epoch: Option<u64>,
     /// Which parity slot holds the newest checkpoint.
     ckpt_parity: u8,
-    /// Epoch of the previous checkpoint generation: deltas at or below
-    /// it are GC-eligible (the lag keeps a torn checkpoint overwrite
-    /// recoverable from its predecessor).
+    /// Epoch of the previous checkpoint generation: a segment whose
+    /// records of this slot are all at or below it may be freed (the
+    /// lag keeps a torn checkpoint overwrite recoverable from its
+    /// predecessor).
     prev_ckpt_epoch: u64,
     /// Deltas newer than the current checkpoint, by epoch — exactly
     /// what `load` appends to the checkpoint frame. Shared, so `load`
@@ -239,8 +261,8 @@ struct Head {
     /// In-memory mirror of the durable head slot. Away with the
     /// committer (empty here) while the head is `busy`.
     buf: Vec<u8>,
-    /// (epoch, slot) of every record in the head slot.
-    index: Vec<(u64, String)>,
+    /// What the head slot holds, as its segment will be indexed.
+    index: SegIndex,
     /// The records of the unfinished commit on this head, empty without
     /// one. Kept here rather than with its committer so the other
     /// head's next commit can apply rule 2 against it.
@@ -274,11 +296,17 @@ struct Core {
     failed: Vec<FailedCommit>,
     heads: [Head; 2],
     seg_lo: u64,
-    /// Next unreserved segment number; a seal in flight holds one below
-    /// it that has no `seg_index` entry yet.
+    /// Next unreserved segment number. Every number in `seg_lo..seg_next`
+    /// is in exactly one of `seg_index`, `free`, or a seal in flight.
     seg_next: u64,
-    /// (epoch, slot) of every record per sealed segment.
-    seg_index: BTreeMap<u64, Vec<(u64, String)>>,
+    /// The live sealed segments: some record in each is still needed.
+    seg_index: BTreeMap<u64, SegIndex>,
+    /// Segments whose every record is superseded one generation late:
+    /// a seal may overwrite them.
+    free: BTreeSet<u64>,
+    /// `seg_next` as the newest manifest on the medium has it: a seal
+    /// reuses only a free segment below it, which recovery will scan.
+    meta_seg_next: u64,
     meta_gen: u64,
     meta_parity: u8,
     /// A manifest write is on the device (lock released); the next
@@ -292,6 +320,39 @@ impl Core {
     fn take_epoch(&mut self) -> u64 {
         self.next_epoch += 1;
         self.next_epoch - 1
+    }
+
+    /// The segment a full head seals into: the lowest free one the
+    /// medium's manifest covers, or else a new number, with `true` —
+    /// the range grows, so the manifest must follow the segment.
+    fn take_segment(&mut self) -> (u64, bool) {
+        if let Some(&k) = self.free.range(..self.meta_seg_next).next() {
+            self.free.remove(&k);
+            return (k, false);
+        }
+        self.seg_next += 1;
+        (self.seg_next - 1, true)
+    }
+
+    /// Collection: moves every live segment whose records are all
+    /// superseded one generation late onto the free list. Bookkeeping
+    /// only — the next seal that takes one overwrites it.
+    fn free_superseded(&mut self) {
+        let Core {
+            seg_index,
+            free,
+            slots,
+            stats,
+            ..
+        } = self;
+        seg_index.retain(|&k, index| {
+            if !superseded(slots, index) {
+                return true;
+            }
+            free.insert(k);
+            stats.segments_gced += 1;
+            false
+        });
     }
 
     /// Starts a group commit if a head is free and the queue's front is
@@ -378,6 +439,26 @@ impl std::fmt::Debug for DeltaLogStorage {
             .field("stats", &core.stats)
             .finish()
     }
+}
+
+/// The newest epoch of each slot with records in a segment (or head):
+/// all collection needs to know of it.
+type SegIndex = Vec<(u64, String)>;
+
+/// Notes a record of `slot` at `epoch`, the newest so far, in `index`.
+fn note(index: &mut SegIndex, epoch: u64, slot: &str) {
+    match index.iter_mut().find(|(_, s)| s == slot) {
+        Some(entry) => entry.0 = entry.0.max(epoch),
+        None => index.push((epoch, slot.to_string())),
+    }
+}
+
+/// Whether every record `index` describes is at or below its slot's
+/// previous checkpoint — needed by neither checkpoint on the medium.
+fn superseded(slots: &HashMap<String, SlotState>, index: &SegIndex) -> bool {
+    index
+        .iter()
+        .all(|(epoch, slot)| slots.get(slot).is_some_and(|s| *epoch <= s.prev_ckpt_epoch))
 }
 
 /// Appends the journal frame of `r` — `epoch ‖ len(slot) ‖ slot ‖ blob`
@@ -496,6 +577,8 @@ impl DeltaLogStorage {
             seg_lo: 0,
             seg_next: 0,
             seg_index: BTreeMap::new(),
+            free: BTreeSet::new(),
+            meta_seg_next: 0,
             meta_gen: 0,
             meta_parity: 0,
             meta_busy: false,
@@ -521,6 +604,7 @@ impl DeltaLogStorage {
             core.meta_parity = parity;
             core.seg_lo = lo;
             core.seg_next = next;
+            core.meta_seg_next = next;
             manifest_slots = slots;
         }
 
@@ -547,10 +631,11 @@ impl DeltaLogStorage {
             core.slots.insert(slot, state);
         }
 
-        // Sealed segments, then both heads: collect records by epoch
-        // (rule 3 — where a record was found does not matter, and one
-        // found twice is one record). The checkpoints are known by now,
-        // so a record its slot's checkpoint supersedes is indexed but
+        // Every segment slot in the range, then both heads: collect
+        // records by epoch (rule 3 — where a record was found does not
+        // matter, and one found twice is one record). The checkpoints
+        // are known by now, so a record its slot's checkpoint supersedes
+        // — a reused slot's leftover frames among them — is indexed but
         // never copied; its epoch is below the checkpoint's, which
         // `max_epoch` already covers.
         let mut records: BTreeMap<u64, (String, Arc<[u8]>)> = BTreeMap::new();
@@ -560,10 +645,10 @@ impl DeltaLogStorage {
                 if scanned.is_torn(buf.len()) {
                     stats.torn_truncations += 1;
                 }
-                let mut index = Vec::new();
+                let mut index = SegIndex::new();
                 for payload in scanned.payloads {
                     if let Some((epoch, slot, blob)) = parse_record(payload) {
-                        index.push((epoch, slot.to_string()));
+                        note(&mut index, epoch, slot);
                         let ckpt_epoch = slots.get(slot).and_then(|s| s.ckpt_epoch);
                         if epoch > ckpt_epoch.unwrap_or(0) {
                             records.insert(epoch, (slot.to_string(), Arc::from(blob)));
@@ -572,17 +657,29 @@ impl DeltaLogStorage {
                 }
                 (index, scanned.valid_len)
             };
+        let mut head_bufs = [inner.load(HEAD_SLOTS[0])?, inner.load(HEAD_SLOTS[1])?];
         for k in core.seg_lo..core.seg_next {
-            // A number in the window with nothing (left) behind it — a
-            // seal that reserved it and died, a segment cleared before
-            // the manifest that drops it landed — still gets its (empty)
-            // index, or garbage collection could never pass it.
+            // A number with nothing behind it — a seal that grew the
+            // range and died, a slot an older engine cleared — scans
+            // empty and is free like any other superseded segment.
             let buf = inner.load(&seg_slot(k))?.unwrap_or_default();
+            // A seal writes its head whole and leaves the head slot as
+            // it was: a head some segment holds byte for byte was
+            // sealed, and starts empty — its next commit rewrites it.
+            for head in &mut head_bufs {
+                if !buf.is_empty() && head.as_deref() == Some(&buf[..]) {
+                    *head = None;
+                }
+            }
             let (index, _) = collect(&buf, &core.slots, &mut core.stats);
-            core.seg_index.insert(k, index);
+            if superseded(&core.slots, &index) {
+                core.free.insert(k);
+            } else {
+                core.seg_index.insert(k, index);
+            }
         }
-        for (head, slot) in core.heads.iter_mut().zip(HEAD_SLOTS) {
-            if let Some(mut buf) = inner.load(slot)? {
+        for (head, buf) in core.heads.iter_mut().zip(head_bufs) {
+            if let Some(mut buf) = buf {
                 let (index, valid_len) = collect(&buf, &core.slots, &mut core.stats);
                 buf.truncate(valid_len); // a torn tail cuts its own head only
                 head.buf = buf;
@@ -637,7 +734,8 @@ impl DeltaLogStorage {
         let gen = core.meta_gen + 1;
         let parity = core.meta_parity ^ 1;
         let slots: Vec<&String> = core.slots.keys().collect();
-        let buf = encode_meta(gen, core.seg_lo, core.seg_next, &slots);
+        let seg_next = core.seg_next;
+        let buf = encode_meta(gen, core.seg_lo, seg_next, &slots);
         drop(core);
         let written = self.inner.store(&meta_slot(parity), &buf);
         let mut core = self.lock_core();
@@ -645,49 +743,26 @@ impl DeltaLogStorage {
         if written.is_ok() {
             core.meta_gen = gen;
             core.meta_parity = parity;
+            core.meta_seg_next = seg_next;
         }
         drop(core);
         self.commit_done.notify_all();
         written
     }
 
-    /// The device writes of sealing head `h`, whose content is `buf`,
-    /// into segment `k` — all with the core lock released.
-    fn seal_writes(&self, h: usize, k: u64, buf: &[u8]) -> Result<()> {
+    /// The device writes of sealing a head whose content is `buf` into
+    /// segment `k`, with the core lock released: the segment, and the
+    /// manifest after it only if `k` grows the range. (`k` was taken
+    /// before the segment was written, so any manifest from here on
+    /// covers it.) The head slot is left as it is — its records stay
+    /// there until the head's next commit, so a torn segment loses
+    /// none, and a copy found in both places is one record by epoch.
+    fn seal_writes(&self, k: u64, grows: bool, buf: &[u8]) -> Result<()> {
         self.inner.store(&seg_slot(k), buf)?;
-        // The manifest must cover the segment before the head may be
-        // cleared, or a crash between the two writes would orphan every
-        // record in it. (`k` was reserved before the segment was
-        // written, so any manifest from here on covers it.)
-        self.write_meta()?;
-        let _ = self.inner.store(HEAD_SLOTS[h], &[]); // dup records dedupe by epoch
-        Ok(())
-    }
-
-    /// Takes the fully superseded segments off the low end of the log
-    /// window, returning their numbers for the caller to clear on the
-    /// medium. A manifest written before they are cleared merely stops
-    /// naming segments no recovery needs. Stops below a segment number
-    /// a seal in flight has reserved (it has no index yet).
-    fn take_superseded(core: &mut Core) -> std::ops::Range<u64> {
-        let lo = core.seg_lo;
-        while core.seg_lo < core.seg_next {
-            let Some(index) = core.seg_index.get(&core.seg_lo) else {
-                break;
-            };
-            let superseded = index.iter().all(|(epoch, slot)| {
-                core.slots
-                    .get(slot)
-                    .is_some_and(|s| *epoch <= s.prev_ckpt_epoch)
-            });
-            if !superseded {
-                break;
-            }
-            core.seg_index.remove(&core.seg_lo);
-            core.seg_lo += 1;
-            core.stats.segments_gced += 1;
+        if grows {
+            self.write_meta()?;
         }
-        lo..core.seg_lo
+        Ok(())
     }
 
     /// The group-commit path for deltas of one slot: adopt the slot's
@@ -839,7 +914,7 @@ impl DeltaLogStorage {
                 core.stats.group_commits += 1;
                 core.stats.records_appended += batch.len() as u64;
                 for r in batch {
-                    core.heads[h].index.push((r.epoch, r.slot.clone()));
+                    note(&mut core.heads[h].index, r.epoch, &r.slot);
                     let state = core.slots.entry(r.slot).or_default();
                     // A checkpoint of the slot that overtook this record
                     // has superseded it already.
@@ -848,11 +923,9 @@ impl DeltaLogStorage {
                     }
                 }
                 if buf.len() >= self.config.segment_bytes {
-                    // Reserved here, under the lock: the other head's
-                    // seal takes the next number, garbage collection
-                    // stops below this one.
-                    seal_into = Some(core.seg_next);
-                    core.seg_next += 1;
+                    // Taken here, under the lock: the other head's seal
+                    // takes another segment.
+                    seal_into = Some(core.take_segment());
                 }
             }
             Err(e) => {
@@ -865,12 +938,12 @@ impl DeltaLogStorage {
                 });
             }
         }
-        if let Some(k) = seal_into {
+        if let Some((k, grows)) = seal_into {
             // The commit's callers go now; the head stays busy and the
             // other head keeps committing while this one seals.
             drop(core);
             self.commit_done.notify_all();
-            let sealed = self.seal_writes(h, k, &buf);
+            let sealed = self.seal_writes(k, grows, &buf);
             core = self.lock_core();
             match sealed {
                 Ok(()) => {
@@ -880,10 +953,11 @@ impl DeltaLogStorage {
                     buf.clear(); // keeps its capacity for the next fill
                 }
                 // Best effort: the records stay durable in the head and
-                // the seal retries after this head's next commit; the
-                // reserved number stays behind as an empty segment.
+                // the seal retries after this head's next commit. What
+                // the segment holds now is in the head too, so it is
+                // free again.
                 Err(_) => {
-                    core.seg_index.insert(k, Vec::new());
+                    core.free.insert(k);
                 }
             }
         }
@@ -896,10 +970,9 @@ impl DeltaLogStorage {
 
     /// The compaction path: a checkpoint supersedes the slot's deltas.
     ///
-    /// Every device write here — the manifest that makes a new slot
-    /// discoverable, the O(state) checkpoint, the per-segment clears of
-    /// the garbage collection that follows and its manifest — runs with
-    /// the core lock *released*: every lane of the deployment
+    /// Both device writes here — the manifest that makes a new slot
+    /// discoverable and the O(state) checkpoint — run with the core lock
+    /// *released*: every lane of the deployment
     /// group-commits through that lock, and one lane's compaction must
     /// not stall the rest. Epoch and parity are reserved under the lock
     /// before the write and the result is published under it after.
@@ -939,7 +1012,8 @@ impl DeltaLogStorage {
     }
 
     /// Writes the checkpoint [`Self::reserve_checkpoint`] reserved
-    /// `epoch` for, publishes it and collects what it supersedes.
+    /// `epoch` for, publishes it and frees what it supersedes one
+    /// generation late ([`Core::free_superseded`]).
     fn write_checkpoint(&self, slot: &str, blob: &[u8], epoch: u64) -> Result<()> {
         let core = self.lock_core();
         let state = core
@@ -969,29 +1043,17 @@ impl DeltaLogStorage {
             .get_mut(slot)
             .expect("reserved slots are never removed");
         state.ckpt_in_flight = false;
-        let superseded = match written {
-            Ok(()) => {
-                state.prev_ckpt_epoch = state.ckpt_epoch.unwrap_or(0);
-                state.ckpt_epoch = Some(epoch);
-                state.ckpt_parity = parity;
-                state.deltas = state.deltas.split_off(&(epoch + 1));
-                core.stats.checkpoints += 1;
-                Self::take_superseded(&mut core)
-            }
-            Err(_) => 0..0,
-        };
+        if written.is_ok() {
+            state.prev_ckpt_epoch = state.ckpt_epoch.unwrap_or(0);
+            state.ckpt_epoch = Some(epoch);
+            state.ckpt_parity = parity;
+            state.deltas = state.deltas.split_off(&(epoch + 1));
+            core.stats.checkpoints += 1;
+            core.free_superseded();
+        }
         drop(core);
         self.commit_done.notify_all();
-        written?;
-        if superseded.is_empty() {
-            return Ok(());
-        }
-
-        for k in superseded {
-            let _ = self.inner.store(&seg_slot(k), &[]);
-        }
-        let _ = self.write_meta(); // the old manifest merely names cleared segments
-        Ok(())
+        written
     }
 }
 
@@ -1201,6 +1263,212 @@ mod tests {
         let (c, ds) = parse_bundle(&got).unwrap();
         assert_eq!(c, &ckpt(3)[..], "previous generation serves");
         assert_eq!(ds, vec![&delta(4)[..]], "its deltas were not GC'd");
+    }
+
+    /// A plain medium that lists the slots it is written, and can tear
+    /// one chosen overwrite in place: only the new blob's first `keep`
+    /// bytes land over the old ones, as on power loss mid-write.
+    #[derive(Default)]
+    struct Medium {
+        slots: Mutex<HashMap<String, Vec<u8>>>,
+        written: Mutex<Vec<String>>,
+        tear: Mutex<Option<(String, usize)>>,
+    }
+
+    impl Medium {
+        /// The slots written since the last call, in order.
+        fn take_written(&self) -> Vec<String> {
+            std::mem::take(&mut *self.written.lock().unwrap())
+        }
+
+        /// Cuts `slot`'s stored bytes short, as a torn write leaves them.
+        fn truncate(&self, slot: &str, by: usize) {
+            let mut slots = self.slots.lock().unwrap();
+            let buf = slots.get_mut(slot).unwrap();
+            buf.truncate(buf.len() - by);
+        }
+    }
+
+    impl StableStorage for Medium {
+        fn store(&self, slot: &str, blob: &[u8]) -> Result<()> {
+            self.written.lock().unwrap().push(slot.to_string());
+            let mut slots = self.slots.lock().unwrap();
+            let mut tear = self.tear.lock().unwrap();
+            let torn = tear.as_ref().filter(|(s, _)| s == slot).map(|&(_, k)| k);
+            let bytes = match (torn, slots.get(slot)) {
+                (Some(keep), Some(old)) if keep < blob.len() => {
+                    *tear = None;
+                    let mut torn = blob[..keep].to_vec();
+                    torn.extend_from_slice(old.get(keep..).unwrap_or_default());
+                    torn
+                }
+                _ => blob.to_vec(),
+            };
+            slots.insert(slot.to_string(), bytes);
+            Ok(())
+        }
+        fn load(&self, slot: &str) -> Result<Option<Vec<u8>>> {
+            Ok(self.slots.lock().unwrap().get(slot).cloned())
+        }
+    }
+
+    /// One journal frame per `delta` on slot "s": 8 + 8 + 4 + 1 + 9.
+    const FRAME: usize = 30;
+
+    /// An engine over `medium` whose head seals at every second delta
+    /// of slot "s".
+    fn two_frame_engine(medium: &Arc<Medium>) -> DeltaLogStorage {
+        let config = DeltaLogConfig {
+            segment_bytes: 2 * FRAME - 1,
+        };
+        DeltaLogStorage::with_config(medium.clone(), config).unwrap()
+    }
+
+    /// Stores `ckpt(epoch)` or `delta(epoch)` for each epoch in turn:
+    /// the engine numbers them 1, 2, … in this order, so each blob names
+    /// its own epoch.
+    fn store_epochs(e: &DeltaLogStorage, checkpoints: &[u8], epochs: std::ops::RangeInclusive<u8>) {
+        for n in epochs {
+            let blob = if checkpoints.contains(&n) {
+                ckpt(n)
+            } else {
+                delta(n)
+            };
+            e.store("s", &blob).unwrap();
+        }
+    }
+
+    fn loaded(e: &DeltaLogStorage) -> (Vec<u8>, Vec<Vec<u8>>) {
+        let bundle = e.load("s").unwrap().unwrap();
+        let (c, ds) = parse_bundle(&bundle).unwrap();
+        (c.to_vec(), ds.into_iter().map(<[u8]>::to_vec).collect())
+    }
+
+    fn deltas(epochs: &[u8]) -> Vec<Vec<u8>> {
+        epochs.iter().map(|&n| delta(n)).collect()
+    }
+
+    #[test]
+    fn a_torn_newest_checkpoint_falls_back_over_reused_segments_without_replaying_leftovers() {
+        let medium = Arc::new(Medium::default());
+        let e = two_frame_engine(&medium);
+        // Four generations: checkpoints at epochs 1, 6, 11 and 16, on
+        // parities 0, 1, 0, 1. The one at 11 frees segments 0 and 1
+        // (epochs 2–5, at or below the one at 6) and its deltas reuse
+        // them; the one at 16 frees 2 and 3, and 17–18 reuse 2.
+        store_epochs(&e, &[1, 6, 11, 16], 1..=18);
+        assert_eq!(e.stats().segments_sealed, 7);
+        assert_eq!(e.stats().segments_gced, 4);
+        assert_eq!(e.lock_core().free, BTreeSet::from([3]));
+        assert_eq!(
+            medium.load(&seg_slot(4)).unwrap(),
+            None,
+            "four segments serve"
+        );
+        drop(e);
+        // The checkpoint at 16 is torn: recovery falls back to 11 and
+        // needs every delta after it, two of them in the head too.
+        // Segment 3 still holds 9–10, which 11 supersedes.
+        medium.truncate(&ckpt_slot("s", 1), 2);
+        let e = two_frame_engine(&medium);
+        assert_eq!(loaded(&e), (ckpt(11), deltas(&[12, 13, 14, 15, 17, 18])));
+        assert_eq!(e.lock_core().seg_index[&3], vec![(10, "s".to_string())]);
+    }
+
+    #[test]
+    fn a_torn_overwrite_of_a_reused_segment_loses_no_acknowledged_record() {
+        for newest_torn in [false, true] {
+            let medium = Arc::new(Medium::default());
+            let e = two_frame_engine(&medium);
+            // Checkpoints at 1, 6 and 11 (parities 0, 1, 0): the one at
+            // 11 frees segments 0 and 1, and 12–13 seal into segment 0 —
+            // torn one frame in, so 12 lands over 2 and 3 stays behind.
+            store_epochs(&e, &[1, 6, 11], 1..=11);
+            *medium.tear.lock().unwrap() = Some((seg_slot(0), FRAME));
+            store_epochs(&e, &[], 12..=13);
+            drop(e);
+            let torn = medium.load(&seg_slot(0)).unwrap().unwrap();
+            let frames = framing::scan(&torn).payloads;
+            let epochs: Vec<u64> = frames.iter().map(|p| parse_record(p).unwrap().0).collect();
+            assert_eq!(epochs, vec![12, 3], "the new frame, then a leftover");
+            // The head still holds 12–13. With the checkpoint at 11 lost
+            // too, recovery falls back to 6 and replays 7–10 from the
+            // segments it never freed.
+            let expected = if newest_torn {
+                medium.truncate(&ckpt_slot("s", 0), 2);
+                (ckpt(6), deltas(&[7, 8, 9, 10, 12, 13]))
+            } else {
+                (ckpt(11), deltas(&[12, 13]))
+            };
+            let e = two_frame_engine(&medium);
+            assert_eq!(
+                loaded(&e),
+                expected,
+                "newest checkpoint torn: {newest_torn}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_seal_into_a_free_segment_is_one_write_and_collection_is_none() {
+        let medium = Arc::new(Medium::default());
+        let e = two_frame_engine(&medium);
+        store_epochs(&e, &[1, 6], 1..=10);
+        medium.take_written();
+        // The checkpoint at 11 frees segments 0 and 1: its one write is
+        // all collection costs.
+        e.store("s", &ckpt(11)).unwrap();
+        assert_eq!(medium.take_written(), vec![ckpt_slot("s", 0)]);
+        assert_eq!(e.stats().segments_gced, 2);
+        // The delta that fills the head: its commit, then its seal into
+        // the lowest free segment — no manifest, no head clear.
+        e.store("s", &delta(12)).unwrap();
+        e.store("s", &delta(13)).unwrap();
+        assert_eq!(
+            medium.take_written(),
+            vec![
+                HEAD_SLOTS[0].to_string(),
+                HEAD_SLOTS[0].to_string(),
+                seg_slot(0)
+            ]
+        );
+        // 14–15 take the other free segment; 16–17 find none and grow
+        // the range: segment, then manifest.
+        store_epochs(&e, &[], 14..=17);
+        let head = HEAD_SLOTS[0];
+        let (seg1, seg4, meta) = (seg_slot(1), seg_slot(4), meta_slot(0));
+        assert_eq!(
+            medium.take_written(),
+            [head, head, &seg1, head, head, &seg4, &meta]
+        );
+    }
+
+    #[test]
+    fn the_medium_stays_bounded_while_sealing_across_twenty_generations() {
+        let inner = Arc::new(MemoryStorage::new());
+        let config = DeltaLogConfig {
+            segment_bytes: 2 * FRAME - 1,
+        };
+        let e = DeltaLogStorage::with_config(inner.clone(), config).unwrap();
+        // Each generation: a checkpoint, then eight deltas — four seals.
+        // Segments of two generations are live at most, and one more
+        // generation's are being written while they free, so the medium
+        // never holds more than twelve segments beside its two
+        // manifests, one head and two checkpoint parities.
+        let mut n = 0u8;
+        for generation in 0..20 {
+            e.store("s", &ckpt(n)).unwrap();
+            for _ in 0..8 {
+                n = n.wrapping_add(1);
+                e.store("s", &delta(n)).unwrap();
+            }
+            assert!(
+                inner.len() <= 5 + 12,
+                "generation {generation}: {} slots",
+                inner.len()
+            );
+        }
+        assert_eq!(e.stats().segments_sealed, 80);
     }
 
     #[test]

@@ -45,8 +45,23 @@ impl MemoryStorage {
 }
 
 impl StableStorage for MemoryStorage {
+    /// An overwrite reuses the slot's buffer when the blob fits it and
+    /// fills at least half of it (a slot is mostly rewritten at about
+    /// its old size); otherwise it takes a fresh one, so a slot that
+    /// grew is not copied twice and one that shrank gives its memory
+    /// back.
     fn store(&self, slot: &str, blob: &[u8]) -> Result<()> {
-        crate::write(&self.slots).insert(slot.to_owned(), blob.to_vec());
+        let mut slots = crate::write(&self.slots);
+        match slots.get_mut(slot) {
+            Some(held) if (blob.len()..=2 * blob.len()).contains(&held.capacity()) => {
+                held.clear();
+                held.extend_from_slice(blob);
+            }
+            Some(held) => *held = blob.to_vec(),
+            None => {
+                slots.insert(slot.to_owned(), blob.to_vec());
+            }
+        }
         Ok(())
     }
 
@@ -65,6 +80,16 @@ mod tests {
         s.store("a", b"1").unwrap();
         s.store("a", b"2").unwrap();
         assert_eq!(s.load("a").unwrap().unwrap(), b"2");
+    }
+
+    #[test]
+    fn an_overwrite_holds_exactly_the_new_bytes_whatever_their_size() {
+        let s = MemoryStorage::new();
+        for blob in [&[1u8; 64][..], &[2; 40], &[3; 8], &[4; 100], &[]] {
+            s.store("a", blob).unwrap();
+            assert_eq!(s.load("a").unwrap().unwrap(), blob);
+        }
+        assert_eq!(s.len(), 1);
     }
 
     #[test]

@@ -12,12 +12,16 @@
 //! `AtRestKey`'s fallback. `fixtures/medium_gcm.txt` is the same two
 //! media as the first code that sealed `kP` with AES-128-GCM wrote
 //! them, its deltas under the AAD label `lcm.delta` and chained by
-//! their plaintext hash; `fixtures/medium_tag_chain.txt` is what this
-//! code writes, deltas under `lcm.delta.2` chained by their tags. On
+//! their plaintext hash; `fixtures/medium_tag_chain.txt` is what the
+//! tag rule wrote, deltas under `lcm.delta.2` chained by their tags. On
 //! both, every slot, length, kind byte and nonce is c61ba9d's, and only
-//! ciphertexts, tags and the checksums over them differ. The enclave
-//! is a bare `TrustedContext` on deterministic services, so every
-//! sealed byte is reproducible.
+//! ciphertexts, tags and the checksums over them differ.
+//! `fixtures/medium_free_list.txt` is what this code writes: the delta
+//! log frees superseded segments and reuses them instead of clearing
+//! them, so the same blobs sit in the tag-chain medium's live segments
+//! renumbered from 0, and only the manifests differ besides. The
+//! enclave is a bare `TrustedContext` on deterministic services, so
+//! every sealed byte is reproducible.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -48,6 +52,7 @@ use lcm::tee::world::TeeWorld;
 const FIXTURE: &str = include_str!("fixtures/medium_c61ba9d.txt");
 const GCM_FIXTURE: &str = include_str!("fixtures/medium_gcm.txt");
 const TAG_CHAIN_FIXTURE: &str = include_str!("fixtures/medium_tag_chain.txt");
+const FREE_LIST_FIXTURE: &str = include_str!("fixtures/medium_free_list.txt");
 
 /// A plain store whose slots can be listed.
 #[derive(Default)]
@@ -192,14 +197,42 @@ fn the_same_inputs_put_the_recorded_bytes_on_both_media() {
     write_medium(&BundleStorage::new(plain.clone()));
     let written = dlog.dump("dlog") + &plain.dump("bundle");
     // Not `assert_eq!`: two 20 kB hex dumps help nobody.
-    for (n, (ours, theirs)) in written.lines().zip(TAG_CHAIN_FIXTURE.lines()).enumerate() {
+    for (n, (ours, theirs)) in written.lines().zip(FREE_LIST_FIXTURE.lines()).enumerate() {
         let slot = ours.split(' ').next().unwrap();
         assert!(
             ours == theirs,
             "line {n} ({slot}) differs from the recorded one"
         );
     }
-    assert_eq!(written.lines().count(), TAG_CHAIN_FIXTURE.lines().count());
+    assert_eq!(written.lines().count(), FREE_LIST_FIXTURE.lines().count());
+}
+
+/// Reusing segments moves records, never changes one: the free-list
+/// recording holds the tag-chain recording's non-empty segments in
+/// order (renumbered from 0, the cleared ones gone) and every other
+/// slot but the two manifests byte for byte.
+#[test]
+fn the_free_list_medium_holds_the_tag_chain_medium_s_blobs_with_its_segments_renumbered() {
+    let (ours, theirs) = (slots(FREE_LIST_FIXTURE), slots(TAG_CHAIN_FIXTURE));
+    let is_segment = |slot: &str| slot.starts_with("dlog/dlog.seg.");
+    let segments = |media: &[(&str, Vec<u8>)]| -> Vec<Vec<u8>> {
+        media
+            .iter()
+            .filter(|(slot, blob)| is_segment(slot) && !blob.is_empty())
+            .map(|(_, blob)| blob.clone())
+            .collect()
+    };
+    let rest = |media: &[(&'static str, Vec<u8>)]| -> Vec<(&'static str, Vec<u8>)> {
+        media
+            .iter()
+            .filter(|(slot, _)| !is_segment(slot) && !slot.starts_with("dlog/dlog.meta."))
+            .cloned()
+            .collect()
+    };
+    assert_eq!(segments(&ours).len(), 7);
+    assert_eq!(segments(&ours), segments(&theirs));
+    assert_eq!(ours.iter().filter(|(slot, _)| is_segment(slot)).count(), 7);
+    assert_eq!(rest(&ours), rest(&theirs));
 }
 
 /// Every blob a store records, in order: what the enclave sealed.

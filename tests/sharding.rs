@@ -12,6 +12,7 @@ use common::{mk_client, mk_server, Mode};
 use lcm::core::admin::AdminHandle;
 use lcm::core::client::{LcmClient, WriteOutcome};
 use lcm::core::codec::WireCodec;
+use lcm::core::pipeline::DEFAULT_WRITER_QUEUE;
 use lcm::core::routing::{slice_of, SliceTable, SLICE_COUNT};
 use lcm::core::server::BatchServer;
 use lcm::core::shard::{build_sharded, nth_key_routing_to, route_hash, shard_index, ShardedServer};
@@ -376,6 +377,60 @@ impl StableStorage for GatedStorage {
     fn load(&self, slot: &str) -> lcm::storage::Result<Option<Vec<u8>>> {
         self.inner.load(slot)
     }
+}
+
+/// A pipelined lane whose medium falls behind blocks on its persist
+/// writer's full queue, and `shard_stats` counts those blocks in
+/// `writer_waits` — waits the ingress's `blocked_pushes` never sees.
+/// The lane blocks until the gate opens, so a helper opens it a pause
+/// after the first persist has parked; on a host stalled for longer
+/// than the pause the gate may open before the queue fills, and the
+/// round is repeated with a longer pause — only a lane whose waits go
+/// uncounted fails every round.
+#[test]
+fn a_full_writer_queue_shows_in_the_shard_stats() {
+    let world = TeeWorld::new_deterministic(90);
+    let medium = Arc::new(GatedStorage::new());
+    let mut server = build_sharded::<KvStore>(&world, 1, medium.clone(), 1, 1, true);
+    assert!(server.boot().unwrap());
+    let ids = vec![ClientId(1)];
+    let mut admin = AdminHandle::new_deterministic(&world, ids, Quorum::Majority, 9);
+    admin.bootstrap(&mut server).unwrap();
+    let mut client = KvsClient::new_sharded(ClientId(1), admin.client_key(), 1);
+    client.put(&mut server, b"k", b"durable").unwrap();
+    server.flush_persists().unwrap();
+    assert_eq!(server.shard_stats()[0].writer_waits, 0);
+
+    let mut pause = std::time::Duration::from_millis(50);
+    for round in 0..6 {
+        medium.close();
+        let opener = {
+            let medium = medium.clone();
+            std::thread::spawn(move || {
+                while medium.parked() == 0 {
+                    std::thread::yield_now();
+                }
+                std::thread::sleep(pause);
+                medium.open();
+            })
+        };
+        // One persist parks in the store and `DEFAULT_WRITER_QUEUE`
+        // more fill the writer's queue: the put after them blocks.
+        for i in 0..DEFAULT_WRITER_QUEUE + 2 {
+            client
+                .put(&mut server, b"k", format!("v{round}.{i}").as_bytes())
+                .unwrap();
+        }
+        opener.join().unwrap();
+        server.flush_persists().unwrap();
+        let stats = server.shard_stats()[0];
+        if stats.writer_waits > 0 {
+            assert_eq!(stats.ingress.blocked_pushes, 0);
+            return;
+        }
+        pause *= 2;
+    }
+    panic!("a lane blocked on its full writer queue, and writer_waits stayed 0");
 }
 
 /// The satellite crash-torture scenario: power-fail ONE shard of a
