@@ -7,17 +7,14 @@
 //! member, hands the host a **replication record** next to the blobs
 //! it persists. The host gives that record to every follower
 //! ([`LcmServer::apply_replica`]), each follower's enclave verifies
-//! and applies it, persists as its *own* storage dictates — the
-//! record verbatim, appended to a delta log's journal
-//! ([`lcm_storage::DeltaLogStorage`], which a deployment's builder
-//! opens over a plain medium for every member) or, in a group built
-//! straight over a plain store, to the `checkpoint ‖ deltas` bundle
-//! its slot holds ([`lcm_storage::BundleStorage`]), and one sealed
-//! checkpoint when its own cadence asks for one: O(batch) sealed bytes
-//! per member either way, and O(batch) device bytes on the journal,
-//! where the bundle slot is rewritten whole — and acknowledges with
-//! the tag its enclave verified: the record's last 16 bytes, the AEAD
-//! tag of a delta or a checkpoint, or of a bundle's last delta. A batch's
+//! and applies it, persists it — the record verbatim, appended to a
+//! delta log's journal ([`lcm_storage::DeltaLogStorage`]: the one a
+//! deployment's builder opens for every member, or the member's own
+//! over a plain store), and one sealed checkpoint when its own cadence
+//! asks for one: O(batch) sealed and device bytes per member — and
+//! acknowledges with the tag its enclave verified: the record's last
+//! 16 bytes, the AEAD tag of a delta or a checkpoint, or of a bundle's
+//! last delta. A batch's
 //! replies are released to clients only once a **quorum**
 //! ([`Quorum::required`] of the group size, leader included) has
 //! persisted the batch — the same threshold machinery the protocol
@@ -39,8 +36,8 @@
 //!   of itself (the rule is the [`crate::context`] module docs' *Chain
 //!   position* section); a follower applies it only while standing at
 //!   that position.
-//! * **Checkpoint / bundle** — what the leader's state slot holds
-//!   ([`LcmServer::sealed_state`]): the whole state, installed
+//! * **Checkpoint / bundle** — what the leader's storage loads for its
+//!   state ([`LcmServer::sealed_state`]): the whole state, installed
 //!   wholesale, leaving the follower at the sealer's position. Ships
 //!   where no delta can: to *level* a member that is out of step with
 //!   the leader (rebooted, promoted past, restored from its own medium
@@ -99,8 +96,8 @@
 //!   follower visited after that is a **straggler**: it buffers the
 //!   sealed delta in host memory and writes its slot once per
 //!   [`DEFAULT_WRITER_QUEUE`] records, all of them in one
-//!   [`lcm_storage::StableStorage::store_all`] (one journal head write
-//!   on a delta log, one slot rewrite on a bundle). A sealed state (a
+//!   [`lcm_storage::StableStorage::store_all`] (one journal head
+//!   write). A sealed state (a
 //!   level, a catch-up, its own cadence checkpoint) is stored at once,
 //!   behind the buffer. [`crate::server::BatchServer::flush_persists`]
 //!   flushes every live member.
@@ -1149,19 +1146,20 @@ mod tests {
         assert!(!group.members[2].alive);
     }
 
-    /// A medium that counts the loads and the stores of one slot.
+    /// A medium that counts the loads and the stores of the slots
+    /// whose names start with one prefix.
     struct SlotCounter {
-        inner: MemoryStorage,
-        slot: &'static str,
+        inner: Arc<MemoryStorage>,
+        prefix: &'static str,
         loads: AtomicU64,
         stores: AtomicU64,
     }
 
     impl SlotCounter {
-        fn new(slot: &'static str) -> Self {
+        fn new(prefix: &'static str) -> Self {
             SlotCounter {
-                inner: MemoryStorage::new(),
-                slot,
+                inner: Arc::new(MemoryStorage::new()),
+                prefix,
                 loads: AtomicU64::new(0),
                 stores: AtomicU64::new(0),
             }
@@ -1170,13 +1168,13 @@ mod tests {
 
     impl StableStorage for SlotCounter {
         fn store(&self, slot: &str, blob: &[u8]) -> lcm_storage::Result<()> {
-            if slot == self.slot {
+            if slot.starts_with(self.prefix) {
                 self.stores.fetch_add(1, Ordering::SeqCst);
             }
             self.inner.store(slot, blob)
         }
         fn load(&self, slot: &str) -> lcm_storage::Result<Option<Vec<u8>>> {
-            if slot == self.slot {
+            if slot.starts_with(self.prefix) {
                 self.loads.fetch_add(1, Ordering::SeqCst);
             }
             self.inner.load(slot)
@@ -1185,11 +1183,13 @@ mod tests {
 
     #[test]
     fn a_control_plane_call_lifts_no_state_without_a_follower_to_take_it() {
-        let medium = Arc::new(SlotCounter::new("rep0.lcm.state"));
+        // Member 0's region: its boot scans it, and each lift of its
+        // state reads the current checkpoint there once.
+        let medium = Arc::new(SlotCounter::new("rep0."));
         let (mut group, mut admin, _client) =
             group_on::<AppendLog>(3, Quorum::Majority, medium.clone());
         let loads = || medium.loads.load(Ordering::SeqCst);
-        assert!(loads() > 0, "bootstrap levelled two live followers");
+        assert!(loads() > 0, "member 0 recovered from its medium at boot");
         group.kill_member(0, 1, false).unwrap();
         group.kill_member(0, 2, false).unwrap();
 
@@ -1207,13 +1207,16 @@ mod tests {
 
     /// What each member of a three-member `Counter` group built by
     /// [`group_on`] holds on its own medium: the counter a context
-    /// recovered from its raw slots reads. Every medium must recover —
-    /// a slot that received records out of chain order would not.
-    fn held_on_media(medium: &MemoryStorage) -> Vec<u64> {
+    /// reads once it recovered from what an engine over the member's
+    /// region loads. Every medium must recover — a journal that
+    /// received records out of chain order would not.
+    fn held_on_media(medium: &Arc<MemoryStorage>) -> Vec<u64> {
         let world = TeeWorld::new_deterministic(77);
         (0..3u64)
             .map(|r| {
-                let slot = |name: &str| medium.load(&format!("rep{r}.{name}")).unwrap();
+                let region = NamespacedStorage::new(medium.clone(), format!("rep{r}."));
+                let engine = lcm_storage::DeltaLogStorage::open(Arc::new(region)).unwrap();
+                let slot = |name: &str| engine.load(name).unwrap();
                 let platform = world.platform_deterministic(1 + r);
                 let services = TeeServices::for_tests(platform, lcm_measurement(), 900 + r);
                 let mut ctx = TrustedContext::<Counter>::new(services);
@@ -1231,14 +1234,14 @@ mod tests {
     struct Scripted {
         group: ReplicaGroup<Counter>,
         client: LcmClient,
-        /// Counts the slot writes of member 2, the last follower.
+        /// Counts the journal writes of member 2, the last follower.
         medium: Arc<SlotCounter>,
         released: u64,
     }
 
     impl Scripted {
         fn new(quorum: Quorum) -> Self {
-            let medium = Arc::new(SlotCounter::new("rep2.lcm.state"));
+            let medium = Arc::new(SlotCounter::new("rep2.dlog.head"));
             let (group, _admin, client) = group_on::<Counter>(3, quorum, medium.clone());
             let script = Scripted {
                 group,

@@ -72,7 +72,7 @@ use std::sync::Arc;
 
 use lcm_crypto::aead::Tag;
 use lcm_crypto::sha256::Digest;
-use lcm_storage::{BundleStorage, StableStorage};
+use lcm_storage::{DeltaLogConfig, DeltaLogStorage, StableStorage};
 use lcm_tee::attestation::{Quote, QuotingEnclave, Report};
 use lcm_tee::enclave::{Enclave, EnclaveProgram};
 use lcm_tee::platform::TeePlatform;
@@ -124,6 +124,10 @@ pub struct LcmServer<F: Functionality, P: EnclaveProgram = LcmProgram<F>> {
     enclave: Enclave<P>,
     quoting: QuotingEnclave,
     storage: Arc<dyn StableStorage>,
+    /// The engine this server put over a plain store, which it opens
+    /// at every [`LcmServer::boot`]; `None` when it was handed a
+    /// delta-capable store (a deployment's engine), used as it is.
+    engine: Option<Arc<DeltaLogStorage>>,
     batch_limit: usize,
     queue: VecDeque<Vec<u8>>,
     /// Total batches processed (one sealed store each) — used by the
@@ -169,31 +173,29 @@ impl<F: Functionality, P: EnclaveProgram> LcmServer<F, P> {
     /// batching up to `batch_limit` operations per seal-and-store
     /// cycle (1 disables batching).
     ///
-    /// Every batch seals O(batch) bytes whatever `storage` is: a store
-    /// that is not [`StableStorage::delta_capable`] gets a
-    /// [`BundleStorage`] around it, which keeps its one state slot as
-    /// `checkpoint ‖ deltas`. The *device* still takes that slot whole
-    /// per batch — O(state) bytes. A deployment built with
-    /// `lcm::deployment::DeploymentBuilder` does not pay that: it puts
-    /// one [`lcm_storage::DeltaLogStorage`] over such a medium, which
-    /// journals the deltas, and this constructor leaves a delta-capable
-    /// store alone. A bare server keeps the adapter because its one
-    /// slot is one coherent sealed state, the paper's load/store unit
-    /// that a test's adversarial store rolls back and forks by name.
+    /// Every batch seals and writes O(batch) bytes whatever `storage`
+    /// is: a store that is not [`StableStorage::delta_capable`] gets a
+    /// [`DeltaLogStorage`] of this server's own over it, which journals
+    /// the deltas and which [`LcmServer::boot`] recovers afresh from
+    /// what the medium serves at that moment. A delta-capable store —
+    /// the one engine `lcm::deployment::DeploymentBuilder` puts under
+    /// all its lanes — is used as it is.
     pub fn new(
         platform: &TeePlatform,
         storage: Arc<dyn StableStorage>,
         batch_limit: usize,
     ) -> Self {
-        let storage = if storage.delta_capable() {
-            storage
+        let (storage, engine) = if storage.delta_capable() {
+            (storage, None)
         } else {
-            Arc::new(BundleStorage::new(storage))
+            let engine = Arc::new(DeltaLogStorage::closed(storage, DeltaLogConfig::default()));
+            (engine.clone() as Arc<dyn StableStorage>, Some(engine))
         };
         LcmServer {
             enclave: Enclave::create(platform),
             quoting: QuotingEnclave::new(platform),
             storage,
+            engine,
             batch_limit: batch_limit.max(1),
             queue: VecDeque::new(),
             batches_processed: 0,
@@ -224,7 +226,8 @@ impl<F: Functionality, P: EnclaveProgram> LcmServer<F, P> {
     }
 
     /// Starts (or restarts after a crash) the enclave and runs `init`
-    /// with whatever blobs stable storage currently returns.
+    /// with whatever blobs stable storage currently returns; a server
+    /// with an engine of its own re-opens it over the medium first.
     ///
     /// Returns `true` when the context needs provisioning (first boot).
     ///
@@ -236,6 +239,9 @@ impl<F: Functionality, P: EnclaveProgram> LcmServer<F, P> {
         // Recovery reads storage host-side, before the `Init` call:
         // drain the writer first so it sees every completed persist.
         self.flush()?;
+        if let Some(engine) = &self.engine {
+            engine.reopen()?;
+        }
         if self.enclave.is_running() {
             self.enclave.stop();
         }
@@ -566,7 +572,7 @@ impl<F: Functionality> LcmServer<F> {
         self.record.take()
     }
 
-    /// What this server's state slot currently holds, every persist
+    /// What this server's storage loads for its state, every persist
     /// issued so far included: a sealed checkpoint, or a delta log's
     /// `checkpoint ‖ deltas` bundle — either way a record
     /// [`LcmServer::apply_replica`] installs wholesale. A replica
@@ -1556,6 +1562,65 @@ mod tests {
         let replies = server.process_all().unwrap();
         let done = c.handle_reply(&replies[0].1).unwrap();
         assert_eq!(done.seq.0, 2, "sequence continues after recovery");
+    }
+
+    /// A bare lane over a plain medium recovers from what the medium
+    /// serves at boot, not from what its engine remembers: rolled back
+    /// to a mark, it stands at the mark; honest again, it keeps what
+    /// its pipelined writer persisted since — into the engine that boot
+    /// opened, the one the writer shares.
+    #[test]
+    fn a_pipelined_lane_reboots_from_what_the_medium_serves_and_persists_on() {
+        use crate::functionality::Counter;
+        use lcm_storage::{AdversaryMode, RollbackStorage};
+        let world = TeeWorld::new_deterministic(45);
+        let platform = world.platform_deterministic(1);
+        let medium = Arc::new(RollbackStorage::new());
+        let mut server = LcmServer::<Counter>::new(&platform, medium.clone(), 1).into_pipelined();
+        assert!(server.boot().unwrap());
+        let ids = vec![ClientId(1), ClientId(2)];
+        let mut admin = AdminHandle::new_deterministic(&world, ids, Quorum::Majority, 7);
+        admin.bootstrap(&mut server).unwrap();
+        let key = admin.client_key();
+        let (mut writer, mut reader) = (
+            LcmClient::new(ClientId(1), key),
+            LcmClient::new(ClientId(2), key),
+        );
+        let run = |server: &mut LcmServer<Counter>, c: &mut LcmClient, op: Vec<u8>| {
+            server.submit(c.invoke(&op).unwrap());
+            let replies = server.process_all().unwrap();
+            let done = c.handle_reply(&replies[0].1).unwrap();
+            Counter::decode_result(&done.result).unwrap()
+        };
+        let read = Counter::read_op(b"n");
+        let inc = || Counter::inc_op(b"n", 1);
+
+        assert_eq!(run(&mut server, &mut writer, inc()), 1);
+        server.flush().unwrap();
+        let mark = medium.version();
+        run(&mut server, &mut writer, inc());
+        run(&mut server, &mut writer, inc());
+        server.flush().unwrap();
+        medium.set_mode(AdversaryMode::ServeVersion(mark));
+        server.crash();
+        assert!(!server.boot().unwrap());
+        assert_eq!(
+            run(&mut server, &mut reader, read.clone()),
+            1,
+            "at the mark"
+        );
+
+        medium.set_mode(AdversaryMode::Honest);
+        for _ in 0..3 {
+            run(&mut server, &mut reader, inc());
+        }
+        server.crash();
+        assert!(!server.boot().unwrap());
+        assert_eq!(
+            run(&mut server, &mut reader, read),
+            4,
+            "the last put reads back"
+        );
     }
 
     /// Regression: a rebooted delta-log lane must resume its

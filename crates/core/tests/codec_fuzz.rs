@@ -24,7 +24,7 @@ use lcm_core::types::{ChainValue, ClientId, SeqNo};
 use lcm_core::wire::{InvokeMsg, InvokeView, ReplyMsg, ReplyView};
 use lcm_core::LcmError;
 use lcm_storage::framing::FRAME_HEADER;
-use lcm_storage::{parse_bundle, BundleStorage, DeltaLogStorage, MemoryStorage, StableStorage};
+use lcm_storage::{parse_bundle, DeltaLogStorage, MemoryStorage, StableStorage};
 use lcm_tee::platform::TeeServices;
 use lcm_tee::world::TeeWorld;
 use proptest::prelude::*;
@@ -279,16 +279,25 @@ fn plain_with(blob: &[u8]) -> Arc<MemoryStorage> {
     plain
 }
 
-/// The key blob and the `checkpoint ‖ deltas` state slot of a lane over
-/// a plain store after [`LOGGED`] batches.
+/// The key blob and the `checkpoint ‖ deltas` state of a lane over a
+/// plain store after [`LOGGED`] batches, as an engine over its medium
+/// loads them.
 fn bundle_medium() -> &'static (Vec<u8>, Vec<u8>) {
     static MEDIUM: OnceLock<(Vec<u8>, Vec<u8>)> = OnceLock::new();
     MEDIUM.get_or_init(|| {
         let plain = Arc::new(MemoryStorage::new());
         drop(provisioned_over(plain.clone(), LOGGED));
-        let load = |slot| plain.load(slot).unwrap().unwrap();
+        let engine = DeltaLogStorage::open(plain).unwrap();
+        let load = |slot| engine.load(slot).unwrap().unwrap();
         (load(SLOT_KEY_BLOB), load(SLOT_STATE_BLOB))
     })
+}
+
+/// What an engine over a plain store holding `state` in the state slot
+/// — a medium no engine wrote — loads from it.
+fn through_an_engine(state: &[u8]) -> Vec<u8> {
+    let engine = DeltaLogStorage::open(plain_with(state)).unwrap();
+    engine.load(SLOT_STATE_BLOB).unwrap().unwrap()
 }
 
 /// Where each frame of `framed` ends, given where the first begins.
@@ -303,9 +312,9 @@ fn frame_ends<'a>(first_at: usize, payloads: impl IntoIterator<Item = &'a [u8]>)
 
 /// Every strict prefix and every single-byte flip of a valid
 /// `checkpoint ‖ deltas`, handed to the enclave bare and through
-/// `BundleStorage::load`: the enclave restores exactly the deltas that
-/// are intact in front of the damage, or refuses — never anything
-/// else, never a panic.
+/// `DeltaLogStorage::load` of a plain slot: the enclave restores
+/// exactly the deltas that are intact in front of the damage, or
+/// refuses — never anything else, never a panic.
 #[test]
 fn a_damaged_bundle_restores_its_intact_prefix_or_is_refused() {
     let (key_blob, bundle) = bundle_medium();
@@ -317,22 +326,19 @@ fn a_damaged_bundle_restores_its_intact_prefix_or_is_refused() {
     assert_eq!(ends.last(), Some(&bundle.len()));
     // Frames that lie wholly in front of byte `at`.
     let whole_before = |at: usize| ends.iter().filter(|&&end| end <= at).count() as u64;
-    let through_the_adapter = |state: &[u8]| {
-        let adapter = BundleStorage::new(plain_with(state));
-        recover(&adapter.load(SLOT_STATE_BLOB).unwrap().unwrap())
-    };
+    let through_the_engine = |state: &[u8]| recover(&through_an_engine(state));
 
     for cut in 0..bundle.len() {
         let (prefix, whole) = (&bundle[..cut], whole_before(cut));
         // Bare, a prefix is a bundle only on a frame boundary; the
-        // adapter cuts a torn tail back to one.
+        // engine cuts a torn tail back to one.
         let bare = recover(prefix);
         if ends.contains(&cut) {
             assert_eq!(bare, Ok(whole - 1), "prefix of {cut} bytes, bare");
         } else {
             assert_refused(bare, format_args!("prefix of {cut} bytes, bare"));
         }
-        let adapted = through_the_adapter(prefix);
+        let adapted = through_the_engine(prefix);
         if whole >= 1 {
             assert_eq!(adapted, Ok(whole - 1), "prefix of {cut} bytes");
         } else {
@@ -343,7 +349,7 @@ fn a_damaged_bundle_restores_its_intact_prefix_or_is_refused() {
         let mut flipped = bundle.clone();
         flipped[at] ^= 0x40;
         assert_refused(recover(&flipped), format_args!("flip at {at}, bare"));
-        let (adapted, whole) = (through_the_adapter(&flipped), whole_before(at));
+        let (adapted, whole) = (through_the_engine(&flipped), whole_before(at));
         if at >= 1 && whole >= 1 {
             assert_eq!(adapted, Ok(whole - 1), "flip at {at}");
         } else {
@@ -439,10 +445,10 @@ fn a_damaged_delta_log_medium_restores_its_intact_prefix_or_is_refused() {
 }
 
 /// The same media through the whole host path: every strict prefix of
-/// the state slot of a plain store (which `LcmServer::new` puts behind
-/// `BundleStorage`), and of every slot of a delta-log medium, under a
-/// server that `boot`s from it — an older state or a refusal, never a
-/// panic in either engine, the host or the enclave.
+/// the state slot of a plain store (which the engine `LcmServer::new`
+/// puts over it loads, torn tail cut), and of every slot of a delta-log
+/// medium, under a server that `boot`s from it — an older state or a
+/// refusal, never a panic in the engine, the host or the enclave.
 #[test]
 fn booting_from_a_truncated_medium_never_panics() {
     let platform = TeeWorld::new_deterministic(61).platform_deterministic(1);
@@ -495,9 +501,7 @@ proptest! {
         let key_blob = &bundle_medium().0;
         let bare = recover(Some(key_blob), Some(&bytes));
         prop_assert!(matches!(bare, Err(LcmError::Violation(_))), "bare: {:?}", bare);
-        let adapter = BundleStorage::new(plain_with(&bytes));
-        let loaded = adapter.load(SLOT_STATE_BLOB).unwrap().unwrap();
-        let adapted = recover(Some(key_blob), Some(&loaded));
+        let adapted = recover(Some(key_blob), Some(&through_an_engine(&bytes)));
         prop_assert!(matches!(adapted, Err(LcmError::Violation(_))), "adapted: {:?}", adapted);
 
         let outcome = recover_from_dlog_with(DLOG_SLOTS[slot], &bytes);

@@ -1,10 +1,10 @@
 //! Length-prefixed, checksummed record framing.
 //!
 //! One parser for every append-style byte log in the workspace: the
-//! delta-log journal segments (`lcm_storage::DeltaLogStorage`) and the
-//! one-slot bundles of `lcm_storage::BundleStorage` both append records
-//! that must survive a crash mid-write, and the enclave reads a bundle
-//! through it (`lcm_trusted::blob::parse_bundle`). A frame is
+//! delta-log journal (`lcm_storage::DeltaLogStorage`) appends records
+//! that must survive a crash mid-write, and the enclave reads the
+//! `checkpoint ‖ deltas` bundle the engine loads through it
+//! (`lcm_trusted::blob::parse_bundle`). A frame is
 //!
 //! ```text
 //! len(4, BE) ‖ crc32(payload)(4, BE) ‖ payload(len)

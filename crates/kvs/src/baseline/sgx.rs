@@ -305,7 +305,9 @@ mod tests {
     use super::*;
     use lcm_core::server::SLOT_STATE_BLOB;
     use lcm_storage::framing::FRAME_HEADER;
-    use lcm_storage::{parse_bundle, AdversaryMode, MemoryStorage, RollbackStorage, Version};
+    use lcm_storage::{
+        parse_bundle, AdversaryMode, DeltaLogStorage, MemoryStorage, RollbackStorage,
+    };
     use lcm_tee::world::TeeWorld;
 
     fn setup() -> (SgxKvsServer, SecureKvsClient) {
@@ -388,12 +390,13 @@ mod tests {
                 &KvOp::Put(b"balance".to_vec(), b"100".to_vec()),
             )
             .unwrap();
+        let first = storage.version();
         client
             .run(&mut server, &KvOp::Put(b"balance".to_vec(), b"0".to_vec()))
             .unwrap();
 
-        // Malicious host: restart the enclave from the first version.
-        storage.set_mode(AdversaryMode::ServeVersion(Version(0)));
+        // Malicious host: restart the enclave from the first state.
+        storage.set_mode(AdversaryMode::ServeVersion(first));
         server.crash();
         server.boot().unwrap();
 
@@ -406,11 +409,20 @@ mod tests {
         );
     }
 
+    /// What a lane over `medium` recovers from: its state slot as an
+    /// engine over the medium reassembles it.
+    fn recovered_state(medium: &Arc<MemoryStorage>) -> Vec<u8> {
+        let engine = DeltaLogStorage::open(medium.clone()).unwrap();
+        engine.load(SLOT_STATE_BLOB).unwrap().unwrap()
+    }
+
     /// Sealing gives integrity, not freshness: a state altered in any
     /// sealed byte fails `boot`, an intact stale one boots and serves
-    /// its stale data. (A damaged *last* delta of a bundle never reaches
-    /// the enclave: the plain store's adapter cuts it as a torn tail,
-    /// which leaves the stale state before it.)
+    /// its stale data. Each state is handed to a fresh baseline in the
+    /// state slot of a medium of its own, as a server without the
+    /// engine left it. (A damaged *last* delta of a bundle never
+    /// reaches the enclave: the engine cuts it as a torn tail, which
+    /// leaves the stale state before it.)
     #[test]
     fn a_tampered_state_fails_boot_and_a_stale_one_serves_stale_data() {
         let world = TeeWorld::new_deterministic(8);
@@ -419,36 +431,38 @@ mod tests {
         let mut server = SgxKvsServer::new(&platform, medium.clone(), 1);
         server.boot().unwrap();
         let client = SecureKvsClient::new(SgxKvsServer::session_key_for(&platform));
-        let slot = || medium.load(SLOT_STATE_BLOB).unwrap().unwrap();
         let put = |server: &mut SgxKvsServer, balance: &[u8]| {
             let op = KvOp::Put(b"balance".to_vec(), balance.to_vec());
             client.run(server, &op).unwrap();
         };
+        let boot_from = |blob: &[u8]| {
+            let medium = Arc::new(MemoryStorage::new());
+            medium.store(SLOT_STATE_BLOB, blob).unwrap();
+            let mut server = SgxKvsServer::new(&platform, medium, 1);
+            server.boot().map(|_| server)
+        };
         // Each of the first `sealed` bytes of `blob` altered fails boot;
-        // `blob` intact boots again.
-        let refused_if_altered = |server: &mut SgxKvsServer, blob: &[u8], sealed: usize| {
+        // `blob` intact boots.
+        let refused_if_altered = |blob: &[u8], sealed: usize| {
             for at in 0..sealed {
                 let mut tampered = blob.to_vec();
                 tampered[at] ^= 0x01;
-                medium.store(SLOT_STATE_BLOB, &tampered).unwrap();
-                server.crash();
-                assert!(server.boot().is_err(), "byte {at} altered, yet it booted");
+                assert!(
+                    boot_from(&tampered).is_err(),
+                    "byte {at} altered, yet it booted"
+                );
             }
-            medium.store(SLOT_STATE_BLOB, blob).unwrap();
-            server.crash();
-            server.boot().unwrap();
+            assert!(boot_from(blob).is_ok());
         };
         put(&mut server, b"100");
-        let stale = slot();
-        refused_if_altered(&mut server, &stale, stale.len());
+        let stale = recovered_state(&medium);
+        refused_if_altered(&stale, stale.len());
         put(&mut server, b"0");
-        let bundle = slot();
+        let bundle = recovered_state(&medium);
         let checkpoint = parse_bundle(&bundle).unwrap().0.len();
-        refused_if_altered(&mut server, &bundle, 1 + FRAME_HEADER + checkpoint);
+        refused_if_altered(&bundle, 1 + FRAME_HEADER + checkpoint);
 
-        medium.store(SLOT_STATE_BLOB, &stale).unwrap();
-        server.crash();
-        server.boot().unwrap();
+        let mut server = boot_from(&stale).unwrap();
         assert_eq!(
             client
                 .run(&mut server, &KvOp::Get(b"balance".to_vec()))
@@ -482,8 +496,8 @@ mod tests {
             }
             assert_eq!(server.process_all().unwrap().len(), 8);
             // What the batch sealed: the delta that ends the bundle, or
-            // the whole slot if that is a bare checkpoint.
-            let slot = medium.load(SLOT_STATE_BLOB).unwrap().unwrap();
+            // the whole state if that is a bare checkpoint.
+            let slot = recovered_state(&medium);
             let delta = parse_bundle(&slot).and_then(|(_, deltas)| deltas.last().map(|d| d.len()));
             delta.unwrap_or(slot.len())
         };

@@ -8,10 +8,10 @@ use std::sync::Arc;
 
 use lcm_core::codec::WireCodec;
 use lcm_core::program::{HostCall, HostReply};
-use lcm_core::server::SLOT_STATE_BLOB;
+use lcm_core::server::{SLOT_KEY_BLOB, SLOT_STATE_BLOB};
 use lcm_kvs::baseline::{SecureKvsClient, SgxKvsProgram, SgxKvsServer};
 use lcm_kvs::ops::{KvOp, KvResult};
-use lcm_storage::{MemoryStorage, StableStorage};
+use lcm_storage::{DeltaLogStorage, MemoryStorage, StableStorage};
 use lcm_tee::enclave::Enclave;
 use lcm_tee::world::TeeWorld;
 use proptest::prelude::*;
@@ -105,10 +105,11 @@ fn a_withheld_state_boots_empty_and_a_stored_key_reads_absent() {
     client.run(&mut server, &put).unwrap();
     let stored = KvResult::Value(Some(b"v".to_vec()));
     assert_eq!(client.run(&mut server, &get(b"k")).unwrap(), stored);
-    // The state slot is all the baseline keeps, so the medium without
-    // it is an empty one.
-    assert!(written.load(SLOT_STATE_BLOB).unwrap().is_some());
-    assert_eq!(written.len(), 1, "slots besides the state slot");
+    // The state is all the baseline keeps — no key blob beside it —
+    // so the medium without it is an empty one.
+    let engine = DeltaLogStorage::open(written).unwrap();
+    assert!(engine.load(SLOT_STATE_BLOB).unwrap().is_some());
+    assert_eq!(engine.load(SLOT_KEY_BLOB).unwrap(), None, "a key blob");
 
     let (booted, mut server, client) = baseline(Arc::new(MemoryStorage::new()));
     booted.expect("a withheld state boots like a first start");

@@ -9,7 +9,12 @@
 //!
 //! [`RollbackStorage`] implements exactly these powers over a
 //! [`VersionedStorage`] history, and [`ForkView`] gives each enclave
-//! instance its own divergent branch of that history.
+//! instance its own divergent branch of that history. A *state* is the
+//! whole medium — under the delta-log engine a manifest, checkpoints
+//! and journal heads that hold one state only together — so a rollback
+//! ([`AdversaryMode::ServeVersion`]) and a fork
+//! ([`RollbackStorage::fork_at`]) cut every slot at one version, while
+//! the crash powers (dropped, torn and reordered writes) act per write.
 
 use std::sync::{Arc, RwLock};
 
@@ -22,21 +27,14 @@ pub enum AdversaryMode {
     /// Behave like honest storage: serve the latest version.
     #[default]
     Honest,
-    /// Serve the fixed historical version on every load (rollback
-    /// attack). Stores still append to history.
+    /// Serve the whole medium as it stood at a past version on every
+    /// load (rollback attack): a caller notes
+    /// [`RollbackStorage::version`] where it wants to roll back to.
+    /// Stores still append to history.
     ServeVersion(Version),
-    /// Serve the version `k` writes before the latest (sliding rollback).
-    ServeStale {
-        /// How many versions to step back from the latest.
-        steps_back: u64,
-    },
     /// Acknowledge stores but discard them (lost-write attack — to the
     /// enclave this later looks like a rollback).
     DropWrites,
-    /// Freeze the visible state at the moment the mode was set: stores
-    /// are retained in history but loads keep returning what was latest
-    /// at freeze time.
-    Frozen,
     /// Persist only the first `keep` bytes of every store — a crash (or
     /// lying disk) tearing writes mid-record. Against the delta-log
     /// engine this corrupts journal-head and checkpoint overwrites,
@@ -54,11 +52,9 @@ pub enum AdversaryMode {
     ReorderedFlush,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct RollbackInner {
     mode: AdversaryMode,
-    /// Latest version per slot at the time `Frozen` was engaged.
-    frozen_at: std::collections::HashMap<String, Version>,
     /// Stores held in the volatile cache while `ReorderedFlush` is
     /// engaged.
     buffered: Vec<(String, Vec<u8>)>,
@@ -77,42 +73,28 @@ struct RollbackInner {
 /// # fn main() -> Result<(), lcm_storage::StorageError> {
 /// let storage = RollbackStorage::new();
 /// storage.store("state", b"v0")?;
+/// let mark = storage.version();
 /// storage.store("state", b"v1")?;
+/// storage.store("keys", b"k")?;
 ///
-/// // The server turns malicious: roll the enclave back to v0.
-/// storage.set_mode(AdversaryMode::ServeVersion(Version(0)));
+/// // The server turns malicious: roll the medium back to the mark.
+/// storage.set_mode(AdversaryMode::ServeVersion(mark));
 /// assert_eq!(storage.load("state")?, Some(b"v0".to_vec()));
+/// assert_eq!(storage.load("keys")?, None);
+/// assert_eq!(mark, Version(1));
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RollbackStorage {
     history: VersionedStorage,
     inner: Arc<RwLock<RollbackInner>>,
 }
 
-impl Default for RollbackStorage {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl RollbackStorage {
     /// Creates an adversarial store starting in [`AdversaryMode::Honest`].
     pub fn new() -> Self {
-        Self::over(VersionedStorage::new())
-    }
-
-    /// Wraps an existing history.
-    pub fn over(history: VersionedStorage) -> Self {
-        RollbackStorage {
-            history,
-            inner: Arc::new(RwLock::new(RollbackInner {
-                mode: AdversaryMode::Honest,
-                frozen_at: std::collections::HashMap::new(),
-                buffered: Vec::new(),
-            })),
-        }
+        Self::default()
     }
 
     /// Switches the adversary's behaviour.
@@ -131,16 +113,6 @@ impl RollbackStorage {
                 let _ = self.history.store(&slot, &blob);
             }
         }
-        if let AdversaryMode::Frozen = mode {
-            // Record the current latest version of every slot.
-            let snapshot = crate::read(&self.history.inner);
-            inner.frozen_at = snapshot
-                .slots
-                .iter()
-                .filter(|(_, v)| !v.is_empty())
-                .map(|(k, v)| (k.clone(), Version(v.len() as u64 - 1)))
-                .collect();
-        }
         inner.mode = mode;
     }
 
@@ -154,6 +126,12 @@ impl RollbackStorage {
         &self.history
     }
 
+    /// The current version of the medium: a mark to roll back to with
+    /// [`AdversaryMode::ServeVersion`] or to fork at.
+    pub fn version(&self) -> Version {
+        self.history.version()
+    }
+
     /// Discards every store still buffered by
     /// [`AdversaryMode::ReorderedFlush`] — the power failure that takes
     /// the volatile write cache with it. Returns how many writes were
@@ -162,12 +140,18 @@ impl RollbackStorage {
         std::mem::take(&mut crate::write(&self.inner).buffered).len()
     }
 
-    /// Creates a divergent branch view seeded from the given version of
-    /// each slot's history (see [`ForkView`]).
-    pub fn fork_at(&self, slot: &str, version: Version) -> Result<ForkView> {
-        let seed = self.history.load_version(slot, version)?;
+    /// Creates a divergent branch view seeded with every slot of the
+    /// medium at `version` (see [`ForkView`]).
+    ///
+    /// # Errors
+    ///
+    /// [`crate::StorageError::NoSuchVersion`] for a version after the
+    /// current one.
+    pub fn fork_at(&self, version: Version) -> Result<ForkView> {
         let branch = VersionedStorage::new();
-        branch.store(slot, &seed)?;
+        for (slot, blob) in self.history.cut(version)? {
+            branch.store(&slot, &blob)?;
+        }
         Ok(ForkView { branch })
     }
 }
@@ -196,36 +180,19 @@ impl StableStorage for RollbackStorage {
     }
 
     fn load(&self, slot: &str) -> Result<Option<Vec<u8>>> {
-        let inner = crate::read(&self.inner);
-        match inner.mode {
-            AdversaryMode::Honest
-            | AdversaryMode::DropWrites
-            | AdversaryMode::TornWrites { .. }
-            | AdversaryMode::ReorderedFlush => self.history.load(slot),
-            AdversaryMode::ServeVersion(v) => match self.history.load_version(slot, v) {
-                Ok(blob) => Ok(Some(blob)),
-                Err(_) => self.history.load(slot),
-            },
-            AdversaryMode::ServeStale { steps_back } => match self.history.latest_version(slot) {
-                Some(Version(latest)) => {
-                    let target = Version(latest.saturating_sub(steps_back));
-                    Ok(Some(self.history.load_version(slot, target)?))
-                }
-                None => Ok(None),
-            },
-            AdversaryMode::Frozen => match inner.frozen_at.get(slot) {
-                Some(&v) => Ok(Some(self.history.load_version(slot, v)?)),
-                None => Ok(None),
-            },
+        match self.mode() {
+            AdversaryMode::ServeVersion(v) => self.history.load_at(slot, v),
+            _ => self.history.load(slot),
         }
     }
 }
 
 /// One branch of a forked storage history.
 ///
-/// A forking server seeds two (or more) views from the same historical
-/// blob and lets different enclave instances evolve them independently
-/// — each instance sees a self-consistent but mutually divergent world.
+/// A forking server seeds two (or more) views from the same past
+/// medium ([`RollbackStorage::fork_at`]) and lets different enclave
+/// instances evolve them independently — each instance sees a
+/// self-consistent but mutually divergent world.
 #[derive(Debug, Clone)]
 pub struct ForkView {
     branch: VersionedStorage,
@@ -261,28 +228,15 @@ mod tests {
     #[test]
     fn serve_version_rolls_back() {
         let s = seeded();
-        s.set_mode(AdversaryMode::ServeVersion(Version(0)));
+        s.store("keys", b"k").unwrap();
+        // The medium after its first write: one slot, and no other.
+        s.set_mode(AdversaryMode::ServeVersion(Version(1)));
         assert_eq!(s.load("state").unwrap().unwrap(), b"v0");
+        assert_eq!(s.load("keys").unwrap(), None);
         // New stores still land in history.
         s.store("state", b"v3").unwrap();
         s.set_mode(AdversaryMode::Honest);
         assert_eq!(s.load("state").unwrap().unwrap(), b"v3");
-    }
-
-    #[test]
-    fn serve_stale_steps_back_from_latest() {
-        let s = seeded();
-        s.set_mode(AdversaryMode::ServeStale { steps_back: 1 });
-        assert_eq!(s.load("state").unwrap().unwrap(), b"v1");
-        s.store("state", b"v3").unwrap();
-        assert_eq!(s.load("state").unwrap().unwrap(), b"v2");
-    }
-
-    #[test]
-    fn serve_stale_saturates_at_oldest() {
-        let s = seeded();
-        s.set_mode(AdversaryMode::ServeStale { steps_back: 100 });
-        assert_eq!(s.load("state").unwrap().unwrap(), b"v0");
     }
 
     #[test]
@@ -295,27 +249,10 @@ mod tests {
     }
 
     #[test]
-    fn frozen_pins_visible_state() {
-        let s = seeded();
-        s.set_mode(AdversaryMode::Frozen);
-        s.store("state", b"v3").unwrap(); // retained but invisible
-        assert_eq!(s.load("state").unwrap().unwrap(), b"v2");
-        s.set_mode(AdversaryMode::Honest);
-        assert_eq!(s.load("state").unwrap().unwrap(), b"v3");
-    }
-
-    #[test]
-    fn frozen_unknown_slot_is_none() {
-        let s = seeded();
-        s.set_mode(AdversaryMode::Frozen);
-        assert_eq!(s.load("other").unwrap(), None);
-    }
-
-    #[test]
     fn fork_views_diverge() {
         let s = seeded();
-        let fork_a = s.fork_at("state", Version(1)).unwrap();
-        let fork_b = s.fork_at("state", Version(1)).unwrap();
+        let fork_a = s.fork_at(Version(2)).unwrap();
+        let fork_b = s.fork_at(Version(2)).unwrap();
         assert_eq!(fork_a.load("state").unwrap().unwrap(), b"v1");
         fork_a.store("state", b"a-branch").unwrap();
         fork_b.store("state", b"b-branch").unwrap();
@@ -328,7 +265,7 @@ mod tests {
     #[test]
     fn fork_at_missing_version_fails() {
         let s = seeded();
-        assert!(s.fork_at("state", Version(17)).is_err());
+        assert!(s.fork_at(Version(17)).is_err());
     }
 
     #[test]

@@ -111,9 +111,11 @@
 //! So a checkpoint byte is checksummed once per parity at the probe,
 //! twice in `load` (as read, as handed up) and once in the enclave; a
 //! kept journal byte once at the probe, once into the bundle, once in
-//! the enclave. ([`crate::BundleStorage`] has the same three roles in
-//! two places: its `load` cuts the torn tail, the enclave checks the
-//! boundary.)
+//! the enclave. A plain slot the engine has not adopted has the same
+//! roles in two places: `load` cuts its torn tail, the enclave checks
+//! the boundary. A bare lane runs the probe again at every boot
+//! ([`DeltaLogStorage::reopen`]), so a reboot recovers what the medium
+//! serves *then*, never what the engine held before the crash.
 //!
 //! # Crash-safety invariants
 //!
@@ -153,7 +155,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use lcm_runtime::CountedCondvar;
 
 use crate::{
-    framing, make_bundle, parse_bundle, Result, StableStorage, StorageError, BLOB_KIND_BUNDLE,
+    framing, parse_bundle, Result, StableStorage, StorageError, BLOB_KIND_BUNDLE,
     BLOB_KIND_CHECKPOINT, BLOB_KIND_DELTA,
 };
 
@@ -174,10 +176,32 @@ fn ckpt_slot(slot: &str, parity: u8) -> String {
     format!("dlog.ckpt.{parity}.{slot}")
 }
 
+/// Assembles a recovery bundle from a checkpoint blob and delta blobs:
+/// the inverse of [`crate::parse_bundle`], which the enclave runs. This
+/// half is the host's; it is public so tests can fabricate bundles
+/// without an engine. Sized up front, so the checkpoint — the O(state)
+/// part — is copied exactly once.
+pub fn make_bundle<'a>(
+    checkpoint: &[u8],
+    deltas: impl Iterator<Item = &'a [u8]> + Clone,
+) -> Vec<u8> {
+    let delta_bytes: usize = deltas
+        .clone()
+        .map(|d| framing::FRAME_HEADER + d.len())
+        .sum();
+    let mut bundle = Vec::with_capacity(1 + framing::FRAME_HEADER + checkpoint.len() + delta_bytes);
+    bundle.push(BLOB_KIND_BUNDLE);
+    framing::append_frame(&mut bundle, checkpoint);
+    for d in deltas {
+        framing::append_frame(&mut bundle, d);
+    }
+    bundle
+}
+
 /// Cuts a torn tail off a bundle read from a plain slot: what is left
 /// is the longest intact `checkpoint ‖ deltas` prefix. A bundle whose
 /// *checkpoint* frame is torn, and any other blob, is left as it is.
-pub(crate) fn cut_torn_bundle(blob: &mut Vec<u8>) {
+fn cut_torn_bundle(blob: &mut Vec<u8>) {
     if let Some((&BLOB_KIND_BUNDLE, body)) = blob.split_first() {
         let scanned = framing::scan(body);
         if !scanned.payloads.is_empty() {
@@ -202,7 +226,7 @@ impl Default for DeltaLogConfig {
     }
 }
 
-/// Observable engine counters (monotone since `open`).
+/// Observable engine counters (monotone since the last (re)open).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeltaLogStats {
     /// Inner writes of a journal head — each one is a group commit
@@ -282,6 +306,9 @@ struct FailedCommit {
     uncollected: usize,
 }
 
+/// The engine's state; `Default` is the engine before recovery, which
+/// knows nothing and accepts no record.
+#[derive(Default)]
 struct Core {
     /// Records enqueued for a coming group commit, in epoch order.
     queue: VecDeque<Record>,
@@ -314,6 +341,9 @@ struct Core {
     meta_busy: bool,
     slots: HashMap<String, SlotState>,
     stats: DeltaLogStats,
+    /// Recovery has run. Until then a sealed record is refused: its
+    /// commit would overwrite slots the engine has not read.
+    open: bool,
 }
 
 impl Core {
@@ -407,11 +437,13 @@ impl Core {
 /// layers stay distinct, so one engine instance journals every lane —
 /// which is what lets the group-commit writer amortize one inner write
 /// across all of them. `lcm::deployment::DeploymentBuilder` does so for
-/// any medium that is not [`StableStorage::delta_capable`].
+/// any medium that is not [`StableStorage::delta_capable`]; a bare
+/// `LcmServer` over such a medium opens one of its own.
 ///
 /// A medium a store without the engine wrote — a plain slot holding a
-/// checkpoint or a [`crate::BundleStorage`] bundle under the slot's own
-/// name — loads as it is until the first delta on that slot, which
+/// checkpoint or a `checkpoint ‖ deltas` bundle ([`make_bundle`]) under
+/// the slot's own name, as servers before the engine wrote it — loads
+/// as it is, torn tail cut, until the first delta on that slot, which
 /// adopts it into the engine first (`adopt`): no delta is acknowledged
 /// on top of a state the engine could not load back.
 pub struct DeltaLogStorage {
@@ -566,24 +598,47 @@ impl DeltaLogStorage {
     ///
     /// Fails only on inner I/O errors.
     pub fn with_config(inner: Arc<dyn StableStorage>, config: DeltaLogConfig) -> Result<Self> {
+        let engine = Self::closed(inner, config);
+        engine.reopen()?;
+        Ok(engine)
+    }
+
+    /// An engine over `inner` that has not run recovery yet: it
+    /// refuses every sealed record until [`DeltaLogStorage::reopen`]
+    /// succeeds, and loads fall through to `inner`. A bare lane makes
+    /// its engine this way and opens it at every boot.
+    pub fn closed(inner: Arc<dyn StableStorage>, config: DeltaLogConfig) -> Self {
+        DeltaLogStorage {
+            inner,
+            config,
+            core: Mutex::new(Core::default()),
+            commit_done: CountedCondvar::new(),
+        }
+    }
+
+    /// Runs recovery again over what the medium serves now, replacing
+    /// all the engine held in memory; every `Arc` to it stays valid.
+    /// Call it with no store in flight (a lane drains its writer
+    /// first). If recovery fails the engine is left closed.
+    ///
+    /// # Errors
+    ///
+    /// Fails only on inner I/O errors.
+    pub fn reopen(&self) -> Result<()> {
+        *self.lock_core() = Core::default();
+        let core = Self::recover(&*self.inner)?;
+        *self.lock_core() = core;
+        Ok(())
+    }
+
+    /// Recovery: reads the manifest, both checkpoint parities of every
+    /// slot it names, every segment slot in its range and both heads, and
+    /// returns the engine state they describe (module docs, "Who checks
+    /// what at a reboot").
+    fn recover(inner: &dyn StableStorage) -> Result<Core> {
         let mut core = Core {
-            queue: VecDeque::new(),
-            next_epoch: 1,
-            committed_epoch: 0,
-            commits_started: 0,
-            commits_published: 0,
-            failed: Vec::new(),
-            heads: Default::default(),
-            seg_lo: 0,
-            seg_next: 0,
-            seg_index: BTreeMap::new(),
-            free: BTreeSet::new(),
-            meta_seg_next: 0,
-            meta_gen: 0,
-            meta_parity: 0,
-            meta_busy: false,
-            slots: HashMap::new(),
-            stats: DeltaLogStats::default(),
+            open: true,
+            ..Core::default()
         };
 
         // Manifest: the valid parity with the highest generation wins.
@@ -697,27 +752,28 @@ impl DeltaLogStorage {
         }
         core.next_epoch = max_epoch + 1;
         core.committed_epoch = max_epoch;
-
-        Ok(DeltaLogStorage {
-            inner,
-            config,
-            core: Mutex::new(core),
-            commit_done: CountedCondvar::new(),
-        })
+        Ok(core)
     }
 
     fn lock_core(&self) -> MutexGuard<'_, Core> {
         self.core.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// [`Self::lock_core`] for a path that writes a sealed record: an
+    /// engine that has not recovered refuses it.
+    fn lock_open(&self) -> Result<MutexGuard<'_, Core>> {
+        let core = self.lock_core();
+        if core.open {
+            return Ok(core);
+        }
+        Err(StorageError::Io(std::io::Error::other(
+            "the delta log has not recovered its medium: reopen it first",
+        )))
+    }
+
     /// A snapshot of the engine counters.
     pub fn stats(&self) -> DeltaLogStats {
         self.lock_core().stats
-    }
-
-    /// The inner storage the engine journals into (for assertions).
-    pub fn inner(&self) -> &Arc<dyn StableStorage> {
-        &self.inner
     }
 
     /// Writes the manifest — the current segment window and slot names
@@ -768,7 +824,7 @@ impl DeltaLogStorage {
     /// The group-commit path for deltas of one slot: adopt the slot's
     /// pre-engine state if it may have one, then journal them.
     fn store_deltas(&self, slot: &str, records: impl IntoIterator<Item = Record>) -> Result<()> {
-        let mut core = self.lock_core();
+        let mut core = self.lock_open()?;
         if !core
             .slots
             .get(slot)
@@ -977,7 +1033,7 @@ impl DeltaLogStorage {
     /// not stall the rest. Epoch and parity are reserved under the lock
     /// before the write and the result is published under it after.
     fn store_checkpoint(&self, slot: &str, blob: &[u8]) -> Result<()> {
-        let mut core = self.lock_core();
+        let mut core = self.lock_open()?;
         while core.slots.get(slot).is_some_and(|s| s.ckpt_in_flight) {
             core = self.commit_done.wait(core);
         }
@@ -1098,8 +1154,14 @@ impl StableStorage for DeltaLogStorage {
                     state.deltas.values().cloned().collect::<Vec<_>>(),
                 ),
                 _ => {
+                    // Not adopted: the plain slot as the medium holds
+                    // it, a torn tail cut as `adopt` would cut it.
                     drop(core);
-                    return self.inner.load(slot);
+                    let mut blob = self.inner.load(slot)?;
+                    if let Some(blob) = &mut blob {
+                        cut_torn_bundle(blob);
+                    }
+                    return Ok(blob);
                 }
             }
         };
@@ -1796,6 +1858,57 @@ mod tests {
         );
         // The plain slots are left as they were.
         assert_eq!(inner.load("bundled").unwrap().unwrap(), old);
+    }
+
+    #[test]
+    fn a_torn_last_frame_of_a_plain_slot_loads_as_checkpoint_and_intact_deltas() {
+        let inner = Arc::new(MemoryStorage::new());
+        let bundle = make_bundle(&ckpt(1), [&delta(2)[..], &delta(3)[..]].into_iter());
+        inner.store("s", &bundle[..bundle.len() - 3]).unwrap();
+        let e = DeltaLogStorage::open(inner.clone()).unwrap();
+        let got = e.load("s").unwrap().unwrap();
+        assert_eq!(
+            parse_bundle(&got),
+            Some((&ckpt(1)[..], vec![&delta(2)[..]]))
+        );
+        // The next delta adopts the intact prefix, not the torn bytes.
+        e.store("s", &delta(4)).unwrap();
+        let got = e.load("s").unwrap().unwrap();
+        assert_eq!(
+            parse_bundle(&got).unwrap().1,
+            vec![&delta(2)[..], &delta(4)[..]]
+        );
+
+        // A torn checkpoint frame has nothing to fall back to: the
+        // enclave sees (and refuses) the bytes as they are.
+        let torn = &bundle[..1 + framing::FRAME_HEADER + 4];
+        inner.store("t", torn).unwrap();
+        assert_eq!(e.load("t").unwrap().unwrap(), torn);
+    }
+
+    #[test]
+    fn a_closed_engine_refuses_records_until_reopen_reads_the_medium_as_it_is_now() {
+        let (inner, first) = engine(1 << 20);
+        first.store("s", &ckpt(1)).unwrap();
+        first.store("s", &delta(2)).unwrap();
+        let e = DeltaLogStorage::closed(inner.clone(), DeltaLogConfig::default());
+        assert!(e.store("s", &delta(3)).is_err());
+        assert!(e.store("s", &ckpt(3)).is_err());
+        e.reopen().unwrap();
+        e.store("s", &delta(3)).unwrap();
+        // The medium moves underneath (another engine writes it): a
+        // reopen forgets what this one remembered and loads what is
+        // there now.
+        first.store("s", &ckpt(4)).unwrap();
+        assert_eq!(
+            parse_bundle(&e.load("s").unwrap().unwrap())
+                .unwrap()
+                .1
+                .len(),
+            2
+        );
+        e.reopen().unwrap();
+        assert_eq!(e.load("s").unwrap().unwrap(), ckpt(4));
     }
 
     #[test]

@@ -16,19 +16,17 @@
 //!   survive process restarts);
 //! * [`DelayedStorage`] — an honest wrapper charging wall-clock device
 //!   latency per operation, for real-concurrency experiments;
-//! * [`DeltaLogStorage`] — the segmented, group-committing journal of
-//!   sealed per-batch deltas under a whole deployment (the deployment
-//!   builder opens one over any medium that is not
-//!   [`StableStorage::delta_capable`]);
-//! * [`BundleStorage`] — the adapter that makes any *other* store
-//!   accept sealed deltas, holding `checkpoint ‖ deltas` in the one
-//!   slot a plain store has (a bare server wraps it around every store
-//!   that is not [`StableStorage::delta_capable`]);
-//! * [`VersionedStorage`] — retains every version ever stored, the
-//!   building block for adversarial behaviour;
+//! * [`DeltaLogStorage`] — the one persistence engine: a segmented,
+//!   group-committing journal of sealed per-batch deltas over any
+//!   store that is not [`StableStorage::delta_capable`] (a deployment
+//!   builder opens one under all its lanes, a bare server one of its
+//!   own);
+//! * [`VersionedStorage`] — retains every write ever made, so any past
+//!   *medium* can be cut out of it: the building block for adversarial
+//!   behaviour;
 //! * [`RollbackStorage`] — an adversarial wrapper that can be switched
-//!   at runtime between honest operation, serving stale versions,
-//!   silently dropping writes, and freezing;
+//!   at runtime between honest operation, serving a past medium,
+//!   silently dropping, tearing and reordering writes;
 //! * [`ForkView`] — per-branch views over one history, used to feed
 //!   divergent states to multiple enclave instances.
 //!
@@ -44,7 +42,6 @@
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 mod adversary;
-mod bundle;
 mod delayed;
 mod deltalog;
 mod error;
@@ -55,9 +52,8 @@ mod namespace;
 mod versioned;
 
 pub use adversary::{AdversaryMode, ForkView, RollbackStorage};
-pub use bundle::{make_bundle, BundleStorage};
 pub use delayed::DelayedStorage;
-pub use deltalog::{DeltaLogConfig, DeltaLogStats, DeltaLogStorage};
+pub use deltalog::{make_bundle, DeltaLogConfig, DeltaLogStats, DeltaLogStorage};
 pub use error::StorageError;
 pub use file::FileStorage;
 pub use flaky::{FailureMode, FlakyStorage};
@@ -101,12 +97,10 @@ pub trait StableStorage: Send + Sync {
     fn store(&self, slot: &str, blob: &[u8]) -> Result<()>;
 
     /// Persists `blobs` under `slot` in order, as if stored one after
-    /// the other. The default is exactly that; [`BundleStorage`]
-    /// appends every delta to the slot's `checkpoint ‖ deltas` and
-    /// writes the slot once, and [`DeltaLogStorage`] journals them in
-    /// one group commit, which is what lets a replica group's
-    /// straggler persist several records for the price of one.
-    /// [`NamespacedStorage`] forwards it.
+    /// the other. The default is exactly that; [`DeltaLogStorage`]
+    /// journals the deltas among them in one group commit, which is
+    /// what lets a replica group's straggler persist several records
+    /// for the price of one. [`NamespacedStorage`] forwards it.
     ///
     /// # Errors
     ///
@@ -127,25 +121,13 @@ pub trait StableStorage: Send + Sync {
     /// Whether this store takes the sealed blob kinds an enclave emits
     /// on the delta path — a [`BLOB_KIND_DELTA`] that extends the slot
     /// and a [`BLOB_KIND_CHECKPOINT`] that replaces it — and loads
-    /// them back as `checkpoint ‖ deltas`. [`DeltaLogStorage`] and
-    /// [`BundleStorage`] do; plain blob stores keep the default
-    /// `false`, and honest wrappers forward their inner store's
-    /// answer.
-    ///
-    /// Nobody has to consult this to get O(batch) sealing: a store that
-    /// answers `true` is used as it is, and one that answers `false`
-    /// gets an adapter from whoever builds on it:
-    ///
-    /// * a bare server (`lcm_core`'s `LcmServer::new`) puts a
-    ///   [`BundleStorage`] around it. One slot then stays one coherent
-    ///   sealed state, the unit the paper's `load`/`store` model and
-    ///   the adversarial wrappers ([`RollbackStorage`],
-    ///   [`VersionedStorage`], [`ForkView`]) roll back and fork — but
-    ///   the device takes that whole slot per batch;
-    /// * a deployment (`lcm::deployment::DeploymentBuilder::build`)
-    ///   opens one [`DeltaLogStorage`] over it for every lane and
-    ///   replica, which journals O(batch) device bytes per batch and
-    ///   adopts any slot a [`BundleStorage`] wrote there before.
+    /// them back as `checkpoint ‖ deltas`. [`DeltaLogStorage`] alone
+    /// does; plain blob stores keep the default `false`, and honest
+    /// wrappers forward their inner store's answer. A store that
+    /// answers `false` gets a [`DeltaLogStorage`] over it from whoever
+    /// builds on it: a deployment (`lcm::deployment::DeploymentBuilder`)
+    /// one for all its lanes, a bare server (`lcm_core`'s
+    /// `LcmServer::new`) one of its own, recovered at every boot.
     fn delta_capable(&self) -> bool {
         false
     }

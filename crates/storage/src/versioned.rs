@@ -5,22 +5,29 @@ use std::sync::{Arc, RwLock};
 
 use crate::{Result, StableStorage, StorageError};
 
-/// Index of one stored version of a slot (0 = first store).
+/// A version of the whole medium: `Version(n)` is every slot as the
+/// first `n` writes left it (`Version(0)` is the empty medium).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Version(pub u64);
 
 #[derive(Debug, Default)]
-pub(crate) struct VersionedInner {
-    pub(crate) slots: HashMap<String, Vec<Vec<u8>>>,
+struct VersionedInner {
+    /// Writes made so far: the current version.
+    writes: u64,
+    /// Every blob each slot was written, with the number of the write
+    /// (1-based) that wrote it.
+    slots: HashMap<String, Vec<(u64, Vec<u8>)>>,
 }
 
-/// A blob store that retains *every* version ever written.
+/// A blob store that retains *every* write ever made.
 ///
-/// Honest use (`load`) returns the latest version, making this a drop-in
+/// Honest use (`load`) returns the latest blob, making this a drop-in
 /// [`StableStorage`]. The retained history is what a malicious server
-/// exploits: [`VersionedStorage::load_version`] fetches any past state,
-/// which [`crate::RollbackStorage`] serves to enclaves as if it were
-/// current.
+/// exploits: writes are numbered across all slots, so
+/// [`VersionedStorage::load_at`] reads any slot as the whole medium
+/// held it at a [`VersionedStorage::version`] noted earlier — the
+/// outdated *state* (§2.3) [`crate::RollbackStorage`] serves to
+/// enclaves as if it were current.
 ///
 /// # Example
 ///
@@ -30,15 +37,19 @@ pub(crate) struct VersionedInner {
 /// # fn main() -> Result<(), lcm_storage::StorageError> {
 /// let storage = VersionedStorage::new();
 /// storage.store("state", b"epoch-1")?;
+/// let mark = storage.version();
 /// storage.store("state", b"epoch-2")?;
+/// storage.store("keys", b"k")?;
 /// assert_eq!(storage.load("state")?, Some(b"epoch-2".to_vec()));
-/// assert_eq!(storage.load_version("state", Version(0))?, b"epoch-1".to_vec());
+/// assert_eq!(storage.load_at("state", mark)?, Some(b"epoch-1".to_vec()));
+/// assert_eq!(storage.load_at("keys", mark)?, None);
+/// assert_eq!(storage.version(), Version(3));
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct VersionedStorage {
-    pub(crate) inner: Arc<RwLock<VersionedInner>>,
+    inner: Arc<RwLock<VersionedInner>>,
 }
 
 impl VersionedStorage {
@@ -47,49 +58,67 @@ impl VersionedStorage {
         Self::default()
     }
 
-    /// Loads a specific historical version of `slot`.
+    /// The current version: the medium after every write so far.
+    pub fn version(&self) -> Version {
+        Version(crate::read(&self.inner).writes)
+    }
+
+    /// What `slot` held at `version` (`None` if no write before it
+    /// reached the slot).
     ///
     /// # Errors
     ///
-    /// Returns [`StorageError::NoSuchVersion`] when the slot has fewer
-    /// versions.
-    pub fn load_version(&self, slot: &str, version: Version) -> Result<Vec<u8>> {
+    /// Returns [`StorageError::NoSuchVersion`] for a version after the
+    /// current one.
+    pub fn load_at(&self, slot: &str, version: Version) -> Result<Option<Vec<u8>>> {
+        Ok(crate::read(&self.inner)
+            .at(slot, version)?
+            .map(<[u8]>::to_vec))
+    }
+
+    /// Every slot the medium held at `version`, by name.
+    ///
+    /// # Errors
+    ///
+    /// As [`VersionedStorage::load_at`].
+    pub fn cut(&self, version: Version) -> Result<Vec<(String, Vec<u8>)>> {
         let inner = crate::read(&self.inner);
-        inner
-            .slots
-            .get(slot)
-            .and_then(|versions| versions.get(version.0 as usize))
-            .cloned()
-            .ok_or_else(|| StorageError::NoSuchVersion {
+        inner.at("", version)?; // a future version fails on any medium
+        let mut cut = Vec::new();
+        for name in inner.slots.keys() {
+            if let Some(blob) = inner.at(name, version)? {
+                cut.push((name.clone(), blob.to_vec()));
+            }
+        }
+        cut.sort_unstable();
+        Ok(cut)
+    }
+}
+
+impl VersionedInner {
+    fn at(&self, slot: &str, version: Version) -> Result<Option<&[u8]>> {
+        if version.0 > self.writes {
+            return Err(StorageError::NoSuchVersion {
                 slot: slot.to_owned(),
                 version: version.0,
-            })
-    }
-
-    /// Number of versions stored for `slot` (0 when never stored).
-    pub fn version_count(&self, slot: &str) -> u64 {
-        crate::read(&self.inner)
-            .slots
-            .get(slot)
-            .map_or(0, |v| v.len() as u64)
-    }
-
-    /// The latest version index for `slot`, if any.
-    pub fn latest_version(&self, slot: &str) -> Option<Version> {
-        match self.version_count(slot) {
-            0 => None,
-            n => Some(Version(n - 1)),
+            });
         }
+        let writes = self.slots.get(slot).map_or(&[][..], Vec::as_slice);
+        let upto = writes.partition_point(|&(n, _)| n <= version.0);
+        Ok(writes[..upto].last().map(|(_, blob)| &blob[..]))
     }
 }
 
 impl StableStorage for VersionedStorage {
     fn store(&self, slot: &str, blob: &[u8]) -> Result<()> {
-        crate::write(&self.inner)
+        let mut inner = crate::write(&self.inner);
+        inner.writes += 1;
+        let n = inner.writes;
+        inner
             .slots
             .entry(slot.to_owned())
             .or_default()
-            .push(blob.to_vec());
+            .push((n, blob.to_vec()));
         Ok(())
     }
 
@@ -97,8 +126,8 @@ impl StableStorage for VersionedStorage {
         Ok(crate::read(&self.inner)
             .slots
             .get(slot)
-            .and_then(|versions| versions.last())
-            .cloned())
+            .and_then(|writes| writes.last())
+            .map(|(_, blob)| blob.clone()))
     }
 }
 
@@ -119,11 +148,19 @@ mod tests {
     fn history_is_retained() {
         let s = VersionedStorage::new();
         s.store("a", b"1").unwrap();
+        s.store("b", b"x").unwrap();
         s.store("a", b"2").unwrap();
-        assert_eq!(s.load_version("a", Version(0)).unwrap(), b"1");
-        assert_eq!(s.load_version("a", Version(1)).unwrap(), b"2");
-        assert_eq!(s.version_count("a"), 2);
-        assert_eq!(s.latest_version("a"), Some(Version(1)));
+        assert_eq!(s.version(), Version(3));
+        // Versions number the medium's writes, not one slot's.
+        assert_eq!(s.load_at("a", Version(0)).unwrap(), None);
+        assert_eq!(s.load_at("a", Version(1)).unwrap().unwrap(), b"1");
+        assert_eq!(s.load_at("a", Version(2)).unwrap().unwrap(), b"1");
+        assert_eq!(s.load_at("a", Version(3)).unwrap().unwrap(), b"2");
+        assert_eq!(
+            s.cut(Version(2)).unwrap(),
+            vec![("a".into(), b"1".to_vec()), ("b".into(), b"x".to_vec())]
+        );
+        assert_eq!(s.cut(Version(0)).unwrap(), vec![]);
     }
 
     #[test]
@@ -131,16 +168,18 @@ mod tests {
         let s = VersionedStorage::new();
         s.store("a", b"1").unwrap();
         assert!(matches!(
-            s.load_version("a", Version(5)),
+            s.load_at("a", Version(5)),
             Err(StorageError::NoSuchVersion { .. })
         ));
-        assert!(s.load_version("never", Version(0)).is_err());
+        assert!(s.cut(Version(2)).is_err());
+        assert_eq!(s.load_at("never", Version(1)).unwrap(), None);
     }
 
     #[test]
     fn empty_slot_has_no_latest() {
         let s = VersionedStorage::new();
-        assert_eq!(s.latest_version("a"), None);
+        assert_eq!(s.version(), Version(0));
+        assert_eq!(s.load_at("a", s.version()).unwrap(), None);
         assert_eq!(s.load("a").unwrap(), None);
     }
 
@@ -149,6 +188,6 @@ mod tests {
         let s = VersionedStorage::new();
         let t = s.clone();
         s.store("a", b"1").unwrap();
-        assert_eq!(t.version_count("a"), 1);
+        assert_eq!(t.version(), Version(1));
     }
 }

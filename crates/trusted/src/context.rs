@@ -868,11 +868,10 @@ impl<F: Functionality> TrustedContext<F> {
     /// takes sealed delta blobs — when set, per-batch persists emit
     /// chained deltas instead of whole-state checkpoints. An
     /// `lcm_core::server::LcmServer` always sets it: its storage is a
-    /// `lcm_storage::DeltaLogStorage` the operator put there, or any
-    /// other store behind the `lcm_storage::BundleStorage` adapter
-    /// the server adds. Unset, every batch seals the whole state —
-    /// the paper's basic protocol (§4.2), still what a bare context
-    /// driven without that adapter does. The flag is untrusted and
+    /// `lcm_storage::DeltaLogStorage`, a deployment's or its own.
+    /// Unset, every batch seals the whole state — the paper's basic
+    /// protocol (§4.2), still what a bare context driven without an
+    /// engine does. The flag is untrusted and
     /// affects only performance: every emitted blob is sealed and
     /// chained either way, and a lying host merely gets blobs its
     /// storage handles suboptimally.

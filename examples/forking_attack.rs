@@ -28,7 +28,7 @@ use lcm::core::types::ClientId;
 use lcm::core::verify::{check_single_history, ForkEvidence};
 use lcm::kvs::client::KvsClient;
 use lcm::kvs::store::KvStore;
-use lcm::storage::{RollbackStorage, StableStorage};
+use lcm::storage::RollbackStorage;
 use lcm::tee::world::TeeWorld;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -54,14 +54,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("common prefix: both clients ran one op (seq 1, 2)");
 
     // --- The fork: spawn a second enclave instance fed from a copied
-    // branch of the storage history.
-    let fork_point = storage.history().latest_version("lcm.state").unwrap();
-    let branch_state = storage.fork_at("lcm.state", fork_point)?;
-    let key_version = storage.history().latest_version("lcm.keyblob").unwrap();
-    let key_blob = storage.history().load_version("lcm.keyblob", key_version)?;
-    branch_state.store("lcm.keyblob", &key_blob)?;
+    // branch of the whole medium as it stands now.
+    let branch = storage.fork_at(storage.version())?;
 
-    let mut server_b = LcmServer::<KvStore>::new(&platform, Arc::new(branch_state), 1);
+    let mut server_b = LcmServer::<KvStore>::new(&platform, Arc::new(branch), 1);
     server_b.boot()?;
     println!("fork: second enclave instance started from the same sealed state");
 

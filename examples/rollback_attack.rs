@@ -23,7 +23,7 @@ use lcm::kvs::baseline::{SecureKvsClient, SgxKvsServer};
 use lcm::kvs::client::KvsClient;
 use lcm::kvs::ops::{KvOp, KvResult};
 use lcm::kvs::store::KvStore;
-use lcm::storage::{AdversaryMode, RollbackStorage, Version};
+use lcm::storage::{AdversaryMode, DeltaLogStorage, RollbackStorage, StableStorage};
 use lcm::tee::world::TeeWorld;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -44,6 +44,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 &KvOp::Put(b"balance".to_vec(), b"100 EUR".to_vec()),
             )
             .map_err(AsErr)?;
+        // The host notes the medium as it stands with balance=100.
+        let mark = storage.version();
         client
             .run(
                 &mut server,
@@ -52,13 +54,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .map_err(AsErr)?;
         println!("  wrote balance=100, then spent it: balance=0");
 
-        // The malicious host restarts the enclave from the old blob.
-        let stale = storage
-            .history()
-            .load_version(SLOT_STATE_BLOB, Version(0))?;
-        storage.set_mode(AdversaryMode::ServeVersion(Version(0)));
+        // The malicious host restarts the enclave from the old medium,
+        // whose sealed state an engine over it reassembles.
+        let then = DeltaLogStorage::open(Arc::new(storage.fork_at(mark)?))?;
+        let stale = then.load(SLOT_STATE_BLOB)?.unwrap_or_default();
+        storage.set_mode(AdversaryMode::ServeVersion(mark));
         println!(
-            "  host rolls storage back to version 0 ({} sealed bytes)",
+            "  host rolls storage back to {mark:?} ({} sealed bytes)",
             stale.len()
         );
         server.crash();
@@ -86,11 +88,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut client = KvsClient::new(ClientId(1), admin.client_key());
 
         client.put(&mut server, b"balance", b"100 EUR")?;
+        let mark = storage.version();
         client.put(&mut server, b"balance", b"0 EUR")?;
         println!("  wrote balance=100, then spent it: balance=0");
 
-        // Roll back to the state right after the first PUT.
-        storage.set_mode(AdversaryMode::ServeVersion(Version(1)));
+        // Roll back to the medium right after the first PUT.
+        storage.set_mode(AdversaryMode::ServeVersion(mark));
         println!("  host rolls storage back and restarts the enclave");
         server.crash();
         server.boot()?;

@@ -69,8 +69,7 @@ pub enum Mode {
 /// [`StableStorage::delta_capable`] already — so each batch costs the
 /// device its sealed deltas, journaled by one group-commit writer,
 /// whatever the state size. (A bare `LcmServer` over a plain store
-/// keeps the one-slot [`lcm_storage::BundleStorage`] instead, which
-/// rewrites the slot whole per batch.)
+/// opens an engine of its own, which journals only its lane.)
 pub struct DeploymentBuilder<F: Functionality + 'static> {
     shards: u32,
     replicas: u32,

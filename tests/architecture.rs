@@ -449,6 +449,71 @@ fn one_transport() {
     assert!(gone.is_empty(), "second transport: {gone:#?}");
 }
 
+/// One persistence engine: every lane persists through a
+/// `DeltaLogStorage` — a deployment's, or over a plain store the lane's
+/// own, which it recovers at every boot — and the adversary rolls back
+/// and forks whole media. The second engine (the one-slot bundle
+/// adapter), its stress toggle and replication-stream row, and the
+/// per-slot rollback modes stay gone; exactly one storage type answers
+/// `delta_capable()` with a literal `true`, and every other
+/// implementation forwards its inner store's answer (the trait's
+/// default is the one `false`).
+#[test]
+fn one_persistence_engine() {
+    let gone = mentions(
+        &["crates", "src", "tests", "examples", ".github"],
+        &[".rs", ".toml", ".yml"],
+        &[
+            "BundleStorage",
+            "LCM_STRESS_DELTALOG",
+            "maybe_deltalog",
+            "Store::Bundle",
+            "AdversaryMode::Frozen",
+            "ServeStale",
+        ],
+        &[],
+    );
+    assert!(gone.is_empty(), "second engine: {gone:#?}");
+    let modes = block(
+        &file("crates/storage/src/adversary.rs").text,
+        "pub enum AdversaryMode",
+    );
+    assert!(
+        !modes.iter().any(|l| contains_word(l, "Frozen")),
+        "a per-slot rollback mode: {modes:#?}"
+    );
+
+    let mut answers = Vec::new();
+    for f in files(&["crates", "src", "tests", "examples"], &[".rs"]) {
+        let mut lines = f.text.lines().enumerate();
+        while let Some((n, line)) = lines.next() {
+            if line
+                .trim_start()
+                .starts_with("fn delta_capable(&self) -> bool {")
+            {
+                let body = lines.next().map_or("", |(_, l)| l.trim());
+                answers.push((format!("{}:{}", f.path, n + 1), body));
+            }
+        }
+    }
+    let literal = |value: &str| -> Vec<&str> {
+        let found = answers.iter().filter(|(_, body)| *body == value);
+        found
+            .map(|(at, _)| at.split(':').next().unwrap_or(at))
+            .collect()
+    };
+    assert_eq!(literal("true"), ["crates/storage/src/deltalog.rs"]);
+    assert_eq!(literal("false"), ["crates/storage/src/lib.rs"]);
+    let other: Vec<_> = answers
+        .iter()
+        .filter(|(_, body)| {
+            !matches!(*body, "true" | "false") && !body.ends_with(".delta_capable()")
+        })
+        .collect();
+    assert!(other.is_empty(), "answers that do not forward: {other:#?}");
+    assert!(answers.len() >= 6, "{answers:#?}");
+}
+
 /// One perf gate (CI's `benchmark-smoke` job, over the `lcm_benchmark`
 /// run): the second harness of wall-clock cells over modelled sleeps,
 /// its committed baseline, its tolerance knob and the front-end lane
@@ -680,7 +745,7 @@ fn client_crate_depends_only_on_trusted_crypto_and_rand() {
 /// is a line the threat model must trust.
 #[test]
 fn tcb_only_shrinks() {
-    const TCB_LINES: usize = 5347;
+    const TCB_LINES: usize = 5346;
     let lines: usize = files(&[TRUSTED_SRC], &[".rs"])
         .map(|f| non_test(&f.text).count())
         .sum();

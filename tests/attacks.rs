@@ -16,7 +16,7 @@ use std::sync::Arc;
 use common::{all_modes, bootstrap, mk_server, Mode};
 use lcm::core::admin::AdminHandle;
 use lcm::core::routing::slice_of;
-use lcm::core::server::BatchServer;
+use lcm::core::server::{BatchServer, SLOT_KEY_BLOB};
 use lcm::core::shard::route_hash;
 use lcm::core::stability::Quorum;
 use lcm::core::types::ClientId;
@@ -24,36 +24,17 @@ use lcm::core::verify::check_single_history;
 use lcm::core::LcmError;
 use lcm::kvs::ops::KvOp;
 use lcm::kvs::store::KvStore;
-use lcm::storage::{AdversaryMode, RollbackStorage, StableStorage, Version};
+use lcm::storage::{AdversaryMode, RollbackStorage, StableStorage};
 use lcm::tee::world::TeeWorld;
 
-/// Forks `storage` at the latest version of every shard's slots and
-/// boots a second server instance of the same mode on the branch.
+/// Forks `storage` — the whole medium as it stands now — and boots a
+/// second server instance of the same mode on the branch.
 fn fork_second_instance(
     mode: Mode,
     storage: &Arc<RollbackStorage>,
     seed: u64,
 ) -> Box<dyn BatchServer> {
-    // Seed the branch from shard 0's state, then copy every remaining
-    // slot (other shards' states, all key blobs) at latest.
-    let first_state = mode.state_slot(0);
-    let state_v = storage.history().latest_version(&first_state).unwrap();
-    let branch = storage.fork_at(&first_state, state_v).unwrap();
-    for shard in 0..mode.shards() {
-        for replica in 0..mode.replicas() {
-            let mut slots = vec![mode.member_key_slot(shard, replica)];
-            let state = mode.member_state_slot(shard, replica);
-            if state != first_state {
-                slots.push(state);
-            }
-            for slot in slots {
-                let v = storage.history().latest_version(&slot).unwrap();
-                branch
-                    .store(&slot, &storage.history().load_version(&slot, v).unwrap())
-                    .unwrap();
-            }
-        }
-    }
+    let branch = storage.fork_at(storage.version()).unwrap();
     let world = TeeWorld::new_deterministic(seed);
     let mut server_b = mk_server::<KvStore>(mode, &world, 1, Arc::new(branch), 1);
     server_b.boot().unwrap();
@@ -65,10 +46,12 @@ fn rollback_one_step_detected_by_victim(mode: Mode) {
     let (_w, mut server, _a, mut clients) = bootstrap(mode, storage.clone(), 1, 1, 21);
     let c = &mut clients[0];
     c.put(&mut *server, b"k", b"v1").unwrap();
+    server.flush_persists().unwrap();
+    let mark = storage.version();
     c.put(&mut *server, b"k", b"v2").unwrap();
 
     server.flush_persists().unwrap();
-    storage.set_mode(AdversaryMode::ServeStale { steps_back: 1 });
+    storage.set_mode(AdversaryMode::ServeVersion(mark));
     server.crash();
     server.boot().unwrap();
 
@@ -79,12 +62,14 @@ fn rollback_one_step_detected_by_victim(mode: Mode) {
 fn rollback_to_genesis_detected(mode: Mode) {
     let storage = Arc::new(RollbackStorage::new());
     let (_w, mut server, _a, mut clients) = bootstrap(mode, storage.clone(), 2, 1, 22);
+    server.flush_persists().unwrap();
+    let provisioned = storage.version();
     clients[0].put(&mut *server, b"k", b"v1").unwrap();
     clients[1].put(&mut *server, b"k", b"v2").unwrap();
 
     // Roll all the way back to the freshly-provisioned state.
     server.flush_persists().unwrap();
-    storage.set_mode(AdversaryMode::ServeVersion(Version(0)));
+    storage.set_mode(AdversaryMode::ServeVersion(provisioned));
     server.crash();
     server.boot().unwrap();
 
@@ -320,40 +305,28 @@ fn stale_state_with_fresh_keyblob_detected(mode: Mode) {
     let (_w, mut server, _a, mut clients) = bootstrap(mode, storage.clone(), 1, 1, 33);
     let c = &mut clients[0];
     c.put(&mut *server, b"k", b"v1").unwrap();
+    server.flush_persists().unwrap();
+    let mark = storage.version();
     c.put(&mut *server, b"k", b"v2").unwrap();
     server.flush_persists().unwrap();
 
     // Adversary: serve the victim shard (the one owning "k") its
-    // second-to-latest state but the latest key blob; every other
-    // shard gets honest latest blobs. Emulate by copying blobs into a
-    // fresh honest storage.
-    let victim = mode.shard_of_key(b"k");
+    // region as it stood at the mark but the latest key blob; every
+    // other slot is the latest. Composed from two cuts of the medium
+    // into a fresh honest storage.
+    let victim = mode.region(mode.shard_of_key(b"k"));
+    let key_slot = format!("{victim}{SLOT_KEY_BLOB}");
+    let history = storage.history();
     let mixed = lcm::storage::MemoryStorage::new();
-    for shard in 0..mode.shards() {
-        let state_slot = mode.state_slot(shard);
-        let latest = storage.history().latest_version(&state_slot).unwrap();
-        let state_v = if shard == victim {
-            Version(latest.0 - 1)
+    for (slot, latest) in history.cut(history.version()).unwrap() {
+        let blob = if slot.starts_with(&victim) && slot != key_slot {
+            history.load_at(&slot, mark).unwrap()
         } else {
-            latest
+            Some(latest)
         };
-        mixed
-            .store(
-                &state_slot,
-                &storage
-                    .history()
-                    .load_version(&state_slot, state_v)
-                    .unwrap(),
-            )
-            .unwrap();
-        let key_slot = mode.key_slot(shard);
-        let key_v = storage.history().latest_version(&key_slot).unwrap();
-        mixed
-            .store(
-                &key_slot,
-                &storage.history().load_version(&key_slot, key_v).unwrap(),
-            )
-            .unwrap();
+        if let Some(blob) = blob {
+            mixed.store(&slot, &blob).unwrap();
+        }
     }
     let world = TeeWorld::new_deterministic(33);
     let mut server2 = mk_server::<KvStore>(mode, &world, 1, Arc::new(mixed), 1);

@@ -56,7 +56,7 @@ use lcm::crypto::keys::SecretKey;
 use lcm::deployment::{self, Deployment, DeploymentBuilder};
 use lcm::kvs::client::KvsClient;
 use lcm::kvs::store::KvStore;
-use lcm::storage::{DeltaLogConfig, DeltaLogStorage, NamespacedStorage, StableStorage};
+use lcm::storage::{NamespacedStorage, StableStorage};
 use lcm::tee::world::TeeWorld;
 
 /// Which execution mode a scenario runs the server in.
@@ -129,88 +129,21 @@ impl Mode {
         )
     }
 
-    /// The storage slot a given shard persists its sealed state to
-    /// (the group **leader's** region in replicated mode — where the
-    /// authoritative blob a host could attack lives).
-    pub fn state_slot(self, shard: u32) -> String {
+    /// The slot-name prefix of the region a given shard persists its
+    /// sealed state and key blob in (the group **leader's** region in
+    /// replicated mode — where the authoritative state a host could
+    /// attack lives). A bare lane's engine journals there.
+    pub fn region(self, shard: u32) -> String {
         match self {
-            Mode::Sync | Mode::Pipelined => "lcm.state".into(),
-            Mode::Sharded { .. } | Mode::Frontend { .. } => {
-                format!("{}lcm.state", NamespacedStorage::shard_prefix(shard))
-            }
-            Mode::Replicated { .. } => {
-                format!("{}rep0.lcm.state", NamespacedStorage::shard_prefix(shard))
-            }
-        }
-    }
-
-    /// The storage slot a given shard persists its sealed key blob to.
-    pub fn key_slot(self, shard: u32) -> String {
-        match self {
-            Mode::Sync | Mode::Pipelined => "lcm.keyblob".into(),
-            Mode::Sharded { .. } | Mode::Frontend { .. } => {
-                format!("{}lcm.keyblob", NamespacedStorage::shard_prefix(shard))
-            }
-            Mode::Replicated { .. } => {
-                format!("{}rep0.lcm.keyblob", NamespacedStorage::shard_prefix(shard))
-            }
-        }
-    }
-
-    /// The storage slot one group member persists its sealed state to
-    /// (`replica` must be 0 outside replicated mode).
-    pub fn member_state_slot(self, shard: u32, replica: u32) -> String {
-        match self {
-            Mode::Replicated { .. } => format!(
-                "{}rep{replica}.lcm.state",
-                NamespacedStorage::shard_prefix(shard)
-            ),
-            _ => {
-                assert_eq!(replica, 0, "unreplicated modes have a single member");
-                self.state_slot(shard)
-            }
-        }
-    }
-
-    /// The storage slot one group member persists its sealed key blob
-    /// to (`replica` must be 0 outside replicated mode).
-    pub fn member_key_slot(self, shard: u32, replica: u32) -> String {
-        match self {
-            Mode::Replicated { .. } => format!(
-                "{}rep{replica}.lcm.keyblob",
-                NamespacedStorage::shard_prefix(shard)
-            ),
-            _ => {
-                assert_eq!(replica, 0, "unreplicated modes have a single member");
-                self.key_slot(shard)
-            }
+            Mode::Sync | Mode::Pipelined => String::new(),
+            Mode::Sharded { .. } | Mode::Frontend { .. } => NamespacedStorage::shard_prefix(shard),
+            Mode::Replicated { .. } => format!("{}rep0.", NamespacedStorage::shard_prefix(shard)),
         }
     }
 
     /// The shard a KVS operation on `key` routes to in this mode.
     pub fn shard_of_key(self, key: &[u8]) -> u32 {
         shard::shard_index(shard::route_hash(key), self.shards())
-    }
-}
-
-/// Interposes the sealed delta-log engine between the servers and the
-/// scenario's root storage when `LCM_STRESS_DELTALOG=1` — the
-/// storage-torture CI tier runs the whole crash/churn suite through
-/// the engine this way. A tiny segment budget forces seals and
-/// compactions to fire constantly so short schedules still exercise
-/// the full segment lifecycle.
-pub fn maybe_deltalog(storage: Arc<dyn StableStorage>) -> Arc<dyn StableStorage> {
-    if std::env::var("LCM_STRESS_DELTALOG").is_ok_and(|v| v == "1") {
-        let engine = DeltaLogStorage::with_config(
-            storage,
-            DeltaLogConfig {
-                segment_bytes: 2048,
-            },
-        )
-        .expect("delta-log engine opens on the scenario's root storage");
-        Arc::new(engine)
-    } else {
-        storage
     }
 }
 
@@ -225,7 +158,6 @@ pub fn mk_server<F: Functionality + 'static>(
     storage: Arc<dyn StableStorage>,
     batch: usize,
 ) -> Box<dyn BatchServer> {
-    let storage = maybe_deltalog(storage);
     match mode {
         Mode::Sync => {
             let platform = world.platform_deterministic(platform_base);

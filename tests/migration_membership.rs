@@ -9,7 +9,7 @@ use lcm::core::stability::Quorum;
 use lcm::core::types::ClientId;
 use lcm::kvs::client::KvsClient;
 use lcm::kvs::store::KvStore;
-use lcm::storage::{AdversaryMode, MemoryStorage, RollbackStorage, Version};
+use lcm::storage::{AdversaryMode, MemoryStorage, RollbackStorage};
 use lcm::tee::world::TeeWorld;
 
 fn fresh_server(world: &TeeWorld, platform_id: u64) -> LcmServer<KvStore> {
@@ -60,12 +60,13 @@ fn rollback_after_migration_still_detected() {
     let mut target = LcmServer::<KvStore>::new(&platform, storage.clone(), 8);
     target.boot().unwrap();
     admin.migrate(&mut origin, &mut target).unwrap();
+    let migrated = storage.version();
 
     client.put(&mut target, b"k", b"v2").unwrap();
     client.put(&mut target, b"k", b"v3").unwrap();
 
     // The new host rolls back to the post-migration state.
-    storage.set_mode(AdversaryMode::ServeVersion(Version(0)));
+    storage.set_mode(AdversaryMode::ServeVersion(migrated));
     target.crash();
     target.boot().unwrap();
 

@@ -15,7 +15,7 @@ use lcm::core::verify::{check_client_view, check_single_history, check_stable_pr
 use lcm::kvs::client::KvsClient;
 use lcm::kvs::ops::{KvOp, KvResult};
 use lcm::kvs::store::KvStore;
-use lcm::storage::{AdversaryMode, RollbackStorage, Version};
+use lcm::storage::{AdversaryMode, RollbackStorage};
 use lcm::tee::world::TeeWorld;
 use proptest::prelude::*;
 
@@ -155,14 +155,16 @@ proptest! {
         admin.bootstrap(&mut server).unwrap();
         let mut client = KvsClient::new(ClientId(1), admin.client_key());
 
+        // `marks[i]`: the medium after provisioning and `i` puts.
+        let mut marks = vec![storage.version()];
         for i in 0..pre_ops {
             client.put(&mut server, b"k", &(i as u64).to_be_bytes()).unwrap();
+            marks.push(storage.version());
         }
 
-        // Roll back to some strictly earlier state version.
-        let latest = storage.history().latest_version("lcm.state").unwrap().0;
-        let target = (rollback_to as u64).min(latest.saturating_sub(1));
-        storage.set_mode(AdversaryMode::ServeVersion(Version(target)));
+        // Roll back to some strictly earlier state.
+        let target = rollback_to.min(pre_ops - 1);
+        storage.set_mode(AdversaryMode::ServeVersion(marks[target]));
         server.crash();
         server.boot().unwrap();
 

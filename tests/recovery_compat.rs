@@ -6,8 +6,9 @@
 //! commit `c61ba9d` wrote them (recorded by running [`write_medium`]
 //! in a clone of that commit): a delta log with a small segment size —
 //! manifest, both checkpoint parities, sealed segments, a journal head
-//! — and the one-slot `checkpoint ‖ deltas` bundle a plain store gets
-//! from `BundleStorage`. Its checkpoints and deltas are sealed with
+//! — and the one-slot `checkpoint ‖ deltas` bundle a plain store got
+//! from the adapter servers had before every lane had an engine
+//! ([`bundle_medium`] composes it now). Its checkpoints and deltas are sealed with
 //! ChaCha20-Poly1305, so the read tests below open them through
 //! `AtRestKey`'s fallback. `fixtures/medium_gcm.txt` is the same two
 //! media as the first code that sealed `kP` with AES-128-GCM wrote
@@ -43,8 +44,8 @@ use lcm::crypto::keys::SecretKey;
 use lcm::kvs::ops::KvOp;
 use lcm::kvs::store::KvStore;
 use lcm::storage::{
-    framing, make_bundle, parse_bundle, BundleStorage, DeltaLogConfig, DeltaLogStorage,
-    StableStorage, StorageError, BLOB_KIND_CHECKPOINT, BLOB_KIND_DELTA,
+    framing, make_bundle, parse_bundle, DeltaLogConfig, DeltaLogStorage, StableStorage,
+    StorageError, BLOB_KIND_CHECKPOINT, BLOB_KIND_DELTA,
 };
 use lcm::tee::platform::{TeePlatform, TeeServices};
 use lcm::tee::world::TeeWorld;
@@ -193,9 +194,7 @@ fn reboot(storage: &dyn StableStorage) -> TrustedContext<KvStore> {
 fn the_same_inputs_put_the_recorded_bytes_on_both_media() {
     let dlog = Arc::new(Medium::default());
     write_medium(&delta_log(dlog.clone()));
-    let plain = Arc::new(Medium::default());
-    write_medium(&BundleStorage::new(plain.clone()));
-    let written = dlog.dump("dlog") + &plain.dump("bundle");
+    let written = dlog.dump("dlog") + &bundle_medium().0.dump("bundle");
     // Not `assert_eq!`: two 20 kB hex dumps help nobody.
     for (n, (ours, theirs)) in written.lines().zip(FREE_LIST_FIXTURE.lines()).enumerate() {
         let slot = ours.split(' ').next().unwrap();
@@ -247,6 +246,46 @@ impl StableStorage for Sealed {
     fn load(&self, _slot: &str) -> Result<Option<Vec<u8>>, StorageError> {
         Ok(None)
     }
+}
+
+/// Every blob a store is handed, with its slot, in order.
+#[derive(Default)]
+struct Recording(Mutex<Vec<(String, Vec<u8>)>>);
+
+impl StableStorage for Recording {
+    fn store(&self, slot: &str, blob: &[u8]) -> Result<(), StorageError> {
+        self.0.lock().unwrap().push((slot.into(), blob.to_vec()));
+        Ok(())
+    }
+    fn load(&self, _slot: &str) -> Result<Option<Vec<u8>>, StorageError> {
+        Ok(None)
+    }
+}
+
+/// The one-slot medium of the recorded schedule, as servers before the
+/// engine left a plain store: the key blob, and the last checkpoint
+/// with the deltas after it in one `checkpoint ‖ deltas` bundle
+/// ([`make_bundle`]; the checkpoint bare when none follows). Returns
+/// the client as it stands after the last batch.
+fn bundle_medium() -> (Medium, LcmClient) {
+    let recording = Recording::default();
+    let (_, client) = write_medium(&recording);
+    let medium = Medium::default();
+    let mut state: Vec<Vec<u8>> = Vec::new();
+    for (slot, blob) in recording.0.into_inner().unwrap() {
+        match (&slot[..], blob[0]) {
+            (SLOT_STATE_BLOB, BLOB_KIND_DELTA) => state.push(blob),
+            (SLOT_STATE_BLOB, _) => state = vec![blob],
+            _ => medium.store(&slot, &blob).unwrap(),
+        }
+    }
+    let (checkpoint, deltas) = state.split_first().unwrap();
+    let slot = match deltas {
+        [] => checkpoint.clone(),
+        _ => make_bundle(checkpoint, deltas.iter().map(Vec::as_slice)),
+    };
+    medium.store(SLOT_STATE_BLOB, &slot).unwrap();
+    (medium, client)
 }
 
 /// Whether `at` is the checksum field of a frame of `slot`: the four
@@ -452,14 +491,14 @@ fn a_delta_log_written_by_the_parent_opens_loads_and_replays() {
 #[test]
 fn a_bundle_slot_written_by_the_parent_loads_and_replays() {
     let medium = Arc::new(Medium::recorded("bundle"));
-    let adapter = BundleStorage::new(medium.clone());
-    let bundle = adapter.load(SLOT_STATE_BLOB).unwrap().unwrap();
+    let engine = DeltaLogStorage::open(medium.clone()).unwrap();
+    let bundle = engine.load(SLOT_STATE_BLOB).unwrap().unwrap();
     assert_eq!(bundle, medium.load(SLOT_STATE_BLOB).unwrap().unwrap());
     let (_, deltas) = parse_bundle(&bundle).expect("checkpoint ‖ deltas");
     assert!(!deltas.is_empty());
 
     let (expected, _) = write_medium(&Medium::default());
-    let recovered = reboot(&adapter);
+    let recovered = reboot(&engine);
     assert_eq!(recovered.functionality(), expected.functionality());
 }
 
@@ -469,8 +508,7 @@ fn a_bundle_slot_written_by_the_parent_loads_and_replays() {
 /// write, not a read leg.
 #[test]
 fn a_bundle_whose_second_delta_fails_authentication_halts_before_anything_is_served() {
-    let plain = Arc::new(Medium::default());
-    let (_, mut client) = write_medium(&BundleStorage::new(plain.clone()));
+    let (plain, mut client) = bundle_medium();
     let key_blob = plain.load(SLOT_KEY_BLOB).unwrap().unwrap();
     let bundle = plain.load(SLOT_STATE_BLOB).unwrap().unwrap();
     let (checkpoint, deltas) = parse_bundle(&bundle).unwrap();

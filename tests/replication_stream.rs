@@ -38,8 +38,8 @@ use lcm::crypto::keys::SecretKey;
 use lcm::kvs::ops::KvOp;
 use lcm::kvs::store::KvStore;
 use lcm::storage::{
-    make_bundle, parse_bundle, BundleStorage, DeltaLogStorage, MemoryStorage, StableStorage,
-    BLOB_KIND_CHECKPOINT, BLOB_KIND_DELTA,
+    make_bundle, parse_bundle, DeltaLogStorage, MemoryStorage, StableStorage, BLOB_KIND_CHECKPOINT,
+    BLOB_KIND_DELTA,
 };
 use lcm::tee::platform::TeeServices;
 use lcm::tee::world::TeeWorld;
@@ -75,10 +75,7 @@ enum Store {
     /// A plain store under a host that takes no deltas: the enclave
     /// seals a checkpoint per batch.
     Blob,
-    /// A plain store the way `LcmServer` runs it — behind the adapter
-    /// that keeps its one slot as `checkpoint ‖ deltas`.
-    Bundle,
-    /// The segmented delta-log engine.
+    /// The segmented delta-log engine, as `LcmServer` runs any store.
     DeltaLog,
 }
 
@@ -90,11 +87,7 @@ impl Store {
 }
 
 fn arb_store() -> impl Strategy<Value = Store> {
-    prop_oneof![
-        Just(Store::Blob),
-        Just(Store::Bundle),
-        Just(Store::DeltaLog)
-    ]
+    prop_oneof![Just(Store::Blob), Just(Store::DeltaLog)]
 }
 
 /// A context provisioned as `identity` over `store`, with the blobs
@@ -145,7 +138,6 @@ impl Medium {
         let raw = Arc::new(MemoryStorage::new());
         let storage: Arc<dyn StableStorage> = match store {
             Store::Blob => raw.clone(),
-            Store::Bundle => Arc::new(BundleStorage::new(raw.clone())),
             Store::DeltaLog => Arc::new(DeltaLogStorage::open(raw.clone()).unwrap()),
         };
         let medium = Medium {
@@ -408,11 +400,10 @@ proptest! {
 /// *is* the record (nothing re-sealed), until its own cadence asks for
 /// a checkpoint; where it does not, it is one checkpoint. And each
 /// medium ends up holding what its kind says: the last checkpoint
-/// alone, that checkpoint and the records since in the one slot of a
-/// plain store, or those records in a delta log's journal.
+/// alone, or that checkpoint and the records since in a delta log.
 #[test]
 fn a_follower_persists_as_its_own_storage_dictates() {
-    for follower_store in [Store::Blob, Store::Bundle, Store::DeltaLog] {
+    for follower_store in [Store::Blob, Store::DeltaLog] {
         let mut pair = Pair::<Counter>::new(5, Store::Blob, follower_store);
         let mut verbatim = 0;
         let mut last_checkpoint = Vec::new();
@@ -437,16 +428,9 @@ fn a_follower_persists_as_its_own_storage_dictates() {
                 assert_eq!(verbatim, 0);
                 assert_eq!(slot, Some(last_checkpoint));
             }
-            Store::Bundle => {
-                assert!((30..40).contains(&verbatim), "{verbatim} of 40 verbatim");
-                assert!(!since_checkpoint.is_empty(), "the run ends mid-cadence");
-                let slot = slot.unwrap();
-                let (checkpoint, records) = parse_bundle(&slot).unwrap();
-                assert_eq!(checkpoint, &last_checkpoint[..]);
-                assert_eq!(records, since_checkpoint);
-            }
             Store::DeltaLog => {
                 assert!((30..40).contains(&verbatim), "{verbatim} of 40 verbatim");
+                assert!(!since_checkpoint.is_empty(), "the run ends mid-cadence");
                 // Nothing under the slot's own name: the engine spreads
                 // it over checkpoint slots and journal segments ...
                 assert_eq!(slot, None);
@@ -783,20 +767,33 @@ fn forks_of_one_medium_chain_apart_and_neither_s_next_delta_fits_the_other() {
     assert_eq!(reboot([&b1, &b2]), (Ok(3), Phase::Ready));
 }
 
-/// A plain medium that keeps every blob ever stored to it.
-#[derive(Default)]
+/// A delta log that keeps every blob ever stored to it — every sealed
+/// blob a group built over it hands its storage, before the engine
+/// frames it.
 struct Recording {
-    inner: MemoryStorage,
+    engine: DeltaLogStorage,
     stored: std::sync::Mutex<Vec<Vec<u8>>>,
+}
+
+impl Default for Recording {
+    fn default() -> Self {
+        Recording {
+            engine: DeltaLogStorage::open(Arc::new(MemoryStorage::new())).unwrap(),
+            stored: Default::default(),
+        }
+    }
 }
 
 impl StableStorage for Recording {
     fn store(&self, slot: &str, blob: &[u8]) -> Result<(), lcm::storage::StorageError> {
         self.stored.lock().unwrap().push(blob.to_vec());
-        self.inner.store(slot, blob)
+        self.engine.store(slot, blob)
     }
     fn load(&self, slot: &str) -> Result<Option<Vec<u8>>, lcm::storage::StorageError> {
-        self.inner.load(slot)
+        self.engine.load(slot)
+    }
+    fn delta_capable(&self) -> bool {
+        self.engine.delta_capable()
     }
 }
 
@@ -854,30 +851,24 @@ fn every_checkpoint_and_delta_on_a_group_s_media_has_its_own_nonce() {
     let mut by_nonce = std::collections::HashMap::new();
     let mut kinds = [0usize; 3];
     let stored = std::mem::take(&mut *medium.stored.lock().unwrap());
-    for stored in &stored {
-        let sealed: Vec<&[u8]> = match parse_bundle(stored) {
-            Some((checkpoint, deltas)) => [checkpoint].into_iter().chain(deltas).collect(),
-            None => vec![stored],
-        };
-        for blob in sealed {
-            if !matches!(blob[0], BLOB_KIND_CHECKPOINT | BLOB_KIND_DELTA) {
-                continue;
+    for blob in &stored {
+        if !matches!(blob[0], BLOB_KIND_CHECKPOINT | BLOB_KIND_DELTA) {
+            continue;
+        }
+        // The same blob stored again (a follower's copy of the
+        // leader's delta) is one seal.
+        let nonce = blob[1..1 + gcm::NONCE_LEN].to_vec();
+        match by_nonce.entry(nonce) {
+            Entry::Vacant(seal) => {
+                seal.insert(blob);
+                kinds[usize::from(blob[0])] += 1;
             }
-            // The same blob stored again (a follower's copy of the
-            // leader's delta, a bundle rewritten) is one seal.
-            let nonce = blob[1..1 + gcm::NONCE_LEN].to_vec();
-            match by_nonce.entry(nonce) {
-                Entry::Vacant(seal) => {
-                    seal.insert(blob);
-                    kinds[usize::from(blob[0])] += 1;
-                }
-                Entry::Occupied(seal) => {
-                    assert!(
-                        *seal.get() == blob,
-                        "two blobs share the nonce {:02x?}",
-                        seal.key()
-                    )
-                }
+            Entry::Occupied(seal) => {
+                assert!(
+                    *seal.get() == blob,
+                    "two blobs share the nonce {:02x?}",
+                    seal.key()
+                )
             }
         }
     }
@@ -976,14 +967,24 @@ fn one_batch<S: StableStorage + 'static>(preload: u32, replicas: u32, medium: S)
     let loads_before = counting.loads();
     round(puts(2));
     let loads = counting.loads() - loads_before;
+    // What each member recovers from: through the deployment's engine,
+    // or through an engine over a plain medium's region, like the one a
+    // lane over it opens at boot.
+    let medium: Arc<dyn StableStorage> = counting.clone();
     let last_deltas = || -> Vec<Option<Vec<u8>>> {
         regions
             .iter()
             .map(|region| {
-                let slot = counting
-                    .load(&format!("{region}{SLOT_STATE_BLOB}"))
-                    .unwrap()?;
-                let (_, deltas) = parse_bundle(&slot)?;
+                let region = NamespacedStorage::new(medium.clone(), region.as_str());
+                let state = if medium.delta_capable() {
+                    region.load(SLOT_STATE_BLOB)
+                } else {
+                    DeltaLogStorage::open(Arc::new(region))
+                        .unwrap()
+                        .load(SLOT_STATE_BLOB)
+                };
+                let state = state.unwrap()?;
+                let (_, deltas) = parse_bundle(&state)?;
                 deltas.last().map(|delta| delta.to_vec())
             })
             .collect()

@@ -1,7 +1,7 @@
 //! Storage-engine torture: sealed deltas under adversarial media and
-//! arbitrary crash points — journalled by the delta-log engine, and
-//! appended to the one `checkpoint ‖ deltas` slot of a plain store by
-//! the adapter `LcmServer` puts around it.
+//! arbitrary crash points — journalled by delta-log engines the tests
+//! open with small segments, and by the engine `LcmServer` opens over a
+//! plain store and re-opens at every boot.
 //!
 //! Four attack surfaces, the first three on both stores, all driven
 //! through the full server stack (enclave + sealing + storage engine), never
@@ -78,7 +78,7 @@ enum Store {
     /// A fresh delta-log engine; tiny segments force seal +
     /// compaction traffic on short schedules.
     DeltaLog { segment_bytes: usize },
-    /// `disk` as it is: the server adds the bundle adapter.
+    /// `disk` as it is: the server opens its own engine over it.
     Plain,
 }
 
@@ -269,10 +269,9 @@ fn torn_writes_recover_to_a_detectable_prefix() {
 
 #[test]
 fn torn_writes_over_a_plain_store_recover_to_a_detectable_prefix() {
-    // The slot is rewritten whole, so a tear can land anywhere in it:
-    // inside the checkpoint frame (nothing to fall back to — the
-    // enclave must refuse it) or inside any delta frame after it (the
-    // adapter cuts the tail, the chain verifies up to the cut).
+    // The lane's own engine at its default segment size: a tear can
+    // land anywhere in a journal head, a checkpoint or a manifest
+    // write, up to 6 000 bytes in.
     torn_writes(Store::Plain, 6_000);
 }
 
@@ -283,8 +282,8 @@ fn reordered_flushes_with_power_failure_recover_to_a_detectable_prefix() {
 
 #[test]
 fn reordered_flushes_over_a_plain_store_recover_to_a_detectable_prefix() {
-    // Newest-first within a pair: an older `checkpoint ‖ deltas` lands
-    // on top of a newer one, and the power failure keeps it there.
+    // Newest-first within a pair: an older journal head lands on top
+    // of a newer one, and the power failure keeps it there.
     reordered_flushes(Store::Plain);
 }
 
@@ -440,11 +439,9 @@ proptest! {
         every_kill_point_recovers(world_seed, n_puts, value_len, Store::DeltaLog { segment_bytes })?;
     }
 
-    /// Every inner write of a plain store is a whole slot — a
-    /// checkpoint, a `checkpoint ‖ deltas` bundle one delta longer than
-    /// the last, or the key blob — so every cut leaves a whole state.
-    /// Long values push the schedule across the delta → checkpoint
-    /// cadence.
+    /// Every inner write of the engine a lane opens over a plain store,
+    /// at its default segment size. Long values push the schedule
+    /// across the delta → checkpoint cadence.
     #[test]
     fn every_kill_point_of_a_plain_store_recovers_prefix_consistent(
         world_seed in 0u64..1_000,
