@@ -71,7 +71,8 @@ fn bench_majority_stable(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("one_shot", n), &v, |b, v| {
             b.iter(|| majority_stable(v));
         });
-        // What every operation pays: one client's turn, then the query.
+        // What every operation pays: finding the client's slot, its
+        // turn, then the query.
         group.bench_with_input(BenchmarkId::new("advance", n), &v, |b, v| {
             let mut state = VState::new(Quorum::Majority);
             state.replace(v.clone(), Quorum::Majority);
@@ -80,7 +81,8 @@ fn bench_majority_stable(c: &mut Criterion) {
                 let client = ClientId((t % u64::from(n)) as u32);
                 let tc = SeqNo(t - u64::from(n) + 1);
                 t += 1;
-                state.advance(client, tc, SeqNo(t), ChainValue::GENESIS);
+                let (slot, _) = state.find(client).unwrap();
+                state.advance(slot, tc, SeqNo(t), ChainValue::GENESIS);
                 state.stable()
             });
         });

@@ -224,9 +224,15 @@ impl LcmClient {
     /// `(tc, ts, hc)` context per shard; `n_shards = 1` is exactly the
     /// paper's client.
     pub fn new_sharded(id: ClientId, k_c: &SecretKey, n_shards: u32) -> Self {
+        Self::with_key(id, GcmKey::from_secret(k_c), n_shards)
+    }
+
+    /// Creates a client for `n_shards` shards sealing under `key`: `kC`
+    /// expanded once, its clones shared by every client of a group.
+    pub fn with_key(id: ClientId, key: GcmKey, n_shards: u32) -> Self {
         LcmClient {
             id,
-            key: GcmKey::from_secret(k_c),
+            key,
             send_counter: rand::thread_rng().next_u64(),
             shards: vec![ShardCtx::default(); n_shards.max(1) as usize],
             table: SliceTable::uniform(n_shards.max(1)),
@@ -374,19 +380,23 @@ impl LcmClient {
 
     fn fire_watches(&mut self) {
         let (shards, notifications) = (&self.shards, &mut self.notifications);
-        self.watches.retain(
-            |&(watch, shard, threshold)| match shards.get(shard as usize) {
-                Some(ctx) if ctx.ts >= threshold => {
-                    notifications.push(StabilityEvent {
-                        watch,
-                        threshold,
-                        watermark: ctx.ts,
-                    });
-                    false
-                }
-                _ => true,
-            },
-        );
+        self.watches.retain(|&(watch, shard, threshold)| {
+            let ts = shards.get(shard as usize).map(|ctx| ctx.ts);
+            let Some(watermark) = ts.filter(|&ts| ts >= threshold) else {
+                return true;
+            };
+            notifications.push(StabilityEvent {
+                watch,
+                threshold,
+                watermark,
+            });
+            false
+        });
+    }
+
+    /// `Err(Halted)` once a violation was detected.
+    fn live(&self) -> Result<()> {
+        (!self.halted).then_some(()).ok_or(LcmError::Halted)
     }
 
     /// Produces the encrypted INVOKE message for operation `op`
@@ -431,9 +441,7 @@ impl LcmClient {
     ///   operations on different shards may be pipelined).
     /// * [`LcmError::Halted`] — a violation was detected earlier.
     pub fn invoke_routed(&mut self, op: &[u8], shard_key: Option<&[u8]>) -> Result<Vec<u8>> {
-        if self.halted {
-            return Err(LcmError::Halted);
-        }
+        self.live()?;
         let route = route_for(self.id, shard_key);
         let shard = self.table.shard_of(route);
         let ctx = idle_ctx(&mut self.shards, shard)?;
@@ -461,9 +469,7 @@ impl LcmClient {
     /// * [`LcmError::NothingToRetry`] — no operation is pending.
     /// * [`LcmError::Halted`] — the client has halted.
     pub fn retry(&mut self) -> Result<Vec<u8>> {
-        if self.halted {
-            return Err(LcmError::Halted);
-        }
+        self.live()?;
         let &shard = self.pending_order.front().ok_or(LcmError::NothingToRetry)?;
         let ctx = self.shards.get(shard as usize);
         let Some(pending) = ctx.and_then(|c| c.pending.as_ref()) else {
@@ -510,9 +516,7 @@ impl LcmClient {
         shard_key: Option<&[u8]>,
         replica: u32,
     ) -> Result<Vec<u8>> {
-        if self.halted {
-            return Err(LcmError::Halted);
-        }
+        self.live()?;
         let route = route_for(self.id, shard_key);
         let shard = self.table.shard_of(route);
         let ctx = idle_ctx(&mut self.shards, shard)?;
@@ -542,9 +546,7 @@ impl LcmClient {
     /// * [`LcmError::NothingToRetry`] — no read is pending on `shard`.
     /// * [`LcmError::Halted`] — the client has halted.
     pub fn retry_read(&mut self, shard: u32, replica: Option<u32>) -> Result<Vec<u8>> {
-        if self.halted {
-            return Err(LcmError::Halted);
-        }
+        self.live()?;
         let ctx = self.shards.get_mut(shard as usize);
         let pending = ctx.and_then(|c| c.pending_read.as_mut());
         let pending = pending.ok_or(LcmError::NothingToRetry)?;
@@ -589,9 +591,7 @@ impl LcmClient {
     /// * [`LcmError::Violation`] with [`Violation::UnexpectedReply`] —
     ///   no read pending anywhere.
     pub fn handle_read_reply(&mut self, wire: &[u8]) -> Result<ReadOutcome> {
-        if self.halted {
-            return Err(LcmError::Halted);
-        }
+        self.live()?;
         self.in_scratch(wire, Self::complete_read)
     }
 
@@ -765,9 +765,7 @@ impl LcmClient {
     ///
     /// Same as [`LcmClient::handle_reply`], minus the redirect case.
     pub fn handle_reply_on(&mut self, wire: &[u8]) -> Result<(u32, WriteOutcome)> {
-        if self.halted {
-            return Err(LcmError::Halted);
-        }
+        self.live()?;
         if self.pending_order.is_empty() {
             self.halted = true;
             return Err(Violation::UnexpectedReply.into());

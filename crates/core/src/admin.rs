@@ -8,6 +8,7 @@
 //! distributes `kC` to the clients.
 
 use lcm_crypto::aead::{self, AeadKey};
+use lcm_crypto::gcm::GcmKey;
 use lcm_crypto::keys::SecretKey;
 use lcm_crypto::sha256::{self, Digest};
 use lcm_tee::attestation::{Quote, QuoteVerifier};
@@ -75,6 +76,8 @@ pub struct AdminHandle {
     expected_measurement: Measurement,
     k_p: SecretKey,
     k_c: SecretKey,
+    /// `kC` expanded for sealing, replaced with it at every rotation.
+    client_cipher: GcmKey,
     k_a: SecretKey,
     admin_key: AeadKey,
     clients: Vec<ClientId>,
@@ -133,6 +136,7 @@ impl AdminHandle {
             expected_measurement: measurement,
             admin_key: AeadKey::from_secret(&k_a),
             k_p,
+            client_cipher: GcmKey::from_secret(&k_c),
             k_c,
             k_a,
             clients,
@@ -146,6 +150,12 @@ impl AdminHandle {
     /// the admin's secure channels to them.
     pub fn client_key(&self) -> &SecretKey {
         &self.k_c
+    }
+
+    /// `kC` expanded for sealing: the clients of a group share clones
+    /// of this one expansion instead of each deriving its own.
+    pub fn client_cipher(&self) -> &GcmKey {
+        &self.client_cipher
     }
 
     /// The current client group, as the admin believes it to be.
@@ -309,6 +319,7 @@ impl AdminHandle {
         match reply {
             AdminReply::Ok => {
                 self.clients.retain(|&c| c != id);
+                self.client_cipher = GcmKey::from_secret(&new_kc);
                 self.k_c = new_kc.clone();
                 Ok(new_kc)
             }

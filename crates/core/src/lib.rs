@@ -80,6 +80,7 @@
 
 pub mod admin;
 pub mod admission;
+pub mod functionality;
 pub mod pipeline;
 pub mod program;
 pub mod replica;
@@ -88,5 +89,5 @@ pub mod shard;
 pub mod transport;
 
 pub use lcm_client::{client, verify};
-pub use lcm_trusted::{codec, context, functionality, routing, stability, types, wire};
+pub use lcm_trusted::{codec, context, routing, stability, types, wire};
 pub use lcm_trusted::{LcmError, Result, Violation};

@@ -94,6 +94,8 @@
 //!   and bitwise GHASH, with no table indexed by secret data. It is
 //!   also the oracle the hardware kernel is tested against.
 
+use std::sync::Arc;
+
 use rand::RngCore;
 
 use crate::aead::SealKey;
@@ -134,7 +136,8 @@ const MAX_BODY: u64 = ((1 << 32) - 2) * BLOCK_LEN as u64;
 type RoundKeys = [[u8; BLOCK_LEN]; 11];
 
 /// An AES-128-GCM key: the round keys and the powers of the GHASH key
-/// `H`, computed once when the key is made.
+/// `H`, computed once when the key is made. Its clones share them, so
+/// the clients of one group hold one expansion of `kC`.
 ///
 /// # Example
 ///
@@ -150,7 +153,10 @@ type RoundKeys = [[u8; BLOCK_LEN]; 11];
 /// # }
 /// ```
 #[derive(Clone)]
-pub struct GcmKey {
+pub struct GcmKey(Arc<Schedule>);
+
+/// What the clones of a [`GcmKey`] share.
+struct Schedule {
     round_keys: RoundKeys,
     /// `h_powers[i]` is `H^(i+1)`, each block read big-endian.
     h_powers: [u128; H_POWERS],
@@ -231,10 +237,10 @@ impl Kernel {
             Kernel::AesNi => aesni::expand(key),
             Kernel::Portable => portable::expand(key),
         };
-        GcmKey {
+        GcmKey(Arc::new(Schedule {
             round_keys,
             h_powers,
-        }
+        }))
     }
 
     /// XORs `data` with the keystream of `nonce` from block `counter`
@@ -256,7 +262,7 @@ impl Kernel {
         buf: &mut Vec<u8>,
         body: usize,
     ) -> Result<()> {
-        let (rk, h) = (&key.round_keys, &key.h_powers);
+        let (rk, h) = (&key.0.round_keys, &key.0.h_powers);
         let body = &mut buf[body..];
         if body.len() as u64 > MAX_BODY {
             return Err(CryptoError::NonceExhausted);
@@ -294,7 +300,7 @@ impl Kernel {
         tag: &[u8],
     ) -> Result<()> {
         let nonce: &[u8; NONCE_LEN] = nonce.try_into().expect("split at the nonce length");
-        let (rk, h) = (&key.round_keys, &key.h_powers);
+        let (rk, h) = (&key.0.round_keys, &key.0.h_powers);
         let verified = body.len() as u64 <= MAX_BODY
             && match self {
                 #[cfg(target_arch = "x86_64")]
@@ -522,14 +528,14 @@ mod tests {
         let plain: [u8; 16] = std::array::from_fn(|i| (i as u8) * 0x11);
         let want = hex("69c4e0d86a7b0430d8cdb78070b4c55a");
         assert_eq!(
-            portable::encrypt_block(&key.round_keys, plain).to_vec(),
+            portable::encrypt_block(&key.0.round_keys, plain).to_vec(),
             want
         );
         let nonce: [u8; 12] = plain[..12].try_into().unwrap();
         let counter = u32::from_be_bytes(plain[12..].try_into().unwrap());
         for kernel in kernels() {
             let mut block = [0u8; 16];
-            kernel.ctr(&key.round_keys, &nonce, counter, &mut block);
+            kernel.ctr(&key.0.round_keys, &nonce, counter, &mut block);
             assert_eq!(block.to_vec(), want, "{kernel:?}");
         }
     }
@@ -543,7 +549,7 @@ mod tests {
         let last = hex("d014f9a8c9ee2589e13f0cc8b6630ca6");
         for kernel in kernels() {
             assert_eq!(
-                kernel.expand(&fips).round_keys[10].to_vec(),
+                kernel.expand(&fips).0.round_keys[10].to_vec(),
                 last,
                 "{kernel:?}"
             );
@@ -553,8 +559,11 @@ mod tests {
             let want = Kernel::Portable.expand(&raw);
             for kernel in kernels() {
                 let got = kernel.expand(&raw);
-                assert_eq!(got.round_keys, want.round_keys, "{kernel:?}, seed {seed}");
-                assert_eq!(got.h_powers, want.h_powers, "{kernel:?}, seed {seed}");
+                assert_eq!(
+                    got.0.round_keys, want.0.round_keys,
+                    "{kernel:?}, seed {seed}"
+                );
+                assert_eq!(got.0.h_powers, want.0.h_powers, "{kernel:?}, seed {seed}");
             }
         }
     }
@@ -603,13 +612,13 @@ mod tests {
         // The portable ciphertext of the longest body is that of every
         // prefix; its tags are taken prefix by prefix.
         let mut ciphertext = plain.clone();
-        portable::ctr(&key.round_keys, &nonce, 2, &mut ciphertext);
+        portable::ctr(&key.0.round_keys, &nonce, 2, &mut ciphertext);
         for len in 0..=plain.len() {
             for aad_len in 0..=aad.len() {
                 let aad = &aad[..aad_len];
                 let sealed = seal_on(hardware, &key, &nonce, &plain[..len], aad);
                 let (body, tag) = sealed[NONCE_LEN..].split_at(len);
-                let want = portable::tag(&key.round_keys, key.h_powers[0], &nonce, aad, body);
+                let want = portable::tag(&key.0.round_keys, key.0.h_powers[0], &nonce, aad, body);
                 assert_eq!(body, &ciphertext[..len], "len {len}, aad {aad_len}");
                 assert_eq!(tag, want, "len {len}, aad {aad_len}");
                 let mut buf = sealed.clone();
@@ -707,7 +716,7 @@ mod tests {
     #[test]
     fn keys_derive_under_their_own_label() {
         let master = SecretKey::from_bytes([0x11; 32]);
-        let aes_key = |master: &SecretKey| GcmKey::from_secret(master).round_keys[0];
+        let aes_key = |master: &SecretKey| GcmKey::from_secret(master).0.round_keys[0];
         assert_eq!(aes_key(&master), aes_key(&master));
         assert_ne!(
             aes_key(&master),

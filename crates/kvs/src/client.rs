@@ -6,6 +6,7 @@ use lcm_core::codec::WireCodec;
 use lcm_core::server::BatchServer;
 use lcm_core::types::{ClientId, Completion};
 use lcm_core::{LcmError, Result};
+use lcm_crypto::gcm::GcmKey;
 use lcm_crypto::keys::SecretKey;
 
 use crate::ops::{KvOp, KvResult};
@@ -55,8 +56,15 @@ impl KvsClient {
     /// [`KvStore`](crate::store::KvStore)) and the underlying
     /// [`LcmClient`] keeps one protocol context per shard.
     pub fn new_sharded(id: ClientId, k_c: &SecretKey, n_shards: u32) -> Self {
+        Self::with_key(id, GcmKey::from_secret(k_c), n_shards)
+    }
+
+    /// Creates a client for `n_shards` shards sealing under `key`, an
+    /// expanded `kC` shared with the deployment's other clients (see
+    /// [`LcmClient::with_key`]).
+    pub fn with_key(id: ClientId, key: GcmKey, n_shards: u32) -> Self {
         KvsClient {
-            inner: LcmClient::new_sharded(id, k_c, n_shards),
+            inner: LcmClient::with_key(id, key, n_shards),
             next_pin: 0,
         }
     }

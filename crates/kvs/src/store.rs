@@ -63,6 +63,10 @@ impl Eq for MemoryModelWrapper {}
 #[derive(Debug, Clone, Default)]
 struct DirtyWrapper {
     entries: BTreeMap<Vec<u8>, Option<Vec<u8>>>,
+    /// The emptied key and value buffers of drained entries, which the
+    /// next touches copy into instead of allocating; at most
+    /// [`SPARE_MAX`], none larger than [`SPARE_BYTES_MAX`].
+    spare: Vec<Vec<u8>>,
     /// Length of the last encoded delta: the next one's buffer starts
     /// at that size, up to [`DELTA_HINT_MAX`].
     last_delta_len: usize,
@@ -79,19 +83,49 @@ impl Eq for DirtyWrapper {}
 /// load's that came before it need not.
 const DELTA_HINT_MAX: usize = 64 * 1024;
 
+/// The most drained buffers the dirty set keeps: a batch's worth, not a
+/// bulk load's.
+const SPARE_MAX: usize = 4096;
+
+/// The largest buffer the dirty set keeps: a key's or a small value's,
+/// so the spares pin at most `SPARE_MAX × SPARE_BYTES_MAX` = 1 MiB
+/// however large the values a batch wrote.
+const SPARE_BYTES_MAX: usize = 256;
+
 impl DirtyWrapper {
     /// Records that `key` now holds `value`; only its first touch since
     /// the last drain copies the key, and a value it held before is
     /// overwritten in place.
     fn touch(&mut self, key: &[u8], value: Option<&[u8]>) {
+        let spare = &mut self.spare;
         match (self.entries.get_mut(key), value) {
             (Some(Some(held)), Some(value)) => overwrite(held, value),
-            (Some(held), value) => *held = value.map(<[u8]>::to_vec),
+            (Some(held), value) => *held = value.map(|v| reuse(spare, v)),
             (None, value) => {
-                self.entries.insert(key.to_vec(), value.map(<[u8]>::to_vec));
+                let key = reuse(spare, key);
+                self.entries.insert(key, value.map(|v| reuse(spare, v)));
             }
         }
     }
+
+    /// Empties the set, keeping its buffers for the next touches.
+    fn recycle(&mut self) {
+        for (key, value) in std::mem::take(&mut self.entries) {
+            for mut buf in std::iter::once(key).chain(value) {
+                if self.spare.len() < SPARE_MAX && buf.capacity() <= SPARE_BYTES_MAX {
+                    buf.clear();
+                    self.spare.push(buf);
+                }
+            }
+        }
+    }
+}
+
+/// `bytes` in a spare buffer if there is one, a new one otherwise.
+fn reuse(spare: &mut Vec<Vec<u8>>, bytes: &[u8]) -> Vec<u8> {
+    let mut buf = spare.pop().unwrap_or_default();
+    buf.extend_from_slice(bytes);
+    buf
 }
 
 /// Upper bound on a single [`KvOp::Fill`]'s record count: large enough
@@ -335,11 +369,11 @@ impl Functionality for KvStore {
     /// the KVS supports delta persistence even when the diff happens to
     /// be empty (the empty delta is a valid no-op replay record).
     fn take_delta(&mut self) -> Option<Vec<u8>> {
-        let dirty = std::mem::take(&mut self.dirty.entries);
-        let entries = dirty.iter().map(|(key, value)| (key, value.as_ref()));
+        let entries = (self.dirty.entries.iter()).map(|(key, value)| (key, value.as_ref()));
         let hint = self.dirty.last_delta_len.min(DELTA_HINT_MAX);
         let delta = Self::encode_delta(entries, hint);
         self.dirty.last_delta_len = delta.len();
+        self.dirty.recycle();
         Some(delta)
     }
 
@@ -586,6 +620,46 @@ mod tests {
         let mut t = KvStore::default();
         t.apply_delta(&second).unwrap();
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn take_delta_keeps_the_buffers_of_the_dirty_set() {
+        let mut s = KvStore::default();
+        s.apply(&KvOp::Put(b"k".to_vec(), b"v".to_vec()));
+        s.apply(&KvOp::Del(b"gone".to_vec()));
+        let _ = s.take_delta();
+        // Key and value of `k`, the key of the deletion.
+        assert_eq!(s.dirty.spare.len(), 3);
+        assert!(s
+            .dirty
+            .spare
+            .iter()
+            .all(|b| b.is_empty() && b.capacity() > 0));
+        let put = KvOp::Put(b"k2".to_vec(), b"v2".to_vec());
+        s.apply(&put);
+        assert_eq!(s.dirty.spare.len(), 1);
+        // The recycled buffers change no byte of the next delta.
+        let mut fresh = KvStore::default();
+        fresh.apply(&put);
+        assert_eq!(s.take_delta(), fresh.take_delta());
+    }
+
+    #[test]
+    fn take_delta_keeps_no_large_buffer() {
+        let mut s = KvStore::default();
+        for i in 0..64u32 {
+            let key = i.to_be_bytes().to_vec();
+            s.apply(&KvOp::Put(key.clone(), vec![7; 64 * 1024]));
+            s.apply(&KvOp::Del(key));
+        }
+        for i in 0..64u32 {
+            s.apply(&KvOp::Put(i.to_be_bytes().to_vec(), vec![7; 64 * 1024]));
+        }
+        let _ = s.take_delta();
+        // The keys are kept; the 64 KiB values are not.
+        assert_eq!(s.dirty.spare.len(), 64);
+        let kept: usize = s.dirty.spare.iter().map(Vec::capacity).sum();
+        assert!(kept <= 64 * SPARE_BYTES_MAX, "{kept} bytes kept");
     }
 
     #[test]

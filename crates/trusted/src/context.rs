@@ -81,7 +81,7 @@ use crate::blob::{BLOB_KIND_BUNDLE, BLOB_KIND_CHECKPOINT, BLOB_KIND_DELTA, BLOB_
 use crate::codec::{CodecError, Reader, WireCodec, Writer};
 use crate::functionality::Functionality;
 use crate::routing::{slice_of, SliceTable};
-use crate::stability::{CachedReply, Quorum, VMap, VState};
+use crate::stability::{CachedReply, Quorum, Slot, VMap, VState};
 use crate::types::{ChainValue, ClientId, SeqNo};
 use crate::wire::{open_blob, seal_message, seal_message_into, InvokeView, ReplyView};
 use crate::{LcmError, Result, Violation};
@@ -809,7 +809,7 @@ impl<F: Functionality> std::fmt::Debug for TrustedContext<F> {
         f.debug_struct("TrustedContext")
             .field("phase", &self.phase)
             .field("t", &self.t)
-            .field("clients", &self.v.map().len())
+            .field("clients", &self.v.entries().len())
             .finish()
     }
 }
@@ -1098,7 +1098,7 @@ impl<F: Functionality> TrustedContext<F> {
         let routes = [hint.route, recomputed];
         let redirect = !self.owns_wire(identity.index, msg.client, routes, hint.epoch)?;
 
-        let Some(entry) = self.v.map().get(&msg.client) else {
+        let Some((slot, entry)) = self.v.find(msg.client) else {
             let client = msg.client;
             self.phase = Phase::Halted;
             return Err(LcmError::UnknownClient(client));
@@ -1106,7 +1106,7 @@ impl<F: Functionality> TrustedContext<F> {
 
         // Alg. 2: assert V[i] = (∗, tc, hc).
         if entry.t == msg.tc && entry.h == msg.hc {
-            return self.execute_fresh(msg, hint.route, hint.epoch, redirect, out);
+            return self.execute_fresh(msg, slot, hint.route, hint.epoch, redirect, out);
         }
         // §4.6.1 second case: T crashed after storing but before the
         // client got the reply — a *retry* of the acknowledged
@@ -1149,6 +1149,7 @@ impl<F: Functionality> TrustedContext<F> {
     fn execute_fresh(
         &mut self,
         msg: InvokeView<'_>,
+        slot: Slot,
         route: u32,
         epoch: u64,
         redirect: bool,
@@ -1164,7 +1165,7 @@ impl<F: Functionality> TrustedContext<F> {
         self.h = self.h.extend(msg.op, self.t, msg.client);
 
         // V[i] ← (tc, t, h) ; q ← majority-stable(V)
-        self.v.advance(msg.client, msg.tc, self.t, self.h);
+        self.v.advance(slot, msg.tc, self.t, self.h);
         if let Err(at) = self.touched.binary_search(&msg.client) {
             self.touched.insert(at, msg.client);
         }
@@ -1190,7 +1191,7 @@ impl<F: Functionality> TrustedContext<F> {
         };
         let sealed = self.seal_reply(out, &nonce, msg.client, route, epoch, reply);
         // The sealed reply's fields move into the cache as they are.
-        self.v.set_cached(msg.client, cached);
+        self.v.set_cached(slot, cached);
         sealed?;
         Ok(msg.client)
     }
@@ -1306,7 +1307,7 @@ impl<F: Functionality> TrustedContext<F> {
         let routes = [hint.route, recomputed];
         let moved =
             !future_epoch && !self.owns_wire(identity.index, msg.client, routes, hint.epoch)?;
-        let (entry_t, entry_h) = match self.v.map().get(&msg.client) {
+        let (entry_t, entry_h) = match self.v.get(msg.client) {
             Some(e) => (e.t, e.h),
             None => {
                 let client = msg.client;
@@ -1419,7 +1420,7 @@ impl<F: Functionality> TrustedContext<F> {
             AdminOp::Status => AdminReply::Status {
                 t: self.t,
                 q: self.v.stable().max(self.stable_floor),
-                n: self.v.map().len() as u32,
+                n: self.v.entries().len() as u32,
             },
         };
 
@@ -2144,16 +2145,38 @@ mod tests {
         assert_eq!(reply.t, SeqNo(1));
     }
 
+    /// A partitionable functionality: every operation is its own shard
+    /// key.
+    #[derive(Debug, Default)]
+    struct Keyed(AppendLog);
+
+    impl Functionality for Keyed {
+        fn exec(&mut self, op: &[u8]) -> Vec<u8> {
+            self.0.exec(op)
+        }
+
+        fn shard_key(op: &[u8]) -> Option<&[u8]> {
+            Some(op)
+        }
+
+        fn snapshot_into(&self, w: &mut Writer) {
+            self.0.snapshot_into(w);
+        }
+
+        fn restore(&mut self, snapshot: &[u8]) -> std::result::Result<(), CodecError> {
+            self.0.restore(snapshot)
+        }
+    }
+
     #[test]
     fn envelope_lying_about_its_operation_halts() {
-        use crate::functionality::Counter;
-        // A 4-shard Counter enclave: the envelope route maps to this
-        // shard (so delivery looks right), but the decrypted operation
-        // names a counter whose key maps elsewhere. The recomputed
+        // A 4-shard enclave of a partitionable `F`: the envelope route
+        // maps to this shard (so delivery looks right), but the
+        // decrypted operation's key maps elsewhere. The recomputed
         // route must win: the enclave refuses to execute state it does
         // not own.
         let world = world();
-        let mut ctx = TrustedContext::<Counter>::new(services(&world, 1));
+        let mut ctx = TrustedContext::<Keyed>::new(services(&world, 1));
         ctx.init(None, None, false).unwrap();
         let this_shard = 2u32;
         let payload = ProvisionPayload {
@@ -2165,7 +2188,7 @@ mod tests {
         let sealed = aead::auth_encrypt(&channel, &payload.to_bytes(), LABEL_PROVISION).unwrap();
         ctx.provision(&sealed).unwrap();
 
-        // A counter name owned by a different shard.
+        // A key owned by a different shard.
         let foreign = (0..64u32)
             .map(|i| format!("n{i}").into_bytes())
             .find(|n| crate::routing::shard_index(crate::routing::route_hash(n), 4) != this_shard)
@@ -2180,7 +2203,7 @@ mod tests {
             tc: SeqNo::ZERO,
             hc: ChainValue::GENESIS,
             retry: false,
-            op: Counter::inc_op(&foreign, 1),
+            op: foreign,
         };
         let hint = crate::wire::RouteHint {
             client: ClientId(1),

@@ -258,7 +258,7 @@ impl<F: Functionality> TrustedContext<F> {
         // state: a rolled-back enclave thereby rolls back its table
         // too, which is exactly what future-epoch wires expose.
         self.table.encode(w);
-        crate::stability::encode_vmap(self.v.map(), w);
+        crate::stability::encode_vmap(self.v.entries(), w);
         w.put_sized(|w| self.f.snapshot_into(w));
         w.put_digest(&self.persist_anchor);
     }
@@ -686,7 +686,7 @@ mod tests {
 
         let clones: VMap = [ClientId(1), ClientId(3)]
             .iter()
-            .map(|c| (*c, ctx.v.map()[c].clone()))
+            .map(|c| (*c, ctx.v.get(*c).unwrap().clone()))
             .collect();
         let mut want = Writer::new();
         encode_vmap(&clones, &mut want);

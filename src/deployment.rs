@@ -320,13 +320,13 @@ impl Deployment {
     /// A protocol client for `id`, wired for this deployment's shard
     /// count and holding the group key from the admin's bootstrap.
     pub fn client(&self, id: ClientId) -> LcmClient {
-        LcmClient::new_sharded(id, self.admin.client_key(), self.shards)
+        LcmClient::with_key(id, self.admin.client_cipher().clone(), self.shards)
     }
 
     /// A key-value client for `id` (meaningful when the deployment
     /// runs [`lcm_kvs::store::KvStore`]).
     pub fn kvs_client(&self, id: ClientId) -> KvsClient {
-        KvsClient::new_sharded(id, self.admin.client_key(), self.shards)
+        KvsClient::with_key(id, self.admin.client_cipher().clone(), self.shards)
     }
 
     /// Connects `id` to the deployment's reply demux, returning its

@@ -10,8 +10,10 @@
 use std::collections::BTreeMap;
 
 use lcm::core::client::LcmClient;
-use lcm::core::codec::WireCodec;
-use lcm::core::context::{ProvisionPayload, ShardIdentity, TrustedContext, LABEL_PROVISION};
+use lcm::core::codec::{WireCodec, Writer};
+use lcm::core::context::{
+    AdminOp, ProvisionPayload, ShardIdentity, TrustedContext, LABEL_ADMIN, LABEL_PROVISION,
+};
 use lcm::core::program::lcm_measurement;
 use lcm::core::stability::Quorum;
 use lcm::core::types::{ClientId, SeqNo};
@@ -79,12 +81,19 @@ impl Model {
     }
 
     /// "The largest acknowledged sequence number in V that is less
-    /// than or equal to [at least `required`] sequence numbers in V."
+    /// than or equal to [at least `required`] sequence numbers in V",
+    /// skipping the acknowledgements no larger than the best so far,
+    /// which cannot change the answer.
     fn quadratic(&self) -> SeqNo {
         let required = self.quorum.required(self.v.len());
         let qualifies = |a: SeqNo| self.v.values().filter(|(_, t)| *t >= a).count() >= required;
-        let acks = self.v.values().map(|&(ta, _)| ta);
-        acks.filter(|&a| qualifies(a)).max().unwrap_or(SeqNo::ZERO)
+        let mut best = SeqNo::ZERO;
+        for &(a, _) in self.v.values() {
+            if a > best && qualifies(a) {
+                best = a;
+            }
+        }
+        best
     }
 
     /// The same by sorting: the `required`-th largest `t` bounds the
@@ -277,4 +286,62 @@ fn a_65536_client_context_serves_20000_operations() {
         last_q = q;
     }
     assert_eq!(last_q, SeqNo(20_000 - ACTIVE), "one round behind");
+}
+
+/// Seals `op` as the admin's `seq`-th request and has `ctx` handle it.
+fn admin(ctx: &mut Ctx, seq: u64, op: AdminOp) {
+    let mut w = Writer::new();
+    w.put_u64(seq);
+    op.encode(&mut w);
+    let channel = AeadKey::from_secret(&SecretKey::from_bytes([3u8; 32]));
+    let wire = aead::auth_encrypt(&channel, &w.into_bytes(), LABEL_ADMIN).unwrap();
+    ctx.handle_admin(&wire).unwrap();
+}
+
+/// A membership change rebuilds the index from a table whose slots
+/// have shifted: 512 clients, one removed and later added back while
+/// the others keep running, every reply's `q` checked against the
+/// quadratic definition over the group as it stands. Fewer than a
+/// majority run ahead of the rest, so `τ` lies among the clients left
+/// behind and the boundary's rank decides `q`; and after the removal
+/// the clients step from the most recent down, so that one of them
+/// steps from the boundary itself.
+#[test]
+fn index_follows_membership_changes() {
+    const N: u32 = 512;
+    const GONE: usize = 199;
+    let world = TeeWorld::new_deterministic(11);
+    let mut group = Group::new(N, Quorum::Majority);
+    let mut ctx = provisioned(&world, 1, N, Quorum::Majority, ShardIdentity::SOLO);
+    // A scrambled round over the clients but `skip`; 263 is coprime to
+    // 512.
+    let round = |skip: Option<usize>| -> Vec<usize> {
+        let order = (0..N as usize).map(|i| i * 263 % N as usize);
+        order.filter(|&c| Some(c) != skip).collect()
+    };
+    group.run(&mut ctx, &round(None));
+    group.run(&mut ctx, &round(None)[..200]);
+    let moving = group.floor;
+    assert!(moving > SeqNo::ZERO);
+
+    // The client in slot 199 leaves mid-run; `kC` rotates with it.
+    let k_c = SecretKey::from_bytes([4u8; 32]);
+    let gone = ClientId(GONE as u32 + 1);
+    admin(&mut ctx, 1, AdminOp::RemoveClient(gone, k_c.clone()));
+    group.model.v.remove(&gone.0);
+    for client in &mut group.clients {
+        client.rotate_key(&k_c);
+    }
+    group.run(&mut ctx, &round(Some(GONE))[200..250]);
+    let mut recent = round(Some(GONE));
+    recent.sort_by_key(|&c| std::cmp::Reverse(group.model.v[&(c as u32 + 1)].1));
+    group.run(&mut ctx, &recent[..300]);
+
+    // It comes back as a new member with a genesis entry.
+    admin(&mut ctx, 2, AdminOp::AddClient(gone));
+    group.model.v.insert(gone.0, (SeqNo::ZERO, SeqNo::ZERO));
+    group.clients[GONE] = LcmClient::new(gone, &k_c);
+    group.run(&mut ctx, &round(None)[250..]);
+    group.run(&mut ctx, &[GONE, GONE]);
+    assert!(group.floor > moving);
 }
