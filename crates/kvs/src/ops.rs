@@ -45,7 +45,10 @@ pub enum KvOp {
     /// [`KvOp::ScanShard`], so a loader can address each shard
     /// directly. This is the benchmark preload path — building a
     /// million-object store one `Put` at a time would spend the whole
-    /// measurement window on setup.
+    /// measurement window on setup. The store answers
+    /// [`KvResult::Malformed`], creating nothing, to a fill of more
+    /// than 2²⁴ records, of values over 1 MiB, or of more than 256 MiB
+    /// of keys and values in all.
     Fill {
         /// Routing pin; must hash to the shard this fill targets.
         pin: Vec<u8>,

@@ -11,18 +11,43 @@ use lcm_kvs::ops::{KvOp, KvResult};
 use lcm_kvs::store::KvStore;
 use proptest::prelude::*;
 
+/// Operations over keys of 0–8 arbitrary bytes.
 fn arb_op() -> impl Strategy<Value = KvOp> {
-    let key = proptest::collection::vec(any::<u8>(), 0..8);
+    ops_over(|| proptest::collection::vec(any::<u8>(), 0..8))
+}
+
+/// Operations over keys of 0–8 arbitrary bytes and over
+/// [`long_key`]s.
+fn arb_op_any_length() -> impl Strategy<Value = KvOp> {
+    ops_over(|| prop_oneof![proptest::collection::vec(any::<u8>(), 0..8), long_key()])
+}
+
+/// A key of 0–40 bytes over a two-letter alphabet, often one of 21–24
+/// bytes sharing a prefix with the others: the store holds a key of up
+/// to 22 bytes in place and a longer one on the heap, and these keys
+/// meet and order across that bound.
+fn long_key() -> impl Strategy<Value = Vec<u8>> {
+    let letters = |len| proptest::collection::vec(b'a'..b'c', len);
+    prop_oneof![
+        letters(0..41),
+        (21usize..24, letters(0..2)).prop_map(|(n, tail)| [vec![b'a'; n], tail].concat()),
+    ]
+}
+
+/// Every kind of operation, its keys drawn from `key`.
+fn ops_over<K: Strategy<Value = Vec<u8>> + 'static>(
+    key: impl Fn() -> K,
+) -> impl Strategy<Value = KvOp> {
     let value = proptest::collection::vec(any::<u8>(), 0..32);
     prop_oneof![
-        3 => key.clone().prop_map(KvOp::Get),
-        3 => (key.clone(), value).prop_map(|(k, v)| KvOp::Put(k, v)),
-        1 => key.clone().prop_map(KvOp::Del),
-        1 => (key.clone(), any::<u32>()).prop_map(|(start, limit)| KvOp::Scan {
+        3 => key().prop_map(KvOp::Get),
+        3 => (key(), value).prop_map(|(k, v)| KvOp::Put(k, v)),
+        1 => key().prop_map(KvOp::Del),
+        1 => (key(), any::<u32>()).prop_map(|(start, limit)| KvOp::Scan {
             start,
             limit: limit % 16,
         }),
-        1 => (key.clone(), key, any::<u32>()).prop_map(|(pin, start, limit)| KvOp::ScanShard {
+        1 => (key(), key(), any::<u32>()).prop_map(|(pin, start, limit)| KvOp::ScanShard {
             pin,
             start,
             limit: limit % 16,
@@ -159,7 +184,7 @@ proptest! {
 
     /// Typed path equals the reference model.
     #[test]
-    fn store_matches_reference(ops in proptest::collection::vec(arb_op(), 0..200)) {
+    fn store_matches_reference(ops in proptest::collection::vec(arb_op_any_length(), 0..200)) {
         let mut store = KvStore::default();
         let mut model = BTreeMap::new();
         for op in &ops {
@@ -226,8 +251,8 @@ proptest! {
     /// Snapshot/restore at any point is transparent.
     #[test]
     fn snapshot_restore_any_point(
-        before in proptest::collection::vec(arb_op(), 0..60),
-        after in proptest::collection::vec(arb_op(), 0..60),
+        before in proptest::collection::vec(arb_op_any_length(), 0..60),
+        after in proptest::collection::vec(arb_op_any_length(), 0..60),
     ) {
         let mut direct = KvStore::default();
         let mut checkpointed = KvStore::default();
@@ -247,7 +272,7 @@ proptest! {
 
     /// Snapshots are canonical: equal stores produce identical bytes.
     #[test]
-    fn snapshots_are_canonical(ops in proptest::collection::vec(arb_op(), 0..60)) {
+    fn snapshots_are_canonical(ops in proptest::collection::vec(arb_op_any_length(), 0..60)) {
         let mut a = KvStore::default();
         for op in &ops {
             a.apply(op);

@@ -26,7 +26,7 @@ use lcm::kvs::store::KvStore;
 use lcm::storage::{DeltaLogStorage, MemoryStorage};
 
 /// The most heap allocations one `Put` may make end to end.
-const PUT_BUDGET: f64 = 6.0;
+const PUT_BUDGET: f64 = 5.5;
 
 const CLIENTS: u32 = 16;
 const BATCH: usize = 16;
