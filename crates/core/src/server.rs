@@ -249,9 +249,12 @@ impl<F: Functionality, P: EnclaveProgram> LcmServer<F, P> {
         let key_blob = self.storage.load(SLOT_KEY_BLOB)?;
         let state_blob = self.storage.load(SLOT_STATE_BLOB)?;
         // Encoded from the loaded blobs into a buffer of its own,
-        // dropped with them after the call: `call_scratch` is sized by
-        // batches and lives as long as the lane, a recovery bundle is
-        // sized by the state and needed once.
+        // dropped after the call: `call_scratch` is sized by batches and
+        // lives as long as the lane, a recovery bundle is sized by the
+        // state and needed once. The state is the call's last field, so
+        // the buffer grows once, to the call's size, as the state is
+        // copied in; the loaded blobs go before the enclave rebuilds the
+        // state from the call.
         let mut init = crate::codec::Writer::new();
         HostCall::encode_init_into(
             &mut init,
@@ -259,6 +262,7 @@ impl<F: Functionality, P: EnclaveProgram> LcmServer<F, P> {
             state_blob.as_deref(),
             self.storage.delta_capable(),
         );
+        drop((key_blob, state_blob));
         let reply = HostReply::from_bytes(&self.enclave.ecall(init.as_slice())?)?;
         match reply {
             HostReply::InitOk { need_provision } => Ok(need_provision),
@@ -754,11 +758,16 @@ fn unexpected(reply: HostReply) -> LcmError {
 /// ```
 pub trait BatchServer: Send {
     /// Starts (or restarts after a crash) every enclave; `true` means
-    /// the contexts need provisioning. See [`LcmServer::boot`].
+    /// the contexts need provisioning. See [`LcmServer::boot`]. A
+    /// [`crate::shard::ShardedServer`] boots its lanes concurrently,
+    /// on the pool that steps them, and every lane boots whatever
+    /// another's outcome.
     ///
     /// # Errors
     ///
-    /// Propagates TEE, storage, and context errors.
+    /// Propagates TEE, storage, and context errors; of several failed
+    /// lanes, the lowest-index one's error — the one a boot in index
+    /// order stops at.
     fn boot(&mut self) -> Result<bool>;
 
     /// Simulates a crash of the server process; volatile state is lost.

@@ -1146,10 +1146,12 @@ pub(crate) enum DriveStatus {
 /// ports, the reply demux, optional driver threads, see
 /// [`ShardedServer::with_drivers`]) lives in `transport.rs`.
 ///
-/// Control-plane operations (boot, provision, admin, migration) fan
-/// out to every shard on the calling thread; the data plane
+/// Control-plane operations (provision, admin, migration) fan out to
+/// every shard on the calling thread; the data plane
 /// ([`ShardedServer::step`]) executes one batch per non-empty shard in
-/// parallel on the pool.
+/// parallel on the pool, and a boot recovers every lane at once on the
+/// same pool (lowest-index lane's error first, see
+/// [`BatchServer::boot`]).
 pub struct ShardedServer {
     /// The shared ingress/execution/reply core; driver threads and
     /// client ports hold more `Arc`s to it.
@@ -1593,8 +1595,28 @@ fn split_lane_tickets(blob: &[u8]) -> Option<(Vec<Vec<u8>>, Vec<SliceTable>)> {
 }
 
 impl BatchServer for ShardedServer {
+    /// Boots every lane at once, each on the shard pool — the workers
+    /// [`ShardedServer::step`] drives the lanes on — so a reboot takes
+    /// as long as its slowest lane, not the sum of them, and a lone
+    /// lane driven by `step` has its recovered state built on the one
+    /// worker that goes on to step it. Every lane boots whatever its
+    /// siblings' outcome; the error reported is the lowest-index
+    /// lane's, the one a boot of the lanes in index order would have
+    /// stopped at.
     fn boot(&mut self) -> Result<bool> {
-        let outcomes = self.for_each_shard(|s| s.boot())?;
+        let boots: Vec<_> = (0..self.core.shards.len())
+            .map(|i| {
+                let core = Arc::clone(&self.core);
+                self.pool.spawn(move || core.shards[i].lock().server.boot())
+            })
+            .collect();
+        // Joined all before any outcome is read: no lane is still
+        // booting when this returns.
+        let joined: Vec<_> = boots.into_iter().map(|boot| boot.join()).collect();
+        let outcomes = joined
+            .into_iter()
+            .map(|boot| boot.unwrap_or_else(|| Err(LcmError::Tee("shard worker vanished".into()))))
+            .collect::<Result<Vec<bool>>>()?;
         let first = outcomes[0];
         if outcomes.iter().any(|&o| o != first) {
             return Err(LcmError::Tee(
@@ -2483,6 +2505,160 @@ mod tests {
                 .unwrap(),
         );
         assert!(server.process_all().is_err(), "stale kC must be rejected");
+    }
+
+    /// A medium for boot tests over four lanes. It can park every
+    /// lane's load of its state slot until all four are inside one
+    /// (waiting at most [`BootMedium::PARK`], then failing the load),
+    /// and it can serve chosen lanes' checkpoints tampered — a bit of
+    /// the sealed blob flipped under a recomputed frame checksum, so
+    /// only the enclave can tell — or fail their loads outright.
+    #[derive(Default)]
+    struct BootMedium {
+        inner: MemoryStorage,
+        park: bool,
+        parked: Mutex<usize>,
+        all_parked: std::sync::Condvar,
+        tampered: Mutex<Vec<u32>>,
+        failing: Mutex<Vec<u32>>,
+    }
+
+    impl BootMedium {
+        const LANES: u32 = 4;
+        const PARK: Duration = Duration::from_secs(10);
+
+        /// The lane whose state — bare or checkpointed by its engine —
+        /// `slot` holds.
+        fn state_lane(slot: &str) -> Option<u32> {
+            (0..Self::LANES).find(|&i| {
+                let lane = NamespacedStorage::shard_prefix(i);
+                slot.strip_prefix(&lane).is_some_and(|rest| {
+                    rest == crate::server::SLOT_STATE_BLOB
+                        || rest.starts_with("dlog.ckpt.")
+                            && rest.ends_with(crate::server::SLOT_STATE_BLOB)
+                })
+            })
+        }
+
+        fn park(&self, slot: &str) -> lcm_storage::Result<()> {
+            let mut parked = self.parked.lock().unwrap();
+            *parked += 1;
+            self.all_parked.notify_all();
+            let lanes = Self::LANES as usize;
+            let (parked, wait) = self
+                .all_parked
+                .wait_timeout_while(parked, Self::PARK, |n| *n < lanes)
+                .unwrap();
+            if wait.timed_out() {
+                return Err(lcm_storage::StorageError::Io(std::io::Error::other(
+                    format!(
+                        "{slot}: only {} of {lanes} lanes were loading their state at once",
+                        *parked
+                    ),
+                )));
+            }
+            Ok(())
+        }
+    }
+
+    impl StableStorage for BootMedium {
+        fn store(&self, slot: &str, blob: &[u8]) -> lcm_storage::Result<()> {
+            self.inner.store(slot, blob)
+        }
+
+        fn load(&self, slot: &str) -> lcm_storage::Result<Option<Vec<u8>>> {
+            let Some(lane) = Self::state_lane(slot) else {
+                return self.inner.load(slot);
+            };
+            if self.park {
+                self.park(slot)?;
+            }
+            if self.failing.lock().unwrap().contains(&lane) {
+                let failure = format!("{slot}: the device failed the read");
+                return Err(lcm_storage::StorageError::Io(std::io::Error::other(
+                    failure,
+                )));
+            }
+            let mut blob = self.inner.load(slot)?;
+            if let Some(frame) = blob
+                .as_mut()
+                .filter(|_| self.tampered.lock().unwrap().contains(&lane))
+            {
+                *frame.last_mut().unwrap() ^= 0x01;
+                let crc = lcm_storage::framing::crc32(&frame[lcm_storage::framing::FRAME_HEADER..]);
+                frame[4..8].copy_from_slice(&crc.to_be_bytes());
+            }
+            Ok(blob)
+        }
+    }
+
+    /// A sharded boot recovers its lanes at once, on the shard pool:
+    /// every lane's state-slot load is parked until all four lanes are
+    /// inside one, which a boot of one lane after another never
+    /// reaches — its first load would time out and fail the boot.
+    #[test]
+    fn a_sharded_boot_runs_every_lane_at_once() {
+        let medium = Arc::new(BootMedium {
+            park: true,
+            ..BootMedium::default()
+        });
+        let world = TeeWorld::new_deterministic(91);
+        let mut server = build_sharded::<Counter>(&world, 1, medium.clone(), 16, 4, false);
+        assert!(server.boot().unwrap(), "a first boot needs provisioning");
+        assert_eq!(*medium.parked.lock().unwrap(), 4);
+    }
+
+    /// Lanes 1 and 3 of a crashed deployment fail at reboot — served a
+    /// tampered checkpoint, or a failed read naming the slot. The
+    /// concurrent boot reports the error a boot of the lanes in index
+    /// order stopped at, lane 1's, and unlike that loop it boots every
+    /// lane: lanes 0 and 2 recover, and lane 3's enclave judges its
+    /// tampered state too.
+    #[test]
+    fn a_sharded_boot_reports_the_lowest_failed_lane_as_a_sequential_boot_did() {
+        for tamper in [true, false] {
+            let crashed = || {
+                let medium = Arc::new(BootMedium::default());
+                let world = TeeWorld::new_deterministic(92);
+                let mut server = build_sharded::<Counter>(&world, 1, medium.clone(), 16, 4, false);
+                assert!(server.boot().unwrap());
+                let clients = vec![ClientId(1)];
+                let mut admin =
+                    AdminHandle::new_deterministic(&world, clients, Quorum::Majority, 5);
+                admin.bootstrap(&mut server).unwrap();
+                server.crash();
+                let faulty = if tamper {
+                    &medium.tampered
+                } else {
+                    &medium.failing
+                };
+                *faulty.lock().unwrap() = vec![1, 3];
+                server
+            };
+            let mut sequential = crashed();
+            let stopped_at = (0..4)
+                .find_map(|i| sequential.with_shard(i, |lane| lane.boot()).err())
+                .expect("lane 1 fails");
+            assert!(!sequential.with_shard(3, |lane| lane.is_running()));
+
+            let mut concurrent = crashed();
+            let error = concurrent.boot().unwrap_err();
+            assert_eq!(error, stopped_at, "tampered: {tamper}");
+            if tamper {
+                assert!(error.is_violation(), "{error:?}");
+            } else {
+                assert!(error.to_string().contains("shard1."), "{error}");
+            }
+            // A failed read stops a lane before its enclave starts; a
+            // tampered checkpoint is refused by the started enclave.
+            let booted: &[u32] = if tamper { &[0, 1, 2, 3] } else { &[0, 2] };
+            for &lane in booted {
+                assert!(
+                    concurrent.with_shard(lane, |l| l.is_running()),
+                    "lane {lane}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -280,6 +280,28 @@ impl OpenKey for AtRestKey {
     }
 }
 
+impl AtRestKey {
+    /// [`OpenKey::auth_decrypt`] where the blob lies: `sealed` is
+    /// verified under AES-128-GCM or, failing that, under
+    /// ChaCha20-Poly1305, and decrypted in place; the plaintext slice
+    /// is returned. A reader that opens many blobs one after another
+    /// copies each into one reused buffer instead of allocating a
+    /// plaintext per blob.
+    ///
+    /// # Errors
+    ///
+    /// [`CryptoError::AuthenticationFailed`] unless the blob is
+    /// authentic under one of the two ciphers; `sealed` is then left
+    /// byte for byte as it was handed in.
+    pub fn open_in_place<'a>(&self, aad: &[u8], sealed: &'a mut [u8]) -> Result<&'a mut [u8]> {
+        if crate::gcm::open_in_place(&self.gcm, aad, sealed).is_err() {
+            return open_in_place(&self.legacy, aad, sealed);
+        }
+        let body = crate::gcm::NONCE_LEN..sealed.len() - crate::gcm::TAG_LEN;
+        Ok(&mut sealed[body])
+    }
+}
+
 /// Seals `buf[body..]` where it lies: XORs it with the keystream of
 /// `(key, nonce)` and appends the tag, which binds `aad`. Nothing
 /// before `body` is read or written — that is the caller's framing,
@@ -641,6 +663,36 @@ mod tests {
         assert_eq!(tag_of(&sealed)[..], sealed[sealed.len() - TAG_LEN..]);
         assert_eq!(tag_of(&sealed[..TAG_LEN - 1]), [0; TAG_LEN]);
         assert_eq!(format!("{at_rest:?}"), "AtRestKey(<redacted>)");
+    }
+
+    /// Opening in place agrees with opening into a fresh buffer on
+    /// either cipher's blob, and a refused blob is left as it was.
+    #[test]
+    fn the_at_rest_key_opens_either_cipher_in_place() {
+        let master = SecretKey::from_bytes([0x11; 32]);
+        let at_rest = AtRestKey::from_secret(&master);
+        let nonce = [5u8; NONCE_LEN];
+        let gcm = crate::gcm::GcmKey::from_secret(&master);
+        let sealed = crate::gcm::auth_encrypt_with_nonce(&gcm, &nonce, &[0x5a; 300], b"state");
+        let older = auth_encrypt_with_nonce(&key(), &nonce, b"before", b"state").unwrap();
+        for blob in [sealed.unwrap(), older] {
+            for (at, aad) in [
+                (None, &b"state"[..]),
+                (None, b"delta"),
+                (Some(NONCE_LEN), b"state"),
+            ] {
+                let mut blob = blob.clone();
+                if let Some(at) = at {
+                    blob[at] ^= 0x04;
+                }
+                let mut opened = blob.clone();
+                let in_place = at_rest.open_in_place(aad, &mut opened).map(|p| p.to_vec());
+                assert_eq!(in_place.ok(), at_rest.auth_decrypt(&blob, aad).ok());
+                if at.is_some() || aad != b"state" {
+                    assert_eq!(opened, blob, "a refused blob is untouched");
+                }
+            }
+        }
     }
 
     #[test]

@@ -100,8 +100,11 @@
 //!    that rotted since the probe is "no state", not bytes to pass on
 //!    under a fresh checksum. Then it frames what goes up: the
 //!    checkpoint blob without its epoch (another payload, so another
-//!    checksum) and each kept delta. A slot with no deltas goes up
-//!    bare — no frame, no second pass.
+//!    checksum) and each kept delta. It does so in the buffer the
+//!    medium returned — the slot frame's head is rewritten as the
+//!    bundle's and the delta frames are appended behind the blob — so
+//!    the checkpoint is never copied into a second buffer. A slot with
+//!    no deltas goes up bare — no frame, no second pass.
 //! 3. **The enclave's [`parse_bundle`]** answers for *the boundary*:
 //!    the bundle crossed the host, so before any frame is opened it
 //!    must be exactly whole frames with no trailing bytes. What is
@@ -180,22 +183,38 @@ fn ckpt_slot(slot: &str, parity: u8) -> String {
 /// the inverse of [`crate::parse_bundle`], which the enclave runs. This
 /// half is the host's; it is public so tests can fabricate bundles
 /// without an engine. Sized up front, so the checkpoint — the O(state)
-/// part — is copied exactly once.
+/// part — is copied exactly once. [`DeltaLogStorage`]'s `load` writes
+/// the same bytes without that copy, in the buffer it read the
+/// checkpoint into.
 pub fn make_bundle<'a>(
     checkpoint: &[u8],
     deltas: impl Iterator<Item = &'a [u8]> + Clone,
 ) -> Vec<u8> {
-    let delta_bytes: usize = deltas
-        .clone()
-        .map(|d| framing::FRAME_HEADER + d.len())
-        .sum();
-    let mut bundle = Vec::with_capacity(1 + framing::FRAME_HEADER + checkpoint.len() + delta_bytes);
+    let mut bundle = Vec::with_capacity(
+        1 + framing::FRAME_HEADER + checkpoint.len() + delta_frames_len(deltas.clone()),
+    );
     bundle.push(BLOB_KIND_BUNDLE);
     framing::append_frame(&mut bundle, checkpoint);
     for d in deltas {
         framing::append_frame(&mut bundle, d);
     }
     bundle
+}
+
+/// What a bundle holds before its checkpoint's bytes: the kind byte
+/// and the checkpoint frame's `len ‖ crc32`. `load` writes it over the
+/// tail of the checkpoint slot's own frame head, so the checkpoint is
+/// never copied into a second buffer.
+fn bundle_head(checkpoint: &[u8]) -> [u8; 1 + framing::FRAME_HEADER] {
+    let mut head = [BLOB_KIND_BUNDLE; 1 + framing::FRAME_HEADER];
+    head[1..5].copy_from_slice(&(checkpoint.len() as u32).to_be_bytes());
+    head[5..].copy_from_slice(&framing::crc32(checkpoint).to_be_bytes());
+    head
+}
+
+/// The bytes `deltas` take as a bundle's frames.
+fn delta_frames_len<'a>(deltas: impl Iterator<Item = &'a [u8]>) -> usize {
+    deltas.map(|d| framing::FRAME_HEADER + d.len()).sum()
 }
 
 /// Cuts a torn tail off a bundle read from a plain slot: what is left
@@ -1171,14 +1190,23 @@ impl StableStorage for DeltaLogStorage {
         let Some((_, ckpt_blob)) = parse_ckpt(&buf) else {
             return Ok(None);
         };
+        // The blob is the tail of the slot's one frame, behind
+        // `len ‖ crc ‖ epoch`: the buffer itself goes up, minus what
+        // precedes the blob — bare, or as the bundle's first frame.
+        let blob_at = buf.len() - ckpt_blob.len();
         if deltas.is_empty() {
-            // The blob is the tail of the slot's one frame: hand the
-            // buffer itself back, minus what precedes the blob.
-            let blob_at = buf.len() - ckpt_blob.len();
             buf.drain(..blob_at);
             return Ok(Some(buf));
         }
-        Ok(Some(make_bundle(ckpt_blob, deltas.iter().map(|d| &**d))))
+        let head = bundle_head(ckpt_blob);
+        let at = blob_at - head.len();
+        buf[at..blob_at].copy_from_slice(&head);
+        buf.drain(..at);
+        buf.reserve_exact(delta_frames_len(deltas.iter().map(|d| &**d)));
+        for d in &deltas {
+            framing::append_frame(&mut buf, d);
+        }
+        Ok(Some(buf))
     }
 
     fn delta_capable(&self) -> bool {
@@ -2065,5 +2093,58 @@ mod tests {
                 "0000000ad179d9870264656c74612d6f6e650000000abadfd5100264656c74612d74776f",
             ))
         );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// `load` frames the bundle in the buffer it read the
+        /// checkpoint into, and what it hands up is byte for byte
+        /// `make_bundle` of the same checkpoint and deltas: for any two
+        /// checkpoint generations, any run of deltas after each (none:
+        /// the bare checkpoint), any segment size, and after the newest
+        /// checkpoint's parity is torn (the previous one serves, with
+        /// every delta since it).
+        #[test]
+        fn load_frames_make_bundles_bytes_in_the_buffer_it_read(
+            older in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..=600),
+            newer in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..=600),
+            before in proptest::collection::vec(
+                proptest::collection::vec(proptest::prelude::any::<u8>(), 0..=64),
+                0..=6,
+            ),
+            after in proptest::collection::vec(
+                proptest::collection::vec(proptest::prelude::any::<u8>(), 0..=64),
+                0..=6,
+            ),
+            segment_bytes in 32usize..=512,
+            tear in proptest::prelude::any::<bool>(),
+        ) {
+            let blob = |kind: u8, body: &[u8]| [&[kind][..], body].concat();
+            let (older, newer) = (blob(BLOB_KIND_CHECKPOINT, &older), blob(BLOB_KIND_CHECKPOINT, &newer));
+            let before: Vec<_> = before.iter().map(|d| blob(BLOB_KIND_DELTA, d)).collect();
+            let after: Vec<_> = after.iter().map(|d| blob(BLOB_KIND_DELTA, d)).collect();
+            let expected = |ckpt: &[u8], deltas: &[&Vec<u8>]| match deltas {
+                [] => ckpt.to_vec(),
+                _ => make_bundle(ckpt, deltas.iter().map(|d| d.as_slice())),
+            };
+            let (inner, e) = engine(segment_bytes);
+            for b in std::iter::once(&older).chain(&before).chain([&newer]).chain(&after) {
+                e.store("s", b).unwrap();
+            }
+            let loaded = e.load("s").unwrap().unwrap();
+            proptest::prop_assert_eq!(loaded, expected(&newer, &after.iter().collect::<Vec<_>>()));
+            if tear {
+                drop(e);
+                let newest = ckpt_slot("s", 1);
+                let mut torn = inner.load(&newest).unwrap().unwrap();
+                torn.pop();
+                inner.store(&newest, &torn).unwrap();
+                let config = DeltaLogConfig { segment_bytes };
+                let e = DeltaLogStorage::with_config(inner, config).unwrap();
+                let since_older: Vec<_> = before.iter().chain(&after).collect();
+                proptest::prop_assert_eq!(e.load("s").unwrap().unwrap(), expected(&older, &since_older));
+            }
+        }
     }
 }

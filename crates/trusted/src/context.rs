@@ -796,11 +796,11 @@ pub struct TrustedContext<F: Functionality> {
     touched: Vec<ClientId>,
     /// Whether a batch persists a delta (see [`TrustedContext::init`]).
     cadence: Cadence,
-    /// The buffer [`TrustedContext::handle_invoke`] and
-    /// [`TrustedContext::serve_read`] copy a borrowed wire into to
-    /// open it in place; keeps its allocation (and the last message's
-    /// plaintext) between calls. Everything this context *seals* is
-    /// encoded straight into the buffer it is returned in.
+    /// The buffer a borrowed wire ([`TrustedContext::handle_invoke`],
+    /// [`TrustedContext::serve_read`]) or delta is copied into to open
+    /// it in place; keeps its allocation (and the last plaintext)
+    /// between calls. Everything this context *seals* is encoded
+    /// straight into the buffer it is returned in.
     scratch: Vec<u8>,
 }
 

@@ -63,14 +63,24 @@ impl<F: Functionality> TrustedContext<F> {
     /// record delivered out of turn on the replication path. The label
     /// it opens under picks the position rule ([`tag_chained`] or not).
     fn apply_delta(&mut self, delta: &[u8]) -> Result<Option<VMap>> {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let applied = self.apply_delta_in(delta, &mut scratch);
+        self.scratch = scratch;
+        applied
+    }
+
+    fn apply_delta_in(&mut self, delta: &[u8], scratch: &mut Vec<u8>) -> Result<Option<VMap>> {
+        scratch.clear();
+        scratch.extend_from_slice(delta.strip_prefix(&[BLOB_KIND_DELTA]).unwrap_or_default());
         let key = &self.keys()?.aead_p;
-        let tagged = open_blob(key, delta, BLOB_KIND_DELTA, LABEL_DELTA_BLOB);
-        let by_tag = tagged.is_some();
-        let plain = match tagged {
-            Some(plain) => plain,
-            None => self.open_sealed(delta, BLOB_KIND_DELTA, LABEL_DELTA_BLOB_V1)?,
+        let (plain, by_tag) = match key.open_in_place(LABEL_DELTA_BLOB, scratch) {
+            Ok(plain) => (plain, true),
+            Err(_) => match key.open_in_place(LABEL_DELTA_BLOB_V1, scratch) {
+                Ok(plain) => (plain, false),
+                Err(_) => return Err(self.halt(Violation::BadAuthentication)),
+            },
         };
-        let mut r = Reader::new(&plain);
+        let mut r = Reader::new(plain);
         let decoded = (|| -> std::result::Result<_, CodecError> {
             let prev = r.get_digest()?;
             let floor = SeqNo::decode(&mut r)?;
@@ -89,7 +99,7 @@ impl<F: Functionality> TrustedContext<F> {
         self.persist_anchor = if by_tag {
             tag_chained(&prev, delta)
         } else {
-            lcm_crypto::sha256::digest_parts(&[ANCHOR_DELTA, &plain])
+            lcm_crypto::sha256::digest_parts(&[ANCHOR_DELTA, plain])
         };
         Ok(Some(dv))
     }

@@ -360,41 +360,31 @@ const REPLY_APPLY: u8 = 8;
 pub const REPLY_READ: u8 = 9;
 const REPLY_SLICE_EXPORTED: u8 = 10;
 
+/// The state blob goes last, so a checkpoint grows the output once.
 fn encode_blobs(w: &mut Writer, blobs: &PersistBlobs) {
     w.put_bytes(&blobs.key_blob);
-    w.put_bytes(&blobs.state_blob);
     encode_opt_bytes(w, blobs.record.as_deref());
+    w.put_bytes(&blobs.state_blob);
 }
 
 /// Decodes the blobs a [`HostReply`] carries.
 pub fn decode_blobs(r: &mut Reader<'_>) -> Result<PersistBlobs, CodecError> {
     Ok(PersistBlobs {
         key_blob: r.get_bytes()?.to_vec(),
+        record: decode_opt_slice(r)?.map(<[u8]>::to_vec),
         state_blob: r.get_bytes()?.to_vec(),
-        record: decode_opt_bytes(r)?,
     })
 }
 
 fn encode_opt_bytes(w: &mut Writer, bytes: Option<&[u8]>) {
-    match bytes {
-        None => w.put_bool(false),
-        Some(b) => {
-            w.put_bool(true);
-            w.put_bytes(b);
-        }
+    w.put_bool(bytes.is_some());
+    if let Some(b) = bytes {
+        w.put_bytes(b);
     }
 }
 
 fn decode_opt_slice<'a>(r: &mut Reader<'a>) -> Result<Option<&'a [u8]>, CodecError> {
-    Ok(if r.get_bool()? {
-        Some(r.get_bytes()?)
-    } else {
-        None
-    })
-}
-
-fn decode_opt_bytes(r: &mut Reader<'_>) -> Result<Option<Vec<u8>>, CodecError> {
-    Ok(decode_opt_slice(r)?.map(<[u8]>::to_vec))
+    r.get_bool()?.then(|| r.get_bytes()).transpose()
 }
 
 /// A [`HostCall::Init`] whose blobs are still where the host put them:
@@ -417,9 +407,9 @@ impl<'a> InitView<'a> {
     /// What follows the `CALL_INIT` tag.
     fn decode_body(r: &mut Reader<'a>) -> Result<Self, CodecError> {
         Ok(InitView {
+            want_deltas: r.get_bool()?,
             key_blob: decode_opt_slice(r)?,
             state_blob: decode_opt_slice(r)?,
-            want_deltas: r.get_bool()?,
         })
     }
 }
@@ -670,8 +660,8 @@ pub struct LcmProgram<F: Functionality> {
 
 impl HostCall {
     /// Encodes an `Init` call directly into `w` from the borrowed
-    /// blobs storage returned: the state blob is a whole recovery
-    /// bundle, and the host needs no second copy of it to encode from.
+    /// blobs storage returned: the state blob, a whole recovery bundle,
+    /// needs no second copy to encode from, and goes last.
     pub fn encode_init_into(
         w: &mut Writer,
         key_blob: Option<&[u8]>,
@@ -679,9 +669,9 @@ impl HostCall {
         want_deltas: bool,
     ) {
         w.put_u8(CALL_INIT);
+        w.put_bool(want_deltas);
         encode_opt_bytes(w, key_blob);
         encode_opt_bytes(w, state_blob);
-        w.put_bool(want_deltas);
     }
 
     /// Encodes an `InvokeBatch` call directly into `w` from borrowed
