@@ -12,12 +12,16 @@
 //! ```text
 //!            init(no blobs)                    provision / import_migration
 //! Created ───────────────────► AwaitingProvision ────────────────────► Ready
-//!    │         init(blobs: unseal, restore)                              │
-//!    └────────────────────────────────────────────────────────────────► Ready
-//!                                                                        │
-//!                     any failed assert (attack detected)                ▼
-//!                                                                      Halted
+//!    │         init(blobs: unseal, restore)                              ▲ │
+//!    └───────────────────────────────────────────────────────────────────┘ │
+//!                                     export_migration ┌───────────────────┤
+//!                                                      ▼                   ▼ any failed assert
+//!                                                   Migrated             Halted (attack detected)
 //! ```
+//!
+//! Only `Ready` holds keys and the nonce counter they seal under, so
+//! only a ready context seals or serves: a halted or migrated one has
+//! no key left to seal with, and refuses.
 //!
 //! # Chain position
 //!
@@ -83,7 +87,7 @@ use crate::functionality::Functionality;
 use crate::routing::{slice_of, SliceTable};
 use crate::stability::{CachedReply, Quorum, Slot, VMap, VState};
 use crate::types::{ChainValue, ClientId, SeqNo};
-use crate::wire::{open_blob, seal_message, seal_message_into, InvokeView, ReplyView};
+use crate::wire::{open_blob, seal_message, seal_message_into, InvokeView, ReplyView, RouteHint};
 use crate::{LcmError, Result, Violation};
 
 mod record;
@@ -257,8 +261,7 @@ pub const LABEL_SLICE_TICKET: &[u8] = b"lcm.slice-ticket";
 /// deployment judges wires against the same routing epoch.
 pub const LABEL_SLICE_BULLETIN: &[u8] = b"lcm.slice-bulletin";
 
-/// The keys held by a provisioned context (paper §4.1).
-#[derive(Clone)]
+/// The keys held by a ready context (paper §4.1).
 struct Keys {
     /// Protocol-state encryption key `kP` (raw form kept for migration).
     k_p: SecretKey,
@@ -274,31 +277,13 @@ struct Keys {
 }
 
 impl Keys {
-    fn from_raw(k_p: SecretKey, k_c: SecretKey, k_a: SecretKey) -> Keys {
-        Keys {
-            aead_p: AtRestKey::from_secret(&k_p),
-            aead_c: gcm::GcmKey::from_secret(&k_c),
-            aead_a: AeadKey::from_secret(&k_a),
-            k_p,
-            k_c,
-            k_a,
-        }
-    }
-
-    /// The keys of a context about to restore a state record: `kC`
-    /// is part of that record, so a placeholder holds its place until
-    /// the restore rotates the real one in.
-    fn resuming(k_p: SecretKey, k_a: SecretKey) -> Keys {
-        Keys::from_raw(k_p, SecretKey::from_bytes([0u8; 32]), k_a)
-    }
-
     fn rotate_kc(&mut self, new_kc: SecretKey) {
         self.aead_c = gcm::GcmKey::from_secret(&new_kc);
         self.k_c = new_kc;
     }
 }
 
-/// Lifecycle phase of the context.
+/// Lifecycle phase of the context ([module docs](self)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Booted, `init` not yet called.
@@ -306,11 +291,11 @@ pub enum Phase {
     /// No persisted keys exist; awaiting admin bootstrap (§4.3) or a
     /// migration import (§4.6.2).
     AwaitingProvision,
-    /// Serving operations.
+    /// Holds the keys: the one phase that seals or serves.
     Ready,
-    /// Migrated away: state exported, refusing all operations.
+    /// Migrated away: state exported, keys dropped, refusing everything.
     Migrated,
-    /// A violation was detected; permanently refusing service.
+    /// A violation was detected: keys dropped, refusing service for good.
     Halted,
 }
 
@@ -752,9 +737,56 @@ impl Cadence {
 /// docs for the lifecycle; the host-facing byte ABI lives in
 /// [`crate::program`].
 pub struct TrustedContext<F: Functionality> {
+    life: Lifecycle,
+    state: State<F>,
+}
+
+/// Where a context stands ([module docs](self)): only `Ready` holds keys
+/// and a nonce counter.
+enum Lifecycle {
+    Created,
+    AwaitingProvision,
+    Ready(Ready),
+    /// The identity exported, which [`TrustedContext::attest`] still binds.
+    Migrated(ShardIdentity),
+    /// The identity held, if any, which `attest` still binds; not the
+    /// violation, which went to the caller.
+    Halted(Option<ShardIdentity>),
+}
+
+impl Lifecycle {
+    /// A ready context, from complete keys: entered once per enclave
+    /// lifetime, so its nonce counter starts once per lifetime too.
+    fn ready(identity: ShardIdentity, k_p: SecretKey, k_c: SecretKey, k_a: SecretKey) -> Self {
+        let keys = Keys {
+            aead_p: AtRestKey::from_secret(&k_p),
+            aead_c: gcm::GcmKey::from_secret(&k_c),
+            aead_a: AeadKey::from_secret(&k_a),
+            k_p,
+            k_c,
+            k_a,
+        };
+        let nonces = Nonces::default();
+        Lifecycle::Ready(Ready {
+            identity,
+            keys,
+            nonces,
+        })
+    }
+}
+
+/// What only a ready context holds.
+struct Ready {
+    /// The attested identity: provisioned, sealed or migrated in.
+    identity: ShardIdentity,
+    keys: Keys,
+    nonces: Nonces,
+}
+
+/// What a context holds in every state: the protocol and service state
+/// a checkpoint seals, and the buffers that seal it.
+struct State<F: Functionality> {
     services: TeeServices,
-    phase: Phase,
-    keys: Option<Keys>,
     f: F,
     /// The protocol state map `V` with its stability index and quorum
     /// policy; mutated only through [`VState`]'s methods.
@@ -773,10 +805,6 @@ pub struct TrustedContext<F: Functionality> {
     /// the floor with the rest of the protocol state.
     stable_floor: SeqNo,
     admin_seq: u64,
-    /// The attested shard identity, installed at provisioning (or
-    /// recovered from the sealed state / a migration ticket). `None`
-    /// exactly while unprovisioned; `Ready` implies `Some`.
-    identity: Option<ShardIdentity>,
     /// The epoch-versioned routing slice table this enclave judges
     /// wire ownership against. Installed as the genesis uniform table
     /// at provisioning, advanced by slice migrations
@@ -785,7 +813,6 @@ pub struct TrustedContext<F: Functionality> {
     /// so a rolled-back enclave also rolls back its table, and wires
     /// stamped with a newer epoch expose it.
     table: SliceTable,
-    nonces: Nonces,
     /// The chain position ([module docs](self#chain-position)): the
     /// one a delta sealed now applies at.
     persist_anchor: Digest,
@@ -807,9 +834,9 @@ pub struct TrustedContext<F: Functionality> {
 impl<F: Functionality> std::fmt::Debug for TrustedContext<F> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TrustedContext")
-            .field("phase", &self.phase)
-            .field("t", &self.t)
-            .field("clients", &self.v.entries().len())
+            .field("phase", &self.phase())
+            .field("t", &self.state.t)
+            .field("clients", &self.state.v.entries().len())
             .finish()
     }
 }
@@ -817,48 +844,57 @@ impl<F: Functionality> std::fmt::Debug for TrustedContext<F> {
 impl<F: Functionality> TrustedContext<F> {
     /// Creates the context in the `Created` phase (enclave just booted).
     pub fn new(services: TeeServices) -> Self {
-        TrustedContext {
+        let state = State {
             services,
-            phase: Phase::Created,
-            keys: None,
             f: F::default(),
             v: VState::new(Quorum::Majority),
             t: SeqNo::ZERO,
             h: ChainValue::GENESIS,
             stable_floor: SeqNo::ZERO,
             admin_seq: 0,
-            identity: None,
             table: SliceTable::uniform(1),
-            nonces: Nonces::default(),
             persist_anchor: Digest::ZERO,
             touched: Vec::new(),
             cadence: Cadence::new(false),
             scratch: Vec::new(),
-        }
+        };
+        let life = Lifecycle::Created;
+        TrustedContext { life, state }
     }
 
     /// Current lifecycle phase.
     pub fn phase(&self) -> Phase {
-        self.phase
+        match self.life {
+            Lifecycle::Created => Phase::Created,
+            Lifecycle::AwaitingProvision => Phase::AwaitingProvision,
+            Lifecycle::Ready(_) => Phase::Ready,
+            Lifecycle::Migrated(_) => Phase::Migrated,
+            Lifecycle::Halted(_) => Phase::Halted,
+        }
     }
 
     /// The shard identity this enclave was provisioned as (`None`
     /// while unprovisioned).
     pub fn identity(&self) -> Option<ShardIdentity> {
-        self.identity
+        match &self.life {
+            Lifecycle::Ready(ready) => Some(ready.identity),
+            Lifecycle::Migrated(identity) => Some(*identity),
+            Lifecycle::Halted(identity) => *identity,
+            Lifecycle::Created | Lifecycle::AwaitingProvision => None,
+        }
     }
 
     /// Read access to the functionality (for in-enclave introspection
     /// such as heap accounting; the host has no such access).
     pub fn functionality(&self) -> &F {
-        &self.f
+        &self.state.f
     }
 
     /// The routing slice table this enclave currently judges wire
     /// ownership against (genesis uniform table until a slice
     /// migration advances it).
     pub fn slice_table(&self) -> &SliceTable {
-        &self.table
+        &self.state.table
     }
 
     /// The `init` function of Alg. 2: attempt recovery from the blobs
@@ -894,34 +930,36 @@ impl<F: Functionality> TrustedContext<F> {
         state_blob: Option<&[u8]>,
         want_deltas: bool,
     ) -> Result<InitOutcome> {
-        if self.phase != Phase::Created {
+        if !matches!(self.life, Lifecycle::Created) {
             return Err(LcmError::AlreadyProvisioned);
         }
-        self.cadence = Cadence::new(want_deltas);
+        self.state.cadence = Cadence::new(want_deltas);
         let Some(key_blob) = key_blob else {
-            self.phase = Phase::AwaitingProvision;
+            self.life = Lifecycle::AwaitingProvision;
             return Ok(InitOutcome::NeedProvision);
         };
-
         // Strip the storage-facing kind byte; key blobs are opaque to
         // the delta-log engine.
-        let seal_key = AeadKey::from_secret(&self.services.sealing_key());
+        let seal_key = AeadKey::from_secret(&self.state.services.sealing_key());
         let key_plain = open_blob(&seal_key, key_blob, BLOB_KIND_OPAQUE, LABEL_KEY_BLOB);
-        let key_plain = key_plain.ok_or_else(|| self.halt(Violation::BadAuthentication))?;
+        let key_plain = self.halting(key_plain.ok_or(Violation::BadAuthentication.into()))?;
         let mut r = Reader::new(&key_plain);
         let (k_p, k_a) = (read_key(&mut r)?, read_key(&mut r)?);
         r.finish()?;
-
-        let Some(state_blob) = state_blob else {
-            // Keys persisted but state withheld: storage tampering.
-            return Err(self.halt(Violation::BadAuthentication));
-        };
-        // The resume tail, shared with `import_migration`: kC is
-        // recovered from the state record.
-        self.keys = Some(Keys::resuming(k_p, k_a));
-        self.restore_sealed_state(state_blob)?;
-        self.phase = Phase::Ready;
-        Ok(InitOutcome::Resumed)
+        // Keys persisted but state withheld: storage tampering.
+        let state_blob = self.halting(state_blob.ok_or(Violation::BadAuthentication.into()))?;
+        let restored = self
+            .state
+            .restore_sealed_state(&AtRestKey::from_secret(&k_p), state_blob);
+        let (k_c, identity, deltas) = self.halting(restored)?;
+        // The journal replays on the ready state: a delta it refuses halts
+        // it, keys and all; one that opens but does not decode unboots it.
+        self.life = Lifecycle::ready(identity, k_p, k_c, k_a);
+        let replayed = self.serving(|ready, state| state.replay(&ready.keys.aead_p, &deltas));
+        if replayed.is_err() && matches!(self.life, Lifecycle::Ready(_)) {
+            self.life = Lifecycle::Created;
+        }
+        replayed.map(|()| InitOutcome::Resumed)
     }
 
     /// Installs keys and the initial group from the admin's attested
@@ -937,42 +975,17 @@ impl<F: Functionality> TrustedContext<F> {
     /// * [`LcmError::Tee`] — the platform provides no provisioning
     ///   channel (not manufactured by a [`lcm_tee::world::TeeWorld`]).
     pub fn provision(&mut self, sealed_payload: &[u8]) -> Result<PersistBlobs> {
-        if self.phase != Phase::AwaitingProvision {
+        if !matches!(self.life, Lifecycle::AwaitingProvision) {
             return Err(LcmError::AlreadyProvisioned);
         }
-        let channel_key = self
-            .services
+        let channel_key = (self.state.services)
             .provision_key()
             .ok_or_else(|| LcmError::Tee("platform has no provisioning channel".into()))?;
         let channel = AeadKey::from_secret(&channel_key);
-        let plain = aead::auth_decrypt(&channel, sealed_payload, LABEL_PROVISION)
-            .map_err(|_| self.halt(Violation::BadAuthentication))?;
-        self.install(ProvisionPayload::from_bytes(&plain)?)
-    }
-
-    fn install(&mut self, payload: ProvisionPayload) -> Result<PersistBlobs> {
-        // The genesis chain root commits to everything a group's
-        // members are provisioned with alike — keys, clients, quorum,
-        // shard slot, group size — and to nothing else, so all of them
-        // start at one position and the leader's first record applies
-        // on every follower.
-        let mut shared = payload.clone();
-        shared.identity.replica = 0;
-        self.persist_anchor = lcm_crypto::sha256::digest_parts(&[ANCHOR_CKPT, &shared.to_bytes()]);
-        self.keys = Some(Keys::from_raw(payload.k_p, payload.k_c, payload.k_a));
-        self.identity = Some(payload.identity);
-        // Genesis routing table: epoch 0, slices spread uniformly
-        // across the deployment's shards. Every shard derives the same
-        // table from its attested `count`, so no extra provisioning
-        // field is needed and a lying host cannot influence it.
-        self.table = SliceTable::uniform(payload.identity.count);
-        let genesis = payload.clients.iter().map(|&c| (c, Default::default()));
-        self.v.replace(genesis.collect(), payload.quorum);
-        self.t = SeqNo::ZERO;
-        self.h = ChainValue::GENESIS;
-        self.admin_seq = 0;
-        self.phase = Phase::Ready;
-        self.seal_blobs(false)
+        let opened = aead::auth_decrypt(&channel, sealed_payload, LABEL_PROVISION);
+        let plain = self.halting(opened.map_err(|_| Violation::BadAuthentication.into()))?;
+        self.life = self.state.install(ProvisionPayload::from_bytes(&plain)?);
+        self.serving(|ready, state| state.seal_blobs(ready, false))
     }
 
     /// Produces an attestation report over the verifier's challenge
@@ -985,8 +998,8 @@ impl<F: Functionality> TrustedContext<F> {
     /// none yet). The verifier recomputes the binding with the
     /// identity it expects.
     pub fn attest(&self, challenge: Digest) -> Report {
-        self.services
-            .report(attest_user_data(&challenge, self.identity))
+        let user_data = attest_user_data(&challenge, self.identity());
+        self.state.services.report(user_data)
     }
 
     /// Handles one encrypted INVOKE message: the body of Alg. 2.
@@ -1004,8 +1017,7 @@ impl<F: Functionality> TrustedContext<F> {
     /// * [`LcmError::Violation`] — authentication failure, context
     ///   mismatch (rollback/fork/replay evidence), or unknown client.
     ///   The context halts permanently.
-    /// * [`LcmError::NotProvisioned`] / [`LcmError::Halted`] — wrong
-    ///   phase.
+    /// * [`LcmError::NotProvisioned`] / [`LcmError::Halted`] — not ready.
     pub fn handle_invoke(&mut self, wire: &[u8]) -> Result<(ClientId, Vec<u8>)> {
         let mut reply = Writer::new();
         let client = self.handle_invoke_into(wire, &mut reply)?;
@@ -1020,203 +1032,14 @@ impl<F: Functionality> TrustedContext<F> {
     /// there; nothing of it is allocated per operation. On an error
     /// `out` may hold a partial reply the caller must discard.
     pub(crate) fn handle_invoke_into(&mut self, wire: &[u8], out: &mut Writer) -> Result<ClientId> {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        scratch.extend_from_slice(wire);
-        let outcome = self.invoke_in_place(&mut scratch, out);
-        self.scratch = scratch;
-        outcome
-    }
-
-    /// The body of [`TrustedContext::handle_invoke_into`] on the
-    /// scratch copy of the wire.
-    fn invoke_in_place(&mut self, wire: &mut [u8], out: &mut Writer) -> Result<ClientId> {
-        let (identity, _) = self.require_ready()?;
-        // Peel the plaintext routing envelope; its fields are bound
-        // into the AAD, so any tampering (or a truncated wire) fails
-        // authentication below.
-        let Some((hint, _)) = crate::wire::RouteHint::peel(wire) else {
-            return Err(self.halt(Violation::BadAuthentication));
-        };
-        // The key is borrowed only for the open: `halt` needs `self`.
-        let keys = self.keys()?;
-        let aad = invoke_aad(hint.client, hint.route, hint.seq, hint.epoch);
-        let sealed = wire
-            .get_mut(crate::wire::ROUTE_HINT_LEN..)
-            .unwrap_or_default();
-        let opened = gcm::open_in_place(&keys.aead_c, &aad, sealed);
-        let msg = match opened.map(|plain| InvokeView::from_bytes(plain)) {
-            Ok(Ok(m)) => m,
-            _ => return Err(self.halt(Violation::BadAuthentication)),
-        };
-        // The envelope's client id is authenticated (it is in the AAD),
-        // so a mismatch with the encrypted copy means the *sender*
-        // lied — halt rather than mis-route the reply.
-        if msg.client != hint.client {
-            return Err(self.halt(Violation::BadAuthentication));
-        }
-        // Likewise the envelope's sequence number: the host's admission
-        // layer dedups retries on it, so a sender whose plaintext `seq`
-        // disagrees with the encrypted `tc` is lying to the host about
-        // which operation this is — halt rather than let the dedup key
-        // diverge from the authenticated protocol state.
-        if msg.tc.0 != hint.seq {
-            return Err(self.halt(Violation::BadAuthentication));
-        }
-
-        // Attested shard identity (Ready implies an identity): this
-        // enclave executes an operation only if it *owns* it under its
-        // slice table. Two routes are judged — the authenticated
-        // envelope route the host delivered by, and the route
-        // recomputed from the decrypted operation's own partition key
-        // (a mismatch between them means the sender's envelope lies
-        // about its operation; both are epoch-independent, so an
-        // honest sender always has them equal). The envelope's routing
-        // epoch disambiguates the not-owned cases:
-        //
-        // * `hint.epoch > table.epoch` — the client proves knowledge
-        //   of a routing epoch this enclave has never reached. Since
-        //   epochs only advance through sealed slice migrations, this
-        //   is the signature of an enclave rolled back past a
-        //   migration (or a table the host withheld): halt. This is
-        //   the rollback-detection hook of the versioned router.
-        // * owned under the current table — execute normally. A stale
-        //   `hint.epoch` is harmless here: the slice never moved away,
-        //   so the old and new tables agree about this wire.
-        // * not owned, `hint.epoch < table.epoch` — an in-flight wire
-        //   routed under an older table whose slice has since migrated
-        //   away. Honest and inevitable during rebalancing: answer
-        //   with a context-stamped *redirect* carrying the current
-        //   table instead of executing (see `execute_fresh`).
-        // * not owned, same epoch — the host redirected an intact wire
-        //   to the wrong shard, or the sender's envelope lies: halt.
-        let recomputed = crate::routing::route_for(msg.client, F::shard_key(msg.op));
-        if hint.epoch > self.table.epoch() {
-            let owner = self.table.shard_of(hint.route);
-            return Err(self.halt_wrong_shard(identity.index, msg.client, owner, hint.epoch));
-        }
-        let routes = [hint.route, recomputed];
-        let redirect = !self.owns_wire(identity.index, msg.client, routes, hint.epoch)?;
-
-        let Some((slot, entry)) = self.v.find(msg.client) else {
-            let client = msg.client;
-            self.phase = Phase::Halted;
-            return Err(LcmError::UnknownClient(client));
-        };
-
-        // Alg. 2: assert V[i] = (∗, tc, hc).
-        if entry.t == msg.tc && entry.h == msg.hc {
-            return self.execute_fresh(msg, slot, hint.route, hint.epoch, redirect, out);
-        }
-        // §4.6.1 second case: T crashed after storing but before the
-        // client got the reply — a *retry* of the acknowledged
-        // operation is answered with the cached result. The cached
-        // reply replays verbatim, including its redirect flag: whether
-        // the original attempt executed or redirected is part of the
-        // acknowledged history.
-        let resend = (entry.cached.as_ref())
-            .filter(|c| msg.retry && entry.ta == msg.tc && c.hc_echo == msg.hc);
-        let Some(cached) = resend else {
-            let recorded = entry.t;
-            return Err(self.halt(Violation::ContextMismatch {
-                client: msg.client,
-                claimed: msg.tc,
-                recorded,
-            }));
-        };
-        let nonce = self.nonces.next(&self.services);
-        let reply = ReplyView {
-            t: cached.t,
-            q: cached.q,
-            h: cached.h,
-            hc_echo: cached.hc_echo,
-            redirect: cached.redirect,
-            result: &cached.result,
-        };
-        self.seal_reply(out, &nonce, msg.client, hint.route, hint.epoch, reply)?;
-        Ok(msg.client)
-    }
-
-    /// Executes one context-fresh operation — or, when `redirect` is
-    /// set, stamps a *redirect* instead: the context advances exactly
-    /// as for an executed operation (`t`, `h`, `V[i]`, the cached
-    /// reply), but the functionality is not invoked and the result
-    /// carries the current slice table for the client to adopt. The
-    /// stamp is what makes redirects exactly-once-compatible: a lost
-    /// redirect reply is recovered through the ordinary cached-retry
-    /// path, and the client re-invokes the operation on the new owner
-    /// as a fresh invocation under that shard's own context.
-    fn execute_fresh(
-        &mut self,
-        msg: InvokeView<'_>,
-        slot: Slot,
-        route: u32,
-        epoch: u64,
-        redirect: bool,
-        out: &mut Writer,
-    ) -> Result<ClientId> {
-        // t ← t + 1 ; (r, s) ← execF(s, o) ; h ← hash(h ‖ o ‖ t ‖ i)
-        self.t = self.t.next();
-        let result = if redirect {
-            self.table.to_bytes()
-        } else {
-            self.f.exec(msg.op)
-        };
-        self.h = self.h.extend(msg.op, self.t, msg.client);
-
-        // V[i] ← (tc, t, h) ; q ← majority-stable(V)
-        self.v.advance(slot, msg.tc, self.t, self.h);
-        if let Err(at) = self.touched.binary_search(&msg.client) {
-            self.touched.insert(at, msg.client);
-        }
-        let q = self.v.stable().max(self.stable_floor);
-        self.stable_floor = q;
-
-        let cached = CachedReply {
-            t: self.t,
-            q,
-            h: self.h,
-            hc_echo: msg.hc,
-            redirect,
-            result,
-        };
-        let nonce = self.next_nonce();
-        let reply = ReplyView {
-            t: cached.t,
-            q: cached.q,
-            h: cached.h,
-            hc_echo: cached.hc_echo,
-            redirect: cached.redirect,
-            result: &cached.result,
-        };
-        let sealed = self.seal_reply(out, &nonce, msg.client, route, epoch, reply);
-        // The sealed reply's fields move into the cache as they are.
-        self.v.set_cached(slot, cached);
-        sealed?;
-        Ok(msg.client)
-    }
-
-    /// Appends `reply`, sealed for `client` under `nonce`, to `out`.
-    fn seal_reply(
-        &self,
-        out: &mut Writer,
-        nonce: &[u8; 12],
-        client: ClientId,
-        route: u32,
-        epoch: u64,
-        reply: ReplyView<'_>,
-    ) -> Result<()> {
-        seal_message_into(
-            out,
-            &self.keys()?.aead_c,
-            nonce,
-            // The reply echoes the *request's* routing epoch — the
-            // client can only decrypt under the epoch it stamped.
-            &reply_aad(client, route, epoch),
-            &[],
-            crate::wire::REPLY_OVERHEAD + reply.result.len(),
-            |w| reply.encode(w),
-        )
+        self.serving(|ready, state| {
+            let mut scratch = std::mem::take(&mut state.scratch);
+            scratch.clear();
+            scratch.extend_from_slice(wire);
+            let outcome = state.invoke_in_place(ready, &mut scratch, out);
+            state.scratch = scratch;
+            outcome
+        })
     }
 
     /// Serves one verified read leg on this group member (leader or
@@ -1245,8 +1068,7 @@ impl<F: Functionality> TrustedContext<F> {
     ///   delivery, a non-read-only operation on the read path
     ///   ([`Violation::MutationOnReadPath`]), or context conflict. The
     ///   context halts permanently.
-    /// * [`LcmError::NotProvisioned`] / [`LcmError::Halted`] — wrong
-    ///   phase.
+    /// * [`LcmError::NotProvisioned`] / [`LcmError::Halted`] — not ready.
     pub fn serve_read(&mut self, wire: &[u8]) -> Result<Vec<u8>> {
         let mut reply = Writer::new();
         self.serve_read_into(wire, &mut reply)?;
@@ -1257,36 +1079,274 @@ impl<F: Functionality> TrustedContext<F> {
     /// appended to `out`, as the ecall boundary answers a read leg. On
     /// an error `out` may hold a partial reply the caller must discard.
     pub(crate) fn serve_read_into(&mut self, wire: &[u8], out: &mut Writer) -> Result<()> {
-        let (identity, _) = self.require_ready()?;
-        let Some((hint, sealed)) = crate::wire::ReadHint::peel(wire) else {
-            return Err(self.halt(Violation::BadAuthentication));
+        self.serving(|ready, state| state.serve_read(ready, wire, out))
+    }
+
+    /// Handles an authenticated admin operation (§4.6.3).
+    ///
+    /// # Errors
+    ///
+    /// * [`LcmError::Violation`] — bad authentication or admin-sequence
+    ///   replay; the context halts.
+    pub fn handle_admin(&mut self, wire: &[u8]) -> Result<(Vec<u8>, PersistBlobs)> {
+        self.serving(|ready, state| state.admin(ready, wire))
+    }
+
+    /// Runs `op` on the ready state; any other state refuses it, and a
+    /// violation it reports halts the context.
+    fn serving<T>(&mut self, op: impl FnOnce(&mut Ready, &mut State<F>) -> Result<T>) -> Result<T> {
+        let outcome = match &mut self.life {
+            Lifecycle::Ready(ready) => op(ready, &mut self.state),
+            Lifecycle::Halted(_) => Err(LcmError::Halted),
+            _ => Err(LcmError::NotProvisioned),
         };
-        let aad = read_aad(
-            hint.client,
-            hint.route,
-            hint.seq,
-            identity.replica,
-            hint.epoch,
-        );
+        self.halting(outcome)
+    }
+
+    /// The one halt transition: a violation, or a client outside the
+    /// group, halts the context for good, and its keys go with its
+    /// ready state.
+    fn halting<T>(&mut self, outcome: Result<T>) -> Result<T> {
+        if let Err(LcmError::Violation(_) | LcmError::UnknownClient(_)) = outcome {
+            self.life = Lifecycle::Halted(self.identity());
+        }
+        outcome
+    }
+}
+
+impl<F: Functionality> State<F> {
+    fn install(&mut self, payload: ProvisionPayload) -> Lifecycle {
+        // The genesis chain root commits to everything a group's
+        // members are provisioned with alike — keys, clients, quorum,
+        // shard slot, group size — and to nothing else, so all of them
+        // start at one position and the leader's first record applies
+        // on every follower.
+        let mut shared = payload.clone();
+        shared.identity.replica = 0;
+        self.persist_anchor = lcm_crypto::sha256::digest_parts(&[ANCHOR_CKPT, &shared.to_bytes()]);
+        // Genesis routing table: epoch 0, slices spread uniformly
+        // across the deployment's shards. Every shard derives the same
+        // table from its attested `count`, so no extra provisioning
+        // field is needed and a lying host cannot influence it.
+        self.table = SliceTable::uniform(payload.identity.count);
+        let genesis = payload.clients.iter().map(|&c| (c, Default::default()));
+        self.v.replace(genesis.collect(), payload.quorum);
+        self.t = SeqNo::ZERO;
+        self.h = ChainValue::GENESIS;
+        self.admin_seq = 0;
+        Lifecycle::ready(payload.identity, payload.k_p, payload.k_c, payload.k_a)
+    }
+
+    /// The body of [`TrustedContext::handle_invoke_into`] on the
+    /// scratch copy of the wire.
+    fn invoke_in_place(
+        &mut self,
+        ready: &mut Ready,
+        wire: &mut [u8],
+        out: &mut Writer,
+    ) -> Result<ClientId> {
+        // Peel the plaintext routing envelope; its fields are bound
+        // into the AAD, so any tampering (or a truncated wire) fails
+        // authentication below.
+        let (hint, _) = RouteHint::peel(wire).ok_or(Violation::BadAuthentication)?;
+        let aad = invoke_aad(hint.client, hint.route, hint.seq, hint.epoch);
+        let sealed = wire
+            .get_mut(crate::wire::ROUTE_HINT_LEN..)
+            .unwrap_or_default();
+        let opened = gcm::open_in_place(&ready.keys.aead_c, &aad, sealed);
+        let msg = match opened.map(|plain| InvokeView::from_bytes(plain)) {
+            Ok(Ok(m)) => m,
+            _ => return Err(Violation::BadAuthentication.into()),
+        };
+        // The envelope's client id is authenticated (it is in the AAD),
+        // so a mismatch with the encrypted copy means the *sender*
+        // lied — halt rather than mis-route the reply.
+        if msg.client != hint.client {
+            return Err(Violation::BadAuthentication.into());
+        }
+        // Likewise the envelope's sequence number: the host's admission
+        // layer dedups retries on it, so a sender whose plaintext `seq`
+        // disagrees with the encrypted `tc` is lying to the host about
+        // which operation this is — halt rather than let the dedup key
+        // diverge from the authenticated protocol state.
+        if msg.tc.0 != hint.seq {
+            return Err(Violation::BadAuthentication.into());
+        }
+
+        // Attested shard identity: this enclave executes an operation
+        // only if it *owns* it under its slice table. Two routes are
+        // judged — the authenticated envelope route the host delivered
+        // by, and the route recomputed from the decrypted operation's
+        // own partition key (a mismatch between them means the sender's
+        // envelope lies about its operation; both are epoch-independent,
+        // so an honest sender always has them equal). The envelope's
+        // routing epoch disambiguates the not-owned cases:
+        //
+        // * `hint.epoch > table.epoch` — the client proves knowledge
+        //   of a routing epoch this enclave has never reached. Since
+        //   epochs only advance through sealed slice migrations, this
+        //   is the signature of an enclave rolled back past a
+        //   migration (or a table the host withheld): halt. This is
+        //   the rollback-detection hook of the versioned router.
+        // * owned under the current table — execute normally. A stale
+        //   `hint.epoch` is harmless here: the slice never moved away,
+        //   so the old and new tables agree about this wire.
+        // * not owned, `hint.epoch < table.epoch` — an in-flight wire
+        //   routed under an older table whose slice has since migrated
+        //   away. Honest and inevitable during rebalancing: answer
+        //   with a context-stamped *redirect* carrying the current
+        //   table instead of executing (see `execute_fresh`).
+        // * not owned, same epoch — the host redirected an intact wire
+        //   to the wrong shard, or the sender's envelope lies: halt.
+        let here = ready.identity.index;
+        let recomputed = crate::routing::route_for(msg.client, F::shard_key(msg.op));
+        if hint.epoch > self.table.epoch() {
+            let owner = self.table.shard_of(hint.route);
+            return Err(self.wrong_shard(here, msg.client, owner, hint.epoch));
+        }
+        let routes = [hint.route, recomputed];
+        let redirect = !self.owns_wire(here, msg.client, routes, hint.epoch)?;
+
+        let found = self.v.find(msg.client);
+        let (slot, entry) = found.ok_or(LcmError::UnknownClient(msg.client))?;
+
+        // Alg. 2: assert V[i] = (∗, tc, hc).
+        if entry.t == msg.tc && entry.h == msg.hc {
+            return self.execute_fresh(ready, msg, slot, hint, redirect, out);
+        }
+        // §4.6.1 second case: T crashed after storing but before the
+        // client got the reply — a *retry* of the acknowledged
+        // operation is answered with the cached result. The cached
+        // reply replays verbatim, including its redirect flag: whether
+        // the original attempt executed or redirected is part of the
+        // acknowledged history.
+        let resend = (entry.cached.as_ref())
+            .filter(|c| msg.retry && entry.ta == msg.tc && c.hc_echo == msg.hc);
+        let Some(cached) = resend else {
+            return Err(Violation::ContextMismatch {
+                client: msg.client,
+                claimed: msg.tc,
+                recorded: entry.t,
+            }
+            .into());
+        };
+        let reply = ReplyView {
+            t: cached.t,
+            q: cached.q,
+            h: cached.h,
+            hc_echo: cached.hc_echo,
+            redirect: cached.redirect,
+            result: &cached.result,
+        };
+        self.seal_reply(ready, out, hint, reply)?;
+        Ok(msg.client)
+    }
+
+    /// Executes one context-fresh operation — or, when `redirect` is
+    /// set, stamps a *redirect* instead: the context advances exactly
+    /// as for an executed operation (`t`, `h`, `V[i]`, the cached
+    /// reply), but the functionality is not invoked and the result
+    /// carries the current slice table for the client to adopt. The
+    /// stamp is what makes redirects exactly-once-compatible: a lost
+    /// redirect reply is recovered through the ordinary cached-retry
+    /// path, and the client re-invokes the operation on the new owner
+    /// as a fresh invocation under that shard's own context.
+    fn execute_fresh(
+        &mut self,
+        ready: &mut Ready,
+        msg: InvokeView<'_>,
+        slot: Slot,
+        hint: RouteHint,
+        redirect: bool,
+        out: &mut Writer,
+    ) -> Result<ClientId> {
+        // t ← t + 1 ; (r, s) ← execF(s, o) ; h ← hash(h ‖ o ‖ t ‖ i)
+        self.t = self.t.next();
+        let result = if redirect {
+            self.table.to_bytes()
+        } else {
+            self.f.exec(msg.op)
+        };
+        self.h = self.h.extend(msg.op, self.t, msg.client);
+
+        // V[i] ← (tc, t, h) ; q ← majority-stable(V)
+        self.v.advance(slot, msg.tc, self.t, self.h);
+        if let Err(at) = self.touched.binary_search(&msg.client) {
+            self.touched.insert(at, msg.client);
+        }
+        let q = self.v.stable().max(self.stable_floor);
+        self.stable_floor = q;
+
+        let cached = CachedReply {
+            t: self.t,
+            q,
+            h: self.h,
+            hc_echo: msg.hc,
+            redirect,
+            result,
+        };
+        let reply = ReplyView {
+            t: cached.t,
+            q: cached.q,
+            h: cached.h,
+            hc_echo: cached.hc_echo,
+            redirect: cached.redirect,
+            result: &cached.result,
+        };
+        let sealed = self.seal_reply(ready, out, hint, reply);
+        // The sealed reply's fields move into the cache as they are.
+        self.v.set_cached(slot, cached);
+        sealed?;
+        Ok(msg.client)
+    }
+
+    /// Appends `reply` to the invoke `hint` announced, sealed under the
+    /// next nonce, to `out`.
+    fn seal_reply(
+        &self,
+        ready: &mut Ready,
+        out: &mut Writer,
+        hint: RouteHint,
+        reply: ReplyView<'_>,
+    ) -> Result<()> {
+        let nonce = ready.nonces.next(&self.services);
+        seal_message_into(
+            out,
+            &ready.keys.aead_c,
+            &nonce,
+            // The reply echoes the *request's* routing epoch — the
+            // client can only decrypt under the epoch it stamped.
+            &reply_aad(hint.client, hint.route, hint.epoch),
+            &[],
+            crate::wire::REPLY_OVERHEAD + reply.result.len(),
+            |w| reply.encode(w),
+        )
+    }
+
+    fn serve_read(&mut self, ready: &mut Ready, wire: &[u8], out: &mut Writer) -> Result<()> {
+        let (hint, sealed) =
+            crate::wire::ReadHint::peel(wire).ok_or(Violation::BadAuthentication)?;
+        let replica = ready.identity.replica;
+        let aad = read_aad(hint.client, hint.route, hint.seq, replica, hint.epoch);
         // Opened in the scratch buffer; the decoded leg owns its
         // operation, so the buffer goes straight back.
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
         scratch.extend_from_slice(sealed);
-        let opened = gcm::open_in_place(&self.keys()?.aead_c, &aad, &mut scratch)
+        let opened = gcm::open_in_place(&ready.keys.aead_c, &aad, &mut scratch)
             .map(|plain| crate::wire::ReadMsg::from_bytes(plain));
         self.scratch = scratch;
         let msg = match opened {
             Ok(Ok(m)) => m,
-            _ => return Err(self.halt(Violation::BadAuthentication)),
+            _ => return Err(Violation::BadAuthentication.into()),
         };
         if msg.client != hint.client || msg.tc.0 != hint.seq {
-            return Err(self.halt(Violation::BadAuthentication));
+            return Err(Violation::BadAuthentication.into());
         }
         // Followers bypass the leader's quorum path entirely, so they
         // must refuse to execute anything that could mutate state.
         if !F::is_readonly(&msg.op) {
-            return Err(self.halt(Violation::MutationOnReadPath { client: msg.client }));
+            return Err(Violation::MutationOnReadPath { client: msg.client }.into());
         }
         // Same two-route ownership check as the write path, with one
         // deliberate asymmetry: a *future*-epoch read leg answers
@@ -1304,17 +1364,10 @@ impl<F: Functionality> TrustedContext<F> {
         // envelope — halt.
         let recomputed = crate::routing::route_for(msg.client, F::shard_key(&msg.op));
         let future_epoch = hint.epoch > self.table.epoch();
-        let routes = [hint.route, recomputed];
-        let moved =
-            !future_epoch && !self.owns_wire(identity.index, msg.client, routes, hint.epoch)?;
-        let (entry_t, entry_h) = match self.v.get(msg.client) {
-            Some(e) => (e.t, e.h),
-            None => {
-                let client = msg.client;
-                self.phase = Phase::Halted;
-                return Err(LcmError::UnknownClient(client));
-            }
-        };
+        let (here, routes) = (ready.identity.index, [hint.route, recomputed]);
+        let moved = !future_epoch && !self.owns_wire(here, msg.client, routes, hint.epoch)?;
+        let entry = (self.v.get(msg.client)).ok_or(LcmError::UnknownClient(msg.client))?;
+        let (entry_t, entry_h) = (entry.t, entry.h);
         use crate::wire::ReadStatus::{Behind, Fresh, Moved};
         let (status, q, result) = if future_epoch {
             // This member has not installed the table the client
@@ -1338,11 +1391,12 @@ impl<F: Functionality> TrustedContext<F> {
             // never a violation.
             (Behind, self.stable_floor, Vec::new())
         } else {
-            return Err(self.halt(Violation::ContextMismatch {
+            return Err(Violation::ContextMismatch {
                 client: msg.client,
                 claimed: msg.tc,
                 recorded: entry_t,
-            }));
+            }
+            .into());
         };
         let reply = crate::wire::ReadReplyMsg {
             t: entry_t,
@@ -1352,37 +1406,21 @@ impl<F: Functionality> TrustedContext<F> {
             status,
             result,
         };
-        let nonce = self.next_nonce();
+        let nonce = ready.nonces.next(&self.services);
         seal_message_into(
             out,
-            &self.keys()?.aead_c,
+            &ready.keys.aead_c,
             &nonce,
-            &read_reply_aad(
-                msg.client,
-                hint.route,
-                hint.seq,
-                identity.replica,
-                hint.epoch,
-            ),
+            &read_reply_aad(msg.client, hint.route, hint.seq, replica, hint.epoch),
             &[],
             crate::wire::REPLY_OVERHEAD + reply.result.len(),
             |w| reply.encode(w),
         )
     }
 
-    /// Handles an authenticated admin operation (§4.6.3).
-    ///
-    /// # Errors
-    ///
-    /// * [`LcmError::Violation`] — bad authentication or admin-sequence
-    ///   replay; the context halts.
-    pub fn handle_admin(&mut self, wire: &[u8]) -> Result<(Vec<u8>, PersistBlobs)> {
-        // The admin key never rotates: one clone opens the request
-        // and seals the reply.
-        let (_, keys) = self.require_ready()?;
-        let aead_a = keys.aead_a.clone();
-        let plain = aead::auth_decrypt(&aead_a, wire, LABEL_ADMIN)
-            .map_err(|_| self.halt(Violation::BadAuthentication))?;
+    fn admin(&mut self, ready: &mut Ready, wire: &[u8]) -> Result<(Vec<u8>, PersistBlobs)> {
+        let plain = aead::auth_decrypt(&ready.keys.aead_a, wire, LABEL_ADMIN)
+            .map_err(|_| Violation::BadAuthentication)?;
         let mut r = Reader::new(&plain);
         let decoded = (|| -> std::result::Result<_, CodecError> {
             let seq = r.get_u64()?;
@@ -1390,10 +1428,10 @@ impl<F: Functionality> TrustedContext<F> {
             r.finish()?;
             Ok((seq, op))
         })();
-        let (seq, op) = decoded.map_err(|_| self.halt(Violation::BadAuthentication))?;
+        let (seq, op) = decoded.map_err(|_| Violation::BadAuthentication)?;
 
         if seq != self.admin_seq + 1 {
-            return Err(self.halt(Violation::AdminReplay));
+            return Err(Violation::AdminReplay.into());
         }
         self.admin_seq = seq;
 
@@ -1407,14 +1445,14 @@ impl<F: Functionality> TrustedContext<F> {
             }
             AdminOp::RemoveClient(id, new_kc) => {
                 if self.v.remove_member(id) {
-                    self.rotate_kc(new_kc);
+                    ready.keys.rotate_kc(new_kc);
                     AdminReply::Ok
                 } else {
                     AdminReply::Rejected(format!("client {id} not in group"))
                 }
             }
             AdminOp::RotateKey(new_kc) => {
-                self.rotate_kc(new_kc);
+                ready.keys.rotate_kc(new_kc);
                 AdminReply::Ok
             }
             AdminOp::Status => AdminReply::Status {
@@ -1427,62 +1465,26 @@ impl<F: Functionality> TrustedContext<F> {
         let mut w = Writer::new();
         w.put_u64(seq);
         reply.encode(&mut w);
-        let nonce = self.next_nonce();
+        let nonce = ready.nonces.next(&self.services);
         let reply_wire =
-            aead::auth_encrypt_with_nonce(&aead_a, &nonce, &w.into_bytes(), LABEL_ADMIN)
+            aead::auth_encrypt_with_nonce(&ready.keys.aead_a, &nonce, &w.into_bytes(), LABEL_ADMIN)
                 .map_err(|e| LcmError::Tee(e.to_string()))?;
-        let blobs = self.persist_blobs()?;
+        let blobs = self.seal_blobs(ready, true)?;
         Ok((reply_wire, blobs))
     }
 
-    /// What `Ready` implies, handed to the caller that checked for
-    /// it: the attested identity and the keys.
-    fn require_ready(&self) -> Result<(ShardIdentity, &Keys)> {
-        match (self.phase, self.identity, &self.keys) {
-            (Phase::Ready, Some(identity), Some(keys)) => Ok((identity, keys)),
-            (Phase::Halted, ..) => Err(LcmError::Halted),
-            _ => Err(LcmError::NotProvisioned),
-        }
-    }
-
-    /// The installed keys: `kP` and `kA` from provisioning, a key blob
-    /// or a migration ticket on, `kC` once the state is restored too.
-    fn keys(&self) -> Result<&Keys> {
-        self.keys.as_ref().ok_or(LcmError::NotProvisioned)
-    }
-
-    /// Installs a new communication key `kC` (admin rotation, or the
-    /// one a restored state record carries).
-    fn rotate_kc(&mut self, new_kc: SecretKey) {
-        if let Some(keys) = &mut self.keys {
-            keys.rotate_kc(new_kc);
-        }
-    }
-
-    fn halt(&mut self, violation: Violation) -> LcmError {
-        self.phase = Phase::Halted;
-        LcmError::Violation(violation)
-    }
-
-    /// Halts over something meant for shard `owner` that the host
-    /// delivered to this one, shard `here`, under routing epoch
+    /// The violation of something meant for shard `owner` that the
+    /// host delivered to this one, shard `here`, under routing epoch
     /// `wire_epoch`. A sealed record or ticket has no invoking client:
     /// the dummy `ClientId(0)` marks those.
     #[cold]
-    fn halt_wrong_shard(
-        &mut self,
-        here: u32,
-        client: ClientId,
-        owner: u32,
-        wire_epoch: u64,
-    ) -> LcmError {
-        let shard_epoch = self.table.epoch();
-        self.halt(Violation::WrongShard {
+    fn wrong_shard(&self, here: u32, client: ClientId, owner: u32, wire_epoch: u64) -> LcmError {
+        LcmError::Violation(Violation::WrongShard {
             client,
             delivered_to: here,
             owner,
             wire_epoch,
-            shard_epoch,
+            shard_epoch: self.table.epoch(),
         })
     }
 
@@ -1491,32 +1493,22 @@ impl<F: Functionality> TrustedContext<F> {
     /// decrypted operation — against this enclave's table: `true` when
     /// shard `here` owns both, `false` when it does not and the wire
     /// was stamped under an older epoch (its slice has since migrated
-    /// away), and a `WrongShard` halt naming the first route not owned
-    /// when the wire carries the current epoch — the host misdelivered
-    /// it, or its envelope lies. A wire of a *future* epoch is the
-    /// caller's to judge first. Inlined into both per-operation
-    /// paths, where the ownership test used to be written out.
+    /// away), and a `WrongShard` violation naming the first route not
+    /// owned when the wire carries the current epoch — the host
+    /// misdelivered it, or its envelope lies. A wire of a *future*
+    /// epoch is the caller's to judge first. Inlined into both
+    /// per-operation paths, where the ownership test used to be
+    /// written out.
     #[inline]
-    fn owns_wire(
-        &mut self,
-        here: u32,
-        client: ClientId,
-        routes: [u32; 2],
-        epoch: u64,
-    ) -> Result<bool> {
+    fn owns_wire(&self, here: u32, client: ClientId, routes: [u32; 2], epoch: u64) -> Result<bool> {
         match routes.into_iter().find(|&r| !self.table.owns(here, r)) {
             None => Ok(true),
             Some(_) if epoch < self.table.epoch() => Ok(false),
             Some(stray) => {
                 let owner = self.table.shard_of(stray);
-                Err(self.halt_wrong_shard(here, client, owner, epoch))
+                Err(self.wrong_shard(here, client, owner, epoch))
             }
         }
-    }
-
-    /// The next of this lifetime's unique nonces ([`Nonces`]).
-    fn next_nonce(&mut self) -> [u8; 12] {
-        self.nonces.next(&self.services)
     }
 }
 
@@ -2266,6 +2258,159 @@ mod tests {
         w.put_u32(0);
         w.put_u32(0); // count == 0
         assert!(ShardIdentity::decode(&mut Reader::new(&w.into_bytes())).is_err());
+    }
+
+    /// `Ok`, or the name of the error variant an entry point answers
+    /// with.
+    fn variant<T>(outcome: Result<T>) -> String {
+        match outcome {
+            Ok(_) => "Ok".into(),
+            Err(e) => format!("{e:?}").split('(').next().unwrap().to_owned(),
+        }
+    }
+
+    /// Every public entry point in every lifecycle state. Only a ready
+    /// context seals or serves; every other state refuses, a halted one
+    /// with `Halted` and the rest with `NotProvisioned` or
+    /// `AlreadyProvisioned`. That includes the two persists and an
+    /// empty batch, which seal and call nothing else: a halted or
+    /// migrated context has no keys left to seal with.
+    #[test]
+    fn every_entry_point_answers_as_the_lifecycle_says() {
+        use crate::program::{answer_ecall, HostCall, HostReply};
+        use Phase::{AwaitingProvision, Created, Halted, Migrated, Ready};
+
+        let world = world();
+        let (mut sibling, provisioned) = provisioned_context(&world);
+        let ticket = sibling.export_migration().unwrap();
+        let channel =
+            AeadKey::from_secret(&world.admin_provision_key(&Measurement::of_program(M_NAME, "1")));
+        let payload = provision_payload().to_bytes();
+        let payload = aead::auth_encrypt(&channel, &payload, LABEL_PROVISION).unwrap();
+        let invoke = encrypt_invoke(&InvokeMsg {
+            client: ClientId(1),
+            tc: SeqNo::ZERO,
+            hc: ChainValue::GENESIS,
+            retry: false,
+            op: b"op".to_vec(),
+        });
+        let mut w = Writer::new();
+        w.put_u64(1);
+        AdminOp::Status.encode(&mut w);
+        let admin_key = AeadKey::from_secret(&SecretKey::from_bytes([3u8; 32]));
+        let status = aead::auth_encrypt(&admin_key, w.as_slice(), LABEL_ADMIN).unwrap();
+        let empty_batch = HostCall::InvokeBatch(Vec::new()).to_bytes();
+
+        let in_state = |phase: Phase| {
+            let mut ctx = TrustedContext::<AppendLog>::new(services(&world, 1));
+            match phase {
+                Created => {}
+                AwaitingProvision => assert!(ctx.init(None, None, false).is_ok()),
+                _ => ctx = provisioned_context(&world).0,
+            }
+            match phase {
+                Migrated => assert!(ctx.export_migration().is_ok()),
+                Halted => assert!(ctx.handle_invoke(b"junk").is_err()),
+                _ => {}
+            }
+            assert_eq!(ctx.phase(), phase);
+            ctx
+        };
+        type Call<'a> = Box<dyn Fn(&mut TrustedContext<AppendLog>) -> String + 'a>;
+        let (np, ap, viol) = ("NotProvisioned", "AlreadyProvisioned", "Violation");
+        let refused = |ready: &'static str| [np, np, ready, np, "Halted"];
+        let rows: [(&str, Call, [&str; 5]); 14] = [
+            (
+                "init",
+                Box::new(|c| variant(c.init(None, None, false))),
+                ["Ok", ap, ap, ap, ap],
+            ),
+            (
+                "provision",
+                Box::new(|c| variant(c.provision(&payload))),
+                [ap, "Ok", ap, ap, ap],
+            ),
+            (
+                "import_migration",
+                Box::new(|c| variant(c.import_migration(&ticket, None))),
+                [ap, "Ok", ap, ap, ap],
+            ),
+            (
+                "handle_invoke",
+                Box::new(|c| variant(c.handle_invoke(&invoke))),
+                refused("Ok"),
+            ),
+            (
+                "serve_read",
+                Box::new(|c| variant(c.serve_read(b"junk"))),
+                refused(viol),
+            ),
+            (
+                "handle_admin",
+                Box::new(|c| variant(c.handle_admin(&status))),
+                refused("Ok"),
+            ),
+            (
+                "apply_replica",
+                Box::new(|c| variant(c.apply_replica(&provisioned.state_blob))),
+                refused("Ok"),
+            ),
+            (
+                "persist_blobs",
+                Box::new(|c| variant(c.persist_blobs())),
+                refused("Ok"),
+            ),
+            (
+                "persist_batch_blobs",
+                Box::new(|c| variant(c.persist_batch_blobs())),
+                refused("Ok"),
+            ),
+            (
+                "export_migration",
+                Box::new(|c| variant(c.export_migration())),
+                refused("Ok"),
+            ),
+            (
+                "export_slice",
+                Box::new(|c| variant(c.export_slice(0, 0))),
+                refused("Tee"),
+            ),
+            (
+                "import_slice",
+                Box::new(|c| variant(c.import_slice(b"junk"))),
+                refused(viol),
+            ),
+            (
+                "adopt_table",
+                Box::new(|c| variant(c.adopt_table(b"junk"))),
+                refused(viol),
+            ),
+            (
+                "empty InvokeBatch",
+                Box::new(
+                    |c| match HostReply::from_bytes(&answer_ecall(c, 0, &empty_batch)) {
+                        Ok(HostReply::BatchOk { replies, .. }) if replies.is_empty() => "Ok".into(),
+                        Ok(HostReply::Err(e)) => variant::<()>(Err(e.into_lcm_error())),
+                        other => panic!("{other:?}"),
+                    },
+                ),
+                refused("Ok"),
+            ),
+        ];
+        let phases = [Created, AwaitingProvision, Ready, Migrated, Halted];
+        for (entry, call, want) in &rows {
+            let got = phases.map(|phase| call(&mut in_state(phase)));
+            assert_eq!(got, *want, "{entry} in {phases:?}");
+        }
+        // Identity and attestation answer from every state as before.
+        let solo = Some(ShardIdentity::SOLO);
+        let identities = phases.map(|phase| in_state(phase).identity());
+        assert_eq!(identities, [None, None, solo, solo, solo]);
+        let challenge = lcm_crypto::sha256::digest(b"challenge");
+        for (phase, identity) in phases.iter().zip(identities) {
+            let report = in_state(*phase).attest(challenge);
+            assert_eq!(report.user_data, attest_user_data(&challenge, identity));
+        }
     }
 
     #[test]

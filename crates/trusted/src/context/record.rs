@@ -8,102 +8,6 @@
 use super::*;
 
 impl<F: Functionality> TrustedContext<F> {
-    /// Opens a blob of storage kind `kind` sealed under `kP` with
-    /// `label`. Anything but an intact blob of that kind is tampering:
-    /// the context halts. Requires `self.keys` (at least `kP`).
-    fn open_sealed(&mut self, blob: &[u8], kind: u8, label: &[u8]) -> Result<Vec<u8>> {
-        let opened = open_blob(&self.keys()?.aead_p, blob, kind, label);
-        opened.ok_or_else(|| self.halt(Violation::BadAuthentication))
-    }
-
-    /// Restores from a kind-tagged sealed state blob: a checkpoint or
-    /// a delta-log bundle. Requires `self.keys` (at least `kP`).
-    /// Returns the identity of the context that sealed it.
-    pub(super) fn restore_sealed_state(&mut self, state_blob: &[u8]) -> Result<ShardIdentity> {
-        let (ckpt, deltas) = match state_blob.first() {
-            Some(&BLOB_KIND_BUNDLE) => crate::blob::parse_bundle(state_blob)
-                .ok_or_else(|| self.halt(Violation::BadAuthentication))?,
-            _ => (state_blob, Vec::new()),
-        };
-        let plain = self.open_sealed(ckpt, BLOB_KIND_CHECKPOINT, LABEL_STATE_BLOB)?;
-        let sealer = self.restore_state(&plain)?;
-        if deltas.is_empty() {
-            return Ok(sealer);
-        }
-        // `V`'s entries of the whole journal are applied at its end,
-        // with one rebuild of the stability index instead of one
-        // update per entry: nothing on this path reads the index.
-        let mut entries = Vec::with_capacity(deltas.len());
-        for delta in deltas {
-            let Some(dv) = self.apply_delta(delta)? else {
-                // A journal the storage itself assembled must be one
-                // unbroken chain: the host spliced records across
-                // generations or reordered it.
-                return Err(self.halt(Violation::BadAuthentication));
-            };
-            entries.push(dv);
-            // The log still holds this delta: it counts toward the
-            // checkpoint cadence exactly as when emitted.
-            self.cadence.delta(delta.len());
-        }
-        self.v.replay_entries(entries);
-        self.resume_from_latest();
-        Ok(sealer)
-    }
-
-    /// Opens one sealed delta and replays it onto the current state —
-    /// the one function behind delta-by-delta recovery *and* a
-    /// follower's apply of a replication record — all but its entries
-    /// of `V`, which it returns for the caller to apply: one delta's at
-    /// once on the replication path, a whole journal's at its end on
-    /// the recovery path. The delta applies only at the chain position
-    /// it was sealed against: `Ok(None)`, with nothing mutated, when
-    /// this context stands anywhere else. What that means is the
-    /// caller's to say — a broken journal on the recovery path, a
-    /// record delivered out of turn on the replication path. The label
-    /// it opens under picks the position rule ([`tag_chained`] or not).
-    fn apply_delta(&mut self, delta: &[u8]) -> Result<Option<VMap>> {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let applied = self.apply_delta_in(delta, &mut scratch);
-        self.scratch = scratch;
-        applied
-    }
-
-    fn apply_delta_in(&mut self, delta: &[u8], scratch: &mut Vec<u8>) -> Result<Option<VMap>> {
-        scratch.clear();
-        scratch.extend_from_slice(delta.strip_prefix(&[BLOB_KIND_DELTA]).unwrap_or_default());
-        let key = &self.keys()?.aead_p;
-        let (plain, by_tag) = match key.open_in_place(LABEL_DELTA_BLOB, scratch) {
-            Ok(plain) => (plain, true),
-            Err(_) => match key.open_in_place(LABEL_DELTA_BLOB_V1, scratch) {
-                Ok(plain) => (plain, false),
-                Err(_) => return Err(self.halt(Violation::BadAuthentication)),
-            },
-        };
-        let mut r = Reader::new(plain);
-        let decoded = (|| -> std::result::Result<_, CodecError> {
-            let prev = r.get_digest()?;
-            let floor = SeqNo::decode(&mut r)?;
-            let dv = crate::stability::decode_vmap(&mut r)?;
-            let f_delta = r.get_bytes()?;
-            r.finish()?;
-            Ok((prev, floor, dv, f_delta))
-        })();
-        let (prev, floor, dv, f_delta) =
-            decoded.map_err(|_| self.halt(Violation::BadAuthentication))?;
-        if prev != self.persist_anchor {
-            return Ok(None);
-        }
-        self.stable_floor = floor;
-        self.f.apply_delta(f_delta)?;
-        self.persist_anchor = if by_tag {
-            tag_chained(&prev, delta)
-        } else {
-            lcm_crypto::sha256::digest_parts(&[ANCHOR_DELTA, plain])
-        };
-        Ok(Some(dv))
-    }
-
     /// Applies one record of the group's replication stream on this
     /// member — the single follower entry point of the
     /// replicated-shard design. The record's kind byte picks the path,
@@ -149,34 +53,9 @@ impl<F: Functionality> TrustedContext<F> {
     ///   position; state unchanged, the context keeps serving.
     /// * [`LcmError::Violation`] — the record failed authentication or
     ///   names a different shard group; the context halts.
-    /// * [`LcmError::NotProvisioned`] / [`LcmError::Halted`] — wrong
-    ///   phase.
+    /// * [`LcmError::NotProvisioned`] / [`LcmError::Halted`] — not ready.
     pub fn apply_replica(&mut self, record: &[u8]) -> Result<(aead::Tag, PersistBlobs)> {
-        let (own, _) = self.require_ready()?;
-        let state_blob = if record.first() == Some(&BLOB_KIND_DELTA) {
-            let Some(dv) = self.apply_delta(record)? else {
-                return Err(LcmError::RecordOutOfOrder);
-            };
-            self.v.apply_entries(dv);
-            self.resume_from_latest();
-            if self.cadence.allows_delta() {
-                self.cadence.delta(record.len());
-                record.to_vec()
-            } else {
-                self.seal_checkpoint(false)?
-            }
-        } else {
-            let sealer = self.restore_sealed_state(record)?;
-            if !sealer.same_group(&own) {
-                // The host shipped another shard's state here.
-                let epoch = self.table.epoch();
-                return Err(self.halt_wrong_shard(own.index, ClientId(0), sealer.index, epoch));
-            }
-            self.identity = Some(own);
-            self.seal_checkpoint(false)?
-        };
-        let blobs = PersistBlobs::state_only(state_blob, None);
-        Ok((aead::tag_of(record), blobs))
+        self.serving(|ready, state| state.apply_replica(ready, record))
     }
 
     /// Seals the current protocol + service state as a full checkpoint
@@ -188,119 +67,10 @@ impl<F: Functionality> TrustedContext<F> {
     ///
     /// # Errors
     ///
-    /// * [`LcmError::NotProvisioned`] when no keys are installed.
+    /// * [`LcmError::NotProvisioned`] / [`LcmError::Halted`] — not
+    ///   ready: only a ready context holds keys to seal with.
     pub fn persist_blobs(&mut self) -> Result<PersistBlobs> {
-        self.seal_blobs(true)
-    }
-
-    /// The key blob and a checkpoint, in the nonce order every
-    /// control-plane persist has always used.
-    pub(super) fn seal_blobs(&mut self, reroot: bool) -> Result<PersistBlobs> {
-        // Unprovisioned, this fails before it draws a nonce.
-        self.keys()?;
-        let seal_key = AeadKey::from_secret(&self.services.sealing_key());
-        let nonce = self.next_nonce();
-        let keys = self.keys()?;
-        let key_blob = seal_message(
-            &seal_key,
-            &nonce,
-            LABEL_KEY_BLOB,
-            &[BLOB_KIND_OPAQUE],
-            2 * lcm_crypto::keys::KEY_LEN,
-            |w| {
-                w.put_raw(keys.k_p.as_bytes());
-                w.put_raw(keys.k_a.as_bytes());
-            },
-        )?;
-        Ok(PersistBlobs {
-            key_blob,
-            state_blob: self.seal_checkpoint(reroot)?,
-            record: None,
-        })
-    }
-
-    /// Seals the whole protocol + service state as a kind-tagged
-    /// checkpoint. With `reroot` the chain takes a fresh random root
-    /// first; without, the checkpoint records the position the context
-    /// stands at — only correct right after a delta (sealed or
-    /// applied) or an install put it there (see the
-    /// [module docs](super#chain-position)).
-    fn seal_checkpoint(&mut self, reroot: bool) -> Result<Vec<u8>> {
-        let nonce = self.next_nonce();
-        if reroot {
-            // The unique nonce makes the root distinct per checkpoint.
-            self.persist_anchor = lcm_crypto::sha256::digest_parts(&[ANCHOR_CKPT, &nonce]);
-        }
-
-        // Reset the functionality's change tracking: the snapshot below
-        // is the new baseline deltas build on.
-        let _ = self.f.take_delta();
-        let keys = self.keys()?;
-        // The state is encoded where it is sealed; the last
-        // checkpoint's size is the estimate the buffer starts from.
-        let sealed = seal_message(
-            &keys.aead_p,
-            &nonce,
-            LABEL_STATE_BLOB,
-            &[BLOB_KIND_CHECKPOINT],
-            self.cadence.checkpoint_len() + self.cadence.checkpoint_len() / 8,
-            |w| self.encode_state(keys, w),
-        )?;
-        // Kind byte, nonce and tag around the plaintext.
-        let plain_len = sealed.len().saturating_sub(1 + gcm::MIN_SEALED_LEN);
-        self.cadence.checkpoint(plain_len);
-        self.touched.clear();
-        Ok(sealed)
-    }
-
-    /// The state record: the one encoding of a whole context, `(kC, V,
-    /// state)` of Alg. 2 with the §4.6 extensions beside them. A
-    /// checkpoint is this sealed under `kP`; a migration ticket is
-    /// `kP ‖ kA ‖` this, sealed for a sibling enclave;
-    /// [`TrustedContext::restore_state`] reads both.
-    fn encode_state(&self, keys: &Keys, w: &mut Writer) {
-        w.put_raw(keys.k_c.as_bytes());
-        w.put_u64(self.admin_seq);
-        self.stable_floor.encode(w);
-        self.v.quorum().encode(w);
-        self.identity.unwrap_or(ShardIdentity::SOLO).encode(w);
-        // The routing table seals with the rest of the protocol
-        // state: a rolled-back enclave thereby rolls back its table
-        // too, which is exactly what future-epoch wires expose.
-        self.table.encode(w);
-        crate::stability::encode_vmap(self.v.entries(), w);
-        w.put_sized(|w| self.f.snapshot_into(w));
-        w.put_digest(&self.persist_anchor);
-    }
-
-    /// Seals what changed since the last persisted blob — the stable
-    /// floor, the touched clients' `V` entries (with their cached
-    /// replies) and the functionality's own diff `f_delta` — as a
-    /// kind-tagged delta chained from the current position, and moves
-    /// the position past it by the sealed delta's tag.
-    fn seal_delta(&mut self, f_delta: &[u8]) -> Result<Vec<u8>> {
-        // Unprovisioned, this fails before it draws a nonce.
-        self.keys()?;
-        let nonce = self.next_nonce();
-        let keys = self.keys()?;
-        let delta = seal_message(
-            &keys.aead_p,
-            &nonce,
-            LABEL_DELTA_BLOB,
-            &[BLOB_KIND_DELTA],
-            // An entry of `V` with its cached reply, per touched
-            // client, beside the functionality's own diff.
-            64 + 160 * self.touched.len() + f_delta.len(),
-            |w| {
-                w.put_digest(&self.persist_anchor);
-                self.stable_floor.encode(w);
-                crate::stability::encode_vmap(self.v.entries_of(&self.touched), w);
-                w.put_bytes(f_delta);
-            },
-        )?;
-        self.persist_anchor = tag_chained(&self.persist_anchor, &delta);
-        self.touched.clear();
-        Ok(delta)
+        self.serving(|ready, state| state.seal_blobs(ready, true))
     }
 
     /// The per-batch persist.
@@ -324,84 +94,29 @@ impl<F: Functionality> TrustedContext<F> {
     ///
     /// # Errors
     ///
-    /// * [`LcmError::NotProvisioned`] when no keys are installed.
+    /// * [`LcmError::NotProvisioned`] / [`LcmError::Halted`] — not ready.
     pub fn persist_batch_blobs(&mut self) -> Result<PersistBlobs> {
-        let in_group = self.identity.is_some_and(|id| id.replicas > 1);
-        let log_delta = self.cadence.allows_delta();
-        if !(log_delta || in_group) {
-            return self.persist_blobs();
-        }
-        let Some(f_delta) = self.f.take_delta() else {
-            // The functionality does not track changes.
-            return self.persist_blobs();
-        };
-        let delta = self.seal_delta(&f_delta)?;
-        if log_delta {
-            self.cadence.delta(delta.len());
-            let record = in_group.then(|| delta.clone());
-            Ok(PersistBlobs::state_only(delta, record))
-        } else {
-            // Cadence checkpoint inside a group.
-            let checkpoint = self.seal_checkpoint(false)?;
-            Ok(PersistBlobs::state_only(checkpoint, Some(delta)))
-        }
-    }
-
-    /// Installs a state record ([`TrustedContext::encode_state`]) in
-    /// place of whatever this context held, `kC` included, and returns
-    /// the identity sealed into it. Requires `self.keys`.
-    fn restore_state(&mut self, plain: &[u8]) -> Result<ShardIdentity> {
-        let mut r = Reader::new(plain);
-        let k_c = read_key(&mut r)?;
-        let admin_seq = r.get_u64()?;
-        let stable_floor = SeqNo::decode(&mut r)?;
-        let quorum = Quorum::decode(&mut r)?;
-        let identity = ShardIdentity::decode(&mut r)?;
-        let table = SliceTable::decode(&mut r)?;
-        let v = crate::stability::decode_vmap(&mut r)?;
-        // Borrowed from the opened blob: the functionality decodes the
-        // O(state) part straight out of it.
-        let snapshot = r.get_bytes()?;
-        let anchor = r.get_digest()?;
-        r.finish()?;
-
-        self.f.restore(snapshot)?;
-        self.admin_seq = admin_seq;
-        self.stable_floor = stable_floor;
-        self.identity = Some(identity);
-        self.table = table;
-        self.v.replace(v, quorum);
-        self.persist_anchor = anchor;
-        self.cadence.checkpoint(plain.len());
-        self.touched.clear();
-        self.rotate_kc(k_c);
-        self.resume_from_latest();
-        Ok(identity)
-    }
-
-    /// `(·, t, h) ← V[argmax(V)]` of Alg. 2: the context resumes from
-    /// the most recent operation recorded in `V`.
-    fn resume_from_latest(&mut self) {
-        (self.t, self.h) = self
-            .v
-            .latest()
-            .map_or((SeqNo::ZERO, ChainValue::GENESIS), |e| (e.t, e.h));
-    }
-
-    /// The enclave-to-enclave channel every ticket and bulletin is
-    /// sealed under (§4.6.2: the key same-program enclaves agree on).
-    fn migration_channel(&self) -> Result<AeadKey> {
-        let key = self.services.migration_key();
-        let key = key.ok_or_else(|| LcmError::Tee("platform has no migration channel".into()))?;
-        Ok(AeadKey::from_secret(&key))
-    }
-
-    /// Opens a ticket or bulletin a sibling enclave sealed under
-    /// `label`; anything but an intact one is tampering and halts.
-    fn open_ticket(&mut self, sealed: &[u8], label: &[u8]) -> Result<Vec<u8>> {
-        let channel = self.migration_channel()?;
-        aead::auth_decrypt(&channel, sealed, label)
-            .map_err(|_| self.halt(Violation::BadAuthentication))
+        self.serving(|ready, state| {
+            let in_group = ready.identity.replicas > 1;
+            let log_delta = state.cadence.allows_delta();
+            if !(log_delta || in_group) {
+                return state.seal_blobs(ready, true);
+            }
+            let Some(f_delta) = state.f.take_delta() else {
+                // The functionality does not track changes.
+                return state.seal_blobs(ready, true);
+            };
+            let delta = state.seal_delta(ready, &f_delta)?;
+            if log_delta {
+                state.cadence.delta(delta.len());
+                let record = in_group.then(|| delta.clone());
+                Ok(PersistBlobs::state_only(delta, record))
+            } else {
+                // Cadence checkpoint inside a group.
+                let checkpoint = state.seal_checkpoint(ready, false)?;
+                Ok(PersistBlobs::state_only(checkpoint, Some(delta)))
+            }
+        })
     }
 
     /// Exports the full context state as a migration ticket encrypted
@@ -414,29 +129,29 @@ impl<F: Functionality> TrustedContext<F> {
     /// # Errors
     ///
     /// * [`LcmError::Tee`] — no migration channel on this platform.
-    /// * [`LcmError::NotProvisioned`] / [`LcmError::Halted`] — wrong
-    ///   phase.
+    /// * [`LcmError::NotProvisioned`] / [`LcmError::Halted`] — not ready.
     pub fn export_migration(&mut self) -> Result<Vec<u8>> {
-        self.require_ready()?;
-        let channel = self.migration_channel()?;
-        let nonce = self.next_nonce();
-        let keys = self.keys()?;
-        let ticket = seal_message(
-            &channel,
-            &nonce,
-            LABEL_MIGRATION,
-            &[],
-            2 * lcm_crypto::keys::KEY_LEN
-                + self.cadence.checkpoint_len()
-                + self.cadence.checkpoint_len() / 8,
-            |w| {
-                w.put_raw(keys.k_p.as_bytes());
-                w.put_raw(keys.k_a.as_bytes());
-                self.encode_state(keys, w);
-            },
-        )?;
+        let (ticket, identity) = self.serving(|ready, state| {
+            let channel = state.migration_channel()?;
+            let nonce = ready.nonces.next(&state.services);
+            let ticket = seal_message(
+                &channel,
+                &nonce,
+                LABEL_MIGRATION,
+                &[],
+                2 * lcm_crypto::keys::KEY_LEN
+                    + state.cadence.checkpoint_len()
+                    + state.cadence.checkpoint_len() / 8,
+                |w| {
+                    w.put_raw(ready.keys.k_p.as_bytes());
+                    w.put_raw(ready.keys.k_a.as_bytes());
+                    state.encode_state(ready, w);
+                },
+            )?;
+            Ok((ticket, ready.identity))
+        })?;
         // "At this point, T stops processing requests" (§4.6.2).
-        self.phase = Phase::Migrated;
+        self.life = Lifecycle::Migrated(identity);
         Ok(ticket)
     }
 
@@ -466,7 +181,7 @@ impl<F: Functionality> TrustedContext<F> {
         ticket: &[u8],
         slot: Option<(u32, u32)>,
     ) -> Result<PersistBlobs> {
-        if self.phase != Phase::AwaitingProvision {
+        if !matches!(self.life, Lifecycle::AwaitingProvision) {
             return Err(LcmError::AlreadyProvisioned);
         }
         if let Some((replica, replicas)) = slot.filter(|&(r, n)| r >= n) {
@@ -474,15 +189,13 @@ impl<F: Functionality> TrustedContext<F> {
                 "invalid replica override {replica}/{replicas}"
             )));
         }
-        let plain = self.open_ticket(ticket, LABEL_MIGRATION)?;
+        let opened = self.state.open_ticket(ticket, LABEL_MIGRATION);
+        let plain = self.halting(opened)?;
         let mut r = Reader::new(&plain);
         let (k_p, k_a) = (read_key(&mut r)?, read_key(&mut r)?);
-        self.keys = Some(Keys::resuming(k_p, k_a));
-        let sealed_as = self.restore_state(r.get_rest())?;
-        if let Some((replica, replicas)) = slot {
-            self.identity = Some(sealed_as.with_replica(replica, replicas));
-        }
-        self.phase = Phase::Ready;
+        let (k_c, sealed_as) = self.state.restore_state(r.get_rest())?;
+        let identity = slot.map_or(sealed_as, |(replica, n)| sealed_as.with_replica(replica, n));
+        self.life = Lifecycle::ready(identity, k_p, k_c, k_a);
         self.persist_blobs()
     }
 
@@ -509,15 +222,380 @@ impl<F: Functionality> TrustedContext<F> {
     ///   owned here, the destination is out of range, or the
     ///   functionality does not support partition extraction. The
     ///   context state is unchanged (host bugs, not attacks).
-    /// * [`LcmError::NotProvisioned`] / [`LcmError::Halted`] — wrong
-    ///   phase.
+    /// * [`LcmError::NotProvisioned`] / [`LcmError::Halted`] — not ready.
     pub fn export_slice(&mut self, slice: u32, to: u32) -> Result<SliceExport> {
-        let (identity, _) = self.require_ready()?;
+        self.serving(|ready, state| state.export_slice(ready, slice, to))
+    }
+
+    /// Adopts one routing slice exported by a sibling shard via
+    /// [`TrustedContext::export_slice`]: validates the sealed ticket,
+    /// applies the slice's partition of the service state as the
+    /// functionality delta it is, and advances to the epoch-bumped
+    /// table.
+    ///
+    /// Replaying a ticket is harmless: once this shard sits at the
+    /// bumped epoch the ticket's table no longer succeeds its own and
+    /// the import is refused without any state change — which is
+    /// exactly what makes crash-retry of a half-done migration safe.
+    ///
+    /// # Errors
+    ///
+    /// * [`LcmError::Violation`] — the ticket failed authentication or
+    ///   assigns the slice to a different shard (a misdelivered ticket
+    ///   is host misbehaviour); the context halts.
+    /// * [`LcmError::Tee`] — epoch mismatch (stale or premature
+    ///   ticket) or a deployment-shape mismatch; state unchanged.
+    /// * [`LcmError::NotProvisioned`] / [`LcmError::Halted`] — not ready.
+    pub fn import_slice(&mut self, ticket: &[u8]) -> Result<PersistBlobs> {
+        self.serving(|ready, state| {
+            let plain = state.open_ticket(ticket, LABEL_SLICE_TICKET)?;
+            let mut r = Reader::new(&plain);
+            let decoded = (|| -> std::result::Result<_, CodecError> {
+                let slice = r.get_u32()?;
+                let table = SliceTable::decode(&mut r)?;
+                let partition = r.get_bytes()?;
+                r.finish()?;
+                Ok((slice, table, partition))
+            })();
+            let (slice, table, partition) = decoded.map_err(|_| Violation::BadAuthentication)?;
+            let (to, here) = (table.owner(slice), ready.identity.index);
+            if to != here {
+                // An intact ticket delivered to the wrong shard: the host
+                // redirected it, exactly like a misdelivered wire.
+                return Err(state.wrong_shard(here, ClientId(0), to, table.epoch()));
+            }
+            state.check_successor(ready.identity, &table, "slice ticket")?;
+            state.f.apply_delta(partition)?;
+            state.table = table;
+            state.seal_blobs(ready, true)
+        })
+    }
+
+    /// Adopts an epoch-bumped slice table announced by a sibling's
+    /// [`TrustedContext::export_slice`] bulletin, so this bystander
+    /// shard judges wires against the same routing epoch as the pair
+    /// that moved the slice. A bulletin at or below the current epoch
+    /// is a harmless replay and changes nothing.
+    ///
+    /// # Errors
+    ///
+    /// * [`LcmError::Violation`] — the bulletin failed authentication;
+    ///   the context halts.
+    /// * [`LcmError::Tee`] — the bulletin skips epochs or names a
+    ///   different deployment shape; state unchanged.
+    /// * [`LcmError::NotProvisioned`] / [`LcmError::Halted`] — not ready.
+    pub fn adopt_table(&mut self, bulletin: &[u8]) -> Result<PersistBlobs> {
+        self.serving(|ready, state| {
+            let plain = state.open_ticket(bulletin, LABEL_SLICE_BULLETIN)?;
+            let table = SliceTable::from_bytes(&plain).map_err(|_| Violation::BadAuthentication)?;
+            if table.epoch() > state.table.epoch() {
+                state.check_successor(ready.identity, &table, "slice-table bulletin")?;
+                state.table = table;
+            }
+            state.seal_blobs(ready, true)
+        })
+    }
+}
+
+impl<F: Functionality> State<F> {
+    /// Restores the checkpoint of a kind-tagged sealed state blob — a
+    /// checkpoint or a delta-log bundle — opened under `aead_p`, and
+    /// returns the `kC` and the identity sealed into it, and the
+    /// bundle's deltas still to [replay](State::replay).
+    pub(super) fn restore_sealed_state<'a>(
+        &mut self,
+        aead_p: &AtRestKey,
+        state_blob: &'a [u8],
+    ) -> Result<(SecretKey, ShardIdentity, Vec<&'a [u8]>)> {
+        let (ckpt, deltas) = match state_blob.first() {
+            Some(&BLOB_KIND_BUNDLE) => crate::blob::parse_bundle(state_blob),
+            _ => Some((state_blob, Vec::new())),
+        }
+        .ok_or(Violation::BadAuthentication)?;
+        let opened = open_blob(aead_p, ckpt, BLOB_KIND_CHECKPOINT, LABEL_STATE_BLOB);
+        let (k_c, sealer) = self.restore_state(&opened.ok_or(Violation::BadAuthentication)?)?;
+        Ok((k_c, sealer, deltas))
+    }
+
+    /// Replays a bundle's deltas onto the checkpoint just restored.
+    pub(super) fn replay(&mut self, aead_p: &AtRestKey, deltas: &[&[u8]]) -> Result<()> {
+        if deltas.is_empty() {
+            return Ok(());
+        }
+        // `V`'s entries of the whole journal are applied at its end,
+        // with one rebuild of the stability index instead of one
+        // update per entry: nothing on this path reads the index.
+        let mut entries = Vec::with_capacity(deltas.len());
+        for delta in deltas {
+            let Some(dv) = self.apply_delta(aead_p, delta)? else {
+                // A journal the storage itself assembled must be one
+                // unbroken chain: the host spliced records across
+                // generations or reordered it.
+                return Err(Violation::BadAuthentication.into());
+            };
+            entries.push(dv);
+            // The log still holds this delta: it counts toward the
+            // checkpoint cadence exactly as when emitted.
+            self.cadence.delta(delta.len());
+        }
+        self.v.replay_entries(entries);
+        self.resume_from_latest();
+        Ok(())
+    }
+
+    /// Opens one sealed delta and replays it onto the current state —
+    /// the one function behind delta-by-delta recovery *and* a
+    /// follower's apply of a replication record — all but its entries
+    /// of `V`, which it returns for the caller to apply: one delta's at
+    /// once on the replication path, a whole journal's at its end on
+    /// the recovery path. The delta applies only at the chain position
+    /// it was sealed against: `Ok(None)`, with nothing mutated, when
+    /// this context stands anywhere else. What that means is the
+    /// caller's to say — a broken journal on the recovery path, a
+    /// record delivered out of turn on the replication path. The label
+    /// it opens under picks the position rule ([`tag_chained`] or not).
+    fn apply_delta(&mut self, aead_p: &AtRestKey, delta: &[u8]) -> Result<Option<VMap>> {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let applied = self.apply_delta_in(aead_p, delta, &mut scratch);
+        self.scratch = scratch;
+        applied
+    }
+
+    fn apply_delta_in(
+        &mut self,
+        aead_p: &AtRestKey,
+        delta: &[u8],
+        scratch: &mut Vec<u8>,
+    ) -> Result<Option<VMap>> {
+        scratch.clear();
+        scratch.extend_from_slice(delta.strip_prefix(&[BLOB_KIND_DELTA]).unwrap_or_default());
+        let (plain, by_tag) = match aead_p.open_in_place(LABEL_DELTA_BLOB, scratch) {
+            Ok(plain) => (plain, true),
+            Err(_) => match aead_p.open_in_place(LABEL_DELTA_BLOB_V1, scratch) {
+                Ok(plain) => (plain, false),
+                Err(_) => return Err(Violation::BadAuthentication.into()),
+            },
+        };
+        let mut r = Reader::new(plain);
+        let decoded = (|| -> std::result::Result<_, CodecError> {
+            let prev = r.get_digest()?;
+            let floor = SeqNo::decode(&mut r)?;
+            let dv = crate::stability::decode_vmap(&mut r)?;
+            let f_delta = r.get_bytes()?;
+            r.finish()?;
+            Ok((prev, floor, dv, f_delta))
+        })();
+        let (prev, floor, dv, f_delta) = decoded.map_err(|_| Violation::BadAuthentication)?;
+        if prev != self.persist_anchor {
+            return Ok(None);
+        }
+        self.stable_floor = floor;
+        self.f.apply_delta(f_delta)?;
+        self.persist_anchor = if by_tag {
+            tag_chained(&prev, delta)
+        } else {
+            lcm_crypto::sha256::digest_parts(&[ANCHOR_DELTA, plain])
+        };
+        Ok(Some(dv))
+    }
+
+    fn apply_replica(
+        &mut self,
+        ready: &mut Ready,
+        record: &[u8],
+    ) -> Result<(aead::Tag, PersistBlobs)> {
+        let state_blob = if record.first() == Some(&BLOB_KIND_DELTA) {
+            let Some(dv) = self.apply_delta(&ready.keys.aead_p, record)? else {
+                return Err(LcmError::RecordOutOfOrder);
+            };
+            self.v.apply_entries(dv);
+            self.resume_from_latest();
+            if self.cadence.allows_delta() {
+                self.cadence.delta(record.len());
+                record.to_vec()
+            } else {
+                self.seal_checkpoint(ready, false)?
+            }
+        } else {
+            let (k_c, sealer, deltas) = self.restore_sealed_state(&ready.keys.aead_p, record)?;
+            ready.keys.rotate_kc(k_c);
+            self.replay(&ready.keys.aead_p, &deltas)?;
+            let own = ready.identity;
+            if !sealer.same_group(&own) {
+                // The host shipped another shard's state here.
+                let epoch = self.table.epoch();
+                return Err(self.wrong_shard(own.index, ClientId(0), sealer.index, epoch));
+            }
+            self.seal_checkpoint(ready, false)?
+        };
+        let blobs = PersistBlobs::state_only(state_blob, None);
+        Ok((aead::tag_of(record), blobs))
+    }
+
+    /// The key blob and a checkpoint, in the nonce order every
+    /// control-plane persist has always used.
+    pub(super) fn seal_blobs(&mut self, ready: &mut Ready, reroot: bool) -> Result<PersistBlobs> {
+        let seal_key = AeadKey::from_secret(&self.services.sealing_key());
+        let nonce = ready.nonces.next(&self.services);
+        let key_blob = seal_message(
+            &seal_key,
+            &nonce,
+            LABEL_KEY_BLOB,
+            &[BLOB_KIND_OPAQUE],
+            2 * lcm_crypto::keys::KEY_LEN,
+            |w| {
+                w.put_raw(ready.keys.k_p.as_bytes());
+                w.put_raw(ready.keys.k_a.as_bytes());
+            },
+        )?;
+        Ok(PersistBlobs {
+            key_blob,
+            state_blob: self.seal_checkpoint(ready, reroot)?,
+            record: None,
+        })
+    }
+
+    /// Seals the whole protocol + service state as a kind-tagged
+    /// checkpoint. With `reroot` the chain takes a fresh random root
+    /// first; without, the checkpoint records the position the context
+    /// stands at — only correct right after a delta (sealed or
+    /// applied) or an install put it there (see the
+    /// [module docs](super#chain-position)).
+    fn seal_checkpoint(&mut self, ready: &mut Ready, reroot: bool) -> Result<Vec<u8>> {
+        let nonce = ready.nonces.next(&self.services);
+        if reroot {
+            // The unique nonce makes the root distinct per checkpoint.
+            self.persist_anchor = lcm_crypto::sha256::digest_parts(&[ANCHOR_CKPT, &nonce]);
+        }
+
+        // Reset the functionality's change tracking: the snapshot below
+        // is the new baseline deltas build on.
+        let _ = self.f.take_delta();
+        // The state is encoded where it is sealed; the last
+        // checkpoint's size is the estimate the buffer starts from.
+        let sealed = seal_message(
+            &ready.keys.aead_p,
+            &nonce,
+            LABEL_STATE_BLOB,
+            &[BLOB_KIND_CHECKPOINT],
+            self.cadence.checkpoint_len() + self.cadence.checkpoint_len() / 8,
+            |w| self.encode_state(ready, w),
+        )?;
+        // Kind byte, nonce and tag around the plaintext.
+        let plain_len = sealed.len().saturating_sub(1 + gcm::MIN_SEALED_LEN);
+        self.cadence.checkpoint(plain_len);
+        self.touched.clear();
+        Ok(sealed)
+    }
+
+    /// The state record: the one encoding of a whole context, `(kC, V,
+    /// state)` of Alg. 2 with the §4.6 extensions beside them. A
+    /// checkpoint is this sealed under `kP`; a migration ticket is
+    /// `kP ‖ kA ‖` this, sealed for a sibling enclave;
+    /// [`State::restore_state`] reads both.
+    fn encode_state(&self, ready: &Ready, w: &mut Writer) {
+        w.put_raw(ready.keys.k_c.as_bytes());
+        w.put_u64(self.admin_seq);
+        self.stable_floor.encode(w);
+        self.v.quorum().encode(w);
+        ready.identity.encode(w);
+        // The routing table seals with the rest of the protocol
+        // state: a rolled-back enclave thereby rolls back its table
+        // too, which is exactly what future-epoch wires expose.
+        self.table.encode(w);
+        crate::stability::encode_vmap(self.v.entries(), w);
+        w.put_sized(|w| self.f.snapshot_into(w));
+        w.put_digest(&self.persist_anchor);
+    }
+
+    /// Seals what changed since the last persisted blob — the stable
+    /// floor, the touched clients' `V` entries (with their cached
+    /// replies) and the functionality's own diff `f_delta` — as a
+    /// kind-tagged delta chained from the current position, and moves
+    /// the position past it by the sealed delta's tag.
+    fn seal_delta(&mut self, ready: &mut Ready, f_delta: &[u8]) -> Result<Vec<u8>> {
+        let nonce = ready.nonces.next(&self.services);
+        let delta = seal_message(
+            &ready.keys.aead_p,
+            &nonce,
+            LABEL_DELTA_BLOB,
+            &[BLOB_KIND_DELTA],
+            // An entry of `V` with its cached reply, per touched
+            // client, beside the functionality's own diff.
+            64 + 160 * self.touched.len() + f_delta.len(),
+            |w| {
+                w.put_digest(&self.persist_anchor);
+                self.stable_floor.encode(w);
+                crate::stability::encode_vmap(self.v.entries_of(&self.touched), w);
+                w.put_bytes(f_delta);
+            },
+        )?;
+        self.persist_anchor = tag_chained(&self.persist_anchor, &delta);
+        self.touched.clear();
+        Ok(delta)
+    }
+
+    /// Installs a state record ([`State::encode_state`]) in place of
+    /// whatever this context held, and returns the `kC` and the
+    /// identity sealed into it: the caller's to install.
+    fn restore_state(&mut self, plain: &[u8]) -> Result<(SecretKey, ShardIdentity)> {
+        let mut r = Reader::new(plain);
+        let k_c = read_key(&mut r)?;
+        let admin_seq = r.get_u64()?;
+        let stable_floor = SeqNo::decode(&mut r)?;
+        let quorum = Quorum::decode(&mut r)?;
+        let identity = ShardIdentity::decode(&mut r)?;
+        let table = SliceTable::decode(&mut r)?;
+        let v = crate::stability::decode_vmap(&mut r)?;
+        // Borrowed from the opened blob: the functionality decodes the
+        // O(state) part straight out of it.
+        let snapshot = r.get_bytes()?;
+        let anchor = r.get_digest()?;
+        r.finish()?;
+
+        self.f.restore(snapshot)?;
+        self.admin_seq = admin_seq;
+        self.stable_floor = stable_floor;
+        self.table = table;
+        self.v.replace(v, quorum);
+        self.persist_anchor = anchor;
+        self.cadence.checkpoint(plain.len());
+        self.touched.clear();
+        self.resume_from_latest();
+        Ok((k_c, identity))
+    }
+
+    /// `(·, t, h) ← V[argmax(V)]` of Alg. 2: the context resumes from
+    /// the most recent operation recorded in `V`.
+    fn resume_from_latest(&mut self) {
+        (self.t, self.h) = self
+            .v
+            .latest()
+            .map_or((SeqNo::ZERO, ChainValue::GENESIS), |e| (e.t, e.h));
+    }
+
+    /// The enclave-to-enclave channel every ticket and bulletin is
+    /// sealed under (§4.6.2: the key same-program enclaves agree on).
+    fn migration_channel(&self) -> Result<AeadKey> {
+        let key = self.services.migration_key();
+        let key = key.ok_or_else(|| LcmError::Tee("platform has no migration channel".into()))?;
+        Ok(AeadKey::from_secret(&key))
+    }
+
+    /// Opens a ticket or bulletin a sibling enclave sealed under
+    /// `label`; anything but an intact one is tampering.
+    fn open_ticket(&self, sealed: &[u8], label: &[u8]) -> Result<Vec<u8>> {
         let channel = self.migration_channel()?;
-        if slice >= crate::routing::SLICE_COUNT || self.table.owner(slice) != identity.index {
+        let opened = aead::auth_decrypt(&channel, sealed, label);
+        opened.map_err(|_| Violation::BadAuthentication.into())
+    }
+
+    fn export_slice(&mut self, ready: &mut Ready, slice: u32, to: u32) -> Result<SliceExport> {
+        let channel = self.migration_channel()?;
+        let here = ready.identity.index;
+        if slice >= crate::routing::SLICE_COUNT || self.table.owner(slice) != here {
             return Err(LcmError::Tee(format!(
-                "shard {} does not own slice {slice}",
-                identity.index
+                "shard {here} does not own slice {slice}"
             )));
         }
         let new_table = self
@@ -537,7 +615,7 @@ impl<F: Functionality> TrustedContext<F> {
         let table = new_table.to_bytes();
         self.table = new_table;
 
-        let nonce = self.next_nonce();
+        let nonce = ready.nonces.next(&self.services);
         let ticket = seal_message(
             &channel,
             &nonce,
@@ -550,7 +628,7 @@ impl<F: Functionality> TrustedContext<F> {
                 w.put_bytes(&partition);
             },
         )?;
-        let nonce = self.next_nonce();
+        let nonce = ready.nonces.next(&self.services);
         let bulletin = seal_message(
             &channel,
             &nonce,
@@ -563,7 +641,7 @@ impl<F: Functionality> TrustedContext<F> {
         // Slice moves always checkpoint: the exported keys vanish from
         // this shard's state wholesale, which a dirty-set delta cannot
         // express against an arbitrary baseline.
-        let blobs = self.persist_blobs()?;
+        let blobs = self.seal_blobs(ready, true)?;
         Ok(SliceExport {
             ticket,
             bulletin,
@@ -588,78 +666,6 @@ impl<F: Functionality> TrustedContext<F> {
             )));
         }
         Ok(())
-    }
-
-    /// Adopts one routing slice exported by a sibling shard via
-    /// [`TrustedContext::export_slice`]: validates the sealed ticket,
-    /// applies the slice's partition of the service state as the
-    /// functionality delta it is, and advances to the epoch-bumped
-    /// table.
-    ///
-    /// Replaying a ticket is harmless: once this shard sits at the
-    /// bumped epoch the ticket's table no longer succeeds its own and
-    /// the import is refused without any state change — which is
-    /// exactly what makes crash-retry of a half-done migration safe.
-    ///
-    /// # Errors
-    ///
-    /// * [`LcmError::Violation`] — the ticket failed authentication or
-    ///   assigns the slice to a different shard (a misdelivered ticket
-    ///   is host misbehaviour); the context halts.
-    /// * [`LcmError::Tee`] — epoch mismatch (stale or premature
-    ///   ticket) or a deployment-shape mismatch; state unchanged.
-    /// * [`LcmError::NotProvisioned`] / [`LcmError::Halted`] — wrong
-    ///   phase.
-    pub fn import_slice(&mut self, ticket: &[u8]) -> Result<PersistBlobs> {
-        let (identity, _) = self.require_ready()?;
-        let plain = self.open_ticket(ticket, LABEL_SLICE_TICKET)?;
-        let mut r = Reader::new(&plain);
-        let decoded = (|| -> std::result::Result<_, CodecError> {
-            let slice = r.get_u32()?;
-            let table = SliceTable::decode(&mut r)?;
-            let partition = r.get_bytes()?;
-            r.finish()?;
-            Ok((slice, table, partition))
-        })();
-        let (slice, table, partition) =
-            decoded.map_err(|_| self.halt(Violation::BadAuthentication))?;
-        let (to, here) = (table.owner(slice), identity.index);
-        if to != here {
-            // An intact ticket delivered to the wrong shard: the host
-            // redirected it, exactly like a misdelivered wire.
-            return Err(self.halt_wrong_shard(here, ClientId(0), to, table.epoch()));
-        }
-        self.check_successor(identity, &table, "slice ticket")?;
-        self.f.apply_delta(partition)?;
-        self.table = table;
-        self.persist_blobs()
-    }
-
-    /// Adopts an epoch-bumped slice table announced by a sibling's
-    /// [`TrustedContext::export_slice`] bulletin, so this bystander
-    /// shard judges wires against the same routing epoch as the pair
-    /// that moved the slice. A bulletin at or below the current epoch
-    /// is a harmless replay and changes nothing.
-    ///
-    /// # Errors
-    ///
-    /// * [`LcmError::Violation`] — the bulletin failed authentication;
-    ///   the context halts.
-    /// * [`LcmError::Tee`] — the bulletin skips epochs or names a
-    ///   different deployment shape; state unchanged.
-    /// * [`LcmError::NotProvisioned`] / [`LcmError::Halted`] — wrong
-    ///   phase.
-    pub fn adopt_table(&mut self, bulletin: &[u8]) -> Result<PersistBlobs> {
-        let (identity, _) = self.require_ready()?;
-        let plain = self.open_ticket(bulletin, LABEL_SLICE_BULLETIN)?;
-        let table =
-            SliceTable::from_bytes(&plain).map_err(|_| self.halt(Violation::BadAuthentication))?;
-        if table.epoch() <= self.table.epoch() {
-            return self.persist_blobs();
-        }
-        self.check_successor(identity, &table, "slice-table bulletin")?;
-        self.table = table;
-        self.persist_blobs()
     }
 }
 
@@ -691,21 +697,20 @@ mod tests {
         invoke(&mut ctx, 1, SeqNo::ZERO, ChainValue::GENESIS, b"b").unwrap();
         invoke(&mut ctx, 3, first.t, first.h, b"c").unwrap();
         invoke(&mut ctx, 2, SeqNo::ZERO, ChainValue::GENESIS, b"d").unwrap();
-        assert_eq!(ctx.touched, [ClientId(1), ClientId(2), ClientId(3)]);
-        assert!(ctx.v.remove_member(ClientId(2)));
+        assert_eq!(ctx.state.touched, [ClientId(1), ClientId(2), ClientId(3)]);
+        assert!(ctx.state.v.remove_member(ClientId(2)));
 
         let clones: VMap = [ClientId(1), ClientId(3)]
             .iter()
-            .map(|c| (*c, ctx.v.get(*c).unwrap().clone()))
+            .map(|c| (*c, ctx.state.v.get(*c).unwrap().clone()))
             .collect();
         let mut want = Writer::new();
         encode_vmap(&clones, &mut want);
 
-        let delta = ctx.seal_delta(b"f-delta").unwrap();
-        assert!(ctx.touched.is_empty());
-        let plain = ctx
-            .open_sealed(&delta, BLOB_KIND_DELTA, LABEL_DELTA_BLOB)
-            .unwrap();
+        let delta = (ctx.serving(|ready, state| state.seal_delta(ready, b"f-delta"))).unwrap();
+        assert!(ctx.state.touched.is_empty());
+        let k_p = AtRestKey::from_secret(&SecretKey::from_bytes([1u8; 32]));
+        let plain = open_blob(&k_p, &delta, BLOB_KIND_DELTA, LABEL_DELTA_BLOB).unwrap();
         // prev anchor (32) ‖ stable floor (8) ‖ V entries ‖ F's delta
         let entries = &plain[40..plain.len() - (4 + b"f-delta".len())];
         assert_eq!(entries, want.as_slice());
@@ -729,13 +734,13 @@ mod tests {
         let world = world();
         let (mut ctx, _) = provisioned_context(&world);
         invoke(&mut ctx, 1, SeqNo::ZERO, ChainValue::GENESIS, b"a").unwrap();
-        let prev = ctx.persist_anchor;
-        let delta = ctx.seal_delta(b"f-delta").unwrap();
+        let prev = ctx.state.persist_anchor;
+        let delta = (ctx.serving(|ready, state| state.seal_delta(ready, b"f-delta"))).unwrap();
         let tag = &delta[delta.len() - 16..];
         let input = [ANCHOR_DELTA_TAG, prev.as_bytes(), &delta[1..13], tag].concat();
         assert_eq!(input.len(), 79);
-        assert_eq!(ctx.persist_anchor, lcm_crypto::sha256::digest(&input));
+        assert_eq!(ctx.state.persist_anchor, lcm_crypto::sha256::digest(&input));
         let pinned = "a5a03ec687e498326529da896bb618042464f5b2afcf34735f62d9fbe5a3b6c6";
-        assert_eq!(ctx.persist_anchor.to_hex(), pinned);
+        assert_eq!(ctx.state.persist_anchor.to_hex(), pinned);
     }
 }

@@ -693,16 +693,17 @@ fn sealed_at(delta: &[u8]) -> Vec<u8> {
     plain.unwrap()[..32].to_vec()
 }
 
-/// A host forks a member: it boots two enclaves from one medium and
-/// hands both the same wires. Each seals a delta at the one position
-/// the medium holds — the same plaintext, under its own lifetime's
-/// nonce — and the two deltas move their forks to different positions,
-/// each `H("lcm.delta-tag-chain" ‖ prev ‖ nonce ‖ tag)` of its own
-/// sealed bytes. Neither fork's next delta then fits the other: a
-/// follower that took one branch refuses the other's record, and a
-/// journal spliced from both halts the reboot.
-#[test]
-fn forks_of_one_medium_chain_apart_and_neither_s_next_delta_fits_the_other() {
+/// A member's medium after one batch, and the next two batches as two
+/// enclaves forked from it seal them.
+struct Forked {
+    pair: Pair<Counter>,
+    key_blob: Vec<u8>,
+    base: Vec<u8>,
+    /// `[[a1, b1], [a2, b2]]` for forks `a` and `b`.
+    batches: [[Vec<u8>; 2]; 2],
+}
+
+fn forked() -> Forked {
     let mut pair = Pair::<Counter>::new(19, Store::Blob, Store::Blob);
     pair.op(0, &inc(), false);
     pair.cut();
@@ -717,14 +718,36 @@ fn forks_of_one_medium_chain_apart_and_neither_s_next_delta_fits_the_other() {
     // Two batches, each one client's first operation, on both forks.
     let mut batch = |client: usize| {
         let wire = pair.clients[client].invoke_for::<Counter>(&inc()).unwrap();
-        forks.each_mut().map(|fork| {
-            fork.handle_invoke(&wire).unwrap();
-            fork.persist_batch_blobs().unwrap().record.unwrap()
+        [0, 1].map(|fork| {
+            forks[fork].handle_invoke(&wire).unwrap();
+            forks[fork].persist_batch_blobs().unwrap().record.unwrap()
         })
     };
-    let [a1, b1] = batch(1);
-    let [a2, b2] = batch(2);
+    let batches = [batch(1), batch(2)];
+    Forked {
+        pair,
+        key_blob,
+        base,
+        batches,
+    }
+}
 
+/// A host forks a member: it boots two enclaves from one medium and
+/// hands both the same wires. Each seals a delta at the one position
+/// the medium holds — the same plaintext, under its own lifetime's
+/// nonce — and the two deltas move their forks to different positions,
+/// each `H("lcm.delta-tag-chain" ‖ prev ‖ nonce ‖ tag)` of its own
+/// sealed bytes. Neither fork's next delta then fits the other: a
+/// follower that took one branch refuses the other's record, and a
+/// journal spliced from both halts the reboot.
+#[test]
+fn forks_of_one_medium_chain_apart_and_neither_s_next_delta_fits_the_other() {
+    let Forked {
+        pair,
+        key_blob,
+        base,
+        batches: [[a1, b1], [a2, b2]],
+    } = forked();
     let position = |prev: &[u8], d: &[u8]| {
         let input = [b"lcm.delta-tag-chain", prev, &d[1..13], &d[d.len() - 16..]].concat();
         lcm::crypto::sha256::digest(&input).as_bytes().to_vec()
@@ -765,6 +788,30 @@ fn forks_of_one_medium_chain_apart_and_neither_s_next_delta_fits_the_other() {
     assert_eq!(reboot([&b1, &a2]), halted);
     assert_eq!(reboot([&a1, &a2]), (Ok(3), Phase::Ready));
     assert_eq!(reboot([&b1, &b2]), (Ok(3), Phase::Ready));
+}
+
+/// A reboot from a journal spliced from two forks applies the first
+/// delta and halts on the second, so the halted context stands at a
+/// state no honest history holds: the first delta's counter with the
+/// checkpoint's `V`. The halt drops its keys: neither persist seals
+/// that state, so no fresh enclave boots it and signs a second
+/// operation under a sequence number it already gave out.
+#[test]
+fn a_context_halted_mid_journal_seals_nothing() {
+    let Forked {
+        pair,
+        key_blob,
+        base,
+        batches: [[a1, _], [_, b2]],
+    } = forked();
+    let mut ctx = boot::<Counter>(&pair.world, 1, 500);
+    let bundle = make_bundle(&base, [&a1[..], &b2[..]].into_iter());
+    let halt = ctx.init(Some(&key_blob), Some(&bundle), false);
+    assert_eq!(halt, Err(LcmError::Violation(Violation::BadAuthentication)));
+    assert_eq!(ctx.phase(), Phase::Halted);
+    assert_eq!(ctx.functionality().value(N), 2, "the first delta applied");
+    assert_eq!(ctx.persist_blobs(), Err(LcmError::Halted));
+    assert_eq!(ctx.persist_batch_blobs(), Err(LcmError::Halted));
 }
 
 /// A delta log that keeps every blob ever stored to it — every sealed
