@@ -81,6 +81,7 @@
 pub mod admin;
 pub mod admission;
 pub mod functionality;
+mod host;
 pub mod pipeline;
 pub mod program;
 pub mod replica;

@@ -946,12 +946,6 @@ pub trait BatchServer: Send {
     /// it: the epoch of the newest slice table any shard has
     /// installed. Static deployments stay at 0.
     fn routing_epoch(&self) -> u64;
-
-    /// Per-slice operation counts observed by the host's routing
-    /// front-end since the last call, drained (heat telemetry for
-    /// rebalancing). A one-shard deployment has no router and reports
-    /// an empty heat map.
-    fn take_slice_heat(&self) -> Vec<u64>;
 }
 
 /// A thread-safe verified-read surface: reader threads serve
@@ -1183,9 +1177,6 @@ impl<L: Lane + ?Sized> BatchServer for L {
     }
     fn routing_epoch(&self) -> u64 {
         0
-    }
-    fn take_slice_heat(&self) -> Vec<u64> {
-        Vec::new()
     }
 }
 

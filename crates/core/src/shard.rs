@@ -16,140 +16,22 @@
 //!          slice table └── ingress queue … ──▶ shard …                           ┘   (per-client FIFO)
 //! ```
 //!
-//! ## Routing: the epoch-versioned slice table
-//!
-//! The host cannot decrypt requests, so the *client* attaches a stable
-//! route hash in a plaintext envelope ([`crate::wire::RouteHint`]),
-//! derived from [`crate::functionality::Functionality::shard_key`] of
-//! the plaintext operation (or from the client identity when the
-//! functionality is not key-partitionable). The envelope — including
-//! the routing **epoch** the client stamped — is bound into the AEAD
-//! associated data (invoke *and* reply), so a host that rewrites
-//! routing metadata, replays a wire under a different epoch, or swaps
-//! two of a client's concurrent replies fails authentication.
-//!
-//! Routes no longer map to shards by a fixed `route % N`: the key
-//! space is cut into [`SLICE_COUNT`] **slices** (`route %
-//! SLICE_COUNT`), and an epoch-stamped [`SliceTable`] assigns each
-//! slice to a shard. Epoch 0 is the uniform table (equivalent to
-//! `route % N` for shard counts dividing the slice count); every
-//! [live slice migration](#live-slice-migration) derives the next
-//! epoch. Every party holds the table: each *enclave* carries it in
-//! its sealed checkpoint and recomputes ownership on every INVOKE,
-//! each *client* learns newer tables through authenticated redirect
-//! replies, and the *host* keeps the dense history so wires stamped
-//! with an old epoch still route to the shard that owned them when
-//! they were sent (that shard answers stale wires with a redirect; a
-//! host delivering by the newest table instead would scatter a slow
-//! client's in-flight wires across shards that never saw its chain).
-//!
-//! ## Live slice migration
-//!
-//! [`ShardedServer::rebalance_once`] (policy: [`plan_rebalance`] over
-//! drained per-slice heat counters) and [`BatchServer::migrate_slice`]
-//! (mechanism) move one slice between *running* enclaves:
-//!
-//! 1. the origin enclave exports the slice — a sealed **ticket**
-//!    (channel-key-encrypted: the new table, which names the target,
-//!    and the slice's records as a functionality delta) plus a
-//!    **bulletin** (the new table, sealed for every sibling) — and
-//!    installs the next-epoch table itself;
-//! 2. every bystander shard adopts the bulletin;
-//! 3. the target imports the ticket (state + table in one step);
-//! 4. the host appends the new table to its routing history.
-//!
-//! Every lane that installs the new table — the origin from its
-//! export on, each bystander from its adoption on — stays locked until
-//! the host has appended it, so the new epoch cannot leak to clients
-//! (via redirect stamps) before every shard has installed it. A member
-//! crash mid-handshake leaves a [`ShardedServer::pending_slice_move`] that
-//! [`ShardedServer::resume_slice_migration`] retries after reboot —
-//! each enclave step is idempotent, and an origin crash-stopped
-//! *after* its export recovers the post-export checkpoint, so the
-//! moved slice can never resurrect under the old epoch.
-//!
-//! ## Attested shard identity
-//!
-//! Every enclave carries its own
-//! [`crate::context::ShardIdentity`] `(index, count)`, delivered in a
-//! **per-shard provisioning payload** by the admin and bound into
-//! every attestation quote the enclave produces (see
-//! [`crate::context::attest_user_data`]). This turns routing into a
-//! *guarantee* rather than a host courtesy:
-//!
-//! * **Misdelivery is detected by the enclave itself.** On every
-//!   INVOKE the enclave checks that both the authenticated envelope
-//!   route *and* the route recomputed from the decrypted operation's
-//!   partition key fall in its own slices under its installed table;
-//!   a host that delivers an intact current-epoch wire to the wrong
-//!   shard — or stamps an epoch *newer* than the shard's table, the
-//!   signature of an enclave rolled back past a migration — trips
-//!   [`crate::Violation::WrongShard`], even for a client's very first
-//!   operation on a shard, with no client history required. A wire
-//!   honestly stamped with an *older* epoch for a slice that has since
-//!   moved away gets an authenticated redirect carrying the newer
-//!   table instead.
-//! * **The whole deployment is attested, not a representative.**
-//!   [`crate::admin::AdminHandle::bootstrap`] attests every lane
-//!   before provisioning, injects each lane's identity, and then
-//!   verifies one identity-bound quote per shard (a
-//!   [`crate::admin::DeploymentManifest`]); migration re-runs that
-//!   verification on the target deployment, and reboots recover the
-//!   identity from the sealed state, so a host cannot silently
-//!   reshuffle which enclave serves which slice.
-//! * Host-side attestation activity is observable per shard through
-//!   [`ShardStats::attested`].
-//!
-//! ## Protocol guarantees under sharding
-//!
-//! Each shard is a complete LCM instance: its own hash chain, V-map
-//! slice, sequence-number space, and stability watermark. Clients keep
-//! one `(tc, hc)` context *per shard* ([`crate::client::LcmClient`]
-//! handles this transparently), so rollback/fork detection holds
-//! per shard — power-failing or rolling back one shard is detected by
-//! exactly the clients with state there, while the other shards keep
-//! serving (fault isolation; see `tests/sharding.rs`).
-//!
-//! ## The reply book
-//!
-//! Shards complete batches concurrently; the **reply book** tracks
-//! each accepted wire from its ticket to its *settlement* — reply
-//! released, or ticket written off with a crash-stopped lane. It is
-//! one map of per-client **lines**: a client's unsettled tickets in
-//! submission order (shard, credit, admit time, dedup sequence, and
-//! the reply once booked, held while an earlier ticket is open) and
-//! its last released reply per shard for retry dedup. A line lives
-//! while it holds either — memory follows the clients with something
-//! pending or cached — and its oldest ticket sits inline, so a
-//! closed-loop client's line comes and goes without allocating.
-//! Issuing is one lookup and a push; booking a batch visits only the
-//! lines that batch answered, so the cost per operation does not
-//! depend on how many clients wait. Guarantees:
-//!
-//! 1. **Per-client order**: a client's replies are released in its
-//!    submission order, whichever shards answered first.
-//! 2. **Ticket order**: what one booking releases leaves in global
-//!    ticket order, keeping runs deterministic.
-//! 3. **Exactly once**: a ticket settles once, released or written
-//!    off; a repeat, or a reply to a ticket no longer held, is a no-op.
-//! 4. **Quiescence**: `issued == settled` exactly when no line holds
-//!    a ticket — what a pump with drivers attached waits on.
-//! 5. **A crash forgets** every pending ticket (settled wholesale),
-//!    cached reply and uncollected reply: a post-restart retry reaches
-//!    the enclave's §4.6.1 path, never a dead instance's reply.
-//! 6. **The enclave names the recipient**: a ticket is filed under its
-//!    envelope's client, its reply delivered under the id the enclave
-//!    reported.
-//!
-//! Locks nest lane → book → admission, never the reverse.
+//! Each shard is a complete LCM instance with its own chain, V-map and
+//! watermark, so detection holds per shard (`tests/sharding.rs`), and
+//! each enclave checks every wire against its attested identity
+//! (README, "Attested shard identity"). Where a wire goes, when a reply
+//! may leave and how a slice moves are the host's decisions, in
+//! `host.rs`; this module carries them out: the ingress, the lanes,
+//! their locks and the drivers.
 //!
 //! ## Concurrent driving
 //!
-//! The ingress plane, the lanes, and the ticket book live in a shared
-//! thread-safe core, so the deployment is **not** bound to a single
-//! driving thread: submission and lane driving need only `&self`, and
-//! any number of driver threads may pump different lanes at once (each
-//! lane is still stepped by at most one driver at a time). It is
+//! The ingress plane, the lanes, and the host's decisions live in a
+//! shared thread-safe core, so the deployment is **not** bound to a
+//! single driving thread: submission and lane driving need only
+//! `&self`, and any number of driver threads may pump different lanes
+//! at once (each lane is still stepped by at most one driver at a
+//! time). Locks nest lane → host → admission, never the reverse. It is
 //! driven in one of two ways:
 //!
 //! * **No drivers ⇒ the caller steps the server.** `submit` + `step` /
@@ -204,8 +86,7 @@
 //!
 //! Without drivers nobody is woken at all.
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicIsize, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -217,11 +98,12 @@ use lcm_storage::{NamespacedStorage, StableStorage};
 use lcm_tee::attestation::Quote;
 use lcm_tee::world::TeeWorld;
 
-use crate::admission::{AdmissionState, AdmitOutcome, RetryAfter, SettledTicket};
-use crate::codec::{Reader, WireCodec, Writer};
+use crate::admission::{AdmissionState, AdmitOutcome, RetryAfter};
 use crate::functionality::Functionality;
+pub use crate::host::plan_rebalance;
+use crate::host::{Core, Handshake};
+use crate::routing::SliceTable;
 pub use crate::routing::{route_for, route_hash, shard_index};
-use crate::routing::{slice_of, SliceTable, SLICE_COUNT};
 use crate::server::{BatchServer, Lane, LcmServer, ReadPort, Replies};
 use crate::transport::ReplyPlane;
 use crate::types::ClientId;
@@ -401,243 +283,22 @@ impl Shard {
     }
 }
 
-/// One ticket between issue and settlement.
-struct Pending {
-    ticket: u64,
-    /// The shard the wire was enqueued to.
-    shard: u32,
-    /// The envelope's authenticated client sequence, tracked for
-    /// retry dedup — `Some` only when the wire came through
-    /// [`ShardCore::try_submit`] with admission enabled (the plain
-    /// `submit` path stays dedup-free so retries reach the enclave,
-    /// whose §4.6.1 handling remains the backstop).
-    dedup_seq: Option<u64>,
-    /// Whether the ticket holds one of its tenant's admission credits.
-    credited: bool,
-    /// Start of the end-to-end latency sample recorded at release.
-    admitted: Instant,
-    /// The lane's answer once booked — `(client the enclave reported,
-    /// wire)` — held back while an earlier ticket of the line is open.
-    reply: Option<(ClientId, Vec<u8>)>,
-}
-
-/// Everything the book knows about one client: its unsettled tickets
-/// in submission order and, per shard, its last released reply. The
-/// oldest ticket sits inline, so the line of a closed-loop client (one
-/// operation in flight) is created and dropped without allocating.
-#[derive(Default)]
-struct Line {
-    /// The oldest unsettled ticket; `None` only when `tail` is empty.
-    head: Option<Pending>,
-    tail: VecDeque<Pending>,
-    /// `(shard, sequence, reply)` of the last reply *released* per
-    /// shard to a wire admitted with retry dedup: a retry whose reply
-    /// was lost on the way back is replayed from here instead of
-    /// re-executed. One buffer per client × shard, overwritten in
-    /// place.
-    cache: Vec<(u32, u64, Vec<u8>)>,
-}
-
-impl Line {
-    fn tickets(&mut self) -> impl Iterator<Item = &mut Pending> {
-        self.head.iter_mut().chain(self.tail.iter_mut())
-    }
-
-    fn pop(&mut self) -> Option<Pending> {
-        let p = self.head.take()?;
-        self.head = self.tail.pop_front();
-        Some(p)
-    }
-
-    /// Removes `ticket` from wherever in the line it is.
-    fn strike(&mut self, ticket: u64) -> Option<Pending> {
-        if self.head.as_ref()?.ticket == ticket {
-            return self.pop();
-        }
-        let at = self.tail.iter().position(|p| p.ticket == ticket)?;
-        self.tail.remove(at)
-    }
-
-    /// Settles `p`, which has just left the line — released with
-    /// `reply`, or written off (`None`: nothing to cache, no latency
-    /// sample) — and returns its record for the admission layer.
-    fn settle(
-        &mut self,
-        client: ClientId,
-        p: &Pending,
-        reply: Option<(&[u8], Instant)>,
-    ) -> SettledTicket {
-        if let (Some(seq), Some((wire, _))) = (p.dedup_seq, reply) {
-            match self.cache.iter_mut().find(|c| c.0 == p.shard) {
-                Some(cached) => {
-                    cached.1 = seq;
-                    cached.2.clear();
-                    cached.2.extend_from_slice(wire);
-                }
-                None => self.cache.push((p.shard, seq, wire.to_vec())),
-            }
-        }
-        SettledTicket {
-            client,
-            shard: p.shard,
-            latency: reply.map(|(_, now)| now.saturating_duration_since(p.admitted)),
-            credited: p.credited,
-        }
-    }
-}
-
-/// The reply demux book (see the module docs): every accepted wire's
-/// ticket from issue to settlement, plus the released replies awaiting
-/// collection.
-#[derive(Default)]
-struct ReplyBook {
-    next_ticket: u64,
-    /// Tickets handed out so far.
-    issued: u64,
-    /// Tickets released or written off.
-    settled: u64,
-    /// One line per client with something pending or cached.
-    lines: HashMap<ClientId, Line>,
-    /// Replies released in order but not yet collected by a caller —
-    /// the reply plane's out-buffer (survives a failing step, so
-    /// healthy shards' replies outlive a sibling's crash-stop).
-    ready: Replies,
-    /// First failure recorded by a lane drive since the last
-    /// collection (later failures in the same window are dropped, as
-    /// the single-driver server always did).
-    deferred_error: Option<LcmError>,
-}
-
-impl ReplyBook {
-    /// Hands out the next ticket, at the back of `client`'s line.
-    fn issue(
-        &mut self,
-        client: ClientId,
-        shard: u32,
-        dedup_seq: Option<u64>,
-        credited: bool,
-        admitted: Instant,
-    ) -> u64 {
-        let ticket = self.next_ticket;
-        self.next_ticket += 1;
-        self.issued += 1;
-        let line = self.lines.entry(client).or_default();
-        let p = Pending {
-            ticket,
-            shard,
-            dedup_seq,
-            credited,
-            admitted,
-            reply: None,
-        };
-        match line.head {
-            None => line.head = Some(p),
-            Some(_) => line.tail.push_back(p),
-        }
-        ticket
-    }
-
-    /// Answers a retry the book has already seen: a released reply is
-    /// replayed from the cache into `ready`, an operation still in
-    /// flight is coalesced. `None` means fresh work.
-    fn answer_retry(&mut self, client: ClientId, shard: u32, seq: u64) -> Option<AdmitOutcome> {
-        let line = self.lines.get_mut(&client)?;
-        if let Some(cached) = line.cache.iter().find(|c| (c.0, c.1) == (shard, seq)) {
-            self.ready.push((client, cached.2.clone()));
-            return Some(AdmitOutcome::ReplayedReply);
-        }
-        let mut on_shard = line.tickets().filter(|p| p.shard == shard);
-        let in_flight = on_shard.any(|p| p.dedup_seq == Some(seq));
-        in_flight.then_some(AdmitOutcome::DuplicateInFlight)
-    }
-
-    /// Settles what a lane reports of its tickets (each under its
-    /// envelope client): the reply it paired to one, or `None` for a
-    /// wire that died with the lane — written off, so that a
-    /// crash-stopped shard cannot stall other shards' replies to the
-    /// same clients. Releases whatever either unblocks; a ticket the
-    /// book no longer holds changes nothing. Returns the settlement
-    /// records for the admission layer (write-offs first, then the
-    /// released in ticket order); the caller forwards them after
-    /// dropping the book lock.
-    fn settle(
-        &mut self,
-        tickets: impl Iterator<Item = ((u64, ClientId), Option<(ClientId, Vec<u8>)>)>,
-        now: Instant,
-    ) -> Vec<SettledTicket> {
-        let mut settled = Vec::new();
-        let mut touched = Vec::with_capacity(tickets.size_hint().0);
-        for ((ticket, client), reply) in tickets {
-            let Some(line) = self.lines.get_mut(&client) else {
-                continue;
-            };
-            if reply.is_none() {
-                let Some(p) = line.strike(ticket) else {
-                    continue;
-                };
-                settled.push(line.settle(client, &p, None));
-            } else if let Some(p) = line.tickets().find(|p| p.ticket == ticket) {
-                p.reply = reply;
-            }
-            touched.push(client);
-        }
-        // Release only once every report is booked: a written-off
-        // ticket that held a reply must not ride out on an earlier
-        // one's release. This loop is the one place a reply leaves a
-        // line, and a line the book.
-        let mut released = Vec::with_capacity(touched.len());
-        for client in touched {
-            let Entry::Occupied(mut entry) = self.lines.entry(client) else {
-                continue;
-            };
-            let line = entry.get_mut();
-            while let Some(reply) = line.head.as_mut().and_then(|p| p.reply.take()) {
-                let p = line.pop().expect("the head just yielded its reply");
-                let record = line.settle(client, &p, Some((&reply.1, now)));
-                released.push((p.ticket, record, reply));
-            }
-            // Nothing pending and nothing cached: nothing to remember.
-            if line.head.is_none() && line.cache.is_empty() {
-                entry.remove();
-            }
-        }
-        released.sort_unstable_by_key(|&(ticket, ..)| ticket);
-        self.settled += (settled.len() + released.len()) as u64;
-        self.ready.reserve(released.len());
-        settled.reserve(released.len());
-        for (_, record, reply) in released {
-            settled.push(record);
-            self.ready.push(reply);
-        }
-        settled
-    }
-
-    /// The deployment crashed: every outstanding ticket settles
-    /// wholesale (they died with the process) and every pending
-    /// ticket, cached reply and uncollected reply is forgotten.
-    fn crash_reset(&mut self) {
-        self.lines.clear();
-        self.ready.clear();
-        self.deferred_error = None;
-        self.settled = self.issued;
-    }
-}
-
 /// The shared, thread-safe core of a sharded deployment: the ingress
 /// plane (per-shard bounded queues), the execution lanes, and the
-/// reply book. `ShardedServer` owns it behind an `Arc`; its driver
-/// threads, if it has any, and its client ports hold more. Everything
-/// here needs only `&self`: any number of
-/// producer threads may submit
-/// while any number of driver threads `drive` lanes; each lane is
-/// stepped by at most one driver at a time.
+/// host's decisions. `ShardedServer` owns it behind an `Arc`; its
+/// driver threads, if it has any, and its client ports hold more.
+/// Everything here needs only `&self`: any number of producer threads
+/// may submit while any number of driver threads `drive` lanes; each
+/// lane is stepped by at most one driver at a time.
 pub(crate) struct ShardCore {
     shards: Vec<Shard>,
-    book: Mutex<ReplyBook>,
-    /// Notified whenever `settled` advances or an error is recorded —
-    /// what [`ShardCore::wait_quiescent`] waits on. Like `work_cv`, a
-    /// counted wait point: the waiter registers under the mutex it
-    /// waits with (`book` here, `work` there), every notifier has
+    /// The reply book, the routing history, the heat and the pending
+    /// slice move, behind one lock (`host.rs`).
+    host: Mutex<Core>,
+    /// Notified whenever the book settles a ticket or an error is
+    /// recorded — what [`ShardCore::wait_quiescent`] waits on. Like
+    /// `work_cv`, a counted wait point: the waiter registers under the
+    /// mutex it waits with (`host` here, `work` there), every notifier has
     /// changed that mutex's state before it reads the count, so a
     /// notify with nobody parked is skipped and none is lost
     /// ([`lcm_runtime::parked`]).
@@ -657,31 +318,11 @@ pub(crate) struct ShardCore {
     /// [`ShardCore::try_submit`]. Disabled (a transparent
     /// pass-through) until configured.
     pub(crate) admission: Arc<AdmissionState>,
-    /// The host's view of the epoch-versioned slice table, as a dense
-    /// history (`routing[e]` is the table of epoch `e`). Old-epoch
-    /// wires route by the table *they were stamped under* — delivering
-    /// them by the newest table would scatter a slow client's
-    /// in-flight wires to shards whose per-client chains never saw
-    /// them. The enclaves redirect stale wires themselves; the host's
-    /// only job is to deliver each wire where its stamped epoch says.
-    ///
-    /// This history is process-lifetime host state: `crash`/`boot` of
-    /// the enclaves does not lose it (their own tables recover from
-    /// sealed checkpoints), and a whole-deployment migration carries
-    /// it to the target host beside the lanes' tickets. A *rebuilt*
-    /// host over previously migrated storage starts back at the
-    /// genesis table and cannot route post-migration epochs; re-prime
-    /// it by replaying the moves.
-    routing: Mutex<Vec<SliceTable>>,
-    /// Per-slice write-arrival counters ("heat"), indexed by
-    /// [`slice_of`] the routing hash. Drained by
-    /// [`BatchServer::take_slice_heat`] for the rebalance planner.
-    heat: Vec<AtomicU64>,
 }
 
 impl ShardCore {
     fn new(servers: Vec<Box<dyn Lane>>, ingress_capacity: usize) -> Self {
-        let n = servers.len();
+        let host = Mutex::new(Core::new(servers.len() as u32));
         ShardCore {
             shards: servers
                 .into_iter()
@@ -699,66 +340,17 @@ impl ShardCore {
                     backlog: AtomicIsize::new(0),
                 })
                 .collect(),
-            book: Mutex::new(ReplyBook::default()),
+            host,
             settled_cv: CountedCondvar::new(),
             work: Mutex::new(0),
             work_cv: CountedCondvar::new(),
             active_drivers: AtomicUsize::new(0),
             admission: Arc::new(AdmissionState::new()),
-            routing: Mutex::new(vec![SliceTable::uniform(n as u32)]),
-            heat: (0..SLICE_COUNT).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
-    fn book(&self) -> MutexGuard<'_, ReplyBook> {
-        self.book.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn routing(&self) -> MutexGuard<'_, Vec<SliceTable>> {
-        self.routing.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// The shard a wire stamped with `epoch` routes to. Epochs beyond
-    /// the history (a wire from a client that somehow learned a newer
-    /// table than the host) clamp to the newest table — the enclave
-    /// decides what such a wire means, not the host.
-    fn shard_for(&self, route: u32, epoch: u64) -> usize {
-        let tables = self.routing();
-        let idx = (epoch as usize).min(tables.len() - 1);
-        tables[idx].shard_of(route) as usize
-    }
-
-    /// The newest table (what new epochs are derived from).
-    fn current_table(&self) -> SliceTable {
-        self.routing()
-            .last()
-            .expect("history is never empty")
-            .clone()
-    }
-
-    fn routing_epoch(&self) -> u64 {
-        self.routing()
-            .last()
-            .expect("history is never empty")
-            .epoch()
-    }
-
-    /// Records one write arrival against the wire's slice.
-    fn note_heat(&self, route: u32) {
-        self.heat[slice_of(route) as usize].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Drains the per-slice heat counters (read-and-reset, so each
-    /// monitor pass sees one interval's arrivals, not history).
-    fn take_heat(&self) -> Vec<u64> {
-        self.heat
-            .iter()
-            .map(|h| h.swap(0, Ordering::Relaxed))
-            .collect()
-    }
-
-    fn notify_settled(&self) {
-        self.settled_cv.notify_all();
+    pub(crate) fn host(&self) -> MutexGuard<'_, Core> {
+        self.host.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Wakes driver threads parked in [`ShardCore::wait_work`] by
@@ -785,7 +377,7 @@ impl ShardCore {
         }
     }
 
-    /// Tickets one wire under the caller's hold of the book, then
+    /// Tickets one wire under the caller's hold of the host, then
     /// pushes it into `shard`'s bounded ingress (the shared tail of
     /// every submission path; the caller has peeled the envelope
     /// exactly once). `dedup_seq` is the envelope sequence when the
@@ -800,7 +392,7 @@ impl ShardCore {
     /// (module docs, § Concurrent driving).
     fn enqueue(
         &self,
-        mut book: MutexGuard<'_, ReplyBook>,
+        mut host: MutexGuard<'_, Core>,
         client: ClientId,
         shard: usize,
         dedup_seq: Option<u64>,
@@ -808,8 +400,10 @@ impl ShardCore {
         wire: Vec<u8>,
     ) {
         let admitted = Instant::now();
-        let ticket = book.issue(client, shard as u32, dedup_seq, credited, admitted);
-        drop(book);
+        let ticket = host
+            .book
+            .issue(client, shard as u32, dedup_seq, credited, admitted);
+        drop(host);
         let target = &self.shards[shard];
         let mut item = (ticket, client, admitted, wire);
         // The ingress is never closed while the server exists, so a
@@ -827,10 +421,10 @@ impl ShardCore {
             // this shard's batches inline (back-pressure relief;
             // replies land in the book's out-buffer, failures defer).
             // If the lane is momentarily owned by someone else (a
-            // caller stepping it, or a control-plane call), back off
-            // instead of spinning on try_push/try_lock.
-            if self.drive(shard as u32, None) != DriveStatus::Progress {
-                std::thread::sleep(Duration::from_micros(50));
+            // caller stepping it, or a control-plane call), wait for
+            // it to let go instead of spinning on try_push/try_lock.
+            if self.drive(shard as u32, None) == DriveStatus::Busy {
+                drop(target.lock());
             }
         }
         // Counted only once visible, so a wake is never for a wire a
@@ -855,14 +449,12 @@ impl ShardCore {
         // Malformed wires (shorter than the envelope) still get
         // delivered — to shard 0 — so the enclave rejects them with a
         // detectable violation instead of the host silently dropping.
+        let mut host = self.host();
         let (client, shard) = match RouteHint::peel(&invoke_wire) {
-            Some((hint, _)) => {
-                self.note_heat(hint.route);
-                (hint.client, self.shard_for(hint.route, hint.epoch))
-            }
+            Some((hint, _)) => (hint.client, host.route_write(hint.route, hint.epoch)),
             None => (ClientId(0), 0),
         };
-        self.enqueue(self.book(), client, shard, None, false, invoke_wire);
+        self.enqueue(host, client, shard, None, false, invoke_wire);
     }
 
     /// Admission-controlled submission: like [`ShardCore::submit`], but
@@ -881,11 +473,11 @@ impl ShardCore {
     /// typed [`RetryAfter`] carrying the wire back to the caller.
     ///
     /// The retry check, the admission decision and the ticket issue
-    /// happen under one hold of the book, so two concurrent retries of
+    /// happen under one hold of the host, so two concurrent retries of
     /// one wire cannot both be enqueued; host dedup is best-effort all
     /// the same (a crash forgets it), and the enclave's own `(tc, hc)`
     /// replay handling (paper §4.6.1) remains the correctness
-    /// backstop. Lock order is book → admission, never the reverse.
+    /// backstop. Lock order is host → admission, never the reverse.
     pub(crate) fn try_submit(
         &self,
         invoke_wire: Vec<u8>,
@@ -898,15 +490,14 @@ impl ShardCore {
             return Ok(AdmitOutcome::Enqueued);
         };
         let client = hint.client;
-        self.note_heat(hint.route);
-        let shard = self.shard_for(hint.route, hint.epoch);
-        let mut book = self.book();
-        if let Some(outcome) = book.answer_retry(client, shard as u32, hint.seq) {
-            drop(book);
+        let mut host = self.host();
+        let shard = host.route_write(hint.route, hint.epoch);
+        if let Some(outcome) = host.book.answer_retry(client, shard as u32, hint.seq) {
+            drop(host);
             if outcome == AdmitOutcome::ReplayedReply {
                 self.admission.note_replayed(client);
                 self.notify_work();
-                self.notify_settled();
+                self.settled_cv.notify_all();
             } else {
                 self.admission.note_deduped(client);
             }
@@ -919,17 +510,33 @@ impl ShardCore {
                 return Err(rejection);
             }
         };
-        self.enqueue(book, client, shard, Some(hint.seq), credited, invoke_wire);
+        self.enqueue(host, client, shard, Some(hint.seq), credited, invoke_wire);
         Ok(AdmitOutcome::Enqueued)
+    }
+
+    /// Books what a lane reports of its tickets in the reply book,
+    /// and `error`, the failure that ended the lane's step, if any;
+    /// then returns the settled tickets' credits to admission and wakes
+    /// whoever waits for quiescence.
+    fn settle(
+        &self,
+        tickets: impl Iterator<Item = ((u64, ClientId), Option<(ClientId, Vec<u8>)>)>,
+        error: Option<LcmError>,
+    ) {
+        let mut host = self.host();
+        if let Some(e) = error {
+            host.book.deferred_error.get_or_insert(e);
+        }
+        let settled = host.book.settle(tickets, Instant::now());
+        drop(host);
+        self.admission.settle(&settled);
+        self.settled_cv.notify_all();
     }
 
     /// Writes `purged` tickets off (their wires died with a crashed
     /// lane or a shed ingress) and releases whatever that unblocks.
     fn write_off(&self, purged: Vec<(u64, ClientId)>) {
-        let tickets = purged.into_iter().map(|ticket| (ticket, None));
-        let settled = self.book().settle(tickets, Instant::now());
-        self.admission.settle(&settled);
-        self.notify_settled();
+        self.settle(purged.into_iter().map(|ticket| (ticket, None)), None);
     }
 
     /// One drive of lane `idx`: feed its ingress into the server,
@@ -989,10 +596,7 @@ impl ShardCore {
                 // interleaves with a half-booked step.
                 shard.retire(replies.len());
                 let tickets = lane.inflight.drain(..replies.len());
-                let answered = tickets.zip(replies.into_iter().map(Some));
-                let settled = self.book().settle(answered, Instant::now());
-                self.admission.settle(&settled);
-                self.notify_settled();
+                self.settle(tickets.zip(replies.into_iter().map(Some)), None);
                 DriveStatus::Progress
             }
             Err(e) => {
@@ -1001,10 +605,9 @@ impl ShardCore {
                 // tickets from the book so the affected clients'
                 // later replies are not held back forever — they
                 // simply retry, getting fresh tickets.
-                let purged: Vec<(u64, ClientId)> = lane.inflight.drain(..).collect();
-                shard.retire(purged.len());
-                self.book().deferred_error.get_or_insert(e);
-                self.write_off(purged);
+                shard.retire(lane.inflight.len());
+                let purged = lane.inflight.drain(..).map(|ticket| (ticket, None));
+                self.settle(purged, Some(e));
                 DriveStatus::Progress
             }
         }
@@ -1031,17 +634,6 @@ impl ShardCore {
             .sum()
     }
 
-    /// Takes the first failure recorded since the last collection.
-    pub(crate) fn take_error(&self) -> Option<LcmError> {
-        self.book().deferred_error.take()
-    }
-
-    /// Drains the released replies, in release (global ticket) order
-    /// — per-client FIFO.
-    pub(crate) fn take_ready(&self) -> Replies {
-        std::mem::take(&mut self.book().ready)
-    }
-
     /// Number of independently drivable lanes (server shards).
     pub(crate) fn lanes(&self) -> u32 {
         self.shards.len() as u32
@@ -1060,21 +652,14 @@ impl ShardCore {
             self.shards.len()
         );
         let client = RouteHint::peel(&invoke_wire).map_or(ClientId(0), |(hint, _)| hint.client);
-        self.enqueue(self.book(), client, lane as usize, None, false, invoke_wire);
-    }
-
-    /// Tickets issued but not yet settled (reply released or written
-    /// off).
-    pub(crate) fn unsettled(&self) -> u64 {
-        let book = self.book();
-        book.issued - book.settled
+        self.enqueue(self.host(), client, lane as usize, None, false, invoke_wire);
     }
 
     /// Blocks until every issued ticket has settled.
     pub(crate) fn wait_quiescent(&self) {
-        let mut book = self.book();
-        while book.settled < book.issued {
-            book = self.settled_cv.wait(book);
+        let mut host = self.host();
+        while host.book.unsettled() > 0 {
+            host = self.settled_cv.wait(host);
         }
     }
 
@@ -1172,30 +757,6 @@ pub struct ShardedServer {
     /// [`ShardStats::attested`] so operators can assert the *whole*
     /// deployment was attested.
     attested: Vec<bool>,
-    /// A slice move whose sealed export has been cut but whose
-    /// handshake (target import + bystander adoptions + host table
-    /// push) has not completed — held so a member crash mid-migration
-    /// can be recovered with [`ShardedServer::resume_slice_migration`]
-    /// instead of stranding the slice.
-    pending_slice: Option<PendingSliceMove>,
-}
-
-/// Book-keeping for an in-flight slice migration: which steps of the
-/// handshake have landed, so a resume retries only what is missing.
-/// The enclave side makes every step idempotent (`import_slice` with a
-/// stale ticket and `adopt_table` with an already-installed table are
-/// no-ops or clean errors), so retrying a step that *did* land before
-/// a crash is safe.
-struct PendingSliceMove {
-    slice: u32,
-    from: u32,
-    to: u32,
-    ticket: Vec<u8>,
-    bulletin: Vec<u8>,
-    /// The table the host publishes once every enclave holds it.
-    next_table: SliceTable,
-    imported: bool,
-    adopted: Vec<bool>,
 }
 
 impl std::fmt::Debug for ShardedServer {
@@ -1236,7 +797,6 @@ impl ShardedServer {
             drivers: None,
             pool: WorkerPool::new("lcm-shard", n, n),
             attested: vec![false; n],
-            pending_slice: None,
         }
     }
 
@@ -1251,7 +811,7 @@ impl ShardedServer {
     pub(crate) fn drive_lanes(&self) -> Result<()> {
         // Surface a failure recorded by back-pressure relief inside
         // `submit` (which cannot return errors) before doing new work.
-        if let Some(e) = self.core.take_error() {
+        if let Some(e) = self.core.host().book.deferred_error.take() {
             return Err(e);
         }
         let mut handles = Vec::new();
@@ -1273,7 +833,7 @@ impl ShardedServer {
         // wins and this call reports it. Replies already released stay
         // in the out-buffer — healthy shards' replies survive a
         // sibling's crash-stop and are returned by the next call.
-        if let Some(e) = self.core.take_error() {
+        if let Some(e) = self.core.host().book.deferred_error.take() {
             return Err(e);
         }
         if vanished {
@@ -1391,114 +951,46 @@ impl ShardedServer {
 
     /// The newest slice table the host routes by.
     pub fn current_table(&self) -> SliceTable {
-        self.core.current_table()
+        self.core.host().current_table().clone()
     }
 
     /// `(slice, from, to)` of the slice move currently stuck between
     /// export and completion, if any (see
     /// [`ShardedServer::resume_slice_migration`]).
     pub fn pending_slice_move(&self) -> Option<(u32, u32, u32)> {
-        self.pending_slice.as_ref().map(|p| (p.slice, p.from, p.to))
-    }
-
-    /// Cuts the sealed export of `slice` out of its owner (bumping the
-    /// owner's table to the next epoch) and runs the handshake with the
-    /// origin lane held from the export on; a handshake a member crash
-    /// interrupts stays pending. Fails without touching any enclave if
-    /// a move is already in flight, the target is out of range, or the
-    /// target already owns the slice.
-    fn move_slice(&mut self, slice: u32, to: u32) -> Result<()> {
-        if let Some(p) = &self.pending_slice {
-            return Err(LcmError::Tee(format!(
-                "slice {} -> shard {} migration already in flight; \
-                 resume_slice_migration must finish before a new move",
-                p.slice, p.to
-            )));
-        }
-        let n = self.core.shards.len() as u32;
-        if slice >= SLICE_COUNT {
-            return Err(LcmError::Tee(format!(
-                "migrate_slice({slice}) out of range ({SLICE_COUNT} slices)"
-            )));
-        }
-        if to >= n {
-            return Err(LcmError::Tee(format!(
-                "migrate_slice target {to} on a {n}-shard deployment"
-            )));
-        }
-        let table = self.core.current_table();
-        let from = table.owner(slice);
-        if from == to {
-            return Err(LcmError::Tee(format!(
-                "shard {to} already owns slice {slice}"
-            )));
-        }
-        let next_table = table.moved(slice, to).expect("bounds checked above");
-        // Held from the export on: the export installs the new table.
-        let mut origin = self.core.shards[from as usize].lock();
-        let (ticket, bulletin) = origin.server.export_slice(slice, to)?;
-        let pending = self.pending_slice.insert(PendingSliceMove {
-            slice,
-            from,
-            to,
-            ticket,
-            bulletin,
-            next_table,
-            imported: false,
-            adopted: vec![false; n as usize],
-        });
-        Self::drive_slice_move(&self.core, pending)?;
-        self.pending_slice = None;
-        Ok(())
+        self.core.host().pending_move()
     }
 
     /// Completes (or retries, after a mid-handshake crash) the
     /// in-flight slice move: delivers the bulletin to every bystander
-    /// shard, the sealed ticket to the target, then publishes the new
-    /// table to the host router. On failure the pending record is
-    /// kept — reboot the dead member and call this again; every
-    /// enclave-side step is idempotent, so re-delivering a step that
-    /// already landed is safe.
-    ///
-    /// Every lane that has installed the new table is held until the
-    /// handshake ends: any of them stamps its whole table on the
-    /// redirects it answers (a stale wire for a slice an earlier move
-    /// took away is enough), and a client chasing one into a shard
-    /// that has not installed it yet would trip that shard's
-    /// future-epoch rollback alarm on an honest deployment.
+    /// shard and the sealed ticket to the target; the host appends the
+    /// new table once the last of them landed. On failure the move
+    /// stays pending: reboot the dead member and call this again
+    /// (`host.rs`, "Live slice migration").
     pub fn resume_slice_migration(&mut self) -> Result<()> {
-        let Some(pending) = self.pending_slice.as_mut() else {
+        let Some((_, from, _)) = self.core.host().pending_move() else {
             return Err(LcmError::Tee("no slice migration in flight".into()));
         };
-        let _origin = self.core.shards[pending.from as usize].lock();
-        Self::drive_slice_move(&self.core, pending)?;
-        self.pending_slice = None;
-        Ok(())
+        let _origin = self.core.shards[from as usize].lock();
+        self.drive_slice_move()
     }
 
-    /// The handshake after the export, ending with the host table
-    /// push; the caller holds the origin lane, and every lane that
-    /// installs the new table here stays held until the end.
-    fn drive_slice_move(core: &ShardCore, pending: &mut PendingSliceMove) -> Result<()> {
-        let mut installed = Vec::with_capacity(core.shards.len());
-        for (i, shard) in core.shards.iter().enumerate() {
-            if i == pending.from as usize || i == pending.to as usize || pending.adopted[i] {
-                continue;
+    /// Takes the pending move's missing steps in the host's order,
+    /// holding every lane it visits (the caller holds the origin).
+    fn drive_slice_move(&self) -> Result<()> {
+        let mut installed = Vec::new();
+        loop {
+            let Some((lane, step)) = self.core.host().next_step() else {
+                return Ok(());
+            };
+            let mut held = self.core.shards[lane as usize].lock();
+            match step {
+                Handshake::Adopt(bulletin) => held.server.adopt_table(bulletin)?,
+                Handshake::Import(ticket) => held.server.import_slice(ticket)?,
             }
-            let mut lane = shard.lock();
-            lane.server.adopt_table(pending.bulletin.clone())?;
-            pending.adopted[i] = true;
-            installed.push(lane);
+            self.core.host().landed(lane);
+            installed.push(held);
         }
-        if !pending.imported {
-            core.shards[pending.to as usize]
-                .lock()
-                .server
-                .import_slice(pending.ticket.clone())?;
-            pending.imported = true;
-        }
-        core.routing().push(pending.next_table.clone());
-        Ok(())
     }
 
     /// One pass of the heat-aware rebalance monitor: drains the
@@ -1507,91 +999,12 @@ impl ShardedServer {
     /// to)` migrated, or `None` when the load is already balanced
     /// (nothing is drained into a move that would not help).
     pub fn rebalance_once(&mut self) -> Result<Option<(u32, u32)>> {
-        let heat = self.core.take_heat();
-        let table = self.core.current_table();
-        let Some((slice, to)) = plan_rebalance(&heat, &table) else {
+        let Some((slice, to)) = self.core.host().plan_rebalance() else {
             return Ok(None);
         };
-        self.move_slice(slice, to)?;
+        self.migrate_slice(slice, to)?;
         Ok(Some((slice, to)))
     }
-}
-
-/// Plans one heat-driven slice move: when the hottest shard carries
-/// more than twice the coldest shard's write heat, proposes migrating
-/// the hot shard's hottest slice to the coldest shard — provided the
-/// move actually narrows the gap (shipping a slice hotter than the
-/// imbalance would just relocate the hotspot). Pure: feed it drained
-/// [`BatchServer::take_slice_heat`] counters and the current table.
-pub fn plan_rebalance(heat: &[u64], table: &SliceTable) -> Option<(u32, u32)> {
-    let n = table.count() as usize;
-    if n < 2 {
-        return None;
-    }
-    let mut shard_heat = vec![0u64; n];
-    for (slice, &h) in heat.iter().take(SLICE_COUNT as usize).enumerate() {
-        shard_heat[table.owner(slice as u32) as usize] += h;
-    }
-    let total: u64 = shard_heat.iter().sum();
-    if total == 0 {
-        return None;
-    }
-    let hot = (0..n).max_by_key(|&i| shard_heat[i])?;
-    let cold = (0..n).min_by_key(|&i| shard_heat[i])?;
-    if shard_heat[hot] <= 2 * shard_heat[cold] {
-        return None;
-    }
-    let slice = table
-        .slices_of(hot as u32)
-        .into_iter()
-        .max_by_key(|&s| heat.get(s as usize).copied().unwrap_or(0))?;
-    let h = heat.get(slice as usize).copied().unwrap_or(0);
-    if h == 0 || shard_heat[cold] + h >= shard_heat[hot] {
-        return None;
-    }
-    Some((slice, cold as u32))
-}
-
-/// The sharded migration-ticket codec: one deployment ticket is the
-/// count-prefixed, length-prefixed sequence of its lanes' sealed
-/// tickets, then the origin host's routing history, count-prefixed and
-/// in the clear. The history is host state — the enclaves carry their
-/// own table inside their tickets and still judge every wire — but
-/// without it the target host would deliver by the genesis table what
-/// clients stamp with the epochs the origin reached.
-fn join_lane_tickets(parts: &[Vec<u8>], routing: &[SliceTable]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u32(parts.len() as u32);
-    for part in parts {
-        w.put_bytes(part);
-    }
-    w.put_u32(routing.len() as u32);
-    for table in routing {
-        table.encode(&mut w);
-    }
-    w.into_bytes()
-}
-
-/// Inverse of [`join_lane_tickets`]; `None` when the blob is not a
-/// well-formed deployment ticket, or its history is not the dense
-/// sequence of epochs `0..` over as many shards as it has tickets.
-fn split_lane_tickets(blob: &[u8]) -> Option<(Vec<Vec<u8>>, Vec<SliceTable>)> {
-    let mut r = Reader::new(blob);
-    let n = r.get_u32().ok()? as usize;
-    let mut parts = Vec::new();
-    for _ in 0..n {
-        parts.push(r.get_bytes().ok()?.to_vec());
-    }
-    let mut routing = Vec::new();
-    for epoch in 0..u64::from(r.get_u32().ok()?) {
-        let table = SliceTable::decode(&mut r).ok()?;
-        if table.epoch() != epoch || table.count() as usize != n {
-            return None;
-        }
-        routing.push(table);
-    }
-    r.finish().ok()?;
-    (!routing.is_empty()).then_some((parts, routing))
 }
 
 impl BatchServer for ShardedServer {
@@ -1634,13 +1047,13 @@ impl BatchServer for ShardedServer {
         }
         // The book settles wholesale, so a quiescence wait with drivers
         // attached cannot hang on wires that no longer exist.
-        self.core.book().crash_reset();
+        self.core.host().crash_reset();
         // Replies already demuxed into the collection buffer died with
         // the host process too.
         self.replies.crash();
         // Outstanding admission credits died with their tickets.
         self.core.admission.reset_in_flight();
-        self.core.notify_settled();
+        self.core.settled_cv.notify_all();
         // Wires that arrived after their lane was purged wait for a
         // driver that found the lane held.
         for idx in 0..self.core.shards.len() {
@@ -1715,11 +1128,11 @@ impl BatchServer for ShardedServer {
 
     fn export_migration(&mut self) -> Result<Vec<u8>> {
         let tickets = self.for_each_shard(|s| s.export_migration())?;
-        Ok(join_lane_tickets(&tickets, &self.core.routing()))
+        Ok(self.core.host().join_lane_tickets(&tickets))
     }
 
     fn import_migration(&mut self, ticket: Vec<u8>) -> Result<()> {
-        let (parts, routing) = split_lane_tickets(&ticket)
+        let (parts, routing) = crate::host::split_lane_tickets(&ticket)
             .ok_or_else(|| LcmError::Tee("malformed sharded migration ticket".into()))?;
         if parts.len() != self.core.shards.len() {
             return Err(LcmError::Tee(format!(
@@ -1733,7 +1146,7 @@ impl BatchServer for ShardedServer {
         }
         // The lanes arrived at the origin's table epoch; route by the
         // origin's history from here on.
-        *self.core.routing() = routing;
+        self.core.host().install_history(routing);
         Ok(())
     }
 
@@ -1813,16 +1226,20 @@ impl BatchServer for ShardedServer {
         Some(self.read_port.clone())
     }
 
+    /// Cuts the sealed export of `slice` out of its owner (bumping the
+    /// owner's table to the next epoch) and runs the handshake with the
+    /// origin lane held from the export on. Fails without touching any
+    /// enclave if the host refuses the move.
     fn migrate_slice(&mut self, slice: u32, to: u32) -> Result<()> {
-        self.move_slice(slice, to)
+        let from = self.core.host().check_move(slice, to)?;
+        let mut origin = self.core.shards[from as usize].lock();
+        let (ticket, bulletin) = origin.server.export_slice(slice, to)?;
+        self.core.host().begin_move(slice, to, ticket, bulletin);
+        self.drive_slice_move()
     }
 
     fn routing_epoch(&self) -> u64 {
-        self.core.routing_epoch()
-    }
-
-    fn take_slice_heat(&self) -> Vec<u64> {
-        self.core.take_heat()
+        self.core.host().current_table().epoch()
     }
 }
 
@@ -1831,8 +1248,7 @@ impl BatchServer for ShardedServer {
 /// read port when it has one (a replica group serving from the pinned
 /// member). Lanes without a port — unreplicated shards — fall back to
 /// locking the lane, which serializes that shard's reads with its
-/// writes: exactly the single-replica baseline the replicated cells in
-/// the bench snapshot are measured against.
+/// writes.
 struct CoreReadPort {
     core: Arc<ShardCore>,
     ports: Vec<Option<Arc<dyn ReadPort>>>,
@@ -1845,7 +1261,7 @@ impl ReadPort for CoreReadPort {
                 "read wire too short for a routing hint".into(),
             ));
         };
-        let idx = self.core.shard_for(hint.route, hint.epoch);
+        let idx = self.core.host().route(hint.route, hint.epoch);
         match &self.ports[idx] {
             Some(port) => port.serve_read(read_wire),
             None => {
@@ -1984,6 +1400,7 @@ mod tests {
     use crate::admin::AdminHandle;
     use crate::client::LcmClient;
     use crate::functionality::Counter;
+    use crate::routing::{slice_of, SLICE_COUNT};
     use crate::stability::Quorum;
     use lcm_storage::MemoryStorage;
 
@@ -2723,18 +2140,22 @@ mod tests {
             }
             server.submit(wire);
         }
-        assert_eq!(core.unsettled(), 4);
+        assert_eq!(core.host().book.unsettled(), 4);
         let err = server.step().unwrap_err();
         assert!(err.is_violation(), "got {err:?}");
-        assert_eq!(core.unsettled(), 0, "the batch's tickets are written off");
+        assert_eq!(
+            core.host().book.unsettled(),
+            0,
+            "the batch's tickets are written off"
+        );
         assert!(
-            core.take_ready().is_empty(),
+            std::mem::take(&mut core.host().book.ready).is_empty(),
             "nothing of the batch is released"
         );
         assert_eq!(server.queued(), 0);
         server.submit(clients[0].retry().unwrap());
         assert_eq!(server.process_all().unwrap_err(), LcmError::Halted);
-        assert_eq!(core.unsettled(), 0);
+        assert_eq!(core.host().book.unsettled(), 0);
     }
 
     #[test]
@@ -2942,519 +2363,6 @@ mod tests {
         assert!(!client.has_pending());
     }
 
-    // -----------------------------------------------------------------
-    // The reply book on its own: model, scaling and memory tests.
-    // -----------------------------------------------------------------
-
-    /// What the tests below ask of a reply book, so that one schedule
-    /// drives the production book and the [`oracle`] alike.
-    trait Book {
-        fn fresh() -> Self;
-        fn ticket(
-            &mut self,
-            client: ClientId,
-            shard: u32,
-            dedup_seq: Option<u64>,
-            credited: bool,
-        ) -> u64;
-        fn retry(&mut self, client: ClientId, shard: u32, seq: u64) -> Option<AdmitOutcome>;
-        fn answer(&mut self, tickets: Vec<(u64, ClientId)>, replies: Replies)
-            -> Vec<SettledTicket>;
-        fn write_off(&mut self, purged: Vec<(u64, ClientId)>) -> Vec<SettledTicket>;
-        fn crash(&mut self);
-        fn collect(&mut self) -> Replies;
-        /// `(issued, settled)`.
-        fn counters(&self) -> (u64, u64);
-        /// What the dedup path knows of `client` on `shard`: the
-        /// sequence in flight and the cached `(sequence, reply)`.
-        fn dedup_state(
-            &self,
-            client: ClientId,
-            shard: u32,
-        ) -> (Option<u64>, Option<(u64, Vec<u8>)>);
-    }
-
-    impl Book for ReplyBook {
-        fn fresh() -> Self {
-            ReplyBook::default()
-        }
-        fn ticket(
-            &mut self,
-            client: ClientId,
-            shard: u32,
-            seq: Option<u64>,
-            credited: bool,
-        ) -> u64 {
-            ReplyBook::issue(self, client, shard, seq, credited, Instant::now())
-        }
-        fn retry(&mut self, client: ClientId, shard: u32, seq: u64) -> Option<AdmitOutcome> {
-            ReplyBook::answer_retry(self, client, shard, seq)
-        }
-        fn answer(
-            &mut self,
-            tickets: Vec<(u64, ClientId)>,
-            replies: Replies,
-        ) -> Vec<SettledTicket> {
-            let answered = tickets.into_iter().zip(replies.into_iter().map(Some));
-            ReplyBook::settle(self, answered, Instant::now())
-        }
-        fn write_off(&mut self, purged: Vec<(u64, ClientId)>) -> Vec<SettledTicket> {
-            let purged = purged.into_iter().map(|ticket| (ticket, None));
-            ReplyBook::settle(self, purged, Instant::now())
-        }
-        fn crash(&mut self) {
-            ReplyBook::crash_reset(self);
-        }
-        fn collect(&mut self) -> Replies {
-            std::mem::take(&mut self.ready)
-        }
-        fn counters(&self) -> (u64, u64) {
-            (self.issued, self.settled)
-        }
-        fn dedup_state(
-            &self,
-            client: ClientId,
-            shard: u32,
-        ) -> (Option<u64>, Option<(u64, Vec<u8>)>) {
-            let Some(line) = self.lines.get(&client) else {
-                return (None, None);
-            };
-            let on_shard = line
-                .head
-                .iter()
-                .chain(&line.tail)
-                .filter(|p| p.shard == shard);
-            let cached = line.cache.iter().find(|c| c.0 == shard);
-            (
-                on_shard.filter_map(|p| p.dedup_seq).next_back(),
-                cached.map(|c| (c.1, c.2.clone())),
-            )
-        }
-    }
-
-    impl Book for oracle::ReplyBook {
-        fn fresh() -> Self {
-            oracle::ReplyBook::new()
-        }
-        fn ticket(
-            &mut self,
-            client: ClientId,
-            shard: u32,
-            seq: Option<u64>,
-            credited: bool,
-        ) -> u64 {
-            oracle::issue(self, client, shard as usize, seq, credited)
-        }
-        fn retry(&mut self, client: ClientId, shard: u32, seq: u64) -> Option<AdmitOutcome> {
-            oracle::answer_retry(self, client, shard, seq)
-        }
-        fn answer(
-            &mut self,
-            tickets: Vec<(u64, ClientId)>,
-            replies: Replies,
-        ) -> Vec<SettledTicket> {
-            oracle::complete(self, tickets, replies)
-        }
-        fn write_off(&mut self, purged: Vec<(u64, ClientId)>) -> Vec<SettledTicket> {
-            oracle::ReplyBook::purge(self, purged)
-        }
-        fn crash(&mut self) {
-            oracle::crash_reset(self);
-        }
-        fn collect(&mut self) -> Replies {
-            self.ready.drain(..).collect()
-        }
-        fn counters(&self) -> (u64, u64) {
-            (self.issued, self.settled)
-        }
-        fn dedup_state(
-            &self,
-            client: ClientId,
-            shard: u32,
-        ) -> (Option<u64>, Option<(u64, Vec<u8>)>) {
-            let key = (client, shard);
-            (
-                self.inflight_seq.get(&key).copied(),
-                self.last_reply.get(&key).cloned(),
-            )
-        }
-    }
-
-    /// One move of the model test's schedule. Indices are taken modulo
-    /// whatever they select from, so every generated step is playable.
-    #[derive(Debug, Clone)]
-    enum Step {
-        /// `client` offers a wire for `shard`: through the plain path
-        /// (`dedup` 0), or through admission as its next sequence
-        /// number there (1) or a retry of its last (2).
-        Issue {
-            client: u32,
-            shard: u32,
-            dedup: u8,
-            credited: bool,
-        },
-        /// Lane `lane` answers the tickets `picks` select from those it
-        /// still owes, in that order (not FIFO, not ticket order).
-        Complete { lane: u32, picks: Vec<usize> },
-        /// Write-offs: each pick is `(class, index)` — 0 an unanswered
-        /// ticket (it leaves its lane), 1 a ticket whose reply the book
-        /// is holding back, 2 any ticket ever issued.
-        Purge { picks: Vec<(u8, usize)> },
-        /// The deployment crashes; with `lose` the lanes forget their
-        /// tickets too, without it they answer dead tickets later.
-        Crash { lose: bool },
-    }
-
-    fn arb_step() -> impl proptest::strategy::Strategy<Value = Step> {
-        use proptest::prelude::*;
-        prop_oneof![
-            12 => (0u32..8, 0u32..4, 0u8..3, any::<bool>()).prop_map(
-                |(client, shard, dedup, credited)| Step::Issue { client, shard, dedup, credited }
-            ),
-            8 => (0u32..4, proptest::collection::vec(0usize..64, 1..6))
-                .prop_map(|(lane, picks)| Step::Complete { lane, picks }),
-            3 => proptest::collection::vec((0u8..3, 0usize..64), 1..4)
-                .prop_map(|picks| Step::Purge { picks }),
-            1 => any::<bool>().prop_map(|lose| Step::Crash { lose }),
-        ]
-    }
-
-    /// A settlement record without its clock reading.
-    fn records(settled: &[SettledTicket]) -> Vec<(ClientId, u32, bool, bool)> {
-        let row = |s: &SettledTicket| (s.client, s.shard, s.credited, s.latency.is_some());
-        settled.iter().map(row).collect()
-    }
-
-    /// The reply a lane gives `ticket`: bytes that name it.
-    fn reply_to(ticket: u64) -> Vec<u8> {
-        ticket.to_be_bytes().to_vec()
-    }
-
-    /// Plays `steps` on both books at once, comparing them after every
-    /// step and checking the six guarantees of the module docs on the
-    /// production book's own output.
-    fn play(shards: u32, clients: u32, steps: &[Step]) -> std::result::Result<(), String> {
-        use std::collections::{BTreeMap, BTreeSet};
-        let mut lines = ReplyBook::fresh();
-        let mut maps = oracle::ReplyBook::fresh();
-        // The harness's own record of the schedule.
-        let mut lanes: Vec<Vec<(u64, ClientId)>> = vec![Vec::new(); shards as usize];
-        let mut all: Vec<(u64, ClientId)> = Vec::new();
-        let mut answered: BTreeSet<u64> = BTreeSet::new();
-        let mut unsettled: BTreeMap<ClientId, BTreeSet<u64>> = BTreeMap::new();
-        // Per (client, shard): the last sequence number admitted with
-        // dedup, and the ticket it got.
-        let mut last_dedup: BTreeMap<(ClientId, u32), (u64, u64)> = BTreeMap::new();
-        macro_rules! check {
-            ($cond:expr, $($why:tt)*) => {
-                if !$cond {
-                    return Err(format!($($why)*));
-                }
-            };
-        }
-        for (at, step) in steps.iter().enumerate() {
-            // What this step makes each book release and report.
-            let (mut out_l, mut out_m) = (Vec::new(), Vec::new());
-            match step {
-                Step::Issue {
-                    client,
-                    shard,
-                    dedup,
-                    credited,
-                } => {
-                    let key = (ClientId(1 + client % clients), shard % shards);
-                    let (client, shard) = key;
-                    // One pending operation per client per shard is
-                    // the protocol's rule, and the one under which the
-                    // oracle's single in-flight entry per (client,
-                    // shard) is the whole truth: a client moves to its
-                    // next sequence number once the last one settled,
-                    // and can only retry it until then.
-                    let last = last_dedup.get(&key).copied();
-                    let mine = unsettled.entry(client).or_default();
-                    let open = last.is_some_and(|(_, t)| mine.contains(&t));
-                    let seq = match dedup {
-                        0 => None,
-                        1 if !open => Some(last.map_or(1, |(seq, _)| seq + 1)),
-                        _ => Some(last.map_or(1, |(seq, _)| seq)),
-                    };
-                    let answer = seq.and_then(|seq| lines.retry(client, shard, seq));
-                    check!(
-                        answer == seq.and_then(|seq| maps.retry(client, shard, seq)),
-                        "step {at}: retry answers diverge"
-                    );
-                    check!(
-                        lines.collect() == maps.collect(),
-                        "step {at}: replayed replies diverge"
-                    );
-                    if answer.is_none() {
-                        let t = lines.ticket(client, shard, seq, *credited);
-                        check!(
-                            t == maps.ticket(client, shard, seq, *credited),
-                            "step {at}: tickets diverge"
-                        );
-                        if let Some(seq) = seq {
-                            last_dedup.insert(key, (seq, t));
-                        }
-                        lanes[shard as usize].push((t, client));
-                        all.push((t, client));
-                        unsettled.entry(client).or_default().insert(t);
-                    }
-                }
-                Step::Complete { lane, picks } => {
-                    let lane = &mut lanes[(lane % shards) as usize];
-                    let mut tickets = Vec::new();
-                    for pick in picks {
-                        if !lane.is_empty() {
-                            tickets.push(lane.remove(pick % lane.len()));
-                        }
-                    }
-                    // An honest enclave reports the envelope's client.
-                    let replies: Replies = tickets.iter().map(|&(t, c)| (c, reply_to(t))).collect();
-                    answered.extend(tickets.iter().map(|&(t, _)| t));
-                    out_l = lines.answer(tickets.clone(), replies.clone());
-                    out_m = maps.answer(tickets, replies);
-                }
-                Step::Purge { picks } => {
-                    let mut purged = Vec::new();
-                    for &(class, pick) in picks {
-                        let held: Vec<(u64, ClientId)> = all
-                            .iter()
-                            .filter(|(t, c)| {
-                                answered.contains(t)
-                                    && unsettled.get(c).is_some_and(|u| u.contains(t))
-                            })
-                            .copied()
-                            .collect();
-                        let lane = &mut lanes[pick % shards as usize];
-                        match class {
-                            0 if !lane.is_empty() => purged.push(lane.remove(pick % lane.len())),
-                            1 if !held.is_empty() => purged.push(held[pick % held.len()]),
-                            2 if !all.is_empty() => purged.push(all[pick % all.len()]),
-                            _ => {}
-                        }
-                    }
-                    // Guarantee 3 (a ticket settles exactly once), the
-                    // write-off half: each purged ticket yields a
-                    // record exactly when it was still unsettled.
-                    let mut expect = 0;
-                    for (t, c) in &purged {
-                        expect += usize::from(unsettled.entry(*c).or_default().remove(t));
-                    }
-                    out_l = lines.write_off(purged.clone());
-                    out_m = maps.write_off(purged);
-                    let written_off = out_l.iter().filter(|s| s.latency.is_none()).count();
-                    check!(
-                        written_off == expect,
-                        "step {at}: {written_off} write-offs, {expect} due"
-                    );
-                }
-                Step::Crash { lose } => {
-                    // A failure nobody collected dies with the host too.
-                    lines.deferred_error = Some(LcmError::Tee("uncollected".into()));
-                    maps.deferred_error = Some(LcmError::Tee("uncollected".into()));
-                    lines.crash();
-                    maps.crash();
-                    let forgotten = lines.deferred_error.is_none() && maps.deferred_error.is_none();
-                    check!(forgotten, "step {at}: a deferred error survives a crash");
-                    if *lose {
-                        lanes.iter_mut().for_each(Vec::clear);
-                    }
-                    unsettled.clear();
-                    // Guarantee 5: a crash clears pending tickets and
-                    // cached replies (and what nobody had collected).
-                    check!(lines.lines.is_empty(), "step {at}: lines survive a crash");
-                    check!(lines.ready.is_empty(), "step {at}: replies survive a crash");
-                }
-            }
-            // Both books report the same settlements, in the same order…
-            check!(
-                records(&out_l) == records(&out_m),
-                "step {at}: settlement records diverge: {:?} vs {:?}",
-                records(&out_l),
-                records(&out_m)
-            );
-            // …and release the same `(client, wire)` sequence.
-            let released = lines.collect();
-            check!(
-                released == maps.collect(),
-                "step {at}: released replies diverge"
-            );
-            let mut last = None;
-            for (client, wire) in &released {
-                let ticket = u64::from_be_bytes(wire[..].try_into().expect("reply_to's bytes"));
-                // Guarantee 2: one release is in global ticket order.
-                check!(
-                    last < Some(ticket),
-                    "step {at}: release out of ticket order"
-                );
-                last = Some(ticket);
-                // Guarantee 1 (per client, replies leave in submission
-                // order) and the release half of guarantee 3: the
-                // ticket was its client's oldest unsettled one.
-                let mine = unsettled.entry(*client).or_default();
-                check!(
-                    mine.first() == Some(&ticket),
-                    "step {at}: ticket {ticket} released ahead of {:?}",
-                    mine.first()
-                );
-                mine.remove(&ticket);
-                // Guarantee 6: delivery is under the id the enclave
-                // reported (the honest half; the dishonest half is
-                // `the_enclave_reported_client_labels_the_delivery`).
-                check!(
-                    all.contains(&(ticket, *client)),
-                    "step {at}: ticket {ticket} delivered to {client}"
-                );
-            }
-            let with_reply = out_l.iter().filter(|s| s.latency.is_some()).count();
-            check!(
-                with_reply == released.len(),
-                "step {at}: records and replies differ"
-            );
-            // Guarantee 4: `issued == settled` is quiescence — the gap
-            // is exactly the tickets still in some line.
-            let (issued, settled) = lines.counters();
-            check!(
-                (issued, settled) == maps.counters(),
-                "step {at}: counters diverge"
-            );
-            let open: usize = unsettled.values().map(BTreeSet::len).sum();
-            check!(
-                issued - settled == open as u64,
-                "step {at}: {issued} - {settled} != {open}"
-            );
-            // The dedup path would answer every client alike.
-            for c in 1..=clients {
-                for s in 0..shards {
-                    check!(
-                        lines.dedup_state(ClientId(c), s) == maps.dedup_state(ClientId(c), s),
-                        "step {at}: dedup state of client {c} on shard {s} diverges"
-                    );
-                    if matches!(step, Step::Crash { .. }) {
-                        check!(
-                            lines.dedup_state(ClientId(c), s) == (None, None),
-                            "step {at}: dedup state survives a crash"
-                        );
-                    }
-                }
-            }
-            // The book's memory follows the clients it has something
-            // for, nobody else.
-            for (client, line) in &lines.lines {
-                let idle = line.head.is_none() && line.cache.is_empty();
-                check!(!idle, "step {at}: idle line of {client} kept");
-                check!(
-                    line.head.is_some() || line.tail.is_empty(),
-                    "step {at}: headless line"
-                );
-            }
-        }
-        Ok(())
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
-
-        /// The production book against the oracle over random schedules
-        /// of issue (plain, fresh and retried admission sequences; up
-        /// to four shards and eight clients, each free to pipeline
-        /// across and within shards), complete (any lane, any subset,
-        /// any order), purge (unanswered tickets, tickets holding
-        /// replies, stale tickets) and crash. [`play`] names, beside
-        /// each assertion, which of the module docs' six guarantees it
-        /// pins; the comparisons with the oracle pin the rest of the
-        /// book's behaviour (record order, dedup answers, counters).
-        #[test]
-        fn the_book_of_lines_is_the_book_of_maps(
-            shards in 1u32..=4,
-            clients in 1u32..=8,
-            steps in proptest::collection::vec(arb_step(), 1..200),
-        ) {
-            if let Err(why) = play(shards, clients, &steps) {
-                return Err(proptest::prelude::TestCaseError::fail(why));
-            }
-        }
-    }
-
-    #[test]
-    fn the_enclave_reported_client_labels_the_delivery() {
-        // The ticket sits in the envelope client's line; the reply goes
-        // out under the id the enclave reported for it.
-        let mut book = ReplyBook::fresh();
-        let t = book.ticket(ClientId(7), 0, None, false);
-        let settled = book.answer(vec![(t, ClientId(7))], vec![(ClientId(9), b"r".to_vec())]);
-        assert_eq!(book.collect(), vec![(ClientId(9), b"r".to_vec())]);
-        assert_eq!(records(&settled), vec![(ClientId(7), 0, false, true)]);
-        assert_eq!(book.counters(), (1, 1));
-    }
-
-    /// Mean cost of booking a 16-reply batch (and re-issuing its 16
-    /// tickets) while `clients` clients each have one ticket pending.
-    fn batch_cost<B: Book>(clients: u32, batches: u32) -> Duration {
-        let mut book = B::fresh();
-        let mut owed: VecDeque<(u64, ClientId)> = (0..clients)
-            .map(|c| (book.ticket(ClientId(c), 0, None, false), ClientId(c)))
-            .collect();
-        let start = Instant::now();
-        for _ in 0..batches {
-            let tickets: Vec<(u64, ClientId)> = owed.drain(..16).collect();
-            let replies = tickets.iter().map(|&(t, c)| (c, reply_to(t))).collect();
-            assert_eq!(book.answer(tickets, replies).len(), 16);
-            for (client, _) in book.collect() {
-                owed.push_back((book.ticket(client, 0, None, false), client));
-            }
-        }
-        start.elapsed() / batches
-    }
-
-    /// How much dearer a batch gets when 65 536 clients wait instead
-    /// of 64 (best of three, so a descheduled run does not decide).
-    fn waiting_clients_penalty<B: Book>(batches: u32) -> f64 {
-        let ratio = || {
-            let (few, many) = (
-                batch_cost::<B>(64, batches),
-                batch_cost::<B>(65_536, batches),
-            );
-            many.as_secs_f64() / few.as_secs_f64()
-        };
-        (0..3).map(|_| ratio()).fold(f64::INFINITY, f64::min)
-    }
-
-    #[test]
-    fn completing_a_batch_does_not_visit_idle_clients() {
-        let penalty = waiting_clients_penalty::<ReplyBook>(1000);
-        assert!(
-            penalty <= 10.0,
-            "a batch among 65 536 waiting clients costs {penalty:.1}x one among 64"
-        );
-    }
-
-    /// The bound above is one the book of maps cannot meet (it scans
-    /// every waiting client per batch, ≈ 600×) — the scaling test does
-    /// separate the two designs. Ignored: 60 batches of the oracle at
-    /// 65 536 clients take seconds unoptimized.
-    #[test]
-    #[ignore]
-    fn the_oracle_visits_idle_clients() {
-        let penalty = waiting_clients_penalty::<oracle::ReplyBook>(20);
-        assert!(
-            penalty > 10.0,
-            "the oracle passed the scaling bound: {penalty:.1}x"
-        );
-    }
-
-    #[test]
-    fn one_shot_clients_leave_no_line_behind() {
-        let mut book = ReplyBook::fresh();
-        for c in 0..100_000u32 {
-            let t = book.ticket(ClientId(c), c % 4, None, false);
-            book.answer(vec![(t, ClientId(c))], vec![(ClientId(c), reply_to(t))]);
-        }
-        assert_eq!(book.collect().len(), 100_000);
-        assert!(book.lines.is_empty(), "{} lines kept", book.lines.len());
-    }
-
     /// The epoch parked drivers wait on.
     fn work_epoch(core: &ShardCore) -> u64 {
         *core.work.lock().unwrap()
@@ -3500,7 +2408,7 @@ mod tests {
         // A crash through the same hook writes the forming lane off,
         // ingress and all...
         server.with_shard(0, |lane| lane.crash());
-        assert_eq!(core.unsettled(), 0);
+        assert_eq!(core.host().book.unsettled(), 0);
         assert_eq!(work_epoch(&core), before + 1, "nothing left to wake for");
         // ...so the next wire starts a batch again.
         assert_eq!(waking_wires(&core, 16), [1, 16]);
@@ -3532,10 +2440,17 @@ mod tests {
             .invoke_for::<Counter>(&Counter::inc_op(b"n", 1))
             .unwrap();
         assert_eq!(core.try_submit(pending).unwrap(), AdmitOutcome::Enqueued);
-        assert_eq!(core.unsettled(), 1);
+        assert_eq!(core.host().book.unsettled(), 1);
         server.crash();
-        assert_eq!(core.unsettled(), 0, "pending tickets died with the host");
-        assert!(core.take_ready().is_empty(), "so did the replayed reply");
+        assert_eq!(
+            core.host().book.unsettled(),
+            0,
+            "pending tickets died with the host"
+        );
+        assert!(
+            std::mem::take(&mut core.host().book.ready).is_empty(),
+            "so did the replayed reply"
+        );
         assert!(!server.boot().unwrap());
         // Both retries must reach the enclave (its §4.6.1 path) — not a
         // reply sealed by the dead instance, not a ticket that no
@@ -3544,252 +2459,11 @@ mod tests {
             let retry = client.retry().unwrap();
             assert_eq!(core.try_submit(retry).unwrap(), AdmitOutcome::Enqueued);
         }
-        assert_eq!(core.unsettled(), 2);
+        assert_eq!(core.host().book.unsettled(), 2);
         for (id, wire) in server.process_all().unwrap() {
             let done = clients[id.0 as usize - 1].handle_reply(&wire).unwrap();
             assert_eq!(Counter::decode_result(&done.result), Some(u64::from(id.0)));
         }
-        assert_eq!(core.unsettled(), 0);
-    }
-
-    /// The reply book as it stood before it became per-client lines —
-    /// the parent commit's `TicketMeta` and `ReplyBook`, verbatim (five
-    /// `BTreeMap`s, one scan of every waiting client per release) — kept
-    /// as the reference the model test compares the production book
-    /// against. The four blocks that lived inline in `ShardCore` and
-    /// `ShardedServer` at the parent follow it as functions.
-    mod oracle {
-        use std::collections::{BTreeMap, VecDeque};
-
-        use crate::admission::{AdmitOutcome, SettledTicket};
-        use crate::server::Replies;
-        use crate::types::ClientId;
-        use crate::LcmError;
-
-        /// Host-side bookkeeping attached to one issued ticket: who it
-        /// belongs to, where it went, when it was admitted, and what the
-        /// admission layer needs back at settlement.
-        pub struct TicketMeta {
-            /// The shard the wire was enqueued to.
-            shard: u32,
-            /// The envelope's authenticated client sequence, tracked for
-            /// retry dedup — `Some` only when the wire came through
-            /// `ShardCore::try_submit` with admission enabled (the plain `submit` path stays dedup-free so retries
-            /// reach the enclave, whose §4.6.1 handling remains the backstop).
-            dedup_seq: Option<u64>,
-            /// Whether the ticket holds one of its tenant's admission credits.
-            credited: bool,
-            /// When the wire was admitted — the start of the end-to-end
-            /// latency sample recorded at release.
-            start: std::time::Instant,
-        }
-
-        /// The reply demux book: every accepted wire's ticket from issue to
-        /// settlement, plus the released replies awaiting collection.
-        ///
-        /// A ticket *settles* when its reply is released into `ready` (in
-        /// global ticket order, per-client FIFO) or when it is written off
-        /// (crash-stop, shard crash). `issued == settled` is the quiescence
-        /// predicate the concurrent front-end waits on.
-        pub struct ReplyBook {
-            pub next_ticket: u64,
-            /// Tickets handed out so far.
-            pub issued: u64,
-            /// Tickets released or written off.
-            pub settled: u64,
-            /// Per-client tickets not yet released, in submission order.
-            pub order: BTreeMap<ClientId, VecDeque<u64>>,
-            /// Replies completed out of order, waiting for earlier tickets.
-            pub held: BTreeMap<ClientId, BTreeMap<u64, Vec<u8>>>,
-            /// Replies released in order but not yet collected by a caller —
-            /// the reply plane's out-buffer (survives a failing step, so
-            /// healthy shards' replies outlive a sibling's crash-stop).
-            pub ready: VecDeque<(ClientId, Vec<u8>)>,
-            /// Per-ticket host metadata (latency clock, dedup key, credit).
-            pub meta: BTreeMap<u64, TicketMeta>,
-            /// Dedup index: the sequence number currently in flight per
-            /// (client, shard) — one entry at most, since the protocol allows
-            /// one pending operation per client per shard.
-            pub inflight_seq: BTreeMap<(ClientId, u32), u64>,
-            /// The last *released* reply per (client, shard), kept so a retry
-            /// whose reply was lost on the way back is replayed from here
-            /// instead of re-executed (bounded: one wire per client × shard).
-            pub last_reply: BTreeMap<(ClientId, u32), (u64, Vec<u8>)>,
-            /// First failure recorded by a lane drive since the last
-            /// collection (later failures in the same window are dropped, as
-            /// the single-driver server always did).
-            pub deferred_error: Option<LcmError>,
-        }
-
-        impl ReplyBook {
-            pub fn new() -> Self {
-                ReplyBook {
-                    next_ticket: 0,
-                    issued: 0,
-                    settled: 0,
-                    order: BTreeMap::new(),
-                    held: BTreeMap::new(),
-                    ready: VecDeque::new(),
-                    meta: BTreeMap::new(),
-                    inflight_seq: BTreeMap::new(),
-                    last_reply: BTreeMap::new(),
-                    deferred_error: None,
-                }
-            }
-
-            /// Clears one settled/struck ticket's metadata, producing the
-            /// settlement record the admission layer consumes. `wire` is the
-            /// released reply (`None` for write-offs, which cache nothing and
-            /// record no latency sample).
-            fn settle_meta(
-                &mut self,
-                ticket: u64,
-                client: ClientId,
-                wire: Option<&[u8]>,
-            ) -> Option<SettledTicket> {
-                let meta = self.meta.remove(&ticket)?;
-                if let Some(seq) = meta.dedup_seq {
-                    let key = (client, meta.shard);
-                    if self.inflight_seq.get(&key) == Some(&seq) {
-                        self.inflight_seq.remove(&key);
-                    }
-                    if let Some(wire) = wire {
-                        self.last_reply.insert(key, (seq, wire.to_vec()));
-                    }
-                }
-                Some(SettledTicket {
-                    client,
-                    shard: meta.shard,
-                    latency: wire.map(|_| meta.start.elapsed()),
-                    credited: meta.credited,
-                })
-            }
-
-            /// Releases every held reply whose client has no earlier
-            /// unsettled ticket, in global ticket order, into `ready`.
-            /// Returns the settlement records for the admission layer (credit
-            /// returns + latency samples); the caller forwards them after
-            /// dropping the book lock.
-            pub fn release_ready(&mut self) -> Vec<SettledTicket> {
-                let mut released: Vec<(u64, ClientId, Vec<u8>)> = Vec::new();
-                for (client, tickets) in self.order.iter_mut() {
-                    while let Some(&front) = tickets.front() {
-                        let Some(wire) = self
-                            .held
-                            .get_mut(client)
-                            .and_then(|waiting| waiting.remove(&front))
-                        else {
-                            break;
-                        };
-                        released.push((front, *client, wire));
-                        tickets.pop_front();
-                    }
-                }
-                self.order.retain(|_, tickets| !tickets.is_empty());
-                self.held.retain(|_, waiting| !waiting.is_empty());
-                released.sort_by_key(|&(ticket, _, _)| ticket);
-                self.settled += released.len() as u64;
-                let mut settled = Vec::with_capacity(released.len());
-                for (ticket, client, wire) in released {
-                    settled.extend(self.settle_meta(ticket, client, Some(&wire)));
-                    self.ready.push_back((client, wire));
-                }
-                settled
-            }
-
-            /// Strikes written-off tickets so a crash-stopped shard cannot
-            /// stall the delivery of other shards' replies to the same
-            /// clients, then releases anything that just became unblocked.
-            /// Returns the settlement records of both the write-offs and the
-            /// newly released replies.
-            pub fn purge(&mut self, purged: Vec<(u64, ClientId)>) -> Vec<SettledTicket> {
-                let mut settled = Vec::new();
-                for (ticket, client) in purged {
-                    if let Some(tickets) = self.order.get_mut(&client) {
-                        let before = tickets.len();
-                        tickets.retain(|&t| t != ticket);
-                        self.settled += (before - tickets.len()) as u64;
-                    }
-                    if let Some(waiting) = self.held.get_mut(&client) {
-                        waiting.remove(&ticket);
-                    }
-                    settled.extend(self.settle_meta(ticket, client, None));
-                }
-                self.order.retain(|_, tickets| !tickets.is_empty());
-                self.held.retain(|_, waiting| !waiting.is_empty());
-                settled.extend(self.release_ready());
-                settled
-            }
-        }
-
-        /// `ShardCore::enqueue`'s ticketing block.
-        pub fn issue(
-            book: &mut ReplyBook,
-            client: ClientId,
-            shard: usize,
-            dedup_seq: Option<u64>,
-            credited: bool,
-        ) -> u64 {
-            let t = book.next_ticket;
-            book.next_ticket += 1;
-            book.issued += 1;
-            book.order.entry(client).or_default().push_back(t);
-            book.meta.insert(
-                t,
-                TicketMeta {
-                    shard: shard as u32,
-                    dedup_seq,
-                    credited,
-                    start: std::time::Instant::now(),
-                },
-            );
-            if let Some(seq) = dedup_seq {
-                book.inflight_seq.insert((client, shard as u32), seq);
-            }
-            t
-        }
-
-        /// `ShardCore::drive`'s booking block.
-        pub fn complete(
-            book: &mut ReplyBook,
-            tickets: Vec<(u64, ClientId)>,
-            replies: Replies,
-        ) -> Vec<SettledTicket> {
-            for ((ticket, _), (client, wire)) in tickets.into_iter().zip(replies) {
-                book.held.entry(client).or_default().insert(ticket, wire);
-            }
-            book.release_ready()
-        }
-
-        /// `ShardCore::try_submit`'s retry check.
-        pub fn answer_retry(
-            book: &mut ReplyBook,
-            client: ClientId,
-            shard: u32,
-            seq: u64,
-        ) -> Option<AdmitOutcome> {
-            let key = (client, shard);
-            if let Some((cached_seq, cached)) = book.last_reply.get(&key) {
-                if *cached_seq == seq {
-                    let cached = cached.clone();
-                    book.ready.push_back((client, cached));
-                    return Some(AdmitOutcome::ReplayedReply);
-                }
-            }
-            if book.inflight_seq.get(&key) == Some(&seq) {
-                return Some(AdmitOutcome::DuplicateInFlight);
-            }
-            None
-        }
-
-        /// `ShardedServer::crash`'s rebuild of the book.
-        pub fn crash_reset(book: &mut ReplyBook) {
-            *book = ReplyBook {
-                next_ticket: book.next_ticket,
-                issued: book.issued,
-                settled: book.issued,
-                ..ReplyBook::new()
-            };
-        }
+        assert_eq!(core.host().book.unsettled(), 0);
     }
 }

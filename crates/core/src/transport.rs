@@ -181,7 +181,7 @@ impl ReplyPlane {
     /// every other client's replies wait on.
     fn dispatch(&self, core: &ShardCore) {
         let mut demux = self.lock_demux();
-        let mut ready = core.take_ready();
+        let mut ready = std::mem::take(&mut core.host().book.ready);
         ready.retain_mut(|(client, wire)| {
             let Some(rx) = demux.ports.get(client) else {
                 return true;
@@ -405,7 +405,7 @@ impl ShardedServer {
     /// Wires accepted but not yet settled (reply released or written
     /// off) — the deployment's in-flight depth; `0` means quiescent.
     pub fn in_flight(&self) -> u64 {
-        self.core.unsettled()
+        self.core.host().book.unsettled()
     }
 
     /// Connects a client, returning its thread-safe port. Replies for
@@ -467,7 +467,7 @@ impl ShardedServer {
             // parked between its final drive and its dispatch when we
             // observed quiescence.
             self.replies.dispatch(&self.core);
-            if let Some(e) = self.core.take_error() {
+            if let Some(e) = self.core.host().book.deferred_error.take() {
                 return Err(e);
             }
         } else {
@@ -733,7 +733,10 @@ mod tests {
             start
         };
         let (mut filled, mut whole) = (Vec::new(), Vec::new());
-        for round in 0..20 * ROUNDS {
+        // A round counts only while the host is quiet (below); a heavy
+        // test on the other core of a small box can keep hundreds of
+        // rounds in a row from counting, so the budget is generous.
+        for round in 0..100 * ROUNDS {
             if filled.len() == ROUNDS && whole.len() == ROUNDS {
                 break;
             }

@@ -5,11 +5,12 @@
 //! host calls/replies, the V map, provisioning payloads — the four
 //! inputs the untrusted host hands a lane's enclave outside the invoke
 //! path: replication records, slice tickets, table bulletins,
-//! migration tickets — and the recovery bundle, from the medium's
-//! bytes through both storage engines' `load` into
-//! `TrustedContext::init`, bare and through `LcmServer::boot`.
+//! migration tickets — the recovery bundle, from the medium's bytes
+//! through both storage engines' `load` into `TrustedContext::init`,
+//! bare and through `LcmServer::boot`, and the routing history a
+//! sharded deployment's migration ticket carries in the clear.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use lcm_core::admin::AdminHandle;
 use lcm_core::client::LcmClient;
@@ -17,8 +18,9 @@ use lcm_core::codec::{Reader, WireCodec, Writer};
 use lcm_core::context::TrustedContext;
 use lcm_core::functionality::Counter;
 use lcm_core::program::{lcm_measurement, HostCall, HostReply};
+use lcm_core::routing::SliceTable;
 use lcm_core::server::{BatchServer, LcmServer, SLOT_KEY_BLOB, SLOT_STATE_BLOB};
-use lcm_core::shard::{build_sharded, route_hash};
+use lcm_core::shard::{build_sharded, route_hash, ShardedServer};
 use lcm_core::stability::{decode_vmap, encode_vmap, CachedReply, Quorum, VEntry, VMap};
 use lcm_core::types::{ChainValue, ClientId, SeqNo};
 use lcm_core::wire::{InvokeMsg, InvokeView, ReplyMsg, ReplyView};
@@ -248,6 +250,26 @@ fn truncated_migration_tickets_are_refused() {
     target.submit(client.invoke(&Counter::inc_op(b"n", 1)).unwrap());
     let done = client.handle_reply(&target.process_all().unwrap()[0].1);
     assert_eq!(Counter::decode_result(&done.unwrap().result), Some(4));
+}
+
+/// A provisioned two-shard deployment that has moved slice 0, so its
+/// host routes by a history of two epochs — what a refused deployment
+/// ticket must leave as it was. One for every case: a refusal changes
+/// nothing, so the cases cannot disturb each other.
+fn moved_deployment() -> &'static Mutex<ShardedServer> {
+    static DEPLOYMENT: OnceLock<Mutex<ShardedServer>> = OnceLock::new();
+    DEPLOYMENT.get_or_init(|| {
+        let world = TeeWorld::new_deterministic(62);
+        let mut server =
+            build_sharded::<Counter>(&world, 1, Arc::new(MemoryStorage::new()), 1, 2, false);
+        assert!(server.boot().unwrap());
+        let mut admin =
+            AdminHandle::new_deterministic(&world, vec![ClientId(1)], Quorum::Majority, 4);
+        admin.bootstrap(&mut server).unwrap();
+        server.migrate_slice(0, 1).unwrap();
+        assert_eq!(server.routing_epoch(), 1);
+        Mutex::new(server)
+    })
 }
 
 /// Increments behind the checkpoint on the media below: few enough
@@ -547,6 +569,49 @@ proptest! {
         let outcome = target.import_migration(bytes, slot);
         prop_assert!(outcome.is_err(), "imported as {:?}", slot);
         prop_assert!(target.boot().unwrap(), "still awaiting provisioning");
+    }
+
+    /// Arbitrary bytes handed to a sharded deployment as its migration
+    /// ticket never panic the host's codec, and a refused ticket leaves
+    /// the routing history as it was. Three cases in four frame them:
+    /// behind two well-formed lane tickets (and a history count) so
+    /// they reach the history decoder, or as the two lane tickets of an
+    /// otherwise well-formed one, so they reach the lanes.
+    #[test]
+    fn arbitrary_bytes_leave_a_deployments_routing_history_alone(
+        bytes in proptest::collection::vec(any::<u8>(), 0..512),
+        framed in 0u8..4,
+    ) {
+        let (first, second) = bytes.split_at(bytes.len() / 2);
+        let mut w = Writer::new();
+        match framed {
+            0 => {}
+            1 | 2 => {
+                w.put_u32(2);
+                w.put_bytes(&[]);
+                w.put_bytes(&[]);
+                if framed == 2 {
+                    w.put_u32(1 + u32::from(bytes.len() % 2 == 1));
+                }
+            }
+            _ => {
+                w.put_u32(2);
+                w.put_bytes(first);
+                w.put_bytes(second);
+                w.put_u32(1);
+                SliceTable::uniform(2).encode(&mut w);
+            }
+        }
+        let mut blob = w.into_bytes();
+        if framed < 3 {
+            blob.extend_from_slice(&bytes);
+        }
+        let mut server = moved_deployment().lock().unwrap();
+        let table = server.current_table();
+        let outcome = server.import_migration(blob);
+        prop_assert!(outcome.is_err(), "imported as a deployment ticket");
+        prop_assert_eq!(server.routing_epoch(), 1);
+        prop_assert_eq!(server.current_table(), table);
     }
 
     /// Arbitrary bytes never panic any decoder.

@@ -645,7 +645,7 @@ fn clock_census_only_goes_down() {
     const OWNERS: [&str; 3] = ["crates/runtime", "crates/bench", "crates/sim"];
     const CENSUS: [(&str, usize); 4] = [
         ("crates/core/src/admission.rs", 2),
-        ("crates/core/src/shard.rs", 5),
+        ("crates/core/src/shard.rs", 3),
         ("crates/core/src/transport.rs", 1),
         ("crates/storage/src/delayed.rs", 1),
     ];
@@ -688,6 +688,34 @@ fn trusted_modules_take_no_clock_thread_or_lock() {
     assert!(
         found.is_empty(),
         "host-only names in trusted or client modules: {found:#?}"
+    );
+}
+
+/// The host's decisions — the reply book, the routing history, the
+/// heat and the pending slice move — are one plain value,
+/// `lcm_core::host::Core` (`crates/core/src/host.rs` module docs), so a
+/// single thread can drive them through any schedule. Its non-test
+/// code names no lock, thread, atomic or clock reading: callers pass
+/// `now` and hold the one lock around it.
+#[test]
+fn host_core_takes_no_clock_thread_or_lock() {
+    const MECHANISMS: [&str; 7] = [
+        "std::sync",
+        "std::thread",
+        "Atomic",
+        "Mutex",
+        "Instant::now",
+        "SystemTime",
+        "sleep(",
+    ];
+    let core = file("crates/core/src/host.rs");
+    assert!(non_test(&core.text).any(|l| l.contains("struct Core")));
+    let found = hits(std::iter::once(core), true, |l| {
+        MECHANISMS.iter().any(|n| l.contains(n))
+    });
+    assert!(
+        found.is_empty(),
+        "mechanisms in the host's core: {found:#?}"
     );
 }
 
