@@ -50,11 +50,11 @@
 //!   request batching (paper §5.2/§5.3 architecture) — the *member*
 //!   role, [`server::LcmServer`] — plus one trait for each role around
 //!   it: [`server::Lane`] (one shard) and [`server::BatchServer`] (the
-//!   deployment the rest of the stack programs against).
-//! * [`pipeline`] — asynchronous write as a persist policy of that
-//!   one server: [`server::LcmServer::into_pipelined`] attaches a
-//!   background writer that persists sealed state while the enclave
-//!   executes the next batch (the mode behind the paper's Figs. 4/5).
+//!   deployment the rest of the stack programs against). Asynchronous
+//!   write is a persist policy of that one server:
+//!   [`server::LcmServer::into_pipelined`] attaches a background writer
+//!   that persists sealed state while the enclave executes the next
+//!   batch (the mode behind the paper's Figs. 4/5).
 //! * [`shard`] — sharded multi-enclave execution:
 //!   [`shard::ShardedServer`] runs N boxed [`server::Lane`]s behind a
 //!   key-partitioned router so stage 2 (execute + seal) parallelizes
@@ -82,7 +82,6 @@ pub mod admin;
 pub mod admission;
 pub mod functionality;
 mod host;
-pub mod pipeline;
 pub mod program;
 pub mod replica;
 pub mod server;

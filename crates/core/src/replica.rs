@@ -205,8 +205,7 @@ use lcm_crypto::sha256::Digest;
 use lcm_tee::attestation::Quote;
 
 use crate::functionality::Functionality;
-use crate::pipeline::DEFAULT_WRITER_QUEUE;
-use crate::server::{no_replica, Lane, LcmServer, ReadPort, Replies};
+use crate::server::{no_replica, Lane, LcmServer, ReadPort, Replies, DEFAULT_WRITER_QUEUE};
 use crate::stability::Quorum;
 use crate::types::ClientId;
 use crate::wire::ReadHint;

@@ -65,13 +65,72 @@
 //! batch's wires, is the step's `Err` and drops the batch's wires on
 //! the lane thread: the shard crash-stops, and its tickets are written
 //! off ([`crate::shard`]).
+//!
+//! ## Asynchronous write
+//!
+//! The paper's headline throughput numbers (Figs. 4/5) come from the
+//! *asynchronous-write* mode, where sealing persistence overlaps
+//! request execution. That mode is a **persist policy of the one
+//! server type**, not a server of its own:
+//! [`LcmServer::into_pipelined`] attaches a writer, and from then on
+//! [`LcmServer::step`] hands each batch's sealed blobs to it instead of
+//! storing them inline:
+//!
+//! ```text
+//!            stage 1 — intake          stage 2 — execution        stage 3 — persistence
+//!   clients ──────────────────▶ queue ────────────────────▶ seal ──────────────────────▶ disk
+//!            submit                    enclave ecall              background writer
+//!            (caller thread)           (caller thread)            (one-worker pool)
+//! ```
+//!
+//! Stages 1–2 run on the caller's thread exactly as in the synchronous
+//! mode; stage 3 is a [`WorkerPool`] of one worker, which stores the
+//! snapshots in the order they were submitted. While the writer
+//! persists batch *n*, the enclave executes batch *n+1* — replies leave
+//! the server before their sealed state hits the disk. Control-plane
+//! host calls (boot, provision, admin, migration, replica apply, slice
+//! moves) drain the writer first, so they always read and supersede
+//! ordered state. Dropping the server stores every snapshot the writer
+//! accepted before its thread is joined.
+//!
+//! ### Back-pressure
+//!
+//! The writer's job queue holds at most [`DEFAULT_WRITER_QUEUE`]
+//! sealed snapshots. When the disk falls that far behind,
+//! [`LcmServer::step`] blocks until a slot frees up: a slow disk
+//! throttles the enclave instead of buffering unbounded sealed state in
+//! host memory. [`LcmServer::backpressure_events`] counts how often
+//! that happened.
+//!
+//! ### Crash semantics — the durability window
+//!
+//! Queued-but-unwritten blobs model data handed to the OS page cache:
+//!
+//! * [`LcmServer::crash`] — the server *process* dies. The kernel
+//!   still completes accepted writes, so the writer drains its queue
+//!   before the enclave stops; recovery sees the latest state.
+//! * [`LcmServer::crash_power_failure`] (reached through
+//!   [`BatchServer::kill_member`]`(.., true)`) — the machine dies.
+//!   Queued blobs are lost, recovery boots from whatever had actually
+//!   reached the medium. Operations whose persistence was lost are
+//!   rolled back — which LCM clients *detect* on their next operation
+//!   (`V[i]` mismatch). This is exactly the paper's trade: async mode
+//!   buys throughput, and the stability watermark (§4.5) tells each
+//!   client which operations were guaranteed durable.
+//!
+//! A replica group's member holds back a second kind of unwritten
+//! record: a straggler's applied-but-unstored deltas
+//! ([`LcmServer::buffered_records`]). Both crash kinds discard those.
+//! The group never counted them as held; the composed guarantee in
+//! [`crate::replica`] says why that loses no acknowledged write.
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use lcm_crypto::aead::Tag;
 use lcm_crypto::sha256::Digest;
+use lcm_runtime::{CountedCondvar, WorkerPool};
 use lcm_storage::{DeltaLogConfig, DeltaLogStorage, StableStorage};
 use lcm_tee::attestation::{Quote, QuotingEnclave, Report};
 use lcm_tee::enclave::{Enclave, EnclaveProgram};
@@ -80,7 +139,6 @@ use lcm_tee::platform::TeePlatform;
 use crate::codec::{Reader, WireCodec};
 use crate::context::PersistBlobs;
 use crate::functionality::Functionality;
-use crate::pipeline::{PersistWriter, DEFAULT_WRITER_QUEUE};
 use crate::program::{decode_blobs, HostCall, HostReply, LcmProgram, REPLY_BATCH, REPLY_READ};
 use crate::types::ClientId;
 use crate::{LcmError, Result};
@@ -93,6 +151,11 @@ pub const SLOT_STATE_BLOB: &str = "lcm.state";
 /// Default batch limit, matching the paper's evaluation configuration
 /// ("batching of up to 16 operations", §6.4).
 pub const DEFAULT_BATCH_LIMIT: usize = 16;
+
+/// Bound on a pipelined server's writer queue: how many sealed
+/// snapshots may be in flight before execution blocks on persistence
+/// (module docs, § Back-pressure).
+pub const DEFAULT_WRITER_QUEUE: usize = 4;
 
 /// Replies produced by one processing step, routed per client.
 pub type Replies = Vec<(ClientId, Vec<u8>)>;
@@ -142,8 +205,8 @@ pub struct LcmServer<F: Functionality, P: EnclaveProgram = LcmProgram<F>> {
     batch_scratch: Vec<Vec<u8>>,
     /// The persist policy: `None` stores each batch's sealed blobs
     /// inline (synchronous write); `Some` hands them to a background
-    /// writer (asynchronous write, see [`crate::pipeline`]).
-    writer: Option<PersistWriter>,
+    /// writer (module docs, § Asynchronous write).
+    writer: Option<Writer>,
     /// The replication record the enclave emitted with the last batch
     /// (group members only), until the group takes it
     /// ([`LcmServer::take_record`]).
@@ -211,17 +274,12 @@ impl<F: Functionality, P: EnclaveProgram> LcmServer<F, P> {
 
     /// Switches this server to the paper's asynchronous-write mode:
     /// from now on each batch's sealed blobs persist on a background
-    /// writer thread while the enclave executes the next batch (see
-    /// [`crate::pipeline`] for back-pressure and the durability
-    /// window). Uses the default writer-queue capacity.
-    pub fn into_pipelined(self) -> Self {
-        self.into_pipelined_with_queue(DEFAULT_WRITER_QUEUE)
-    }
-
-    /// [`LcmServer::into_pipelined`] with an explicit writer-queue
-    /// bound (min 1).
-    pub fn into_pipelined_with_queue(mut self, queue_capacity: usize) -> Self {
-        self.writer = Some(PersistWriter::spawn(self.storage.clone(), queue_capacity));
+    /// writer thread while the enclave executes the next batch, with at
+    /// most [`DEFAULT_WRITER_QUEUE`] of them waiting (module docs, §
+    /// Asynchronous write, for back-pressure and the durability
+    /// window).
+    pub fn into_pipelined(mut self) -> Self {
+        self.writer = Some(Writer::spawn(self.storage.clone()));
         self
     }
 
@@ -343,7 +401,7 @@ impl<F: Functionality, P: EnclaveProgram> LcmServer<F, P> {
     /// errors from earlier batches.
     pub fn step(&mut self) -> Result<Vec<(ClientId, Vec<u8>)>> {
         if let Some(writer) = &self.writer {
-            writer.check()?;
+            writer.shared.progress().check()?;
         }
         if self.queue.is_empty() {
             return Ok(Vec::new());
@@ -369,7 +427,7 @@ impl<F: Functionality, P: EnclaveProgram> LcmServer<F, P> {
         // Records this member buffered as a follower land first, on
         // either persist path: the slot takes records in chain order.
         self.store_buffered()?;
-        match &mut self.writer {
+        match &self.writer {
             Some(writer) => writer.submit(blobs)?,
             None => self.persist(&blobs)?,
         }
@@ -413,18 +471,20 @@ impl<F: Functionality, P: EnclaveProgram> LcmServer<F, P> {
     /// Blocks until the background writer's queue is empty; a no-op in
     /// synchronous mode.
     fn writer_barrier(&self) -> Result<()> {
-        self.writer.as_ref().map_or(Ok(()), PersistWriter::flush)
+        self.writer.as_ref().map_or(Ok(()), Writer::flush)
     }
 
     /// Sealed snapshots fully persisted by the background writer so
     /// far (0 in synchronous mode, which has no writer to count).
     pub fn persists_completed(&self) -> u64 {
-        self.writer.as_ref().map_or(0, PersistWriter::persisted)
+        self.writer
+            .as_ref()
+            .map_or(0, |w| w.shared.progress().persisted)
     }
 
     /// Sealed snapshots currently waiting in the writer queue.
     pub fn pending_persists(&self) -> usize {
-        self.writer.as_ref().map_or(0, PersistWriter::pending)
+        self.writer.as_ref().map_or(0, |w| w.pool.queued())
     }
 
     /// How many times execution blocked because the writer queue was
@@ -432,7 +492,7 @@ impl<F: Functionality, P: EnclaveProgram> LcmServer<F, P> {
     pub fn backpressure_events(&self) -> u64 {
         self.writer
             .as_ref()
-            .map_or(0, PersistWriter::blocked_pushes)
+            .map_or(0, |w| w.pool.queue_stats().blocked_pushes)
     }
 
     /// Processes all queued messages, batch by batch.
@@ -708,15 +768,140 @@ impl<F: Functionality> LcmServer<F> {
 /// either surviving alone is consistent. Delta persists carry no key
 /// blob at all (keys cannot change on the batch path); skip the
 /// redundant store.
-pub(crate) fn store_blobs(
-    storage: &dyn StableStorage,
-    blobs: &PersistBlobs,
-) -> lcm_storage::Result<()> {
+fn store_blobs(storage: &dyn StableStorage, blobs: &PersistBlobs) -> lcm_storage::Result<()> {
     storage.store(SLOT_STATE_BLOB, &blobs.state_blob)?;
     if !blobs.key_blob.is_empty() {
         storage.store(SLOT_KEY_BLOB, &blobs.key_blob)?;
     }
     Ok(())
+}
+
+/// The persist stage of a pipelined [`LcmServer`] (module docs, §
+/// Asynchronous write): one pool worker storing sealed snapshots in
+/// submission order. Dropping it drops the pool, which stores every
+/// snapshot already accepted and joins the worker.
+struct Writer {
+    pool: WorkerPool,
+    shared: Arc<WriterShared>,
+}
+
+/// What the server and the writer's worker share.
+struct WriterShared {
+    storage: Arc<dyn StableStorage>,
+    progress: Mutex<Progress>,
+    /// Where a flush waits for `done`. The worker moves `done` under
+    /// the mutex before it reads the waiter count, so a flush never
+    /// misses the snapshot it waits for, and a snapshot finished with
+    /// nobody flushing costs no system call ([`lcm_runtime::parked`]).
+    advanced: CountedCondvar,
+}
+
+#[derive(Default)]
+struct Progress {
+    /// First storage error the worker hit; every later snapshot is
+    /// skipped and the error surfaces on the next server call.
+    error: Option<String>,
+    /// Snapshots fully persisted (both slots stored).
+    persisted: u64,
+    /// Snapshots disposed of: stored, skipped after an error, or
+    /// dropped by a power failure.
+    done: u64,
+}
+
+impl Progress {
+    /// Surfaces a storage error the writer hit on an earlier snapshot.
+    fn check(&self) -> Result<()> {
+        match &self.error {
+            None => Ok(()),
+            Some(msg) => Err(LcmError::Storage(format!("async persist failed: {msg}"))),
+        }
+    }
+}
+
+impl WriterShared {
+    fn progress(&self) -> MutexGuard<'_, Progress> {
+        self.progress.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The worker's job: stores one snapshot unless an earlier one
+    /// failed, frees it, and reports it done.
+    fn persist(&self, blobs: PersistBlobs) {
+        let failed = self.progress().error.is_some();
+        let stored = (!failed).then(|| store_blobs(&*self.storage, &blobs));
+        drop(blobs);
+        let mut progress = self.progress();
+        match stored {
+            Some(Ok(())) => progress.persisted += 1,
+            Some(Err(e)) => progress.error = Some(e.to_string()),
+            None => {}
+        }
+        progress.done += 1;
+        drop(progress);
+        self.advanced.notify_all();
+    }
+}
+
+impl Writer {
+    fn spawn(storage: Arc<dyn StableStorage>) -> Self {
+        Writer {
+            pool: WorkerPool::new("lcm-persist-writer", 1, DEFAULT_WRITER_QUEUE),
+            shared: Arc::new(WriterShared {
+                storage,
+                progress: Mutex::default(),
+                advanced: CountedCondvar::new(),
+            }),
+        }
+    }
+
+    /// Queues one sealed snapshot, blocking while the queue is full
+    /// (back-pressure).
+    fn submit(&self, blobs: PersistBlobs) -> Result<()> {
+        let shared = self.shared.clone();
+        if self.pool.execute(move || shared.persist(blobs)) {
+            Ok(())
+        } else {
+            Err(LcmError::Storage("persist writer stopped".into()))
+        }
+    }
+
+    /// Blocks until every snapshot submitted so far is disposed of —
+    /// the pool counts what it accepted, the worker what it finished —
+    /// and returns the progress at that point.
+    fn wait(&self) -> MutexGuard<'_, Progress> {
+        let submitted = self.pool.queue_stats().pushed;
+        let mut progress = self.shared.progress();
+        while progress.done < submitted {
+            progress = self.shared.advanced.wait(progress);
+        }
+        progress
+    }
+
+    /// Blocks until every queued snapshot is stored, then surfaces any
+    /// storage error the writer hit.
+    fn flush(&self) -> Result<()> {
+        self.wait().check()
+    }
+
+    /// The writer's side of a server crash: a process crash lets
+    /// accepted writes complete, a power failure discards what is
+    /// still queued (the in-flight store completes). Returns how many
+    /// snapshots were dropped. A pending writer error is cleared
+    /// either way: the restarted process gets a fresh writer, and the
+    /// write that failed is simply lost — if it mattered, clients
+    /// detect the resulting rollback.
+    fn crash(&self, power_failure: bool) -> usize {
+        let (mut progress, dropped) = if power_failure {
+            let dropped = self.pool.discard_pending();
+            (self.shared.progress(), dropped)
+        } else {
+            (self.wait(), 0)
+        };
+        progress.done += dropped as u64;
+        progress.error = None;
+        drop(progress);
+        self.shared.advanced.notify_all();
+        dropped
+    }
 }
 
 /// The error of addressing a member a lane does not have.
@@ -1862,5 +2047,463 @@ mod tests {
         let replies = server.process_all().unwrap();
         let done = c.handle_reply(&replies[0].1).unwrap();
         assert_eq!(done.seq.0, 1, "same sequence number as the lost reply");
+    }
+
+    // ------------------------------------------------ asynchronous write
+
+    #[test]
+    fn pipelined_end_to_end_single_client() {
+        let (server, _admin, mut clients) = setup(1, 1);
+        let mut server = server.into_pipelined();
+        let c = &mut clients[0];
+        server.submit(c.invoke(b"first").unwrap());
+        let replies = server.process_all().unwrap();
+        assert_eq!(replies.len(), 1);
+        let done = c.handle_reply(&replies[0].1).unwrap();
+        assert_eq!(done.seq.0, 1);
+        server.flush().unwrap();
+        assert_eq!(server.persists_completed(), 1);
+    }
+
+    #[test]
+    fn replies_can_outrun_persistence() {
+        // With a generous queue the reply returns even though nothing
+        // forces the persist to have completed yet; flush establishes
+        // the durable point.
+        let (server, _admin, mut clients) = setup(3, 16);
+        let mut server = server.into_pipelined();
+        for c in clients.iter_mut() {
+            server.submit(c.invoke(b"op").unwrap());
+        }
+        let replies = server.process_all().unwrap();
+        assert_eq!(replies.len(), 3);
+        server.flush().unwrap();
+        assert_eq!(server.batches_processed(), 1);
+        assert_eq!(server.persists_completed(), 1);
+    }
+
+    #[test]
+    fn process_crash_preserves_accepted_writes() {
+        let (server, _admin, mut clients) = setup(1, 1);
+        let mut server = server.into_pipelined();
+        let c = &mut clients[0];
+        server.submit(c.invoke(b"durable").unwrap());
+        let replies = server.process_all().unwrap();
+        c.handle_reply(&replies[0].1).unwrap();
+
+        server.crash();
+        assert!(!server.is_running());
+        assert!(!server.boot().unwrap(), "no re-provisioning after crash");
+
+        server.submit(c.invoke(b"after").unwrap());
+        let replies = server.process_all().unwrap();
+        let done = c.handle_reply(&replies[0].1).unwrap();
+        assert_eq!(done.seq.0, 2, "sequence continues after recovery");
+    }
+
+    /// A medium whose stores each wait for a permit. It counts the
+    /// stores that reached it and keeps every blob in the order it
+    /// landed, so a test can hold the writer at a chosen point.
+    struct GatedMedium {
+        inner: MemoryStorage,
+        gate: Mutex<Gate>,
+        moved: std::sync::Condvar,
+    }
+
+    struct Gate {
+        /// Stores that may still complete.
+        permits: usize,
+        /// Stores that have reached the medium.
+        entered: usize,
+        /// What the completed stores wrote, in order.
+        landed: Vec<Vec<u8>>,
+    }
+
+    impl GatedMedium {
+        /// An open medium: every store completes at once.
+        fn new() -> Arc<Self> {
+            Arc::new(GatedMedium {
+                inner: MemoryStorage::new(),
+                gate: Mutex::new(Gate {
+                    permits: usize::MAX,
+                    entered: 0,
+                    landed: Vec::new(),
+                }),
+                moved: std::sync::Condvar::new(),
+            })
+        }
+
+        fn gate(&self) -> MutexGuard<'_, Gate> {
+            self.gate.lock().unwrap()
+        }
+
+        fn close(&self) {
+            self.gate().permits = 0;
+        }
+
+        fn open(&self) {
+            self.allow(usize::MAX);
+        }
+
+        /// Lets `n` more stores complete.
+        fn allow(&self, n: usize) {
+            let mut gate = self.gate();
+            gate.permits = gate.permits.saturating_add(n);
+            drop(gate);
+            self.moved.notify_all();
+        }
+
+        /// Blocks until `n` stores have reached the medium.
+        fn await_entered(&self, n: usize) {
+            let mut gate = self.gate();
+            while gate.entered < n {
+                gate = self.moved.wait(gate).unwrap();
+            }
+        }
+
+        fn landed(&self) -> Vec<Vec<u8>> {
+            self.gate().landed.clone()
+        }
+    }
+
+    impl StableStorage for GatedMedium {
+        fn store(&self, slot: &str, blob: &[u8]) -> lcm_storage::Result<()> {
+            let mut gate = self.gate();
+            gate.entered += 1;
+            self.moved.notify_all();
+            while gate.permits == 0 {
+                gate = self.moved.wait(gate).unwrap();
+            }
+            gate.permits -= 1;
+            gate.landed.push(blob.to_vec());
+            drop(gate);
+            self.inner.store(slot, blob)
+        }
+
+        fn load(&self, slot: &str) -> lcm_storage::Result<Option<Vec<u8>>> {
+            self.inner.load(slot)
+        }
+    }
+
+    /// A snapshot whose state blob is `[n]`, with no key blob, so the
+    /// writer makes one store of it.
+    fn snapshot(n: u8) -> PersistBlobs {
+        PersistBlobs {
+            key_blob: Vec::new(),
+            state_blob: vec![n],
+            record: None,
+        }
+    }
+
+    /// A writer over a closed medium, holding snapshot 0 in its store.
+    /// Dropped, it opens the medium first, so a failing test unwinds
+    /// instead of joining a worker that waits at the gate.
+    struct Held {
+        medium: Arc<GatedMedium>,
+        writer: Arc<Writer>,
+    }
+
+    impl Drop for Held {
+        fn drop(&mut self) {
+            self.medium.open();
+        }
+    }
+
+    fn held_writer() -> Held {
+        let medium = GatedMedium::new();
+        medium.close();
+        let writer = Arc::new(Writer::spawn(medium.clone()));
+        writer.submit(snapshot(0)).unwrap();
+        medium.await_entered(1);
+        Held { medium, writer }
+    }
+
+    /// Spins until the flusher reporting on `flushed` is parked on the
+    /// writer's done count (read under its mutex, the count means it
+    /// is inside `wait`); a flush that returns instead fails the test.
+    fn await_parked(writer: &Writer, flushed: &std::sync::mpsc::Receiver<usize>) {
+        loop {
+            let progress = writer.shared.progress();
+            if writer.shared.advanced.parked() == 1 {
+                return;
+            }
+            drop(progress);
+            if let Ok(landed) = flushed.try_recv() {
+                panic!("flush returned with {landed} stores landed, before the worker reported");
+            }
+            std::thread::yield_now();
+        }
+    }
+
+    /// A flusher on its own thread, which reports how many stores had
+    /// landed when its flush returned.
+    fn flusher(
+        writer: &Arc<Writer>,
+        medium: &Arc<GatedMedium>,
+    ) -> std::sync::mpsc::Receiver<usize> {
+        let (writer, medium) = (writer.clone(), medium.clone());
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            writer.flush().unwrap();
+            tx.send(medium.landed().len()).unwrap();
+        });
+        rx
+    }
+
+    #[test]
+    fn the_writer_stores_snapshots_in_submission_order() {
+        let held = held_writer();
+        let (medium, writer) = (&held.medium, &held.writer);
+        for n in 1..=DEFAULT_WRITER_QUEUE as u8 {
+            writer.submit(snapshot(n)).unwrap();
+        }
+        assert_eq!(writer.pool.queued(), DEFAULT_WRITER_QUEUE);
+        medium.open();
+        for n in DEFAULT_WRITER_QUEUE as u8 + 1..50 {
+            writer.submit(snapshot(n)).unwrap();
+        }
+        writer.flush().unwrap();
+        let stored: Vec<Vec<u8>> = (0..50).map(|n| vec![n]).collect();
+        assert_eq!(medium.landed(), stored);
+        assert_eq!(writer.shared.progress().persisted, 50);
+    }
+
+    #[test]
+    fn a_full_writer_queue_blocks_the_submitter_and_counts_a_blocked_push() {
+        let held = held_writer();
+        let (medium, writer) = (&held.medium, &held.writer);
+        for n in 1..=DEFAULT_WRITER_QUEUE as u8 {
+            writer.submit(snapshot(n)).unwrap();
+        }
+        assert_eq!(writer.pool.queue_stats().blocked_pushes, 0);
+        let submitter = {
+            let writer = writer.clone();
+            std::thread::spawn(move || writer.submit(snapshot(9)))
+        };
+        // The push counts itself blocked under the queue's lock before
+        // it waits: once counted, it is waiting for a free slot.
+        while writer.pool.queue_stats().blocked_pushes == 0 {
+            assert!(
+                !submitter.is_finished(),
+                "a push into a full queue returned"
+            );
+            std::thread::yield_now();
+        }
+        medium.open();
+        submitter.join().unwrap().unwrap();
+        writer.flush().unwrap();
+        assert_eq!(writer.pool.queue_stats().blocked_pushes, 1);
+        assert_eq!(
+            writer.shared.progress().persisted,
+            DEFAULT_WRITER_QUEUE as u64 + 2
+        );
+    }
+
+    #[test]
+    fn a_power_failure_drops_exactly_the_queued_snapshots() {
+        let held = held_writer();
+        let (medium, writer) = (&held.medium, &held.writer);
+        for n in 1..=3 {
+            writer.submit(snapshot(n)).unwrap();
+        }
+        assert_eq!(writer.pool.queued(), 3);
+        assert_eq!(writer.crash(true), 3);
+        assert_eq!(writer.pool.queued(), 0);
+        // The store in flight completes; what was queued never lands.
+        medium.open();
+        writer.flush().unwrap();
+        assert_eq!(medium.landed(), [vec![0]]);
+        assert_eq!(writer.shared.progress().persisted, 1);
+    }
+
+    #[test]
+    fn flush_returns_once_the_last_store_is_done() {
+        let held = held_writer();
+        let (medium, writer) = (&held.medium, &held.writer);
+        let flushed = flusher(writer, medium);
+        // Parked first, so the worker's report is the wake-up that
+        // must reach it.
+        await_parked(writer, &flushed);
+        medium.allow(1);
+        let landed = flushed
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("flush missed the last store's completion");
+        assert_eq!(landed, 1);
+        // Nothing outstanding, nobody parked: a flush returns at once.
+        writer.flush().unwrap();
+        assert_eq!(writer.shared.advanced.parked(), 0);
+    }
+
+    #[test]
+    fn flush_covers_a_snapshot_submitted_while_the_writer_was_busy() {
+        let held = held_writer();
+        let (medium, writer) = (&held.medium, &held.writer);
+        // Submitted while snapshot 0 is still in its store: the flush
+        // owes both, and both completions find it parked.
+        writer.submit(snapshot(1)).unwrap();
+        let flushed = flusher(writer, medium);
+        await_parked(writer, &flushed);
+        medium.allow(1);
+        // Snapshot 0 is stored and the worker holds snapshot 1: the
+        // flush, woken by the first report, must park again.
+        medium.await_entered(2);
+        await_parked(writer, &flushed);
+        medium.allow(1);
+        let landed = flushed
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("flush missed the second store's completion");
+        assert_eq!(landed, 2);
+    }
+
+    /// Dropping a pipelined server joins its writer only after every
+    /// snapshot it accepted is on the medium. The opener's delay only
+    /// gives a drop that does not drain time to return first; a drop
+    /// that drains waits for the gate however late it opens.
+    #[test]
+    fn dropping_a_pipelined_server_leaves_every_accepted_snapshot_on_the_medium() {
+        use crate::functionality::Counter;
+        let world = TeeWorld::new_deterministic(46);
+        let platform = world.platform_deterministic(1);
+        let medium = GatedMedium::new();
+        let mut server = LcmServer::<Counter>::new(&platform, medium.clone(), 1).into_pipelined();
+        assert!(server.boot().unwrap());
+        let mut admin =
+            AdminHandle::new_deterministic(&world, vec![ClientId(1)], Quorum::Majority, 7);
+        admin.bootstrap(&mut server).unwrap();
+        let mut c = LcmClient::new(ClientId(1), admin.client_key());
+        let mut run = |server: &mut LcmServer<Counter>, op: Vec<u8>| {
+            server.submit(c.invoke(&op).unwrap());
+            let replies = server.process_all().unwrap();
+            let done = c.handle_reply(&replies[0].1).unwrap();
+            Counter::decode_result(&done.result).unwrap()
+        };
+
+        medium.close();
+        for _ in 0..3 {
+            run(&mut server, Counter::inc_op(b"n", 1));
+        }
+        assert_eq!(server.persists_completed(), 0, "the gate holds them all");
+        let opener = {
+            let medium = medium.clone();
+            std::thread::spawn(move || {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                medium.open();
+            })
+        };
+        drop(server);
+        opener.join().unwrap();
+
+        let mut server = LcmServer::<Counter>::new(&platform, medium, 1);
+        assert!(!server.boot().unwrap());
+        assert_eq!(run(&mut server, Counter::read_op(b"n")), 3);
+    }
+
+    /// A pipelined server over a gated medium, bootstrapped for one
+    /// client, with one durable operation behind it.
+    fn gated_setup(
+        seed: u64,
+    ) -> (
+        TeeWorld,
+        Arc<GatedMedium>,
+        LcmServer<AppendLog>,
+        AdminHandle,
+        LcmClient,
+    ) {
+        let world = TeeWorld::new_deterministic(seed);
+        let platform = world.platform_deterministic(1);
+        let storage = GatedMedium::new();
+        let mut server =
+            LcmServer::<AppendLog>::new(&platform, storage.clone(), 1).into_pipelined();
+        assert!(server.boot().unwrap());
+        let ids = vec![ClientId(1)];
+        let mut admin = AdminHandle::new_deterministic(&world, ids, Quorum::Majority, 9);
+        admin.bootstrap(&mut server).unwrap();
+        let mut c = LcmClient::new(ClientId(1), admin.client_key());
+        run(&mut server, &mut c, b"durable");
+        server.flush().unwrap();
+        (world, storage, server, admin, c)
+    }
+
+    fn run(server: &mut LcmServer<AppendLog>, c: &mut LcmClient, op: &[u8]) {
+        server.submit(c.invoke(op).unwrap());
+        let replies = server.process_all().unwrap();
+        c.handle_reply(&replies[0].1).unwrap();
+    }
+
+    #[test]
+    fn power_failure_rolls_back_and_clients_detect() {
+        let (_world, storage, mut server, _admin, mut c) = gated_setup(43);
+
+        // Close the gate: the next two acknowledged ops stall in the
+        // persistence stage (one in-flight, one queued).
+        storage.close();
+        run(&mut server, &mut c, b"volatile-1");
+        run(&mut server, &mut c, b"volatile-2");
+        // Wait until exactly one job is queued behind the in-flight one.
+        while server.pending_persists() != 1 {
+            std::thread::yield_now();
+        }
+
+        // Power failure: the queued snapshot is lost; the in-flight
+        // write completes once "the controller" (gate) lets it.
+        let dropped = server.crash_power_failure();
+        assert_eq!(dropped, 1);
+        storage.open();
+        server.boot().unwrap();
+
+        // The context recovered without volatile-2; the client's
+        // (tc, hc) is ahead — its next operation trips detection.
+        server.submit(c.invoke(b"next").unwrap());
+        let err = server.process_all().unwrap_err();
+        assert!(err.is_violation(), "got {err:?}");
+    }
+
+    /// Every control-plane host call reads or supersedes what stable
+    /// storage holds, so each must have drained the writer by the time
+    /// it returns — as a set, against one gated medium: acknowledge an
+    /// operation whose persist stalls, issue the call from the main
+    /// thread, open the gate from a helper, and require the stalled
+    /// persist on the medium the moment the call is back (whatever its
+    /// verdict; several of these are rejected by the enclave in this
+    /// state, which is irrelevant to the barrier). The helper's delay
+    /// only gives a call *without* the barrier time to return early: a
+    /// call with it blocks until the gate opens, however late that is,
+    /// so timing can never fail a correct server.
+    #[test]
+    fn control_plane_calls_drain_the_writer_first() {
+        type Call = fn(&mut LcmServer<AppendLog>, &mut AdminHandle);
+        let calls: [(&str, Call); 9] = [
+            ("boot", |s, _| drop(s.boot())),
+            ("provision", |s, _| drop(s.provision(vec![0; 8]))),
+            ("admin", |s, a| drop(a.add_client(s, ClientId(2)))),
+            ("export_migration", |s, _| drop(s.export_migration())),
+            ("import_migration", |s, _| {
+                drop(s.import_migration(vec![], Some((0, 1))))
+            }),
+            ("apply_replica", |s, _| drop(s.apply_replica(&[]))),
+            ("export_slice", |s, _| drop(s.export_slice(0, 0))),
+            ("import_slice", |s, _| drop(s.import_slice(vec![]))),
+            ("adopt_table", |s, _| drop(s.adopt_table(vec![]))),
+        ];
+        for (i, (name, call)) in calls.iter().enumerate() {
+            let (_world, storage, mut server, mut admin, mut c) = gated_setup(50 + i as u64);
+            storage.close();
+            run(&mut server, &mut c, b"stalled");
+            let before = server.persists_completed();
+            let opener = {
+                let storage = storage.clone();
+                std::thread::spawn(move || {
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    storage.open();
+                })
+            };
+            call(&mut server, &mut admin);
+            assert_eq!(server.pending_persists(), 0, "{name}: writer queue");
+            assert!(
+                server.persists_completed() > before,
+                "{name} returned before the stalled persist reached the medium"
+            );
+            opener.join().unwrap();
+        }
     }
 }

@@ -14,36 +14,30 @@
 //!   in the workspace parks on: a condition variable that counts its
 //!   waiters, so a notify with nobody parked is not a system call.
 //! * [`pool::WorkerPool`] — a fixed set of worker threads draining a
-//!   shared job queue, with [`task::JoinHandle`]s for results.
-//! * [`stage::StageWorker`] — the reactor loop of one pipeline stage: a
-//!   dedicated thread that reacts to items arriving on its bounded
-//!   inbox, with `flush` (wait until everything submitted so far has
-//!   been handled) and `discard_pending` (model a power failure that
-//!   loses queued-but-unwritten work).
+//!   shared bounded job queue, with [`task::JoinHandle`]s for results.
+//!   Dropping a pool runs every job it accepted and joins its threads;
+//!   [`pool::WorkerPool::discard_pending`] instead drops the jobs still
+//!   queued, which models a power failure losing queued-but-unwritten
+//!   work.
 //!
-//! `lcm-core`'s pipelined `LcmServer` chains three stages with these
-//! pieces: request intake → enclave execution → persistence, where the
-//! persistence stage runs on a [`stage::StageWorker`] so sealing I/O
-//! overlaps execution of the next batch (the paper's *asynchronous
-//! write* mode under real concurrency).
+//! Every thread the library crates start is a pool worker (the
+//! measurement crates `lcm-bench` and `lcm-sim` aside; the rule is
+//! `tests/architecture.rs::threads_spawn_only_in_the_runtime`):
+//! `lcm-core`'s shard pool boots and drives lanes, its driver pool runs
+//! a deployment's continuous drivers, and a pipelined `LcmServer`'s
+//! persist stage is a one-worker pool, so sealing I/O overlaps the
+//! execution of the next batch (the paper's *asynchronous write* mode
+//! under real concurrency).
 //!
 //! ## Example
 //!
 //! ```
-//! use lcm_runtime::stage::StageWorker;
-//! use std::sync::atomic::{AtomicU64, Ordering};
-//! use std::sync::Arc;
+//! use lcm_runtime::WorkerPool;
 //!
-//! let sum = Arc::new(AtomicU64::new(0));
-//! let sink = sum.clone();
-//! let mut stage = StageWorker::spawn("adder", 4, move |n: u64| {
-//!     sink.fetch_add(n, Ordering::SeqCst);
-//! });
-//! for n in 1..=10u64 {
-//!     stage.submit(n).unwrap();
-//! }
-//! stage.flush();
-//! assert_eq!(sum.load(Ordering::SeqCst), 55);
+//! let pool = WorkerPool::new("squares", 2, 4);
+//! let handles: Vec<_> = (1..=10u64).map(|n| pool.spawn(move || n * n)).collect();
+//! let sum: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
+//! assert_eq!(sum, 385);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -52,11 +46,9 @@
 pub mod parked;
 pub mod pool;
 pub mod queue;
-pub mod stage;
 pub mod task;
 
 pub use parked::CountedCondvar;
 pub use pool::WorkerPool;
 pub use queue::{BoundedQueue, PushError, QueueStats};
-pub use stage::StageWorker;
 pub use task::JoinHandle;

@@ -67,6 +67,19 @@ impl WorkerPool {
         self.queue.push(Box::new(job)).is_ok()
     }
 
+    /// Jobs waiting in the queue, not yet taken by a worker.
+    pub fn queued(&self) -> usize {
+        self.queue.len()
+    }
+
+    /// Drops every job still waiting in the queue without running it —
+    /// the power-failure model: work accepted but not started is lost.
+    /// A job a worker has already taken completes. Returns how many
+    /// jobs were dropped.
+    pub fn discard_pending(&self) -> usize {
+        self.queue.drain_pending().len()
+    }
+
     /// Submits a job and returns a [`JoinHandle`] for its result.
     /// If the pool is already shut down the handle joins to `None`.
     pub fn spawn<T, F>(&self, f: F) -> JoinHandle<T>
@@ -80,24 +93,16 @@ impl WorkerPool {
         drop(accepted);
         rx
     }
+}
 
-    /// Closes the queue, lets the workers drain the remaining jobs, and
-    /// joins them.
-    pub fn shutdown(mut self) {
-        self.shutdown_in_place();
-    }
-
-    fn shutdown_in_place(&mut self) {
+/// Dropping the pool closes its queue, lets the workers run every job
+/// already accepted, and joins them.
+impl Drop for WorkerPool {
+    fn drop(&mut self) {
         self.queue.close();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.shutdown_in_place();
     }
 }
 
@@ -124,7 +129,7 @@ mod tests {
                 c.fetch_add(1, Ordering::SeqCst);
             }));
         }
-        pool.shutdown();
+        drop(pool);
         assert_eq!(counter.load(Ordering::SeqCst), 20);
     }
 

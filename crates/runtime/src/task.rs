@@ -77,19 +77,6 @@ impl<T> JoinHandle<T> {
             }
         }
     }
-
-    /// Non-blocking check: returns the result if it is already in.
-    pub fn try_join(self) -> Result<Option<T>, Self> {
-        let mut st = self.slot.state.lock().unwrap_or_else(|e| e.into_inner());
-        match std::mem::replace(&mut *st, SlotState::Pending) {
-            SlotState::Done(v) => Ok(Some(v)),
-            SlotState::Abandoned => Ok(None),
-            SlotState::Pending => {
-                drop(st);
-                Err(self)
-            }
-        }
-    }
 }
 
 /// Creates a connected producer/consumer pair for one result.
@@ -124,16 +111,5 @@ mod tests {
         let (tx, rx) = promise::<u32>();
         drop(tx);
         assert_eq!(rx.join(), None);
-    }
-
-    #[test]
-    fn try_join_pending_then_done() {
-        let (tx, rx) = promise();
-        let rx = match rx.try_join() {
-            Err(rx) => rx,
-            Ok(_) => panic!("nothing delivered yet"),
-        };
-        tx.complete(5);
-        assert_eq!(rx.try_join().unwrap(), Some(5));
     }
 }

@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 use lcm_core::admin::AdminHandle;
 use lcm_core::client::LcmClient;
 use lcm_core::functionality::AppendLog;
-use lcm_core::server::LcmServer;
+use lcm_core::server::{LcmServer, DEFAULT_WRITER_QUEUE};
 use lcm_core::stability::Quorum;
 use lcm_core::types::ClientId;
 use lcm_sim::cost::ServerKind;
@@ -73,9 +73,6 @@ fn real_stack(batch: usize, seed: u64) -> Duration {
     t0.elapsed()
 }
 
-/// The pipelined lane's writer queue in the async-write half.
-const WRITER_QUEUE: usize = 4;
-
 /// A device whose writes wait while its gate is shut; it counts the
 /// writes that have reached it and the writes that have completed.
 struct GatedDevice {
@@ -128,7 +125,7 @@ fn gated_lane(
     });
     let mut lane = LcmServer::<AppendLog>::new(&platform, device.clone(), 16);
     if pipelined {
-        lane = lane.into_pipelined_with_queue(WRITER_QUEUE);
+        lane = lane.into_pipelined();
     }
     let clients = bootstrapped(&world, &mut lane, seed);
     (device, lane, clients)
@@ -177,7 +174,7 @@ fn simulator_predicts_async_wins_and_the_real_pipeline_agrees() {
     let (device, mut pipelined, mut clients) = gated_lane(true, 90);
     device.set_shut(true);
     let completed = device.completed.load(Ordering::SeqCst);
-    for round in 0..WRITER_QUEUE as u32 {
+    for round in 0..DEFAULT_WRITER_QUEUE as u32 {
         submit_round(&mut pipelined, &mut clients, round);
         let replies = pipelined.step().unwrap();
         verify(&mut clients, replies);
@@ -185,12 +182,12 @@ fn simulator_predicts_async_wins_and_the_real_pipeline_agrees() {
     assert_eq!(
         device.completed.load(Ordering::SeqCst),
         completed,
-        "the pipelined lane answered {WRITER_QUEUE} batches with none of their stores completed"
+        "the pipelined lane answered {DEFAULT_WRITER_QUEUE} batches with none of their stores completed"
     );
     assert_eq!(pipelined.persists_completed(), 0);
     device.set_shut(false);
     pipelined.flush().unwrap();
-    assert_eq!(pipelined.persists_completed(), WRITER_QUEUE as u64);
+    assert_eq!(pipelined.persists_completed(), DEFAULT_WRITER_QUEUE as u64);
 }
 
 #[test]

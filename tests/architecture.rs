@@ -632,8 +632,9 @@ fn every_guarantee_names_tests_that_exist() {
     assert!(missing.is_empty(), "{missing:#?}");
 }
 
-/// Clock census: threads spawn only through `lcm-runtime`, and the
-/// clock is to follow them there. Every non-test
+/// Clock census: threads spawn only through `lcm-runtime`
+/// ([`threads_spawn_only_in_the_runtime`]), and the clock is to follow
+/// them there. Every non-test
 /// `Instant::now` / `thread::sleep` site outside the runtime is pinned
 /// here by file and count, so a new site fails, and so does a removed
 /// one until its pin is lowered: the census can only go down. The scope
@@ -668,6 +669,35 @@ fn clock_census_only_goes_down() {
         found,
         BTreeMap::from(CENSUS),
         "non-test clock sites by file"
+    );
+}
+
+/// Threads spawn only through `lcm-runtime`: every thread of the
+/// library crates is a `WorkerPool` worker (a deployment's shard and
+/// driver pools, a pipelined lane's persist writer), so each is named,
+/// joined when its owner drops, and fed through a bounded queue. No
+/// non-test `thread::spawn`, `thread::Builder` or `thread::scope`
+/// appears in the library crates' `src` or the root `src` outside
+/// `crates/runtime`; `lcm-bench` and `lcm-sim` are exempt, as in the
+/// clock census.
+#[test]
+fn threads_spawn_only_in_the_runtime() {
+    const OWNERS: [&str; 3] = ["crates/runtime", "crates/bench", "crates/sim"];
+    const SPAWNS: [&str; 3] = ["thread::spawn", "thread::Builder", "thread::scope"];
+    let is_spawn = |l: &str| SPAWNS.iter().any(|n| l.contains(n));
+    let sources = files(&["crates", "src"], &[".rs"]).filter(|f| {
+        f.path.starts_with("src/")
+            || (f.path.split('/').nth(2) == Some("src")
+                && !OWNERS.iter().any(|o| within(&f.path, o)))
+    });
+    let found = hits(sources, true, is_spawn);
+    assert!(
+        found.is_empty(),
+        "threads spawned outside the runtime: {found:#?}"
+    );
+    assert!(
+        non_test(&file("crates/runtime/src/pool.rs").text).any(is_spawn),
+        "crates/runtime/src/pool.rs spawns no thread: the rule matches nothing"
     );
 }
 

@@ -310,8 +310,8 @@ fn pipelined_storage_failure_surfaces_deferred_then_detected() {
 }
 
 /// The pipelined server's bounded writer queue really exerts
-/// back-pressure: with a slow disk and a 1-slot queue, execution
-/// blocks at least once.
+/// back-pressure: with a slow disk behind its
+/// `DEFAULT_WRITER_QUEUE`-slot queue, execution blocks at least once.
 #[test]
 fn pipelined_backpressure_is_observable() {
     use lcm::storage::DelayedStorage;
@@ -322,7 +322,7 @@ fn pipelined_backpressure_is_observable() {
     ));
     let world = TeeWorld::new_deterministic(15_000);
     let platform = world.platform_deterministic(1);
-    let mut server = LcmServer::<KvStore>::new(&platform, slow, 1).into_pipelined_with_queue(1);
+    let mut server = LcmServer::<KvStore>::new(&platform, slow, 1).into_pipelined();
     server.boot().unwrap();
     let mut admin = AdminHandle::new_deterministic(&world, vec![ClientId(1)], Quorum::Majority, 15);
     admin.bootstrap(&mut server).unwrap();
@@ -339,7 +339,7 @@ fn pipelined_backpressure_is_observable() {
     server.flush().unwrap();
     assert!(
         server.backpressure_events() > 0,
-        "a 1-slot writer queue behind a slow disk must block execution"
+        "a full writer queue behind a slow disk must block execution"
     );
     assert_eq!(server.persists_completed(), server.batches_processed());
 }

@@ -5,8 +5,8 @@
 //! through its thread-safe ingress and every reply through its demux,
 //! without driver threads, so batch arithmetic and crash scheduling
 //! stay deterministic), the 4-shard `ShardedServer` with an
-//! admission policy installed (the `frontend_*_4` rows), and replicated
-//! shard groups.
+//! admission policy installed ([`Mode::Admitted`], the `frontend_*_4`
+//! rows), and replicated shard groups.
 //!
 //! The `frontend_*_4` rows keep the scenario ids of the former
 //! `Frontend` wrapper, which now is the `ShardedServer` itself. They
@@ -79,8 +79,9 @@ pub enum Mode {
     },
     /// `Sharded`, with the admission controller switched on and no
     /// tenant configured: every client is unmetered, and plain
-    /// submits bypass the controller.
-    Frontend {
+    /// submits bypass the controller. Its rows keep the
+    /// `frontend_*_4` ids (module docs).
+    Admitted {
         /// Number of shards.
         shards: u32,
         /// Whether each shard persists on a background writer.
@@ -108,7 +109,7 @@ impl Mode {
         match self {
             Mode::Sync | Mode::Pipelined => 1,
             Mode::Sharded { shards, .. }
-            | Mode::Frontend { shards, .. }
+            | Mode::Admitted { shards, .. }
             | Mode::Replicated { shards, .. } => shards,
         }
     }
@@ -125,7 +126,7 @@ impl Mode {
     pub fn is_sharded(self) -> bool {
         matches!(
             self,
-            Mode::Sharded { .. } | Mode::Frontend { .. } | Mode::Replicated { .. }
+            Mode::Sharded { .. } | Mode::Admitted { .. } | Mode::Replicated { .. }
         )
     }
 
@@ -136,7 +137,7 @@ impl Mode {
     pub fn region(self, shard: u32) -> String {
         match self {
             Mode::Sync | Mode::Pipelined => String::new(),
-            Mode::Sharded { .. } | Mode::Frontend { .. } => NamespacedStorage::shard_prefix(shard),
+            Mode::Sharded { .. } | Mode::Admitted { .. } => NamespacedStorage::shard_prefix(shard),
             Mode::Replicated { .. } => format!("{}rep0.", NamespacedStorage::shard_prefix(shard)),
         }
     }
@@ -175,7 +176,7 @@ pub fn mk_server<F: Functionality + 'static>(
             shards,
             pipelined,
         )),
-        Mode::Frontend { shards, pipelined } => {
+        Mode::Admitted { shards, pipelined } => {
             let sharded =
                 shard::build_sharded::<F>(world, platform_base, storage, batch, shards, pipelined);
             sharded.set_admission(AdmissionConfig::new(Vec::new()));
@@ -392,11 +393,11 @@ macro_rules! all_modes {
         }
         mod frontend_sync_4 {
             $(#[test] fn $name() { super::$name(
-                crate::common::Mode::Frontend { shards: 4, pipelined: false }) })*
+                crate::common::Mode::Admitted { shards: 4, pipelined: false }) })*
         }
         mod frontend_pipelined_4 {
             $(#[test] fn $name() { super::$name(
-                crate::common::Mode::Frontend { shards: 4, pipelined: true }) })*
+                crate::common::Mode::Admitted { shards: 4, pipelined: true }) })*
         }
         mod replicated_sync_2x3 {
             $(#[test] fn $name() { super::$name(

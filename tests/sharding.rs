@@ -12,9 +12,8 @@ use common::{mk_client, mk_server, Mode};
 use lcm::core::admin::AdminHandle;
 use lcm::core::client::{LcmClient, WriteOutcome};
 use lcm::core::codec::WireCodec;
-use lcm::core::pipeline::DEFAULT_WRITER_QUEUE;
 use lcm::core::routing::{slice_of, SliceTable, SLICE_COUNT};
-use lcm::core::server::BatchServer;
+use lcm::core::server::{BatchServer, DEFAULT_WRITER_QUEUE};
 use lcm::core::shard::{build_sharded, nth_key_routing_to, route_hash, shard_index, ShardedServer};
 use lcm::core::stability::Quorum;
 use lcm::core::types::ClientId;
