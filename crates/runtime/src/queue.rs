@@ -81,11 +81,6 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Maximum number of queued items.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Current number of queued items.
     pub fn len(&self) -> usize {
         self.lock().items.len()
@@ -171,8 +166,7 @@ impl<T> BoundedQueue<T> {
 
     /// Dequeues the next item, blocking at most `timeout` while the
     /// queue is empty. Returns `None` on timeout or once the queue is
-    /// closed *and* drained — the caller distinguishes the two through
-    /// [`BoundedQueue::is_closed`] if it matters.
+    /// closed *and* drained.
     pub fn pop_timeout(&self, timeout: std::time::Duration) -> Option<T> {
         let deadline = std::time::Instant::now() + timeout;
         let mut st = self.lock();
@@ -224,11 +218,6 @@ impl<T> BoundedQueue<T> {
         drop(st);
         self.not_empty.notify_all();
         self.not_full.notify_all();
-    }
-
-    /// Whether [`BoundedQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
     }
 }
 
@@ -295,7 +284,7 @@ mod tests {
         assert_eq!(q.pop_timeout(Duration::from_millis(5)), Some(9));
         q.close();
         assert_eq!(q.pop_timeout(Duration::from_millis(5)), None);
-        assert!(q.is_closed());
+        assert_eq!(q.push(1), Err(1), "a closed queue refuses items");
     }
 
     /// Runs `body` on its own thread and fails — instead of hanging the

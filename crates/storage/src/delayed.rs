@@ -15,6 +15,15 @@ use crate::{Result, StableStorage};
 /// overlaps with execution. Benches and the simulator-validation tests
 /// use it to compare the synchronous and asynchronous-write modes
 /// under identical storage cost.
+///
+/// Stores to distinct slots overlap: each sleeps on its caller's
+/// thread, so the model is a device with parallel queues, where writes
+/// that are on it together cost one delay, not one each. That is what
+/// the delta log's extra journal heads buy on this model; a medium
+/// whose writes serialise (one queue, or one `fsync` for the whole
+/// file system) would charge them in turn, so a file-backed medium
+/// must measure that gain again before relying on it (ROADMAP
+/// item 15).
 #[derive(Debug)]
 pub struct DelayedStorage<S> {
     inner: S,

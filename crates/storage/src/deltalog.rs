@@ -7,17 +7,19 @@
 //! sealed *deltas* per batch, and this engine journals them into an
 //! append-style segmented log over any inner [`StableStorage`], with
 //!
-//! * a **group-commit writer, two commits deep** — concurrent delta
-//!   stores from many shards'/replicas' lanes are drained into one
-//!   inner write (one modelled fsync) of a journal *head* by whichever
-//!   caller wins the committer role, the rest blocking until their
-//!   record is durable. There are two heads (`dlog.head` and
-//!   `dlog.head.1`): a store that finds a commit on the device takes
-//!   the free head and starts its own inner write at once, instead of
-//!   waiting out a write it is not part of and then its own;
+//! * a **group-commit writer, one commit per busy head** — concurrent
+//!   delta stores from many shards'/replicas' lanes are drained into
+//!   one inner write (one modelled fsync) of a journal *head* by
+//!   whichever caller wins the committer role, the rest blocking until
+//!   their record is durable. There are [`HEADS`] heads (`dlog.head`,
+//!   then `dlog.head.1` through `dlog.head.3`): a store that finds
+//!   commits on the device takes the lowest free head and starts its
+//!   own inner write at once, instead of waiting out writes it is not
+//!   part of and then its own. A lone writer only ever finds head 0
+//!   free, so it writes `dlog.head` alone;
 //! * **sealed segments** — a head is sealed into a segment once it
 //!   reaches [`DeltaLogConfig::segment_bytes`], with the engine lock
-//!   released while the other head keeps committing. A seal is one
+//!   released while the other heads keep committing. A seal is one
 //!   device write of the full head into the lowest free segment slot
 //!   the manifest covers; only a seal that finds none grows the range,
 //!   and writes the manifest after its segment. The head is not
@@ -32,11 +34,12 @@
 //!   of one slot's deltas (a replica-group straggler's buffer) as one
 //!   group commit, one head write;
 //! * **recovery** — reopening scans checkpoints, every segment slot in
-//!   the manifest's range and both heads, truncates a torn head tail at
-//!   that head's last intact frame ([`crate::framing`]), replays the
-//!   surviving records merged in epoch order, and rebuilds the free
-//!   list from the same scan. A medium that only ever had one head, or
-//!   whose collection cleared segments instead of freeing them, opens
+//!   the manifest's range and every head slot, truncates a torn head
+//!   tail at that head's last intact frame ([`crate::framing`]),
+//!   replays the surviving records merged in epoch order, and rebuilds
+//!   the free list from the same scan. An absent head slot is an empty
+//!   head, so a medium written with one or two heads, or whose
+//!   collection cleared segments instead of freeing them, opens
 //!   unchanged. Which layer checks what on the way is listed under
 //!   [Who checks what at a reboot](#who-checks-what-at-a-reboot).
 //!
@@ -48,7 +51,7 @@
 //! reorders, drops, or splices journal records is detected exactly like
 //! any other rollback/forking attempt.
 //!
-//! # Two commits in flight: the three rules
+//! # Commits in flight on many heads: the three rules
 //!
 //! 1. **Acknowledge in order.** Commits are numbered as they take the
 //!    queue, each takes a *prefix* of the epoch-ordered queue, and one
@@ -56,22 +59,29 @@
 //!    return — only after every earlier one has. So no `store` returns
 //!    before its record *and every earlier-epoch record* is on the
 //!    medium (or has failed its own caller): an acknowledged record
-//!    never has an unacknowledged predecessor, even when the later
+//!    never has an unacknowledged predecessor, even when a later
 //!    commit's inner write finishes first.
 //! 2. **One slot, one commit at a time.** A record whose slot has a
-//!    record in the unfinished commit on the other head stays queued
-//!    (and, the queue being taken by prefix, so does everything behind
-//!    it). Two head writes that are in flight together therefore never
-//!    carry the same slot, and whichever of them a crash lands, each
-//!    slot's surviving records are a prefix of that slot's history.
-//!    No lane stores one slot concurrently today; the engine does not
-//!    depend on that.
-//! 3. **Recovery merges both heads by epoch.** Records are keyed by
-//!    epoch wherever they were found (segments, either head — a record
+//!    record in *any* unfinished commit stays queued (and, the queue
+//!    being taken by prefix, so does everything behind it). Head writes
+//!    that are in flight together therefore never carry the same slot,
+//!    and whichever of them a crash lands, each slot's surviving
+//!    records are a prefix of that slot's history. No lane stores one
+//!    slot concurrently today; the engine does not depend on that.
+//! 3. **Recovery merges every head by epoch.** Records are keyed by
+//!    epoch wherever they were found (segments, any head — a record
 //!    may be in a segment and still in its head), and a torn tail
 //!    truncates its own head only.
 //!
-//! The single-lane case is the same code with one head ever busy.
+//! The single-lane case is the same code with one head ever busy: a
+//! commit takes the lowest free head, so one writer journals through
+//! `dlog.head` alone and its medium is the one-head layout's, byte for
+//! byte. Four heads because the widest deployment whose lanes share one
+//! engine has four lanes (the front-end posture, `fe4`; a lane over a
+//! store that is not delta-capable opens an engine of its own, so a
+//! wider sharded server is one writer per engine): each lane's commit
+//! then finds a head of its own, and queues only behind a commit that
+//! carries its own slot.
 //!
 //! # Who checks what at a reboot
 //!
@@ -85,7 +95,7 @@
 //!    overwrite must not be taken for current: the valid one with the
 //!    higher epoch is current, the other's epoch is the generation that
 //!    gates garbage collection. The journal — every segment slot in
-//!    the manifest's range, then both heads — is scanned once, which
+//!    the manifest's range, then every head — is scanned once, which
 //!    is what finds each head's torn tail. A record its slot's current
 //!    checkpoint already supersedes is indexed (collection must know
 //!    which segment holds it) but its blob is not copied out:
@@ -127,9 +137,9 @@
 //!
 //! 1. every record is tagged with a monotone *epoch* and every
 //!    acknowledged record survives: replaying a prefix of inner writes —
-//!    in any order the host flushed them, with either of two in-flight
-//!    head writes lost — recovers, *per slot*, a prefix of that slot's
-//!    committed history that holds everything acknowledged;
+//!    in any order the host flushed them, with any of the head writes
+//!    in flight together lost — recovers, *per slot*, a prefix of that
+//!    slot's committed history that holds everything acknowledged;
 //! 2. checkpoints alternate between two parity slots, and a segment is
 //!    freed only one checkpoint generation late — when every record in
 //!    it is at or below its slot's *previous* checkpoint — so a torn or
@@ -148,8 +158,8 @@
 //!    still holds them, and the slot's old frames were free. A seal
 //!    holds no lock across its device writes: the full head stays
 //!    marked busy (no commit touches it) and its segment is taken off
-//!    the free list or reserved under the lock, so the other head's
-//!    seal takes another. Manifest writes queue behind one another,
+//!    the free list or reserved under the lock, so another head's seal
+//!    takes another. Manifest writes queue behind one another,
 //!    never behind the lock.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
@@ -162,10 +172,13 @@ use crate::{
     BLOB_KIND_CHECKPOINT, BLOB_KIND_DELTA,
 };
 
-/// Slots holding the two active (unsealed) journal heads. Head 0 keeps
-/// the name the one-head layout used, so media written by it open as
-/// they are.
-const HEAD_SLOTS: [&str; 2] = ["dlog.head", "dlog.head.1"];
+/// How many journal heads can have a commit on the device at once.
+const HEADS: usize = 4;
+
+/// Slots holding the active (unsealed) journal heads. Head 0 keeps the
+/// name the one-head layout used, so media written by it open as they
+/// are, and a slot that is absent is an empty head.
+const HEAD_SLOTS: [&str; HEADS] = ["dlog.head", "dlog.head.1", "dlog.head.2", "dlog.head.3"];
 
 fn seg_slot(k: u64) -> String {
     format!("dlog.seg.{k:08}")
@@ -251,9 +264,12 @@ pub struct DeltaLogStats {
     /// Inner writes of a journal head — each one is a group commit
     /// covering every record drained that round.
     pub group_commits: u64,
-    /// Group commits that started while the other head's was still
-    /// unfinished — the overlap the second head exists for.
+    /// Group commits that started while another head was busy with a
+    /// commit or a seal — the overlap the extra heads exist for.
     pub overlapped_commits: u64,
+    /// The most heads that had a commit or a seal on the device at
+    /// once: 1 for a lone writer, at most the engine's four.
+    pub peak_heads_busy: u64,
     /// Delta records appended across all group commits.
     pub records_appended: u64,
     /// Head buffers sealed into immutable segments.
@@ -298,7 +314,7 @@ struct Record {
     blob: Arc<[u8]>,
 }
 
-/// One of the two journal heads.
+/// One of the [`HEADS`] journal heads.
 #[derive(Default)]
 struct Head {
     /// In-memory mirror of the durable head slot. Away with the
@@ -308,7 +324,7 @@ struct Head {
     index: SegIndex,
     /// The records of the unfinished commit on this head, empty without
     /// one. Kept here rather than with its committer so the other
-    /// head's next commit can apply rule 2 against it.
+    /// heads' next commits can apply rule 2 against it.
     batch: Vec<Record>,
     /// A commit or a seal owns this head: its inner writes run with the
     /// core lock released, and nothing else may touch the head slot.
@@ -340,7 +356,7 @@ struct Core {
     commits_started: u64,
     commits_published: u64,
     failed: Vec<FailedCommit>,
-    heads: [Head; 2],
+    heads: [Head; HEADS],
     seg_lo: u64,
     /// Next unreserved segment number. Every number in `seg_lo..seg_next`
     /// is in exactly one of `seg_index`, `free`, or a seal in flight.
@@ -406,21 +422,23 @@ impl Core {
 
     /// Starts a group commit if a head is free and the queue's front is
     /// eligible: takes the longest queue prefix rule 2 allows onto the
-    /// free head, numbers the commit, and returns `(head, number)`.
+    /// lowest free head, numbers the commit, and returns `(head, number)`.
     fn begin_commit(&mut self) -> Option<(usize, u64)> {
         let h = self.heads.iter().position(|head| !head.busy)?;
-        let unfinished = &self.heads[h ^ 1].batch;
+        let unfinished = self.heads.iter().flat_map(|head| &head.batch);
         let eligible = self
             .queue
             .iter()
-            .position(|r| unfinished.iter().any(|u| u.slot == r.slot))
+            .position(|r| unfinished.clone().any(|u| u.slot == r.slot))
             .unwrap_or(self.queue.len());
         if eligible == 0 {
             return None;
         }
-        if !unfinished.is_empty() {
+        let busy = self.heads.iter().filter(|head| head.busy).count() as u64;
+        if busy > 0 {
             self.stats.overlapped_commits += 1;
         }
+        self.stats.peak_heads_busy = self.stats.peak_heads_busy.max(busy + 1);
         let number = self.commits_started;
         self.commits_started += 1;
         let head = &mut self.heads[h];
@@ -484,7 +502,7 @@ impl std::fmt::Debug for DeltaLogStorage {
             .field("segments", &(core.seg_lo..core.seg_next))
             .field(
                 "head_bytes",
-                &[core.heads[0].buf.len(), core.heads[1].buf.len()],
+                &core.heads.iter().map(|h| h.buf.len()).collect::<Vec<_>>(),
             )
             .field("slots", &core.slots.len())
             .field("stats", &core.stats)
@@ -651,7 +669,7 @@ impl DeltaLogStorage {
     }
 
     /// Recovery: reads the manifest, both checkpoint parities of every
-    /// slot it names, every segment slot in its range and both heads, and
+    /// slot it names, every segment slot in its range and every head, and
     /// returns the engine state they describe (module docs, "Who checks
     /// what at a reboot").
     fn recover(inner: &dyn StableStorage) -> Result<Core> {
@@ -705,7 +723,7 @@ impl DeltaLogStorage {
             core.slots.insert(slot, state);
         }
 
-        // Every segment slot in the range, then both heads: collect
+        // Every segment slot in the range, then every head: collect
         // records by epoch (rule 3 — where a record was found does not
         // matter, and one found twice is one record). The checkpoints
         // are known by now, so a record its slot's checkpoint supersedes
@@ -731,7 +749,10 @@ impl DeltaLogStorage {
                 }
                 (index, scanned.valid_len)
             };
-        let mut head_bufs = [inner.load(HEAD_SLOTS[0])?, inner.load(HEAD_SLOTS[1])?];
+        let mut head_bufs = HEAD_SLOTS
+            .iter()
+            .map(|slot| inner.load(slot))
+            .collect::<Result<Vec<_>>>()?;
         for k in core.seg_lo..core.seg_next {
             // A number with nothing behind it — a seal that grew the
             // range and died, a slot an older engine cleared — scans
@@ -998,7 +1019,7 @@ impl DeltaLogStorage {
                     }
                 }
                 if buf.len() >= self.config.segment_bytes {
-                    // Taken here, under the lock: the other head's seal
+                    // Taken here, under the lock: another head's seal
                     // takes another segment.
                     seal_into = Some(core.take_segment());
                 }
@@ -1015,7 +1036,7 @@ impl DeltaLogStorage {
         }
         if let Some((k, grows)) = seal_into {
             // The commit's callers go now; the head stays busy and the
-            // other head keeps committing while this one seals.
+            // other heads keep committing while this one seals.
             drop(core);
             self.commit_done.notify_all();
             let sealed = self.seal_writes(k, grows, &buf);
@@ -1562,6 +1583,26 @@ mod tests {
     }
 
     #[test]
+    fn a_single_writer_journals_through_dlog_head_only() {
+        let (inner, e) = engine(2 * FRAME - 1); // every second delta seals
+        for generation in 0..4u8 {
+            e.store("s", &ckpt(generation)).unwrap();
+            for n in 0..6u8 {
+                e.store("s", &delta(n)).unwrap();
+            }
+            e.store_all("s", &[&delta(6), &delta(7)]).unwrap();
+        }
+        let stats = e.stats();
+        assert!(stats.segments_sealed > 0, "{stats:?}");
+        assert_eq!(stats.checkpoints, 4);
+        assert_eq!((stats.peak_heads_busy, stats.overlapped_commits), (1, 0));
+        assert!(inner.load(HEAD_SLOTS[0]).unwrap().is_some());
+        for slot in &HEAD_SLOTS[1..] {
+            assert_eq!(inner.load(slot).unwrap(), None, "one writer wrote {slot}");
+        }
+    }
+
+    #[test]
     fn group_commit_amortizes_inner_head_writes() {
         let inner = Arc::new(DelayedStorage::new(
             MemoryStorage::new(),
@@ -1766,6 +1807,46 @@ mod tests {
         assert_eq!(ds, vec![&delta(1)[..], &delta(2)[..]]);
         let stats = e.stats();
         assert_eq!((stats.group_commits, stats.overlapped_commits), (2, 0));
+    }
+
+    #[test]
+    fn a_same_slot_record_stays_queued_while_its_slot_commits_on_any_head() {
+        let store = Arc::new(GatedStore::default());
+        let gates: Vec<_> = HEAD_SLOTS[..3].iter().map(|h| store.gate(h)).collect();
+        let e = Arc::new(DeltaLogStorage::open(store).unwrap());
+        for slot in ["a", "b", "c"] {
+            e.store(slot, &ckpt(0)).unwrap();
+        }
+        // "a", "b" and "c" commit on heads 0, 1 and 2, all three held.
+        let mut threads = Vec::new();
+        for ((slot, n), (entered, _)) in [("a", 1), ("b", 2), ("c", 3)].into_iter().zip(&gates) {
+            threads.push(store_on_a_thread(&e, slot, delta(n)));
+            entered.recv().unwrap();
+        }
+        // Head 3 is free, but "a" is on head 0: the record waits, however
+        // far from the free head its slot's commit is.
+        threads.push(store_on_a_thread(&e, "a", delta(4)));
+        let core = await_parked(&e, 1);
+        let queued = (core.queue.len(), core.heads[3].busy);
+        drop(core);
+        // Failing here drops the gates, which lets every held write through.
+        assert_eq!(queued, (1, false), "a slot was on two heads at once");
+        gates[0].1.send(true).unwrap(); // "a"'s first commit publishes…
+        gates[0].0.recv().unwrap(); // …and its second takes head 0 again
+        for (_, release) in &gates {
+            release.send(true).unwrap();
+        }
+        for (thread, done) in threads {
+            thread.join().unwrap();
+            done.recv().unwrap().unwrap();
+        }
+        let bundle = e.load("a").unwrap().unwrap();
+        assert_eq!(
+            parse_bundle(&bundle).unwrap().1,
+            vec![&delta(1)[..], &delta(4)[..]]
+        );
+        let stats = e.stats();
+        assert_eq!((stats.group_commits, stats.peak_heads_busy), (4, 3));
     }
 
     #[test]

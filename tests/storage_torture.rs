@@ -23,13 +23,14 @@
 //!    of the acknowledged operations, with everything whose commit
 //!    write survived the cut still present.
 //!
-//! 4. **Two lanes, two heads** (proptest) — two lanes journal through
-//!    one engine, so two group commits (or a commit and a seal, a
-//!    checkpoint, a manifest) are on the device together. A gate
-//!    records which inner writes were in flight at once and in what
-//!    order they landed; recovery is judged at every prefix of that
-//!    recording *and* with either one of each concurrent pair lost.
-//!    A medium written by the one-head layout must open unchanged.
+//! 4. **Lanes on heads of their own** (proptests) — two or three lanes
+//!    journal through one engine, so as many group commits (or commits
+//!    beside a seal, a checkpoint, a manifest) are on the device
+//!    together. A gate records which inner writes were in flight at
+//!    once and in what order they landed; recovery is judged at every
+//!    prefix of that recording *and* with every non-empty subset of
+//!    each concurrent group lost. A medium written by the one-head
+//!    layout must open unchanged.
 //!
 //! The CI `storage-torture` job repeats this suite with distinct
 //! `LCM_STRESS_SEED`s; the seed is logged so a failing schedule can be
@@ -453,7 +454,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Two lanes, two heads: kill points over a recorded interleaving.
+// Lanes on heads of their own: kill points over a recorded interleaving.
 // ---------------------------------------------------------------------
 
 /// What the gate tells the controller about a lane's thread.
@@ -473,7 +474,7 @@ struct GatedRecorder {
     log: Mutex<Vec<WriteRecord>>,
     lanes: Mutex<HashMap<ThreadId, usize>>,
     events: Mutex<Sender<LaneEvent>>,
-    releases: [Mutex<Receiver<()>>; 2],
+    releases: Vec<Mutex<Receiver<()>>>,
 }
 
 impl GatedRecorder {
@@ -511,32 +512,40 @@ impl StableStorage for GatedRecorder {
     }
 }
 
-/// Releases gated writes until both lanes have finished. Whenever both
-/// lanes are held inside an inner write at once, `first_lands` picks
-/// which lands first and the pair is noted: the returned `L`s say
-/// "writes `L` and `L + 1` of the recording were in flight together".
+/// Writes `at..at + len` of the recording were in flight together.
+#[derive(Debug, Clone, Copy)]
+struct Concurrent {
+    at: usize,
+    len: usize,
+}
+
+/// Releases gated writes until every lane has finished. Whenever two or
+/// more lanes are held inside an inner write at once, `first_lands`
+/// picks whether they are released in lane order or against it, and
+/// the group is noted.
 fn release_in_recorded_order(
     recorder: &GatedRecorder,
     events: &Receiver<LaneEvent>,
-    releases: &[Sender<()>; 2],
+    releases: &[Sender<()>],
     first_lands: &[bool],
-) -> Vec<usize> {
+) -> Vec<Concurrent> {
     #[derive(Clone, Copy, PartialEq)]
     enum Lane {
         Running,
         Held,
         Finished,
     }
-    let mut lanes = [Lane::Running; 2];
-    let mut pairs = Vec::new();
+    let mut lanes = vec![Lane::Running; releases.len()];
+    let mut groups = Vec::new();
     let mut first_lands = first_lands.iter().cycle();
     loop {
         // Let every running lane reach its next inner write. A lane
-        // that stays silent is parked inside the engine behind the
-        // write the other lane is held in (a manifest's turn, say) —
-        // except before the first release, when nothing can be: that
-        // round is waited out, so every recording has a concurrent pair.
-        let patience = match pairs.is_empty() {
+        // that stays silent is parked inside the engine behind a write
+        // another lane is held in (a manifest's turn, say) — except
+        // before the first release, when nothing can be: that round is
+        // waited out, so every recording has every lane's write on the
+        // device at once.
+        let patience = match groups.is_empty() {
             true => Duration::from_secs(30),
             false => Duration::from_millis(5),
         };
@@ -548,34 +557,37 @@ fn release_in_recorded_order(
                 Err(RecvTimeoutError::Disconnected) => panic!("a lane thread died"),
             }
         }
-        let held: Vec<usize> = (0..2).filter(|&l| lanes[l] == Lane::Held).collect();
-        let order = match held[..] {
-            [] if lanes == [Lane::Finished; 2] => return pairs,
-            [a, b] => {
-                pairs.push(recorder.written());
-                match first_lands.next() {
-                    Some(true) => vec![a, b],
-                    _ => vec![b, a],
-                }
+        let mut held: Vec<usize> = (0..lanes.len())
+            .filter(|&l| lanes[l] == Lane::Held)
+            .collect();
+        if held.is_empty() && lanes.iter().all(|&l| l == Lane::Finished) {
+            return groups;
+        }
+        if held.len() > 1 {
+            groups.push(Concurrent {
+                at: recorder.written(),
+                len: held.len(),
+            });
+            if first_lands.next() != Some(&true) {
+                held.reverse();
             }
-            _ => held,
-        };
-        for l in order {
+        }
+        for l in held {
             lanes[l] = Lane::Running;
             releases[l].send(()).unwrap();
         }
     }
 }
 
-/// One lane of the two-lane schedule: its own world, admin and client,
-/// its own namespace of the shared engine.
+/// One lane of the schedule: its own world, admin and client, its own
+/// namespace of the shared engine.
 struct TortureLane {
     world: TeeWorld,
     admin: AdminHandle,
     server: LcmServer<KvStore>,
 }
 
-const LANE_PREFIXES: [&str; 2] = ["laneA.", "laneB."];
+const LANE_PREFIXES: [&str; 3] = ["laneA.", "laneB.", "laneC."];
 
 fn mk_lane(world: &TeeWorld, engine: &Arc<DeltaLogStorage>, lane: usize) -> LcmServer<KvStore> {
     let storage = NamespacedStorage::new(
@@ -595,34 +607,78 @@ fn lane_value(lane: usize, i: usize, value_len: usize) -> Vec<u8> {
     value
 }
 
-/// Crash-safety with two commits in flight: for every prefix of the
-/// recorded inner writes, and for every pair of writes that were on the
-/// device together with the one that landed first lost instead, both
-/// lanes boot, their chains verify end to end, each lane's surviving
-/// puts are a prefix of *that lane's* schedule, and every put
-/// acknowledged before the cut is still there.
-fn every_two_lane_kill_point_recovers(
-    world_seed: u64,
-    n_puts: usize,
-    value_len: usize,
-    segment_bytes: usize,
-    first_lands: &[bool],
+/// What reached the medium in each crash the recording allows, with
+/// how many writes the crash is known to follow: every prefix, then,
+/// for every group of writes on the device together, every non-empty
+/// subset of the group lost — a crash with all of them in flight,
+/// before any was acknowledged, in which only the others landed. A
+/// subset that leaves a prefix is a prefix cut already.
+fn crash_cuts<'w>(
+    writes: &'w [WriteRecord],
+    groups: &[Concurrent],
+) -> Vec<(Vec<&'w WriteRecord>, usize)> {
+    let mut cuts: Vec<_> = (0..=writes.len())
+        .map(|k| (writes[..k].iter().collect(), k))
+        .collect();
+    for &Concurrent { at, len } in groups {
+        for lost in 1..1u32 << len {
+            let kept = !lost & ((1 << len) - 1);
+            if kept & (kept + 1) == 0 {
+                continue; // the group's first writes landed: a prefix
+            }
+            let mut landed: Vec<&WriteRecord> = writes[..at].iter().collect();
+            landed.extend(
+                (0..len)
+                    .filter(|i| kept >> i & 1 == 1)
+                    .map(|i| &writes[at + i]),
+            );
+            cuts.push((landed, at));
+        }
+    }
+    cuts
+}
+
+/// One run of [`every_concurrent_kill_point_recovers`]: the world seed,
+/// each lane's put count and value length, the segment size, and which
+/// of the held writes lands first, group by group.
+type Schedule = (u64, usize, usize, usize, Vec<bool>);
+
+/// The schedules every lane count is tried over, so the two- and
+/// three-lane tests draw from one space.
+fn schedules() -> impl Strategy<Value = Schedule> {
+    (
+        0u64..1_000,
+        1usize..7,
+        0usize..300,
+        prop_oneof![Just(192usize), Just(1024), Just(1 << 16)],
+        proptest::collection::vec(any::<bool>(), 1..8),
+    )
+}
+
+/// Crash-safety with `lanes` commits in flight: for every prefix of the
+/// recorded inner writes, and for every group of writes that were on
+/// the device together with any non-empty subset of them lost instead,
+/// every lane boots, its chain verifies end to end, its surviving puts
+/// are a prefix of *that lane's* schedule, and every put acknowledged
+/// before the cut is still there.
+fn every_concurrent_kill_point_recovers(
+    lanes: usize,
+    (world_seed, n_puts, value_len, segment_bytes, first_lands): Schedule,
 ) -> Result<(), TestCaseError> {
     let (events_tx, events) = channel();
-    let (release_a, held_a) = channel();
-    let (release_b, held_b) = channel();
+    let (releases, held): (Vec<_>, Vec<_>) = (0..lanes).map(|_| channel()).unzip();
     let recorder = Arc::new(GatedRecorder {
         inner: MemoryStorage::new(),
         log: Mutex::new(Vec::new()),
         lanes: Mutex::new(HashMap::new()),
         events: Mutex::new(events_tx),
-        releases: [Mutex::new(held_a), Mutex::new(held_b)],
+        releases: held.into_iter().map(Mutex::new).collect(),
     });
     let config = DeltaLogConfig { segment_bytes };
     let engine = Arc::new(DeltaLogStorage::with_config(recorder.clone(), config).unwrap());
 
     // Provisioning runs ungated (this thread is no lane) but recorded.
-    let mut lanes: Vec<TortureLane> = (0..2)
+    let mut lanes: Vec<TortureLane> = (0..lanes)
         .map(|lane| {
             let world = TeeWorld::new_deterministic(9_500 + 2 * world_seed + lane as u64);
             let mut server = mk_lane(&world, &engine, lane);
@@ -644,7 +700,7 @@ fn every_two_lane_kill_point_recovers(
 
     // `acked[lane][i]` = recording length when the lane's put i was
     // acknowledged: cuts at or past it must preserve that put.
-    let (acked, pairs) = std::thread::scope(|s| {
+    let (acked, groups) = std::thread::scope(|s| {
         let threads: Vec<_> = lanes
             .iter_mut()
             .enumerate()
@@ -668,33 +724,22 @@ fn every_two_lane_kill_point_recovers(
                 })
             })
             .collect();
-        let pairs =
-            release_in_recorded_order(&recorder, &events, &[release_a, release_b], first_lands);
+        let groups = release_in_recorded_order(&recorder, &events, &releases, &first_lands);
         let acked: Vec<Vec<usize>> = threads.into_iter().map(|t| t.join().unwrap()).collect();
-        (acked, pairs)
+        (acked, groups)
     });
+    // Every lane's first put commits while the others' are held, each
+    // on a head of its own.
+    let stats = engine.stats();
     prop_assert!(
-        engine.stats().overlapped_commits > 0,
-        "the schedule never had two group commits in flight: {:?}",
-        engine.stats()
+        stats.peak_heads_busy == lanes.len() as u64,
+        "not every lane's commit had a head of its own: {:?}",
+        stats
     );
     drop(engine);
     let writes = recorder.log.lock().unwrap().clone();
 
-    // (what reached the medium, how many writes the cut is known to
-    // follow): every prefix, then every concurrent pair with the write
-    // that landed first lost — a crash with both in flight, before
-    // either was acknowledged, in which only the other one landed.
-    let mut cuts: Vec<(Vec<&WriteRecord>, usize)> = (0..=writes.len())
-        .map(|k| (writes[..k].iter().collect(), k))
-        .collect();
-    for &first in &pairs {
-        let mut landed: Vec<&WriteRecord> = writes[..first].iter().collect();
-        landed.push(&writes[first + 1]);
-        cuts.push((landed, first));
-    }
-
-    for (landed, follows) in cuts {
+    for (landed, follows) in crash_cuts(&writes, &groups) {
         let what = format!("cut after {follows} with {} landed", landed.len());
         let disk: Arc<dyn StableStorage> = Arc::new(MemoryStorage::new());
         for (slot, blob) in landed {
@@ -746,15 +791,18 @@ proptest! {
 
     #[test]
     fn every_kill_point_with_two_commits_in_flight_recovers_prefix_consistent_per_lane(
-        world_seed in 0u64..1_000,
-        n_puts in 1usize..7,
-        value_len in 0usize..300,
-        segment_bytes in prop_oneof![Just(192usize), Just(1024), Just(1 << 16)],
-        first_lands in proptest::collection::vec(any::<bool>(), 1..8),
+        schedule in schedules(),
     ) {
-        every_two_lane_kill_point_recovers(
-            world_seed, n_puts, value_len, segment_bytes, &first_lands,
-        )?;
+        every_concurrent_kill_point_recovers(2, schedule)?;
+    }
+
+    /// Three lanes: three writes on the device together, so a commit
+    /// finds two heads busy, not one.
+    #[test]
+    fn every_kill_point_with_three_commits_in_flight_recovers_prefix_consistent_per_lane(
+        schedule in schedules(),
+    ) {
+        every_concurrent_kill_point_recovers(3, schedule)?;
     }
 }
 
@@ -768,7 +816,7 @@ fn unhex(s: &str) -> Vec<u8> {
 /// A medium written by the one-head engine — the bytes commit `2594420`
 /// left behind for `checkpoint(lane.a), delta(lane.a), delta(lane.b),
 /// delta(lane.a)`, recorded in a scratch clone — opens under the
-/// two-head engine, serves its state, and keeps journalling.
+/// multi-head engine, serves its state, and keeps journalling.
 #[test]
 fn a_medium_written_with_one_head_opens_and_accepts_further_deltas() {
     let disk = Arc::new(MemoryStorage::new());
